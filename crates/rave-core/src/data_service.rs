@@ -118,6 +118,9 @@ pub struct DataService {
     /// Multicast-vs-unicast delivery accounting, fed by the world's
     /// publish path.
     pub fanout: FanoutTotals,
+    /// Interest closures recomputed since the service was created, so a
+    /// test can bound a plan diff's cost by count instead of by time.
+    pub interest_refreshes: u64,
 }
 
 impl DataService {
@@ -140,6 +143,7 @@ impl DataService {
             index_built_rev: 0,
             route_slots: Vec::new(),
             fanout: FanoutTotals::default(),
+            interest_refreshes: 0,
         }
     }
 
@@ -176,6 +180,17 @@ impl DataService {
             p.sync()?;
         }
         Ok(())
+    }
+
+    /// Keep the sink's compaction behind a log-shipping standby (see
+    /// [`Persistence::set_retention_floor`]).
+    pub fn set_retention_floor(&mut self, acked_seq: Option<u64>) {
+        if let Some(p) = &self.persistence {
+            // A poisoned sink fails the next commit; it compacts nothing.
+            if let Ok(mut p) = p.lock() {
+                p.set_retention_floor(acked_seq);
+            }
+        }
     }
 
     /// Rebuild a replacement data service from a durable store directory:
@@ -366,11 +381,24 @@ impl DataService {
     }
 
     /// Refresh every subscriber's interest closure after structural scene
-    /// changes, and schedule an index rebuild (the rebalancer edits
-    /// subscriber interests in place and then calls this).
+    /// changes, and schedule an index rebuild.
     pub fn refresh_interests(&mut self) {
         for sub in self.subscribers.values_mut() {
             sub.interest.refresh(&self.scene);
+        }
+        self.interest_refreshes += self.subscribers.len() as u64;
+        self.index_rev += 1;
+    }
+
+    /// Refresh the closures of just `touched` and schedule one index
+    /// rebuild: the rebalancer edits the interest roots of the services a
+    /// batch of moves involves in place, then calls this once.
+    pub fn refresh_interests_of(&mut self, touched: impl IntoIterator<Item = RenderServiceId>) {
+        for rs in touched {
+            if let Some(sub) = self.subscribers.get_mut(&rs) {
+                sub.interest.refresh(&self.scene);
+                self.interest_refreshes += 1;
+            }
         }
         self.index_rev += 1;
     }

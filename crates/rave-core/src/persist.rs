@@ -37,6 +37,12 @@ pub trait Persistence: std::fmt::Debug + Send {
 
     /// Flush buffered appends to stable storage.
     fn sync(&mut self) -> io::Result<()>;
+
+    /// A log-shipping standby has acknowledged everything up to
+    /// `acked_seq` (`None`: no standby attached): checkpoints must not
+    /// discard log the standby has yet to be sent. A sink that never
+    /// discards anything has nothing to do.
+    fn set_retention_floor(&mut self, _acked_seq: Option<u64>) {}
 }
 
 /// [`Persistence`] backed by a [`rave_store::Store`] directory.
@@ -89,6 +95,10 @@ impl Persistence for StorePersistence {
 
     fn sync(&mut self) -> io::Result<()> {
         self.store.sync()
+    }
+
+    fn set_retention_floor(&mut self, acked_seq: Option<u64>) {
+        self.store.set_retention_floor(acked_seq);
     }
 }
 

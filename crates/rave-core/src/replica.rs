@@ -28,15 +28,16 @@ use rave_sim::SimTime;
 use rave_store::ship::{Shipper, StandbyLog, ACK_BYTES};
 use rave_store::{StoreConfig, Wal};
 use std::io;
-use std::path::{Path, PathBuf};
+use std::path::Path;
 
 /// One live replication link, owned by the world and keyed by primary.
 #[derive(Debug)]
 pub struct ReplicaLink {
     pub primary: DataServiceId,
     pub standby: DataServiceId,
-    /// The primary's WAL directory frames are planned from.
-    pub primary_dir: PathBuf,
+    /// Plans frames from the primary's WAL directory; kept across ticks
+    /// so each one reads only what the log grew by.
+    pub shipper: Shipper,
     /// The standby's durable log (its directory is a prefix of the
     /// primary's, and becomes the promoted service's store).
     pub log: StandbyLog,
@@ -52,6 +53,13 @@ pub struct ReplicaLink {
     /// Lifetime accounting, for traces and benches.
     pub shipped_frames: u64,
     pub shipped_bytes: u64,
+}
+
+impl ReplicaLink {
+    /// Bytes of the primary's active segments the link's ticks have read.
+    pub fn tail_bytes_read(&self) -> u64 {
+        self.shipper.tail_bytes_read()
+    }
 }
 
 /// What [`promote_standby`] did, for the scheduler's outcome record and
@@ -81,7 +89,8 @@ pub struct PromotionReport {
 /// `primary_dir`): the standby service resumes from whatever prefix its
 /// own directory already holds — a restarted standby does NOT re-ship
 /// history it kept — and the link starts shipping from that cursor on
-/// the next [`ship_tick`].
+/// the next [`ship_tick`]. From here on the primary's checkpoints keep
+/// every WAL segment the standby has not acknowledged.
 pub fn establish_standby(
     sim: &mut RaveSim,
     primary: DataServiceId,
@@ -115,7 +124,7 @@ pub fn establish_standby(
         ReplicaLink {
             primary,
             standby,
-            primary_dir: primary_dir.as_ref().to_path_buf(),
+            shipper: Shipper::new(primary_dir.as_ref()),
             log,
             acked_seq: resumed_from,
             shipped_seq: resumed_from,
@@ -125,6 +134,7 @@ pub fn establish_standby(
             shipped_bytes: 0,
         },
     );
+    sim.world.data_mut(primary).set_retention_floor(Some(resumed_from));
     let now = sim.now();
     sim.world.trace.record(
         now,
@@ -134,24 +144,33 @@ pub fn establish_standby(
     Ok(resumed_from)
 }
 
+/// Take the link down without a promotion (the standby is being
+/// restarted or retired): the primary's compaction stops waiting for it.
+pub fn teardown_standby(sim: &mut RaveSim, primary: DataServiceId) -> Option<ReplicaLink> {
+    let link = sim.world.replicas.remove(&primary)?;
+    if let Some(ds) = sim.world.data_services.get_mut(&primary) {
+        ds.set_retention_floor(None);
+    }
+    Some(link)
+}
+
 /// One replication round: plan frames past the link's cursor (bounded by
 /// the ack window), charge each over the primary→standby channel, apply
 /// on arrival (disk + in-memory replica), and charge the ack back.
 /// Returns the number of frames put in flight.
 pub fn ship_tick(sim: &mut RaveSim, primary: DataServiceId) -> io::Result<usize> {
-    let cfg = sim.world.config.clone();
+    let (ack_window, max_lag) = (sim.world.config.ship_ack_window, sim.world.config.ship_max_lag);
     let Some(link) = sim.world.replicas.get(&primary) else { return Ok(0) };
-    let window = cfg.ship_ack_window.saturating_sub(link.in_flight);
+    let window = ack_window.saturating_sub(link.in_flight);
     if window == 0 {
         return Ok(0);
     }
     let standby = link.standby;
-    let shipper = Shipper::new(&link.primary_dir);
-    let (shipped_seq, resend) = (link.shipped_seq, link.resend);
     // The primary must flush its WAL before frames leave the host: a
     // frame must never describe bytes the OS still holds in a buffer.
     sim.world.data_mut(primary).sync_persistence()?;
-    let frames = shipper.plan(shipped_seq, resend, cfg.ship_max_lag, window)?;
+    let link = sim.world.replicas.get_mut(&primary).expect("link checked above");
+    let frames = link.shipper.plan(link.shipped_seq, link.resend, max_lag, window)?;
     if frames.is_empty() {
         return Ok(0);
     }
@@ -204,12 +223,17 @@ pub fn ship_tick(sim: &mut RaveSim, primary: DataServiceId) -> io::Result<usize>
                 link.in_flight = link.in_flight.saturating_sub(1);
                 link.acked_seq = link.acked_seq.max(ack.last_seq);
                 link.resend = ack.resend;
+                let acked_seq = link.acked_seq;
                 // Once the pipe drains, re-sync the optimistic cursor to
                 // what the standby actually holds (a declined or torn
                 // frame leaves them apart; re-planning from the acked
                 // cursor re-ships the difference).
                 if link.in_flight == 0 && link.acked_seq < link.shipped_seq {
                     link.shipped_seq = link.acked_seq;
+                }
+                // What the standby holds, the primary may compact away.
+                if let Some(ds) = sim.world.data_services.get_mut(&primary) {
+                    ds.set_retention_floor(Some(acked_seq));
                 }
                 if let Some(idx) = ack.resend {
                     sim.world.trace.record(
@@ -272,11 +296,13 @@ pub fn promote_standby(
     let standby = link.standby;
     // The failed instance: its in-memory state is gone with the host,
     // but as the simulator we can still read it to *report* loss.
-    let failed = sim
+    let mut failed = sim
         .world
         .data_services
         .remove(&primary)
         .unwrap_or_else(|| panic!("no data service {primary} to promote away from"));
+    // Clones of the failed service share its sink; none of them ships.
+    failed.set_retention_floor(None);
     sim.world.registry.unpublish("RAVE", &failed.host, &failed.name);
 
     // Residual: entries on the standby's disk (shipped, durable) that
@@ -350,6 +376,7 @@ mod tests {
     use crate::RaveConfig;
     use rave_scene::{NodeKind, SceneUpdate};
     use rave_sim::Simulation;
+    use std::path::PathBuf;
 
     fn tmp_dir(tag: &str) -> PathBuf {
         let dir = std::env::temp_dir().join(format!("rave-replica-{tag}-{}", std::process::id()));
@@ -379,6 +406,21 @@ mod tests {
         tag: &str,
         max_lag: u64,
     ) -> (RaveSim, DataServiceId, DataServiceId, RenderServiceId, PathBuf, PathBuf) {
+        // Small segments force rotations; huge checkpoint interval keeps
+        // the whole WAL around for shipping.
+        let store_cfg = StoreConfig {
+            segment_max_bytes: 512,
+            checkpoint_every: u64::MAX / 2,
+            sync_writes: false,
+        };
+        warm_world_with(tag, max_lag, store_cfg)
+    }
+
+    fn warm_world_with(
+        tag: &str,
+        max_lag: u64,
+        store_cfg: StoreConfig,
+    ) -> (RaveSim, DataServiceId, DataServiceId, RenderServiceId, PathBuf, PathBuf) {
         let cfg = RaveConfig { ship_max_lag: max_lag, ..Default::default() };
         let mut sim = Simulation::new(RaveWorld::paper_testbed(cfg, 7));
         let primary = sim.world.spawn_data_service("adrenochrome", "sess");
@@ -387,13 +429,6 @@ mod tests {
         sim.world.data_mut(primary).subscribe_live(rs, rave_scene::InterestSet::everything());
         let pdir = tmp_dir(&format!("{tag}-p"));
         let sdir = tmp_dir(&format!("{tag}-s"));
-        // Small segments force rotations; huge checkpoint interval keeps
-        // the whole WAL around for shipping.
-        let store_cfg = StoreConfig {
-            segment_max_bytes: 512,
-            checkpoint_every: u64::MAX / 2,
-            sync_writes: false,
-        };
         sim.world.data_mut(primary).attach_store(&pdir, store_cfg).unwrap();
         establish_standby(&mut sim, primary, standby, &pdir, &sdir).unwrap();
         (sim, primary, standby, rs, pdir, sdir)
@@ -545,13 +580,125 @@ mod tests {
         let shipped_before = sim.world.replicas.get(&primary).unwrap().shipped_bytes;
         // "Restart" the standby process: tear the link down and
         // re-establish over the same directories.
-        sim.world.replicas.remove(&primary);
+        teardown_standby(&mut sim, primary).unwrap();
         let resumed_from = establish_standby(&mut sim, primary, standby, &pdir, &sdir).unwrap();
         assert_eq!(resumed_from, 20, "resume cursor is the durable prefix, not zero");
         // Nothing new to ship: the re-established link stays quiet.
         let shipped = ship_tick(&mut sim, primary).unwrap();
         assert_eq!(shipped, 0, "no re-shipping of held history");
         let _ = shipped_before;
+        let _ = std::fs::remove_dir_all(&pdir);
+        let _ = std::fs::remove_dir_all(&sdir);
+    }
+
+    #[test]
+    fn ticks_read_only_what_the_log_grew_by() {
+        let (mut sim, primary, standby, _, pdir, sdir) = warm_world("cursor", 0);
+        for i in 0..60 {
+            add(&mut sim, primary, &format!("n{i}"));
+            ship_tick(&mut sim, primary).unwrap();
+            sim.run();
+            let p_last = sim.world.data(primary).audit.last_seq();
+            assert_eq!(sim.world.data(standby).audit.last_seq(), p_last);
+        }
+        let link = &sim.world.replicas[&primary];
+        let log_bytes = Wal::disk_bytes(&pdir).unwrap();
+        assert!(list_rotations(&pdir) >= 3, "the 512-byte segments rotated");
+        // In lockstep no byte is read twice: appended bytes once, and the
+        // new active segment whole after each rotation.
+        assert!(link.tail_bytes_read() <= log_bytes, "{} > {log_bytes}", link.tail_bytes_read());
+        assert_eq!(link.log.reopens(), 0, "every standby segment was created, then kept open");
+        let _ = std::fs::remove_dir_all(&pdir);
+        let _ = std::fs::remove_dir_all(&sdir);
+    }
+
+    fn list_rotations(dir: &Path) -> usize {
+        rave_store::segment::list_segments(dir).unwrap().len() - 1
+    }
+
+    /// `benchmark/README.md`, finding 1: an import published as one batch
+    /// rotates the segment and reaches a checkpoint before the first
+    /// tick; compaction used to delete the sealed segment the standby had
+    /// never seen, and every later tick failed.
+    #[test]
+    fn compaction_waits_for_the_standby() {
+        let cfg = RaveConfig { ship_max_lag: 0, ..Default::default() };
+        let mut sim = Simulation::new(RaveWorld::paper_testbed(cfg, 7));
+        let primary = sim.world.spawn_data_service("adrenochrome", "sess");
+        let standby = sim.world.spawn_data_service("tower", "sess-standby");
+        let (pdir, sdir) = (tmp_dir("strand-p"), tmp_dir("strand-s"));
+        sim.world.data_mut(primary).attach_store(&pdir, StoreConfig::default()).unwrap();
+        establish_standby(&mut sim, primary, standby, &pdir, &sdir).unwrap();
+
+        // 516 updates of ~2.4 kB: past the 1 MiB segment and past
+        // `checkpoint_every` = 256 inside one publish.
+        let mesh = std::sync::Arc::new(rave_scene::MeshData {
+            positions: vec![rave_math::Vec3::X; 100],
+            normals: vec![],
+            colors: vec![],
+            triangles: vec![[0, 1, 2]; 100],
+            texture_bytes: 0,
+        });
+        let updates = (0..516)
+            .map(|i| {
+                let id = sim.world.data_mut(primary).scene.allocate_id();
+                let kind = NodeKind::Mesh(mesh.clone());
+                let parent = rave_scene::NodeId(0);
+                (
+                    "import".to_string(),
+                    SceneUpdate::AddNode { id, parent, name: format!("m{i}"), kind },
+                )
+            })
+            .collect();
+        crate::world::publish_batch(&mut sim, primary, updates).unwrap();
+        assert!(list_rotations(&pdir) >= 1, "the batch rotated the segment");
+        assert!(sim.world.trace.count(TraceKind::Checkpoint) >= 1, "and crossed a checkpoint");
+
+        let committed = sim.world.data(primary).audit.last_seq();
+        for _ in 0..8 {
+            ship_tick(&mut sim, primary).expect("history is still there to ship");
+            sim.run();
+            if sim.world.replicas[&primary].log.last_seq() == committed {
+                break;
+            }
+        }
+        assert_eq!(sim.world.replicas[&primary].log.last_seq(), committed);
+        let outcome =
+            process_events(&mut sim, primary, &[SchedEvent::DataFailure { service: primary }]);
+        assert_eq!(outcome.promotions[0].lost_updates, 0);
+        assert_eq!(sim.world.data(standby).audit.last_seq(), committed);
+        let _ = std::fs::remove_dir_all(&pdir);
+        let _ = std::fs::remove_dir_all(&sdir);
+    }
+
+    #[test]
+    fn compaction_resumes_once_the_standby_has_caught_up() {
+        let store_cfg =
+            StoreConfig { segment_max_bytes: 512, checkpoint_every: 10, sync_writes: false };
+        let (mut sim, primary, _standby, _, pdir, sdir) =
+            warm_world_with("resume-compact", 0, store_cfg);
+        let oldest_kept = |dir: &Path| Wal::replay_after(dir, 0).unwrap()[0].stamped.seq;
+        // Three checkpoints with nothing acknowledged keep the whole log.
+        for i in 0..30 {
+            add(&mut sim, primary, &format!("n{i}"));
+        }
+        assert_eq!(sim.world.trace.count(TraceKind::Checkpoint), 3);
+        assert_eq!(oldest_kept(&pdir), 1);
+        while ship_tick(&mut sim, primary).unwrap() > 0 {
+            sim.run();
+        }
+        assert_eq!(sim.world.replicas[&primary].acked_seq, 30);
+        // The next one compacts what the standby now holds, and no more.
+        for i in 30..40 {
+            add(&mut sim, primary, &format!("n{i}"));
+        }
+        assert!((2..=31).contains(&oldest_kept(&pdir)), "kept from {}", oldest_kept(&pdir));
+        // Without a link the snapshot alone decides: only the head stays.
+        teardown_standby(&mut sim, primary).unwrap();
+        for i in 40..50 {
+            add(&mut sim, primary, &format!("n{i}"));
+        }
+        assert_eq!(list_rotations(&pdir), 0);
         let _ = std::fs::remove_dir_all(&pdir);
         let _ = std::fs::remove_dir_all(&sdir);
     }

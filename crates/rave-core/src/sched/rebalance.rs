@@ -14,7 +14,7 @@ use crate::trace::TraceKind;
 use crate::world::RaveSim;
 use rave_grid::TechnicalModel;
 use rave_scene::{InterestSet, NodeCost, NodeId};
-use std::collections::BTreeSet;
+use std::collections::{BTreeMap, BTreeSet};
 
 /// A rebalance trigger. Initial plans, migrations and failover re-plans
 /// all arrive at the scheduler as a stream of these.
@@ -189,6 +189,8 @@ struct Batch {
     donor: Option<Option<RenderServiceId>>,
     /// Nodes already moved by an earlier event in this batch.
     moved_nodes: BTreeSet<NodeId>,
+    /// The moves themselves, and the one interest refresh they share.
+    moves: MoveBatch,
 }
 
 /// Process a batch of [`SchedEvent`]s against one data service. Every
@@ -241,6 +243,7 @@ pub fn process_events(
         ledger: None,
         donor: None,
         moved_nodes: BTreeSet::new(),
+        moves: MoveBatch::new(sim, ds_id),
     };
     for ev in events {
         match *ev {
@@ -265,10 +268,14 @@ pub fn process_events(
                 handle_failure(sim, ds_id, service, &mut batch, &mut outcome);
             }
             SchedEvent::DataFailure { service } => {
+                // A promotion copies the subscribers' interests as they
+                // stand: bring them up to date first.
+                batch.moves.refresh_touched(sim);
                 handle_data_failure(sim, service, &mut outcome);
             }
         }
     }
+    batch.moves.refresh_touched(sim);
     outcome
 }
 
@@ -405,7 +412,7 @@ fn handle_overload(
         }
     }
     for (node, to, cost) in placed {
-        move_node(sim, ds_id, node, over_rs, to, &cost);
+        batch.moves.move_node(sim, node, over_rs, to, &cost);
         batch.moved_nodes.insert(node);
         outcome.moved.push((node, over_rs, to));
     }
@@ -430,7 +437,7 @@ fn handle_overload(
                     }
                     if room.fits(&cost) {
                         room.debit(&cost);
-                        move_node(sim, ds_id, node, over_rs, new_rs, &cost);
+                        batch.moves.move_node(sim, node, over_rs, new_rs, &cost);
                         batch.moved_nodes.insert(node);
                         outcome.moved.push((node, over_rs, new_rs));
                     } else {
@@ -516,7 +523,7 @@ fn handle_underload(
                 trace_decision(sim, &record, "Underload");
             }
             room.polygons -= cost.polygons;
-            move_node(sim, ds_id, node, donor, under_rs, &cost);
+            batch.moves.move_node(sim, node, donor, under_rs, &cost);
             batch.moved_nodes.insert(node);
             outcome.moved.push((node, donor, under_rs));
         }
@@ -608,7 +615,7 @@ fn handle_failure(
         }
     }
     for (node, to, cost) in placed {
-        move_node(sim, ds_id, node, dead, to, &cost);
+        batch.moves.move_node(sim, node, dead, to, &cost);
         batch.moved_nodes.insert(node);
         outcome.moved.push((node, dead, to));
     }
@@ -625,7 +632,7 @@ fn handle_failure(
                         };
                         trace_decision(sim, &record, "Failure");
                     }
-                    move_node(sim, ds_id, node, dead, new_rs, &cost);
+                    batch.moves.move_node(sim, node, dead, new_rs, &cost);
                     batch.moved_nodes.insert(node);
                     outcome.moved.push((node, dead, new_rs));
                 }
@@ -638,60 +645,154 @@ fn handle_failure(
     }
 }
 
-/// Execute one node move: update interest sets at the data service,
-/// charge the data transfer to the receiving service, and install/remove
-/// the subtree on the replicas.
-fn move_node(
-    sim: &mut RaveSim,
+/// The moves one batch (an event batch or a plan diff) makes against one
+/// data service. Each move edits the interest *roots* of the services it
+/// involves and nothing else; their closures are recomputed once, for the
+/// services the batch touched, by [`MoveBatch::refresh_touched`] — so a
+/// batch costs the closures it changed, not one pass over every
+/// subscriber per moved node.
+struct MoveBatch {
     ds_id: DataServiceId,
-    node: NodeId,
-    from: RenderServiceId,
-    to: RenderServiceId,
-    cost: &NodeCost,
-) {
-    let now = sim.now();
-    let ds_host = sim.world.data(ds_id).host.clone();
-    let to_host = sim.world.render(to).host.clone();
+    ds_host: String,
+    /// Destination hosts, looked up once per service.
+    hosts: BTreeMap<RenderServiceId, String>,
+    /// Subscribers whose interest roots changed since the last refresh.
+    touched: BTreeSet<RenderServiceId>,
+}
 
-    // Update interest sets (data-service side routing).
-    {
-        let ds = sim.world.data_mut(ds_id);
-        if let Some(sub) = ds.subscribers.get_mut(&from) {
-            sub.interest.remove_root(node);
+impl MoveBatch {
+    fn new(sim: &RaveSim, ds_id: DataServiceId) -> Self {
+        // An event naming a data service that is already gone moves
+        // nothing and never reads the host.
+        let ds_host = sim.world.data_services.get(&ds_id).map(|ds| ds.host.clone());
+        Self {
+            ds_id,
+            ds_host: ds_host.unwrap_or_default(),
+            hosts: BTreeMap::new(),
+            touched: BTreeSet::new(),
         }
-        if let Some(sub) = ds.subscribers.get_mut(&to) {
-            sub.interest.add_root(node);
-        }
-        ds.refresh_interests();
     }
 
-    // Replica surgery now; the transfer cost lands on the receiving side
-    // as an arrival event (the node is "in flight" until then, but the
-    // old holder keeps rendering it until the handoff — best effort).
-    let subtree = {
-        let ds = sim.world.data(ds_id);
-        ds.scene.extract_subset(&[node])
-    };
-    let bytes = cost.data_bytes.max(256);
-    let arrival = sim.world.send_bytes(now, &ds_host, &to_host, bytes);
-    sim.schedule_at(arrival, move |sim| {
-        let at = sim.now();
-        // The donor may already be gone (failure-triggered moves).
+    /// Recompute the closures of the subscribers touched so far, with one
+    /// index rebuild scheduled for all of them.
+    fn refresh_touched(&mut self, sim: &mut RaveSim) {
+        if self.touched.is_empty() {
+            return;
+        }
+        let touched = std::mem::take(&mut self.touched);
+        if let Some(ds) = sim.world.data_services.get_mut(&self.ds_id) {
+            ds.refresh_interests_of(touched);
+        }
+    }
+
+    /// Edit the data-service side interest roots for one move.
+    fn reroot(
+        &mut self,
+        sim: &mut RaveSim,
+        node: NodeId,
+        from: Option<RenderServiceId>,
+        to: Option<RenderServiceId>,
+    ) {
+        let ds = sim.world.data_mut(self.ds_id);
+        if let Some(sub) = from.and_then(|rs| ds.subscribers.get_mut(&rs)) {
+            sub.interest.remove_root(node);
+        }
+        if let Some(sub) = to.and_then(|rs| ds.subscribers.get_mut(&rs)) {
+            sub.interest.add_root(node);
+        }
+        self.touched.extend(from.into_iter().chain(to));
+    }
+
+    /// Extract `node`'s subtree and charge its transfer to `to`. Returns
+    /// the subtree and when it arrives.
+    fn ship_subtree(
+        &mut self,
+        sim: &mut RaveSim,
+        node: NodeId,
+        to: RenderServiceId,
+        cost: &NodeCost,
+    ) -> (rave_scene::SceneTree, rave_sim::SimTime) {
+        let to_host = self.hosts.entry(to).or_insert_with(|| sim.world.render(to).host.clone());
+        let subtree = sim.world.data(self.ds_id).scene.extract_subset(&[node]);
+        let now = sim.now();
+        let bytes = cost.data_bytes.max(256);
+        (subtree, sim.world.send_bytes(now, &self.ds_host, to_host, bytes))
+    }
+
+    /// Execute one node move: update interest roots at the data service,
+    /// charge the data transfer to the receiving service, and
+    /// install/remove the subtree on the replicas.
+    fn move_node(
+        &mut self,
+        sim: &mut RaveSim,
+        node: NodeId,
+        from: RenderServiceId,
+        to: RenderServiceId,
+        cost: &NodeCost,
+    ) {
+        self.reroot(sim, node, Some(from), Some(to));
+        // Replica surgery now; the transfer cost lands on the receiving
+        // side as an arrival event (the node is "in flight" until then,
+        // but the old holder keeps rendering it until the handoff — best
+        // effort).
+        let (subtree, arrival) = self.ship_subtree(sim, node, to, cost);
+        sim.schedule_at(arrival, move |sim| {
+            let at = sim.now();
+            // The donor may already be gone (failure-triggered moves).
+            if let Some(rs) = sim.world.render_services.get_mut(&from) {
+                let _ = rs.scene.remove(node);
+                rs.interest.remove_root(node);
+            }
+            {
+                let rs = sim.world.render_mut(to);
+                rs.interest.add_root(node);
+                rs.scene.merge_subset(&subtree);
+            }
+            sim.world.trace.record(
+                at,
+                TraceKind::Migration,
+                format!("node {node} moved {from} -> {to}"),
+            );
+        });
+    }
+
+    /// First placement of a workload: interest surgery on the receiving
+    /// side only, with the subtree transfer charged like a migration's.
+    fn install_node(
+        &mut self,
+        sim: &mut RaveSim,
+        node: NodeId,
+        to: RenderServiceId,
+        cost: &NodeCost,
+    ) {
+        if !sim.world.render_services.contains_key(&to) {
+            return;
+        }
+        self.reroot(sim, node, None, Some(to));
+        let (subtree, arrival) = self.ship_subtree(sim, node, to, cost);
+        sim.schedule_at(arrival, move |sim| {
+            let at = sim.now();
+            if let Some(rs) = sim.world.render_services.get_mut(&to) {
+                rs.interest.add_root(node);
+                rs.scene.merge_subset(&subtree);
+            }
+            sim.world.trace.record(
+                at,
+                TraceKind::Migration,
+                format!("node {node} installed on {to}"),
+            );
+        });
+    }
+
+    /// A workload left the plan (removed from the scene or split away):
+    /// clean it off the service that held it.
+    fn uninstall_node(&mut self, sim: &mut RaveSim, node: NodeId, from: RenderServiceId) {
+        self.reroot(sim, node, Some(from), None);
         if let Some(rs) = sim.world.render_services.get_mut(&from) {
             let _ = rs.scene.remove(node);
             rs.interest.remove_root(node);
         }
-        {
-            let rs = sim.world.render_mut(to);
-            rs.interest.add_root(node);
-            rs.scene.merge_subset(&subtree);
-        }
-        sim.world.trace.record(
-            at,
-            TraceKind::Migration,
-            format!("node {node} moved {from} -> {to}"),
-        );
-    });
+    }
 }
 
 /// Recruit one registered-but-unconnected render service via UDDI,
@@ -769,7 +870,6 @@ pub fn incremental_replan(
     ds_id: DataServiceId,
     events: &[SchedEvent],
 ) -> IncrementalOutcome {
-    let cfg = sim.world.config.clone();
     let mut out = IncrementalOutcome::default();
 
     // Teardown-type events first: they change the basis the replay packs
@@ -788,16 +888,12 @@ pub fn incremental_replan(
         return out;
     }
 
-    let basis = gross_basis(sim, ds_id, &cfg);
+    let basis = gross_basis(sim, ds_id);
+    let max_staleness = sim.world.config.sched_max_staleness;
     let mut state = sim.world.sched.plans.remove(&ds_id).unwrap_or_default();
     let result = {
         let ds = sim.world.data_services.get_mut(&ds_id).expect("checked above");
-        crate::distribution::plan_incremental(
-            &mut ds.scene,
-            &basis,
-            &mut state,
-            cfg.sched_max_staleness,
-        )
+        crate::distribution::plan_incremental(&mut ds.scene, &basis, &mut state, max_staleness)
     };
     sim.world.sched.plans.insert(ds_id, state);
     match result {
@@ -830,8 +926,8 @@ pub fn incremental_replan(
 fn gross_basis(
     sim: &RaveSim,
     ds_id: DataServiceId,
-    cfg: &crate::RaveConfig,
 ) -> Vec<(RenderServiceId, crate::capacity::Headroom)> {
+    let cfg = &sim.world.config;
     sim.world
         .data(ds_id)
         .subscriber_ids()
@@ -887,77 +983,30 @@ fn teardown_render_service(sim: &mut RaveSim, ds_id: DataServiceId, dead: Render
 
 /// Apply a plan diff to the world: placement changes become migrations,
 /// first placements install the subtree on their service, and dropped
-/// workloads are cleaned off the holder they left.
+/// workloads are cleaned off the holder they left. The subscribers the
+/// diff touched have their interest closures recomputed once, after it.
 fn apply_plan_diff(
     sim: &mut RaveSim,
     ds_id: DataServiceId,
     diff: &crate::sched::incremental::PlanDiff,
     outcome: &mut MigrationOutcome,
 ) {
+    let mut moves = MoveBatch::new(sim, ds_id);
     for &(node, old, new) in &diff.moved {
         let cost =
             sim.world.data(ds_id).scene.node(node).map(|n| n.own_cost()).unwrap_or(NodeCost::ZERO);
         match old {
             Some(from) => {
-                move_node(sim, ds_id, node, from, new, &cost);
+                moves.move_node(sim, node, from, new, &cost);
                 outcome.moved.push((node, from, new));
             }
-            None => install_node(sim, ds_id, node, new, &cost),
+            None => moves.install_node(sim, node, new, &cost),
         }
     }
     for &(node, from) in &diff.dropped {
-        uninstall_node(sim, ds_id, node, from);
+        moves.uninstall_node(sim, node, from);
     }
-}
-
-/// First placement of a workload: interest surgery on the receiving side
-/// only, with the subtree transfer charged like a migration's.
-fn install_node(
-    sim: &mut RaveSim,
-    ds_id: DataServiceId,
-    node: NodeId,
-    to: RenderServiceId,
-    cost: &NodeCost,
-) {
-    let now = sim.now();
-    let ds_host = sim.world.data(ds_id).host.clone();
-    let Some(to_host) = sim.world.render_services.get(&to).map(|rs| rs.host.clone()) else {
-        return;
-    };
-    {
-        let ds = sim.world.data_mut(ds_id);
-        if let Some(sub) = ds.subscribers.get_mut(&to) {
-            sub.interest.add_root(node);
-        }
-        ds.refresh_interests();
-    }
-    let subtree = sim.world.data(ds_id).scene.extract_subset(&[node]);
-    let bytes = cost.data_bytes.max(256);
-    let arrival = sim.world.send_bytes(now, &ds_host, &to_host, bytes);
-    sim.schedule_at(arrival, move |sim| {
-        let at = sim.now();
-        if let Some(rs) = sim.world.render_services.get_mut(&to) {
-            rs.interest.add_root(node);
-            rs.scene.merge_subset(&subtree);
-        }
-        sim.world.trace.record(at, TraceKind::Migration, format!("node {node} installed on {to}"));
-    });
-}
-
-/// A workload left the plan (removed from the scene or split away):
-/// clean it off the service that held it.
-fn uninstall_node(sim: &mut RaveSim, ds_id: DataServiceId, node: NodeId, from: RenderServiceId) {
-    {
-        let ds = sim.world.data_mut(ds_id);
-        if let Some(sub) = ds.subscribers.get_mut(&from) {
-            sub.interest.remove_root(node);
-        }
-        ds.refresh_interests();
-    }
-    if let Some(rs) = sim.world.render_services.get_mut(&from) {
-        let _ = rs.scene.remove(node);
-        rs.interest.remove_root(node);
-    }
+    moves.refresh_touched(sim);
 }
 
 #[cfg(test)]
@@ -1171,6 +1220,64 @@ mod tests {
             "removed node must be dropped from its holder: {diff:?}"
         );
         assert!(!sim.world.render(holder).interest.roots().any(|r| r == gone));
+    }
+
+    /// Every subscriber's closure is what a from-scratch refresh gives.
+    fn assert_closures_fresh(sim: &RaveSim, ds: DataServiceId) {
+        let ds = sim.world.data(ds);
+        for (rs, sub) in &ds.subscribers {
+            let mut fresh = sub.interest.clone();
+            fresh.refresh(&ds.scene);
+            assert_eq!(sub.interest, fresh, "{rs} holds a stale closure");
+        }
+    }
+
+    /// The services whose interest roots applying `diff` edits.
+    fn touched_by(diff: &crate::sched::incremental::PlanDiff) -> BTreeSet<RenderServiceId> {
+        let moved = diff.moved.iter().flat_map(|&(_, old, new)| old.into_iter().chain([new]));
+        moved.chain(diff.dropped.iter().map(|&(_, from)| from)).collect()
+    }
+
+    #[test]
+    fn a_plan_diff_refreshes_each_touched_subscriber_once() {
+        let (mut sim, ds, _slow, _fast) = overload_world();
+        // A subscriber the diff never touches, and enough small nodes that
+        // the moves outnumber the services.
+        let idle = sim.world.spawn_render_service("tower");
+        sim.world.data_mut(ds).subscribe_live(idle, InterestSet::subtrees([]));
+        for i in 0..8 {
+            let scene = &mut sim.world.data_mut(ds).scene;
+            scene.add_node(scene.root(), format!("n{i}"), mesh(1_000 + i)).unwrap();
+        }
+        let before = sim.world.data(ds).interest_refreshes;
+        let diff = incremental_replan(&mut sim, ds, &[]).diff.expect("first pass plans");
+        let touched = touched_by(&diff);
+        let refreshed = sim.world.data(ds).interest_refreshes - before;
+        assert!(diff.moved.len() > touched.len(), "{} moves", diff.moved.len());
+        assert!(refreshed <= touched.len() as u64, "{refreshed} closures for {touched:?}");
+        assert_closures_fresh(&sim, ds);
+        sim.run();
+
+        // A cost edit moves placed nodes between services: same bound.
+        let edited = diff.moved[0].0;
+        sim.world.data_mut(ds).scene.node_mut(edited).unwrap().set_kind(mesh(300_000));
+        let before = sim.world.data(ds).interest_refreshes;
+        let diff = incremental_replan(&mut sim, ds, &[]).diff.expect("cost edit replans");
+        let touched = touched_by(&diff);
+        let refreshed = sim.world.data(ds).interest_refreshes - before;
+        assert!(!diff.moved.is_empty());
+        assert!(refreshed <= touched.len() as u64, "{refreshed} closures for {touched:?}");
+        assert_closures_fresh(&sim, ds);
+    }
+
+    #[test]
+    fn an_event_batch_refreshes_each_touched_subscriber_once() {
+        let (mut sim, ds, slow, fast) = overload_world();
+        let before = sim.world.data(ds).interest_refreshes;
+        let outcome = process_events(&mut sim, ds, &[SchedEvent::Failure { service: slow }]);
+        assert_eq!(outcome.moved.len(), 2, "both meshes re-homed");
+        assert_eq!(sim.world.data(ds).interest_refreshes - before, 1, "only {fast} is left");
+        assert_closures_fresh(&sim, ds);
     }
 
     #[test]

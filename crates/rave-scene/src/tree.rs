@@ -901,35 +901,51 @@ impl SceneTree {
     /// `roots` (see [`SceneTree::subset_closure`]). Ancestor nodes that
     /// are included for orientation keep their transforms but drop any
     /// content payload if they are not within a requested subtree.
+    ///
+    /// Visits only the closure: its slots are gathered from the cached
+    /// pre-order (a subtree is one contiguous slice, an ancestor chain is
+    /// a parent walk) and sorted by pre-order position, so a k-node
+    /// closure costs O(k log k) whatever the size of the scene, and nodes
+    /// are inserted in the order a walk of the whole tree would meet them.
     pub fn extract_subset(&self, roots: &[NodeId]) -> SceneTree {
-        let closure = self.subset_closure(roots); // sorted + deduped
-        let mut in_subtree: Vec<NodeId> =
-            roots.iter().flat_map(|&r| self.descendants_iter(r).map(|n| n.id())).collect();
-        in_subtree.sort_unstable();
-        in_subtree.dedup();
+        let flat = self.flat();
+        // (pre-order position, orientation-only?) per closure slot. A
+        // node inside a requested subtree sorts before its own
+        // orientation-only duplicate, so the dedup keeps its content.
+        let mut closure: Vec<(u32, bool)> = Vec::new();
+        for &r in roots {
+            let Some(s) = self.slot(r) else { continue };
+            let p = flat.pos[s as usize];
+            closure.extend((p..p + flat.subtree_len[s as usize]).map(|pos| (pos, false)));
+            let mut up = self.hot[s as usize].parent;
+            while up != NIL {
+                closure.push((flat.pos[up as usize], true));
+                up = self.hot[up as usize].parent;
+            }
+        }
+        closure.sort_unstable();
+        closure.dedup_by_key(|&mut (pos, _)| pos);
         let mut out = SceneTree::with_capacity(closure.len());
         out.next_id = self.next_id;
         // The root's transform orients everything: copy it so world
         // transforms in the subset match the source exactly.
         out.hot[out.root_slot as usize].transform = self.hot[self.root_slot as usize].transform;
-        // Walk in pre-order from our root so parents are inserted first.
-        for src in self.descendants_iter(self.root) {
-            let id = src.id();
-            if id == self.root || closure.binary_search(&id).is_err() {
+        // Pre-order, so parents are inserted first.
+        for (pos, orientation_only) in closure {
+            let src = flat.preorder[pos as usize];
+            if src == self.root_slot {
                 continue;
             }
-            let parent = src.parent().expect("non-root has parent");
-            let parent_in_out = if parent == self.root { out.root } else { parent };
-            let kind = if in_subtree.binary_search(&id).is_ok() {
-                src.kind().clone()
-            } else {
-                NodeKind::Group // ancestor kept for orientation only
-            };
-            out.insert_with_id(id, parent_in_out, src.name(), kind)
+            let h = &self.hot[src as usize];
+            let c = &self.cold[src as usize];
+            let parent_in_out =
+                if h.parent == self.root_slot { out.root } else { self.hot[h.parent as usize].id };
+            let kind = if orientation_only { NodeKind::Group } else { c.kind.clone() };
+            out.insert_with_id(h.id, parent_in_out, c.name.as_str(), kind)
                 .expect("closure preserves parent-before-child");
-            let slot = out.slot(id).expect("just inserted");
-            out.hot[slot as usize].transform = src.transform();
-            out.cold[slot as usize].version = src.version();
+            let slot = out.slot(h.id).expect("just inserted");
+            out.hot[slot as usize].transform = h.transform;
+            out.cold[slot as usize].version = c.version;
         }
         out
     }

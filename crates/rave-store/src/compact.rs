@@ -27,14 +27,24 @@ pub struct CompactionReport {
 /// starts at or below `snapshot_seq + 1`, this one holds nothing newer
 /// than the snapshot. The highest-index segment is the active one and is
 /// never deleted — the log must always have an append head.
-pub fn compact(dir: &Path, snapshot_seq: u64) -> io::Result<CompactionReport> {
+///
+/// `retain_after`, when set, is the sequence number a log-shipping
+/// standby has acknowledged: a segment holding anything newer is the
+/// only copy the standby can still be sent, so it outlives the snapshot
+/// that covers it until the standby has it too.
+pub fn compact(
+    dir: &Path,
+    snapshot_seq: u64,
+    retain_after: Option<u64>,
+) -> io::Result<CompactionReport> {
     let mut report = CompactionReport::default();
     let segments = list_segments(dir)?;
+    let disposable = retain_after.map_or(snapshot_seq, |acked| acked.min(snapshot_seq));
     for pair in segments.windows(2) {
         let (idx, path) = &pair[0];
         let (_, next_path) = &pair[1];
         let next_base = crate::segment::read_segment_header(next_path)?.base_seq;
-        if next_base <= snapshot_seq + 1 {
+        if next_base <= disposable + 1 {
             report.bytes_freed += std::fs::metadata(path)?.len();
             std::fs::remove_file(path)?;
             report.segments_deleted.push(*idx);
@@ -89,7 +99,7 @@ mod tests {
 
         write_snapshot(&dir, &SceneTree::new(), 10, 1.0).unwrap();
         write_snapshot(&dir, &SceneTree::new(), 40, 4.0).unwrap();
-        let report = compact(&dir, 40).unwrap();
+        let report = compact(&dir, 40, None).unwrap();
         assert!(!report.segments_deleted.is_empty());
         assert_eq!(report.snapshots_deleted, 1, "seq-10 snapshot removed");
         assert!(report.bytes_freed > 0);
@@ -122,13 +132,40 @@ mod tests {
         // Snapshot only covers up to 15: segments whose successor starts
         // later must survive.
         write_snapshot(&dir, &SceneTree::new(), 15, 1.5).unwrap();
-        compact(&dir, 15).unwrap();
+        compact(&dir, 15, None).unwrap();
         let remaining = list_segments(&dir).unwrap();
         assert!(!remaining.is_empty() && remaining.len() < all.len() || all.len() == 1);
         // Everything after seq 15 still replays.
         let tail = Wal::replay_after(&dir, 15).unwrap();
         assert_eq!(tail.len(), 25);
         assert_eq!(tail[0].stamped.seq, 16);
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn unacknowledged_segments_outlive_their_snapshot() {
+        let dir = tmp_dir("retain");
+        let (mut wal, _) = Wal::open(&dir, 200, false).unwrap();
+        for seq in 1..=40 {
+            wal.append(&entry(seq)).unwrap();
+        }
+        wal.sync().unwrap();
+        write_snapshot(&dir, &SceneTree::new(), 10, 1.0).unwrap();
+        write_snapshot(&dir, &SceneTree::new(), 40, 4.0).unwrap();
+        // A standby that holds nothing yet: every segment stays, old
+        // snapshots still go.
+        let report = compact(&dir, 40, Some(0)).unwrap();
+        assert!(report.segments_deleted.is_empty());
+        assert_eq!(report.snapshots_deleted, 1);
+        assert_eq!(Wal::replay_after(&dir, 0).unwrap().len(), 40);
+        // Acknowledged up to 15: only segments wholly at or below go.
+        compact(&dir, 40, Some(15)).unwrap();
+        let tail = Wal::replay_after(&dir, 15).unwrap();
+        assert_eq!((tail.len(), tail[0].stamped.seq), (25, 16));
+        assert!(Wal::replay_after(&dir, 0).unwrap().len() < 40, "acknowledged history went");
+        // Caught up: back to one segment.
+        compact(&dir, 40, Some(40)).unwrap();
+        assert_eq!(list_segments(&dir).unwrap().len(), 1);
         std::fs::remove_dir_all(&dir).unwrap();
     }
 
@@ -141,7 +178,7 @@ mod tests {
         }
         wal.sync().unwrap();
         write_snapshot(&dir, &SceneTree::new(), 5, 0.5).unwrap();
-        let report = compact(&dir, 5).unwrap();
+        let report = compact(&dir, 5, None).unwrap();
         assert!(report.segments_deleted.is_empty(), "single active segment kept");
         assert_eq!(list_segments(&dir).unwrap().len(), 1);
         std::fs::remove_dir_all(&dir).unwrap();

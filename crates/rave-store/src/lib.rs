@@ -66,6 +66,9 @@ pub struct Store {
     wal: Wal,
     appends_since_checkpoint: u64,
     last_checkpoint_seq: u64,
+    /// What a log-shipping standby has acknowledged, while one is
+    /// attached: compaction keeps every segment holding anything newer.
+    retention_floor: Option<u64>,
 }
 
 impl Store {
@@ -76,7 +79,14 @@ impl Store {
         let (wal, _report) = Wal::open(&dir, cfg.segment_max_bytes, cfg.sync_writes)?;
         let last_checkpoint_seq =
             snapshot::list_snapshots(&dir)?.last().map(|(seq, _)| *seq).unwrap_or(0);
-        Ok(Self { dir, cfg, wal, appends_since_checkpoint: 0, last_checkpoint_seq })
+        Ok(Self {
+            dir,
+            cfg,
+            wal,
+            appends_since_checkpoint: 0,
+            last_checkpoint_seq,
+            retention_floor: None,
+        })
     }
 
     pub fn dir(&self) -> &Path {
@@ -105,6 +115,14 @@ impl Store {
         self.appends_since_checkpoint >= self.cfg.checkpoint_every
     }
 
+    /// Tell compaction how far a log-shipping standby has acknowledged
+    /// (`None`: no standby, a snapshot alone decides). Until the standby
+    /// holds a sealed segment the primary's copy is the only one it can be
+    /// shipped from, so checkpoints keep it.
+    pub fn set_retention_floor(&mut self, acked_seq: Option<u64>) {
+        self.retention_floor = acked_seq;
+    }
+
     /// Write a snapshot of `tree` covering everything appended so far,
     /// then compact away the WAL segments it subsumes.
     pub fn checkpoint(&mut self, tree: &SceneTree, at_secs: f64) -> io::Result<CompactionReport> {
@@ -113,7 +131,7 @@ impl Store {
         snapshot::write_snapshot(&self.dir, tree, seq, at_secs)?;
         self.last_checkpoint_seq = seq;
         self.appends_since_checkpoint = 0;
-        compact(&self.dir, seq)
+        compact(&self.dir, seq, self.retention_floor)
     }
 
     /// Flush and fsync outstanding appends.

@@ -103,6 +103,33 @@ pub struct SegmentContents {
     pub torn: Option<TornTail>,
 }
 
+/// The intact records at the front of a stretch of a segment file.
+pub(crate) struct DecodedRecords {
+    /// Each entry with the file offset its record ends at.
+    pub records: Vec<(AuditEntry, u64)>,
+    /// How the walk ended early, if it did.
+    pub torn: Option<TornTail>,
+}
+
+/// CRC-check and wire-decode the intact records at the front of `buf`,
+/// which starts at byte `at` of the segment at `path`. A torn tail is
+/// reported, not an error (the writer may be mid-append); a record that
+/// passes its checksum but fails wire decode is real corruption and
+/// errors out.
+pub(crate) fn decode_records(buf: &[u8], at: u64, path: &Path) -> io::Result<DecodedRecords> {
+    let scan = scan_records(buf);
+    let mut end = at;
+    let mut records = Vec::with_capacity(scan.payloads.len());
+    for payload in &scan.payloads {
+        let entry = wire::decode_entry(payload).map_err(|e| {
+            io::Error::new(io::ErrorKind::InvalidData, format!("{}: {e}", path.display()))
+        })?;
+        end += (RECORD_HEADER_LEN + payload.len()) as u64;
+        records.push((entry, end));
+    }
+    Ok(DecodedRecords { records, torn: scan.torn })
+}
+
 /// Read and verify a whole segment. Torn tails are reported, not
 /// repaired; a record that passes its checksum but fails wire decode is
 /// real corruption and errors out.
@@ -110,19 +137,14 @@ pub fn read_segment(path: &Path) -> io::Result<SegmentContents> {
     let mut buf = Vec::new();
     File::open(path)?.read_to_end(&mut buf)?;
     let header = SegmentHeader::decode(&buf)?;
-    let scan = scan_records(&buf[SEGMENT_HEADER_LEN..]);
-    let mut entries = Vec::with_capacity(scan.payloads.len());
-    for payload in &scan.payloads {
-        let entry = wire::decode_entry(payload).map_err(|e| {
-            io::Error::new(io::ErrorKind::InvalidData, format!("{}: {e}", path.display()))
-        })?;
-        entries.push(entry);
-    }
+    let header_len = SEGMENT_HEADER_LEN as u64;
+    let DecodedRecords { records, torn } =
+        decode_records(&buf[SEGMENT_HEADER_LEN..], header_len, path)?;
     Ok(SegmentContents {
         header,
-        entries,
-        clean_len: (SEGMENT_HEADER_LEN + scan.clean_len) as u64,
-        torn: scan.torn,
+        clean_len: records.last().map_or(header_len, |(_, end)| *end),
+        entries: records.into_iter().map(|(entry, _)| entry).collect(),
+        torn,
     })
 }
 

@@ -26,11 +26,12 @@
 
 use crate::record::scan_records;
 use crate::segment::{
-    list_segments, read_segment, read_segment_header, segment_file_name, SegmentHeader,
-    SegmentWriter, SEGMENT_HEADER_LEN,
+    decode_records, list_segments, read_segment, read_segment_header, segment_file_name,
+    SegmentHeader, SegmentWriter, SEGMENT_HEADER_LEN,
 };
 use rave_scene::{wire, AuditEntry};
-use std::io;
+use std::fs::File;
+use std::io::{self, Read, Seek, SeekFrom};
 use std::path::{Path, PathBuf};
 
 /// Fixed per-frame accounting overhead (frame type, index, counts).
@@ -100,21 +101,53 @@ pub struct ShipAck {
     pub resend: Option<u64>,
 }
 
+/// Where the first record of the active segment that no `plan` has
+/// shipped yet starts. It is a fact about an append-only file, so it stays
+/// true until the segment rotates; `plan` uses it only when the caller's
+/// cursor agrees with `next_seq`.
+#[derive(Debug, Clone, Copy)]
+struct TailCursor {
+    index: u64,
+    base_seq: u64,
+    /// Byte offset of the record that holds `next_seq`.
+    offset: u64,
+    next_seq: u64,
+}
+
+/// The active segment's records past a sequence cursor.
+struct PendingTail {
+    base_seq: u64,
+    /// Byte offset of the first pending record.
+    start: u64,
+    /// Each pending entry with the byte offset its record ends at.
+    entries: Vec<(AuditEntry, u64)>,
+}
+
 /// Primary-side planner: decides what a standby at a given cursor needs.
-/// Stateless over a WAL directory — resume after any interruption is
-/// just a fresh `plan` against the standby's reported `last_seq`.
+/// Any standby cursor can be planned for at any time — resume after any
+/// interruption is just a `plan` against the standby's reported
+/// `last_seq` — and a `Shipper` kept across ticks additionally remembers
+/// where the active segment's unshipped records start, so a tick reads
+/// only what was appended since the last one.
 #[derive(Debug, Clone)]
 pub struct Shipper {
     dir: PathBuf,
+    tail: Option<TailCursor>,
+    tail_bytes_read: u64,
 }
 
 impl Shipper {
     pub fn new(dir: impl Into<PathBuf>) -> Self {
-        Self { dir: dir.into() }
+        Self { dir: dir.into(), tail: None, tail_bytes_read: 0 }
     }
 
     pub fn dir(&self) -> &Path {
         &self.dir
+    }
+
+    /// Bytes of active segments every `plan` so far has read.
+    pub fn tail_bytes_read(&self) -> u64 {
+        self.tail_bytes_read
     }
 
     /// Plan at most `limit` frames for a standby whose durable log ends
@@ -129,7 +162,7 @@ impl Shipper {
     /// needed history was compacted away and the standby must be
     /// re-established through a full bootstrap instead.
     pub fn plan(
-        &self,
+        &mut self,
         acked_seq: u64,
         resend: Option<u64>,
         max_lag: u64,
@@ -175,18 +208,62 @@ impl Shipper {
         // Active-segment tail: ship the oldest pending entries, leaving
         // at most `max_lag` of the newest unshipped.
         let (index, path) = segments.last().expect("non-empty");
-        let contents = read_segment(path)?;
-        let pending: Vec<AuditEntry> =
-            contents.entries.into_iter().filter(|e| e.stamped.seq > covered).collect();
-        let ship_n = pending.len().saturating_sub(max_lag as usize);
+        let from_cursor = match self.tail {
+            Some(c) if c.index == *index && c.next_seq == covered + 1 => self.read_past(path, c)?,
+            _ => None,
+        };
+        let mut pending = match from_cursor {
+            Some(pending) => pending,
+            None => self.read_whole(path, covered)?,
+        };
+        let ship_n = pending.entries.len().saturating_sub(max_lag as usize);
+        pending.entries.truncate(ship_n);
+        let (offset, next_seq) = match pending.entries.last() {
+            Some((last, end)) => (*end, last.stamped.seq + 1),
+            None => (pending.start, covered + 1),
+        };
+        self.tail =
+            Some(TailCursor { index: *index, base_seq: pending.base_seq, offset, next_seq });
         if ship_n > 0 {
             frames.push(ShipFrame::Tail {
                 index: *index,
-                base_seq: contents.header.base_seq,
-                entries: pending.into_iter().take(ship_n).collect(),
+                base_seq: pending.base_seq,
+                entries: pending.entries.into_iter().map(|(e, _)| e).collect(),
             });
         }
         Ok(frames)
+    }
+
+    /// Read the active segment from the cursor on. `None` when the file
+    /// does not bear the cursor out — it is shorter than the offset, or
+    /// the record there is not `next_seq` — and must be read whole.
+    fn read_past(&mut self, path: &Path, c: TailCursor) -> io::Result<Option<PendingTail>> {
+        let mut file = File::open(path)?;
+        if file.metadata()?.len() < c.offset {
+            return Ok(None);
+        }
+        file.seek(SeekFrom::Start(c.offset))?;
+        let mut buf = Vec::new();
+        file.read_to_end(&mut buf)?;
+        self.tail_bytes_read += buf.len() as u64;
+        let entries = decode_records(&buf, c.offset, path)?.records;
+        if entries.first().is_some_and(|(e, _)| e.stamped.seq != c.next_seq) {
+            return Ok(None);
+        }
+        Ok(Some(PendingTail { base_seq: c.base_seq, start: c.offset, entries }))
+    }
+
+    /// Read the whole active segment and keep what lies past `covered`.
+    fn read_whole(&mut self, path: &Path, covered: u64) -> io::Result<PendingTail> {
+        let buf = std::fs::read(path)?;
+        self.tail_bytes_read += buf.len() as u64;
+        let header = SegmentHeader::decode(&buf)?;
+        let header_len = SEGMENT_HEADER_LEN as u64;
+        let mut entries = decode_records(&buf[SEGMENT_HEADER_LEN..], header_len, path)?.records;
+        let held = entries.partition_point(|(e, _)| e.stamped.seq <= covered);
+        let start = held.checked_sub(1).map_or(header_len, |i| entries[i].1);
+        entries.drain(..held);
+        Ok(PendingTail { base_seq: header.base_seq, start, entries })
     }
 }
 
@@ -207,6 +284,12 @@ pub struct ShipApply {
 pub struct StandbyLog {
     dir: PathBuf,
     last_seq: u64,
+    /// The segment tail frames are growing, kept open between frames. It
+    /// is re-opened — with the full verify-and-repair read — only when a
+    /// frame names another segment, after a sealed copy replaced a file,
+    /// or after [`StandbyLog::open`].
+    writer: Option<SegmentWriter>,
+    reopens: u64,
 }
 
 impl StandbyLog {
@@ -226,11 +309,17 @@ impl StandbyLog {
                     .unwrap_or_else(|| contents.header.base_seq.saturating_sub(1))
             }
         };
-        Ok(Self { dir, last_seq })
+        Ok(Self { dir, last_seq, writer: None, reopens: 0 })
     }
 
     pub fn dir(&self) -> &Path {
         &self.dir
+    }
+
+    /// Times an existing segment file was re-opened (read, verified and
+    /// repaired) to take a tail frame.
+    pub fn reopens(&self) -> u64 {
+        self.reopens
     }
 
     /// Highest contiguous sequence number durably held.
@@ -276,6 +365,8 @@ impl StandbyLog {
         let tmp = self.dir.join(format!("{}.tmp", segment_file_name(index)));
         std::fs::write(&tmp, bytes)?;
         std::fs::rename(&tmp, &path)?;
+        // An open writer may now point at the file the rename unlinked.
+        self.writer = None;
         let entries = scanned.into_iter().filter(|e| e.stamped.seq > self.last_seq).collect();
         self.last_seq = self.last_seq.max(seg_last);
         Ok(ShipApply { entries, ack: ShipAck { last_seq: self.last_seq, resend: None } })
@@ -295,17 +386,25 @@ impl StandbyLog {
         if first.stamped.seq > self.last_seq + 1 {
             return Ok(self.decline(None)); // gap: earlier entries missing
         }
-        let path = self.dir.join(segment_file_name(index));
-        let mut writer = if path.exists() {
-            let (w, _) = SegmentWriter::open_for_append(&path)?;
-            w
-        } else {
-            SegmentWriter::create(&self.dir, index, base_seq)?
+        let writer = match &mut self.writer {
+            Some(w) if w.header.index == index => w,
+            slot => {
+                let path = self.dir.join(segment_file_name(index));
+                slot.insert(if path.exists() {
+                    self.reopens += 1;
+                    SegmentWriter::open_for_append(&path)?.0
+                } else {
+                    SegmentWriter::create(&self.dir, index, base_seq)?
+                })
+            }
         };
-        for e in &new {
-            writer.append(e)?;
+        let written = new.iter().try_for_each(|e| writer.append(e)).and_then(|()| writer.sync());
+        if written.is_err() {
+            // The file may end in a partial record: verify and repair it
+            // before the next frame extends it.
+            self.writer = None;
         }
-        writer.sync()?;
+        written?;
         self.last_seq = new.last().expect("non-empty").stamped.seq;
         Ok(ShipApply { entries: new, ack: ShipAck { last_seq: self.last_seq, resend: None } })
     }
@@ -376,7 +475,7 @@ mod tests {
     }
 
     /// Drive plan/apply to quiescence; returns frames shipped.
-    fn drain(shipper: &Shipper, standby: &mut StandbyLog, max_lag: u64) -> usize {
+    fn drain(shipper: &mut Shipper, standby: &mut StandbyLog, max_lag: u64) -> usize {
         let mut shipped = 0;
         let mut resend = None;
         loop {
@@ -396,9 +495,9 @@ mod tests {
     fn full_ship_reproduces_the_log_exactly() {
         let (pdir, sdir) = (tmp_dir("full-p"), tmp_dir("full-s"));
         let live = primary_session(&pdir, 40, 256); // several rotations
-        let shipper = Shipper::new(&pdir);
+        let mut shipper = Shipper::new(&pdir);
         let mut standby = StandbyLog::open(&sdir).unwrap();
-        drain(&shipper, &mut standby, 0);
+        drain(&mut shipper, &mut standby, 0);
         assert_eq!(standby.last_seq(), 40);
         let rec = recover(&sdir).unwrap();
         assert_eq!(rec.last_seq, 40);
@@ -421,7 +520,7 @@ mod tests {
     fn resume_skips_already_held_segments() {
         let (pdir, sdir) = (tmp_dir("resume-p"), tmp_dir("resume-s"));
         primary_session(&pdir, 30, 256);
-        let shipper = Shipper::new(&pdir);
+        let mut shipper = Shipper::new(&pdir);
         {
             let mut standby = StandbyLog::open(&sdir).unwrap();
             // Ship only the first couple of frames, then "crash".
@@ -442,7 +541,7 @@ mod tests {
                 assert!(*index >= first_missing.saturating_sub(1), "re-shipped a held segment");
             }
         }
-        drain(&shipper, &mut standby, 0);
+        drain(&mut shipper, &mut standby, 0);
         assert_eq!(standby.last_seq(), 30);
         let _ = std::fs::remove_dir_all(&pdir);
         let _ = std::fs::remove_dir_all(&sdir);
@@ -452,7 +551,7 @@ mod tests {
     fn torn_frame_is_rerequested_and_converges() {
         let (pdir, sdir) = (tmp_dir("torn-p"), tmp_dir("torn-s"));
         let live = primary_session(&pdir, 30, 256);
-        let shipper = Shipper::new(&pdir);
+        let mut shipper = Shipper::new(&pdir);
         let mut standby = StandbyLog::open(&sdir).unwrap();
         let frames = shipper.plan(0, None, 0, 1).unwrap();
         let ShipFrame::Sealed { index, bytes } = &frames[0] else {
@@ -471,7 +570,7 @@ mod tests {
         let apply = standby.apply(&frames[0]).unwrap();
         assert_eq!(apply.ack.resend, None);
         assert!(apply.ack.last_seq > 0);
-        drain(&shipper, &mut standby, 0);
+        drain(&mut shipper, &mut standby, 0);
         assert_eq!(recover(&sdir).unwrap().tree, live);
         let _ = std::fs::remove_dir_all(&pdir);
         let _ = std::fs::remove_dir_all(&sdir);
@@ -481,12 +580,12 @@ mod tests {
     fn lag_bound_withholds_the_newest_tail_entries() {
         let (pdir, sdir) = (tmp_dir("lag-p"), tmp_dir("lag-s"));
         primary_session(&pdir, 20, 1 << 20); // one active segment, no seals
-        let shipper = Shipper::new(&pdir);
+        let mut shipper = Shipper::new(&pdir);
         let mut standby = StandbyLog::open(&sdir).unwrap();
-        drain(&shipper, &mut standby, 5);
+        drain(&mut shipper, &mut standby, 5);
         assert_eq!(standby.last_seq(), 15, "newest 5 entries withheld within the lag bound");
         // Tightening the bound ships the rest.
-        drain(&shipper, &mut standby, 0);
+        drain(&mut shipper, &mut standby, 0);
         assert_eq!(standby.last_seq(), 20);
         let _ = std::fs::remove_dir_all(&pdir);
         let _ = std::fs::remove_dir_all(&sdir);
@@ -496,7 +595,7 @@ mod tests {
     fn gap_frames_are_declined_not_installed() {
         let (pdir, sdir) = (tmp_dir("gap-p"), tmp_dir("gap-s"));
         primary_session(&pdir, 30, 256);
-        let shipper = Shipper::new(&pdir);
+        let mut shipper = Shipper::new(&pdir);
         let mut standby = StandbyLog::open(&sdir).unwrap();
         // Deliver a later sealed segment first: declined, cursor unmoved.
         let frames = shipper.plan(0, None, 0, 8).unwrap();
@@ -516,7 +615,7 @@ mod tests {
     fn plan_respects_the_frame_limit() {
         let (pdir, _s) = (tmp_dir("limit-p"), ());
         primary_session(&pdir, 50, 128); // many segments
-        let shipper = Shipper::new(&pdir);
+        let mut shipper = Shipper::new(&pdir);
         assert!(list_segments(&pdir).unwrap().len() > 3);
         assert_eq!(shipper.plan(0, None, 0, 2).unwrap().len(), 2);
         assert!(shipper.plan(0, None, 0, 0).unwrap().is_empty());
@@ -530,7 +629,7 @@ mod tests {
         // Simulate compaction deleting the oldest segment.
         let (_, first) = list_segments(&pdir).unwrap().into_iter().next().unwrap();
         std::fs::remove_file(&first).unwrap();
-        let shipper = Shipper::new(&pdir);
+        let mut shipper = Shipper::new(&pdir);
         let err = shipper.plan(0, None, 0, 8).unwrap_err();
         assert!(err.to_string().contains("compacted"), "{err}");
         let _ = std::fs::remove_dir_all(&pdir);
@@ -540,7 +639,7 @@ mod tests {
     fn duplicate_frames_are_idempotent() {
         let (pdir, sdir) = (tmp_dir("dup-p"), tmp_dir("dup-s"));
         let live = primary_session(&pdir, 25, 256);
-        let shipper = Shipper::new(&pdir);
+        let mut shipper = Shipper::new(&pdir);
         let mut standby = StandbyLog::open(&sdir).unwrap();
         let frames = shipper.plan(0, None, 0, 16).unwrap();
         for f in &frames {
@@ -553,6 +652,128 @@ mod tests {
         }
         assert_eq!(standby.last_seq(), before);
         assert_eq!(recover(&sdir).unwrap().tree, live);
+        let _ = std::fs::remove_dir_all(&pdir);
+        let _ = std::fs::remove_dir_all(&sdir);
+    }
+
+    /// Append entries `from..=to` (renames of the root) to an open WAL.
+    fn append_renames(wal: &mut Wal, seqs: std::ops::RangeInclusive<u64>) {
+        for seq in seqs {
+            let update =
+                SceneUpdate::SetName { id: rave_scene::NodeId(0), name: format!("name-{seq}") };
+            wal.append(&AuditEntry {
+                at_secs: seq as f64,
+                stamped: StampedUpdate { seq, origin: "ship".into(), update },
+            })
+            .unwrap();
+        }
+        wal.sync().unwrap();
+    }
+
+    #[test]
+    fn kept_shipper_reads_each_log_byte_at_most_once() {
+        let (pdir, sdir) = (tmp_dir("cursor-p"), tmp_dir("cursor-s"));
+        let (mut wal, _) = Wal::open(&pdir, 600, false).unwrap();
+        let mut kept = Shipper::new(&pdir);
+        let mut standby = StandbyLog::open(&sdir).unwrap();
+        let mut stateless_read = 0;
+        for tick in 0..40u64 {
+            append_renames(&mut wal, tick * 3 + 1..=tick * 3 + 3);
+            let mut fresh = Shipper::new(&pdir);
+            let want = fresh.plan(standby.last_seq(), None, 0, 8).unwrap();
+            stateless_read += fresh.tail_bytes_read();
+            let frames = kept.plan(standby.last_seq(), None, 0, 8).unwrap();
+            assert_eq!(
+                frames, want,
+                "tick {tick}: the cursor changes what is read, not what ships"
+            );
+            for f in &frames {
+                standby.apply(f).unwrap();
+            }
+            assert_eq!(standby.last_seq(), tick * 3 + 3);
+        }
+        assert!(wal.active_segment_index() >= 3, "the log rotated under the cursor");
+        // Acknowledged in lockstep, so nothing is read twice: appended
+        // bytes once each, and after a rotation the new segment whole.
+        let log_bytes = Wal::disk_bytes(&pdir).unwrap();
+        assert!(kept.tail_bytes_read() <= log_bytes, "{} > {log_bytes}", kept.tail_bytes_read());
+        assert!(stateless_read > 2 * log_bytes, "a fresh shipper per tick re-reads the segment");
+        let _ = std::fs::remove_dir_all(&pdir);
+        let _ = std::fs::remove_dir_all(&sdir);
+    }
+
+    #[test]
+    fn cursor_is_dropped_when_the_standby_falls_behind_it() {
+        let (pdir, sdir) = (tmp_dir("behind-p"), tmp_dir("behind-s"));
+        let (mut wal, _) = Wal::open(&pdir, 1 << 20, false).unwrap();
+        append_renames(&mut wal, 1..=10);
+        let mut shipper = Shipper::new(&pdir);
+        let frames = shipper.plan(0, None, 0, 4).unwrap();
+        assert_eq!(frames[0].last_seq(), Some(10));
+        // The frame never arrived: the standby still reports seq 0, and
+        // the plan starts over from there rather than from the cursor.
+        append_renames(&mut wal, 11..=12);
+        let again = shipper.plan(0, None, 0, 4).unwrap();
+        let ShipFrame::Tail { entries, .. } = &again[0] else { panic!("tail frame") };
+        assert_eq!((entries[0].stamped.seq, entries.len()), (1, 12));
+        let mut standby = StandbyLog::open(&sdir).unwrap();
+        standby.apply(&again[0]).unwrap();
+        assert_eq!(standby.last_seq(), 12);
+        let _ = std::fs::remove_dir_all(&pdir);
+        let _ = std::fs::remove_dir_all(&sdir);
+    }
+
+    #[test]
+    fn tail_frames_on_one_segment_reopen_it_at_most_once() {
+        let (pdir, sdir) = (tmp_dir("writer-p"), tmp_dir("writer-s"));
+        let (mut wal, _) = Wal::open(&pdir, 1 << 20, false).unwrap();
+        let mut shipper = Shipper::new(&pdir);
+        let mut standby = StandbyLog::open(&sdir).unwrap();
+        for tick in 0..6u64 {
+            append_renames(&mut wal, tick * 4 + 1..=tick * 4 + 4);
+            for f in &shipper.plan(standby.last_seq(), None, 0, 4).unwrap() {
+                standby.apply(f).unwrap();
+            }
+        }
+        assert_eq!((standby.last_seq(), standby.reopens()), (24, 0), "created, then kept open");
+        // A restarted standby verifies the file it finds once, then keeps
+        // it open too.
+        let mut standby = StandbyLog::open(&sdir).unwrap();
+        for tick in 6..12u64 {
+            append_renames(&mut wal, tick * 4 + 1..=tick * 4 + 4);
+            for f in &shipper.plan(standby.last_seq(), None, 0, 4).unwrap() {
+                standby.apply(f).unwrap();
+            }
+        }
+        assert_eq!((standby.last_seq(), standby.reopens()), (48, 1));
+        assert_eq!(Wal::replay_after(&sdir, 0).unwrap(), Wal::replay_after(&pdir, 0).unwrap());
+        let _ = std::fs::remove_dir_all(&pdir);
+        let _ = std::fs::remove_dir_all(&sdir);
+    }
+
+    #[test]
+    fn tail_after_a_sealed_copy_of_its_segment_extends_the_new_file() {
+        let (pdir, sdir) = (tmp_dir("replaced-p"), tmp_dir("replaced-s"));
+        let (mut wal, _) = Wal::open(&pdir, 1 << 20, false).unwrap();
+        let mut shipper = Shipper::new(&pdir);
+        let mut standby = StandbyLog::open(&sdir).unwrap();
+        append_renames(&mut wal, 1..=5);
+        standby.apply(&shipper.plan(0, None, 0, 4).unwrap()[0]).unwrap();
+        // A re-request of the segment that is still active ships its file
+        // whole; the copy replaces the one the standby has open.
+        append_renames(&mut wal, 6..=10);
+        let frames = shipper.plan(standby.last_seq(), Some(0), 0, 1).unwrap();
+        assert!(matches!(frames[0], ShipFrame::Sealed { index: 0, .. }));
+        standby.apply(&frames[0]).unwrap();
+        assert_eq!(standby.last_seq(), 10);
+        append_renames(&mut wal, 11..=12);
+        for f in &shipper.plan(standby.last_seq(), None, 0, 4).unwrap() {
+            standby.apply(f).unwrap();
+        }
+        assert_eq!((standby.last_seq(), standby.reopens()), (12, 1));
+        drop(standby);
+        assert_eq!(StandbyLog::open(&sdir).unwrap().last_seq(), 12, "the tail reached the disk");
+        assert_eq!(Wal::replay_after(&sdir, 0).unwrap(), Wal::replay_after(&pdir, 0).unwrap());
         let _ = std::fs::remove_dir_all(&pdir);
         let _ = std::fs::remove_dir_all(&sdir);
     }

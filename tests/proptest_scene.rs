@@ -4,7 +4,7 @@
 use proptest::prelude::*;
 use rave::math::{Quat, Vec3};
 use rave::scene::{
-    AuditTrail, MeshData, NodeCost, NodeId, NodeKind, SceneTree, SceneUpdate, StampedUpdate,
+    wire, AuditTrail, MeshData, NodeCost, NodeId, NodeKind, SceneTree, SceneUpdate, StampedUpdate,
     Transform,
 };
 use std::collections::BTreeMap;
@@ -196,6 +196,101 @@ proptest! {
         let p1 = subset.world_transform(chosen).transform_point(Vec3::ZERO);
         prop_assert!((p0 - p1).length() < 1e-4);
     }
+
+    /// `extract_subset` visits only the closure; the walk of the whole
+    /// tree it replaced is kept below as the oracle. Same tree by `==`,
+    /// same snapshot bytes (so same insertion order and slot layout as far
+    /// as anything outside the arena can tell) — for one root, several,
+    /// roots nested inside each other, children of the scene root, the
+    /// scene root itself, repeats and ids the tree does not hold.
+    #[test]
+    fn extract_subset_equals_the_whole_tree_walk(
+        ops in prop::collection::vec(model_op_strategy(), 1..70),
+        picks in prop::collection::vec(any::<usize>(), 0..6),
+        nest in any::<bool>(),
+    ) {
+        let mut tree = SceneTree::new();
+        for (i, op) in ops.iter().enumerate() {
+            let live: Vec<NodeId> = tree.descendants(tree.root());
+            match op {
+                ModelOp::Insert { parent_pick, tris } => {
+                    let parent = live[parent_pick % live.len()];
+                    let kind = if *tris == 0 { NodeKind::Group } else { mesh_kind(*tris) };
+                    let id = tree.add_node(parent, format!("n{i}"), kind).unwrap();
+                    // Transforms and versions must come across verbatim.
+                    let t = Transform::from_translation(Vec3::new(i as f32, *tris as f32, 1.0));
+                    for _ in 0..tris % 3 {
+                        tree.set_transform(id, t);
+                    }
+                }
+                ModelOp::Remove { pick } if live.len() > 1 => {
+                    tree.remove(live[1 + pick % (live.len() - 1)]).unwrap();
+                }
+                ModelOp::Reparent { pick, parent_pick } => {
+                    let _ = tree.reparent(live[pick % live.len()], live[parent_pick % live.len()]);
+                }
+                _ => {}
+            }
+        }
+        tree.set_transform(tree.root(), Transform::from_translation(Vec3::new(0.5, 0.0, -2.0)));
+
+        let live: Vec<NodeId> = tree.descendants(tree.root());
+        let mut roots: Vec<NodeId> = picks.iter().map(|p| live[p % live.len()]).collect();
+        if nest {
+            // A root's own child and parent beside it, a child of the
+            // scene root, and an id that was never allocated.
+            if let Some(&r) = roots.first() {
+                roots.extend(tree.node(r).unwrap().children().next());
+                roots.extend(tree.node(r).unwrap().parent());
+            }
+            roots.extend(tree.node(tree.root()).unwrap().children().next_back());
+            roots.push(NodeId(u64::MAX - 7));
+        }
+        let got = tree.extract_subset(&roots);
+        let want = extract_by_whole_tree_walk(&tree, &roots);
+        got.check_invariants().map_err(|msg| TestCaseError { msg })?;
+        prop_assert_eq!(&got, &want);
+        prop_assert_eq!(got.id_allocator_state(), want.id_allocator_state());
+        prop_assert_eq!(
+            got.descendants(got.root()),
+            want.descendants(want.root()),
+            "same insertion order"
+        );
+        prop_assert_eq!(wire::encode_tree(&got), wire::encode_tree(&want));
+    }
+}
+
+/// The `extract_subset` this repository shipped before it learned to
+/// visit only the closure: walk every node of `tree` in pre-order and keep
+/// the ones in the closure. Kept as the oracle of the test above.
+fn extract_by_whole_tree_walk(tree: &SceneTree, roots: &[NodeId]) -> SceneTree {
+    let closure = tree.subset_closure(roots);
+    let mut in_subtree: Vec<NodeId> = roots.iter().flat_map(|&r| tree.descendants(r)).collect();
+    in_subtree.sort_unstable();
+    let mut out = SceneTree::new();
+    while out.id_allocator_state() < tree.id_allocator_state() {
+        out.allocate_id();
+    }
+    let root_transform = tree.node(tree.root()).unwrap().transform();
+    out.node_mut(out.root()).unwrap().set_transform(root_transform);
+    for src in tree.descendants_iter(tree.root()) {
+        let id = src.id();
+        if id == tree.root() || closure.binary_search(&id).is_err() {
+            continue;
+        }
+        let parent = src.parent().expect("non-root has parent");
+        let parent = if parent == tree.root() { out.root() } else { parent };
+        let kind = if in_subtree.binary_search(&id).is_ok() {
+            src.kind().clone()
+        } else {
+            NodeKind::Group // ancestor kept for orientation only
+        };
+        out.insert_with_id(id, parent, src.name(), kind).expect("parents come first");
+        let mut node = out.node_mut(id).unwrap();
+        node.set_transform(src.transform());
+        node.set_version(src.version());
+    }
+    out
 }
 
 // ---------------------------------------------------------------------------

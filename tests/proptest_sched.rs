@@ -2,20 +2,24 @@
 //! rebalance events — overload, underload, failure, cost drift —
 //! conserve the scene (every content node stays claimed by exactly one
 //! live subscriber, replica contents partition the master, and the
-//! master copy itself is never touched); the ledger's incremental
+//! master copy itself is never touched, every subscriber's interest
+//! closure is what a from-scratch refresh computes and the interest index
+//! routes as the naive scan does — also after applied plan diffs, which
+//! recompute no more closures than they touched); the ledger's incremental
 //! resift tracks a naive full re-sort over arbitrary debit/push
 //! sequences; and the incremental planner's suffix replays land on the
 //! cold plan of the final workload set after arbitrary edit storms.
 
 use proptest::prelude::*;
 use rave::core::bootstrap::connect_render_service;
-use rave::core::sched::rebalance::process_events;
+use rave::core::sched::rebalance::{incremental_replan, process_events};
 use rave::core::sched::SchedEvent;
-use rave::core::world::{publish_update, RaveWorld};
-use rave::core::{RaveConfig, RenderServiceId};
+use rave::core::world::{publish_update, RaveSim, RaveWorld};
+use rave::core::{DataServiceId, RaveConfig, RenderServiceId};
 use rave::math::Vec3;
-use rave::scene::{InterestSet, MeshData, NodeId, NodeKind, SceneUpdate};
+use rave::scene::{InterestSet, MeshData, NodeId, NodeKind, SceneUpdate, Transform};
 use rave::sim::Simulation;
+use std::collections::BTreeSet;
 use std::sync::Arc;
 
 fn mesh(tris: u32) -> NodeKind {
@@ -26,6 +30,30 @@ fn mesh(tris: u32) -> NodeKind {
         triangles: vec![[0, 1, 2]; tris as usize],
         texture_bytes: 0,
     }))
+}
+
+/// What a batch of moves must leave behind at the data service: every
+/// subscriber's closure equal to a from-scratch refresh of its roots, and
+/// the interest index routing an update of each moved node to exactly the
+/// subscribers the naive scan finds (all of them live here). Probed on a
+/// clone, so the check rebuilds nothing in the world.
+fn assert_interests_exact(
+    sim: &RaveSim,
+    ds: DataServiceId,
+    moved: impl IntoIterator<Item = NodeId>,
+) -> Result<(), TestCaseError> {
+    let mut probe = sim.world.data(ds).clone();
+    for (rs, sub) in &probe.subscribers {
+        let mut fresh = sub.interest.clone();
+        fresh.refresh(&probe.scene);
+        prop_assert_eq!(&sub.interest, &fresh, "{} holds a stale closure", rs);
+    }
+    for node in moved {
+        let update = SceneUpdate::SetTransform { id: node, transform: Transform::IDENTITY };
+        let stamped = Arc::new(probe.stamp("probe", update));
+        prop_assert_eq!(probe.route(&stamped), probe.route_naive(&stamped), "node {}", node);
+    }
+    Ok(())
 }
 
 proptest! {
@@ -95,6 +123,7 @@ proptest! {
             for r in &outcome.recruited {
                 alive.push(*r);
             }
+            assert_interests_exact(&sim, ds, outcome.moved.iter().map(|m| m.0))?;
             sim.run();
 
             // Master untouched, whatever the scheduler did.
@@ -120,6 +149,84 @@ proptest! {
                 .map(|rs| sim.world.render(*rs).assigned_cost().polygons)
                 .sum();
             prop_assert_eq!(total_replica, master_polys, "replicas conserve cost after {:?}", event);
+        }
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(24))]
+
+    /// The incremental path end to end in a world: cost edits, removals
+    /// and service failures replanned into `PlanDiff`s and applied. After
+    /// every applied diff the interests are exact (above), and the diff
+    /// recomputed at most one closure per subscriber it touched — however
+    /// many nodes it moved.
+    #[test]
+    fn applied_plan_diffs_keep_interests_exact_and_refresh_only_the_touched(
+        sizes in prop::collection::vec(100u32..5_000, 4..24),
+        storm in prop::collection::vec((0usize..4, any::<usize>(), 100u32..5_000), 1..10),
+    ) {
+        let mut sim = Simulation::new(RaveWorld::paper_testbed(RaveConfig::default(), 1717));
+        let ds = sim.world.spawn_data_service("adrenochrome", "sess");
+        let mut alive: Vec<RenderServiceId> = Vec::new();
+        for host in ["onyx", "tower", "v880z", "laptop", "desktop"] {
+            let rs = sim.world.spawn_render_service(host);
+            sim.world.data_mut(ds).subscribe_live(rs, InterestSet::subtrees([]));
+            sim.world.render_mut(rs).interest = InterestSet::subtrees([]);
+            alive.push(rs);
+        }
+        let mut nodes: Vec<NodeId> = Vec::new();
+        for (i, &s) in sizes.iter().enumerate() {
+            let (id, parent) = {
+                let scene = &mut sim.world.data_mut(ds).scene;
+                (scene.allocate_id(), scene.root())
+            };
+            let add = SceneUpdate::AddNode { id, parent, name: format!("m{i}"), kind: mesh(s) };
+            publish_update(&mut sim, ds, "imp", add).unwrap();
+            nodes.push(id);
+        }
+
+        let mut events: Vec<SchedEvent> = Vec::new();
+        for step in 0..=storm.len() {
+            let before = sim.world.data(ds).interest_refreshes;
+            let out = incremental_replan(&mut sim, ds, &events);
+            events.clear();
+            if let Some(diff) = &out.diff {
+                let touched: BTreeSet<RenderServiceId> = diff
+                    .moved
+                    .iter()
+                    .flat_map(|&(_, old, new)| old.into_iter().chain([new]))
+                    .chain(diff.dropped.iter().map(|&(_, from)| from))
+                    .collect();
+                let refreshed = sim.world.data(ds).interest_refreshes - before;
+                prop_assert!(
+                    refreshed <= touched.len() as u64,
+                    "{} moves touching {} subscribers recomputed {} closures",
+                    diff.moved.len(),
+                    touched.len(),
+                    refreshed
+                );
+                assert_interests_exact(&sim, ds, diff.moved.iter().map(|m| m.0))?;
+            }
+            sim.run();
+            let Some(&(kind, pick, polys)) = storm.get(step) else { break };
+            match kind {
+                0 | 1 if !nodes.is_empty() => {
+                    let id = nodes[pick % nodes.len()];
+                    let edit = SceneUpdate::ReplaceKind { id, kind: mesh(polys) };
+                    publish_update(&mut sim, ds, "edit", edit).unwrap();
+                }
+                2 if nodes.len() > 1 => {
+                    let id = nodes.swap_remove(pick % nodes.len());
+                    publish_update(&mut sim, ds, "edit", SceneUpdate::RemoveNode { id }).unwrap();
+                }
+                3 if alive.len() > 2 => {
+                    let service = alive.swap_remove(pick % alive.len());
+                    events.push(SchedEvent::Failure { service });
+                }
+                _ => {}
+            }
+            sim.run();
         }
     }
 }
