@@ -130,13 +130,21 @@ impl RenderService {
 
     /// Actually rasterize a session's frame (figure generation). Separate
     /// from the cost model so timing experiments can skip pixel work.
-    pub fn rasterize(&mut self, client: ClientId) -> Option<Framebuffer> {
-        let session = self.sessions.get(&client)?;
-        let mut fb = Framebuffer::new(session.viewport.width, session.viewport.height);
-        self.renderer.render(&self.scene, &session.camera, &mut fb);
-        let result = fb.clone();
-        self.sessions.get_mut(&client).expect("session exists").last_frame = Some(fb);
-        Some(result)
+    ///
+    /// The frame is rendered into the session's retained `last_frame`
+    /// buffer (replaced when the viewport changed size) and lent back from
+    /// there: a streaming session allocates its frame once, not per frame.
+    pub fn rasterize(&mut self, client: ClientId) -> Option<&Framebuffer> {
+        let session = self.sessions.get_mut(&client)?;
+        let Viewport { width, height, .. } = session.viewport;
+        let fb = session
+            .last_frame
+            .take()
+            .filter(|fb| (fb.width(), fb.height()) == (width, height))
+            .unwrap_or_else(|| Framebuffer::new(width, height));
+        let fb = session.last_frame.insert(fb);
+        self.renderer.render(&self.scene, &session.camera, fb);
+        Some(fb)
     }
 
     /// Rasterize one tile of a session's image (framebuffer
@@ -346,9 +354,47 @@ mod tests {
             CameraParams::look_at(Vec3::new(0.3, 0.3, 3.0), Vec3::new(0.3, 0.3, 0.0), Vec3::Y),
             OffscreenMode::Sequential,
         );
+        let background = rs.renderer.background;
         let fb = rs.rasterize(ClientId(1)).unwrap();
-        assert!(fb.coverage(rs.renderer.background) > 0);
-        assert!(rs.sessions[&ClientId(1)].last_frame.is_some());
+        assert!(fb.coverage(background) > 0);
+        let bytes = fb.to_rgb_bytes();
+        let kept = rs.sessions[&ClientId(1)].last_frame.as_ref().expect("frame retained");
+        assert_eq!(bytes, kept.to_rgb_bytes(), "the lent frame is the retained one");
+    }
+
+    #[test]
+    fn rasterize_reuses_the_frame_until_the_viewport_changes() {
+        let mut rs = service_with_polys(1);
+        let camera =
+            CameraParams::look_at(Vec3::new(0.3, 0.3, 3.0), Vec3::new(0.3, 0.3, 0.0), Vec3::Y);
+        let client = ClientId(1);
+        rs.open_session(client, Viewport::new(32, 32), camera, OffscreenMode::Sequential);
+        // What a fresh buffer gets for a camera and size: the oracle.
+        let fresh = |rs: &RenderService, vp: Viewport, camera: &CameraParams| {
+            let mut fb = Framebuffer::new(vp.width, vp.height);
+            rs.renderer.render_reference(&rs.scene, camera, &mut fb);
+            fb
+        };
+
+        let first = rs.rasterize(client).unwrap().clone();
+        assert_eq!(first, fresh(&rs, Viewport::new(32, 32), &camera));
+
+        // Same size, the triangle moved out of view: the reused buffer
+        // must not keep the previous frame's pixels or depths.
+        let away =
+            CameraParams::look_at(Vec3::new(50.0, 0.0, 3.0), Vec3::new(50.0, 0.0, 0.0), Vec3::Y);
+        rs.sessions.get_mut(&client).unwrap().camera = away;
+        let second = rs.rasterize(client).unwrap().clone();
+        assert_eq!(second.coverage(rs.renderer.background), 0, "no stale pixels");
+        assert_eq!(second, fresh(&rs, Viewport::new(32, 32), &away));
+
+        // New size: a frame of that size, again equal to a fresh render.
+        let session = rs.sessions.get_mut(&client).unwrap();
+        session.viewport = Viewport::new(48, 20);
+        session.camera = camera;
+        let third = rs.rasterize(client).unwrap().clone();
+        assert_eq!((third.width(), third.height()), (48, 20));
+        assert_eq!(third, fresh(&rs, Viewport::new(48, 20), &camera));
     }
 
     #[test]

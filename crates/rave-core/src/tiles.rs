@@ -503,7 +503,7 @@ mod tests {
         let result = render_tiled_frame(&mut sim, owner, client, &plan, cam, &BTreeSet::new());
         let tiled = result.image.unwrap();
         // Monolithic reference.
-        let mono = sim.world.render_mut(owner).rasterize(client).unwrap();
+        let mono = sim.world.render_mut(owner).rasterize(client).unwrap().clone();
         assert_eq!(mono.diff_fraction(&tiled, 0.0), 0.0, "tiling is invisible");
         assert!(!result.used_stale_tile);
     }
@@ -542,7 +542,7 @@ mod tests {
         let plan = plan_tiles(&Viewport::new(64, 64), owner, &[report(helper, 100)]);
         let r1 = render_tiled_frame(&mut sim, owner, client, &plan, cam, &BTreeSet::new());
         let tiled = r1.image.unwrap();
-        let mono = sim.world.render_mut(owner).rasterize(client).unwrap();
+        let mono = sim.world.render_mut(owner).rasterize(client).unwrap().clone();
         assert_eq!(mono.diff_fraction(&tiled, 0.0), 0.0, "compressed tiling is invisible");
 
         // Frame 2, camera unchanged: the helper tile is byte-identical, so

@@ -127,31 +127,34 @@ impl Framebuffer {
     }
 
     /// Split the buffer into at most `max_bands` horizontal row bands of
-    /// near-equal height, top to bottom. Each band is an exclusive
-    /// mutable view over a **contiguous** region of the color and depth
-    /// planes, so bands can be handed to parallel workers with no locks
-    /// and no false sharing (bands never straddle a row). The union of
-    /// the bands is exactly the buffer; bands never overlap.
+    /// near-equal height, top to bottom ([`Framebuffer::row_bands_at`]
+    /// with evenly spaced cuts).
     pub fn row_bands(&mut self, max_bands: u32) -> Vec<FramebufferBand<'_>> {
-        let n = max_bands.clamp(1, self.height) as usize;
+        let n = max_bands.clamp(1, self.height) as u64;
+        let cuts: Vec<u32> = (1..n).map(|k| (self.height as u64 * k / n) as u32).collect();
+        self.row_bands_at(&cuts)
+    }
+
+    /// Split the buffer into `cuts.len() + 1` horizontal row bands, top to
+    /// bottom, band `k` ending where band `k + 1` starts: at row
+    /// `cuts[k]`. Each band is an exclusive mutable view over a
+    /// **contiguous** region of the color and depth planes, so bands can
+    /// be handed to parallel workers with no locks and no false sharing
+    /// (bands never straddle a row). The union of the bands is exactly the
+    /// buffer; bands never overlap and none is empty — `cuts` must be
+    /// strictly increasing inside `0 < cut < height`.
+    pub fn row_bands_at(&mut self, cuts: &[u32]) -> Vec<FramebufferBand<'_>> {
         let width = self.width;
-        let height = self.height as usize;
         let w = width as usize;
-        let mut bands = Vec::with_capacity(n);
+        let mut bands = Vec::with_capacity(cuts.len() + 1);
         let (mut color, mut depth): (&mut [Rgb], &mut [f32]) = (&mut self.color, &mut self.depth);
-        let mut row = 0usize;
-        for k in 0..n {
-            let end_row = height * (k + 1) / n;
+        let mut row = 0u32;
+        for &end_row in cuts.iter().chain(std::iter::once(&self.height)) {
+            assert!(row < end_row && end_row <= self.height, "band cuts must increase");
             let rows = end_row - row;
-            let (c, crest) = color.split_at_mut(rows * w);
-            let (d, drest) = depth.split_at_mut(rows * w);
-            bands.push(FramebufferBand {
-                y0: row as u32,
-                width,
-                rows: rows as u32,
-                color: c,
-                depth: d,
-            });
+            let (c, crest) = color.split_at_mut(rows as usize * w);
+            let (d, drest) = depth.split_at_mut(rows as usize * w);
+            bands.push(FramebufferBand { y0: row, width, rows, color: c, depth: d });
             color = crest;
             depth = drest;
             row = end_row;
@@ -234,9 +237,11 @@ impl Framebuffer {
 
     /// Raw color bytes row-major RGB (the thin-client wire payload).
     pub fn to_rgb_bytes(&self) -> Vec<u8> {
-        let mut out = Vec::with_capacity(self.color.len() * 3);
-        for c in &self.color {
-            out.extend_from_slice(&[c.0, c.1, c.2]);
+        // One sized allocation, filled by a fixed-stride loop the compiler
+        // turns into wide copies.
+        let mut out = vec![0u8; self.color.len() * 3];
+        for (dst, c) in out.chunks_exact_mut(3).zip(&self.color) {
+            dst.copy_from_slice(&[c.0, c.1, c.2]);
         }
         out
     }
@@ -247,8 +252,8 @@ impl Framebuffer {
             return None;
         }
         let mut fb = Framebuffer::new(width, height);
-        for (i, px) in bytes.chunks_exact(3).enumerate() {
-            fb.color[i] = Rgb(px[0], px[1], px[2]);
+        for (c, px) in fb.color.iter_mut().zip(bytes.chunks_exact(3)) {
+            *c = Rgb(px[0], px[1], px[2]);
         }
         Some(fb)
     }
@@ -282,6 +287,13 @@ impl FramebufferBand<'_> {
 
     pub fn width(&self) -> u32 {
         self.width
+    }
+
+    /// Reset the band's rows, like [`Framebuffer::clear`] for the whole
+    /// buffer.
+    pub fn clear(&mut self, c: Rgb) {
+        self.color.fill(c);
+        self.depth.fill(1.0);
     }
 
     #[inline]
@@ -442,12 +454,19 @@ mod tests {
 
     #[test]
     fn rgb_bytes_roundtrip() {
-        let mut fb = Framebuffer::new(5, 4);
-        fb.set(2, 3, Rgb(7, 8, 9), 0.3);
+        // A width no wide copy divides, every pixel distinct.
+        let (w, h) = (13u32, 5u32);
+        let mut fb = Framebuffer::new(w, h);
+        for i in 0..w * h {
+            fb.set(i % w, i / w, Rgb(i as u8, (i * 3) as u8, 255 - i as u8), 0.3);
+        }
         let bytes = fb.to_rgb_bytes();
-        let back = Framebuffer::from_rgb_bytes(5, 4, &bytes).unwrap();
-        assert_eq!(back.get(2, 3), Rgb(7, 8, 9));
-        assert!(Framebuffer::from_rgb_bytes(5, 5, &bytes).is_none());
+        assert_eq!(bytes.len() as u64, fb.color_bytes());
+        assert_eq!(&bytes[3 * 14..3 * 15], &[14, 42, 241], "row-major, R then G then B");
+        let back = Framebuffer::from_rgb_bytes(w, h, &bytes).unwrap();
+        assert_eq!(back.color_pixels(), fb.color_pixels());
+        assert!(back.depth_pixels().iter().all(|&z| z == 1.0), "depth unknown: far");
+        assert!(Framebuffer::from_rgb_bytes(w, h + 1, &bytes).is_none());
     }
 
     #[test]
@@ -475,6 +494,22 @@ mod tests {
             }
             assert_eq!(next, 11, "bands cover every row");
         }
+    }
+
+    #[test]
+    fn row_bands_at_cuts_where_told() {
+        let mut fb = Framebuffer::new(3, 10);
+        let spans = |bands: Vec<FramebufferBand<'_>>| -> Vec<(u32, u32)> {
+            bands.iter().map(|b| (b.y_start(), b.y_end())).collect()
+        };
+        assert_eq!(spans(fb.row_bands_at(&[])), [(0, 10)]);
+        assert_eq!(spans(fb.row_bands_at(&[1, 2, 9])), [(0, 1), (1, 2), (2, 9), (9, 10)]);
+    }
+
+    #[test]
+    #[should_panic(expected = "band cuts must increase")]
+    fn row_bands_at_rejects_an_empty_band() {
+        Framebuffer::new(3, 10).row_bands_at(&[4, 4]);
     }
 
     #[test]

@@ -6,14 +6,17 @@
 //! - the **immediate-mode reference** ([`rasterize_triangle`],
 //!   [`draw_mesh`]) — simple per-triangle code, the baseline every
 //!   optimization is verified against;
-//! - the **binned pipeline** ([`setup_screen_tri`] at bin time,
-//!   [`raster_tri_rows`] at replay time) used by
-//!   [`crate::renderer::Renderer`] to rasterize disjoint row bands in
-//!   parallel.
+//! - the **binned pipeline** ([`raster_mesh_rows`]: per-triangle setup and
+//!   [`raster_tri_rows`] in one pass over a mesh's cached vertex stage)
+//!   used by [`crate::renderer::Renderer`] to rasterize disjoint row bands
+//!   in parallel.
 //!
-//! Both evaluate the identical per-pixel expressions, so a banded replay
-//! is bit-identical to a serial draw — the guarantee the parallel
-//! renderer's property tests pin down.
+//! Both evaluate the identical per-pixel expressions, so a banded draw is
+//! bit-identical to a serial one — the guarantee the parallel renderer's
+//! property tests pin down. The binned path may *skip* pixels (the
+//! centre-sampled box of [`centre_box`], the spans of `walk_spans`), but
+//! only ones the kernel provably rejects; the reference scans the whole
+//! floor/ceil box and stays an independent oracle.
 
 use crate::framebuffer::{Framebuffer, FramebufferBand, Rgb};
 use rave_math::{Mat4, Vec2, Vec3, Vec4, Viewport};
@@ -92,9 +95,9 @@ impl RasterStats {
     }
 }
 
-/// A triangle after clipping and projection, ready for binned
-/// rasterization: screen-space vertices (pixel x/y + NDC z), Gouraud
-/// colors, the signed-area inverse, and its pixel bounding box already
+/// A triangle after clipping and projection, ready to rasterize:
+/// screen-space vertices (pixel x/y + NDC z), Gouraud colors, the
+/// signed-area inverse, and its floor/ceil pixel bounding box already
 /// intersected with the target tile (inclusive bounds).
 #[derive(Debug, Clone, Copy)]
 pub struct ScreenTri {
@@ -142,7 +145,11 @@ pub fn setup_screen_tri(
     let b = Vec2::new(p1.x, p1.y);
     let c = Vec2::new(p2.x, p2.y);
     let area = (b - a).cross(c - a);
-    if area.abs() < 1e-9 {
+    // Non-finite area means a non-finite projected vertex (`x/w` overflows
+    // once `w` is barely above `W_EPS`): the kernel could write nothing for
+    // it, yet `NaN < 0.0` being false would book a shaded fragment for
+    // every pixel of its box.
+    if area.abs() < 1e-9 || !area.is_finite() {
         stats.triangles_clipped_away += 1;
         return None; // degenerate in screen space
     }
@@ -247,7 +254,14 @@ fn raster_col(
 #[inline]
 fn floor_i64(v: f64) -> i64 {
     let t = v as i64;
-    t - ((t as f64) > v) as i64
+    t.saturating_sub(((t as f64) > v) as i64)
+}
+
+/// `ceil(v) as i64`, same construction as [`floor_i64`].
+#[inline]
+fn ceil_i64(v: f64) -> i64 {
+    let t = v as i64;
+    t.saturating_add(((t as f64) < v) as i64)
 }
 
 /// Walk `outer_lo..=outer_hi` along one screen axis, solving per step the
@@ -299,7 +313,7 @@ fn walk_spans<F: FnMut(i64, i64, i64)>(
                 if su > 0.0 && t.is_finite() {
                     outer_lo = outer_lo.max(floor_i64(t - 0.5));
                 } else if su < 0.0 && t.is_finite() {
-                    outer_hi = outer_hi.min(floor_i64(t - 0.5) + 1);
+                    outer_hi = outer_hi.min(floor_i64(t - 0.5).saturating_add(1));
                 } else if su == 0.0 && c < -m {
                     return; // constant and provably negative everywhere
                 }
@@ -333,9 +347,7 @@ fn walk_spans<F: FnMut(i64, i64, i64)>(
         let hi = (ha[0] * uc + hb[0]).min(ha[1] * uc + hb[1]).min(ha[2] * uc + hb[2]).min(smax);
         // ±1e-5 px of slack covers the conversion arithmetic itself;
         // casts saturate, so ±inf bounds collapse to an empty interval.
-        let l = lo - 1e-5;
-        let t = l as i64;
-        let v_lo = t + ((t as f64) < l) as i64; // ceil(l); l > -1 via smin
+        let v_lo = ceil_i64(lo - 1e-5);
         let v_hi = (hi + 1e-5) as i64; // floor for hi >= 0; else empty
         if v_lo <= v_hi {
             emit(u, v_lo, v_hi);
@@ -344,32 +356,92 @@ fn walk_spans<F: FnMut(i64, i64, i64)>(
     }
 }
 
+/// Pixel coordinates below this convert to exact f32 centres
+/// (`px as f32 + 0.5`), which [`centre_box`]'s error bound assumes.
+const EXACT_CENTRE_LIMIT: i64 = 1 << 22;
+
+/// Narrow `tri`'s floor/ceil box to the pixels whose *centres* can pass
+/// the kernel's inside test: `(min_x, max_x, min_y, max_y)`, inclusive,
+/// possibly empty (`min > max`). A model tessellated finer than the pixel
+/// grid is mostly triangles whose floor/ceil box is 2–4 pixels wide around
+/// zero or one pixel centre; the difference is all wasted kernel calls.
+///
+/// Same contract as [`walk_spans`] — skip only what [`raster_pixel`]
+/// provably rejects, fail open on anything non-finite — and the same kind
+/// of margin argument:
+///
+/// Let `D` bound every per-axis distance between a vertex and a pixel
+/// centre of the floor/ceil box (vertex extent + 1.5). Each difference the
+/// kernel forms is then at most `D` with relative rounding ε/2, so an edge
+/// value `cross(b − p, c − p)` carries at most `4·D²·ε` of absolute error,
+/// and the computed area the same. Write `Wᵢ` for the exact edge function
+/// times the *computed* `inv_area`, and λᵢ for the true barycentrics. With
+/// `η = 32·D²·ε·|inv_area| + 10⁻⁶` (8× headroom plus a floor for the
+/// `1 − w0 − w1` roundings and underflow), a pixel the kernel accepts has
+/// `W₀, W₁, W₂ ≥ −η`, and `κ = area · inv_area` — the factor between
+/// `Wᵢ` and λᵢ — is within η of 1. Only for `η ≤ ¼` is anything narrowed;
+/// then `κ ≥ ¾` and λ₀, λ₁ ≥ −4η/3, λ₂ ≥ −8η/3. The centre is
+/// `p = Σ λᵢ·vᵢ` with `Σ λᵢ = 1`, so it lies beyond the vertices' extent
+/// on either axis by at most `Σ|negative λᵢ| · extent ≤ 16η/3 · D`;
+/// `δ = 8·η·D` covers that and the f64 arithmetic below (≥ 10⁻⁵ px against
+/// ~10⁻⁹ of rounding at the coordinate limit).
+///
+/// Slivers (`|inv_area|` large), non-finite input and framebuffers too
+/// large for exact f32 pixel centres get the box back unchanged.
+#[inline]
+pub fn centre_box(tri: &ScreenTri) -> (i64, i64, i64, i64) {
+    let wide = (tri.min_x, tri.max_x, tri.min_y, tri.max_y);
+    let lo_x = tri.p0.x.min(tri.p1.x).min(tri.p2.x) as f64;
+    let hi_x = tri.p0.x.max(tri.p1.x).max(tri.p2.x) as f64;
+    let lo_y = tri.p0.y.min(tri.p1.y).min(tri.p2.y) as f64;
+    let hi_y = tri.p0.y.max(tri.p1.y).max(tri.p2.y) as f64;
+    let d = (hi_x - lo_x).max(hi_y - lo_y) + 1.5;
+    let eta = 32.0 * d * d * (f32::EPSILON as f64) * (tri.inv_area as f64).abs() + 1e-6;
+    // `f32::min`/`max` drop a NaN operand, so one NaN coordinate would not
+    // reach `eta`; the sum does not lose it. `!(..)` so a NaN `eta` (from
+    // `inv_area`) fails open too.
+    let finite = (tri.p0.x + tri.p1.x + tri.p2.x + tri.p0.y + tri.p1.y + tri.p2.y).is_finite();
+    let exact_centres = tri.max_x < EXACT_CENTRE_LIMIT && tri.max_y < EXACT_CENTRE_LIMIT;
+    if !(finite && exact_centres && eta <= 0.25) {
+        return wide;
+    }
+    let delta = 8.0 * eta * d;
+    (
+        wide.0.max(ceil_i64(lo_x - 0.5 - delta)),
+        wide.1.min(floor_i64(hi_x - 0.5 + delta)),
+        wide.2.max(ceil_i64(lo_y - 0.5 - delta)),
+        wide.3.min(floor_i64(hi_y - 0.5 + delta)),
+    )
+}
+
 /// Rasterize the rows of `tri` that fall inside `band` (a view over the
 /// tile-sized framebuffer for `tile`) — the binned engine's inner loop.
-/// Rows are restricted to the band; within them, [`walk_spans`] visits
-/// only the conservative span of each row or column (whichever axis of
-/// the bounding box is shorter becomes the walk axis, which matters for
-/// the tall sliver triangles tessellated models decompose into). Every
-/// visited pixel runs the shared exact kernel, so the output (pixels,
-/// depth bits, and fragment counters) matches the reference's full
-/// bounding-box scan bit-for-bit.
+/// The floor/ceil box `tri` carries is first narrowed to the pixel centres
+/// the triangle can cover ([`centre_box`]) and to the band's rows; within
+/// what is left, [`walk_spans`] visits only the conservative span of each
+/// row or column (whichever axis of the bounding box is shorter becomes
+/// the walk axis, which matters for the tall sliver triangles tessellated
+/// models decompose into). Every visited pixel runs the shared exact
+/// kernel, so the output (pixels, depth bits, and fragment counters)
+/// matches the reference's full bounding-box scan bit-for-bit.
 pub fn raster_tri_rows(
     band: &mut FramebufferBand<'_>,
     tile: &Viewport,
     tri: &ScreenTri,
     stats: &mut RasterStats,
 ) {
-    let y_lo = tri.min_y.max(tile.y as i64 + band.y_start() as i64);
-    let y_hi = tri.max_y.min(tile.y as i64 + band.y_end() as i64 - 1);
-    if y_lo > y_hi {
+    let (min_x, max_x, min_y, max_y) = centre_box(tri);
+    let y_lo = min_y.max(tile.y as i64 + band.y_start() as i64);
+    let y_hi = max_y.min(tile.y as i64 + band.y_end() as i64 - 1);
+    if y_lo > y_hi || min_x > max_x {
         return;
     }
     // Tiny bounding boxes can't amortize the span solver's setup; the
     // kernel over the whole box is cheaper. (Identical output either
     // way — the solver only skips pixels the kernel would reject.)
-    if (tri.max_x - tri.min_x + 1) * (y_hi - y_lo + 1) <= 16 {
+    if (max_x - min_x + 1) * (y_hi - y_lo + 1) <= 16 {
         for py in y_lo..=y_hi {
-            raster_span(band, tile, tri, py, tri.min_x, tri.max_x, stats);
+            raster_span(band, tile, tri, py, min_x, max_x, stats);
         }
         return;
     }
@@ -394,19 +466,19 @@ pub fn raster_tri_rows(
         .max(by.abs())
         .max(cx.abs())
         .max(cy.abs())
-        .max(tri.max_x as f64 + 1.0)
-        .max(tri.max_y as f64 + 1.0)
+        .max(max_x as f64 + 1.0)
+        .max(max_y as f64 + 1.0)
         .max(1.0);
     let mw = 32.0 * m * m * (f32::EPSILON as f64) * ia.abs() + 1e-6;
     let margins = [mw, mw, 2.0 * mw + 1e-6];
-    if tri.max_x - tri.min_x < y_hi - y_lo {
+    if max_x - min_x < y_hi - y_lo {
         // Tall bounding box: walk the (fewer) columns, solve y per column.
         let es = [[e0[1], e0[0], e0[2]], [e1[1], e1[0], e1[2]], [e2[1], e2[0], e2[2]]];
-        walk_spans(&es, &margins, tri.min_x, tri.max_x, y_lo, y_hi, |px, lo, hi| {
+        walk_spans(&es, &margins, min_x, max_x, y_lo, y_hi, |px, lo, hi| {
             raster_col(band, tile, tri, px, lo, hi, stats);
         });
     } else {
-        walk_spans(&[e0, e1, e2], &margins, y_lo, y_hi, tri.min_x, tri.max_x, |py, lo, hi| {
+        walk_spans(&[e0, e1, e2], &margins, y_lo, y_hi, min_x, max_x, |py, lo, hi| {
             raster_span(band, tile, tri, py, lo, hi, stats);
         });
     }
@@ -506,6 +578,109 @@ pub fn bin_triangle(
             setup_screen_tri(tile, projected[0], projected[k], projected[k + 1], stats)
         {
             sink(tri);
+        }
+    }
+}
+
+/// One mesh vertex after the binned engine's vertex stage: the clip-space
+/// vertex plus, when it clears the near guard (`clip.w >= W_EPS`), its
+/// screen projection — computed once with the expression [`bin_triangle`]
+/// would use per corner, so the cached value is bit-identical.
+#[derive(Debug, Clone, Copy)]
+pub struct BinVertex {
+    pub vertex: ClipVertex,
+    /// Pixel x/y + NDC z; meaningful only when `vertex.clip.w >= W_EPS`.
+    pub screen: Vec3,
+}
+
+impl BinVertex {
+    pub fn new(full_viewport: &Viewport, vertex: ClipVertex) -> Self {
+        let screen = if vertex.clip.w >= W_EPS {
+            full_viewport.ndc_to_pixel(vertex.clip.perspective_divide())
+        } else {
+            Vec3::ZERO
+        };
+        Self { vertex, screen }
+    }
+
+    /// Whether `screen` holds a projection (it is zero behind the near
+    /// guard).
+    #[inline]
+    pub fn projected(&self) -> bool {
+        self.vertex.clip.w >= W_EPS
+    }
+}
+
+/// Set up and rasterize, in list order, the part of an indexed mesh that
+/// falls inside `band` — the binned engine's triangle stream. Every band
+/// of a tile runs this over the same `verts`/`tris`; a band rejects a
+/// triangle on its y-range alone before paying for setup, so a frame costs
+/// one cheap pass over its triangles per band plus setup and pixels where
+/// they land.
+///
+/// The per-triangle counters (`triangles_*`) are booked by exactly one
+/// **owner** band per triangle — the one holding the row of the
+/// triangle's topmost vertex, clamped into the tile; the first band for
+/// the near-clipped and the non-finite — so the bands' stats sum to the
+/// reference's. Fragment counters are booked where the pixels are.
+pub fn raster_mesh_rows(
+    band: &mut FramebufferBand<'_>,
+    full_viewport: &Viewport,
+    tile: &Viewport,
+    verts: &[BinVertex],
+    tris: &[[u32; 3]],
+    stats: &mut RasterStats,
+) {
+    let first = band.y_start() == 0;
+    let last = band.y_end() == tile.height;
+    // The band's rows in viewport pixels; f64 holds any u32 exactly.
+    let lo = (tile.y + band.y_start()) as f64;
+    let hi = (tile.y + band.y_end()) as f64;
+    for t in tris {
+        let (v0, v1, v2) = (&verts[t[0] as usize], &verts[t[1] as usize], &verts[t[2] as usize]);
+        // Setup counters of a triangle this band does not own.
+        let mut unowned = RasterStats::default();
+        if v0.projected() && v1.projected() && v2.projected() {
+            let (y0, y1, y2) = (v0.screen.y, v1.screen.y, v2.screen.y);
+            let ymin = y0.min(y1).min(y2) as f64;
+            let ymax = y0.max(y1).max(y2) as f64;
+            // Bands tile the rows, so exactly one of them sees
+            // `lo <= ymin < hi` (first and last extend to ∓∞); NaN lands
+            // in the first.
+            let own = (first || ymin >= lo) && (last || ymin < hi || ymin.is_nan());
+            // Rows `floor(ymin)..=ceil(ymax)` against `lo..hi`; NaN passes.
+            let touches = !(ymax <= lo - 1.0 || ymin >= hi);
+            if !(own || touches) {
+                continue;
+            }
+            // All corners in front of the near guard: the clip sweep would
+            // pass the triangle through unchanged, so set up straight from
+            // the cached projections.
+            let setup = if own { &mut *stats } else { &mut unowned };
+            setup.triangles_submitted += 1;
+            let tri = setup_screen_tri(
+                tile,
+                (v0.screen, v0.vertex.color),
+                (v1.screen, v1.vertex.color),
+                (v2.screen, v2.vertex.color),
+                setup,
+            );
+            if let Some(tri) = tri {
+                raster_tri_rows(band, tile, &tri, stats);
+            }
+        } else {
+            bin_triangle(
+                full_viewport,
+                tile,
+                v0.vertex,
+                v1.vertex,
+                v2.vertex,
+                &mut unowned,
+                &mut |tri| raster_tri_rows(band, tile, &tri, stats),
+            );
+            if first {
+                stats.accumulate(&unowned);
+            }
         }
     }
 }
@@ -773,5 +948,106 @@ mod tests {
         assert_eq!(stats.triangles_submitted, 1);
         assert_eq!(stats.triangles_rasterized, 1);
         assert!(stats.fragments_shaded >= stats.fragments_written);
+    }
+
+    /// A clip vertex that projects to screen pixel `(x, y)` of `vp` at
+    /// NDC depth 0 (exactly, for the power-of-two viewports used here).
+    fn at_pixel(vp: &Viewport, x: f32, y: f32) -> ClipVertex {
+        let ndc_x = x / vp.width as f32 * 2.0 - 1.0;
+        let ndc_y = 1.0 - y / vp.height as f32 * 2.0;
+        ClipVertex { clip: Vec4::new(ndc_x, ndc_y, 0.0, 1.0), color: Vec3::ONE }
+    }
+
+    /// Both engines on one clip-space triangle: (reference, banded) stats
+    /// and framebuffers, the banded one drawn in three unequal bands.
+    fn both_engines(
+        vp: &Viewport,
+        tri: [ClipVertex; 3],
+    ) -> ((RasterStats, Framebuffer), (RasterStats, Framebuffer)) {
+        let mut reference = Framebuffer::new(vp.width, vp.height);
+        let mut ref_stats = RasterStats::default();
+        rasterize_triangle(&mut reference, vp, vp, tri[0], tri[1], tri[2], &mut ref_stats);
+
+        let mut banded = Framebuffer::new(vp.width, vp.height);
+        let mut stats = RasterStats::default();
+        let verts = tri.map(|v| BinVertex::new(vp, v));
+        for mut band in banded.row_bands_at(&[1, vp.height - 3]) {
+            raster_mesh_rows(&mut band, vp, vp, &verts, &[[0, 1, 2]], &mut stats);
+        }
+        ((ref_stats, reference), (stats, banded))
+    }
+
+    #[test]
+    fn non_finite_projection_is_clipped_not_shaded() {
+        // w barely clears the near guard, so x/w overflows to +inf: the
+        // area is NaN and the triangle's box is the whole tile.
+        let vp = Viewport::new(16, 16);
+        let blown = ClipVertex { clip: Vec4::new(1e35, 0.0, 0.0, 2.0 * W_EPS), color: Vec3::ONE };
+        let tri = [blown, at_pixel(&vp, 2.0, 12.0), at_pixel(&vp, 12.0, 12.0)];
+        let untouched = Framebuffer::new(16, 16);
+        let expect = RasterStats {
+            triangles_submitted: 1,
+            triangles_clipped_away: 1,
+            ..RasterStats::default()
+        };
+        let ((ref_stats, reference), (stats, banded)) = both_engines(&vp, tri);
+        assert_eq!(ref_stats, expect, "reference books no fragment for a NaN triangle");
+        assert_eq!(stats, expect, "binned engine likewise");
+        assert_eq!(ref_stats.cost_units(), 8);
+        assert_eq!(reference, untouched);
+        assert_eq!(banded, untouched);
+    }
+
+    fn screen_tri(pts: [(f32, f32); 3], tile: &Viewport) -> ScreenTri {
+        let v = pts.map(|(x, y)| (Vec3::new(x, y, 0.0), Vec3::ONE));
+        setup_screen_tri(tile, v[0], v[1], v[2], &mut RasterStats::default()).expect("has a box")
+    }
+
+    #[test]
+    fn centre_box_keeps_only_coverable_centres() {
+        let tile = Viewport::new(64, 64);
+        // Around the centre of pixel (10, 20) only: floor/ceil box 2x2.
+        let tri = screen_tri([(10.2, 20.1), (10.9, 20.3), (10.4, 20.95)], &tile);
+        assert_eq!((tri.min_x, tri.max_x, tri.min_y, tri.max_y), (10, 11, 20, 21));
+        assert_eq!(centre_box(&tri), (10, 10, 20, 20));
+        // Between centres: 2x2 floor/ceil box, no centre inside the extent.
+        let tri = screen_tri([(10.6, 20.6), (11.4, 20.7), (11.0, 21.4)], &tile);
+        let (x0, x1, y0, y1) = centre_box(&tri);
+        assert!(x0 > x1 && y0 > y1, "empty on both axes: {:?}", (x0, x1, y0, y1));
+        // Vertices exactly on pixel centres keep those pixels.
+        let tri = screen_tri([(4.5, 4.5), (8.5, 4.5), (4.5, 8.5)], &tile);
+        assert_eq!(centre_box(&tri), (4, 8, 4, 8));
+    }
+
+    #[test]
+    fn centre_box_fails_open() {
+        let tile = Viewport::new(64, 64);
+        // A sliver one ulp thick: inv_area ~1e4 over a 40-pixel extent puts
+        // the error bound far past 1/4.
+        let tri = screen_tri([(1.25, 1.25), (40.25, 40.25), (20.25, 20.250002)], &tile);
+        assert_eq!(centre_box(&tri), (tri.min_x, tri.max_x, tri.min_y, tri.max_y));
+        // Non-finite input (such a triangle never leaves setup; the box
+        // function must not rely on that).
+        for bad in [f32::NAN, f32::INFINITY] {
+            let mut tri = screen_tri([(4.5, 4.5), (8.5, 4.5), (4.5, 8.5)], &tile);
+            tri.p1.x = bad;
+            assert_eq!(centre_box(&tri), (tri.min_x, tri.max_x, tri.min_y, tri.max_y));
+            let mut tri = screen_tri([(4.5, 4.5), (8.5, 4.5), (4.5, 8.5)], &tile);
+            tri.inv_area = bad;
+            assert_eq!(centre_box(&tri), (tri.min_x, tri.max_x, tri.min_y, tri.max_y));
+        }
+    }
+
+    #[test]
+    fn near_clipped_triangle_counts_once_across_bands() {
+        // One corner behind the eye: every band runs the clip path, the
+        // first band alone books its setup counters.
+        let vp = Viewport::new(16, 16);
+        let behind = ClipVertex { clip: Vec4::new(0.0, 0.5, 0.0, -1.0), color: Vec3::ONE };
+        let tri = [at_pixel(&vp, 2.0, 14.0), at_pixel(&vp, 14.0, 14.0), behind];
+        let ((ref_stats, reference), (stats, banded)) = both_engines(&vp, tri);
+        assert!(ref_stats.fragments_written > 0);
+        assert_eq!(stats, ref_stats);
+        assert_eq!(banded, reference);
     }
 }

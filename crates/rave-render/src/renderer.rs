@@ -4,14 +4,15 @@
 //! Two engines share one scene walk and one set of per-pixel kernels:
 //!
 //! - [`Renderer::render`] / [`Renderer::render_tile`] — the **binned
-//!   parallel engine**. The walk emits a command stream (projected
-//!   triangles, splats, volume casts) instead of drawing immediately;
-//!   the framebuffer is split into disjoint row bands and each band
-//!   replays the commands that touch it on a rayon worker. Bands never
-//!   share pixels, so no locks are needed, and every band replays
-//!   commands in walk order, so each pixel sees the exact serial
-//!   sequence of depth tests and blends — output is bit-identical to
-//!   the reference (property-tested in `tests/proptest_render.rs`).
+//!   parallel engine**. The walk draws nothing: it runs the vertex stage
+//!   and emits one command per mesh (plus splats and volume casts). The
+//!   framebuffer is cut into disjoint row bands, one per rayon worker,
+//!   and each band streams the commands in walk order, setting up and
+//!   rasterizing the triangles that reach its rows. Bands never share
+//!   pixels, so no locks are needed, and every band sees the commands in
+//!   walk order, so each pixel sees the exact serial sequence of depth
+//!   tests and blends — output is bit-identical to the reference
+//!   (property-tested in `tests/proptest_render.rs`).
 //! - [`Renderer::render_reference`] / [`Renderer::render_tile_reference`]
 //!   — the immediate-mode serial path kept as the correctness baseline
 //!   and the `parallel_render` bench's comparison point.
@@ -24,14 +25,12 @@ use crate::avatar::avatar_mesh;
 use crate::composite::VolumeLayer;
 use crate::framebuffer::{Framebuffer, Rgb};
 use crate::points::{draw_points, setup_splat, splat_rows, Splat};
-use crate::raster::{
-    bin_triangle, draw_mesh, raster_tri_rows, setup_screen_tri, ClipVertex, Lighting, RasterStats,
-    ScreenTri, W_EPS,
-};
+use crate::raster::{draw_mesh, raster_mesh_rows, BinVertex, ClipVertex, Lighting, RasterStats};
 use crate::volume::{raycast_rows, raycast_volume, TransferFunction};
 use rave_math::{frustum::Containment, Mat4, Vec3, Viewport};
 use rave_scene::{CameraParams, MeshData, NodeId, NodeKind, SceneTree, VolumeData};
 use rayon::prelude::*;
+use std::borrow::Cow;
 
 /// Statistics for one rendered frame.
 #[derive(Debug, Clone, Copy, Default)]
@@ -44,27 +43,73 @@ pub struct RenderStats {
     pub voxels_sampled_nodes: u64,
 }
 
-/// One deferred drawing operation. The scene walk bins these instead of
-/// touching pixels; row bands replay them in order.
+/// One deferred drawing operation. The scene walk emits these instead of
+/// touching pixels; every row band streams them in order.
 enum Cmd<'a> {
-    Tri(ScreenTri),
+    /// A mesh's vertex-stage output and its triangle list (borrowed from
+    /// the scene; owned for an avatar, whose mesh exists only for the
+    /// frame).
+    Mesh {
+        verts: Vec<BinVertex>,
+        tris: Cow<'a, [[u32; 3]]>,
+    },
     Splat(Splat),
-    Volume { vol: &'a VolumeData, model: Mat4 },
+    Volume {
+        vol: &'a VolumeData,
+        model: Mat4,
+    },
 }
 
-impl Cmd<'_> {
-    /// Tile-local half-open row range this command can touch (used to bin
-    /// commands to row bands; conservative is fine, wrong is not).
-    fn row_range(&self, tile: &Viewport) -> (i64, i64) {
-        match self {
-            Cmd::Tri(t) => (t.min_y - tile.y as i64, t.max_y - tile.y as i64 + 1),
-            Cmd::Splat(s) => (
-                (s.cy - s.r).max(tile.y as i64) - tile.y as i64,
-                (s.cy + s.r).min((tile.y + tile.height) as i64 - 1) - tile.y as i64 + 1,
-            ),
-            Cmd::Volume { .. } => (0, tile.height as i64),
+/// What the walk hands the bands: the commands, and how many projected
+/// vertices and splat centres fall on each row of the tile — the load
+/// estimate the band cuts are taken from.
+struct Binned<'a> {
+    cmds: Vec<Cmd<'a>>,
+    row_load: Vec<u32>,
+}
+
+impl<'a> Binned<'a> {
+    /// Count a projected point towards its row's load when it is on the
+    /// tile. (Comparisons written so NaN counts nowhere.)
+    fn load_row(&mut self, tile: &Viewport, x: f32, y: f32) {
+        let (x0, y0) = (tile.x as f32, tile.y as f32);
+        if x >= x0 && x < x0 + tile.width as f32 && y >= y0 {
+            if let Some(load) = self.row_load.get_mut((y - y0) as usize) {
+                *load += 1;
+            }
         }
     }
+
+    fn add_mesh(&mut self, tile: &Viewport, verts: Vec<BinVertex>, tris: Cow<'a, [[u32; 3]]>) {
+        for v in &verts {
+            if v.projected() {
+                self.load_row(tile, v.screen.x, v.screen.y);
+            }
+        }
+        self.cmds.push(Cmd::Mesh { verts, tris });
+    }
+}
+
+/// Rows at which to cut a tile into at most `bands` row bands of
+/// near-equal load (strictly increasing, inside `0 < cut < height`).
+/// A row weighs one (its clear and its share of large triangles' pixels)
+/// plus the vertices projected onto it: a tessellated model's triangles,
+/// and with them setup and fill cost, sit where its vertices do, and
+/// equal-height bands would leave the workers over the background idle.
+fn band_cuts(row_load: &[u32], bands: usize) -> Vec<u32> {
+    let height = row_load.len();
+    let bands = bands.clamp(1, height) as u64;
+    let total: u64 = row_load.iter().map(|&v| v as u64 + 1).sum();
+    let mut cuts = Vec::with_capacity(bands as usize - 1);
+    let mut seen = 0u64;
+    for (row, &v) in row_load[..height - 1].iter().enumerate() {
+        seen += v as u64 + 1;
+        let k = cuts.len() as u64 + 1;
+        if k < bands && seen * bands >= total * k {
+            cuts.push(row as u32 + 1);
+        }
+    }
+    cuts
 }
 
 /// Frame renderer. Holds the style configuration (lighting, background,
@@ -128,8 +173,8 @@ impl Renderer {
     /// `raster`): the property that makes framebuffer distribution
     /// transparent.
     ///
-    /// Binned parallel engine: walk → command stream → row bands replay
-    /// on rayon workers. Same output as
+    /// Binned parallel engine: walk → one command per mesh → row bands
+    /// stream them on rayon workers. Same output as
     /// [`Renderer::render_tile_reference`], bit for bit.
     pub fn render_tile(
         &self,
@@ -139,45 +184,50 @@ impl Renderer {
         tile: &Viewport,
         fb: &mut Framebuffer,
     ) -> RenderStats {
-        assert_eq!((fb.width(), fb.height()), (tile.width, tile.height), "tile buffer size");
-        fb.clear(self.background);
-        let view_proj = camera.view_proj(full_viewport);
+        // Phase 1 (serial walk, parallel vertex stage): the scene as a
+        // command list in walk order, and the rows its vertices land on.
+        let (mut binned, mut stats) = self.walk_and_bin(tree, camera, full_viewport, tile);
 
-        // Phase 1 (serial walk, parallel vertex stage): bin the scene
-        // into a command stream in walk order.
-        let mut cmds: Vec<Cmd<'_>> = Vec::new();
-        let mut stats = self.walk_and_bin(tree, camera, full_viewport, tile, &view_proj, &mut cmds);
-
-        // Phase 2: assign commands to disjoint row bands. A command lands
-        // in every band its row range overlaps; band count tracks the
-        // worker count so contiguous chunking gives one band per worker.
-        let bands = fb.row_bands(rayon::current_num_threads().min(u32::MAX as usize) as u32);
-        let mut bins: Vec<Vec<u32>> = (0..bands.len()).map(|_| Vec::new()).collect();
-        for (ci, cmd) in cmds.iter().enumerate() {
-            let (lo, hi) = cmd.row_range(tile);
-            for (bin, band) in bins.iter_mut().zip(&bands) {
-                if lo < band.y_end() as i64 && hi > band.y_start() as i64 {
-                    bin.push(ci as u32);
-                }
-            }
+        // Phase 2: one band per worker, cut where the load estimate says
+        // the work divides evenly. Ray-cast volumes cost by the pixel, so
+        // with one in the frame equal heights are the even split.
+        if binned.cmds.iter().any(|cmd| matches!(cmd, Cmd::Volume { .. })) {
+            binned.row_load.fill(0);
         }
+        let cuts = band_cuts(&binned.row_load, rayon::current_num_threads());
+        let frag = self.render_bands(&binned.cmds, camera, full_viewport, tile, fb, &cuts);
+        stats.raster.accumulate(&frag);
+        stats
+    }
 
-        // Phase 3: replay each band's commands in walk order on rayon
-        // workers. Bands own disjoint framebuffer rows (no locks); each
-        // pixel sees the same op sequence as a serial draw, so depth-test
-        // ties and volume blends resolve identically. Fragment counters
-        // merge with a deterministic reduce.
-        let cmds = &cmds;
-        let frag = bands
-            .into_iter()
-            .zip(bins)
-            .collect::<Vec<_>>()
+    /// Phase 3 of [`Renderer::render_tile`]: each of the bands `cuts`
+    /// defines (see [`Framebuffer::row_bands_at`]) clears its rows, then
+    /// streams every command. Bands own disjoint framebuffer rows (no
+    /// locks); each pixel sees the same op sequence as a serial draw, so
+    /// depth-test ties and volume blends resolve identically and the
+    /// output does not depend on where the cuts are. The bands' counters
+    /// merge with a deterministic reduce.
+    fn render_bands(
+        &self,
+        cmds: &[Cmd<'_>],
+        camera: &CameraParams,
+        full_viewport: &Viewport,
+        tile: &Viewport,
+        fb: &mut Framebuffer,
+        cuts: &[u32],
+    ) -> RasterStats {
+        assert_eq!((fb.width(), fb.height()), (tile.width, tile.height), "tile buffer size");
+        let view_proj = camera.view_proj(full_viewport);
+        fb.row_bands_at(cuts)
             .into_par_iter()
-            .map(|(mut band, bin)| {
+            .map(|mut band| {
                 let mut s = RasterStats::default();
-                for &ci in &bin {
-                    match &cmds[ci as usize] {
-                        Cmd::Tri(tri) => raster_tri_rows(&mut band, tile, tri, &mut s),
+                band.clear(self.background);
+                for cmd in cmds {
+                    match cmd {
+                        Cmd::Mesh { verts, tris } => {
+                            raster_mesh_rows(&mut band, full_viewport, tile, verts, tris, &mut s)
+                        }
                         Cmd::Splat(sp) => splat_rows(&mut band, tile, sp, &mut s),
                         Cmd::Volume { vol, model } => raycast_rows(
                             &mut band,
@@ -195,24 +245,22 @@ impl Renderer {
                 }
                 s
             })
-            .reduce(RasterStats::default, RasterStats::merged);
-        stats.raster.accumulate(&frag);
-        stats
+            .reduce(RasterStats::default, RasterStats::merged)
     }
 
-    /// The shared scene walk, emitting commands instead of pixels.
-    /// Triangle/splat setup already runs here (clip + project), so the
-    /// replay phase is pure rasterization.
+    /// The shared scene walk, emitting commands instead of pixels. Only
+    /// the vertex stage and splat projection run here; triangle setup
+    /// happens in the bands.
     fn walk_and_bin<'a>(
         &self,
         tree: &'a SceneTree,
         camera: &CameraParams,
         full_viewport: &Viewport,
         tile: &Viewport,
-        view_proj: &Mat4,
-        cmds: &mut Vec<Cmd<'a>>,
-    ) -> RenderStats {
+    ) -> (Binned<'a>, RenderStats) {
         let mut stats = RenderStats::default();
+        let mut out = Binned { cmds: Vec::new(), row_load: vec![0; tile.height as usize] };
+        let view_proj = camera.view_proj(full_viewport);
         let frustum = camera.frustum(full_viewport);
         let mut stack = vec![tree.root()];
         while let Some(id) = stack.pop() {
@@ -234,75 +282,59 @@ impl Renderer {
                 NodeKind::Group | NodeKind::Camera(_) => {}
                 NodeKind::Mesh(mesh) => {
                     stats.polygons_on_screen += mesh.triangle_count();
-                    self.bin_mesh(
-                        cmds,
+                    let verts = self.vertex_stage(
                         full_viewport,
-                        tile,
                         mesh,
                         &model,
-                        view_proj,
+                        &view_proj,
                         self.default_material,
-                        &mut stats.raster,
                     );
+                    out.add_mesh(tile, verts, Cow::Borrowed(&mesh.triangles));
                 }
                 NodeKind::PointCloud(cloud) => {
                     stats.points_on_screen += cloud.point_count();
-                    let mvp = *view_proj * model;
+                    let mvp = view_proj * model;
                     for i in 0..cloud.points.len() {
                         if let Some(s) =
                             setup_splat(full_viewport, cloud, i, &mvp, self.default_material)
                         {
-                            cmds.push(Cmd::Splat(s));
+                            out.load_row(tile, s.cx as f32, s.cy as f32);
+                            out.cmds.push(Cmd::Splat(s));
                         }
                     }
                 }
                 NodeKind::Volume(vol) => {
                     stats.voxels_sampled_nodes += 1;
-                    cmds.push(Cmd::Volume { vol, model });
+                    out.cmds.push(Cmd::Volume { vol, model });
                 }
                 NodeKind::Avatar(info) => {
                     let mesh = avatar_mesh(info);
                     stats.polygons_on_screen += mesh.triangle_count();
-                    self.bin_mesh(
-                        cmds,
-                        full_viewport,
-                        tile,
-                        &mesh,
-                        &model,
-                        view_proj,
-                        info.color,
-                        &mut stats.raster,
-                    );
+                    let verts =
+                        self.vertex_stage(full_viewport, &mesh, &model, &view_proj, info.color);
+                    out.add_mesh(tile, verts, Cow::Owned(mesh.triangles));
                 }
             }
         }
-        stats
+        (out, stats)
     }
 
-    /// Vertex stage + triangle setup for one mesh. Each vertex is
-    /// transformed and shaded exactly once (the reference path re-runs
-    /// the vertex stage per triangle corner — same expressions, so the
-    /// cached values are bit-identical); large meshes split the vertex
-    /// stage across rayon workers in order-preserving chunks.
-    #[allow(clippy::too_many_arguments)]
-    fn bin_mesh<'a>(
+    /// Vertex stage for one mesh. Each vertex is transformed, shaded and
+    /// projected exactly once (the reference path re-runs the vertex
+    /// stage per triangle corner — same expressions, so the cached values
+    /// are bit-identical); large meshes split the work across rayon
+    /// workers in order-preserving chunks.
+    fn vertex_stage(
         &self,
-        cmds: &mut Vec<Cmd<'a>>,
         full_viewport: &Viewport,
-        tile: &Viewport,
         mesh: &MeshData,
         model: &Mat4,
         view_proj: &Mat4,
         base_color: Vec3,
-        stats: &mut RasterStats,
-    ) {
+    ) -> Vec<BinVertex> {
         let mvp = *view_proj * *model;
         let lighting = &self.lighting;
-        // Each vertex carries its clip-space form plus, when it clears the
-        // near guard, its screen projection — computed once here with the
-        // same expression `bin_triangle` would use per corner, so the
-        // cached value is bit-identical.
-        let vertex = |i: usize| -> (ClipVertex, Option<(Vec3, Vec3)>) {
+        let vertex = |i: usize| -> BinVertex {
             let pos = mesh.positions[i];
             let normal = if mesh.normals.is_empty() {
                 Vec3::Z
@@ -314,39 +346,13 @@ impl Renderer {
                 clip: mvp.mul_vec4(pos.extend(1.0)),
                 color: lighting.shade(base, normal),
             };
-            let proj = (v.clip.w >= W_EPS)
-                .then(|| (full_viewport.ndc_to_pixel(v.clip.perspective_divide()), v.color));
-            (v, proj)
+            BinVertex::new(full_viewport, v)
         };
         let n = mesh.positions.len();
-        let verts: Vec<(ClipVertex, Option<(Vec3, Vec3)>)> =
-            if rayon::current_num_threads() > 1 && n >= 4096 {
-                (0..n).into_par_iter().map(vertex).collect()
-            } else {
-                (0..n).map(vertex).collect()
-            };
-        cmds.reserve(mesh.triangles.len());
-        for t in &mesh.triangles {
-            let [i0, i1, i2] = [t[0] as usize, t[1] as usize, t[2] as usize];
-            if let (Some(p0), Some(p1), Some(p2)) = (verts[i0].1, verts[i1].1, verts[i2].1) {
-                // All corners in front of the near guard: the clip sweep
-                // would pass the triangle through unchanged, so set up
-                // straight from the cached projections.
-                stats.triangles_submitted += 1;
-                if let Some(tri) = setup_screen_tri(tile, p0, p1, p2, stats) {
-                    cmds.push(Cmd::Tri(tri));
-                }
-            } else {
-                bin_triangle(
-                    full_viewport,
-                    tile,
-                    verts[i0].0,
-                    verts[i1].0,
-                    verts[i2].0,
-                    stats,
-                    &mut |tri| cmds.push(Cmd::Tri(tri)),
-                );
-            }
+        if rayon::current_num_threads() > 1 && n >= 4096 {
+            (0..n).into_par_iter().map(vertex).collect()
+        } else {
+            (0..n).map(vertex).collect()
         }
     }
 
@@ -641,7 +647,7 @@ mod tests {
         assert_eq!(fb.coverage(r.background), 0);
     }
 
-    /// THE parallel-engine invariant: binned replay equals the serial
+    /// THE parallel-engine invariant: the binned engine equals the serial
     /// immediate-mode reference — pixels, depths, and stats — at several
     /// thread counts, on a scene exercising every command kind.
     #[test]
@@ -684,6 +690,52 @@ mod tests {
             r.render_tile(&tree, &cam, &vp, &tile, &mut a);
             r.render_tile_reference(&tree, &cam, &vp, &tile, &mut b);
             assert_eq!(a.diff_fraction(&b, 0.0), 0.0, "tile {tile:?}");
+        }
+    }
+
+    /// The output cannot depend on where the bands are cut: unequal bands,
+    /// one-row bands, a band over rows nothing reaches — pixels, depth
+    /// bits and every counter equal the reference each time.
+    #[test]
+    fn any_band_partition_matches_reference() {
+        let (tree, cam) = mixed_scene();
+        let r = Renderer::default();
+        let vp = Viewport::new(72, 56);
+        let tile = Viewport::with_origin(8, 4, 60, 50);
+        let mut reference = Framebuffer::new(tile.width, tile.height);
+        let ref_stats = r.render_tile_reference(&tree, &cam, &vp, &tile, &mut reference);
+
+        let (binned, _) = r.walk_and_bin(&tree, &cam, &vp, &tile);
+        let partitions: [&[u32]; 6] =
+            [&[], &[1], &[49], &[3, 4, 5, 30], &[10, 25, 26, 48], &[7, 14, 21, 28, 35, 42]];
+        for cuts in partitions {
+            let mut fb = Framebuffer::new(tile.width, tile.height);
+            let stats = r.render_bands(&binned.cmds, &cam, &vp, &tile, &mut fb, cuts);
+            assert_eq!(fb, reference, "pixels or depth differ with cuts {cuts:?}");
+            assert_eq!(stats, ref_stats.raster, "stats differ with cuts {cuts:?}");
+        }
+    }
+
+    #[test]
+    fn band_cuts_balance_the_row_load() {
+        // No load: equal heights.
+        assert_eq!(band_cuts(&[0; 12], 3), vec![4, 8]);
+        assert_eq!(band_cuts(&[0; 12], 1), Vec::<u32>::new());
+        // Load in the last quarter: the cut moves down into it.
+        let mut rows = [0u32; 40];
+        rows[30..].fill(50);
+        let cuts = band_cuts(&rows, 2);
+        assert_eq!(cuts.len(), 1);
+        assert!((30..40).contains(&cuts[0]), "cut inside the loaded rows: {cuts:?}");
+        // Everything on one row, more bands than rows, a single row: cuts
+        // stay strictly increasing inside the tile.
+        let mut spike = [0u32; 9];
+        spike[4] = 1_000_000;
+        for (rows, bands) in [(&spike[..], 4), (&[0u32; 3][..], 8), (&[7u32][..], 2)] {
+            let cuts = band_cuts(rows, bands);
+            assert!(cuts.len() < bands.min(rows.len()).max(1), "{cuts:?}");
+            assert!(cuts.windows(2).all(|w| w[0] < w[1]), "{cuts:?}");
+            assert!(cuts.iter().all(|&c| c > 0 && (c as usize) < rows.len()), "{cuts:?}");
         }
     }
 }

@@ -2,8 +2,11 @@
 //! guarantees both distribution schemes depend on.
 
 use proptest::prelude::*;
-use rave::math::{Vec3, Viewport};
+use rave::math::{Vec3, Vec4, Viewport};
 use rave::render::composite::{depth_composite, stitch_tiles};
+use rave::render::raster::{
+    raster_mesh_rows, rasterize_triangle, BinVertex, ClipVertex, RasterStats,
+};
 use rave::render::{Framebuffer, Renderer};
 use rave::scene::{CameraParams, MeshData, NodeKind, SceneTree};
 use std::sync::Arc;
@@ -42,6 +45,170 @@ fn camera_strategy() -> impl Strategy<Value = CameraParams> {
         );
         CameraParams::look_at(eye, Vec3::ZERO, Vec3::Y)
     })
+}
+
+/// A mesh of small triangles scattered around the origin: `size` is the
+/// triangles' world extent, from far below a pixel of the 48x36 test
+/// frames (about 0.1 units) to a few pixels — the shapes a tessellated
+/// model is made of, which the centre-sampled box mostly drops.
+fn small_triangle_scene() -> impl Strategy<Value = SceneTree> {
+    let offset = || (-1.0f32..1.0, -1.0f32..1.0, -1.0f32..1.0);
+    let tri = (
+        offset(),
+        offset(),
+        offset(),
+        offset(),
+        prop_oneof![Just(0.004f32), Just(0.06), Just(0.4)],
+    );
+    prop::collection::vec(tri, 1..40).prop_map(|tris| {
+        let v = |(x, y, z): (f32, f32, f32)| Vec3::new(x, y, z);
+        let mut positions = Vec::new();
+        let mut triangles = Vec::new();
+        for (base, a, b, c, size) in tris {
+            let n = positions.len() as u32;
+            positions.extend([a, b, c].map(|o| v(base) * 1.5 + v(o) * size));
+            triangles.push([n, n + 1, n + 2]);
+        }
+        let count = positions.len();
+        let mut mesh = MeshData::new(positions, triangles);
+        mesh.colors = (0..count).map(|i| Vec3::new(0.2, (i % 7) as f32 / 7.0, 0.9)).collect();
+        mesh.normals = vec![Vec3::Z; count];
+        let mut tree = SceneTree::new();
+        let root = tree.root();
+        tree.add_node(root, "dust", NodeKind::Mesh(Arc::new(mesh))).unwrap();
+        tree
+    })
+}
+
+/// Frame the triangle-level properties draw into: a power-of-two size,
+/// so a screen coordinate with a short mantissa (a pixel centre, a pixel
+/// or tile edge) survives the trip through NDC exactly.
+const FRAME: Viewport = Viewport { x: 0, y: 0, width: 64, height: 64 };
+
+/// The whole frame, or a tile of it with all four edges inside.
+fn tile_strategy() -> impl Strategy<Value = Viewport> {
+    prop_oneof![Just(FRAME), Just(Viewport { x: 16, y: 8, width: 32, height: 40 })]
+}
+
+/// One screen coordinate, in pixels of [`FRAME`].
+fn coord_strategy() -> impl Strategy<Value = f32> {
+    prop_oneof![
+        -8.0f32..72.0,
+        -8.0f32..72.0,
+        (0u32..64).prop_map(|k| k as f32 + 0.5),
+        prop_oneof![Just(0.0f32), Just(8.0), Just(16.0), Just(48.0), Just(64.0)],
+        -1.0e6f32..1.0e6,
+        prop_oneof![Just(f32::NAN), Just(f32::INFINITY), Just(f32::NEG_INFINITY), Just(1e35f32)],
+    ]
+}
+
+/// Three screen-space corners `(x, y)`.
+fn corners_strategy() -> impl Strategy<Value = [(f32, f32); 3]> {
+    let point = || (coord_strategy(), coord_strategy());
+    prop_oneof![
+        // Anything goes.
+        (point(), point(), point()).prop_map(|(a, b, c)| [a, b, c]),
+        // Sub-pixel to a few pixels, anywhere on the frame.
+        (
+            (0.0f32..64.0, 0.0f32..64.0),
+            prop::collection::vec((-1.0f32..1.0, -1.0f32..1.0), 3),
+            prop_oneof![Just(0.3f32), Just(0.9), Just(2.5)]
+        )
+            .prop_map(|((x, y), o, size)| {
+                [0, 1, 2].map(|i| (x + o[i].0 * size, y + o[i].1 * size))
+            }),
+        // Area around the 1e-9 degeneracy threshold: only next to the
+        // origin is f32 fine enough to hold such a triangle.
+        prop::collection::vec((-4.0e-5f32..4.0e-5, -4.0e-5f32..4.0e-5), 3)
+            .prop_map(|o| [0, 1, 2].map(|i| (0.5 + o[i].0, 0.5 + o[i].1))),
+        // A long sliver: the third corner an ulp or so off the long edge.
+        (point(), point(), 0.0f32..1.0, -3i32..4).prop_map(|(a, b, t, ulps)| {
+            let on_edge = a.1 + (b.1 - a.1) * t;
+            let nudged = f32::from_bits((on_edge.to_bits() as i32 + ulps) as u32);
+            [a, b, (a.0 + (b.0 - a.0) * t, nudged)]
+        }),
+    ]
+}
+
+/// A clip-space triangle whose corners project to `corners_strategy`
+/// pixels of [`FRAME`] — mostly at `w = 1`, so the chosen pixel
+/// coordinates are the projected ones; now and then a corner sits on or
+/// behind the near guard and the triangle takes the clip path.
+fn clip_triangle_strategy() -> impl Strategy<Value = [ClipVertex; 3]> {
+    let w = || {
+        prop_oneof![
+            Just(1.0f32),
+            Just(1.0),
+            Just(1.0),
+            Just(1.0),
+            Just(2.0e-5),
+            Just(-0.5),
+            0.1f32..3.0
+        ]
+    };
+    let z = || prop_oneof![-1.5f32..1.5, -1.5f32..1.5, -1.5f32..1.5, Just(f32::NAN)];
+    (corners_strategy(), (w(), w(), w()), (z(), z(), z()), (0.0f32..1.0, 0.0f32..1.0)).prop_map(
+        |(corners, w, z, (r, g))| {
+            let (w, z) = ([w.0, w.1, w.2], [z.0, z.1, z.2]);
+            [0, 1, 2].map(|i| {
+                let (x, y) = corners[i];
+                let ndc_x = x / FRAME.width as f32 * 2.0 - 1.0;
+                let ndc_y = 1.0 - y / FRAME.height as f32 * 2.0;
+                ClipVertex {
+                    clip: Vec4::new(ndc_x * w[i], ndc_y * w[i], z[i] * w[i], w[i]),
+                    color: Vec3::new(r, g, i as f32 / 2.0),
+                }
+            })
+        },
+    )
+}
+
+/// Band cuts for a tile `height` rows tall: any strictly increasing set
+/// of interior rows, none to many.
+fn cuts_strategy() -> impl Strategy<Value = Vec<u32>> {
+    prop::collection::vec(1u32..32, 0..9).prop_map(|mut cuts| {
+        cuts.sort_unstable();
+        cuts.dedup();
+        cuts
+    })
+}
+
+fn depth_bits(fb: &Framebuffer) -> Vec<u32> {
+    fb.depth_pixels().iter().map(|z| z.to_bits()).collect()
+}
+
+/// The reference engine on clip-space triangles: `rasterize_triangle`
+/// scans each floor/ceil box whole.
+fn draw_reference(tile: &Viewport, tris: &[[ClipVertex; 3]]) -> (Framebuffer, RasterStats) {
+    let mut fb = Framebuffer::new(tile.width, tile.height);
+    let mut stats = RasterStats::default();
+    for t in tris {
+        rasterize_triangle(&mut fb, &FRAME, tile, t[0], t[1], t[2], &mut stats);
+    }
+    (fb, stats)
+}
+
+/// The triangles as one indexed mesh after the vertex stage.
+fn staged_mesh(tris: &[[ClipVertex; 3]]) -> (Vec<BinVertex>, Vec<[u32; 3]>) {
+    let verts = tris.iter().flatten().map(|v| BinVertex::new(&FRAME, *v)).collect();
+    let index = (0..tris.len() as u32).map(|i| [3 * i, 3 * i + 1, 3 * i + 2]).collect();
+    (verts, index)
+}
+
+/// The binned engine on the same triangles: one `raster_mesh_rows` pass
+/// per band of whatever partition `bands` makes.
+fn draw_banded(
+    tile: &Viewport,
+    tris: &[[ClipVertex; 3]],
+    bands: impl FnOnce(&mut Framebuffer) -> Vec<rave::render::framebuffer::FramebufferBand<'_>>,
+) -> (Framebuffer, RasterStats) {
+    let (verts, index) = staged_mesh(tris);
+    let mut fb = Framebuffer::new(tile.width, tile.height);
+    let mut stats = RasterStats::default();
+    for mut band in bands(&mut fb) {
+        raster_mesh_rows(&mut band, &FRAME, tile, &verts, &index, &mut stats);
+    }
+    (fb, stats)
 }
 
 proptest! {
@@ -137,34 +304,101 @@ proptest! {
 
     /// THE parallel-engine invariant: the binned rayon renderer produces
     /// the same image as the serial immediate-mode reference — bit for
-    /// bit, color and depth — at every thread count from 1 to 8.
+    /// bit, color and depth, and all five raster counters — at every
+    /// thread count from 1 to 8.
     #[test]
     fn parallel_render_bit_identical_to_serial(
-        tree in scene_strategy(),
+        tree in prop_oneof![scene_strategy(), small_triangle_scene()],
         cam in camera_strategy(),
+        tile in prop_oneof![
+            Just(Viewport::new(48, 36)),
+            Just(Viewport::with_origin(12, 6, 30, 25)),
+        ],
     ) {
         let r = Renderer::default();
-        let mut reference = Framebuffer::new(48, 36);
-        r.render_reference(&tree, &cam, &mut reference);
+        let vp = Viewport::new(48, 36);
+        let mut reference = Framebuffer::new(tile.width, tile.height);
+        let ref_stats = r.render_tile_reference(&tree, &cam, &vp, &tile, &mut reference);
 
         for threads in 1usize..=8 {
             let pool = rayon::ThreadPoolBuilder::new().num_threads(threads).build().unwrap();
-            let mut fb = Framebuffer::new(48, 36);
-            pool.install(|| r.render(&tree, &cam, &mut fb));
+            let mut fb = Framebuffer::new(tile.width, tile.height);
+            let stats = pool.install(|| r.render_tile(&tree, &cam, &vp, &tile, &mut fb));
             prop_assert_eq!(
-                reference.diff_fraction(&fb, 0.0), 0.0,
+                reference.color_pixels(), fb.color_pixels(),
                 "color differs at {} threads", threads
             );
-            for y in 0..36u32 {
-                for x in 0..48u32 {
-                    prop_assert_eq!(
-                        reference.depth_at(x, y).to_bits(),
-                        fb.depth_at(x, y).to_bits(),
-                        "depth differs at ({}, {}) with {} threads", x, y, threads
-                    );
-                }
-            }
+            prop_assert_eq!(
+                depth_bits(&reference), depth_bits(&fb),
+                "depth differs at {} threads", threads
+            );
+            prop_assert_eq!(ref_stats.raster, stats.raster, "counters differ at {} threads", threads);
         }
+    }
+
+    /// The narrowing, triangle by triangle: whatever the corners — on
+    /// pixel centres, on tile edges, a fraction of a pixel apart, an ulp
+    /// off a line, a million pixels away, NaN, infinite, behind the eye —
+    /// the binned engine's centre-sampled boxes and spans leave the same
+    /// pixels, depth bits and counters as the reference's scan of every
+    /// floor/ceil box, at one to eight equal bands.
+    #[test]
+    fn binned_triangles_match_reference_scan(
+        tris in prop::collection::vec(clip_triangle_strategy(), 1..12),
+        tile in tile_strategy(),
+    ) {
+        let (reference, ref_stats) = draw_reference(&tile, &tris);
+        for bands in 1u32..=8 {
+            let (fb, stats) = draw_banded(&tile, &tris, |fb| fb.row_bands(bands));
+            prop_assert_eq!(reference.color_pixels(), fb.color_pixels(), "color, {} bands", bands);
+            prop_assert_eq!(depth_bits(&reference), depth_bits(&fb), "depth, {} bands", bands);
+            prop_assert_eq!(ref_stats, stats, "counters, {} bands", bands);
+        }
+    }
+
+    /// Band-partition invariance: any cuts at all — unequal, one row
+    /// tall, over rows no triangle reaches — give the reference's output,
+    /// and each triangle's setup counters are booked exactly once.
+    #[test]
+    fn any_band_cuts_match_reference_scan(
+        tris in prop::collection::vec(clip_triangle_strategy(), 1..12),
+        tile in tile_strategy(),
+        cuts in cuts_strategy(),
+    ) {
+        let (reference, ref_stats) = draw_reference(&tile, &tris);
+        let (fb, stats) = draw_banded(&tile, &tris, |fb| fb.row_bands_at(&cuts));
+        prop_assert_eq!(reference.color_pixels(), fb.color_pixels(), "color, cuts {:?}", &cuts);
+        prop_assert_eq!(depth_bits(&reference), depth_bits(&fb), "depth, cuts {:?}", &cuts);
+        prop_assert_eq!(ref_stats, stats, "counters, cuts {:?}", &cuts);
+    }
+
+    /// A band over rows where nothing lands is legal and books nothing:
+    /// all triangles in the top rows, cuts below them.
+    #[test]
+    fn band_without_triangles_books_nothing(
+        offsets in prop::collection::vec((0.0f32..64.0, 0.0f32..6.0), 3..30),
+    ) {
+        let tris: Vec<[ClipVertex; 3]> = offsets
+            .chunks_exact(3)
+            .map(|c| {
+                [0, 1, 2].map(|i| ClipVertex {
+                    clip: Vec4::new(c[i].0 / 32.0 - 1.0, 1.0 - c[i].1 / 32.0, 0.0, 1.0),
+                    color: Vec3::ONE,
+                })
+            })
+            .collect();
+        let (reference, ref_stats) = draw_reference(&FRAME, &tris);
+        let (fb, stats) = draw_banded(&FRAME, &tris, |fb| fb.row_bands_at(&[7, 20, 40]));
+        prop_assert_eq!(&reference, &fb);
+        prop_assert_eq!(ref_stats, stats);
+        // And the bands below row 7 on their own: nothing at all.
+        let mut lower = Framebuffer::new(64, 64);
+        let mut lower_stats = RasterStats::default();
+        let (verts, index) = staged_mesh(&tris);
+        for band in lower.row_bands_at(&[7, 20, 40]).iter_mut().skip(1) {
+            raster_mesh_rows(band, &FRAME, &FRAME, &verts, &index, &mut lower_stats);
+        }
+        prop_assert_eq!(lower_stats, RasterStats::default());
     }
 
     /// Depth buffer correctness under arbitrary draw order: rendering a
