@@ -1,27 +1,12 @@
 //! Criterion micro-benches for the software renderer: full-frame
 //! rasterization, tile rendering, and the two compositors.
 
+use bench::harness::staged;
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
-use rave_math::{Vec3, Viewport};
-use rave_models::{build_with_budget, PaperModel};
+use rave_math::Viewport;
+use rave_models::PaperModel;
 use rave_render::composite::{depth_composite, stitch_tiles};
 use rave_render::{Framebuffer, Renderer};
-use rave_scene::{CameraParams, NodeKind, SceneTree};
-use std::sync::Arc;
-
-fn staged(model: PaperModel, budget: u64) -> (SceneTree, CameraParams) {
-    let mesh = build_with_budget(model, budget);
-    let mut tree = SceneTree::new();
-    let root = tree.root();
-    tree.add_node(root, "m", NodeKind::Mesh(Arc::new(mesh))).unwrap();
-    let b = tree.world_bounds(root);
-    let cam = CameraParams::look_at(
-        b.center() + Vec3::new(0.0, 0.2 * b.radius(), 2.0 * b.radius()),
-        b.center(),
-        Vec3::Y,
-    );
-    (tree, cam)
-}
 
 fn bench_fullframe(c: &mut Criterion) {
     let mut g = c.benchmark_group("rasterize_full_frame_200x200");

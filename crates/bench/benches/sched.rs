@@ -1,46 +1,28 @@
-//! Scheduler scaling guardrail: plan latency of the unified placement
-//! engine (`sched::placement` behind `plan_distribution`) versus a
-//! verbatim copy of the pre-refactor first-fit-decreasing planner, over
-//! 100/1k/10k/100k content nodes × 4/16/64 services. Emits
-//! `BENCH_sched.json` at the repo root with per-config `speedup` factors
-//! plus the headline scaling metrics; the asserts at the bottom hold the
-//! unified engine to ≥10x over the old planner at 10k×4, sub-second
-//! plans at 100k nodes, and near-linear 1k→10k scaling (the quadratic
-//! regression guard). A second section storms the *incremental*
-//! replanner (`plan_incremental` over a persistent `PlanState`) with
-//! localized per-event edits against cold full plans per event, emitting
-//! `incremental_speedup` (asserted ≥10x at 100k nodes in full mode) and
-//! `plans_per_sec_100k`. Cold configs are timed best-of-N over
+//! Scheduler scaling guardrail: plan latency of the placement engine
+//! (`sched::placement` behind `plan_distribution`) over 100/1k/10k/100k
+//! content nodes × 4/16/64 services, then the *incremental* replanner
+//! (`plan_incremental` over a persistent `PlanState`) stormed with
+//! localized per-event edits against cold full plans per event. Emits
+//! `BENCH_sched.json` at the repo root; `check` holds `scaling_10k_over_1k`
+//! (near-linear 1k→10k growth, the quadratic-regression guard),
+//! `plan_100k_max_ms` (sub-second 100k plans) and `incremental_speedup`
+//! (the storm at 100k nodes). Cold configs are timed best-of-N over
 //! consecutive rounds, storms as the median per-event latency (both
-//! steady-state, cache-warm, robust to one-off scheduler noise). Set
-//! `SCHED_QUICK=1` for a tiny CI smoke run (fewer timing rounds, same
-//! JSON shape, relaxed floors).
+//! steady-state, cache-warm, robust to one-off scheduler noise).
+//! `BENCH_QUICK=1` runs fewer rounds and storm events.
 
+use bench::harness::{best_of, median, num, obj, quick, secs, Lcg, Report};
 use rave_core::capacity::{CapacityReport, Headroom};
-use rave_core::distribution::{
-    plan_distribution, plan_incremental, split_node, DistributionPlan, PlanError,
-};
+use rave_core::distribution::{plan_distribution, plan_incremental};
 use rave_core::sched::PlanState;
 use rave_core::RenderServiceId;
 use rave_math::Vec3;
 use rave_scene::{MeshData, NodeCost, NodeId, NodeKind, SceneTree};
-use std::path::PathBuf;
+use serde::Serialize;
 use std::sync::Arc;
-use std::time::Instant;
 
 const NODE_COUNTS: [usize; 4] = [100, 1_000, 10_000, 100_000];
 const SERVICE_COUNTS: [u64; 3] = [4, 16, 64];
-
-struct Lcg(u64);
-impl Lcg {
-    fn next(&mut self) -> u64 {
-        self.0 = self.0.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
-        self.0 >> 33
-    }
-    fn in_range(&mut self, lo: u64, hi: u64) -> u64 {
-        lo + self.next() % (hi - lo)
-    }
-}
 
 fn tiny_mesh(tris: u32) -> MeshData {
     MeshData {
@@ -78,96 +60,10 @@ fn report(id: u64, polys: u64) -> CapacityReport {
     }
 }
 
-/// Verbatim copy of the pre-refactor `plan_distribution` (the inline FFD
-/// loop `sched::placement::place_with_splitting` replaced).
-fn old_plan(
-    scene: &mut SceneTree,
-    candidates: &[CapacityReport],
-) -> Result<DistributionPlan, PlanError> {
-    if candidates.is_empty() {
-        return Err(PlanError::NoCandidates);
-    }
-    let demand = scene.total_cost();
-    let total_polys = candidates.iter().fold(0u64, |a, c| a.saturating_add(c.poly_headroom));
-    let total_tex = candidates.iter().fold(0u64, |a, c| a.saturating_add(c.texture_headroom));
-    if demand.polygons > total_polys || demand.texture_bytes > total_tex {
-        return Err(PlanError::InsufficientResources {
-            required_polygons: demand.polygons,
-            total_poly_headroom: total_polys,
-            required_texture: demand.texture_bytes,
-            total_texture_headroom: total_tex,
-        });
-    }
-    let mut remaining: Vec<(RenderServiceId, u64, u64)> =
-        candidates.iter().map(|c| (c.service, c.poly_headroom, c.texture_headroom)).collect();
-    remaining.sort_by(|a, b| b.1.cmp(&a.1).then(a.0.cmp(&b.0)));
-    let mut queue: Vec<(NodeId, NodeCost)> = scene
-        .find_all(|n| {
-            !n.own_cost().is_zero()
-                && !matches!(n.kind(), NodeKind::Avatar(_) | NodeKind::Camera(_))
-        })
-        .into_iter()
-        .map(|id| (id, scene.node(id).expect("found").own_cost()))
-        .collect();
-    queue.sort_by(|a, b| b.1.render_weight().cmp(&a.1.render_weight()).then(a.0.cmp(&b.0)));
-    let mut assignments: std::collections::BTreeMap<RenderServiceId, (Vec<NodeId>, NodeCost)> =
-        std::collections::BTreeMap::new();
-    let mut splits = 0u32;
-    while !queue.is_empty() {
-        let (id, cost) = queue.remove(0);
-        let slot = remaining
-            .iter_mut()
-            .find(|(_, polys, tex)| cost.polygons <= *polys && cost.texture_bytes <= *tex);
-        match slot {
-            Some((svc, polys, tex)) => {
-                *polys -= cost.polygons;
-                *tex -= cost.texture_bytes;
-                let entry = assignments.entry(*svc).or_default();
-                entry.0.push(id);
-                entry.1 += cost;
-                remaining.sort_by(|a, b| b.1.cmp(&a.1).then(a.0.cmp(&b.0)));
-            }
-            None => match split_node(scene, id) {
-                Some((a, b)) => {
-                    splits += 1;
-                    let ca = scene.node(a).expect("split child").own_cost();
-                    let cb = scene.node(b).expect("split child").own_cost();
-                    if ca.render_weight() >= cb.render_weight() {
-                        queue.insert(0, (a, ca));
-                        queue.insert(1, (b, cb));
-                    } else {
-                        queue.insert(0, (b, cb));
-                        queue.insert(1, (a, ca));
-                    }
-                }
-                None => {
-                    return Err(PlanError::IndivisibleNode {
-                        node: id,
-                        polygons: cost.polygons,
-                        largest_headroom: remaining.iter().map(|(_, p, _)| *p).max().unwrap_or(0),
-                    });
-                }
-            },
-        }
-    }
-    Ok(DistributionPlan {
-        assignments: assignments
-            .into_iter()
-            .map(|(service, (nodes, cost))| rave_core::distribution::Assignment {
-                service,
-                nodes,
-                cost,
-            })
-            .collect(),
-        splits_performed: splits,
-    })
-}
-
 struct ConfigTiming {
     nodes: usize,
     services: u64,
-    old: f64,
-    new: f64,
+    secs: f64,
 }
 
 struct StormTiming {
@@ -178,16 +74,6 @@ struct StormTiming {
     cold: f64,
     /// Median seconds of one `plan_incremental` replay per event.
     incr: f64,
-}
-
-/// Median of per-event timings: a storm is a stream of equivalent
-/// events, so the representative per-event cost is the middle one —
-/// robust against a stray scheduler preemption or page-fault spike
-/// landing on a single event (a mean would let one 50 ms hiccup bury a
-/// 0.2 ms steady state).
-fn median(samples: &mut [f64]) -> f64 {
-    samples.sort_by(|a, b| a.partial_cmp(b).unwrap());
-    samples[samples.len() / 2]
 }
 
 /// One localized storm event: add a small mesh, or remove one a previous
@@ -210,8 +96,7 @@ fn storm_edit(scene: &mut SceneTree, extras: &mut Vec<NodeId>, rng: &mut Lcg, st
 }
 
 fn main() {
-    let quick = std::env::var("SCHED_QUICK").is_ok_and(|v| v == "1");
-    let rounds = if quick { 3 } else { 9 };
+    let rounds = if quick() { 3 } else { 9 };
 
     let mut results: Vec<ConfigTiming> = Vec::new();
     for &nodes in &NODE_COUNTS {
@@ -224,35 +109,8 @@ fn main() {
             let per_service = (total_polys / services) * 2 + 1_000;
             let reports: Vec<CapacityReport> =
                 (1..=services).map(|i| report(i, per_service)).collect();
-
-            // The engines must agree before any timing is trusted. The
-            // old planner is quadratic (~6s per 100k plan), so at 100k
-            // the comparison runs for one service count; the embedded
-            // reference in tests/sched_parity.rs pins the rest.
-            if nodes < 100_000 || services == 4 {
-                let baseline = old_plan(&mut scene, &reports).unwrap();
-                assert_eq!(plan_distribution(&mut scene, &reports).unwrap(), baseline);
-            }
-
-            // Best-of-N consecutive rounds per engine: planning is a
-            // steady-state service loop, so each engine is measured
-            // cache-warm rather than right after the other engine has
-            // swept the scene through memory. The quadratic old planner
-            // gets a single round at 100k (~10s per plan).
-            let old_rounds = if nodes >= 100_000 { 1 } else { rounds };
-            let mut new_best = f64::INFINITY;
-            for _ in 0..rounds {
-                let t0 = Instant::now();
-                std::hint::black_box(plan_distribution(&mut scene, &reports).unwrap());
-                new_best = new_best.min(t0.elapsed().as_secs_f64());
-            }
-            let mut old_best = f64::INFINITY;
-            for _ in 0..old_rounds {
-                let t0 = Instant::now();
-                std::hint::black_box(old_plan(&mut scene, &reports).unwrap());
-                old_best = old_best.min(t0.elapsed().as_secs_f64());
-            }
-            results.push(ConfigTiming { nodes, services, old: old_best, new: new_best });
+            let secs = best_of(rounds, || plan_distribution(&mut scene, &reports).unwrap());
+            results.push(ConfigTiming { nodes, services, secs });
         }
     }
 
@@ -262,7 +120,7 @@ fn main() {
     // cold-plans the whole scene on every event; the incremental engine
     // folds the dirt into its persistent state and replays only the
     // affected queue suffix. Same edits, same scenes, same basis.
-    let storm_events = if quick { 10 } else { 40 };
+    let storm_events = if quick() { 10 } else { 40 };
     let mut storms: Vec<StormTiming> = Vec::new();
     for &nodes in &[1_000usize, 10_000, 100_000] {
         let services = 16u64;
@@ -281,9 +139,7 @@ fn main() {
         let mut cold_samples = Vec::with_capacity(storm_events);
         for step in 0..storm_events {
             storm_edit(&mut scene, &mut extras, &mut rng, step);
-            let t0 = Instant::now();
-            std::hint::black_box(plan_distribution(&mut scene, &reports).unwrap());
-            cold_samples.push(t0.elapsed().as_secs_f64());
+            cold_samples.push(secs(|| plan_distribution(&mut scene, &reports).unwrap()));
         }
 
         // One untimed priming build, then per-event incremental replays.
@@ -292,12 +148,11 @@ fn main() {
         let mut incr_samples = Vec::with_capacity(storm_events);
         for step in 0..storm_events {
             storm_edit(&mut scene, &mut extras, &mut rng, step);
-            let t0 = Instant::now();
-            let diff = plan_incremental(&mut scene, &caps, &mut state, 0.0)
-                .unwrap()
-                .expect("zero staleness replans on any dirt");
-            incr_samples.push(t0.elapsed().as_secs_f64());
-            std::hint::black_box(diff);
+            incr_samples.push(secs(|| {
+                plan_incremental(&mut scene, &caps, &mut state, 0.0)
+                    .unwrap()
+                    .expect("zero staleness replans on any dirt")
+            }));
         }
 
         // The storm must land exactly on the cold plan of the final
@@ -312,106 +167,48 @@ fn main() {
             services,
             events: storm_events,
             cold: median(&mut cold_samples),
-            incr: median(&mut incr_samples),
+            incr: median(&mut incr_samples).max(1e-12),
         });
     }
 
-    let old_total: f64 = results.iter().map(|c| c.old).sum();
-    let new_total: f64 = results.iter().map(|c| c.new).sum();
-    let aggregate_ratio = new_total / old_total;
-    let aggregate_speedup = old_total / new_total;
     let at = |n: usize, s: u64| {
-        results.iter().find(|c| c.nodes == n && c.services == s).expect("config present")
+        results.iter().find(|c| c.nodes == n && c.services == s).expect("config present").secs
     };
-    let speedup_10k_x4 = at(10_000, 4).old / at(10_000, 4).new;
-    let scaling_10k_over_1k = at(10_000, 4).new / at(1_000, 4).new;
+    let plan_100k_max =
+        results.iter().filter(|c| c.nodes == 100_000).map(|c| c.secs).fold(0.0, f64::max);
     let storm_100k = storms.iter().find(|s| s.nodes == 100_000).expect("storm config present");
-    let incremental_speedup = storm_100k.cold / storm_100k.incr.max(1e-12);
-    let plans_per_sec_100k = 1.0 / storm_100k.incr.max(1e-12);
 
-    let configs: Vec<String> = results
+    let configs: Vec<_> = results
         .iter()
         .map(|c| {
-            format!(
-                "{{ \"nodes\": {}, \"services\": {}, \"old_ms\": {:.3}, \
-                 \"unified_ms\": {:.3}, \"ratio\": {:.3}, \"speedup\": {:.1} }}",
-                c.nodes,
-                c.services,
-                c.old * 1e3,
-                c.new * 1e3,
-                c.new / c.old,
-                c.old / c.new,
-            )
+            obj([
+                ("nodes", c.nodes.to_value()),
+                ("services", c.services.to_value()),
+                ("unified_ms", num(c.secs * 1e3, 3)),
+            ])
         })
         .collect();
-
-    let storm_configs: Vec<String> = storms
+    let storm_configs: Vec<_> = storms
         .iter()
         .map(|s| {
-            format!(
-                "{{ \"nodes\": {}, \"services\": {}, \"events\": {}, \
-                 \"cold_ms_per_plan\": {:.3}, \"incremental_ms_per_plan\": {:.3}, \
-                 \"speedup\": {:.1}, \"plans_per_sec\": {:.0} }}",
-                s.nodes,
-                s.services,
-                s.events,
-                s.cold * 1e3,
-                s.incr * 1e3,
-                s.cold / s.incr.max(1e-12),
-                1.0 / s.incr.max(1e-12),
-            )
+            obj([
+                ("nodes", s.nodes.to_value()),
+                ("services", s.services.to_value()),
+                ("events", s.events.to_value()),
+                ("cold_ms_per_plan", num(s.cold * 1e3, 3)),
+                ("incremental_ms_per_plan", num(s.incr * 1e3, 3)),
+                ("speedup", num(s.cold / s.incr, 1)),
+                ("plans_per_sec", ((1.0 / s.incr).round() as u64).to_value()),
+            ])
         })
         .collect();
-
-    let out = format!(
-        "{{\n  \"bench\": \"sched\",\n  \"quick\": {quick},\n  \"configs\": [\n    {}\n  ],\n  \
-         \"storm_configs\": [\n    {}\n  ],\n  \
-         \"old_total_ms\": {:.3},\n  \"unified_total_ms\": {:.3},\n  \
-         \"aggregate_ratio\": {aggregate_ratio:.3},\n  \
-         \"aggregate_speedup\": {aggregate_speedup:.1},\n  \
-         \"speedup_10k_x4\": {speedup_10k_x4:.1},\n  \
-         \"scaling_10k_over_1k\": {scaling_10k_over_1k:.2},\n  \
-         \"incremental_speedup\": {incremental_speedup:.1},\n  \
-         \"plans_per_sec_100k\": {plans_per_sec_100k:.0}\n}}\n",
-        configs.join(",\n    "),
-        storm_configs.join(",\n    "),
-        old_total * 1e3,
-        new_total * 1e3,
-    );
-    let dest = PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("../../BENCH_sched.json");
-    std::fs::write(&dest, &out).unwrap();
-    println!("{out}");
-    println!("wrote {}", dest.display());
-
-    assert!(
-        aggregate_ratio <= 1.10,
-        "unified planner must stay within 10% of the pre-refactor planner \
-         (got {aggregate_ratio:.3}x aggregate)"
-    );
-    assert!(
-        speedup_10k_x4 >= 10.0,
-        "heap/ledger refactor must be ≥10x at 10k nodes × 4 services \
-         (got {speedup_10k_x4:.1}x)"
-    );
-    for c in results.iter().filter(|c| c.nodes >= 100_000) {
-        assert!(
-            c.new < 1.0,
-            "100k-node plans must stay sub-second (got {:.1} ms at {} services)",
-            c.new * 1e3,
-            c.services
-        );
-    }
-    assert!(
-        scaling_10k_over_1k <= 25.0,
-        "1k→10k plan time must scale near-linearly, ≤25x \
-         (got {scaling_10k_over_1k:.1}x — quadratic regression?)"
-    );
-    // Quick mode runs too few events on too-noisy CI runners to hold the
-    // full 10x floor; it still must never be a pessimization.
-    let incr_floor = if quick { 1.0 } else { 10.0 };
-    assert!(
-        incremental_speedup >= incr_floor,
-        "incremental replanning must beat full-per-event replans at 100k nodes \
-         (got {incremental_speedup:.1}x, floor {incr_floor}x)"
-    );
+    Report::new("sched")
+        .set("configs", configs)
+        .set("storm_configs", storm_configs)
+        .set("unified_total_ms", num(results.iter().map(|c| c.secs).sum::<f64>() * 1e3, 3))
+        .set("scaling_10k_over_1k", num(at(10_000, 4) / at(1_000, 4), 2))
+        .set("plan_100k_max_ms", num(plan_100k_max * 1e3, 3))
+        .set("incremental_speedup", num(storm_100k.cold / storm_100k.incr, 1))
+        .set("plans_per_sec_100k", (1.0 / storm_100k.incr).round() as u64)
+        .write();
 }

@@ -1,23 +1,18 @@
-//! Durable-log formats head to head: the rave-store binary WAL versus
-//! the JSON-lines audit trail, on a 10k-update session — append (write
-//! the whole session to disk) and replay (read it back and rebuild the
-//! scene). Emits `BENCH_wal.json` at the repo root with the measured
-//! times, alongside the usual criterion lines.
+//! The session store against the trail export: the rave-store binary WAL
+//! versus the JSON-lines `AuditTrail::save`/`load`, on a 10k-update
+//! session — append (write the whole session to disk) and replay (read
+//! it back and rebuild the scene). Emits `BENCH_wal.json` at the repo
+//! root with the measured times, alongside the usual criterion lines
+//! (skipped under `BENCH_QUICK=1`, which also times fewer rounds).
 
+use bench::harness::{best_of, num, obj, quick, tmp_dir, Report};
 use criterion::Criterion;
 use rave_scene::{AuditEntry, AuditTrail, NodeKind, SceneTree, SceneUpdate, StampedUpdate};
 use rave_store::wal::Wal;
+use serde::Serialize;
 use std::path::PathBuf;
-use std::time::Instant;
 
 const UPDATES: u64 = 10_000;
-
-fn tmp_dir(tag: &str) -> PathBuf {
-    let dir = std::env::temp_dir().join(format!("rave-bench-wal-{tag}-{}", std::process::id()));
-    let _ = std::fs::remove_dir_all(&dir);
-    std::fs::create_dir_all(&dir).unwrap();
-    dir
-}
 
 /// A session of `n` updates: node adds followed by transform churn, the
 /// shape a collaborative editing session actually has.
@@ -80,17 +75,6 @@ fn jsonl_replay(path: &PathBuf) -> SceneTree {
     trail.replay_all().unwrap()
 }
 
-/// Best-of-`n` wall time of `f`, in seconds.
-fn time_best<R>(n: usize, mut f: impl FnMut() -> R) -> f64 {
-    let mut best = f64::INFINITY;
-    for _ in 0..n {
-        let t0 = Instant::now();
-        std::hint::black_box(f());
-        best = best.min(t0.elapsed().as_secs_f64());
-    }
-    best
-}
-
 fn dir_bytes(dir: &PathBuf) -> u64 {
     std::fs::read_dir(dir).unwrap().map(|d| d.unwrap().metadata().unwrap().len()).sum()
 }
@@ -102,41 +86,51 @@ fn main() {
         trail.record(e.at_secs, e.stamped.clone()).unwrap();
     }
     let wal_dir = tmp_dir("wal");
-    let jsonl_path = tmp_dir("jsonl").join("session.jsonl");
+    let jsonl_path = tmp_dir("wal-jsonl").join("session.jsonl");
 
-    // Criterion lines for the usual `cargo bench` readout.
-    let mut c = Criterion::default().sample_size(10);
-    c.bench_function("wal_append_10k", |b| b.iter(|| wal_write(&wal_dir, &entries)));
-    c.bench_function("jsonl_save_10k", |b| b.iter(|| jsonl_write(&jsonl_path, &trail)));
-    wal_write(&wal_dir, &entries);
-    jsonl_write(&jsonl_path, &trail);
-    c.bench_function("wal_replay_10k", |b| b.iter(|| wal_replay(&wal_dir)));
-    c.bench_function("jsonl_replay_10k", |b| b.iter(|| jsonl_replay(&jsonl_path)));
+    if !quick() {
+        let mut c = Criterion::default().sample_size(10);
+        c.bench_function("wal_append_10k", |b| b.iter(|| wal_write(&wal_dir, &entries)));
+        c.bench_function("jsonl_save_10k", |b| b.iter(|| jsonl_write(&jsonl_path, &trail)));
+        wal_write(&wal_dir, &entries);
+        jsonl_write(&jsonl_path, &trail);
+        c.bench_function("wal_replay_10k", |b| b.iter(|| wal_replay(&wal_dir)));
+        c.bench_function("jsonl_replay_10k", |b| b.iter(|| jsonl_replay(&jsonl_path)));
+    }
 
-    // Headline numbers for BENCH_wal.json: best-of-5, both paths ending
+    // Headline numbers for BENCH_wal.json: best-of-N, both paths ending
     // in an identical reconstructed scene.
-    let wal_append = time_best(5, || wal_write(&wal_dir, &entries));
-    let jsonl_save = time_best(5, || jsonl_write(&jsonl_path, &trail));
-    let wal_rep = time_best(5, || wal_replay(&wal_dir));
-    let jsonl_rep = time_best(5, || jsonl_replay(&jsonl_path));
+    let rounds = if quick() { 2 } else { 5 };
+    let wal_append = best_of(rounds, || wal_write(&wal_dir, &entries));
+    let jsonl_save = best_of(rounds, || jsonl_write(&jsonl_path, &trail));
+    let wal_rep = best_of(rounds, || wal_replay(&wal_dir));
+    let jsonl_rep = best_of(rounds, || jsonl_replay(&jsonl_path));
     assert_eq!(wal_replay(&wal_dir), live);
     assert_eq!(jsonl_replay(&jsonl_path).len(), live.len());
     let wal_bytes = dir_bytes(&wal_dir);
     let jsonl_bytes = std::fs::metadata(&jsonl_path).unwrap().len();
 
-    let out = format!(
-        "{{\n  \"bench\": \"wal\",\n  \"updates\": {UPDATES},\n  \"wal\": {{ \"append_secs\": {wal_append:.6}, \"replay_secs\": {wal_rep:.6}, \"bytes\": {wal_bytes} }},\n  \"jsonl\": {{ \"save_secs\": {jsonl_save:.6}, \"replay_secs\": {jsonl_rep:.6}, \"bytes\": {jsonl_bytes} }},\n  \"replay_speedup\": {:.2},\n  \"size_ratio\": {:.2}\n}}\n",
-        jsonl_rep / wal_rep,
-        jsonl_bytes as f64 / wal_bytes as f64,
-    );
-    let dest = PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("../../BENCH_wal.json");
-    std::fs::write(&dest, &out).unwrap();
-    println!("{out}");
-    println!("wrote {}", dest.display());
-    assert!(
-        wal_rep < jsonl_rep,
-        "binary WAL replay ({wal_rep:.4}s) should beat JSON-lines ({jsonl_rep:.4}s)"
-    );
+    Report::new("wal")
+        .set("updates", UPDATES)
+        .set(
+            "wal",
+            obj([
+                ("append_secs", num(wal_append, 6)),
+                ("replay_secs", num(wal_rep, 6)),
+                ("bytes", wal_bytes.to_value()),
+            ]),
+        )
+        .set(
+            "jsonl",
+            obj([
+                ("save_secs", num(jsonl_save, 6)),
+                ("replay_secs", num(jsonl_rep, 6)),
+                ("bytes", jsonl_bytes.to_value()),
+            ]),
+        )
+        .set("replay_speedup", num(jsonl_rep / wal_rep, 2))
+        .set("size_ratio", num(jsonl_bytes as f64 / wal_bytes as f64, 2))
+        .write();
 
     let _ = std::fs::remove_dir_all(&wal_dir);
     let _ = std::fs::remove_dir_all(jsonl_path.parent().unwrap());

@@ -19,10 +19,14 @@
 //! | §5.5 tile-update latency | [`extras::tile_latency`] |
 //! | Parallel pipeline readout | [`extras::parallel_render`] |
 //! | Design-choice ablations | [`ablations`] |
+//!
+//! The per-layer benches under `benches/` share [`harness`]: stopwatches,
+//! the `BENCH_QUICK` switch and the `BENCH_*.json` writer.
 
 pub mod ablations;
 pub mod extras;
 pub mod figures;
+pub mod harness;
 pub mod table1;
 pub mod table2;
 pub mod table3;

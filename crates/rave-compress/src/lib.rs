@@ -68,10 +68,6 @@ impl Codec {
         matches!(self, Codec::Quant565 | Codec::Quant565Rle)
     }
 
-    pub fn needs_previous_frame(self) -> bool {
-        matches!(self, Codec::DeltaRle)
-    }
-
     /// Encode an RGB frame. `prev` is the previous frame (same length)
     /// when the codec is delta-based; encoding falls back to keyframe
     /// behaviour when it is absent.

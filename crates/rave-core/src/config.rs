@@ -69,27 +69,9 @@ pub struct RaveConfig {
     /// the decode/import of frame N−1, hiding every latency except the
     /// bottleneck stage's.
     pub pipeline_depth: usize,
-    /// EWMA weight of the newest measured throughput observation in the
-    /// scheduler's [`crate::sched::ThroughputTracker`], in (0, 1].
-    pub sched_ewma_alpha: f64,
-    /// `CostDrift` trigger: a service whose measured throughput falls
-    /// below this fraction of its advertised rate gets re-planned before
-    /// the overload fps threshold ever trips.
-    pub sched_drift_ratio: f64,
     /// Emit a `TraceKind::SchedDecision` record (candidates, scores,
     /// choice) for every migration/failure placement decision.
     pub sched_decision_trace: bool,
-    /// Bounded staleness for the incremental replanner: defer a replan
-    /// while the accumulated dirty render weight stays at or below this
-    /// fraction of the total planned weight (0.0 = replan on any dirt).
-    /// Deferred dirt coalesces; a forced full replay is the escape hatch.
-    pub sched_max_staleness: f64,
-    /// Cadence of the log-shipping replication driver: how often the
-    /// primary plans and sends WAL frames to its warm standby.
-    pub ship_interval: SimTime,
-    /// Maximum unacknowledged frames in flight per replica link; a tick
-    /// plans at most `ack_window − in_flight` new frames.
-    pub ship_ack_window: usize,
     /// Replication lag bound, in committed updates: the newest entries of
     /// the primary's *unsealed* segment may stay unshipped up to this
     /// count (0 = ship every entry immediately). Sealed segments always
@@ -133,12 +115,7 @@ impl Default for RaveConfig {
             allow_lossy_frames: true,
             frame_strip_bytes: 16 * 1024,
             pipeline_depth: 1,
-            sched_ewma_alpha: 0.3,
-            sched_drift_ratio: 0.5,
             sched_decision_trace: true,
-            sched_max_staleness: 0.0,
-            ship_interval: SimTime::from_millis(250.0),
-            ship_ack_window: 4,
             ship_max_lag: 64,
             update_delivery_trace: true,
             frame_cache_budget: 0,
@@ -170,13 +147,7 @@ mod tests {
     #[test]
     fn default_sched_knobs_sane() {
         let c = RaveConfig::default();
-        assert!(c.sched_ewma_alpha > 0.0 && c.sched_ewma_alpha <= 1.0);
-        assert!(c.sched_drift_ratio > 0.0 && c.sched_drift_ratio < 1.0);
         assert!(c.sched_decision_trace, "decision audit on by default");
-        assert!(
-            c.sched_max_staleness == 0.0,
-            "incremental replans are immediate unless opted into staleness"
-        );
     }
 
     #[test]
@@ -189,8 +160,6 @@ mod tests {
     #[test]
     fn default_ship_knobs_sane() {
         let c = RaveConfig::default();
-        assert!(c.ship_interval > SimTime::ZERO);
-        assert!(c.ship_ack_window >= 1, "at least one frame in flight");
         assert!(c.ship_max_lag < c.checkpoint_every, "lag bound inside a checkpoint window");
     }
 }

@@ -2,7 +2,7 @@
 //! for the data to be visualized".
 
 use crate::ids::{DataServiceId, RenderServiceId};
-use crate::persist::{Persistence, StorePersistence};
+use crate::persist::StorePersistence;
 use rave_scene::{
     AuditEntry, AuditTrail, CostDirt, InterestIndex, InterestSet, SceneTree, SceneUpdate,
     StampedUpdate, UpdateError,
@@ -89,14 +89,12 @@ pub struct DataService {
     pub audit: AuditTrail,
     next_seq: u64,
     pub subscribers: BTreeMap<RenderServiceId, Subscription>,
-    /// Optional durable sink: every committed update is appended to it,
+    /// Optional durable store: every committed update is appended to it,
     /// with periodic snapshot checkpoints. Shared behind an `Arc` so
-    /// clones of the service (mirrors) observe one log, not two
-    /// half-written ones.
-    persistence: Option<Arc<Mutex<dyn Persistence>>>,
-    /// Directory of the attached [`rave_store::Store`], if the sink is
-    /// one: failover uses it to recover or log-ship the session without
-    /// asking the (dead) service.
+    /// clones of the service observe one log, not two half-written ones.
+    persistence: Option<Arc<Mutex<StorePersistence>>>,
+    /// Directory of the attached store: failover uses it to recover or
+    /// log-ship the session without asking the (dead) service.
     pub store_dir: Option<std::path::PathBuf>,
     /// Trace lines from checkpoints taken inside [`DataService::commit`],
     /// drained by the world into the event trace.
@@ -147,25 +145,18 @@ impl DataService {
         }
     }
 
-    /// Attach a durable persistence sink: every subsequent commit is
-    /// appended to it, and snapshot checkpoints are taken on its cadence.
-    pub fn attach_persistence(&mut self, sink: impl Persistence + 'static) {
-        self.persistence = Some(Arc::new(Mutex::new(sink)));
-    }
-
-    /// Open (or create) a [`rave_store::Store`] at `dir` and attach it.
+    /// Open (or create) a [`rave_store::Store`] at `dir` and attach it:
+    /// every subsequent commit is appended to it, and snapshot
+    /// checkpoints are taken on its cadence.
     pub fn attach_store(
         &mut self,
         dir: impl AsRef<std::path::Path>,
         cfg: StoreConfig,
     ) -> std::io::Result<()> {
-        self.attach_persistence(StorePersistence::open(dir.as_ref(), cfg)?);
+        let store = StorePersistence::open(dir.as_ref(), cfg)?;
+        self.persistence = Some(Arc::new(Mutex::new(store)));
         self.store_dir = Some(dir.as_ref().to_path_buf());
         Ok(())
-    }
-
-    pub fn has_persistence(&self) -> bool {
-        self.persistence.is_some()
     }
 
     /// Drain trace lines from checkpoints taken during recent commits.
@@ -173,7 +164,7 @@ impl DataService {
         std::mem::take(&mut self.checkpoint_notes)
     }
 
-    /// Flush the persistence sink (if any) to stable storage.
+    /// Flush the attached store (if any) to stable storage.
     pub fn sync_persistence(&mut self) -> std::io::Result<()> {
         if let Some(p) = &self.persistence {
             let mut p = p.lock().map_err(|_| std::io::Error::other("persistence lock poisoned"))?;
@@ -182,11 +173,11 @@ impl DataService {
         Ok(())
     }
 
-    /// Keep the sink's compaction behind a log-shipping standby (see
-    /// [`Persistence::set_retention_floor`]).
+    /// Keep the store's compaction behind a log-shipping standby (see
+    /// [`StorePersistence::set_retention_floor`]).
     pub fn set_retention_floor(&mut self, acked_seq: Option<u64>) {
         if let Some(p) = &self.persistence {
-            // A poisoned sink fails the next commit; it compacts nothing.
+            // A poisoned store fails the next commit; it compacts nothing.
             if let Ok(mut p) = p.lock() {
                 p.set_retention_floor(acked_seq);
             }
@@ -229,7 +220,7 @@ impl DataService {
 
     /// Apply a stamped update to the master scene and the audit trail.
     /// Also advances the sequence counter past the committed number, so a
-    /// mirror that commits a primary's replicated log can take over
+    /// standby that commits a primary's shipped log can take over
     /// stamping seamlessly after failover.
     pub fn commit(&mut self, at_secs: f64, stamped: &StampedUpdate) -> Result<(), UpdateError> {
         stamped.update.apply(&mut self.scene)?;
@@ -252,7 +243,7 @@ impl DataService {
     }
 
     /// Make future stamps continue after `seq` (used when state arrives
-    /// out-of-band, e.g. a mirror replaying a whole audit trail).
+    /// out-of-band, e.g. a standby seeded from its recovered store).
     pub fn observe_seq(&mut self, seq: u64) {
         self.next_seq = self.next_seq.max(seq + 1);
     }
@@ -402,35 +393,6 @@ impl DataService {
         }
         self.index_rev += 1;
     }
-
-    /// Stream the session to disk (§3.1.1: "The data are intermittently
-    /// streamed to disk, recording any changes that are made in the form
-    /// of an audit trail").
-    pub fn save_session(&self, path: &std::path::Path) -> std::io::Result<()> {
-        let file = std::fs::File::create(path)?;
-        self.audit.save(std::io::BufWriter::new(file))
-    }
-
-    /// Resume a recorded session from disk: replays the trail into the
-    /// master scene and continues sequence numbers where the recording
-    /// stopped, so new collaborators "append to a recorded session".
-    pub fn load_session(
-        id: DataServiceId,
-        host: &str,
-        name: &str,
-        path: &std::path::Path,
-    ) -> std::io::Result<Self> {
-        let file = std::fs::File::open(path)?;
-        let audit = rave_scene::AuditTrail::load(std::io::BufReader::new(file))?;
-        let scene = audit
-            .replay_all()
-            .map_err(|e| std::io::Error::new(std::io::ErrorKind::InvalidData, e.to_string()))?;
-        let mut ds = Self::new(id, host, name);
-        ds.next_seq = audit.last_seq() + 1;
-        ds.scene = scene;
-        ds.audit = audit;
-        Ok(ds)
-    }
 }
 
 #[cfg(test)]
@@ -530,32 +492,6 @@ mod tests {
         assert_eq!(replayed.len(), ds.scene.len());
         assert!(replayed.find_by_path("/a").is_some());
         assert!(replayed.find_by_path("/b").is_none());
-    }
-
-    #[test]
-    fn session_save_load_resume_from_disk() {
-        let dir = std::env::temp_dir().join(format!("rave-session-{}", std::process::id()));
-        std::fs::create_dir_all(&dir).unwrap();
-        let path = dir.join("session.jsonl");
-
-        // Record a session and stream it to disk.
-        let mut ds = DataService::new(DataServiceId(1), "adrenochrome", "recorded");
-        for name in ["a", "b", "c"] {
-            let u = add_update(&mut ds, name);
-            ds.commit(0.0, &u).unwrap();
-        }
-        ds.save_session(&path).unwrap();
-
-        // A later service process resumes it and appends.
-        let mut resumed =
-            DataService::load_session(DataServiceId(2), "tower", "resumed", &path).unwrap();
-        assert_eq!(resumed.scene.len(), ds.scene.len());
-        let u = add_update(&mut resumed, "appended");
-        assert!(u.seq > 3, "sequence continues after the recording: {}", u.seq);
-        resumed.commit(1.0, &u).unwrap();
-        assert!(resumed.scene.find_by_path("/appended").is_some());
-        assert!(resumed.scene.find_by_path("/a").is_some());
-        std::fs::remove_dir_all(&dir).ok();
     }
 
     #[test]

@@ -21,8 +21,7 @@
 //! | The assembled world (testbed, §4.4) | [`world`] |
 //! | Distributed volume rendering (§6) | [`volume_dist`] |
 //! | Computational steering / remote bridge (§5.2) | [`steering`] |
-//! | Data-service mirroring & failover (§6) | [`mirror`] |
-//! | WAL log shipping to a warm standby (§6) | [`replica`] |
+//! | Data-service mirroring & failover: WAL log shipping to a warm standby (§6) | [`replica`] |
 //! | Durable session store & crash recovery (§3.1.1) | [`persist`] |
 //!
 //! Everything runs inside a `rave_sim::Simulation<RaveWorld>`: service
@@ -40,7 +39,6 @@ pub mod frame_stream;
 pub mod gui;
 pub mod ids;
 pub mod migration;
-pub mod mirror;
 pub mod persist;
 pub mod render_service;
 pub mod replica;
@@ -55,5 +53,5 @@ pub mod world;
 pub use capacity::CapacityReport;
 pub use config::RaveConfig;
 pub use ids::{ClientId, DataServiceId, RenderServiceId};
-pub use persist::{Persistence, StorePersistence};
+pub use persist::StorePersistence;
 pub use world::{RaveSim, RaveWorld};

@@ -67,8 +67,7 @@ pub fn handle_data_service_failure(sim: &mut RaveSim, dead: DataServiceId) -> Mi
 /// fold the whole event batch into the data service's persistent plan —
 /// the replay touches only the affected queue slice and emits a minimal
 /// migration diff, instead of the per-event shedding heuristics of
-/// [`check_and_migrate`]. Honors the `sched_max_staleness` coalescing
-/// knob.
+/// [`check_and_migrate`].
 pub fn check_and_replan_incremental(sim: &mut RaveSim, ds_id: DataServiceId) -> IncrementalOutcome {
     let mut events = detect_overload(sim, ds_id);
     events.extend(detect_underload(sim, ds_id));

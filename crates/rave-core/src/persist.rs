@@ -1,51 +1,24 @@
-//! Pluggable durable persistence for the data service.
+//! Durable persistence for the data service.
 //!
 //! The paper's data service streams the session to disk "in the form of
 //! an audit trail" (§3.1.1). [`crate::DataService`] can run without any
-//! sink (pure in-memory, as the simulation-heavy tests do), with the
-//! JSON-lines trail (`save_session`), or — through this module — with a
-//! [`rave_store::Store`]: a crash-safe write-ahead log plus snapshot
-//! checkpoints that a replacement service recovers from after a failure.
+//! store (pure in-memory, as the simulation-heavy tests do) or — through
+//! this module — with a [`rave_store::Store`]: a crash-safe write-ahead
+//! log plus snapshot checkpoints that a replacement service recovers
+//! from after a failure. The store is the one session format;
+//! `AuditTrail::save`/`load` is a JSON-lines export of the in-memory
+//! trail.
 
 use rave_scene::{AuditEntry, SceneTree};
 use rave_store::{CompactionReport, Recovery, Store, StoreConfig};
 use std::io;
 use std::path::Path;
 
-/// A durable sink the data service appends every accepted update to.
-///
-/// Implementations must be cheap to call on the commit path; heavy work
-/// (snapshot serialization, compaction) belongs in [`checkpoint`], which
-/// the service invokes only when [`checkpoint_due`] says so.
-///
-/// [`checkpoint`]: Persistence::checkpoint
-/// [`checkpoint_due`]: Persistence::checkpoint_due
-pub trait Persistence: std::fmt::Debug + Send {
-    /// Durably log one committed update.
-    fn append(&mut self, entry: &AuditEntry) -> io::Result<()>;
-
-    /// True when enough updates have accumulated that the owner should
-    /// checkpoint at the next opportunity.
-    fn checkpoint_due(&self) -> bool;
-
-    /// Write a full-scene checkpoint covering everything appended so far.
-    /// Returns a human-readable summary line for tracing.
-    fn checkpoint(&mut self, tree: &SceneTree, at_secs: f64) -> io::Result<String>;
-
-    /// Sequence number of the last durably persisted update.
-    fn last_seq(&self) -> u64;
-
-    /// Flush buffered appends to stable storage.
-    fn sync(&mut self) -> io::Result<()>;
-
-    /// A log-shipping standby has acknowledged everything up to
-    /// `acked_seq` (`None`: no standby attached): checkpoints must not
-    /// discard log the standby has yet to be sent. A sink that never
-    /// discards anything has nothing to do.
-    fn set_retention_floor(&mut self, _acked_seq: Option<u64>) {}
-}
-
-/// [`Persistence`] backed by a [`rave_store::Store`] directory.
+/// The [`rave_store::Store`] directory the data service appends every
+/// accepted update to. Appends are cheap on the commit path; the heavy
+/// work (snapshot serialization, compaction) is in
+/// [`StorePersistence::checkpoint`], which the service invokes only when
+/// [`StorePersistence::checkpoint_due`] says so.
 #[derive(Debug)]
 pub struct StorePersistence {
     store: Store,
@@ -67,18 +40,21 @@ impl StorePersistence {
     pub fn recover(dir: impl AsRef<Path>) -> io::Result<Recovery> {
         rave_store::recover(dir.as_ref())
     }
-}
 
-impl Persistence for StorePersistence {
-    fn append(&mut self, entry: &AuditEntry) -> io::Result<()> {
+    /// Durably log one committed update.
+    pub fn append(&mut self, entry: &AuditEntry) -> io::Result<()> {
         self.store.append(entry)
     }
 
-    fn checkpoint_due(&self) -> bool {
+    /// True when enough updates have accumulated that the owner should
+    /// checkpoint at the next opportunity.
+    pub fn checkpoint_due(&self) -> bool {
         self.store.checkpoint_due()
     }
 
-    fn checkpoint(&mut self, tree: &SceneTree, at_secs: f64) -> io::Result<String> {
+    /// Write a full-scene checkpoint covering everything appended so far.
+    /// Returns a human-readable summary line for tracing.
+    pub fn checkpoint(&mut self, tree: &SceneTree, at_secs: f64) -> io::Result<String> {
         let seq = self.store.last_seq();
         let CompactionReport { segments_deleted, snapshots_deleted, bytes_freed } =
             self.store.checkpoint(tree, at_secs)?;
@@ -89,15 +65,15 @@ impl Persistence for StorePersistence {
         ))
     }
 
-    fn last_seq(&self) -> u64 {
-        self.store.last_seq()
-    }
-
-    fn sync(&mut self) -> io::Result<()> {
+    /// Flush buffered appends to stable storage.
+    pub fn sync(&mut self) -> io::Result<()> {
         self.store.sync()
     }
 
-    fn set_retention_floor(&mut self, acked_seq: Option<u64>) {
+    /// A log-shipping standby has acknowledged everything up to
+    /// `acked_seq` (`None`: no standby attached): checkpoints must not
+    /// discard log the standby has yet to be sent.
+    pub fn set_retention_floor(&mut self, acked_seq: Option<u64>) {
         self.store.set_retention_floor(acked_seq);
     }
 }
@@ -141,7 +117,7 @@ mod tests {
                 }
             }
             p.sync().unwrap();
-            assert_eq!(p.last_seq(), 9);
+            assert_eq!(p.store().last_seq(), 9);
         }
         let rec = StorePersistence::recover(&dir).unwrap();
         assert_eq!(rec.last_seq, 9);

@@ -2,12 +2,10 @@
 //! promotion (§6 "data servers could mirror each other", production
 //! grade).
 //!
-//! [`crate::mirror`] is the *cold* half of the fail-safe: a one-shot bulk
-//! copy of the whole audit trail, paid for at failover time. This module
-//! is the warm half. A [`ReplicaLink`] continuously streams the
-//! primary's WAL — sealed segments verbatim, plus the unsealed tail past
-//! the [`crate::RaveConfig::ship_max_lag`] bound — to a standby data
-//! service on another host, through the same serializing
+//! This is the one replication path. A [`ReplicaLink`] continuously
+//! streams the primary's WAL — sealed segments verbatim, plus the
+//! unsealed tail past the [`crate::RaveConfig::ship_max_lag`] bound — to
+//! a standby data service on another host, through the same serializing
 //! `rave_net` channels every other transfer uses. The standby applies
 //! each frame to its own on-disk log *and* its in-memory replica, so at
 //! promotion time there is (almost) nothing left to do: re-point the
@@ -29,6 +27,14 @@ use rave_store::ship::{Shipper, StandbyLog, ACK_BYTES};
 use rave_store::{StoreConfig, Wal};
 use std::io;
 use std::path::Path;
+
+/// Cadence of [`run_log_shipping`]: how often the primary plans and
+/// sends WAL frames to its warm standby, in virtual milliseconds.
+const SHIP_INTERVAL_MS: f64 = 250.0;
+
+/// Maximum unacknowledged frames in flight per replica link; a tick
+/// plans at most this many minus those in flight.
+const SHIP_ACK_WINDOW: usize = 4;
 
 /// One live replication link, owned by the world and keyed by primary.
 #[derive(Debug)]
@@ -159,9 +165,9 @@ pub fn teardown_standby(sim: &mut RaveSim, primary: DataServiceId) -> Option<Rep
 /// on arrival (disk + in-memory replica), and charge the ack back.
 /// Returns the number of frames put in flight.
 pub fn ship_tick(sim: &mut RaveSim, primary: DataServiceId) -> io::Result<usize> {
-    let (ack_window, max_lag) = (sim.world.config.ship_ack_window, sim.world.config.ship_max_lag);
+    let max_lag = sim.world.config.ship_max_lag;
     let Some(link) = sim.world.replicas.get(&primary) else { return Ok(0) };
-    let window = ack_window.saturating_sub(link.in_flight);
+    let window = SHIP_ACK_WINDOW.saturating_sub(link.in_flight);
     if window == 0 {
         return Ok(0);
     }
@@ -252,7 +258,7 @@ pub fn ship_tick(sim: &mut RaveSim, primary: DataServiceId) -> io::Result<usize>
 }
 
 /// Periodic replication driver: run [`ship_tick`] every
-/// [`crate::RaveConfig::ship_interval`] until the horizon, stopping by
+/// `SHIP_INTERVAL_MS` until the horizon, stopping by
 /// itself once the link (or the primary) is gone.
 pub fn run_log_shipping(sim: &mut RaveSim, primary: DataServiceId, horizon: SimTime) {
     fn tick(sim: &mut RaveSim, primary: DataServiceId, horizon: SimTime) {
@@ -270,12 +276,12 @@ pub fn run_log_shipping(sim: &mut RaveSim, primary: DataServiceId, horizon: SimT
             );
             return;
         }
-        let next = sim.now() + sim.world.config.ship_interval;
+        let next = sim.now() + SimTime::from_millis(SHIP_INTERVAL_MS);
         if next <= horizon {
             sim.schedule_at(next, move |sim| tick(sim, primary, horizon));
         }
     }
-    let first = sim.now() + sim.world.config.ship_interval;
+    let first = sim.now() + SimTime::from_millis(SHIP_INTERVAL_MS);
     sim.schedule_at(first, move |sim| tick(sim, primary, horizon));
 }
 

@@ -35,9 +35,8 @@ impl ThroughputTracker {
         Self::with_alpha(Self::ALPHA)
     }
 
-    /// A tracker with a configured smoothing factor (the
-    /// `sched_ewma_alpha` knob); values outside (0, 1] fall back to
-    /// [`Self::ALPHA`].
+    /// A tracker with another smoothing factor; values outside (0, 1]
+    /// fall back to [`Self::ALPHA`].
     pub fn with_alpha(alpha: f64) -> Self {
         let alpha = if alpha > 0.0 && alpha <= 1.0 { alpha } else { Self::ALPHA };
         Self { observed: BTreeMap::new(), alpha }

@@ -36,7 +36,7 @@
 //!
 //! **Bounded staleness.** Every edit accrues into a [`DirtySet`] with an
 //! invalidated-render-weight total. [`PlanState::should_replan`]
-//! compares that against the `sched_max_staleness` fraction of the total
+//! compares that against the caller's `max_staleness` fraction of the total
 //! planned weight, so sub-threshold event storms coalesce into one
 //! deferred replay; [`PlanState::force_full_replay`] is the escape hatch
 //! that re-derives every placement on the next replan regardless.

@@ -16,6 +16,16 @@ use rave_grid::TechnicalModel;
 use rave_scene::{InterestSet, NodeCost, NodeId};
 use std::collections::{BTreeMap, BTreeSet};
 
+/// `CostDrift` trigger: a service whose measured throughput falls below
+/// this fraction of its advertised rate gets re-planned before the
+/// overload fps threshold ever trips.
+const DRIFT_RATIO: f64 = 0.5;
+
+/// Bounded staleness [`incremental_replan`] passes to the planner: the
+/// fraction of the planned weight that may sit dirty before a replan
+/// (0.0 = replan on any dirt).
+const MAX_STALENESS: f64 = 0.0;
+
 /// A rebalance trigger. Initial plans, migrations and failover re-plans
 /// all arrive at the scheduler as a stream of these.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -145,11 +155,11 @@ pub fn detect_underload(sim: &mut RaveSim, ds_id: DataServiceId) -> Vec<SchedEve
 
 /// Detect services whose measured throughput (from the world's
 /// scheduler-level [`super::ThroughputTracker`]) has drifted below
-/// `sched_drift_ratio × advertised`. The tracker's unit domain is
+/// `DRIFT_RATIO × advertised`. The tracker's unit domain is
 /// whatever the caller feeds it — comparisons only make sense against an
 /// `expected` in the same units, so the advertised `polys_per_sec` is
 /// used as the reference scale.
-/// Hysteresis: the EWMA jitters around `sched_drift_ratio × advertised`,
+/// Hysteresis: the EWMA jitters around `DRIFT_RATIO × advertised`,
 /// and a trigger-happy detector would storm the scheduler with
 /// `CostDrift` events (defeating the incremental replanner's coalescing).
 /// A drift observation therefore only *arms* the service on its first
@@ -161,7 +171,7 @@ pub fn detect_cost_drift(sim: &mut RaveSim, ds_id: DataServiceId) -> Vec<SchedEv
     let mut events = Vec::new();
     for rs in sim.world.data(ds_id).subscriber_ids() {
         let expected = sim.world.render(rs).capacity_report(&cfg).polys_per_sec;
-        if sim.world.sched.throughput.drifted_below(rs, expected, cfg.sched_drift_ratio) {
+        if sim.world.sched.throughput.drifted_below(rs, expected, DRIFT_RATIO) {
             if !sim.world.sched.drift_pending.insert(rs) {
                 let measured = sim.world.sched.throughput.throughput(rs).unwrap_or(0.0);
                 events.push(SchedEvent::CostDrift { service: rs, measured, expected });
@@ -889,11 +899,10 @@ pub fn incremental_replan(
     }
 
     let basis = gross_basis(sim, ds_id);
-    let max_staleness = sim.world.config.sched_max_staleness;
     let mut state = sim.world.sched.plans.remove(&ds_id).unwrap_or_default();
     let result = {
         let ds = sim.world.data_services.get_mut(&ds_id).expect("checked above");
-        crate::distribution::plan_incremental(&mut ds.scene, &basis, &mut state, max_staleness)
+        crate::distribution::plan_incremental(&mut ds.scene, &basis, &mut state, MAX_STALENESS)
     };
     sim.world.sched.plans.insert(ds_id, state);
     match result {
@@ -943,7 +952,7 @@ fn gross_basis(
             let budget = rs.machine.poly_budget_at_fps(cfg.target_fps, pixels);
             let mut fillable = (budget as f64 * cfg.fill_factor) as u64;
             let expected = rs.machine.poly_rate;
-            if sim.world.sched.throughput.drifted_below(rs_id, expected, cfg.sched_drift_ratio) {
+            if sim.world.sched.throughput.drifted_below(rs_id, expected, DRIFT_RATIO) {
                 let measured = sim.world.sched.throughput.throughput(rs_id).unwrap_or(0.0);
                 let scale = (measured / expected).clamp(0.0, 1.0);
                 fillable = (fillable as f64 * scale) as u64;

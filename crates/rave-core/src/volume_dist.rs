@@ -22,7 +22,7 @@ use crate::world::RaveSim;
 use rave_math::Viewport;
 use rave_render::composite::{blend_volume_layers, VolumeLayer};
 use rave_render::Framebuffer;
-use rave_scene::{CameraParams, KindTag, NodeId, SceneTree};
+use rave_scene::{CameraParams, NodeId, SceneTree};
 use rave_sim::SimTime;
 
 /// Split one volume node into `2^splits` bricks (in the master scene),
@@ -149,11 +149,6 @@ pub fn render_distributed_volume(
         format!("distributed volume frame: {} bricks via {owner}", assignments.len()),
     );
     VolumeFrameResult { completed_at, image, layer_arrivals: arrivals, bricks: assignments.len() }
-}
-
-/// Convenience: does a scene node hold volume content?
-pub fn is_volume(scene: &SceneTree, id: NodeId) -> bool {
-    matches!(scene.node(id).map(|n| n.kind_tag()), Some(KindTag::Volume))
 }
 
 #[cfg(test)]

@@ -53,7 +53,7 @@ pub struct RaveWorld {
 }
 
 /// Scheduler state that outlives any single rebalance pass.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Default)]
 pub struct SchedState {
     /// Measured per-service throughput (EWMA), fed by tile cost feedback
     /// and consulted by the `CostDrift` rebalance trigger.
@@ -71,22 +71,10 @@ pub struct SchedState {
     pub drift_pending: BTreeSet<RenderServiceId>,
 }
 
-impl SchedState {
-    fn new(config: &RaveConfig) -> Self {
-        Self {
-            throughput: ThroughputTracker::with_alpha(config.sched_ewma_alpha),
-            underload_since: BTreeMap::new(),
-            plans: BTreeMap::new(),
-            drift_pending: BTreeSet::new(),
-        }
-    }
-}
-
 impl RaveWorld {
     pub fn new(network: Network, config: RaveConfig, seed: u64) -> Self {
         let mut registry = UddiRegistry::new();
         registry.register_business("RAVE");
-        let sched = SchedState::new(&config);
         Self {
             config,
             network,
@@ -101,7 +89,7 @@ impl RaveWorld {
             replicas: BTreeMap::new(),
             trace: EventTrace::new(),
             rng: SimRng::new(seed),
-            sched,
+            sched: SchedState::default(),
             delivery_high_water: BTreeMap::new(),
             next_ds: 1,
             next_rs: 1,

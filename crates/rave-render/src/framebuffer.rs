@@ -68,12 +68,6 @@ impl Framebuffer {
         self.pixel_count() as u64 * 3
     }
 
-    /// Bytes of color + 32-bit depth (what travels between render services
-    /// for depth compositing).
-    pub fn color_depth_bytes(&self) -> u64 {
-        self.pixel_count() as u64 * 7
-    }
-
     pub fn clear(&mut self, c: Rgb) {
         self.color.fill(c);
         self.depth.fill(1.0);

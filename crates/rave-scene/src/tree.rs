@@ -1108,12 +1108,6 @@ impl SceneTree {
 
     // ---- structure-dirt export ------------------------------------------
 
-    /// Monotone count of pre-order-moving edits (insert/remove/reparent).
-    /// Transform, name and kind edits are exempt: they move no intervals.
-    pub fn structure_epoch(&self) -> u64 {
-        self.sdirt.epoch
-    }
-
     /// Drain the accumulated structural-dirt log: which nodes were
     /// inserted, removed or reparented since the last drain. Same
     /// contract as [`SceneTree::drain_cost_dirt`] (fresh/cloned/

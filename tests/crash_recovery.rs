@@ -1,10 +1,13 @@
 //! Crash recovery end-to-end: a collaborative session persisted through
 //! the rave-store WAL + snapshot checkpoints, a data-service crash that
 //! tears the final log record, and a replacement service that recovers
-//! the session and re-mirrors every subscribed render service.
+//! the session and re-mirrors every subscribed render service — called
+//! directly, and through the scheduler's failure event for a service
+//! that has no standby.
 
 use rave::core::bootstrap::{connect_render_service, recover_data_service};
 use rave::core::collaboration::{join_session, move_camera, reattach_participant};
+use rave::core::migration::handle_data_service_failure;
 use rave::core::trace::TraceKind;
 use rave::core::world::{publish_update, RaveWorld};
 use rave::core::RaveConfig;
@@ -197,5 +200,51 @@ fn compaction_bounds_store_size_over_long_session() {
     let rec = rave::store::recover(&dir).unwrap();
     assert_eq!(rec.last_seq, 1001);
     assert_eq!(rec.tree, sim.world.data(ds).scene);
+    std::fs::remove_dir_all(&dir).unwrap();
+}
+
+#[test]
+fn service_without_a_standby_is_rebuilt_from_its_store_and_continues_the_sequence() {
+    let dir = tmp_dir("lone");
+    let mut sim = Simulation::new(RaveWorld::paper_testbed(RaveConfig::default(), 7003));
+    let ds = sim.world.spawn_data_service("adrenochrome", "lone-session");
+    sim.world.data_mut(ds).attach_store(&dir, StoreConfig::default()).unwrap();
+    let rs = sim.world.spawn_render_service("tower");
+    connect_render_service(&mut sim, rs, ds, InterestSet::everything());
+    sim.run();
+    let add = |sim: &mut rave::core::RaveSim, ds, name: &str| {
+        let (id, root) = {
+            let scene = &mut sim.world.data_mut(ds).scene;
+            (scene.allocate_id(), scene.root())
+        };
+        let update =
+            SceneUpdate::AddNode { id, parent: root, name: name.into(), kind: NodeKind::Group };
+        (id, publish_update(sim, ds, "Desktop", update).unwrap())
+    };
+    for i in 0..12 {
+        add(&mut sim, ds, &format!("obj-{i}"));
+    }
+    sim.world.data_mut(ds).sync_persistence().unwrap();
+    sim.run();
+    let committed = sim.world.data(ds).audit.last_seq();
+    let pre_failure = sim.world.data(ds).scene.clone();
+
+    // No replication link: the failure event takes the cold path.
+    let outcome = handle_data_service_failure(&mut sim, ds);
+    sim.run();
+    assert_eq!(outcome.promotions.len(), 1);
+    assert!(!outcome.promotions[0].warm);
+    assert!(!sim.world.data_services.contains_key(&ds));
+    let new_ds = outcome.promotions[0].promoted;
+    assert_eq!(sim.world.data(new_ds).scene, pre_failure);
+    assert_eq!(sim.world.data(new_ds).audit.last_seq(), committed);
+    assert_eq!(sim.world.render(rs).scene, pre_failure, "the subscriber re-mirrored");
+
+    // The replacement owns the session: its stamps carry on from the
+    // failed service's, and the subscriber receives them.
+    let (id, seq) = add(&mut sim, new_ds, "post-failure");
+    assert_eq!(seq, committed + 1);
+    sim.run();
+    assert!(sim.world.render(rs).scene.contains(id));
     std::fs::remove_dir_all(&dir).unwrap();
 }
