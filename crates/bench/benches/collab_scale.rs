@@ -12,14 +12,18 @@
 //!    population (10k full, 1k quick).
 //! 2. Delivery: full simulated ticks through `publish_batch` on a
 //!    16-segment machine-room network — camera-move batches fanned out
-//!    to every subscriber via `multicast_deliver`, one wire transmission
-//!    per receiving segment — reporting wall-clock tick time and the
-//!    multicast/unicast wire-byte ratio, plus the same on the paper's
+//!    to every subscriber by segment multicast (`rave_net::Fanout`), one
+//!    wire transmission per receiving segment — reporting tick time, the
+//!    multicast/unicast wire-byte ratio, the tick time per delivery
+//!    (`tick_ns_per_delivery`: tick wall ÷ moves × subscribers; its
+//!    largest-over-smallest-population ratio says whether per-delivery
+//!    cost stays flat as the session grows), plus the same on the paper's
 //!    testbed (~24 clients across 6 LAN hosts + 1 wireless PDA), as
 //!    `testbed_wire_ratio` (§3.1.2's "network bandwidth-saving
 //!    techniques such as multicasting").
 //!
-//! `check` holds the routing speedup and the wire ratios to their floors.
+//! `check` holds the routing speedup, the wire ratios and the per-delivery
+//! growth to their floors.
 //! `BENCH_QUICK=1` runs smaller populations and fewer rounds.
 
 use bench::harness::{best_of, num, obj, quick, secs, Lcg, Report};
@@ -147,6 +151,8 @@ struct TickTiming {
     moves_per_tick: usize,
     ticks: usize,
     tick_ms: f64,
+    /// Tick wall time per (move, subscriber) pair delivered.
+    tick_ns_per_delivery: f64,
     wire_bytes: u64,
     unicast_wire_bytes: u64,
     wire_ratio: f64,
@@ -208,6 +214,7 @@ fn time_ticks(clients: usize, moves: usize, ticks: usize) -> TickTiming {
         moves_per_tick: moves,
         ticks,
         tick_ms: elapsed * 1e3 / ticks as f64,
+        tick_ns_per_delivery: elapsed * 1e9 / (ticks * moves * clients) as f64,
         wire_bytes: wire,
         unicast_wire_bytes: unicast,
         wire_ratio: if unicast == 0 { 1.0 } else { wire as f64 / unicast as f64 },
@@ -271,7 +278,11 @@ fn main() {
     let headline = routing.last().expect("at least one population");
     let routing_speedup_10k = headline.naive_us / headline.indexed_us.max(1e-9);
     let parity_checked: usize = routing.iter().map(|r| r.parity_checked).sum();
-    let largest_tick_ms = delivery.last().expect("at least one population").tick_ms.max(1e-9);
+    let (smallest, largest) =
+        (delivery.first().expect("at least one population"), delivery.last().expect("same"));
+    let largest_tick_ms = largest.tick_ms.max(1e-9);
+    let per_delivery_growth =
+        largest.tick_ns_per_delivery / smallest.tick_ns_per_delivery.max(1e-9);
 
     let configs: Vec<_> = routing
         .iter()
@@ -286,6 +297,7 @@ fn main() {
                 ("moves_per_tick", d.moves_per_tick.to_value()),
                 ("ticks", d.ticks.to_value()),
                 ("tick_ms", num(d.tick_ms, 2)),
+                ("tick_ns_per_delivery", num(d.tick_ns_per_delivery, 1)),
                 ("wire_bytes", d.wire_bytes.to_value()),
                 ("unicast_wire_bytes", d.unicast_wire_bytes.to_value()),
                 ("wire_ratio", num(d.wire_ratio, 4)),
@@ -297,6 +309,7 @@ fn main() {
         .set("routing_speedup_10k", num(routing_speedup_10k, 1))
         .set("parity_checked", parity_checked)
         .set("ticks_per_sec_largest", num(1e3 / largest_tick_ms, 2))
+        .set("tick_per_delivery_largest_over_smallest", num(per_delivery_growth, 2))
         .set("testbed_wire_ratio", num(testbed_ratio, 4))
         .write();
 }

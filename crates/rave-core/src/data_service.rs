@@ -1,12 +1,15 @@
 //! The data service (§3.1.1): "a persistent, central distribution point
 //! for the data to be visualized".
 
+use crate::delivery::{Delivery, DeliveryState};
 use crate::ids::{DataServiceId, RenderServiceId};
 use crate::persist::StorePersistence;
+use rave_net::Network;
 use rave_scene::{
     AuditEntry, AuditTrail, CostDirt, InterestIndex, InterestSet, SceneTree, SceneUpdate,
-    StampedUpdate, UpdateError,
+    StampedUpdate, SubSlot, UpdateError,
 };
+use rave_sim::SimTime;
 use rave_store::StoreConfig;
 use std::collections::BTreeMap;
 use std::sync::{Arc, Mutex};
@@ -43,18 +46,20 @@ pub struct FanoutTotals {
     pub wire_bytes: u64,
     /// Bytes unicast would have put on the wire.
     pub unicast_wire_bytes: u64,
-    /// Receivers skipped because their host left the network topology.
+    /// Receivers skipped because their render service is not in the world
+    /// or its host is not on the network.
     pub skipped_receivers: u64,
 }
 
 impl FanoutTotals {
-    pub fn record(&mut self, d: &rave_net::MulticastDelivery) {
+    /// Book one update of `bytes` fanned out at `cost`.
+    pub fn record(&mut self, cost: &rave_net::FanoutCost, bytes: u64) {
         self.updates_routed += 1;
-        self.transmissions += d.cost.transmissions as u64;
-        self.unicast_transmissions += d.cost.unicast_transmissions as u64;
-        self.wire_bytes += d.wire_bytes;
-        self.unicast_wire_bytes += d.unicast_wire_bytes;
-        self.skipped_receivers += d.cost.skipped as u64;
+        self.transmissions += cost.transmissions as u64;
+        self.unicast_transmissions += cost.unicast_transmissions as u64;
+        self.wire_bytes += cost.transmissions as u64 * bytes;
+        self.unicast_wire_bytes += cost.unicast_transmissions as u64 * bytes;
+        self.skipped_receivers += cost.skipped as u64;
     }
 
     /// Multicast wire bytes as a fraction of the unicast baseline
@@ -107,12 +112,19 @@ pub struct DataService {
     index_sub_ids: Vec<RenderServiceId>,
     /// Slot → is the subscriber `Live`? Snapshotted at rebuild (state
     /// flips bump `index_rev`), so routing's hot path never touches the
-    /// subscriber map for live matches.
+    /// subscriber map for live matches — and skips the per-match check
+    /// altogether while nobody is bootstrapping (`index_all_live`).
     index_live: Vec<bool>,
+    index_all_live: bool,
     index_rev: u64,
     index_built_rev: u64,
-    /// Scratch for `route`'s matched slots, reused across calls.
-    route_slots: Vec<rave_scene::SubSlot>,
+    /// Counts index rebuilds, i.e. slot renumberings.
+    index_generation: u64,
+    /// Scratch for the routed slots of one update, reused across calls.
+    route_slots: Vec<SubSlot>,
+    /// What the publish path keeps per slot: hosts, FIFO marks, the batch
+    /// in flight.
+    delivery: DeliveryState,
     /// Multicast-vs-unicast delivery accounting, fed by the world's
     /// publish path.
     pub fanout: FanoutTotals,
@@ -137,9 +149,12 @@ impl DataService {
             index: InterestIndex::new(),
             index_sub_ids: Vec::new(),
             index_live: Vec::new(),
+            index_all_live: true,
             index_rev: 1,
             index_built_rev: 0,
+            index_generation: 0,
             route_slots: Vec::new(),
+            delivery: DeliveryState::default(),
             fanout: FanoutTotals::default(),
             interest_refreshes: 0,
         }
@@ -311,11 +326,14 @@ impl DataService {
             // A rebuild reads the current tree; any pending repair work
             // in the dirt log is superseded — drain it away.
             let _ = self.scene.drain_structure_dirt();
+            self.delivery.renumber(&self.index_sub_ids, self.subscribers.keys().copied());
+            self.index_generation += 1;
             self.index_sub_ids.clear();
             self.index_sub_ids.extend(self.subscribers.keys().copied());
             self.index_live.clear();
             self.index_live
                 .extend(self.subscribers.values().map(|s| matches!(s.state, SubState::Live)));
+            self.index_all_live = self.index_live.iter().all(|&live| live);
             self.index.rebuild(&self.scene, self.subscribers.values().map(|s| &s.interest));
             self.index_built_rev = self.index_rev;
         } else {
@@ -326,36 +344,79 @@ impl DataService {
         }
     }
 
+    /// Route a freshly committed update into `out`: the slots of the live
+    /// subscribers it must be delivered to, ascending. An `Arc` share of
+    /// it is buffered for each matched bootstrapping subscriber.
+    fn route_into(&mut self, stamped: &Arc<StampedUpdate>, out: &mut Vec<SubSlot>) {
+        self.ensure_index();
+        self.index.matches(&stamped.update, &self.scene, out);
+        if self.index_all_live {
+            return;
+        }
+        let (live, ids, subs) = (&self.index_live, &self.index_sub_ids, &mut self.subscribers);
+        out.retain(|&slot| {
+            if live[slot as usize] {
+                return true;
+            }
+            // The map cannot have shrunk (ensure_index compares counts),
+            // but stay defensive about membership anyway.
+            match subs.get_mut(&ids[slot as usize]).map(|sub| &mut sub.state) {
+                Some(SubState::Bootstrapping { buffered }) => {
+                    buffered.push(Arc::clone(stamped));
+                    false
+                }
+                Some(SubState::Live) => true,
+                None => false,
+            }
+        });
+    }
+
     /// Route a freshly committed update: returns the live subscribers it
     /// must be delivered to, buffering an `Arc` share of it for
     /// bootstrapping ones. O(log roots + matches) through the inverted
     /// interest index — the naive O(subscribers) scan survives as
     /// [`DataService::route_naive`], the index's parity oracle.
     pub fn route(&mut self, stamped: &Arc<StampedUpdate>) -> Vec<RenderServiceId> {
-        self.ensure_index();
         let mut slots = std::mem::take(&mut self.route_slots);
-        self.index.matches(&stamped.update, &self.scene, &mut slots);
-        let mut deliver = Vec::with_capacity(slots.len());
-        for &slot in &slots {
-            let rs = self.index_sub_ids[slot as usize];
-            // Hot path: the liveness snapshot (refreshed with the index)
-            // spares a subscriber-map lookup per matched slot — at 10k
-            // subscribers the lookups, not the stab, dominate routing.
-            if self.index_live[slot as usize] {
-                deliver.push(rs);
-                continue;
-            }
-            // The map cannot have shrunk (ensure_index compares counts),
-            // but stay defensive about membership anyway.
-            if let Some(sub) = self.subscribers.get_mut(&rs) {
-                match &mut sub.state {
-                    SubState::Bootstrapping { buffered } => buffered.push(Arc::clone(stamped)),
-                    SubState::Live => deliver.push(rs),
-                }
-            }
-        }
+        self.route_into(stamped, &mut slots);
+        let deliver = slots.iter().map(|&slot| self.index_sub_ids[slot as usize]).collect();
         self.route_slots = slots;
         deliver
+    }
+
+    /// Route every update of a committed `batch` and plan its delivery
+    /// with segment-multicast fan-out from this service's host: one
+    /// [`Delivery`] per live subscriber the batch reaches, in subscriber
+    /// id order, FIFO behind whatever that subscriber is already owed.
+    /// `host_of` names the host of a render service, `None` for one that
+    /// is not in the world.
+    pub(crate) fn plan_deliveries<'a>(
+        &mut self,
+        now: SimTime,
+        batch: &[Arc<StampedUpdate>],
+        net: &Network,
+        host_of: impl Fn(RenderServiceId) -> Option<&'a str>,
+    ) -> Vec<Delivery> {
+        let mut slots = std::mem::take(&mut self.route_slots);
+        for (i, stamped) in batch.iter().enumerate() {
+            self.route_into(stamped, &mut slots);
+            if slots.is_empty() {
+                continue;
+            }
+            // A structural update earlier in the batch repairs the index
+            // without renumbering it, so this resolves at most once here.
+            self.delivery.resolve_hosts(
+                self.index_generation,
+                &self.index_sub_ids,
+                &self.host,
+                net,
+                &host_of,
+            );
+            let bytes = stamped.wire_size();
+            self.delivery.fan_out(now, i as u32, &slots, bytes, net, &mut self.fanout);
+        }
+        self.route_slots = slots;
+        self.delivery.finish_batch(batch, &self.index_sub_ids)
     }
 
     /// The pre-index routing decision, kept as the embedded parity oracle

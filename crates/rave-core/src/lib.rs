@@ -34,6 +34,7 @@ pub mod capacity;
 pub mod collaboration;
 pub mod config;
 pub mod data_service;
+mod delivery;
 pub mod distribution;
 pub mod frame_stream;
 pub mod gui;

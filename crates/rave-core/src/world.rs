@@ -3,6 +3,7 @@
 
 use crate::config::RaveConfig;
 use crate::data_service::DataService;
+use crate::delivery::Delivery;
 use crate::frame_stream::FrameCache;
 use crate::ids::{ClientId, DataServiceId, RenderServiceId};
 use crate::render_service::RenderService;
@@ -12,11 +13,12 @@ use crate::trace::{EventTrace, TraceKind};
 use rave_grid::uddi::ServiceBinding;
 use rave_grid::wsdl::WsdlDocument;
 use rave_grid::{ServiceContainer, TechnicalModel, UddiCostModel, UddiRegistry};
-use rave_net::{Channel, Network};
+use rave_net::{Channel, HostId, Network};
 use rave_render::MachineProfile;
-use rave_scene::{SceneUpdate, UpdateError};
+use rave_scene::{SceneUpdate, StampedUpdate, UpdateError};
 use rave_sim::{SimRng, SimTime, Simulation};
 use std::collections::{BTreeMap, BTreeSet};
+use std::sync::Arc;
 
 /// The simulation type every RAVE experiment drives.
 pub type RaveSim = Simulation<RaveWorld>;
@@ -32,7 +34,7 @@ pub struct RaveWorld {
     pub render_services: BTreeMap<RenderServiceId, RenderService>,
     pub thin_clients: BTreeMap<ClientId, ThinClient>,
     /// Serializing per-(sender, receiver) channels for bulk streams.
-    channels: BTreeMap<(String, String), Channel>,
+    channels: BTreeMap<(HostId, HostId), Channel>,
     /// Compressed frame-stream state per (render service, client).
     pub frame_cache: FrameCache,
     /// Active log-shipping replication links, keyed by primary.
@@ -42,11 +44,6 @@ pub struct RaveWorld {
     /// The unified scheduler's cross-pass state (throughput memory and
     /// under-load debounce).
     pub sched: SchedState,
-    /// Latest scheduled update-delivery time per (data service,
-    /// subscriber) pair: updates are applied strictly in publish order on
-    /// every replica, so a small update must not overtake a large one
-    /// still on the wire (TCP FIFO semantics).
-    delivery_high_water: BTreeMap<(DataServiceId, RenderServiceId), SimTime>,
     next_ds: u64,
     next_rs: u64,
     next_cl: u64,
@@ -90,7 +87,6 @@ impl RaveWorld {
             trace: EventTrace::new(),
             rng: SimRng::new(seed),
             sched: SchedState::default(),
-            delivery_high_water: BTreeMap::new(),
             next_ds: 1,
             next_rs: 1,
             next_cl: 1,
@@ -192,14 +188,14 @@ impl RaveWorld {
 
     // ---- transport ----------------------------------------------------
 
-    /// The serializing channel from one host to another.
+    /// The serializing channel from one host to another. Panics on an
+    /// unknown host, as [`Network::known_host`] does.
     pub fn channel(&mut self, from: &str, to: &str) -> &mut Channel {
-        let key = (from.to_string(), to.to_string());
-        if !self.channels.contains_key(&key) {
-            let link = self.network.link_between(from, to).clone();
-            self.channels.insert(key.clone(), Channel::new(link));
-        }
-        self.channels.get_mut(&key).expect("just inserted")
+        let network = &self.network;
+        let (from, to) = (network.known_host(from), network.known_host(to));
+        self.channels
+            .entry((from, to))
+            .or_insert_with(|| Channel::new(network.link_between_ids(from, to).clone()))
     }
 
     /// Queue `bytes` from `from` to `to` at `now`; returns arrival time.
@@ -248,6 +244,34 @@ impl RaveWorld {
     }
 }
 
+/// One delivery event: apply a batch's updates, in seq order, to the
+/// replica they were routed to.
+fn deliver(sim: &mut RaveSim, to: RenderServiceId, updates: &[Arc<StampedUpdate>]) {
+    let now = sim.now();
+    let world = &mut sim.world;
+    let traced = world.config.update_delivery_trace;
+    let Some(rs) = world.render_services.get_mut(&to) else {
+        // The service failed while the batch was on the wire.
+        if let (true, Some(first), Some(last)) = (traced, updates.first(), updates.last()) {
+            let detail = format!("seq={}..={} -> {to} dropped", first.seq, last.seq);
+            world.trace.record(now, TraceKind::UpdateDelivered, detail);
+        }
+        return;
+    };
+    for stamped in updates {
+        // A benign race: the replica may legitimately reject an update to
+        // a node it never held (interest narrowed since routing).
+        let applied = stamped.update.apply(&mut rs.scene).is_ok();
+        if traced {
+            world.trace.record(
+                now,
+                TraceKind::UpdateDelivered,
+                format!("seq={} -> {to} applied={applied}", stamped.seq),
+            );
+        }
+    }
+}
+
 /// Publish an update through a data service: commit to the master scene
 /// and audit trail, then multicast to every live, interested subscriber
 /// (delivery events apply the update to each replica at its arrival
@@ -271,8 +295,15 @@ pub fn publish_update(
 /// **one** delivery event carrying `Arc`-shared updates applied in seq
 /// order, so a 10k-client session tick schedules 10k events, not
 /// 10k × updates, and each replica's derived caches rebuild once per
-/// batch. Per-subscriber FIFO is preserved against earlier publishes via
-/// the delivery high-water mark.
+/// batch; subscribers owed the same updates share one list. Events are
+/// scheduled in subscriber-id order. Per-subscriber FIFO is preserved
+/// against earlier publishes via the delivery high-water mark (the
+/// `delivery` module).
+///
+/// A subscriber with no render service in the world, or whose host is not
+/// on the network, is skipped and counted
+/// (`FanoutTotals::skipped_receivers`); a batch whose render service is
+/// gone by the time it arrives is dropped.
 ///
 /// On a commit failure the batch stops: the already-committed prefix is
 /// still delivered (it is in the audit trail), the failed update and the
@@ -284,8 +315,7 @@ pub fn publish_batch(
 ) -> Result<Vec<u64>, UpdateError> {
     let now = sim.now();
     let mut seqs = Vec::with_capacity(updates.len());
-    let mut batch: Vec<std::sync::Arc<rave_scene::StampedUpdate>> =
-        Vec::with_capacity(updates.len());
+    let mut batch: Vec<Arc<StampedUpdate>> = Vec::with_capacity(updates.len());
     let mut failure = None;
     {
         let ds = sim.world.data_mut(ds_id);
@@ -294,7 +324,7 @@ pub fn publish_batch(
             match ds.commit(now.as_secs(), &stamped) {
                 Ok(()) => {
                     seqs.push(stamped.seq);
-                    batch.push(std::sync::Arc::new(stamped));
+                    batch.push(Arc::new(stamped));
                 }
                 Err(e) => {
                     failure = Some(e);
@@ -313,62 +343,15 @@ pub fn publish_batch(
             format!("{ds_id} seq={} from {}", stamped.seq, stamped.origin),
         );
     }
-    let ds_host = sim.world.data(ds_id).host.clone();
-    // Delivery plan: per subscriber, the batch's matched updates (already
-    // in seq order) and their latest FIFO-adjusted arrival.
-    let mut per_sub: BTreeMap<
-        RenderServiceId,
-        (SimTime, Vec<std::sync::Arc<rave_scene::StampedUpdate>>),
-    > = BTreeMap::new();
-    for stamped in &batch {
-        let targets = sim.world.data_mut(ds_id).route(stamped);
-        if targets.is_empty() {
-            continue;
-        }
-        let size = stamped.wire_size();
-        // Multicast semantics: receivers grouped by host, each receiving
-        // segment charged one transmission, every arrival an independent
-        // transfer-time offset rather than a serialized channel send.
-        let (arrivals, delivery) = {
-            let world = &sim.world;
-            let hosts: Vec<&str> =
-                targets.iter().map(|rs| world.render(*rs).host.as_str()).collect();
-            let delivery = rave_net::multicast_deliver(&world.network, &ds_host, &hosts, size);
-            let arrivals: Vec<(RenderServiceId, SimTime)> =
-                delivery.arrivals.iter().map(|&(i, at)| (targets[i], now + at)).collect();
-            (arrivals, delivery)
-        };
-        sim.world.data_mut(ds_id).fanout.record(&delivery);
-        for (rs_id, wire) in arrivals {
-            // Deliveries to any one subscriber stay FIFO in publish order
-            // (TCP semantics): never earlier than anything already queued.
-            let hw = sim.world.delivery_high_water.entry((ds_id, rs_id)).or_insert(SimTime::ZERO);
-            let arrival = wire.max(*hw);
-            *hw = arrival;
-            let entry = per_sub.entry(rs_id).or_insert_with(|| (SimTime::ZERO, Vec::new()));
-            entry.0 = entry.0.max(arrival);
-            entry.1.push(std::sync::Arc::clone(stamped));
-        }
-    }
-    for (rs_id, (at, list)) in per_sub {
-        sim.schedule_at(at, move |sim| {
-            let now = sim.now();
-            let trace_deliveries = sim.world.config.update_delivery_trace;
-            for stamped in &list {
-                let rs = sim.world.render_mut(rs_id);
-                // A benign race: the replica may legitimately reject an
-                // update to a node it never held (interest narrowed since
-                // routing).
-                let applied = stamped.update.apply(&mut rs.scene).is_ok();
-                if trace_deliveries {
-                    sim.world.trace.record(
-                        now,
-                        TraceKind::UpdateDelivered,
-                        format!("seq={} -> {rs_id} applied={applied}", stamped.seq),
-                    );
-                }
-            }
-        });
+    let deliveries = {
+        let RaveWorld { data_services, render_services, network, .. } = &mut sim.world;
+        let ds = data_services.get_mut(&ds_id).expect("committed through it above");
+        ds.plan_deliveries(now, &batch, network, |rs| {
+            render_services.get(&rs).map(|service| service.host.as_str())
+        })
+    };
+    for Delivery { at, to, updates } in deliveries {
+        sim.schedule_at(at, move |sim| deliver(sim, to, &updates));
     }
     match failure {
         Some(e) => Err(e),
@@ -554,6 +537,152 @@ mod tests {
             s.world.render(rs).scene.node(id).unwrap().transform().translation,
             rave_math::Vec3::new(9.0, 9.0, 9.0)
         );
+    }
+
+    fn rename(s: &mut RaveSim, ds: DataServiceId, name: &str) -> u64 {
+        let update = SceneUpdate::SetName { id: rave_scene::NodeId(0), name: name.into() };
+        publish_update(s, ds, "u", update).unwrap()
+    }
+
+    fn delivered(s: &RaveSim) -> Vec<(SimTime, String)> {
+        s.world
+            .trace
+            .of_kind(TraceKind::UpdateDelivered)
+            .map(|e| (e.at, e.detail.clone()))
+            .collect()
+    }
+
+    #[test]
+    fn service_failing_with_an_update_in_flight_drops_the_batch() {
+        let mut s = sim();
+        let ds = s.world.spawn_data_service("adrenochrome", "sess");
+        let dead = s.world.spawn_render_service("tower");
+        let alive = s.world.spawn_render_service("desktop");
+        for rs in [dead, alive] {
+            s.world.data_mut(ds).subscribe_live(rs, InterestSet::everything());
+        }
+        let seq = rename(&mut s, ds, "in flight");
+        crate::migration::handle_service_failure(&mut s, ds, dead);
+        s.run();
+        let rows: Vec<String> = delivered(&s).into_iter().map(|(_, detail)| detail).collect();
+        assert_eq!(
+            rows,
+            vec![
+                format!("seq={seq}..={seq} -> {dead} dropped"),
+                format!("seq={seq} -> {alive} applied=true")
+            ]
+        );
+        assert_eq!(
+            s.world.render(alive).scene.node(rave_scene::NodeId(0)).unwrap().name(),
+            "in flight"
+        );
+        // The next publish no longer routes to it.
+        rename(&mut s, ds, "after");
+        s.run();
+        assert_eq!(delivered(&s).len(), 3);
+    }
+
+    #[test]
+    fn subscriber_without_a_render_service_is_skipped_and_counted() {
+        let mut s = sim();
+        let ds = s.world.spawn_data_service("adrenochrome", "sess");
+        let rs = s.world.spawn_render_service("tower");
+        s.world.data_mut(ds).subscribe_live(rs, InterestSet::everything());
+        s.world.data_mut(ds).subscribe_live(RenderServiceId(99), InterestSet::everything());
+        rename(&mut s, ds, "x");
+        s.run();
+        let fanout = s.world.data(ds).fanout;
+        assert_eq!((fanout.skipped_receivers, fanout.unicast_transmissions), (1, 1));
+        assert_eq!(delivered(&s).len(), 1);
+    }
+
+    #[test]
+    fn topology_edits_reach_the_next_publish() {
+        let mut s = sim();
+        let ds = s.world.spawn_data_service("adrenochrome", "sess");
+        let rs = s.world.spawn_render_service("annex");
+        s.world.data_mut(ds).subscribe_live(rs, InterestSet::everything());
+        // Its host is not on the network yet: skipped.
+        rename(&mut s, ds, "a");
+        s.run();
+        assert_eq!(s.world.data(ds).fanout.skipped_receivers, 1);
+        assert!(delivered(&s).is_empty());
+
+        // The host joins the LAN, then moves behind the wireless bridge.
+        let lan = s.world.network.link_between("adrenochrome", "tower").clone();
+        let wlan = s.world.network.link_between("adrenochrome", "zaurus").clone();
+        for (segment, link) in [("lan", lan), ("wlan", wlan)] {
+            s.world.network.add_host("annex", segment);
+            let (t0, bytes) = (s.now(), {
+                rename(&mut s, ds, segment);
+                s.world.data(ds).audit.entries().last().unwrap().stamped.wire_size()
+            });
+            s.run();
+            assert_eq!(delivered(&s).last().unwrap().0, t0 + link.transfer_time(bytes));
+        }
+        assert_eq!(s.world.data(ds).fanout.skipped_receivers, 1, "no new skips");
+    }
+
+    #[test]
+    fn fifo_mark_outlives_an_unsubscribe_and_a_renumbering() {
+        let mut s = sim();
+        let ds = s.world.spawn_data_service("adrenochrome", "sess");
+        let early = s.world.spawn_render_service("onyx");
+        let rs = s.world.spawn_render_service("zaurus");
+        s.world.data_mut(ds).subscribe_live(rs, InterestSet::everything());
+        // A big update is on the slow wireless hop to `rs`...
+        let big = rave_scene::MeshData {
+            positions: vec![rave_math::Vec3::ZERO; 3],
+            normals: vec![],
+            colors: vec![],
+            triangles: vec![[0, 1, 2]; 50_000],
+            texture_bytes: 0,
+        };
+        let id = s.world.data_mut(ds).scene.allocate_id();
+        let add = SceneUpdate::AddNode {
+            id,
+            parent: rave_scene::NodeId(0),
+            name: "big".into(),
+            kind: NodeKind::Mesh(Arc::new(big)),
+        };
+        publish_update(&mut s, ds, "u", add).unwrap();
+        // ...when it resubscribes, behind a new subscriber with a lower id
+        // (so its slot number changes too).
+        assert!(s.world.data_mut(ds).unsubscribe(rs));
+        s.world.data_mut(ds).subscribe_live(early, InterestSet::everything());
+        rename(&mut s, ds, "between");
+        s.world.data_mut(ds).subscribe_live(rs, InterestSet::everything());
+        let small = rename(&mut s, ds, "small");
+        s.run();
+        let rows = delivered(&s);
+        let at = |what: &str| rows.iter().find(|(_, d)| d.starts_with(what)).unwrap().0;
+        let (big_at, small_at) =
+            (at(&format!("seq=1 -> {rs}")), at(&format!("seq={small} -> {rs}")));
+        assert_eq!(small_at, big_at, "queued behind the big one, not overtaking it");
+        assert!(at(&format!("seq={small} -> {early}")) < big_at, "others are not held back");
+    }
+
+    #[test]
+    #[should_panic(expected = "unknown host nowhere")]
+    fn channel_to_an_unknown_host_names_it() {
+        sim().world.send_bytes(SimTime::ZERO, "laptop", "nowhere", 1);
+    }
+
+    #[test]
+    fn channels_survive_topology_edits() {
+        let mut s = sim();
+        let a1 = s.world.send_bytes(SimTime::ZERO, "laptop", "tower", 1_000_000);
+        // Unrelated edits renumber nothing; the queue behind the pair stays.
+        s.world.network.add_segment("annex", rave_net::LinkSpec::ethernet_1gb());
+        s.world.network.link_segments("lan", "annex", rave_net::LinkSpec::ethernet_1gb());
+        s.world.network.add_host("spare", "annex");
+        s.world.network.add_host("tower", "lan");
+        let a2 = s.world.send_bytes(SimTime::ZERO, "laptop", "tower", 1_000_000);
+        assert!(a2 > a1, "still the same channel");
+        assert_eq!(s.world.channel("laptop", "tower").messages_sent(), 2);
+        assert_eq!(s.world.channel("tower", "laptop").messages_sent(), 0, "directed");
+        let fresh = s.world.send_bytes(SimTime::ZERO, "laptop", "spare", 1_000_000);
+        assert!(fresh < a1, "a new pair gets its own channel over its own link");
     }
 
     #[test]

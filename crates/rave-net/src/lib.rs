@@ -30,6 +30,6 @@ pub use channel::Channel;
 pub use frame::{Frame, FrameError, FrameKind};
 pub use link::LinkSpec;
 pub use multicast::{
-    multicast_cost, multicast_deliver, unicast_cost, FanoutCost, MulticastDelivery,
+    multicast_cost, multicast_deliver, unicast_cost, Fanout, FanoutCost, MulticastDelivery,
 };
-pub use topology::Network;
+pub use topology::{HostId, Network};

@@ -6,9 +6,8 @@
 //! would cost one transmission per subscriber. This module computes both
 //! so the saving is measurable.
 
-use crate::topology::Network;
+use crate::topology::{HostId, Network};
 use rave_sim::SimTime;
-use std::collections::BTreeSet;
 
 /// Result of a fan-out cost computation.
 #[derive(Debug, Clone, PartialEq)]
@@ -62,52 +61,100 @@ pub struct MulticastDelivery {
     pub unicast_wire_bytes: u64,
 }
 
+/// The fan-out computation on interned ids, with the per-segment state it
+/// reuses from one call to the next so a call allocates nothing.
+///
+/// A message's transfer time depends only on the link it crosses and its
+/// size, and a multicast crosses one link per receiving segment: the time
+/// is computed once per distinct receiving link (loopback, and each
+/// receiving segment) and handed to every receiver behind it.
+#[derive(Debug, Clone, Default)]
+pub struct Fanout {
+    /// By `SegId`: the call that last computed `time`, and the value.
+    computed_by: Vec<u64>,
+    time: Vec<SimTime>,
+    call: u64,
+}
+
+impl Fanout {
+    /// Deliver `bytes` from `sender` to `receivers`, calling
+    /// `arrive(index, offset)` for every receiver on the network, in
+    /// input order. `None` is a receiver whose host is not on the network:
+    /// skipped and counted.
+    pub fn deliver(
+        &mut self,
+        net: &Network,
+        sender: HostId,
+        receivers: impl IntoIterator<Item = Option<HostId>>,
+        bytes: u64,
+        mut arrive: impl FnMut(usize, SimTime),
+    ) -> FanoutCost {
+        self.call += 1;
+        if self.time.len() < net.segment_count() {
+            self.computed_by.resize(net.segment_count(), 0);
+            self.time.resize(net.segment_count(), SimTime::ZERO);
+        }
+        let sender_segment = net.segment_id_of(sender);
+        let mut loopback = None;
+        let mut cost = FanoutCost {
+            completion: SimTime::ZERO,
+            transmissions: 0,
+            unicast_transmissions: 0,
+            skipped: 0,
+        };
+        for (i, r) in receivers.into_iter().enumerate() {
+            let Some(r) = r else {
+                cost.skipped += 1;
+                continue;
+            };
+            if r == sender {
+                // Local delivery: loopback time, no wire transmission.
+                let at = *loopback.get_or_insert_with(|| net.loopback().transfer_time(bytes));
+                arrive(i, at);
+                continue;
+            }
+            let segment = net.segment_id_of(r);
+            let seg = segment.index();
+            cost.unicast_transmissions += 1;
+            if self.computed_by[seg] != self.call {
+                self.computed_by[seg] = self.call;
+                let link = net.link_between_segments(sender_segment, segment);
+                self.time[seg] = link.transfer_time(bytes);
+                cost.transmissions += 1;
+                cost.completion = cost.completion.max(self.time[seg]);
+            }
+            arrive(i, self.time[seg]);
+        }
+        cost
+    }
+}
+
 /// Deliver `bytes` from `sender` to `receivers` with multicast fan-out:
 /// one transmission per distinct receiving segment, every receiver on a
 /// segment served by the same copy, arrival at its own transfer time.
 /// Unknown receiver hosts are skipped and counted (not panicked on —
-/// `FanoutCost::skipped`); segment dedup borrows the topology's segment
-/// names instead of allocating one `String` per receiver.
+/// `FanoutCost::skipped`). Resolves the names and runs [`Fanout::deliver`];
+/// like [`Network::link_between`] it panics on a sender that is not on the
+/// network.
 pub fn multicast_deliver(
     net: &Network,
     sender: &str,
     receivers: &[&str],
     bytes: u64,
 ) -> MulticastDelivery {
-    let mut segments: BTreeSet<&str> = BTreeSet::new();
-    let mut slowest = SimTime::ZERO;
-    let mut transmissions = 0u32;
-    let mut unicast = 0u32;
-    let mut skipped = 0u32;
     let mut arrivals = Vec::with_capacity(receivers.len());
-    for (i, r) in receivers.iter().enumerate() {
-        if *r == sender {
-            // Local delivery: loopback time, no wire transmission.
-            arrivals.push((i, net.transfer_time(sender, r, bytes)));
-            continue;
-        }
-        let Some(seg) = net.segment_of(r) else {
-            skipped += 1;
-            continue;
-        };
-        unicast += 1;
-        if segments.insert(seg) {
-            transmissions += 1;
-        }
-        let at = net.transfer_time(sender, r, bytes);
-        slowest = slowest.max(at);
-        arrivals.push((i, at));
-    }
+    let cost = Fanout::default().deliver(
+        net,
+        net.known_host(sender),
+        receivers.iter().map(|r| net.host_id(r)),
+        bytes,
+        |i, at| arrivals.push((i, at)),
+    );
     MulticastDelivery {
-        cost: FanoutCost {
-            completion: slowest,
-            transmissions,
-            unicast_transmissions: unicast,
-            skipped,
-        },
+        wire_bytes: cost.transmissions as u64 * bytes,
+        unicast_wire_bytes: cost.unicast_transmissions as u64 * bytes,
+        cost,
         arrivals,
-        wire_bytes: transmissions as u64 * bytes,
-        unicast_wire_bytes: unicast as u64 * bytes,
     }
 }
 
@@ -191,6 +238,40 @@ mod tests {
         assert_eq!(d.cost.transmissions, 1, "loopback is not a wire transmission");
         assert_eq!(d.arrivals[0].1, net.transfer_time("laptop", "laptop", 1000));
         assert!(d.arrivals[1].1 > d.arrivals[0].1, "lan hop slower than loopback");
+    }
+
+    #[test]
+    fn one_scratch_serves_fanouts_of_different_shape() {
+        // The per-segment times of one call must not leak into the next.
+        let net = Network::paper_testbed(1.0);
+        let id = |h: &str| net.host_id(h);
+        let laptop = id("laptop").unwrap();
+        let mut fanout = Fanout::default();
+        let mut run = |receivers: &[&str], bytes: u64| {
+            let mut arrivals = Vec::new();
+            let cost =
+                fanout.deliver(&net, laptop, receivers.iter().map(|r| id(r)), bytes, |i, at| {
+                    arrivals.push((i, at))
+                });
+            (cost, arrivals)
+        };
+        for (receivers, bytes) in [
+            (&["desktop", "zaurus", "laptop"][..], 10_000),
+            (&["zaurus"][..], 500),
+            (&["tower", "ghost", "desktop"][..], 500),
+            (&[][..], 1),
+        ] {
+            let (cost, arrivals) = run(receivers, bytes);
+            let fresh = multicast_deliver(&net, "laptop", receivers, bytes);
+            assert_eq!(cost, fresh.cost);
+            assert_eq!(arrivals, fresh.arrivals);
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "unknown host ghost")]
+    fn a_sender_off_the_network_panics() {
+        multicast_deliver(&Network::paper_testbed(1.0), "ghost", &["desktop"], 1000);
     }
 
     #[test]

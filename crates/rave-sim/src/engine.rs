@@ -2,13 +2,24 @@
 
 use crate::time::SimTime;
 use std::cmp::Reverse;
-use std::collections::{BinaryHeap, HashMap};
+use std::collections::BinaryHeap;
 
 /// Identifier of a scheduled event; can be used to cancel it.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
-pub struct EventId(u64);
+pub struct EventId {
+    /// Schedule order, unique per simulation.
+    seq: u64,
+    slot: u32,
+}
 
 type Handler<W> = Box<dyn FnOnce(&mut Simulation<W>)>;
+
+/// One slab entry: the pending handler of event `seq`, or `None` once it
+/// fired or was cancelled (the slot is then on the free list).
+struct Slot<W> {
+    seq: u64,
+    handler: Option<Handler<W>>,
+}
 
 /// A discrete-event simulation over a user-supplied world `W`.
 ///
@@ -27,12 +38,15 @@ type Handler<W> = Box<dyn FnOnce(&mut Simulation<W>)>;
 pub struct Simulation<W> {
     pub world: W,
     now: SimTime,
-    next_id: u64,
-    // Two structures: an ordered heap of (time, id) keys and a map of the
-    // boxed handlers, so cancellation is O(1) removal without touching the
-    // heap (the stale heap key is skipped when popped).
-    heap: BinaryHeap<Reverse<(SimTime, u64)>>,
-    handlers: HashMap<u64, Handler<W>>,
+    next_seq: u64,
+    // Two structures: an ordered heap of (time, seq, slot) keys and a slab
+    // of the boxed handlers, so cancellation is O(1) without touching the
+    // heap. A slot is reused as soon as its handler is taken; a heap key
+    // whose `seq` no longer matches its slot's is stale and skipped when
+    // popped.
+    heap: BinaryHeap<Reverse<(SimTime, u64, u32)>>,
+    slots: Vec<Slot<W>>,
+    free: Vec<u32>,
     executed: u64,
 }
 
@@ -41,9 +55,10 @@ impl<W> Simulation<W> {
         Self {
             world,
             now: SimTime::ZERO,
-            next_id: 0,
+            next_seq: 0,
             heap: BinaryHeap::new(),
-            handlers: HashMap::new(),
+            slots: Vec::new(),
+            free: Vec::new(),
             executed: 0,
         }
     }
@@ -73,11 +88,21 @@ impl<W> Simulation<W> {
         handler: impl FnOnce(&mut Simulation<W>) + 'static,
     ) -> EventId {
         assert!(at >= self.now, "cannot schedule into the past: now={} at={}", self.now, at);
-        let id = EventId(self.next_id);
-        self.next_id += 1;
-        self.handlers.insert(id.0, Box::new(handler));
-        self.heap.push(Reverse((at, id.0)));
-        id
+        let seq = self.next_seq;
+        self.next_seq += 1;
+        let entry = Slot { seq, handler: Some(Box::new(handler)) };
+        let slot = match self.free.pop() {
+            Some(slot) => {
+                self.slots[slot as usize] = entry;
+                slot
+            }
+            None => {
+                self.slots.push(entry);
+                u32::try_from(self.slots.len() - 1).expect("fewer than 2^32 pending events")
+            }
+        };
+        self.heap.push(Reverse((at, seq, slot)));
+        EventId { seq, slot }
     }
 
     /// Schedule `handler` to run `delay` after now.
@@ -90,16 +115,25 @@ impl<W> Simulation<W> {
         self.schedule_at(at, handler)
     }
 
+    /// The handler of event `seq` if it is still pending in `slot`; the
+    /// slot goes back on the free list.
+    fn take(&mut self, seq: u64, slot: u32) -> Option<Handler<W>> {
+        let entry = self.slots.get_mut(slot as usize).filter(|e| e.seq == seq)?;
+        let handler = entry.handler.take()?;
+        self.free.push(slot);
+        Some(handler)
+    }
+
     /// Cancel a pending event. Returns `true` if the event existed and had
     /// not yet fired.
     pub fn cancel(&mut self, id: EventId) -> bool {
-        self.handlers.remove(&id.0).is_some()
+        self.take(id.seq, id.slot).is_some()
     }
 
     /// Run the next event, if any. Returns `false` when the queue is empty.
     pub fn step(&mut self) -> bool {
-        while let Some(Reverse((at, raw_id))) = self.heap.pop() {
-            let Some(handler) = self.handlers.remove(&raw_id) else {
+        while let Some(Reverse((at, seq, slot))) = self.heap.pop() {
+            let Some(handler) = self.take(seq, slot) else {
                 continue; // cancelled: stale heap key
             };
             self.now = at;
@@ -118,7 +152,7 @@ impl<W> Simulation<W> {
     /// Run until the queue is empty or virtual time would exceed `until`.
     /// Events at exactly `until` still execute; later events stay queued.
     pub fn run_until(&mut self, until: SimTime) {
-        while let Some(Reverse((at, _))) = self.heap.peek() {
+        while let Some(Reverse((at, ..))) = self.heap.peek() {
             if *at > until {
                 break;
             }
@@ -234,6 +268,91 @@ mod tests {
         let held = sim.run_while(|w| *w < 3);
         assert!(held);
         assert_eq!(sim.world, 3);
+    }
+
+    #[test]
+    fn ties_break_fifo_across_slot_reuse() {
+        // Free slots 0..4 out of order, then schedule into them: the new
+        // events take recycled slots in an order unrelated to schedule
+        // order, and must still fire in schedule order.
+        let mut sim = Simulation::new(Vec::<u32>::new());
+        let early: Vec<EventId> =
+            (0..5).map(|_| sim.schedule_in(SimTime::from_secs(1.0), |_| {})).collect();
+        for i in [3, 0, 4, 1, 2] {
+            assert!(sim.cancel(early[i]));
+        }
+        let t = SimTime::from_secs(2.0);
+        for i in 0..8 {
+            sim.schedule_at(t, move |s| s.world.push(i));
+        }
+        // A handler that fires first frees its slot for an event scheduled
+        // from inside it, at the same instant as the rest.
+        sim.schedule_in(SimTime::ZERO, move |s| {
+            s.schedule_at(t, |s| s.world.push(8));
+        });
+        sim.run();
+        assert_eq!(sim.world, (0..9).collect::<Vec<_>>());
+        assert_eq!(sim.executed(), 10);
+    }
+
+    #[test]
+    fn cancel_is_false_for_fired_and_stale_ids() {
+        let mut sim = Simulation::new(0u32);
+        let fired = sim.schedule_in(SimTime::from_secs(1.0), |s| s.world += 1);
+        sim.run();
+        assert!(!sim.cancel(fired), "already fired");
+
+        // The next event reuses `fired`'s slot; the stale id must not
+        // cancel it.
+        let live = sim.schedule_in(SimTime::from_secs(1.0), |s| s.world += 10);
+        assert_eq!(live.slot, fired.slot, "the slot was recycled");
+        assert!(!sim.cancel(fired), "stale id, reused slot");
+        sim.run();
+        assert_eq!(sim.world, 11);
+
+        // Same through a cancel: the cancelled event's slot is reused.
+        let cancelled = sim.schedule_in(SimTime::from_secs(1.0), |s| s.world += 100);
+        assert!(sim.cancel(cancelled));
+        let reuse = sim.schedule_in(SimTime::from_secs(1.0), |s| s.world += 1000);
+        assert_eq!(reuse.slot, cancelled.slot);
+        assert!(!sim.cancel(cancelled), "double cancel, slot now someone else's");
+        sim.run();
+        assert_eq!(sim.world, 1011);
+    }
+
+    #[test]
+    fn pending_counts_tombstones_until_drained() {
+        let mut sim = Simulation::new(());
+        let a = sim.schedule_in(SimTime::from_secs(1.0), |_| {});
+        sim.schedule_in(SimTime::from_secs(2.0), |_| {});
+        assert_eq!(sim.pending(), 2);
+        sim.cancel(a);
+        assert_eq!(sim.pending(), 2, "the cancelled key is still queued");
+        // The recycled slot's new event sits beside the tombstone.
+        sim.schedule_in(SimTime::from_secs(3.0), |_| {});
+        assert_eq!(sim.pending(), 3);
+        sim.run();
+        assert_eq!(sim.pending(), 0);
+        assert_eq!(sim.executed(), 2);
+    }
+
+    #[test]
+    fn handlers_can_schedule_and_cancel() {
+        let mut sim = Simulation::new(Vec::<&'static str>::new());
+        let victim = sim.schedule_in(SimTime::from_secs(2.0), |s| s.world.push("victim"));
+        sim.schedule_in(SimTime::from_secs(1.0), move |s| {
+            s.world.push("first");
+            assert!(s.cancel(victim));
+            // Takes the slot this handler or the victim just gave up.
+            let doomed = s.schedule_in(SimTime::from_secs(1.0), |s| s.world.push("doomed"));
+            s.schedule_in(SimTime::from_secs(1.0), |s| s.world.push("kept"));
+            assert!(s.cancel(doomed));
+            assert!(!s.cancel(doomed));
+        });
+        sim.run();
+        assert_eq!(sim.world, vec!["first", "kept"]);
+        assert_eq!(sim.executed(), 2);
+        assert_eq!(sim.now().as_secs(), 2.0);
     }
 
     #[test]
