@@ -2,17 +2,23 @@
 //! serial immediate-mode reference, on full 200x200 frames of the 5.5k-
 //! and 50k-triangle Galleon and on the frame the end-to-end benchmark
 //! streams (Elle, 50k triangles, 640x480), plus the two band-parallel
-//! compositors. The thread grid is 1/2/4/8 clamped to the cores the host
+//! compositors, and the frame of the end-to-end benchmark's tiled
+//! workload (Elle 50k, 800x600) rendered whole and as four column strips.
+//! The thread grid is 1/2/4/8 clamped to the cores the host
 //! has — a pool wider than the machine measures the scheduler, not the
 //! engine. Emits `BENCH_render_parallel.json` at the repo root with the
 //! measured times, alongside the usual criterion lines (skipped under
-//! `BENCH_QUICK=1`, which also times fewer rounds). The headline number,
-//! which `check` holds to its floor, is `speedup_50k`: the full-frame
+//! `BENCH_QUICK=1`, which also times fewer rounds). The headline numbers,
+//! which `check` holds to their floors, are `speedup_50k`: the full-frame
 //! speedup over the serial reference on the 50k Galleon at the widest
-//! pool measured.
+//! pool measured; and `tiled.strips4_over_monolithic`: what the four
+//! strips cost together over the whole frame on one thread — the work a
+//! tiled frame repeats, with no scheduler in the number (the ratio at the
+//! other pool widths is reported beside it).
 
 use bench::harness::{best_of, num, obj, pool, quick, secs, staged, Report};
 use criterion::Criterion;
+use rave_math::Viewport;
 use rave_models::PaperModel;
 use rave_render::composite::{blend_volume_layers, depth_composite, VolumeLayer};
 use rave_render::{Framebuffer, Renderer};
@@ -149,6 +155,45 @@ fn main() {
         ));
     }
 
+    // A tile pays for its part of the picture: the four column strips of
+    // the frame against the frame rendered whole, each strip checked
+    // against the reference first, whole frame and strips timed in
+    // interleaved rounds — three times as many as the scenes above get:
+    // the ratio needs five quiet timings, and a round is 20 ms. The strips
+    // the model does not reach (the outer two, with this camera) are what
+    // a tile of background costs.
+    let (tree, cam) = staged(PaperModel::Elle, 50_000);
+    let frame = Viewport::new(800, 600);
+    let strips = frame.split_tiles(4, 1);
+    let mut whole = Framebuffer::new(frame.width, frame.height);
+    let mut strip_fbs: Vec<Framebuffer> =
+        strips.iter().map(|t| Framebuffer::new(t.width, t.height)).collect();
+    let mut empty = Vec::new();
+    for (tile, fb) in strips.iter().zip(&mut strip_fbs) {
+        let mut reference = Framebuffer::new(tile.width, tile.height);
+        let want = renderer.render_tile_reference(&tree, &cam, &frame, tile, &mut reference);
+        let got = renderer.render_tile(&tree, &cam, &frame, tile, fb);
+        assert!(reference == *fb && want == got, "strip {tile:?} differs from the reference");
+        empty.push(got.raster.triangles_rasterized == 0);
+    }
+    assert_eq!(empty, [true, false, false, true], "the model fills the two middle strips");
+    let mut tiled_rows: Vec<(usize, [f64; 3])> = Vec::new();
+    for &t in &threads {
+        let p = pool(t);
+        let (mut mono, mut strip_secs) = (f64::INFINITY, [f64::INFINITY; 4]);
+        for _ in 0..3 * rounds {
+            mono = mono.min(secs(|| p.install(|| renderer.render(&tree, &cam, &mut whole))));
+            for (i, (tile, fb)) in strips.iter().zip(&mut strip_fbs).enumerate() {
+                let s = secs(|| p.install(|| renderer.render_tile(&tree, &cam, &frame, tile, fb)));
+                strip_secs[i] = strip_secs[i].min(s);
+            }
+        }
+        tiled_rows.push((t, [mono, strip_secs.iter().sum(), strip_secs[0].min(strip_secs[3])]));
+    }
+    let column =
+        |i: usize| by_threads(&tiled_rows.iter().map(|(t, r)| (*t, r[i])).collect::<Vec<_>>());
+    let ratios: Vec<(usize, f64)> = tiled_rows.iter().map(|(t, r)| (*t, r[1] / r[0])).collect();
+
     Report::new("render_parallel")
         .set("threads", &threads)
         .set("scenes", scenes)
@@ -157,6 +202,20 @@ fn main() {
             obj([
                 ("depth_composite_400x400_x2", by_threads(&depth)),
                 ("blend_volume_layers_400x400_x4", by_threads(&blend)),
+            ]),
+        )
+        .set(
+            "tiled",
+            obj([
+                ("scene", "Elle 50000, 800x600, four column strips".to_value()),
+                ("monolithic_secs", column(0)),
+                ("strips4_secs", column(1)),
+                ("empty_strip_secs", column(2)),
+                (
+                    "strips4_over_monolithic_by_threads",
+                    Value::Map(ratios.iter().map(|(t, r)| (t.to_string(), num(*r, 3))).collect()),
+                ),
+                ("strips4_over_monolithic", num(ratios[0].1, 3)),
             ]),
         )
         .set("speedup_50k_threads", *threads.last().expect("grid has 1 thread"))

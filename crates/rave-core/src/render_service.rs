@@ -23,9 +23,24 @@ pub struct RenderSession {
     pub camera: CameraParams,
     pub mode: OffscreenMode,
     pub frames_rendered: u64,
-    /// Last rendered image, kept for delta compression and stale-tile
-    /// reuse.
+    /// Last rendered image — the whole frame, or the session's tile of a
+    /// distributed one — kept for delta compression and stale-tile reuse,
+    /// and rendered into again by the next frame of the same size.
     pub last_frame: Option<Framebuffer>,
+}
+
+impl RenderSession {
+    /// The retained buffer to render a `width`×`height` image into: the
+    /// previous frame's when it has that size, else a fresh one that
+    /// replaces it. A session that keeps its size allocates once.
+    fn frame_buffer(&mut self, width: u32, height: u32) -> &mut Framebuffer {
+        let fb = self
+            .last_frame
+            .take()
+            .filter(|fb| (fb.width(), fb.height()) == (width, height))
+            .unwrap_or_else(|| Framebuffer::new(width, height));
+        self.last_frame.insert(fb)
+    }
 }
 
 /// A render service instance.
@@ -136,14 +151,9 @@ impl RenderService {
     /// there: a streaming session allocates its frame once, not per frame.
     pub fn rasterize(&mut self, client: ClientId) -> Option<&Framebuffer> {
         let session = self.sessions.get_mut(&client)?;
-        let Viewport { width, height, .. } = session.viewport;
-        let fb = session
-            .last_frame
-            .take()
-            .filter(|fb| (fb.width(), fb.height()) == (width, height))
-            .unwrap_or_else(|| Framebuffer::new(width, height));
-        let fb = session.last_frame.insert(fb);
-        self.renderer.render(&self.scene, &session.camera, fb);
+        let camera = session.camera;
+        let fb = session.frame_buffer(session.viewport.width, session.viewport.height);
+        self.renderer.render(&self.scene, &camera, fb);
         Some(fb)
     }
 
@@ -170,6 +180,24 @@ impl RenderService {
         let mut fb = Framebuffer::new(tile.width, tile.height);
         let stats = self.renderer.render_tile(&self.scene, camera, full_viewport, tile, &mut fb);
         (fb, stats)
+    }
+
+    /// [`RenderService::rasterize_tile_with_stats`] for a tile that belongs
+    /// to `client`'s session: rendered into the session's retained
+    /// `last_frame` (as [`RenderService::rasterize`] does for a whole
+    /// frame) and lent back from there, so a service that renders the same
+    /// tile frame after frame allocates it once, and the tile it last
+    /// delivered stays at hand. `None` without such a session.
+    pub fn rasterize_session_tile(
+        &mut self,
+        client: ClientId,
+        camera: &CameraParams,
+        full_viewport: &Viewport,
+        tile: &Viewport,
+    ) -> Option<(&Framebuffer, rave_render::RenderStats)> {
+        let fb = self.sessions.get_mut(&client)?.frame_buffer(tile.width, tile.height);
+        let stats = self.renderer.render_tile(&self.scene, camera, full_viewport, tile, fb);
+        Some((fb, stats))
     }
 
     /// Queue one off-screen render on the GPU timeline: it starts no

@@ -170,12 +170,19 @@ pub fn record_tile_costs(
 /// - each helper renders its tile off-screen *with the camera it
 ///   currently knows* and ships it back;
 /// - helpers in `stalled` do not respond this frame, so the owner reuses
-///   their previous tile (stale camera ⇒ the Fig 5 tear). The paper
-///   produced its figure "by artificially stalling the remote render
-///   service" — `stalled` is that injection point.
+///   the tile they last delivered (stale camera, stale scene ⇒ the Fig 5
+///   tear). The paper produced its figure "by artificially stalling the
+///   remote render service" — `stalled` is that injection point.
 ///
 /// Camera propagation: non-stalled helpers receive `camera` with the
 /// request; stalled ones keep their session camera unchanged.
+///
+/// Every service renders its tile into its session's retained
+/// `last_frame` ([`RenderService::rasterize_session_tile`]) and the stitch
+/// reads the tiles from there, so a plan names each service once and,
+/// while it stays the same, a frame allocates no tile buffer.
+///
+/// [`RenderService::rasterize_session_tile`]: crate::render_service::RenderService::rasterize_session_tile
 pub fn render_tiled_frame(
     sim: &mut RaveSim,
     owner: RenderServiceId,
@@ -186,20 +193,28 @@ pub fn render_tiled_frame(
 ) -> TiledFrameResult {
     let t0 = sim.now();
     let produce_images = sim.world.config.produce_images;
+    let adaptive = matches!(sim.world.config.frame_compression, CompressionMode::Adaptive);
     let owner_host = sim.world.render(owner).host.clone();
-    let (full_viewport, _) = {
+    let full_viewport = {
         let rs = sim.world.render_mut(owner);
         let session = rs.sessions.get_mut(&client).expect("owner session");
         session.camera = camera;
-        (session.viewport, ())
+        session.viewport
     };
+    debug_assert_eq!(
+        plan.tiles.iter().map(|(_, svc)| *svc).collect::<BTreeSet<_>>().len(),
+        plan.tiles.len(),
+        "one tile per service"
+    );
 
     let mut tile_arrivals = Vec::with_capacity(plan.tiles.len());
-    let mut images: Vec<Option<Framebuffer>> = Vec::with_capacity(plan.tiles.len());
+    // Parallel to the plan: a tile rendered outside its service's retained
+    // buffer (a stalled helper with no delivered tile to reuse).
+    let mut rendered_aside: Vec<Option<Framebuffer>> = Vec::with_capacity(plan.tiles.len());
     let mut tile_costs = Vec::with_capacity(plan.tiles.len());
     let mut used_stale = false;
 
-    for (i, (tile_vp, svc)) in plan.tiles.iter().enumerate() {
+    for (tile_vp, svc) in &plan.tiles {
         let pixels = tile_vp.pixel_count() as u64;
         if *svc == owner {
             // Local tile, on-screen path.
@@ -207,18 +222,18 @@ pub fn render_tiled_frame(
             let cost = sim.world.render(owner).machine.onscreen_cost(polys, pixels);
             let done = t0 + SimTime::from_secs(cost.total());
             tile_arrivals.push(done);
-            let (img, units) = if produce_images {
-                let (img, stats) = sim.world.render(owner).rasterize_tile_with_stats(
-                    &camera,
-                    &full_viewport,
-                    tile_vp,
-                );
-                (Some(img), stats.raster.cost_units())
+            let units = if produce_images {
+                let (_, stats) = sim
+                    .world
+                    .render_mut(owner)
+                    .rasterize_session_tile(client, &camera, &full_viewport, tile_vp)
+                    .expect("owner session");
+                stats.raster.cost_units()
             } else {
                 // Machine-model proxy when pixel work is skipped.
-                (None, pixels + 8 * polys)
+                pixels + 8 * polys
             };
-            images.push(img);
+            rendered_aside.push(None);
             tile_costs.push(TileCost {
                 service: owner,
                 cost_units: units,
@@ -229,15 +244,21 @@ pub fn render_tiled_frame(
         }
         let helper_host = sim.world.render(*svc).host.clone();
         if stalled.contains(svc) {
-            // No response this frame: stale tile rendered with the
-            // helper's *old* camera arrives "immediately" (it was already
-            // here from the previous frame).
+            // No response this frame: the tile the helper last delivered
+            // is still here, and is the stale tile. Only a helper that
+            // never delivered this tile (first frame, changed plan) is
+            // rendered for, with the camera it last heard of.
             used_stale = true;
-            let stale_camera =
-                sim.world.render(*svc).sessions.get(&client).map(|s| s.camera).unwrap_or(camera);
             tile_arrivals.push(t0);
-            images.push(produce_images.then(|| {
-                sim.world.render(*svc).rasterize_tile(&stale_camera, &full_viewport, tile_vp)
+            let helper = sim.world.render(*svc);
+            let session = helper.sessions.get(&client);
+            let delivered = session.is_some_and(|s| {
+                let size = s.last_frame.as_ref().map(|fb| (fb.width(), fb.height()));
+                s.viewport == *tile_vp && size == Some((tile_vp.width, tile_vp.height))
+            });
+            rendered_aside.push((produce_images && !delivered).then(|| {
+                let stale_camera = session.map_or(camera, |s| s.camera);
+                helper.rasterize_tile(&stale_camera, &full_viewport, tile_vp)
             }));
             tile_costs.push(TileCost {
                 service: *svc,
@@ -267,18 +288,21 @@ pub fn render_tiled_frame(
         let cost =
             sim.world.render(*svc).machine.offscreen_cost(polys, pixels, OffscreenMode::Sequential);
         let rendered = req_arrives + SimTime::from_secs(cost.total());
-        let (img, units) = if produce_images {
-            let (img, stats) =
-                sim.world.render(*svc).rasterize_tile_with_stats(&camera, &full_viewport, tile_vp);
-            (Some(img), stats.raster.cost_units())
-        } else {
-            (None, pixels + 8 * polys)
-        };
         // Tile return: raw 24 bpp, or the compressed stream when the
         // world has real pixels to encode. Always lossless — the tile is
         // stitched into a composite that must match a monolithic render.
-        let arrival = match (&img, sim.world.config.frame_compression) {
-            (Some(fb), CompressionMode::Adaptive) => {
+        let (units, rgb) = if produce_images {
+            let (fb, stats) = sim
+                .world
+                .render_mut(*svc)
+                .rasterize_session_tile(client, &camera, &full_viewport, tile_vp)
+                .expect("session opened above");
+            (stats.raster.cost_units(), adaptive.then(|| fb.to_rgb_bytes()))
+        } else {
+            (pixels + 8 * polys, None)
+        };
+        let arrival = match rgb {
+            Some(rgb) => {
                 let out = crate::frame_stream::send_frame(
                     &mut sim.world,
                     rendered,
@@ -286,7 +310,7 @@ pub fn render_tiled_frame(
                     client,
                     &helper_host,
                     &owner_host,
-                    &fb.to_rgb_bytes(),
+                    &rgb,
                     EndpointSpeed::workstation(),
                     EndpointSpeed::workstation(),
                     false,
@@ -294,33 +318,33 @@ pub fn render_tiled_frame(
                 // The owner decodes before it can stitch.
                 out.arrival + SimTime::from_secs(out.decode_secs)
             }
-            _ => sim.world.send_bytes(rendered, &helper_host, &owner_host, pixels * 3),
+            None => sim.world.send_bytes(rendered, &helper_host, &owner_host, pixels * 3),
         };
         tile_arrivals.push(arrival);
-        images.push(img);
+        rendered_aside.push(None);
         tile_costs.push(TileCost {
             service: *svc,
             cost_units: units,
             render_seconds: cost.total(),
             fresh: true,
         });
-        let _ = i;
     }
 
     let completed_at = tile_arrivals.iter().copied().fold(t0, SimTime::max);
-    let image = if produce_images {
+    let image = produce_images.then(|| {
         let mut target = Framebuffer::new(full_viewport.width, full_viewport.height);
         let refs: Vec<(Viewport, &Framebuffer)> = plan
             .tiles
             .iter()
-            .zip(&images)
-            .map(|((vp, _), img)| (*vp, img.as_ref().expect("image mode")))
+            .zip(&rendered_aside)
+            .map(|((vp, svc), aside)| {
+                let retained = || sim.world.render(*svc).sessions.get(&client)?.last_frame.as_ref();
+                (*vp, aside.as_ref().or_else(retained).expect("tile rendered or kept"))
+            })
             .collect();
         stitch_tiles(&mut target, &refs);
-        Some(target)
-    } else {
-        None
-    };
+        target
+    });
     sim.world.trace.record(
         completed_at,
         TraceKind::FrameDelivered,
@@ -532,6 +556,89 @@ mod tests {
             torn.diff_fraction(&clean, 0.0) > 0.0,
             "stale tile produces a visibly different (torn) image"
         );
+    }
+
+    /// A helper that does not answer cannot have drawn anything new: its
+    /// stale tile is the one it delivered, not a render of what its scene
+    /// has become since.
+    #[test]
+    fn stale_tile_is_the_tile_that_was_delivered() {
+        let (mut sim, owner, helper, client) = tiled_world();
+        let cam = CameraParams::look_at(Vec3::new(0.0, 0.0, 4.0), Vec3::ZERO, Vec3::Y);
+        let plan = plan_tiles(&Viewport::new(64, 64), owner, &[report(helper, 100)]);
+        let (helper_tile, _) = plan.tiles[1];
+        let first = render_tiled_frame(&mut sim, owner, client, &plan, cam, &BTreeSet::new());
+        let delivered = first.image.unwrap().crop(helper_tile);
+
+        // The scene moves on (both replicas), then the helper stalls.
+        for rs in [owner, helper] {
+            let moved = rave_scene::Transform::from_translation(Vec3::new(0.0, 0.6, 0.0));
+            sim.world.render_mut(rs).scene.set_transform(rave_scene::NodeId(1), moved);
+        }
+        let stalled: BTreeSet<_> = [helper].into_iter().collect();
+        let second = render_tiled_frame(&mut sim, owner, client, &plan, cam, &stalled);
+        assert!(second.used_stale_tile);
+        let image = second.image.unwrap();
+        assert_eq!(image.crop(helper_tile), delivered, "the stale tile is last frame's tile");
+        // The owner's tile is fresh, and what the helper would draw now is
+        // not what was stitched in.
+        let (owner_tile, _) = plan.tiles[0];
+        let fresh = |rs: RenderServiceId, tile: &Viewport| {
+            sim.world.render(rs).rasterize_tile(&cam, &Viewport::new(64, 64), tile)
+        };
+        assert_eq!(image.crop(owner_tile), fresh(owner, &owner_tile));
+        assert_ne!(delivered, fresh(helper, &helper_tile), "the edit shows on the helper's tile");
+    }
+
+    /// A helper stalled before it ever delivered this tile has nothing to
+    /// reuse: its tile is rendered with the camera it last heard of (the
+    /// requested one when it has no session at all).
+    #[test]
+    fn helper_stalled_on_its_first_frame_is_rendered_for() {
+        let (mut sim, owner, helper, client) = tiled_world();
+        let cam = CameraParams::look_at(Vec3::new(0.0, 0.0, 4.0), Vec3::ZERO, Vec3::Y);
+        let plan = plan_tiles(&Viewport::new(64, 64), owner, &[report(helper, 100)]);
+        let stalled: BTreeSet<_> = [helper].into_iter().collect();
+        let result = render_tiled_frame(&mut sim, owner, client, &plan, cam, &stalled);
+        assert!(result.used_stale_tile);
+        let mono = sim.world.render_mut(owner).rasterize(client).unwrap().clone();
+        assert_eq!(result.image.unwrap(), mono);
+        assert!(!sim.world.render(helper).sessions.contains_key(&client), "nothing was asked");
+    }
+
+    /// After a session's first tiled frame no tile buffer is allocated:
+    /// owner and helper render into the ones they hold, a stalled frame
+    /// leaves the helper's alone.
+    #[test]
+    fn tile_buffers_are_retained_across_frames() {
+        let (mut sim, owner, helper, client) = tiled_world();
+        let mut cam = CameraParams::look_at(Vec3::new(0.0, 0.0, 4.0), Vec3::ZERO, Vec3::Y);
+        let plan = plan_tiles(&Viewport::new(64, 64), owner, &[report(helper, 100)]);
+        let buffers = |sim: &RaveSim| {
+            [owner, helper].map(|rs| {
+                let fb = sim.world.render(rs).sessions[&client].last_frame.as_ref().unwrap();
+                (fb.color_pixels().as_ptr(), fb.depth_pixels().as_ptr(), fb.width(), fb.height())
+            })
+        };
+        render_tiled_frame(&mut sim, owner, client, &plan, cam, &BTreeSet::new());
+        let first = buffers(&sim);
+        assert_eq!((first[0].2, first[1].2), (plan.tiles[0].0.width, plan.tiles[1].0.width));
+        let stalled: BTreeSet<_> = [helper].into_iter().collect();
+        for stall in [false, true, false] {
+            cam.orbit(Vec3::ZERO, 0.2, 0.0);
+            let stalled = if stall { stalled.clone() } else { BTreeSet::new() };
+            let result = render_tiled_frame(&mut sim, owner, client, &plan, cam, &stalled);
+            assert_eq!(buffers(&sim), first, "same allocations, stall={stall}");
+            if !stall {
+                let mono = {
+                    let rs = sim.world.render(owner);
+                    let mut fb = Framebuffer::new(64, 64);
+                    rs.renderer.render_reference(&rs.scene, &cam, &mut fb);
+                    fb
+                };
+                assert_eq!(result.image.unwrap(), mono, "reused buffers hold no old pixels");
+            }
+        }
     }
 
     #[test]

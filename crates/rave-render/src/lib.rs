@@ -27,6 +27,7 @@ pub mod points;
 pub mod raster;
 pub mod renderer;
 pub mod stereo;
+mod tile_cull;
 pub mod volume;
 
 pub use framebuffer::{Framebuffer, Rgb};

@@ -594,6 +594,12 @@ pub struct BinVertex {
 }
 
 impl BinVertex {
+    /// What a vertex buffer holds before the vertex stage has written it.
+    pub(crate) const UNSET: Self = Self {
+        vertex: ClipVertex { clip: Vec4::new(0.0, 0.0, 0.0, 0.0), color: Vec3::ZERO },
+        screen: Vec3::ZERO,
+    };
+
     pub fn new(full_viewport: &Viewport, vertex: ClipVertex) -> Self {
         let screen = if vertex.clip.w >= W_EPS {
             full_viewport.ndc_to_pixel(vertex.clip.perspective_divide())
@@ -611,12 +617,28 @@ impl BinVertex {
     }
 }
 
+/// Whether a triangle with projected corner columns `x` has no pixel
+/// column in `tile`: [`setup_screen_tri`]'s own box test on the x axis
+/// (`floor(xmin).max(tile.x) > ceil(xmax).min(tile.x + width - 1)`), taken
+/// before the area and the floor/ceil work. Corner by corner rather than
+/// through `xmin`/`xmax`: on a tile the triangle does reach, the first
+/// comparison of either side already says so. A NaN corner is never off.
+#[inline]
+fn off_tile_x(tile: &Viewport, x: [f32; 3]) -> bool {
+    // f64 holds any u32 and any f32 exactly.
+    let left = tile.x as f64 - 1.0;
+    let right = tile.x as f64 + tile.width as f64;
+    let x = x.map(f64::from);
+    (x[0] <= left && x[1] <= left && x[2] <= left)
+        || (x[0] >= right && x[1] >= right && x[2] >= right)
+}
+
 /// Set up and rasterize, in list order, the part of an indexed mesh that
 /// falls inside `band` — the binned engine's triangle stream. Every band
 /// of a tile runs this over the same `verts`/`tris`; a band rejects a
-/// triangle on its y-range alone before paying for setup, so a frame costs
-/// one cheap pass over its triangles per band plus setup and pixels where
-/// they land.
+/// triangle on its own y-range, then on the tile's x-range, before paying
+/// for setup, so a frame costs one cheap pass over its triangles per band
+/// plus setup and pixels where they land.
 ///
 /// The per-triangle counters (`triangles_*`) are booked by exactly one
 /// **owner** band per triangle — the one holding the row of the
@@ -651,6 +673,15 @@ pub fn raster_mesh_rows(
             // Rows `floor(ymin)..=ceil(ymax)` against `lo..hi`; NaN passes.
             let touches = !(ymax <= lo - 1.0 || ymin >= hi);
             if !(own || touches) {
+                continue;
+            }
+            if off_tile_x(tile, [v0.screen.x, v1.screen.x, v2.screen.x]) {
+                // Setup would book it clipped away (degenerate or an
+                // empty box, the same counter) and draw nothing.
+                if own {
+                    stats.triangles_submitted += 1;
+                    stats.triangles_clipped_away += 1;
+                }
                 continue;
             }
             // All corners in front of the near guard: the clip sweep would
@@ -1036,6 +1067,61 @@ mod tests {
             tri.inv_area = bad;
             assert_eq!(centre_box(&tri), (tri.min_x, tri.max_x, tri.min_y, tri.max_y));
         }
+    }
+
+    /// The x-reject is `setup_screen_tri`'s box test and nothing more: at
+    /// the two boundary columns and an ulp either side of them it says
+    /// "off" exactly when setup finds the box empty, and a mesh pass books
+    /// the same counters either way.
+    #[test]
+    fn x_reject_agrees_with_setup_on_the_boundary_columns() {
+        let vp = Viewport::new(64, 64);
+        let tile = Viewport::with_origin(16, 8, 32, 40);
+        let ulps = |v: f32| [v.next_down(), v, v.next_up()];
+        // Triangles on the tile's rows whose rightmost corner is at, just
+        // left and just right of `tile.x − 1`, then whose leftmost corner
+        // is around `tile.x + width`.
+        let mut cases = Vec::new();
+        for xmax in ulps(15.0) {
+            cases.push([(3.0, 10.0), (xmax, 20.0), (5.0, 30.0)]);
+        }
+        for xmin in ulps(48.0) {
+            cases.push([(xmin, 10.0), (60.0, 20.0), (55.0, 30.0)]);
+        }
+        let mut off = Vec::new();
+        for pts in cases {
+            let v = pts.map(|(x, y)| (Vec3::new(x, y, 0.0), Vec3::ONE));
+            let mut setup_stats = RasterStats::default();
+            let set_up = setup_screen_tri(&tile, v[0], v[1], v[2], &mut setup_stats).is_some();
+            let rejected = off_tile_x(&tile, pts.map(|(x, _)| x));
+            assert_eq!(rejected, !set_up, "{pts:?}");
+            off.push(rejected);
+
+            // The same triangle through a banded mesh pass.
+            // (The cached projection set by hand: a trip through NDC
+            // would round the ulp away.)
+            let verts = pts.map(|(x, y)| BinVertex {
+                vertex: ClipVertex { clip: Vec4::new(0.0, 0.0, 0.0, 1.0), color: Vec3::ONE },
+                screen: Vec3::new(x, y, 0.0),
+            });
+            let mut fb = Framebuffer::new(tile.width, tile.height);
+            let mut stats = RasterStats::default();
+            for mut band in fb.row_bands_at(&[5, 17]) {
+                raster_mesh_rows(&mut band, &vp, &tile, &verts, &[[0, 1, 2]], &mut stats);
+            }
+            let expect = RasterStats { triangles_submitted: 1, ..setup_stats };
+            assert_eq!(
+                RasterStats { fragments_shaded: 0, fragments_written: 0, ..stats },
+                expect,
+                "{pts:?}"
+            );
+        }
+        // `xmax == tile.x − 1` is off, an ulp more is on; `xmin == tile.x +
+        // width` is off, an ulp less is on.
+        assert_eq!(off, [true, true, false, false, true, true]);
+        // NaN is never off.
+        assert!(!off_tile_x(&tile, [f32::NAN, 3.0, 4.0]));
+        assert!(!off_tile_x(&tile, [60.0, f32::NAN, 70.0]));
     }
 
     #[test]

@@ -4,11 +4,13 @@
 //! Two engines share one scene walk and one set of per-pixel kernels:
 //!
 //! - [`Renderer::render`] / [`Renderer::render_tile`] — the **binned
-//!   parallel engine**. The walk draws nothing: it runs the vertex stage
-//!   and emits one command per mesh (plus splats and volume casts). The
-//!   framebuffer is cut into disjoint row bands, one per rayon worker,
-//!   and each band streams the commands in walk order, setting up and
-//!   rasterizing the triangles that reach its rows. Bands never share
+//!   parallel engine**. The walk draws nothing: for each node that can
+//!   reach the tile (the others are booked and skipped, `tile_cull`) it
+//!   runs the vertex stage and emits one command per mesh (plus splats
+//!   and volume casts). The framebuffer is cut into disjoint row bands,
+//!   one per rayon worker, and each band streams the commands in walk
+//!   order, setting up and rasterizing the triangles that reach its rows
+//!   and columns. Bands never share
 //!   pixels, so no locks are needed, and every band sees the commands in
 //!   walk order, so each pixel sees the exact serial sequence of depth
 //!   tests and blends — output is bit-identical to the reference
@@ -26,6 +28,8 @@ use crate::composite::VolumeLayer;
 use crate::framebuffer::{Framebuffer, Rgb};
 use crate::points::{draw_points, setup_splat, splat_rows, Splat};
 use crate::raster::{draw_mesh, raster_mesh_rows, BinVertex, ClipVertex, Lighting, RasterStats};
+use crate::tile_cull::{finite_bounds, points_miss_tile, volume_misses_tile};
+use crate::tile_cull::{GUARD_PX, SPLAT_REACH_PX};
 use crate::volume::{raycast_rows, raycast_volume, TransferFunction};
 use rave_math::{frustum::Containment, Mat4, Vec3, Viewport};
 use rave_scene::{CameraParams, MeshData, NodeId, NodeKind, SceneTree, VolumeData};
@@ -33,7 +37,7 @@ use rayon::prelude::*;
 use std::borrow::Cow;
 
 /// Statistics for one rendered frame.
-#[derive(Debug, Clone, Copy, Default)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct RenderStats {
     pub raster: RasterStats,
     pub nodes_visited: u64,
@@ -151,7 +155,7 @@ impl Renderer {
         fb: &mut Framebuffer,
     ) -> RenderStats {
         let vp = fb.viewport();
-        self.render_tile(tree, camera, &vp, &vp.clone(), fb)
+        self.render_tile(tree, camera, &vp, &vp, fb)
     }
 
     /// Render the whole viewport with the serial immediate-mode reference
@@ -164,7 +168,7 @@ impl Renderer {
         fb: &mut Framebuffer,
     ) -> RenderStats {
         let vp = fb.viewport();
-        self.render_tile_reference(tree, camera, &vp, &vp.clone(), fb)
+        self.render_tile_reference(tree, camera, &vp, &vp, fb)
     }
 
     /// Render one `tile` of the image defined by `full_viewport` into a
@@ -250,7 +254,11 @@ impl Renderer {
 
     /// The shared scene walk, emitting commands instead of pixels. Only
     /// the vertex stage and splat projection run here; triangle setup
-    /// happens in the bands.
+    /// happens in the bands. The frustum cull is the reference's (full
+    /// viewport, so `nodes_culled`, `polygons_on_screen` and the other
+    /// walk counters mean the same for a tile as for the whole frame); on
+    /// top of it a node whose content cannot reach `tile` emits nothing
+    /// and books what the reference books for it (`tile_cull`).
     fn walk_and_bin<'a>(
         &self,
         tree: &'a SceneTree,
@@ -262,6 +270,9 @@ impl Renderer {
         let mut out = Binned { cmds: Vec::new(), row_load: vec![0; tile.height as usize] };
         let view_proj = camera.view_proj(full_viewport);
         let frustum = camera.frustum(full_viewport);
+        // The whole frame is the rectangle the frustum cull is made
+        // against; only a proper tile is worth a second look at a node.
+        let tiled = tile != full_viewport;
         let mut stack = vec![tree.root()];
         while let Some(id) = stack.pop() {
             if self.skip_subtree == Some(id) {
@@ -278,22 +289,40 @@ impl Renderer {
             stack.extend(node.children().rev());
 
             let model = tree.world_transform(id);
+            // The one product every draw path of this node multiplies by.
+            let mvp = view_proj * model;
+            let points_off_tile = |points: &[Vec3], reach: f64| {
+                tiled
+                    && finite_bounds(points)
+                        .is_some_and(|b| points_miss_tile(&b, &mvp, full_viewport, tile, reach))
+            };
+            let mut bin_mesh = |mesh: &MeshData, tris: Cow<'a, [[u32; 3]]>, base_color: Vec3| {
+                stats.polygons_on_screen += tris.len() as u64;
+                if points_off_tile(&mesh.positions, GUARD_PX) {
+                    // Every triangle would be submitted, set up once and
+                    // found to have no column on the tile.
+                    stats.raster.triangles_submitted += tris.len() as u64;
+                    stats.raster.triangles_clipped_away += tris.len() as u64;
+                } else {
+                    let verts = self.vertex_stage(full_viewport, mesh, &model, &mvp, base_color);
+                    out.add_mesh(tile, verts, tris);
+                }
+            };
             match node.kind() {
                 NodeKind::Group | NodeKind::Camera(_) => {}
                 NodeKind::Mesh(mesh) => {
-                    stats.polygons_on_screen += mesh.triangle_count();
-                    let verts = self.vertex_stage(
-                        full_viewport,
-                        mesh,
-                        &model,
-                        &view_proj,
-                        self.default_material,
-                    );
-                    out.add_mesh(tile, verts, Cow::Borrowed(&mesh.triangles));
+                    bin_mesh(mesh, Cow::Borrowed(&mesh.triangles), self.default_material)
+                }
+                NodeKind::Avatar(info) => {
+                    let mut mesh = avatar_mesh(info);
+                    let tris = std::mem::take(&mut mesh.triangles);
+                    bin_mesh(&mesh, Cow::Owned(tris), info.color);
                 }
                 NodeKind::PointCloud(cloud) => {
                     stats.points_on_screen += cloud.point_count();
-                    let mvp = view_proj * model;
+                    if points_off_tile(&cloud.points, GUARD_PX + SPLAT_REACH_PX) {
+                        continue;
+                    }
                     for i in 0..cloud.points.len() {
                         if let Some(s) =
                             setup_splat(full_viewport, cloud, i, &mvp, self.default_material)
@@ -305,14 +334,18 @@ impl Renderer {
                 }
                 NodeKind::Volume(vol) => {
                     stats.voxels_sampled_nodes += 1;
-                    out.cmds.push(Cmd::Volume { vol, model });
-                }
-                NodeKind::Avatar(info) => {
-                    let mesh = avatar_mesh(info);
-                    stats.polygons_on_screen += mesh.triangle_count();
-                    let verts =
-                        self.vertex_stage(full_viewport, &mesh, &model, &view_proj, info.color);
-                    out.add_mesh(tile, verts, Cow::Owned(mesh.triangles));
+                    let off_tile = tiled
+                        && volume_misses_tile(
+                            &vol.bounds(),
+                            &model,
+                            &view_proj,
+                            camera.position,
+                            full_viewport,
+                            tile,
+                        );
+                    if !off_tile {
+                        out.cmds.push(Cmd::Volume { vol, model });
+                    }
                 }
             }
         }
@@ -322,17 +355,17 @@ impl Renderer {
     /// Vertex stage for one mesh. Each vertex is transformed, shaded and
     /// projected exactly once (the reference path re-runs the vertex
     /// stage per triangle corner — same expressions, so the cached values
-    /// are bit-identical); large meshes split the work across rayon
-    /// workers in order-preserving chunks.
+    /// are bit-identical). Large meshes split the work across rayon
+    /// workers, each filling its own contiguous chunk of the one output
+    /// buffer: nothing is collected per worker and copied together.
     fn vertex_stage(
         &self,
         full_viewport: &Viewport,
         mesh: &MeshData,
         model: &Mat4,
-        view_proj: &Mat4,
+        mvp: &Mat4,
         base_color: Vec3,
     ) -> Vec<BinVertex> {
-        let mvp = *view_proj * *model;
         let lighting = &self.lighting;
         let vertex = |i: usize| -> BinVertex {
             let pos = mesh.positions[i];
@@ -349,8 +382,16 @@ impl Renderer {
             BinVertex::new(full_viewport, v)
         };
         let n = mesh.positions.len();
-        if rayon::current_num_threads() > 1 && n >= 4096 {
-            (0..n).into_par_iter().map(vertex).collect()
+        let threads = rayon::current_num_threads();
+        if threads > 1 && n >= 4096 {
+            let mut verts = vec![BinVertex::UNSET; n];
+            let chunk = n.div_ceil(threads);
+            verts.par_chunks_mut(chunk).enumerate().for_each(|(k, slots)| {
+                for (j, slot) in slots.iter_mut().enumerate() {
+                    *slot = vertex(k * chunk + j);
+                }
+            });
+            verts
         } else {
             (0..n).map(vertex).collect()
         }
@@ -713,6 +754,95 @@ mod tests {
             let stats = r.render_bands(&binned.cmds, &cam, &vp, &tile, &mut fb, cuts);
             assert_eq!(fb, reference, "pixels or depth differ with cuts {cuts:?}");
             assert_eq!(stats, ref_stats.raster, "stats differ with cuts {cuts:?}");
+        }
+    }
+
+    /// A strip no content reaches runs no vertex stage and no triangle
+    /// pass — the walk emits no command for it — and still books what the
+    /// reference books; a strip some of the content reaches gets commands
+    /// for that content only.
+    #[test]
+    fn content_off_the_tile_emits_no_command() {
+        let (mut tree, cam) = mixed_scene();
+        let root = tree.root();
+        let avatar = AvatarInfo {
+            label: "Desktop".into(),
+            color: Vec3::new(1.0, 0.2, 0.1),
+            camera: CameraParams::default(),
+        };
+        let av = tree.add_node(root, "avatar", NodeKind::Avatar(avatar)).unwrap();
+        tree.set_transform(av, Transform::from_translation(Vec3::new(-0.4, 0.3, 0.0)));
+        let r = Renderer::default();
+        let vp = Viewport::new(320, 96);
+        // The scene sits in the middle of a wide frame, the volume
+        // reaching from there to the right edge.
+        let strips = vp.split_tiles(8, 1);
+        let mut emitted = Vec::new();
+        for tile in &strips {
+            let (binned, stats) = r.walk_and_bin(&tree, &cam, &vp, tile);
+            emitted.push(binned.cmds.len());
+            let mut fb = Framebuffer::new(tile.width, tile.height);
+            let got = r.render_tile(&tree, &cam, &vp, tile, &mut fb);
+            let mut reference = Framebuffer::new(tile.width, tile.height);
+            let want = r.render_tile_reference(&tree, &cam, &vp, tile, &mut reference);
+            assert_eq!(fb, reference, "pixels or depth of {tile:?}");
+            assert_eq!(got, want, "stats of {tile:?}");
+            // The walk counters are the whole frame's, tile or not.
+            assert_eq!(stats.polygons_on_screen, want.polygons_on_screen);
+            assert_eq!((stats.nodes_visited, stats.nodes_culled), (5, 0));
+            if binned.cmds.is_empty() {
+                assert_eq!(want.raster.triangles_submitted, want.raster.triangles_clipped_away);
+                assert_eq!(want.raster.fragments_shaded, 0);
+                assert_eq!(fb.coverage(r.background), 0);
+            }
+        }
+        assert_eq!(emitted[..2], [0, 0], "nothing reaches the left quarter: {emitted:?}");
+        assert_eq!(emitted[7], 1, "the volume alone reaches the right edge: {emitted:?}");
+        let whole = r.walk_and_bin(&tree, &cam, &vp, &vp).0.cmds.len();
+        assert_eq!(whole, 6, "triangle, three splats, volume, avatar");
+        assert!(emitted.iter().all(|&n| n < whole), "no strip holds everything: {emitted:?}");
+        assert!(emitted.iter().any(|&n| n > 0));
+    }
+
+    /// The in-place vertex stage at several pool widths, chunk lengths
+    /// that do not divide the vertex count included.
+    #[test]
+    fn vertex_stage_is_the_same_at_any_width() {
+        let n = 4099usize;
+        let positions: Vec<Vec3> = (0..n)
+            .map(|i| {
+                let t = i as f32 * 0.01;
+                Vec3::new(t.sin(), t.cos(), (t * 0.37).sin())
+            })
+            .collect();
+        let mut mesh = MeshData::new(positions, vec![]);
+        mesh.normals = (0..n).map(|i| Vec3::new(0.0, (i % 3) as f32, 1.0)).collect();
+        let r = Renderer::default();
+        let vp = Viewport::new(64, 48);
+        let cam = CameraParams::look_at(Vec3::new(0.0, 0.0, 4.0), Vec3::ZERO, Vec3::Y);
+        let model = Mat4::translation(Vec3::new(0.1, 0.0, 0.0));
+        let mvp = cam.view_proj(&vp) * model;
+        let bits = |verts: Vec<BinVertex>| -> Vec<[u32; 10]> {
+            verts
+                .iter()
+                .map(|v| {
+                    let (c, k, s) = (v.vertex.clip, v.vertex.color, v.screen);
+                    [c.x, c.y, c.z, c.w, k.x, k.y, k.z, s.x, s.y, s.z].map(f32::to_bits)
+                })
+                .collect()
+        };
+        let serial = bits(
+            rayon::ThreadPoolBuilder::new()
+                .num_threads(1)
+                .build()
+                .unwrap()
+                .install(|| r.vertex_stage(&vp, &mesh, &model, &mvp, Vec3::ONE)),
+        );
+        assert_eq!(serial.len(), n);
+        for threads in [2usize, 3, 8] {
+            let pool = rayon::ThreadPoolBuilder::new().num_threads(threads).build().unwrap();
+            let par = bits(pool.install(|| r.vertex_stage(&vp, &mesh, &model, &mvp, Vec3::ONE)));
+            assert_eq!(par, serial, "{threads} threads");
         }
     }
 

@@ -2,13 +2,15 @@
 //! guarantees both distribution schemes depend on.
 
 use proptest::prelude::*;
-use rave::math::{Vec3, Vec4, Viewport};
+use rave::math::{Quat, Vec3, Vec4, Viewport};
 use rave::render::composite::{depth_composite, stitch_tiles};
 use rave::render::raster::{
     raster_mesh_rows, rasterize_triangle, BinVertex, ClipVertex, RasterStats,
 };
 use rave::render::{Framebuffer, Renderer};
-use rave::scene::{CameraParams, MeshData, NodeKind, SceneTree};
+use rave::scene::{
+    AvatarInfo, CameraParams, MeshData, NodeKind, PointCloudData, SceneTree, Transform, VolumeData,
+};
 use std::sync::Arc;
 
 /// A random small scene of colored triangles around the origin.
@@ -78,6 +80,133 @@ fn small_triangle_scene() -> impl Strategy<Value = SceneTree> {
         tree.add_node(root, "dust", NodeKind::Mesh(Arc::new(mesh))).unwrap();
         tree
     })
+}
+
+/// One coordinate of a node's placement: mostly within reach of the
+/// cameras of [`camera_strategy`] (3 to 8 units from the origin, so this
+/// range holds content on the frame, beside it, around the eye and behind
+/// it), now and then far away, huge or not a number.
+fn placement_coord() -> impl Strategy<Value = f32> {
+    let near = || -8.0f32..8.0;
+    prop_oneof![
+        near(),
+        near(),
+        near(),
+        near(),
+        near(),
+        near(),
+        -300.0f32..300.0,
+        prop_oneof![
+            Just(0.0f32),
+            Just(1.0e6),
+            Just(-1.0e20),
+            Just(1.0e30),
+            Just(f32::NAN),
+            Just(f32::INFINITY)
+        ],
+    ]
+}
+
+/// A point of a node's local geometry, one coordinate in sixteen broken.
+fn local_point() -> impl Strategy<Value = Vec3> {
+    let coord = || {
+        (-1.0f32..1.0, 0u32..48).prop_map(|(v, dice)| match dice {
+            0 => f32::NAN,
+            1 => f32::NEG_INFINITY,
+            2 => 1.0e30,
+            _ => v,
+        })
+    };
+    (coord(), coord(), coord()).prop_map(|(x, y, z)| Vec3::new(x, y, z))
+}
+
+/// Content of every kind the walk emits commands for.
+fn content_strategy() -> impl Strategy<Value = NodeKind> {
+    let mesh = prop::collection::vec(local_point(), 3..10).prop_map(|positions| {
+        let n = positions.len() as u32;
+        let triangles = (0..n - 2).map(|i| [i, i + 1, i + 2]).collect();
+        let mut mesh = MeshData::new(positions, triangles);
+        mesh.colors = (0..n).map(|i| Vec3::new(0.9, i as f32 / n as f32, 0.3)).collect();
+        NodeKind::Mesh(Arc::new(mesh))
+    });
+    let avatar = (0.1f32..1.0).prop_map(|shade| {
+        NodeKind::Avatar(AvatarInfo {
+            label: "Desktop".into(),
+            color: Vec3::new(shade, 0.5, 1.0 - shade),
+            camera: CameraParams::default(),
+        })
+    });
+    let cloud = (
+        prop::collection::vec(local_point(), 1..7),
+        prop_oneof![Just(0.01f32), Just(0.1), Just(1.0), Just(40.0)],
+    )
+        .prop_map(|(points, point_size)| {
+            let mut cloud = PointCloudData::new(points);
+            cloud.point_size = point_size;
+            NodeKind::PointCloud(Arc::new(cloud))
+        });
+    let volume = (2u32..6, 0.05f32..0.6).prop_map(|(n, spacing)| {
+        let voxels = (0..n * n * n).map(|i| 90 + (i * 37 % 160) as u8).collect();
+        NodeKind::Volume(Arc::new(VolumeData::new([n, n, n], Vec3::splat(spacing), voxels)))
+    });
+    prop_oneof![mesh, avatar, cloud, volume]
+}
+
+/// Several content nodes, each under the root or under the node before it
+/// (so transforms compose), placed anywhere [`placement_coord`] reaches,
+/// turned, and scaled — now and then by zero or by a lot.
+fn placed_scene_strategy() -> impl Strategy<Value = SceneTree> {
+    let scale = || {
+        (0.2f32..3.0, 0u32..32).prop_map(|(v, dice)| match dice {
+            0 => 0.0,
+            1 => -1.0,
+            2 => 1.0e4,
+            3 => 1.0e-6,
+            _ => v,
+        })
+    };
+    let node = (
+        content_strategy(),
+        (placement_coord(), placement_coord(), placement_coord()),
+        (-3.2f32..3.2, -1.0f32..1.0),
+        (scale(), scale(), scale()),
+        any::<bool>(),
+    );
+    prop::collection::vec(node, 1..6).prop_map(|nodes| {
+        let mut tree = SceneTree::new();
+        let mut parent = tree.root();
+        for (i, (kind, at, (yaw, tilt), scale, nest)) in nodes.into_iter().enumerate() {
+            let under = if nest { parent } else { tree.root() };
+            let id = tree.add_node(under, format!("n{i}"), kind).unwrap();
+            let rotation =
+                Quat::from_axis_angle(Vec3::Y, yaw) * Quat::from_axis_angle(Vec3::X, tilt);
+            let transform = Transform {
+                translation: Vec3::new(at.0, at.1, at.2),
+                rotation,
+                scale: Vec3::new(scale.0, scale.1, scale.2),
+            };
+            tree.set_transform(id, transform);
+            parent = id;
+        }
+        tree
+    })
+}
+
+/// A tile grid over a 48x36 frame, from the whole frame to one-pixel
+/// strips, and which of its tiles to render.
+fn grid_strategy() -> impl Strategy<Value = ((u32, u32), usize)> {
+    let grid = prop_oneof![
+        Just((1u32, 1u32)),
+        Just((2, 1)),
+        Just((4, 1)),
+        Just((1, 3)),
+        Just((3, 2)),
+        Just((5, 4)),
+        Just((48, 1)),
+        Just((1, 36)),
+        Just((48, 36)),
+    ];
+    (grid, 0usize..48 * 36)
 }
 
 /// Frame the triangle-level properties draw into: a power-of-two size,
@@ -423,5 +552,45 @@ proptest! {
         // Opaque z-buffered content: order cannot matter except for exact
         // depth ties, which our random triangles avoid almost surely.
         prop_assert!(forward.diff_fraction(&reversed, 1.5) < 0.002);
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(256))]
+
+    /// The tile cull, node by node: meshes, avatars, point clouds and
+    /// volumes on the tile, beside it, far from it, around the eye, behind
+    /// it, at huge and at non-finite coordinates — whatever the tile, down
+    /// to a single pixel, the binned engine (which skips the nodes it can
+    /// show never reach the tile) leaves the pixels, the depth bits and
+    /// every field of `RenderStats` of the reference (which culls nothing
+    /// by tile), at 1, 2 and 3 threads.
+    #[test]
+    fn tile_culled_render_matches_reference(
+        tree in placed_scene_strategy(),
+        cam in camera_strategy(),
+        ((cols, rows), pick) in grid_strategy(),
+    ) {
+        let r = Renderer::default();
+        let vp = Viewport::new(48, 36);
+        let tiles = vp.split_tiles(cols, rows);
+        let tile = tiles[pick % tiles.len()];
+        let mut reference = Framebuffer::new(tile.width, tile.height);
+        let ref_stats = r.render_tile_reference(&tree, &cam, &vp, &tile, &mut reference);
+
+        for threads in 1usize..=3 {
+            let pool = rayon::ThreadPoolBuilder::new().num_threads(threads).build().unwrap();
+            let mut fb = Framebuffer::new(tile.width, tile.height);
+            let stats = pool.install(|| r.render_tile(&tree, &cam, &vp, &tile, &mut fb));
+            prop_assert_eq!(
+                reference.color_pixels(), fb.color_pixels(),
+                "color of {:?} at {} threads", tile, threads
+            );
+            prop_assert_eq!(
+                depth_bits(&reference), depth_bits(&fb),
+                "depth of {:?} at {} threads", tile, threads
+            );
+            prop_assert_eq!(ref_stats, stats, "stats of {:?} at {} threads", tile, threads);
+        }
     }
 }
