@@ -14,14 +14,18 @@
 //! pool measured; and `tiled.strips4_over_monolithic`: what the four
 //! strips cost together over the whole frame on one thread — the work a
 //! tiled frame repeats, with no scheduler in the number (the ratio at the
-//! other pool widths is reported beside it).
+//! other pool widths is reported beside it); and
+//! `session.static_over_moving`: what a frame nothing changed for costs a
+//! session over one the camera moved for.
 
-use bench::harness::{best_of, num, obj, pool, quick, secs, staged, Report};
+use bench::harness::{best_of, median, num, obj, pool, quick, secs, staged, Report};
 use criterion::Criterion;
+use rave_core::render_service::RenderService;
+use rave_core::{ClientId, RenderServiceId};
 use rave_math::Viewport;
 use rave_models::PaperModel;
 use rave_render::composite::{blend_volume_layers, depth_composite, VolumeLayer};
-use rave_render::{Framebuffer, Renderer};
+use rave_render::{Framebuffer, MachineProfile, OffscreenMode, Renderer};
 use serde::{Serialize, Value};
 
 /// (model, triangle budget, frame) of each timed scene.
@@ -194,6 +198,38 @@ fn main() {
         |i: usize| by_threads(&tiled_rows.iter().map(|(t, r)| (*t, r[i])).collect::<Vec<_>>());
     let ratios: Vec<(usize, f64)> = tiled_rows.iter().map(|(t, r)| (*t, r[1] / r[0])).collect();
 
+    // A frame pays for what changed since the last one: the frame the
+    // end-to-end benchmark streams, through a session
+    // (`RenderService::rasterize`, default pool). Every other call steps
+    // the camera and is drawn; the call after it asks for the same frame
+    // and is lent the retained one. Medians, the two kinds interleaved.
+    // Beside it, what bounding the model costs a walk now that the tree
+    // keeps each payload's box (it re-scanned 25k vertices per call).
+    let (tree, cam) = staged(PaperModel::Elle, 50_000);
+    let root = tree.root();
+    let centre = tree.world_bounds(root).center();
+    let world_bounds_us = 1e6 * best_of(20 * rounds, || tree.world_bounds(root));
+    let mut service =
+        RenderService::new(RenderServiceId(1), "bench", MachineProfile::centrino_laptop());
+    service.scene = tree;
+    let client = ClientId(1);
+    let stream = Viewport::new(640, 480);
+    service.open_session(client, stream, cam, OffscreenMode::Sequential);
+    let frames = 5 * rounds;
+    let (mut moving, mut unchanged) = (Vec::new(), Vec::new());
+    for _ in 0..frames {
+        service.sessions.get_mut(&client).expect("session is open").camera.orbit(centre, 0.02, 0.0);
+        moving.push(secs(|| service.rasterize(client).map(|fb| fb.get(320, 240))));
+        unchanged.push(secs(|| service.rasterize(client).map(|fb| fb.get(320, 240))));
+    }
+    let session = &service.sessions[&client];
+    let counted = (session.frames_drawn, session.frames_reused);
+    assert_eq!(counted, (frames as u64, frames as u64), "every second frame is lent");
+    let mut reference = Framebuffer::new(stream.width, stream.height);
+    renderer.render_reference(&service.scene, &session.camera, &mut reference);
+    assert!(session.last_frame.as_ref() == Some(&reference), "lent frame differs from reference");
+    let (moving_secs, static_secs) = (median(&mut moving), median(&mut unchanged));
+
     Report::new("render_parallel")
         .set("threads", &threads)
         .set("scenes", scenes)
@@ -216,6 +252,16 @@ fn main() {
                     Value::Map(ratios.iter().map(|(t, r)| (t.to_string(), num(*r, 3))).collect()),
                 ),
                 ("strips4_over_monolithic", num(ratios[0].1, 3)),
+            ]),
+        )
+        .set(
+            "session",
+            obj([
+                ("scene", "Elle 50000, 640x480, RenderService::rasterize".to_value()),
+                ("moving_secs", num(moving_secs, 6)),
+                ("static_secs", num(static_secs, 9)),
+                ("static_over_moving", num(static_secs / moving_secs, 6)),
+                ("world_bounds_50k_us", num(world_bounds_us, 2)),
             ]),
         )
         .set("speedup_50k_threads", *threads.last().expect("grid has 1 thread"))

@@ -590,6 +590,49 @@ mod tests {
         assert_eq!(stats.compression_ratio(), 1.0);
     }
 
+    /// Two frames on one camera: the service draws once and lends the
+    /// frame again, and nothing downstream of the raster can tell — the
+    /// lent frame is converted, encoded, sent and charged like a drawn
+    /// one. The twin world touches its scene between the two frames (a
+    /// transform set to the value it has), which forces the second draw.
+    #[test]
+    fn a_repeated_frame_is_drawn_once_and_streams_the_same_bytes() {
+        let stream = |touch_between_frames: bool| {
+            let (mut sim, cl, rs) = world_with_model(1);
+            sim.world.config.produce_images = true;
+            sim.world.config.frame_compression = crate::config::CompressionMode::Adaptive;
+            let cam =
+                CameraParams::look_at(Vec3::new(0.3, 0.3, 3.0), Vec3::new(0.3, 0.3, 0.0), Vec3::Y);
+            sim.world.render_mut(rs).sessions.get_mut(&cl).unwrap().camera = cam;
+            stream_frames(&mut sim, cl, 2);
+            if touch_between_frames {
+                // Frame 1 is issued at t = 0, frame 2 when it is displayed.
+                sim.schedule_at(SimTime::from_secs(1e-6), move |sim| {
+                    let scene = &mut sim.world.render_mut(rs).scene;
+                    let root = scene.root();
+                    assert!(scene.set_transform(root, rave_scene::Transform::IDENTITY));
+                });
+            }
+            sim.run();
+            let service = sim.world.render(rs);
+            let session = &service.sessions[&cl];
+            let frames = (session.frames_drawn, session.frames_reused);
+            let sent = sim.world.frame_cache.stats(rs, cl).unwrap();
+            let stats = sim.world.client(cl).stats.clone();
+            assert_eq!(stats.frames, 2);
+            assert!(session.last_frame.as_ref().unwrap().coverage(service.renderer.background) > 0);
+            let wire = (sent.encoded_bytes, sent.strips_skipped, stats.encoded_bytes);
+            (frames, wire, stats.total_latency.mean(), sim.now())
+        };
+        let (frames, wire, latency, end) = stream(false);
+        let (frames_drawn_twice, wire_twice, latency_twice, end_twice) = stream(true);
+        assert_eq!(frames, (1, 1), "one draw, one reuse");
+        assert_eq!(frames_drawn_twice, (2, 0));
+        assert_eq!(wire, wire_twice, "same encoded bytes, same skipped strips");
+        assert!(wire.1 > 0, "the second frame's strips were found unchanged");
+        assert_eq!((latency, end), (latency_twice, end_twice), "same virtual time");
+    }
+
     #[test]
     fn stream_zero_frames_is_noop() {
         let (mut sim, cl, _) = world_with_model(100);

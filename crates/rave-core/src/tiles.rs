@@ -10,6 +10,7 @@
 use crate::capacity::CapacityReport;
 use crate::config::CompressionMode;
 use crate::ids::{ClientId, RenderServiceId};
+use crate::render_service::RenderSession;
 use crate::sched::placement::rank_helpers;
 use crate::trace::TraceKind;
 use crate::world::RaveSim;
@@ -107,7 +108,7 @@ pub fn plan_tiles_with_feedback(
 }
 
 /// Measured cost of one tile in a distributed frame.
-#[derive(Debug, Clone, Copy)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct TileCost {
     pub service: RenderServiceId,
     /// Work performed, in `RasterStats::cost_units` (measured from real
@@ -180,7 +181,9 @@ pub fn record_tile_costs(
 /// Every service renders its tile into its session's retained
 /// `last_frame` ([`RenderService::rasterize_session_tile`]) and the stitch
 /// reads the tiles from there, so a plan names each service once and,
-/// while it stays the same, a frame allocates no tile buffer.
+/// while it stays the same, a frame allocates no tile buffer — and a
+/// service whose scene and camera have not moved since its last tile
+/// lends that tile again instead of drawing it.
 ///
 /// [`RenderService::rasterize_session_tile`]: crate::render_service::RenderService::rasterize_session_tile
 pub fn render_tiled_frame(
@@ -271,15 +274,9 @@ pub fn render_tiled_frame(
         // Fresh helper tile: request → off-screen render → tile transfer.
         {
             let rs = sim.world.render_mut(*svc);
-            let entry =
-                rs.sessions.entry(client).or_insert_with(|| crate::render_service::RenderSession {
-                    client,
-                    viewport: *tile_vp,
-                    camera,
-                    mode: OffscreenMode::Sequential,
-                    frames_rendered: 0,
-                    last_frame: None,
-                });
+            let entry = rs.sessions.entry(client).or_insert_with(|| {
+                RenderSession::new(client, *tile_vp, camera, OffscreenMode::Sequential)
+            });
             entry.camera = camera;
             entry.viewport = *tile_vp;
         }
@@ -639,6 +636,78 @@ mod tests {
                 assert_eq!(result.image.unwrap(), mono, "reused buffers hold no old pixels");
             }
         }
+    }
+
+    fn frame_counts(sim: &RaveSim, rs: RenderServiceId, client: ClientId) -> (u64, u64) {
+        let s = &sim.world.render(rs).sessions[&client];
+        (s.frames_drawn, s.frames_reused)
+    }
+
+    /// On a camera that stands still the second frame draws nothing: every
+    /// service lends its tile again, and the costs the feedback planner
+    /// reads are the ones the skipped renders would have measured.
+    #[test]
+    fn a_still_camera_reuses_every_tile_and_reports_the_same_costs() {
+        let (mut sim, owner, helper, client) = tiled_world();
+        let cam = CameraParams::look_at(Vec3::new(0.0, 0.0, 4.0), Vec3::ZERO, Vec3::Y);
+        let plan = plan_tiles(&Viewport::new(64, 64), owner, &[report(helper, 100)]);
+        let first = render_tiled_frame(&mut sim, owner, client, &plan, cam, &BTreeSet::new());
+        let second = render_tiled_frame(&mut sim, owner, client, &plan, cam, &BTreeSet::new());
+        for rs in [owner, helper] {
+            assert_eq!(frame_counts(&sim, rs, client), (1, 1), "{rs}: one draw, one reuse");
+        }
+        // `render_seconds`, the virtual clock's charge, among them.
+        assert_eq!(second.tile_costs, first.tile_costs);
+        let measured = |tc: &TileCost| tc.fresh && tc.cost_units > 0 && tc.render_seconds > 0.0;
+        assert!(second.tile_costs.iter().all(measured));
+        assert_eq!(second.image, first.image);
+
+        // A scene edit on one replica: that service draws, the other lends.
+        let moved = rave_scene::Transform::from_translation(Vec3::new(0.0, 0.3, 0.0));
+        sim.world.render_mut(helper).scene.set_transform(rave_scene::NodeId(1), moved);
+        render_tiled_frame(&mut sim, owner, client, &plan, cam, &BTreeSet::new());
+        assert_eq!(frame_counts(&sim, owner, client), (1, 2));
+        assert_eq!(frame_counts(&sim, helper, client), (2, 1));
+    }
+
+    /// Figure 5's three frames — in sync, camera dragged with the helper
+    /// stalled, healed — are what they were before frames were lent again:
+    /// the torn frame is the owner's new view beside the tile the helper
+    /// delivered for the old one, and the healed frame redraws only the
+    /// helper's tile (the owner's camera did not move again).
+    #[test]
+    fn fig5_sequence_is_unchanged_by_frame_reuse() {
+        let (mut sim, owner, helper, client) = tiled_world();
+        let full = Viewport::new(64, 64);
+        let cam0 = CameraParams::look_at(Vec3::new(0.0, 0.0, 4.0), Vec3::ZERO, Vec3::Y);
+        let mut cam1 = cam0;
+        cam1.orbit(Vec3::ZERO, 0.35, 0.0);
+        let plan = plan_tiles(&full, owner, &[report(helper, 100)]);
+        let ((owner_tile, _), (helper_tile, _)) = (plan.tiles[0], plan.tiles[1]);
+        let reference =
+            |sim: &RaveSim, rs: RenderServiceId, cam: &CameraParams, tile: &Viewport| {
+                let rs = sim.world.render(rs);
+                let mut fb = Framebuffer::new(tile.width, tile.height);
+                rs.renderer.render_tile_reference(&rs.scene, cam, &full, tile, &mut fb);
+                fb
+            };
+        let stalled: BTreeSet<_> = [helper].into_iter().collect();
+
+        let clean = render_tiled_frame(&mut sim, owner, client, &plan, cam0, &BTreeSet::new());
+        let torn = render_tiled_frame(&mut sim, owner, client, &plan, cam1, &stalled);
+        let healed = render_tiled_frame(&mut sim, owner, client, &plan, cam1, &BTreeSet::new());
+
+        let clean = clean.image.unwrap();
+        assert_eq!(clean.crop(owner_tile), reference(&sim, owner, &cam0, &owner_tile));
+        assert_eq!(clean.crop(helper_tile), reference(&sim, helper, &cam0, &helper_tile));
+        let torn = torn.image.unwrap();
+        assert_eq!(torn.crop(owner_tile), reference(&sim, owner, &cam1, &owner_tile));
+        assert_eq!(torn.crop(helper_tile), reference(&sim, helper, &cam0, &helper_tile));
+        let healed = healed.image.unwrap();
+        assert_eq!(healed.crop(owner_tile), reference(&sim, owner, &cam1, &owner_tile));
+        assert_eq!(healed.crop(helper_tile), reference(&sim, helper, &cam1, &helper_tile));
+        assert_eq!(frame_counts(&sim, owner, client), (2, 1));
+        assert_eq!(frame_counts(&sim, helper, client), (2, 0), "a stalled helper renders nothing");
     }
 
     #[test]

@@ -38,7 +38,7 @@ impl ClipVertex {
 
 /// Simple fixed-function lighting: one directional light + ambient,
 /// mirroring the Java3D default scene setup.
-#[derive(Debug, Clone, Copy)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Lighting {
     /// Unit vector *towards* the light.
     pub light_dir: Vec3,

@@ -31,7 +31,7 @@ use crate::raster::{draw_mesh, raster_mesh_rows, BinVertex, ClipVertex, Lighting
 use crate::tile_cull::{finite_bounds, points_miss_tile, volume_misses_tile};
 use crate::tile_cull::{GUARD_PX, SPLAT_REACH_PX};
 use crate::volume::{raycast_rows, raycast_volume, TransferFunction};
-use rave_math::{frustum::Containment, Mat4, Vec3, Viewport};
+use rave_math::{frustum::Containment, Aabb, Mat4, Vec3, Viewport};
 use rave_scene::{CameraParams, MeshData, NodeId, NodeKind, SceneTree, VolumeData};
 use rayon::prelude::*;
 use std::borrow::Cow;
@@ -118,7 +118,7 @@ fn band_cuts(row_load: &[u32], bands: usize) -> Vec<u32> {
 
 /// Frame renderer. Holds the style configuration (lighting, background,
 /// volume transfer function) and scratch state reused across frames.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Renderer {
     pub lighting: Lighting,
     pub background: Rgb,
@@ -291,14 +291,19 @@ impl Renderer {
             let model = tree.world_transform(id);
             // The one product every draw path of this node multiplies by.
             let mvp = view_proj * model;
-            let points_off_tile = |points: &[Vec3], reach: f64| {
+            // `local`: a finite box around every point the node draws, if
+            // there is one (the tree's kept box, or a scan for a mesh made
+            // for the frame).
+            let off_tile = |local: Option<Aabb>, reach: f64| {
                 tiled
-                    && finite_bounds(points)
-                        .is_some_and(|b| points_miss_tile(&b, &mvp, full_viewport, tile, reach))
+                    && local.is_some_and(|b| points_miss_tile(&b, &mvp, full_viewport, tile, reach))
             };
-            let mut bin_mesh = |mesh: &MeshData, tris: Cow<'a, [[u32; 3]]>, base_color: Vec3| {
+            let mut bin_mesh = |mesh: &MeshData,
+                                local: Option<Aabb>,
+                                tris: Cow<'a, [[u32; 3]]>,
+                                base_color: Vec3| {
                 stats.polygons_on_screen += tris.len() as u64;
-                if points_off_tile(&mesh.positions, GUARD_PX) {
+                if off_tile(local, GUARD_PX) {
                     // Every triangle would be submitted, set up once and
                     // found to have no column on the tile.
                     stats.raster.triangles_submitted += tris.len() as u64;
@@ -310,17 +315,21 @@ impl Renderer {
             };
             match node.kind() {
                 NodeKind::Group | NodeKind::Camera(_) => {}
-                NodeKind::Mesh(mesh) => {
-                    bin_mesh(mesh, Cow::Borrowed(&mesh.triangles), self.default_material)
-                }
+                NodeKind::Mesh(mesh) => bin_mesh(
+                    mesh,
+                    node.finite_local_bounds(),
+                    Cow::Borrowed(&mesh.triangles),
+                    self.default_material,
+                ),
                 NodeKind::Avatar(info) => {
                     let mut mesh = avatar_mesh(info);
                     let tris = std::mem::take(&mut mesh.triangles);
-                    bin_mesh(&mesh, Cow::Owned(tris), info.color);
+                    let local = tiled.then(|| finite_bounds(&mesh.positions)).flatten();
+                    bin_mesh(&mesh, local, Cow::Owned(tris), info.color);
                 }
                 NodeKind::PointCloud(cloud) => {
                     stats.points_on_screen += cloud.point_count();
-                    if points_off_tile(&cloud.points, GUARD_PX + SPLAT_REACH_PX) {
+                    if off_tile(node.finite_local_bounds(), GUARD_PX + SPLAT_REACH_PX) {
                         continue;
                     }
                     for i in 0..cloud.points.len() {

@@ -41,6 +41,15 @@ const LARGEST: f64 = 1.0e30;
 /// Exact componentwise bounds of `points`; `None` when there are none or a
 /// coordinate is NaN or infinite (`Aabb::from_points` silently drops a
 /// NaN, and a NaN vertex takes the reference through its near-clip path).
+///
+/// The walk scans only what no tree keeps a box for — an avatar's mesh,
+/// made for the frame. For a mesh or point-cloud node it reads
+/// `NodeRef::finite_local_bounds`, which is this function's answer over
+/// the node's points (property-tested below) up to the sign of a zero:
+/// where +0 and −0 tie, `f32::min` and the comparisons here may each keep
+/// either. [`points_miss_tile`] takes the box through products, sums,
+/// `abs`, `min`/`max` and comparisons only, none of which tells the two
+/// zeros apart, so it returns the same for either box.
 pub(crate) fn finite_bounds(points: &[Vec3]) -> Option<Aabb> {
     // Plain comparisons (one min/max instruction each; `f32::min` pays for
     // its NaN rule) beside a sum that is 0 over finite points and NaN
@@ -379,7 +388,8 @@ pub(crate) fn volume_misses_tile(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use rave_scene::CameraParams;
+    use rave_scene::{CameraParams, MeshData, NodeKind, PointCloudData, SceneTree};
+    use std::sync::Arc;
 
     const FULL: Viewport = Viewport { x: 0, y: 0, width: 800, height: 600 };
 
@@ -479,6 +489,63 @@ mod tests {
         let model = Mat4::translation(Vec3::new(-1.0e9, 0.0, 0.0));
         let far_box = unit_box_at(1.0e9 + 3.0);
         assert!(!points_miss_tile(&far_box, &(mvp * model), &FULL, &left_strip, GUARD_PX));
+    }
+
+    proptest::proptest! {
+        /// The box the scene tree keeps for a mesh or a point cloud, with
+        /// its finite flag, is `finite_bounds` of the node's points under
+        /// `f32` `==` — on zeros of both signs, NaN, infinities, the
+        /// largest finite values, and no points at all.
+        #[test]
+        fn kept_bounds_are_finite_bounds_of_the_points(
+            picks in proptest::collection::vec([0usize..16, 0usize..16, 0usize..16], 0..24),
+            cloud in proptest::prelude::any::<bool>(),
+            tame in proptest::prelude::any::<bool>(),
+        ) {
+            // The last four are not finite; a tame case folds them back.
+            const PALETTE: [f32; 16] = [
+                0.0, -0.0, 0.0, -0.0, 1.0, -1.0, 0.5, -2.25, 3.0e-39, 1.0e30,
+                f32::MAX, f32::MIN, f32::NAN, f32::INFINITY, f32::NEG_INFINITY, f32::NAN,
+            ];
+            let coord = |i: usize| PALETTE[if tame { i % 12 } else { i }];
+            let points: Vec<Vec3> =
+                picks.iter().map(|p| Vec3::new(coord(p[0]), coord(p[1]), coord(p[2]))).collect();
+            if tame {
+                proptest::prop_assert_eq!(finite_bounds(&points).is_some(), !points.is_empty());
+            }
+            let kind = if cloud {
+                NodeKind::PointCloud(Arc::new(PointCloudData::new(points.clone())))
+            } else {
+                NodeKind::Mesh(Arc::new(MeshData::new(points.clone(), vec![])))
+            };
+            let mut tree = SceneTree::new();
+            let id = tree.add_node(tree.root(), "n", kind).unwrap();
+            let node = tree.node(id).unwrap();
+            proptest::prop_assert_eq!(node.finite_local_bounds(), finite_bounds(&points));
+            // Replaced in place: the kept box follows.
+            let shifted: Vec<Vec3> = points.iter().map(|p| *p + Vec3::X).collect();
+            let kind = NodeKind::Mesh(Arc::new(MeshData::new(shifted.clone(), vec![])));
+            tree.node_mut(id).unwrap().set_kind(kind);
+            let node = tree.node(id).unwrap();
+            proptest::prop_assert_eq!(node.finite_local_bounds(), finite_bounds(&shifted));
+        }
+    }
+
+    /// The one difference the property above allows, and why it does not
+    /// matter: boxes that differ in the sign of a zero get the same answer.
+    #[test]
+    fn the_sign_of_a_zero_does_not_reach_the_cull() {
+        let mvp = camera().view_proj(&FULL);
+        let plus = Aabb::new(Vec3::new(0.0, -0.5, 0.0), Vec3::new(1.0, 0.0, 0.0));
+        let minus = Aabb::new(Vec3::new(-0.0, -0.5, -0.0), Vec3::new(1.0, -0.0, -0.0));
+        assert_eq!(plus, minus);
+        for tile in FULL.split_tiles(8, 3) {
+            assert_eq!(
+                points_miss_tile(&plus, &mvp, &FULL, &tile, GUARD_PX),
+                points_miss_tile(&minus, &mvp, &FULL, &tile, GUARD_PX),
+                "{tile:?}"
+            );
+        }
     }
 
     fn volume_box() -> Aabb {

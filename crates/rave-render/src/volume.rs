@@ -14,7 +14,7 @@ use rave_scene::VolumeData;
 
 /// Density → color+opacity mapping (a minimal transfer function: grayscale
 /// ramp with an opacity threshold window).
-#[derive(Debug, Clone, Copy)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct TransferFunction {
     /// Densities below this are fully transparent.
     pub threshold: f32,

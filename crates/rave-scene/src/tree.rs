@@ -18,6 +18,16 @@
 //! - **cold** ([`ColdNode`]): everything it must not — the name, the full
 //!   [`NodeKind`] payload, and the conflict-resolution version.
 //!
+//! A third slot-indexed array, `bounds`, keeps each node's own content box
+//! ([`NodeKind::local_bounds`]) the way the hot array keeps the own-cost:
+//! both are functions of the payload alone, written where the payload is
+//! written, so neither [`SceneTree::world_bounds`] nor the renderer's tile
+//! cull scans a vertex to bound a node whose payload did not change. A
+//! box costs a pass over the payload's points where a cost is two field
+//! reads, so the array exists only from the first time someone asks a
+//! tree for bounds: a data service's tree, or a replica that never
+//! renders, pays nothing for it.
+//!
 //! Slots of removed nodes go on a free list and are reused under a bumped
 //! generation, so the arena stays dense under churn and stale internal
 //! handles can never alias a recycled slot. External identity is still
@@ -48,10 +58,11 @@
 
 use crate::cost::NodeCost;
 use crate::node::{Interaction, KindTag, Node, NodeId, NodeKind, Transform};
-use rave_math::{Aabb, Mat4};
+use rave_math::{Aabb, Mat4, Vec3};
 use serde::{Deserialize, Serialize};
 use std::collections::{BTreeMap, HashMap};
 use std::hash::{BuildHasherDefault, Hasher};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::OnceLock;
 
 /// Sentinel for "no slot" in the intrusive topology links.
@@ -92,6 +103,67 @@ impl ColdNode {
     /// A freed slot's cold state: payload dropped, allocations released.
     fn vacant() -> Self {
         Self { name: String::new(), kind: NodeKind::Group, version: 0 }
+    }
+}
+
+/// A node's own content box in its local frame, kept per slot so that no
+/// walk re-derives it from the payload's vertices. Like [`HotNode::cost`]
+/// a function of the cold payload alone, written wherever that is (once
+/// the tree has been asked for bounds at all).
+#[derive(Debug, Clone, Copy)]
+struct PayloadBounds {
+    /// [`NodeKind::local_bounds`], bit for bit.
+    local: Aabb,
+    /// `local` is a finite box and, for a mesh or a point cloud, no
+    /// coordinate behind it is NaN (`Aabb::from_points` drops a NaN, so
+    /// the box alone cannot tell): the box bounds every point a draw will
+    /// transform. False for the empty box (a group, no points at all).
+    finite: bool,
+}
+
+impl PayloadBounds {
+    fn of(kind: &NodeKind) -> Self {
+        let local = kind.local_bounds();
+        let all_finite = |points: &[Vec3]| {
+            points.iter().all(|p| p.x.is_finite() && p.y.is_finite() && p.z.is_finite())
+        };
+        let finite = all_finite(&[local.min, local.max])
+            && match kind {
+                NodeKind::Mesh(m) => all_finite(&m.positions),
+                NodeKind::PointCloud(c) => all_finite(&c.points),
+                _ => true,
+            };
+        Self { local, finite }
+    }
+
+    /// Bitwise equality: a volume with NaN spacing or a camera at a NaN
+    /// position has a NaN box, which `==` would call stale against itself.
+    fn same_bits(&self, other: &Self) -> bool {
+        let bits = |b: &Self| {
+            let (lo, hi) = (b.local.min, b.local.max);
+            ([lo.x, lo.y, lo.z, hi.x, hi.y, hi.z].map(f32::to_bits), b.finite)
+        };
+        bits(self) == bits(other)
+    }
+}
+
+/// Which render-visible state of which tree: equal stamps mean a render of
+/// the tree reads exactly what it read when the first stamp was taken
+/// ([`SceneTree::edit_stamp`]). Opaque; only `==` means anything.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct EditStamp {
+    /// Process-unique identity of the tree value, new for every `new`,
+    /// `clone` and decode: a tree assigned over another (`rs.scene =
+    /// replica`) must not pass for it because their edit counts coincide.
+    tree: u64,
+    edits: u64,
+}
+
+impl EditStamp {
+    fn fresh() -> Self {
+        static NEXT_TREE: AtomicU64 = AtomicU64::new(0);
+        // Relaxed: the number only has to be unique; it publishes nothing.
+        Self { tree: NEXT_TREE.fetch_add(1, Ordering::Relaxed), edits: 0 }
     }
 }
 
@@ -198,6 +270,11 @@ impl DirtLog {
 pub struct SceneTree {
     hot: Vec<HotNode>,
     cold: Vec<ColdNode>,
+    /// Per slot, the payload's own bounds (see [`PayloadBounds`]; a dead
+    /// slot's entry means nothing). Built whole by the first bounds query,
+    /// from then on patched by every payload write — never invalidated,
+    /// never rebuilt.
+    bounds: OnceLock<Vec<PayloadBounds>>,
     /// Freed slots available for reuse (generation already bumped).
     free: Vec<u32>,
     /// Live node count (`hot.len()` minus freed slots).
@@ -220,6 +297,9 @@ pub struct SceneTree {
     /// independent log so the interest index and the scheduler can each
     /// drain at their own cadence without starving the other.
     sdirt: DirtLog,
+    /// Bumped by every edit a render can see — derived data like the
+    /// caches: never serialized, never compared.
+    stamp: EditStamp,
 }
 
 impl std::fmt::Debug for SceneTree {
@@ -242,6 +322,7 @@ impl Clone for SceneTree {
         Self {
             hot: self.hot.clone(),
             cold: self.cold.clone(),
+            bounds: self.bounds.clone(),
             free: self.free.clone(),
             live: self.live,
             index: self.index.clone(),
@@ -254,6 +335,9 @@ impl Clone for SceneTree {
             // Everything on their first drain.
             dirt: DirtLog::saturated(),
             sdirt: DirtLog::saturated(),
+            // A copy is another tree: edits to it are not edits to the
+            // source, whatever the two counters read.
+            stamp: EditStamp::fresh(),
         }
     }
 }
@@ -318,6 +402,7 @@ impl SceneTree {
         let mut tree = Self {
             hot: Vec::new(),
             cold: Vec::new(),
+            bounds: OnceLock::new(),
             free: Vec::new(),
             live: 0,
             index: IdIndex::default(),
@@ -328,6 +413,7 @@ impl SceneTree {
             costs: OnceLock::new(),
             dirt: DirtLog::saturated(),
             sdirt: DirtLog::saturated(),
+            stamp: EditStamp::fresh(),
         };
         tree.root_slot = tree.alloc_slot(root, NIL, "root", NodeKind::Group);
         tree
@@ -406,6 +492,7 @@ impl SceneTree {
                 s
             }
         };
+        self.refresh_kept_bounds(slot);
         self.index.insert(id, slot);
         self.live += 1;
         slot
@@ -456,6 +543,33 @@ impl SceneTree {
 
     fn invalidate_costs(&mut self) {
         self.costs.take();
+    }
+
+    /// The kept payload bounds, built on first use: one pass over every
+    /// payload, the last this tree makes unasked.
+    fn kept_bounds(&self) -> &[PayloadBounds] {
+        self.bounds.get_or_init(|| self.cold.iter().map(|c| PayloadBounds::of(&c.kind)).collect())
+    }
+
+    /// `slot`'s payload was written (a node allocated into it, or its kind
+    /// touched): bring its kept box up to date, if boxes are being kept.
+    fn refresh_kept_bounds(&mut self, slot: u32) {
+        if let Some(kept) = self.bounds.get_mut() {
+            let bounds = PayloadBounds::of(&self.cold[slot as usize].kind);
+            match kept.get_mut(slot as usize) {
+                Some(entry) => *entry = bounds,
+                None => {
+                    debug_assert_eq!(kept.len(), slot as usize, "slots are allocated densely");
+                    kept.push(bounds);
+                }
+            }
+        }
+    }
+
+    /// Note an edit a render can see. Called by every `&mut self` path
+    /// that writes a transform, a payload or a link; one add.
+    fn touch(&mut self) {
+        self.stamp.edits += 1;
     }
 
     /// The structure cache, built on first use after an edit: one O(n)
@@ -545,6 +659,9 @@ impl SceneTree {
         let slot = self.slot(id)?;
         self.invalidate_costs();
         self.dirt.note(id);
+        // At hand-out, as for the cost cache: every setter of the view
+        // (kind, transform) is behind this call.
+        self.touch();
         Some(NodeMut { tree: self, slot, kind_touched: false })
     }
 
@@ -576,6 +693,7 @@ impl SceneTree {
         let mut tree = Self {
             hot: Vec::with_capacity(nodes.len()),
             cold: Vec::with_capacity(nodes.len()),
+            bounds: OnceLock::new(),
             free: Vec::new(),
             live: 0,
             index: IdIndex::default(),
@@ -586,6 +704,7 @@ impl SceneTree {
             costs: OnceLock::new(),
             dirt: DirtLog::saturated(),
             sdirt: DirtLog::saturated(),
+            stamp: EditStamp::fresh(),
         };
         tree.index.reserve(nodes.len());
         tree.root_slot = tree.alloc_slot(root, NIL, root_rec.name.clone(), root_rec.kind.clone());
@@ -664,6 +783,7 @@ impl SceneTree {
         self.invalidate_structure();
         self.dirt.note(id);
         self.sdirt.note(id);
+        self.touch();
         Ok(())
     }
 
@@ -702,6 +822,7 @@ impl SceneTree {
         }
         self.live -= removed.len();
         self.invalidate_structure();
+        self.touch();
         for &id in &removed {
             self.dirt.note(id);
             self.sdirt.note(id);
@@ -743,6 +864,7 @@ impl SceneTree {
         // tracking subtree membership still want to hear about it.
         self.dirt.note(id);
         self.sdirt.note(id);
+        self.touch();
         Ok(())
     }
 
@@ -802,11 +924,14 @@ impl SceneTree {
         chain.into_iter().rev().fold(Mat4::IDENTITY, |acc, m| acc * m)
     }
 
-    /// World-space bounds of a subtree.
+    /// World-space bounds of a subtree: the union, in pre-order, of every
+    /// node's kept content box under its world transform. No payload is
+    /// read (past the tree's first bounds query, which builds the boxes).
     pub fn world_bounds(&self, id: NodeId) -> Aabb {
+        let kept = self.kept_bounds();
         let mut b = Aabb::EMPTY;
         for n in self.descendants_iter(id) {
-            let local = n.kind().local_bounds();
+            let local = kept[n.slot as usize].local;
             if !local.is_empty() {
                 b = b.union(&local.transformed(&self.world_transform(n.id())));
             }
@@ -1053,6 +1178,12 @@ impl SceneTree {
             if h.cost != self.cold[s as usize].kind.cost() {
                 return Err(format!("hot cost stale on {}", h.id));
             }
+            if let Some(kept) = self.bounds.get() {
+                let fresh = PayloadBounds::of(&self.cold[s as usize].kind);
+                if !kept.get(s as usize).is_some_and(|b| b.same_bits(&fresh)) {
+                    return Err(format!("bounds stale on {}", h.id));
+                }
+            }
         }
         Ok(())
     }
@@ -1063,16 +1194,30 @@ impl SceneTree {
     /// Deliberately bypasses [`SceneTree::node_mut`]: transforms affect
     /// neither structure nor [`NodeCost`], so both caches stay valid —
     /// avatar and camera motion (the per-frame update stream) never
-    /// forces a rebuild.
+    /// forces a rebuild. It does move the [`EditStamp`]: a render sees it.
     pub fn set_transform(&mut self, id: NodeId, t: Transform) -> bool {
         match self.slot(id) {
             Some(s) => {
                 self.hot[s as usize].transform = t;
                 self.cold[s as usize].version += 1;
+                self.touch();
                 true
             }
             None => false,
         }
+    }
+
+    // ---- edit stamp -----------------------------------------------------
+
+    /// Which render-visible state of which tree this is. While two stamps
+    /// taken from a `SceneTree` value compare equal, nothing a render reads
+    /// — topology, transforms, payloads — changed in between: every `&mut
+    /// self` method that writes one of them moves the stamp
+    /// ([`SceneTree::node_mut`] conservatively, when the view is handed
+    /// out), and a clone or a decoded tree starts under an identity of its
+    /// own. Unequal stamps promise nothing: a no-op edit moves it too.
+    pub fn edit_stamp(&self) -> EditStamp {
+        self.stamp
     }
 
     // ---- cost-dirt export -----------------------------------------------
@@ -1223,6 +1368,23 @@ impl<'a> NodeRef<'a> {
         self.hot().tag
     }
 
+    /// The node's own content box, [`NodeKind::local_bounds`] bit for bit,
+    /// kept with the tree: no payload access, no pass over vertices.
+    #[inline]
+    pub fn local_bounds(&self) -> Aabb {
+        self.tree.kept_bounds()[self.slot as usize].local
+    }
+
+    /// [`NodeRef::local_bounds`] when it is a finite box and no coordinate
+    /// of the mesh or point cloud behind it is NaN or infinite — a box
+    /// every point of the payload is inside of. `None` otherwise (the
+    /// empty box of a group or of a mesh without vertices is not finite).
+    #[inline]
+    pub fn finite_local_bounds(&self) -> Option<Aabb> {
+        let kept = &self.tree.kept_bounds()[self.slot as usize];
+        kept.finite.then_some(kept.local)
+    }
+
     #[inline]
     pub fn child_count(&self) -> usize {
         self.hot().child_count as usize
@@ -1321,8 +1483,8 @@ impl ExactSizeIterator for Children<'_> {}
 
 /// Mutable view of one live node's editable state (name, kind, version,
 /// transform). Created by [`SceneTree::node_mut`]; if the kind is
-/// touched, the hot mirrors (tag, own cost) are refreshed when the view
-/// drops.
+/// touched, the hot mirrors (tag, own cost) and the kept bounds are
+/// refreshed when the view drops.
 pub struct NodeMut<'a> {
     tree: &'a mut SceneTree,
     slot: u32,
@@ -1394,6 +1556,7 @@ impl Drop for NodeMut<'_> {
             let h = &mut self.tree.hot[self.slot as usize];
             h.tag = tag;
             h.cost = cost;
+            self.tree.refresh_kept_bounds(self.slot);
         }
     }
 }
@@ -1799,6 +1962,196 @@ mod tests {
         let mut copy = t.clone();
         assert_eq!(copy.drain_cost_dirt(), CostDirt::Everything);
         assert_eq!(t.drain_cost_dirt(), CostDirt::Clean, "source log untouched");
+    }
+
+    /// The frame-reuse contract from the tree's side: every public `&mut
+    /// self` method that writes node state moves the stamp, whether or not
+    /// the write changed anything; reads, drains, the id allocator and
+    /// refused edits leave it alone.
+    #[test]
+    fn every_edit_a_render_can_see_moves_the_edit_stamp() {
+        let mut t = SceneTree::new();
+        let root = t.root();
+        let mut last = t.edit_stamp();
+        let mut moved = |t: &SceneTree, what: &str| {
+            assert_ne!(t.edit_stamp(), last, "{what} must move the stamp");
+            last = t.edit_stamp();
+        };
+        let a = t.add_node(root, "a", tri_mesh()).unwrap();
+        moved(&t, "add_node");
+        let id = t.allocate_id();
+        t.insert_with_id(id, root, "b", NodeKind::Group).unwrap();
+        moved(&t, "insert_with_id");
+        t.set_transform(a, Transform::from_translation(Vec3::X));
+        moved(&t, "set_transform");
+        t.set_transform(a, Transform::from_translation(Vec3::X));
+        moved(&t, "set_transform to the value it has");
+        t.reparent(a, id).unwrap();
+        moved(&t, "reparent");
+        t.reparent(a, id).unwrap();
+        moved(&t, "reparent to the same parent");
+        t.node_mut(a).unwrap().set_kind(NodeKind::Group);
+        moved(&t, "set_kind");
+        *t.node_mut(a).unwrap().kind_mut() = tri_mesh();
+        moved(&t, "kind_mut");
+        t.node_mut(a).unwrap().transform_mut().translation = Vec3::Y;
+        moved(&t, "transform_mut");
+        t.node_mut(a).unwrap().set_transform(Transform::IDENTITY);
+        moved(&t, "NodeMut::set_transform");
+        t.node_mut(a).unwrap().set_name("renamed");
+        moved(&t, "node_mut, conservatively");
+        let mut other = SceneTree::new();
+        let far = NodeId(77);
+        other.insert_with_id(far, other.root(), "far", tri_mesh()).unwrap();
+        t.merge_subset(&other);
+        moved(&t, "merge_subset");
+        t.remove(far).unwrap();
+        moved(&t, "remove");
+
+        // What must not move it, or no frame would ever be reused.
+        let before = t.edit_stamp();
+        t.world_bounds(root);
+        t.total_cost();
+        t.descendants(root);
+        t.check_invariants().unwrap();
+        t.drain_cost_dirt();
+        t.drain_structure_dirt();
+        t.allocate_id();
+        t.reserve(8);
+        t.merge_subset(&SceneTree::new());
+        assert!(t.remove(NodeId(999)).is_err());
+        assert!(t.reparent(id, a).is_err());
+        assert!(t.insert_with_id(a, root, "dup", NodeKind::Group).is_err());
+        assert!(!t.set_transform(NodeId(999), Transform::IDENTITY));
+        assert!(t.node_mut(NodeId(999)).is_none());
+        assert_eq!(t.edit_stamp(), before);
+    }
+
+    /// Two trees never share a stamp, however equal they are: a clone, a
+    /// decoded copy and a second fresh tree each start under an identity
+    /// of their own, and `==` does not look at it.
+    #[test]
+    fn a_copy_is_another_tree_to_the_edit_stamp() {
+        let mut t = SceneTree::new();
+        t.add_node(t.root(), "a", tri_mesh()).unwrap();
+        let copy = t.clone();
+        let json = serde_json::to_string(&t).unwrap();
+        let decoded: SceneTree = serde_json::from_str(&json).unwrap();
+        let wired = crate::wire::decode_tree(&crate::wire::encode_tree(&t)).unwrap();
+        for (other, what) in [(&copy, "clone"), (&decoded, "serde"), (&wired, "wire")] {
+            assert_eq!(other, &t, "{what} is an equal tree");
+            assert_ne!(other.edit_stamp(), t.edit_stamp(), "{what} is not the same tree");
+        }
+        // One edit each: the counters coincide, the stamps do not.
+        let (mut x, mut y) = (SceneTree::new(), SceneTree::new());
+        x.add_node(x.root(), "n", NodeKind::Group).unwrap();
+        y.add_node(y.root(), "n", NodeKind::Group).unwrap();
+        assert_eq!(x, y);
+        assert_ne!(x.edit_stamp(), y.edit_stamp());
+        // A moved tree is the same tree.
+        let stamp = x.edit_stamp();
+        let moved = x;
+        assert_eq!(moved.edit_stamp(), stamp);
+    }
+
+    /// The kept content box is `NodeKind::local_bounds` of the payload the
+    /// node holds now, through every way a payload gets into a slot.
+    #[test]
+    fn kept_bounds_follow_the_payload() {
+        let mesh_at = |x: f32| {
+            let at = Vec3::new(x, 0.0, 0.0);
+            NodeKind::Mesh(Arc::new(MeshData::new(
+                vec![at, at + Vec3::X, at + Vec3::Y],
+                vec![[0, 1, 2]],
+            )))
+        };
+        let kept = |t: &SceneTree, id: NodeId| t.node(id).unwrap().local_bounds();
+        let mut t = SceneTree::new();
+        let a = t.add_node(t.root(), "a", mesh_at(0.0)).unwrap();
+        assert_eq!(kept(&t, a), mesh_at(0.0).local_bounds());
+        assert_eq!(t.node(a).unwrap().finite_local_bounds(), Some(kept(&t, a)));
+        assert!(kept(&t, t.root()).is_empty());
+        assert_eq!(t.node(t.root()).unwrap().finite_local_bounds(), None);
+
+        t.node_mut(a).unwrap().set_kind(mesh_at(5.0));
+        assert_eq!(kept(&t, a), mesh_at(5.0).local_bounds());
+        *t.node_mut(a).unwrap().kind_mut() = mesh_at(-3.0);
+        assert_eq!(kept(&t, a), mesh_at(-3.0).local_bounds());
+        assert_eq!(t.world_bounds(t.root()), mesh_at(-3.0).local_bounds());
+
+        // A recycled slot holds the new node's box, not the old one's.
+        t.remove(a).unwrap();
+        let b = t.add_node(t.root(), "b", mesh_at(9.0)).unwrap();
+        assert_eq!(t.slot(b), Some(1), "slot reused");
+        assert_eq!(kept(&t, b), mesh_at(9.0).local_bounds());
+
+        let copy = t.clone();
+        let merged = {
+            let mut m = SceneTree::new();
+            m.merge_subset(&t.extract_subset(&[b]));
+            m
+        };
+        let wired = crate::wire::decode_tree(&crate::wire::encode_tree(&t)).unwrap();
+        for tree in [&t, &copy, &merged, &wired] {
+            assert_eq!(kept(tree, b), mesh_at(9.0).local_bounds());
+            tree.check_invariants().unwrap();
+        }
+
+        // A stale box is what `check_invariants` exists to name.
+        let mut broken = t.clone();
+        broken.bounds.get_mut().expect("boxes are kept once asked for")[1].local = Aabb::EMPTY;
+        assert_eq!(broken.check_invariants(), Err(format!("bounds stale on {b}")));
+    }
+
+    /// No box is computed for a tree nobody asks for bounds; from the
+    /// first query on every payload write keeps its slot's box right.
+    #[test]
+    fn boxes_are_kept_from_the_first_query_on() {
+        let mut t = SceneTree::new();
+        let a = t.add_node(t.root(), "a", tri_mesh()).unwrap();
+        t.node_mut(a).unwrap().set_kind(tri_mesh());
+        t.total_cost();
+        t.check_invariants().unwrap();
+        assert!(t.bounds.get().is_none(), "edits and cost queries build no box");
+        assert!(t.clone().bounds.get().is_none());
+
+        assert!(!t.world_bounds(t.root()).is_empty());
+        let b = t.add_node(a, "b", tri_mesh()).unwrap();
+        t.node_mut(a).unwrap().set_kind(NodeKind::Group);
+        t.remove(b).unwrap();
+        t.set_transform(a, Transform::from_translation(Vec3::X));
+        assert!(t.world_bounds(t.root()).is_empty(), "the mesh is gone");
+        assert_eq!(t.bounds.get().unwrap().len(), t.hot.len());
+        assert!(t.clone().bounds.get().is_some(), "cloned with the tree");
+        t.check_invariants().unwrap();
+    }
+
+    /// `finite_local_bounds` refuses a payload a NaN hides in — the box
+    /// alone cannot tell, `Aabb::from_points` drops it — and NaN boxes do
+    /// not read as stale.
+    #[test]
+    fn non_finite_payloads_keep_their_box_and_lose_the_finite_flag() {
+        let mesh = |points: Vec<Vec3>| NodeKind::Mesh(Arc::new(MeshData::new(points, vec![])));
+        let mut t = SceneTree::new();
+        let root = t.root();
+        let hidden = t
+            .add_node(root, "nan", mesh(vec![Vec3::ZERO, Vec3::new(f32::NAN, 1.0, 1.0), Vec3::ONE]))
+            .unwrap();
+        let node = t.node(hidden).unwrap();
+        assert_eq!(node.local_bounds(), Aabb::new(Vec3::ZERO, Vec3::ONE), "the NaN is dropped");
+        assert_eq!(node.finite_local_bounds(), None);
+        let inf = t.add_node(root, "inf", mesh(vec![Vec3::ZERO, Vec3::splat(f32::INFINITY)]));
+        assert_eq!(t.node(inf.unwrap()).unwrap().finite_local_bounds(), None);
+        let none = t.add_node(root, "empty", mesh(vec![])).unwrap();
+        assert_eq!(t.node(none).unwrap().finite_local_bounds(), None);
+        let camera = crate::CameraParams {
+            position: Vec3::new(f32::NAN, 0.0, 0.0),
+            ..crate::CameraParams::default()
+        };
+        let cam = t.add_node(root, "cam", NodeKind::Camera(camera)).unwrap();
+        assert!(t.node(cam).unwrap().local_bounds().min.x.is_nan());
+        assert_eq!(t.node(cam).unwrap().finite_local_bounds(), None);
+        t.check_invariants().unwrap();
     }
 
     #[test]

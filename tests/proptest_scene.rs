@@ -2,10 +2,10 @@
 //! trail: the invariants replication correctness rests on.
 
 use proptest::prelude::*;
-use rave::math::{Quat, Vec3};
+use rave::math::{Aabb, Quat, Vec3};
 use rave::scene::{
-    wire, AuditTrail, MeshData, NodeCost, NodeId, NodeKind, SceneTree, SceneUpdate, StampedUpdate,
-    Transform,
+    wire, AuditTrail, AvatarInfo, CameraParams, MeshData, NodeCost, NodeId, NodeKind,
+    PointCloudData, SceneTree, SceneUpdate, StampedUpdate, Transform, VolumeData,
 };
 use std::collections::BTreeMap;
 use std::sync::Arc;
@@ -257,6 +257,295 @@ proptest! {
             "same insertion order"
         );
         prop_assert_eq!(wire::encode_tree(&got), wire::encode_tree(&want));
+    }
+}
+
+/// `SceneTree::world_bounds` as it was while every call re-derived each
+/// payload's box from its vertices. Kept as the oracle of
+/// `kept_bounds_equal_the_vertex_scan`.
+fn world_bounds_by_scan(tree: &SceneTree, id: NodeId) -> Aabb {
+    let mut b = Aabb::EMPTY;
+    for n in tree.descendants_iter(id) {
+        let local = n.kind().local_bounds();
+        if !local.is_empty() {
+            b = b.union(&local.transformed(&tree.world_transform(n.id())));
+        }
+    }
+    b
+}
+
+fn box_bits(b: &Aabb) -> [u32; 6] {
+    [b.min.x, b.min.y, b.min.z, b.max.x, b.max.y, b.max.z].map(f32::to_bits)
+}
+
+/// Coordinates a payload can hold: zeros of both signs, ordinary values,
+/// the extremes, and — one pick in four — NaN and the infinities.
+fn coordinate(salt: &mut u64) -> f32 {
+    const PALETTE: [f32; 16] = [
+        0.0,
+        -0.0,
+        1.0,
+        -1.0,
+        0.5,
+        -2.25,
+        7.0,
+        3.0e-39,
+        1.0e30,
+        -1.0e30,
+        f32::MAX,
+        f32::MIN,
+        f32::NAN,
+        f32::INFINITY,
+        f32::NEG_INFINITY,
+        f32::NAN,
+    ];
+    *salt = salt.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
+    PALETTE[(*salt >> 60) as usize]
+}
+
+/// A payload of every kind, drawn from `salt`; `tame` keeps NaN and the
+/// infinities out so that finite boxes are not the rare case.
+fn payload(mut salt: u64, tame: bool) -> NodeKind {
+    let salt = &mut salt;
+    let coord = |salt: &mut u64| loop {
+        let c = coordinate(salt);
+        if !tame || c.is_finite() {
+            break c;
+        }
+    };
+    let point = |salt: &mut u64| Vec3::new(coord(salt), coord(salt), coord(salt));
+    let shape = *salt % 7;
+    let count = (*salt / 7 % 6) as usize;
+    match shape {
+        0 => NodeKind::Group,
+        1 | 2 => {
+            let points = (0..count).map(|_| point(salt)).collect();
+            NodeKind::Mesh(Arc::new(MeshData::new(points, vec![])))
+        }
+        3 => {
+            let points = (0..count).map(|_| point(salt)).collect();
+            NodeKind::PointCloud(Arc::new(PointCloudData::new(points)))
+        }
+        4 => NodeKind::Volume(Arc::new(VolumeData::new([2, 1, 3], point(salt), vec![9; 6]))),
+        5 => NodeKind::Camera(CameraParams { position: point(salt), ..CameraParams::default() }),
+        _ => NodeKind::Avatar(AvatarInfo {
+            label: "a".into(),
+            color: Vec3::X,
+            camera: CameraParams::default(),
+        }),
+    }
+}
+
+/// One step of the kept-bounds property: every way a payload gets into,
+/// changes in or leaves a slot, and every way a tree is copied.
+#[derive(Debug, Clone)]
+enum BoundsOp {
+    Insert {
+        parent_pick: usize,
+        salt: u64,
+        tame: bool,
+    },
+    Remove {
+        pick: usize,
+    },
+    Reparent {
+        pick: usize,
+        parent_pick: usize,
+    },
+    Move {
+        pick: usize,
+        salt: u64,
+    },
+    SetKind {
+        pick: usize,
+        salt: u64,
+        tame: bool,
+    },
+    /// `kind_mut`: nudge the payload where it lies.
+    EditInPlace {
+        pick: usize,
+        salt: u64,
+    },
+    /// `SceneUpdate::apply` of a payload-carrying variant (`which`).
+    Update {
+        pick: usize,
+        which: usize,
+        salt: u64,
+        tame: bool,
+    },
+    /// Merge a foreign two-node subset under the root.
+    Merge {
+        salt: u64,
+    },
+    Clone,
+    /// Through the wire codec, or JSON when the payloads survive it.
+    Roundtrip {
+        json: bool,
+    },
+}
+
+fn bounds_op_strategy() -> impl Strategy<Value = BoundsOp> {
+    let tame = any::<bool>;
+    prop_oneof![
+        (any::<usize>(), any::<u64>(), tame())
+            .prop_map(|(parent_pick, salt, tame)| BoundsOp::Insert { parent_pick, salt, tame }),
+        (any::<usize>(), any::<u64>(), tame())
+            .prop_map(|(parent_pick, salt, tame)| BoundsOp::Insert { parent_pick, salt, tame }),
+        (any::<usize>(), any::<u64>(), tame())
+            .prop_map(|(parent_pick, salt, tame)| BoundsOp::Insert { parent_pick, salt, tame }),
+        any::<usize>().prop_map(|pick| BoundsOp::Remove { pick }),
+        (any::<usize>(), any::<usize>())
+            .prop_map(|(pick, parent_pick)| BoundsOp::Reparent { pick, parent_pick }),
+        (any::<usize>(), any::<u64>()).prop_map(|(pick, salt)| BoundsOp::Move { pick, salt }),
+        (any::<usize>(), any::<u64>(), tame()).prop_map(|(pick, salt, tame)| BoundsOp::SetKind {
+            pick,
+            salt,
+            tame
+        }),
+        (any::<usize>(), any::<u64>())
+            .prop_map(|(pick, salt)| BoundsOp::EditInPlace { pick, salt }),
+        (any::<usize>(), 0usize..4, any::<u64>(), tame())
+            .prop_map(|(pick, which, salt, tame)| BoundsOp::Update { pick, which, salt, tame }),
+        any::<u64>().prop_map(|salt| BoundsOp::Merge { salt }),
+        Just(BoundsOp::Clone),
+        any::<bool>().prop_map(|json| BoundsOp::Roundtrip { json }),
+    ]
+}
+
+fn apply_bounds_op(tree: &mut SceneTree, op: &BoundsOp, step: usize) {
+    let live: Vec<NodeId> = tree.descendants(tree.root());
+    let at = |pick: usize| live[pick % live.len()];
+    match op {
+        BoundsOp::Insert { parent_pick, salt, tame } => {
+            tree.add_node(at(*parent_pick), "n", payload(*salt, *tame)).unwrap();
+        }
+        BoundsOp::Remove { pick } if live.len() > 1 => {
+            tree.remove(live[1 + pick % (live.len() - 1)]).unwrap();
+        }
+        BoundsOp::Remove { .. } => {}
+        BoundsOp::Reparent { pick, parent_pick } => {
+            let _ = tree.reparent(at(*pick), at(*parent_pick));
+        }
+        BoundsOp::Move { pick, salt } => {
+            let mut salt = *salt;
+            let mut unit = || coordinate(&mut salt).clamp(-3.0, 3.0);
+            let transform = Transform {
+                translation: Vec3::new(unit(), unit(), unit()),
+                rotation: Quat::from_axis_angle(Vec3::new(0.3, 1.0, 0.2).normalized(), unit()),
+                scale: Vec3::new(unit(), 1.0, 0.5),
+            };
+            assert!(tree.set_transform(at(*pick), transform));
+        }
+        BoundsOp::SetKind { pick, salt, tame } => {
+            tree.node_mut(at(*pick)).unwrap().set_kind(payload(*salt, *tame));
+        }
+        BoundsOp::EditInPlace { pick, salt } => {
+            let mut salt = *salt;
+            let moved = Vec3::new(coordinate(&mut salt), 1.0, -1.0);
+            let mut node = tree.node_mut(at(*pick)).unwrap();
+            match node.kind_mut() {
+                NodeKind::Mesh(m) => Arc::make_mut(m).positions.push(moved),
+                NodeKind::PointCloud(c) => drop(Arc::make_mut(c).points.pop()),
+                NodeKind::Volume(v) => Arc::make_mut(v).spacing = moved,
+                NodeKind::Camera(c) => c.position = moved,
+                NodeKind::Avatar(a) => a.color = moved,
+                NodeKind::Group => {}
+            }
+        }
+        BoundsOp::Update { pick, which, salt, tame } => {
+            let id = at(*pick);
+            let camera = CameraParams {
+                position: Vec3::new(coordinate(&mut salt.clone()), 2.0, 0.0),
+                ..CameraParams::default()
+            };
+            let update = match which {
+                0 => SceneUpdate::AddNode {
+                    id: tree.allocate_id(),
+                    parent: id,
+                    name: format!("u{step}"),
+                    kind: payload(*salt, *tame),
+                },
+                1 => SceneUpdate::ReplaceKind { id, kind: payload(*salt, *tame) },
+                // On a node of another kind these two are refused — after
+                // `kind_mut` was taken, which must leave the box right.
+                2 => SceneUpdate::CameraMoved { id, camera },
+                _ => SceneUpdate::AvatarUpdated {
+                    id,
+                    avatar: AvatarInfo { label: "b".into(), color: Vec3::Y, camera },
+                },
+            };
+            let _ = update.apply(tree);
+        }
+        BoundsOp::Merge { salt } => {
+            let mut other = SceneTree::new();
+            let base = 1_000_000 + 2 * step as u64;
+            let root = other.root();
+            other.insert_with_id(NodeId(base), root, "m", payload(*salt, true)).unwrap();
+            other
+                .insert_with_id(NodeId(base + 1), NodeId(base), "c", payload(salt >> 7, false))
+                .unwrap();
+            tree.merge_subset(&other.extract_subset(&[NodeId(base)]));
+        }
+        BoundsOp::Clone => *tree = tree.clone(),
+        BoundsOp::Roundtrip { json } => {
+            let through_json = json
+                .then(|| serde_json::to_string(tree).unwrap())
+                .and_then(|text| serde_json::from_str::<SceneTree>(&text).ok());
+            *tree = match through_json {
+                Some(decoded) => decoded,
+                None => wire::decode_tree(&wire::encode_tree(tree)).unwrap(),
+            };
+        }
+    }
+}
+
+proptest! {
+    /// The box a tree keeps per node is the payload's `local_bounds()` bit
+    /// for bit, whatever sequence of edits, slot reuse, merges, clones and
+    /// decodes produced the tree, before or after it began keeping boxes —
+    /// so `world_bounds` is bit-identical to the vertex scan it replaced,
+    /// for every node.
+    #[test]
+    fn kept_bounds_equal_the_vertex_scan(
+        ops in prop::collection::vec((bounds_op_strategy(), any::<bool>()), 1..50),
+    ) {
+        let mut tree = SceneTree::new();
+        for (step, (op, look)) in ops.iter().enumerate() {
+            apply_bounds_op(&mut tree, op, step);
+            tree.check_invariants().map_err(|msg| TestCaseError { msg })?;
+            // A tree keeps boxes from the first time it is asked for one:
+            // not looking after every step lets edits land on trees that
+            // keep none yet (fresh, decoded) as well as on ones that do.
+            if !look && step + 1 < ops.len() {
+                continue;
+            }
+            for node in tree.descendants_iter(tree.root()) {
+                let id = node.id();
+                let scanned = node.kind().local_bounds();
+                prop_assert_eq!(
+                    box_bits(&node.local_bounds()), box_bits(&scanned),
+                    "kept box of {} after {:?}", id, op
+                );
+                prop_assert_eq!(
+                    box_bits(&tree.world_bounds(id)), box_bits(&world_bounds_by_scan(&tree, id)),
+                    "world bounds of {} after {:?}", id, op
+                );
+                let points: &[Vec3] = match node.kind() {
+                    NodeKind::Mesh(m) => &m.positions,
+                    NodeKind::PointCloud(c) => &c.points,
+                    _ => &[],
+                };
+                let finite = [scanned.min, scanned.max]
+                    .iter()
+                    .chain(points)
+                    .all(|p| p.x.is_finite() && p.y.is_finite() && p.z.is_finite());
+                prop_assert_eq!(
+                    node.finite_local_bounds().map(|b| box_bits(&b)),
+                    finite.then(|| box_bits(&scanned)),
+                    "finite box of {} after {:?}", id, op
+                );
+            }
+        }
     }
 }
 
