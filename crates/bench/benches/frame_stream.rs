@@ -1,6 +1,6 @@
 //! Frame-streaming head to head: the word-wide RLE/delta kernels versus
 //! their scalar reference encoders on render-like 640x480 frames, the
-//! strip-parallel container at 1/2/4 rayon threads, and the simulated
+//! dirty-strip container around them, and the simulated
 //! §5.1 PDA session (0.83M polygons, 200x200, wireless) with the raw
 //! 24 bpp transfer replaced by the adaptive compressed stream. Emits
 //! `BENCH_frame_stream.json` at the repo root. The headline claims —
@@ -9,7 +9,7 @@
 //! pipeline floors of the virtual-time depth grid. `BENCH_QUICK=1` runs
 //! fewer timing rounds and frames.
 
-use bench::harness::{num, obj, pool, quick, secs, Report};
+use bench::harness::{num, obj, quick, secs, Report};
 use criterion::Criterion;
 use rave_compress::{delta, rle, stream, Codec};
 use rave_core::config::CompressionMode;
@@ -24,7 +24,6 @@ use serde::{Serialize, Value};
 use std::sync::Arc;
 
 const FRAME: (u32, u32) = (640, 480);
-const THREADS: [usize; 3] = [1, 2, 4];
 
 /// The §5.1 hand scenario: one render service holding a `polys`-triangle
 /// mesh, one PDA over the wireless link.
@@ -121,22 +120,16 @@ fn main() {
     let mut rle_word = f64::INFINITY;
     let mut delta_scalar = f64::INFINITY;
     let mut delta_word = f64::INFINITY;
-    let pools: Vec<(usize, rayon::ThreadPool)> = THREADS.iter().map(|&t| (t, pool(t))).collect();
     let strips = stream::strip_count_for(frame_len, 16 * 1024);
-    let mut strip_par: Vec<(usize, f64)> = THREADS.iter().map(|&t| (t, f64::INFINITY)).collect();
+    let mut strip_container = f64::INFINITY;
     for _ in 0..rounds {
         rle_scalar = rle_scalar.min(secs(|| rle::encode_scalar(&cur)));
         rle_word = rle_word.min(secs(|| rle::encode(&cur)));
         delta_scalar = delta_scalar.min(secs(|| delta::encode_scalar(&cur, Some(&prev))));
         delta_word = delta_word.min(secs(|| delta::encode(&cur, Some(&prev))));
-        for (i, (_, p)) in pools.iter().enumerate() {
-            let t = secs(|| {
-                p.install(|| {
-                    stream::encode_frame(Codec::DeltaRle, &cur, Some(&prev), Some(&prev), strips)
-                })
-            });
-            strip_par[i].1 = strip_par[i].1.min(t);
-        }
+        strip_container = strip_container.min(secs(|| {
+            stream::encode_frame(Codec::DeltaRle, &cur, Some(&prev), Some(&prev), strips)
+        }));
     }
     // Simulated PDA fps, raw 24 bpp versus the adaptive stream, on the
     // paper's 0.83M-polygon hand scene. Virtual-time, so deterministic.
@@ -200,8 +193,6 @@ fn main() {
         );
     }
 
-    let strip_mb_s: Vec<_> =
-        strip_par.iter().map(|(t, s)| (t.to_string(), num(mb / s, 1))).collect();
     Report::new("frame_stream")
         .set("frame", format!("{w}x{h}"))
         .set(
@@ -215,7 +206,7 @@ fn main() {
                 ("delta_speedup", num(delta_scalar / delta_word, 2)),
             ]),
         )
-        .set("strip_parallel_mb_s", Value::Map(strip_mb_s))
+        .set("strip_container_mb_s", num(mb / strip_container, 1))
         .set(
             "sim",
             obj([

@@ -3,7 +3,6 @@
 use crate::RunOpts;
 use rave_compress::adaptive::{select, EndpointSpeed};
 use rave_core::bootstrap::marshal_comparison;
-use rave_core::RaveConfig;
 use rave_grid::{SoapCodec, SoapEnvelope, SoapValue};
 use rave_math::{Vec3, Viewport};
 use rave_models::{build_with_budget, PaperModel};
@@ -79,7 +78,6 @@ pub struct MarshalRow {
 }
 
 pub fn marshalling(opts: &RunOpts) -> Vec<MarshalRow> {
-    let cfg = RaveConfig::default();
     [PaperModel::Galleon, PaperModel::Elle, PaperModel::SkeletalHand]
         .into_iter()
         .map(|model| {
@@ -87,7 +85,7 @@ pub fn marshalling(opts: &RunOpts) -> Vec<MarshalRow> {
             let mut scene = SceneTree::new();
             let root = scene.root();
             scene.add_node(root, "m", NodeKind::Mesh(Arc::new(mesh))).unwrap();
-            let (intro, direct, stats) = marshal_comparison(&scene, &cfg);
+            let (intro, direct, stats) = marshal_comparison(&scene);
             MarshalRow {
                 model,
                 bytes: stats.bytes,

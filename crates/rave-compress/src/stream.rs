@@ -1,15 +1,15 @@
-//! Strip-framed frame transport: parallel codec kernels + dirty-strip
+//! Strip-framed frame transport: word-wide codec kernels + dirty-strip
 //! reuse.
 //!
-//! A frame is split into `strip_count` contiguous, pixel-aligned strips.
-//! Each strip is independently run through the chosen [`Codec`], which
-//! lets encode *and* decode fan out across the vendored rayon (the
-//! stand-in pool is deterministic and order-preserving, so the container
-//! bytes are identical at any thread count — property-tested). A
-//! strip-bitmap header marks strips whose raw bytes are unchanged since
-//! the previous frame (word-wide `u64` comparison): those ship **zero**
-//! payload bytes and the receiver reuses its copy, so a static scene
-//! costs a near-empty header per frame.
+//! A frame is split into `strip_count` contiguous, pixel-aligned strips,
+//! each run through the chosen [`Codec`] on its own. The strips exist for
+//! dirty-skipping: a strip-bitmap header marks strips whose raw bytes are
+//! unchanged since the previous frame (word-wide `u64` comparison), those
+//! ship **zero** payload bytes and the receiver reuses its copy, so a
+//! static scene costs a near-empty header per frame. Encode and decode
+//! walk the strips in order on the caller: a clean strip is one compare
+//! and a dirty 16 KiB strip a few microseconds of kernel, less than
+//! handing either to another thread costs.
 //!
 //! Two "previous frame" roles are deliberately distinct:
 //!
@@ -33,7 +33,6 @@
 //! ```
 
 use crate::Codec;
-use rayon::prelude::*;
 
 const VERSION: u8 = 1;
 const HEADER: usize = 8;
@@ -116,9 +115,8 @@ pub fn encode_frame_with_meta(
     let prev_raw = usable_prev(prev_raw, cur.len());
     let prev_view = usable_prev(prev_view, cur.len());
 
-    // Encode every dirty strip in parallel (deterministic order).
+    // Encode every dirty strip, in order.
     let payloads: Vec<Option<Vec<u8>>> = (0..n)
-        .into_par_iter()
         .map(|i| {
             let r = strip_range(pixels, n, i);
             if let Some(p) = prev_raw {
@@ -195,39 +193,36 @@ pub fn decode_frame(data: &[u8], prev_view: Option<&[u8]>) -> Option<Vec<u8>> {
     let prev_view = usable_prev(prev_view, frame_len);
     let mut offset = HEADER + n.div_ceil(8);
 
-    // Walk the body serially to slice out each dirty payload, then decode
-    // the strips in parallel.
-    let mut strips: Vec<(usize, Option<&[u8]>)> = Vec::with_capacity(n);
+    // Slice out every dirty payload first, so a truncated or over-long
+    // body is rejected before any strip is decoded.
+    let mut payloads: Vec<Option<&[u8]>> = Vec::with_capacity(n);
     for i in 0..n {
         if bitmap[i / 8] & (1 << (i % 8)) == 0 {
-            strips.push((i, None));
+            payloads.push(None);
             continue;
         }
         let len = u32::from_le_bytes(data.get(offset..offset + 4)?.try_into().ok()?) as usize;
         offset += 4;
-        let payload = data.get(offset..offset + len)?;
+        payloads.push(Some(data.get(offset..offset + len)?));
         offset += len;
-        strips.push((i, Some(payload)));
     }
     if offset != data.len() {
         return None; // trailing garbage
     }
 
-    let decoded: Vec<Option<Vec<u8>>> = strips
-        .into_par_iter()
-        .map(|(i, payload)| {
-            let r = strip_range(pixels, n, i);
-            let want = r.len();
-            match payload {
-                None => prev_view.map(|p| p[r].to_vec()),
-                Some(pl) => codec.decode(pl, prev_view.map(|p| &p[r])).filter(|s| s.len() == want),
-            }
-        })
-        .collect();
-
     let mut out = Vec::with_capacity(frame_len);
-    for s in decoded {
-        out.extend_from_slice(&s?);
+    for (i, payload) in payloads.into_iter().enumerate() {
+        let r = strip_range(pixels, n, i);
+        match payload {
+            None => out.extend_from_slice(&prev_view?[r]),
+            Some(pl) => {
+                let strip = codec.decode(pl, prev_view.map(|p| &p[r.clone()]))?;
+                if strip.len() != r.len() {
+                    return None;
+                }
+                out.extend_from_slice(&strip);
+            }
+        }
     }
     Some(out)
 }
@@ -353,20 +348,5 @@ mod tests {
         assert_eq!(strip_count_for(120_000, 16 << 10), 8); // 640x480x3 / 16 KiB
         assert_eq!(strip_count_for(30, 16 << 10), 1);
         assert_eq!(strip_count_for(30, 0), 10); // clamped to pixel count
-    }
-
-    #[test]
-    fn container_is_thread_count_invariant() {
-        let cur = frame(5_000, 11);
-        let prev = frame(5_000, 12);
-        let baseline = encode_frame(Codec::DeltaRle, &cur, Some(&prev), Some(&prev), 16);
-        for threads in [1usize, 2, 4] {
-            let pool = rayon::ThreadPoolBuilder::new().num_threads(threads).build().unwrap();
-            let enc =
-                pool.install(|| encode_frame(Codec::DeltaRle, &cur, Some(&prev), Some(&prev), 16));
-            assert_eq!(enc, baseline, "threads={threads}");
-            let dec = pool.install(|| decode_frame(&enc, Some(&prev)).unwrap());
-            assert_eq!(dec, cur, "threads={threads}");
-        }
     }
 }

@@ -18,18 +18,32 @@ use rave_sim::SimTime;
 use rave_store::StoreConfig;
 use std::path::Path;
 
-/// CPU time of introspective marshalling under the configured rates.
-pub fn marshal_time_introspective(stats: &MarshalStats, cfg: &crate::RaveConfig) -> SimTime {
+/// Introspection marshalling rates for scene bootstrap (§5.5): the
+/// Java-reflection path, seconds per field visit and per byte. Calibrated
+/// against Table 5: a 20 MB model bootstraps in ≈68 s, of which ≈58 s is
+/// marshalling (the rest is instance creation + wire time) ⇒ ≈2.3 µs/byte
+/// through the introspective path.
+pub const INTROSPECT_PER_FIELD: f64 = 4.0e-6;
+pub const INTROSPECT_PER_BYTE: f64 = 2.3e-6;
+
+/// Direct marshalling per byte (the ablation comparator): bulk
+/// memcpy-ish, ~50 ns/byte.
+pub const DIRECT_PER_BYTE: f64 = 50.0e-9;
+
+const _: () = assert!(INTROSPECT_PER_BYTE > DIRECT_PER_BYTE * 10.0);
+
+/// CPU time of introspective marshalling.
+pub fn marshal_time_introspective(stats: &MarshalStats) -> SimTime {
     SimTime::from_secs(
-        stats.field_visits as f64 * cfg.introspect_per_field
-            + stats.interface_checks as f64 * cfg.introspect_per_field
-            + stats.bytes as f64 * cfg.introspect_per_byte,
+        stats.field_visits as f64 * INTROSPECT_PER_FIELD
+            + stats.interface_checks as f64 * INTROSPECT_PER_FIELD
+            + stats.bytes as f64 * INTROSPECT_PER_BYTE,
     )
 }
 
 /// CPU time of direct marshalling of the same tree (ablation).
-pub fn marshal_time_direct(stats: &MarshalStats, cfg: &crate::RaveConfig) -> SimTime {
-    SimTime::from_secs(stats.bytes as f64 * cfg.direct_per_byte)
+pub fn marshal_time_direct(stats: &MarshalStats) -> SimTime {
+    SimTime::from_secs(stats.bytes as f64 * DIRECT_PER_BYTE)
 }
 
 /// Result of initiating a bootstrap.
@@ -74,7 +88,7 @@ pub fn connect_render_service(
         let (_bytes, stats) = marshal_introspective(&snapshot);
         (snapshot, stats)
     };
-    let marshal = marshal_time_introspective(&stats, &sim.world.config);
+    let marshal = marshal_time_introspective(&stats);
     let marshalled_at = subscribed_at + marshal;
 
     // 3. Register the buffering subscription, ship the snapshot.
@@ -193,17 +207,10 @@ pub fn snapshot_for(scene: &SceneTree, interest: &InterestSet) -> SceneTree {
 }
 
 /// Ablation datum: marshalling times for a scene under both paths.
-pub fn marshal_comparison(
-    scene: &SceneTree,
-    cfg: &crate::RaveConfig,
-) -> (SimTime, SimTime, MarshalStats) {
+pub fn marshal_comparison(scene: &SceneTree) -> (SimTime, SimTime, MarshalStats) {
     let (_b, intro_stats) = marshal_introspective(scene);
     let (_b2, direct_stats) = marshal_direct(scene);
-    (
-        marshal_time_introspective(&intro_stats, cfg),
-        marshal_time_direct(&direct_stats, cfg),
-        intro_stats,
-    )
+    (marshal_time_introspective(&intro_stats), marshal_time_direct(&direct_stats), intro_stats)
 }
 
 #[cfg(test)]
@@ -313,7 +320,7 @@ mod tests {
     #[test]
     fn introspection_dominates_direct_marshalling() {
         let (sim, ds) = sim_with_scene(100_000);
-        let (intro, direct, _) = marshal_comparison(&sim.world.data(ds).scene, &sim.world.config);
+        let (intro, direct, _) = marshal_comparison(&sim.world.data(ds).scene);
         assert!(
             intro.as_secs() > direct.as_secs() * 20.0,
             "introspective {intro} vs direct {direct}"

@@ -1,6 +1,22 @@
 //! Tunable system parameters.
-
-use rave_sim::SimTime;
+//!
+//! A value is a field of [`RaveConfig`] only while something gives it a
+//! second value; a knob with one value is a constant beside the code that
+//! reads it (`sched::rebalance::{OVERLOAD_FPS, UNDERLOAD_FPS,
+//! UNDERLOAD_DEBOUNCE, DRIFT_RATIO}`, `render_service::FPS_WINDOW`,
+//! `bootstrap::{INTROSPECT_PER_FIELD, INTROSPECT_PER_BYTE,
+//! DIRECT_PER_BYTE}`, `thin_client::ALLOW_LOSSY_FRAMES`). Why each of
+//! the eleven is a field:
+//!
+//! | field | who gives it another value |
+//! |---|---|
+//! | `produce_images` | figures, examples, `pda_stream`, `tile_wall` (true) |
+//! | `frame_compression` | the frame-stream bench, `pipelined_streaming`, both pixel workloads |
+//! | `pipeline_depth` | `pipelined_streaming` and the pipeline benches (1–4), `pda_stream` (2) |
+//! | `checkpoint_every` | the crash-recovery sessions (8, 32): a durability cadence |
+//! | `ship_max_lag` | the failover bench grid, `edit_storm` (0) |
+//! | `update_delivery_trace` | `collab_fanout` and the 10k-subscriber bench (false) |
+//! | `target_fps`, `fill_factor`, `codec_reprobe_every`, `codec_ewma_alpha`, `frame_strip_bytes` | nobody: `benchmark/` *reads* them, so they wait for its refresh (ROADMAP "Unlocked deletions") |
 
 /// How render services ship frames to thin clients and tile owners.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -13,21 +29,10 @@ pub enum CompressionMode {
     Adaptive,
 }
 
-/// Global RAVE configuration: the thresholds and knobs §3.2.7 describes
-/// qualitatively, made explicit.
+/// Global RAVE configuration (see the module docs for why each value is
+/// a field and not a constant).
 #[derive(Debug, Clone)]
 pub struct RaveConfig {
-    /// A render service whose rolling frame rate drops below this reports
-    /// itself overloaded to the data service.
-    pub overload_fps: f64,
-    /// A render service sustaining more than this is a migration target
-    /// (has spare capacity).
-    pub underload_fps: f64,
-    /// How long under-load must persist before the data service reacts —
-    /// "for a given amount of time, to smooth out spikes of usage".
-    pub underload_debounce: SimTime,
-    /// Frames in the rolling fps window.
-    pub fps_window: usize,
     /// Target interactive rate used when interrogating capacity
     /// ("available polygons per second ... and still maintain its current
     /// interactive frame rate").
@@ -39,12 +44,6 @@ pub struct RaveConfig {
     /// generation) or only charge the cost model (timing runs with
     /// multi-million-polygon scenes).
     pub produce_images: bool,
-    /// Introspection marshalling rates for scene bootstrap (§5.5): the
-    /// Java-reflection path, seconds per field visit and per byte.
-    pub introspect_per_field: f64,
-    pub introspect_per_byte: f64,
-    /// Direct marshalling per byte (the ablation comparator).
-    pub direct_per_byte: f64,
     /// Updates between durable snapshot checkpoints when a session store
     /// is attached (§3.1.1's "intermittently streamed to disk" cadence).
     pub checkpoint_every: u64,
@@ -55,10 +54,6 @@ pub struct RaveConfig {
     pub codec_reprobe_every: u64,
     /// EWMA weight of the newest measured compression ratio, in (0, 1].
     pub codec_ewma_alpha: f64,
-    /// Permit lossy (RGB565) codecs on thin-client frame streams. Tile
-    /// returns are always lossless regardless (they are stitched into a
-    /// composite that must match the monolithic render).
-    pub allow_lossy_frames: bool,
     /// Target bytes per strip in the dirty-strip frame container.
     pub frame_strip_bytes: usize,
     /// Maximum frames in flight (requested but not yet displayed) on a
@@ -69,9 +64,6 @@ pub struct RaveConfig {
     /// the decode/import of frame N−1, hiding every latency except the
     /// bottleneck stage's.
     pub pipeline_depth: usize,
-    /// Emit a `TraceKind::SchedDecision` record (candidates, scores,
-    /// choice) for every migration/failure placement decision.
-    pub sched_decision_trace: bool,
     /// Replication lag bound, in committed updates: the newest entries of
     /// the primary's *unsealed* segment may stay unshipped up to this
     /// count (0 = ship every entry immediately). Sealed segments always
@@ -82,43 +74,22 @@ pub struct RaveConfig {
     /// scale runs with 10k subscribers turn it off — one presence update
     /// would otherwise allocate 10k trace strings.
     pub update_delivery_trace: bool,
-    /// Maximum live `(render service, client)` frame-stream channels held
-    /// in the world's `FrameCache`; past it the least-recently-used
-    /// stream is evicted (it restarts from a keyframe on its next frame)
-    /// and a `TraceKind::FrameCacheEvict` event is recorded. 0 =
-    /// unbounded, the pre-10k-session behaviour.
-    pub frame_cache_budget: usize,
 }
 
 impl Default for RaveConfig {
     fn default() -> Self {
         Self {
-            overload_fps: 10.0,
-            underload_fps: 40.0,
-            underload_debounce: SimTime::from_secs(5.0),
-            fps_window: 10,
             target_fps: 15.0,
             fill_factor: 0.85,
             produce_images: false,
-            // Calibrated against Table 5: a 20 MB model bootstraps in
-            // ≈68 s, of which ≈58 s is marshalling (the rest is instance
-            // creation + wire time) ⇒ ≈2.3 µs/byte through the
-            // introspective path.
-            introspect_per_field: 4.0e-6,
-            introspect_per_byte: 2.3e-6,
-            // Direct serialization: bulk memcpy-ish, ~50 ns/byte.
-            direct_per_byte: 50.0e-9,
             checkpoint_every: 256,
             frame_compression: CompressionMode::Raw,
             codec_reprobe_every: 30,
             codec_ewma_alpha: 0.3,
-            allow_lossy_frames: true,
             frame_strip_bytes: 16 * 1024,
             pipeline_depth: 1,
-            sched_decision_trace: true,
             ship_max_lag: 64,
             update_delivery_trace: true,
-            frame_cache_budget: 0,
         }
     }
 }
@@ -128,11 +99,9 @@ mod tests {
     use super::*;
 
     #[test]
-    fn default_thresholds_ordered() {
+    fn default_fill_factor_is_a_fraction() {
         let c = RaveConfig::default();
-        assert!(c.overload_fps < c.underload_fps);
         assert!(c.fill_factor > 0.0 && c.fill_factor <= 1.0);
-        assert!(c.introspect_per_byte > c.direct_per_byte * 10.0);
     }
 
     #[test]
@@ -145,16 +114,9 @@ mod tests {
     }
 
     #[test]
-    fn default_sched_knobs_sane() {
-        let c = RaveConfig::default();
-        assert!(c.sched_decision_trace, "decision audit on by default");
-    }
-
-    #[test]
     fn default_collab_knobs_sane() {
         let c = RaveConfig::default();
         assert!(c.update_delivery_trace, "delivery audit on by default");
-        assert_eq!(c.frame_cache_budget, 0, "frame cache unbounded unless opted in");
     }
 
     #[test]

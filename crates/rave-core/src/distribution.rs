@@ -198,19 +198,12 @@ pub fn plan_distribution(
     // re-sort-after-every-placement ledger policy this planner has always
     // used; splitting calls back into the spatial [`split_node`].
     let mut ledger = Ledger::from_reports(candidates, true);
-    let outcome = place_with_splitting(
-        &mut ledger,
-        distributable_units(scene),
-        |id| {
-            let (a, b) = split_node(scene, id)?;
-            let ca = scene.node(a).expect("split child").own_cost();
-            let cb = scene.node(b).expect("split child").own_cost();
-            Some([(a, ca), (b, cb)])
-        },
-        // Bulk planning is latency-sensitive and discards the records;
-        // migration/failure paths record through the ledger directly.
-        false,
-    )
+    let outcome = place_with_splitting(&mut ledger, distributable_units(scene), |id| {
+        let (a, b) = split_node(scene, id)?;
+        let ca = scene.node(a).expect("split child").own_cost();
+        let cb = scene.node(b).expect("split child").own_cost();
+        Some([(a, ca), (b, cb)])
+    })
     .map_err(|e| match e {
         PlaceError::Indivisible { item, polygons, largest_headroom } => {
             PlanError::IndivisibleNode { node: item, polygons, largest_headroom }

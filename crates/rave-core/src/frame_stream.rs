@@ -78,21 +78,14 @@ impl FrameChannel {
 
 /// All live frame streams, keyed by (sending render service, client).
 ///
-/// Recency is tracked per stream: every send does a take → insert dance,
-/// so the stream touched longest ago sits at the front of the LRU order.
-/// With `RaveConfig::frame_cache_budget > 0` the send path calls
-/// [`enforce_budget`](Self::enforce_budget) after each insert; an evicted
-/// stream loses its delta base and restarts from a keyframe on its next
-/// frame — correct by construction, just briefly more expensive.
+/// A stream lives as long as its render service: the failure teardown in
+/// `sched::rebalance` calls [`evict_service`](Self::evict_service), and
+/// nothing else bounds the map. A stream that is dropped loses its delta
+/// base and restarts from a keyframe on its next frame — correct by
+/// construction, just briefly more expensive.
 #[derive(Debug, Clone, Default)]
 pub struct FrameCache {
     channels: BTreeMap<(RenderServiceId, ClientId), FrameChannel>,
-    /// Logical use-clock, bumped on every insert.
-    clock: u64,
-    /// tick -> stream, oldest first (the eviction order).
-    by_tick: BTreeMap<u64, (RenderServiceId, ClientId)>,
-    /// stream -> its current tick (to unlink on take/evict/re-insert).
-    tick_of: BTreeMap<(RenderServiceId, ClientId), u64>,
 }
 
 impl FrameCache {
@@ -100,25 +93,14 @@ impl FrameCache {
         Self::default()
     }
 
-    fn unlink(&mut self, key: (RenderServiceId, ClientId)) {
-        if let Some(tick) = self.tick_of.remove(&key) {
-            self.by_tick.remove(&tick);
-        }
-    }
-
     /// Detach a stream's state (re-[`insert`](Self::insert) it after the
     /// send — the take/put dance keeps `&mut RaveWorld` free for the
     /// channel send in between).
     pub fn take(&mut self, rs: RenderServiceId, client: ClientId) -> Option<FrameChannel> {
-        self.unlink((rs, client));
         self.channels.remove(&(rs, client))
     }
 
     pub fn insert(&mut self, rs: RenderServiceId, client: ClientId, ch: FrameChannel) {
-        self.unlink((rs, client));
-        self.clock += 1;
-        self.by_tick.insert(self.clock, (rs, client));
-        self.tick_of.insert((rs, client), self.clock);
         self.channels.insert((rs, client), ch);
     }
 
@@ -143,26 +125,13 @@ impl FrameCache {
     /// Drop a stream's state (e.g. the session closed or the viewport
     /// changed size — the next frame starts over with a keyframe probe).
     pub fn evict(&mut self, rs: RenderServiceId, client: ClientId) {
-        self.unlink((rs, client));
         self.channels.remove(&(rs, client));
     }
 
-    /// Evict least-recently-used streams until at most `budget` remain
-    /// (no-op when `budget == 0` — that spells "unbounded"). Returns the
-    /// evicted stream keys, oldest first, so the caller can trace them.
-    pub fn enforce_budget(&mut self, budget: usize) -> Vec<(RenderServiceId, ClientId)> {
-        let mut evicted = Vec::new();
-        if budget == 0 {
-            return evicted;
-        }
-        while self.channels.len() > budget {
-            let Some((&tick, &key)) = self.by_tick.iter().next() else { break };
-            self.by_tick.remove(&tick);
-            self.tick_of.remove(&key);
-            self.channels.remove(&key);
-            evicted.push(key);
-        }
-        evicted
+    /// Drop every stream `rs` sends: the service left the world, and each
+    /// channel holds two frames of pixels nobody will diff against again.
+    pub fn evict_service(&mut self, rs: RenderServiceId) {
+        self.channels.retain(|&(sender, _), _| sender != rs);
     }
 }
 
@@ -294,14 +263,6 @@ pub fn send_frame_after(
     ch.last_raw = Some(cur.to_vec());
     ch.prev_view = Some(new_view);
     world.frame_cache.insert(rs, client, ch);
-    let budget = world.config.frame_cache_budget;
-    for (ers, ecl) in world.frame_cache.enforce_budget(budget) {
-        world.trace.record(
-            encode_start,
-            TraceKind::FrameCacheEvict,
-            format!("{ers}->{ecl} evicted (budget {budget})"),
-        );
-    }
 
     FrameSendOutcome {
         arrival,
@@ -509,46 +470,6 @@ mod tests {
         );
         assert_eq!(out.strips_skipped, 0);
         assert_eq!(w.frame_cache.stats(rs, cl).unwrap().frames, 1);
-    }
-
-    #[test]
-    fn frame_cache_budget_evicts_least_recently_used_stream() {
-        let mut w = world();
-        w.config.frame_cache_budget = 2;
-        let (from, to) = pda_stream_hosts();
-        let rs = RenderServiceId(1);
-        let frame = synthesize_frame(64, 64, 0);
-        let send_to = |w: &mut RaveWorld, cl: ClientId, t: f64| {
-            send_frame(
-                w,
-                SimTime::from_secs(t),
-                rs,
-                cl,
-                from,
-                to,
-                &frame,
-                EndpointSpeed::workstation(),
-                EndpointSpeed::pda(),
-                false,
-            )
-        };
-        send_to(&mut w, ClientId(1), 0.0);
-        send_to(&mut w, ClientId(2), 1.0);
-        // Touch client 1 again so client 2 is now the LRU stream.
-        send_to(&mut w, ClientId(1), 2.0);
-        assert_eq!(w.frame_cache.len(), 2);
-        assert_eq!(w.trace.count(TraceKind::FrameCacheEvict), 0);
-        // A third stream pushes the cache over budget: client 2 goes.
-        send_to(&mut w, ClientId(3), 3.0);
-        assert_eq!(w.frame_cache.len(), 2);
-        assert!(w.frame_cache.stats(rs, ClientId(2)).is_none(), "LRU stream evicted");
-        assert!(w.frame_cache.stats(rs, ClientId(1)).is_some());
-        assert!(w.frame_cache.stats(rs, ClientId(3)).is_some());
-        let ev = w.trace.first_of(TraceKind::FrameCacheEvict).unwrap();
-        assert!(ev.detail.contains("->cl2"), "evicted stream named: {}", ev.detail);
-        // The evicted stream restarts with a full keyframe (nothing skipped).
-        let out = send_to(&mut w, ClientId(2), 4.0);
-        assert_eq!(out.strips_skipped, 0);
     }
 
     #[test]

@@ -241,11 +241,23 @@ mod tests {
             rs.scene.add_node(root, "filler", mesh(3_000_000)).unwrap();
         }
         let fresh = sim.world.spawn_render_service("tower");
+        let cfg = sim.world.config.clone();
+        let room = sim.world.render(fresh).capacity_report(&cfg).poly_headroom;
         let outcome = handle_service_failure(&mut sim, ds, slow);
         sim.run();
         assert_eq!(outcome.recruited, vec![fresh]);
         assert!(outcome.moved.iter().all(|(_, _, to)| *to == fresh));
         assert!(sim.world.render(fresh).assigned_cost().polygons > 0);
+        // The recruit's decision rows score it by the room it reported,
+        // less what already landed on it — not by the shard's own size.
+        let scores: Vec<String> = sim
+            .world
+            .trace
+            .of_kind(TraceKind::SchedDecision)
+            .filter_map(|e| e.detail.split_once(&format!("[candidates: {fresh}@")))
+            .map(|(_, score)| score.trim_end_matches(']').to_string())
+            .collect();
+        assert_eq!(scores, [room.to_string(), (room - 600_000).to_string()]);
     }
 
     #[test]

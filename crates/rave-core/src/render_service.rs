@@ -15,6 +15,9 @@ use rave_scene::{CameraParams, EditStamp, InterestSet, NodeCost, SceneTree};
 use rave_sim::{Occupancy, SimTime};
 use std::collections::{BTreeMap, VecDeque};
 
+/// Frames in the rolling fps window.
+pub const FPS_WINDOW: usize = 10;
+
 /// Everything the pixels, depths and statistics of a session's frame are a
 /// function of. Compared with plain `==`: a NaN in the camera or the style
 /// never equals itself, and such a frame is drawn every time.
@@ -277,7 +280,8 @@ impl RenderService {
         self.gpu.acquire(ready, render_secs)
     }
 
-    /// Record a frame completion for load tracking.
+    /// Record a frame completion for load tracking; the system's frame
+    /// loops pass [`FPS_WINDOW`].
     pub fn record_frame(&mut self, at: SimTime, window: usize) {
         self.frame_times.push_back(at);
         while self.frame_times.len() > window {

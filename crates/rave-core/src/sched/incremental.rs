@@ -696,7 +696,7 @@ mod tests {
         basis: &[(RenderServiceId, Headroom)],
     ) -> Vec<(RenderServiceId, Vec<NodeId>, NodeCost)> {
         let mut ledger = Ledger::from_caps(basis, true);
-        place_with_splitting(&mut ledger, units.to_vec(), |_| None, false).unwrap().assignments
+        place_with_splitting(&mut ledger, units.to_vec(), |_| None).unwrap().assignments
     }
 
     fn assignment_map(

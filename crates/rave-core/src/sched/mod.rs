@@ -9,9 +9,6 @@
 //! decisions from raw [`crate::capacity::CapacityReport`]s. This module
 //! is the one placement engine all of them now flow through:
 //!
-//! * [`workload`] — the common workload abstraction: a dataset shard, a
-//!   framebuffer tile or a volume brick, each reduced to one
-//!   [`workload::CostVector`].
 //! * [`placement`] — capacity-aware first-fit-decreasing bin-packing with
 //!   spatial splitting (subsuming `plan_distribution` + `split_node`),
 //!   plus the candidate-ranking primitive the tile planner shares, and a
@@ -41,10 +38,8 @@ pub mod feedback;
 pub mod incremental;
 pub mod placement;
 pub mod rebalance;
-pub mod workload;
 
 pub use feedback::ThroughputTracker;
 pub use incremental::{DirtySet, PlanDiff, PlanState};
 pub use placement::{DecisionRecord, Ledger, PlaceError, PlacementOutcome};
 pub use rebalance::{MigrationOutcome, SchedEvent};
-pub use workload::{CostVector, Workload};

@@ -2,7 +2,7 @@
 //! with spatial splitting, over a headroom ledger built from interrogated
 //! [`CapacityReport`]s. Dataset distribution, migration shedding,
 //! failover re-planning and tile/volume participant ranking all make
-//! their choices here, and every choice can be captured as a
+//! their choices here; the rebalance event path captures each of its as a
 //! [`DecisionRecord`] for the `SchedDecision` trace stream.
 
 use crate::capacity::{CapacityReport, Headroom};
@@ -182,10 +182,11 @@ impl Ledger {
     }
 
     /// Like [`Ledger::fit`], also capturing the considered candidates and
-    /// the choice as a [`DecisionRecord`]. The candidate snapshot and the
-    /// subject string both allocate, so latency-sensitive callers that do
-    /// not trace decisions (the bulk dataset planner, rebalance with
-    /// `sched_decision_trace` off) must call [`Ledger::fit`] instead.
+    /// the choice as a [`DecisionRecord`] — what the rebalance event path
+    /// calls, once per shard an overload or failure re-homes. The
+    /// candidate snapshot and the subject string both allocate, so the
+    /// planners (thousands of fits a plan, no trace row) call
+    /// [`Ledger::fit`].
     pub fn fit_recorded(
         &mut self,
         cost: &NodeCost,
@@ -212,8 +213,6 @@ pub struct PlacementOutcome {
     pub assignments: Vec<(RenderServiceId, Vec<NodeId>, NodeCost)>,
     /// Spatial splits performed to make things fit.
     pub splits: u32,
-    /// One record per placement choice, in decision order.
-    pub decisions: Vec<DecisionRecord>,
 }
 
 /// First-fit-decreasing with spatial splitting: items are ordered largest
@@ -230,15 +229,11 @@ pub struct PlacementOutcome {
 /// large plans quadratic). The pop order is bit-identical: a `VecDeque`
 /// preserves FIFO order exactly, including split halves jumping the
 /// queue ahead of possibly-heavier items behind them — which is why this
-/// is not a weight-keyed heap. `record_decisions` controls whether
-/// per-item [`DecisionRecord`]s are captured: callers that discard them
-/// (the bulk dataset planner on its latency-sensitive path) skip the
-/// per-item bookkeeping entirely.
+/// is not a weight-keyed heap.
 pub fn place_with_splitting(
     ledger: &mut Ledger,
     queue: Vec<(NodeId, NodeCost)>,
     splitter: impl FnMut(NodeId) -> Option<[(NodeId, NodeCost); 2]>,
-    record_decisions: bool,
 ) -> Result<PlacementOutcome, PlaceError> {
     let mut sorted = queue;
     let mut splitter = splitter;
@@ -251,18 +246,9 @@ pub fn place_with_splitting(
     let mut assignments: std::collections::BTreeMap<RenderServiceId, (Vec<NodeId>, NodeCost)> =
         std::collections::BTreeMap::new();
     let mut splits = 0u32;
-    let mut decisions = Vec::new();
 
     while let Some((id, cost)) = queue.pop_front() {
-        let chosen = if record_decisions {
-            let (chosen, record) =
-                ledger.fit_recorded(&cost, format!("shard {id} ({} polys)", cost.polygons));
-            decisions.push(record);
-            chosen
-        } else {
-            ledger.fit(&cost)
-        };
-        match chosen {
+        match ledger.fit(&cost) {
             Some(svc) => {
                 let entry = assignments.entry(svc).or_default();
                 entry.0.push(id);
@@ -297,7 +283,6 @@ pub fn place_with_splitting(
             .map(|(service, (nodes, cost))| (service, nodes, cost))
             .collect(),
         splits,
-        decisions,
     })
 }
 
@@ -389,28 +374,22 @@ mod tests {
     fn place_with_splitting_splits_until_it_fits() {
         let mut ledger = Ledger::from_reports(&[report(1, 60), report(2, 60)], true);
         // One 100-poly item, splittable in halves down to single polys.
-        let out = place_with_splitting(
-            &mut ledger,
-            vec![(NodeId(10), polys(100))],
-            |id| {
-                let half = NodeId(id.0 * 2);
-                let other = NodeId(id.0 * 2 + 1);
-                Some([(half, polys(50)), (other, polys(50))])
-            },
-            true,
-        )
+        let out = place_with_splitting(&mut ledger, vec![(NodeId(10), polys(100))], |id| {
+            let half = NodeId(id.0 * 2);
+            let other = NodeId(id.0 * 2 + 1);
+            Some([(half, polys(50)), (other, polys(50))])
+        })
         .unwrap();
         assert_eq!(out.splits, 1);
         let placed: u64 = out.assignments.iter().map(|(_, _, c)| c.polygons).sum();
         assert_eq!(placed, 100);
-        assert_eq!(out.decisions.len(), 3, "one unplaced probe + two placements");
     }
 
     #[test]
     fn place_with_splitting_reports_indivisible() {
         let mut ledger = Ledger::from_reports(&[report(1, 60)], true);
-        let err = place_with_splitting(&mut ledger, vec![(NodeId(1), polys(100))], |_| None, false)
-            .unwrap_err();
+        let err =
+            place_with_splitting(&mut ledger, vec![(NodeId(1), polys(100))], |_| None).unwrap_err();
         assert_eq!(
             err,
             PlaceError::Indivisible { item: NodeId(1), polygons: 100, largest_headroom: 60 }

@@ -9,12 +9,28 @@
 
 use crate::bootstrap::connect_render_service;
 use crate::ids::{DataServiceId, RenderServiceId};
-use crate::sched::placement::Ledger;
+use crate::sched::placement::{DecisionRecord, Ledger};
 use crate::trace::TraceKind;
 use crate::world::RaveSim;
 use rave_grid::TechnicalModel;
 use rave_scene::{InterestSet, NodeCost, NodeId};
+use rave_sim::SimTime;
 use std::collections::{BTreeMap, BTreeSet};
+
+/// A render service whose rolling frame rate drops below this reports
+/// itself overloaded to the data service (§3.2.7: "its rendering rate
+/// drops below a given threshold").
+pub const OVERLOAD_FPS: f64 = 10.0;
+
+/// A render service sustaining more than this is a migration target (has
+/// spare capacity).
+pub const UNDERLOAD_FPS: f64 = 40.0;
+
+/// How long under-load must persist before the data service reacts —
+/// "for a given amount of time, to smooth out spikes of usage".
+pub const UNDERLOAD_DEBOUNCE: SimTime = SimTime::from_secs(5.0);
+
+const _: () = assert!(OVERLOAD_FPS < UNDERLOAD_FPS);
 
 /// `CostDrift` trigger: a service whose measured throughput falls below
 /// this fraction of its advertised rate gets re-planned before the
@@ -99,11 +115,10 @@ pub fn select_nodes_to_shed(
 /// recording the §3.2.7 "informs the data server" trace for each.
 pub fn detect_overload(sim: &mut RaveSim, ds_id: DataServiceId) -> Vec<SchedEvent> {
     let now = sim.now();
-    let cfg = sim.world.config.clone();
     let mut events = Vec::new();
     for rs in sim.world.data(ds_id).subscriber_ids() {
         let fps = sim.world.render(rs).rolling_fps();
-        if fps.is_some_and(|f| f < cfg.overload_fps) {
+        if fps.is_some_and(|f| f < OVERLOAD_FPS) {
             events.push(SchedEvent::Overload { service: rs });
         }
     }
@@ -115,7 +130,7 @@ pub fn detect_overload(sim: &mut RaveSim, ds_id: DataServiceId) -> Vec<SchedEven
                 format!(
                     "{service} at {:.1} fps (threshold {})",
                     sim.world.render(*service).rolling_fps().unwrap_or(0.0),
-                    cfg.overload_fps
+                    OVERLOAD_FPS
                 ),
             );
         }
@@ -130,7 +145,6 @@ pub fn detect_overload(sim: &mut RaveSim, ds_id: DataServiceId) -> Vec<SchedEven
 /// `world.sched.underload_since`.
 pub fn detect_underload(sim: &mut RaveSim, ds_id: DataServiceId) -> Vec<SchedEvent> {
     let now = sim.now();
-    let cfg = sim.world.config.clone();
     let mut events = Vec::new();
     for rs in sim.world.data(ds_id).subscriber_ids() {
         let fps = sim.world.render(rs).rolling_fps();
@@ -138,12 +152,12 @@ pub fn detect_underload(sim: &mut RaveSim, ds_id: DataServiceId) -> Vec<SchedEve
         // (a fresh recruit); a loaded service that simply has not rendered
         // lately is not a migration target.
         let under = match fps {
-            Some(f) => f > cfg.underload_fps,
+            Some(f) => f > UNDERLOAD_FPS,
             None => sim.world.render(rs).assigned_cost().is_zero(),
         };
         if under {
             let since = *sim.world.sched.underload_since.entry(rs).or_insert(now);
-            if now - since >= cfg.underload_debounce {
+            if now - since >= UNDERLOAD_DEBOUNCE {
                 events.push(SchedEvent::Underload { service: rs });
             }
         } else {
@@ -336,14 +350,7 @@ fn handle_data_failure(sim: &mut RaveSim, dead: DataServiceId, outcome: &mut Mig
     outcome.refused = true;
 }
 
-fn trace_decision(
-    sim: &mut RaveSim,
-    record: &crate::sched::placement::DecisionRecord,
-    event: &str,
-) {
-    if !sim.world.config.sched_decision_trace {
-        return;
-    }
+fn trace_decision(sim: &mut RaveSim, record: &DecisionRecord, event: &str) {
     let now = sim.now();
     sim.world.trace.record(now, TraceKind::SchedDecision, record.detail(event));
 }
@@ -406,16 +413,9 @@ fn handle_overload(
     let mut unplaced: Vec<(NodeId, NodeCost)> = Vec::new();
     let mut placed: Vec<(NodeId, RenderServiceId, NodeCost)> = Vec::new();
     for (node, cost) in shed {
-        // Only pay for the candidate snapshot and subject string when the
-        // decision trace is actually on.
-        let chosen = if cfg.sched_decision_trace {
-            let (chosen, record) =
-                ledger.fit_recorded(&cost, format!("shard {node} ({} polys)", cost.polygons));
-            trace_decision(sim, &record, event);
-            chosen
-        } else {
-            ledger.fit(&cost)
-        };
+        let (chosen, record) =
+            ledger.fit_recorded(&cost, format!("shard {node} ({} polys)", cost.polygons));
+        trace_decision(sim, &record, event);
         match chosen {
             Some(to) => placed.push((node, to, cost)),
             None => unplaced.push((node, cost)),
@@ -437,14 +437,12 @@ fn handle_overload(
                 let mut room = report.headroom();
                 let mut still_unplaced = Vec::new();
                 for (node, cost) in unplaced {
-                    if cfg.sched_decision_trace {
-                        let record = crate::sched::placement::DecisionRecord {
-                            subject: format!("shard {node} ({} polys)", cost.polygons),
-                            chosen: room.fits(&cost).then_some(new_rs),
-                            candidates: vec![(new_rs, room.polygons)],
-                        };
-                        trace_decision(sim, &record, event);
-                    }
+                    let record = DecisionRecord {
+                        subject: format!("shard {node} ({} polys)", cost.polygons),
+                        chosen: room.fits(&cost).then_some(new_rs),
+                        candidates: vec![(new_rs, room.polygons)],
+                    };
+                    trace_decision(sim, &record, event);
                     if room.fits(&cost) {
                         room.debit(&cost);
                         batch.moves.move_node(sim, node, over_rs, new_rs, &cost);
@@ -524,14 +522,12 @@ fn handle_underload(
     candidates.sort_by_key(|(id, c)| (std::cmp::Reverse(c.render_weight()), *id));
     for (node, cost) in candidates {
         if cost.polygons <= room.polygons && donor != under_rs {
-            if cfg.sched_decision_trace {
-                let record = crate::sched::placement::DecisionRecord {
-                    subject: format!("shard {node} ({} polys)", cost.polygons),
-                    chosen: Some(under_rs),
-                    candidates: vec![(under_rs, room.polygons)],
-                };
-                trace_decision(sim, &record, "Underload");
-            }
+            let record = DecisionRecord {
+                subject: format!("shard {node} ({} polys)", cost.polygons),
+                chosen: Some(under_rs),
+                candidates: vec![(under_rs, room.polygons)],
+            };
+            trace_decision(sim, &record, "Underload");
             room.polygons -= cost.polygons;
             batch.moves.move_node(sim, node, donor, under_rs, &cost);
             batch.moved_nodes.insert(node);
@@ -551,43 +547,18 @@ fn handle_failure(
     batch: &mut Batch,
     outcome: &mut MigrationOutcome,
 ) {
-    let now = sim.now();
     let cfg = sim.world.config.clone();
     if !sim.world.render_services.contains_key(&dead) {
         return;
     }
 
-    // Take the dead service's interest roots off the subscription.
-    let orphaned: Vec<NodeId> = {
-        let ds = sim.world.data_mut(ds_id);
-        let roots = ds
-            .subscribers
-            .get(&dead)
-            .map(|sub| {
-                if sub.interest.is_everything() {
-                    // A full replica holds everything; its loss orphans
-                    // nothing that others don't already have.
-                    Vec::new()
-                } else {
-                    sub.interest.roots().collect()
-                }
-            })
-            .unwrap_or_default();
-        ds.unsubscribe(dead);
-        roots
+    // What the dead service alone held. A full replica holds everything;
+    // its loss orphans nothing that others don't already have.
+    let orphaned: Vec<NodeId> = match sim.world.data(ds_id).subscribers.get(&dead) {
+        Some(sub) if !sub.interest.is_everything() => sub.interest.roots().collect(),
+        _ => Vec::new(),
     };
-    // Remove the dead service from the world, the registry, and the
-    // scheduler's throughput memory: its replica, advertisement and
-    // measurements are gone.
-    let dead_host = sim.world.render(dead).host.clone();
-    sim.world.render_services.remove(&dead);
-    sim.world.registry.unpublish("RAVE", &dead_host, &format!("render-{dead}"));
-    sim.world.sched.throughput.forget(dead);
-    sim.world.trace.record(
-        now,
-        TraceKind::Overload,
-        format!("{dead} failed; {} orphaned subtree(s)", orphaned.len()),
-    );
+    teardown_render_service(sim, ds_id, dead, &format!("{} orphaned subtree(s)", orphaned.len()));
     if orphaned.is_empty() {
         return;
     }
@@ -611,14 +582,9 @@ fn handle_failure(
             continue;
         }
         let cost = sim.world.data(ds_id).scene.subtree_cost(node);
-        let chosen = if cfg.sched_decision_trace {
-            let (chosen, record) =
-                ledger.fit_recorded(&cost, format!("shard {node} ({} polys)", cost.polygons));
-            trace_decision(sim, &record, "Failure");
-            chosen
-        } else {
-            ledger.fit(&cost)
-        };
+        let (chosen, record) =
+            ledger.fit_recorded(&cost, format!("shard {node} ({} polys)", cost.polygons));
+        trace_decision(sim, &record, "Failure");
         match chosen {
             Some(to) => placed.push((node, to, cost)),
             None => unplaced.push((node, cost)),
@@ -633,15 +599,18 @@ fn handle_failure(
         match recruit_unconnected(sim, ds_id) {
             Some(new_rs) => {
                 outcome.recruited.push(new_rs);
+                // A dead service's share lands on the recruit whether or
+                // not it fits (the alternative is losing it); the row
+                // still says how much room the recruit had.
+                let mut room = sim.world.render(new_rs).capacity_report(&cfg).poly_headroom;
                 for (node, cost) in unplaced {
-                    if cfg.sched_decision_trace {
-                        let record = crate::sched::placement::DecisionRecord {
-                            subject: format!("shard {node} ({} polys)", cost.polygons),
-                            chosen: Some(new_rs),
-                            candidates: vec![(new_rs, cost.polygons)],
-                        };
-                        trace_decision(sim, &record, "Failure");
-                    }
+                    let record = DecisionRecord {
+                        subject: format!("shard {node} ({} polys)", cost.polygons),
+                        chosen: Some(new_rs),
+                        candidates: vec![(new_rs, room)],
+                    };
+                    trace_decision(sim, &record, "Failure");
+                    room = room.saturating_sub(cost.polygons);
                     batch.moves.move_node(sim, node, dead, new_rs, &cost);
                     batch.moved_nodes.insert(node);
                     outcome.moved.push((node, dead, new_rs));
@@ -886,7 +855,9 @@ pub fn incremental_replan(
     // against.
     for ev in events {
         match *ev {
-            SchedEvent::Failure { service } => teardown_render_service(sim, ds_id, service),
+            SchedEvent::Failure { service } => {
+                teardown_render_service(sim, ds_id, service, "plan replay will re-home its share")
+            }
             SchedEvent::DataFailure { service } => {
                 sim.world.sched.plans.remove(&service);
                 handle_data_failure(sim, service, &mut out.migration);
@@ -968,26 +939,29 @@ fn gross_basis(
         .collect()
 }
 
-/// The teardown half of [`handle_failure`] — unsubscribe, deregister,
-/// forget measurements. Re-homing the dead service's share is not done
-/// here: dropping it from the capacity basis makes the plan replay
+/// Take a failed render service out of the world: its subscription, its
+/// replica, its advertisement, everything the scheduler remembers about
+/// it, and the frame streams it was sending. Both failure paths end here
+/// (`aftermath` is what the trace row says happens to its share) and
+/// neither re-homes that share in this function — [`handle_failure`]
+/// places the orphaned roots itself, and on the incremental path
+/// dropping the service from the capacity basis makes the plan replay
 /// reassign every workload it held.
-fn teardown_render_service(sim: &mut RaveSim, ds_id: DataServiceId, dead: RenderServiceId) {
-    if !sim.world.render_services.contains_key(&dead) {
-        return;
-    }
-    let now = sim.now();
+fn teardown_render_service(
+    sim: &mut RaveSim,
+    ds_id: DataServiceId,
+    dead: RenderServiceId,
+    aftermath: &str,
+) {
+    let Some(rs) = sim.world.render_services.remove(&dead) else { return };
     sim.world.data_mut(ds_id).unsubscribe(dead);
-    let dead_host = sim.world.render(dead).host.clone();
-    sim.world.render_services.remove(&dead);
-    sim.world.registry.unpublish("RAVE", &dead_host, &format!("render-{dead}"));
+    sim.world.registry.unpublish("RAVE", &rs.host, &format!("render-{dead}"));
     sim.world.sched.throughput.forget(dead);
     sim.world.sched.drift_pending.remove(&dead);
-    sim.world.trace.record(
-        now,
-        TraceKind::Overload,
-        format!("{dead} failed; plan replay will re-home its share"),
-    );
+    sim.world.sched.underload_since.remove(&dead);
+    sim.world.frame_cache.evict_service(dead);
+    let now = sim.now();
+    sim.world.trace.record(now, TraceKind::Overload, format!("{dead} failed; {aftermath}"));
 }
 
 /// Apply a plan diff to the world: placement changes become migrations,
@@ -1026,7 +1000,7 @@ mod tests {
     use rave_math::{Vec3, Viewport};
     use rave_render::OffscreenMode;
     use rave_scene::{CameraParams, MeshData, NodeKind};
-    use rave_sim::{SimTime, Simulation};
+    use rave_sim::Simulation;
     use std::sync::Arc;
 
     fn mesh(tris: usize) -> NodeKind {
@@ -1097,17 +1071,6 @@ mod tests {
     }
 
     #[test]
-    fn decision_trace_can_be_silenced() {
-        let (mut sim, ds, slow, _) = overload_world();
-        sim.world.config.sched_decision_trace = false;
-        make_overloaded(&mut sim, slow);
-        let events = detect_overload(&mut sim, ds);
-        let outcome = process_events(&mut sim, ds, &events);
-        assert!(outcome.acted());
-        assert_eq!(sim.world.trace.count(TraceKind::SchedDecision), 0);
-    }
-
-    #[test]
     fn one_batch_never_moves_a_node_twice() {
         let (mut sim, ds, slow, fast) = overload_world();
         make_overloaded(&mut sim, slow);
@@ -1132,6 +1095,28 @@ mod tests {
         assert!(outcome.moved.iter().all(|(_, from, to)| *from == slow && *to == fast));
         assert!(sim.world.sched.throughput.throughput(slow).is_none());
         assert!(sim.world.trace.count(TraceKind::SchedDecision) >= 1);
+    }
+
+    #[test]
+    fn a_failed_service_is_forgotten_by_either_path() {
+        for incremental in [false, true] {
+            let (mut sim, ds, slow, _) = overload_world();
+            sim.world.sched.throughput.record(slow, 1000, 1.0);
+            sim.world.sched.drift_pending.insert(slow);
+            sim.world.sched.underload_since.insert(slow, SimTime::ZERO);
+            let events = [SchedEvent::Failure { service: slow }];
+            if incremental {
+                incremental_replan(&mut sim, ds, &events);
+            } else {
+                process_events(&mut sim, ds, &events);
+            }
+            let sched = &sim.world.sched;
+            assert!(sched.throughput.throughput(slow).is_none(), "incremental={incremental}");
+            assert!(!sched.drift_pending.contains(&slow), "incremental={incremental}");
+            assert!(!sched.underload_since.contains_key(&slow), "incremental={incremental}");
+            assert!(!sim.world.render_services.contains_key(&slow));
+            assert_eq!(sim.world.trace.count(TraceKind::Overload), 1, "one failure row");
+        }
     }
 
     #[test]

@@ -16,6 +16,7 @@
 use crate::config::CompressionMode;
 use crate::frame_stream;
 use crate::ids::{ClientId, RenderServiceId};
+use crate::render_service::FPS_WINDOW;
 use crate::trace::TraceKind;
 use crate::world::RaveSim;
 use rave_compress::adaptive::EndpointSpeed;
@@ -26,6 +27,11 @@ use rave_scene::CameraParams;
 use rave_sim::{Histogram, Occupancy, SimTime};
 use std::cell::RefCell;
 use std::rc::Rc;
+
+/// Thin-client frame streams may pick the lossy (RGB565) codecs. Tile
+/// returns never do — they pass `false` to the same send: they are
+/// stitched into a composite that must match the monolithic render.
+pub const ALLOW_LOSSY_FRAMES: bool = true;
 
 /// How the client converts received bytes into a displayable image —
 /// §5.1's J2ME-vs-C++ finding.
@@ -342,7 +348,6 @@ fn issue_frame(sim: &mut RaveSim, pipe: &Rc<RefCell<FramePipeline>>) {
                 } else {
                     frame_stream::synthesize_frame(vp.width, vp.height, index)
                 };
-                let allow_lossy = sim.world.config.allow_lossy_frames;
                 let encoder_free = sim.world.render(rs_id).encoder.busy_until();
                 let out = {
                     let p = pipe.borrow();
@@ -357,7 +362,7 @@ fn issue_frame(sim: &mut RaveSim, pipe: &Rc<RefCell<FramePipeline>>) {
                         &rgb,
                         EndpointSpeed::workstation(),
                         EndpointSpeed::pda(),
-                        allow_lossy,
+                        ALLOW_LOSSY_FRAMES,
                     )
                 };
                 sim.world.render_mut(rs_id).encoder.acquire(out.encode_start, out.encode_secs);
@@ -410,13 +415,12 @@ fn issue_frame(sim: &mut RaveSim, pipe: &Rc<RefCell<FramePipeline>>) {
         }
     };
 
-    let window = sim.world.config.fps_window;
     let pipe = Rc::clone(pipe);
     sim.schedule_at(t_displayed, move |sim| {
         let now = sim.now();
         {
             let rs = sim.world.render_mut(rs_id);
-            rs.record_frame(now, window);
+            rs.record_frame(now, FPS_WINDOW);
         }
         {
             let c = sim.world.client_mut(client_id);

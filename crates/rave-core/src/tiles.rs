@@ -733,6 +733,33 @@ mod tests {
     }
 
     #[test]
+    fn a_failed_helper_takes_its_tile_stream_with_it() {
+        let (mut sim, owner, helper, client) = tiled_world();
+        sim.world.config.frame_compression = CompressionMode::Adaptive;
+        let other = sim.world.spawn_render_service("onyx");
+        let scene = sim.world.render(helper).scene.clone();
+        sim.world.render_mut(other).scene = scene;
+        let ds = sim.world.spawn_data_service("adrenochrome", "wall");
+        for rs in [owner, helper, other] {
+            sim.world.data_mut(ds).subscribe_live(rs, rave_scene::InterestSet::subtrees([]));
+        }
+        let cam = CameraParams::look_at(Vec3::new(0.0, 0.0, 4.0), Vec3::ZERO, Vec3::Y);
+        let plan =
+            plan_tiles(&Viewport::new(64, 64), owner, &[report(helper, 100), report(other, 100)]);
+        render_tiled_frame(&mut sim, owner, client, &plan, cam, &BTreeSet::new());
+        // The owner's own stream, on to its thin client.
+        let stream = crate::frame_stream::FrameChannel::new(0.3, 30);
+        sim.world.frame_cache.insert(owner, client, stream);
+        assert_eq!(sim.world.frame_cache.len(), 3);
+
+        crate::migration::handle_service_failure(&mut sim, ds, helper);
+        assert!(sim.world.frame_cache.stats(helper, client).is_none(), "dead helper's stream");
+        assert_eq!(sim.world.frame_cache.len(), 2);
+        assert_eq!(sim.world.frame_cache.stats(other, client).unwrap().frames, 1);
+        assert!(sim.world.frame_cache.get(owner, client).is_some());
+    }
+
+    #[test]
     fn helper_tiles_cost_network_time() {
         let (mut sim, owner, helper, client) = tiled_world();
         sim.world.config.produce_images = false;

@@ -39,10 +39,6 @@ pub enum TraceKind {
     /// Never emitted at `pipeline_depth = 1` — the serial cycle has no
     /// overlap, hence nothing to wait on.
     PipelineStall,
-    /// A frame-stream channel was evicted from the world's `FrameCache`
-    /// to stay inside `frame_cache_budget` (LRU); the stream restarts
-    /// from a keyframe on its next frame.
-    FrameCacheEvict,
 }
 
 /// One trace record.

@@ -18,7 +18,7 @@ impl SimTime {
 
     /// Construct from seconds. Panics on NaN — a NaN timestamp would
     /// corrupt the event-queue ordering silently.
-    pub fn from_secs(s: f64) -> Self {
+    pub const fn from_secs(s: f64) -> Self {
         assert!(!s.is_nan(), "SimTime cannot be NaN");
         Self(s)
     }

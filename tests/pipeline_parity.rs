@@ -71,7 +71,7 @@ fn reference_cycle(sim: &mut RaveSim, client_id: ClientId, remaining: u64) {
             } else {
                 frame_stream::synthesize_frame(vp.width, vp.height, seq)
             };
-            let allow_lossy = sim.world.config.allow_lossy_frames;
+            let allow_lossy = rave::core::thin_client::ALLOW_LOSSY_FRAMES;
             let out = frame_stream::send_frame(
                 &mut sim.world,
                 t_rendered,
@@ -98,7 +98,7 @@ fn reference_cycle(sim: &mut RaveSim, client_id: ClientId, remaining: u64) {
     let client_cpu = decode_secs + import + overhead;
     let t_displayed = t_image_arrives + SimTime::from_secs(client_cpu);
 
-    let window = sim.world.config.fps_window;
+    let window = rave::core::render_service::FPS_WINDOW;
     sim.schedule_at(t_displayed, move |sim| {
         let now = sim.now();
         {

@@ -8,13 +8,6 @@ use rave::math::Vec3;
 use rave::net::{Frame, FrameKind};
 use rave::scene::MeshData;
 
-/// A shared 2-thread pool for the thread-invariance property (built once;
-/// per-case pool spawning would dominate the test).
-fn two_thread_pool() -> &'static rayon::ThreadPool {
-    static POOL: std::sync::OnceLock<rayon::ThreadPool> = std::sync::OnceLock::new();
-    POOL.get_or_init(|| rayon::ThreadPoolBuilder::new().num_threads(2).build().unwrap())
-}
-
 fn rgb_frame() -> impl Strategy<Value = Vec<u8>> {
     // Pixel count then content mode: flat runs, gradients, or noise —
     // exercising best and worst cases of each codec.
@@ -34,6 +27,63 @@ fn rgb_frame() -> impl Strategy<Value = Vec<u8>> {
             })
             .collect()
     })
+}
+
+/// A previous frame for `frame`: absent, equal to it, equal but for one
+/// run of bytes (so some strips stay clean), or a pixel shorter/longer
+/// (which both container roles must ignore).
+fn previous_frame(frame: &[u8], kind: u8, seed: u64) -> Option<Vec<u8>> {
+    let mut prev = frame.to_vec();
+    match kind {
+        0 => return None,
+        1 => {}
+        2 => {
+            let at = seed as usize % prev.len();
+            let run = 1 + (seed >> 32) as usize % (prev.len() - at);
+            prev[at..at + run].iter_mut().for_each(|b| *b ^= 0x5A);
+        }
+        _ if seed.is_multiple_of(2) => prev.truncate(prev.len() - 3),
+        _ => prev.extend_from_slice(&[1, 2, 3]),
+    }
+    Some(prev)
+}
+
+/// The strip container assembled from the wire layout in the
+/// `rave_compress::stream` module docs and nothing else of that module
+/// but `bytes_identical`: header, dirty bitmap, then each dirty strip's
+/// length-prefixed codec payload. Returns the bytes and the clean-strip
+/// count.
+fn container_by_layout(
+    codec: Codec,
+    cur: &[u8],
+    prev_raw: Option<&[u8]>,
+    prev_view: Option<&[u8]>,
+    strip_count: u16,
+) -> (Vec<u8>, u32) {
+    let pixels = cur.len() / 3;
+    let n = if pixels == 0 { 0 } else { (strip_count as usize).clamp(1, pixels) };
+    let prev_raw = prev_raw.filter(|p| p.len() == cur.len());
+    let prev_view = prev_view.filter(|p| p.len() == cur.len());
+    let mut bitmap = vec![0u8; n.div_ceil(8)];
+    let mut body = Vec::new();
+    let mut clean = 0;
+    for i in 0..n {
+        let r = pixels * i / n * 3..pixels * (i + 1) / n * 3;
+        if prev_raw.is_some_and(|p| stream::bytes_identical(&cur[r.clone()], &p[r.clone()])) {
+            clean += 1;
+            continue;
+        }
+        bitmap[i / 8] |= 1 << (i % 8);
+        let payload = codec.encode(&cur[r.clone()], prev_view.map(|p| &p[r]));
+        body.extend_from_slice(&(payload.len() as u32).to_le_bytes());
+        body.extend_from_slice(&payload);
+    }
+    let mut out = vec![1, codec.id()];
+    out.extend_from_slice(&(cur.len() as u32).to_le_bytes());
+    out.extend_from_slice(&(n as u16).to_le_bytes());
+    out.extend_from_slice(&bitmap);
+    out.extend_from_slice(&body);
+    (out, clean)
 }
 
 proptest! {
@@ -68,25 +118,43 @@ proptest! {
         prop_assert_eq!(delta::encode(&frame, None), delta::encode_scalar(&frame, None));
     }
 
-    /// The dirty-strip container roundtrips any frame under every codec
-    /// and strip count (exactly for lossless codecs, within the RGB565
-    /// bound for lossy ones), and its bytes do not depend on the rayon
-    /// thread count.
+    /// The dirty-strip container is what its module docs lay out, byte for
+    /// byte, and roundtrips any frame under every codec and strip count
+    /// (exactly for lossless codecs, within the RGB565 bound for lossy
+    /// ones) — with the two previous-frame roles absent, equal to the
+    /// frame, partly different from it, or of another length.
     #[test]
     fn strip_container_roundtrips(
         frame in rgb_frame(),
-        prev in rgb_frame(),
-        strips in 0u16..40,
+        prev_raw in (0u8..4, any::<u64>()),
+        prev_view in (0u8..4, any::<u64>()),
+        strips in prop_oneof![Just(0u16), Just(1u16), 2u16..40, Just(u16::MAX)],
     ) {
-        let prev_arg = if prev.len() == frame.len() { Some(&prev[..]) } else { None };
+        let prev_raw = previous_frame(&frame, prev_raw.0, prev_raw.1);
+        let prev_view = previous_frame(&frame, prev_view.0, prev_view.1);
+        let (prev_raw, prev_view) = (prev_raw.as_deref(), prev_view.as_deref());
         for codec in Codec::ALL {
-            let enc = stream::encode_frame(codec, &frame, prev_arg, prev_arg, strips);
-            let enc2 = two_thread_pool().install(|| {
-                stream::encode_frame(codec, &frame, prev_arg, prev_arg, strips)
-            });
-            prop_assert_eq!(&enc, &enc2, "thread-count invariant ({})", codec.name());
-            let dec = stream::decode_frame(&enc, prev_arg).expect("decodable");
+            let (enc, meta) =
+                stream::encode_frame_with_meta(codec, &frame, prev_raw, prev_view, strips);
+            let (reference, clean) = container_by_layout(codec, &frame, prev_raw, prev_view, strips);
+            prop_assert_eq!(&enc, &reference, "{} x{}", codec.name(), strips);
+            prop_assert_eq!(meta.skipped, clean, "{} x{}", codec.name(), strips);
+            prop_assert_eq!(stream::inspect(&enc), Some(meta));
+
+            // A clean strip is copied out of the receiver's view: without a
+            // usable one there is no decode, and the decode is the frame only
+            // if the view holds what `prev_raw` held (the channel keeps the
+            // two in step; here they are drawn apart on purpose).
+            let view = prev_view.filter(|p| p.len() == frame.len());
+            let Some(dec) = stream::decode_frame(&enc, prev_view) else {
+                prop_assert!(clean > 0 && view.is_none(), "{} x{}", codec.name(), strips);
+                continue;
+            };
+            prop_assert!(clean == 0 || view.is_some(), "clean strips decoded from nothing");
             prop_assert_eq!(dec.len(), frame.len(), "{}", codec.name());
+            if clean > 0 && prev_view != prev_raw {
+                continue;
+            }
             if codec.is_lossy() {
                 for (a, b) in frame.iter().zip(&dec) {
                     prop_assert!((*a as i16 - *b as i16).abs() <= 8, "{}", codec.name());

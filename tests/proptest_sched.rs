@@ -331,7 +331,7 @@ mod plan_state_storms {
     ) -> Vec<(RenderServiceId, Vec<NodeId>, NodeCost)> {
         let mut ledger = Ledger::from_caps(caps, true);
         let queue: Vec<(NodeId, NodeCost)> = units.iter().map(|(&id, &c)| (id, c)).collect();
-        place_with_splitting(&mut ledger, queue, |_| None, false)
+        place_with_splitting(&mut ledger, queue, |_| None)
             .expect("feasible by construction")
             .assignments
     }
