@@ -16,7 +16,11 @@
 //! tiled frame repeats, with no scheduler in the number (the ratio at the
 //! other pool widths is reported beside it); and
 //! `session.static_over_moving`: what a frame nothing changed for costs a
-//! session over one the camera moved for.
+//! session over one the camera moved for; and
+//! `subpixel.binned_1t_over_reference`: the binned engine on one thread
+//! over the reference's whole-box scan on the Elle frame, where a triangle
+//! is smaller than a pixel and per-triangle overhead, not fill, is the
+//! frame.
 
 use bench::harness::{best_of, median, num, obj, pool, quick, secs, staged, Report};
 use criterion::Criterion;
@@ -95,6 +99,7 @@ fn main() {
     // every configuration equally instead of whichever ran last.
     let mut scenes = Vec::new();
     let mut speedup_50k = 0.0;
+    let mut subpixel = Value::Null;
     for (model, budget, (w, h)) in SCENES {
         let (tree, cam) = staged(model, budget);
         let mut reference = Framebuffer::new(w, h);
@@ -121,6 +126,22 @@ fn main() {
         }
         if (model, budget) == (PaperModel::Galleon, 50_000) {
             speedup_50k = baseline / par.last().expect("grid has 1 thread").1;
+        }
+        // The sub-pixel regime: about one shaded fragment a triangle, so
+        // what a frame costs is what a triangle costs before any pixel.
+        if model == PaperModel::Elle {
+            let raster = ref_stats.raster;
+            let binned_1t = par[0].1;
+            subpixel = obj([
+                ("scene", format!("{model:?} {budget}, {w}x{h}").to_value()),
+                (
+                    "fragments_shaded_per_triangle",
+                    num(raster.fragments_shaded as f64 / raster.triangles_rasterized as f64, 3),
+                ),
+                ("reference_secs", num(baseline, 6)),
+                ("binned_1t_secs", num(binned_1t, 6)),
+                ("binned_1t_over_reference", num(binned_1t / baseline, 3)),
+            ]);
         }
         scenes.push(obj([
             ("model", format!("{model:?}").to_value()),
@@ -264,6 +285,7 @@ fn main() {
                 ("world_bounds_50k_us", num(world_bounds_us, 2)),
             ]),
         )
+        .set("subpixel", subpixel)
         .set("speedup_50k_threads", *threads.last().expect("grid has 1 thread"))
         .set("speedup_50k", num(speedup_50k, 2))
         .write();

@@ -325,9 +325,22 @@ impl FramebufferBand<'_> {
     /// [`Framebuffer::set_if_closer`].
     #[inline]
     pub fn set_if_closer(&mut self, x: u32, y: u32, c: Rgb, z: f32) -> bool {
+        self.set_if_closer_with(x, y, z, || c)
+    }
+
+    /// [`FramebufferBand::set_if_closer`] for a fragment whose color costs
+    /// something: `color` runs only if the fragment wins the depth test.
+    #[inline]
+    pub fn set_if_closer_with(
+        &mut self,
+        x: u32,
+        y: u32,
+        z: f32,
+        color: impl FnOnce() -> Rgb,
+    ) -> bool {
         let i = self.idx(x, y);
         if z < self.depth[i] {
-            self.color[i] = c;
+            self.color[i] = color();
             self.depth[i] = z;
             true
         } else {

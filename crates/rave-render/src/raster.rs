@@ -1,22 +1,55 @@
 //! Triangle rasterization: clip → project → scan-convert with z-buffer
 //! and Gouraud shading.
 //!
-//! Two call paths share one pixel loop:
+//! **What is drawn.** A clip-space triangle is counted *submitted* and
+//! clipped against `w ≥ 10⁻⁵` (Sutherland–Hodgman; the crossing at
+//! `t = (10⁻⁵ − w_cur) / (w_next − w_cur)` is `cur + (next − cur)·t` on
+//! position and colour); fewer than three vertices left is *clipped away*.
+//! Each vertex left is divided by its `w` and mapped to pixels, and the
+//! polygon is drawn as a fan about its first vertex. A fan triangle with
+//! screen corners `a, b, c` (`u × v = u.x·v.y − u.y·v.x`, everything in
+//! f32, left to right) has `area = (b − a) × (c − a)`. It is *clipped
+//! away* when `|area| < 10⁻⁹` or the area is not finite, or when its
+//! floor/ceil box — columns `floor(min x)..=ceil(max x)`, rows likewise,
+//! cut to the tile — holds no pixel; otherwise it is *rasterized*, with
+//! `inv_area = 1 / area`, by running **the kernel** on the pixels
+//! `(px, py)` of that box:
+//!
+//! 1. sample the pixel centre, `p = (px + ½, py + ½)`;
+//! 2. `w0 = (b − p) × (c − p) · inv_area`, `w1 = (c − p) × (a − p) ·
+//!    inv_area`, `w2 = 1 − w0 − w1`;
+//! 3. the pixel is outside if `w0 < 0` or `w1 < 0` or `w2 < 0`;
+//! 4. inside: one more `fragments_shaded`; `z = w0·z_a + w1·z_b + w2·z_c`,
+//!    and the fragment is dropped unless `−1 ≤ z ≤ 1`;
+//! 5. its colour is `c_a·w0 + c_b·w1 + c_c·w2` per channel, clamped to
+//!    `[0, 1]` and quantised `(x·255 + ½) as u8`;
+//! 6. it is written — colour and depth, one more `fragments_written` — if
+//!    `z` is strictly less than the depth stored at the pixel.
+//!
+//! The colour reaches the picture only through step 6, so the code takes
+//! 6's comparison before 5's arithmetic.
+//!
+//! Two call paths draw this way:
 //!
 //! - the **immediate-mode reference** ([`rasterize_triangle`],
-//!   [`draw_mesh`]) — simple per-triangle code, the baseline every
-//!   optimization is verified against;
-//! - the **binned pipeline** ([`raster_mesh_rows`]: per-triangle setup and
-//!   [`raster_tri_rows`] in one pass over a mesh's cached vertex stage)
-//!   used by [`crate::renderer::Renderer`] to rasterize disjoint row bands
-//!   in parallel.
+//!   [`draw_mesh`]) — per-triangle code that runs the kernel on every
+//!   pixel of every floor/ceil box, the baseline every optimization is
+//!   verified against;
+//! - the **binned pipeline** ([`raster_mesh_rows`], one pass over a mesh's
+//!   cached vertex stage per row band) used by
+//!   [`crate::renderer::Renderer`] to rasterize disjoint row bands in
+//!   parallel.
 //!
-//! Both evaluate the identical per-pixel expressions, so a banded draw is
-//! bit-identical to a serial one — the guarantee the parallel renderer's
-//! property tests pin down. The binned path may *skip* pixels (the
-//! centre-sampled box of [`centre_box`], the spans of `walk_spans`), but
-//! only ones the kernel provably rejects; the reference scans the whole
-//! floor/ceil box and stays an independent oracle.
+//! They share the setup (`setup_tri`: the counters, `inv_area`, the box)
+//! and the kernel's two halves (`barycentrics` for steps 1–2,
+//! `shade_fragment` for 4–6), so a banded draw is bit-identical to a
+//! serial one — the guarantee the parallel renderer's property tests pin
+//! down. The binned path may *skip* pixels (the centre-sampled box
+//! `setup_tri` narrows to, the spans of `walk_spans`, the clear bits of
+//! `raster_small_box`'s mask), but only ones step 3 provably rejects; the
+//! reference scans the whole floor/ceil box and stays an independent
+//! oracle, and `tests/proptest_render.rs` holds both to the six steps
+//! above written out with no code from here.
 
 use crate::framebuffer::{Framebuffer, FramebufferBand, Rgb};
 use rave_math::{Mat4, Vec2, Vec3, Vec4, Viewport};
@@ -95,52 +128,145 @@ impl RasterStats {
     }
 }
 
-/// A triangle after clipping and projection, ready to rasterize:
-/// screen-space vertices (pixel x/y + NDC z), Gouraud colors, the
-/// signed-area inverse, and its floor/ceil pixel bounding box already
-/// intersected with the target tile (inclusive bounds).
+/// A triangle set up for the kernel: screen-space corners (pixel x/y),
+/// their NDC depths and Gouraud colors, the signed-area inverse, and the
+/// pixel box to run the kernel over (inclusive, never empty, inside the
+/// tile and the rows [`setup_tri`] was asked for).
 #[derive(Debug, Clone, Copy)]
-pub struct ScreenTri {
-    pub p0: Vec3,
-    pub p1: Vec3,
-    pub p2: Vec3,
-    pub c0: Vec3,
-    pub c1: Vec3,
-    pub c2: Vec3,
-    pub inv_area: f32,
-    pub min_x: i64,
-    pub max_x: i64,
-    pub min_y: i64,
-    pub max_y: i64,
+struct ScreenTri {
+    a: Vec2,
+    b: Vec2,
+    c: Vec2,
+    z: [f32; 3],
+    c0: Vec3,
+    c1: Vec3,
+    c2: Vec3,
+    inv_area: f32,
+    min_x: i64,
+    max_x: i64,
+    min_y: i64,
+    max_y: i64,
 }
 
-/// `v.floor() as i64` for f32 without the `floorf` libcall: truncate,
-/// then correct the negative direction. The saturating arithmetic keeps
-/// huge and NaN inputs on the same results the libcall + saturating cast
-/// would produce.
+/// `floor(v) as i64` without `f64::floor` (a libcall on baseline
+/// x86-64, and this runs for every submitted triangle): truncate, then
+/// correct the negative direction. Saturates at the i64 range like any
+/// float→int cast.
 #[inline]
-fn floor_f32_i64(v: f32) -> i64 {
+fn floor_i64(v: f64) -> i64 {
     let t = v as i64;
-    t.saturating_sub(((t as f32) > v) as i64)
+    t.saturating_sub(((t as f64) > v) as i64)
 }
 
-/// `v.ceil() as i64` for f32, same construction as [`floor_f32_i64`].
+/// `ceil(v) as i64`, same construction as [`floor_i64`].
 #[inline]
-fn ceil_f32_i64(v: f32) -> i64 {
+fn ceil_i64(v: f64) -> i64 {
     let t = v as i64;
-    t.saturating_add(((t as f32) < v) as i64)
+    t.saturating_add(((t as f64) < v) as i64)
 }
 
-/// Screen-space setup shared by both call paths: degeneracy and bounding
-/// box tests with the exact bookkeeping the reference path performs.
-/// Returns `None` when nothing would be rasterized.
-pub fn setup_screen_tri(
+/// The extremes of a projected triangle's corners on both screen axes,
+/// taken once: the band and tile rejects, the floor/ceil box the setup
+/// counters are defined by and the centre box are all read off these
+/// four. In `f64`, which holds any `f32` and any `u32` exactly, so they
+/// compare against tile and band edges without rounding. `f32::min`/`max`
+/// drop a NaN operand: an extent is NaN only when all three corners are.
+#[derive(Debug, Clone, Copy)]
+struct Extent {
+    lo_x: f64,
+    hi_x: f64,
+    lo_y: f64,
+    hi_y: f64,
+}
+
+impl Extent {
+    #[inline(always)]
+    fn of(p0: Vec3, p1: Vec3, p2: Vec3) -> Self {
+        Self {
+            lo_x: p0.x.min(p1.x).min(p2.x) as f64,
+            hi_x: p0.x.max(p1.x).max(p2.x) as f64,
+            lo_y: p0.y.min(p1.y).min(p2.y) as f64,
+            hi_y: p0.y.max(p1.y).max(p2.y) as f64,
+        }
+    }
+}
+
+/// Pixel coordinates below this convert to exact f32 centres
+/// (`px as f32 + 0.5`), which [`setup_tri`]'s error bound assumes.
+const EXACT_CENTRE_LIMIT: i64 = 1 << 22;
+
+/// THE per-triangle setup, shared by every call path: books the triangle
+/// as clipped away or rasterized in `counters`, and returns what the
+/// kernel needs with the pixel box to run it over — `None` when nothing
+/// can be drawn on rows `rows.0..=rows.1` (viewport pixels, inside
+/// `tile`). The [`Extent`] is [`Extent::of`] the three corners. Exits are
+/// ordered by what they cost: nothing is divided before the counters are
+/// settled, and no [`ScreenTri`] is filled before its box is known to hold
+/// a pixel.
+///
+/// **The counters** are defined by the degeneracy test and by the
+/// floor/ceil box `floor(lo)..=ceil(hi)` against the tile: empty →
+/// clipped away. With `lo ≤ hi` and `t0`, `t1` the tile's first and last
+/// column, `floor(lo).max(t0) > ceil(hi).min(t1)` is `hi ≤ t0 − 1` or
+/// `lo ≥ t1 + 1`, which is how the box test is taken here — before the
+/// area, so a triangle beside the tile costs four comparisons. A NaN
+/// corner may pass it or not; its area is NaN and books the same counter.
+///
+/// **The box.** With `narrow` off it is the floor/ceil box — the
+/// reference's scan. With it on, the box is narrowed to the pixels whose
+/// *centres* can pass the kernel's inside test: a model tessellated finer
+/// than the pixel grid is mostly triangles whose floor/ceil box is 2–4
+/// pixels wide around zero or one pixel centre, and the difference is all
+/// wasted kernel calls. The contract is [`walk_spans`]' — skip only what
+/// [`raster_pixel`] provably rejects, fail open — and the margin argument
+/// of the same kind:
+///
+/// Let `D` bound every per-axis distance between a vertex and a pixel
+/// centre of the floor/ceil box (vertex extent + 1.5). Each difference the
+/// kernel forms is then at most `D` with relative rounding ε/2, so an edge
+/// value `cross(b − p, c − p)` carries at most `4·D²·ε` of absolute error,
+/// and the computed area the same. Write `Wᵢ` for the exact edge function
+/// times the *computed* `inv_area`, and λᵢ for the true barycentrics. With
+/// `η = 32·D²·ε·|inv_area| + 10⁻⁶` (8× headroom plus a floor for the
+/// `1 − w0 − w1` roundings and underflow), a pixel the kernel accepts has
+/// `W₀, W₁, W₂ ≥ −η`, and `κ = area · inv_area` — the factor between
+/// `Wᵢ` and λᵢ — is within η of 1. For `η ≤ ¼`, `κ ≥ ¾` and λ₀, λ₁ ≥
+/// −4η/3, λ₂ ≥ −8η/3. The centre is `p = Σ λᵢ·vᵢ` with `Σ λᵢ = 1`, so it
+/// lies beyond the vertices' extent on either axis by at most
+/// `Σ|negative λᵢ| · extent ≤ 16η/3 · D`; `δ = 8·η·D` covers that and the
+/// f64 arithmetic below (≥ 10⁻⁵ px against ~10⁻⁹ of rounding at the
+/// coordinate limit). Only centres in `lo − δ ..= hi + δ` can pass: pixels
+/// `ceil(lo − ½ − δ)..=floor(hi − ½ + δ)`.
+///
+/// Narrowing is taken only for `δ ≤ ¼`. `D ≥ 1.5` makes that `η ≤ 1/48`,
+/// inside the argument's `η ≤ ¼`; and it keeps the centre box inside the
+/// floor/ceil box (`ceil(lo − ¾) ≥ floor(lo)`, `floor(hi − ¼) ≤
+/// ceil(hi)`), so only one of the two is ever converted to integers.
+/// Slivers (`|inv_area|` large against `D`) and framebuffers too large
+/// for exact f32 pixel centres get the floor/ceil box and the kernel
+/// decides. Nothing non-finite reaches the bound: an infinite or NaN
+/// corner makes the area infinite or NaN — every operation of the cross
+/// product keeps either — and left above; `!(δ ≤ ¼)` fails open all the
+/// same.
+#[inline(always)]
+#[allow(clippy::too_many_arguments)]
+fn setup_tri(
     tile: &Viewport,
+    rows: (i64, i64),
+    narrow: bool,
+    Extent { lo_x, hi_x, lo_y, hi_y }: Extent,
     (p0, c0): (Vec3, Vec3),
     (p1, c1): (Vec3, Vec3),
     (p2, c2): (Vec3, Vec3),
-    stats: &mut RasterStats,
+    counters: &mut RasterStats,
 ) -> Option<ScreenTri> {
+    // The tile's first column and row, and one past its last.
+    let (tx0, tx1) = (tile.x as f64, tile.x as f64 + tile.width as f64);
+    let (ty0, ty1) = (tile.y as f64, tile.y as f64 + tile.height as f64);
+    if hi_x <= tx0 - 1.0 || lo_x >= tx1 || hi_y <= ty0 - 1.0 || lo_y >= ty1 {
+        counters.triangles_clipped_away += 1;
+        return None; // no pixel of its floor/ceil box on the tile
+    }
     let a = Vec2::new(p0.x, p0.y);
     let b = Vec2::new(p1.x, p1.y);
     let c = Vec2::new(p2.x, p2.y);
@@ -150,64 +276,99 @@ pub fn setup_screen_tri(
     // it, yet `NaN < 0.0` being false would book a shaded fragment for
     // every pixel of its box.
     if area.abs() < 1e-9 || !area.is_finite() {
-        stats.triangles_clipped_away += 1;
+        counters.triangles_clipped_away += 1;
         return None; // degenerate in screen space
     }
+    counters.triangles_rasterized += 1;
     let inv_area = 1.0 / area;
 
-    // Bounding box intersected with the tile. floor/ceil go through the
-    // truncate-and-correct helpers: this runs for every submitted
-    // triangle, and baseline x86-64 would turn `f32::floor` into a
-    // libcall.
-    let min_x = floor_f32_i64(a.x.min(b.x).min(c.x)).max(tile.x as i64);
-    let max_x = ceil_f32_i64(a.x.max(b.x).max(c.x)).min((tile.x + tile.width) as i64 - 1);
-    let min_y = floor_f32_i64(a.y.min(b.y).min(c.y)).max(tile.y as i64);
-    let max_y = ceil_f32_i64(a.y.max(b.y).max(c.y)).min((tile.y + tile.height) as i64 - 1);
+    let d = (hi_x - lo_x).max(hi_y - lo_y) + 1.5;
+    let eta = 32.0 * d * d * (f32::EPSILON as f64) * (inv_area as f64).abs() + 1e-6;
+    let delta = 8.0 * eta * d;
+    // The floor/ceil box's last column and row are `ceil(hi).min(t1 − 1)`.
+    let limit = (EXACT_CENTRE_LIMIT - 1) as f64;
+    let exact_centres = hi_x.min(tx1 - 1.0) <= limit && hi_y.min(ty1 - 1.0) <= limit;
+    let (x0, x1, y0, y1) = if narrow && exact_centres && delta <= 0.25 {
+        (
+            ceil_i64(lo_x - 0.5 - delta),
+            floor_i64(hi_x - 0.5 + delta),
+            ceil_i64(lo_y - 0.5 - delta),
+            floor_i64(hi_y - 0.5 + delta),
+        )
+    } else {
+        (floor_i64(lo_x), ceil_i64(hi_x), floor_i64(lo_y), ceil_i64(hi_y))
+    };
+    let min_x = x0.max(tile.x as i64);
+    let max_x = x1.min((tile.x + tile.width) as i64 - 1);
+    let min_y = y0.max(rows.0);
+    let max_y = y1.min(rows.1);
     if min_x > max_x || min_y > max_y {
-        stats.triangles_clipped_away += 1;
-        return None;
+        return None; // no pixel centre it can cover on these rows
     }
-    stats.triangles_rasterized += 1;
-    Some(ScreenTri { p0, p1, p2, c0, c1, c2, inv_area, min_x, max_x, min_y, max_y })
+    let z = [p0.z, p1.z, p2.z];
+    Some(ScreenTri { a, b, c, z, c0, c1, c2, inv_area, min_x, max_x, min_y, max_y })
+}
+
+/// The barycentrics the kernel tests and interpolates with, sampled at
+/// the centre of pixel `(px, py)`. Every path that decides or shades a
+/// pixel takes them from here, so they are the same bits wherever and
+/// however often they are computed.
+#[inline(always)]
+fn barycentrics(tri: &ScreenTri, px: i64, py: i64) -> (f32, f32, f32) {
+    let p = Vec2::new(px as f32 + 0.5, py as f32 + 0.5);
+    let w0 = (tri.b - p).cross(tri.c - p) * tri.inv_area;
+    let w1 = (tri.c - p).cross(tri.a - p) * tri.inv_area;
+    (w0, w1, 1.0 - w0 - w1)
+}
+
+/// The kernel past its inside test: book the fragment, interpolate depth,
+/// test it against NDC near/far and then against the stored depth, and
+/// only for a fragment that wins interpolate, clamp and quantise the
+/// colour (over half of a tessellated model's shaded fragments lose).
+#[inline(always)]
+fn shade_fragment(
+    band: &mut FramebufferBand<'_>,
+    tile: &Viewport,
+    tri: &ScreenTri,
+    px: i64,
+    py: i64,
+    (w0, w1, w2): (f32, f32, f32),
+    stats: &mut RasterStats,
+) {
+    stats.fragments_shaded += 1;
+    let z = w0 * tri.z[0] + w1 * tri.z[1] + w2 * tri.z[2];
+    if !(-1.0..=1.0).contains(&z) {
+        return; // beyond near/far in NDC
+    }
+    let x_local = (px as u32) - tile.x;
+    let y_local = (py as u32) - tile.y;
+    let wrote = band.set_if_closer_with(x_local, y_local, z, || {
+        let col = tri.c0 * w0 + tri.c1 * w1 + tri.c2 * w2;
+        Rgb::from_f32(col.x, col.y, col.z)
+    });
+    stats.fragments_written += wrote as u64;
 }
 
 /// THE per-pixel kernel. Both engines funnel every shaded pixel through
-/// this exact body, so any partition of a triangle's pixels — rows,
+/// this exact body — [`barycentrics`], the three sign tests,
+/// [`shade_fragment`] — so any partition of a triangle's pixels — rows,
 /// columns, bands — reproduces the serial result bit-for-bit, z-ties
 /// included (each pixel is touched once per triangle, so visit order
 /// within a triangle cannot matter).
 #[inline(always)]
-#[allow(clippy::too_many_arguments)]
 fn raster_pixel(
     band: &mut FramebufferBand<'_>,
     tile: &Viewport,
     tri: &ScreenTri,
-    a: Vec2,
-    b: Vec2,
-    c: Vec2,
     px: i64,
     py: i64,
     stats: &mut RasterStats,
 ) {
-    // Sample at the pixel center.
-    let p = Vec2::new(px as f32 + 0.5, py as f32 + 0.5);
-    let w0 = (b - p).cross(c - p) * tri.inv_area;
-    let w1 = (c - p).cross(a - p) * tri.inv_area;
-    let w2 = 1.0 - w0 - w1;
+    let (w0, w1, w2) = barycentrics(tri, px, py);
     if w0 < 0.0 || w1 < 0.0 || w2 < 0.0 {
         return;
     }
-    stats.fragments_shaded += 1;
-    let z = w0 * tri.p0.z + w1 * tri.p1.z + w2 * tri.p2.z;
-    if !(-1.0..=1.0).contains(&z) {
-        return; // beyond near/far in NDC
-    }
-    let col = tri.c0 * w0 + tri.c1 * w1 + tri.c2 * w2;
-    let x_local = (px as u32) - tile.x;
-    let y_local = (py as u32) - tile.y;
-    if band.set_if_closer(x_local, y_local, Rgb::from_f32(col.x, col.y, col.z), z) {
-        stats.fragments_written += 1;
-    }
+    shade_fragment(band, tile, tri, px, py, (w0, w1, w2), stats);
 }
 
 /// Rasterize pixels `px_lo..=px_hi` of row `py` through the kernel.
@@ -221,11 +382,8 @@ fn raster_span(
     px_hi: i64,
     stats: &mut RasterStats,
 ) {
-    let a = Vec2::new(tri.p0.x, tri.p0.y);
-    let b = Vec2::new(tri.p1.x, tri.p1.y);
-    let c = Vec2::new(tri.p2.x, tri.p2.y);
     for px in px_lo..=px_hi {
-        raster_pixel(band, tile, tri, a, b, c, px, py, stats);
+        raster_pixel(band, tile, tri, px, py, stats);
     }
 }
 
@@ -240,28 +398,45 @@ fn raster_col(
     py_hi: i64,
     stats: &mut RasterStats,
 ) {
-    let a = Vec2::new(tri.p0.x, tri.p0.y);
-    let b = Vec2::new(tri.p1.x, tri.p1.y);
-    let c = Vec2::new(tri.p2.x, tri.p2.y);
     for py in py_lo..=py_hi {
-        raster_pixel(band, tile, tri, a, b, c, px, py, stats);
+        raster_pixel(band, tile, tri, px, py, stats);
     }
 }
 
-/// `floor(v) as i64` without `f64::floor` (a libcall on baseline
-/// x86-64): truncate, then correct the negative direction. Saturates at
-/// the i64 range like any float→int cast.
+/// The kernel over a box of at most 16 pixels, in two passes: the inside
+/// test of every pixel into a bit mask, then [`shade_fragment`] for the
+/// set bits. On a tessellated model two candidates in three fail the
+/// inside test, in no order a branch predictor can learn; the first pass
+/// has no data-dependent branch (`|` where [`raster_pixel`] has `||`, on
+/// the same [`barycentrics`]) and the second runs once per covered pixel.
+/// Each pixel is still visited once per triangle, so the output is
+/// `raster_pixel`'s over the box.
 #[inline]
-fn floor_i64(v: f64) -> i64 {
-    let t = v as i64;
-    t.saturating_sub(((t as f64) > v) as i64)
-}
-
-/// `ceil(v) as i64`, same construction as [`floor_i64`].
-#[inline]
-fn ceil_i64(v: f64) -> i64 {
-    let t = v as i64;
-    t.saturating_add(((t as f64) < v) as i64)
+fn raster_small_box(
+    band: &mut FramebufferBand<'_>,
+    tile: &Viewport,
+    tri: &ScreenTri,
+    stats: &mut RasterStats,
+) {
+    // Pixel (col, row) of the box is bit `row << shift | col`: 16 pixels
+    // are at most 4 columns by 16 rows or 16 columns by 3 rows, 64 bits
+    // either way.
+    let shift = if tri.max_x - tri.min_x < 4 { 2 } else { 4 };
+    let mut mask = 0u64;
+    for py in tri.min_y..=tri.max_y {
+        let row = (py - tri.min_y) << shift;
+        for px in tri.min_x..=tri.max_x {
+            let (w0, w1, w2) = barycentrics(tri, px, py);
+            let outside = (w0 < 0.0) | (w1 < 0.0) | (w2 < 0.0);
+            mask |= (!outside as u64) << (row + px - tri.min_x);
+        }
+    }
+    while mask != 0 {
+        let bit = mask.trailing_zeros() as i64;
+        mask &= mask - 1;
+        let (px, py) = (tri.min_x + (bit & ((1 << shift) - 1)), tri.min_y + (bit >> shift));
+        shade_fragment(band, tile, tri, px, py, barycentrics(tri, px, py), stats);
+    }
 }
 
 /// Walk `outer_lo..=outer_hi` along one screen axis, solving per step the
@@ -356,98 +531,28 @@ fn walk_spans<F: FnMut(i64, i64, i64)>(
     }
 }
 
-/// Pixel coordinates below this convert to exact f32 centres
-/// (`px as f32 + 0.5`), which [`centre_box`]'s error bound assumes.
-const EXACT_CENTRE_LIMIT: i64 = 1 << 22;
-
-/// Narrow `tri`'s floor/ceil box to the pixels whose *centres* can pass
-/// the kernel's inside test: `(min_x, max_x, min_y, max_y)`, inclusive,
-/// possibly empty (`min > max`). A model tessellated finer than the pixel
-/// grid is mostly triangles whose floor/ceil box is 2–4 pixels wide around
-/// zero or one pixel centre; the difference is all wasted kernel calls.
-///
-/// Same contract as [`walk_spans`] — skip only what [`raster_pixel`]
-/// provably rejects, fail open on anything non-finite — and the same kind
-/// of margin argument:
-///
-/// Let `D` bound every per-axis distance between a vertex and a pixel
-/// centre of the floor/ceil box (vertex extent + 1.5). Each difference the
-/// kernel forms is then at most `D` with relative rounding ε/2, so an edge
-/// value `cross(b − p, c − p)` carries at most `4·D²·ε` of absolute error,
-/// and the computed area the same. Write `Wᵢ` for the exact edge function
-/// times the *computed* `inv_area`, and λᵢ for the true barycentrics. With
-/// `η = 32·D²·ε·|inv_area| + 10⁻⁶` (8× headroom plus a floor for the
-/// `1 − w0 − w1` roundings and underflow), a pixel the kernel accepts has
-/// `W₀, W₁, W₂ ≥ −η`, and `κ = area · inv_area` — the factor between
-/// `Wᵢ` and λᵢ — is within η of 1. Only for `η ≤ ¼` is anything narrowed;
-/// then `κ ≥ ¾` and λ₀, λ₁ ≥ −4η/3, λ₂ ≥ −8η/3. The centre is
-/// `p = Σ λᵢ·vᵢ` with `Σ λᵢ = 1`, so it lies beyond the vertices' extent
-/// on either axis by at most `Σ|negative λᵢ| · extent ≤ 16η/3 · D`;
-/// `δ = 8·η·D` covers that and the f64 arithmetic below (≥ 10⁻⁵ px against
-/// ~10⁻⁹ of rounding at the coordinate limit).
-///
-/// Slivers (`|inv_area|` large), non-finite input and framebuffers too
-/// large for exact f32 pixel centres get the box back unchanged.
-#[inline]
-pub fn centre_box(tri: &ScreenTri) -> (i64, i64, i64, i64) {
-    let wide = (tri.min_x, tri.max_x, tri.min_y, tri.max_y);
-    let lo_x = tri.p0.x.min(tri.p1.x).min(tri.p2.x) as f64;
-    let hi_x = tri.p0.x.max(tri.p1.x).max(tri.p2.x) as f64;
-    let lo_y = tri.p0.y.min(tri.p1.y).min(tri.p2.y) as f64;
-    let hi_y = tri.p0.y.max(tri.p1.y).max(tri.p2.y) as f64;
-    let d = (hi_x - lo_x).max(hi_y - lo_y) + 1.5;
-    let eta = 32.0 * d * d * (f32::EPSILON as f64) * (tri.inv_area as f64).abs() + 1e-6;
-    // `f32::min`/`max` drop a NaN operand, so one NaN coordinate would not
-    // reach `eta`; the sum does not lose it. `!(..)` so a NaN `eta` (from
-    // `inv_area`) fails open too.
-    let finite = (tri.p0.x + tri.p1.x + tri.p2.x + tri.p0.y + tri.p1.y + tri.p2.y).is_finite();
-    let exact_centres = tri.max_x < EXACT_CENTRE_LIMIT && tri.max_y < EXACT_CENTRE_LIMIT;
-    if !(finite && exact_centres && eta <= 0.25) {
-        return wide;
-    }
-    let delta = 8.0 * eta * d;
-    (
-        wide.0.max(ceil_i64(lo_x - 0.5 - delta)),
-        wide.1.min(floor_i64(hi_x - 0.5 + delta)),
-        wide.2.max(ceil_i64(lo_y - 0.5 - delta)),
-        wide.3.min(floor_i64(hi_y - 0.5 + delta)),
-    )
-}
-
-/// Rasterize the rows of `tri` that fall inside `band` (a view over the
-/// tile-sized framebuffer for `tile`) — the binned engine's inner loop.
-/// The floor/ceil box `tri` carries is first narrowed to the pixel centres
-/// the triangle can cover ([`centre_box`]) and to the band's rows; within
-/// what is left, [`walk_spans`] visits only the conservative span of each
-/// row or column (whichever axis of the bounding box is shorter becomes
+/// Run the kernel over the box of a set-up triangle — the binned
+/// engine's inner loop. A box of at most 16 pixels cannot amortize the
+/// span solver's setup and is masked, then shaded ([`raster_small_box`]);
+/// within a larger one [`walk_spans`] visits only the conservative span
+/// of each row or column (whichever axis of the box is shorter becomes
 /// the walk axis, which matters for the tall sliver triangles tessellated
 /// models decompose into). Every visited pixel runs the shared exact
 /// kernel, so the output (pixels, depth bits, and fragment counters)
 /// matches the reference's full bounding-box scan bit-for-bit.
-pub fn raster_tri_rows(
+fn raster_tri(
     band: &mut FramebufferBand<'_>,
     tile: &Viewport,
     tri: &ScreenTri,
     stats: &mut RasterStats,
 ) {
-    let (min_x, max_x, min_y, max_y) = centre_box(tri);
-    let y_lo = min_y.max(tile.y as i64 + band.y_start() as i64);
-    let y_hi = max_y.min(tile.y as i64 + band.y_end() as i64 - 1);
-    if y_lo > y_hi || min_x > max_x {
-        return;
-    }
-    // Tiny bounding boxes can't amortize the span solver's setup; the
-    // kernel over the whole box is cheaper. (Identical output either
-    // way — the solver only skips pixels the kernel would reject.)
+    let ScreenTri { min_x, max_x, min_y: y_lo, max_y: y_hi, .. } = *tri;
     if (max_x - min_x + 1) * (y_hi - y_lo + 1) <= 16 {
-        for py in y_lo..=y_hi {
-            raster_span(band, tile, tri, py, min_x, max_x, stats);
-        }
-        return;
+        return raster_small_box(band, tile, tri, stats);
     }
-    let (ax, ay) = (tri.p0.x as f64, tri.p0.y as f64);
-    let (bx, by) = (tri.p1.x as f64, tri.p1.y as f64);
-    let (cx, cy) = (tri.p2.x as f64, tri.p2.y as f64);
+    let (ax, ay) = (tri.a.x as f64, tri.a.y as f64);
+    let (bx, by) = (tri.b.x as f64, tri.b.y as f64);
+    let (cx, cy) = (tri.c.x as f64, tri.c.y as f64);
     let ia = tri.inv_area as f64;
     // w0's edge spans (b, c), w1's spans (c, a); w2 = 1 - w0 - w1.
     let e0 = [(by - cy) * ia, (cx - bx) * ia, (bx * cy - by * cx) * ia];
@@ -467,7 +572,7 @@ pub fn raster_tri_rows(
         .max(cx.abs())
         .max(cy.abs())
         .max(max_x as f64 + 1.0)
-        .max(max_y as f64 + 1.0)
+        .max(y_hi as f64 + 1.0)
         .max(1.0);
     let mw = 32.0 * m * m * (f32::EPSILON as f64) * ia.abs() + 1e-6;
     let margins = [mw, mw, 2.0 * mw + 1e-6];
@@ -535,37 +640,30 @@ fn clip_near_fixed(tri: [ClipVertex; 3]) -> ([ClipVertex; 4], usize) {
     (out, m)
 }
 
-/// Clip, project, and set up one clip-space triangle for the binned
-/// pipeline, emitting 0–2 [`ScreenTri`]s through `sink`. Bookkeeping and
-/// float expressions match [`rasterize_triangle`] exactly; the only
-/// differences are performance-neutral-to-output: no heap allocation
-/// (stack clip) and a no-clip fast path for fully-visible triangles
-/// (which `clip_near` passes through unchanged anyway).
-pub fn bin_triangle(
+/// The binned engine's clip path, for a triangle with a corner at or
+/// behind the near guard: clip, project and set up one clip-space
+/// triangle, and draw the rows of `band` of the 0–2 triangles that come
+/// out. Setup counters go to `counters`, fragments to `stats`.
+/// Bookkeeping and float expressions match [`rasterize_triangle`] exactly;
+/// the only difference is performance-neutral-to-output: no heap
+/// allocation (stack clip).
+#[allow(clippy::too_many_arguments)]
+fn bin_triangle(
+    band: &mut FramebufferBand<'_>,
     full_viewport: &Viewport,
     tile: &Viewport,
     v0: ClipVertex,
     v1: ClipVertex,
     v2: ClipVertex,
+    counters: &mut RasterStats,
     stats: &mut RasterStats,
-    sink: &mut impl FnMut(ScreenTri),
 ) {
-    stats.triangles_submitted += 1;
+    counters.triangles_submitted += 1;
     let project =
         |v: &ClipVertex| (full_viewport.ndc_to_pixel(v.clip.perspective_divide()), v.color);
-
-    if v0.clip.w >= W_EPS && v1.clip.w >= W_EPS && v2.clip.w >= W_EPS {
-        // Fully in front of the near guard: the clip sweep would emit the
-        // triangle unchanged.
-        if let Some(tri) = setup_screen_tri(tile, project(&v0), project(&v1), project(&v2), stats) {
-            sink(tri);
-        }
-        return;
-    }
-
     let (poly, m) = clip_near_fixed([v0, v1, v2]);
     if m < 3 {
-        stats.triangles_clipped_away += 1;
+        counters.triangles_clipped_away += 1;
         return;
     }
     // Project every polygon vertex once, then fan.
@@ -573,19 +671,20 @@ pub fn bin_triangle(
     for (dst, src) in projected[..m].iter_mut().zip(&poly[..m]) {
         *dst = project(src);
     }
+    let rows = band_rows(band, tile);
     for k in 1..m - 1 {
-        if let Some(tri) =
-            setup_screen_tri(tile, projected[0], projected[k], projected[k + 1], stats)
-        {
-            sink(tri);
+        let (v0, v1, v2) = (projected[0], projected[k], projected[k + 1]);
+        let ext = Extent::of(v0.0, v1.0, v2.0);
+        if let Some(tri) = setup_tri(tile, rows, true, ext, v0, v1, v2, counters) {
+            raster_tri(band, tile, &tri, stats);
         }
     }
 }
 
 /// One mesh vertex after the binned engine's vertex stage: the clip-space
 /// vertex plus, when it clears the near guard (`clip.w >= W_EPS`), its
-/// screen projection — computed once with the expression [`bin_triangle`]
-/// would use per corner, so the cached value is bit-identical.
+/// screen projection — computed once with the expression [`rasterize_triangle`]
+/// uses per corner, so the cached value is bit-identical.
 #[derive(Debug, Clone, Copy)]
 pub struct BinVertex {
     pub vertex: ClipVertex,
@@ -617,28 +716,20 @@ impl BinVertex {
     }
 }
 
-/// Whether a triangle with projected corner columns `x` has no pixel
-/// column in `tile`: [`setup_screen_tri`]'s own box test on the x axis
-/// (`floor(xmin).max(tile.x) > ceil(xmax).min(tile.x + width - 1)`), taken
-/// before the area and the floor/ceil work. Corner by corner rather than
-/// through `xmin`/`xmax`: on a tile the triangle does reach, the first
-/// comparison of either side already says so. A NaN corner is never off.
+/// The rows of `band` in viewport pixels, inclusive — what [`setup_tri`]
+/// clips a triangle's box to.
 #[inline]
-fn off_tile_x(tile: &Viewport, x: [f32; 3]) -> bool {
-    // f64 holds any u32 and any f32 exactly.
-    let left = tile.x as f64 - 1.0;
-    let right = tile.x as f64 + tile.width as f64;
-    let x = x.map(f64::from);
-    (x[0] <= left && x[1] <= left && x[2] <= left)
-        || (x[0] >= right && x[1] >= right && x[2] >= right)
+fn band_rows(band: &FramebufferBand<'_>, tile: &Viewport) -> (i64, i64) {
+    (tile.y as i64 + band.y_start() as i64, tile.y as i64 + band.y_end() as i64 - 1)
 }
 
 /// Set up and rasterize, in list order, the part of an indexed mesh that
 /// falls inside `band` — the binned engine's triangle stream. Every band
 /// of a tile runs this over the same `verts`/`tris`; a band rejects a
-/// triangle on its own y-range, then on the tile's x-range, before paying
-/// for setup, so a frame costs one cheap pass over its triangles per band
-/// plus setup and pixels where they land.
+/// triangle on its own y-range before paying for setup, and setup leaves
+/// a triangle beside the tile's columns after four comparisons, so a
+/// frame costs one cheap pass over its triangles per band plus setup and
+/// pixels where they land.
 ///
 /// The per-triangle counters (`triangles_*`) are booked by exactly one
 /// **owner** band per triangle — the one holding the row of the
@@ -655,59 +746,54 @@ pub fn raster_mesh_rows(
 ) {
     let first = band.y_start() == 0;
     let last = band.y_end() == tile.height;
-    // The band's rows in viewport pixels; f64 holds any u32 exactly.
-    let lo = (tile.y + band.y_start()) as f64;
-    let hi = (tile.y + band.y_end()) as f64;
+    let rows = band_rows(band, tile);
+    // The band's first row and one past its last; f64 holds any u32
+    // exactly.
+    let lo = rows.0 as f64;
+    let hi = rows.1 as f64 + 1.0;
     for t in tris {
         let (v0, v1, v2) = (&verts[t[0] as usize], &verts[t[1] as usize], &verts[t[2] as usize]);
         // Setup counters of a triangle this band does not own.
         let mut unowned = RasterStats::default();
         if v0.projected() && v1.projected() && v2.projected() {
-            let (y0, y1, y2) = (v0.screen.y, v1.screen.y, v2.screen.y);
-            let ymin = y0.min(y1).min(y2) as f64;
-            let ymax = y0.max(y1).max(y2) as f64;
+            let ext = Extent::of(v0.screen, v1.screen, v2.screen);
             // Bands tile the rows, so exactly one of them sees
             // `lo <= ymin < hi` (first and last extend to ∓∞); NaN lands
             // in the first.
-            let own = (first || ymin >= lo) && (last || ymin < hi || ymin.is_nan());
+            let own = (first || ext.lo_y >= lo) && (last || ext.lo_y < hi || ext.lo_y.is_nan());
             // Rows `floor(ymin)..=ceil(ymax)` against `lo..hi`; NaN passes.
-            let touches = !(ymax <= lo - 1.0 || ymin >= hi);
+            let touches = !(ext.hi_y <= lo - 1.0 || ext.lo_y >= hi);
             if !(own || touches) {
-                continue;
-            }
-            if off_tile_x(tile, [v0.screen.x, v1.screen.x, v2.screen.x]) {
-                // Setup would book it clipped away (degenerate or an
-                // empty box, the same counter) and draw nothing.
-                if own {
-                    stats.triangles_submitted += 1;
-                    stats.triangles_clipped_away += 1;
-                }
                 continue;
             }
             // All corners in front of the near guard: the clip sweep would
             // pass the triangle through unchanged, so set up straight from
             // the cached projections.
-            let setup = if own { &mut *stats } else { &mut unowned };
-            setup.triangles_submitted += 1;
-            let tri = setup_screen_tri(
+            let counters = if own { &mut *stats } else { &mut unowned };
+            counters.triangles_submitted += 1;
+            let tri = setup_tri(
                 tile,
+                rows,
+                true,
+                ext,
                 (v0.screen, v0.vertex.color),
                 (v1.screen, v1.vertex.color),
                 (v2.screen, v2.vertex.color),
-                setup,
+                counters,
             );
             if let Some(tri) = tri {
-                raster_tri_rows(band, tile, &tri, stats);
+                raster_tri(band, tile, &tri, stats);
             }
         } else {
             bin_triangle(
+                band,
                 full_viewport,
                 tile,
                 v0.vertex,
                 v1.vertex,
                 v2.vertex,
                 &mut unowned,
-                &mut |tri| raster_tri_rows(band, tile, &tri, stats),
+                stats,
             );
             if first {
                 stats.accumulate(&unowned);
@@ -770,10 +856,12 @@ fn raster_screen_tri(
     stats: &mut RasterStats,
 ) {
     // The original algorithm, preserved as the baseline: scan the whole
-    // bounding box and let the kernel's inside test reject. The binned
-    // engine's span-skipping path must match this bit-for-bit.
-    if let Some(tri) = setup_screen_tri(tile, v0, v1, v2, stats) {
-        let mut band = fb.as_band();
+    // floor/ceil box (setup with narrowing off) and let the kernel's
+    // inside test reject. The binned engine's centre boxes, masks and
+    // spans must match this bit-for-bit.
+    let mut band = fb.as_band();
+    let ext = Extent::of(v0.0, v1.0, v2.0);
+    if let Some(tri) = setup_tri(tile, band_rows(&band, tile), false, ext, v0, v1, v2, stats) {
         for py in tri.min_y..=tri.max_y {
             raster_span(&mut band, tile, &tri, py, tri.min_x, tri.max_x, stats);
         }
@@ -1029,58 +1117,102 @@ mod tests {
         assert_eq!(banded, untouched);
     }
 
-    fn screen_tri(pts: [(f32, f32); 3], tile: &Viewport) -> ScreenTri {
+    type PixelBox = (i64, i64, i64, i64);
+
+    /// `setup_tri` on screen corners `pts`: the box it returns — `None`
+    /// when it draws nothing — and what it booked.
+    fn setup(
+        pts: [(f32, f32); 3],
+        tile: &Viewport,
+        rows: (i64, i64),
+        narrow: bool,
+    ) -> (Option<PixelBox>, RasterStats) {
         let v = pts.map(|(x, y)| (Vec3::new(x, y, 0.0), Vec3::ONE));
-        setup_screen_tri(tile, v[0], v[1], v[2], &mut RasterStats::default()).expect("has a box")
+        let ext = Extent::of(v[0].0, v[1].0, v[2].0);
+        let mut stats = RasterStats::default();
+        let tri = setup_tri(tile, rows, narrow, ext, v[0], v[1], v[2], &mut stats);
+        (tri.map(|t| (t.min_x, t.max_x, t.min_y, t.max_y)), stats)
     }
 
+    fn tile_rows(tile: &Viewport) -> (i64, i64) {
+        (tile.y as i64, (tile.y + tile.height) as i64 - 1)
+    }
+
+    const RASTERIZED: RasterStats = RasterStats {
+        triangles_submitted: 0,
+        triangles_clipped_away: 0,
+        triangles_rasterized: 1,
+        fragments_shaded: 0,
+        fragments_written: 0,
+    };
+    const CLIPPED: RasterStats =
+        RasterStats { triangles_clipped_away: 1, triangles_rasterized: 0, ..RASTERIZED };
+
     #[test]
-    fn centre_box_keeps_only_coverable_centres() {
+    fn setup_keeps_only_coverable_centres() {
         let tile = Viewport::new(64, 64);
+        let rows = tile_rows(&tile);
         // Around the centre of pixel (10, 20) only: floor/ceil box 2x2.
-        let tri = screen_tri([(10.2, 20.1), (10.9, 20.3), (10.4, 20.95)], &tile);
-        assert_eq!((tri.min_x, tri.max_x, tri.min_y, tri.max_y), (10, 11, 20, 21));
-        assert_eq!(centre_box(&tri), (10, 10, 20, 20));
-        // Between centres: 2x2 floor/ceil box, no centre inside the extent.
-        let tri = screen_tri([(10.6, 20.6), (11.4, 20.7), (11.0, 21.4)], &tile);
-        let (x0, x1, y0, y1) = centre_box(&tri);
-        assert!(x0 > x1 && y0 > y1, "empty on both axes: {:?}", (x0, x1, y0, y1));
-        // Vertices exactly on pixel centres keep those pixels.
-        let tri = screen_tri([(4.5, 4.5), (8.5, 4.5), (4.5, 8.5)], &tile);
-        assert_eq!(centre_box(&tri), (4, 8, 4, 8));
+        let pts = [(10.2, 20.1), (10.9, 20.3), (10.4, 20.95)];
+        assert_eq!(setup(pts, &tile, rows, false), (Some((10, 11, 20, 21)), RASTERIZED));
+        assert_eq!(setup(pts, &tile, rows, true), (Some((10, 10, 20, 20)), RASTERIZED));
+        // Between centres: 2x2 floor/ceil box, no centre inside the extent
+        // — nothing to draw, and rasterized all the same.
+        let pts = [(10.6, 20.6), (11.4, 20.7), (11.0, 21.4)];
+        assert_eq!(setup(pts, &tile, rows, false), (Some((10, 12, 20, 22)), RASTERIZED));
+        assert_eq!(setup(pts, &tile, rows, true), (None, RASTERIZED));
+        // Vertices exactly on pixel centres keep those pixels; the rows
+        // asked for clip the box, not the counters.
+        let pts = [(4.5, 4.5), (8.5, 4.5), (4.5, 8.5)];
+        assert_eq!(setup(pts, &tile, rows, true), (Some((4, 8, 4, 8)), RASTERIZED));
+        assert_eq!(setup(pts, &tile, (6, 7), true), (Some((4, 8, 6, 7)), RASTERIZED));
+        assert_eq!(setup(pts, &tile, (9, 63), true), (None, RASTERIZED));
     }
 
     #[test]
-    fn centre_box_fails_open() {
+    fn setup_fails_open() {
         let tile = Viewport::new(64, 64);
+        let rows = tile_rows(&tile);
         // A sliver one ulp thick: inv_area ~1e4 over a 40-pixel extent puts
-        // the error bound far past 1/4.
-        let tri = screen_tri([(1.25, 1.25), (40.25, 40.25), (20.25, 20.250002)], &tile);
-        assert_eq!(centre_box(&tri), (tri.min_x, tri.max_x, tri.min_y, tri.max_y));
-        // Non-finite input (such a triangle never leaves setup; the box
-        // function must not rely on that).
-        for bad in [f32::NAN, f32::INFINITY] {
-            let mut tri = screen_tri([(4.5, 4.5), (8.5, 4.5), (4.5, 8.5)], &tile);
-            tri.p1.x = bad;
-            assert_eq!(centre_box(&tri), (tri.min_x, tri.max_x, tri.min_y, tri.max_y));
-            let mut tri = screen_tri([(4.5, 4.5), (8.5, 4.5), (4.5, 8.5)], &tile);
-            tri.inv_area = bad;
-            assert_eq!(centre_box(&tri), (tri.min_x, tri.max_x, tri.min_y, tri.max_y));
+        // the error bound far past the narrowing limit.
+        let sliver = [(1.25, 1.25), (40.25, 40.25), (20.25, 20.250002)];
+        assert_eq!(setup(sliver, &tile, rows, true), (Some((1, 41, 1, 41)), RASTERIZED));
+        assert_eq!(setup(sliver, &tile, rows, true), setup(sliver, &tile, rows, false));
+        // Pixel coordinates with no exact f32 centre: the same small
+        // triangle is narrowed on a tile below the limit, not on one at it.
+        let at = |x0: f32| [(x0 + 0.5, 1.2), (x0 + 2.5, 1.3), (x0 + 1.0, 2.9)];
+        for (x0, narrowed) in [(1u32 << 21, true), (1 << 22, false)] {
+            let tile = Viewport::with_origin(x0, 0, 8, 8);
+            let (x0, rows) = (x0 as i64, tile_rows(&tile));
+            let wide = (Some((x0, x0 + 3, 1, 3)), RASTERIZED);
+            assert_eq!(setup(at(x0 as f32), &tile, rows, false), wide);
+            let got = setup(at(x0 as f32), &tile, rows, true);
+            assert_eq!(got != wide, narrowed, "{got:?}");
+        }
+        // Non-finite corners never reach the bound: clipped away, on the
+        // tile or beside it.
+        for bad in [f32::NAN, f32::INFINITY, f32::NEG_INFINITY] {
+            for narrow in [false, true] {
+                let pts = [(4.5, 4.5), (bad, 4.5), (4.5, 8.5)];
+                assert_eq!(setup(pts, &tile, rows, narrow), (None, CLIPPED));
+                let pts = [(4.5, bad), (8.5, 4.5), (4.5, bad)];
+                assert_eq!(setup(pts, &tile, rows, narrow), (None, CLIPPED));
+            }
         }
     }
 
-    /// The x-reject is `setup_screen_tri`'s box test and nothing more: at
-    /// the two boundary columns and an ulp either side of them it says
-    /// "off" exactly when setup finds the box empty, and a mesh pass books
-    /// the same counters either way.
+    /// Setup reads "no pixel of the floor/ceil box on the tile" off the
+    /// corners' extremes; the counters are defined by the box itself. At
+    /// the tile's four boundary lines and an ulp either side of them the
+    /// two agree, and a mesh pass books what setup books.
     #[test]
-    fn x_reject_agrees_with_setup_on_the_boundary_columns() {
+    fn box_test_agrees_with_the_floor_ceil_box_on_the_tile_boundary() {
         let vp = Viewport::new(64, 64);
         let tile = Viewport::with_origin(16, 8, 32, 40);
         let ulps = |v: f32| [v.next_down(), v, v.next_up()];
-        // Triangles on the tile's rows whose rightmost corner is at, just
-        // left and just right of `tile.x − 1`, then whose leftmost corner
-        // is around `tile.x + width`.
+        // Triangles whose rightmost corner is at, just left and just right
+        // of `tile.x − 1`, then whose leftmost corner is around
+        // `tile.x + width`; then the same against the tile's rows.
         let mut cases = Vec::new();
         for xmax in ulps(15.0) {
             cases.push([(3.0, 10.0), (xmax, 20.0), (5.0, 30.0)]);
@@ -1088,14 +1220,24 @@ mod tests {
         for xmin in ulps(48.0) {
             cases.push([(xmin, 10.0), (60.0, 20.0), (55.0, 30.0)]);
         }
+        for ymax in ulps(7.0) {
+            cases.push([(20.0, 1.0), (30.0, ymax), (25.0, 3.0)]);
+        }
+        for ymin in ulps(48.0) {
+            cases.push([(20.0, ymin), (30.0, 60.0), (25.0, 55.0)]);
+        }
         let mut off = Vec::new();
         for pts in cases {
-            let v = pts.map(|(x, y)| (Vec3::new(x, y, 0.0), Vec3::ONE));
-            let mut setup_stats = RasterStats::default();
-            let set_up = setup_screen_tri(&tile, v[0], v[1], v[2], &mut setup_stats).is_some();
-            let rejected = off_tile_x(&tile, pts.map(|(x, _)| x));
-            assert_eq!(rejected, !set_up, "{pts:?}");
-            off.push(rejected);
+            // The floor/ceil box against the tile, as the counters define it.
+            let lo = |f: fn(&(f32, f32)) -> f32| pts.iter().map(f).fold(f32::INFINITY, f32::min);
+            let hi =
+                |f: fn(&(f32, f32)) -> f32| pts.iter().map(f).fold(f32::NEG_INFINITY, f32::max);
+            let empty = (lo(|p| p.0).floor() as i64).max(16) > (hi(|p| p.0).ceil() as i64).min(47)
+                || (lo(|p| p.1).floor() as i64).max(8) > (hi(|p| p.1).ceil() as i64).min(47);
+            let (set_up, setup_stats) = setup(pts, &tile, tile_rows(&tile), false);
+            assert_eq!(set_up.is_none(), empty, "{pts:?}");
+            assert_eq!(setup_stats, if empty { CLIPPED } else { RASTERIZED }, "{pts:?}");
+            off.push(empty);
 
             // The same triangle through a banded mesh pass.
             // (The cached projection set by hand: a trip through NDC
@@ -1116,12 +1258,10 @@ mod tests {
                 "{pts:?}"
             );
         }
-        // `xmax == tile.x − 1` is off, an ulp more is on; `xmin == tile.x +
-        // width` is off, an ulp less is on.
-        assert_eq!(off, [true, true, false, false, true, true]);
-        // NaN is never off.
-        assert!(!off_tile_x(&tile, [f32::NAN, 3.0, 4.0]));
-        assert!(!off_tile_x(&tile, [60.0, f32::NAN, 70.0]));
+        // A corner extreme on `tile.x − 1` or `tile.x + width` is off, an
+        // ulp towards the tile is on; likewise the rows.
+        let axis = [true, true, false, false, true, true];
+        assert_eq!(off, [axis, axis].concat());
     }
 
     #[test]

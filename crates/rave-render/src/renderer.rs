@@ -47,6 +47,18 @@ pub struct RenderStats {
     pub voxels_sampled_nodes: u64,
 }
 
+impl RenderStats {
+    /// Add another frame's (or eye's, or tile's) counts, every field.
+    pub fn accumulate(&mut self, o: &RenderStats) {
+        self.raster.accumulate(&o.raster);
+        self.nodes_visited += o.nodes_visited;
+        self.nodes_culled += o.nodes_culled;
+        self.polygons_on_screen += o.polygons_on_screen;
+        self.points_on_screen += o.points_on_screen;
+        self.voxels_sampled_nodes += o.voxels_sampled_nodes;
+    }
+}
+
 /// One deferred drawing operation. The scene walk emits these instead of
 /// touching pixels; every row band streams them in order.
 enum Cmd<'a> {
@@ -115,6 +127,19 @@ fn band_cuts(row_load: &[u32], bands: usize) -> Vec<u32> {
     }
     cuts
 }
+
+/// Vertices a worker of the vertex stage must have to itself before the
+/// stage is split. A vertex is 12 ns of work; a split pays for a section
+/// start (the idle core's wake-up, 75–130 µs where this was measured) and
+/// for writing the output buffer twice, once to size it and once to fill
+/// it. On the 2-core host BENCH_render_parallel.json records, frames 1 ms
+/// apart, one thread against two (medians, µs): Elle's 25,004 vertices 300
+/// against 380–430, 32.5k 377 : 455, 65k 785 : 833, 100k 1238 : 1212, 131k
+/// 1550 : 1400–1510, 200k 2514 : 2065. A split that gives each worker this
+/// many never lost; the 4,096 vertices *in all* that were asked for before
+/// lost 0.1 ms of every frame and every strip the end-to-end benchmark
+/// draws.
+const VERTICES_PER_WORKER: usize = 65_536;
 
 /// Frame renderer. Holds the style configuration (lighting, background,
 /// volume transfer function) and scratch state reused across frames.
@@ -364,11 +389,26 @@ impl Renderer {
     /// Vertex stage for one mesh. Each vertex is transformed, shaded and
     /// projected exactly once (the reference path re-runs the vertex
     /// stage per triangle corner — same expressions, so the cached values
-    /// are bit-identical). Large meshes split the work across rayon
-    /// workers, each filling its own contiguous chunk of the one output
-    /// buffer: nothing is collected per worker and copied together.
+    /// are bit-identical). A mesh large enough to give every worker
+    /// [`VERTICES_PER_WORKER`] splits the work across rayon workers.
     fn vertex_stage(
         &self,
+        full_viewport: &Viewport,
+        mesh: &MeshData,
+        model: &Mat4,
+        mvp: &Mat4,
+        base_color: Vec3,
+    ) -> Vec<BinVertex> {
+        let workers = rayon::current_num_threads().min(mesh.positions.len() / VERTICES_PER_WORKER);
+        self.vertex_stage_on(workers, full_viewport, mesh, model, mvp, base_color)
+    }
+
+    /// [`Renderer::vertex_stage`] on `workers` workers (none or one: the
+    /// caller alone), each filling its own contiguous chunk of the one
+    /// output buffer: nothing is collected per worker and copied together.
+    fn vertex_stage_on(
+        &self,
+        workers: usize,
         full_viewport: &Viewport,
         mesh: &MeshData,
         model: &Mat4,
@@ -391,10 +431,9 @@ impl Renderer {
             BinVertex::new(full_viewport, v)
         };
         let n = mesh.positions.len();
-        let threads = rayon::current_num_threads();
-        if threads > 1 && n >= 4096 {
+        if workers > 1 {
             let mut verts = vec![BinVertex::UNSET; n];
-            let chunk = n.div_ceil(threads);
+            let chunk = n.div_ceil(workers);
             verts.par_chunks_mut(chunk).enumerate().for_each(|(k, slots)| {
                 for (j, slot) in slots.iter_mut().enumerate() {
                     *slot = vertex(k * chunk + j);
@@ -813,8 +852,8 @@ mod tests {
         assert!(emitted.iter().any(|&n| n > 0));
     }
 
-    /// The in-place vertex stage at several pool widths, chunk lengths
-    /// that do not divide the vertex count included.
+    /// The in-place vertex stage split over several worker counts, chunk
+    /// lengths that do not divide the vertex count included.
     #[test]
     fn vertex_stage_is_the_same_at_any_width() {
         let n = 4099usize;
@@ -840,18 +879,15 @@ mod tests {
                 })
                 .collect()
         };
-        let serial = bits(
-            rayon::ThreadPoolBuilder::new()
-                .num_threads(1)
-                .build()
-                .unwrap()
-                .install(|| r.vertex_stage(&vp, &mesh, &model, &mvp, Vec3::ONE)),
-        );
+        // A mesh this small is not worth a split: the caller alone.
+        let serial = bits(r.vertex_stage(&vp, &mesh, &model, &mvp, Vec3::ONE));
         assert_eq!(serial.len(), n);
-        for threads in [2usize, 3, 8] {
-            let pool = rayon::ThreadPoolBuilder::new().num_threads(threads).build().unwrap();
-            let par = bits(pool.install(|| r.vertex_stage(&vp, &mesh, &model, &mvp, Vec3::ONE)));
-            assert_eq!(par, serial, "{threads} threads");
+        for workers in [2usize, 3, 8] {
+            let pool = rayon::ThreadPoolBuilder::new().num_threads(workers).build().unwrap();
+            let par = bits(
+                pool.install(|| r.vertex_stage_on(workers, &vp, &mesh, &model, &mvp, Vec3::ONE)),
+            );
+            assert_eq!(par, serial, "{workers} workers");
         }
     }
 

@@ -55,7 +55,8 @@ impl StereoRig {
     }
 
     /// Render both eyes side-by-side into one double-width framebuffer
-    /// (the passive-projection packing). Returns combined stats.
+    /// (the passive-projection packing). Returns the two eyes' stats
+    /// summed, every field.
     pub fn render_side_by_side(
         &self,
         renderer: &Renderer,
@@ -70,9 +71,7 @@ impl StereoRig {
             let mut fb = Framebuffer::new(eye_viewport.width, eye_viewport.height);
             let stats = renderer.render(tree, &cam, &mut fb);
             out.blit(&fb, i as u32 * eye_viewport.width, 0);
-            total.raster.accumulate(&stats.raster);
-            total.nodes_visited += stats.nodes_visited;
-            total.polygons_on_screen += stats.polygons_on_screen;
+            total.accumulate(&stats);
         }
         (out, total)
     }
@@ -191,6 +190,42 @@ mod tests {
         assert!(left.coverage(renderer.background) > 50);
         assert!(right.coverage(renderer.background) > 50);
         assert!(left.diff_fraction(&right, 0.0) > 0.005, "parallax visible");
+    }
+
+    /// The side-by-side total is the sum of its two eyes on every field —
+    /// culled nodes, points and volumes included.
+    #[test]
+    fn side_by_side_stats_are_the_sum_of_both_eyes() {
+        use rave_scene::{PointCloudData, Transform, VolumeData};
+        let mut tree = tri_scene();
+        let root = tree.root();
+        let far_mesh = MeshData::new(vec![Vec3::ZERO, Vec3::X, Vec3::Y], vec![[0, 1, 2]]);
+        let far = tree.add_node(root, "far", NodeKind::Mesh(Arc::new(far_mesh))).unwrap();
+        tree.set_transform(far, Transform::from_translation(Vec3::new(1e5, 0.0, 0.0)));
+        let mut cloud = PointCloudData::new(vec![
+            Vec3::new(-0.8, 0.6, 0.2),
+            Vec3::new(0.7, -0.5, -0.3),
+            Vec3::new(0.1, 0.8, 0.0),
+        ]);
+        cloud.point_size = 0.05;
+        tree.add_node(root, "cloud", NodeKind::PointCloud(Arc::new(cloud))).unwrap();
+        let voxels = (0..8u32 * 8 * 8).map(|i| (i * 37 % 256) as u8).collect();
+        let vol = VolumeData::new([8, 8, 8], Vec3::splat(0.2), voxels);
+        tree.add_node(root, "vol", NodeKind::Volume(Arc::new(vol))).unwrap();
+
+        let rig = StereoRig::default();
+        let renderer = Renderer::default();
+        let vp = Viewport::new(48, 48);
+        let (_, total) = rig.render_side_by_side(&renderer, &tree, &center_cam(), vp);
+        let mut sum = RenderStats::default();
+        for eye in [Eye::Left, Eye::Right] {
+            let mut fb = Framebuffer::new(vp.width, vp.height);
+            let stats = renderer.render(&tree, &rig.eye_camera(&center_cam(), eye), &mut fb);
+            assert!(stats.nodes_culled >= 1 && stats.points_on_screen == 3, "{stats:?}");
+            assert!(stats.voxels_sampled_nodes == 1 && stats.polygons_on_screen == 1);
+            sum.accumulate(&stats);
+        }
+        assert_eq!(total, sum);
     }
 
     #[test]

@@ -4,7 +4,7 @@
 //! The scene walk culls against the frustum of the *full* viewport, so a
 //! tile of a distributed frame would otherwise run the vertex stage and a
 //! triangle pass per band for content that lies on other services' tiles.
-//! The contract is the one [`crate::raster::centre_box`] works under: skip
+//! The contract is the one `raster`'s triangle setup narrows boxes under: skip
 //! only what the reference engine provably draws nothing for, with every
 //! counter it books known in advance, and fail open (keep the node) on
 //! anything non-finite or ill-conditioned. `render_tile_reference` never
@@ -19,7 +19,7 @@ use crate::raster::W_EPS;
 use rave_math::{Aabb, Mat4, Vec3, Viewport};
 
 /// Slack, in pixels, between a triangle's projected corners and the tile
-/// beyond what `setup_screen_tri` needs for an empty box (a corner at or
+/// beyond what `raster`'s setup needs for an empty box (a corner at or
 /// beyond `tile.x − 1`, resp. `tile.x + width`, rounds to a column outside
 /// the tile): one spare pixel on top of every rounding term below.
 pub(crate) const GUARD_PX: f64 = 2.0;

@@ -7,7 +7,7 @@ use rave::render::composite::{depth_composite, stitch_tiles};
 use rave::render::raster::{
     raster_mesh_rows, rasterize_triangle, BinVertex, ClipVertex, RasterStats,
 };
-use rave::render::{Framebuffer, Renderer};
+use rave::render::{Framebuffer, Renderer, Rgb};
 use rave::scene::{
     AvatarInfo, CameraParams, MeshData, NodeKind, PointCloudData, SceneTree, Transform, VolumeData,
 };
@@ -225,6 +225,12 @@ fn coord_strategy() -> impl Strategy<Value = f32> {
         -8.0f32..72.0,
         -8.0f32..72.0,
         (0u32..64).prop_map(|k| k as f32 + 0.5),
+        // Up to three ulps off a pixel centre or an integer, where the
+        // centre-sampled box decides a column or row the other way.
+        (0u32..65, any::<bool>(), -3i32..4).prop_map(|(k, centre, ulps)| {
+            let on = k as f32 + if centre { 0.5 } else { 0.0 };
+            (0..ulps.abs()).fold(on, |v, _| if ulps < 0 { v.next_down() } else { v.next_up() })
+        }),
         prop_oneof![Just(0.0f32), Just(8.0), Just(16.0), Just(48.0), Just(64.0)],
         -1.0e6f32..1.0e6,
         prop_oneof![Just(f32::NAN), Just(f32::INFINITY), Just(f32::NEG_INFINITY), Just(1e35f32)],
@@ -338,6 +344,127 @@ fn draw_banded(
         raster_mesh_rows(&mut band, &FRAME, tile, &verts, &index, &mut stats);
     }
     (fb, stats)
+}
+
+/// Triangle lists with depth contests in them: some triangles are
+/// followed by a copy in other colours at the same depth (every pixel a
+/// tie, which a strict compare gives to the first), farther (loses) or
+/// nearer (wins).
+fn contested_triangles_strategy() -> impl Strategy<Value = Vec<[ClipVertex; 3]>> {
+    let rematch = prop_oneof![Just(None), Just(Some(0.0f32)), Just(Some(0.25)), Just(Some(-0.25))];
+    prop::collection::vec((clip_triangle_strategy(), rematch), 1..8).prop_map(|list| {
+        let mut tris = Vec::new();
+        for (tri, rematch) in list {
+            tris.push(tri);
+            if let Some(dz) = rematch {
+                tris.push(tri.map(|v| {
+                    let clip = Vec4::new(v.clip.x, v.clip.y, v.clip.z + dz * v.clip.w, v.clip.w);
+                    ClipVertex { clip, color: Vec3::new(v.color.z, 1.0 - v.color.x, v.color.y) }
+                }));
+            }
+        }
+        tris
+    })
+}
+
+/// What `raster`'s module doc says is drawn, written out pixel by pixel
+/// with no code from that module: near clip, projection, fan, the
+/// degeneracy and floor/ceil-box tests, then the kernel's six steps on
+/// every pixel of the box — the colour computed before the depth compare.
+/// Returns the colour plane, the depth plane's bits and the counters.
+fn draw_written_out(
+    tile: &Viewport,
+    tris: &[[ClipVertex; 3]],
+) -> (Vec<Rgb>, Vec<u32>, RasterStats) {
+    const W_EPS: f32 = 1e-5;
+    let (w, h) = (tile.width as usize, tile.height as usize);
+    let mut color = vec![Rgb(0, 0, 0); w * h];
+    let mut depth = vec![1.0f32; w * h];
+    let mut stats = RasterStats::default();
+    let cross = |ux: f32, uy: f32, vx: f32, vy: f32| ux * vy - uy * vx;
+    for tri in tris {
+        stats.triangles_submitted += 1;
+        let mut poly: Vec<(Vec4, Vec3)> = Vec::new();
+        for i in 0..3 {
+            let (cur, next) = (tri[i], tri[(i + 1) % 3]);
+            let (cin, nin) = (cur.clip.w >= W_EPS, next.clip.w >= W_EPS);
+            if cin {
+                poly.push((cur.clip, cur.color));
+            }
+            if cin != nin {
+                let t = (W_EPS - cur.clip.w) / (next.clip.w - cur.clip.w);
+                let mix = |a: f32, b: f32| a + (b - a) * t;
+                let (p, q, c, d) = (cur.clip, next.clip, cur.color, next.color);
+                poly.push((
+                    Vec4::new(mix(p.x, q.x), mix(p.y, q.y), mix(p.z, q.z), mix(p.w, q.w)),
+                    Vec3::new(mix(c.x, d.x), mix(c.y, d.y), mix(c.z, d.z)),
+                ));
+            }
+        }
+        if poly.len() < 3 {
+            stats.triangles_clipped_away += 1;
+            continue;
+        }
+        let screen: Vec<(Vec3, Vec3)> = poly
+            .iter()
+            .map(|&(clip, col)| {
+                let inv = 1.0 / clip.w;
+                let ndc = Vec3::new(clip.x * inv, clip.y * inv, clip.z * inv);
+                (FRAME.ndc_to_pixel(ndc), col)
+            })
+            .collect();
+        for k in 1..screen.len() - 1 {
+            let ((a, ca), (b, cb), (c, cc)) = (screen[0], screen[k], screen[k + 1]);
+            let area = cross(b.x - a.x, b.y - a.y, c.x - a.x, c.y - a.y);
+            if area.abs() < 1e-9 || !area.is_finite() {
+                stats.triangles_clipped_away += 1;
+                continue;
+            }
+            let min_x = (a.x.min(b.x).min(c.x).floor() as i64).max(tile.x as i64);
+            let max_x = (a.x.max(b.x).max(c.x).ceil() as i64).min((tile.x + tile.width) as i64 - 1);
+            let min_y = (a.y.min(b.y).min(c.y).floor() as i64).max(tile.y as i64);
+            let max_y =
+                (a.y.max(b.y).max(c.y).ceil() as i64).min((tile.y + tile.height) as i64 - 1);
+            if min_x > max_x || min_y > max_y {
+                stats.triangles_clipped_away += 1;
+                continue;
+            }
+            stats.triangles_rasterized += 1;
+            let inv_area = 1.0 / area;
+            for py in min_y..=max_y {
+                for px in min_x..=max_x {
+                    let (x, y) = (px as f32 + 0.5, py as f32 + 0.5);
+                    let w0 = cross(b.x - x, b.y - y, c.x - x, c.y - y) * inv_area;
+                    let w1 = cross(c.x - x, c.y - y, a.x - x, a.y - y) * inv_area;
+                    let w2 = 1.0 - w0 - w1;
+                    if w0 < 0.0 || w1 < 0.0 || w2 < 0.0 {
+                        continue;
+                    }
+                    stats.fragments_shaded += 1;
+                    let z = w0 * a.z + w1 * b.z + w2 * c.z;
+                    if !(-1.0..=1.0).contains(&z) {
+                        continue;
+                    }
+                    let channel = |ca: f32, cb: f32, cc: f32| {
+                        let v = ca * w0 + cb * w1 + cc * w2;
+                        (v.clamp(0.0, 1.0) * 255.0 + 0.5) as u8
+                    };
+                    let rgb = Rgb(
+                        channel(ca.x, cb.x, cc.x),
+                        channel(ca.y, cb.y, cc.y),
+                        channel(ca.z, cb.z, cc.z),
+                    );
+                    let i = (py as usize - tile.y as usize) * w + (px as usize - tile.x as usize);
+                    if z < depth[i] {
+                        color[i] = rgb;
+                        depth[i] = z;
+                        stats.fragments_written += 1;
+                    }
+                }
+            }
+        }
+    }
+    (color, depth.iter().map(|z| z.to_bits()).collect(), stats)
 }
 
 proptest! {
@@ -465,42 +592,6 @@ proptest! {
         }
     }
 
-    /// The narrowing, triangle by triangle: whatever the corners — on
-    /// pixel centres, on tile edges, a fraction of a pixel apart, an ulp
-    /// off a line, a million pixels away, NaN, infinite, behind the eye —
-    /// the binned engine's centre-sampled boxes and spans leave the same
-    /// pixels, depth bits and counters as the reference's scan of every
-    /// floor/ceil box, at one to eight equal bands.
-    #[test]
-    fn binned_triangles_match_reference_scan(
-        tris in prop::collection::vec(clip_triangle_strategy(), 1..12),
-        tile in tile_strategy(),
-    ) {
-        let (reference, ref_stats) = draw_reference(&tile, &tris);
-        for bands in 1u32..=8 {
-            let (fb, stats) = draw_banded(&tile, &tris, |fb| fb.row_bands(bands));
-            prop_assert_eq!(reference.color_pixels(), fb.color_pixels(), "color, {} bands", bands);
-            prop_assert_eq!(depth_bits(&reference), depth_bits(&fb), "depth, {} bands", bands);
-            prop_assert_eq!(ref_stats, stats, "counters, {} bands", bands);
-        }
-    }
-
-    /// Band-partition invariance: any cuts at all — unequal, one row
-    /// tall, over rows no triangle reaches — give the reference's output,
-    /// and each triangle's setup counters are booked exactly once.
-    #[test]
-    fn any_band_cuts_match_reference_scan(
-        tris in prop::collection::vec(clip_triangle_strategy(), 1..12),
-        tile in tile_strategy(),
-        cuts in cuts_strategy(),
-    ) {
-        let (reference, ref_stats) = draw_reference(&tile, &tris);
-        let (fb, stats) = draw_banded(&tile, &tris, |fb| fb.row_bands_at(&cuts));
-        prop_assert_eq!(reference.color_pixels(), fb.color_pixels(), "color, cuts {:?}", &cuts);
-        prop_assert_eq!(depth_bits(&reference), depth_bits(&fb), "depth, cuts {:?}", &cuts);
-        prop_assert_eq!(ref_stats, stats, "counters, cuts {:?}", &cuts);
-    }
-
     /// A band over rows where nothing lands is legal and books nothing:
     /// all triangles in the top rows, cuts below them.
     #[test]
@@ -552,6 +643,70 @@ proptest! {
         // Opaque z-buffered content: order cannot matter except for exact
         // depth ties, which our random triangles avoid almost surely.
         prop_assert!(forward.diff_fraction(&reversed, 1.5) < 0.002);
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(256))]
+
+    /// The narrowing, triangle by triangle: whatever the corners — on
+    /// pixel centres, on tile edges, a fraction of a pixel apart, an ulp
+    /// off a line, a million pixels away, NaN, infinite, behind the eye —
+    /// the binned engine's centre-sampled boxes and spans leave the same
+    /// pixels, depth bits and counters as the reference's scan of every
+    /// floor/ceil box, at one to eight equal bands.
+    #[test]
+    fn binned_triangles_match_reference_scan(
+        tris in prop::collection::vec(clip_triangle_strategy(), 1..12),
+        tile in tile_strategy(),
+    ) {
+        let (reference, ref_stats) = draw_reference(&tile, &tris);
+        for bands in 1u32..=8 {
+            let (fb, stats) = draw_banded(&tile, &tris, |fb| fb.row_bands(bands));
+            prop_assert_eq!(reference.color_pixels(), fb.color_pixels(), "color, {} bands", bands);
+            prop_assert_eq!(depth_bits(&reference), depth_bits(&fb), "depth, {} bands", bands);
+            prop_assert_eq!(ref_stats, stats, "counters, {} bands", bands);
+        }
+    }
+
+    /// Band-partition invariance: any cuts at all — unequal, one row
+    /// tall, over rows no triangle reaches — give the reference's output,
+    /// and each triangle's setup counters are booked exactly once.
+    #[test]
+    fn any_band_cuts_match_reference_scan(
+        tris in prop::collection::vec(clip_triangle_strategy(), 1..12),
+        tile in tile_strategy(),
+        cuts in cuts_strategy(),
+    ) {
+        let (reference, ref_stats) = draw_reference(&tile, &tris);
+        let (fb, stats) = draw_banded(&tile, &tris, |fb| fb.row_bands_at(&cuts));
+        prop_assert_eq!(reference.color_pixels(), fb.color_pixels(), "color, cuts {:?}", &cuts);
+        prop_assert_eq!(depth_bits(&reference), depth_bits(&fb), "depth, cuts {:?}", &cuts);
+        prop_assert_eq!(ref_stats, stats, "counters, cuts {:?}", &cuts);
+    }
+
+    /// The kernel against a reference that shares no code with it: both
+    /// engines funnel every pixel through one kernel, so the properties
+    /// above cannot see an error in it. `draw_written_out` is the module
+    /// doc's six steps and nothing else; the immediate-mode scan and the
+    /// binned engine, at any band cuts, leave its pixels, its depth bits
+    /// and its five counters — on lists where a later triangle ties, loses
+    /// or wins in depth at every pixel of an earlier one.
+    #[test]
+    fn both_engines_match_the_written_out_kernel(
+        tris in contested_triangles_strategy(),
+        tile in tile_strategy(),
+        cuts in cuts_strategy(),
+    ) {
+        let (color, depth, stats) = draw_written_out(&tile, &tris);
+        let (reference, ref_stats) = draw_reference(&tile, &tris);
+        prop_assert_eq!(&color[..], reference.color_pixels(), "color, reference scan");
+        prop_assert_eq!(&depth, &depth_bits(&reference), "depth, reference scan");
+        prop_assert_eq!(stats, ref_stats, "counters, reference scan");
+        let (fb, band_stats) = draw_banded(&tile, &tris, |fb| fb.row_bands_at(&cuts));
+        prop_assert_eq!(&color[..], fb.color_pixels(), "color, cuts {:?}", &cuts);
+        prop_assert_eq!(&depth, &depth_bits(&fb), "depth, cuts {:?}", &cuts);
+        prop_assert_eq!(stats, band_stats, "counters, cuts {:?}", &cuts);
     }
 }
 
