@@ -1,17 +1,21 @@
 //! Frame-streaming head to head: the word-wide RLE/delta kernels versus
 //! their scalar reference encoders on render-like 640x480 frames, the
-//! dirty-strip container around them, and the simulated
+//! RGB565 kernels the PDA stream picks, the dirty-strip container around
+//! them — alone, and driven the way a `FrameChannel` drives it, with
+//! retained buffers — and the simulated
 //! §5.1 PDA session (0.83M polygons, 200x200, wireless) with the raw
 //! 24 bpp transfer replaced by the adaptive compressed stream. Emits
 //! `BENCH_frame_stream.json` at the repo root. The headline claims —
 //! held by `check` — are >= 2x kernel throughput for both word-wide
-//! encoders, a higher simulated fps for the adaptive stream, and the
-//! pipeline floors of the virtual-time depth grid. `BENCH_QUICK=1` runs
-//! fewer timing rounds and frames.
+//! encoders, a static frame's send within a few compares and a moving
+//! frame's within a fraction of its codec's two passes, a higher simulated
+//! fps for the adaptive stream, and the pipeline floors of the
+//! virtual-time depth grid. `BENCH_QUICK=1` runs fewer timing rounds and
+//! frames.
 
 use bench::harness::{num, obj, quick, secs, Report};
 use criterion::Criterion;
-use rave_compress::{delta, rle, stream, Codec};
+use rave_compress::{delta, quantize, rle, stream, Codec};
 use rave_core::config::CompressionMode;
 use rave_core::frame_stream::synthesize_frame;
 use rave_core::thin_client::{connect, stream_frames};
@@ -80,6 +84,31 @@ fn pipelined_run(polys: usize, frames: u64, mode: CompressionMode, depth: usize)
     }
 }
 
+/// What a `FrameChannel` keeps between frames, and the three steps
+/// `frame_stream::send_frame_after` makes of them.
+struct Channel {
+    last_raw: Vec<u8>,
+    prev_view: Vec<u8>,
+    container: Vec<u8>,
+    strips: u16,
+}
+
+impl Channel {
+    fn send(&mut self, cur: &[u8]) {
+        stream::encode_frame_into(
+            Codec::Quant565,
+            cur,
+            Some(&self.last_raw),
+            Some(&self.prev_view),
+            self.strips,
+            &mut self.container,
+        );
+        stream::decode_frame_in_place(&self.container, &mut self.prev_view)
+            .expect("self-encoded container must decode");
+        stream::copy_dirty_strips(&self.container, cur, &mut self.last_raw);
+    }
+}
+
 fn main() {
     let quick = quick();
     let rounds = if quick { 3 } else { 9 };
@@ -131,6 +160,38 @@ fn main() {
             stream::encode_frame(Codec::DeltaRle, &cur, Some(&prev), Some(&prev), strips)
         }));
     }
+    // The codec the PDA stream picks, into warm buffers, and a channel's
+    // whole send around it: a frame that differs from the last in every
+    // strip (two frames taking turns, a byte in every 4 KiB apart) and one
+    // that differs in none, beside one compare of the same bytes. Each
+    // takes well under a millisecond, so many more rounds than above.
+    let stream_rounds = if quick { 30 } else { 300 };
+    let turns =
+        [cur.clone(), cur.iter().enumerate().map(|(i, &b)| b ^ u8::from(i % 4096 == 0)).collect()];
+    let mut ch = Channel { last_raw: vec![], prev_view: vec![], container: vec![], strips };
+    ch.send(&turns[0]);
+    let mut packed = Vec::with_capacity(frame_len / 3 * 2);
+    let mut unpacked = vec![0u8; frame_len];
+    let mut q565_encode = f64::INFINITY;
+    let mut q565_decode = f64::INFINITY;
+    let mut moving_send = f64::INFINITY;
+    let mut static_send = f64::INFINITY;
+    let mut compare = f64::INFINITY;
+    for round in 0..stream_rounds {
+        let frame = &turns[(round + 1) % 2];
+        q565_encode = q565_encode.min(secs(|| {
+            packed.clear();
+            quantize::encode_565_into(frame, &mut packed);
+        }));
+        q565_decode = q565_decode.min(secs(|| quantize::decode_565_into(&packed, &mut unpacked)));
+        moving_send = moving_send.min(secs(|| ch.send(frame)));
+        assert_eq!(ch.prev_view, unpacked, "every strip was dirty: the view is the whole decode");
+        static_send = static_send.min(secs(|| ch.send(frame)));
+        compare = compare.min(secs(|| ch.last_raw == *frame));
+        assert_eq!(ch.container.len(), 8 + (strips as usize).div_ceil(8), "nothing was dirty");
+    }
+    let q565_passes = q565_encode + q565_decode;
+
     // Simulated PDA fps, raw 24 bpp versus the adaptive stream, on the
     // paper's 0.83M-polygon hand scene. Virtual-time, so deterministic.
     let (fps_raw, _) = streamed_fps(830_000, sim_frames, CompressionMode::Raw);
@@ -204,9 +265,23 @@ fn main() {
                 ("delta_scalar_mb_s", num(mb / delta_scalar, 1)),
                 ("delta_wordwide_mb_s", num(mb / delta_word, 1)),
                 ("delta_speedup", num(delta_scalar / delta_word, 2)),
+                ("q565_encode_mb_s", num(mb / q565_encode, 1)),
+                ("q565_decode_mb_s", num(mb / q565_decode, 1)),
             ]),
         )
         .set("strip_container_mb_s", num(mb / strip_container, 1))
+        .set(
+            "stream",
+            obj([
+                ("codec", Codec::Quant565.name().to_value()),
+                ("moving_send_us", num(moving_send * 1e6, 1)),
+                ("static_send_us", num(static_send * 1e6, 1)),
+                ("compare_us", num(compare * 1e6, 1)),
+                ("q565_passes_us", num(q565_passes * 1e6, 1)),
+                ("moving_send_over_kernels", num(moving_send / q565_passes, 2)),
+                ("static_send_over_compare", num(static_send / compare, 2)),
+            ]),
+        )
         .set(
             "sim",
             obj([

@@ -7,16 +7,18 @@
 //! keyframes (no previous frame available) from delta frames, so a
 //! receiver that lost sync can always decode a keyframe.
 //!
-//! The production encoder ([`encode`]) differs from the byte-at-a-time
-//! reference ([`encode_scalar`]) in the RLE stage: run and literal
-//! boundaries are found with the word-wide u64 kernels of [`rle`], which
-//! is where frame deltas (long zero runs over unchanged regions) spend
-//! their time. The diff/reapply passes themselves stay plain byte maps —
-//! LLVM already lowers those to packed SIMD subtraction/addition wider
-//! than any hand-rolled u64 trick. The two encoders are property-tested
-//! bit-identical.
+//! The production encoder ([`encode_into`]) differs from the
+//! byte-at-a-time reference ([`encode_scalar`]) in the RLE stage: run and
+//! literal boundaries are found with the word-wide u64 kernels of [`rle`],
+//! which is where frame deltas (long zero runs over unchanged regions)
+//! spend their time. The diff pass itself stays a plain byte map — LLVM
+//! already lowers that to packed SIMD subtraction wider than any
+//! hand-rolled u64 trick. The two encoders are property-tested
+//! bit-identical. The decoder adds the runs of the difference straight
+//! onto the previous frame's bytes ([`decode_in_place`]): a zero run, the
+//! bulk of an interactive frame's delta, touches nothing.
 
-use crate::rle;
+use crate::rle::{self, Span};
 
 const KEYFRAME: u8 = 0;
 const DELTA: u8 = 1;
@@ -29,28 +31,26 @@ fn diff_bytes(cur: &[u8], prev: &[u8]) -> Vec<u8> {
     cur.iter().zip(prev).map(|(c, p)| c.wrapping_sub(*p)).collect()
 }
 
-/// `prev[i] + diff[i]` (wrapping) for equal-length slices.
-#[inline]
-fn add_bytes(diff: &[u8], prev: &[u8]) -> Vec<u8> {
-    debug_assert_eq!(diff.len(), prev.len());
-    diff.iter().zip(prev).map(|(d, p)| p.wrapping_add(*d)).collect()
-}
-
-/// Encode `cur` against `prev` (must be the same length if present).
-pub fn encode(cur: &[u8], prev: Option<&[u8]>) -> Vec<u8> {
+/// Encode `cur` against `prev` (must be the same length if present),
+/// appended to `out`.
+pub fn encode_into(cur: &[u8], prev: Option<&[u8]>, out: &mut Vec<u8>) {
     match prev {
         Some(p) if p.len() == cur.len() => {
-            let diff = diff_bytes(cur, p);
-            let mut out = vec![DELTA];
-            out.extend(rle::encode(&diff));
-            out
+            out.push(DELTA);
+            rle::encode_into(&diff_bytes(cur, p), out);
         }
         _ => {
-            let mut out = vec![KEYFRAME];
-            out.extend(rle::encode(cur));
-            out
+            out.push(KEYFRAME);
+            rle::encode_into(cur, out);
         }
     }
+}
+
+/// [`encode_into`] a fresh vector.
+pub fn encode(cur: &[u8], prev: Option<&[u8]>) -> Vec<u8> {
+    let mut out = Vec::new();
+    encode_into(cur, prev, &mut out);
+    out
 }
 
 /// The byte-at-a-time reference encoder ([`encode`] must match it
@@ -71,18 +71,51 @@ pub fn encode_scalar(cur: &[u8], prev: Option<&[u8]>) -> Vec<u8> {
     }
 }
 
-/// Decode. A delta frame requires `prev` of the right length.
+/// `out[i] += diff[i]` (wrapping) for the RLE-coded `diff`, which must
+/// decode to exactly `out.len()` bytes.
+fn add_in_place(diff: &[u8], out: &mut [u8]) -> Option<()> {
+    let len = rle::walk(diff, |at, span| {
+        match span {
+            // Nothing to add; the length check below still counts the run.
+            Span::Run(0, _) => {}
+            Span::Run(d, count) => {
+                out.get_mut(at..at + count)?.iter_mut().for_each(|x| *x = x.wrapping_add(d))
+            }
+            Span::Literal(bytes) => out
+                .get_mut(at..at + bytes.len())?
+                .iter_mut()
+                .zip(bytes)
+                .for_each(|(x, d)| *x = x.wrapping_add(*d)),
+        }
+        Some(())
+    })?;
+    (len == out.len()).then_some(())
+}
+
+/// Decode over `out`, which holds the previous frame when `out_is_prev`
+/// (a delta frame is refused without it) and is overwritten by a
+/// keyframe. `None` on corrupt input or unless the frame is exactly
+/// `out.len()` bytes; `out` is then partly written.
+pub fn decode_in_place(data: &[u8], out: &mut [u8], out_is_prev: bool) -> Option<()> {
+    let (&tag, body) = data.split_first()?;
+    match tag {
+        KEYFRAME => rle::decode_into(body, out),
+        DELTA if out_is_prev => add_in_place(body, out),
+        _ => None,
+    }
+}
+
+/// Decode into a fresh vector: a keyframe's own bytes, or the difference
+/// added onto a copy of `prev`, which a delta frame requires at the right
+/// length.
 pub fn decode(data: &[u8], prev: Option<&[u8]>) -> Option<Vec<u8>> {
     let (&tag, body) = data.split_first()?;
-    let payload = rle::decode(body)?;
     match tag {
-        KEYFRAME => Some(payload),
+        KEYFRAME => rle::decode(body),
         DELTA => {
-            let p = prev?;
-            if p.len() != payload.len() {
-                return None;
-            }
-            Some(add_bytes(&payload, p))
+            let mut out = prev?.to_vec();
+            add_in_place(body, &mut out)?;
+            Some(out)
         }
         _ => None,
     }
@@ -153,7 +186,9 @@ mod tests {
         for (i, d) in diff.iter().enumerate() {
             assert_eq!(*d, cur[i].wrapping_sub(prev[i]), "lane {i}");
         }
-        assert_eq!(add_bytes(&diff, &prev), cur);
+        let mut back = prev.clone();
+        add_in_place(&rle::encode(&diff), &mut back).unwrap();
+        assert_eq!(back, cur);
     }
 
     #[test]

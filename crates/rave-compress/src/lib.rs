@@ -68,18 +68,25 @@ impl Codec {
         matches!(self, Codec::Quant565 | Codec::Quant565Rle)
     }
 
-    /// Encode an RGB frame. `prev` is the previous frame (same length)
-    /// when the codec is delta-based; encoding falls back to keyframe
-    /// behaviour when it is absent.
-    pub fn encode(self, cur: &[u8], prev: Option<&[u8]>) -> Vec<u8> {
+    /// Encode an RGB frame, appended to `out`. `prev` is the previous
+    /// frame (same length) when the codec is delta-based; encoding falls
+    /// back to keyframe behaviour when it is absent.
+    pub fn encode_into(self, cur: &[u8], prev: Option<&[u8]>, out: &mut Vec<u8>) {
         assert_eq!(cur.len() % 3, 0, "RGB frames are 3 bytes per pixel");
         match self {
-            Codec::Raw => cur.to_vec(),
-            Codec::Rle => rle::encode(cur),
-            Codec::DeltaRle => delta::encode(cur, prev),
-            Codec::Quant565 => quantize::encode_565(cur),
-            Codec::Quant565Rle => rle::encode(&quantize::encode_565(cur)),
+            Codec::Raw => out.extend_from_slice(cur),
+            Codec::Rle => rle::encode_into(cur, out),
+            Codec::DeltaRle => delta::encode_into(cur, prev, out),
+            Codec::Quant565 => quantize::encode_565_into(cur, out),
+            Codec::Quant565Rle => rle::encode_into(&quantize::encode_565(cur), out),
         }
+    }
+
+    /// [`Codec::encode_into`] a fresh vector.
+    pub fn encode(self, cur: &[u8], prev: Option<&[u8]>) -> Vec<u8> {
+        let mut out = Vec::new();
+        self.encode_into(cur, prev, &mut out);
+        out
     }
 
     /// Decode back to RGB bytes. Returns `None` on a corrupt payload or a
@@ -89,8 +96,43 @@ impl Codec {
             Codec::Raw => Some(data.to_vec()),
             Codec::Rle => rle::decode(data),
             Codec::DeltaRle => delta::decode(data, prev),
-            Codec::Quant565 => Some(quantize::decode_565(data)?),
+            Codec::Quant565 => quantize::decode_565(data),
             Codec::Quant565Rle => quantize::decode_565(&rle::decode(data)?),
+        }
+    }
+
+    /// Decode over `out`, which holds the previous frame when
+    /// `out_is_prev` (a delta frame is refused without it). `None` on a
+    /// corrupt payload or one that does not decode to exactly `out.len()`
+    /// bytes; `out` may then be partly written.
+    pub fn decode_in_place(self, data: &[u8], out: &mut [u8], out_is_prev: bool) -> Option<()> {
+        match self {
+            Codec::Raw => (data.len() == out.len()).then(|| out.copy_from_slice(data)),
+            Codec::Rle => rle::decode_into(data, out),
+            Codec::DeltaRle => delta::decode_in_place(data, out, out_is_prev),
+            Codec::Quant565 => quantize::decode_565_into(data, out),
+            Codec::Quant565Rle => {
+                let mut quantized = vec![0; out.len() / 3 * 2];
+                rle::decode_into(data, &mut quantized)?;
+                quantize::decode_565_into(&quantized, out)
+            }
+        }
+    }
+
+    /// Whether `payload_len` bytes of this codec can decode to `out_len`
+    /// at all — what a receiver asks of a length prefix before it sizes a
+    /// buffer by a header it has not yet believed. `Raw` and `Quant565`
+    /// have one answer; the RLE family at most 127 bytes per two of
+    /// payload.
+    pub(crate) fn can_decode_to(self, payload_len: usize, out_len: usize) -> bool {
+        let out = out_len as u64;
+        match self {
+            Codec::Raw => payload_len == out_len,
+            Codec::Rle => out <= rle::max_decoded_len(payload_len),
+            // One tag byte, then RLE.
+            Codec::DeltaRle => payload_len > 0 && out <= rle::max_decoded_len(payload_len - 1),
+            Codec::Quant565 => payload_len.is_multiple_of(2) && (payload_len / 2) as u64 * 3 == out,
+            Codec::Quant565Rle => out / 3 * 2 <= rle::max_decoded_len(payload_len),
         }
     }
 }

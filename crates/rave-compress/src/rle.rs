@@ -7,9 +7,12 @@
 //! (background, solid shading), which is where this wins.
 //!
 //! Two encoders produce the identical stream: [`encode_scalar`], the
-//! byte-at-a-time reference, and [`encode`], the word-wide production
+//! byte-at-a-time reference, and [`encode_into`], the word-wide production
 //! kernel that scans runs and literal spans eight bytes per load
-//! (property-tested bit-identical in `tests/proptest_codecs.rs`).
+//! (property-tested bit-identical in `tests/proptest_codecs.rs`). One
+//! record walk (`walk`) serves every decoder: [`decode_into`] fills and
+//! copies into a sized slice, `delta` adds onto the bytes already there,
+//! and [`decode`] sizes its vector with a walk that writes nothing.
 
 const HI: u64 = 0x8080_8080_8080_8080;
 
@@ -76,10 +79,10 @@ fn find_run3(data: &[u8], from: usize, to: usize) -> usize {
     to
 }
 
-/// Encode a byte stream (word-wide kernel).
-pub fn encode(data: &[u8]) -> Vec<u8> {
+/// Encode a byte stream (word-wide kernel), appended to `out`.
+pub fn encode_into(data: &[u8], out: &mut Vec<u8>) {
     let len = data.len();
-    let mut out = Vec::with_capacity(len / 4 + 16);
+    out.reserve(len / 4 + 16);
     let mut i = 0;
     while i < len {
         let run = run_len(data, i, 127);
@@ -96,6 +99,12 @@ pub fn encode(data: &[u8]) -> Vec<u8> {
         out.extend_from_slice(&data[i..end]);
         i = end;
     }
+}
+
+/// [`encode_into`] a fresh vector.
+pub fn encode(data: &[u8]) -> Vec<u8> {
+    let mut out = Vec::new();
+    encode_into(data, &mut out);
     out
 }
 
@@ -138,11 +147,28 @@ pub fn encode_scalar(data: &[u8]) -> Vec<u8> {
     out
 }
 
-/// Decode a stream produced by [`encode`]. `None` on truncation or
-/// zero-length records (corrupt input).
-pub fn decode(data: &[u8]) -> Option<Vec<u8>> {
-    let mut out = Vec::with_capacity(data.len() * 2);
+/// Most bytes `encoded_len` bytes of stream can decode to: a run record
+/// is two bytes for up to 127, and a literal span never expands.
+pub(crate) fn max_decoded_len(encoded_len: usize) -> u64 {
+    encoded_len as u64 / 2 * 127
+}
+
+/// One record of a stream: a byte repeated, or a span copied verbatim.
+pub(crate) enum Span<'a> {
+    Run(u8, usize),
+    Literal(&'a [u8]),
+}
+
+/// Walk `data` record by record, handing `sink` each span and the output
+/// offset it starts at. Returns the decoded length; `None` on truncation,
+/// a zero-length record (corrupt input), or when `sink` refuses a span.
+#[inline]
+pub(crate) fn walk(
+    data: &[u8],
+    mut sink: impl FnMut(usize, Span<'_>) -> Option<()>,
+) -> Option<usize> {
     let mut i = 0;
+    let mut at = 0;
     while i < data.len() {
         let tag = data[i];
         i += 1;
@@ -151,17 +177,36 @@ pub fn decode(data: &[u8]) -> Option<Vec<u8>> {
             return None;
         }
         if tag & 0x80 != 0 {
-            let b = *data.get(i)?;
+            sink(at, Span::Run(*data.get(i)?, count))?;
             i += 1;
-            out.extend(std::iter::repeat_n(b, count));
         } else {
-            if i + count > data.len() {
-                return None;
-            }
-            out.extend_from_slice(&data[i..i + count]);
+            sink(at, Span::Literal(data.get(i..i + count)?))?;
             i += count;
         }
+        at += count;
     }
+    Some(at)
+}
+
+/// Decode a stream produced by [`encode`] over `out`. `None` on corrupt
+/// input or unless the stream decodes to exactly `out.len()` bytes; `out`
+/// is then partly written.
+pub fn decode_into(data: &[u8], out: &mut [u8]) -> Option<()> {
+    let len = walk(data, |at, span| {
+        match span {
+            Span::Run(b, count) => out.get_mut(at..at + count)?.fill(b),
+            Span::Literal(bytes) => out.get_mut(at..at + bytes.len())?.copy_from_slice(bytes),
+        }
+        Some(())
+    })?;
+    (len == out.len()).then_some(())
+}
+
+/// [`decode_into`] a fresh vector of the stream's own length. `None` on
+/// truncation or zero-length records (corrupt input).
+pub fn decode(data: &[u8]) -> Option<Vec<u8>> {
+    let mut out = vec![0; walk(data, |_, _| Some(()))?];
+    decode_into(data, &mut out)?;
     Some(out)
 }
 

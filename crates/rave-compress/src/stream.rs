@@ -4,12 +4,19 @@
 //! A frame is split into `strip_count` contiguous, pixel-aligned strips,
 //! each run through the chosen [`Codec`] on its own. The strips exist for
 //! dirty-skipping: a strip-bitmap header marks strips whose raw bytes are
-//! unchanged since the previous frame (word-wide `u64` comparison), those
+//! unchanged since the previous frame (slice equality, a `memcmp`), those
 //! ship **zero** payload bytes and the receiver reuses its copy, so a
 //! static scene costs a near-empty header per frame. Encode and decode
 //! walk the strips in order on the caller: a clean strip is one compare
 //! and a dirty 16 KiB strip a few microseconds of kernel, less than
 //! handing either to another thread costs.
+//!
+//! A frame's bytes are read once and written once: [`encode_frame_into`]
+//! encodes each dirty strip straight into the container behind a length
+//! it patches afterwards, and [`decode_frame_in_place`] decodes each dirty
+//! strip over the receiver's own view and leaves the clean ones where
+//! they are. [`encode_frame_with_meta`] and [`decode_frame`] are those two
+//! into a fresh vector and on a copy.
 //!
 //! Two "previous frame" roles are deliberately distinct:
 //!
@@ -47,21 +54,10 @@ pub struct StripMeta {
     pub skipped: u32,
 }
 
-/// Word-wide slice equality: eight bytes per compare, exact.
+/// Whether two strips hold the same bytes: slice equality, which the
+/// standard library lowers to one `memcmp`.
 pub fn bytes_identical(a: &[u8], b: &[u8]) -> bool {
-    if a.len() != b.len() {
-        return false;
-    }
-    let mut ca = a.chunks_exact(8);
-    let mut cb = b.chunks_exact(8);
-    for (x, y) in (&mut ca).zip(&mut cb) {
-        let x = u64::from_le_bytes(x.try_into().expect("8"));
-        let y = u64::from_le_bytes(y.try_into().expect("8"));
-        if x != y {
-            return false;
-        }
-    }
-    ca.remainder() == cb.remainder()
+    a == b
 }
 
 /// Pick a strip count targeting `target_strip_bytes` per strip, clamped
@@ -109,52 +105,90 @@ pub fn encode_frame_with_meta(
     prev_view: Option<&[u8]>,
     strip_count: u16,
 ) -> (Vec<u8>, StripMeta) {
+    let mut out = Vec::new();
+    let meta = encode_frame_into(codec, cur, prev_raw, prev_view, strip_count, &mut out);
+    (out, meta)
+}
+
+/// [`encode_frame_with_meta`] into `out`, whose contents it replaces and
+/// whose capacity it keeps: a stream that hands the same vector to every
+/// frame allocates for none after its largest.
+pub fn encode_frame_into(
+    codec: Codec,
+    cur: &[u8],
+    prev_raw: Option<&[u8]>,
+    prev_view: Option<&[u8]>,
+    strip_count: u16,
+    out: &mut Vec<u8>,
+) -> StripMeta {
     assert_eq!(cur.len() % 3, 0, "RGB frames are 3 bytes per pixel");
     let pixels = cur.len() / 3;
     let n = if pixels == 0 { 0 } else { (strip_count as usize).clamp(1, pixels) };
     let prev_raw = usable_prev(prev_raw, cur.len());
     let prev_view = usable_prev(prev_view, cur.len());
 
-    // Encode every dirty strip, in order.
-    let payloads: Vec<Option<Vec<u8>>> = (0..n)
-        .map(|i| {
-            let r = strip_range(pixels, n, i);
-            if let Some(p) = prev_raw {
-                if bytes_identical(&cur[r.clone()], &p[r.clone()]) {
-                    return None; // clean strip: receiver already has it
-                }
-            }
-            Some(codec.encode(&cur[r.clone()], prev_view.map(|p| &p[r])))
-        })
-        .collect();
-
-    let skipped = payloads.iter().filter(|p| p.is_none()).count() as u32;
-    let body: usize = payloads.iter().flatten().map(|p| 4 + p.len()).sum();
-    let mut out = Vec::with_capacity(HEADER + n.div_ceil(8) + body);
+    out.clear();
     out.push(VERSION);
     out.push(codec.id());
     out.extend_from_slice(&(cur.len() as u32).to_le_bytes());
     out.extend_from_slice(&(n as u16).to_le_bytes());
-    let mut bitmap = vec![0u8; n.div_ceil(8)];
-    for (i, p) in payloads.iter().enumerate() {
-        if p.is_some() {
-            bitmap[i / 8] |= 1 << (i % 8);
+    out.resize(HEADER + n.div_ceil(8), 0);
+
+    let mut skipped = 0;
+    for i in 0..n {
+        let r = strip_range(pixels, n, i);
+        if prev_raw.is_some_and(|p| bytes_identical(&cur[r.clone()], &p[r.clone()])) {
+            skipped += 1; // clean strip: receiver already has it
+            continue;
         }
+        out[HEADER + i / 8] |= 1 << (i % 8);
+        // The payload goes straight behind its length, known only after.
+        let len_at = out.len();
+        out.extend_from_slice(&[0; 4]);
+        codec.encode_into(&cur[r.clone()], prev_view.map(|p| &p[r]), out);
+        let len = (out.len() - len_at - 4) as u32;
+        out[len_at..len_at + 4].copy_from_slice(&len.to_le_bytes());
     }
-    out.extend_from_slice(&bitmap);
-    for p in payloads.iter().flatten() {
-        out.extend_from_slice(&(p.len() as u32).to_le_bytes());
-        out.extend_from_slice(p);
+    StripMeta { codec, strips: n as u32, skipped }
+}
+
+/// Bring the sender's `prev_raw` up to `cur` once `container`, the encode
+/// of `cur` against it, has been sent: the strips the container marks
+/// dirty are copied and the clean ones, which compared equal, are not. A
+/// `prev_raw` of another length (no frame yet, or a resized one) was not
+/// compared against and takes all of `cur`.
+pub fn copy_dirty_strips(container: &[u8], cur: &[u8], prev_raw: &mut Vec<u8>) {
+    let (_, frame_len, n, bitmap) = parse_header(container).expect("self-encoded container");
+    assert_eq!(frame_len, cur.len(), "the container is the encode of `cur`");
+    if prev_raw.len() != cur.len() {
+        prev_raw.clear();
+        prev_raw.extend_from_slice(cur);
+        return;
     }
-    (out, StripMeta { codec, strips: n as u32, skipped })
+    for i in (0..n).filter(|&i| is_dirty(bitmap, i)) {
+        let r = strip_range(cur.len() / 3, n, i);
+        prev_raw[r.clone()].copy_from_slice(&cur[r]);
+    }
 }
 
 /// Read a container's header without decoding. `None` on corrupt input.
 pub fn inspect(data: &[u8]) -> Option<StripMeta> {
-    let (codec, frame_len, n, bitmap) = parse_header(data)?;
-    let _ = frame_len;
-    let skipped = (0..n).filter(|&i| bitmap[i / 8] & (1 << (i % 8)) == 0).count() as u32;
+    let (codec, _, n, bitmap) = parse_header(data)?;
+    let skipped = (0..n).filter(|&i| !is_dirty(bitmap, i)).count() as u32;
     Some(StripMeta { codec, strips: n as u32, skipped })
+}
+
+/// Where the payload behind the length prefix at `offset` lies, if prefix
+/// and payload are both inside `data`.
+fn payload_at(data: &[u8], offset: usize) -> Option<std::ops::Range<usize>> {
+    let start = offset.checked_add(4)?;
+    let len = u32::from_le_bytes(data.get(offset..start)?.try_into().ok()?) as usize;
+    let end = start.checked_add(len).filter(|&end| end <= data.len())?;
+    Some(start..end)
+}
+
+fn is_dirty(bitmap: &[u8], strip: usize) -> bool {
+    bitmap[strip / 8] & (1 << (strip % 8)) != 0
 }
 
 fn parse_header(data: &[u8]) -> Option<(Codec, usize, usize, &[u8])> {
@@ -186,45 +220,70 @@ fn parse_header(data: &[u8]) -> Option<(Codec, usize, usize, &[u8])> {
 /// receiver's previous reconstruction; required (at the exact frame
 /// length) when the bitmap skips any strip or the codec is delta-based.
 /// Returns `None` on any corruption — truncated body, trailing garbage,
-/// bad bitmap padding, or a strip that decodes to the wrong length.
+/// bad bitmap padding, or a strip that decodes to the wrong length. All
+/// or nothing: [`decode_frame_in_place`] on a copy of `prev_view`.
 pub fn decode_frame(data: &[u8], prev_view: Option<&[u8]>) -> Option<Vec<u8>> {
+    let mut view = prev_view.map(<[u8]>::to_vec).unwrap_or_default();
+    decode_frame_in_place(data, &mut view)?;
+    Some(view)
+}
+
+/// Advance the receiver's `view` — its reconstruction of the previous
+/// frame, or anything of another length (an empty vector, a frame from
+/// before a resize) when it holds none — to the frame in `data`. Clean
+/// strips stay as they are; each dirty strip is decoded over its own
+/// bytes, which for [`Codec::DeltaRle`] are the base the difference is
+/// added onto.
+///
+/// Before anything is written, reserved or resized the whole container is
+/// checked: header, bitmap, every length prefix, the trailing byte count,
+/// that a clean strip has a view to stay in, and that each dirty payload
+/// is long enough for its codec to produce its strip — so a corrupt
+/// container costs the receiver at most the memory a valid one of its
+/// size could (the RLE family's 127 bytes per two received), never what
+/// its header claims.
+///
+/// On `None` from those checks `view` is untouched. A payload that passes
+/// them and then fails to decode (a bad record inside a strip) also
+/// returns `None`, with strips before it already advanced and its own
+/// partly written: the view is then unspecified and the stream must
+/// restart from a keyframe (all strips dirty, no delta base). Receivers
+/// that cannot restart use [`decode_frame`].
+pub fn decode_frame_in_place(data: &[u8], view: &mut Vec<u8>) -> Option<()> {
     let (codec, frame_len, n, bitmap) = parse_header(data)?;
     let pixels = frame_len / 3;
-    let prev_view = usable_prev(prev_view, frame_len);
-    let mut offset = HEADER + n.div_ceil(8);
+    let has_prev = view.len() == frame_len;
+    let body = HEADER + n.div_ceil(8);
 
-    // Slice out every dirty payload first, so a truncated or over-long
-    // body is rejected before any strip is decoded.
-    let mut payloads: Vec<Option<&[u8]>> = Vec::with_capacity(n);
+    let mut offset = body;
     for i in 0..n {
-        if bitmap[i / 8] & (1 << (i % 8)) == 0 {
-            payloads.push(None);
+        if !is_dirty(bitmap, i) {
+            if !has_prev {
+                return None;
+            }
             continue;
         }
-        let len = u32::from_le_bytes(data.get(offset..offset + 4)?.try_into().ok()?) as usize;
-        offset += 4;
-        payloads.push(Some(data.get(offset..offset + len)?));
-        offset += len;
+        let payload = payload_at(data, offset)?;
+        if !codec.can_decode_to(payload.len(), strip_range(pixels, n, i).len()) {
+            return None;
+        }
+        offset = payload.end;
     }
     if offset != data.len() {
         return None; // trailing garbage
     }
 
-    let mut out = Vec::with_capacity(frame_len);
-    for (i, payload) in payloads.into_iter().enumerate() {
-        let r = strip_range(pixels, n, i);
-        match payload {
-            None => out.extend_from_slice(&prev_view?[r]),
-            Some(pl) => {
-                let strip = codec.decode(pl, prev_view.map(|p| &p[r.clone()]))?;
-                if strip.len() != r.len() {
-                    return None;
-                }
-                out.extend_from_slice(&strip);
-            }
-        }
+    if !has_prev {
+        view.clear();
+        view.resize(frame_len, 0);
     }
-    Some(out)
+    let mut offset = body;
+    for i in (0..n).filter(|&i| is_dirty(bitmap, i)) {
+        let payload = payload_at(data, offset)?;
+        offset = payload.end;
+        codec.decode_in_place(&data[payload], &mut view[strip_range(pixels, n, i)], has_prev)?;
+    }
+    Some(())
 }
 
 #[cfg(test)]
@@ -340,6 +399,103 @@ mod tests {
         let mut bad_pad = enc.clone();
         bad_pad[HEADER] |= 0xF0; // set padding bits past strip 3
         assert!(decode_frame(&bad_pad, Some(&cur)).is_none(), "bitmap padding set");
+    }
+
+    /// Peak virtual size of this process in kB, where the OS says.
+    fn vm_peak_kb() -> Option<u64> {
+        let status = std::fs::read_to_string("/proc/self/status").ok()?;
+        status
+            .lines()
+            .find_map(|l| l.strip_prefix("VmPeak:")?.trim().strip_suffix("kB")?.trim().parse().ok())
+    }
+
+    #[test]
+    fn a_header_that_lies_about_the_frame_reserves_nothing() {
+        // Nine bytes claiming a 4.2 GB frame: one clean strip and no view
+        // to keep it in, then one dirty strip with an empty body.
+        let header = |bitmap: u8| {
+            let mut c = vec![VERSION, Codec::Rle.id()];
+            c.extend_from_slice(&4_200_000_000u32.to_le_bytes());
+            c.extend_from_slice(&1u16.to_le_bytes());
+            c.push(bitmap);
+            c
+        };
+        let clean = header(0);
+        let mut dirty = header(1);
+        dirty.extend_from_slice(&0u32.to_le_bytes());
+        let before = vm_peak_kb();
+        for container in [&clean, &dirty] {
+            assert!(decode_frame(container, None).is_none());
+            let mut view = vec![7u8; 30];
+            assert!(decode_frame_in_place(container, &mut view).is_none());
+            assert_eq!(view, [7u8; 30], "refused before anything was written");
+        }
+        // Linux only: elsewhere there is no peak to read.
+        if let (Some(before), Some(after)) = (before, vm_peak_kb()) {
+            assert!(after - before < 64 << 10, "VmPeak grew {} kB", after - before);
+        }
+    }
+
+    #[test]
+    fn payloads_too_short_for_their_strip_are_refused_unwritten() {
+        // 600 px in 4 strips of 450 bytes; each codec's shortest possible
+        // payload for one is refused one byte (or one record) shorter.
+        let cur = frame(600, 5);
+        for (codec, too_short) in [
+            (Codec::Raw, 449),
+            (Codec::Rle, 7),         // 3 run records: 381 bytes at most
+            (Codec::DeltaRle, 8),    // tag + 3 run records
+            (Codec::Quant565, 298),  // 149 pixels
+            (Codec::Quant565Rle, 5), // 2 run records: 254 of 300 bytes
+        ] {
+            let mut c = vec![VERSION, codec.id()];
+            c.extend_from_slice(&(cur.len() as u32).to_le_bytes());
+            c.extend_from_slice(&4u16.to_le_bytes());
+            c.push(0b0001);
+            c.extend_from_slice(&(too_short as u32).to_le_bytes());
+            c.extend(std::iter::repeat_n(0x81, too_short));
+            let mut view = cur.clone();
+            assert!(decode_frame_in_place(&c, &mut view).is_none(), "{}", codec.name());
+            assert_eq!(view, cur, "{}: refused before anything was written", codec.name());
+        }
+    }
+
+    #[test]
+    fn in_place_decode_advances_the_view_it_is_given() {
+        let prev = frame(700, 9);
+        let mut cur = prev.clone();
+        cur[1_000..1_200].iter_mut().for_each(|b| *b ^= 0x3C);
+        for codec in Codec::ALL {
+            let enc = encode_frame(codec, &cur, Some(&prev), Some(&prev), 8);
+            let mut view = prev.clone();
+            decode_frame_in_place(&enc, &mut view).unwrap();
+            assert_eq!(Some(&view), decode_frame(&enc, Some(&prev)).as_ref(), "{}", codec.name());
+            // A view of another size holds nothing: clean strips refuse it,
+            // an all-dirty keyframe replaces it.
+            let mut stale = vec![1u8; 30];
+            assert!(decode_frame_in_place(&enc, &mut stale).is_none());
+            assert_eq!(stale, [1u8; 30]);
+            let key = encode_frame(codec, &cur, None, None, 8);
+            decode_frame_in_place(&key, &mut stale).unwrap();
+            assert_eq!(Some(&stale), decode_frame(&key, None).as_ref(), "{}", codec.name());
+        }
+    }
+
+    #[test]
+    fn copy_dirty_strips_brings_prev_raw_up_to_cur() {
+        let prev = frame(40_000, 5);
+        let mut cur = prev.clone();
+        cur[10] ^= 0xFF;
+        cur[90_000] ^= 0xFF;
+        let enc = encode_frame(Codec::Quant565, &cur, Some(&prev), Some(&prev), 8);
+        let mut raw = prev.clone();
+        copy_dirty_strips(&enc, &cur, &mut raw);
+        assert_eq!(raw, cur);
+        // Another length: nothing was compared, everything is taken.
+        let key = encode_frame(Codec::Quant565, &cur, Some(&prev[..30]), None, 8);
+        let mut raw = prev[..30].to_vec();
+        copy_dirty_strips(&key, &cur, &mut raw);
+        assert_eq!(raw, cur);
     }
 
     #[test]

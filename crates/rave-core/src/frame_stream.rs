@@ -14,6 +14,16 @@
 //! dirty-strip comparison, and `prev_view`, the receiver's decoded
 //! reconstruction used as the delta base — distinct so lossy frames never
 //! desynchronize the delta stream.
+//!
+//! Who owns which buffer. A frame's pixels live in its session's retained
+//! `last_frame`; its wire bytes are laid out in the world's one staging
+//! vector and its container in the world's one container vector (both in
+//! [`FrameCache`], shared by every stream: a send is synchronous, so
+//! convert → encode → decode are over before it returns); the channel's
+//! two buffers live as long as the stream and are advanced in place —
+//! `prev_view` is decoded into, `last_raw` takes the strips that were
+//! dirty. After a stream's first frame a send allocates no frame-sized
+//! buffer; a frame of another size replaces both.
 
 use crate::ids::{ClientId, RenderServiceId};
 use crate::trace::TraceKind;
@@ -86,6 +96,10 @@ impl FrameChannel {
 #[derive(Debug, Clone, Default)]
 pub struct FrameCache {
     channels: BTreeMap<(RenderServiceId, ClientId), FrameChannel>,
+    /// The frame being sent, as wire-order RGB bytes.
+    staging: Vec<u8>,
+    /// The frame being sent, as its strip container.
+    container: Vec<u8>,
 }
 
 impl FrameCache {
@@ -106,6 +120,17 @@ impl FrameCache {
 
     pub fn get(&self, rs: RenderServiceId, client: ClientId) -> Option<&FrameChannel> {
         self.channels.get(&(rs, client))
+    }
+
+    /// Borrow the staging vector to lay a frame's RGB bytes out in (hand
+    /// it back with [`put_staging`](Self::put_staging) after the send —
+    /// the same dance as [`take`](Self::take), for the same reason).
+    pub(crate) fn take_staging(&mut self) -> Vec<u8> {
+        std::mem::take(&mut self.staging)
+    }
+
+    pub(crate) fn put_staging(&mut self, buf: Vec<u8>) {
+        self.staging = buf;
     }
 
     /// Live stream count.
@@ -215,30 +240,35 @@ pub fn send_frame_after(
         ch.selector.choose(cur, ch.prev_view.as_deref(), &link, sender, receiver, allow_lossy);
     let codec = est.codec;
     let strips = stream::strip_count_for(cur.len(), world.config.frame_strip_bytes);
-    let (payload, meta) = stream::encode_frame_with_meta(
+    let mut container = std::mem::take(&mut world.frame_cache.container);
+    let meta = stream::encode_frame_into(
         codec,
         cur,
         ch.last_raw.as_deref(),
         ch.prev_view.as_deref(),
         strips,
+        &mut container,
     );
+    let encoded_bytes = container.len() as u64;
 
     // Sender CPU, then the wire (encoded bytes only), receiver CPU after.
     let encode_start = ready.max(encoder_free);
     let encode_secs =
         adaptive::encode_cost_bytes(codec, cur.len()) as f64 / sender.codec_bytes_per_sec;
     let t_sent = encode_start + SimTime::from_secs(encode_secs);
-    let wire_secs = link.tx_time(payload.len() as u64).as_secs();
+    let wire_secs = link.tx_time(encoded_bytes).as_secs();
     let wire_start = t_sent.max(world.channel(from, to).busy_until());
-    let arrival =
-        world.send_encoded_bytes(t_sent, from, to, payload.len() as u64, cur.len() as u64);
-    let decode_secs = adaptive::decode_cost_bytes(codec, cur.len(), payload.len()) as f64
+    let arrival = world.send_encoded_bytes(t_sent, from, to, encoded_bytes, cur.len() as u64);
+    let decode_secs = adaptive::decode_cost_bytes(codec, cur.len(), container.len()) as f64
         / receiver.codec_bytes_per_sec;
 
     // Advance the stream: the receiver's view is what the container
-    // decodes to (exact for lossless codecs, quantized for lossy ones).
-    let new_view = stream::decode_frame(&payload, ch.prev_view.as_deref())
+    // decodes to (exact for lossless codecs, quantized for lossy ones),
+    // and only the strips that were dirty differ from the last raw frame.
+    stream::decode_frame_in_place(&container, ch.prev_view.get_or_insert_with(Vec::new))
         .expect("self-encoded container must decode");
+    stream::copy_dirty_strips(&container, cur, ch.last_raw.get_or_insert_with(Vec::new));
+    world.frame_cache.container = container;
     let switched = ch.last_codec.is_some_and(|prev| prev != codec);
     if switched {
         world.trace.record(
@@ -248,26 +278,24 @@ pub fn send_frame_after(
                 "{rs}->{client}: {} -> {} (ratio {:.3})",
                 ch.last_codec.expect("switched implies a previous codec").name(),
                 codec.name(),
-                payload.len() as f64 / cur.len().max(1) as f64,
+                encoded_bytes as f64 / cur.len().max(1) as f64,
             ),
         );
     }
-    ch.selector.observe(codec, cur.len() as u64, payload.len() as u64);
+    ch.selector.observe(codec, cur.len() as u64, encoded_bytes);
     ch.stats.frames += 1;
     ch.stats.logical_bytes += cur.len() as u64;
-    ch.stats.encoded_bytes += payload.len() as u64;
+    ch.stats.encoded_bytes += encoded_bytes;
     ch.stats.codec_switches += u64::from(switched);
     ch.stats.strips_total += u64::from(meta.strips);
     ch.stats.strips_skipped += u64::from(meta.skipped);
     ch.last_codec = Some(codec);
-    ch.last_raw = Some(cur.to_vec());
-    ch.prev_view = Some(new_view);
     world.frame_cache.insert(rs, client, ch);
 
     FrameSendOutcome {
         arrival,
         codec,
-        encoded_bytes: payload.len() as u64,
+        encoded_bytes,
         logical_bytes: cur.len() as u64,
         encode_start,
         encode_secs,
@@ -311,6 +339,7 @@ mod tests {
     use crate::config::RaveConfig;
     use crate::world::RaveWorld;
     use rave_net::Network;
+    use std::collections::BTreeSet;
 
     fn world() -> RaveWorld {
         RaveWorld::new(Network::paper_testbed(1.0), RaveConfig::default(), 9)
@@ -470,6 +499,116 @@ mod tests {
         );
         assert_eq!(out.strips_skipped, 0);
         assert_eq!(w.frame_cache.stats(rs, cl).unwrap().frames, 1);
+    }
+
+    /// A frame channel built from the public allocating functions alone:
+    /// a fresh container, a fresh view and a fresh copy of the raw frame
+    /// every send. What [`send_frame`] keeps in place must come to this.
+    struct ReferenceChannel {
+        selector: CodecSelector,
+        last_raw: Option<Vec<u8>>,
+        prev_view: Option<Vec<u8>>,
+    }
+
+    impl ReferenceChannel {
+        /// Container length, clean strips and codec of one send.
+        fn send(&mut self, w: &RaveWorld, rgb: &[u8], allow_lossy: bool) -> (u64, u32, Codec) {
+            let (from, to) = pda_stream_hosts();
+            let link = w.network.link_between(from, to);
+            let (sender, receiver) = (EndpointSpeed::workstation(), EndpointSpeed::pda());
+            let prev_view = self.prev_view.as_deref();
+            let codec =
+                self.selector.choose(rgb, prev_view, link, sender, receiver, allow_lossy).codec;
+            let strips = stream::strip_count_for(rgb.len(), w.config.frame_strip_bytes);
+            let (container, meta) = stream::encode_frame_with_meta(
+                codec,
+                rgb,
+                self.last_raw.as_deref(),
+                prev_view,
+                strips,
+            );
+            let view = stream::decode_frame(&container, prev_view).expect("own container");
+            self.selector.observe(codec, rgb.len() as u64, container.len() as u64);
+            self.prev_view = Some(view);
+            self.last_raw = Some(rgb.to_vec());
+            (container.len() as u64, meta.skipped, codec)
+        }
+    }
+
+    #[test]
+    fn retained_buffers_stream_what_a_fresh_allocation_per_frame_would() {
+        let mut w = world();
+        let (from, to) = pda_stream_hosts();
+        let (rs, cl) = (RenderServiceId(1), ClientId(1));
+        let mut reference = ReferenceChannel {
+            selector: CodecSelector::new(w.config.codec_ewma_alpha, w.config.codec_reprobe_every),
+            last_raw: None,
+            prev_view: None,
+        };
+        let noise = |w: u32, h: u32, seed: u64| -> Vec<u8> {
+            (0..(w * h * 3) as u64)
+                .map(|i| ((i + seed).wrapping_mul(2654435761) >> 13) as u8)
+                .collect()
+        };
+        // Forty frames: incompressible (the probe quantises), moving and
+        // static, a smaller viewport and back, flat; then much the same
+        // again with lossy codecs refused.
+        let incompressible: Vec<_> = [0, 0, 1, 2].map(|seed| noise(200, 200, seed)).into();
+        let moving: Vec<_> = [0, 1, 2, 2, 2, 3].map(|seq| synthesize_frame(200, 200, seq)).into();
+        let flat = vec![40u8; 200 * 200 * 3];
+        let rest: Vec<_> = [4, 5, 5]
+            .map(|seq| synthesize_frame(160, 120, seq))
+            .into_iter()
+            .chain([6, 6, 7].map(|seq| synthesize_frame(200, 200, seq)))
+            .chain([flat.clone(), noise(200, 200, 3), flat.clone(), flat])
+            .collect();
+        // Frame 30 is a re-probe: noise that differs from the last frame in
+        // one patch is what the delta codec is for.
+        let patched: Vec<_> = [1, 2]
+            .map(|k| {
+                let mut f = incompressible[3].clone();
+                f[1_000 * k..1_000 * k + 300].iter_mut().for_each(|b| *b ^= 0xFF);
+                f
+            })
+            .into();
+        let frames =
+            [&incompressible[..], &moving, &rest, &moving, &incompressible, &patched, &rest[..8]]
+                .concat();
+        assert_eq!(frames.len(), 40);
+
+        let mut t = SimTime::ZERO;
+        let mut codecs_seen = BTreeSet::new();
+        for (i, frame) in frames.iter().enumerate() {
+            let allow_lossy = i < 20;
+            let out = send_frame(
+                &mut w,
+                t,
+                rs,
+                cl,
+                from,
+                to,
+                frame,
+                EndpointSpeed::workstation(),
+                EndpointSpeed::pda(),
+                allow_lossy,
+            );
+            t = out.arrival;
+            let (encoded, skipped, codec) = reference.send(&w, frame, allow_lossy);
+            assert_eq!(out.encoded_bytes, encoded, "frame {i}: container length");
+            assert_eq!(out.strips_skipped, skipped, "frame {i}: clean strips");
+            let ch = w.frame_cache.get(rs, cl).unwrap();
+            assert_eq!(ch.last_codec(), Some(codec), "frame {i}: codec");
+            assert_eq!(ch.prev_view, reference.prev_view, "frame {i}: receiver view");
+            assert_eq!(ch.last_raw, reference.last_raw, "frame {i}: compare base");
+            assert!(allow_lossy || !codec.is_lossy(), "frame {i}: lossy codec refused");
+            codecs_seen.insert(codec.id());
+        }
+        let expected = [Codec::Raw, Codec::DeltaRle, Codec::Quant565].map(Codec::id);
+        assert_eq!(codecs_seen, BTreeSet::from(expected), "quantised, then banned, then delta");
+        let stats = w.frame_cache.stats(rs, cl).unwrap();
+        assert_eq!(stats.frames, 40);
+        assert_eq!(stats.codec_switches, 2, "the lossy ban, then the re-probe");
+        assert!(stats.strips_skipped > 0, "static frames skipped strips");
     }
 
     #[test]

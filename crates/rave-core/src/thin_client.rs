@@ -334,20 +334,21 @@ fn issue_frame(sim: &mut RaveSim, pipe: &Rc<RefCell<FramePipeline>>) {
             }
             CompressionMode::Adaptive => {
                 let vp = sim.world.client(client_id).viewport;
-                // Real pixels when the world renders them, else a
-                // synthetic render-shaped frame so timing runs still
-                // exercise the codec path with representative content.
-                let rgb = if sim.world.config.produce_images {
-                    sim.world
-                        .render_mut(rs_id)
-                        .rasterize(client_id)
-                        .map(|fb| fb.to_rgb_bytes())
-                        .unwrap_or_else(|| {
-                            frame_stream::synthesize_frame(vp.width, vp.height, index)
-                        })
+                // Real pixels when the world renders them — laid out in
+                // the world's staging vector, straight from the session's
+                // retained frame — else a synthetic render-shaped frame so
+                // timing runs still exercise the codec path with
+                // representative content.
+                let mut rgb = sim.world.frame_cache.take_staging();
+                let drawn = if sim.world.config.produce_images {
+                    sim.world.render_mut(rs_id).rasterize(client_id)
                 } else {
-                    frame_stream::synthesize_frame(vp.width, vp.height, index)
+                    None
                 };
+                match drawn {
+                    Some(fb) => fb.rgb_bytes_into(&mut rgb),
+                    None => rgb = frame_stream::synthesize_frame(vp.width, vp.height, index),
+                }
                 let encoder_free = sim.world.render(rs_id).encoder.busy_until();
                 let out = {
                     let p = pipe.borrow();
@@ -365,6 +366,7 @@ fn issue_frame(sim: &mut RaveSim, pipe: &Rc<RefCell<FramePipeline>>) {
                         ALLOW_LOSSY_FRAMES,
                     )
                 };
+                sim.world.frame_cache.put_staging(rgb);
                 sim.world.render_mut(rs_id).encoder.acquire(out.encode_start, out.encode_secs);
                 let t_sent = out.encode_start + SimTime::from_secs(out.encode_secs);
                 let stall =

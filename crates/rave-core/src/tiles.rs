@@ -289,12 +289,17 @@ pub fn render_tiled_frame(
         // world has real pixels to encode. Always lossless — the tile is
         // stitched into a composite that must match a monolithic render.
         let (units, rgb) = if produce_images {
+            // The tile's wire bytes go through the world's staging vector.
+            let mut rgb = adaptive.then(|| sim.world.frame_cache.take_staging());
             let (fb, stats) = sim
                 .world
                 .render_mut(*svc)
                 .rasterize_session_tile(client, &camera, &full_viewport, tile_vp)
                 .expect("session opened above");
-            (stats.raster.cost_units(), adaptive.then(|| fb.to_rgb_bytes()))
+            if let Some(rgb) = &mut rgb {
+                fb.rgb_bytes_into(rgb);
+            }
+            (stats.raster.cost_units(), rgb)
         } else {
             (pixels + 8 * polys, None)
         };
@@ -312,6 +317,7 @@ pub fn render_tiled_frame(
                     EndpointSpeed::workstation(),
                     false,
                 );
+                sim.world.frame_cache.put_staging(rgb);
                 // The owner decodes before it can stitch.
                 out.arrival + SimTime::from_secs(out.decode_secs)
             }

@@ -229,14 +229,21 @@ impl Framebuffer {
         Ok(())
     }
 
-    /// Raw color bytes row-major RGB (the thin-client wire payload).
-    pub fn to_rgb_bytes(&self) -> Vec<u8> {
-        // One sized allocation, filled by a fixed-stride loop the compiler
-        // turns into wide copies.
-        let mut out = vec![0u8; self.color.len() * 3];
+    /// Raw color bytes row-major RGB (the thin-client wire payload), in
+    /// place of `out`'s contents: a caller that keeps `out` between frames
+    /// pays the fixed-stride loop, which the compiler turns into wide
+    /// copies, and no allocation.
+    pub fn rgb_bytes_into(&self, out: &mut Vec<u8>) {
+        out.resize(self.color.len() * 3, 0);
         for (dst, c) in out.chunks_exact_mut(3).zip(&self.color) {
             dst.copy_from_slice(&[c.0, c.1, c.2]);
         }
+    }
+
+    /// [`rgb_bytes_into`](Self::rgb_bytes_into) a fresh vector.
+    pub fn to_rgb_bytes(&self) -> Vec<u8> {
+        let mut out = Vec::new();
+        self.rgb_bytes_into(&mut out);
         out
     }
 

@@ -2,7 +2,7 @@
 //! binary frame protocol, SOAP, and the PLY/OBJ model formats.
 
 use proptest::prelude::*;
-use rave::compress::{delta, rle, stream, Codec};
+use rave::compress::{delta, quantize, rle, stream, Codec};
 use rave::grid::{SoapCodec, SoapEnvelope, SoapValue};
 use rave::math::Vec3;
 use rave::net::{Frame, FrameKind};
@@ -86,6 +86,51 @@ fn container_by_layout(
     (out, clean)
 }
 
+/// Whether `data` is a container in structure: a header and bitmap
+/// `stream::inspect` accepts, then length prefixes that tile the rest of
+/// the bytes exactly (the wire layout of the `stream` module docs; what is
+/// *inside* a payload is not looked at).
+fn container_is_well_formed(data: &[u8]) -> bool {
+    let Some(meta) = stream::inspect(data) else { return false };
+    let n = meta.strips as usize;
+    let mut offset = 8 + n.div_ceil(8);
+    for i in 0..n {
+        if data[8 + i / 8] & (1 << (i % 8)) == 0 {
+            continue;
+        }
+        let Some(len) = data.get(offset..offset + 4) else { return false };
+        offset += 4 + u32::from_le_bytes(len.try_into().unwrap()) as usize;
+    }
+    offset == data.len()
+}
+
+/// RGB565 as the `quantize` module doc words it, one pixel at a time:
+/// drop the low 3/2/3 bits, pack `r:5 g:6 b:5` from the top, store the
+/// `u16` little-endian.
+fn q565_by_the_doc(rgb: &[u8]) -> Vec<u8> {
+    let mut out = Vec::new();
+    for px in rgb.chunks(3) {
+        let v = ((px[0] as u16 >> 3) << 11) | ((px[1] as u16 >> 2) << 5) | (px[2] as u16 >> 3);
+        out.push((v & 0xFF) as u8);
+        out.push((v >> 8) as u8);
+    }
+    out
+}
+
+/// And back: unpack the three fields and fill each channel's low bits
+/// with its own high bits (so 0 stays 0 and the maximum becomes 255).
+fn rgb_from_565_by_the_doc(data: &[u8]) -> Vec<u8> {
+    let mut out = Vec::new();
+    for px in data.chunks(2) {
+        let v = px[0] as u16 | (px[1] as u16) << 8;
+        let (r, g, b) = (v >> 11, (v >> 5) & 0x3F, v & 0x1F);
+        out.push((r << 3 | r >> 2) as u8);
+        out.push((g << 2 | g >> 4) as u8);
+        out.push((b << 3 | b >> 2) as u8);
+    }
+    out
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(128))]
 
@@ -162,6 +207,116 @@ proptest! {
             } else {
                 prop_assert_eq!(&dec, &frame, "{}", codec.name());
             }
+        }
+    }
+
+    /// The forms the frame channel runs are the forms everyone else calls:
+    /// `encode_frame_into` over whatever its buffer held last produces the
+    /// wire-layout reference's bytes, and `decode_frame_in_place` over a
+    /// copy of the receiver's view ends where `decode_frame` does — for any
+    /// codec, strip count, and previous frames present, absent or of
+    /// another length.
+    #[test]
+    fn appending_and_in_place_forms_match_the_allocating_ones(
+        frame in rgb_frame(),
+        prev_raw in (0u8..4, any::<u64>()),
+        prev_view in (0u8..4, any::<u64>()),
+        strips in prop_oneof![Just(0u16), Just(1u16), 2u16..40, Just(u16::MAX)],
+        litter in prop::collection::vec(any::<u8>(), 0..5000),
+    ) {
+        let prev_raw = previous_frame(&frame, prev_raw.0, prev_raw.1);
+        let prev_view = previous_frame(&frame, prev_view.0, prev_view.1);
+        let (prev_raw, prev_view) = (prev_raw.as_deref(), prev_view.as_deref());
+        let mut out = litter;
+        for codec in Codec::ALL {
+            let meta = stream::encode_frame_into(codec, &frame, prev_raw, prev_view, strips, &mut out);
+            let (reference, clean) = container_by_layout(codec, &frame, prev_raw, prev_view, strips);
+            prop_assert_eq!(&out, &reference, "{} x{}", codec.name(), strips);
+            prop_assert_eq!(meta.skipped, clean, "{} x{}", codec.name(), strips);
+
+            let mut view = prev_view.map(<[u8]>::to_vec).unwrap_or_default();
+            let in_place = stream::decode_frame_in_place(&out, &mut view);
+            let allocating = stream::decode_frame(&out, prev_view);
+            prop_assert_eq!(in_place.is_some(), allocating.is_some(), "{}", codec.name());
+            if let Some(dec) = allocating {
+                prop_assert_eq!(&view, &dec, "{} x{}", codec.name(), strips);
+            }
+            if prev_raw.is_some_and(|p| p.len() == frame.len()) {
+                let mut raw = prev_raw.unwrap().to_vec();
+                stream::copy_dirty_strips(&out, &frame, &mut raw);
+                prop_assert_eq!(&raw, &frame, "clean strips compared equal, dirty ones copied");
+            }
+        }
+    }
+
+    /// A container cut short anywhere, given a trailing byte, or with a
+    /// byte of its header, bitmap or first length prefix flipped: the two
+    /// decode forms refuse together (or, where the flip left a container,
+    /// decode alike), and whenever the *structure* is what broke the
+    /// in-place form has not touched the view it was given.
+    #[test]
+    fn both_decode_forms_refuse_together_and_structure_faults_write_nothing(
+        frame in rgb_frame(),
+        prev_kind in (1u8..3, any::<u64>()),
+        codec in (0..Codec::ALL.len()).prop_map(|i| Codec::ALL[i]),
+        strips in 1u16..12,
+        cut in any::<usize>(),
+        flip_at in any::<usize>(),
+        flip_bits in 1u8..255,
+    ) {
+        let prev = previous_frame(&frame, prev_kind.0, prev_kind.1).expect("kinds 1 and 2 are frames");
+        let enc = stream::encode_frame(codec, &frame, Some(&prev), Some(&prev), strips);
+        let prefix_end = 8 + (stream::inspect(&enc).unwrap().strips as usize).div_ceil(8) + 4;
+
+        let mut faults = vec![enc[..cut % enc.len()].to_vec()];
+        let mut trailing = enc.clone();
+        trailing.push(flip_bits);
+        faults.push(trailing);
+        let mut flipped = enc.clone();
+        flipped[flip_at % prefix_end.min(enc.len())] ^= flip_bits;
+        faults.push(flipped);
+
+        for (which, data) in faults.iter().enumerate() {
+            let mut view = prev.clone();
+            let in_place = stream::decode_frame_in_place(data, &mut view);
+            let allocating = stream::decode_frame(data, Some(&prev));
+            prop_assert_eq!(in_place.is_some(), allocating.is_some(), "fault {}", which);
+            if let Some(dec) = allocating {
+                prop_assert_eq!(&view, &dec, "fault {}", which);
+            }
+            if !container_is_well_formed(data) {
+                prop_assert!(in_place.is_none(), "fault {}: structure broken, still decoded", which);
+                prop_assert_eq!(&view, &prev, "fault {}: view written before the refusal", which);
+            }
+            prop_assert!(which == 2 || !container_is_well_formed(data), "cuts and tails break structure");
+        }
+    }
+
+    /// The RGB565 kernels are the per-pixel arithmetic of their module doc
+    /// — a reference that shares no loop with them — on any frame, the
+    /// empty one and a single pixel included; the encoder appends, and the
+    /// decoder refuses an output of the wrong size without writing to it.
+    #[test]
+    fn rgb565_kernels_match_the_doc_per_pixel(
+        bytes in prop::collection::vec(any::<u8>(), 0..3000),
+        head in prop::collection::vec(any::<u8>(), 0..9),
+    ) {
+        for rgb in [&bytes[..bytes.len() / 3 * 3], &bytes[..bytes.len().min(3) / 3 * 3], &[]] {
+            let mut out = head.clone();
+            quantize::encode_565_into(rgb, &mut out);
+            prop_assert_eq!(&out[..head.len()], &head[..], "appended, not overwritten");
+            let packed = &out[head.len()..];
+            prop_assert_eq!(packed, &q565_by_the_doc(rgb)[..]);
+            prop_assert_eq!(packed, &quantize::encode_565(rgb)[..]);
+
+            let mut back = vec![0xA5; rgb.len()];
+            prop_assert_eq!(quantize::decode_565_into(packed, &mut back), Some(()));
+            prop_assert_eq!(&back, &rgb_from_565_by_the_doc(packed));
+            prop_assert_eq!(Some(&back), quantize::decode_565(packed).as_ref());
+
+            let mut wrong = vec![0xA5; rgb.len() + 3];
+            prop_assert_eq!(quantize::decode_565_into(packed, &mut wrong), None);
+            prop_assert!(wrong.iter().all(|&b| b == 0xA5), "refused before writing");
         }
     }
 
