@@ -17,13 +17,22 @@
 //!    multicast/unicast wire-byte ratio, the tick time per delivery
 //!    (`tick_ns_per_delivery`: tick wall ÷ moves × subscribers; its
 //!    largest-over-smallest-population ratio says whether per-delivery
-//!    cost stays flat as the session grows), plus the same on the paper's
+//!    cost stays flat as the session grows) and the simulator events a
+//!    tick fires (`events_per_tick`: one per arrival instant, so its
+//!    largest-over-smallest ratio is 1), plus the wire ratio on the paper's
 //!    testbed (~24 clients across 6 LAN hosts + 1 wireless PDA), as
 //!    `testbed_wire_ratio` (§3.1.2's "network bandwidth-saving
 //!    techniques such as multicasting").
+//! 3. Sparse waves (`sparse_waves`): one camera move a tick to 1, 10, 100
+//!    and 1,000 subscribers spaced evenly through a world of 10,000
+//!    render services, beside the same subscribers in a world that holds
+//!    only them (`compact_tick_us` — the dense wave, where walking beats
+//!    probing) and beside a `render_mut` probe of each (`probe_each_us`).
+//!    `sparse_wave_worst_over_compact` says a wave pays for its members,
+//!    not for the services between them.
 //!
-//! `check` holds the routing speedup, the wire ratios and the per-delivery
-//! growth to their floors.
+//! `check` holds the routing speedup, the wire ratios, the per-delivery
+//! growth, the event growth and the sparse-wave ratio to their floors.
 //! `BENCH_QUICK=1` runs smaller populations and fewer rounds.
 
 use bench::harness::{best_of, num, obj, quick, secs, Lcg, Report};
@@ -40,6 +49,8 @@ use std::sync::Arc;
 
 const BRANCHES: usize = 256;
 const LEAVES_PER_BRANCH: usize = 4;
+/// Render services in the world of the sparse-wave grid, quick and full.
+const SPARSE_WORLD: usize = 10_000;
 
 /// A data service with a branchy scene: `BRANCHES` top-level groups of
 /// `LEAVES_PER_BRANCH` leaves each — enough structure that narrow
@@ -148,11 +159,18 @@ fn machine_room(segments: usize, hosts_per_segment: usize) -> Network {
 }
 
 struct TickTiming {
+    services: usize,
+    clients: usize,
     moves_per_tick: usize,
     ticks: usize,
     tick_ms: f64,
     /// Tick wall time per (move, subscriber) pair delivered.
     tick_ns_per_delivery: f64,
+    /// Simulator events a tick fired: one per arrival instant.
+    events_per_tick: f64,
+    /// `RaveWorld::render_mut` on every subscriber once: what resolving a
+    /// wave's replicas by a probe each costs in this world.
+    probe_each_us: f64,
     wire_bytes: u64,
     unicast_wire_bytes: u64,
     wire_ratio: f64,
@@ -160,10 +178,11 @@ struct TickTiming {
 
 /// Simulate `ticks` interactive ticks: `moves` participants re-pose
 /// their cameras per tick, batched through `session_tick`, fanned out to
-/// `clients` full-replica subscribers spread round-robin over the
+/// `clients` full-replica subscribers — every `services / clients`-th of
+/// the world's `services` render services, spread round-robin over the
 /// machine-room hosts. Wall-clock per tick includes routing, multicast
 /// arrival computation, event scheduling and replica application.
-fn time_ticks(clients: usize, moves: usize, ticks: usize) -> TickTiming {
+fn time_ticks(services: usize, clients: usize, moves: usize, ticks: usize) -> TickTiming {
     let segments = 16;
     let hosts_per_segment = 4;
     let mut net = machine_room(segments, hosts_per_segment);
@@ -182,13 +201,24 @@ fn time_ticks(clients: usize, moves: usize, ticks: usize) -> TickTiming {
     sim.run();
 
     let replica = sim.world.data(ds).scene.clone();
-    for i in 0..clients {
+    let every = services / clients;
+    let mut subscribers = Vec::with_capacity(clients);
+    for i in 0..services {
         let host = format!("host{}x{}", (i / hosts_per_segment) % segments, i % hosts_per_segment);
         let rs = sim.world.spawn_render_service(&host);
-        sim.world.data_mut(ds).subscribe_live(rs, InterestSet::everything());
-        sim.world.render_mut(rs).scene = replica.clone();
+        if i % every == 0 && subscribers.len() < clients {
+            sim.world.data_mut(ds).subscribe_live(rs, InterestSet::everything());
+            sim.world.render_mut(rs).scene = replica.clone();
+            subscribers.push(rs);
+        }
     }
+    let probe_each = best_of(5, || {
+        for &rs in &subscribers {
+            std::hint::black_box(sim.world.render_mut(rs));
+        }
+    });
     let fanout_base = sim.world.data(ds).fanout;
+    let events_base = sim.executed();
 
     let labels: Vec<String> = (0..moves).map(|i| format!("u{i}")).collect();
     let elapsed = secs(|| {
@@ -211,10 +241,14 @@ fn time_ticks(clients: usize, moves: usize, ticks: usize) -> TickTiming {
     let wire = fanout.wire_bytes - fanout_base.wire_bytes;
     let unicast = fanout.unicast_wire_bytes - fanout_base.unicast_wire_bytes;
     TickTiming {
+        services,
+        clients,
         moves_per_tick: moves,
         ticks,
         tick_ms: elapsed * 1e3 / ticks as f64,
         tick_ns_per_delivery: elapsed * 1e9 / (ticks * moves * clients) as f64,
+        events_per_tick: (sim.executed() - events_base) as f64 / ticks as f64,
+        probe_each_us: probe_each * 1e6,
         wire_bytes: wire,
         unicast_wire_bytes: unicast,
         wire_ratio: if unicast == 0 { 1.0 } else { wire as f64 / unicast as f64 },
@@ -267,12 +301,19 @@ fn main() {
     let populations: &[usize] = if quick() { &[100, 1_000] } else { &[100, 1_000, 10_000] };
     let moves_per_tick = if quick() { 8 } else { 32 };
     let ticks = if quick() { 2 } else { 4 };
+    let sparse_ticks = if quick() { 64 } else { 256 };
 
     let mut rng = Lcg(0xc0_11ab);
     let routing: Vec<RoutingTiming> =
         populations.iter().map(|&c| time_routing(c, rounds, &mut rng)).collect();
     let delivery: Vec<TickTiming> =
-        populations.iter().map(|&c| time_ticks(c, moves_per_tick, ticks)).collect();
+        populations.iter().map(|&c| time_ticks(c, c, moves_per_tick, ticks)).collect();
+    // Sparse waves: one move a tick to a few subscribers of a large world,
+    // beside the same subscribers in a world that holds nothing else.
+    let sparse: Vec<(TickTiming, TickTiming)> = [1, 10, 100, 1_000]
+        .iter()
+        .map(|&m| (time_ticks(SPARSE_WORLD, m, 1, sparse_ticks), time_ticks(m, m, 1, sparse_ticks)))
+        .collect();
     let testbed_ratio = testbed_wire_ratio();
 
     let headline = routing.last().expect("at least one population");
@@ -283,6 +324,7 @@ fn main() {
     let largest_tick_ms = largest.tick_ms.max(1e-9);
     let per_delivery_growth =
         largest.tick_ns_per_delivery / smallest.tick_ns_per_delivery.max(1e-9);
+    let events_growth = largest.events_per_tick / smallest.events_per_tick.max(1e-9);
 
     let configs: Vec<_> = routing
         .iter()
@@ -298,18 +340,41 @@ fn main() {
                 ("ticks", d.ticks.to_value()),
                 ("tick_ms", num(d.tick_ms, 2)),
                 ("tick_ns_per_delivery", num(d.tick_ns_per_delivery, 1)),
+                ("events_per_tick", num(d.events_per_tick, 2)),
                 ("wire_bytes", d.wire_bytes.to_value()),
                 ("unicast_wire_bytes", d.unicast_wire_bytes.to_value()),
                 ("wire_ratio", num(d.wire_ratio, 4)),
             ])
         })
         .collect();
+    let over_compact =
+        |(wide, compact): &(TickTiming, TickTiming)| wide.tick_ms / compact.tick_ms.max(1e-9);
+    let sparse_worst = sparse.iter().map(over_compact).fold(0.0, f64::max);
+    let sparse_waves: Vec<_> = sparse
+        .iter()
+        .map(|pair| {
+            let (wide, compact) = pair;
+            obj([
+                ("services", wide.services.to_value()),
+                ("members", wide.clients.to_value()),
+                ("ticks", wide.ticks.to_value()),
+                ("tick_us", num(wide.tick_ms * 1e3, 2)),
+                ("compact_tick_us", num(compact.tick_ms * 1e3, 2)),
+                ("over_compact", num(over_compact(pair), 2)),
+                ("probe_each_us", num(wide.probe_each_us, 2)),
+                ("events_per_tick", num(wide.events_per_tick, 2)),
+            ])
+        })
+        .collect();
     Report::new("collab")
         .set("configs", configs)
+        .set("sparse_waves", sparse_waves)
+        .set("sparse_wave_worst_over_compact", num(sparse_worst, 2))
         .set("routing_speedup_10k", num(routing_speedup_10k, 1))
         .set("parity_checked", parity_checked)
         .set("ticks_per_sec_largest", num(1e3 / largest_tick_ms, 2))
         .set("tick_per_delivery_largest_over_smallest", num(per_delivery_growth, 2))
+        .set("tick_events_largest_over_smallest", num(events_growth, 2))
         .set("testbed_wire_ratio", num(testbed_ratio, 4))
         .write();
 }

@@ -82,9 +82,10 @@ pub fn move_camera(
 /// One interactive tick of a big session: every participant's camera
 /// move published as a single batch. Routing still runs per update (the
 /// interest index makes each one cheap), but delivery coalesces — one
-/// scheduled apply event per subscriber for the whole tick instead of
-/// one per (update, subscriber) pair, which is the difference between a
-/// 10k-thin-client tick being simulable and the event queue drowning.
+/// scheduled apply event per arrival instant for the whole tick (two or
+/// three on the machine room) instead of one per (update, subscriber)
+/// pair, which is the difference between a 10k-thin-client tick being
+/// simulable and the event queue drowning.
 pub fn session_tick(
     sim: &mut RaveSim,
     ds_id: DataServiceId,

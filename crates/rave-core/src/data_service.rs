@@ -1,7 +1,7 @@
 //! The data service (§3.1.1): "a persistent, central distribution point
 //! for the data to be visualized".
 
-use crate::delivery::{Delivery, DeliveryState};
+use crate::delivery::{DeliveryState, Wave};
 use crate::ids::{DataServiceId, RenderServiceId};
 use crate::persist::StorePersistence;
 use rave_net::Network;
@@ -386,8 +386,9 @@ impl DataService {
 
     /// Route every update of a committed `batch` and plan its delivery
     /// with segment-multicast fan-out from this service's host: one
-    /// [`Delivery`] per live subscriber the batch reaches, in subscriber
-    /// id order, FIFO behind whatever that subscriber is already owed.
+    /// [`Wave`] per instant the batch lands at, holding every live
+    /// subscriber it reaches then in subscriber id order, each FIFO behind
+    /// whatever that subscriber is already owed.
     /// `host_of` names the host of a render service, `None` for one that
     /// is not in the world.
     pub(crate) fn plan_deliveries<'a>(
@@ -396,7 +397,7 @@ impl DataService {
         batch: &[Arc<StampedUpdate>],
         net: &Network,
         host_of: impl Fn(RenderServiceId) -> Option<&'a str>,
-    ) -> Vec<Delivery> {
+    ) -> Vec<Wave> {
         let mut slots = std::mem::take(&mut self.route_slots);
         for (i, stamped) in batch.iter().enumerate() {
             self.route_into(stamped, &mut slots);

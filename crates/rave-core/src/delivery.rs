@@ -19,13 +19,16 @@ use std::sync::Arc;
 /// Subscribers owed the same updates share one list.
 pub(crate) type UpdateList = Arc<[Arc<StampedUpdate>]>;
 
-/// One scheduled delivery: everything a batch owes one subscriber, applied
-/// in one event at `at`.
+/// One scheduled delivery wave: everything a batch owes every subscriber
+/// it reaches at the instant `at`, applied by one event. On a shared
+/// segment one transmission lands everywhere at once, so a batch has about
+/// as many waves as it has distinct (link, largest owed update) pairs —
+/// not one per subscriber.
 #[derive(Debug, Clone)]
-pub(crate) struct Delivery {
+pub(crate) struct Wave {
     pub at: SimTime,
-    pub to: RenderServiceId,
-    pub updates: UpdateList,
+    /// Each member's updates in seq order; members in ascending id order.
+    pub deliveries: Vec<(RenderServiceId, UpdateList)>,
 }
 
 /// One list of the batch in flight: its prefix plus one more update.
@@ -200,27 +203,26 @@ impl DeliveryState {
         totals.record(&cost, bytes);
     }
 
-    /// Close the batch: one delivery per touched subscriber, in subscriber
-    /// id order, at the arrival of the last update it is owed.
+    /// Close the batch: every touched subscriber is delivered to at the
+    /// arrival of the last update it is owed; subscribers that share that
+    /// instant share a wave, in subscriber id order. Waves come out in
+    /// time order.
     pub(crate) fn finish_batch(
         &mut self,
         batch: &[Arc<StampedUpdate>],
         ids: &[RenderServiceId],
-    ) -> Vec<Delivery> {
+    ) -> Vec<Wave> {
         self.touched.sort_unstable();
-        let mut out = Vec::with_capacity(self.touched.len());
+        let mut waves: BTreeMap<SimTime, Vec<(RenderServiceId, UpdateList)>> = BTreeMap::new();
         for &slot in &self.touched {
             let slot = slot as usize;
-            out.push(Delivery {
-                at: self.high_water[slot],
-                to: ids[slot],
-                updates: self.lists.build(self.list[slot], batch),
-            });
+            let updates = self.lists.build(self.list[slot], batch);
+            waves.entry(self.high_water[slot]).or_default().push((ids[slot], updates));
             self.list[slot] = ListTable::EMPTY;
         }
         self.touched.clear();
         self.lists.clear();
-        out
+        waves.into_iter().map(|(at, deliveries)| Wave { at, deliveries }).collect()
     }
 }
 

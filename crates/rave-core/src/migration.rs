@@ -158,6 +158,39 @@ mod tests {
         assert!(sim.world.trace.count(TraceKind::Migration) >= 1);
     }
 
+    /// Camera motion between two rebalance passes is not a reason to
+    /// replan: 600 moves (more than the scene's cost-dirt log holds) must
+    /// not read as "everything changed" to the second pass.
+    #[test]
+    fn camera_motion_between_passes_does_not_rebuild_the_plan() {
+        use crate::collaboration::{join_session, session_tick};
+        let (mut sim, ds, _slow, _fast) = overload_world();
+        let labels: Vec<String> = (0..8).map(|i| format!("user{i}")).collect();
+        let crowd: Vec<_> = labels
+            .iter()
+            .map(|l| join_session(&mut sim, ds, l, Vec3::ONE, CameraParams::default()).unwrap())
+            .collect();
+        let first = check_and_replan_incremental(&mut sim, ds);
+        assert!(first.diff.expect("the first pass builds the plan").full_replay);
+        sim.run();
+
+        for tick in 0..75 {
+            let eye = Vec3::new(tick as f32, 2.0, 9.0);
+            let camera = CameraParams::look_at(eye, Vec3::ZERO, Vec3::Y);
+            let moves: Vec<_> =
+                crowd.iter().zip(&labels).map(|(&who, l)| (who, l.as_str(), camera)).collect();
+            session_tick(&mut sim, ds, &moves).unwrap();
+            sim.run();
+        }
+        let second = check_and_replan_incremental(&mut sim, ds);
+        assert!(!second.migration.acted() && !second.migration.refused);
+        if let Some(diff) = second.diff {
+            assert!(!second.deferred);
+            assert!(diff.is_empty(), "no edit touched the plan: {diff:?}");
+            assert_eq!((diff.replayed, diff.full_replay), (0, false), "{diff:?}");
+        }
+    }
+
     #[test]
     fn no_action_when_healthy() {
         let (mut sim, ds, slow, _) = overload_world();

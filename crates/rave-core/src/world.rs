@@ -3,7 +3,7 @@
 
 use crate::config::RaveConfig;
 use crate::data_service::DataService;
-use crate::delivery::Delivery;
+use crate::delivery::{UpdateList, Wave};
 use crate::frame_stream::FrameCache;
 use crate::ids::{ClientId, DataServiceId, RenderServiceId};
 use crate::render_service::RenderService;
@@ -244,30 +244,52 @@ impl RaveWorld {
     }
 }
 
-/// One delivery event: apply a batch's updates, in seq order, to the
-/// replica they were routed to.
-fn deliver(sim: &mut RaveSim, to: RenderServiceId, updates: &[Arc<StampedUpdate>]) {
+/// One delivery event: apply what a batch owes each member of a wave, in
+/// seq order, to the replica it was routed to. Members and
+/// `render_services` are both in ascending id order, so the replicas are
+/// resolved by one forward walk — a dense wave never probes the map. The
+/// walk from one member to the next is bounded by what a seek would have
+/// cost, so a wave that reaches ten services of ten thousand pays ten
+/// seeks, not ten thousand steps (`collab_scale`'s `sparse_waves` rows and
+/// their floor: 2 µs a tick against 43 unbounded; DESIGN §5.15).
+fn deliver_wave(sim: &mut RaveSim, wave: &[(RenderServiceId, UpdateList)]) {
+    // A member out of order would be walked past and read as a dead service.
+    debug_assert!(wave.windows(2).all(|w| w[0].0 < w[1].0), "wave members ascend by id");
     let now = sim.now();
-    let world = &mut sim.world;
-    let traced = world.config.update_delivery_trace;
-    let Some(rs) = world.render_services.get_mut(&to) else {
-        // The service failed while the batch was on the wire.
-        if let (true, Some(first), Some(last)) = (traced, updates.first(), updates.last()) {
-            let detail = format!("seq={}..={} -> {to} dropped", first.seq, last.seq);
-            world.trace.record(now, TraceKind::UpdateDelivered, detail);
+    let RaveWorld { config, render_services, trace, .. } = &mut sim.world;
+    let traced = config.update_delivery_trace;
+    let Some(&(first, _)) = wave.first() else { return };
+    // A seek is about log₂ of the population in steps.
+    let seek = usize::BITS - render_services.len().leading_zeros();
+    let mut services = render_services.range_mut(first..).peekable();
+    for (to, updates) in wave {
+        let mut skipped = 0;
+        while services.next_if(|(id, _)| *id < to).is_some() {
+            skipped += 1;
+            if skipped == seek {
+                services = render_services.range_mut(*to..).peekable();
+                break;
+            }
         }
-        return;
-    };
-    for stamped in updates {
-        // A benign race: the replica may legitimately reject an update to
-        // a node it never held (interest narrowed since routing).
-        let applied = stamped.update.apply(&mut rs.scene).is_ok();
-        if traced {
-            world.trace.record(
-                now,
-                TraceKind::UpdateDelivered,
-                format!("seq={} -> {to} applied={applied}", stamped.seq),
-            );
+        let Some((_, rs)) = services.next_if(|(id, _)| *id == to) else {
+            // The service failed while the batch was on the wire.
+            if let (true, Some(first), Some(last)) = (traced, updates.first(), updates.last()) {
+                let detail = format!("seq={}..={} -> {to} dropped", first.seq, last.seq);
+                trace.record(now, TraceKind::UpdateDelivered, detail);
+            }
+            continue;
+        };
+        for stamped in updates.iter() {
+            // A benign race: the replica may legitimately reject an update
+            // to a node it never held (interest narrowed since routing).
+            let applied = stamped.update.apply(&mut rs.scene).is_ok();
+            if traced {
+                trace.record(
+                    now,
+                    TraceKind::UpdateDelivered,
+                    format!("seq={} -> {to} applied={applied}", stamped.seq),
+                );
+            }
         }
     }
 }
@@ -291,14 +313,16 @@ pub fn publish_update(
 /// interest index (which folds the batch's structural edits in once, not
 /// per subscriber), and delivered with segment-multicast fan-out — one
 /// wire transmission per receiving segment per update, booked into
-/// [`crate::data_service::FanoutTotals`]. Each matched subscriber gets
-/// **one** delivery event carrying `Arc`-shared updates applied in seq
-/// order, so a 10k-client session tick schedules 10k events, not
-/// 10k × updates, and each replica's derived caches rebuild once per
-/// batch; subscribers owed the same updates share one list. Events are
-/// scheduled in subscriber-id order. Per-subscriber FIFO is preserved
-/// against earlier publishes via the delivery high-water mark (the
-/// `delivery` module).
+/// [`crate::data_service::FanoutTotals`]. The batch schedules **one
+/// event per arrival instant** (a delivery wave): every subscriber the
+/// batch reaches at that instant gets its `Arc`-shared updates applied in
+/// seq order, subscribers in id order, so a 10k-client session tick on
+/// one segment is one event, not 10k, and each replica's derived caches
+/// rebuild once per batch; subscribers owed the same updates share one
+/// list. Equal-time events fire in schedule order, so this is the
+/// schedule one event per subscriber would give. Per-subscriber FIFO is
+/// preserved against earlier publishes via the delivery high-water mark
+/// (the `delivery` module).
 ///
 /// A subscriber with no render service in the world, or whose host is not
 /// on the network, is skipped and counted
@@ -343,15 +367,15 @@ pub fn publish_batch(
             format!("{ds_id} seq={} from {}", stamped.seq, stamped.origin),
         );
     }
-    let deliveries = {
+    let waves = {
         let RaveWorld { data_services, render_services, network, .. } = &mut sim.world;
         let ds = data_services.get_mut(&ds_id).expect("committed through it above");
         ds.plan_deliveries(now, &batch, network, |rs| {
             render_services.get(&rs).map(|service| service.host.as_str())
         })
     };
-    for Delivery { at, to, updates } in deliveries {
-        sim.schedule_at(at, move |sim| deliver(sim, to, &updates));
+    for Wave { at, deliveries } in waves {
+        sim.schedule_at(at, move |sim| deliver_wave(sim, &deliveries));
     }
     match failure {
         Some(e) => Err(e),
@@ -660,6 +684,134 @@ mod tests {
             (at(&format!("seq=1 -> {rs}")), at(&format!("seq={small} -> {rs}")));
         assert_eq!(small_at, big_at, "queued behind the big one, not overtaking it");
         assert!(at(&format!("seq={small} -> {early}")) < big_at, "others are not held back");
+    }
+
+    #[test]
+    fn a_session_tick_on_one_segment_is_one_event() {
+        use crate::collaboration::{join_session, session_tick};
+        let mut s = sim();
+        let ds = s.world.spawn_data_service("adrenochrome", "sess");
+        let hosts = ["onyx", "v880z", "laptop", "desktop", "tower"];
+        let crowd: Vec<RenderServiceId> =
+            (0..1_000).map(|i| s.world.spawn_active_client(hosts[i % hosts.len()])).collect();
+        for &rs in &crowd {
+            s.world.data_mut(ds).subscribe_live(rs, InterestSet::everything());
+        }
+        let labels = ["ann", "bob", "cy"];
+        let camera = rave_scene::CameraParams::default();
+        let users: Vec<_> = labels
+            .iter()
+            .map(|l| join_session(&mut s, ds, l, rave_math::Vec3::ONE, camera).unwrap())
+            .collect();
+        s.run();
+
+        let moved = rave_scene::CameraParams {
+            position: rave_math::Vec3::new(1.0, 2.0, 3.0),
+            ..Default::default()
+        };
+        let moves: Vec<_> = users.iter().zip(labels).map(|(&u, l)| (u, l, moved)).collect();
+        let before = s.executed();
+        session_tick(&mut s, ds, &moves).unwrap();
+        assert_eq!(s.pending(), 1, "1,000 subscribers, one arrival instant");
+        s.run();
+        assert_eq!(s.executed() - before, 1);
+        assert_eq!(s.world.trace.count(TraceKind::UpdateDelivered), 3 * 1_000 + 2 * 3 * 1_000);
+        for &rs in &crowd {
+            let scene = &s.world.render(rs).scene;
+            assert!(users
+                .iter()
+                .all(|u| scene.node(u.avatar).unwrap().transform().translation == moved.position));
+        }
+    }
+
+    #[test]
+    fn same_instant_waves_apply_in_batch_order() {
+        let mut s = sim();
+        let ds = s.world.spawn_data_service("adrenochrome", "sess");
+        let rs = s.world.spawn_render_service("tower");
+        let other = s.world.spawn_render_service("desktop");
+        for id in [rs, other] {
+            s.world.data_mut(ds).subscribe_live(id, InterestSet::everything());
+        }
+        // Same size, same `now`, same segment: both batches land at once.
+        let (first, second) = (rename(&mut s, ds, "there"), rename(&mut s, ds, "back."));
+        assert_eq!(s.pending(), 2, "a wave per batch");
+        s.run();
+        let rows = delivered(&s);
+        assert!(rows.iter().all(|(at, _)| *at == rows[0].0), "one instant: {rows:?}");
+        let order: Vec<&str> = rows.iter().map(|(_, detail)| detail.as_str()).collect();
+        assert_eq!(
+            order,
+            [
+                format!("seq={first} -> {rs} applied=true"),
+                format!("seq={first} -> {other} applied=true"),
+                format!("seq={second} -> {rs} applied=true"),
+                format!("seq={second} -> {other} applied=true"),
+            ]
+        );
+        for id in [rs, other] {
+            let name = s.world.render(id).scene.node(rave_scene::NodeId(0)).unwrap().name();
+            assert_eq!(name, "back.", "the later batch wins");
+        }
+    }
+
+    #[test]
+    fn a_wave_skips_bystanders_and_drops_only_its_dead_members() {
+        let mut s = sim();
+        let ds = s.world.spawn_data_service("adrenochrome", "sess");
+        let ids: Vec<RenderServiceId> =
+            (0..40).map(|_| s.world.spawn_active_client("tower")).collect();
+        // Six of forty subscribe: neighbours (reached by walking on) and
+        // members past a gap longer than a seek costs (reached by seeking).
+        // One of each kind dies with the wave in flight.
+        let members = [0, 2, 3, 20, 21, 39];
+        let dead = [2, 20, 39];
+        for &m in &members {
+            s.world.data_mut(ds).subscribe_live(ids[m], InterestSet::everything());
+        }
+        let seq = rename(&mut s, ds, "in flight");
+        assert_eq!(s.pending(), 1);
+        for &d in &dead {
+            crate::migration::handle_service_failure(&mut s, ds, ids[d]);
+        }
+        s.run();
+        let rows: Vec<String> = delivered(&s).into_iter().map(|(_, detail)| detail).collect();
+        let expected: Vec<String> = members
+            .iter()
+            .map(|m| match dead.contains(m) {
+                true => format!("seq={seq}..={seq} -> {} dropped", ids[*m]),
+                false => format!("seq={seq} -> {} applied=true", ids[*m]),
+            })
+            .collect();
+        assert_eq!(rows, expected);
+        for (i, &rs) in ids.iter().enumerate().filter(|(i, _)| !dead.contains(i)) {
+            let name = s.world.render(rs).scene.node(rave_scene::NodeId(0)).unwrap().name();
+            let reached = members.contains(&i);
+            assert_eq!(name == "in flight", reached, "{rs}: a bystander is not touched");
+        }
+    }
+
+    #[test]
+    fn a_small_update_behind_a_large_one_applies_second() {
+        let mut s = sim();
+        let ds = s.world.spawn_data_service("adrenochrome", "sess");
+        let near = s.world.spawn_render_service("tower");
+        let far = s.world.spawn_render_service("zaurus");
+        s.world.data_mut(ds).subscribe_live(far, InterestSet::everything());
+        let big = rename(&mut s, ds, &"x".repeat(20_000));
+        // `near` joins between the two: only `far` is held back by FIFO.
+        s.world.data_mut(ds).subscribe_live(near, InterestSet::everything());
+        let small = rename(&mut s, ds, "small");
+        s.run();
+        let rows = delivered(&s);
+        let row = |what: String| rows.iter().position(|(_, d)| *d == what).unwrap();
+        let big_row = row(format!("seq={big} -> {far} applied=true"));
+        let small_row = row(format!("seq={small} -> {far} applied=true"));
+        assert!(small_row > big_row, "applied second: {rows:?}");
+        assert!(rows[small_row].0 >= rows[big_row].0, "in a later-or-equal wave");
+        assert!(rows[row(format!("seq={small} -> {near} applied=true"))].0 < rows[big_row].0);
+        let name = s.world.render(far).scene.node(rave_scene::NodeId(0)).unwrap().name();
+        assert_eq!(name, "small");
     }
 
     #[test]

@@ -56,6 +56,7 @@
 //!   per-frame motion stream must never force a rebuild — pinned by a
 //!   regression test below).
 
+use crate::camera::CameraParams;
 use crate::cost::NodeCost;
 use crate::node::{Interaction, KindTag, Node, NodeId, NodeKind, Transform};
 use rave_math::{Aabb, Mat4, Vec3};
@@ -227,7 +228,7 @@ pub enum CostDirt {
 
 /// Bounded recorder behind [`SceneTree::drain_cost_dirt`]. Mirrors the
 /// cache-invalidation hooks: every edit that takes the cost cache also
-/// lands here; `set_transform` is exempt from both.
+/// lands here; `set_transform` and `set_camera_pose` are exempt from both.
 #[derive(Debug, Clone)]
 struct DirtLog {
     /// Monotone count of cost-invalidating edits — cheap staleness probe
@@ -1207,6 +1208,34 @@ impl SceneTree {
         }
     }
 
+    /// Pose write: move the camera a `Camera` or `Avatar` node carries and
+    /// mirror the pose into the node's transform (so observers see the
+    /// avatar move), bumping its version. Anything else is refused with
+    /// nothing written.
+    ///
+    /// Like [`SceneTree::set_transform`] it bypasses
+    /// [`SceneTree::node_mut`]: a camera's or an avatar's
+    /// [`NodeKind::cost`] does not depend on its pose, so the cost cache
+    /// stays warm and no cost dirt is noted — the per-tick `CameraMoved`
+    /// stream never forces a replan to rebuild. It does move the
+    /// [`EditStamp`], and the kept bounds follow (a `Camera`'s box sits at
+    /// its position).
+    pub fn set_camera_pose(&mut self, id: NodeId, camera: CameraParams) -> Result<(), TreeError> {
+        let s = self.slot(id).ok_or(TreeError::MissingNode(id))?;
+        match &mut self.cold[s as usize].kind {
+            NodeKind::Camera(c) => *c = camera,
+            NodeKind::Avatar(a) => a.camera = camera,
+            other => return Err(TreeError::NoPose { id, found: other.kind_name() }),
+        }
+        let t = &mut self.hot[s as usize].transform;
+        t.translation = camera.position;
+        t.rotation = camera.orientation;
+        self.cold[s as usize].version += 1;
+        self.refresh_kept_bounds(s);
+        self.touch();
+        Ok(())
+    }
+
     // ---- edit stamp -----------------------------------------------------
 
     /// Which render-visible state of which tree this is. While two stamps
@@ -1592,6 +1621,11 @@ pub enum TreeError {
     CannotReparentRoot,
     /// Reparenting a node under its own descendant (or itself).
     WouldCreateCycle(NodeId),
+    /// A pose write to a node that is neither a camera nor an avatar.
+    NoPose {
+        id: NodeId,
+        found: &'static str,
+    },
 }
 
 impl std::fmt::Display for TreeError {
@@ -1603,6 +1637,9 @@ impl std::fmt::Display for TreeError {
             TreeError::CannotReparentRoot => write!(f, "the root node cannot be reparented"),
             TreeError::WouldCreateCycle(id) => {
                 write!(f, "reparenting {id} into its own subtree would create a cycle")
+            }
+            TreeError::NoPose { id, found } => {
+                write!(f, "node {id} is a {found}: it carries no camera pose")
             }
         }
     }

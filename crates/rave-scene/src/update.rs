@@ -93,25 +93,13 @@ impl SceneUpdate {
                 node.bump_version();
             }
             SceneUpdate::CameraMoved { id, camera } => {
-                let mut node =
-                    tree.node_mut(*id).ok_or(UpdateError::Tree(TreeError::MissingNode(*id)))?;
-                match node.kind_mut() {
-                    NodeKind::Camera(c) => *c = *camera,
-                    NodeKind::Avatar(a) => a.camera = *camera,
-                    other => {
-                        return Err(UpdateError::KindMismatch {
-                            id: *id,
-                            expected: "camera or avatar",
-                            found: other.kind_name(),
-                        })
+                // A pose write, not a payload edit: costs stay as they are.
+                tree.set_camera_pose(*id, *camera).map_err(|e| match e {
+                    TreeError::NoPose { id, found } => {
+                        UpdateError::KindMismatch { id, expected: "camera or avatar", found }
                     }
-                }
-                // Mirror the pose into the node transform so observers see
-                // the avatar move.
-                let t = node.transform_mut();
-                t.translation = camera.position;
-                t.rotation = camera.orientation;
-                node.bump_version();
+                    other => UpdateError::Tree(other),
+                })?;
             }
             SceneUpdate::AvatarUpdated { id, avatar } => {
                 let mut node =
@@ -314,6 +302,59 @@ mod tests {
             NodeKind::Avatar(a) => assert_eq!(a.camera.position, cam.position),
             _ => unreachable!(),
         }
+    }
+
+    /// Camera motion is the per-tick update stream: it must neither drop
+    /// the O(n) cost aggregate nor fill the cost-dirt log (600 moves are
+    /// past its cap), or the next replan rebuilds a plan no edit touched.
+    #[test]
+    fn camera_moved_is_a_pose_write_not_a_cost_edit() {
+        use crate::CostDirt;
+        let mut tree = SceneTree::new();
+        let mesh = tree.add_node(tree.root(), "m", mesh_kind()).unwrap();
+        let cam =
+            tree.add_node(tree.root(), "cam", NodeKind::Camera(CameraParams::default())).unwrap();
+        let avatar = NodeKind::Avatar(AvatarInfo {
+            label: "Desktop".into(),
+            color: Vec3::ONE,
+            camera: CameraParams::default(),
+        });
+        let av = tree.add_node(tree.root(), "av", avatar).unwrap();
+        let before = tree.world_bounds(cam); // bounds are kept from here on
+        let polygons = tree.total_cost().polygons; // and the cost cache is warm
+        assert_eq!(tree.drain_cost_dirt(), CostDirt::Everything);
+        let (epoch, stamp) = (tree.cost_epoch(), tree.edit_stamp());
+        let version = |tree: &SceneTree, id| tree.node(id).unwrap().version();
+        let (av_version, mesh_version) = (version(&tree, av), version(&tree, mesh));
+
+        let mut pose = CameraParams::default();
+        for i in 0..600 {
+            pose = CameraParams::look_at(Vec3::new(9.0 + i as f32, 1.0, 0.0), Vec3::ZERO, Vec3::Y);
+            let id = if i % 2 == 0 { cam } else { av };
+            SceneUpdate::CameraMoved { id, camera: pose }.apply(&mut tree).unwrap();
+        }
+        assert!(tree.cost_cache_is_warm());
+        assert_eq!(tree.cost_epoch(), epoch);
+        assert_eq!(tree.drain_cost_dirt(), CostDirt::Clean);
+        assert_eq!(tree.total_cost().polygons, polygons);
+        assert_ne!(tree.edit_stamp(), stamp, "a render must see the move");
+        assert_eq!(version(&tree, av), av_version + 300);
+
+        // The kept box of the camera went with it (the last move, `pose`,
+        // went to the avatar; the camera got the one before).
+        tree.check_invariants().unwrap();
+        let moved = tree.world_bounds(cam);
+        let at = CameraParams::look_at(Vec3::new(9.0 + 598.0, 1.0, 0.0), Vec3::ZERO, Vec3::Y);
+        let expected = NodeKind::Camera(at).local_bounds().transformed(&tree.world_transform(cam));
+        assert_ne!(moved, before);
+        assert_eq!(moved, expected);
+
+        // A refused move writes nothing at all.
+        let stamp = tree.edit_stamp();
+        SceneUpdate::CameraMoved { id: mesh, camera: pose }.apply(&mut tree).unwrap_err();
+        assert!(tree.cost_cache_is_warm());
+        assert_eq!((tree.edit_stamp(), tree.cost_epoch()), (stamp, epoch));
+        assert_eq!(version(&tree, mesh), mesh_version);
     }
 
     #[test]

@@ -311,6 +311,205 @@ impl Reference {
     }
 }
 
+/// What one generated case leaves behind at quiescence.
+struct Run {
+    sim: RaveSim,
+    ds: DataServiceId,
+    model: Reference,
+    /// The reference's replicas, as bootstrapped: `Reference::rows`
+    /// applies its schedule to them.
+    replicas: BTreeMap<RenderServiceId, SceneTree>,
+    /// Distinct arrival instants the reference computed, summed over the
+    /// batches published.
+    instants: u64,
+}
+
+/// Build the world and the reference of one case, interpret its steps on
+/// both, and run the simulation dry.
+fn run_case(
+    traced: bool,
+    topology: &Topology,
+    seed_depths: &[usize],
+    population: &[Subscriber],
+    steps: Vec<Step>,
+) -> Result<Run, TestCaseError> {
+    let (net, hosts) = topology.build();
+    let config = RaveConfig { update_delivery_trace: traced, ..RaveConfig::default() };
+    let mut sim = Simulation::new(RaveWorld::new(net, config, 5));
+    let ds_host = hosts[0].clone();
+    let ds = sim.world.spawn_data_service(&ds_host, "session");
+
+    let seed_nodes: Vec<NodeId> = {
+        let scene = &mut sim.world.data_mut(ds).scene;
+        for (b, &depth) in seed_depths.iter().enumerate() {
+            let mut at = scene.root();
+            for d in 0..depth {
+                at = scene.add_node(at, format!("b{b}d{d}"), NodeKind::Group).unwrap();
+            }
+        }
+        scene.descendants(scene.root())
+    };
+
+    // The drawn population, then the fixed cases: a subscriber on the
+    // data service's own host, one on a host that is not on the
+    // network, and a subscribed id with no service behind it.
+    let everything = |host: &str| (host.to_string(), None, true);
+    let mut population: Vec<(String, Option<Vec<usize>>, bool)> = population
+        .iter()
+        .map(|s| (hosts[s.host_pick % hosts.len()].clone(), s.interest.clone(), s.live))
+        .collect();
+    population.push(everything(&ds_host));
+    population.push(everything(OFF_NET_HOST));
+    population.push(everything(&hosts[hosts.len() - 1]));
+
+    let mut model = Reference {
+        ds_host: ds_host.clone(),
+        host_of: BTreeMap::new(),
+        live: BTreeMap::new(),
+        high_water: BTreeMap::new(),
+        totals: FanoutTotals::default(),
+        buffers: BTreeMap::new(),
+        deliveries: Vec::new(),
+    };
+    let mut interests: BTreeMap<RenderServiceId, InterestSet> = BTreeMap::new();
+    let mut replicas: BTreeMap<RenderServiceId, SceneTree> = BTreeMap::new();
+    for (host, interest, live) in &population {
+        let rs = sim.world.spawn_render_service(host);
+        let interest = match interest {
+            None => InterestSet::everything(),
+            Some(picks) => {
+                InterestSet::subtrees(picks.iter().map(|&p| seed_nodes[p % seed_nodes.len()]))
+            }
+        };
+        let data = sim.world.data_mut(ds);
+        if *live {
+            data.subscribe_live(rs, interest.clone());
+        } else {
+            data.begin_bootstrap(rs, interest.clone());
+        }
+        let replica = snapshot_for(&data.scene, &interest);
+        sim.world.render_mut(rs).scene = replica.clone();
+        replicas.insert(rs, replica);
+        model.host_of.insert(rs, host.clone());
+        model.live.insert(rs, *live);
+        interests.insert(rs, interest);
+    }
+    sim.world.data_mut(ds).subscribe_live(NO_SUCH_SERVICE, InterestSet::everything());
+    model.live.insert(NO_SUCH_SERVICE, true);
+    interests.insert(NO_SUCH_SERVICE, InterestSet::everything());
+    let subscribers: Vec<RenderServiceId> = model.live.keys().copied().collect();
+
+    // Every run has a structural edit, a subscriber that is away while
+    // a big update of its is still on the wire, and a mid-batch
+    // failure, whatever was drawn.
+    let far = subscribers.len() - 2; // the last one spawned
+    let root_rename = |len| Step::Batch(vec![Op::Rename { pick: 0, len }]);
+    let mut steps = steps;
+    steps.splice(
+        0..0,
+        [
+            Step::Batch(vec![
+                Op::Add { parent_pick: 1 },
+                Op::Rename { pick: 0, len: 2500 },
+                Op::Remove { pick: 0 },
+            ]),
+            Step::Unsubscribe { pick: far },
+            root_rename(100),
+            Step::Resubscribe { pick: far },
+            root_rename(0),
+        ],
+    );
+    steps.push(Step::Batch(vec![
+        Op::Move { pick: 3 },
+        Op::Add { parent_pick: 0 },
+        Op::Fail,
+        Op::Rename { pick: 1, len: 8 },
+    ]));
+
+    let mut instants = 0;
+    for step in &steps {
+        match step {
+            Step::Batch(ops) => {
+                let (updates, commits) = plan_batch(&mut sim, ds, ops);
+                let fails = commits < updates.len();
+                let before = sim.world.data(ds).audit.len();
+                let batch = updates.into_iter().map(|u| ("editor".to_string(), u)).collect();
+                let (queued, booked) = (sim.pending(), model.deliveries.len());
+                let result = publish_batch(&mut sim, ds, batch);
+                let trail = sim.world.data(ds).audit.entries();
+                let committed: Vec<StampedUpdate> =
+                    trail[before..].iter().map(|e| e.stamped.clone()).collect();
+                // The committed prefix of a failed batch is in the
+                // trail (and fanned out below); the rest is dropped.
+                prop_assert_eq!(committed.len(), commits);
+                prop_assert_eq!(result.is_err(), fails);
+                if let Ok(seqs) = &result {
+                    let stamped: Vec<u64> = committed.iter().map(|s| s.seq).collect();
+                    prop_assert_eq!(seqs, &stamped);
+                }
+                model.publish(&sim, ds, &committed);
+                // One event per distinct instant the batch lands at, however
+                // many subscribers it reaches.
+                let landed: BTreeSet<SimTime> =
+                    model.deliveries[booked..].iter().map(|d| d.at).collect();
+                prop_assert_eq!(sim.pending() - queued, landed.len());
+                instants += landed.len() as u64;
+            }
+            Step::Advance { micros } => {
+                let until = sim.now() + SimTime::from_micros(*micros as f64);
+                sim.run_until(until);
+            }
+            Step::Unsubscribe { pick } => {
+                let rs = subscribers[pick % subscribers.len()];
+                let was = model.live.remove(&rs).is_some();
+                prop_assert_eq!(sim.world.data_mut(ds).unsubscribe(rs), was);
+                model.buffers.remove(&rs);
+            }
+            Step::Resubscribe { pick } => {
+                let rs = subscribers[pick % subscribers.len()];
+                let data = sim.world.data_mut(ds);
+                data.unsubscribe(rs);
+                data.subscribe_live(rs, interests[&rs].clone());
+                model.live.insert(rs, true);
+                model.buffers.remove(&rs);
+            }
+            Step::FinishBootstrap { pick } => {
+                let waiting: Vec<RenderServiceId> =
+                    model.live.iter().filter(|(_, live)| !**live).map(|(rs, _)| *rs).collect();
+                if waiting.is_empty() {
+                    continue;
+                }
+                let rs = waiting[pick % waiting.len()];
+                let drained: Vec<u64> =
+                    sim.world.data_mut(ds).complete_bootstrap(rs).iter().map(|s| s.seq).collect();
+                prop_assert_eq!(drained, model.buffers.remove(&rs).unwrap_or_default());
+                model.live.insert(rs, true);
+            }
+        }
+    }
+    sim.run();
+    Ok(Run { sim, ds, model, replicas, instants })
+}
+
+/// Totals, bootstrap buffers and every spawned replica equal the
+/// reference's (after [`Reference::rows`] has applied its schedule).
+fn check_quiescent(run: Run) -> TestCaseResult {
+    let Run { sim, ds, model, replicas, .. } = run;
+    prop_assert_eq!(sim.world.data(ds).fanout, model.totals);
+    prop_assert!(model.totals.skipped_receivers >= 2, "the two fixed skips were exercised");
+    for (rs, sub) in &sim.world.data(ds).subscribers {
+        let buffered: Vec<u64> = match &sub.state {
+            SubState::Bootstrapping { buffered } => buffered.iter().map(|s| s.seq).collect(),
+            SubState::Live => Vec::new(),
+        };
+        prop_assert_eq!(&buffered, model.buffers.get(rs).unwrap_or(&Vec::new()), "{}", rs);
+    }
+    for (rs, replica) in &replicas {
+        prop_assert!(&sim.world.render(*rs).scene == replica, "replica of {} differs", rs);
+    }
+    Ok(())
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
@@ -321,178 +520,35 @@ proptest! {
         population in prop::collection::vec(subscriber_strategy(), 1..8),
         steps in prop::collection::vec(step_strategy(), 1..10),
     ) {
-        let (net, hosts) = topology.build();
-        let config = RaveConfig { update_delivery_trace: true, ..RaveConfig::default() };
-        let mut sim = Simulation::new(RaveWorld::new(net, config, 5));
-        let ds_host = hosts[0].clone();
-        let ds = sim.world.spawn_data_service(&ds_host, "session");
-
-        let seed_nodes: Vec<NodeId> = {
-            let scene = &mut sim.world.data_mut(ds).scene;
-            for (b, &depth) in seed_depths.iter().enumerate() {
-                let mut at = scene.root();
-                for d in 0..depth {
-                    at = scene.add_node(at, format!("b{b}d{d}"), NodeKind::Group).unwrap();
-                }
-            }
-            scene.descendants(scene.root())
-        };
-
-        // The drawn population, then the fixed cases: a subscriber on the
-        // data service's own host, one on a host that is not on the
-        // network, and a subscribed id with no service behind it.
-        let everything = |host: &str| (host.to_string(), None, true);
-        let mut population: Vec<(String, Option<Vec<usize>>, bool)> = population
-            .iter()
-            .map(|s| (hosts[s.host_pick % hosts.len()].clone(), s.interest.clone(), s.live))
-            .collect();
-        population.push(everything(&ds_host));
-        population.push(everything(OFF_NET_HOST));
-        population.push(everything(&hosts[hosts.len() - 1]));
-
-        let mut model = Reference {
-            ds_host: ds_host.clone(),
-            host_of: BTreeMap::new(),
-            live: BTreeMap::new(),
-            high_water: BTreeMap::new(),
-            totals: FanoutTotals::default(),
-            buffers: BTreeMap::new(),
-            deliveries: Vec::new(),
-        };
-        let mut interests: BTreeMap<RenderServiceId, InterestSet> = BTreeMap::new();
-        let mut replicas: BTreeMap<RenderServiceId, SceneTree> = BTreeMap::new();
-        for (host, interest, live) in &population {
-            let rs = sim.world.spawn_render_service(host);
-            let interest = match interest {
-                None => InterestSet::everything(),
-                Some(picks) => {
-                    InterestSet::subtrees(picks.iter().map(|&p| seed_nodes[p % seed_nodes.len()]))
-                }
-            };
-            let data = sim.world.data_mut(ds);
-            if *live {
-                data.subscribe_live(rs, interest.clone());
-            } else {
-                data.begin_bootstrap(rs, interest.clone());
-            }
-            let replica = snapshot_for(&data.scene, &interest);
-            sim.world.render_mut(rs).scene = replica.clone();
-            replicas.insert(rs, replica);
-            model.host_of.insert(rs, host.clone());
-            model.live.insert(rs, *live);
-            interests.insert(rs, interest);
-        }
-        sim.world.data_mut(ds).subscribe_live(NO_SUCH_SERVICE, InterestSet::everything());
-        model.live.insert(NO_SUCH_SERVICE, true);
-        interests.insert(NO_SUCH_SERVICE, InterestSet::everything());
-        let subscribers: Vec<RenderServiceId> = model.live.keys().copied().collect();
-
-        // Every run has a structural edit, a subscriber that is away while
-        // a big update of its is still on the wire, and a mid-batch
-        // failure, whatever was drawn.
-        let far = subscribers.len() - 2; // the last one spawned
-        let root_rename = |len| Step::Batch(vec![Op::Rename { pick: 0, len }]);
-        let mut steps = steps;
-        steps.splice(
-            0..0,
-            [
-                Step::Batch(vec![
-                    Op::Add { parent_pick: 1 },
-                    Op::Rename { pick: 0, len: 2500 },
-                    Op::Remove { pick: 0 },
-                ]),
-                Step::Unsubscribe { pick: far },
-                root_rename(100),
-                Step::Resubscribe { pick: far },
-                root_rename(0),
-            ],
-        );
-        steps.push(Step::Batch(vec![
-            Op::Move { pick: 3 },
-            Op::Add { parent_pick: 0 },
-            Op::Fail,
-            Op::Rename { pick: 1, len: 8 },
-        ]));
-
-        for step in &steps {
-            match step {
-                Step::Batch(ops) => {
-                    let (updates, commits) = plan_batch(&mut sim, ds, ops);
-                    let fails = commits < updates.len();
-                    let before = sim.world.data(ds).audit.len();
-                    let batch = updates.into_iter().map(|u| ("editor".to_string(), u)).collect();
-                    let result = publish_batch(&mut sim, ds, batch);
-                    let trail = sim.world.data(ds).audit.entries();
-                    let committed: Vec<StampedUpdate> =
-                        trail[before..].iter().map(|e| e.stamped.clone()).collect();
-                    // The committed prefix of a failed batch is in the
-                    // trail (and fanned out below); the rest is dropped.
-                    prop_assert_eq!(committed.len(), commits);
-                    prop_assert_eq!(result.is_err(), fails);
-                    if let Ok(seqs) = &result {
-                        let stamped: Vec<u64> = committed.iter().map(|s| s.seq).collect();
-                        prop_assert_eq!(seqs, &stamped);
-                    }
-                    model.publish(&sim, ds, &committed);
-                }
-                Step::Advance { micros } => {
-                    let until = sim.now() + SimTime::from_micros(*micros as f64);
-                    sim.run_until(until);
-                }
-                Step::Unsubscribe { pick } => {
-                    let rs = subscribers[pick % subscribers.len()];
-                    let was = model.live.remove(&rs).is_some();
-                    prop_assert_eq!(sim.world.data_mut(ds).unsubscribe(rs), was);
-                    model.buffers.remove(&rs);
-                }
-                Step::Resubscribe { pick } => {
-                    let rs = subscribers[pick % subscribers.len()];
-                    let data = sim.world.data_mut(ds);
-                    data.unsubscribe(rs);
-                    data.subscribe_live(rs, interests[&rs].clone());
-                    model.live.insert(rs, true);
-                    model.buffers.remove(&rs);
-                }
-                Step::FinishBootstrap { pick } => {
-                    let waiting: Vec<RenderServiceId> =
-                        model.live.iter().filter(|(_, live)| !**live).map(|(rs, _)| *rs).collect();
-                    if waiting.is_empty() {
-                        continue;
-                    }
-                    let rs = waiting[pick % waiting.len()];
-                    let drained: Vec<u64> = sim
-                        .world
-                        .data_mut(ds)
-                        .complete_bootstrap(rs)
-                        .iter()
-                        .map(|s| s.seq)
-                        .collect();
-                    prop_assert_eq!(drained, model.buffers.remove(&rs).unwrap_or_default());
-                    model.live.insert(rs, true);
-                }
-            }
-        }
-        sim.run();
-
-        let rows: Vec<(SimTime, String)> = sim
+        let mut run = run_case(true, &topology, &seed_depths, &population, steps)?;
+        let rows: Vec<(SimTime, String)> = run
+            .sim
             .world
             .trace
             .of_kind(TraceKind::UpdateDelivered)
             .map(|e| (e.at, e.detail.clone()))
             .collect();
-        prop_assert_eq!(rows, model.rows(&mut replicas));
-        prop_assert_eq!(sim.world.data(ds).fanout, model.totals);
-        prop_assert!(model.totals.skipped_receivers >= 2, "the two fixed skips were exercised");
-        for (rs, sub) in &sim.world.data(ds).subscribers {
-            let buffered: Vec<u64> = match &sub.state {
-                SubState::Bootstrapping { buffered } => buffered.iter().map(|s| s.seq).collect(),
-                SubState::Live => Vec::new(),
-            };
-            prop_assert_eq!(&buffered, model.buffers.get(rs).unwrap_or(&Vec::new()), "{}", rs);
-        }
-        for (rs, replica) in &replicas {
-            prop_assert!(&sim.world.render(*rs).scene == replica, "replica of {} differs", rs);
-        }
+        prop_assert_eq!(rows, run.model.rows(&mut run.replicas));
+        check_quiescent(run)?;
+    }
+
+    /// The same cases with `update_delivery_trace` off, as every scale run
+    /// has it: no rows to compare, so the schedule is held through what it
+    /// leaves behind — every replica at quiescence, the totals, the
+    /// bootstrap buffers — and the event count is held to the reference's
+    /// arrival instants.
+    #[test]
+    fn untraced_fan_out_is_one_event_per_arrival_instant(
+        topology in topology_strategy(),
+        seed_depths in prop::collection::vec(1usize..4, 2..5),
+        population in prop::collection::vec(subscriber_strategy(), 1..8),
+        steps in prop::collection::vec(step_strategy(), 1..10),
+    ) {
+        let mut run = run_case(false, &topology, &seed_depths, &population, steps)?;
+        prop_assert_eq!(run.sim.executed(), run.instants);
+        prop_assert_eq!(run.sim.world.trace.count(TraceKind::UpdateDelivered), 0);
+        run.model.rows(&mut run.replicas); // applies the reference's schedule to its replicas
+        check_quiescent(run)?;
     }
 
     /// The string-keyed wrapper equals the per-receiver definition on any
