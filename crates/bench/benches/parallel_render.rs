@@ -1,9 +1,10 @@
 //! Parallel renderer head to head: the binned rayon engine versus the
 //! serial immediate-mode reference, on full 200x200 frames of the 5.5k-
 //! and 50k-triangle Galleon and on the frame the end-to-end benchmark
-//! streams (Elle, 50k triangles, 640x480), plus the two band-parallel
-//! compositors, and the frame of the end-to-end benchmark's tiled
-//! workload (Elle 50k, 800x600) rendered whole and as four column strips.
+//! streams (Elle, 50k triangles, 640x480), plus the two compositors (the
+//! depth merge, serial, and the band-parallel volume blend), and the frame
+//! of the end-to-end benchmark's tiled workload (Elle 50k, 800x600)
+//! rendered whole, as four column strips, and through `render_tiled_frame`.
 //! The thread grid is 1/2/4/8 clamped to the cores the host
 //! has — a pool wider than the machine measures the scheduler, not the
 //! engine. Emits `BENCH_render_parallel.json` at the repo root with the
@@ -17,6 +18,8 @@
 //! other pool widths is reported beside it); and
 //! `session.static_over_moving`: what a frame nothing changed for costs a
 //! session over one the camera moved for; and
+//! `tiled_frame.static_over_moving`: the same for a whole tiled frame —
+//! four services, lossless tile returns, the owner's composite; and
 //! `subpixel.binned_1t_over_reference`: the binned engine on one thread
 //! over the reference's whole-box scan on the Elle frame, where a triangle
 //! is smaller than a pixel and per-triangle overhead, not fill, is the
@@ -24,13 +27,18 @@
 
 use bench::harness::{best_of, median, num, obj, pool, quick, secs, staged, Report};
 use criterion::Criterion;
+use rave_core::config::CompressionMode;
 use rave_core::render_service::RenderService;
-use rave_core::{ClientId, RenderServiceId};
+use rave_core::tiles::{plan_tiles, render_tiled_frame};
+use rave_core::world::RaveWorld;
+use rave_core::{ClientId, RaveConfig, RenderServiceId};
 use rave_math::Viewport;
 use rave_models::PaperModel;
-use rave_render::composite::{blend_volume_layers, depth_composite, VolumeLayer};
+use rave_render::composite::{blend_volume_layers, depth_composite, stitch_tiles, VolumeLayer};
 use rave_render::{Framebuffer, MachineProfile, OffscreenMode, Renderer};
+use rave_sim::Simulation;
 use serde::{Serialize, Value};
+use std::collections::BTreeSet;
 
 /// (model, triangle budget, frame) of each timed scene.
 const SCENES: [(PaperModel, u64, (u32, u32)); 3] = [
@@ -152,23 +160,20 @@ fn main() {
         ]));
     }
 
-    // Band-parallel compositors, same thread sweep on 400x400 inputs.
+    // Compositors on 400x400 inputs: the depth merge has one, serial path;
+    // the band-parallel volume blend gets the thread sweep.
     let (tree, cam) = staged(PaperModel::Galleon, 5_500);
     let mut a = Framebuffer::new(400, 400);
     renderer.render(&tree, &cam, &mut a);
     let b_buf = a.clone();
-    let mut depth = Vec::new();
+    let depth_secs = best_of(rounds.min(5), || {
+        let mut dst = Framebuffer::new(400, 400);
+        depth_composite(&mut dst, &[&a, &b_buf]);
+        dst.get(0, 0)
+    });
     let mut blend = Vec::new();
     for &t in &threads {
         let p = pool(t);
-        depth.push((
-            t,
-            best_of(rounds.min(5), || {
-                let mut dst = Framebuffer::new(400, 400);
-                p.install(|| depth_composite(&mut dst, &[&a, &b_buf]));
-                dst.get(0, 0)
-            }),
-        ));
         let mut layers = synthetic_layers(400, 400, 4);
         blend.push((
             t,
@@ -251,13 +256,81 @@ fn main() {
     assert!(session.last_frame.as_ref() == Some(&reference), "lent frame differs from reference");
     let (moving_secs, static_secs) = (median(&mut moving), median(&mut unchanged));
 
+    // A frame nobody redrew is not copied: the end-to-end benchmark's
+    // tiled frame (four services holding Elle, 800x600 in four strips,
+    // tiles returned through the lossless stream) through
+    // `render_tiled_frame`, the image dropped before the next frame is
+    // asked for. Every other frame steps the camera: every tile is drawn
+    // and copied into the owner's composite; the frame after it draws and
+    // copies nothing. Medians, the two kinds interleaved; beside them what
+    // stitching a moving frame's four tiles into a kept target costs.
+    let config = RaveConfig {
+        produce_images: true,
+        frame_compression: CompressionMode::Adaptive,
+        ..RaveConfig::default()
+    };
+    let mut sim = Simulation::new(RaveWorld::paper_testbed(config, 1));
+    let hosts = ["laptop", "tower", "desktop", "onyx"];
+    let services = hosts.map(|host| sim.world.spawn_render_service(host));
+    for rs in services {
+        sim.world.render_mut(rs).scene = service.scene.clone();
+    }
+    let (owner, helpers) = (services[0], &services[1..]);
+    let mut camera = cam;
+    sim.world.render_mut(owner).open_session(client, frame, camera, OffscreenMode::Sequential);
+    let cfg = sim.world.config.clone();
+    let reports: Vec<_> =
+        helpers.iter().map(|h| sim.world.render(*h).capacity_report(&cfg)).collect();
+    let plan = plan_tiles(&frame, owner, &reports);
+    assert_eq!(plan.tiles.len(), 4, "owner and three helpers each take a strip");
+    let nobody = BTreeSet::new();
+    let tiled_frames = 3 * rounds;
+    let mut stitch_target = Framebuffer::new(frame.width, frame.height);
+    let (mut moving, mut unchanged, mut stitch) = (Vec::new(), Vec::new(), Vec::new());
+    for _ in 0..tiled_frames {
+        for moves in [true, false] {
+            if moves {
+                camera.orbit(centre, 0.05, 0.0);
+            }
+            let mut completed_at = sim.now();
+            let frame_secs = secs(|| {
+                let result = render_tiled_frame(&mut sim, owner, client, &plan, camera, &nobody);
+                completed_at = result.completed_at;
+                result.image.map(|image| image.get(400, 300))
+            });
+            if moves { &mut moving } else { &mut unchanged }.push(frame_secs);
+            sim.run_until(completed_at);
+        }
+        let tiles: Vec<(Viewport, &Framebuffer)> = plan
+            .tiles
+            .iter()
+            .map(|(vp, rs)| {
+                let session = &sim.world.render(*rs).sessions[&client];
+                (*vp, session.last_frame.as_ref().expect("the tile is retained"))
+            })
+            .collect();
+        stitch.push(secs(|| stitch_tiles(&mut stitch_target, &tiles)));
+    }
+    for rs in services {
+        let session = &sim.world.render(rs).sessions[&client];
+        let counted = (session.frames_drawn, session.frames_reused);
+        assert_eq!(counted, (tiled_frames as u64, tiled_frames as u64), "{rs}: every second tile");
+    }
+    let mut whole = Framebuffer::new(frame.width, frame.height);
+    renderer.render_reference(&service.scene, &camera, &mut whole);
+    let last = render_tiled_frame(&mut sim, owner, client, &plan, camera, &nobody);
+    assert!(last.image.as_ref() == Some(&whole), "tiled frame differs from the monolithic render");
+    assert!(last.image.as_ref() == Some(&stitch_target), "and from a stitch of its tiles");
+    let (tiled_moving, tiled_static) = (median(&mut moving), median(&mut unchanged));
+    let stitch_secs = median(&mut stitch);
+
     Report::new("render_parallel")
         .set("threads", &threads)
         .set("scenes", scenes)
         .set(
             "compositors",
             obj([
-                ("depth_composite_400x400_x2", by_threads(&depth)),
+                ("depth_composite_400x400_x2_secs", num(depth_secs, 6)),
                 ("blend_volume_layers_400x400_x4", by_threads(&blend)),
             ]),
         )
@@ -283,6 +356,17 @@ fn main() {
                 ("static_secs", num(static_secs, 9)),
                 ("static_over_moving", num(static_secs / moving_secs, 6)),
                 ("world_bounds_50k_us", num(world_bounds_us, 2)),
+            ]),
+        )
+        .set(
+            "tiled_frame",
+            obj([
+                ("scene", "Elle 50000, 800x600, four strips, render_tiled_frame".to_value()),
+                ("moving_frame_us", num(1e6 * tiled_moving, 1)),
+                ("static_frame_us", num(1e6 * tiled_static, 1)),
+                ("static_over_moving", num(tiled_static / tiled_moving, 4)),
+                ("stitch_us", num(1e6 * stitch_secs, 1)),
+                ("stitch_share_of_moving", num(stitch_secs / tiled_moving, 4)),
             ]),
         )
         .set("subpixel", subpixel)

@@ -22,7 +22,7 @@ pub const FPS_WINDOW: usize = 10;
 /// function of. Compared with plain `==`: a NaN in the camera or the style
 /// never equals itself, and such a frame is drawn every time.
 #[derive(Debug, Clone, PartialEq)]
-struct FrameKey {
+pub(crate) struct FrameKey {
     scene: EditStamp,
     camera: CameraParams,
     full_viewport: Viewport,
@@ -52,6 +52,9 @@ pub struct RenderSession {
     /// What `last_frame` is a render of, and the statistics that render
     /// returned; `None` when it holds no finished render.
     rendered: Option<(FrameKey, RenderStats)>,
+    /// The stitched image of this session's tiled frames, when it is the
+    /// owner of some ([`crate::tiles::render_tiled_frame`]).
+    pub(crate) composite: Option<crate::tiles::Composite>,
 }
 
 impl RenderSession {
@@ -70,7 +73,13 @@ impl RenderSession {
             frames_reused: 0,
             last_frame: None,
             rendered: None,
+            composite: None,
         }
+    }
+
+    /// What `last_frame` is a finished render of, when it is one.
+    pub(crate) fn rendered_key(&self) -> Option<&FrameKey> {
+        self.rendered.as_ref().map(|(key, _)| key)
     }
 
     /// The retained buffer to render a `width`×`height` image into: the

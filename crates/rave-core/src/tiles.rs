@@ -10,7 +10,7 @@
 use crate::capacity::CapacityReport;
 use crate::config::CompressionMode;
 use crate::ids::{ClientId, RenderServiceId};
-use crate::render_service::RenderSession;
+use crate::render_service::{FrameKey, RenderSession};
 use crate::sched::placement::rank_helpers;
 use crate::trace::TraceKind;
 use crate::world::RaveSim;
@@ -138,6 +138,41 @@ pub struct TiledFrameResult {
     pub tile_costs: Vec<TileCost>,
 }
 
+/// The stitched image of a session's tiled frames, kept by the owner's
+/// session from one frame to the next, and what each tile of it holds.
+#[derive(Debug, Clone)]
+pub(crate) struct Composite {
+    image: Framebuffer,
+    /// Parallel to the plan the image was stitched under: each tile's
+    /// rectangle and what the pixels now in it are a render of
+    /// ([`RenderSession::rendered_key`] of the session they were copied
+    /// from) — `None` when that is not known, and the tile is copied again.
+    tiles: Vec<(Viewport, Option<FrameKey>)>,
+}
+
+impl Composite {
+    /// Where `client`'s session on `owner` keeps its composite.
+    fn slot(sim: &mut RaveSim, owner: RenderServiceId, client: ClientId) -> &mut Option<Composite> {
+        let session = sim.world.render_mut(owner).sessions.get_mut(&client);
+        &mut session.expect("owner session").composite
+    }
+
+    /// The kept composite while it is of `viewport`'s size and `plan`'s
+    /// rectangles, else a blank one: pixels no tile of the plan covers are
+    /// what a fresh target has there.
+    fn for_plan(kept: Option<Composite>, viewport: &Viewport, plan: &TilePlan) -> Composite {
+        let rectangles = || plan.tiles.iter().map(|(vp, _)| *vp);
+        kept.filter(|c| {
+            (c.image.width(), c.image.height()) == (viewport.width, viewport.height)
+                && c.tiles.iter().map(|(vp, _)| *vp).eq(rectangles())
+        })
+        .unwrap_or_else(|| Composite {
+            image: Framebuffer::new(viewport.width, viewport.height),
+            tiles: rectangles().map(|vp| (vp, None)).collect(),
+        })
+    }
+}
+
 /// Feed one frame's measured tile costs into `tracker` and trace the
 /// updated picture. Stale tiles are skipped (nothing was rendered). The
 /// same observations also land in the world's scheduler-level tracker,
@@ -184,6 +219,17 @@ pub fn record_tile_costs(
 /// while it stays the same, a frame allocates no tile buffer — and a
 /// service whose scene and camera have not moved since its last tile
 /// lends that tile again instead of drawing it.
+///
+/// The stitched image stays in the owner's session, and a frame copies
+/// into it only the tiles that are a render of something else than what
+/// it holds of them (a tile rendered outside a session is always copied;
+/// a plan with other rectangles, or a viewport of another size, starts
+/// from a blank image). `image` shares that image's planes
+/// ([`Framebuffer`] is copy-on-write): a frame in which no tile was
+/// redrawn copies nothing, and a caller still holding an earlier `image`
+/// when a tile is next copied keeps its pixels — that copy pays for a
+/// whole-image one first, which is what dropping the image before asking
+/// for the next frame saves.
 ///
 /// [`RenderService::rasterize_session_tile`]: crate::render_service::RenderService::rasterize_session_tile
 pub fn render_tiled_frame(
@@ -335,18 +381,33 @@ pub fn render_tiled_frame(
 
     let completed_at = tile_arrivals.iter().copied().fold(t0, SimTime::max);
     let image = produce_images.then(|| {
-        let mut target = Framebuffer::new(full_viewport.width, full_viewport.height);
-        let refs: Vec<(Viewport, &Framebuffer)> = plan
-            .tiles
-            .iter()
-            .zip(&rendered_aside)
-            .map(|((vp, svc), aside)| {
-                let retained = || sim.world.render(*svc).sessions.get(&client)?.last_frame.as_ref();
-                (*vp, aside.as_ref().or_else(retained).expect("tile rendered or kept"))
-            })
-            .collect();
-        stitch_tiles(&mut target, &refs);
-        target
+        let kept = Composite::slot(sim, owner, client).take();
+        let mut composite = Composite::for_plan(kept, &full_viewport, plan);
+        let mut moved: Vec<(Viewport, &Framebuffer)> = Vec::new();
+        for (((vp, svc), aside), (_, held)) in
+            plan.tiles.iter().zip(&rendered_aside).zip(&mut composite.tiles)
+        {
+            let (tile, key) = match aside {
+                Some(tile) => (tile, None),
+                None => {
+                    let session = sim.world.render(*svc).sessions.get(&client);
+                    let session = session.expect("tile rendered or kept");
+                    (
+                        session.last_frame.as_ref().expect("tile rendered or kept"),
+                        session.rendered_key(),
+                    )
+                }
+            };
+            // (A key with a NaN in it equals nothing, itself included.)
+            if key.is_none() || held.as_ref() != key {
+                moved.push((*vp, tile));
+                *held = key.cloned();
+            }
+        }
+        stitch_tiles(&mut composite.image, &moved);
+        let image = composite.image.clone();
+        *Composite::slot(sim, owner, client) = Some(composite);
+        image
     });
     sim.world.trace.record(
         completed_at,

@@ -19,21 +19,15 @@ use crate::framebuffer::{Framebuffer, Rgb};
 use rave_math::Viewport;
 use rayon::prelude::*;
 
-/// Number of row bands the compositors split a target into: a few per
-/// worker for load balance, never more than the row count. The output is
-/// bit-identical for any band count — bands only partition the pixels.
-fn band_count(height: u32) -> u32 {
-    (rayon::current_num_threads() as u32 * 2).clamp(1, height)
-}
-
 /// Merge `sources` into `dst` by per-pixel depth test (all buffers must be
 /// the full viewport size). The merge is order-independent for opaque
 /// content — asserted by the tests.
 ///
-/// Band-parallel: `dst` splits into contiguous row bands and every band
-/// sweeps all sources over matching contiguous slices — no per-pixel
-/// `get`/`set` calls, no locks. Per pixel, sources apply in argument
-/// order, exactly like the serial loop.
+/// One sweep per source over matching contiguous slices — no per-pixel
+/// `get`/`set` calls. Per pixel, sources apply in argument order. Serial:
+/// a source is a compare and two moves a pixel, less work than the
+/// section start that would split it (BENCH_render_parallel.json had two
+/// threads slower than one on two 400x400 sources).
 pub fn depth_composite(dst: &mut Framebuffer, sources: &[&Framebuffer]) {
     for src in sources {
         assert_eq!(
@@ -42,52 +36,29 @@ pub fn depth_composite(dst: &mut Framebuffer, sources: &[&Framebuffer]) {
             "depth compositing requires aligned full-viewport buffers"
         );
     }
-    let w = dst.width() as usize;
-    dst.row_bands(band_count(dst.height())).into_par_iter().for_each(|mut band| {
-        let row0 = band.y_start() as usize;
-        let (dc, dz) = band.planes_mut();
-        for src in sources {
-            let sc = &src.color_pixels()[row0 * w..row0 * w + dc.len()];
-            let sz = &src.depth_pixels()[row0 * w..row0 * w + dz.len()];
-            for i in 0..dc.len() {
-                let z = sz[i];
-                if z < 1.0 && z < dz[i] {
-                    dc[i] = sc[i];
-                    dz[i] = z;
-                }
+    let mut whole = dst.as_band();
+    let (dc, dz) = whole.planes_mut();
+    for src in sources {
+        let sc = &src.color_pixels()[..dc.len()];
+        let sz = &src.depth_pixels()[..dz.len()];
+        for i in 0..dc.len() {
+            let z = sz[i];
+            if z < 1.0 && z < dz[i] {
+                dc[i] = sc[i];
+                dz[i] = z;
             }
         }
-    });
+    }
 }
 
 /// Stitch tiles into `dst`. Each entry pairs the tile's viewport placement
-/// with its rendered buffer.
-///
-/// Band-parallel: each row band of `dst` copies the intersecting rows of
-/// every tile with contiguous slice copies. Tiles never overlap a pixel
-/// (enforced by the planner), so the result matches sequential blits.
+/// with its rendered buffer; a tile is one [`Framebuffer::blit`]. Tiles
+/// never overlap a pixel (enforced by the planner).
 pub fn stitch_tiles(dst: &mut Framebuffer, tiles: &[(Viewport, &Framebuffer)]) {
     for (vp, fb) in tiles {
         assert_eq!((fb.width(), fb.height()), (vp.width, vp.height), "tile size mismatch");
-        assert!(
-            vp.x + vp.width <= dst.width() && vp.y + vp.height <= dst.height(),
-            "tile outside target"
-        );
+        dst.blit(fb, vp.x, vp.y);
     }
-    dst.row_bands(band_count(dst.height())).into_par_iter().for_each(|mut band| {
-        for (vp, fb) in tiles {
-            let y0 = vp.y.max(band.y_start());
-            let y1 = (vp.y + vp.height).min(band.y_end());
-            let n = vp.width as usize;
-            for y in y0..y1 {
-                let s0 = ((y - vp.y) as usize) * n;
-                band.color_row_mut(y, vp.x, vp.x + vp.width)
-                    .copy_from_slice(&fb.color_pixels()[s0..s0 + n]);
-                band.depth_row_mut(y, vp.x, vp.x + vp.width)
-                    .copy_from_slice(&fb.depth_pixels()[s0..s0 + n]);
-            }
-        }
-    });
 }
 
 /// An RGBA + depth layer from a volume-subset render, tagged with its
@@ -97,6 +68,13 @@ pub struct VolumeLayer {
     pub view_distance: f32,
     pub width: u32,
     pub height: u32,
+}
+
+/// Number of row bands the blend splits its target into: a few per worker
+/// for load balance, never more than the row count. The output is
+/// bit-identical for any band count — bands only partition the pixels.
+fn band_count(height: u32) -> u32 {
+    (rayon::current_num_threads() as u32 * 2).clamp(1, height)
 }
 
 /// Blend volume layers back-to-front (farthest first) into `dst` over its

@@ -6,6 +6,7 @@
 
 use rave_math::Viewport;
 use std::io::Write;
+use std::sync::Arc;
 
 /// An 8-bit RGB pixel.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -32,19 +33,41 @@ impl Rgb {
 
 /// A color + depth render target. Depth follows the GL convention:
 /// cleared to `1.0` (far), smaller is closer.
+///
+/// The two planes are shared, copy-on-write storage: `clone` is two
+/// reference counts, and the first write through either buffer
+/// ([`Framebuffer::planes_mut`], which every `&mut` entry goes through
+/// once per call) copies the planes if another buffer still shares them.
+/// A buffer nothing shares is written in place and keeps its allocation.
+/// `==` compares pixels, whoever holds them.
 #[derive(Debug, Clone, PartialEq)]
 pub struct Framebuffer {
     width: u32,
     height: u32,
-    color: Vec<Rgb>,
-    depth: Vec<f32>,
+    color: Arc<Vec<Rgb>>,
+    depth: Arc<Vec<f32>>,
 }
 
 impl Framebuffer {
     pub fn new(width: u32, height: u32) -> Self {
         assert!(width > 0 && height > 0, "zero-sized framebuffer");
         let n = (width as usize) * (height as usize);
-        Self { width, height, color: vec![Rgb::BLACK; n], depth: vec![1.0; n] }
+        Self { width, height, color: Arc::new(vec![Rgb::BLACK; n]), depth: Arc::new(vec![1.0; n]) }
+    }
+
+    /// Both planes for writing, this buffer's alone from here on: copied
+    /// first when a clone still shares them.
+    fn planes_mut(&mut self) -> (&mut [Rgb], &mut [f32]) {
+        (
+            Arc::make_mut(&mut self.color).as_mut_slice(),
+            Arc::make_mut(&mut self.depth).as_mut_slice(),
+        )
+    }
+
+    /// Whether `other` is a clone of this buffer (or this one of it) that
+    /// neither has written since: the same planes, not just equal pixels.
+    pub fn shares_planes_with(&self, other: &Framebuffer) -> bool {
+        Arc::ptr_eq(&self.color, &other.color) && Arc::ptr_eq(&self.depth, &other.depth)
     }
 
     pub fn width(&self) -> u32 {
@@ -69,8 +92,9 @@ impl Framebuffer {
     }
 
     pub fn clear(&mut self, c: Rgb) {
-        self.color.fill(c);
-        self.depth.fill(1.0);
+        let (color, depth) = self.planes_mut();
+        color.fill(c);
+        depth.fill(1.0);
     }
 
     #[inline]
@@ -92,8 +116,9 @@ impl Framebuffer {
     #[inline]
     pub fn set(&mut self, x: u32, y: u32, c: Rgb, z: f32) {
         let i = self.idx(x, y);
-        self.color[i] = c;
-        self.depth[i] = z;
+        let (color, depth) = self.planes_mut();
+        color[i] = c;
+        depth[i] = z;
     }
 
     /// Depth-tested write: stores the fragment only if it is closer.
@@ -102,8 +127,7 @@ impl Framebuffer {
     pub fn set_if_closer(&mut self, x: u32, y: u32, c: Rgb, z: f32) -> bool {
         let i = self.idx(x, y);
         if z < self.depth[i] {
-            self.color[i] = c;
-            self.depth[i] = z;
+            self.set(x, y, c, z);
             true
         } else {
             false
@@ -140,11 +164,12 @@ impl Framebuffer {
     pub fn row_bands_at(&mut self, cuts: &[u32]) -> Vec<FramebufferBand<'_>> {
         let width = self.width;
         let w = width as usize;
+        let height = self.height;
         let mut bands = Vec::with_capacity(cuts.len() + 1);
-        let (mut color, mut depth): (&mut [Rgb], &mut [f32]) = (&mut self.color, &mut self.depth);
+        let (mut color, mut depth) = self.planes_mut();
         let mut row = 0u32;
-        for &end_row in cuts.iter().chain(std::iter::once(&self.height)) {
-            assert!(row < end_row && end_row <= self.height, "band cuts must increase");
+        for &end_row in cuts.iter().chain(std::iter::once(&height)) {
+            assert!(row < end_row && end_row <= height, "band cuts must increase");
             let rows = end_row - row;
             let (c, crest) = color.split_at_mut(rows as usize * w);
             let (d, drest) = depth.split_at_mut(rows as usize * w);
@@ -158,30 +183,29 @@ impl Framebuffer {
 
     /// The whole buffer as a single band (the serial path's view).
     pub fn as_band(&mut self) -> FramebufferBand<'_> {
-        FramebufferBand {
-            y0: 0,
-            width: self.width,
-            rows: self.height,
-            color: &mut self.color,
-            depth: &mut self.depth,
-        }
+        let (width, rows) = (self.width, self.height);
+        let (color, depth) = self.planes_mut();
+        FramebufferBand { y0: 0, width, rows, color, depth }
     }
 
     /// Copy `src` into this buffer with its top-left at `(dst_x, dst_y)`
-    /// (tile stitching). Color-only: tiles from remote services replace
-    /// whatever was there, including stale local pixels — exactly the
-    /// behaviour that produces Fig 5's tearing when the tile is old.
+    /// (tile stitching), color and depth, a row at a time. Tiles from
+    /// remote services replace whatever was there, including stale local
+    /// pixels — exactly the behaviour that produces Fig 5's tearing when
+    /// the tile is old.
     pub fn blit(&mut self, src: &Framebuffer, dst_x: u32, dst_y: u32) {
         assert!(
             dst_x + src.width <= self.width && dst_y + src.height <= self.height,
             "blit out of bounds"
         );
-        for row in 0..src.height {
-            let s0 = src.idx(0, row);
-            let d0 = self.idx(dst_x, dst_y + row);
-            let n = src.width as usize;
-            self.color[d0..d0 + n].copy_from_slice(&src.color[s0..s0 + n]);
-            self.depth[d0..d0 + n].copy_from_slice(&src.depth[s0..s0 + n]);
+        let n = src.width as usize;
+        let d00 = self.idx(dst_x, dst_y);
+        let stride = self.width as usize;
+        let (color, depth) = self.planes_mut();
+        for row in 0..src.height as usize {
+            let (s0, d0) = (row * n, d00 + row * stride);
+            color[d0..d0 + n].copy_from_slice(&src.color[s0..s0 + n]);
+            depth[d0..d0 + n].copy_from_slice(&src.depth[s0..s0 + n]);
         }
     }
 
@@ -189,12 +213,13 @@ impl Framebuffer {
     pub fn crop(&self, vp: Viewport) -> Framebuffer {
         assert!(vp.x + vp.width <= self.width && vp.y + vp.height <= self.height);
         let mut out = Framebuffer::new(vp.width, vp.height);
+        let n = vp.width as usize;
+        let (color, depth) = out.planes_mut();
         for row in 0..vp.height {
             let s0 = self.idx(vp.x, vp.y + row);
-            let d0 = out.idx(0, row);
-            let n = vp.width as usize;
-            out.color[d0..d0 + n].copy_from_slice(&self.color[s0..s0 + n]);
-            out.depth[d0..d0 + n].copy_from_slice(&self.depth[s0..s0 + n]);
+            let d0 = row as usize * n;
+            color[d0..d0 + n].copy_from_slice(&self.color[s0..s0 + n]);
+            depth[d0..d0 + n].copy_from_slice(&self.depth[s0..s0 + n]);
         }
         out
     }
@@ -203,8 +228,12 @@ impl Framebuffer {
     /// RGB distance. Panics on size mismatch.
     pub fn diff_fraction(&self, other: &Framebuffer, tol: f32) -> f64 {
         assert_eq!((self.width, self.height), (other.width, other.height));
-        let differing =
-            self.color.iter().zip(&other.color).filter(|(a, b)| a.distance(**b) > tol).count();
+        let differing = self
+            .color
+            .iter()
+            .zip(other.color.iter())
+            .filter(|(a, b)| a.distance(**b) > tol)
+            .count();
         differing as f64 / self.pixel_count() as f64
     }
 
@@ -235,7 +264,7 @@ impl Framebuffer {
     /// copies, and no allocation.
     pub fn rgb_bytes_into(&self, out: &mut Vec<u8>) {
         out.resize(self.color.len() * 3, 0);
-        for (dst, c) in out.chunks_exact_mut(3).zip(&self.color) {
+        for (dst, c) in out.chunks_exact_mut(3).zip(self.color.iter()) {
             dst.copy_from_slice(&[c.0, c.1, c.2]);
         }
     }
@@ -253,7 +282,7 @@ impl Framebuffer {
             return None;
         }
         let mut fb = Framebuffer::new(width, height);
-        for (c, px) in fb.color.iter_mut().zip(bytes.chunks_exact(3)) {
+        for (c, px) in fb.planes_mut().0.iter_mut().zip(bytes.chunks_exact(3)) {
             *c = Rgb(px[0], px[1], px[2]);
         }
         Some(fb)
@@ -553,6 +582,96 @@ mod tests {
         assert_eq!((band.y_start(), band.y_end(), band.width()), (0, 3, 3));
         band.set(2, 2, Rgb::WHITE, 0.1);
         assert_eq!(fb.get(2, 2), Rgb::WHITE);
+    }
+
+    // ---- copy-on-write planes -------------------------------------------
+
+    fn gradient(w: u32, h: u32) -> Framebuffer {
+        let mut fb = Framebuffer::new(w, h);
+        for i in 0..w * h {
+            fb.set(i % w, i / w, Rgb(i as u8, 7, 255 - i as u8), i as f32 / (w * h) as f32);
+        }
+        fb
+    }
+
+    fn plane_ptrs(fb: &Framebuffer) -> (*const Rgb, *const f32) {
+        (fb.color_pixels().as_ptr(), fb.depth_pixels().as_ptr())
+    }
+
+    #[test]
+    fn a_clone_never_sees_a_later_write() {
+        type Write = fn(&mut Framebuffer);
+        let writes: [(&str, Write); 7] = [
+            ("clear", |fb| fb.clear(Rgb(1, 2, 3))),
+            ("set", |fb| fb.set(2, 1, Rgb::WHITE, 0.0)),
+            ("set_if_closer", |fb| assert!(fb.set_if_closer(2, 1, Rgb::WHITE, -1.0))),
+            ("blit", |fb| fb.blit(&Framebuffer::new(2, 2), 3, 1)),
+            ("as_band", |fb| fb.as_band().set(0, 0, Rgb::WHITE, 0.5)),
+            ("row_bands_at", |fb| fb.row_bands_at(&[2])[1].set_color(4, 3, Rgb::WHITE)),
+            ("row_bands", |fb| fb.row_bands(3)[0].clear(Rgb(9, 9, 9))),
+        ];
+        for (what, write) in writes {
+            let original = gradient(6, 4);
+            let mut fb = original.clone();
+            assert!(fb.shares_planes_with(&original), "{what}: a clone is two reference counts");
+            let before = plane_ptrs(&original);
+            write(&mut fb);
+            assert_ne!(fb, original, "{what} wrote");
+            assert_eq!(original, gradient(6, 4), "{what} reached the clone");
+            assert_eq!(plane_ptrs(&original), before, "{what}: the copy is the writer's");
+            assert!(!fb.shares_planes_with(&original));
+        }
+    }
+
+    #[test]
+    fn a_band_taken_while_a_clone_lived_writes_only_its_own_buffer() {
+        let mut fb = gradient(6, 4);
+        let (short_lived, kept) = (fb.clone(), fb.clone());
+        let mut band = fb.as_band();
+        drop(short_lived);
+        band.set(5, 3, Rgb::WHITE, 0.25);
+        band.planes_mut().1[0] = -3.0;
+        assert_eq!(kept, gradient(6, 4));
+        assert_eq!((fb.get(5, 3), fb.depth_at(0, 0)), (Rgb::WHITE, -3.0));
+    }
+
+    #[test]
+    fn a_write_to_an_unshared_buffer_keeps_its_allocation() {
+        let mut fb = gradient(6, 4);
+        let own = plane_ptrs(&fb);
+        fb.clear(Rgb(4, 4, 4));
+        fb.set(1, 1, Rgb::WHITE, 0.5);
+        fb.blit(&Framebuffer::new(2, 2), 0, 0);
+        fb.row_bands(2)[1].clear(Rgb::BLACK);
+        assert_eq!(plane_ptrs(&fb), own);
+        // A clone that is gone before the write leaves nothing to copy for.
+        drop(fb.clone());
+        fb.as_band().clear(Rgb(5, 5, 5));
+        assert_eq!(plane_ptrs(&fb), own);
+        // One that is not costs the writer one copy, once.
+        let held = fb.clone();
+        fb.set(0, 0, Rgb::WHITE, 0.1);
+        let copied = plane_ptrs(&fb);
+        assert_ne!(copied, own);
+        assert_eq!(plane_ptrs(&held), own);
+        fb.set(1, 0, Rgb::WHITE, 0.1);
+        assert_eq!(plane_ptrs(&fb), copied);
+    }
+
+    #[test]
+    fn equality_compares_pixels_not_planes() {
+        let (a, mut b) = (gradient(5, 3), gradient(5, 3));
+        assert!(!a.shares_planes_with(&b));
+        assert_eq!(a, b);
+        b.set(4, 2, b.get(4, 2), 0.75);
+        assert_ne!(a, b, "a depth alone tells them apart");
+        let mut c = a.clone();
+        assert_eq!(a, c);
+        let same = c.get(0, 0);
+        c.set(0, 0, same, c.depth_at(0, 0));
+        assert!(!a.shares_planes_with(&c), "a write of the same value still takes the planes");
+        assert_eq!(a, c);
+        assert_ne!(Framebuffer::new(3, 5), Framebuffer::new(5, 3), "same pixels, another shape");
     }
 
     #[test]

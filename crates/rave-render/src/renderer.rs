@@ -246,6 +246,12 @@ impl Renderer {
         cuts: &[u32],
     ) -> RasterStats {
         assert_eq!((fb.width(), fb.height()), (tile.width, tile.height), "tile buffer size");
+        if cmds.is_empty() {
+            // A tile no command reaches is its background: one fill, less
+            // work than the section start that would split it.
+            fb.clear(self.background);
+            return RasterStats::default();
+        }
         let view_proj = camera.view_proj(full_viewport);
         fb.row_bands_at(cuts)
             .into_par_iter()

@@ -37,8 +37,29 @@ pub use snapshot::{read_snapshot, write_snapshot, Snapshot};
 pub use wal::{Wal, WalOpenReport};
 
 use rave_scene::{AuditEntry, SceneTree};
-use std::io;
+use std::fs::File;
+use std::io::{self, Write};
 use std::path::{Path, PathBuf};
+
+/// Put `bytes` at `dir/name` so that a power cut leaves the old file or
+/// the whole new one, and so that the new one is there to stay when this
+/// returns: written and synced under `tmp_name`, renamed, the directory
+/// synced. Only then may the caller unlink, or acknowledge to someone who
+/// will unlink, what the new file stands in for — a rename the directory
+/// has not been synced after can be lost while a later unlink is kept.
+pub(crate) fn install_file(dir: &Path, tmp_name: &str, name: &str, bytes: &[u8]) -> io::Result<()> {
+    let tmp = dir.join(tmp_name);
+    let mut file = File::create(&tmp)?;
+    file.write_all(bytes)?;
+    file.sync_all()?;
+    drop(file);
+    std::fs::rename(&tmp, dir.join(name))?;
+    // A directory opens as a file only on Unix; elsewhere the rename is
+    // as durable as the platform makes it.
+    #[cfg(unix)]
+    File::open(dir)?.sync_all()?;
+    Ok(())
+}
 
 /// Tunables for a [`Store`].
 #[derive(Debug, Clone, Copy)]

@@ -359,12 +359,11 @@ impl StandbyLog {
             .last()
             .map(|e| e.stamped.seq)
             .unwrap_or_else(|| header.base_seq.saturating_sub(1));
-        // Install atomically; a sealed copy supersedes any partial tail
-        // copy of the same segment (the bytes are a superset).
-        let path = self.dir.join(segment_file_name(index));
-        let tmp = self.dir.join(format!("{}.tmp", segment_file_name(index)));
-        std::fs::write(&tmp, bytes)?;
-        std::fs::rename(&tmp, &path)?;
+        // Install atomically, and durably before the ack below lets the
+        // primary compact its copy away; a sealed copy supersedes any
+        // partial tail copy of the same segment (the bytes are a superset).
+        let name = segment_file_name(index);
+        crate::install_file(&self.dir, &format!("{name}.tmp"), &name, bytes)?;
         // An open writer may now point at the file the rename unlinked.
         self.writer = None;
         let entries = scanned.into_iter().filter(|e| e.stamped.seq > self.last_seq).collect();

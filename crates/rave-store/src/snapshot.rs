@@ -19,7 +19,7 @@ use crate::record::crc32;
 use rave_compress::rle;
 use rave_scene::{wire, SceneTree};
 use std::fs::File;
-use std::io::{self, Read, Write};
+use std::io::{self, Read};
 use std::path::{Path, PathBuf};
 
 pub const SNAPSHOT_MAGIC: [u8; 8] = *b"RAVESNAP";
@@ -60,7 +60,9 @@ pub fn list_snapshots(dir: &Path) -> io::Result<Vec<(u64, PathBuf)>> {
     Ok(out)
 }
 
-/// Serialize and write a checkpoint atomically. Returns the final path.
+/// Serialize and write a checkpoint atomically and durably
+/// ([`crate::install_file`]): when this returns, the caller may compact
+/// away what the snapshot covers. Returns the final path.
 pub fn write_snapshot(
     dir: &Path,
     tree: &SceneTree,
@@ -79,15 +81,9 @@ pub fn write_snapshot(
     buf.extend_from_slice(&compressed);
     buf.extend_from_slice(&crc32(&compressed).to_le_bytes());
 
-    let final_path = dir.join(snapshot_file_name(last_seq));
-    let tmp_path = dir.join(format!(".{}.tmp", snapshot_file_name(last_seq)));
-    {
-        let mut f = File::create(&tmp_path)?;
-        f.write_all(&buf)?;
-        f.sync_data()?;
-    }
-    std::fs::rename(&tmp_path, &final_path)?;
-    Ok(final_path)
+    let name = snapshot_file_name(last_seq);
+    crate::install_file(dir, &format!(".{name}.tmp"), &name, &buf)?;
+    Ok(dir.join(name))
 }
 
 /// Read and verify one snapshot file.
