@@ -14,7 +14,6 @@
 //! frames.
 
 use bench::harness::{num, obj, quick, secs, Report};
-use criterion::Criterion;
 use rave_compress::{delta, quantize, rle, stream, Codec};
 use rave_core::config::CompressionMode;
 use rave_core::frame_stream::synthesize_frame;
@@ -127,21 +126,6 @@ fn main() {
     // before any timing is trusted.
     assert_eq!(rle::encode(&cur), rle::encode_scalar(&cur));
     assert_eq!(delta::encode(&cur, Some(&prev)), delta::encode_scalar(&cur, Some(&prev)));
-
-    // Criterion lines for the usual `cargo bench` readout (skipped in the
-    // CI smoke run; the interleaved JSON pass below is the record).
-    if !quick {
-        let mut c = Criterion::default().sample_size(10);
-        c.bench_function("rle_encode_scalar_640x480", |b| {
-            b.iter(|| std::hint::black_box(rle::encode_scalar(&cur)))
-        });
-        c.bench_function("rle_encode_wordwide_640x480", |b| {
-            b.iter(|| std::hint::black_box(rle::encode(&cur)))
-        });
-        c.bench_function("delta_encode_wordwide_640x480", |b| {
-            b.iter(|| std::hint::black_box(delta::encode(&cur, Some(&prev))))
-        });
-    }
 
     // Interleaved best-of-`rounds` timing so background-load noise hits
     // every configuration equally instead of whichever ran last.

@@ -8,8 +8,7 @@
 //! The thread grid is 1/2/4/8 clamped to the cores the host
 //! has — a pool wider than the machine measures the scheduler, not the
 //! engine. Emits `BENCH_render_parallel.json` at the repo root with the
-//! measured times, alongside the usual criterion lines (skipped under
-//! `BENCH_QUICK=1`, which also times fewer rounds). The headline numbers,
+//! measured times (`BENCH_QUICK=1` times fewer rounds). The headline numbers,
 //! which `check` holds to their floors, are `speedup_50k`: the full-frame
 //! speedup over the serial reference on the 50k Galleon at the widest
 //! pool measured; and `tiled.strips4_over_monolithic`: what the four
@@ -26,7 +25,6 @@
 //! frame.
 
 use bench::harness::{best_of, median, num, obj, pool, quick, secs, staged, Report};
-use criterion::Criterion;
 use rave_core::config::CompressionMode;
 use rave_core::render_service::RenderService;
 use rave_core::tiles::{plan_tiles, render_tiled_frame};
@@ -76,29 +74,6 @@ fn main() {
     let cores = std::thread::available_parallelism().map_or(1, |n| n.get());
     let threads = thread_grid(cores);
     let rounds = if quick() { 3 } else { 9 };
-
-    // Criterion lines for the usual `cargo bench` readout (5.5k scene
-    // only; the JSON pass below covers every scene).
-    if !quick() {
-        let mut c = Criterion::default().sample_size(10);
-        let (tree, cam) = staged(PaperModel::Galleon, 5_500);
-        let mut fb = Framebuffer::new(200, 200);
-        c.bench_function("render_reference_5500", |b| {
-            b.iter(|| {
-                renderer.render_reference(&tree, &cam, &mut fb);
-                std::hint::black_box(fb.get(100, 100));
-            })
-        });
-        for &t in &threads {
-            let p = pool(t);
-            c.bench_function(&format!("render_binned_5500_{t}t"), |b| {
-                b.iter(|| {
-                    p.install(|| renderer.render(&tree, &cam, &mut fb));
-                    std::hint::black_box(fb.get(100, 100));
-                })
-            });
-        }
-    }
 
     // Headline numbers for BENCH_render_parallel.json: the binned image
     // is checked bit-identical to the serial reference before any timing

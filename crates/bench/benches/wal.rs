@@ -2,11 +2,9 @@
 //! versus the JSON-lines `AuditTrail::save`/`load`, on a 10k-update
 //! session — append (write the whole session to disk) and replay (read
 //! it back and rebuild the scene). Emits `BENCH_wal.json` at the repo
-//! root with the measured times, alongside the usual criterion lines
-//! (skipped under `BENCH_QUICK=1`, which also times fewer rounds).
+//! root with the measured times (`BENCH_QUICK=1` times fewer rounds).
 
 use bench::harness::{best_of, num, obj, quick, tmp_dir, Report};
-use criterion::Criterion;
 use rave_scene::{AuditEntry, AuditTrail, NodeKind, SceneTree, SceneUpdate, StampedUpdate};
 use rave_store::wal::Wal;
 use serde::Serialize;
@@ -87,16 +85,6 @@ fn main() {
     }
     let wal_dir = tmp_dir("wal");
     let jsonl_path = tmp_dir("wal-jsonl").join("session.jsonl");
-
-    if !quick() {
-        let mut c = Criterion::default().sample_size(10);
-        c.bench_function("wal_append_10k", |b| b.iter(|| wal_write(&wal_dir, &entries)));
-        c.bench_function("jsonl_save_10k", |b| b.iter(|| jsonl_write(&jsonl_path, &trail)));
-        wal_write(&wal_dir, &entries);
-        jsonl_write(&jsonl_path, &trail);
-        c.bench_function("wal_replay_10k", |b| b.iter(|| wal_replay(&wal_dir)));
-        c.bench_function("jsonl_replay_10k", |b| b.iter(|| jsonl_replay(&jsonl_path)));
-    }
 
     // Headline numbers for BENCH_wal.json: best-of-N, both paths ending
     // in an identical reconstructed scene.

@@ -6,8 +6,8 @@ use crate::ids::{DataServiceId, RenderServiceId};
 use crate::persist::StorePersistence;
 use rave_net::Network;
 use rave_scene::{
-    AuditEntry, AuditTrail, CostDirt, InterestIndex, InterestSet, SceneTree, SceneUpdate,
-    StampedUpdate, SubSlot, UpdateError,
+    AuditEntry, AuditTrail, EditClass, EditStamp, InterestIndex, InterestSet, SceneTree,
+    SceneUpdate, StampedUpdate, SubSlot, UpdateError,
 };
 use rave_sim::SimTime;
 use rave_store::StoreConfig;
@@ -106,9 +106,10 @@ pub struct DataService {
     checkpoint_notes: Vec<String>,
     /// The inverted interest index `route` consults, plus its slot → id
     /// map. Lazily (re)built: subscription changes bump `index_rev`, the
-    /// next route rebuilds; structural scene edits are folded in via the
-    /// tree's structure-dirt log instead of a rebuild.
+    /// next route rebuilds; structural scene edits since `index_seen` are
+    /// read from the tree's edit journal and folded in instead.
     index: InterestIndex,
+    index_seen: EditStamp,
     index_sub_ids: Vec<RenderServiceId>,
     /// Slot → is the subscriber `Live`? Snapshotted at rebuild (state
     /// flips bump `index_rev`), so routing's hot path never touches the
@@ -147,6 +148,7 @@ impl DataService {
             store_dir: None,
             checkpoint_notes: Vec::new(),
             index: InterestIndex::new(),
+            index_seen: EditStamp::default(),
             index_sub_ids: Vec::new(),
             index_live: Vec::new(),
             index_all_live: true,
@@ -318,14 +320,13 @@ impl DataService {
     /// Bring the inverted index in sync with the subscriber map and the
     /// scene: a full rebuild if subscriptions changed (or the map was
     /// mutated behind our back — failover clears it directly), otherwise
-    /// an incremental repair from the tree's structure-dirt log.
+    /// an incremental repair from the structural edits the tree has
+    /// journalled since the index last saw it.
     fn ensure_index(&mut self) {
+        let seen = std::mem::replace(&mut self.index_seen, self.scene.edit_stamp());
         if self.index_built_rev != self.index_rev
             || self.index_sub_ids.len() != self.subscribers.len()
         {
-            // A rebuild reads the current tree; any pending repair work
-            // in the dirt log is superseded — drain it away.
-            let _ = self.scene.drain_structure_dirt();
             self.delivery.renumber(&self.index_sub_ids, self.subscribers.keys().copied());
             self.index_generation += 1;
             self.index_sub_ids.clear();
@@ -337,10 +338,8 @@ impl DataService {
             self.index.rebuild(&self.scene, self.subscribers.values().map(|s| &s.interest));
             self.index_built_rev = self.index_rev;
         } else {
-            let dirt = self.scene.drain_structure_dirt();
-            if !matches!(dirt, CostDirt::Clean) {
-                self.index.repair(&self.scene, &dirt);
-            }
+            let dirt = self.scene.changes_since(seen, &[EditClass::Structure]);
+            self.index.repair(&self.scene, &dirt);
         }
     }
 
@@ -460,7 +459,82 @@ impl DataService {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use rave_scene::{NodeId, NodeKind};
+    use rave_scene::{Dirt, MeshData, NodeId, NodeKind};
+
+    const LEFT_SUB: RenderServiceId = RenderServiceId(1);
+    const RIGHT_SUB: RenderServiceId = RenderServiceId(2);
+
+    /// Root → `left`, `right` → `node` (a mesh); one subscriber per
+    /// subtree, and the index built by routing once. Returns `left` and
+    /// `node`.
+    fn routed_two_subtrees() -> (DataService, NodeId, NodeId) {
+        use rave_math::Vec3;
+        let mut ds = DataService::new(DataServiceId(1), "h", "s");
+        let root = ds.scene.root();
+        let left = ds.scene.add_node(root, "left", NodeKind::Group).unwrap();
+        let right = ds.scene.add_node(root, "right", NodeKind::Group).unwrap();
+        let mesh = MeshData::new(vec![Vec3::ZERO, Vec3::X, Vec3::Y], vec![[0, 1, 2]]);
+        let node = ds.scene.add_node(right, "node", NodeKind::Mesh(Arc::new(mesh))).unwrap();
+        ds.subscribe_live(LEFT_SUB, InterestSet::subtrees([left]));
+        ds.subscribe_live(RIGHT_SUB, InterestSet::subtrees([right]));
+        let u = ds.stamp("t", SceneUpdate::SetName { id: node, name: "n".into() });
+        assert_eq!(ds.route(&Arc::new(u)), vec![RIGHT_SUB]);
+        (ds, left, node)
+    }
+
+    /// `node` now hangs under `left`: a rename of it must be routed as the
+    /// naive scan over refreshed closures routes it, to `left`'s subscriber.
+    fn assert_routed_to_the_left(ds: &mut DataService, node: NodeId) {
+        let u = Arc::new(ds.stamp("t", SceneUpdate::SetName { id: node, name: "moved".into() }));
+        let mut oracle = ds.clone();
+        oracle.refresh_interests();
+        assert_eq!(oracle.route_naive(&u), vec![LEFT_SUB]);
+        assert_eq!(ds.route(&u), vec![LEFT_SUB]);
+    }
+
+    #[test]
+    fn a_second_structure_reader_does_not_starve_the_index() {
+        let (mut ds, left, node) = routed_two_subtrees();
+        let structure = [EditClass::Structure];
+        assert_eq!(ds.scene.changes_since(EditStamp::default(), &structure), Dirt::Everything);
+        let outside = ds.scene.edit_stamp();
+        ds.scene.reparent(node, left).unwrap();
+        assert_eq!(ds.scene.changes_since(outside, &structure), Dirt::Nodes(vec![node]));
+        assert_routed_to_the_left(&mut ds, node);
+    }
+
+    /// A tree assigned over `ds.scene` is another tree, whoever read it
+    /// before: the index repairs every chain and a plan state that
+    /// followed the old tree rebuilds.
+    #[test]
+    fn a_tree_moved_over_the_scene_is_read_from_scratch() {
+        use crate::capacity::Headroom;
+        use crate::distribution::plan_incremental;
+        use crate::sched::PlanState;
+        let (mut ds, left, node) = routed_two_subtrees();
+        let caps: Vec<_> = [LEFT_SUB, RIGHT_SUB]
+            .map(|rs| (rs, Headroom { polygons: 1, texture_bytes: u64::MAX }))
+            .into();
+        let mut state = PlanState::new();
+        plan_incremental(&mut ds.scene, &caps, &mut state, 0.0).unwrap();
+
+        let mut other = ds.scene.clone();
+        let all = [EditClass::Structure, EditClass::Payload];
+        assert_eq!(other.changes_since(EditStamp::default(), &all), Dirt::Everything);
+        let outside = other.edit_stamp();
+        other.reparent(node, left).unwrap();
+        let kind = other.node(node).unwrap().kind().clone();
+        let extra = other.add_node(left, "extra", kind).unwrap();
+        assert_eq!(other.changes_since(outside, &all), Dirt::Nodes(vec![node, extra]));
+        ds.scene = other;
+
+        assert_routed_to_the_left(&mut ds, node);
+        plan_incremental(&mut ds.scene, &caps, &mut state, 0.0).unwrap();
+        let mut cold = PlanState::new();
+        plan_incremental(&mut ds.scene.clone(), &caps, &mut cold, 0.0).unwrap();
+        assert_eq!(state.assignments(), cold.assignments());
+        assert_eq!(state.len(), 2, "`node` and `extra`, one service each");
+    }
 
     fn add_update(ds: &mut DataService, name: &str) -> StampedUpdate {
         let id = ds.scene.allocate_id();

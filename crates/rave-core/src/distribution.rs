@@ -18,7 +18,7 @@ use crate::capacity::{CapacityReport, Headroom};
 use crate::ids::RenderServiceId;
 use crate::sched::incremental::{PlanDiff, PlanState};
 use crate::sched::placement::{place_with_splitting, Ledger, PlaceError};
-use rave_scene::{CostDirt, KindTag, NodeCost, NodeId, NodeKind, SceneTree};
+use rave_scene::{Dirt, EditClass, KindTag, NodeCost, NodeId, NodeKind, SceneTree};
 use std::sync::Arc;
 
 /// One service's share of the scene.
@@ -233,11 +233,13 @@ fn eligible_cost(scene: &SceneTree, id: NodeId) -> Option<NodeCost> {
 /// Incrementally (re)plan `scene` across an explicit per-service
 /// capacity basis, maintaining `state` between calls.
 ///
-/// The scene's cost-dirt log ([`SceneTree::drain_cost_dirt`]) is folded
-/// into the plan as workload edits, the basis change (if any) is noted,
-/// and the engine replays from the first affected queue position —
-/// falling back to a full rebuild when the dirt log saturated or no plan
-/// exists yet. Returns `Ok(None)` when the bounded-staleness policy
+/// The scene's edits since `state` last read it
+/// ([`SceneTree::changes_since`]; the position is `state`'s own, so
+/// several plan states can follow one scene) are folded into the plan as
+/// workload edits, the basis change (if any) is noted, and the engine
+/// replays from the first affected queue position — falling back to a
+/// full rebuild when the journal cannot answer for that position (another
+/// tree, too far behind) or no plan exists yet. Returns `Ok(None)` when the bounded-staleness policy
 /// deferred the replan (the dirt stays accumulated), `Ok(Some(diff))`
 /// with the minimal migration set otherwise. The resulting assignment is
 /// always identical to what [`plan_distribution`] would produce from
@@ -249,10 +251,13 @@ pub fn plan_incremental(
     max_staleness: f64,
 ) -> Result<Option<PlanDiff>, PlanError> {
     let mut rebuild = !state.is_planned();
-    match scene.drain_cost_dirt() {
-        CostDirt::Clean => {}
-        CostDirt::Everything => rebuild = true,
-        CostDirt::Nodes(ids) => {
+    // The position is taken at the read: what `split_node` edits during
+    // this replan is past it, for the next one to see.
+    let seen = std::mem::replace(&mut state.scene_seen, scene.edit_stamp());
+    match scene.changes_since(seen, &[EditClass::Structure, EditClass::Payload]) {
+        Dirt::Clean => {}
+        Dirt::Everything => rebuild = true,
+        Dirt::Nodes(ids) => {
             for id in ids {
                 state.note_unit(id, eligible_cost(scene, id));
             }

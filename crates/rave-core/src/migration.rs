@@ -159,7 +159,7 @@ mod tests {
     }
 
     /// Camera motion between two rebalance passes is not a reason to
-    /// replan: 600 moves (more than the scene's cost-dirt log holds) must
+    /// replan: 600 moves (more than the scene's edit journal holds) must
     /// not read as "everything changed" to the second pass.
     #[test]
     fn camera_motion_between_passes_does_not_rebuild_the_plan() {

@@ -44,7 +44,7 @@
 use crate::capacity::Headroom;
 use crate::ids::RenderServiceId;
 use crate::sched::placement::{Ledger, PlaceError};
-use rave_scene::{NodeCost, NodeId};
+use rave_scene::{EditStamp, NodeCost, NodeId};
 use std::collections::BTreeSet;
 
 /// Ledger checkpoint spacing, in queue positions. Catch-up replays at
@@ -153,7 +153,7 @@ pub struct PlanState {
     /// The planned workloads in engine order, each carrying its chosen
     /// service.
     queue: Vec<PlanItem>,
-    /// id → queued cost mirror of `queue`. Edits and dirt-drain lookups
+    /// id → queued cost mirror of `queue`. Edits and journal-read lookups
     /// resolve here in O(1) instead of scanning the queue — at 100k
     /// workloads those scans, one per dirtied node per event, would
     /// dominate the whole replay.
@@ -180,6 +180,9 @@ pub struct PlanState {
     /// Escape hatch armed: the next [`PlanState::should_replan`] answers
     /// yes regardless of the staleness threshold.
     forced: bool,
+    /// Where `plan_incremental` last read the scene's edit journal — of
+    /// no tree until it has.
+    pub(crate) scene_seen: EditStamp,
 }
 
 impl PlanState {
@@ -388,7 +391,7 @@ impl PlanState {
 
     /// Replace the plan wholesale: fresh workload set, fresh capacity
     /// basis, full pack — the cold path, used for the first plan and
-    /// after a dirt-log overflow. Still diffs against the previous
+    /// after the scene read `Everything`. Still diffs against the previous
     /// assignment so callers migrate only what actually changed.
     pub fn full_rebuild(
         &mut self,

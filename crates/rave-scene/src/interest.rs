@@ -6,7 +6,7 @@
 //! to this subset of the data" (§3.2.5).
 
 use crate::node::{KindTag, NodeId, NodeKind};
-use crate::tree::{CostDirt, SceneTree};
+use crate::tree::{Dirt, SceneTree};
 use crate::update::SceneUpdate;
 use serde::{Deserialize, Serialize};
 use std::collections::{BTreeSet, HashMap};
@@ -155,9 +155,9 @@ struct Interval {
 /// bit-for-bit those of [`InterestSet::relevant`] against freshly
 /// refreshed closures — proptest-pinned in `tests/proptest_interest.rs`.
 ///
-/// Maintenance is incremental: structural edits drain from
-/// [`SceneTree::drain_structure_dirt`] into [`InterestIndex::repair`],
-/// which re-resolves intervals (O(roots) id lookups) and recomputes only
+/// Maintenance is incremental: the owner reads the tree's `Structure`
+/// edits since its last read ([`SceneTree::changes_since`]) into
+/// [`InterestIndex::repair`], which re-resolves intervals (O(roots) id lookups) and recomputes only
 /// the ancestor chains the dirty ids could have changed, instead of
 /// re-expanding every subscriber's closure against the whole scene.
 #[derive(Debug, Clone, Default)]
@@ -227,19 +227,19 @@ impl InterestIndex {
         self.resolve_intervals(tree);
     }
 
-    /// Fold a drained structural-dirt batch into the index. Intervals are
+    /// Fold a batch of structural edits into the index. Intervals are
     /// re-resolved against the current pre-order; a root's ancestor chain
     /// is recomputed only if the batch touched the root or a node of its
     /// recorded chain — sufficient, because an edit moving node `x` moves
     /// exactly `subtree(x)`, and root `r ∈ subtree(x)` iff `x` is `r` or
     /// on `r`'s chain as recorded before the edit.
-    pub fn repair(&mut self, tree: &SceneTree, dirt: &CostDirt) {
+    pub fn repair(&mut self, tree: &SceneTree, dirt: &Dirt) {
         let dirty_ids: &[NodeId] = match dirt {
-            CostDirt::Clean => return,
-            CostDirt::Nodes(ids) => ids,
-            CostDirt::Everything => &[],
+            Dirt::Clean => return,
+            Dirt::Nodes(ids) => ids,
+            Dirt::Everything => &[],
         };
-        let all = matches!(dirt, CostDirt::Everything);
+        let all = matches!(dirt, Dirt::Everything);
         let mut chains_changed = false;
         for e in &mut self.roots {
             let affected = all
@@ -394,6 +394,15 @@ impl InterestIndex {
 mod tests {
     use super::*;
     use crate::node::{NodeKind, Transform};
+    use crate::tree::{EditClass, EditStamp};
+
+    /// One read of an index owner: the structural edits since `seen`,
+    /// which moves up to now.
+    fn structure_dirt(tree: &mut SceneTree, seen: &mut EditStamp) -> Dirt {
+        let dirt = tree.changes_since(*seen, &[EditClass::Structure]);
+        *seen = tree.edit_stamp();
+        dirt
+    }
 
     fn build_tree() -> (SceneTree, NodeId, NodeId, NodeId) {
         let mut t = SceneTree::new();
@@ -543,24 +552,25 @@ mod tests {
             InterestSet::everything(),
         ];
         let mut ix = InterestIndex::new();
-        tree.drain_structure_dirt();
+        let mut seen = EditStamp::default();
+        structure_dirt(&mut tree, &mut seen);
         ix.rebuild(&tree, sets.iter());
         // Grow the subscribed subtree, move `leaf` across to `right`,
         // remove `left` entirely — repairing from dirt after each edit.
         let grown = tree.add_node(left, "grown", NodeKind::Group).unwrap();
-        let dirt = tree.drain_structure_dirt();
+        let dirt = structure_dirt(&mut tree, &mut seen);
         ix.repair(&tree, &dirt);
         let u = SceneUpdate::SetName { id: grown, name: "g".into() };
         assert_eq!(indexed(&mut ix, &u, &tree), naive(&mut sets, &u, &tree));
 
         tree.reparent(leaf, right).unwrap();
-        let dirt = tree.drain_structure_dirt();
+        let dirt = structure_dirt(&mut tree, &mut seen);
         ix.repair(&tree, &dirt);
         let u = SceneUpdate::SetName { id: leaf, name: "f".into() };
         assert_eq!(indexed(&mut ix, &u, &tree), naive(&mut sets, &u, &tree));
 
         tree.remove(left).unwrap();
-        let dirt = tree.drain_structure_dirt();
+        let dirt = structure_dirt(&mut tree, &mut seen);
         ix.repair(&tree, &dirt);
         // The removed root matches nothing but unknown-target updates now
         // go to everyone — exactly like the refreshed naive scan.
@@ -580,7 +590,8 @@ mod tests {
         let x = tree.add_node(a, "x", NodeKind::Group).unwrap();
         let mut sets = vec![InterestSet::subtrees([x])];
         let mut ix = InterestIndex::new();
-        tree.drain_structure_dirt();
+        let mut seen = EditStamp::default();
+        structure_dirt(&mut tree, &mut seen);
         ix.rebuild(&tree, sets.iter());
         let u_a = SceneUpdate::SetName { id: a, name: "a2".into() };
         let u_b = SceneUpdate::SetName { id: b, name: "b2".into() };
@@ -588,7 +599,7 @@ mod tests {
         assert_eq!(indexed(&mut ix, &u_b, &tree), Vec::<u32>::new());
 
         tree.reparent(x, b).unwrap();
-        let dirt = tree.drain_structure_dirt();
+        let dirt = structure_dirt(&mut tree, &mut seen);
         ix.repair(&tree, &dirt);
         assert_eq!(indexed(&mut ix, &u_a, &tree), naive(&mut sets, &u_a, &tree));
         assert_eq!(indexed(&mut ix, &u_b, &tree), naive(&mut sets, &u_b, &tree));

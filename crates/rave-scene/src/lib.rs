@@ -38,7 +38,7 @@ pub use geometry::{MeshData, PointCloudData, VolumeData};
 pub use interest::{InterestIndex, InterestSet, SubSlot};
 pub use node::{AvatarInfo, Interaction, KindTag, Node, NodeId, NodeKind, Transform};
 pub use tree::{
-    Children, CostDirt, Descendants, EditStamp, NodeMut, NodeRef, SceneTree, TreeError,
+    Children, Descendants, Dirt, EditClass, EditStamp, NodeMut, NodeRef, SceneTree, TreeError,
 };
 pub use update::{SceneUpdate, StampedUpdate, UpdateError};
 pub use wire::WireError;

@@ -61,7 +61,7 @@ use crate::cost::NodeCost;
 use crate::node::{Interaction, KindTag, Node, NodeId, NodeKind, Transform};
 use rave_math::{Aabb, Mat4, Vec3};
 use serde::{Deserialize, Serialize};
-use std::collections::{BTreeMap, HashMap};
+use std::collections::{BTreeMap, HashMap, VecDeque};
 use std::hash::{BuildHasherDefault, Hasher};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::OnceLock;
@@ -150,21 +150,23 @@ impl PayloadBounds {
 
 /// Which render-visible state of which tree: equal stamps mean a render of
 /// the tree reads exactly what it read when the first stamp was taken
-/// ([`SceneTree::edit_stamp`]). Opaque; only `==` means anything.
+/// ([`SceneTree::edit_stamp`]). It is also a position in that tree's edit
+/// journal — the cursor [`SceneTree::changes_since`] reads from. Opaque;
+/// only `==` means anything.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct EditStamp {
     /// Process-unique identity of the tree value, new for every `new`,
     /// `clone` and decode: a tree assigned over another (`rs.scene =
     /// replica`) must not pass for it because their edit counts coincide.
     tree: u64,
+    /// Edits made to that tree so far: the position of its newest one.
     edits: u64,
 }
 
-impl EditStamp {
-    fn fresh() -> Self {
-        static NEXT_TREE: AtomicU64 = AtomicU64::new(0);
-        // Relaxed: the number only has to be unique; it publishes nothing.
-        Self { tree: NEXT_TREE.fetch_add(1, Ordering::Relaxed), edits: 0 }
+impl Default for EditStamp {
+    /// The stamp of no tree: where a reader that has read nothing starts.
+    fn default() -> Self {
+        Self { tree: u64::MAX, edits: 0 }
     }
 }
 
@@ -209,59 +211,61 @@ struct FlatCache {
     id_order: Vec<u32>,
 }
 
-/// What changed since a consumer last drained the tree's cost-dirt log.
-/// This is the scheduler's dirty-set source: instead of re-walking the
-/// whole scene after every edit, an incremental planner asks the tree
-/// which nodes could have changed their own cost or plan eligibility.
+/// What a journalled edit did to the node it names.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum EditClass {
+    /// Inserted, removed or reparented: pre-order positions moved.
+    Structure,
+    /// Handed out by [`SceneTree::node_mut`]: its name, kind (and with it
+    /// its own cost and plan eligibility) or version may have been written.
+    Payload,
+}
+
+/// What [`SceneTree::changes_since`] found past a reader's position.
 #[derive(Debug, Clone, PartialEq, Eq)]
-pub enum CostDirt {
-    /// No cost-relevant edit since the last drain.
+pub enum Dirt {
+    /// No edit of the asked-for classes.
     Clean,
     /// Exactly these nodes were touched (sorted, deduplicated). A listed
     /// id may no longer exist (it was removed) — consumers re-resolve
     /// each id against the tree.
     Nodes(Vec<NodeId>),
-    /// The log overflowed, the tree was cloned/deserialized, or it was
-    /// never drained: assume every node changed.
+    /// The journal cannot answer for that position: assume every node
+    /// changed and re-derive with a full walk.
     Everything,
 }
 
-/// Bounded recorder behind [`SceneTree::drain_cost_dirt`]. Mirrors the
-/// cache-invalidation hooks: every edit that takes the cost cache also
-/// lands here; `set_transform` and `set_camera_pose` are exempt from both.
-#[derive(Debug, Clone)]
-struct DirtLog {
-    /// Monotone count of cost-invalidating edits — cheap staleness probe
-    /// for consumers that only want to know *whether* anything changed.
-    epoch: u64,
-    nodes: Vec<NodeId>,
-    /// Log overflowed (or was never drained): the node list is
-    /// meaningless and the next drain reports [`CostDirt::Everything`].
-    saturated: bool,
+/// Entries the journal retains. A reader further behind than this would
+/// gain nothing from an enumeration over a full re-walk.
+const JOURNAL_CAP: usize = 512;
+
+/// The tree's edit journal: its identity, its edit count, and a bounded
+/// tail of `(position, node, class)` entries any number of readers read by
+/// position. Like the caches, derived data: never serialized, never
+/// compared, new for every clone.
+#[derive(Debug)]
+struct Journal {
+    /// What [`SceneTree::edit_stamp`] hands out; `head.edits` is the
+    /// position of the newest edit.
+    head: EditStamp,
+    /// Every entry noted past this position is still in `entries`: the
+    /// position recording began at (the first read — a tree nobody reads
+    /// stores nothing), later that of the newest entry dropped.
+    /// `u64::MAX` until then, which no reader's position reaches.
+    complete_from: u64,
+    entries: VecDeque<(u64, NodeId, EditClass)>,
 }
 
-/// Past this many distinct touches between drains, enumerating dirt is
-/// no cheaper than a full re-walk for the consumer — give up and report
-/// `Everything`.
-const DIRT_LOG_CAP: usize = 512;
-
-impl DirtLog {
-    /// Fresh trees (and clones / deserialized trees) start saturated: a
-    /// consumer that has never drained must treat everything as dirty.
-    fn saturated() -> Self {
-        Self { epoch: 0, nodes: Vec::new(), saturated: true }
-    }
-
-    fn note(&mut self, id: NodeId) {
-        self.epoch += 1;
-        if self.saturated {
-            return;
-        }
-        if self.nodes.len() >= DIRT_LOG_CAP {
-            self.nodes = Vec::new();
-            self.saturated = true;
-        } else {
-            self.nodes.push(id);
+impl Journal {
+    /// The journal of a new tree value, under an identity of its own.
+    fn fresh() -> Self {
+        static NEXT_TREE: AtomicU64 = AtomicU64::new(0);
+        // Relaxed: the number only has to be unique; it publishes nothing.
+        let tree = NEXT_TREE.fetch_add(1, Ordering::Relaxed);
+        Self {
+            head: EditStamp { tree, edits: 0 },
+            complete_from: u64::MAX,
+            entries: VecDeque::new(),
         }
     }
 }
@@ -290,17 +294,9 @@ pub struct SceneTree {
     /// Per-slot subtree-cost aggregates; invalidated by structural *and*
     /// kind edits, exempt from transform updates.
     costs: OnceLock<Vec<NodeCost>>,
-    /// Cost-invalidation export for incremental consumers — like the
-    /// caches, derived data: never serialized, never compared.
-    dirt: DirtLog,
-    /// Structure-invalidation export: which nodes were touched by edits
-    /// that move pre-order positions (insert/remove/reparent). A second,
-    /// independent log so the interest index and the scheduler can each
-    /// drain at their own cadence without starving the other.
-    sdirt: DirtLog,
-    /// Bumped by every edit a render can see — derived data like the
-    /// caches: never serialized, never compared.
-    stamp: EditStamp,
+    /// Identity, edit count and the per-node record of edits
+    /// ([`SceneTree::edit_stamp`], [`SceneTree::changes_since`]).
+    journal: Journal,
 }
 
 impl std::fmt::Debug for SceneTree {
@@ -332,13 +328,9 @@ impl Clone for SceneTree {
             next_id: self.next_id,
             structure: OnceLock::new(),
             costs: OnceLock::new(),
-            // The clone has new consumers with no drain history: report
-            // Everything on their first drain.
-            dirt: DirtLog::saturated(),
-            sdirt: DirtLog::saturated(),
             // A copy is another tree: edits to it are not edits to the
-            // source, whatever the two counters read.
-            stamp: EditStamp::fresh(),
+            // source, and no reader of the source has read it.
+            journal: Journal::fresh(),
         }
     }
 }
@@ -412,9 +404,7 @@ impl SceneTree {
             next_id: 1,
             structure: OnceLock::new(),
             costs: OnceLock::new(),
-            dirt: DirtLog::saturated(),
-            sdirt: DirtLog::saturated(),
-            stamp: EditStamp::fresh(),
+            journal: Journal::fresh(),
         };
         tree.root_slot = tree.alloc_slot(root, NIL, "root", NodeKind::Group);
         tree
@@ -537,15 +527,6 @@ impl SceneTree {
         h.next_sibling = NIL;
     }
 
-    fn invalidate_structure(&mut self) {
-        self.structure.take();
-        self.costs.take();
-    }
-
-    fn invalidate_costs(&mut self) {
-        self.costs.take();
-    }
-
     /// The kept payload bounds, built on first use: one pass over every
     /// payload, the last this tree makes unasked.
     fn kept_bounds(&self) -> &[PayloadBounds] {
@@ -567,10 +548,30 @@ impl SceneTree {
         }
     }
 
-    /// Note an edit a render can see. Called by every `&mut self` path
-    /// that writes a transform, a payload or a link; one add.
-    fn touch(&mut self) {
-        self.stamp.edits += 1;
+    /// The one way an edit becomes known: every `&mut self` path that
+    /// writes a link, a payload or a pose calls this once per node it
+    /// names, and nothing else writes the caches, the journal or the
+    /// position. `Structure` takes both caches, `Payload` the cost cache,
+    /// and each leaves an entry once somebody reads; a pose write (`None`:
+    /// a transform, a camera pose — neither structure nor [`NodeCost`]
+    /// depends on one, and nothing reads per-node pose dirt yet) moves the
+    /// position and is one add.
+    #[inline]
+    fn edited(&mut self, id: NodeId, class: Option<EditClass>) {
+        let journal = &mut self.journal;
+        journal.head.edits += 1;
+        let Some(class) = class else { return };
+        self.costs.take();
+        if class == EditClass::Structure {
+            self.structure.take();
+        }
+        if journal.complete_from != u64::MAX {
+            if journal.entries.len() == JOURNAL_CAP {
+                let (dropped, ..) = journal.entries.pop_front().expect("the cap is not zero");
+                journal.complete_from = dropped;
+            }
+            journal.entries.push_back((journal.head.edits, id, class));
+        }
     }
 
     /// The structure cache, built on first use after an edit: one O(n)
@@ -658,11 +659,9 @@ impl SceneTree {
     /// structure cache survives.
     pub fn node_mut(&mut self, id: NodeId) -> Option<NodeMut<'_>> {
         let slot = self.slot(id)?;
-        self.invalidate_costs();
-        self.dirt.note(id);
-        // At hand-out, as for the cost cache: every setter of the view
-        // (kind, transform) is behind this call.
-        self.touch();
+        // At hand-out: every setter of the view (kind, transform) is
+        // behind this call.
+        self.edited(id, Some(EditClass::Payload));
         Some(NodeMut { tree: self, slot, kind_touched: false })
     }
 
@@ -703,9 +702,7 @@ impl SceneTree {
             next_id,
             structure: OnceLock::new(),
             costs: OnceLock::new(),
-            dirt: DirtLog::saturated(),
-            sdirt: DirtLog::saturated(),
-            stamp: EditStamp::fresh(),
+            journal: Journal::fresh(),
         };
         tree.index.reserve(nodes.len());
         tree.root_slot = tree.alloc_slot(root, NIL, root_rec.name.clone(), root_rec.kind.clone());
@@ -781,10 +778,7 @@ impl SceneTree {
         let slot = self.alloc_slot(id, parent_slot, name, kind);
         self.link_last_child(parent_slot, slot);
         self.next_id = self.next_id.max(id.0 + 1);
-        self.invalidate_structure();
-        self.dirt.note(id);
-        self.sdirt.note(id);
-        self.touch();
+        self.edited(id, Some(EditClass::Structure));
         Ok(())
     }
 
@@ -822,11 +816,8 @@ impl SceneTree {
             self.free.push(s);
         }
         self.live -= removed.len();
-        self.invalidate_structure();
-        self.touch();
         for &id in &removed {
-            self.dirt.note(id);
-            self.sdirt.note(id);
+            self.edited(id, Some(EditClass::Structure));
         }
         Ok(removed)
     }
@@ -860,12 +851,9 @@ impl SceneTree {
             self.unlink_child(slot);
             self.link_last_child(parent_slot, slot);
         }
-        self.invalidate_structure();
-        // A reparent leaves the node's own cost unchanged, but consumers
-        // tracking subtree membership still want to hear about it.
-        self.dirt.note(id);
-        self.sdirt.note(id);
-        self.touch();
+        // The node's own cost is unchanged; readers tracking subtree
+        // membership still want to hear about it.
+        self.edited(id, Some(EditClass::Structure));
         Ok(())
     }
 
@@ -1201,7 +1189,7 @@ impl SceneTree {
             Some(s) => {
                 self.hot[s as usize].transform = t;
                 self.cold[s as usize].version += 1;
-                self.touch();
+                self.edited(id, None);
                 true
             }
             None => false,
@@ -1216,7 +1204,7 @@ impl SceneTree {
     /// Like [`SceneTree::set_transform`] it bypasses
     /// [`SceneTree::node_mut`]: a camera's or an avatar's
     /// [`NodeKind::cost`] does not depend on its pose, so the cost cache
-    /// stays warm and no cost dirt is noted — the per-tick `CameraMoved`
+    /// stays warm and the journal gets no entry — the per-tick `CameraMoved`
     /// stream never forces a replan to rebuild. It does move the
     /// [`EditStamp`], and the kept bounds follow (a `Camera`'s box sits at
     /// its position).
@@ -1232,11 +1220,11 @@ impl SceneTree {
         t.rotation = camera.orientation;
         self.cold[s as usize].version += 1;
         self.refresh_kept_bounds(s);
-        self.touch();
+        self.edited(id, None);
         Ok(())
     }
 
-    // ---- edit stamp -----------------------------------------------------
+    // ---- edit stamp and journal -----------------------------------------
 
     /// Which render-visible state of which tree this is. While two stamps
     /// taken from a `SceneTree` value compare equal, nothing a render reads
@@ -1246,62 +1234,41 @@ impl SceneTree {
     /// out), and a clone or a decoded tree starts under an identity of its
     /// own. Unequal stamps promise nothing: a no-op edit moves it too.
     pub fn edit_stamp(&self) -> EditStamp {
-        self.stamp
+        self.journal.head
     }
 
-    // ---- cost-dirt export -----------------------------------------------
-
-    /// Monotone count of cost-invalidating edits. Two equal epochs mean
-    /// no node's own cost (or plan eligibility) changed in between —
-    /// the cheap "anything to do?" probe for incremental planners.
-    /// Transform updates are exempt, exactly like the cost cache.
-    pub fn cost_epoch(&self) -> u64 {
-        self.dirt.epoch
-    }
-
-    /// Drain the accumulated cost-dirt log: which nodes were touched by
-    /// cost-invalidating edits since the last drain. Resets the log to
-    /// [`CostDirt::Clean`]. Fresh, cloned and deserialized trees report
-    /// [`CostDirt::Everything`] on their first drain, as does any tree
-    /// whose log overflowed — consumers must then re-derive their view
-    /// with a full walk.
-    pub fn drain_cost_dirt(&mut self) -> CostDirt {
-        let out = if self.dirt.saturated {
-            CostDirt::Everything
-        } else if self.dirt.nodes.is_empty() {
-            CostDirt::Clean
-        } else {
-            let mut ids = std::mem::take(&mut self.dirt.nodes);
-            ids.sort_unstable();
-            ids.dedup();
-            CostDirt::Nodes(ids)
-        };
-        self.dirt = DirtLog { epoch: self.dirt.epoch, nodes: Vec::new(), saturated: false };
-        out
-    }
-
-    // ---- structure-dirt export ------------------------------------------
-
-    /// Drain the accumulated structural-dirt log: which nodes were
-    /// inserted, removed or reparented since the last drain. Same
-    /// contract as [`SceneTree::drain_cost_dirt`] (fresh/cloned/
-    /// deserialized trees and overflowed logs report
-    /// [`CostDirt::Everything`]; listed ids may no longer exist) but on
-    /// an independent log, so the interest index draining here never
-    /// starves the scheduler draining the cost log.
-    pub fn drain_structure_dirt(&mut self) -> CostDirt {
-        let out = if self.sdirt.saturated {
-            CostDirt::Everything
-        } else if self.sdirt.nodes.is_empty() {
-            CostDirt::Clean
-        } else {
-            let mut ids = std::mem::take(&mut self.sdirt.nodes);
-            ids.sort_unstable();
-            ids.dedup();
-            CostDirt::Nodes(ids)
-        };
-        self.sdirt = DirtLog { epoch: self.sdirt.epoch, nodes: Vec::new(), saturated: false };
-        out
+    /// Which nodes did edits of `classes` name since `since` was taken?
+    /// The reader keeps its own position — the stamp it took at its last
+    /// read — so any number of readers follow one tree, each at its own
+    /// pace, and none changes what another reads. [`Dirt::Everything`]
+    /// whenever the journal cannot vouch for that position: a stamp of
+    /// another tree value (a clone, a decoded copy, a tree assigned over
+    /// this one), one older than the oldest of the [`JOURNAL_CAP`] entries
+    /// kept, or one from before the tree's first read, which is what
+    /// starts the recording. Pose writes leave no entry.
+    pub fn changes_since(&mut self, since: EditStamp, classes: &[EditClass]) -> Dirt {
+        let journal = &mut self.journal;
+        let complete = since.tree == journal.head.tree && since.edits >= journal.complete_from;
+        if journal.complete_from == u64::MAX {
+            journal.complete_from = journal.head.edits;
+        }
+        if !complete {
+            return Dirt::Everything;
+        }
+        let mut ids: Vec<NodeId> = journal
+            .entries
+            .iter()
+            .rev()
+            .take_while(|&&(position, ..)| position > since.edits)
+            .filter(|(.., class)| classes.contains(class))
+            .map(|&(_, id, _)| id)
+            .collect();
+        if ids.is_empty() {
+            return Dirt::Clean;
+        }
+        ids.sort_unstable();
+        ids.dedup();
+        Dirt::Nodes(ids)
     }
 
     /// A node's subtree as its contiguous pre-order slice: `(pos, len)`
@@ -1946,104 +1913,183 @@ mod tests {
         assert_eq!(t.total_cost().polygons, 1);
     }
 
-    #[test]
-    fn cost_dirt_log_tracks_the_invalidation_contract() {
-        let mut t = SceneTree::new();
-        // Never drained: everything is dirty.
-        assert_eq!(t.drain_cost_dirt(), CostDirt::Everything);
-        assert_eq!(t.drain_cost_dirt(), CostDirt::Clean, "drain resets the log");
+    const ALL: &[EditClass] = &[EditClass::Structure, EditClass::Payload];
 
-        let epoch0 = t.cost_epoch();
+    /// One read of a reader that keeps its position in `seen`.
+    fn read(t: &mut SceneTree, seen: &mut EditStamp, classes: &[EditClass]) -> Dirt {
+        let dirt = t.changes_since(*seen, classes);
+        *seen = t.edit_stamp();
+        dirt
+    }
+
+    #[test]
+    fn the_journal_tracks_the_invalidation_contract() {
+        let mut t = SceneTree::new();
+        // A reader that has read nothing: everything is dirty.
+        let mut seen = EditStamp::default();
+        assert_eq!(read(&mut t, &mut seen, ALL), Dirt::Everything);
+        assert_eq!(read(&mut t, &mut seen, ALL), Dirt::Clean, "nothing since that read");
+
         let a = t.add_node(t.root(), "a", tri_mesh()).unwrap();
         let b = t.add_node(t.root(), "b", tri_mesh()).unwrap();
-        assert!(t.cost_epoch() > epoch0, "inserts bump the epoch");
-        assert_eq!(t.drain_cost_dirt(), CostDirt::Nodes(vec![a, b]));
+        assert_eq!(read(&mut t, &mut seen, ALL), Dirt::Nodes(vec![a, b]));
 
         // set_transform is exempt, exactly like the cost cache.
-        let epoch = t.cost_epoch();
         t.set_transform(a, Transform::from_translation(Vec3::new(1.0, 0.0, 0.0)));
-        assert_eq!(t.cost_epoch(), epoch, "set_transform must not dirty costs");
-        assert_eq!(t.drain_cost_dirt(), CostDirt::Clean);
+        assert_ne!(t.edit_stamp(), seen, "a render must see the move");
+        assert_eq!(read(&mut t, &mut seen, ALL), Dirt::Clean, "set_transform must not dirty costs");
 
-        // node_mut touches are recorded and deduplicated.
+        // node_mut touches are recorded and deduplicated, under their class.
         t.node_mut(a).unwrap().bump_version();
         t.node_mut(a).unwrap().bump_version();
-        assert_eq!(t.drain_cost_dirt(), CostDirt::Nodes(vec![a]));
+        assert_eq!(t.changes_since(seen, &[EditClass::Structure]), Dirt::Clean);
+        assert_eq!(t.changes_since(seen, &[EditClass::Payload]), Dirt::Nodes(vec![a]));
+        assert_eq!(read(&mut t, &mut seen, ALL), Dirt::Nodes(vec![a]));
 
         // A subtree removal reports every removed id.
         let c = t.add_node(b, "c", tri_mesh()).unwrap();
-        t.drain_cost_dirt();
+        read(&mut t, &mut seen, ALL);
         t.remove(b).unwrap();
-        assert_eq!(t.drain_cost_dirt(), CostDirt::Nodes(vec![b, c]));
+        assert_eq!(read(&mut t, &mut seen, ALL), Dirt::Nodes(vec![b, c]));
+    }
+
+    /// A position is the reader's own: a second reader, reading at another
+    /// pace or other classes, sees every edit since *its* last read.
+    #[test]
+    fn one_reader_never_changes_what_another_reads() {
+        let mut t = SceneTree::new();
+        let (mut planner, mut index) = (EditStamp::default(), EditStamp::default());
+        read(&mut t, &mut planner, ALL);
+        read(&mut t, &mut index, &[EditClass::Structure]);
+        let a = t.add_node(t.root(), "a", tri_mesh()).unwrap();
+        assert_eq!(read(&mut t, &mut planner, ALL), Dirt::Nodes(vec![a]));
+        let b = t.add_node(t.root(), "b", tri_mesh()).unwrap();
+        t.node_mut(b).unwrap().set_kind(NodeKind::Group);
+        assert_eq!(read(&mut t, &mut planner, ALL), Dirt::Nodes(vec![b]));
+        assert_eq!(read(&mut t, &mut planner, ALL), Dirt::Clean);
+        assert_eq!(read(&mut t, &mut index, &[EditClass::Structure]), Dirt::Nodes(vec![a, b]));
     }
 
     #[test]
-    fn cost_dirt_log_saturates_to_everything() {
+    fn a_reader_too_far_behind_reads_everything() {
         let mut t = SceneTree::new();
-        t.drain_cost_dirt();
-        let mut last = t.root();
-        for i in 0..(DIRT_LOG_CAP + 10) {
+        let (mut behind, mut exact) = (EditStamp::default(), EditStamp::default());
+        read(&mut t, &mut behind, ALL);
+        let first = t.add_node(t.root(), "first", NodeKind::Group).unwrap();
+        read(&mut t, &mut exact, ALL);
+        let mut last = first;
+        for i in 0..JOURNAL_CAP {
             last = t.add_node(t.root(), format!("n{i}"), NodeKind::Group).unwrap();
         }
-        assert_eq!(t.drain_cost_dirt(), CostDirt::Everything);
-        // The saturated state drains away: subsequent edits enumerate.
+        // The cap counts entries: `JOURNAL_CAP` of them are all retained,
+        // one more and the oldest is gone.
+        assert!(
+            matches!(t.changes_since(exact, ALL), Dirt::Nodes(ids) if ids.len() == JOURNAL_CAP)
+        );
+        assert_eq!(read(&mut t, &mut behind, ALL), Dirt::Everything);
+        // Having caught up, it enumerates again.
         t.node_mut(last).unwrap().bump_version();
-        assert_eq!(t.drain_cost_dirt(), CostDirt::Nodes(vec![last]));
+        assert_eq!(read(&mut t, &mut behind, ALL), Dirt::Nodes(vec![last]));
+        assert_eq!(t.journal.entries.len(), JOURNAL_CAP, "the journal is bounded");
     }
 
     #[test]
-    fn clones_report_everything_dirty() {
+    fn a_stamp_of_another_tree_reads_everything() {
         let mut t = SceneTree::new();
+        let mut seen = EditStamp::default();
         t.add_node(t.root(), "a", tri_mesh()).unwrap();
-        t.drain_cost_dirt();
+        read(&mut t, &mut seen, ALL);
         let mut copy = t.clone();
-        assert_eq!(copy.drain_cost_dirt(), CostDirt::Everything);
-        assert_eq!(t.drain_cost_dirt(), CostDirt::Clean, "source log untouched");
+        assert_eq!(copy.changes_since(seen, ALL), Dirt::Everything);
+        assert_eq!(copy.changes_since(seen, ALL), Dirt::Everything, "however often it asks");
+        assert_eq!(t.changes_since(seen, ALL), Dirt::Clean, "the source is untouched");
+        // A tree nobody reads stores nothing, and a stamp from before the
+        // first read cannot be answered for.
+        let mut unread = SceneTree::new();
+        let early = unread.edit_stamp();
+        unread.add_node(unread.root(), "a", tri_mesh()).unwrap();
+        assert!(unread.journal.entries.is_empty());
+        assert_eq!(unread.changes_since(early, ALL), Dirt::Everything);
     }
 
-    /// The frame-reuse contract from the tree's side: every public `&mut
-    /// self` method that writes node state moves the stamp, whether or not
-    /// the write changed anything; reads, drains, the id allocator and
-    /// refused edits leave it alone.
+    /// The edit hook's whole contract, one row per public mutator: every
+    /// `&mut self` method that writes node state moves the stamp, whether
+    /// or not the write changed anything, takes the caches its class says
+    /// and leaves the journal entries its class says (none for a pose
+    /// write); reads, the id allocator and refused edits do none of it.
     #[test]
     fn every_edit_a_render_can_see_moves_the_edit_stamp() {
+        use EditClass::{Payload, Structure};
         let mut t = SceneTree::new();
         let root = t.root();
-        let mut last = t.edit_stamp();
-        let mut moved = |t: &SceneTree, what: &str| {
-            assert_ne!(t.edit_stamp(), last, "{what} must move the stamp");
-            last = t.edit_stamp();
+        t.changes_since(EditStamp::default(), ALL);
+        // (what, the edit and the nodes it names, its journal class)
+        let row = |t: &mut SceneTree,
+                   what: &str,
+                   edit: &mut dyn FnMut(&mut SceneTree) -> NodeId,
+                   class: Option<EditClass>| {
+            t.total_cost();
+            assert!(t.structure_cache_is_warm() && t.cost_cache_is_warm());
+            let before = t.edit_stamp();
+            let named = edit(t);
+            assert_ne!(t.edit_stamp(), before, "{what} must move the stamp");
+            assert_eq!(t.structure_cache_is_warm(), class != Some(Structure), "{what}: structure");
+            assert_eq!(t.cost_cache_is_warm(), class.is_none(), "{what}: cost cache");
+            for asked in [Structure, Payload] {
+                let want =
+                    if class == Some(asked) { Dirt::Nodes(vec![named]) } else { Dirt::Clean };
+                assert_eq!(t.changes_since(before, &[asked]), want, "{what}: {asked:?} entries");
+            }
+            named
         };
-        let a = t.add_node(root, "a", tri_mesh()).unwrap();
-        moved(&t, "add_node");
+        let a = row(
+            &mut t,
+            "add_node",
+            &mut |t| t.add_node(root, "a", tri_mesh()).unwrap(),
+            Some(Structure),
+        );
         let id = t.allocate_id();
-        t.insert_with_id(id, root, "b", NodeKind::Group).unwrap();
-        moved(&t, "insert_with_id");
-        t.set_transform(a, Transform::from_translation(Vec3::X));
-        moved(&t, "set_transform");
-        t.set_transform(a, Transform::from_translation(Vec3::X));
-        moved(&t, "set_transform to the value it has");
-        t.reparent(a, id).unwrap();
-        moved(&t, "reparent");
-        t.reparent(a, id).unwrap();
-        moved(&t, "reparent to the same parent");
-        t.node_mut(a).unwrap().set_kind(NodeKind::Group);
-        moved(&t, "set_kind");
-        *t.node_mut(a).unwrap().kind_mut() = tri_mesh();
-        moved(&t, "kind_mut");
-        t.node_mut(a).unwrap().transform_mut().translation = Vec3::Y;
-        moved(&t, "transform_mut");
-        t.node_mut(a).unwrap().set_transform(Transform::IDENTITY);
-        moved(&t, "NodeMut::set_transform");
-        t.node_mut(a).unwrap().set_name("renamed");
-        moved(&t, "node_mut, conservatively");
+        row(
+            &mut t,
+            "insert_with_id",
+            &mut |t| t.insert_with_id(id, root, "b", NodeKind::Group).map(|()| id).unwrap(),
+            Some(Structure),
+        );
+        let shift = Transform::from_translation(Vec3::X);
+        row(&mut t, "set_transform", &mut |t| (t.set_transform(a, shift), a).1, None);
+        row(
+            &mut t,
+            "set_transform to the value it has",
+            &mut |t| (t.set_transform(a, shift), a).1,
+            None,
+        );
+        row(&mut t, "reparent", &mut |t| t.reparent(a, id).map(|()| a).unwrap(), Some(Structure));
+        row(
+            &mut t,
+            "reparent to the same parent",
+            &mut |t| t.reparent(a, id).map(|()| a).unwrap(),
+            Some(Structure),
+        );
+        let mut view = |what: &str, write: &dyn Fn(&mut NodeMut<'_>)| {
+            row(&mut t, what, &mut |t| (write(&mut t.node_mut(a).unwrap()), a).1, Some(Payload));
+        };
+        view("set_kind", &|n| n.set_kind(NodeKind::Group));
+        view("kind_mut", &|n| *n.kind_mut() = tri_mesh());
+        view("transform_mut", &|n| n.transform_mut().translation = Vec3::Y);
+        view("NodeMut::set_transform", &|n| n.set_transform(Transform::IDENTITY));
+        view("node_mut, conservatively", &|n| n.set_name("renamed"));
         let mut other = SceneTree::new();
         let far = NodeId(77);
         other.insert_with_id(far, other.root(), "far", tri_mesh()).unwrap();
-        t.merge_subset(&other);
-        moved(&t, "merge_subset");
-        t.remove(far).unwrap();
-        moved(&t, "remove");
+        row(&mut t, "merge_subset", &mut |t| (t.merge_subset(&other), far).1, Some(Structure));
+        row(&mut t, "remove", &mut |t| t.remove(far).map(|_| far).unwrap(), Some(Structure));
+        let cam = t.add_node(root, "cam", NodeKind::Camera(CameraParams::default())).unwrap();
+        row(
+            &mut t,
+            "set_camera_pose",
+            &mut |t| t.set_camera_pose(cam, CameraParams::default()).map(|()| cam).unwrap(),
+            None,
+        );
 
         // What must not move it, or no frame would ever be reused.
         let before = t.edit_stamp();
@@ -2051,8 +2097,8 @@ mod tests {
         t.total_cost();
         t.descendants(root);
         t.check_invariants().unwrap();
-        t.drain_cost_dirt();
-        t.drain_structure_dirt();
+        t.changes_since(before, ALL);
+        t.changes_since(EditStamp::default(), ALL);
         t.allocate_id();
         t.reserve(8);
         t.merge_subset(&SceneTree::new());
@@ -2060,8 +2106,11 @@ mod tests {
         assert!(t.reparent(id, a).is_err());
         assert!(t.insert_with_id(a, root, "dup", NodeKind::Group).is_err());
         assert!(!t.set_transform(NodeId(999), Transform::IDENTITY));
+        assert!(t.set_camera_pose(a, CameraParams::default()).is_err());
         assert!(t.node_mut(NodeId(999)).is_none());
         assert_eq!(t.edit_stamp(), before);
+        assert_eq!(t.changes_since(before, ALL), Dirt::Clean);
+        assert!(t.structure_cache_is_warm() && t.cost_cache_is_warm());
     }
 
     /// Two trees never share a stamp, however equal they are: a clone, a

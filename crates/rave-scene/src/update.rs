@@ -305,11 +305,12 @@ mod tests {
     }
 
     /// Camera motion is the per-tick update stream: it must neither drop
-    /// the O(n) cost aggregate nor fill the cost-dirt log (600 moves are
+    /// the O(n) cost aggregate nor fill the edit journal (600 moves are
     /// past its cap), or the next replan rebuilds a plan no edit touched.
     #[test]
     fn camera_moved_is_a_pose_write_not_a_cost_edit() {
-        use crate::CostDirt;
+        use crate::{Dirt, EditClass, EditStamp};
+        let all = [EditClass::Structure, EditClass::Payload];
         let mut tree = SceneTree::new();
         let mesh = tree.add_node(tree.root(), "m", mesh_kind()).unwrap();
         let cam =
@@ -322,8 +323,11 @@ mod tests {
         let av = tree.add_node(tree.root(), "av", avatar).unwrap();
         let before = tree.world_bounds(cam); // bounds are kept from here on
         let polygons = tree.total_cost().polygons; // and the cost cache is warm
-        assert_eq!(tree.drain_cost_dirt(), CostDirt::Everything);
-        let (epoch, stamp) = (tree.cost_epoch(), tree.edit_stamp());
+        assert_eq!(tree.changes_since(EditStamp::default(), &all), Dirt::Everything);
+        // One entry from before the moves, for them not to push out.
+        let stamp = tree.edit_stamp();
+        tree.node_mut(mesh).unwrap().bump_version();
+        tree.total_cost();
         let version = |tree: &SceneTree, id| tree.node(id).unwrap().version();
         let (av_version, mesh_version) = (version(&tree, av), version(&tree, mesh));
 
@@ -334,8 +338,7 @@ mod tests {
             SceneUpdate::CameraMoved { id, camera: pose }.apply(&mut tree).unwrap();
         }
         assert!(tree.cost_cache_is_warm());
-        assert_eq!(tree.cost_epoch(), epoch);
-        assert_eq!(tree.drain_cost_dirt(), CostDirt::Clean);
+        assert_eq!(tree.changes_since(stamp, &all), Dirt::Nodes(vec![mesh]));
         assert_eq!(tree.total_cost().polygons, polygons);
         assert_ne!(tree.edit_stamp(), stamp, "a render must see the move");
         assert_eq!(version(&tree, av), av_version + 300);
@@ -353,7 +356,8 @@ mod tests {
         let stamp = tree.edit_stamp();
         SceneUpdate::CameraMoved { id: mesh, camera: pose }.apply(&mut tree).unwrap_err();
         assert!(tree.cost_cache_is_warm());
-        assert_eq!((tree.edit_stamp(), tree.cost_epoch()), (stamp, epoch));
+        assert_eq!(tree.edit_stamp(), stamp);
+        assert_eq!(tree.changes_since(stamp, &all), Dirt::Clean);
         assert_eq!(version(&tree, mesh), mesh_version);
     }
 

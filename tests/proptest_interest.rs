@@ -12,9 +12,18 @@ use rave::core::world::{publish_batch, RaveWorld};
 use rave::core::RaveConfig;
 use rave::math::Vec3;
 use rave::scene::{
-    AvatarInfo, InterestIndex, InterestSet, NodeId, NodeKind, SceneTree, SceneUpdate, Transform,
+    AvatarInfo, Dirt, EditClass, EditStamp, InterestIndex, InterestSet, NodeId, NodeKind,
+    SceneTree, SceneUpdate, Transform,
 };
 use rave::sim::Simulation;
+
+/// One read of an index owner: the tree's structural edits since `seen`,
+/// which moves up to now.
+fn structure_dirt(tree: &mut SceneTree, seen: &mut EditStamp) -> Dirt {
+    let dirt = tree.changes_since(*seen, &[EditClass::Structure]);
+    *seen = tree.edit_stamp();
+    dirt
+}
 
 /// A structural edit against whatever nodes the tree currently holds
 /// (picks are reduced modulo the live node count at apply time).
@@ -100,7 +109,7 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
     /// Arbitrary edit storms, folded into the index strictly through
-    /// `drain_structure_dirt` → `repair` (never a rebuild), keep every
+    /// `changes_since` → `repair` (never a rebuild), keep every
     /// routing decision identical to the refreshed naive scan — including
     /// updates to nodes that left the tree mid-storm (unknown-target
     /// conservatism) and roots that were removed or reparented (interval
@@ -132,7 +141,8 @@ proptest! {
             .collect();
 
         let mut ix = InterestIndex::new();
-        let _ = tree.drain_structure_dirt();
+        let mut seen = EditStamp::default();
+        let _ = structure_dirt(&mut tree, &mut seen);
         ix.rebuild(&tree, sets.iter());
 
         let mut removed: Vec<NodeId> = Vec::new();
@@ -172,7 +182,7 @@ proptest! {
                         .unwrap();
                 }
             }
-            let dirt = tree.drain_structure_dirt();
+            let dirt = structure_dirt(&mut tree, &mut seen);
             ix.repair(&tree, &dirt);
             check_probes(&mut ix, &mut sets, &mut tree, &removed, step * 31 + 7);
         }
@@ -258,7 +268,8 @@ fn presence_reaches_narrow_subscribers() {
     let hidden = tree.add_node(tree.root(), "hidden", NodeKind::Group).unwrap();
     let mut sets = vec![InterestSet::subtrees([shown]), InterestSet::everything()];
     let mut ix = InterestIndex::new();
-    let _ = tree.drain_structure_dirt();
+    let mut seen = EditStamp::default();
+    let _ = structure_dirt(&mut tree, &mut seen);
     ix.rebuild(&tree, sets.iter());
 
     // The avatar joins under the *unsubscribed* branch — still everyone's.
@@ -275,7 +286,7 @@ fn presence_reaches_narrow_subscribers() {
     };
     assert_eq!(indexed(&mut ix, &join, &tree), vec![0, 1], "join reaches everyone");
     join.apply(&mut tree).unwrap();
-    let dirt = tree.drain_structure_dirt();
+    let dirt = structure_dirt(&mut tree, &mut seen);
     ix.repair(&tree, &dirt);
 
     let motion = SceneUpdate::CameraMoved { id: av, camera: Default::default() };

@@ -4,8 +4,8 @@
 use proptest::prelude::*;
 use rave::math::{Aabb, Quat, Vec3};
 use rave::scene::{
-    wire, AuditTrail, AvatarInfo, CameraParams, MeshData, NodeCost, NodeId, NodeKind,
-    PointCloudData, SceneTree, SceneUpdate, StampedUpdate, Transform, VolumeData,
+    wire, AuditTrail, AvatarInfo, CameraParams, Dirt, EditClass, EditStamp, MeshData, NodeCost,
+    NodeId, NodeKind, PointCloudData, SceneTree, SceneUpdate, StampedUpdate, Transform, VolumeData,
 };
 use std::collections::BTreeMap;
 use std::sync::Arc;
@@ -545,6 +545,208 @@ proptest! {
                     "finite box of {} after {:?}", id, op
                 );
             }
+        }
+    }
+}
+
+// ---- the edit journal against an unbounded list of everything noted ----
+
+/// One step of a journal script. Picks are reduced modulo the live nodes
+/// plus one, the extra pick being an id the tree does not hold, so refused
+/// edits are part of every script. `Storm` is `n` payload touches of one
+/// node, the way past the journal's cap; `Swap` assigns a clone over the
+/// tree, so every stamp held is of another tree; `Peek` has a reader take
+/// the current stamp without reading (what a consumer that rebuilt its view
+/// from the tree itself does); `Read`'s mask asks for `Structure` with bit
+/// 0 and for `Payload` with bit 1.
+#[derive(Debug, Clone)]
+enum JournalOp {
+    Add { parent: usize },
+    InsertWithId { parent: usize, taken: bool },
+    Remove { pick: usize },
+    Reparent { pick: usize, dest: usize },
+    NodeMut { pick: usize, write: u8 },
+    Storm { pick: usize, n: usize },
+    SetTransform { pick: usize },
+    SetCameraPose { pick: usize },
+    Merge { parent: usize },
+    Swap,
+    Peek { reader: usize },
+    Read { reader: usize, mask: u8 },
+}
+
+fn journal_op_strategy() -> impl Strategy<Value = JournalOp> {
+    let pick = any::<usize>;
+    prop_oneof![
+        pick().prop_map(|parent| JournalOp::Add { parent }),
+        (pick(), any::<bool>())
+            .prop_map(|(parent, taken)| JournalOp::InsertWithId { parent, taken }),
+        pick().prop_map(|pick| JournalOp::Remove { pick }),
+        (pick(), pick()).prop_map(|(pick, dest)| JournalOp::Reparent { pick, dest }),
+        (pick(), 0u8..3).prop_map(|(pick, write)| JournalOp::NodeMut { pick, write }),
+        (pick(), 0usize..700).prop_map(|(pick, n)| JournalOp::Storm { pick, n }),
+        pick().prop_map(|pick| JournalOp::SetTransform { pick }),
+        pick().prop_map(|pick| JournalOp::SetCameraPose { pick }),
+        pick().prop_map(|parent| JournalOp::Merge { parent }),
+        Just(JournalOp::Swap),
+        pick().prop_map(|reader| JournalOp::Peek { reader }),
+        (pick(), 0u8..4).prop_map(|(reader, mask)| JournalOp::Read { reader, mask }),
+        (pick(), 0u8..4).prop_map(|(reader, mask)| JournalOp::Read { reader, mask }),
+    ]
+}
+
+/// Where a reader stands: the stamp it holds and, for the reference, which
+/// tree value it is of and how many events that tree had seen by then.
+#[derive(Clone, Copy)]
+struct Reader {
+    stamp: EditStamp,
+    tree: Option<usize>,
+    at: usize,
+}
+
+proptest! {
+    /// `changes_since` against a `Vec` of every edit the tree was told of,
+    /// never trimmed: a read names exactly the nodes noted since the
+    /// reader's own position under the classes it asks for, `Clean` when
+    /// there are none, and `Everything` exactly when the stamp is of
+    /// another tree value, was taken before the tree's first read, or has
+    /// more than 512 entries after it — whatever the other readers did in
+    /// between. Pose writes move the stamp and appear in no read; refused
+    /// edits do neither.
+    #[test]
+    fn journal_reads_equal_the_unbounded_reference(
+        n_readers in 1usize..5,
+        script in prop::collection::vec(journal_op_strategy(), 1..60),
+    ) {
+        use EditClass::{Payload, Structure};
+        const CAP: usize = 512;
+        let absent = NodeId(9_999);
+        let mut tree = SceneTree::new();
+        let camera = NodeKind::Camera(CameraParams::default());
+        tree.add_node(tree.root(), "cam", camera).unwrap();
+        // The reference: per event the node and class noted, `None` for a
+        // pose write; which tree value it is about; where recording began.
+        let mut events: Vec<Option<(NodeId, EditClass)>> = Vec::new();
+        let mut tree_value = 0usize;
+        let mut recording_since: Option<usize> = None;
+        let mut readers =
+            vec![Reader { stamp: EditStamp::default(), tree: None, at: 0 }; n_readers];
+
+        for (step, op) in script.iter().enumerate() {
+            let live = tree.descendants(tree.root());
+            let node = |pick: usize| live.get(pick % (live.len() + 1)).copied().unwrap_or(absent);
+            let before = tree.edit_stamp();
+            let noted_before = events.len();
+            match *op {
+                JournalOp::Add { parent } => {
+                    if let Ok(id) = tree.add_node(node(parent), format!("n{step}"), mesh_kind(1)) {
+                        events.push(Some((id, Structure)));
+                    }
+                }
+                JournalOp::InsertWithId { parent, taken } => {
+                    let id = if taken { live[parent % live.len()] } else { tree.allocate_id() };
+                    if tree.insert_with_id(id, node(parent), "w", NodeKind::Group).is_ok() {
+                        events.push(Some((id, Structure)));
+                    }
+                }
+                JournalOp::Remove { pick } => {
+                    for id in tree.remove(node(pick)).unwrap_or_default() {
+                        events.push(Some((id, Structure)));
+                    }
+                }
+                JournalOp::Reparent { pick, dest } => {
+                    if tree.reparent(node(pick), node(dest)).is_ok() {
+                        events.push(Some((node(pick), Structure)));
+                    }
+                }
+                JournalOp::NodeMut { pick, write } => {
+                    if let Some(mut view) = tree.node_mut(node(pick)) {
+                        match write {
+                            0 => view.set_kind(mesh_kind(2)),
+                            1 => view.set_name("renamed"),
+                            _ => view.bump_version(),
+                        }
+                        events.push(Some((node(pick), Payload)));
+                    }
+                }
+                JournalOp::Storm { pick, n } => {
+                    for _ in 0..n {
+                        if tree.node_mut(node(pick)).is_some() {
+                            events.push(Some((node(pick), Payload)));
+                        }
+                    }
+                }
+                JournalOp::SetTransform { pick } => {
+                    if tree.set_transform(node(pick), Transform::IDENTITY) {
+                        events.push(None);
+                    }
+                }
+                JournalOp::SetCameraPose { pick } => {
+                    if tree.set_camera_pose(node(pick), CameraParams::default()).is_ok() {
+                        events.push(None);
+                    }
+                }
+                JournalOp::Merge { parent } => {
+                    // Two nodes the tree lacks, under a parent it may lack too.
+                    let mut other = SceneTree::new();
+                    let (a, b) = (tree.allocate_id(), tree.allocate_id());
+                    let under = if node(parent) == tree.root() { other.root() } else { a };
+                    other.insert_with_id(a, other.root(), "a", NodeKind::Group).unwrap();
+                    other.insert_with_id(b, under, "b", mesh_kind(1)).unwrap();
+                    tree.merge_subset(&other);
+                    events.extend([a, b].map(|id| Some((id, Structure))));
+                }
+                JournalOp::Swap => {
+                    tree = tree.clone();
+                    events.clear();
+                    tree_value += 1;
+                    recording_since = None;
+                    continue;
+                }
+                JournalOp::Peek { reader } => {
+                    let reader = &mut readers[reader % n_readers];
+                    *reader =
+                        Reader { stamp: tree.edit_stamp(), tree: Some(tree_value), at: events.len() };
+                }
+                JournalOp::Read { reader, mask } => {
+                    let reader = &mut readers[reader % n_readers];
+                    let classes: Vec<EditClass> = [Structure, Payload]
+                        .into_iter()
+                        .enumerate()
+                        .filter(|(bit, _)| mask & (1 << bit) != 0)
+                        .map(|(_, class)| class)
+                        .collect();
+                    let got = tree.changes_since(reader.stamp, &classes);
+
+                    let since = events.get(reader.at..).unwrap_or_default();
+                    let answerable = reader.tree == Some(tree_value)
+                        && recording_since.is_some_and(|began| reader.at >= began)
+                        && since.iter().flatten().count() <= CAP;
+                    let mut ids: Vec<NodeId> = since
+                        .iter()
+                        .flatten()
+                        .filter(|(_, class)| classes.contains(class))
+                        .map(|&(id, _)| id)
+                        .collect();
+                    ids.sort_unstable();
+                    ids.dedup();
+                    let want = match (answerable, ids.is_empty()) {
+                        (false, _) => Dirt::Everything,
+                        (true, true) => Dirt::Clean,
+                        (true, false) => Dirt::Nodes(ids),
+                    };
+                    prop_assert_eq!(got, want, "step {}: {:?}", step, op);
+                    recording_since.get_or_insert(events.len());
+                    *reader =
+                        Reader { stamp: tree.edit_stamp(), tree: Some(tree_value), at: events.len() };
+                }
+            }
+            // Every edit the tree took moved the stamp, a pose write
+            // included; a refused one, a peek and a read did not.
+            prop_assert_eq!(
+                tree.edit_stamp() != before, events.len() > noted_before,
+                "step {}: {:?}", step, op
+            );
         }
     }
 }

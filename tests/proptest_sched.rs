@@ -319,10 +319,11 @@ mod plan_state_storms {
 
     use proptest::prelude::*;
     use rave::core::capacity::Headroom;
+    use rave::core::distribution::plan_incremental;
     use rave::core::sched::placement::{place_with_splitting, Ledger};
     use rave::core::sched::PlanState;
     use rave::core::RenderServiceId;
-    use rave::scene::{NodeCost, NodeId};
+    use rave::scene::{NodeCost, NodeId, SceneTree};
     use std::collections::BTreeMap;
 
     fn cold(
@@ -334,6 +335,23 @@ mod plan_state_storms {
         place_with_splitting(&mut ledger, queue, |_| None)
             .expect("feasible by construction")
             .assignments
+    }
+
+    /// Replan `state` from `master`'s edit journal and hold it to the cold
+    /// plan of the scene as it is.
+    fn follow(
+        state: &mut PlanState,
+        master: &mut SceneTree,
+        caps: &[(RenderServiceId, Headroom)],
+    ) -> Result<(), TestCaseError> {
+        plan_incremental(master, caps, state, 0.0).unwrap();
+        let units: BTreeMap<NodeId, NodeCost> = master
+            .iter_nodes()
+            .filter(|n| !n.own_cost().is_zero())
+            .map(|n| (n.id(), n.own_cost()))
+            .collect();
+        prop_assert_eq!(state.assignments(), cold(&units, caps));
+        Ok(())
     }
 
     fn basis(n_services: usize, shuffle: u64) -> Vec<(RenderServiceId, Headroom)> {
@@ -355,10 +373,16 @@ mod plan_state_storms {
         /// feasible without splitting and every divergence is an engine
         /// bug. Ops: 0-3 upsert, 4-5 remove, 6 swap the capacity basis,
         /// 7 force a full replay, 8 replan now (plus a final replan).
+        ///
+        /// The same storm also edits a scene that two more plan states
+        /// follow through `plan_incremental`, each from its own position
+        /// in the scene's edit journal: op 8 replans both, op 9 one of
+        /// them, so they read at different paces and neither may miss an
+        /// edit the other has read.
         #[test]
         fn edit_storms_replan_to_the_cold_plan(
             n_services in 3usize..7,
-            storm in prop::collection::vec((0usize..9, any::<u64>(), 1u64..2_000), 1..80),
+            storm in prop::collection::vec((0usize..10, any::<u64>(), 1u64..2_000), 1..80),
         ) {
             let mut generation = 0u64;
             let mut caps = basis(n_services, generation);
@@ -366,8 +390,10 @@ mod plan_state_storms {
             let mut state = PlanState::new();
             state.full_rebuild(Vec::new(), &caps, |_| None).unwrap();
             let mut applied: BTreeMap<NodeId, RenderServiceId> = BTreeMap::new();
+            let mut master = SceneTree::new();
+            let mut followers = [PlanState::new(), PlanState::new()];
 
-            let mut replan = |state: &mut PlanState,
+            let replan = |state: &mut PlanState,
                               applied: &mut BTreeMap<NodeId, RenderServiceId>,
                               units: &BTreeMap<NodeId, NodeCost>,
                               caps: &Vec<(RenderServiceId, Headroom)>|
@@ -384,17 +410,24 @@ mod plan_state_storms {
             };
 
             for &(kind, pick, polys) in &storm {
-                let id = NodeId(pick % 40);
+                let id = NodeId(pick % 40 + 1); // 0 is the scene's root
                 match kind {
                     0..=3 => {
                         let cost =
                             NodeCost { polygons: polys, data_bytes: polys, ..NodeCost::ZERO };
                         units.insert(id, cost);
                         state.note_unit(id, Some(cost));
+                        let kind = super::mesh(polys as u32);
+                        if master.contains(id) {
+                            master.node_mut(id).unwrap().set_kind(kind);
+                        } else {
+                            master.insert_with_id(id, NodeId(0), "unit", kind).unwrap();
+                        }
                     }
                     4 | 5 => {
                         units.remove(&id);
                         state.note_unit(id, None);
+                        let _ = master.remove(id); // refused when it was never there
                     }
                     6 => {
                         generation += 1;
@@ -402,10 +435,19 @@ mod plan_state_storms {
                         state.note_caps(&caps);
                     }
                     7 => state.force_full_replay(),
-                    _ => replan(&mut state, &mut applied, &units, &caps)?,
+                    8 => {
+                        replan(&mut state, &mut applied, &units, &caps)?;
+                        for follower in &mut followers {
+                            follow(follower, &mut master, &caps)?;
+                        }
+                    }
+                    _ => follow(&mut followers[(pick % 2) as usize], &mut master, &caps)?,
                 }
             }
             replan(&mut state, &mut applied, &units, &caps)?;
+            for follower in &mut followers {
+                follow(follower, &mut master, &caps)?;
+            }
             // Nothing lingers: the applied diffs and the final plan are
             // the same node→service map.
             let flat: BTreeMap<NodeId, RenderServiceId> = state
