@@ -31,18 +31,26 @@
 //!    `sparse_wave_worst_over_compact` says a wave pays for its members,
 //!    not for the services between them.
 //!
+//! 4. Index maintenance (`index`): one interest root handed from one
+//!    subscriber to another — what a migration does to the index,
+//!    `InterestIndex::add_root` + `remove_root` — against the rebuild of
+//!    the whole index the same hand-over used to schedule, at the largest
+//!    population (`move_root_over_rebuild`).
+//!
 //! `check` holds the routing speedup, the wire ratios, the per-delivery
-//! growth, the event growth and the sparse-wave ratio to their floors.
+//! growth, the event growth, the sparse-wave ratio and the move-over-rebuild
+//! ratio to their floors.
 //! `BENCH_QUICK=1` runs smaller populations and fewer rounds.
 
-use bench::harness::{best_of, num, obj, quick, secs, Lcg, Report};
+use bench::harness::{best_of, machine_room, num, obj, quick, secs, Lcg, Report};
 use rave_core::collaboration::{join_session, session_tick, Participant};
 use rave_core::data_service::DataService;
 use rave_core::world::RaveWorld;
 use rave_core::{DataServiceId, RaveConfig, RenderServiceId};
 use rave_math::Vec3;
-use rave_net::{LinkSpec, Network};
-use rave_scene::{CameraParams, InterestSet, NodeId, NodeKind, SceneUpdate, Transform};
+use rave_scene::{
+    CameraParams, InterestIndex, InterestSet, NodeId, NodeKind, SceneUpdate, Transform,
+};
 use rave_sim::Simulation;
 use serde::Serialize;
 use std::sync::Arc;
@@ -70,24 +78,78 @@ fn routing_service() -> (DataService, Vec<NodeId>, Vec<NodeId>) {
     (ds, branches, leaves)
 }
 
-/// Subscribe `clients` services: 1 in 100 wants everything (a full
+/// The interests of `clients` services: 1 in 100 wants everything (a full
 /// replica), the rest one or two branch subtrees — the 10k-thin-client
 /// population shape.
+fn population(branches: &[NodeId], clients: usize, rng: &mut Lcg) -> Vec<InterestSet> {
+    (0..clients)
+        .map(|i| {
+            if i % 100 == 0 {
+                InterestSet::everything()
+            } else if i % 3 == 0 {
+                InterestSet::subtrees([
+                    branches[rng.pick(branches.len())],
+                    branches[rng.pick(branches.len())],
+                ])
+            } else {
+                InterestSet::subtrees([branches[rng.pick(branches.len())]])
+            }
+        })
+        .collect()
+}
+
 fn subscribe_population(ds: &mut DataService, branches: &[NodeId], clients: usize, rng: &mut Lcg) {
-    for i in 0..clients {
-        let rs = RenderServiceId(i as u64 + 1);
-        let interest = if i % 100 == 0 {
-            InterestSet::everything()
-        } else if i % 3 == 0 {
-            InterestSet::subtrees([
-                branches[rng.pick(branches.len())],
-                branches[rng.pick(branches.len())],
-            ])
-        } else {
-            InterestSet::subtrees([branches[rng.pick(branches.len())]])
-        };
-        ds.subscribe_live(rs, interest);
+    for (i, interest) in population(branches, clients, rng).into_iter().enumerate() {
+        ds.subscribe_live(RenderServiceId(i as u64 + 1), interest);
     }
+}
+
+struct IndexTiming {
+    clients: usize,
+    rebuild_us: f64,
+    move_root_ns: f64,
+}
+
+/// One interest root changing hands between two narrow subscribers of the
+/// routing population, timed as the index patch it is, beside a rebuild of
+/// the index over the same sets. The patched index must answer as a
+/// rebuilt one before the timings are trusted.
+fn time_index_moves(clients: usize, rounds: usize, rng: &mut Lcg) -> IndexTiming {
+    let (ds, branches, leaves) = routing_service();
+    let tree = &ds.scene;
+    let mut sets = population(&branches, clients, rng);
+    let mut ix = InterestIndex::new();
+    let rebuild = best_of(rounds, || ix.rebuild(tree, sets.iter()));
+
+    // Slots 1 and 2 hold one branch each; theirs go back and forth.
+    let (a, b) = (1u32, 2u32);
+    let root = sets[a as usize].roots().next().expect("slot 1 is narrow");
+    let hand_over = |ix: &mut InterestIndex, sets: &mut [InterestSet], from: u32, to: u32| {
+        if sets[to as usize].add_root(root) {
+            ix.add_root(tree, to, root);
+        }
+        if sets[from as usize].remove_root(root) {
+            ix.remove_root(from, root);
+        }
+    };
+    const MOVES: usize = 2_000;
+    let moved = best_of(rounds, || {
+        for _ in 0..MOVES / 2 {
+            hand_over(&mut ix, &mut sets, a, b);
+            hand_over(&mut ix, &mut sets, b, a);
+        }
+    });
+    hand_over(&mut ix, &mut sets, a, b);
+    let mut rebuilt = InterestIndex::new();
+    rebuilt.rebuild(tree, sets.iter());
+    let (mut got, mut want) = (Vec::new(), Vec::new());
+    for &id in branches.iter().chain(&leaves).chain([&tree.root()]) {
+        let probe = SceneUpdate::SetName { id, name: "probe".into() };
+        ix.matches(&probe, tree, &mut got);
+        rebuilt.matches(&probe, tree, &mut want);
+        assert_eq!(got, want, "patched index diverged from a rebuilt one on {id}");
+    }
+    IndexTiming { clients, rebuild_us: rebuild * 1e6, move_root_ns: moved * 1e9 / MOVES as f64 }
 }
 
 struct RoutingTiming {
@@ -141,21 +203,6 @@ fn time_routing(clients: usize, rounds: usize, rng: &mut Lcg) -> RoutingTiming {
         naive_us: naive_best * 1e6 / probes.len() as f64,
         parity_checked,
     }
-}
-
-/// A 2004-vintage machine room scaled up: `segments` switched 100 Mbit
-/// LANs, `hosts_per_segment` hosts each, full inter-segment bridging.
-fn machine_room(segments: usize, hosts_per_segment: usize) -> Network {
-    let mut net = Network::new();
-    net.set_default_inter_link(LinkSpec::ethernet_100mb());
-    for s in 0..segments {
-        let seg = format!("seg{s}");
-        net.add_segment(&seg, LinkSpec::ethernet_100mb());
-        for h in 0..hosts_per_segment {
-            net.add_host(&format!("host{s}x{h}"), &seg);
-        }
-    }
-    net
 }
 
 struct TickTiming {
@@ -315,6 +362,8 @@ fn main() {
         .map(|&m| (time_ticks(SPARSE_WORLD, m, 1, sparse_ticks), time_ticks(m, m, 1, sparse_ticks)))
         .collect();
     let testbed_ratio = testbed_wire_ratio();
+    let largest_population = *populations.last().expect("at least one population");
+    let index = time_index_moves(largest_population, rounds, &mut rng);
 
     let headline = routing.last().expect("at least one population");
     let routing_speedup_10k = headline.naive_us / headline.indexed_us.max(1e-9);
@@ -376,5 +425,14 @@ fn main() {
         .set("tick_per_delivery_largest_over_smallest", num(per_delivery_growth, 2))
         .set("tick_events_largest_over_smallest", num(events_growth, 2))
         .set("testbed_wire_ratio", num(testbed_ratio, 4))
+        .set(
+            "index",
+            obj([
+                ("clients", index.clients.to_value()),
+                ("rebuild_us", num(index.rebuild_us, 1)),
+                ("move_root_ns", num(index.move_root_ns, 1)),
+                ("move_root_over_rebuild", num(index.move_root_ns / 1e3 / index.rebuild_us, 5)),
+            ]),
+        )
         .write();
 }

@@ -9,11 +9,13 @@
 //!   cache is rebuilt inside the timed region);
 //! - **lookup**: random id→node resolution through the slot index.
 //!
-//! Emits `BENCH_scene.json` at the repo root. The floor `check` holds is
-//! a scaling ratio, `traversal_1m_over_100k`: ten times the nodes may
-//! cost ten times the walk plus the caches the 1M scene no longer fits
-//! in, not a hundred times. `BENCH_QUICK=1` runs fewer rounds (the 1M
-//! config stays).
+//! Emits `BENCH_scene.json` at the repo root. The floors `check` holds
+//! are a scaling ratio, `traversal_1m_over_100k` — ten times the nodes
+//! may cost ten times the walk plus the caches the 1M scene no longer
+//! fits in, not a hundred times — and `move.parcel_over_subset`: handing a
+//! leaf to a replica as a [`rave_scene::Parcel`] against handing it over
+//! as the standalone subset tree a migration used to build.
+//! `BENCH_QUICK=1` runs fewer rounds (the 1M config stays).
 
 use bench::harness::{best_of, num, obj, quick, Lcg, Report};
 use rave_math::Vec3;
@@ -127,6 +129,47 @@ fn lookup_arena(t: &SceneTree, n: usize) -> u64 {
     hits
 }
 
+/// One migration hand-off, both ways: every one of `LEAVES` leaves under a
+/// two-deep chain cut out of a master and taken in by a replica that
+/// already holds the chain — as a parcel, and as the subset tree
+/// (`extract_subset` + `merge_subset`, the tree dropped). Returns seconds
+/// per leaf `(parcel, subset)`; the replica is emptied off the clock.
+fn time_moves(rounds: usize) -> (f64, f64) {
+    const LEAVES: usize = 1_000;
+    let mut master = SceneTree::new();
+    let outer = master.add_node(master.root(), "outer", NodeKind::Group).unwrap();
+    let inner = master.add_node(outer, "inner", NodeKind::Group).unwrap();
+    let mesh = Arc::new(small_mesh(12));
+    let leaves: Vec<NodeId> = (0..LEAVES)
+        .map(|i| master.add_node(inner, format!("leaf{i}"), NodeKind::Mesh(mesh.clone())).unwrap())
+        .collect();
+    master.total_cost(); // caches warm, as a data service's master scene's are
+    let mut replica = SceneTree::new();
+    replica.insert_with_id(outer, replica.root(), "outer", NodeKind::Group).unwrap();
+    replica.insert_with_id(inner, outer, "inner", NodeKind::Group).unwrap();
+    let chain = replica.len();
+
+    let mut best = [f64::INFINITY; 2];
+    for _ in 0..rounds {
+        for (way, best) in best.iter_mut().enumerate() {
+            let elapsed = bench::harness::secs(|| {
+                for &leaf in &leaves {
+                    match way {
+                        0 => replica.adopt_parcel(&master.extract_parcel(leaf)),
+                        _ => replica.merge_subset(&master.extract_subset(&[leaf])),
+                    }
+                }
+            });
+            assert_eq!(replica.len(), chain + LEAVES, "every leaf arrived");
+            *best = best.min(elapsed / LEAVES as f64);
+            for &leaf in &leaves {
+                replica.remove(leaf).unwrap();
+            }
+        }
+    }
+    (best[0], best[1])
+}
+
 fn main() {
     let rounds = if quick() { 3 } else { 7 };
 
@@ -151,10 +194,19 @@ fn main() {
         ]));
     }
 
+    let (parcel, subset) = time_moves(rounds * 3);
     let [_, at_100k, at_1m] = traversal_secs[..] else { unreachable!("three node counts") };
     Report::new("scene")
         .set("configs", configs)
         .set("traversal_1m_ms", num(at_1m * 1e3, 3))
         .set("traversal_1m_over_100k", num(at_1m / at_100k, 1))
+        .set(
+            "move",
+            obj([
+                ("parcel_ns", num(parcel * 1e9, 1)),
+                ("subset_ns", num(subset * 1e9, 1)),
+                ("parcel_over_subset", num(parcel / subset, 2)),
+            ]),
+        )
         .write();
 }

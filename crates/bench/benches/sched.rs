@@ -5,19 +5,25 @@
 //! localized per-event edits against cold full plans per event. Emits
 //! `BENCH_sched.json` at the repo root; `check` holds `scaling_10k_over_1k`
 //! (near-linear 1k→10k growth, the quadratic-regression guard),
-//! `plan_100k_max_ms` (sub-second 100k plans) and `incremental_speedup`
-//! (the storm at 100k nodes). Cold configs are timed best-of-N over
-//! consecutive rounds, storms as the median per-event latency (both
-//! steady-state, cache-warm, robust to one-off scheduler noise).
+//! `plan_100k_max_ms` (sub-second 100k plans), `incremental_speedup`
+//! (the storm at 100k nodes) and `apply.us_per_move_10k_over_500` (a plan
+//! diff of about 400 moves applied in a world — `incremental_replan` +
+//! `sim.run()` — in a 10k-node and in a 500-node scene: a move costs the
+//! move, not the scene). Cold configs are timed best-of-N over
+//! consecutive rounds, storms and diffs as the median per-event latency
+//! (steady-state, cache-warm, robust to one-off scheduler noise).
 //! `BENCH_QUICK=1` runs fewer rounds and storm events.
 
-use bench::harness::{best_of, median, num, obj, quick, secs, Lcg, Report};
+use bench::harness::{best_of, machine_room, median, num, obj, quick, secs, Lcg, Report};
 use rave_core::capacity::{CapacityReport, Headroom};
 use rave_core::distribution::{plan_distribution, plan_incremental};
+use rave_core::migration::incremental_replan;
 use rave_core::sched::PlanState;
-use rave_core::RenderServiceId;
+use rave_core::world::{publish_update, RaveWorld};
+use rave_core::{RaveConfig, RenderServiceId};
 use rave_math::Vec3;
-use rave_scene::{MeshData, NodeCost, NodeId, NodeKind, SceneTree};
+use rave_scene::{InterestSet, MeshData, NodeCost, NodeId, NodeKind, SceneTree, SceneUpdate};
+use rave_sim::Simulation;
 use serde::Serialize;
 use std::sync::Arc;
 
@@ -93,6 +99,105 @@ fn storm_edit(scene: &mut SceneTree, extras: &mut Vec<NodeId>, rng: &mut Lcg, st
         let id = scene.add_node(root, name, NodeKind::Mesh(Arc::new(tiny_mesh(tris)))).unwrap();
         extras.push(id);
     }
+}
+
+struct ApplyTiming {
+    nodes: usize,
+    /// Median moves of one applied diff, and median seconds per move of
+    /// the replan that made it plus the run that landed it.
+    moves: f64,
+    secs_per_move: f64,
+}
+
+/// Moves a timed diff should make: the replay reaches this many of the
+/// scene's lightest nodes, whatever the size of the scene.
+const APPLY_REPLAYED: usize = 450;
+
+/// An `edit_storm`-shaped world — 16 equal services on a machine room,
+/// `nodes` small meshes under 16 groups, placed by the incremental planner
+/// — in which one cost edit a round re-homes most of the
+/// [`APPLY_REPLAYED`] lightest nodes. Times the replan (detect, plan,
+/// apply the diff) and the run that lands the moves, per move.
+fn time_apply(nodes: usize, rounds: usize) -> ApplyTiming {
+    const SERVICES: usize = 16;
+    let mut net = machine_room(4, 4);
+    net.add_host("hub", "seg0");
+    // Two frames a second: room for the 10k-node scene on 16 desktops.
+    let config = RaveConfig { target_fps: 2.0, ..RaveConfig::default() };
+    let mut sim = Simulation::new(RaveWorld::new(net, config, 4242));
+    let ds = sim.world.spawn_data_service("hub", "bench");
+    let services: Vec<RenderServiceId> = (0..SERVICES)
+        .map(|i| {
+            let rs = sim.world.spawn_render_service(&format!("host{}x{}", i / 4, i % 4));
+            sim.world.data_mut(ds).subscribe_live(rs, InterestSet::subtrees([]));
+            sim.world.render_mut(rs).interest = InterestSet::subtrees([]);
+            rs
+        })
+        .collect();
+
+    // The lightest nodes have distinct even weights, so the edited node's
+    // queue position is known: the replay starts there and reaches
+    // everything lighter. The rest of the scene is heavier than all of them.
+    let mut rng = Lcg(0xa991_7e57 ^ nodes as u64);
+    let light = 2 * APPLY_REPLAYED as u32;
+    let mut weights: Vec<u32> = (0..nodes as u32)
+        .map(|i| if i <= light / 2 { 4 + 2 * i } else { 6 + light + i % 64 })
+        .collect();
+    for i in (1..weights.len()).rev() {
+        weights.swap(i, rng.pick(i + 1));
+    }
+    let edited_weight = 4 + light;
+    let (mut ids, mut edited) = (Vec::with_capacity(nodes), None);
+    {
+        let scene = &mut sim.world.data_mut(ds).scene;
+        let root = scene.root();
+        let groups: Vec<NodeId> = (0..SERVICES)
+            .map(|g| scene.add_node(root, format!("g{g}"), NodeKind::Group).unwrap())
+            .collect();
+        for (i, &tris) in weights.iter().enumerate() {
+            let kind = NodeKind::Mesh(Arc::new(tiny_mesh(tris)));
+            let id = scene.add_node(groups[i % SERVICES], format!("m{i}"), kind).unwrap();
+            if tris == edited_weight {
+                edited = Some(id);
+            }
+            ids.push(id);
+        }
+    }
+    let edited = edited.expect("one node has the edited weight");
+    // One routed update builds the interest index the moves then patch.
+    let rename = SceneUpdate::SetName { id: ids[0], name: "routed".into() };
+    publish_update(&mut sim, ds, "bench", rename).unwrap();
+    let placed = incremental_replan(&mut sim, ds, &[]).diff.expect("first pass plans");
+    assert_eq!(placed.moved.len(), nodes, "every node placed");
+    sim.run();
+    let generation = sim.world.data(ds).index_generation();
+
+    let (mut per_move, mut moves) = (Vec::with_capacity(rounds), Vec::with_capacity(rounds));
+    for round in 0..rounds + 1 {
+        // Down into the middle of the lighter nodes and back up (odd, so
+        // still nobody's weight): the replay starts where the node stood.
+        let tris = if round % 2 == 0 { (edited_weight / 2) | 1 } else { edited_weight };
+        let kind = NodeKind::Mesh(Arc::new(tiny_mesh(tris)));
+        sim.world.data_mut(ds).scene.node_mut(edited).unwrap().set_kind(kind);
+        let mut moved = 0;
+        let elapsed = secs(|| {
+            let out = incremental_replan(&mut sim, ds, &[]);
+            moved = out.diff.map_or(0, |diff| diff.moved.len());
+            sim.run();
+        });
+        assert!(moved > APPLY_REPLAYED / 4, "{nodes} nodes: the edit moved only {moved}");
+        if round > 0 {
+            // The first round warms what set-up left cold.
+            per_move.push(elapsed / moved as f64);
+            moves.push(moved as f64);
+        }
+    }
+    for &id in &ids {
+        let holders = services.iter().filter(|rs| sim.world.render(**rs).scene.contains(id));
+        assert_eq!(holders.count(), 1, "node {id} held once at {nodes} nodes");
+    }
+    assert_eq!(sim.world.data(ds).index_generation(), generation, "moves patch the index");
+    ApplyTiming { nodes, moves: median(&mut moves), secs_per_move: median(&mut per_move) }
 }
 
 fn main() {
@@ -171,6 +276,12 @@ fn main() {
         });
     }
 
+    // ---- Applying a plan diff: a move costs the move ----
+    let apply_rounds = if quick() { 5 } else { 21 };
+    let apply: Vec<ApplyTiming> =
+        [500usize, 10_000].iter().map(|&n| time_apply(n, apply_rounds)).collect();
+    let [small, large] = &apply[..] else { unreachable!("two scenes") };
+
     let at = |n: usize, s: u64| {
         results.iter().find(|c| c.nodes == n && c.services == s).expect("config present").secs
     };
@@ -210,5 +321,28 @@ fn main() {
         .set("plan_100k_max_ms", num(plan_100k_max * 1e3, 3))
         .set("incremental_speedup", num(storm_100k.cold / storm_100k.incr, 1))
         .set("plans_per_sec_100k", (1.0 / storm_100k.incr).round() as u64)
+        .set(
+            "apply",
+            obj([
+                (
+                    "configs",
+                    apply
+                        .iter()
+                        .map(|a| {
+                            obj([
+                                ("nodes", a.nodes.to_value()),
+                                ("moves", num(a.moves, 0)),
+                                ("us_per_move", num(a.secs_per_move * 1e6, 3)),
+                            ])
+                        })
+                        .collect::<Vec<_>>()
+                        .to_value(),
+                ),
+                (
+                    "us_per_move_10k_over_500",
+                    num(large.secs_per_move / small.secs_per_move.max(1e-12), 2),
+                ),
+            ]),
+        )
         .write();
 }

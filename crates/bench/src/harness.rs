@@ -7,6 +7,7 @@
 
 use rave_math::Vec3;
 use rave_models::{build_with_budget, PaperModel};
+use rave_net::{LinkSpec, Network};
 use rave_scene::{CameraParams, NodeKind, SceneTree};
 use serde::{Serialize, Value};
 use std::path::{Path, PathBuf};
@@ -83,6 +84,22 @@ pub fn staged(model: PaperModel, budget: u64) -> (SceneTree, CameraParams) {
         Vec3::Y,
     );
     (tree, cam)
+}
+
+/// A 2004-vintage machine room scaled up: `segments` switched 100 Mbit
+/// LANs (`seg<s>`), `hosts_per_segment` hosts each (`host<s>x<h>`), full
+/// inter-segment bridging.
+pub fn machine_room(segments: usize, hosts_per_segment: usize) -> Network {
+    let mut net = Network::new();
+    net.set_default_inter_link(LinkSpec::ethernet_100mb());
+    for s in 0..segments {
+        let seg = format!("seg{s}");
+        net.add_segment(&seg, LinkSpec::ethernet_100mb());
+        for h in 0..hosts_per_segment {
+            net.add_host(&format!("host{s}x{h}"), &seg);
+        }
+    }
+    net
 }
 
 /// The repository root, where the `BENCH_*.json` files are committed.

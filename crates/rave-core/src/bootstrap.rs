@@ -111,7 +111,6 @@ pub fn connect_render_service(
             for root in rs.interest.roots() {
                 interest.add_root(root);
             }
-            interest.refresh(&rs.scene);
             rs.interest = interest;
             for stamped in buffered {
                 // Buffered updates may touch nodes outside the snapshot

@@ -105,9 +105,12 @@ pub struct DataService {
     /// drained by the world into the event trace.
     checkpoint_notes: Vec<String>,
     /// The inverted interest index `route` consults, plus its slot → id
-    /// map. Lazily (re)built: subscription changes bump `index_rev`, the
-    /// next route rebuilds; structural scene edits since `index_seen` are
-    /// read from the tree's edit journal and folded in instead.
+    /// map. Lazily (re)built: a change of the subscriber population (or of
+    /// a subscriber's state) bumps `index_rev`, the next route rebuilds;
+    /// structural scene edits since `index_seen` are read from the tree's
+    /// edit journal and folded in instead, and a root moved between two
+    /// subscribers ([`DataService::move_interest_root`]) is patched in on
+    /// the spot.
     index: InterestIndex,
     index_seen: EditStamp,
     index_sub_ids: Vec<RenderServiceId>,
@@ -129,9 +132,6 @@ pub struct DataService {
     /// Multicast-vs-unicast delivery accounting, fed by the world's
     /// publish path.
     pub fanout: FanoutTotals,
-    /// Interest closures recomputed since the service was created, so a
-    /// test can bound a plan diff's cost by count instead of by time.
-    pub interest_refreshes: u64,
 }
 
 impl DataService {
@@ -158,7 +158,6 @@ impl DataService {
             route_slots: Vec::new(),
             delivery: DeliveryState::default(),
             fanout: FanoutTotals::default(),
-            interest_refreshes: 0,
         }
     }
 
@@ -268,16 +267,12 @@ impl DataService {
     /// Register a live subscriber (used when the replica is seeded
     /// synchronously, e.g. a local active client).
     pub fn subscribe_live(&mut self, rs: RenderServiceId, interest: InterestSet) {
-        let mut interest = interest;
-        interest.refresh(&self.scene);
         self.subscribers.insert(rs, Subscription { interest, state: SubState::Live });
         self.index_rev += 1;
     }
 
     /// Begin a bootstrap: subscriber is registered but buffered.
     pub fn begin_bootstrap(&mut self, rs: RenderServiceId, interest: InterestSet) {
-        let mut interest = interest;
-        interest.refresh(&self.scene);
         self.subscribers.insert(
             rs,
             Subscription { interest, state: SubState::Bootstrapping { buffered: Vec::new() } },
@@ -310,6 +305,12 @@ impl DataService {
             self.index_rev += 1;
         }
         removed
+    }
+
+    /// How often the interest index was rebuilt and its slots renumbered.
+    /// Subscription changes do that; scene edits and migrations must not.
+    pub fn index_generation(&self) -> u64 {
+        self.index_generation
     }
 
     /// Ids of every current subscriber, in stable (id) order.
@@ -421,7 +422,7 @@ impl DataService {
 
     /// The pre-index routing decision, kept as the embedded parity oracle
     /// for the inverted index: one `InterestSet::relevant` probe per
-    /// subscriber against its current closure. Read-only — does not
+    /// subscriber, answered off the scene as it stands. Read-only — does not
     /// buffer for bootstrapping subscribers; returns every interested
     /// subscriber regardless of state, in id order.
     pub fn route_naive(&self, stamped: &StampedUpdate) -> Vec<RenderServiceId> {
@@ -432,27 +433,52 @@ impl DataService {
             .collect()
     }
 
-    /// Refresh every subscriber's interest closure after structural scene
-    /// changes, and schedule an index rebuild.
+    /// Schedule an index rebuild: whoever edits a subscriber's roots
+    /// through the public `subscribers` map calls this afterwards. (The
+    /// name is from when each interest set also kept a closure this
+    /// recomputed; `benchmark/` calls it by that name.)
     pub fn refresh_interests(&mut self) {
-        for sub in self.subscribers.values_mut() {
-            sub.interest.refresh(&self.scene);
-        }
-        self.interest_refreshes += self.subscribers.len() as u64;
         self.index_rev += 1;
     }
 
-    /// Refresh the closures of just `touched` and schedule one index
-    /// rebuild: the rebalancer edits the interest roots of the services a
-    /// batch of moves involves in place, then calls this once.
-    pub fn refresh_interests_of(&mut self, touched: impl IntoIterator<Item = RenderServiceId>) {
-        for rs in touched {
-            if let Some(sub) = self.subscribers.get_mut(&rs) {
-                sub.interest.refresh(&self.scene);
-                self.interest_refreshes += 1;
+    /// A migration's effect on who is owed what: `node` leaves `from`'s
+    /// interest roots and joins `to`'s (either may be absent — a first
+    /// placement, a dropped workload — or no longer subscribed). The
+    /// interest index is edited in place, at the cost of the root's chain:
+    /// the next publish rebuilds nothing and renumbers nobody.
+    pub fn move_interest_root(
+        &mut self,
+        node: rave_scene::NodeId,
+        from: Option<RenderServiceId>,
+        to: Option<RenderServiceId>,
+    ) {
+        // `to` first: a root that changes hands never leaves the index.
+        if let Some((rs, sub)) = to.and_then(|rs| Some((rs, self.subscribers.get_mut(&rs)?))) {
+            if sub.interest.add_root(node) {
+                match self.index_slot(rs) {
+                    Some(slot) => self.index.add_root(&self.scene, slot, node),
+                    None => self.index_rev += 1,
+                }
             }
         }
-        self.index_rev += 1;
+        if let Some((rs, sub)) = from.and_then(|rs| Some((rs, self.subscribers.get_mut(&rs)?))) {
+            if sub.interest.remove_root(node) {
+                match self.index_slot(rs) {
+                    Some(slot) => self.index.remove_root(slot, node),
+                    None => self.index_rev += 1,
+                }
+            }
+        }
+    }
+
+    /// `rs`'s slot in the index as built. `None` when there is nothing to
+    /// patch: a rebuild is already due, or the subscriber map changed
+    /// behind the index's back and one must be.
+    fn index_slot(&self, rs: RenderServiceId) -> Option<SubSlot> {
+        let current = self.index_built_rev == self.index_rev
+            && self.index_sub_ids.len() == self.subscribers.len();
+        let slot = current.then(|| self.index_sub_ids.binary_search(&rs).ok())??;
+        Some(slot as SubSlot)
     }
 }
 
@@ -483,12 +509,10 @@ mod tests {
     }
 
     /// `node` now hangs under `left`: a rename of it must be routed as the
-    /// naive scan over refreshed closures routes it, to `left`'s subscriber.
+    /// naive scan routes it, to `left`'s subscriber.
     fn assert_routed_to_the_left(ds: &mut DataService, node: NodeId) {
         let u = Arc::new(ds.stamp("t", SceneUpdate::SetName { id: node, name: "moved".into() }));
-        let mut oracle = ds.clone();
-        oracle.refresh_interests();
-        assert_eq!(oracle.route_naive(&u), vec![LEFT_SUB]);
+        assert_eq!(ds.route_naive(&u), vec![LEFT_SUB]);
         assert_eq!(ds.route(&u), vec![LEFT_SUB]);
     }
 

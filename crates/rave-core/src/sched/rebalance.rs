@@ -13,7 +13,8 @@ use crate::sched::placement::{DecisionRecord, Ledger};
 use crate::trace::TraceKind;
 use crate::world::RaveSim;
 use rave_grid::TechnicalModel;
-use rave_scene::{InterestSet, NodeCost, NodeId};
+use rave_net::HostId;
+use rave_scene::{InterestSet, NodeCost, NodeId, Parcel};
 use rave_sim::SimTime;
 use std::collections::{BTreeMap, BTreeSet};
 
@@ -181,10 +182,10 @@ pub fn detect_underload(sim: &mut RaveSim, ds_id: DataServiceId) -> Vec<SchedEve
 /// drift persists into a second consecutive pass, and any recovered pass
 /// disarms it.
 pub fn detect_cost_drift(sim: &mut RaveSim, ds_id: DataServiceId) -> Vec<SchedEvent> {
-    let cfg = sim.world.config.clone();
     let mut events = Vec::new();
     for rs in sim.world.data(ds_id).subscriber_ids() {
-        let expected = sim.world.render(rs).capacity_report(&cfg).polys_per_sec;
+        // The advertised rate, as `gross_basis` and a capacity report read it.
+        let expected = sim.world.render(rs).machine.poly_rate;
         if sim.world.sched.throughput.drifted_below(rs, expected, DRIFT_RATIO) {
             if !sim.world.sched.drift_pending.insert(rs) {
                 let measured = sim.world.sched.throughput.throughput(rs).unwrap_or(0.0);
@@ -213,7 +214,7 @@ struct Batch {
     donor: Option<Option<RenderServiceId>>,
     /// Nodes already moved by an earlier event in this batch.
     moved_nodes: BTreeSet<NodeId>,
-    /// The moves themselves, and the one interest refresh they share.
+    /// The moves themselves.
     moves: MoveBatch,
 }
 
@@ -267,7 +268,7 @@ pub fn process_events(
         ledger: None,
         donor: None,
         moved_nodes: BTreeSet::new(),
-        moves: MoveBatch::new(sim, ds_id),
+        moves: MoveBatch::new(ds_id),
     };
     for ev in events {
         match *ev {
@@ -292,14 +293,10 @@ pub fn process_events(
                 handle_failure(sim, ds_id, service, &mut batch, &mut outcome);
             }
             SchedEvent::DataFailure { service } => {
-                // A promotion copies the subscribers' interests as they
-                // stand: bring them up to date first.
-                batch.moves.refresh_touched(sim);
                 handle_data_failure(sim, service, &mut outcome);
             }
         }
     }
-    batch.moves.refresh_touched(sim);
     outcome
 }
 
@@ -625,77 +622,45 @@ fn handle_failure(
 }
 
 /// The moves one batch (an event batch or a plan diff) makes against one
-/// data service. Each move edits the interest *roots* of the services it
-/// involves and nothing else; their closures are recomputed once, for the
-/// services the batch touched, by [`MoveBatch::refresh_touched`] — so a
-/// batch costs the closures it changed, not one pass over every
-/// subscriber per moved node.
+/// data service, each costing what it moves: the data service's interest
+/// index is patched per move ([`DataService::move_interest_root`]), the
+/// subtree travels as a flat [`Parcel`], and the hosts a transfer is
+/// charged between are resolved once per batch.
+///
+/// [`DataService::move_interest_root`]: crate::data_service::DataService::move_interest_root
 struct MoveBatch {
     ds_id: DataServiceId,
-    ds_host: String,
-    /// Destination hosts, looked up once per service.
-    hosts: BTreeMap<RenderServiceId, String>,
-    /// Subscribers whose interest roots changed since the last refresh.
-    touched: BTreeSet<RenderServiceId>,
+    /// The data service's host, resolved by the first transfer.
+    ds_host: Option<HostId>,
+    /// Destination hosts, resolved once per service.
+    hosts: BTreeMap<RenderServiceId, HostId>,
 }
 
 impl MoveBatch {
-    fn new(sim: &RaveSim, ds_id: DataServiceId) -> Self {
-        // An event naming a data service that is already gone moves
-        // nothing and never reads the host.
-        let ds_host = sim.world.data_services.get(&ds_id).map(|ds| ds.host.clone());
-        Self {
-            ds_id,
-            ds_host: ds_host.unwrap_or_default(),
-            hosts: BTreeMap::new(),
-            touched: BTreeSet::new(),
-        }
+    fn new(ds_id: DataServiceId) -> Self {
+        Self { ds_id, ds_host: None, hosts: BTreeMap::new() }
     }
 
-    /// Recompute the closures of the subscribers touched so far, with one
-    /// index rebuild scheduled for all of them.
-    fn refresh_touched(&mut self, sim: &mut RaveSim) {
-        if self.touched.is_empty() {
-            return;
-        }
-        let touched = std::mem::take(&mut self.touched);
-        if let Some(ds) = sim.world.data_services.get_mut(&self.ds_id) {
-            ds.refresh_interests_of(touched);
-        }
-    }
-
-    /// Edit the data-service side interest roots for one move.
-    fn reroot(
-        &mut self,
-        sim: &mut RaveSim,
-        node: NodeId,
-        from: Option<RenderServiceId>,
-        to: Option<RenderServiceId>,
-    ) {
-        let ds = sim.world.data_mut(self.ds_id);
-        if let Some(sub) = from.and_then(|rs| ds.subscribers.get_mut(&rs)) {
-            sub.interest.remove_root(node);
-        }
-        if let Some(sub) = to.and_then(|rs| ds.subscribers.get_mut(&rs)) {
-            sub.interest.add_root(node);
-        }
-        self.touched.extend(from.into_iter().chain(to));
-    }
-
-    /// Extract `node`'s subtree and charge its transfer to `to`. Returns
-    /// the subtree and when it arrives.
+    /// Cut `node`'s subtree out of the master scene and charge its
+    /// transfer to `to`. Returns the parcel and when it arrives.
     fn ship_subtree(
         &mut self,
         sim: &mut RaveSim,
         node: NodeId,
         to: RenderServiceId,
         cost: &NodeCost,
-    ) -> (rave_scene::SceneTree, rave_sim::SimTime) {
-        let to_host = self.hosts.entry(to).or_insert_with(|| sim.world.render(to).host.clone());
-        let subtree = sim.world.data(self.ds_id).scene.extract_subset(&[node]);
-        let now = sim.now();
+    ) -> (Parcel, SimTime) {
+        let world = &sim.world;
+        let ds = world.data(self.ds_id);
+        let from_host = *self.ds_host.get_or_insert_with(|| world.network.known_host(&ds.host));
+        let to_host = *self
+            .hosts
+            .entry(to)
+            .or_insert_with(|| world.network.known_host(&world.render(to).host));
+        let parcel = ds.scene.extract_parcel(node);
         let bytes = cost.data_bytes.max(256);
-        (subtree, sim.world.send_bytes(now, &self.ds_host, to_host, bytes))
+        let now = sim.now();
+        (parcel, sim.world.channel_between(from_host, to_host).send(now, bytes))
     }
 
     /// Execute one node move: update interest roots at the data service,
@@ -709,23 +674,25 @@ impl MoveBatch {
         to: RenderServiceId,
         cost: &NodeCost,
     ) {
-        self.reroot(sim, node, Some(from), Some(to));
+        sim.world.data_mut(self.ds_id).move_interest_root(node, Some(from), Some(to));
         // Replica surgery now; the transfer cost lands on the receiving
         // side as an arrival event (the node is "in flight" until then,
         // but the old holder keeps rendering it until the handoff — best
         // effort).
-        let (subtree, arrival) = self.ship_subtree(sim, node, to, cost);
+        let (parcel, arrival) = self.ship_subtree(sim, node, to, cost);
         sim.schedule_at(arrival, move |sim| {
             let at = sim.now();
-            // The donor may already be gone (failure-triggered moves).
+            // The donor may already be gone (failure-triggered moves), and
+            // so may the receiver: it failed with the subtree on the wire,
+            // and its own failure re-homes what the data service says it
+            // held.
             if let Some(rs) = sim.world.render_services.get_mut(&from) {
                 let _ = rs.scene.remove(node);
                 rs.interest.remove_root(node);
             }
-            {
-                let rs = sim.world.render_mut(to);
+            if let Some(rs) = sim.world.render_services.get_mut(&to) {
                 rs.interest.add_root(node);
-                rs.scene.merge_subset(&subtree);
+                rs.scene.adopt_parcel(&parcel);
             }
             sim.world.trace.record(
                 at,
@@ -747,13 +714,13 @@ impl MoveBatch {
         if !sim.world.render_services.contains_key(&to) {
             return;
         }
-        self.reroot(sim, node, None, Some(to));
-        let (subtree, arrival) = self.ship_subtree(sim, node, to, cost);
+        sim.world.data_mut(self.ds_id).move_interest_root(node, None, Some(to));
+        let (parcel, arrival) = self.ship_subtree(sim, node, to, cost);
         sim.schedule_at(arrival, move |sim| {
             let at = sim.now();
             if let Some(rs) = sim.world.render_services.get_mut(&to) {
                 rs.interest.add_root(node);
-                rs.scene.merge_subset(&subtree);
+                rs.scene.adopt_parcel(&parcel);
             }
             sim.world.trace.record(
                 at,
@@ -765,8 +732,8 @@ impl MoveBatch {
 
     /// A workload left the plan (removed from the scene or split away):
     /// clean it off the service that held it.
-    fn uninstall_node(&mut self, sim: &mut RaveSim, node: NodeId, from: RenderServiceId) {
-        self.reroot(sim, node, Some(from), None);
+    fn uninstall_node(&self, sim: &mut RaveSim, node: NodeId, from: RenderServiceId) {
+        sim.world.data_mut(self.ds_id).move_interest_root(node, Some(from), None);
         if let Some(rs) = sim.world.render_services.get_mut(&from) {
             let _ = rs.scene.remove(node);
             rs.interest.remove_root(node);
@@ -966,15 +933,14 @@ fn teardown_render_service(
 
 /// Apply a plan diff to the world: placement changes become migrations,
 /// first placements install the subtree on their service, and dropped
-/// workloads are cleaned off the holder they left. The subscribers the
-/// diff touched have their interest closures recomputed once, after it.
+/// workloads are cleaned off the holder they left.
 fn apply_plan_diff(
     sim: &mut RaveSim,
     ds_id: DataServiceId,
     diff: &crate::sched::incremental::PlanDiff,
     outcome: &mut MigrationOutcome,
 ) {
-    let mut moves = MoveBatch::new(sim, ds_id);
+    let mut moves = MoveBatch::new(ds_id);
     for &(node, old, new) in &diff.moved {
         let cost =
             sim.world.data(ds_id).scene.node(node).map(|n| n.own_cost()).unwrap_or(NodeCost::ZERO);
@@ -989,7 +955,6 @@ fn apply_plan_diff(
     for &(node, from) in &diff.dropped {
         moves.uninstall_node(sim, node, from);
     }
-    moves.refresh_touched(sim);
 }
 
 #[cfg(test)]
@@ -1216,24 +1181,73 @@ mod tests {
         assert!(!sim.world.render(holder).interest.roots().any(|r| r == gone));
     }
 
-    /// Every subscriber's closure is what a from-scratch refresh gives.
-    fn assert_closures_fresh(sim: &RaveSim, ds: DataServiceId) {
-        let ds = sim.world.data(ds);
-        for (rs, sub) in &ds.subscribers {
-            let mut fresh = sub.interest.clone();
-            fresh.refresh(&ds.scene);
-            assert_eq!(sub.interest, fresh, "{rs} holds a stale closure");
-        }
+    /// A receiver torn down while a subtree is on the wire to it: the
+    /// arrival finds nobody and lands nothing, and the failure's own
+    /// re-homing (the data service already counted the node as the dead
+    /// service's) leaves it with exactly one survivor.
+    #[test]
+    fn a_receiver_that_fails_with_a_subtree_in_flight_is_skipped() {
+        let mut sim = Simulation::new(RaveWorld::paper_testbed(RaveConfig::default(), 11));
+        let ds = sim.world.spawn_data_service("adrenochrome", "sess");
+        // Equal machines, so the worst-fit replay spreads the nodes.
+        let services = ["desktop", "adrenochrome", "desktop"].map(|host| {
+            let rs = sim.world.spawn_render_service(host);
+            sim.world.data_mut(ds).subscribe_live(rs, InterestSet::subtrees([]));
+            sim.world.render_mut(rs).interest = InterestSet::subtrees([]);
+            rs
+        });
+        let nodes: Vec<NodeId> = (0..6)
+            .map(|i| {
+                let scene = &mut sim.world.data_mut(ds).scene;
+                scene.add_node(scene.root(), format!("n{i}"), mesh(20_000 + i)).unwrap()
+            })
+            .collect();
+        incremental_replan(&mut sim, ds, &[]).diff.expect("first pass plans");
+        sim.run();
+        let holders = |sim: &RaveSim, node: NodeId| -> Vec<RenderServiceId> {
+            let live = services.iter().filter(|rs| sim.world.render_services.contains_key(rs));
+            live.filter(|rs| sim.world.render(**rs).scene.contains(node)).copied().collect()
+        };
+
+        // A cost edit whose replay hands some node to another service.
+        sim.world.data_mut(ds).scene.node_mut(nodes[5]).unwrap().set_kind(mesh(300_000));
+        let diff = incremental_replan(&mut sim, ds, &[]).diff.expect("cost edit replans");
+        let &(node, from, fast) = diff.moved.first().expect("the edit moves work");
+        let from = from.expect("a move, not a first placement");
+        assert_eq!(holders(&sim, node), [from], "the subtree is on the wire to {fast}");
+
+        let outcome = process_events(&mut sim, ds, &[SchedEvent::Failure { service: fast }]);
+        assert!(outcome.moved.iter().any(|&(n, dead, _)| n == node && dead == fast));
+        sim.run();
+        let held = holders(&sim, node);
+        assert_eq!(held.len(), 1, "node {node} held by {held:?}\n{}", sim.world.trace.render());
+        assert!(sim.world.render(held[0]).interest.roots().any(|r| r == node));
     }
 
-    /// The services whose interest roots applying `diff` edits.
-    fn touched_by(diff: &crate::sched::incremental::PlanDiff) -> BTreeSet<RenderServiceId> {
-        let moved = diff.moved.iter().flat_map(|&(_, old, new)| old.into_iter().chain([new]));
-        moved.chain(diff.dropped.iter().map(|&(_, from)| from)).collect()
+    /// The interest index as the service keeps it routes an update of
+    /// every node as the naive scan does, on the index it had
+    /// `generation` rebuilds ago.
+    fn assert_index_patched(sim: &RaveSim, ds: DataServiceId, generation: u64) {
+        let mut probe = sim.world.data(ds).clone();
+        let nodes = probe.scene.descendants(probe.scene.root());
+        for node in nodes {
+            let update = rave_scene::SceneUpdate::SetName { id: node, name: "probe".into() };
+            let stamped = Arc::new(probe.stamp("probe", update));
+            assert_eq!(probe.route(&stamped), probe.route_naive(&stamped), "node {node}");
+        }
+        assert_eq!(probe.index_generation(), generation, "routed on the index it had");
+    }
+
+    /// One routed update: the interest index is built.
+    fn route_once(sim: &mut RaveSim, ds: DataServiceId) -> u64 {
+        let root = sim.world.data(ds).scene.root();
+        let rename = rave_scene::SceneUpdate::SetName { id: root, name: "routed".into() };
+        crate::world::publish_update(sim, ds, "t", rename).unwrap();
+        sim.world.data(ds).index_generation()
     }
 
     #[test]
-    fn a_plan_diff_refreshes_each_touched_subscriber_once() {
+    fn a_plan_diff_patches_the_index_in_place() {
         let (mut sim, ds, _slow, _fast) = overload_world();
         // A subscriber the diff never touches, and enough small nodes that
         // the moves outnumber the services.
@@ -1243,35 +1257,34 @@ mod tests {
             let scene = &mut sim.world.data_mut(ds).scene;
             scene.add_node(scene.root(), format!("n{i}"), mesh(1_000 + i)).unwrap();
         }
-        let before = sim.world.data(ds).interest_refreshes;
+        let generation = route_once(&mut sim, ds);
+
         let diff = incremental_replan(&mut sim, ds, &[]).diff.expect("first pass plans");
-        let touched = touched_by(&diff);
-        let refreshed = sim.world.data(ds).interest_refreshes - before;
-        assert!(diff.moved.len() > touched.len(), "{} moves", diff.moved.len());
-        assert!(refreshed <= touched.len() as u64, "{refreshed} closures for {touched:?}");
-        assert_closures_fresh(&sim, ds);
+        assert!(diff.moved.len() > sim.world.data(ds).subscribers.len());
+        assert_index_patched(&sim, ds, generation);
         sim.run();
 
-        // A cost edit moves placed nodes between services: same bound.
+        // A cost edit moves placed nodes between services: the same.
         let edited = diff.moved[0].0;
         sim.world.data_mut(ds).scene.node_mut(edited).unwrap().set_kind(mesh(300_000));
-        let before = sim.world.data(ds).interest_refreshes;
         let diff = incremental_replan(&mut sim, ds, &[]).diff.expect("cost edit replans");
-        let touched = touched_by(&diff);
-        let refreshed = sim.world.data(ds).interest_refreshes - before;
         assert!(!diff.moved.is_empty());
-        assert!(refreshed <= touched.len() as u64, "{refreshed} closures for {touched:?}");
-        assert_closures_fresh(&sim, ds);
+        assert_index_patched(&sim, ds, generation);
     }
 
     #[test]
-    fn an_event_batch_refreshes_each_touched_subscriber_once() {
+    fn an_event_batch_patches_the_index_in_place() {
         let (mut sim, ds, slow, fast) = overload_world();
-        let before = sim.world.data(ds).interest_refreshes;
-        let outcome = process_events(&mut sim, ds, &[SchedEvent::Failure { service: slow }]);
-        assert_eq!(outcome.moved.len(), 2, "both meshes re-homed");
-        assert_eq!(sim.world.data(ds).interest_refreshes - before, 1, "only {fast} is left");
-        assert_closures_fresh(&sim, ds);
+        make_overloaded(&mut sim, slow);
+        let generation = route_once(&mut sim, ds);
+        let outcome = process_events(&mut sim, ds, &[SchedEvent::Overload { service: slow }]);
+        assert!(outcome.moved.iter().all(|&(_, from, to)| (from, to) == (slow, fast)));
+        assert!(!outcome.moved.is_empty());
+        assert_index_patched(&sim, ds, generation);
+        // A failure changes the population: one rebuild, at the next route.
+        process_events(&mut sim, ds, &[SchedEvent::Failure { service: slow }]);
+        assert_eq!(sim.world.data(ds).subscriber_ids(), [fast], "only {fast} is left");
+        assert_index_patched(&sim, ds, generation + 1);
     }
 
     #[test]

@@ -191,8 +191,14 @@ impl RaveWorld {
     /// The serializing channel from one host to another. Panics on an
     /// unknown host, as [`Network::known_host`] does.
     pub fn channel(&mut self, from: &str, to: &str) -> &mut Channel {
+        let (from, to) = (self.network.known_host(from), self.network.known_host(to));
+        self.channel_between(from, to)
+    }
+
+    /// [`RaveWorld::channel`] for a sender that resolved its hosts once and
+    /// sends many times.
+    pub fn channel_between(&mut self, from: HostId, to: HostId) -> &mut Channel {
         let network = &self.network;
-        let (from, to) = (network.known_host(from), network.known_host(to));
         self.channels
             .entry((from, to))
             .or_insert_with(|| Channel::new(network.link_between_ids(from, to).clone()))

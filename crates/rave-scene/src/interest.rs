@@ -10,17 +10,21 @@ use crate::tree::{Dirt, SceneTree};
 use crate::update::SceneUpdate;
 use serde::{Deserialize, Serialize};
 use std::collections::{BTreeSet, HashMap};
+use std::hash::BuildHasherDefault;
 
-/// The set of subtree roots a render service has subscribed to, plus the
-/// expanded node set (descendants + ancestor orientation chain) computed
-/// against a specific tree state.
+/// Keyed by the sequential ids the data service allocates, like the
+/// tree's own id index: one multiply mixes them.
+type IdMap<V> = HashMap<NodeId, V, BuildHasherDefault<crate::tree::IdHasher>>;
+
+/// The set of subtree roots a render service has subscribed to. What the
+/// subscription covers — the roots' subtrees plus, for orientation, their
+/// ancestor chains (§3.2.5) — is read off the tree when asked
+/// ([`InterestSet::contains`]), so a set is never out of step with the
+/// scene and a root that changes hands costs one set edit.
 #[derive(Debug, Clone, Default, PartialEq, Eq, Serialize, Deserialize)]
 pub struct InterestSet {
     /// Subtree roots of interest.
     roots: BTreeSet<NodeId>,
-    /// Expanded closure (descendants of roots + ancestors); refreshed via
-    /// [`InterestSet::refresh`].
-    expanded: BTreeSet<NodeId>,
     /// Whether this set subscribes to *everything* (a full replica, the
     /// common case for a render service that holds the whole scene).
     all: bool,
@@ -45,37 +49,51 @@ impl InterestSet {
         self.roots.iter().copied()
     }
 
-    pub fn add_root(&mut self, id: NodeId) {
-        self.roots.insert(id);
+    /// Returns whether the root was new to the set.
+    pub fn add_root(&mut self, id: NodeId) -> bool {
+        self.roots.insert(id)
     }
 
     pub fn remove_root(&mut self, id: NodeId) -> bool {
         self.roots.remove(&id)
     }
 
-    /// Recompute the expanded closure against the current tree. Must be
-    /// called after structural changes to stay accurate; `relevant` on a
-    /// stale set errs on the side of delivering.
-    pub fn refresh(&mut self, tree: &SceneTree) {
-        if self.all {
-            return;
-        }
-        let roots: Vec<NodeId> = self.roots.iter().copied().collect();
-        self.expanded = tree.subset_closure(&roots).into_iter().collect();
-    }
+    /// Does nothing: a set keeps no closure to recompute (it did once, and
+    /// `benchmark/`, frozen for the changes it judges, still calls this
+    /// before it reads [`InterestSet::relevant`]).
+    pub fn refresh(&mut self, _tree: &SceneTree) {}
 
-    pub fn contains(&self, id: NodeId) -> bool {
-        self.all || self.expanded.contains(&id)
+    /// Is `id` a node of `tree` the subscription covers: inside a root's
+    /// subtree (a root itself included), or an ancestor of a root? Costs
+    /// the node's depth, and for an inner node one interval test per root.
+    pub fn contains(&self, id: NodeId, tree: &SceneTree) -> bool {
+        if self.all {
+            return true;
+        }
+        let Some((pos, len)) = tree.preorder_interval(id) else { return false };
+        let mut at = Some(id);
+        while let Some(n) = at {
+            if self.roots.contains(&n) {
+                return true;
+            }
+            at = tree.node(n).and_then(|n| n.parent());
+        }
+        let inside = pos..pos + len;
+        len > 1
+            && self
+                .roots
+                .iter()
+                .any(|r| tree.preorder_interval(*r).is_some_and(|(at, _)| inside.contains(&at)))
     }
 
     /// Should `update` be delivered to the subscriber holding this set?
     ///
     /// `AddNode` is judged by its *parent* (a child added inside a
-    /// subscribed subtree matters; the new id cannot be in the closure
-    /// yet). Everything else is judged by its target. Two conservative
+    /// subscribed subtree matters; the new id is not in the tree yet).
+    /// Everything else is judged by its target. Two conservative
     /// rules widen delivery:
-    /// - updates to unknown nodes are delivered (a stale closure must not
-    ///   cause a replica to silently diverge);
+    /// - updates to unknown nodes are delivered (a replica must not
+    ///   silently diverge);
     /// - *presence* nodes (avatars and cameras) are relevant to every
     ///   subscriber — collaborators must be visible in every view, even a
     ///   subset replica (§3.2.4).
@@ -93,14 +111,14 @@ impl InterestSet {
             SceneUpdate::AddNode { parent, id, kind, .. } => {
                 matches!(kind, crate::node::NodeKind::Avatar(_) | crate::node::NodeKind::Camera(_))
                     || presence(*id)
-                    || self.contains(*parent)
+                    || self.contains(*parent, tree)
             }
             other => {
                 let t = other.target();
                 if !tree.contains(t) {
                     return true; // unknown target: deliver conservatively
                 }
-                presence(t) || self.contains(t)
+                presence(t) || self.contains(t, tree)
             }
         }
     }
@@ -143,8 +161,8 @@ struct Interval {
 }
 
 /// The inverted interest index: instead of asking every subscriber's
-/// [`InterestSet`] whether one update is relevant (O(subscribers) closure
-/// probes per update), index the subscriptions once and ask which
+/// [`InterestSet`] whether one update is relevant (O(subscribers) probes
+/// per update), index the subscriptions once and ask which
 /// subscribers one update reaches — O(log roots + matches) per update.
 ///
 /// Layout: subscribers with `everything` interest live in a bitset;
@@ -152,26 +170,37 @@ struct Interval {
 /// plus a parent-chain walk, see [`Interval`]); ancestor-of-root interest
 /// ("the parent nodes to orientate the scene subset", §3.2.5) is a
 /// hash-map from ancestor id to subscriber slots. Decisions are
-/// bit-for-bit those of [`InterestSet::relevant`] against freshly
-/// refreshed closures — proptest-pinned in `tests/proptest_interest.rs`.
+/// bit-for-bit those of [`InterestSet::relevant`] — proptest-pinned in
+/// `tests/proptest_interest.rs`.
 ///
 /// Maintenance is incremental: the owner reads the tree's `Structure`
 /// edits since its last read ([`SceneTree::changes_since`]) into
 /// [`InterestIndex::repair`], which re-resolves intervals (O(roots) id lookups) and recomputes only
-/// the ancestor chains the dirty ids could have changed, instead of
-/// re-expanding every subscriber's closure against the whole scene.
+/// the ancestor chains the dirty ids could have changed; and a
+/// subscriber that gains or drops one root (a migration) is one
+/// [`InterestIndex::add_root`] / [`InterestIndex::remove_root`], which
+/// touch that root's entry and the slot lists along its chain and renumber
+/// nobody. Only a change of the subscriber population needs a rebuild.
 #[derive(Debug, Clone, Default)]
 pub struct InterestIndex {
     n_subs: usize,
     /// Bitset of subscribers with `all` interest.
     everything: Vec<u64>,
     roots: Vec<RootEntry>,
+    /// Root id → its entry in `roots`.
+    entry_of: IdMap<u32>,
     /// Resolved intervals, sorted by (start asc, end desc) — enclosing
     /// intervals sort before enclosed ones.
     intervals: Vec<Interval>,
+    /// `roots` gained or lost an entry since `intervals` were resolved:
+    /// they are resolved again before the next stab, once for however many
+    /// entries came and went.
+    intervals_stale: bool,
     /// Ancestor id → subscriber slots owed the node because it orients
-    /// one of their interest roots.
-    ancestor_subs: HashMap<NodeId, Vec<SubSlot>>,
+    /// one of their interest roots, ascending, each with the number of
+    /// (root, chain) pairs that owe it: a root changing hands finds its
+    /// slot by bisection however many roots share the ancestor.
+    ancestor_subs: IdMap<Vec<(SubSlot, u32)>>,
     /// Match accumulator reused across queries.
     scratch: Vec<u64>,
 }
@@ -197,7 +226,7 @@ impl InterestIndex {
     ) {
         self.roots.clear();
         self.everything.clear();
-        let mut entry_of: HashMap<NodeId, u32> = HashMap::new();
+        self.entry_of.clear();
         let mut n = 0usize;
         for (i, set) in interests.into_iter().enumerate() {
             let slot = i as SubSlot;
@@ -211,7 +240,7 @@ impl InterestIndex {
                 continue;
             }
             for root in set.roots() {
-                let e = *entry_of.entry(root).or_insert_with(|| {
+                let e = *self.entry_of.entry(root).or_insert_with(|| {
                     self.roots.push(RootEntry { root, subs: Vec::new(), chain: Vec::new() });
                     (self.roots.len() - 1) as u32
                 });
@@ -260,9 +289,81 @@ impl InterestIndex {
         self.resolve_intervals(tree);
     }
 
+    fn holds_everything(&self, sub: SubSlot) -> bool {
+        self.everything.get((sub / 64) as usize).is_some_and(|w| w >> (sub % 64) & 1 == 1)
+    }
+
+    /// Subscriber `sub` added `root` to its interest roots
+    /// ([`InterestSet::add_root`] returned true): index it as a rebuild
+    /// over the edited sets would, with every slot number where it is. The
+    /// root's entry gains the slot, and each ancestor on the entry's chain
+    /// one occurrence of it; a root new to the index gains its entry (chain
+    /// read off `tree` as it stands) and, before the next stab, its
+    /// interval. An `everything` subscriber is indexed by its bit alone,
+    /// as in a rebuild.
+    pub fn add_root(&mut self, tree: &SceneTree, sub: SubSlot, root: NodeId) {
+        debug_assert!((sub as usize) < self.n_subs, "slot {sub} of {}", self.n_subs);
+        if self.holds_everything(sub) {
+            return;
+        }
+        let e = match self.entry_of.get(&root) {
+            Some(&e) => e as usize,
+            None => {
+                let e = self.roots.len();
+                let chain = if tree.contains(root) { tree.ancestors(root) } else { Vec::new() };
+                self.roots.push(RootEntry { root, subs: Vec::new(), chain });
+                self.entry_of.insert(root, e as u32);
+                self.intervals_stale = true;
+                e
+            }
+        };
+        let entry = &mut self.roots[e];
+        if entry.subs.contains(&sub) {
+            return; // roots are a set per subscriber
+        }
+        entry.subs.push(sub);
+        for &a in &entry.chain {
+            let owed = self.ancestor_subs.entry(a).or_default();
+            match owed.binary_search_by_key(&sub, |&(s, _)| s) {
+                Ok(at) => owed[at].1 += 1,
+                Err(at) => owed.insert(at, (sub, 1)),
+            }
+        }
+    }
+
+    /// Subscriber `sub` dropped `root` from its interest roots
+    /// ([`InterestSet::remove_root`] returned true): the inverse of
+    /// [`InterestIndex::add_root`]. An entry nobody holds any more leaves
+    /// the index.
+    pub fn remove_root(&mut self, sub: SubSlot, root: NodeId) {
+        if self.holds_everything(sub) {
+            return;
+        }
+        let Some(&e) = self.entry_of.get(&root) else { return };
+        let entry = &mut self.roots[e as usize];
+        let Some(at) = entry.subs.iter().position(|&s| s == sub) else { return };
+        entry.subs.swap_remove(at);
+        for a in &entry.chain {
+            let owed = self.ancestor_subs.get_mut(a).expect("every chain node has its list");
+            let at = owed.binary_search_by_key(&sub, |&(s, _)| s).expect("counted once per entry");
+            owed[at].1 -= 1;
+            if owed[at].1 == 0 {
+                owed.remove(at);
+            }
+        }
+        if entry.subs.is_empty() {
+            self.entry_of.remove(&root);
+            self.roots.swap_remove(e as usize);
+            if let Some(moved) = self.roots.get(e as usize) {
+                self.entry_of.insert(moved.root, e);
+            }
+            self.intervals_stale = true;
+        }
+    }
+
     /// Which subscribers must `update` reach? Fills `out` with matching
     /// slots in ascending order. Decision per slot is identical to
-    /// [`InterestSet::relevant`] on a freshly refreshed set:
+    /// [`InterestSet::relevant`]:
     /// presence (avatar/camera) updates and updates to unknown targets go
     /// to everyone; `AddNode` is judged by its parent; everything else by
     /// its target.
@@ -312,6 +413,9 @@ impl InterestIndex {
                 for (w, &e) in self.scratch.iter_mut().zip(&self.everything) {
                     *w |= e;
                 }
+                if self.intervals_stale {
+                    self.resolve_intervals(tree);
+                }
                 if let Some((pos, _)) = tree.preorder_interval(p) {
                     // Stab: the predecessor by start is the innermost
                     // candidate; climb to the first interval containing
@@ -333,7 +437,7 @@ impl InterestIndex {
                     }
                 }
                 if let Some(subs) = self.ancestor_subs.get(&p) {
-                    for &s in subs {
+                    for &(s, _) in subs {
                         self.scratch[(s / 64) as usize] |= 1u64 << (s % 64);
                     }
                 }
@@ -353,8 +457,16 @@ impl InterestIndex {
         self.ancestor_subs.clear();
         for e in &self.roots {
             for &a in &e.chain {
-                self.ancestor_subs.entry(a).or_default().extend_from_slice(&e.subs);
+                self.ancestor_subs.entry(a).or_default().extend(e.subs.iter().map(|&s| (s, 1)));
             }
+        }
+        for owed in self.ancestor_subs.values_mut() {
+            owed.sort_unstable();
+            owed.dedup_by(|next, kept| {
+                let same = next.0 == kept.0;
+                kept.1 += if same { next.1 } else { 0 };
+                same
+            });
         }
     }
 
@@ -362,6 +474,7 @@ impl InterestIndex {
     /// longer in the tree drop out), sort, and wire the laminar parent
     /// links with one monotone stack pass.
     fn resolve_intervals(&mut self, tree: &SceneTree) {
+        self.intervals_stale = false;
         self.intervals.clear();
         for (idx, e) in self.roots.iter().enumerate() {
             if let Some((pos, len)) = tree.preorder_interval(e.root) {
@@ -423,8 +536,7 @@ mod tests {
     #[test]
     fn subtree_updates_relevant_descendant_and_ancestor() {
         let (tree, left, leaf, right) = build_tree();
-        let mut set = InterestSet::subtrees([left]);
-        set.refresh(&tree);
+        let set = InterestSet::subtrees([left]);
         // Descendant of interest root.
         assert!(set.relevant(&SceneUpdate::SetName { id: leaf, name: "x".into() }, &tree));
         // Ancestor (root) transform orients the subset — relevant.
@@ -439,8 +551,7 @@ mod tests {
     #[test]
     fn add_node_judged_by_parent() {
         let (tree, left, _, right) = build_tree();
-        let mut set = InterestSet::subtrees([left]);
-        set.refresh(&tree);
+        let set = InterestSet::subtrees([left]);
         let inside = SceneUpdate::AddNode {
             id: NodeId(99),
             parent: left,
@@ -460,8 +571,7 @@ mod tests {
     #[test]
     fn unknown_target_delivered_conservatively() {
         let (tree, left, ..) = build_tree();
-        let mut set = InterestSet::subtrees([left]);
-        set.refresh(&tree);
+        let set = InterestSet::subtrees([left]);
         let u = SceneUpdate::RemoveNode { id: NodeId(1234) };
         assert!(set.relevant(&u, &tree));
     }
@@ -470,20 +580,17 @@ mod tests {
     fn add_remove_roots() {
         let (tree, left, _, right) = build_tree();
         let mut set = InterestSet::subtrees([left]);
-        set.add_root(right);
-        set.refresh(&tree);
-        assert!(set.contains(right));
+        assert!(set.add_root(right) && !set.add_root(right));
+        assert!(set.contains(right, &tree));
         assert!(set.remove_root(right));
         assert!(!set.remove_root(right));
-        set.refresh(&tree);
-        assert!(!set.contains(right));
+        assert!(!set.contains(right, &tree));
     }
 
     // ---- inverted index -------------------------------------------------
 
-    /// The oracle: every set refreshed against the tree, then scanned.
-    fn naive(sets: &mut [InterestSet], u: &SceneUpdate, tree: &SceneTree) -> Vec<u32> {
-        sets.iter_mut().for_each(|s| s.refresh(tree));
+    /// The oracle: every set asked in turn.
+    fn naive(sets: &[InterestSet], u: &SceneUpdate, tree: &SceneTree) -> Vec<u32> {
         sets.iter()
             .enumerate()
             .filter(|(_, s)| s.relevant(u, tree))
@@ -498,9 +605,9 @@ mod tests {
     }
 
     #[test]
-    fn index_matches_refreshed_naive_scan() {
+    fn index_matches_naive_scan() {
         let (tree, left, leaf, right) = build_tree();
-        let mut sets = vec![
+        let sets = [
             InterestSet::everything(),
             InterestSet::subtrees([left]),
             InterestSet::subtrees([right]),
@@ -523,7 +630,7 @@ mod tests {
             },
         ];
         for u in &updates {
-            assert_eq!(indexed(&mut ix, u, &tree), naive(&mut sets, u, &tree), "update {u:?}");
+            assert_eq!(indexed(&mut ix, u, &tree), naive(&sets, u, &tree), "update {u:?}");
         }
     }
 
@@ -536,7 +643,7 @@ mod tests {
             camera: Default::default(),
         };
         let av = tree.add_node(tree.root(), "av", NodeKind::Avatar(info)).unwrap();
-        let sets = vec![InterestSet::subtrees([left]), InterestSet::subtrees([NodeId(999)])];
+        let sets = [InterestSet::subtrees([left]), InterestSet::subtrees([NodeId(999)])];
         let mut ix = InterestIndex::new();
         ix.rebuild(&tree, sets.iter());
         let u = SceneUpdate::CameraMoved { id: av, camera: Default::default() };
@@ -546,7 +653,7 @@ mod tests {
     #[test]
     fn index_repair_follows_structural_edits() {
         let (mut tree, left, leaf, right) = build_tree();
-        let mut sets = vec![
+        let sets = [
             InterestSet::subtrees([left]),
             InterestSet::subtrees([right]),
             InterestSet::everything(),
@@ -561,23 +668,93 @@ mod tests {
         let dirt = structure_dirt(&mut tree, &mut seen);
         ix.repair(&tree, &dirt);
         let u = SceneUpdate::SetName { id: grown, name: "g".into() };
-        assert_eq!(indexed(&mut ix, &u, &tree), naive(&mut sets, &u, &tree));
+        assert_eq!(indexed(&mut ix, &u, &tree), naive(&sets, &u, &tree));
 
         tree.reparent(leaf, right).unwrap();
         let dirt = structure_dirt(&mut tree, &mut seen);
         ix.repair(&tree, &dirt);
         let u = SceneUpdate::SetName { id: leaf, name: "f".into() };
-        assert_eq!(indexed(&mut ix, &u, &tree), naive(&mut sets, &u, &tree));
+        assert_eq!(indexed(&mut ix, &u, &tree), naive(&sets, &u, &tree));
 
         tree.remove(left).unwrap();
         let dirt = structure_dirt(&mut tree, &mut seen);
         ix.repair(&tree, &dirt);
         // The removed root matches nothing but unknown-target updates now
-        // go to everyone — exactly like the refreshed naive scan.
+        // go to everyone — exactly like the naive scan.
         let u = SceneUpdate::SetName { id: grown, name: "x".into() };
-        assert_eq!(indexed(&mut ix, &u, &tree), naive(&mut sets, &u, &tree));
+        assert_eq!(indexed(&mut ix, &u, &tree), naive(&sets, &u, &tree));
         let u = SceneUpdate::SetName { id: leaf, name: "y".into() };
-        assert_eq!(indexed(&mut ix, &u, &tree), naive(&mut sets, &u, &tree));
+        assert_eq!(indexed(&mut ix, &u, &tree), naive(&sets, &u, &tree));
+    }
+
+    /// Edit the sets and patch the index root by root: every probe must be
+    /// answered as an index rebuilt from the edited sets answers it.
+    #[test]
+    fn a_patched_index_routes_as_a_rebuilt_one() {
+        let (mut tree, left, leaf, right) = build_tree();
+        let deep = tree.add_node(leaf, "deep", NodeKind::Group).unwrap();
+        let mut sets = vec![
+            InterestSet::subtrees([left]),
+            InterestSet::subtrees([]),
+            InterestSet::everything(),
+            InterestSet::subtrees([right, leaf]),
+        ];
+        let mut ix = InterestIndex::new();
+        ix.rebuild(&tree, sets.iter());
+        let probes = |tree: &SceneTree| -> Vec<SceneUpdate> {
+            let mut ids = tree.descendants(tree.root());
+            ids.push(NodeId(999));
+            ids.into_iter().map(|id| SceneUpdate::SetName { id, name: "p".into() }).collect()
+        };
+        let check = |ix: &mut InterestIndex, sets: &[InterestSet], tree: &SceneTree| {
+            let mut fresh = InterestIndex::new();
+            fresh.rebuild(tree, sets.iter());
+            for u in probes(tree) {
+                assert_eq!(indexed(ix, &u, tree), indexed(&mut fresh, &u, tree), "{u:?}");
+            }
+        };
+        let give = |ix: &mut InterestIndex, sets: &mut [InterestSet], t: &SceneTree, sub, root| {
+            if sets[sub as usize].add_root(root) {
+                ix.add_root(t, sub, root);
+            }
+        };
+        let take = |ix: &mut InterestIndex, sets: &mut [InterestSet], sub, root| {
+            if sets[sub as usize].remove_root(root) {
+                ix.remove_root(sub, root);
+            }
+        };
+        // A move: `left` from slot 0 to slot 1, its entry never empty.
+        give(&mut ix, &mut sets, &tree, 1, left);
+        take(&mut ix, &mut sets, 0, left);
+        check(&mut ix, &sets, &tree);
+        // A root new to the index, held twice (the second add is a no-op),
+        // then by nobody: its entry comes and goes.
+        give(&mut ix, &mut sets, &tree, 0, deep);
+        give(&mut ix, &mut sets, &tree, 0, deep);
+        check(&mut ix, &sets, &tree);
+        take(&mut ix, &mut sets, 0, deep);
+        take(&mut ix, &mut sets, 0, deep);
+        check(&mut ix, &sets, &tree);
+        // The last entry leaving moves nothing; one in the middle moves the
+        // last into its place.
+        take(&mut ix, &mut sets, 3, right);
+        check(&mut ix, &sets, &tree);
+        // An `everything` subscriber's roots are not indexed, either way.
+        give(&mut ix, &mut sets, &tree, 2, right);
+        check(&mut ix, &sets, &tree);
+        take(&mut ix, &mut sets, 2, right);
+        check(&mut ix, &sets, &tree);
+        // A root the tree does not hold yet: indexed when it arrives.
+        let later = NodeId(tree.id_allocator_state());
+        give(&mut ix, &mut sets, &tree, 1, later);
+        check(&mut ix, &sets, &tree);
+        let mut seen = EditStamp::default();
+        structure_dirt(&mut tree, &mut seen);
+        tree.insert_with_id(later, right, "later", NodeKind::Group).unwrap();
+        let dirt = structure_dirt(&mut tree, &mut seen);
+        ix.repair(&tree, &dirt);
+        check(&mut ix, &sets, &tree);
+        assert_eq!(ix.n_subs(), 4, "nobody was renumbered");
     }
 
     #[test]
@@ -588,7 +765,7 @@ mod tests {
         let a = tree.add_node(tree.root(), "a", NodeKind::Group).unwrap();
         let b = tree.add_node(tree.root(), "b", NodeKind::Group).unwrap();
         let x = tree.add_node(a, "x", NodeKind::Group).unwrap();
-        let mut sets = vec![InterestSet::subtrees([x])];
+        let sets = [InterestSet::subtrees([x])];
         let mut ix = InterestIndex::new();
         let mut seen = EditStamp::default();
         structure_dirt(&mut tree, &mut seen);
@@ -601,8 +778,8 @@ mod tests {
         tree.reparent(x, b).unwrap();
         let dirt = structure_dirt(&mut tree, &mut seen);
         ix.repair(&tree, &dirt);
-        assert_eq!(indexed(&mut ix, &u_a, &tree), naive(&mut sets, &u_a, &tree));
-        assert_eq!(indexed(&mut ix, &u_b, &tree), naive(&mut sets, &u_b, &tree));
+        assert_eq!(indexed(&mut ix, &u_a, &tree), naive(&sets, &u_a, &tree));
+        assert_eq!(indexed(&mut ix, &u_b, &tree), naive(&sets, &u_b, &tree));
         assert_eq!(indexed(&mut ix, &u_b, &tree), vec![0], "new ancestor now relevant");
     }
 }

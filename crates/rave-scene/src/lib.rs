@@ -38,7 +38,8 @@ pub use geometry::{MeshData, PointCloudData, VolumeData};
 pub use interest::{InterestIndex, InterestSet, SubSlot};
 pub use node::{AvatarInfo, Interaction, KindTag, Node, NodeId, NodeKind, Transform};
 pub use tree::{
-    Children, Descendants, Dirt, EditClass, EditStamp, NodeMut, NodeRef, SceneTree, TreeError,
+    Children, Descendants, Dirt, EditClass, EditStamp, NodeMut, NodeRef, Parcel, SceneTree,
+    TreeError,
 };
 pub use update::{SceneUpdate, StampedUpdate, UpdateError};
 pub use wire::WireError;

@@ -270,6 +270,42 @@ impl Journal {
     }
 }
 
+/// One node of a [`Parcel`]: what a replica needs to insert it.
+#[derive(Debug, Clone, PartialEq)]
+struct ParcelNode {
+    id: NodeId,
+    parent: NodeId,
+    name: String,
+    kind: NodeKind,
+    transform: Transform,
+    version: u64,
+}
+
+/// A subtree in flight between replicas (§3.2.5: the subset plus "the
+/// parent nodes to orientate" it) as a flat list of records, parents
+/// before children: the message a migration sends, where a standalone
+/// [`SceneTree`] would carry arenas, an id index, a journal and caches for
+/// three nodes. Made by [`SceneTree::extract_parcel`], taken in by
+/// [`SceneTree::adopt_parcel`].
+#[derive(Debug, Clone, PartialEq)]
+pub struct Parcel {
+    /// Root of the tree it was cut from: a record whose parent this is
+    /// hangs under the receiving tree's root.
+    source_root: NodeId,
+    records: Vec<ParcelNode>,
+}
+
+impl Parcel {
+    /// Records carried: the orientation chain and the subtree.
+    pub fn len(&self) -> usize {
+        self.records.len()
+    }
+
+    pub fn is_empty(&self) -> bool {
+        self.records.is_empty()
+    }
+}
+
 /// A scene tree: a rooted hierarchy of typed nodes over a flat
 /// generational arena (see the module docs for the layout).
 pub struct SceneTree {
@@ -775,11 +811,24 @@ impl SceneTree {
         let Some(parent_slot) = self.slot(parent) else {
             return Err(TreeError::MissingNode(parent));
         };
+        self.insert_under(id, parent_slot, name, kind);
+        Ok(())
+    }
+
+    /// [`SceneTree::insert_with_id`] past its checks: `id` is free and
+    /// `parent_slot` is live. Returns the new node's slot.
+    fn insert_under(
+        &mut self,
+        id: NodeId,
+        parent_slot: u32,
+        name: impl Into<String>,
+        kind: NodeKind,
+    ) -> u32 {
         let slot = self.alloc_slot(id, parent_slot, name, kind);
         self.link_last_child(parent_slot, slot);
         self.next_id = self.next_id.max(id.0 + 1);
         self.edited(id, Some(EditClass::Structure));
-        Ok(())
+        slot
     }
 
     /// Remove a node and its whole subtree. Removing the root is rejected.
@@ -1077,14 +1126,87 @@ impl SceneTree {
             }
             let parent = src.parent().expect("non-root has parent");
             let parent = if parent == subset.root() { self.root } else { parent };
-            if !self.contains(parent) {
-                continue; // orphaned branch: parent was never replicated
-            }
-            self.insert_with_id(id, parent, src.name(), src.kind().clone())
-                .expect("id checked missing");
-            let slot = self.slot(id).expect("just inserted");
+            // An orphaned branch: its parent was never replicated.
+            let Some(parent_slot) = self.slot(parent) else { continue };
+            let slot = self.insert_under(id, parent_slot, src.name(), src.kind().clone());
             self.hot[slot as usize].transform = src.transform();
             self.cold[slot as usize].version = src.version();
+        }
+    }
+
+    /// Cut `root`'s subtree out as a [`Parcel`]: the flat form a migrating
+    /// subtree travels in. Its records are what
+    /// `extract_subset(&[root])` would hold, in the order `merge_subset`
+    /// would meet them: the orientation chain above `root` root-most first
+    /// (transforms kept, content stripped to [`NodeKind::Group`], the tree's
+    /// own root left out), then the subtree in pre-order with its payloads
+    /// `Arc`-shared. Costs the chain plus the subtree whatever the size of
+    /// the scene, and walks the sibling links: no cache is built or read,
+    /// so a cost edit between two extractions is not paid for here. A root
+    /// this tree does not hold gives the empty parcel.
+    pub fn extract_parcel(&self, root: NodeId) -> Parcel {
+        let mut records = Vec::new();
+        let Some(top) = self.slot(root) else {
+            return Parcel { source_root: self.root, records };
+        };
+        let record = |slot: u32, orientation_only: bool| {
+            let (h, c) = (&self.hot[slot as usize], &self.cold[slot as usize]);
+            ParcelNode {
+                id: h.id,
+                parent: self.hot[h.parent as usize].id,
+                name: c.name.clone(),
+                kind: if orientation_only { NodeKind::Group } else { c.kind.clone() },
+                transform: h.transform,
+                version: c.version,
+            }
+        };
+        let mut up = self.hot[top as usize].parent;
+        while up != NIL && up != self.root_slot {
+            records.push(record(up, true));
+            up = self.hot[up as usize].parent;
+        }
+        records.reverse();
+        // Pre-order over the links: down to the first child, else on to
+        // the next sibling of the nearest ancestor (below `top`) with one.
+        let mut at = top;
+        loop {
+            if at != self.root_slot {
+                records.push(record(at, false));
+            }
+            let mut next = self.hot[at as usize].first_child;
+            while next == NIL && at != top {
+                next = self.hot[at as usize].next_sibling;
+                if next == NIL {
+                    at = self.hot[at as usize].parent;
+                }
+            }
+            if next == NIL {
+                break;
+            }
+            at = next;
+        }
+        Parcel { source_root: self.root, records }
+    }
+
+    /// Take a [`Parcel`] in: `merge_subset(&extract_subset(&[root]))`
+    /// without the tree in between, and equal to it record for record
+    /// (`tests/proptest_scene.rs`). A node already here keeps its local
+    /// state — the chain a replica already holds, or a subtree it was sent
+    /// before; a record whose parent is not here is skipped (an orphaned
+    /// branch: its parent was never replicated, and what hangs below it is
+    /// skipped for the same reason in turn); the rest go in through the
+    /// same insert as [`SceneTree::insert_with_id`], so the edit journal
+    /// and the stamp move exactly as that merge moves them.
+    pub fn adopt_parcel(&mut self, parcel: &Parcel) {
+        for rec in &parcel.records {
+            if self.contains(rec.id) {
+                continue;
+            }
+            let parent = if rec.parent == parcel.source_root { self.root } else { rec.parent };
+            let Some(parent_slot) = self.slot(parent) else { continue };
+            let slot = self.insert_under(rec.id, parent_slot, rec.name.as_str(), rec.kind.clone());
+            self.hot[slot as usize].transform = rec.transform;
+            self.cold[slot as usize].version = rec.version;
         }
     }
 
@@ -1809,6 +1931,60 @@ mod tests {
         assert_eq!(replica.len(), before);
     }
 
+    /// A parcel is the subset without the tree: whatever the receiver
+    /// already holds, adopting `extract_parcel(r)` leaves what merging
+    /// `extract_subset(&[r])` leaves, and cutting it builds no cache.
+    #[test]
+    fn adopting_a_parcel_equals_merging_the_subset() {
+        let mut t = SceneTree::new();
+        let g = t.add_node(t.root(), "g", tri_mesh()).unwrap(); // ancestor WITH content
+        t.set_transform(g, Transform::from_translation(Vec3::new(5.0, 0.0, 0.0)));
+        let m = t.add_node(g, "m", tri_mesh()).unwrap();
+        let leaf = t.add_node(m, "leaf", tri_mesh()).unwrap();
+        let twin = t.add_node(m, "twin", NodeKind::Group).unwrap();
+        let other = t.add_node(t.root(), "other", tri_mesh()).unwrap();
+        t.set_transform(leaf, Transform::from_translation(Vec3::Y));
+
+        // Receivers: empty; holding the chain with local state of its own;
+        // holding part of the subtree; holding a node whose parent it lacks
+        // the record for (`leaf` under its root, `m` absent: no orphan).
+        let empty = SceneTree::new();
+        let mut chain = SceneTree::new();
+        chain.insert_with_id(g, chain.root(), "mine", NodeKind::Group).unwrap();
+        chain.set_transform(g, Transform::from_translation(Vec3::X));
+        let mut part = chain.clone();
+        part.insert_with_id(m, g, "m", NodeKind::Group).unwrap();
+        part.insert_with_id(twin, m, "twin", tri_mesh()).unwrap();
+        let mut stray = SceneTree::new();
+        stray.insert_with_id(leaf, stray.root(), "leaf", NodeKind::Group).unwrap();
+
+        for root in [t.root(), g, m, leaf, twin, other, NodeId(999)] {
+            let parcel = t.extract_parcel(root);
+            let subset = t.extract_subset(&[root]);
+            assert_eq!(parcel.len(), subset.len() - 1, "root {root}: the subset's own root");
+            assert_eq!(parcel.is_empty(), root == NodeId(999));
+            for receiver in [&empty, &chain, &part, &stray] {
+                let (mut adopted, mut merged) = (receiver.clone(), receiver.clone());
+                adopted.adopt_parcel(&parcel);
+                merged.merge_subset(&subset);
+                assert_eq!(adopted, merged, "root {root}");
+                adopted.check_invariants().unwrap();
+            }
+        }
+        // Local state survives, foreign content on the chain does not travel.
+        let mut held = chain.clone();
+        held.adopt_parcel(&t.extract_parcel(leaf));
+        assert_eq!(held.node(g).unwrap().name(), "mine");
+        assert_eq!(held.node(g).unwrap().transform().translation, Vec3::X);
+        assert_eq!(held.total_cost().polygons, 1, "only `leaf` brought content");
+        assert!(matches!(held.node(m).unwrap().kind(), NodeKind::Group));
+
+        let cold = t.clone();
+        cold.extract_parcel(leaf);
+        cold.extract_parcel(g);
+        assert!(!cold.structure_cache_is_warm() && !cold.cost_cache_is_warm());
+    }
+
     #[test]
     fn insert_with_duplicate_id_rejected() {
         let mut t = SceneTree::new();
@@ -2083,6 +2259,9 @@ mod tests {
         other.insert_with_id(far, other.root(), "far", tri_mesh()).unwrap();
         row(&mut t, "merge_subset", &mut |t| (t.merge_subset(&other), far).1, Some(Structure));
         row(&mut t, "remove", &mut |t| t.remove(far).map(|_| far).unwrap(), Some(Structure));
+        let parcel = other.extract_parcel(far);
+        row(&mut t, "adopt_parcel", &mut |t| (t.adopt_parcel(&parcel), far).1, Some(Structure));
+        t.remove(far).unwrap();
         let cam = t.add_node(root, "cam", NodeKind::Camera(CameraParams::default())).unwrap();
         row(
             &mut t,
@@ -2102,6 +2281,8 @@ mod tests {
         t.allocate_id();
         t.reserve(8);
         t.merge_subset(&SceneTree::new());
+        t.adopt_parcel(&t.extract_parcel(a));
+        t.adopt_parcel(&t.extract_parcel(NodeId(999)));
         assert!(t.remove(NodeId(999)).is_err());
         assert!(t.reparent(id, a).is_err());
         assert!(t.insert_with_id(a, root, "dup", NodeKind::Group).is_err());

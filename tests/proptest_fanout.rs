@@ -241,15 +241,12 @@ impl Reference {
     fn publish(&mut self, sim: &RaveSim, ds: DataServiceId, committed: &[StampedUpdate]) {
         let now = sim.now();
         let net = &sim.world.network;
-        // `route_naive` reads the interest closures; bring a copy's up to
-        // date with the scene the batch left behind.
-        let mut refreshed = sim.world.data(ds).clone();
-        refreshed.refresh_interests();
+        let service = sim.world.data(ds);
         let mut per_sub: BTreeMap<RenderServiceId, Expected> = BTreeMap::new();
         for stamped in committed {
             let bytes = stamped.wire_size();
             let mut targets = Vec::new();
-            for rs in refreshed.route_naive(stamped) {
+            for rs in service.route_naive(stamped) {
                 if self.live[&rs] {
                     targets.push(rs);
                 } else {

@@ -1,8 +1,10 @@
 //! Property tests pinning the inverted interest index to its oracle:
 //! after arbitrary edit storms — adds, removes, reparents, renames —
-//! folded in through incremental `repair`, the index's routing decision
-//! for any update equals a naive scan over *freshly refreshed*
-//! `InterestSet` closures. Plus the presence rule as a regression: avatar
+//! folded in through incremental `repair`, and arbitrary interest roots
+//! given, taken and moved between subscribers through `add_root` /
+//! `remove_root`, the index's routing decision for any update equals a
+//! naive scan over the `InterestSet`s and that of an index rebuilt from
+//! them. Plus the presence rule as a regression: avatar
 //! and camera updates reach every subscriber, however narrow its
 //! interest, and full-replica subscribers converge to the master scene
 //! through the batched multicast delivery path.
@@ -62,9 +64,8 @@ fn avatar() -> NodeKind {
     NodeKind::Avatar(AvatarInfo { label: "u".into(), color: Vec3::X, camera: Default::default() })
 }
 
-/// The oracle: refresh every closure against the current tree, then scan.
-fn naive(sets: &mut [InterestSet], u: &SceneUpdate, tree: &SceneTree) -> Vec<u32> {
-    sets.iter_mut().for_each(|s| s.refresh(tree));
+/// The oracle: ask every set in turn.
+fn naive(sets: &[InterestSet], u: &SceneUpdate, tree: &SceneTree) -> Vec<u32> {
     sets.iter().enumerate().filter(|(_, s)| s.relevant(u, tree)).map(|(i, _)| i as u32).collect()
 }
 
@@ -79,11 +80,19 @@ fn indexed(ix: &mut InterestIndex, u: &SceneUpdate, tree: &SceneTree) -> Vec<u32
 /// rule), each checked index-vs-oracle.
 fn check_probes(
     ix: &mut InterestIndex,
-    sets: &mut [InterestSet],
+    sets: &[InterestSet],
     tree: &mut SceneTree,
     removed: &[NodeId],
     salt: usize,
 ) {
+    for u in &probes(tree, removed, salt) {
+        let got = indexed(ix, u, tree);
+        let want = naive(sets, u, tree);
+        assert_eq!(got, want, "index diverged from refreshed scan on {u:?}");
+    }
+}
+
+fn probes(tree: &mut SceneTree, removed: &[NodeId], salt: usize) -> Vec<SceneUpdate> {
     let nodes: Vec<NodeId> = tree.descendants(tree.root());
     let target = nodes[salt % nodes.len()];
     let parent = nodes[(salt / 7) % nodes.len()];
@@ -98,11 +107,86 @@ fn check_probes(
         probes.push(SceneUpdate::SetName { id: dead, name: "ghost".into() });
         probes.push(SceneUpdate::RemoveNode { id: dead });
     }
-    for u in &probes {
-        let got = indexed(ix, u, tree);
-        let want = naive(sets, u, tree);
-        assert_eq!(got, want, "index diverged from refreshed scan on {u:?}");
+    probes
+}
+
+/// One structural edit of a storm, against whatever the tree holds now.
+fn apply_edit(tree: &mut SceneTree, edit: &Edit, step: usize, removed: &mut Vec<NodeId>) {
+    let nodes: Vec<NodeId> = tree.descendants(tree.root());
+    match edit {
+        Edit::Add { parent_pick } => {
+            let parent = nodes[parent_pick % nodes.len()];
+            tree.add_node(parent, format!("s{step}"), NodeKind::Group).unwrap();
+        }
+        Edit::AddAvatar { parent_pick } => {
+            let parent = nodes[parent_pick % nodes.len()];
+            tree.add_node(parent, format!("av{step}"), avatar()).unwrap();
+        }
+        Edit::Remove { pick } => {
+            let victims: Vec<NodeId> =
+                nodes.iter().copied().filter(|&n| n != tree.root()).collect();
+            if let Some(&v) = victims.get(pick % victims.len().max(1)) {
+                removed.extend(tree.descendants(v));
+                tree.remove(v).unwrap();
+            }
+        }
+        Edit::Reparent { pick, dest_pick } => {
+            let movable: Vec<NodeId> =
+                nodes.iter().copied().filter(|&n| n != tree.root()).collect();
+            if !movable.is_empty() {
+                let node = movable[pick % movable.len()];
+                let dest = nodes[dest_pick % nodes.len()];
+                // Moving under your own subtree is rejected; skip.
+                let _ = tree.reparent(node, dest);
+            }
+        }
+        Edit::Rename { pick } => {
+            let id = nodes[pick % nodes.len()];
+            SceneUpdate::SetName { id, name: format!("r{step}") }.apply(tree).unwrap();
+        }
     }
+}
+
+/// A few branches of varying depth.
+fn seeded_tree(seed_sizes: &[usize]) -> SceneTree {
+    let mut tree = SceneTree::new();
+    for (b, &depth) in seed_sizes.iter().enumerate() {
+        let mut at = tree.root();
+        for d in 0..depth {
+            at = tree.add_node(at, format!("b{b}d{d}"), NodeKind::Group).unwrap();
+        }
+    }
+    tree
+}
+
+fn interest_sets(specs: &[Option<Vec<usize>>], seed_nodes: &[NodeId]) -> Vec<InterestSet> {
+    specs
+        .iter()
+        .map(|spec| match spec {
+            None => InterestSet::everything(),
+            Some(picks) => {
+                InterestSet::subtrees(picks.iter().map(|&p| seed_nodes[p % seed_nodes.len()]))
+            }
+        })
+        .collect()
+}
+
+/// One step of a migration storm: a structural edit, or an interest root
+/// changing hands (`from` / `to` pick subscribers; `None` = nobody, so a
+/// first placement or a dropped workload).
+#[derive(Debug, Clone)]
+enum Step {
+    Edit(Edit),
+    Reroot { root_pick: usize, from: Option<usize>, to: Option<usize>, held: bool },
+}
+
+fn step_strategy() -> impl Strategy<Value = Step> {
+    let who = || prop_oneof![Just(None), any::<usize>().prop_map(Some)];
+    let reroot = || {
+        (any::<usize>(), who(), who(), any::<bool>())
+            .prop_map(|(root_pick, from, to, held)| Step::Reroot { root_pick, from, to, held })
+    };
+    prop_oneof![edit_strategy().prop_map(Step::Edit), reroot(), reroot()]
 }
 
 proptest! {
@@ -110,7 +194,7 @@ proptest! {
 
     /// Arbitrary edit storms, folded into the index strictly through
     /// `changes_since` → `repair` (never a rebuild), keep every
-    /// routing decision identical to the refreshed naive scan — including
+    /// routing decision identical to the naive scan — including
     /// updates to nodes that left the tree mid-storm (unknown-target
     /// conservatism) and roots that were removed or reparented (interval
     /// and ancestor-chain staleness).
@@ -120,25 +204,9 @@ proptest! {
         interests in prop::collection::vec(interest_strategy(), 2..7),
         storm in prop::collection::vec(edit_strategy(), 1..25),
     ) {
-        // Seed: a few branches of varying depth.
-        let mut tree = SceneTree::new();
-        for (b, &depth) in seed_sizes.iter().enumerate() {
-            let mut at = tree.root();
-            for d in 0..depth {
-                at = tree.add_node(at, format!("b{b}d{d}"), NodeKind::Group).unwrap();
-            }
-        }
+        let mut tree = seeded_tree(&seed_sizes);
         let seed_nodes: Vec<NodeId> = tree.descendants(tree.root());
-
-        let mut sets: Vec<InterestSet> = interests
-            .iter()
-            .map(|spec| match spec {
-                None => InterestSet::everything(),
-                Some(picks) => InterestSet::subtrees(
-                    picks.iter().map(|&p| seed_nodes[p % seed_nodes.len()]),
-                ),
-            })
-            .collect();
+        let sets = interest_sets(&interests, &seed_nodes);
 
         let mut ix = InterestIndex::new();
         let mut seen = EditStamp::default();
@@ -147,44 +215,82 @@ proptest! {
 
         let mut removed: Vec<NodeId> = Vec::new();
         for (step, edit) in storm.iter().enumerate() {
-            let nodes: Vec<NodeId> = tree.descendants(tree.root());
-            match edit {
-                Edit::Add { parent_pick } => {
-                    let parent = nodes[parent_pick % nodes.len()];
-                    tree.add_node(parent, format!("s{step}"), NodeKind::Group).unwrap();
-                }
-                Edit::AddAvatar { parent_pick } => {
-                    let parent = nodes[parent_pick % nodes.len()];
-                    tree.add_node(parent, format!("av{step}"), avatar()).unwrap();
-                }
-                Edit::Remove { pick } => {
-                    let victims: Vec<NodeId> =
-                        nodes.iter().copied().filter(|&n| n != tree.root()).collect();
-                    if let Some(&v) = victims.get(pick % victims.len().max(1)) {
-                        removed.extend(tree.descendants(v));
-                        tree.remove(v).unwrap();
-                    }
-                }
-                Edit::Reparent { pick, dest_pick } => {
-                    let movable: Vec<NodeId> =
-                        nodes.iter().copied().filter(|&n| n != tree.root()).collect();
-                    if !movable.is_empty() {
-                        let node = movable[pick % movable.len()];
-                        let dest = nodes[dest_pick % nodes.len()];
-                        // Moving under your own subtree is rejected; skip.
-                        let _ = tree.reparent(node, dest);
-                    }
-                }
-                Edit::Rename { pick } => {
-                    let id = nodes[pick % nodes.len()];
-                    SceneUpdate::SetName { id, name: format!("r{step}") }
-                        .apply(&mut tree)
-                        .unwrap();
-                }
-            }
+            apply_edit(&mut tree, edit, step, &mut removed);
             let dirt = structure_dirt(&mut tree, &mut seen);
             ix.repair(&tree, &dirt);
-            check_probes(&mut ix, &mut sets, &mut tree, &removed, step * 31 + 7);
+            check_probes(&mut ix, &sets, &mut tree, &removed, step * 31 + 7);
+        }
+    }
+
+    /// A migration storm: interest roots given to, taken from and moved
+    /// between subscribers — roots the index already knows (`held`) and
+    /// nodes new to it, live and removed — patched in with `add_root` /
+    /// `remove_root`, interleaved with structural edits folded in through
+    /// `repair`, and never a rebuild. After every step each probe is
+    /// answered as the naive scan and as an index rebuilt from
+    /// the edited sets answer it; both compare slot for slot, so no
+    /// subscriber was renumbered.
+    #[test]
+    fn patched_index_tracks_a_rebuilt_one_through_migration_storms(
+        seed_sizes in prop::collection::vec(1usize..4, 2..5),
+        interests in prop::collection::vec(interest_strategy(), 2..7),
+        storm in prop::collection::vec(step_strategy(), 1..30),
+    ) {
+        let mut tree = seeded_tree(&seed_sizes);
+        let seed_nodes: Vec<NodeId> = tree.descendants(tree.root());
+        let mut sets = interest_sets(&interests, &seed_nodes);
+
+        let mut ix = InterestIndex::new();
+        let mut seen = EditStamp::default();
+        let _ = structure_dirt(&mut tree, &mut seen);
+        ix.rebuild(&tree, sets.iter());
+
+        let mut removed: Vec<NodeId> = Vec::new();
+        for (step, what) in storm.iter().enumerate() {
+            match what {
+                Step::Edit(edit) => {
+                    apply_edit(&mut tree, edit, step, &mut removed);
+                    let dirt = structure_dirt(&mut tree, &mut seen);
+                    ix.repair(&tree, &dirt);
+                }
+                Step::Reroot { root_pick, from, to, held } => {
+                    let from = from.map(|p| p % sets.len());
+                    let to = to.map(|p| p % sets.len());
+                    // A root `from` lists (so that moves really move), else
+                    // one anybody lists, else any node, now and then a dead
+                    // one.
+                    let of_from: Vec<NodeId> =
+                        from.map(|f| sets[f].roots().collect()).unwrap_or_default();
+                    let listed: Vec<NodeId> = sets.iter().flat_map(|s| s.roots()).collect();
+                    let mut anywhere: Vec<NodeId> = tree.descendants(tree.root());
+                    anywhere.extend(removed.last());
+                    let pool = match held {
+                        true if !of_from.is_empty() => &of_from,
+                        true if !listed.is_empty() => &listed,
+                        _ => &anywhere,
+                    };
+                    let root = pool[root_pick % pool.len()];
+                    // The order `DataService::move_interest_root` uses.
+                    if let Some(to) = to {
+                        if sets[to].add_root(root) {
+                            ix.add_root(&tree, to as u32, root);
+                        }
+                    }
+                    if let Some(from) = from {
+                        if sets[from].remove_root(root) {
+                            ix.remove_root(from as u32, root);
+                        }
+                    }
+                }
+            }
+            prop_assert_eq!(ix.n_subs(), sets.len());
+            let mut rebuilt = InterestIndex::new();
+            rebuilt.rebuild(&tree, sets.iter());
+            for u in &probes(&mut tree, &removed, step * 31 + 7) {
+                let got = indexed(&mut ix, u, &tree);
+                prop_assert_eq!(&got, &indexed(&mut rebuilt, u, &tree), "vs a rebuild on {:?}", u);
+                prop_assert_eq!(&got, &naive(&sets, u, &tree), "vs the scan on {:?}", u);
+            }
         }
     }
 
@@ -266,7 +372,7 @@ fn presence_reaches_narrow_subscribers() {
     let mut tree = SceneTree::new();
     let shown = tree.add_node(tree.root(), "shown", NodeKind::Group).unwrap();
     let hidden = tree.add_node(tree.root(), "hidden", NodeKind::Group).unwrap();
-    let mut sets = vec![InterestSet::subtrees([shown]), InterestSet::everything()];
+    let sets = [InterestSet::subtrees([shown]), InterestSet::everything()];
     let mut ix = InterestIndex::new();
     let mut seen = EditStamp::default();
     let _ = structure_dirt(&mut tree, &mut seen);
@@ -290,7 +396,7 @@ fn presence_reaches_narrow_subscribers() {
     ix.repair(&tree, &dirt);
 
     let motion = SceneUpdate::CameraMoved { id: av, camera: Default::default() };
-    assert_eq!(indexed(&mut ix, &motion, &tree), naive(&mut sets, &motion, &tree));
+    assert_eq!(indexed(&mut ix, &motion, &tree), naive(&sets, &motion, &tree));
     assert_eq!(indexed(&mut ix, &motion, &tree), vec![0, 1], "presence motion reaches everyone");
 
     // A mundane update in the hidden branch still stays scoped.

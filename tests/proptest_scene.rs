@@ -209,31 +209,7 @@ proptest! {
         picks in prop::collection::vec(any::<usize>(), 0..6),
         nest in any::<bool>(),
     ) {
-        let mut tree = SceneTree::new();
-        for (i, op) in ops.iter().enumerate() {
-            let live: Vec<NodeId> = tree.descendants(tree.root());
-            match op {
-                ModelOp::Insert { parent_pick, tris } => {
-                    let parent = live[parent_pick % live.len()];
-                    let kind = if *tris == 0 { NodeKind::Group } else { mesh_kind(*tris) };
-                    let id = tree.add_node(parent, format!("n{i}"), kind).unwrap();
-                    // Transforms and versions must come across verbatim.
-                    let t = Transform::from_translation(Vec3::new(i as f32, *tris as f32, 1.0));
-                    for _ in 0..tris % 3 {
-                        tree.set_transform(id, t);
-                    }
-                }
-                ModelOp::Remove { pick } if live.len() > 1 => {
-                    tree.remove(live[1 + pick % (live.len() - 1)]).unwrap();
-                }
-                ModelOp::Reparent { pick, parent_pick } => {
-                    let _ = tree.reparent(live[pick % live.len()], live[parent_pick % live.len()]);
-                }
-                _ => {}
-            }
-        }
-        tree.set_transform(tree.root(), Transform::from_translation(Vec3::new(0.5, 0.0, -2.0)));
-
+        let tree = churned_tree(&ops);
         let live: Vec<NodeId> = tree.descendants(tree.root());
         let mut roots: Vec<NodeId> = picks.iter().map(|p| live[p % live.len()]).collect();
         if nest {
@@ -257,6 +233,68 @@ proptest! {
             "same insertion order"
         );
         prop_assert_eq!(wire::encode_tree(&got), wire::encode_tree(&want));
+    }
+
+    /// A parcel is the subset without the tree in between: on a replica
+    /// that holds any part of the scene — some closures merged in earlier,
+    /// local state of its own on them, a subtree since removed from under a
+    /// chain it kept — `adopt_parcel(extract_parcel(r))` leaves what
+    /// `merge_subset(&extract_subset(&[r]))` leaves: the same tree by `==`,
+    /// the same `check_invariants`, the same journal entries per class and
+    /// the same stamp movement. Roots: deep subtrees, leaves, nodes already
+    /// held, the scene root, an id the scene does not hold; one after the
+    /// other into the same two replicas.
+    #[test]
+    fn adopting_a_parcel_equals_merging_the_subset(
+        ops in prop::collection::vec(model_op_strategy(), 1..70),
+        held in prop::collection::vec(any::<usize>(), 0..5),
+        hole in any::<usize>(),
+        picks in prop::collection::vec(any::<usize>(), 1..6),
+    ) {
+        let tree = churned_tree(&ops);
+        let live: Vec<NodeId> = tree.descendants(tree.root());
+        let mut replica = SceneTree::new();
+        for pick in &held {
+            replica.merge_subset(&tree.extract_subset(&[live[pick % live.len()]]));
+        }
+        let there: Vec<NodeId> = replica.descendants(replica.root());
+        replica.set_transform(there[hole % there.len()], Transform::from_translation(Vec3::Y));
+        if there.len() > 1 {
+            replica.remove(there[1 + (hole / 3) % (there.len() - 1)]).unwrap();
+        }
+
+        let (mut adopted, mut merged) = (replica.clone(), replica);
+        let classes = [EditClass::Structure, EditClass::Payload];
+        for tree in [&mut adopted, &mut merged] {
+            // The first read starts the recording.
+            prop_assert_eq!(tree.changes_since(EditStamp::default(), &classes), Dirt::Everything);
+        }
+        let mut roots: Vec<NodeId> = picks.iter().map(|p| live[p % live.len()]).collect();
+        roots.extend([tree.root(), NodeId(u64::MAX - 7)]);
+        for root in roots {
+            let (before_a, before_m) = (adopted.edit_stamp(), merged.edit_stamp());
+            let parcel = tree.extract_parcel(root);
+            let subset = tree.extract_subset(&[root]);
+            prop_assert_eq!(parcel.len(), subset.len() - 1, "the closure of {}", root);
+            adopted.adopt_parcel(&parcel);
+            merged.merge_subset(&subset);
+            prop_assert_eq!(&adopted, &merged, "root {}", root);
+            prop_assert_eq!(adopted.check_invariants(), merged.check_invariants());
+            prop_assert_eq!(adopted.check_invariants(), Ok(()));
+            prop_assert_eq!(adopted.id_allocator_state(), merged.id_allocator_state());
+            for asked in [&classes[..], &classes[..1], &classes[1..]] {
+                prop_assert_eq!(
+                    adopted.changes_since(before_a, asked),
+                    merged.changes_since(before_m, asked),
+                    "{:?} entries of root {}", asked, root
+                );
+            }
+            prop_assert_eq!(
+                adopted.edit_stamp() == before_a,
+                merged.edit_stamp() == before_m,
+                "stamp movement of root {}", root
+            );
+        }
     }
 }
 
@@ -749,6 +787,37 @@ proptest! {
             );
         }
     }
+}
+
+/// A tree grown by `ops` (`ExtractMerge` does nothing here): payloads,
+/// transforms, versions, recycled slots, reparented subtrees, and a root
+/// transform of its own.
+fn churned_tree(ops: &[ModelOp]) -> SceneTree {
+    let mut tree = SceneTree::new();
+    for (i, op) in ops.iter().enumerate() {
+        let live: Vec<NodeId> = tree.descendants(tree.root());
+        match op {
+            ModelOp::Insert { parent_pick, tris } => {
+                let parent = live[parent_pick % live.len()];
+                let kind = if *tris == 0 { NodeKind::Group } else { mesh_kind(*tris) };
+                let id = tree.add_node(parent, format!("n{i}"), kind).unwrap();
+                // Transforms and versions must come across verbatim.
+                let t = Transform::from_translation(Vec3::new(i as f32, *tris as f32, 1.0));
+                for _ in 0..tris % 3 {
+                    tree.set_transform(id, t);
+                }
+            }
+            ModelOp::Remove { pick } if live.len() > 1 => {
+                tree.remove(live[1 + pick % (live.len() - 1)]).unwrap();
+            }
+            ModelOp::Reparent { pick, parent_pick } => {
+                let _ = tree.reparent(live[pick % live.len()], live[parent_pick % live.len()]);
+            }
+            _ => {}
+        }
+    }
+    tree.set_transform(tree.root(), Transform::from_translation(Vec3::new(0.5, 0.0, -2.0)));
+    tree
 }
 
 /// The `extract_subset` this repository shipped before it learned to
