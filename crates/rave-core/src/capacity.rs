@@ -30,12 +30,6 @@ pub struct CapacityReport {
 }
 
 impl CapacityReport {
-    /// Can this service additionally accept `cost` (with the planner's
-    /// fill factor already applied by the caller)?
-    pub fn can_accept(&self, cost: &NodeCost) -> bool {
-        self.headroom().fits(cost)
-    }
-
     /// Scalar headroom used for ordering candidate services (most spare
     /// capacity first).
     pub fn headroom_weight(&self) -> u64 {
@@ -64,10 +58,11 @@ impl Headroom {
         cost.polygons <= self.polygons && cost.texture_bytes <= self.texture_bytes
     }
 
-    /// Subtract a placed cost (caller guarantees [`Headroom::fits`]).
+    /// Subtract a placed cost. One that does not fit — a dead service's
+    /// share landed on a recruit anyway — empties the axis it overflows.
     pub fn debit(&mut self, cost: &NodeCost) {
-        self.polygons -= cost.polygons;
-        self.texture_bytes -= cost.texture_bytes;
+        self.polygons = self.polygons.saturating_sub(cost.polygons);
+        self.texture_bytes = self.texture_bytes.saturating_sub(cost.texture_bytes);
     }
 }
 
@@ -90,10 +85,10 @@ mod tests {
 
     #[test]
     fn accept_requires_both_axes() {
-        let r = report(1000, 500);
-        assert!(r.can_accept(&NodeCost { polygons: 1000, texture_bytes: 500, ..NodeCost::ZERO }));
-        assert!(!r.can_accept(&NodeCost { polygons: 1001, ..NodeCost::ZERO }));
-        assert!(!r.can_accept(&NodeCost { texture_bytes: 501, ..NodeCost::ZERO }));
+        let room = report(1000, 500).headroom();
+        assert!(room.fits(&NodeCost { polygons: 1000, texture_bytes: 500, ..NodeCost::ZERO }));
+        assert!(!room.fits(&NodeCost { polygons: 1001, ..NodeCost::ZERO }));
+        assert!(!room.fits(&NodeCost { texture_bytes: 501, ..NodeCost::ZERO }));
     }
 
     #[test]

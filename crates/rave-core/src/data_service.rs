@@ -441,17 +441,22 @@ impl DataService {
         self.index_rev += 1;
     }
 
-    /// A migration's effect on who is owed what: `node` leaves `from`'s
-    /// interest roots and joins `to`'s (either may be absent — a first
-    /// placement, a dropped workload — or no longer subscribed). The
-    /// interest index is edited in place, at the cost of the root's chain:
-    /// the next publish rebuilds nothing and renumbers nobody.
+    /// A migration's effect on who is owed what: `node` joins `to`'s
+    /// interest roots and leaves those of the subscriber that lists it —
+    /// `from` when it does, else any other but a full replica, which holds
+    /// everything and gives nothing up (who holds a node is what the
+    /// subscriptions say; `from` is where the caller last put it). Either
+    /// side may be absent: a first placement, a dropped workload, a holder
+    /// no longer subscribed. Returns the subscriber the node left. The
+    /// interest index is edited in place, at the cost of the root's chain
+    /// (and, when `from` does not list the node, one probe per
+    /// subscriber): the next publish rebuilds nothing and renumbers nobody.
     pub fn move_interest_root(
         &mut self,
         node: rave_scene::NodeId,
         from: Option<RenderServiceId>,
         to: Option<RenderServiceId>,
-    ) {
+    ) -> Option<RenderServiceId> {
         // `to` first: a root that changes hands never leaves the index.
         if let Some((rs, sub)) = to.and_then(|rs| Some((rs, self.subscribers.get_mut(&rs)?))) {
             if sub.interest.add_root(node) {
@@ -461,14 +466,19 @@ impl DataService {
                 }
             }
         }
-        if let Some((rs, sub)) = from.and_then(|rs| Some((rs, self.subscribers.get_mut(&rs)?))) {
-            if sub.interest.remove_root(node) {
-                match self.index_slot(rs) {
-                    Some(slot) => self.index.remove_root(slot, node),
-                    None => self.index_rev += 1,
-                }
-            }
+        let listed = |(rs, sub): (RenderServiceId, &mut Subscription)| {
+            (Some(rs) != to && sub.interest.remove_root(node)).then_some(rs)
+        };
+        let asked = from.and_then(|rs| Some((rs, self.subscribers.get_mut(&rs)?)));
+        let left = asked.and_then(listed).or_else(|| {
+            let partial = self.subscribers.iter_mut().filter(|s| !s.1.interest.is_everything());
+            partial.map(|(rs, sub)| (*rs, sub)).find_map(listed)
+        })?;
+        match self.index_slot(left) {
+            Some(slot) => self.index.remove_root(slot, node),
+            None => self.index_rev += 1,
         }
+        Some(left)
     }
 
     /// `rs`'s slot in the index as built. `None` when there is nothing to
@@ -558,6 +568,23 @@ mod tests {
         plan_incremental(&mut ds.scene.clone(), &caps, &mut cold, 0.0).unwrap();
         assert_eq!(state.assignments(), cold.assignments());
         assert_eq!(state.len(), 2, "`node` and `extra`, one service each");
+    }
+
+    /// A move takes the root from the subscriber that lists it, whatever
+    /// the caller remembered — but not from a full replica.
+    #[test]
+    fn a_move_takes_the_root_from_whoever_lists_it() {
+        const FULL: RenderServiceId = RenderServiceId(3);
+        let (mut ds, _, node) = routed_two_subtrees();
+        let right = ds.scene.node(node).unwrap().parent().unwrap();
+        assert_eq!(ds.move_interest_root(right, None, Some(LEFT_SUB)), Some(RIGHT_SUB));
+        ds.subscribe_live(FULL, InterestSet::everything());
+        assert_eq!(ds.move_interest_root(right, Some(LEFT_SUB), Some(FULL)), Some(LEFT_SUB));
+        assert_eq!(ds.move_interest_root(right, None, Some(RIGHT_SUB)), None);
+        assert!(ds.subscribers[&FULL].interest.roots().any(|r| r == right));
+        let u = Arc::new(ds.stamp("t", SceneUpdate::SetName { id: node, name: "n".into() }));
+        assert_eq!(ds.route(&u), ds.route_naive(&u));
+        assert_eq!(ds.route(&u), vec![RIGHT_SUB, FULL]);
     }
 
     fn add_update(ds: &mut DataService, name: &str) -> StampedUpdate {

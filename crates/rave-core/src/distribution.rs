@@ -11,14 +11,15 @@
 //! Since the scheduler unification this module is a thin adapter: the
 //! packing loop itself lives in [`crate::sched::placement`] (shared with
 //! migration and failover re-plans); what stays here is the dataset
-//! vocabulary — [`DistributionPlan`], [`PlanError`], the feasibility
-//! pre-check, and the spatial [`split_node`] the engine calls back into.
+//! vocabulary — [`DistributionPlan`], [`PlanError`], the eligibility rule,
+//! the feasibility pre-check, and the spatial [`split_node`] the engine
+//! calls back into.
 
 use crate::capacity::{CapacityReport, Headroom};
 use crate::ids::RenderServiceId;
 use crate::sched::incremental::{PlanDiff, PlanState};
 use crate::sched::placement::{place_with_splitting, Ledger, PlaceError};
-use rave_scene::{Dirt, EditClass, KindTag, NodeCost, NodeId, NodeKind, SceneTree};
+use rave_scene::{Dirt, EditClass, KindTag, NodeCost, NodeId, NodeKind, NodeRef, SceneTree};
 use std::sync::Arc;
 
 /// One service's share of the scene.
@@ -42,10 +43,6 @@ impl DistributionPlan {
     /// The plan's total placed cost.
     pub fn total_cost(&self) -> NodeCost {
         self.assignments.iter().map(|a| a.cost).sum()
-    }
-
-    pub fn assignment_for(&self, rs: RenderServiceId) -> Option<&Assignment> {
-        self.assignments.iter().find(|a| a.service == rs)
     }
 }
 
@@ -91,64 +88,68 @@ impl std::fmt::Display for PlanError {
 
 impl std::error::Error for PlanError {}
 
+impl From<PlaceError> for PlanError {
+    fn from(err: PlaceError) -> Self {
+        let PlaceError::Indivisible { item, polygons, largest_headroom } = err;
+        PlanError::IndivisibleNode { node: item, polygons, largest_headroom }
+    }
+}
+
 /// Split an oversized content node in place: the node becomes a `Group`
 /// whose two children carry the halves. Returns the child ids, or `None`
 /// if the payload cannot be split.
 pub fn split_node(scene: &mut SceneTree, id: NodeId) -> Option<(NodeId, NodeId)> {
     let node = scene.node(id)?;
-    match node.kind().clone() {
+    let name = node.name().to_string();
+    // A volume's second brick sits at an offset from the first.
+    let (a, b, offset) = match node.kind() {
         NodeKind::Mesh(mesh) => {
             let (a, b) = mesh.split_spatial()?;
-            let ida = scene.allocate_id();
-            let idb = scene.allocate_id();
-            let name = scene.node(id)?.name().to_string();
-            scene.insert_with_id(ida, id, format!("{name}.a"), NodeKind::Mesh(Arc::new(a))).ok()?;
-            scene.insert_with_id(idb, id, format!("{name}.b"), NodeKind::Mesh(Arc::new(b))).ok()?;
-            let mut n = scene.node_mut(id)?;
-            n.set_kind(NodeKind::Group);
-            n.bump_version();
-            Some((ida, idb))
+            (NodeKind::Mesh(Arc::new(a)), NodeKind::Mesh(Arc::new(b)), None)
         }
         NodeKind::PointCloud(cloud) => {
             let (a, b) = cloud.split_spatial()?;
-            let ida = scene.allocate_id();
-            let idb = scene.allocate_id();
-            let name = scene.node(id)?.name().to_string();
-            scene
-                .insert_with_id(ida, id, format!("{name}.a"), NodeKind::PointCloud(Arc::new(a)))
-                .ok()?;
-            scene
-                .insert_with_id(idb, id, format!("{name}.b"), NodeKind::PointCloud(Arc::new(b)))
-                .ok()?;
-            let mut n = scene.node_mut(id)?;
-            n.set_kind(NodeKind::Group);
-            n.bump_version();
-            Some((ida, idb))
+            (NodeKind::PointCloud(Arc::new(a)), NodeKind::PointCloud(Arc::new(b)), None)
         }
         NodeKind::Volume(vol) => {
             let (a, b, offset) = vol.split_bricks()?;
-            let ida = scene.allocate_id();
-            let idb = scene.allocate_id();
-            let name = scene.node(id)?.name().to_string();
-            scene
-                .insert_with_id(ida, id, format!("{name}.a"), NodeKind::Volume(Arc::new(a)))
-                .ok()?;
-            scene
-                .insert_with_id(idb, id, format!("{name}.b"), NodeKind::Volume(Arc::new(b)))
-                .ok()?;
-            scene.node_mut(idb)?.transform_mut().translation = offset;
-            let mut n = scene.node_mut(id)?;
-            n.set_kind(NodeKind::Group);
-            n.bump_version();
-            Some((ida, idb))
+            (NodeKind::Volume(Arc::new(a)), NodeKind::Volume(Arc::new(b)), Some(offset))
         }
-        _ => None,
+        _ => return None,
+    };
+    let ida = scene.allocate_id();
+    let idb = scene.allocate_id();
+    scene.insert_with_id(ida, id, format!("{name}.a"), a).ok()?;
+    scene.insert_with_id(idb, id, format!("{name}.b"), b).ok()?;
+    if let Some(offset) = offset {
+        scene.node_mut(idb)?.transform_mut().translation = offset;
     }
+    let mut n = scene.node_mut(id)?;
+    n.set_kind(NodeKind::Group);
+    n.bump_version();
+    Some((ida, idb))
 }
 
-/// Content units eligible for distribution: nodes with non-zero cost,
-/// excluding avatars/cameras (presence markers travel with every
-/// replica).
+/// [`split_node`] as the placement engine calls it: the halves with their
+/// costs.
+fn split_costed(scene: &mut SceneTree, id: NodeId) -> Option<[(NodeId, NodeCost); 2]> {
+    let (a, b) = split_node(scene, id)?;
+    let cost = |id| scene.node(id).expect("split child").own_cost();
+    Some([(a, cost(a)), (b, cost(b))])
+}
+
+/// The distribution eligibility rule: the cost `node` carries as a unit of
+/// distribution, or `None` when it is not one — zero-cost, or a presence
+/// marker (avatars and cameras travel with every replica). Hot-array
+/// reads only: the cached own cost and the kind tag classify the node
+/// without touching the cold payload.
+fn unit_cost(node: NodeRef<'_>) -> Option<NodeCost> {
+    let cost = node.own_cost();
+    let eligible = !cost.is_zero() && !matches!(node.kind_tag(), KindTag::Avatar | KindTag::Camera);
+    eligible.then_some(cost)
+}
+
+/// Content units eligible for distribution, with their costs.
 pub(crate) fn distributable_units(scene: &SceneTree) -> Vec<(NodeId, NodeCost)> {
     // Sequential id-order walk rather than the pre-order
     // `descendants_iter`: every node is reachable from the root (tree
@@ -158,17 +159,27 @@ pub(crate) fn distributable_units(scene: &SceneTree) -> Vec<(NodeId, NodeCost)> 
     // visit order here cannot affect the plan. The in-order map walk
     // avoids a random-probe lookup per node, which is what dominates
     // plan latency past ~10k nodes.
-    scene
-        .iter_nodes()
-        .filter_map(|node| {
-            // Hot-array reads only: the cached own cost and the kind tag
-            // classify the node without touching the cold payload.
-            let cost = node.own_cost();
-            let eligible =
-                !cost.is_zero() && !matches!(node.kind_tag(), KindTag::Avatar | KindTag::Camera);
-            eligible.then_some((node.id(), cost))
-        })
-        .collect()
+    scene.iter_nodes().filter_map(|node| Some((node.id(), unit_cost(node)?))).collect()
+}
+
+/// The explanatory refusal when `demand` exceeds the combined room of
+/// `caps` on either axis.
+fn check_feasible(
+    (polygons, texture): (u64, u64),
+    caps: impl Iterator<Item = Headroom>,
+) -> Result<(), PlanError> {
+    let (total_polys, total_tex) = caps.fold((0u64, 0u64), |(p, t), c| {
+        (p.saturating_add(c.polygons), t.saturating_add(c.texture_bytes))
+    });
+    if polygons > total_polys || texture > total_tex {
+        return Err(PlanError::InsufficientResources {
+            required_polygons: polygons,
+            total_poly_headroom: total_polys,
+            required_texture: texture,
+            total_texture_headroom: total_tex,
+        });
+    }
+    Ok(())
 }
 
 /// Plan a distribution of `scene` across `candidates`. May split
@@ -181,33 +192,18 @@ pub fn plan_distribution(
     if candidates.is_empty() {
         return Err(PlanError::NoCandidates);
     }
-    // Quick feasibility check up front for the explanatory refusal.
     let demand = scene.total_cost();
-    let total_polys = candidates.iter().fold(0u64, |a, c| a.saturating_add(c.poly_headroom));
-    let total_tex = candidates.iter().fold(0u64, |a, c| a.saturating_add(c.texture_headroom));
-    if demand.polygons > total_polys || demand.texture_bytes > total_tex {
-        return Err(PlanError::InsufficientResources {
-            required_polygons: demand.polygons,
-            total_poly_headroom: total_polys,
-            required_texture: demand.texture_bytes,
-            total_texture_headroom: total_tex,
-        });
-    }
+    check_feasible(
+        (demand.polygons, demand.texture_bytes),
+        candidates.iter().map(|c| c.headroom()),
+    )?;
 
     // The shared engine does the first-fit-decreasing packing with the
     // re-sort-after-every-placement ledger policy this planner has always
     // used; splitting calls back into the spatial [`split_node`].
     let mut ledger = Ledger::from_reports(candidates, true);
     let outcome = place_with_splitting(&mut ledger, distributable_units(scene), |id| {
-        let (a, b) = split_node(scene, id)?;
-        let ca = scene.node(a).expect("split child").own_cost();
-        let cb = scene.node(b).expect("split child").own_cost();
-        Some([(a, ca), (b, cb)])
-    })
-    .map_err(|e| match e {
-        PlaceError::Indivisible { item, polygons, largest_headroom } => {
-            PlanError::IndivisibleNode { node: item, polygons, largest_headroom }
-        }
+        split_costed(scene, id)
     })?;
 
     Ok(DistributionPlan {
@@ -218,16 +214,6 @@ pub fn plan_distribution(
             .collect(),
         splits_performed: outcome.splits,
     })
-}
-
-/// The distribution eligibility rule as a per-node query: the cost the
-/// incremental plan should carry for `id`, or `None` when the node is
-/// not a distributable unit (gone, zero-cost, or a presence marker).
-fn eligible_cost(scene: &SceneTree, id: NodeId) -> Option<NodeCost> {
-    let node = scene.node(id)?;
-    let cost = node.own_cost();
-    let eligible = !cost.is_zero() && !matches!(node.kind_tag(), KindTag::Avatar | KindTag::Camera);
-    eligible.then_some(cost)
 }
 
 /// Incrementally (re)plan `scene` across an explicit per-service
@@ -259,7 +245,7 @@ pub fn plan_incremental(
         Dirt::Everything => rebuild = true,
         Dirt::Nodes(ids) => {
             for id in ids {
-                state.note_unit(id, eligible_cost(scene, id));
+                state.note_unit(id, scene.node(id).and_then(unit_cost));
             }
         }
     }
@@ -274,44 +260,23 @@ pub fn plan_incremental(
     // the tree is the O(n) walk the suffix replay exists to avoid — so
     // it checks the queue's own maintained demand (the eligible units,
     // which is what actually gets packed).
-    let (demand_polys, demand_tex, demand_empty) = if rebuild {
+    let (demand, demand_empty) = if rebuild {
         let demand = scene.total_cost();
-        (demand.polygons, demand.texture_bytes, demand.is_zero())
+        ((demand.polygons, demand.texture_bytes), demand.is_zero())
     } else {
-        (
-            state.total_polygons(),
-            state.total_texture(),
-            state.total_weight() == 0 && state.total_texture() == 0,
-        )
+        let demand = (state.total_polygons(), state.total_texture());
+        (demand, state.total_weight() == 0 && demand.1 == 0)
     };
     if caps.is_empty() && !demand_empty {
         return Err(PlanError::NoCandidates);
     }
-    let total_polys = caps.iter().fold(0u64, |a, c| a.saturating_add(c.1.polygons));
-    let total_tex = caps.iter().fold(0u64, |a, c| a.saturating_add(c.1.texture_bytes));
-    if demand_polys > total_polys || demand_tex > total_tex {
-        return Err(PlanError::InsufficientResources {
-            required_polygons: demand_polys,
-            total_poly_headroom: total_polys,
-            required_texture: demand_tex,
-            total_texture_headroom: total_tex,
-        });
-    }
+    check_feasible(demand, caps.iter().map(|c| c.1))?;
 
     let units = if rebuild { distributable_units(scene) } else { Vec::new() };
-    let splitter = |id: NodeId| {
-        let (a, b) = split_node(scene, id)?;
-        let ca = scene.node(a).expect("split child").own_cost();
-        let cb = scene.node(b).expect("split child").own_cost();
-        Some([(a, ca), (b, cb)])
-    };
-    let result =
+    let splitter = |id| split_costed(scene, id);
+    let diff =
         if rebuild { state.full_rebuild(units, caps, splitter) } else { state.replan(splitter) };
-    result.map(Some).map_err(|e| match e {
-        PlaceError::Indivisible { item, polygons, largest_headroom } => {
-            PlanError::IndivisibleNode { node: item, polygons, largest_headroom }
-        }
-    })
+    Ok(Some(diff?))
 }
 
 #[cfg(test)]
@@ -505,11 +470,11 @@ mod tests {
         // headroom.
         let mut scene = scene_with_meshes(&[100_000, 4_000]);
         let plan = plan_distribution(&mut scene, &[report(1, 5_000), report(2, 150_000)]).unwrap();
-        let small_svc = plan.assignment_for(RenderServiceId(1));
-        if let Some(a) = small_svc {
+        let assignment_for = |rs| plan.assignments.iter().find(|a| a.service == rs);
+        if let Some(a) = assignment_for(RenderServiceId(1)) {
             assert!(a.cost.polygons <= 5_000, "small service never overfilled");
         }
-        let big_svc = plan.assignment_for(RenderServiceId(2)).unwrap();
+        let big_svc = assignment_for(RenderServiceId(2)).unwrap();
         assert!(big_svc.cost.polygons >= 100_000);
     }
 }

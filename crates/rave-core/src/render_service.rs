@@ -11,7 +11,7 @@ use crate::config::RaveConfig;
 use crate::ids::{ClientId, RenderServiceId};
 use rave_math::Viewport;
 use rave_render::{Framebuffer, MachineProfile, OffscreenMode, RenderCost, RenderStats, Renderer};
-use rave_scene::{CameraParams, EditStamp, InterestSet, NodeCost, SceneTree};
+use rave_scene::{CameraParams, EditStamp, InterestSet, NodeCost, NodeId, SceneTree};
 use rave_sim::{Occupancy, SimTime};
 use std::collections::{BTreeMap, VecDeque};
 
@@ -311,19 +311,28 @@ impl RenderService {
         Some((self.frame_times.len() - 1) as f64 / span)
     }
 
+    /// Polygons a frame can hold while this service sustains `target_fps`,
+    /// at the pixel count of its largest open session (400×400 when idle).
+    pub fn poly_budget(&self, target_fps: f64) -> u64 {
+        let pixels = self.sessions.values().map(|s| s.viewport.pixel_count() as u64).max();
+        self.machine.poly_budget_at_fps(target_fps, pixels.unwrap_or(160_000))
+    }
+
+    /// The subtree roots this service holds: the root's children for a
+    /// full replica, its interest roots otherwise.
+    pub fn held_roots(&self) -> Vec<NodeId> {
+        if self.interest.is_everything() {
+            let root = self.scene.node(self.scene.root());
+            root.map(|root| root.children().collect()).unwrap_or_default()
+        } else {
+            self.interest.roots().collect()
+        }
+    }
+
     /// Answer a capacity interrogation (§3.2.5).
     pub fn capacity_report(&self, config: &RaveConfig) -> CapacityReport {
         let assigned = self.assigned_cost();
-        // Pixel budget assumes the largest open session (or a default
-        // 400x400 when idle).
-        let pixels = self
-            .sessions
-            .values()
-            .map(|s| s.viewport.pixel_count() as u64)
-            .max()
-            .unwrap_or(160_000);
-        let per_frame_budget = self.machine.poly_budget_at_fps(config.target_fps, pixels);
-        let fillable = (per_frame_budget as f64 * config.fill_factor) as u64;
+        let fillable = (self.poly_budget(config.target_fps) as f64 * config.fill_factor) as u64;
         CapacityReport {
             service: self.id,
             host: self.host.clone(),
@@ -341,7 +350,7 @@ impl RenderService {
 mod tests {
     use super::*;
     use rave_math::Vec3;
-    use rave_scene::{MeshData, NodeId, NodeKind, Transform};
+    use rave_scene::{MeshData, NodeKind, Transform};
     use std::sync::Arc;
 
     fn service_with_polys(n: u64) -> RenderService {

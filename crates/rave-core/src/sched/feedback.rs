@@ -15,31 +15,17 @@ use crate::ids::RenderServiceId;
 use std::collections::BTreeMap;
 
 /// Exponentially-weighted per-service throughput (work units per second).
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Default)]
 pub struct ThroughputTracker {
     observed: BTreeMap<RenderServiceId, f64>,
-    alpha: f64,
-}
-
-impl Default for ThroughputTracker {
-    fn default() -> Self {
-        Self::new()
-    }
 }
 
 impl ThroughputTracker {
-    /// Default EWMA smoothing factor: new observations get this share.
+    /// The EWMA smoothing factor: new observations get this share.
     pub const ALPHA: f64 = 0.3;
 
     pub fn new() -> Self {
-        Self::with_alpha(Self::ALPHA)
-    }
-
-    /// A tracker with another smoothing factor; values outside (0, 1]
-    /// fall back to [`Self::ALPHA`].
-    pub fn with_alpha(alpha: f64) -> Self {
-        let alpha = if alpha > 0.0 && alpha <= 1.0 { alpha } else { Self::ALPHA };
-        Self { observed: BTreeMap::new(), alpha }
+        Self::default()
     }
 
     /// Record one completed work item: `units` of work finished in
@@ -56,7 +42,7 @@ impl ThroughputTracker {
             }
             std::collections::btree_map::Entry::Occupied(mut e) => {
                 let v = e.get_mut();
-                *v = (1.0 - self.alpha) * *v + self.alpha * rate;
+                *v = (1.0 - Self::ALPHA) * *v + Self::ALPHA * rate;
             }
         }
     }
@@ -122,21 +108,6 @@ mod tests {
             t.record(svc, 4000, 1.0);
         }
         assert!((t.throughput(svc).unwrap() - 4000.0).abs() < 10.0);
-    }
-
-    #[test]
-    fn configured_alpha_changes_convergence_speed() {
-        let mut fast = ThroughputTracker::with_alpha(0.9);
-        let mut slow = ThroughputTracker::with_alpha(0.1);
-        let svc = RenderServiceId(1);
-        for t in [&mut fast, &mut slow] {
-            t.record(svc, 1000, 1.0);
-            t.record(svc, 5000, 1.0);
-        }
-        assert!(fast.throughput(svc).unwrap() > slow.throughput(svc).unwrap());
-        // Degenerate alphas fall back to the default.
-        let t = ThroughputTracker::with_alpha(7.0);
-        assert_eq!(t.alpha, ThroughputTracker::ALPHA);
     }
 
     #[test]

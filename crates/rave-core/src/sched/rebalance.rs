@@ -2,8 +2,9 @@
 //! overload (§3.2.7), sustained under-load, service failure (§6), and
 //! measured-throughput drift — is one [`SchedEvent`], and every event in
 //! a batch is handled through the same headroom ledger and movement
-//! machinery. `migration.rs` is a thin adapter that detects conditions
-//! and feeds the stream; the decisions themselves — considered
+//! machinery. Overload and failure re-home their shards through one
+//! routine, [`rehome`]; `migration.rs` is a thin adapter that detects
+//! conditions and feeds the stream; the decisions themselves — considered
 //! candidates, scores, chosen placement — are recorded as
 //! [`crate::trace::TraceKind::SchedDecision`] events.
 
@@ -14,7 +15,7 @@ use crate::trace::TraceKind;
 use crate::world::RaveSim;
 use rave_grid::TechnicalModel;
 use rave_net::HostId;
-use rave_scene::{InterestSet, NodeCost, NodeId, Parcel};
+use rave_scene::{InterestSet, NodeCost, NodeId};
 use rave_sim::SimTime;
 use std::collections::{BTreeMap, BTreeSet};
 
@@ -198,7 +199,7 @@ pub fn detect_cost_drift(sim: &mut RaveSim, ds_id: DataServiceId) -> Vec<SchedEv
     events
 }
 
-/// Per-batch processing state: one ledger and one moved-set shared by
+/// Per-batch processing state: one ledger and one set of moves shared by
 /// every event, so two events in the same batch can neither overfill a
 /// receiver nor move the same node twice.
 struct Batch {
@@ -212,10 +213,10 @@ struct Batch {
     ledger: Option<Ledger>,
     /// Donor for underload events, computed once per batch.
     donor: Option<Option<RenderServiceId>>,
-    /// Nodes already moved by an earlier event in this batch.
-    moved_nodes: BTreeSet<NodeId>,
-    /// The moves themselves.
+    /// The moves made so far; they become the outcome's `moved`.
     moves: MoveBatch,
+    /// Recruits, promotions and refusals.
+    outcome: MigrationOutcome,
 }
 
 /// Process a batch of [`SchedEvent`]s against one data service. Every
@@ -226,54 +227,38 @@ pub fn process_events(
     ds_id: DataServiceId,
     events: &[SchedEvent],
 ) -> MigrationOutcome {
-    // Coalesce per service before handling: `Overload` and `CostDrift`
-    // both shed through `handle_overload`, so a batch carrying both for
-    // the same service would shed twice. The first event of each
-    // (service, action) pair wins; later duplicates are dropped.
-    let mut seen_shed = BTreeSet::new();
-    let mut seen_pull = BTreeSet::new();
-    let mut seen_dead = BTreeSet::new();
-    let mut seen_ds_dead = BTreeSet::new();
+    // Coalesce per (action, service) before handling: the first event of
+    // each pair wins. `Overload` and `CostDrift` are one action — both
+    // shed — so a batch carrying both for one service sheds once.
+    let mut seen = BTreeSet::new();
     let events: Vec<SchedEvent> = events
         .iter()
         .copied()
-        .filter(|ev| match ev {
-            SchedEvent::Overload { service } | SchedEvent::CostDrift { service, .. } => {
-                seen_shed.insert(*service)
-            }
-            SchedEvent::Underload { service } => seen_pull.insert(*service),
-            SchedEvent::Failure { service } => seen_dead.insert(*service),
-            SchedEvent::DataFailure { service } => seen_ds_dead.insert(*service),
+        .filter(|ev| {
+            seen.insert(match *ev {
+                SchedEvent::Overload { service } | SchedEvent::CostDrift { service, .. } => {
+                    (0, service.0)
+                }
+                SchedEvent::Underload { service } => (1, service.0),
+                SchedEvent::Failure { service } => (2, service.0),
+                SchedEvent::DataFailure { service } => (3, service.0),
+            })
         })
         .collect();
-    let events = events.as_slice();
-    let mut outcome = MigrationOutcome::default();
+    let services =
+        |action| seen.iter().filter(move |k| k.0 == action).map(|k| RenderServiceId(k.1));
     let mut batch = Batch {
-        overloaded: events
-            .iter()
-            .filter_map(|e| match e {
-                SchedEvent::Overload { service } | SchedEvent::CostDrift { service, .. } => {
-                    Some(*service)
-                }
-                _ => None,
-            })
-            .collect(),
-        underloaded: events
-            .iter()
-            .filter_map(|e| match e {
-                SchedEvent::Underload { service } => Some(*service),
-                _ => None,
-            })
-            .collect(),
+        overloaded: services(0).collect(),
+        underloaded: services(1).collect(),
         ledger: None,
         donor: None,
-        moved_nodes: BTreeSet::new(),
         moves: MoveBatch::new(ds_id),
+        outcome: MigrationOutcome::default(),
     };
     for ev in events {
-        match *ev {
+        match ev {
             SchedEvent::Overload { service } => {
-                handle_overload(sim, ds_id, service, &mut batch, &mut outcome, "Overload");
+                handle_overload(sim, service, &mut batch, "Overload");
             }
             SchedEvent::CostDrift { service, measured, expected } => {
                 let now = sim.now();
@@ -284,20 +269,16 @@ pub fn process_events(
                         "{service} drifting: measured {measured:.0} vs advertised {expected:.0}"
                     ),
                 );
-                handle_overload(sim, ds_id, service, &mut batch, &mut outcome, "CostDrift");
+                handle_overload(sim, service, &mut batch, "CostDrift");
             }
-            SchedEvent::Underload { service } => {
-                handle_underload(sim, ds_id, service, &mut batch, &mut outcome);
-            }
-            SchedEvent::Failure { service } => {
-                handle_failure(sim, ds_id, service, &mut batch, &mut outcome);
-            }
+            SchedEvent::Underload { service } => handle_underload(sim, service, &mut batch),
+            SchedEvent::Failure { service } => handle_failure(sim, service, &mut batch),
             SchedEvent::DataFailure { service } => {
-                handle_data_failure(sim, service, &mut outcome);
+                handle_data_failure(sim, service, &mut batch.outcome);
             }
         }
     }
-    outcome
+    MigrationOutcome { moved: batch.moves.moved, ..batch.outcome }
 }
 
 /// Handle the death of a data service. Preference order: promote the
@@ -352,140 +333,131 @@ fn trace_decision(sim: &mut RaveSim, record: &DecisionRecord, event: &str) {
     sim.world.trace.record(now, TraceKind::SchedDecision, record.detail(event));
 }
 
-/// Shed work from an overloaded (or drifting) service onto connected
-/// services with headroom, recruiting via UDDI when that is not enough.
-fn handle_overload(
+/// The subject of a shard's decision row.
+fn shard(node: NodeId, cost: &NodeCost) -> String {
+    format!("shard {node} ({} polys)", cost.polygons)
+}
+
+/// One interrogation pass over the data service's subscribers, `skip`
+/// aside, as a receiving ledger: most spacious first, and kept in that
+/// order as it is debited.
+fn interrogate(sim: &RaveSim, ds_id: DataServiceId, skip: &[RenderServiceId]) -> Ledger {
+    let subscribers = sim.world.data(ds_id).subscriber_ids().into_iter();
+    let reports: Vec<_> = subscribers
+        .filter(|rs| !skip.contains(rs))
+        .map(|rs| sim.world.render(rs).capacity_report(&sim.world.config))
+        .collect();
+    Ledger::from_reports(&reports, false)
+}
+
+/// What becomes of a shard the recruit has no room for.
+#[derive(Clone, Copy, PartialEq)]
+enum Overflow {
+    /// Refused: an overloaded service keeps what nobody can take.
+    Refuse,
+    /// Placed on the recruit anyway: a dead service's share has nowhere
+    /// else to go, and the alternative is losing it.
+    Land,
+}
+
+/// The §3.2.7 migration act, for overload and failure alike: move each
+/// of `shards` off `from` onto the first service in `ledger` with room,
+/// each decision a `SchedDecision` row; recruit one service through UDDI
+/// for what none has room for — its rows score it by the room it
+/// reported, less what already landed on it, and `overflow` says what
+/// becomes of a shard that does not fit it either; refuse the rest.
+fn rehome(
     sim: &mut RaveSim,
-    ds_id: DataServiceId,
-    over_rs: RenderServiceId,
+    from: RenderServiceId,
+    shards: Vec<(NodeId, NodeCost)>,
+    ledger: &mut Ledger,
     batch: &mut Batch,
-    outcome: &mut MigrationOutcome,
     event: &str,
+    overflow: Overflow,
 ) {
-    let cfg = sim.world.config.clone();
-    if !sim.world.render_services.contains_key(&over_rs) {
-        return;
-    }
-    // How much must go: bring the service back inside its interactive
-    // polygon budget.
-    let (assigned, budget, roots) = {
-        let rs = sim.world.render(over_rs);
-        let pixels =
-            rs.sessions.values().map(|s| s.viewport.pixel_count() as u64).max().unwrap_or(160_000);
-        let budget = rs.machine.poly_budget_at_fps(cfg.target_fps, pixels);
-        let roots: Vec<NodeId> = if rs.interest.is_everything() {
-            rs.scene.node(rs.scene.root()).map(|root| root.children().collect()).unwrap_or_default()
-        } else {
-            rs.interest.roots().collect()
-        };
-        (rs.assigned_cost(), budget, roots)
-    };
-    let excess = assigned.polygons.saturating_sub(budget);
-    if excess == 0 {
-        return;
-    }
-    let shed: Vec<(NodeId, NodeCost)> =
-        select_nodes_to_shed(&sim.world.render(over_rs).scene, &roots, excess)
-            .into_iter()
-            .filter(|(node, _)| !batch.moved_nodes.contains(node))
-            .collect();
-
-    // Receiving ledger: one interrogation pass per batch over connected
-    // services that are not themselves overloaded, ordered most-spacious
-    // first and debited (without re-sorting) as the batch places work.
-    if batch.ledger.is_none() {
-        let overloaded = batch.overloaded.clone();
-        let reports: Vec<_> = sim
-            .world
-            .data(ds_id)
-            .subscriber_ids()
-            .into_iter()
-            .filter(|rs| !overloaded.contains(rs))
-            .map(|rs| sim.world.render(rs).capacity_report(&cfg))
-            .collect();
-        batch.ledger = Some(Ledger::from_reports(&reports, false));
-    }
-    let ledger = batch.ledger.as_mut().expect("just built");
-
-    let mut unplaced: Vec<(NodeId, NodeCost)> = Vec::new();
-    let mut placed: Vec<(NodeId, RenderServiceId, NodeCost)> = Vec::new();
-    for (node, cost) in shed {
-        let (chosen, record) =
-            ledger.fit_recorded(&cost, format!("shard {node} ({} polys)", cost.polygons));
+    let mut unplaced = Vec::new();
+    for (node, cost) in shards {
+        let (chosen, record) = ledger.fit_recorded(&cost, shard(node, &cost));
         trace_decision(sim, &record, event);
         match chosen {
-            Some(to) => placed.push((node, to, cost)),
+            Some(to) => batch.moves.move_node(sim, node, Some(from), to, &cost),
             None => unplaced.push((node, cost)),
         }
     }
-    for (node, to, cost) in placed {
-        batch.moves.move_node(sim, node, over_rs, to, &cost);
-        batch.moved_nodes.insert(node);
-        outcome.moved.push((node, over_rs, to));
+    if unplaced.is_empty() {
+        return;
     }
-
-    if !unplaced.is_empty() {
-        // Recruit via UDDI: registered render services not yet connected
-        // to this data service.
-        match recruit_unconnected(sim, ds_id) {
-            Some(new_rs) => {
-                outcome.recruited.push(new_rs);
-                let report = sim.world.render(new_rs).capacity_report(&cfg);
-                let mut room = report.headroom();
-                let mut still_unplaced = Vec::new();
-                for (node, cost) in unplaced {
-                    let record = DecisionRecord {
-                        subject: format!("shard {node} ({} polys)", cost.polygons),
-                        chosen: room.fits(&cost).then_some(new_rs),
-                        candidates: vec![(new_rs, room.polygons)],
-                    };
-                    trace_decision(sim, &record, event);
-                    if room.fits(&cost) {
-                        room.debit(&cost);
-                        batch.moves.move_node(sim, node, over_rs, new_rs, &cost);
-                        batch.moved_nodes.insert(node);
-                        outcome.moved.push((node, over_rs, new_rs));
-                    } else {
-                        still_unplaced.push((node, cost));
-                    }
-                }
-                let ledger = batch.ledger.as_mut().expect("built above");
-                ledger.push(new_rs, room);
-                if !still_unplaced.is_empty() {
-                    refuse(sim, ds_id, &still_unplaced);
-                    outcome.refused = true;
-                }
-            }
-            None => {
-                refuse(sim, ds_id, &unplaced);
-                outcome.refused = true;
+    let ds_id = batch.moves.ds_id;
+    let mut refused = unplaced;
+    if let Some(recruit) = recruit_unconnected(sim, ds_id) {
+        batch.outcome.recruited.push(recruit);
+        let mut room = sim.world.render(recruit).capacity_report(&sim.world.config).headroom();
+        for (node, cost) in std::mem::take(&mut refused) {
+            let lands = room.fits(&cost) || overflow == Overflow::Land;
+            let record = DecisionRecord {
+                subject: shard(node, &cost),
+                chosen: lands.then_some(recruit),
+                candidates: vec![(recruit, room.polygons)],
+            };
+            trace_decision(sim, &record, event);
+            if lands {
+                room.debit(&cost);
+                batch.moves.move_node(sim, node, Some(from), recruit, &cost);
+            } else {
+                refused.push((node, cost));
             }
         }
+        ledger.push(recruit, room);
     }
+    if !refused.is_empty() {
+        let polys: u64 = refused.iter().map(|(_, c)| c.polygons).sum();
+        let detail = format!(
+            "{ds_id}: insufficient resources for {} nodes ({polys} polygons) — request refused",
+            refused.len()
+        );
+        let now = sim.now();
+        sim.world.trace.record(now, TraceKind::Refusal, detail);
+        batch.outcome.refused = true;
+    }
+}
+
+/// Shed work from an overloaded (or drifting) service — enough to bring
+/// it back inside its interactive polygon budget, smallest shards first —
+/// onto the connected services that are not overloaded themselves, one
+/// ledger for the whole batch.
+fn handle_overload(sim: &mut RaveSim, over_rs: RenderServiceId, batch: &mut Batch, event: &str) {
+    let Some(rs) = sim.world.render_services.get(&over_rs) else { return };
+    let budget = rs.poly_budget(sim.world.config.target_fps);
+    let excess = rs.assigned_cost().polygons.saturating_sub(budget);
+    if excess == 0 {
+        return;
+    }
+    let shards = select_nodes_to_shed(&rs.scene, &rs.held_roots(), excess)
+        .into_iter()
+        .filter(|(node, _)| !batch.moves.has_moved(*node))
+        .collect();
+    let ds_id = batch.moves.ds_id;
+    let mut ledger =
+        batch.ledger.take().unwrap_or_else(|| interrogate(sim, ds_id, &batch.overloaded));
+    rehome(sim, over_rs, shards, &mut ledger, batch, event, Overflow::Refuse);
+    batch.ledger = Some(ledger);
 }
 
 /// Pull work from the most loaded donor onto a debounced under-loaded
 /// service, never overshooting its headroom (the §3.2.7 "5k vs 100k"
 /// rule).
-fn handle_underload(
-    sim: &mut RaveSim,
-    ds_id: DataServiceId,
-    under_rs: RenderServiceId,
-    batch: &mut Batch,
-    outcome: &mut MigrationOutcome,
-) {
+fn handle_underload(sim: &mut RaveSim, under_rs: RenderServiceId, batch: &mut Batch) {
     let now = sim.now();
-    let cfg = sim.world.config.clone();
     if !sim.world.render_services.contains_key(&under_rs) {
         return;
     }
     // Donor: the most loaded subscriber outside the batch's under-loaded
     // set, chosen once per batch.
     if batch.donor.is_none() {
-        let underloaded = batch.underloaded.clone();
+        let underloaded = &batch.underloaded;
         let donor = sim
             .world
-            .data(ds_id)
+            .data(batch.moves.ds_id)
             .subscriber_ids()
             .into_iter()
             .filter(|rs| !underloaded.contains(rs) && sim.world.render_services.contains_key(rs))
@@ -495,137 +467,68 @@ fn handle_underload(
     let Some(donor) = batch.donor.expect("just set") else { return };
 
     sim.world.trace.record(now, TraceKind::Underload, format!("{under_rs} has headroom"));
-    let mut room = sim.world.render(under_rs).capacity_report(&cfg).headroom();
+    let mut room = sim.world.render(under_rs).capacity_report(&sim.world.config).headroom();
     if room.polygons == 0 {
         return;
     }
-    let roots: Vec<NodeId> = {
-        let rs = sim.world.render(donor);
-        if rs.interest.is_everything() {
-            rs.scene.node(rs.scene.root()).map(|r| r.children().collect()).unwrap_or_default()
-        } else {
-            rs.interest.roots().collect()
-        }
-    };
     // Fine-grain: move the largest node set that FITS the headroom.
-    let mut candidates: Vec<(NodeId, NodeCost)> = roots
-        .iter()
-        .filter_map(|&id| {
-            let scene = &sim.world.render(donor).scene;
-            scene.node(id).map(|_| (id, scene.subtree_cost(id)))
-        })
-        .filter(|(node, c)| !c.is_zero() && !batch.moved_nodes.contains(node))
+    let scene = &sim.world.render(donor).scene;
+    let mut candidates: Vec<(NodeId, NodeCost)> = sim
+        .world
+        .render(donor)
+        .held_roots()
+        .into_iter()
+        .filter_map(|id| scene.node(id).map(|_| (id, scene.subtree_cost(id))))
+        .filter(|(node, c)| !c.is_zero() && !batch.moves.has_moved(*node))
         .collect();
     candidates.sort_by_key(|(id, c)| (std::cmp::Reverse(c.render_weight()), *id));
     for (node, cost) in candidates {
         if cost.polygons <= room.polygons && donor != under_rs {
             let record = DecisionRecord {
-                subject: format!("shard {node} ({} polys)", cost.polygons),
+                subject: shard(node, &cost),
                 chosen: Some(under_rs),
                 candidates: vec![(under_rs, room.polygons)],
             };
             trace_decision(sim, &record, "Underload");
             room.polygons -= cost.polygons;
-            batch.moves.move_node(sim, node, donor, under_rs, &cost);
-            batch.moved_nodes.insert(node);
-            outcome.moved.push((node, donor, under_rs));
+            batch.moves.move_node(sim, node, Some(donor), under_rs, &cost);
         }
     }
     sim.world.sched.underload_since.remove(&under_rs);
 }
 
-/// Handle the death of a render service (§6): unsubscribe it and
-/// redistribute its scene share onto the remaining services, recruiting
-/// via UDDI if necessary.
-fn handle_failure(
-    sim: &mut RaveSim,
-    ds_id: DataServiceId,
-    dead: RenderServiceId,
-    batch: &mut Batch,
-    outcome: &mut MigrationOutcome,
-) {
-    let cfg = sim.world.config.clone();
+/// Handle the death of a render service (§6): unsubscribe it and re-home
+/// what it alone held onto the survivors, recruiting via UDDI if
+/// necessary.
+fn handle_failure(sim: &mut RaveSim, dead: RenderServiceId, batch: &mut Batch) {
     if !sim.world.render_services.contains_key(&dead) {
         return;
     }
-
-    // What the dead service alone held. A full replica holds everything;
-    // its loss orphans nothing that others don't already have.
+    let ds_id = batch.moves.ds_id;
+    // A full replica holds everything; its loss orphans nothing that
+    // others don't already have.
     let orphaned: Vec<NodeId> = match sim.world.data(ds_id).subscribers.get(&dead) {
         Some(sub) if !sub.interest.is_everything() => sub.interest.roots().collect(),
         _ => Vec::new(),
     };
     teardown_render_service(sim, ds_id, dead, &format!("{} orphaned subtree(s)", orphaned.len()));
-    if orphaned.is_empty() {
-        return;
-    }
-
-    // Redistribute orphaned nodes onto surviving subscribers by headroom
-    // (the failure re-plan uses its own interrogation pass: survivor
-    // capacity just changed by the death itself).
-    let reports: Vec<_> = sim
-        .world
-        .data(ds_id)
-        .subscriber_ids()
+    let scene = &sim.world.data(ds_id).scene;
+    let shards = orphaned
         .into_iter()
-        .map(|rs| sim.world.render(rs).capacity_report(&cfg))
+        .filter(|node| !batch.moves.has_moved(*node))
+        .map(|node| (node, scene.subtree_cost(node)))
         .collect();
-    let mut ledger = Ledger::from_reports(&reports, false);
-
-    let mut unplaced = Vec::new();
-    let mut placed: Vec<(NodeId, RenderServiceId, NodeCost)> = Vec::new();
-    for node in orphaned {
-        if batch.moved_nodes.contains(&node) {
-            continue;
-        }
-        let cost = sim.world.data(ds_id).scene.subtree_cost(node);
-        let (chosen, record) =
-            ledger.fit_recorded(&cost, format!("shard {node} ({} polys)", cost.polygons));
-        trace_decision(sim, &record, "Failure");
-        match chosen {
-            Some(to) => placed.push((node, to, cost)),
-            None => unplaced.push((node, cost)),
-        }
-    }
-    for (node, to, cost) in placed {
-        batch.moves.move_node(sim, node, dead, to, &cost);
-        batch.moved_nodes.insert(node);
-        outcome.moved.push((node, dead, to));
-    }
-    if !unplaced.is_empty() {
-        match recruit_unconnected(sim, ds_id) {
-            Some(new_rs) => {
-                outcome.recruited.push(new_rs);
-                // A dead service's share lands on the recruit whether or
-                // not it fits (the alternative is losing it); the row
-                // still says how much room the recruit had.
-                let mut room = sim.world.render(new_rs).capacity_report(&cfg).poly_headroom;
-                for (node, cost) in unplaced {
-                    let record = DecisionRecord {
-                        subject: format!("shard {node} ({} polys)", cost.polygons),
-                        chosen: Some(new_rs),
-                        candidates: vec![(new_rs, room)],
-                    };
-                    trace_decision(sim, &record, "Failure");
-                    room = room.saturating_sub(cost.polygons);
-                    batch.moves.move_node(sim, node, dead, new_rs, &cost);
-                    batch.moved_nodes.insert(node);
-                    outcome.moved.push((node, dead, new_rs));
-                }
-            }
-            None => {
-                refuse(sim, ds_id, &unplaced);
-                outcome.refused = true;
-            }
-        }
-    }
+    // Its own interrogation pass: survivor capacity just changed by the
+    // death itself.
+    let mut ledger = interrogate(sim, ds_id, &[]);
+    rehome(sim, dead, shards, &mut ledger, batch, "Failure", Overflow::Land);
 }
 
 /// The moves one batch (an event batch or a plan diff) makes against one
 /// data service, each costing what it moves: the data service's interest
 /// index is patched per move ([`DataService::move_interest_root`]), the
-/// subtree travels as a flat [`Parcel`], and the hosts a transfer is
-/// charged between are resolved once per batch.
+/// subtree travels as a flat [`rave_scene::Parcel`], and the hosts a
+/// transfer is charged between are resolved once per batch.
 ///
 /// [`DataService::move_interest_root`]: crate::data_service::DataService::move_interest_root
 struct MoveBatch {
@@ -634,22 +537,37 @@ struct MoveBatch {
     ds_host: Option<HostId>,
     /// Destination hosts, resolved once per service.
     hosts: BTreeMap<RenderServiceId, HostId>,
+    /// `(node, from, to)` of every move with a donor, in order.
+    moved: Vec<(NodeId, RenderServiceId, RenderServiceId)>,
 }
 
 impl MoveBatch {
     fn new(ds_id: DataServiceId) -> Self {
-        Self { ds_id, ds_host: None, hosts: BTreeMap::new() }
+        Self { ds_id, ds_host: None, hosts: BTreeMap::new(), moved: Vec::new() }
     }
 
-    /// Cut `node`'s subtree out of the master scene and charge its
-    /// transfer to `to`. Returns the parcel and when it arrives.
-    fn ship_subtree(
+    fn has_moved(&self, node: NodeId) -> bool {
+        self.moved.iter().any(|&(moved, ..)| moved == node)
+    }
+
+    /// Move `node`'s subtree to `to`, away from the subscriber the data
+    /// service lists it under — `from`, where the caller last put it, is
+    /// asked first; a node nobody lists moves from `from`, or is a first
+    /// placement when that is none. The interest roots at the data service
+    /// change now, the subtree is cut out of the master scene as a parcel
+    /// and charged to the transfer, and the replicas' surgery happens when
+    /// it arrives — the node is "in flight" until then, and the old holder
+    /// keeps rendering it until the handoff (best effort).
+    fn move_node(
         &mut self,
         sim: &mut RaveSim,
         node: NodeId,
+        from: Option<RenderServiceId>,
         to: RenderServiceId,
         cost: &NodeCost,
-    ) -> (Parcel, SimTime) {
+    ) {
+        let left = sim.world.data_mut(self.ds_id).move_interest_root(node, from, Some(to));
+        let from = left.or(from);
         let world = &sim.world;
         let ds = world.data(self.ds_id);
         let from_host = *self.ds_host.get_or_insert_with(|| world.network.known_host(&ds.host));
@@ -658,35 +576,19 @@ impl MoveBatch {
             .entry(to)
             .or_insert_with(|| world.network.known_host(&world.render(to).host));
         let parcel = ds.scene.extract_parcel(node);
-        let bytes = cost.data_bytes.max(256);
         let now = sim.now();
-        (parcel, sim.world.channel_between(from_host, to_host).send(now, bytes))
-    }
-
-    /// Execute one node move: update interest roots at the data service,
-    /// charge the data transfer to the receiving service, and
-    /// install/remove the subtree on the replicas.
-    fn move_node(
-        &mut self,
-        sim: &mut RaveSim,
-        node: NodeId,
-        from: RenderServiceId,
-        to: RenderServiceId,
-        cost: &NodeCost,
-    ) {
-        sim.world.data_mut(self.ds_id).move_interest_root(node, Some(from), Some(to));
-        // Replica surgery now; the transfer cost lands on the receiving
-        // side as an arrival event (the node is "in flight" until then,
-        // but the old holder keeps rendering it until the handoff — best
-        // effort).
-        let (parcel, arrival) = self.ship_subtree(sim, node, to, cost);
+        let arrival =
+            sim.world.channel_between(from_host, to_host).send(now, cost.data_bytes.max(256));
+        if let Some(from) = from {
+            self.moved.push((node, from, to));
+        }
         sim.schedule_at(arrival, move |sim| {
             let at = sim.now();
             // The donor may already be gone (failure-triggered moves), and
             // so may the receiver: it failed with the subtree on the wire,
             // and its own failure re-homes what the data service says it
             // held.
-            if let Some(rs) = sim.world.render_services.get_mut(&from) {
+            if let Some(rs) = from.and_then(|from| sim.world.render_services.get_mut(&from)) {
                 let _ = rs.scene.remove(node);
                 rs.interest.remove_root(node);
             }
@@ -694,47 +596,19 @@ impl MoveBatch {
                 rs.interest.add_root(node);
                 rs.scene.adopt_parcel(&parcel);
             }
-            sim.world.trace.record(
-                at,
-                TraceKind::Migration,
-                format!("node {node} moved {from} -> {to}"),
-            );
-        });
-    }
-
-    /// First placement of a workload: interest surgery on the receiving
-    /// side only, with the subtree transfer charged like a migration's.
-    fn install_node(
-        &mut self,
-        sim: &mut RaveSim,
-        node: NodeId,
-        to: RenderServiceId,
-        cost: &NodeCost,
-    ) {
-        if !sim.world.render_services.contains_key(&to) {
-            return;
-        }
-        sim.world.data_mut(self.ds_id).move_interest_root(node, None, Some(to));
-        let (parcel, arrival) = self.ship_subtree(sim, node, to, cost);
-        sim.schedule_at(arrival, move |sim| {
-            let at = sim.now();
-            if let Some(rs) = sim.world.render_services.get_mut(&to) {
-                rs.interest.add_root(node);
-                rs.scene.adopt_parcel(&parcel);
-            }
-            sim.world.trace.record(
-                at,
-                TraceKind::Migration,
-                format!("node {node} installed on {to}"),
-            );
+            let detail = match from {
+                Some(from) => format!("node {node} moved {from} -> {to}"),
+                None => format!("node {node} installed on {to}"),
+            };
+            sim.world.trace.record(at, TraceKind::Migration, detail);
         });
     }
 
     /// A workload left the plan (removed from the scene or split away):
-    /// clean it off the service that held it.
+    /// clean it off the service that held it, by the same donor rule.
     fn uninstall_node(&self, sim: &mut RaveSim, node: NodeId, from: RenderServiceId) {
-        sim.world.data_mut(self.ds_id).move_interest_root(node, Some(from), None);
-        if let Some(rs) = sim.world.render_services.get_mut(&from) {
+        let left = sim.world.data_mut(self.ds_id).move_interest_root(node, Some(from), None);
+        if let Some(rs) = sim.world.render_services.get_mut(&left.unwrap_or(from)) {
             let _ = rs.scene.remove(node);
             rs.interest.remove_root(node);
         }
@@ -771,19 +645,6 @@ fn recruit_unconnected(sim: &mut RaveSim, ds_id: DataServiceId) -> Option<Render
         connect_render_service(sim, candidate, ds_id, InterestSet::subtrees([]));
     });
     Some(candidate)
-}
-
-fn refuse(sim: &mut RaveSim, ds_id: DataServiceId, unplaced: &[(NodeId, NodeCost)]) {
-    let now = sim.now();
-    let polys: u64 = unplaced.iter().map(|(_, c)| c.polygons).sum();
-    sim.world.trace.record(
-        now,
-        TraceKind::Refusal,
-        format!(
-            "{ds_id}: insufficient resources for {} nodes ({polys} polygons) — request refused",
-            unplaced.len()
-        ),
-    );
 }
 
 /// What one incremental replan pass did.
@@ -846,7 +707,7 @@ pub fn incremental_replan(
     match result {
         Ok(None) => out.deferred = true,
         Ok(Some(diff)) => {
-            apply_plan_diff(sim, ds_id, &diff, &mut out.migration);
+            out.migration.moved = apply_plan_diff(sim, ds_id, &diff);
             out.diff = Some(diff);
         }
         Err(err) => {
@@ -863,13 +724,13 @@ pub fn incremental_replan(
 }
 
 /// The incremental planner's capacity basis: *gross* per-service budgets
-/// (`poly_budget_at_fps × fill_factor`, total texture memory) rather
-/// than the interrogation report's remaining headroom — the replay
-/// decides the whole assignment itself, so already-assigned work must
-/// not be double-counted against capacity. Services whose measured
-/// throughput has drifted below the drift ratio are derated by the
-/// measured fraction, which is what makes a `CostDrift` event move work
-/// off them.
+/// ([`crate::render_service::RenderService::poly_budget`] ×
+/// `fill_factor`, total texture memory) rather than the interrogation
+/// report's remaining headroom — the replay decides the whole assignment
+/// itself, so already-assigned work must not be double-counted against
+/// capacity. Services whose measured throughput has drifted below the
+/// drift ratio are derated by the measured fraction, which is what makes
+/// a `CostDrift` event move work off them.
 fn gross_basis(
     sim: &RaveSim,
     ds_id: DataServiceId,
@@ -881,14 +742,7 @@ fn gross_basis(
         .into_iter()
         .map(|rs_id| {
             let rs = sim.world.render(rs_id);
-            let pixels = rs
-                .sessions
-                .values()
-                .map(|s| s.viewport.pixel_count() as u64)
-                .max()
-                .unwrap_or(160_000);
-            let budget = rs.machine.poly_budget_at_fps(cfg.target_fps, pixels);
-            let mut fillable = (budget as f64 * cfg.fill_factor) as u64;
+            let mut fillable = (rs.poly_budget(cfg.target_fps) as f64 * cfg.fill_factor) as u64;
             let expected = rs.machine.poly_rate;
             if sim.world.sched.throughput.drifted_below(rs_id, expected, DRIFT_RATIO) {
                 let measured = sim.world.sched.throughput.throughput(rs_id).unwrap_or(0.0);
@@ -931,30 +785,27 @@ fn teardown_render_service(
     sim.world.trace.record(now, TraceKind::Overload, format!("{dead} failed; {aftermath}"));
 }
 
-/// Apply a plan diff to the world: placement changes become migrations,
-/// first placements install the subtree on their service, and dropped
-/// workloads are cleaned off the holder they left.
+/// Apply a plan diff to the world: each planned workload moves to its
+/// service and each dropped one is cleaned off its holder — whoever the
+/// data service's subscriptions list when the move is decided, which the
+/// diff's `old` (where the plan last put the node) need not be: a
+/// subscription made before the first plan, or an event pass since, may
+/// hold it elsewhere. Returns the moves that had a donor.
 fn apply_plan_diff(
     sim: &mut RaveSim,
     ds_id: DataServiceId,
     diff: &crate::sched::incremental::PlanDiff,
-    outcome: &mut MigrationOutcome,
-) {
+) -> Vec<(NodeId, RenderServiceId, RenderServiceId)> {
     let mut moves = MoveBatch::new(ds_id);
-    for &(node, old, new) in &diff.moved {
-        let cost =
-            sim.world.data(ds_id).scene.node(node).map(|n| n.own_cost()).unwrap_or(NodeCost::ZERO);
-        match old {
-            Some(from) => {
-                moves.move_node(sim, node, from, new, &cost);
-                outcome.moved.push((node, from, new));
-            }
-            None => moves.install_node(sim, node, new, &cost),
-        }
+    for &(node, old, to) in &diff.moved {
+        let scene = &sim.world.data(ds_id).scene;
+        let cost = scene.node(node).map(|n| n.own_cost()).unwrap_or(NodeCost::ZERO);
+        moves.move_node(sim, node, old, to, &cost);
     }
     for &(node, from) in &diff.dropped {
         moves.uninstall_node(sim, node, from);
     }
+    moves.moved
 }
 
 #[cfg(test)]
@@ -1222,6 +1073,74 @@ mod tests {
         let held = holders(&sim, node);
         assert_eq!(held.len(), 1, "node {node} held by {held:?}\n{}", sim.world.trace.render());
         assert!(sim.world.render(held[0]).interest.roots().any(|r| r == node));
+    }
+
+    /// A plan diff moves a node away from whoever holds it, which the data
+    /// service's subscriptions say and the plan's memory need not:
+    /// (1) the first plan finds `slow` already holding both meshes through
+    /// its subscription; (2) a failure handled by the event path re-homes
+    /// the dead service's share behind the plan's back, and the next replan
+    /// — its receiver has since drifted — moves it on from there.
+    #[test]
+    fn a_plan_diff_moves_a_node_away_from_whoever_holds_it() {
+        let (mut sim, ds, slow, _fast) = overload_world();
+        let tower = sim.world.spawn_render_service("tower");
+        sim.world.data_mut(ds).subscribe_live(tower, InterestSet::subtrees([]));
+        sim.world.render_mut(tower).interest = InterestSet::subtrees([]);
+        let nodes: Vec<NodeId> = sim.world.data(ds).subscribers[&slow].interest.roots().collect();
+        // Each node on one live service: in its scene, its replica's
+        // interest roots and its subscription alike. Returns the holders.
+        let held_once = |sim: &RaveSim, when: &str| -> Vec<RenderServiceId> {
+            let trace = sim.world.trace.render();
+            let services = &sim.world.render_services;
+            let subscribers = &sim.world.data(ds).subscribers;
+            nodes
+                .iter()
+                .map(|&node| {
+                    let held = |interest: &InterestSet| interest.roots().any(|r| r == node);
+                    let in_scene: Vec<RenderServiceId> = services
+                        .iter()
+                        .filter(|(_, rs)| rs.scene.contains(node))
+                        .map(|s| *s.0)
+                        .collect();
+                    let in_interest: Vec<RenderServiceId> = services
+                        .iter()
+                        .filter(|(_, rs)| held(&rs.interest))
+                        .map(|s| *s.0)
+                        .collect();
+                    let subscribed: Vec<RenderServiceId> = subscribers
+                        .iter()
+                        .filter(|(_, sub)| held(&sub.interest))
+                        .map(|s| *s.0)
+                        .collect();
+                    assert_eq!(in_scene.len(), 1, "{when}: node {node} in {in_scene:?}\n{trace}");
+                    assert_eq!(in_interest, in_scene, "{when}: node {node}\n{trace}");
+                    assert_eq!(subscribed, in_scene, "{when}: node {node}\n{trace}");
+                    in_scene[0]
+                })
+                .collect()
+        };
+
+        let first = incremental_replan(&mut sim, ds, &[]).diff.expect("the first pass plans");
+        assert!(first.moved.iter().all(|&(_, old, _)| old.is_none()), "{first:?}");
+        sim.run();
+        let holders = held_once(&sim, "first plan");
+        assert!(!holders.contains(&slow), "{holders:?}");
+
+        let victim = holders[1];
+        let outcome = process_events(&mut sim, ds, &[SchedEvent::Failure { service: victim }]);
+        assert!(outcome.moved.iter().any(|&(n, from, _)| n == nodes[1] && from == victim));
+        sim.run();
+        let rehomed = held_once(&sim, "failure");
+
+        let rate = sim.world.render(rehomed[1]).machine.poly_rate;
+        sim.world.sched.throughput.record(rehomed[1], (rate * 0.3) as u64, 1.0);
+        let replan = incremental_replan(&mut sim, ds, &[]).diff.expect("the basis changed");
+        let &(_, old, to) = replan.moved.iter().find(|m| m.0 == nodes[1]).expect("replanned");
+        assert_eq!(old, Some(victim), "the plan still remembers the dead holder");
+        assert_ne!(to, rehomed[1], "the replan moves the node on: {replan:?}");
+        sim.run();
+        held_once(&sim, "replan after the failure");
     }
 
     /// The interest index as the service keeps it routes an update of
