@@ -234,9 +234,8 @@ fn time_ticks(services: usize, clients: usize, moves: usize, ticks: usize) -> Ti
     let hosts_per_segment = 4;
     let mut net = machine_room(segments, hosts_per_segment);
     net.add_host("hub", "seg0");
-    let mut config = RaveConfig::default();
     // One presence update would otherwise allocate `clients` trace rows.
-    config.update_delivery_trace = false;
+    let config = RaveConfig { update_delivery_trace: false, ..RaveConfig::default() };
     let mut sim = Simulation::new(RaveWorld::new(net, config, 4242));
     let ds = sim.world.spawn_data_service("hub", "bench");
 
@@ -274,8 +273,10 @@ fn time_ticks(services: usize, clients: usize, moves: usize, ticks: usize) -> Ti
                 .iter()
                 .enumerate()
                 .map(|(i, &p)| {
-                    let mut cam = CameraParams::default();
-                    cam.position = Vec3::new(tick as f32, i as f32, 0.0);
+                    let cam = CameraParams {
+                        position: Vec3::new(tick as f32, i as f32, 0.0),
+                        ..CameraParams::default()
+                    };
                     (p, labels[i].as_str(), cam)
                 })
                 .collect();
@@ -305,8 +306,7 @@ fn time_ticks(services: usize, clients: usize, moves: usize, ticks: usize) -> Ti
 /// The paper's own testbed: ~24 clients on 6 LAN machines + the wireless
 /// PDA, camera traffic multicast from the data service on adrenochrome.
 fn testbed_wire_ratio() -> f64 {
-    let mut config = RaveConfig::default();
-    config.update_delivery_trace = false;
+    let config = RaveConfig { update_delivery_trace: false, ..RaveConfig::default() };
     let mut sim = Simulation::new(RaveWorld::paper_testbed(config, 7));
     let ds = sim.world.spawn_data_service("adrenochrome", "bench");
     let hosts = ["onyx", "v880z", "laptop", "desktop", "tower", "adrenochrome", "zaurus"];
@@ -329,8 +329,10 @@ fn testbed_wire_ratio() -> f64 {
             .iter()
             .enumerate()
             .map(|(i, &p)| {
-                let mut cam = CameraParams::default();
-                cam.position = Vec3::new(tick as f32, i as f32, 1.0);
+                let cam = CameraParams {
+                    position: Vec3::new(tick as f32, i as f32, 1.0),
+                    ..CameraParams::default()
+                };
                 (p, labels[i].as_str(), cam)
             })
             .collect();

@@ -256,7 +256,7 @@ fn main() {
             incr_samples.push(secs(|| {
                 plan_incremental(&mut scene, &caps, &mut state, 0.0)
                     .unwrap()
-                    .expect("zero staleness replans on any dirt")
+                    .expect("an edited scene replans")
             }));
         }
 

@@ -8,7 +8,7 @@ use bench::harness::{best_of, num, obj, quick, tmp_dir, Report};
 use rave_scene::{AuditEntry, AuditTrail, NodeKind, SceneTree, SceneUpdate, StampedUpdate};
 use rave_store::wal::Wal;
 use serde::Serialize;
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 
 const UPDATES: u64 = 10_000;
 
@@ -56,7 +56,7 @@ fn wal_write(dir: &PathBuf, entries: &[AuditEntry]) {
     wal.sync().unwrap();
 }
 
-fn wal_replay(dir: &PathBuf) -> SceneTree {
+fn wal_replay(dir: &Path) -> SceneTree {
     let rec = rave_store::recover(dir).unwrap();
     assert_eq!(rec.last_seq, UPDATES);
     rec.tree

@@ -4,7 +4,8 @@
 
 use crate::RunOpts;
 use rave_core::capacity::CapacityReport;
-use rave_core::tiles::{plan_tiles, plan_tiles_with_feedback, render_tiled_frame, TileCostTracker};
+use rave_core::sched::ThroughputTracker;
+use rave_core::tiles::{plan_tiles, plan_tiles_with_feedback, render_tiled_frame};
 use rave_core::world::RaveWorld;
 use rave_core::{ClientId, RaveConfig, RenderServiceId};
 use rave_math::{Vec3, Viewport};
@@ -229,7 +230,7 @@ pub fn parallel_render(opts: &RunOpts) -> ParallelRenderReport {
         rolling_fps: None,
     };
     let cold = plan_tiles(&vp, owner, std::slice::from_ref(&report));
-    let mut tracker = TileCostTracker::new();
+    let mut tracker = ThroughputTracker::new();
     tracker.record(owner, 100_000, 1.0);
     tracker.record(helper, 400_000, 1.0);
     let warm = plan_tiles_with_feedback(&vp, owner, std::slice::from_ref(&report), &tracker);

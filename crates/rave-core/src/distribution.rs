@@ -225,16 +225,20 @@ pub fn plan_distribution(
 /// workload edits, the basis change (if any) is noted, and the engine
 /// replays from the first affected queue position — falling back to a
 /// full rebuild when the journal cannot answer for that position (another
-/// tree, too far behind) or no plan exists yet. Returns `Ok(None)` when the bounded-staleness policy
-/// deferred the replan (the dirt stays accumulated), `Ok(Some(diff))`
-/// with the minimal migration set otherwise. The resulting assignment is
-/// always identical to what [`plan_distribution`] would produce from
-/// scratch on the same scene and basis.
+/// tree, too far behind) or no plan exists yet. Returns `Ok(None)` when
+/// nothing changed since the last pass (nothing is replanned),
+/// `Ok(Some(diff))` with the minimal migration set otherwise. The
+/// resulting assignment is always identical to what [`plan_distribution`]
+/// would produce from scratch on the same scene and basis.
+///
+/// `_max_staleness` is ignored: every dirty pass replans. (It was once a
+/// staleness budget, and `benchmark/`, frozen for the changes it judges,
+/// still passes one; it leaves when that benchmark is next refreshed.)
 pub fn plan_incremental(
     scene: &mut SceneTree,
     caps: &[(RenderServiceId, Headroom)],
     state: &mut PlanState,
-    max_staleness: f64,
+    _max_staleness: f64,
 ) -> Result<Option<PlanDiff>, PlanError> {
     let mut rebuild = !state.is_planned();
     // The position is taken at the read: what `split_node` edits during
@@ -250,7 +254,7 @@ pub fn plan_incremental(
         }
     }
     state.note_caps(caps);
-    if !rebuild && !state.should_replan(max_staleness) {
+    if !rebuild && !state.is_dirty() {
         return Ok(None);
     }
 
@@ -265,7 +269,7 @@ pub fn plan_incremental(
         ((demand.polygons, demand.texture_bytes), demand.is_zero())
     } else {
         let demand = (state.total_polygons(), state.total_texture());
-        (demand, state.total_weight() == 0 && demand.1 == 0)
+        (demand, state.is_empty())
     };
     if caps.is_empty() && !demand_empty {
         return Err(PlanError::NoCandidates);

@@ -205,18 +205,8 @@ impl RenderService {
     }
 
     /// Rasterize one tile of a session's image (framebuffer
-    /// distribution).
-    pub fn rasterize_tile(
-        &self,
-        camera: &CameraParams,
-        full_viewport: &Viewport,
-        tile: &Viewport,
-    ) -> Framebuffer {
-        self.rasterize_tile_with_stats(camera, full_viewport, tile).0
-    }
-
-    /// Like [`RenderService::rasterize_tile`] but also returns the render
-    /// statistics, whose [`rave_render::raster::RasterStats::cost_units`] is the
+    /// distribution), with the render statistics, whose
+    /// [`rave_render::raster::RasterStats::cost_units`] is the
     /// measured-cost signal for feedback tile planning.
     pub fn rasterize_tile_with_stats(
         &self,

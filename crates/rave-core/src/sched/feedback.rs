@@ -4,9 +4,9 @@
 //! making placement decisions from continuously measured throughput
 //! rather than static capacity claims.
 //!
-//! [`ThroughputTracker`] is the EWMA promoted out of `tiles.rs` (where it
-//! was `TileCostTracker`), generalized so dataset and volume placement
-//! learn from the same measurements as tile splitting. The unit is
+//! [`ThroughputTracker`] is the EWMA promoted out of `tiles.rs`,
+//! generalized so dataset and volume placement learn from the same
+//! measurements as tile splitting. The unit is
 //! whatever cost measure the workload reports per second —
 //! `RasterStats::cost_units` for tiles, polygons for dataset shards,
 //! voxels for bricks; one tracker per unit domain.

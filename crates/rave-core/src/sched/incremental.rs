@@ -1,4 +1,4 @@
-//! Incremental replanning: dirty-set extraction and plan-diff
+//! Incremental replanning: edit tracking and plan-diff
 //! application over the first-fit-decreasing placement engine.
 //!
 //! The cold planner ([`crate::sched::placement::place_with_splitting`])
@@ -34,18 +34,15 @@
 //!    their chosen service in the queue itself, so catch-up is a debit
 //!    per item — no fitting, no searching, no allocation.
 //!
-//! **Bounded staleness.** Every edit accrues into a [`DirtySet`] with an
-//! invalidated-render-weight total. [`PlanState::should_replan`]
-//! compares that against the caller's `max_staleness` fraction of the total
-//! planned weight, so sub-threshold event storms coalesce into one
-//! deferred replay; [`PlanState::force_full_replay`] is the escape hatch
-//! that re-derives every placement on the next replan regardless.
+//! **When to replan.** A pass replans exactly when no plan exists yet or
+//! something is dirty ([`PlanState::is_dirty`]); a clean state is left
+//! alone. [`PlanState::force_full_replay`] re-derives every placement on
+//! the next replan.
 
 use crate::capacity::Headroom;
 use crate::ids::RenderServiceId;
 use crate::sched::placement::{Ledger, PlaceError};
 use rave_scene::{EditStamp, NodeCost, NodeId};
-use std::collections::BTreeSet;
 
 /// Ledger checkpoint spacing, in queue positions. Catch-up replays at
 /// most this many recorded debits before live fitting resumes; the
@@ -70,51 +67,6 @@ struct PlanItem {
 /// `place_with_splitting` (strict total order: ids are unique).
 fn item_key(cost: &NodeCost, id: NodeId) -> (std::cmp::Reverse<u64>, NodeId) {
     (std::cmp::Reverse(cost.render_weight()), id)
-}
-
-/// Accumulated invalidation since the last replay: which services'
-/// capacity basis changed, how many workload edits arrived, and the
-/// total render weight they put in question (the staleness currency).
-#[derive(Debug, Clone, Default, PartialEq)]
-pub struct DirtySet {
-    weight: u64,
-    services: BTreeSet<RenderServiceId>,
-    node_edits: usize,
-    /// Workloads that left the plan while dirty (removed from the scene
-    /// or no longer eligible), with the service that held them — emitted
-    /// as `PlanDiff::dropped` on the next replan.
-    drops: Vec<(NodeId, RenderServiceId)>,
-}
-
-impl DirtySet {
-    /// Total render weight invalidated since the last replan. Service
-    /// basis changes count their advertised polygon capacity (×4, the
-    /// render-weight scale) — a deliberate over-estimate: capacity moves
-    /// can displace anything up to that much work.
-    pub fn weight(&self) -> u64 {
-        self.weight
-    }
-
-    /// Services whose capacity basis changed since the last replan.
-    pub fn services(&self) -> impl Iterator<Item = RenderServiceId> + '_ {
-        self.services.iter().copied()
-    }
-
-    /// Workload-level edits (cost change, insert, remove) accumulated.
-    pub fn node_edits(&self) -> usize {
-        self.node_edits
-    }
-
-    pub fn is_empty(&self) -> bool {
-        self.weight == 0 && self.drops.is_empty()
-    }
-
-    fn reset(&mut self) {
-        self.weight = 0;
-        self.services.clear();
-        self.node_edits = 0;
-        // `drops` is drained by the replan itself.
-    }
 }
 
 /// What one replan changed — the minimal migration set. Workloads whose
@@ -143,8 +95,8 @@ impl PlanDiff {
 }
 
 /// The persistent placement: capacity basis, sorted workload queue with
-/// per-position placements, periodic ledger checkpoints, and the
-/// accumulated [`DirtySet`]. Owned per data service by the world's
+/// per-position placements, periodic ledger checkpoints, and the drops
+/// pending since the last replan. Owned per data service by the world's
 /// scheduler state ([`crate::world::SchedState`]).
 #[derive(Debug, Clone, Default)]
 pub struct PlanState {
@@ -165,9 +117,10 @@ pub struct PlanState {
     /// First queue position whose placement is in question ([`CLEAN`]
     /// when the stored plan is exact).
     replay_from: usize,
-    dirty: DirtySet,
-    /// Total render weight of the queue (staleness denominator).
-    total_weight: u64,
+    /// Workloads that left the plan while dirty (removed from the scene
+    /// or no longer eligible), with the service that held them — emitted
+    /// as `PlanDiff::dropped` on the next replan.
+    drops: Vec<(NodeId, RenderServiceId)>,
     /// Total polygon demand of the queue — the feasibility pre-check's
     /// numerator, maintained here so the incremental path never has to
     /// re-walk the scene for a total.
@@ -177,9 +130,6 @@ pub struct PlanState {
     /// replay uses the O(1) first-slot fit.
     total_texture: u64,
     planned: bool,
-    /// Escape hatch armed: the next [`PlanState::should_replan`] answers
-    /// yes regardless of the staleness threshold.
-    forced: bool,
     /// Where `plan_incremental` last read the scene's edit journal — of
     /// no tree until it has.
     pub(crate) scene_seen: EditStamp,
@@ -190,15 +140,9 @@ impl PlanState {
         Self::default()
     }
 
-    /// Has a full plan ever been built? Until then every query is empty
-    /// and [`PlanState::should_replan`] always answers yes.
+    /// Has a full plan ever been built? Until then every query is empty.
     pub fn is_planned(&self) -> bool {
         self.planned
-    }
-
-    /// The accumulated invalidation since the last replan.
-    pub fn dirty(&self) -> &DirtySet {
-        &self.dirty
     }
 
     /// Number of planned workloads.
@@ -208,11 +152,6 @@ impl PlanState {
 
     pub fn is_empty(&self) -> bool {
         self.queue.is_empty()
-    }
-
-    /// Total planned render weight.
-    pub fn total_weight(&self) -> u64 {
-        self.total_weight
     }
 
     /// Total polygon demand of the planned queue.
@@ -250,7 +189,7 @@ impl PlanState {
     }
 
     /// Install a new capacity basis. Unchanged bases are detected by
-    /// comparison and accrue nothing, so drivers can re-interrogate and
+    /// comparison and dirty nothing, so drivers can re-interrogate and
     /// call this every tick. Any change invalidates the whole trajectory
     /// (slot order is global): the next replan replays from position 0 —
     /// still skipping the scene walk, the sort and the assignment
@@ -261,48 +200,7 @@ impl PlanState {
         if sorted == self.caps {
             return;
         }
-        // Dirty weight: the advertised polygon capacity (render-weight
-        // scaled) of every service whose basis changed — services only
-        // in one of the two bases count whole.
-        let mut changed = 0u64;
-        let mut old = self.caps.iter().peekable();
-        let mut new = sorted.iter().peekable();
-        loop {
-            match (old.peek(), new.peek()) {
-                (None, None) => break,
-                (Some(&&(svc, h)), None) => {
-                    changed = changed.saturating_add(h.polygons.saturating_mul(4));
-                    self.dirty.services.insert(svc);
-                    old.next();
-                }
-                (None, Some(&&(svc, h))) => {
-                    changed = changed.saturating_add(h.polygons.saturating_mul(4));
-                    self.dirty.services.insert(svc);
-                    new.next();
-                }
-                (Some(&&(osvc, oh)), Some(&&(nsvc, nh))) => {
-                    if osvc < nsvc {
-                        changed = changed.saturating_add(oh.polygons.saturating_mul(4));
-                        self.dirty.services.insert(osvc);
-                        old.next();
-                    } else if nsvc < osvc {
-                        changed = changed.saturating_add(nh.polygons.saturating_mul(4));
-                        self.dirty.services.insert(nsvc);
-                        new.next();
-                    } else {
-                        if oh != nh {
-                            changed = changed
-                                .saturating_add(oh.polygons.max(nh.polygons).saturating_mul(4));
-                            self.dirty.services.insert(osvc);
-                        }
-                        old.next();
-                        new.next();
-                    }
-                }
-            }
-        }
         self.caps = sorted;
-        self.dirty.weight = self.dirty.weight.saturating_add(changed);
         self.checkpoints.clear();
         self.checkpoints.push(Ledger::from_caps(&self.caps, true));
         self.replay_from = 0;
@@ -324,20 +222,16 @@ impl PlanState {
                 let new_pos = self.lower_bound(item_key(&n, id));
                 self.queue.insert(new_pos, PlanItem { id, cost: n, svc: item.svc });
                 self.index.insert(id, n);
-                self.total_weight = self.total_weight - o.render_weight() + n.render_weight();
                 self.total_polygons = self.total_polygons - o.polygons + n.polygons;
                 self.total_texture = self.total_texture - o.texture_bytes + n.texture_bytes;
-                self.accrue_node_dirt(o.render_weight().max(n.render_weight()));
                 self.mark_replay(old_pos.min(new_pos));
             }
             (None, Some(n)) => {
                 let pos = self.lower_bound(item_key(&n, id));
                 self.queue.insert(pos, PlanItem { id, cost: n, svc: None });
                 self.index.insert(id, n);
-                self.total_weight += n.render_weight();
                 self.total_polygons += n.polygons;
                 self.total_texture += n.texture_bytes;
-                self.accrue_node_dirt(n.render_weight());
                 self.mark_replay(pos);
             }
             (Some(o), None) => {
@@ -345,48 +239,27 @@ impl PlanState {
                 let item = self.queue.remove(pos);
                 self.index.remove(&id);
                 if let Some(svc) = item.svc {
-                    self.dirty.drops.push((id, svc));
+                    self.drops.push((id, svc));
                 }
-                self.total_weight -= o.render_weight();
                 self.total_polygons -= o.polygons;
                 self.total_texture -= o.texture_bytes;
-                self.accrue_node_dirt(o.render_weight());
                 self.mark_replay(pos);
             }
         }
     }
 
-    /// The escape hatch: distrust every stored placement. The next
-    /// replan re-fits the whole queue from the basis ledger (equivalent
-    /// to a cold pack of the current queue) and
-    /// [`PlanState::should_replan`] answers yes regardless of staleness.
+    /// Distrust every stored placement: the next replan re-fits the whole
+    /// queue from the basis ledger (equivalent to a cold pack of the
+    /// current queue).
     pub fn force_full_replay(&mut self) {
         if self.planned {
             self.replay_from = 0;
-            self.forced = true;
-            self.dirty.weight = self.dirty.weight.max(self.total_weight).max(1);
         }
     }
 
     /// Is there anything to replan?
     pub fn is_dirty(&self) -> bool {
-        self.replay_from != CLEAN || !self.dirty.drops.is_empty()
-    }
-
-    /// The bounded-staleness policy: replan when no plan exists yet, or
-    /// when the accumulated dirty weight exceeds `max_staleness` of the
-    /// planned total. `max_staleness <= 0` replans on any dirt.
-    pub fn should_replan(&self, max_staleness: f64) -> bool {
-        if !self.planned || self.forced {
-            return true;
-        }
-        if !self.is_dirty() {
-            return false;
-        }
-        if max_staleness <= 0.0 {
-            return true;
-        }
-        (self.dirty.weight as f64) > max_staleness * (self.total_weight.max(1) as f64)
+        self.replay_from != CLEAN || !self.drops.is_empty()
     }
 
     /// Replace the plan wholesale: fresh workload set, fresh capacity
@@ -411,12 +284,9 @@ impl PlanState {
         for item in &mut queue {
             item.svc = old.remove(&item.id);
         }
-        for (id, svc) in old {
-            self.dirty.drops.push((id, svc));
-        }
+        self.drops.extend(old);
         self.queue = queue;
         self.index = self.queue.iter().map(|it| (it.id, it.cost)).collect();
-        self.total_weight = self.queue.iter().map(|it| it.cost.render_weight()).sum();
         self.total_polygons = self.queue.iter().map(|it| it.cost.polygons).sum();
         self.total_texture = self.queue.iter().map(|it| it.cost.texture_bytes).sum();
         let mut caps = caps.to_vec();
@@ -445,11 +315,10 @@ impl PlanState {
         // separate until the epilogue: a drained id that re-entered the
         // queue reconciles into a *move* from its pre-drop holder, which
         // the split compaction must not mistake for a phantom.
-        let mut drained = std::mem::take(&mut self.dirty.drops);
+        let mut drained = std::mem::take(&mut self.drops);
         let mut diff = PlanDiff { full_replay: self.replay_from == 0, ..PlanDiff::default() };
         if self.replay_from == CLEAN {
             diff.dropped = drained;
-            self.dirty.reset();
             return Ok(diff);
         }
         // Clamp into checkpoint coverage: replaying *earlier* than
@@ -510,7 +379,6 @@ impl PlanState {
                                 if let Some(svc) = parent.svc {
                                     diff.dropped.push((parent.id, svc));
                                 }
-                                self.total_weight -= parent.cost.render_weight();
                                 self.total_polygons -= parent.cost.polygons;
                                 self.total_texture -= parent.cost.texture_bytes;
                                 // Insert the halves at their *sorted*
@@ -533,7 +401,6 @@ impl PlanState {
                                     self.queue
                                         .insert(pos, PlanItem { id: cid, cost: ccost, svc: None });
                                     self.index.insert(cid, ccost);
-                                    self.total_weight += ccost.render_weight();
                                     self.total_polygons += ccost.polygons;
                                     self.total_texture += ccost.texture_bytes;
                                     restart = restart.min(pos);
@@ -565,7 +432,7 @@ impl PlanState {
                                 }
                                 self.replay_from = entry_p;
                                 drained.append(&mut diff.dropped);
-                                self.dirty.drops = drained;
+                                self.drops = drained;
                                 return Err(PlaceError::Indivisible {
                                     item: id,
                                     polygons: cost.polygons,
@@ -629,8 +496,6 @@ impl PlanState {
             diff.dropped.extend(prior);
         }
         self.replay_from = CLEAN;
-        self.forced = false;
-        self.dirty.reset();
         Ok(diff)
     }
 
@@ -647,11 +512,6 @@ impl PlanState {
 
     fn lower_bound(&self, key: (std::cmp::Reverse<u64>, NodeId)) -> usize {
         self.queue.partition_point(|it| item_key(&it.cost, it.id) < key)
-    }
-
-    fn accrue_node_dirt(&mut self, weight: u64) {
-        self.dirty.weight = self.dirty.weight.saturating_add(weight.max(1));
-        self.dirty.node_edits += 1;
     }
 
     fn mark_replay(&mut self, pos: usize) {
@@ -736,7 +596,7 @@ mod tests {
         let new_cost = NodeCost { polygons: 1, ..NodeCost::ZERO };
         us.iter_mut().find(|(id, _)| *id == victim).unwrap().1 = new_cost;
         state.note_unit(victim, Some(new_cost));
-        assert!(state.should_replan(0.0));
+        assert!(state.is_dirty());
         let diff = state.replan(|_| None).unwrap();
 
         assert!(!diff.full_replay);
@@ -768,7 +628,7 @@ mod tests {
 
         let shrunk = caps(&[(1, 50_000), (2, 200_000)]);
         state.note_caps(&shrunk);
-        assert!(state.dirty().services().any(|s| s == RenderServiceId(1)));
+        assert!(state.is_dirty());
         let diff = state.replan(|_| None).unwrap();
         assert!(diff.full_replay);
         assert_eq!(state.assignments(), cold(&us, &shrunk));
@@ -805,30 +665,41 @@ mod tests {
     }
 
     #[test]
-    fn staleness_threshold_coalesces_until_forced() {
-        let basis = caps(&[(1, 1_000_000)]);
-        let us = units(100, 9);
-        let mut state = PlanState::new();
-        state.full_rebuild(us.clone(), &basis, |_| None).unwrap();
+    fn a_pass_replans_exactly_when_something_is_dirty() {
+        use crate::distribution::plan_incremental;
+        use rave_math::Vec3;
+        use rave_scene::{MeshData, NodeKind, SceneTree};
+        use std::sync::Arc;
 
-        // One small edit stays under a 50% staleness budget...
-        state.note_unit(us[0].0, Some(NodeCost::polygons(us[0].1.polygons + 1)));
-        assert!(state.should_replan(0.0), "zero staleness replans on any dirt");
-        assert!(!state.should_replan(0.5));
-        // ...but enough accumulated dirt crosses it.
-        for (id, c) in us.iter().take(80) {
-            state.note_unit(*id, Some(NodeCost::polygons(c.polygons + 2)));
-        }
-        assert!(state.should_replan(0.5));
-        state.replan(|_| None).unwrap();
+        let mesh = |tris: usize| {
+            let triangle = vec![Vec3::ZERO, Vec3::X, Vec3::Y];
+            NodeKind::Mesh(Arc::new(MeshData::new(triangle, vec![[0, 1, 2]; tris])))
+        };
+        let mut scene = SceneTree::new();
+        let root = scene.root();
+        let ids: Vec<NodeId> =
+            (0..40).map(|i| scene.add_node(root, format!("m{i}"), mesh(10 + i)).unwrap()).collect();
+        let mut basis = caps(&[(1, 1_000), (2, 1_000)]);
+        let mut state = PlanState::new();
+        plan_incremental(&mut scene, &basis, &mut state, 0.0).unwrap().expect("first pass plans");
+
+        // A clean state is left alone: no replan, no checkpoint touched.
+        let checkpoints = format!("{:?}", state.checkpoints);
+        assert_eq!(plan_incremental(&mut scene, &basis, &mut state, 0.0), Ok(None));
+        assert_eq!(format!("{:?}", state.checkpoints), checkpoints);
+
+        // One polygon more on one mesh replans.
+        scene.node_mut(ids[7]).unwrap().set_kind(mesh(18));
+        let diff = plan_incremental(&mut scene, &basis, &mut state, 0.0).unwrap();
+        assert!(diff.expect("an edit replans").replayed > 0);
         assert!(!state.is_dirty());
 
-        // The escape hatch replans everything regardless of threshold.
-        state.force_full_replay();
-        assert!(state.should_replan(f64::MAX));
-        let diff = state.replan(|_| None).unwrap();
+        // One polygon less on one service replays the whole queue.
+        basis[0].1.polygons -= 1;
+        let diff = plan_incremental(&mut scene, &basis, &mut state, 0.0).unwrap();
+        let diff = diff.expect("a basis change replans");
         assert!(diff.full_replay);
-        assert!(diff.is_empty(), "nothing changed, so the full replay moves nothing");
+        assert_eq!(diff.replayed, state.len());
     }
 
     #[test]

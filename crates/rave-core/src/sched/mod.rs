@@ -22,8 +22,8 @@
 //!   failure, cost drift) as one [`rebalance::SchedEvent`] stream with a
 //!   single handler, so initial plans, migrations and failover re-plans
 //!   all make their choices through the same ledger.
-//! * [`incremental`] — the persistent [`incremental::PlanState`]: dirty-set
-//!   extraction, checkpointed plan replay and minimal
+//! * [`incremental`] — the persistent [`incremental::PlanState`]: edit
+//!   tracking, checkpointed plan replay and minimal
 //!   [`incremental::PlanDiff`] migration sets, so steady-state event
 //!   streams replan only the affected slice instead of rebuilding the
 //!   whole assignment.
@@ -40,6 +40,6 @@ pub mod placement;
 pub mod rebalance;
 
 pub use feedback::ThroughputTracker;
-pub use incremental::{DirtySet, PlanDiff, PlanState};
+pub use incremental::{PlanDiff, PlanState};
 pub use placement::{DecisionRecord, Ledger, PlaceError, PlacementOutcome};
 pub use rebalance::{MigrationOutcome, SchedEvent};

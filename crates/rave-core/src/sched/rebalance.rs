@@ -39,11 +39,6 @@ const _: () = assert!(OVERLOAD_FPS < UNDERLOAD_FPS);
 /// overload fps threshold ever trips.
 const DRIFT_RATIO: f64 = 0.5;
 
-/// Bounded staleness [`incremental_replan`] passes to the planner: the
-/// fraction of the planned weight that may sit dirty before a replan
-/// (0.0 = replan on any dirt).
-const MAX_STALENESS: f64 = 0.0;
-
 /// A rebalance trigger. Initial plans, migrations and failover re-plans
 /// all arrive at the scheduler as a stream of these.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -656,8 +651,8 @@ pub struct IncrementalOutcome {
     /// The applied plan diff — `None` when the pass was deferred or
     /// refused.
     pub diff: Option<crate::sched::incremental::PlanDiff>,
-    /// True when the staleness policy coalesced this pass's dirt instead
-    /// of replanning.
+    /// True when nothing changed since the last pass, so nothing was
+    /// replanned.
     pub deferred: bool,
 }
 
@@ -671,7 +666,7 @@ pub struct IncrementalOutcome {
 /// Events carry *when*, the world carries *what*: failure events tear
 /// their service down here (which changes the capacity basis), while
 /// overload/drift conditions are read back from the throughput tracker
-/// when the gross basis is computed — so a deferred pass loses nothing.
+/// when the gross basis is computed.
 pub fn incremental_replan(
     sim: &mut RaveSim,
     ds_id: DataServiceId,
@@ -701,7 +696,7 @@ pub fn incremental_replan(
     let mut state = sim.world.sched.plans.remove(&ds_id).unwrap_or_default();
     let result = {
         let ds = sim.world.data_services.get_mut(&ds_id).expect("checked above");
-        crate::distribution::plan_incremental(&mut ds.scene, &basis, &mut state, MAX_STALENESS)
+        crate::distribution::plan_incremental(&mut ds.scene, &basis, &mut state, 0.0)
     };
     sim.world.sched.plans.insert(ds_id, state);
     match result {

@@ -12,6 +12,7 @@ use crate::config::CompressionMode;
 use crate::ids::{ClientId, RenderServiceId};
 use crate::render_service::{FrameKey, RenderSession};
 use crate::sched::placement::rank_helpers;
+use crate::sched::ThroughputTracker;
 use crate::trace::TraceKind;
 use crate::world::RaveSim;
 use rave_compress::adaptive::EndpointSpeed;
@@ -73,26 +74,19 @@ pub fn plan_tiles(
     TilePlan { tiles }
 }
 
-/// Per-service render throughput in
-/// [`rave_render::raster::RasterStats::cost_units`] per second. This is
-/// the §3.2.5 feedback loop closed: advertised capacity seeds the plan,
-/// but the split converges on what each service *actually* delivers.
-///
-/// The EWMA itself was promoted into the scheduler as
-/// [`crate::sched::ThroughputTracker`]; this alias keeps the tile
-/// planner's historical name working.
-pub type TileCostTracker = crate::sched::ThroughputTracker;
-
 /// Like [`plan_tiles`], but strip widths follow *measured* throughput
-/// from `tracker` where available: a helper that advertised a big GPU but
-/// delivers tiles slowly shrinks, a quietly fast one grows. Services
-/// never observed get the mean observed throughput (neutral weight);
-/// with no observations at all this is exactly [`plan_tiles`].
+/// (in [`rave_render::raster::RasterStats::cost_units`] per second) from
+/// `tracker` where available: a helper that advertised a big GPU but
+/// delivers tiles slowly shrinks, a quietly fast one grows. This is the
+/// §3.2.5 feedback loop closed: advertised capacity seeds the plan, but
+/// the split converges on what each service *actually* delivers.
+/// Services never observed get the mean observed throughput (neutral
+/// weight); with no observations at all this is exactly [`plan_tiles`].
 pub fn plan_tiles_with_feedback(
     viewport: &Viewport,
     owner: RenderServiceId,
     helpers: &[CapacityReport],
-    tracker: &TileCostTracker,
+    tracker: &ThroughputTracker,
 ) -> TilePlan {
     let ordered = usable_helpers(viewport, helpers);
     if tracker.observed_services() == 0 || viewport.width == 0 {
@@ -134,7 +128,7 @@ pub struct TiledFrameResult {
     /// Whether any stale tile was used (tearing possible).
     pub used_stale_tile: bool,
     /// Per-tile measured cost, parallel to the plan — the feedback signal
-    /// for [`TileCostTracker`].
+    /// for [`ThroughputTracker`].
     pub tile_costs: Vec<TileCost>,
 }
 
@@ -180,7 +174,7 @@ impl Composite {
 pub fn record_tile_costs(
     sim: &mut RaveSim,
     result: &TiledFrameResult,
-    tracker: &mut TileCostTracker,
+    tracker: &mut ThroughputTracker,
 ) {
     let mut detail = String::from("tile throughput:");
     let mut any = false;
@@ -307,7 +301,7 @@ pub fn render_tiled_frame(
             });
             rendered_aside.push((produce_images && !delivered).then(|| {
                 let stale_camera = session.map_or(camera, |s| s.camera);
-                helper.rasterize_tile(&stale_camera, &full_viewport, tile_vp)
+                helper.rasterize_tile_with_stats(&stale_camera, &full_viewport, tile_vp).0
             }));
             tile_costs.push(TileCost {
                 service: *svc,
@@ -500,7 +494,7 @@ mod tests {
     fn narrow_viewport_keeps_strongest_helpers_only() {
         // 3 pixels wide, 5 participants: owner + 2 strongest helpers fit.
         let vp = Viewport::new(3, 64);
-        let helpers: Vec<_> = (2..=5).map(|i| report(RenderServiceId(i), i as u64 * 10)).collect();
+        let helpers: Vec<_> = (2..=5).map(|i| report(RenderServiceId(i), i * 10)).collect();
         let plan = plan_tiles(&vp, RenderServiceId(1), &helpers);
         assert_eq!(plan.tiles.len(), 3);
         assert_eq!(plan.tiles[0].1, RenderServiceId(1));
@@ -515,7 +509,7 @@ mod tests {
         let owner = RenderServiceId(1);
         let helpers = [report(RenderServiceId(2), 100), report(RenderServiceId(3), 100)];
 
-        let mut tracker = TileCostTracker::new();
+        let mut tracker = ThroughputTracker::new();
         // No observations: identical to the capacity plan.
         let cold = plan_tiles_with_feedback(&vp, owner, &helpers, &tracker);
         assert_eq!(cold, plan_tiles(&vp, owner, &helpers));
@@ -537,7 +531,7 @@ mod tests {
 
     #[test]
     fn tracker_ewma_converges_and_ignores_zero_durations() {
-        let mut tracker = TileCostTracker::new();
+        let mut tracker = ThroughputTracker::new();
         let svc = RenderServiceId(7);
         tracker.record(svc, 1000, 0.0); // stale tile: no measurement
         assert!(tracker.throughput(svc).is_none());
@@ -648,7 +642,7 @@ mod tests {
         // not what was stitched in.
         let (owner_tile, _) = plan.tiles[0];
         let fresh = |rs: RenderServiceId, tile: &Viewport| {
-            sim.world.render(rs).rasterize_tile(&cam, &Viewport::new(64, 64), tile)
+            sim.world.render(rs).rasterize_tile_with_stats(&cam, &Viewport::new(64, 64), tile).0
         };
         assert_eq!(image.crop(owner_tile), fresh(owner, &owner_tile));
         assert_ne!(delivered, fresh(helper, &helper_tile), "the edit shows on the helper's tile");
@@ -848,7 +842,7 @@ mod tests {
         assert_eq!(result.tile_costs.len(), 2);
         assert!(result.tile_costs.iter().all(|tc| tc.fresh && tc.render_seconds > 0.0));
 
-        let mut tracker = TileCostTracker::new();
+        let mut tracker = ThroughputTracker::new();
         record_tile_costs(&mut sim, &result, &mut tracker);
         assert!(tracker.throughput(owner).is_some());
         assert!(tracker.throughput(helper).is_some());

@@ -15,21 +15,14 @@
 //!   link bandwidth into the PDA's frame-rate ceiling);
 //! - [`multicast`] — data-service fan-out that charges each network
 //!   segment once, "using network bandwidth-saving techniques such as
-//!   multicasting" (§3.1.2);
-//! - [`frame`] — the binary socket protocol ("we then back off from SOAP
-//!   and use direct socket communication to send binary information",
-//!   §4.3).
+//!   multicasting" (§3.1.2).
 
 pub mod channel;
-pub mod frame;
 pub mod link;
 pub mod multicast;
 pub mod topology;
 
 pub use channel::Channel;
-pub use frame::{Frame, FrameError, FrameKind};
 pub use link::LinkSpec;
-pub use multicast::{
-    multicast_cost, multicast_deliver, unicast_cost, Fanout, FanoutCost, MulticastDelivery,
-};
+pub use multicast::{multicast_deliver, unicast_cost, Fanout, FanoutCost, MulticastDelivery};
 pub use topology::{HostId, Network};

@@ -35,15 +35,6 @@ impl FanoutCost {
     }
 }
 
-/// Cost of multicasting `bytes` from `sender` to `receivers`: one
-/// transmission per distinct receiving segment (plus one per receiver on
-/// the sender's own segment if bridging is needed — modelled as a single
-/// segment transmission too, since 2004 multicast rode the LAN broadcast
-/// domain).
-pub fn multicast_cost(net: &Network, sender: &str, receivers: &[&str], bytes: u64) -> FanoutCost {
-    multicast_deliver(net, sender, receivers, bytes).cost
-}
-
 /// One multicast fan-out with per-receiver arrival times: what a data
 /// service delivering one update to its matched subscribers books.
 #[derive(Debug, Clone, PartialEq)]
@@ -130,12 +121,13 @@ impl Fanout {
 }
 
 /// Deliver `bytes` from `sender` to `receivers` with multicast fan-out:
-/// one transmission per distinct receiving segment, every receiver on a
-/// segment served by the same copy, arrival at its own transfer time.
-/// Unknown receiver hosts are skipped and counted (not panicked on —
-/// `FanoutCost::skipped`). Resolves the names and runs [`Fanout::deliver`];
-/// like [`Network::link_between`] it panics on a sender that is not on the
-/// network.
+/// one transmission per distinct receiving segment (the sender's own
+/// segment too: 2004 multicast rode the LAN broadcast domain), every
+/// receiver on a segment served by the same copy, arrival at its own
+/// transfer time. Unknown receiver hosts are skipped and counted (not
+/// panicked on — `FanoutCost::skipped`). Resolves the names and runs
+/// [`Fanout::deliver`]; like [`Network::link_between`] it panics on a
+/// sender that is not on the network.
 pub fn multicast_deliver(
     net: &Network,
     sender: &str,
@@ -184,7 +176,7 @@ mod tests {
     fn multicast_charges_once_per_segment() {
         let net = Network::paper_testbed(1.0);
         let receivers = ["desktop", "tower", "onyx", "v880z"]; // all on "lan"
-        let cost = multicast_cost(&net, "laptop", &receivers, 10_000);
+        let cost = multicast_deliver(&net, "laptop", &receivers, 10_000).cost;
         assert_eq!(cost.transmissions, 1);
         assert_eq!(cost.unicast_transmissions, 4);
         assert_eq!(cost.saving(), 0.75);
@@ -194,7 +186,7 @@ mod tests {
     fn cross_segment_adds_transmissions() {
         let net = Network::paper_testbed(1.0);
         let receivers = ["desktop", "zaurus"]; // lan + wlan
-        let cost = multicast_cost(&net, "laptop", &receivers, 10_000);
+        let cost = multicast_deliver(&net, "laptop", &receivers, 10_000).cost;
         assert_eq!(cost.transmissions, 2);
         // Completion bounded by the slow wireless hop.
         let wireless = net.transfer_time("laptop", "zaurus", 10_000);
@@ -204,7 +196,7 @@ mod tests {
     #[test]
     fn sender_excluded_from_receivers() {
         let net = Network::paper_testbed(1.0);
-        let cost = multicast_cost(&net, "laptop", &["laptop", "desktop"], 1000);
+        let cost = multicast_deliver(&net, "laptop", &["laptop", "desktop"], 1000).cost;
         assert_eq!(cost.unicast_transmissions, 1);
         assert_eq!(cost.transmissions, 1);
     }
@@ -213,7 +205,7 @@ mod tests {
     fn multicast_faster_than_unicast_for_many_receivers() {
         let net = Network::paper_testbed(1.0);
         let receivers = ["desktop", "tower", "onyx", "v880z", "adrenochrome"];
-        let m = multicast_cost(&net, "laptop", &receivers, 1_000_000).completion;
+        let m = multicast_deliver(&net, "laptop", &receivers, 1_000_000).cost.completion;
         let u = unicast_cost(&net, "laptop", &receivers, 1_000_000);
         assert!(u.as_secs() > m.as_secs() * 3.0, "unicast {u} vs multicast {m}");
     }
@@ -277,7 +269,7 @@ mod tests {
     #[test]
     fn empty_receiver_list_is_free() {
         let net = Network::paper_testbed(1.0);
-        let cost = multicast_cost(&net, "laptop", &[], 1000);
+        let cost = multicast_deliver(&net, "laptop", &[], 1000).cost;
         assert_eq!(cost.transmissions, 0);
         assert_eq!(cost.completion, SimTime::ZERO);
         assert_eq!(cost.saving(), 0.0);

@@ -22,6 +22,6 @@ pub mod rng;
 pub mod time;
 
 pub use engine::{EventId, Simulation};
-pub use metrics::{Counter, Histogram, Occupancy, TimeSeries};
+pub use metrics::{Histogram, Occupancy};
 pub use rng::SimRng;
 pub use time::SimTime;

@@ -2,108 +2,6 @@
 
 use crate::time::SimTime;
 
-/// A monotone event counter.
-#[derive(Debug, Clone, Default)]
-pub struct Counter {
-    count: u64,
-    total: f64,
-}
-
-impl Counter {
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    pub fn incr(&mut self) {
-        self.add(1.0);
-    }
-
-    pub fn add(&mut self, amount: f64) {
-        self.count += 1;
-        self.total += amount;
-    }
-
-    pub fn count(&self) -> u64 {
-        self.count
-    }
-
-    pub fn total(&self) -> f64 {
-        self.total
-    }
-
-    pub fn mean(&self) -> f64 {
-        if self.count == 0 {
-            0.0
-        } else {
-            self.total / self.count as f64
-        }
-    }
-}
-
-/// A (time, value) series; used for load traces (fps over time, queue
-/// depths) that the migration experiments plot.
-#[derive(Debug, Clone, Default)]
-pub struct TimeSeries {
-    points: Vec<(SimTime, f64)>,
-}
-
-impl TimeSeries {
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    pub fn record(&mut self, at: SimTime, value: f64) {
-        if let Some((last, _)) = self.points.last() {
-            debug_assert!(at >= *last, "time series must be appended in order");
-        }
-        self.points.push((at, value));
-    }
-
-    pub fn points(&self) -> &[(SimTime, f64)] {
-        &self.points
-    }
-
-    pub fn len(&self) -> usize {
-        self.points.len()
-    }
-
-    pub fn is_empty(&self) -> bool {
-        self.points.is_empty()
-    }
-
-    pub fn last_value(&self) -> Option<f64> {
-        self.points.last().map(|&(_, v)| v)
-    }
-
-    /// Time-weighted mean over the recorded span (each value holds until the
-    /// next sample).
-    pub fn time_weighted_mean(&self) -> f64 {
-        if self.points.len() < 2 {
-            return self.points.first().map_or(0.0, |&(_, v)| v);
-        }
-        let mut acc = 0.0;
-        let mut span = 0.0;
-        for w in self.points.windows(2) {
-            let dt = (w[1].0 - w[0].0).as_secs();
-            acc += w[0].1 * dt;
-            span += dt;
-        }
-        if span == 0.0 {
-            self.points[0].1
-        } else {
-            acc / span
-        }
-    }
-
-    /// Minimum and maximum values, or `None` when empty.
-    pub fn min_max(&self) -> Option<(f64, f64)> {
-        self.points.iter().fold(None, |acc, &(_, v)| match acc {
-            None => Some((v, v)),
-            Some((lo, hi)) => Some((lo.min(v), hi.max(v))),
-        })
-    }
-}
-
 /// A single-server resource timeline: a busy-until cursor plus busy-time
 /// accounting.
 ///
@@ -181,12 +79,20 @@ impl Occupancy {
     }
 }
 
-/// A fixed set of summary statistics over raw samples: the experiment
-/// tables report means; the spread columns use p50/p95.
-#[derive(Debug, Clone, Default)]
+/// The mean of recorded samples, kept as a running sum and count: the
+/// experiment tables report means and nothing else.
+#[derive(Debug, Clone)]
 pub struct Histogram {
-    samples: Vec<f64>,
-    sorted: bool,
+    /// Starts at `-0.0`, where `Iterator::sum::<f64>` starts, and adds in
+    /// record order, so the mean is bit-identical to summing the samples.
+    sum: f64,
+    count: u64,
+}
+
+impl Default for Histogram {
+    fn default() -> Self {
+        Self { sum: -0.0, count: 0 }
+    }
 }
 
 impl Histogram {
@@ -195,131 +101,49 @@ impl Histogram {
     }
 
     pub fn record(&mut self, v: f64) {
-        self.samples.push(v);
-        self.sorted = false;
-    }
-
-    pub fn len(&self) -> usize {
-        self.samples.len()
-    }
-
-    pub fn is_empty(&self) -> bool {
-        self.samples.is_empty()
+        self.sum += v;
+        self.count += 1;
     }
 
     pub fn mean(&self) -> f64 {
-        if self.samples.is_empty() {
+        if self.count == 0 {
             0.0
         } else {
-            self.samples.iter().sum::<f64>() / self.samples.len() as f64
+            self.sum / self.count as f64
         }
-    }
-
-    pub fn stddev(&self) -> f64 {
-        if self.samples.len() < 2 {
-            return 0.0;
-        }
-        let m = self.mean();
-        let var = self.samples.iter().map(|x| (x - m) * (x - m)).sum::<f64>()
-            / (self.samples.len() - 1) as f64;
-        var.sqrt()
-    }
-
-    fn ensure_sorted(&mut self) {
-        if !self.sorted {
-            self.samples.sort_by(|a, b| a.total_cmp(b));
-            self.sorted = true;
-        }
-    }
-
-    /// Quantile by nearest-rank; `q` in `[0, 1]`.
-    pub fn quantile(&mut self, q: f64) -> f64 {
-        if self.samples.is_empty() {
-            return 0.0;
-        }
-        self.ensure_sorted();
-        let idx =
-            ((q * (self.samples.len() - 1) as f64).round() as usize).min(self.samples.len() - 1);
-        self.samples[idx]
-    }
-
-    pub fn min(&mut self) -> f64 {
-        self.quantile(0.0)
-    }
-
-    pub fn max(&mut self) -> f64 {
-        self.quantile(1.0)
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
 
     #[test]
-    fn counter_accumulates() {
-        let mut c = Counter::new();
-        c.incr();
-        c.add(3.0);
-        assert_eq!(c.count(), 2);
-        assert_eq!(c.total(), 4.0);
-        assert_eq!(c.mean(), 2.0);
-    }
-
-    #[test]
-    fn empty_counter_mean_zero() {
-        assert_eq!(Counter::new().mean(), 0.0);
-    }
-
-    #[test]
-    fn time_series_weighted_mean() {
-        let mut ts = TimeSeries::new();
-        ts.record(SimTime::from_secs(0.0), 10.0);
-        ts.record(SimTime::from_secs(1.0), 20.0); // 10 held for 1s
-        ts.record(SimTime::from_secs(3.0), 0.0); // 20 held for 2s
-                                                 // (10*1 + 20*2) / 3 = 50/3
-        assert!((ts.time_weighted_mean() - 50.0 / 3.0).abs() < 1e-9);
-    }
-
-    #[test]
-    fn time_series_min_max() {
-        let mut ts = TimeSeries::new();
-        assert_eq!(ts.min_max(), None);
-        ts.record(SimTime::from_secs(0.0), 5.0);
-        ts.record(SimTime::from_secs(1.0), -1.0);
-        ts.record(SimTime::from_secs(2.0), 3.0);
-        assert_eq!(ts.min_max(), Some((-1.0, 5.0)));
-        assert_eq!(ts.last_value(), Some(3.0));
-    }
-
-    #[test]
-    fn histogram_stats() {
+    fn histogram_mean() {
         let mut h = Histogram::new();
+        assert_eq!(h.mean(), 0.0);
         for v in [1.0, 2.0, 3.0, 4.0, 5.0] {
             h.record(v);
         }
         assert_eq!(h.mean(), 3.0);
-        assert_eq!(h.quantile(0.5), 3.0);
-        assert_eq!(h.min(), 1.0);
-        assert_eq!(h.max(), 5.0);
-        assert!((h.stddev() - (2.5f64).sqrt()).abs() < 1e-12);
     }
 
-    #[test]
-    fn histogram_empty_is_safe() {
-        let mut h = Histogram::new();
-        assert_eq!(h.mean(), 0.0);
-        assert_eq!(h.quantile(0.5), 0.0);
-        assert_eq!(h.stddev(), 0.0);
-    }
-
-    #[test]
-    fn histogram_quantile_after_interleaved_records() {
-        let mut h = Histogram::new();
-        h.record(5.0);
-        assert_eq!(h.max(), 5.0);
-        h.record(10.0); // invalidates sort
-        assert_eq!(h.max(), 10.0);
+    proptest! {
+        /// The running mean is the mean of the samples, bit for bit —
+        /// signed zeros included.
+        #[test]
+        fn running_mean_equals_the_sample_mean(
+            samples in prop::collection::vec(
+                prop_oneof![Just(0.0f64), Just(-0.0f64), -1e6f64..1e6], 1..40),
+        ) {
+            let mut h = Histogram::new();
+            for &v in &samples {
+                h.record(v);
+            }
+            let want = samples.iter().sum::<f64>() / samples.len() as f64;
+            prop_assert_eq!(h.mean().to_bits(), want.to_bits());
+        }
     }
 
     #[test]

@@ -46,8 +46,8 @@ fn tear_wal_tail(dir: &PathBuf) {
 #[test]
 fn session_survives_data_service_crash() {
     let dir = tmp_dir("failover");
-    let mut cfg = RaveConfig::default();
-    cfg.checkpoint_every = 8; // checkpoint often so the WAL tail stays short
+    // Checkpoint often so the WAL tail stays short.
+    let cfg = RaveConfig { checkpoint_every: 8, ..RaveConfig::default() };
     let mut sim = Simulation::new(RaveWorld::paper_testbed(cfg, 7001));
 
     // A persistent session: every commit is WAL-logged, with periodic
@@ -155,8 +155,7 @@ fn session_survives_data_service_crash() {
 #[test]
 fn compaction_bounds_store_size_over_long_session() {
     let dir = tmp_dir("bounded");
-    let mut cfg = RaveConfig::default();
-    cfg.checkpoint_every = 32;
+    let cfg = RaveConfig { checkpoint_every: 32, ..RaveConfig::default() };
     let mut sim = Simulation::new(RaveWorld::paper_testbed(cfg, 7002));
     let ds = sim.world.spawn_data_service("adrenochrome", "marathon");
     sim.world

@@ -178,8 +178,8 @@ fn assert_depth1_parity(sc: &Scenario) {
     // Virtual clocks ended at the same instant.
     assert_eq!(live.now(), refr.now(), "end-of-run clock");
 
-    // Every Table-2 column, bit-for-bit (Histogram carries raw samples;
-    // Debug shows them all).
+    // Every Table-2 column, bit-for-bit (Debug shows each Histogram's
+    // running sum and count).
     let a = &live.world.client(cl_live).stats;
     let b = &refr.world.client(cl_ref).stats;
     assert_eq!(a.frames, b.frames);

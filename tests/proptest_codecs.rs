@@ -1,11 +1,10 @@
-//! Property tests on every serialization boundary: image codecs, the
-//! binary frame protocol, SOAP, and the PLY/OBJ model formats.
+//! Property tests on every serialization boundary: image codecs, SOAP,
+//! and the PLY/OBJ model formats.
 
 use proptest::prelude::*;
 use rave::compress::{delta, quantize, rle, stream, Codec};
 use rave::grid::{SoapCodec, SoapEnvelope, SoapValue};
 use rave::math::Vec3;
-use rave::net::{Frame, FrameKind};
 use rave::scene::MeshData;
 
 fn rgb_frame() -> impl Strategy<Value = Vec<u8>> {
@@ -345,40 +344,6 @@ proptest! {
             // A surviving decode may differ, but must stay frame-shaped.
             prop_assert_eq!(dec.len() % 3, 0);
         }
-    }
-
-    /// The binary frame protocol decodes any split of its byte stream
-    /// (streaming reassembly) to the original frame sequence.
-    #[test]
-    fn frame_protocol_survives_arbitrary_fragmentation(
-        payloads in prop::collection::vec(prop::collection::vec(any::<u8>(), 0..300), 1..8),
-        split_seed in any::<u64>(),
-    ) {
-        use bytes::BytesMut;
-        let frames: Vec<Frame> = payloads
-            .iter()
-            .map(|p| Frame::new(FrameKind::SceneUpdate, p.clone()))
-            .collect();
-        let mut wire = Vec::new();
-        for f in &frames {
-            wire.extend_from_slice(&f.encode());
-        }
-        // Feed the stream in pseudo-random chunk sizes.
-        let mut buf = BytesMut::new();
-        let mut out = Vec::new();
-        let mut state = split_seed | 1;
-        let mut i = 0;
-        while i < wire.len() {
-            state ^= state << 13;
-            state ^= state >> 7;
-            let chunk = 1 + (state as usize % 64).min(wire.len() - i - 1 + 1);
-            buf.extend_from_slice(&wire[i..i + chunk.min(wire.len() - i)]);
-            i += chunk.min(wire.len() - i);
-            while let Some(f) = Frame::decode(&mut buf).unwrap() {
-                out.push(f);
-            }
-        }
-        prop_assert_eq!(out, frames);
     }
 
     /// SOAP envelopes roundtrip arbitrary argument values.

@@ -143,7 +143,8 @@ proptest! {
         capacities in prop::collection::vec(0u64..5000, 0..12),
         observed in prop::collection::vec(1u64..1_000_000, 0..13),
     ) {
-        use rave::core::tiles::{plan_tiles, plan_tiles_with_feedback, TileCostTracker};
+        use rave::core::sched::ThroughputTracker;
+        use rave::core::tiles::{plan_tiles, plan_tiles_with_feedback};
         use rave::math::Viewport;
 
         let vp = Viewport::new(width, height);
@@ -154,7 +155,7 @@ proptest! {
             .map(|(i, &c)| report(i as u64 + 2, c))
             .collect();
 
-        let mut tracker = TileCostTracker::new();
+        let mut tracker = ThroughputTracker::new();
         for (i, &rate) in observed.iter().enumerate() {
             tracker.record(RenderServiceId(i as u64 + 1), rate, 1.0);
         }

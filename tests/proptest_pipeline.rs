@@ -16,9 +16,8 @@ use rave::sim::Simulation;
 use std::sync::Arc;
 
 fn session(polys: usize, mode: CompressionMode, depth: usize, quality: f64) -> (RaveSim, ClientId) {
-    let mut config = RaveConfig::default();
-    config.frame_compression = mode;
-    config.pipeline_depth = depth;
+    let config =
+        RaveConfig { frame_compression: mode, pipeline_depth: depth, ..RaveConfig::default() };
     let mut sim = Simulation::new(RaveWorld::new(Network::paper_testbed(quality), config, 7));
     let rs = sim.world.spawn_render_service("laptop");
     let mesh = MeshData {

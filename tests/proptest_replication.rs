@@ -13,7 +13,7 @@ use rave::scene::{AuditEntry, NodeKind, SceneTree, SceneUpdate, StampedUpdate};
 use rave::store::ship::{ShipAck, ShipFrame, Shipper, StandbyLog};
 use rave::store::wal::Wal;
 use std::collections::VecDeque;
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 
 fn tmp_dir(tag: &str, case: u64) -> PathBuf {
     let dir =
@@ -25,7 +25,7 @@ fn tmp_dir(tag: &str, case: u64) -> PathBuf {
 /// Append `n` AddNode updates to a fresh WAL under `dir` with the given
 /// segment cap (small caps force rotation at arbitrary entry boundaries).
 /// Returns the committed trail for prefix comparison.
-fn build_primary(dir: &PathBuf, n: u64, seg_bytes: u64) -> Vec<AuditEntry> {
+fn build_primary(dir: &Path, n: u64, seg_bytes: u64) -> Vec<AuditEntry> {
     let (mut wal, _) = Wal::open(dir, seg_bytes, false).unwrap();
     let mut trail = Vec::new();
     grow(&mut wal, &mut SceneTree::new(), &mut trail, n);
@@ -56,7 +56,7 @@ fn grow(wal: &mut Wal, tree: &mut SceneTree, trail: &mut Vec<AuditEntry>, n: u64
 
 /// Assert the standby directory recovers to EXACTLY the primary trail's
 /// prefix of length `rec.last_seq` — never garbage, never a gap.
-fn assert_exact_prefix(sdir: &PathBuf, trail: &[AuditEntry]) -> u64 {
+fn assert_exact_prefix(sdir: &Path, trail: &[AuditEntry]) -> u64 {
     let rec = rave::store::recover(sdir).unwrap();
     assert!(rec.last_seq <= trail.len() as u64, "standby never ahead of the primary");
     assert_eq!(rec.entries.len() as u64, rec.last_seq, "contiguous from seq 1");

@@ -232,7 +232,7 @@ impl Harness {
                     s.viewport == *tile && size == Some((tile.width, tile.height))
                 });
                 let stale_camera = session.map_or(camera, |s| s.camera);
-                (!delivered).then(|| helper.rasterize_tile(&stale_camera, &full, tile))
+                (!delivered).then(|| helper.rasterize_tile_with_stats(&stale_camera, &full, tile).0)
             })
             .collect();
         let drawn_before = self.frames_drawn();

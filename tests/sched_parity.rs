@@ -8,7 +8,8 @@
 
 use rave::core::capacity::CapacityReport;
 use rave::core::distribution::{plan_distribution, split_node, DistributionPlan, PlanError};
-use rave::core::tiles::{plan_tiles, plan_tiles_with_feedback, TileCostTracker, TilePlan};
+use rave::core::sched::ThroughputTracker;
+use rave::core::tiles::{plan_tiles, plan_tiles_with_feedback, TilePlan};
 use rave::core::RenderServiceId;
 use rave::math::{Vec3, Viewport};
 use rave::scene::{MeshData, NodeCost, NodeId, NodeKind, SceneTree};
@@ -138,7 +139,7 @@ fn reference_tiles_with_feedback(
     viewport: &Viewport,
     owner: RenderServiceId,
     helpers: &[CapacityReport],
-    tracker: &TileCostTracker,
+    tracker: &ThroughputTracker,
 ) -> TilePlan {
     let mut ordered: Vec<&CapacityReport> =
         helpers.iter().filter(|r| r.headroom_weight() > 0).collect();
@@ -384,7 +385,7 @@ mod incremental_parity {
                 }
                 let diff = plan_incremental(&mut scene, &basis(&caps), &mut state, 0.0)
                     .unwrap()
-                    .expect("max_staleness 0 replans on any dirt");
+                    .expect("an edited scene replans");
                 apply_diff(&mut applied, &diff);
                 let want = cold_assignments(&scene, &caps);
                 assert_eq!(state.assignments(), want, "round {round} step {step}");
@@ -429,7 +430,7 @@ mod incremental_parity {
                 let _ = id;
                 let diff = plan_incremental(&mut scene, &basis(&caps), &mut state, 0.0)
                     .unwrap()
-                    .expect("max_staleness 0 replans on any dirt");
+                    .expect("an edited scene replans");
                 splits += diff.splits;
                 apply_diff(&mut applied, &diff);
                 let want = cold_assignments(&scene, &caps);
@@ -453,7 +454,7 @@ fn tile_plans_match_the_pre_refactor_planner() {
         let n_helpers = rng.in_range(0, 5) as usize;
         let helpers: Vec<CapacityReport> =
             (0..n_helpers).map(|i| report(i as u64 + 2, rng.in_range(0, 500_000))).collect();
-        let mut tracker = TileCostTracker::new();
+        let mut tracker = ThroughputTracker::new();
         for _ in 0..rng.in_range(0, 8) {
             let svc = RenderServiceId(rng.in_range(1, n_helpers as u64 + 2));
             tracker.record(svc, rng.in_range(1_000, 900_000), 0.01 * rng.in_range(1, 90) as f64);
