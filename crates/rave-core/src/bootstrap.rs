@@ -2,7 +2,7 @@
 //!
 //! A render service joining a session receives a scene snapshot while
 //! live updates are buffered; on arrival the snapshot is installed, the
-//! buffer replays, and the replica is "pre-synchronised with [the] data
+//! buffer replays, and the replica is "pre-synchronised with \[the\] data
 //! service". Snapshot marshalling goes through the *introspective* path
 //! (the paper's measured bottleneck); [`marshal_time_direct`] prices the
 //! ablation alternative.
@@ -15,7 +15,6 @@ use rave_grid::{SoapCodec, SoapEnvelope, SoapValue};
 use rave_scene::introspect::{marshal_direct, marshal_introspective, MarshalStats};
 use rave_scene::{InterestSet, NodeId, SceneTree};
 use rave_sim::SimTime;
-use rave_store::StoreConfig;
 use std::path::Path;
 
 /// Introspection marshalling rates for scene bootstrap (§5.5): the
@@ -129,8 +128,8 @@ pub fn connect_render_service(
     BootstrapTiming { subscribed_at, marshalled_at, ready_at: arrival, snapshot_bytes: stats.bytes }
 }
 
-/// Connect every render service named by a [`DistributionPlan`], each with
-/// an interest set covering exactly its assigned subtrees. Returns the
+/// Connect every render service a [`crate::distribution::DistributionPlan`]
+/// names, each with an interest set covering exactly its assigned subtrees. Returns the
 /// per-service timings in plan order.
 pub fn connect_planned(
     sim: &mut RaveSim,
@@ -152,7 +151,8 @@ pub fn connect_planned(
 /// The failed instance is dropped from the world; a replacement on
 /// `host` rebuilds the session from the latest snapshot checkpoint plus
 /// the write-ahead-log tail, keeps the session name, and re-attaches the
-/// store so logging continues where it stopped. Every render service the
+/// store with the failed instance's store config so logging continues
+/// where it stopped, at the same cadence. Every render service the
 /// failed instance was serving is re-bootstrapped against the
 /// replacement with its original interest set — the §5.5 overlap
 /// machinery makes the re-mirror safe against updates published while
@@ -169,10 +169,12 @@ pub fn recover_data_service(
         .remove(&failed)
         .unwrap_or_else(|| panic!("no data service {failed} to recover"));
     sim.world.registry.unpublish("RAVE", &failed_ds.host, &failed_ds.name);
-    let cfg =
-        StoreConfig { checkpoint_every: sim.world.config.checkpoint_every, ..Default::default() };
+    let cfg = failed_ds.store().map(|store| *store.config()).unwrap_or_default();
     let new_id = sim.world.next_data_service_id();
-    let (ds, rec) = DataService::recover_from_store(new_id, host, &failed_ds.name, dir, cfg)?;
+    let rec = rave_store::recover(dir.as_ref())?;
+    let mut ds = DataService::new(new_id, host, &failed_ds.name);
+    ds.seed_from(&rec)?;
+    ds.attach_store(dir, cfg)?;
     sim.world.install_data_service(ds);
     let now = sim.now();
     sim.world.trace.record(

@@ -5,15 +5,15 @@
 //! reads it (`sched::rebalance::{OVERLOAD_FPS, UNDERLOAD_FPS,
 //! UNDERLOAD_DEBOUNCE, DRIFT_RATIO}`, `render_service::FPS_WINDOW`,
 //! `bootstrap::{INTROSPECT_PER_FIELD, INTROSPECT_PER_BYTE,
-//! DIRECT_PER_BYTE}`, `thin_client::ALLOW_LOSSY_FRAMES`). Why each of
-//! the eleven is a field:
+//! DIRECT_PER_BYTE}`, `thin_client::ALLOW_LOSSY_FRAMES`); a store knob is
+//! a field of `rave_store::StoreConfig`, which failover carries over. Why
+//! each of the ten is a field:
 //!
 //! | field | who gives it another value |
 //! |---|---|
 //! | `produce_images` | figures, examples, `pda_stream`, `tile_wall` (true) |
 //! | `frame_compression` | the frame-stream bench, `pipelined_streaming`, both pixel workloads |
 //! | `pipeline_depth` | `pipelined_streaming` and the pipeline benches (1–4), `pda_stream` (2) |
-//! | `checkpoint_every` | the crash-recovery sessions (8, 32): a durability cadence |
 //! | `ship_max_lag` | the failover bench grid, `edit_storm` (0) |
 //! | `update_delivery_trace` | `collab_fanout` and the 10k-subscriber bench (false) |
 //! | `target_fps`, `fill_factor`, `codec_reprobe_every`, `codec_ewma_alpha`, `frame_strip_bytes` | nobody: `benchmark/` *reads* them, so they wait for its refresh (ROADMAP "Unlocked deletions") |
@@ -44,9 +44,6 @@ pub struct RaveConfig {
     /// generation) or only charge the cost model (timing runs with
     /// multi-million-polygon scenes).
     pub produce_images: bool,
-    /// Updates between durable snapshot checkpoints when a session store
-    /// is attached (§3.1.1's "intermittently streamed to disk" cadence).
-    pub checkpoint_every: u64,
     /// Frame transport for thin-client streams and helper tile returns.
     pub frame_compression: CompressionMode,
     /// Re-probe (trial-encode all codecs) every N frames in adaptive
@@ -82,7 +79,6 @@ impl Default for RaveConfig {
             target_fps: 15.0,
             fill_factor: 0.85,
             produce_images: false,
-            checkpoint_every: 256,
             frame_compression: CompressionMode::Raw,
             codec_reprobe_every: 30,
             codec_ewma_alpha: 0.3,
@@ -122,6 +118,7 @@ mod tests {
     #[test]
     fn default_ship_knobs_sane() {
         let c = RaveConfig::default();
-        assert!(c.ship_max_lag < c.checkpoint_every, "lag bound inside a checkpoint window");
+        let checkpoint_every = rave_store::StoreConfig::default().checkpoint_every;
+        assert!(c.ship_max_lag < checkpoint_every, "lag bound inside a checkpoint window");
     }
 }

@@ -3,16 +3,45 @@
 
 use crate::delivery::{DeliveryState, Wave};
 use crate::ids::{DataServiceId, RenderServiceId};
-use crate::persist::StorePersistence;
 use rave_net::Network;
 use rave_scene::{
     AuditEntry, AuditTrail, EditClass, EditStamp, InterestIndex, InterestSet, SceneTree,
     SceneUpdate, StampedUpdate, SubSlot, UpdateError,
 };
 use rave_sim::SimTime;
-use rave_store::StoreConfig;
+use rave_store::{CompactionReport, Recovery, Store, StoreConfig};
 use std::collections::BTreeMap;
-use std::sync::{Arc, Mutex};
+use std::io;
+use std::path::Path;
+use std::sync::Arc;
+
+/// The name `benchmark/` recovers a store directory by: it leaves with
+/// that yardstick's refresh (ROADMAP "Unlocked deletions"), as
+/// [`DataService::refresh_interests`] does.
+#[derive(Debug)]
+pub struct StorePersistence;
+
+impl StorePersistence {
+    /// [`rave_store::recover()`]: the latest snapshot plus the WAL tail past it.
+    pub fn recover(dir: impl AsRef<Path>) -> io::Result<Recovery> {
+        rave_store::recover(dir.as_ref())
+    }
+}
+
+/// What the checkpoint a commit came due for did: the sequence number it
+/// covers, and what its compaction freed or why it failed.
+pub type CheckpointOutcome = (u64, io::Result<CompactionReport>);
+
+/// The store a data service appends to. A clone of the service is an
+/// in-memory copy and is detached: it never writes the original's log.
+#[derive(Debug, Default)]
+struct AttachedStore(Option<Store>);
+
+impl Clone for AttachedStore {
+    fn clone(&self) -> Self {
+        Self(None)
+    }
+}
 
 /// A subscriber's delivery state.
 #[derive(Debug, Clone)]
@@ -95,15 +124,8 @@ pub struct DataService {
     next_seq: u64,
     pub subscribers: BTreeMap<RenderServiceId, Subscription>,
     /// Optional durable store: every committed update is appended to it,
-    /// with periodic snapshot checkpoints. Shared behind an `Arc` so
-    /// clones of the service observe one log, not two half-written ones.
-    persistence: Option<Arc<Mutex<StorePersistence>>>,
-    /// Directory of the attached store: failover uses it to recover or
-    /// log-ship the session without asking the (dead) service.
-    pub store_dir: Option<std::path::PathBuf>,
-    /// Trace lines from checkpoints taken inside [`DataService::commit`],
-    /// drained by the world into the event trace.
-    checkpoint_notes: Vec<String>,
+    /// with periodic snapshot checkpoints.
+    store: AttachedStore,
     /// The inverted interest index `route` consults, plus its slot → id
     /// map. Lazily (re)built: a change of the subscriber population (or of
     /// a subscriber's state) bumps `index_rev`, the next route rebuilds;
@@ -144,9 +166,7 @@ impl DataService {
             audit: AuditTrail::new(),
             next_seq: 1,
             subscribers: BTreeMap::new(),
-            persistence: None,
-            store_dir: None,
-            checkpoint_notes: Vec::new(),
+            store: AttachedStore::default(),
             index: InterestIndex::new(),
             index_seen: EditStamp::default(),
             index_sub_ids: Vec::new(),
@@ -164,67 +184,48 @@ impl DataService {
     /// Open (or create) a [`rave_store::Store`] at `dir` and attach it:
     /// every subsequent commit is appended to it, and snapshot
     /// checkpoints are taken on its cadence.
-    pub fn attach_store(
-        &mut self,
-        dir: impl AsRef<std::path::Path>,
-        cfg: StoreConfig,
-    ) -> std::io::Result<()> {
-        let store = StorePersistence::open(dir.as_ref(), cfg)?;
-        self.persistence = Some(Arc::new(Mutex::new(store)));
-        self.store_dir = Some(dir.as_ref().to_path_buf());
+    pub fn attach_store(&mut self, dir: impl AsRef<Path>, cfg: StoreConfig) -> io::Result<()> {
+        self.store.0 = Some(Store::open(dir.as_ref(), cfg)?);
         Ok(())
     }
 
-    /// Drain trace lines from checkpoints taken during recent commits.
-    pub fn take_checkpoint_notes(&mut self) -> Vec<String> {
-        std::mem::take(&mut self.checkpoint_notes)
+    /// The attached store, if any: failover reads its directory and its
+    /// config from here without asking the (dead) service.
+    pub fn store(&self) -> Option<&Store> {
+        self.store.0.as_ref()
     }
 
     /// Flush the attached store (if any) to stable storage.
-    pub fn sync_persistence(&mut self) -> std::io::Result<()> {
-        if let Some(p) = &self.persistence {
-            let mut p = p.lock().map_err(|_| std::io::Error::other("persistence lock poisoned"))?;
-            p.sync()?;
-        }
-        Ok(())
+    pub fn sync_persistence(&mut self) -> io::Result<()> {
+        self.store.0.as_mut().map_or(Ok(()), Store::sync)
     }
 
     /// Keep the store's compaction behind a log-shipping standby (see
-    /// [`StorePersistence::set_retention_floor`]).
+    /// [`Store::set_retention_floor`]).
     pub fn set_retention_floor(&mut self, acked_seq: Option<u64>) {
-        if let Some(p) = &self.persistence {
-            // A poisoned store fails the next commit; it compacts nothing.
-            if let Ok(mut p) = p.lock() {
-                p.set_retention_floor(acked_seq);
-            }
+        if let Some(store) = &mut self.store.0 {
+            store.set_retention_floor(acked_seq);
         }
     }
 
-    /// Rebuild a replacement data service from a durable store directory:
-    /// the latest snapshot plus the write-ahead-log tail past it. The
-    /// store is re-attached so the replacement keeps logging where the
-    /// failed instance stopped, and the audit trail is seeded with the
-    /// replayed tail entries. Returns the service and the recovery record
-    /// (for tracing: how far the store got, and from which snapshot).
-    pub fn recover_from_store(
-        id: DataServiceId,
-        host: &str,
-        name: &str,
-        dir: impl AsRef<std::path::Path>,
-        cfg: StoreConfig,
-    ) -> std::io::Result<(Self, rave_store::Recovery)> {
-        let dir = dir.as_ref();
-        let rec = StorePersistence::recover(dir)?;
-        let mut ds = Self::new(id, host, name);
-        ds.scene = rec.tree.clone();
-        ds.next_seq = rec.last_seq + 1;
-        for e in &rec.entries {
-            ds.audit.record(e.at_secs, e.stamped.clone()).map_err(|err| {
-                std::io::Error::new(std::io::ErrorKind::InvalidData, err.to_string())
-            })?;
+    /// Bring the master and the audit trail up to a recovered store
+    /// prefix (the latest snapshot plus the write-ahead-log tail past it):
+    /// its scene and sequence when the prefix is ahead of the trail, and
+    /// every replayed entry past the trail's last. A fresh replacement
+    /// takes all of it; a standby whose link is re-established over a
+    /// prefix it already holds in memory records only the rest.
+    pub fn seed_from(&mut self, rec: &Recovery) -> io::Result<()> {
+        let held = self.audit.last_seq();
+        if rec.last_seq > held {
+            self.scene = rec.tree.clone();
+            self.next_seq = self.next_seq.max(rec.last_seq + 1);
         }
-        ds.attach_store(dir, cfg)?;
-        Ok((ds, rec))
+        for e in rec.entries.iter().filter(|e| e.stamped.seq > held) {
+            self.audit
+                .record(e.at_secs, e.stamped.clone())
+                .map_err(|err| io::Error::new(io::ErrorKind::InvalidData, err.to_string()))?;
+        }
+        Ok(())
     }
 
     /// Assign the next global sequence number to an update.
@@ -234,34 +235,27 @@ impl DataService {
         StampedUpdate { seq, origin: origin.into(), update }
     }
 
-    /// Apply a stamped update to the master scene and the audit trail.
-    /// Also advances the sequence counter past the committed number, so a
-    /// standby that commits a primary's shipped log can take over
-    /// stamping seamlessly after failover.
-    pub fn commit(&mut self, at_secs: f64, stamped: &StampedUpdate) -> Result<(), UpdateError> {
+    /// Apply a stamped update to the master scene and the audit trail,
+    /// and append it to the attached store. Also advances the sequence
+    /// counter past the committed number, so a standby that commits a
+    /// primary's shipped log can take over stamping seamlessly after
+    /// failover. Returns the checkpoint the append made due, if one was:
+    /// an update the log holds is committed whether or not its checkpoint
+    /// succeeds, and the store keeps one due until a snapshot is written.
+    pub fn commit(
+        &mut self,
+        at_secs: f64,
+        stamped: &StampedUpdate,
+    ) -> Result<Option<CheckpointOutcome>, UpdateError> {
         stamped.update.apply(&mut self.scene)?;
         self.audit.record(at_secs, stamped.clone())?;
         self.next_seq = self.next_seq.max(stamped.seq + 1);
-        if let Some(p) = &self.persistence {
-            let mut p = p
-                .lock()
-                .map_err(|_| UpdateError::Persistence("persistence lock poisoned".into()))?;
-            p.append(&AuditEntry { at_secs, stamped: stamped.clone() })
-                .map_err(|e| UpdateError::Persistence(e.to_string()))?;
-            if p.checkpoint_due() {
-                let note = p
-                    .checkpoint(&self.scene, at_secs)
-                    .map_err(|e| UpdateError::Persistence(e.to_string()))?;
-                self.checkpoint_notes.push(note);
-            }
-        }
-        Ok(())
-    }
-
-    /// Make future stamps continue after `seq` (used when state arrives
-    /// out-of-band, e.g. a standby seeded from its recovered store).
-    pub fn observe_seq(&mut self, seq: u64) {
-        self.next_seq = self.next_seq.max(seq + 1);
+        let Some(store) = &mut self.store.0 else { return Ok(None) };
+        store
+            .append(&AuditEntry { at_secs, stamped: stamped.clone() })
+            .map_err(|e| UpdateError::Persistence(e.to_string()))?;
+        let due = store.checkpoint_due();
+        Ok(due.then(|| (store.last_seq(), store.checkpoint(&self.scene, at_secs))))
     }
 
     /// Register a live subscriber (used when the replica is seeded
@@ -679,6 +673,30 @@ mod tests {
         assert_eq!(replayed.len(), ds.scene.len());
         assert!(replayed.find_by_path("/a").is_some());
         assert!(replayed.find_by_path("/b").is_none());
+    }
+
+    /// A clone is an in-memory copy: it commits without writing a byte to
+    /// the store its original appends to.
+    #[test]
+    fn a_clone_commits_without_touching_the_store() {
+        let dir = std::env::temp_dir().join(format!("rave-ds-clone-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let mut ds = DataService::new(DataServiceId(1), "h", "s");
+        ds.attach_store(&dir, StoreConfig { checkpoint_every: 2, ..Default::default() }).unwrap();
+        let bytes = || -> u64 {
+            std::fs::read_dir(&dir).unwrap().map(|f| f.unwrap().metadata().unwrap().len()).sum()
+        };
+        let before = bytes();
+        let mut copy = ds.clone();
+        for name in ["a", "b", "c"] {
+            let u = add_update(&mut copy, name);
+            copy.commit(0.0, &u).unwrap();
+        }
+        assert_eq!(bytes(), before, "the clone wrote to the store");
+        let u = add_update(&mut ds, "a");
+        ds.commit(0.0, &u).unwrap();
+        assert!(bytes() > before, "the original still logs");
+        std::fs::remove_dir_all(&dir).unwrap();
     }
 
     #[test]

@@ -22,7 +22,7 @@
 //! | Distributed volume rendering (§6) | [`volume_dist`] |
 //! | Computational steering / remote bridge (§5.2) | [`steering`] |
 //! | Data-service mirroring & failover: WAL log shipping to a warm standby (§6) | [`replica`] |
-//! | Durable session store & crash recovery (§3.1.1) | [`persist`] |
+//! | Durable session store & crash recovery (§3.1.1) | [`data_service`] over `rave_store` |
 //!
 //! Everything runs inside a `rave_sim::Simulation<RaveWorld>`: service
 //! logic executes immediately (it is ordinary Rust), while *durations* —
@@ -40,7 +40,6 @@ pub mod frame_stream;
 pub mod gui;
 pub mod ids;
 pub mod migration;
-pub mod persist;
 pub mod render_service;
 pub mod replica;
 pub mod sched;
@@ -53,6 +52,6 @@ pub mod world;
 
 pub use capacity::CapacityReport;
 pub use config::RaveConfig;
+pub use data_service::StorePersistence;
 pub use ids::{ClientId, DataServiceId, RenderServiceId};
-pub use persist::StorePersistence;
 pub use world::{RaveSim, RaveWorld};

@@ -24,7 +24,7 @@ use crate::world::RaveSim;
 use rave_scene::InterestSet;
 use rave_sim::SimTime;
 use rave_store::ship::{Shipper, StandbyLog, ACK_BYTES};
-use rave_store::{StoreConfig, Wal};
+use rave_store::Wal;
 use std::io;
 use std::path::Path;
 
@@ -109,22 +109,7 @@ pub fn establish_standby(
     // Seed the standby's in-memory replica from its durable prefix, so
     // memory and disk advance together from one consistent point.
     let rec = rave_store::recover(standby_dir.as_ref())?;
-    {
-        let ds = sim.world.data_mut(standby);
-        if rec.last_seq > ds.audit.last_seq() {
-            ds.scene = rec.tree;
-            ds.observe_seq(rec.last_seq);
-        }
-        for e in &rec.entries {
-            // A re-established link over a live standby already holds a
-            // prefix in memory; only record past it.
-            if e.stamped.seq > ds.audit.last_seq() {
-                ds.audit
-                    .record(e.at_secs, e.stamped.clone())
-                    .map_err(|err| io::Error::new(io::ErrorKind::InvalidData, err.to_string()))?;
-            }
-        }
-    }
+    sim.world.data_mut(standby).seed_from(&rec)?;
     sim.world.replicas.insert(
         primary,
         ReplicaLink {
@@ -288,9 +273,10 @@ pub fn run_log_shipping(sim: &mut RaveSim, primary: DataServiceId, horizon: SimT
 /// Promote the warm standby of a failed primary. The primary is removed
 /// from the world and the registry; the standby replays any durably
 /// shipped entries it had not yet applied in memory, attaches the
-/// shipped store (sequence numbers and logging continue on the shipped
-/// segments), and every subscriber is re-pointed with one control round
-/// trip charged per flip — no snapshot marshal, no trail re-replay.
+/// shipped store with the primary's store config (sequence numbers and
+/// logging continue on the shipped segments), and every subscriber is
+/// re-pointed with one control round trip charged per flip — no snapshot
+/// marshal, no trail re-replay.
 ///
 /// Returns `None` when `primary` has no replica link.
 pub fn promote_standby(
@@ -301,14 +287,13 @@ pub fn promote_standby(
     let now = sim.now();
     let standby = link.standby;
     // The failed instance: its in-memory state is gone with the host,
-    // but as the simulator we can still read it to *report* loss.
-    let mut failed = sim
+    // but as the simulator we can still read it to *report* loss. Its
+    // store stays open, untouched, until the standby has taken over.
+    let failed = sim
         .world
         .data_services
         .remove(&primary)
         .unwrap_or_else(|| panic!("no data service {primary} to promote away from"));
-    // Clones of the failed service share its sink; none of them ships.
-    failed.set_retention_floor(None);
     sim.world.registry.unpublish("RAVE", &failed.host, &failed.name);
 
     // Residual: entries on the standby's disk (shipped, durable) that
@@ -324,9 +309,9 @@ pub fn promote_standby(
             .expect("standby replays shipped log");
     }
     // The shipped directory *is* a WAL: attach it so the promoted
-    // service appends (and checkpoints) where shipping stopped.
-    let store_cfg =
-        StoreConfig { checkpoint_every: sim.world.config.checkpoint_every, ..Default::default() };
+    // service appends (and checkpoints) where shipping stopped, on the
+    // primary's segment size and cadence.
+    let store_cfg = failed.store().map(|store| *store.config()).unwrap_or_default();
     sim.world.data_mut(standby).attach_store(link.log.dir(), store_cfg)?;
 
     let standby_last = sim.world.data(standby).audit.last_seq();
@@ -382,6 +367,7 @@ mod tests {
     use crate::RaveConfig;
     use rave_scene::{NodeKind, SceneUpdate};
     use rave_sim::Simulation;
+    use rave_store::StoreConfig;
     use std::path::PathBuf;
 
     fn tmp_dir(tag: &str) -> PathBuf {
@@ -510,7 +496,7 @@ mod tests {
         let seq = sim.world.data(standby).audit.last_seq();
         assert_eq!(seq, committed + 1, "sequence continues past the primary's");
         // And the promoted service logs durably to the shipped store.
-        assert_eq!(sim.world.data(standby).store_dir.as_deref(), Some(sdir.as_path()));
+        assert_eq!(sim.world.data(standby).store().map(|s| s.dir()), Some(sdir.as_path()));
         sim.world.data_mut(standby).sync_persistence().unwrap();
         assert_eq!(rave_store::recover(&sdir).unwrap().last_seq, seq);
         assert_eq!(sim.world.trace.count(TraceKind::Promote), 1);
@@ -560,6 +546,62 @@ mod tests {
         assert!(sim.world.data(new_ds).subscribers.contains_key(&rs));
         assert_eq!(sim.world.trace.count(TraceKind::Recovery), 1);
         let _ = std::fs::remove_dir_all(&pdir);
+    }
+
+    /// Eight updates of about 150 bytes on `ds`, whose store is at `dir`:
+    /// the seven before the eighth rotate its 512-byte segments, and the
+    /// eighth, not an earlier one, takes a checkpoint.
+    fn assert_keeps_512_byte_segments_and_8_update_checkpoints(
+        sim: &mut RaveSim,
+        ds: DataServiceId,
+        dir: &Path,
+    ) {
+        let active =
+            |dir: &Path| rave_store::segment::list_segments(dir).unwrap().last().unwrap().0;
+        let (segment, checkpoints) = (active(dir), sim.world.trace.count(TraceKind::Checkpoint));
+        for i in 0..8 {
+            assert_eq!(sim.world.trace.count(TraceKind::Checkpoint), checkpoints, "after {i}");
+            add(sim, ds, &format!("{i:0>120}"));
+        }
+        assert_eq!(sim.world.trace.count(TraceKind::Checkpoint), checkpoints + 1);
+        assert!(active(dir) > segment, "the segments rotated at 512 bytes");
+    }
+
+    /// Both failover paths reopen the store with the failed primary's
+    /// own config, not a default one.
+    #[test]
+    fn failover_keeps_the_primary_store_config() {
+        let store_cfg =
+            StoreConfig { segment_max_bytes: 512, checkpoint_every: 8, sync_writes: false };
+        let (mut sim, primary, standby, _, pdir, sdir) = warm_world_with("cfg-warm", 0, store_cfg);
+        for i in 0..10 {
+            add(&mut sim, primary, &format!("n{i}"));
+        }
+        while ship_tick(&mut sim, primary).unwrap() > 0 {
+            sim.run();
+        }
+        let outcome =
+            process_events(&mut sim, primary, &[SchedEvent::DataFailure { service: primary }]);
+        assert!(outcome.promotions[0].warm);
+        sim.run();
+        assert_keeps_512_byte_segments_and_8_update_checkpoints(&mut sim, standby, &sdir);
+
+        let mut sim = Simulation::new(RaveWorld::paper_testbed(RaveConfig::default(), 7));
+        let primary = sim.world.spawn_data_service("adrenochrome", "sess");
+        let cold_dir = tmp_dir("cfg-cold");
+        sim.world.data_mut(primary).attach_store(&cold_dir, store_cfg).unwrap();
+        for i in 0..10 {
+            add(&mut sim, primary, &format!("n{i}"));
+        }
+        sim.world.data_mut(primary).sync_persistence().unwrap();
+        let outcome =
+            process_events(&mut sim, primary, &[SchedEvent::DataFailure { service: primary }]);
+        assert!(!outcome.promotions[0].warm);
+        let recovered = outcome.promotions[0].promoted;
+        assert_keeps_512_byte_segments_and_8_update_checkpoints(&mut sim, recovered, &cold_dir);
+        for dir in [pdir, sdir, cold_dir] {
+            let _ = std::fs::remove_dir_all(dir);
+        }
     }
 
     #[test]

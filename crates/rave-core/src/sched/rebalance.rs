@@ -3,7 +3,7 @@
 //! measured-throughput drift — is one [`SchedEvent`], and every event in
 //! a batch is handled through the same headroom ledger and movement
 //! machinery. Overload and failure re-home their shards through one
-//! routine, [`rehome`]; `migration.rs` is a thin adapter that detects
+//! routine, `rehome`; `migration.rs` is a thin adapter that detects
 //! conditions and feeds the stream; the decisions themselves — considered
 //! candidates, scores, chosen placement — are recorded as
 //! [`crate::trace::TraceKind::SchedDecision`] events.
@@ -294,7 +294,7 @@ fn handle_data_failure(sim: &mut RaveSim, dead: DataServiceId, outcome: &mut Mig
     }
     let (host, store_dir, n_subs) = {
         let ds = sim.world.data(dead);
-        (ds.host.clone(), ds.store_dir.clone(), ds.subscribers.len())
+        (ds.host.clone(), ds.store().map(|s| s.dir().to_path_buf()), ds.subscribers.len())
     };
     if let Some(dir) = store_dir {
         let now = sim.now();

@@ -3,7 +3,7 @@
 //! render service.
 //!
 //! Frame delivery runs through an explicit staged pipeline
-//! ([`FramePipeline`]): request → render (service GPU) → encode (service
+//! (`FramePipeline`): request → render (service GPU) → encode (service
 //! CPU) → transmit (wire) → decode/import/blit (client CPU) → display.
 //! Each stage is a separate occupancy timeline, so with
 //! `pipeline_depth ≥ 2` the render of frame N+1 overlaps the

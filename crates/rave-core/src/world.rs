@@ -2,7 +2,7 @@
 //! living inside a `rave_sim::Simulation`.
 
 use crate::config::RaveConfig;
-use crate::data_service::DataService;
+use crate::data_service::{CheckpointOutcome, DataService};
 use crate::delivery::{UpdateList, Wave};
 use crate::frame_stream::FrameCache;
 use crate::ids::{ClientId, DataServiceId, RenderServiceId};
@@ -17,6 +17,7 @@ use rave_net::{Channel, HostId, Network};
 use rave_render::MachineProfile;
 use rave_scene::{SceneUpdate, StampedUpdate, UpdateError};
 use rave_sim::{SimRng, SimTime, Simulation};
+use rave_store::CompactionReport;
 use std::collections::{BTreeMap, BTreeSet};
 use std::sync::Arc;
 
@@ -337,7 +338,8 @@ pub fn publish_update(
 ///
 /// On a commit failure the batch stops: the already-committed prefix is
 /// still delivered (it is in the audit trail), the failed update and the
-/// rest are dropped, and the error is returned.
+/// rest are dropped, and the error is returned. A checkpoint that fails
+/// after its update was logged is not a commit failure: it is traced.
 pub fn publish_batch(
     sim: &mut RaveSim,
     ds_id: DataServiceId,
@@ -347,45 +349,52 @@ pub fn publish_batch(
     let mut seqs = Vec::with_capacity(updates.len());
     let mut batch: Vec<Arc<StampedUpdate>> = Vec::with_capacity(updates.len());
     let mut failure = None;
-    {
-        let ds = sim.world.data_mut(ds_id);
-        for (origin, update) in updates {
-            let stamped = ds.stamp(&origin, update);
-            match ds.commit(now.as_secs(), &stamped) {
-                Ok(()) => {
-                    seqs.push(stamped.seq);
-                    batch.push(Arc::new(stamped));
+    let RaveWorld { data_services, render_services, network, trace, .. } = &mut sim.world;
+    let ds = data_services.get_mut(&ds_id).unwrap_or_else(|| panic!("no data service {ds_id}"));
+    for (origin, update) in updates {
+        let stamped = ds.stamp(&origin, update);
+        match ds.commit(now.as_secs(), &stamped) {
+            Ok(checkpoint) => {
+                if let Some(checkpoint) = checkpoint {
+                    trace.record(now, TraceKind::Checkpoint, checkpoint_row(ds_id, checkpoint));
                 }
-                Err(e) => {
-                    failure = Some(e);
-                    break;
-                }
+                seqs.push(stamped.seq);
+                batch.push(Arc::new(stamped));
+            }
+            Err(e) => {
+                failure = Some(e);
+                break;
             }
         }
     }
-    for note in sim.world.data_mut(ds_id).take_checkpoint_notes() {
-        sim.world.trace.record(now, TraceKind::Checkpoint, format!("{ds_id}: {note}"));
-    }
     for stamped in &batch {
-        sim.world.trace.record(
+        trace.record(
             now,
             TraceKind::UpdatePublished,
             format!("{ds_id} seq={} from {}", stamped.seq, stamped.origin),
         );
     }
-    let waves = {
-        let RaveWorld { data_services, render_services, network, .. } = &mut sim.world;
-        let ds = data_services.get_mut(&ds_id).expect("committed through it above");
-        ds.plan_deliveries(now, &batch, network, |rs| {
-            render_services.get(&rs).map(|service| service.host.as_str())
-        })
-    };
+    let waves = ds.plan_deliveries(now, &batch, network, |rs| {
+        render_services.get(&rs).map(|service| service.host.as_str())
+    });
     for Wave { at, deliveries } in waves {
         sim.schedule_at(at, move |sim| deliver_wave(sim, &deliveries));
     }
     match failure {
         Some(e) => Err(e),
         None => Ok(seqs),
+    }
+}
+
+/// The `TraceKind::Checkpoint` row of a checkpoint a commit came due for.
+fn checkpoint_row(ds_id: DataServiceId, (seq, result): CheckpointOutcome) -> String {
+    match result {
+        Ok(CompactionReport { segments_deleted, snapshots_deleted, bytes_freed }) => format!(
+            "{ds_id}: checkpoint at seq {seq}: {} segment(s) + {snapshots_deleted} snapshot(s) \
+             compacted, {bytes_freed} bytes freed",
+            segments_deleted.len(),
+        ),
+        Err(e) => format!("{ds_id}: checkpoint at seq {seq} failed: {e}"),
     }
 }
 
@@ -841,6 +850,37 @@ mod tests {
         assert_eq!(s.world.channel("tower", "laptop").messages_sent(), 0, "directed");
         let fresh = s.world.send_bytes(SimTime::ZERO, "laptop", "spare", 1_000_000);
         assert!(fresh < a1, "a new pair gets its own channel over its own link");
+    }
+
+    /// An update the store logged is committed even when the checkpoint
+    /// it made due fails: it is fanned out, the failure is traced, and the
+    /// next commit tries the checkpoint again.
+    #[test]
+    fn a_failed_checkpoint_still_commits_the_update() {
+        let dir = std::env::temp_dir().join(format!("rave-world-ckpt-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let mut s = sim();
+        let ds = s.world.spawn_data_service("adrenochrome", "sess");
+        let rs = s.world.spawn_render_service("tower");
+        s.world.data_mut(ds).subscribe_live(rs, InterestSet::everything());
+        let cfg = rave_store::StoreConfig { checkpoint_every: 2, ..Default::default() };
+        s.world.data_mut(ds).attach_store(&dir, cfg).unwrap();
+        let add = |s: &mut RaveSim, name: &str| {
+            let id = s.world.data_mut(ds).scene.allocate_id();
+            let (parent, name, kind) = (rave_scene::NodeId(0), name.into(), NodeKind::Group);
+            publish_update(s, ds, "u", SceneUpdate::AddNode { id, parent, name, kind })
+        };
+        add(&mut s, "a").unwrap();
+        std::fs::remove_dir_all(&dir).unwrap();
+        for (seq, name) in [(2, "b"), (3, "c")] {
+            assert_eq!(add(&mut s, name), Ok(seq));
+            assert_eq!(s.world.data(ds).audit.last_seq(), seq);
+            s.run();
+            assert_eq!(s.world.render(rs).scene, s.world.data(ds).scene, "seq {seq} fanned out");
+            let row = &s.world.trace.of_kind(TraceKind::Checkpoint).last().unwrap().detail;
+            assert!(row.starts_with(&format!("{ds}: checkpoint at seq {seq} failed: ")), "{row}");
+        }
+        assert_eq!(s.world.trace.count(TraceKind::Checkpoint), 2);
     }
 
     #[test]

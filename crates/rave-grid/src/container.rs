@@ -4,7 +4,7 @@
 //! hosts the factories, creates instances on request, and hands back
 //! socket access points. The Web-service front door costs real time
 //! (Table 5's "service bootstrap" includes "the time spent to contact the
-//! Axis Web Service [and] request the creation of a new render service
+//! Axis Web Service \[and\] request the creation of a new render service
 //! instance").
 
 use crate::soap::{SoapCodec, SoapEnvelope};

@@ -62,16 +62,6 @@ impl Mat4 {
         )
     }
 
-    pub fn rotation_x(angle: f32) -> Self {
-        let (s, c) = angle.sin_cos();
-        Self::from_cols(
-            Vec4::new(1.0, 0.0, 0.0, 0.0),
-            Vec4::new(0.0, c, s, 0.0),
-            Vec4::new(0.0, -s, c, 0.0),
-            Vec4::new(0.0, 0.0, 0.0, 1.0),
-        )
-    }
-
     pub fn rotation_y(angle: f32) -> Self {
         let (s, c) = angle.sin_cos();
         Self::from_cols(
@@ -90,10 +80,6 @@ impl Mat4 {
             Vec4::new(0.0, 0.0, 1.0, 0.0),
             Vec4::new(0.0, 0.0, 0.0, 1.0),
         )
-    }
-
-    pub fn from_quat(q: Quat) -> Self {
-        q.to_mat4()
     }
 
     /// Compose translation · rotation · scale (the scene-graph transform

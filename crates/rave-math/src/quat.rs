@@ -34,14 +34,6 @@ impl Quat {
         Self::new(axis.x * s, axis.y * s, axis.z * s, c)
     }
 
-    /// Yaw (Y), pitch (X), roll (Z) — the camera-drag decomposition the
-    /// interaction layer uses.
-    pub fn from_yaw_pitch_roll(yaw: f32, pitch: f32, roll: f32) -> Self {
-        Self::from_axis_angle(Vec3::Y, yaw)
-            * Self::from_axis_angle(Vec3::X, pitch)
-            * Self::from_axis_angle(Vec3::Z, roll)
-    }
-
     #[inline]
     pub fn length(self) -> f32 {
         (self.x * self.x + self.y * self.y + self.z * self.z + self.w * self.w).sqrt()

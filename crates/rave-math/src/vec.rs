@@ -139,12 +139,6 @@ impl Vec3 {
         self + (o - self) * t
     }
 
-    /// Component-wise multiply (modulating a material color by a light).
-    #[inline]
-    pub fn mul_elem(self, o: Self) -> Self {
-        Self::new(self.x * o.x, self.y * o.y, self.z * o.z)
-    }
-
     #[inline]
     pub fn extend(self, w: f32) -> Vec4 {
         Vec4::new(self.x, self.y, self.z, w)

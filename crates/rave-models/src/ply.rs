@@ -91,7 +91,7 @@ pub fn write<W: Write>(mesh: &MeshData, format: PlyFormat, mut w: W) -> std::io:
     Ok(())
 }
 
-/// Parse a PLY stream (either format produced by [`write`]; tolerates
+/// Parse a PLY stream (either format produced by [`write()`]; tolerates
 /// extra float vertex properties by skipping them).
 pub fn read<R: BufRead>(mut r: R) -> std::io::Result<MeshData> {
     let bad = |msg: &str| std::io::Error::new(std::io::ErrorKind::InvalidData, msg.to_string());

@@ -16,7 +16,7 @@ impl Rgb {
     pub const BLACK: Rgb = Rgb(0, 0, 0);
     pub const WHITE: Rgb = Rgb(255, 255, 255);
 
-    /// From float RGB in [0,1], clamped.
+    /// From float RGB in `[0, 1]`, clamped.
     pub fn from_f32(r: f32, g: f32, b: f32) -> Self {
         let q = |x: f32| (x.clamp(0.0, 1.0) * 255.0 + 0.5) as u8;
         Rgb(q(r), q(g), q(b))
@@ -36,7 +36,7 @@ impl Rgb {
 ///
 /// The two planes are shared, copy-on-write storage: `clone` is two
 /// reference counts, and the first write through either buffer
-/// ([`Framebuffer::planes_mut`], which every `&mut` entry goes through
+/// (`Framebuffer::planes_mut`, which every `&mut` entry goes through
 /// once per call) copies the planes if another buffer still shares them.
 /// A buffer nothing shares is written in place and keeps its allocation.
 /// `==` compares pixels, whoever holds them.

@@ -167,7 +167,7 @@ struct Interval {
 ///
 /// Layout: subscribers with `everything` interest live in a bitset;
 /// subtree interests become pre-order intervals (stabbed by binary search
-/// plus a parent-chain walk, see [`Interval`]); ancestor-of-root interest
+/// plus a parent-chain walk, see `Interval`); ancestor-of-root interest
 /// ("the parent nodes to orientate the scene subset", §3.2.5) is a
 /// hash-map from ancestor id to subscriber slots. Decisions are
 /// bit-for-bit those of [`InterestSet::relevant`] — proptest-pinned in

@@ -9,7 +9,7 @@
 //! node is marshalled by *interface discovery* (querying which field
 //! interfaces it implements, one dynamic dispatch per interface per node)
 //! followed by per-field extraction, instead of one bulk write. The
-//! [`DirectMarshaller`] writes the identical byte stream without the
+//! [`marshal_direct`] writes the identical byte stream without the
 //! interface machinery; the delta between the two is the paper's bootstrap
 //! bottleneck, and `bench/table5` charges the introspective path's cost
 //! model to reproduce the 68.2 s Skeletal-Hand bootstrap.

@@ -62,7 +62,7 @@ impl Transform {
 pub struct AvatarInfo {
     /// User or host name rendered as the label (Fig 3 shows "Desktop").
     pub label: String,
-    /// Display color of the cone, RGB in [0,1].
+    /// Display color of the cone, RGB in `[0, 1]`.
     pub color: Vec3,
     /// The camera this avatar mirrors.
     pub camera: CameraParams,
@@ -203,7 +203,7 @@ pub enum Interaction {
 }
 
 /// A detached scene-node record: the serde/wire shape of one node, and
-/// the unit [`crate::tree::SceneTree::from_parts`] rebuilds a tree from.
+/// the unit `SceneTree::from_parts` rebuilds a tree from.
 ///
 /// The tree itself no longer stores `Node` values — storage is a flat
 /// generational arena with the per-traversal fields (topology, transform,

@@ -11,11 +11,11 @@
 //! versions through cache for no reason. Storage is now two parallel
 //! slot-indexed arrays:
 //!
-//! - **hot** ([`HotNode`]): everything a traversal touches — intrusive
+//! - **hot** (`HotNode`): everything a traversal touches — intrusive
 //!   topology links (parent / first–last child / prev–next sibling), the
 //!   local transform, the node's own content cost, the one-byte
 //!   [`KindTag`], and the slot generation;
-//! - **cold** ([`ColdNode`]): everything it must not — the name, the full
+//! - **cold** (`ColdNode`): everything it must not — the name, the full
 //!   [`NodeKind`] payload, and the conflict-resolution version.
 //!
 //! A third slot-indexed array, `bounds`, keeps each node's own content box
@@ -42,7 +42,7 @@
 //! Two lazily built caches (invalidated by `&mut self` edits, rebuilt
 //! once on the next `&self` query, shareable across rayon workers):
 //!
-//! - [`FlatCache`]: the pre-order slot sequence plus, per slot, its
+//! - `FlatCache`: the pre-order slot sequence plus, per slot, its
 //!   position and subtree length. Pre-order puts every subtree in one
 //!   contiguous run, so [`SceneTree::descendants_iter`] is a slice walk —
 //!   no stack, no hashing, no per-step branching — and `iter_nodes`' id
@@ -1365,7 +1365,7 @@ impl SceneTree {
     /// pace, and none changes what another reads. [`Dirt::Everything`]
     /// whenever the journal cannot vouch for that position: a stamp of
     /// another tree value (a clone, a decoded copy, a tree assigned over
-    /// this one), one older than the oldest of the [`JOURNAL_CAP`] entries
+    /// this one), one older than the oldest of the `JOURNAL_CAP` entries
     /// kept, or one from before the tree's first read, which is what
     /// starts the recording. Pose writes leave no entry.
     pub fn changes_since(&mut self, since: EditStamp, classes: &[EditClass]) -> Dirt {

@@ -30,18 +30,9 @@ impl SimRng {
         z ^ (z >> 31)
     }
 
-    pub fn next_u32(&mut self) -> u32 {
-        (self.next_u64() >> 32) as u32
-    }
-
     /// Uniform in `[0, 1)`.
     pub fn next_f64(&mut self) -> f64 {
         (self.next_u64() >> 11) as f64 * (1.0 / (1u64 << 53) as f64)
-    }
-
-    /// Uniform in `[0, 1)` as f32.
-    pub fn next_f32(&mut self) -> f32 {
-        self.next_f64() as f32
     }
 
     /// Uniform in `[lo, hi)`.
@@ -55,11 +46,6 @@ impl SimRng {
         // Multiply-shift rejection-free bounded sampling (Lemire); the tiny
         // modulo bias is irrelevant for workload jitter.
         ((self.next_u64() as u128 * n as u128) >> 64) as u64
-    }
-
-    /// True with probability `p`.
-    pub fn chance(&mut self, p: f64) -> bool {
-        self.next_f64() < p
     }
 
     /// Standard normal via Box–Muller (for timing jitter models).

@@ -1,6 +1,6 @@
 //! `rave-store`: durable session persistence for the RAVE data service.
 //!
-//! The paper's data service "intermittently stream[s] to disk ... an
+//! The paper's data service "intermittently stream\[s\] to disk ... an
 //! audit trail" (§3.1.1) as JSON-lines — human-readable but slow to
 //! replay and fragile under crashes (a torn final line corrupts the
 //! file). This crate is the durable machine-format counterpart:
@@ -10,9 +10,9 @@
 //!   and repair on open;
 //! - **snapshot checkpoints** ([`snapshot`]) of the full scene tree,
 //!   RLE-compressed and atomically written;
-//! - **compaction** ([`compact`]) deleting segments a snapshot covers,
+//! - **compaction** ([`compact()`]) deleting segments a snapshot covers,
 //!   bounding disk use to one snapshot + the active segment;
-//! - **crash recovery** ([`recover`]): latest snapshot + WAL tail, always
+//! - **crash recovery** ([`recover()`]): latest snapshot + WAL tail, always
 //!   landing on a clean update boundary;
 //! - **log shipping** ([`ship`]): continuous replication of sealed
 //!   segments (plus a bounded unsealed tail) to a warm standby whose

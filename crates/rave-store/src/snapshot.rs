@@ -61,7 +61,7 @@ pub fn list_snapshots(dir: &Path) -> io::Result<Vec<(u64, PathBuf)>> {
 }
 
 /// Serialize and write a checkpoint atomically and durably
-/// ([`crate::install_file`]): when this returns, the caller may compact
+/// (`crate::install_file`): when this returns, the caller may compact
 /// away what the snapshot covers. Returns the final path.
 pub fn write_snapshot(
     dir: &Path,

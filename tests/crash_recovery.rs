@@ -46,12 +46,11 @@ fn tear_wal_tail(dir: &PathBuf) {
 #[test]
 fn session_survives_data_service_crash() {
     let dir = tmp_dir("failover");
-    // Checkpoint often so the WAL tail stays short.
-    let cfg = RaveConfig { checkpoint_every: 8, ..RaveConfig::default() };
-    let mut sim = Simulation::new(RaveWorld::paper_testbed(cfg, 7001));
+    let mut sim = Simulation::new(RaveWorld::paper_testbed(RaveConfig::default(), 7001));
 
     // A persistent session: every commit is WAL-logged, with periodic
-    // snapshot checkpoints and compaction.
+    // snapshot checkpoints (often, so the WAL tail stays short) and
+    // compaction.
     let ds = sim.world.spawn_data_service("adrenochrome", "skull-session");
     sim.world
         .data_mut(ds)
@@ -155,8 +154,7 @@ fn session_survives_data_service_crash() {
 #[test]
 fn compaction_bounds_store_size_over_long_session() {
     let dir = tmp_dir("bounded");
-    let cfg = RaveConfig { checkpoint_every: 32, ..RaveConfig::default() };
-    let mut sim = Simulation::new(RaveWorld::paper_testbed(cfg, 7002));
+    let mut sim = Simulation::new(RaveWorld::paper_testbed(RaveConfig::default(), 7002));
     let ds = sim.world.spawn_data_service("adrenochrome", "marathon");
     sim.world
         .data_mut(ds)
