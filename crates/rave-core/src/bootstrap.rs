@@ -182,10 +182,12 @@ pub fn recover_data_service(
         TraceKind::Recovery,
         format!(
             "{failed} -> {new_id} on {host}: recovered \"{}\" at seq {} \
-             (snapshot seq {}, {} WAL entries replayed), {} subscriber(s) re-mirroring",
+             (snapshot seq {} + {} delta(s), {} WAL entries replayed), {} subscriber(s) \
+             re-mirroring",
             failed_ds.name,
             rec.last_seq,
             rec.snapshot_seq,
+            rec.deltas,
             rec.entries.len(),
             failed_ds.subscribers.len(),
         ),

@@ -29,7 +29,8 @@ impl StorePersistence {
 }
 
 /// What the checkpoint a commit came due for did: the sequence number it
-/// covers, and what its compaction freed or why it failed.
+/// covers, and which kind it wrote and what its compaction freed
+/// ([`CompactionReport::kind`]) or why it failed.
 pub type CheckpointOutcome = (u64, io::Result<CompactionReport>);
 
 /// The store a data service appends to. A clone of the service is an
@@ -182,8 +183,10 @@ impl DataService {
     }
 
     /// Open (or create) a [`rave_store::Store`] at `dir` and attach it:
-    /// every subsequent commit is appended to it, and snapshot
-    /// checkpoints are taken on its cadence.
+    /// every subsequent commit is appended to it, and checkpoints are
+    /// taken on its cadence — deltas read from the master's edit journal,
+    /// which every commit keeps recording, so they never wait for another
+    /// reader to start it.
     pub fn attach_store(&mut self, dir: impl AsRef<Path>, cfg: StoreConfig) -> io::Result<()> {
         self.store.0 = Some(Store::open(dir.as_ref(), cfg)?);
         Ok(())
@@ -251,6 +254,8 @@ impl DataService {
         self.audit.record(at_secs, stamped.clone())?;
         self.next_seq = self.next_seq.max(stamped.seq + 1);
         let Some(store) = &mut self.store.0 else { return Ok(None) };
+        // A master assigned over (seeded, promoted) starts unrecorded.
+        self.scene.record_edits();
         store
             .append(&AuditEntry { at_secs, stamped: stamped.clone() })
             .map_err(|e| UpdateError::Persistence(e.to_string()))?;

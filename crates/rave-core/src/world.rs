@@ -389,9 +389,15 @@ pub fn publish_batch(
 /// The `TraceKind::Checkpoint` row of a checkpoint a commit came due for.
 fn checkpoint_row(ds_id: DataServiceId, (seq, result): CheckpointOutcome) -> String {
     match result {
-        Ok(CompactionReport { segments_deleted, snapshots_deleted, bytes_freed }) => format!(
-            "{ds_id}: checkpoint at seq {seq}: {} segment(s) + {snapshots_deleted} snapshot(s) \
-             compacted, {bytes_freed} bytes freed",
+        Ok(CompactionReport {
+            kind,
+            segments_deleted,
+            snapshots_deleted,
+            deltas_deleted,
+            bytes_freed,
+        }) => format!(
+            "{ds_id}: {kind} checkpoint at seq {seq}: {} segment(s) + {snapshots_deleted} \
+             snapshot(s) + {deltas_deleted} delta(s) compacted, {bytes_freed} bytes freed",
             segments_deleted.len(),
         ),
         Err(e) => format!("{ds_id}: checkpoint at seq {seq} failed: {e}"),

@@ -219,6 +219,11 @@ pub enum EditClass {
     /// Handed out by [`SceneTree::node_mut`]: its name, kind (and with it
     /// its own cost and plan eligibility) or version may have been written.
     Payload,
+    /// A pose write ([`SceneTree::set_transform`],
+    /// [`SceneTree::set_camera_pose`]): its transform and version, and a
+    /// camera's or an avatar's camera. Takes no cache: neither structure
+    /// nor [`NodeCost`] depends on a pose.
+    Pose,
 }
 
 /// What [`SceneTree::changes_since`] found past a reader's position.
@@ -235,25 +240,63 @@ pub enum Dirt {
     Everything,
 }
 
-/// Entries the journal retains. A reader further behind than this would
-/// gain nothing from an enumeration over a full re-walk.
+/// Entries each of the journal's two tails retains. A reader further
+/// behind than this would gain nothing from an enumeration over a full
+/// re-walk.
 const JOURNAL_CAP: usize = 512;
 
-/// The tree's edit journal: its identity, its edit count, and a bounded
-/// tail of `(position, node, class)` entries any number of readers read by
-/// position. Like the caches, derived data: never serialized, never
-/// compared, new for every clone.
+/// The tree's edit journal: its identity, its edit count, and bounded
+/// tails of `(position, node, class)` entries any number of readers read
+/// by position. Pose entries keep a tail of their own, so the per-tick
+/// motion stream never pushes a structure or payload entry out. Like the
+/// caches, derived data: never serialized, never compared, new for every
+/// clone.
 #[derive(Debug)]
 struct Journal {
     /// What [`SceneTree::edit_stamp`] hands out; `head.edits` is the
     /// position of the newest edit.
     head: EditStamp,
+    /// `Structure` and `Payload` entries.
+    edits: Tail,
+    /// `Pose` entries.
+    poses: Tail,
+}
+
+#[derive(Debug)]
+struct Tail {
     /// Every entry noted past this position is still in `entries`: the
-    /// position recording began at (the first read — a tree nobody reads
-    /// stores nothing), later that of the newest entry dropped.
-    /// `u64::MAX` until then, which no reader's position reaches.
+    /// position recording began at (the first read, or
+    /// [`SceneTree::record_edits`] — a tree nobody reads stores nothing),
+    /// later that of the newest entry dropped. `u64::MAX` until then,
+    /// which no reader's position reaches.
     complete_from: u64,
     entries: VecDeque<(u64, NodeId, EditClass)>,
+}
+
+impl Tail {
+    fn new() -> Self {
+        Self { complete_from: u64::MAX, entries: VecDeque::new() }
+    }
+
+    fn note(&mut self, position: u64, id: NodeId, class: EditClass) {
+        if self.entries.len() == JOURNAL_CAP {
+            let (dropped, ..) = self.entries.pop_front().expect("the cap is not zero");
+            self.complete_from = dropped;
+        }
+        self.entries.push_back((position, id, class));
+    }
+
+    /// The ids of entries of `classes` past `since`, appended to `ids`.
+    fn read(&self, since: u64, classes: &[EditClass], ids: &mut Vec<NodeId>) {
+        ids.extend(
+            self.entries
+                .iter()
+                .rev()
+                .take_while(|&&(position, ..)| position > since)
+                .filter(|(.., class)| classes.contains(class))
+                .map(|&(_, id, _)| id),
+        );
+    }
 }
 
 impl Journal {
@@ -262,11 +305,45 @@ impl Journal {
         static NEXT_TREE: AtomicU64 = AtomicU64::new(0);
         // Relaxed: the number only has to be unique; it publishes nothing.
         let tree = NEXT_TREE.fetch_add(1, Ordering::Relaxed);
-        Self {
-            head: EditStamp { tree, edits: 0 },
-            complete_from: u64::MAX,
-            entries: VecDeque::new(),
+        Self { head: EditStamp { tree, edits: 0 }, edits: Tail::new(), poses: Tail::new() }
+    }
+
+    /// Is anybody reading? Both tails start recording together.
+    #[inline]
+    fn recording(&self) -> bool {
+        self.edits.complete_from != u64::MAX
+    }
+
+    /// Out of line: an edit of a tree nobody reads (each replica of a
+    /// large session) pays one branch for the journal, not the push.
+    #[inline(never)]
+    fn note(&mut self, id: NodeId, class: EditClass) {
+        let position = self.head.edits;
+        match class {
+            EditClass::Pose => self.poses.note(position, id, class),
+            EditClass::Structure | EditClass::Payload => self.edits.note(position, id, class),
         }
+    }
+
+    fn read(&self, since: EditStamp, classes: &[EditClass]) -> Dirt {
+        let wants_poses = classes.contains(&EditClass::Pose);
+        let complete = since.tree == self.head.tree
+            && since.edits >= self.edits.complete_from
+            && (!wants_poses || since.edits >= self.poses.complete_from);
+        if !complete {
+            return Dirt::Everything;
+        }
+        let mut ids = Vec::new();
+        self.edits.read(since.edits, classes, &mut ids);
+        if wants_poses {
+            self.poses.read(since.edits, classes, &mut ids);
+        }
+        if ids.is_empty() {
+            return Dirt::Clean;
+        }
+        ids.sort_unstable();
+        ids.dedup();
+        Dirt::Nodes(ids)
     }
 }
 
@@ -588,25 +665,23 @@ impl SceneTree {
     /// writes a link, a payload or a pose calls this once per node it
     /// names, and nothing else writes the caches, the journal or the
     /// position. `Structure` takes both caches, `Payload` the cost cache,
-    /// and each leaves an entry once somebody reads; a pose write (`None`:
-    /// a transform, a camera pose — neither structure nor [`NodeCost`]
-    /// depends on one, and nothing reads per-node pose dirt yet) moves the
-    /// position and is one add.
+    /// `Pose` neither (no cache depends on a pose, so the motion stream
+    /// never forces a rebuild); each leaves an entry once somebody reads.
     #[inline]
-    fn edited(&mut self, id: NodeId, class: Option<EditClass>) {
-        let journal = &mut self.journal;
-        journal.head.edits += 1;
-        let Some(class) = class else { return };
-        self.costs.take();
-        if class == EditClass::Structure {
-            self.structure.take();
-        }
-        if journal.complete_from != u64::MAX {
-            if journal.entries.len() == JOURNAL_CAP {
-                let (dropped, ..) = journal.entries.pop_front().expect("the cap is not zero");
-                journal.complete_from = dropped;
+    fn edited(&mut self, id: NodeId, class: EditClass) {
+        self.journal.head.edits += 1;
+        match class {
+            EditClass::Structure => {
+                self.costs.take();
+                self.structure.take();
             }
-            journal.entries.push_back((journal.head.edits, id, class));
+            EditClass::Payload => {
+                self.costs.take();
+            }
+            EditClass::Pose => {}
+        }
+        if self.journal.recording() {
+            self.journal.note(id, class);
         }
     }
 
@@ -697,7 +772,7 @@ impl SceneTree {
         let slot = self.slot(id)?;
         // At hand-out: every setter of the view (kind, transform) is
         // behind this call.
-        self.edited(id, Some(EditClass::Payload));
+        self.edited(id, EditClass::Payload);
         Some(NodeMut { tree: self, slot, kind_touched: false })
     }
 
@@ -712,6 +787,12 @@ impl SceneTree {
     /// a recovered tree never re-issues an id burned by a removed node.
     pub fn id_allocator_state(&self) -> u64 {
         self.next_id
+    }
+
+    /// Move the allocator up to `next_id` (never back): a delta checkpoint
+    /// carries the allocator state ids handed out since its base left.
+    pub(crate) fn restore_id_allocator(&mut self, next_id: u64) {
+        self.next_id = self.next_id.max(next_id);
     }
 
     /// Reassemble a tree from detached records — the snapshot/serde decode
@@ -827,7 +908,7 @@ impl SceneTree {
         let slot = self.alloc_slot(id, parent_slot, name, kind);
         self.link_last_child(parent_slot, slot);
         self.next_id = self.next_id.max(id.0 + 1);
-        self.edited(id, Some(EditClass::Structure));
+        self.edited(id, EditClass::Structure);
         slot
     }
 
@@ -866,7 +947,7 @@ impl SceneTree {
         }
         self.live -= removed.len();
         for &id in &removed {
-            self.edited(id, Some(EditClass::Structure));
+            self.edited(id, EditClass::Structure);
         }
         Ok(removed)
     }
@@ -902,7 +983,7 @@ impl SceneTree {
         }
         // The node's own cost is unchanged; readers tracking subtree
         // membership still want to hear about it.
-        self.edited(id, Some(EditClass::Structure));
+        self.edited(id, EditClass::Structure);
         Ok(())
     }
 
@@ -1305,13 +1386,14 @@ impl SceneTree {
     /// Deliberately bypasses [`SceneTree::node_mut`]: transforms affect
     /// neither structure nor [`NodeCost`], so both caches stay valid —
     /// avatar and camera motion (the per-frame update stream) never
-    /// forces a rebuild. It does move the [`EditStamp`]: a render sees it.
+    /// forces a rebuild. It does move the [`EditStamp`] (a render sees it)
+    /// and leaves a [`EditClass::Pose`] entry (a delta checkpoint reads it).
     pub fn set_transform(&mut self, id: NodeId, t: Transform) -> bool {
         match self.slot(id) {
             Some(s) => {
                 self.hot[s as usize].transform = t;
                 self.cold[s as usize].version += 1;
-                self.edited(id, None);
+                self.edited(id, EditClass::Pose);
                 true
             }
             None => false,
@@ -1326,10 +1408,10 @@ impl SceneTree {
     /// Like [`SceneTree::set_transform`] it bypasses
     /// [`SceneTree::node_mut`]: a camera's or an avatar's
     /// [`NodeKind::cost`] does not depend on its pose, so the cost cache
-    /// stays warm and the journal gets no entry — the per-tick `CameraMoved`
-    /// stream never forces a replan to rebuild. It does move the
-    /// [`EditStamp`], and the kept bounds follow (a `Camera`'s box sits at
-    /// its position).
+    /// stays warm and the journal gets only a [`EditClass::Pose`] entry —
+    /// the per-tick `CameraMoved` stream never forces a replan to rebuild.
+    /// It does move the [`EditStamp`], and the kept bounds follow (a
+    /// `Camera`'s box sits at its position).
     pub fn set_camera_pose(&mut self, id: NodeId, camera: CameraParams) -> Result<(), TreeError> {
         let s = self.slot(id).ok_or(TreeError::MissingNode(id))?;
         match &mut self.cold[s as usize].kind {
@@ -1342,7 +1424,7 @@ impl SceneTree {
         t.rotation = camera.orientation;
         self.cold[s as usize].version += 1;
         self.refresh_kept_bounds(s);
-        self.edited(id, None);
+        self.edited(id, EditClass::Pose);
         Ok(())
     }
 
@@ -1366,31 +1448,33 @@ impl SceneTree {
     /// whenever the journal cannot vouch for that position: a stamp of
     /// another tree value (a clone, a decoded copy, a tree assigned over
     /// this one), one older than the oldest of the `JOURNAL_CAP` entries
-    /// kept, or one from before the tree's first read, which is what
-    /// starts the recording. Pose writes leave no entry.
+    /// kept (structure and payload entries share one tail, pose entries
+    /// keep their own, so asking for `Pose` also needs the pose tail to
+    /// reach back), or one from before the tree's first read, which is
+    /// what starts the recording. [`SceneTree::recorded_since`] is the
+    /// same read through `&self`.
     pub fn changes_since(&mut self, since: EditStamp, classes: &[EditClass]) -> Dirt {
+        let dirt = self.journal.read(since, classes);
+        self.record_edits();
+        dirt
+    }
+
+    /// [`SceneTree::changes_since`] without starting the recording: a
+    /// reader that holds only `&self` (the store, at a checkpoint) reads
+    /// [`Dirt::Everything`] until somebody — its owner, through
+    /// [`SceneTree::record_edits`] — has started it.
+    pub fn recorded_since(&self, since: EditStamp, classes: &[EditClass]) -> Dirt {
+        self.journal.read(since, classes)
+    }
+
+    /// Start the journal recording, if it has not: from here on every edit
+    /// leaves an entry, and a stamp taken now can be read from.
+    pub fn record_edits(&mut self) {
         let journal = &mut self.journal;
-        let complete = since.tree == journal.head.tree && since.edits >= journal.complete_from;
-        if journal.complete_from == u64::MAX {
-            journal.complete_from = journal.head.edits;
+        if !journal.recording() {
+            journal.edits.complete_from = journal.head.edits;
+            journal.poses.complete_from = journal.head.edits;
         }
-        if !complete {
-            return Dirt::Everything;
-        }
-        let mut ids: Vec<NodeId> = journal
-            .entries
-            .iter()
-            .rev()
-            .take_while(|&&(position, ..)| position > since.edits)
-            .filter(|(.., class)| classes.contains(class))
-            .map(|&(_, id, _)| id)
-            .collect();
-        if ids.is_empty() {
-            return Dirt::Clean;
-        }
-        ids.sort_unstable();
-        ids.dedup();
-        Dirt::Nodes(ids)
     }
 
     /// A node's subtree as its contiguous pre-order slice: `(pos, len)`
@@ -2110,9 +2194,11 @@ mod tests {
         let b = t.add_node(t.root(), "b", tri_mesh()).unwrap();
         assert_eq!(read(&mut t, &mut seen, ALL), Dirt::Nodes(vec![a, b]));
 
-        // set_transform is exempt, exactly like the cost cache.
+        // set_transform is a pose entry: exempt from the structure and
+        // payload reads, exactly like the cost cache.
         t.set_transform(a, Transform::from_translation(Vec3::new(1.0, 0.0, 0.0)));
         assert_ne!(t.edit_stamp(), seen, "a render must see the move");
+        assert_eq!(t.changes_since(seen, &[EditClass::Pose]), Dirt::Nodes(vec![a]));
         assert_eq!(read(&mut t, &mut seen, ALL), Dirt::Clean, "set_transform must not dirty costs");
 
         // node_mut touches are recorded and deduplicated, under their class.
@@ -2166,7 +2252,7 @@ mod tests {
         // Having caught up, it enumerates again.
         t.node_mut(last).unwrap().bump_version();
         assert_eq!(read(&mut t, &mut behind, ALL), Dirt::Nodes(vec![last]));
-        assert_eq!(t.journal.entries.len(), JOURNAL_CAP, "the journal is bounded");
+        assert_eq!(t.journal.edits.entries.len(), JOURNAL_CAP, "the journal is bounded");
     }
 
     #[test]
@@ -2184,18 +2270,62 @@ mod tests {
         let mut unread = SceneTree::new();
         let early = unread.edit_stamp();
         unread.add_node(unread.root(), "a", tri_mesh()).unwrap();
-        assert!(unread.journal.entries.is_empty());
+        assert!(unread.journal.edits.entries.is_empty());
         assert_eq!(unread.changes_since(early, ALL), Dirt::Everything);
+    }
+
+    /// A pose entry takes no cache — a camera move must not drop the
+    /// master's cost cache — and the pose stream keeps a tail of its own:
+    /// a storm of moves pushes no structure or payload entry out, while a
+    /// pose reader that far behind reads everything.
+    #[test]
+    fn pose_entries_drop_no_cache_and_push_no_other_entry_out() {
+        let mut t = SceneTree::new();
+        let cam = t.add_node(t.root(), "cam", NodeKind::Camera(CameraParams::default())).unwrap();
+        let mut seen = EditStamp::default();
+        read(&mut t, &mut seen, ALL);
+        t.total_cost();
+        let moved = CameraParams::look_at(Vec3::new(0.0, 0.0, 5.0), Vec3::ZERO, Vec3::Y);
+        t.set_camera_pose(cam, moved).unwrap();
+        assert!(t.cost_cache_is_warm() && t.structure_cache_is_warm());
+        assert_eq!(t.recorded_since(seen, &[EditClass::Pose]), Dirt::Nodes(vec![cam]));
+
+        t.node_mut(cam).unwrap().bump_version();
+        t.total_cost();
+        for _ in 0..JOURNAL_CAP {
+            t.set_transform(cam, Transform::IDENTITY);
+        }
+        assert!(t.cost_cache_is_warm(), "the pose storm rebuilt nothing");
+        assert_eq!(t.recorded_since(seen, ALL), Dirt::Nodes(vec![cam]), "payload entry kept");
+        assert_eq!(t.recorded_since(seen, &[EditClass::Pose]), Dirt::Everything);
+        assert_eq!(t.journal.poses.entries.len(), JOURNAL_CAP, "the pose tail is bounded");
+    }
+
+    /// `recorded_since` reads what `changes_since` reads but never starts
+    /// the recording; `record_edits` does.
+    #[test]
+    fn a_shared_read_waits_for_the_owner_to_start_recording() {
+        let mut t = SceneTree::new();
+        let a = t.add_node(t.root(), "a", NodeKind::Group).unwrap();
+        let early = t.edit_stamp();
+        t.set_transform(a, Transform::IDENTITY);
+        assert_eq!(t.recorded_since(early, &[EditClass::Pose]), Dirt::Everything);
+        t.record_edits();
+        let armed = t.edit_stamp();
+        t.set_transform(a, Transform::IDENTITY);
+        assert_eq!(t.recorded_since(early, &[EditClass::Pose]), Dirt::Everything);
+        assert_eq!(t.recorded_since(armed, &[EditClass::Pose]), Dirt::Nodes(vec![a]));
+        assert_eq!(t.changes_since(armed, &[EditClass::Pose]), Dirt::Nodes(vec![a]));
     }
 
     /// The edit hook's whole contract, one row per public mutator: every
     /// `&mut self` method that writes node state moves the stamp, whether
     /// or not the write changed anything, takes the caches its class says
-    /// and leaves the journal entries its class says (none for a pose
-    /// write); reads, the id allocator and refused edits do none of it.
+    /// and leaves the journal entry its class says; reads, the id
+    /// allocator and refused edits do none of it.
     #[test]
     fn every_edit_a_render_can_see_moves_the_edit_stamp() {
-        use EditClass::{Payload, Structure};
+        use EditClass::{Payload, Pose, Structure};
         let mut t = SceneTree::new();
         let root = t.root();
         t.changes_since(EditStamp::default(), ALL);
@@ -2203,51 +2333,46 @@ mod tests {
         let row = |t: &mut SceneTree,
                    what: &str,
                    edit: &mut dyn FnMut(&mut SceneTree) -> NodeId,
-                   class: Option<EditClass>| {
+                   class: EditClass| {
             t.total_cost();
             assert!(t.structure_cache_is_warm() && t.cost_cache_is_warm());
             let before = t.edit_stamp();
             let named = edit(t);
             assert_ne!(t.edit_stamp(), before, "{what} must move the stamp");
-            assert_eq!(t.structure_cache_is_warm(), class != Some(Structure), "{what}: structure");
-            assert_eq!(t.cost_cache_is_warm(), class.is_none(), "{what}: cost cache");
-            for asked in [Structure, Payload] {
-                let want =
-                    if class == Some(asked) { Dirt::Nodes(vec![named]) } else { Dirt::Clean };
+            assert_eq!(t.structure_cache_is_warm(), class != Structure, "{what}: structure");
+            assert_eq!(t.cost_cache_is_warm(), class == Pose, "{what}: cost cache");
+            for asked in [Structure, Payload, Pose] {
+                let want = if class == asked { Dirt::Nodes(vec![named]) } else { Dirt::Clean };
                 assert_eq!(t.changes_since(before, &[asked]), want, "{what}: {asked:?} entries");
             }
             named
         };
-        let a = row(
-            &mut t,
-            "add_node",
-            &mut |t| t.add_node(root, "a", tri_mesh()).unwrap(),
-            Some(Structure),
-        );
+        let a =
+            row(&mut t, "add_node", &mut |t| t.add_node(root, "a", tri_mesh()).unwrap(), Structure);
         let id = t.allocate_id();
         row(
             &mut t,
             "insert_with_id",
             &mut |t| t.insert_with_id(id, root, "b", NodeKind::Group).map(|()| id).unwrap(),
-            Some(Structure),
+            Structure,
         );
         let shift = Transform::from_translation(Vec3::X);
-        row(&mut t, "set_transform", &mut |t| (t.set_transform(a, shift), a).1, None);
+        row(&mut t, "set_transform", &mut |t| (t.set_transform(a, shift), a).1, Pose);
         row(
             &mut t,
             "set_transform to the value it has",
             &mut |t| (t.set_transform(a, shift), a).1,
-            None,
+            Pose,
         );
-        row(&mut t, "reparent", &mut |t| t.reparent(a, id).map(|()| a).unwrap(), Some(Structure));
+        row(&mut t, "reparent", &mut |t| t.reparent(a, id).map(|()| a).unwrap(), Structure);
         row(
             &mut t,
             "reparent to the same parent",
             &mut |t| t.reparent(a, id).map(|()| a).unwrap(),
-            Some(Structure),
+            Structure,
         );
         let mut view = |what: &str, write: &dyn Fn(&mut NodeMut<'_>)| {
-            row(&mut t, what, &mut |t| (write(&mut t.node_mut(a).unwrap()), a).1, Some(Payload));
+            row(&mut t, what, &mut |t| (write(&mut t.node_mut(a).unwrap()), a).1, Payload);
         };
         view("set_kind", &|n| n.set_kind(NodeKind::Group));
         view("kind_mut", &|n| *n.kind_mut() = tri_mesh());
@@ -2257,17 +2382,17 @@ mod tests {
         let mut other = SceneTree::new();
         let far = NodeId(77);
         other.insert_with_id(far, other.root(), "far", tri_mesh()).unwrap();
-        row(&mut t, "merge_subset", &mut |t| (t.merge_subset(&other), far).1, Some(Structure));
-        row(&mut t, "remove", &mut |t| t.remove(far).map(|_| far).unwrap(), Some(Structure));
+        row(&mut t, "merge_subset", &mut |t| (t.merge_subset(&other), far).1, Structure);
+        row(&mut t, "remove", &mut |t| t.remove(far).map(|_| far).unwrap(), Structure);
         let parcel = other.extract_parcel(far);
-        row(&mut t, "adopt_parcel", &mut |t| (t.adopt_parcel(&parcel), far).1, Some(Structure));
+        row(&mut t, "adopt_parcel", &mut |t| (t.adopt_parcel(&parcel), far).1, Structure);
         t.remove(far).unwrap();
         let cam = t.add_node(root, "cam", NodeKind::Camera(CameraParams::default())).unwrap();
         row(
             &mut t,
             "set_camera_pose",
             &mut |t| t.set_camera_pose(cam, CameraParams::default()).map(|()| cam).unwrap(),
-            None,
+            Pose,
         );
 
         // What must not move it, or no frame would ever be reused.

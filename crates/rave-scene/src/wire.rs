@@ -462,6 +462,145 @@ pub fn decode_tree(buf: &[u8]) -> Result<SceneTree, WireError> {
     SceneTree::from_parts(nodes, root, next_id).map_err(WireError::Invalid)
 }
 
+// ---- delta checkpoint bodies -------------------------------------------
+//
+// delta_body := next_id: u64 | count: u32 | record*
+// record     := id: u64 | 0: u8 | name | transform | kind | version: u64
+//             | id: u64 | 1: u8 | transform | version: u64 | camera?
+// camera?    := 0: u8 | 1: u8 | camera
+
+/// The camera a pose write moves: a camera's own, an avatar's.
+fn pose_camera(kind: &NodeKind) -> Option<&CameraParams> {
+    match kind {
+        NodeKind::Camera(c) => Some(c),
+        NodeKind::Avatar(a) => Some(&a.camera),
+        _ => None,
+    }
+}
+
+/// One node's record in a delta body.
+enum NodeState {
+    /// Everything but its links: what `node_mut` may have written.
+    Payload { id: NodeId, name: String, transform: Transform, kind: NodeKind, version: u64 },
+    /// What a pose write changes.
+    Pose { id: NodeId, transform: Transform, version: u64, camera: Option<CameraParams> },
+}
+
+/// Encode the body of a delta checkpoint of `tree`: its allocator state,
+/// then one record per node — a `payload` node's non-structural state
+/// (name, transform, kind, version), a `pose` node's pose (transform,
+/// version and, for a camera or an avatar, its camera). A node in both
+/// lists is written once, as payload; both lists are sorted, as
+/// [`crate::Dirt::Nodes`] lists are. `None` when a listed node is not in
+/// the tree: a delta carries no structure.
+pub fn encode_node_states(
+    tree: &SceneTree,
+    payload: &[NodeId],
+    pose: &[NodeId],
+) -> Option<Vec<u8>> {
+    let pose_only: Vec<NodeId> =
+        pose.iter().copied().filter(|id| payload.binary_search(id).is_err()).collect();
+    let mut out = Vec::with_capacity(64 * (payload.len() + pose_only.len()) + 12);
+    put_u64(&mut out, tree.id_allocator_state());
+    put_u32(&mut out, (payload.len() + pose_only.len()) as u32);
+    for &id in payload {
+        let node = tree.node(id)?;
+        put_u64(&mut out, id.0);
+        put_u8(&mut out, 0);
+        put_str(&mut out, node.name());
+        put_transform(&mut out, &node.transform());
+        put_kind(&mut out, node.kind());
+        put_u64(&mut out, node.version());
+    }
+    for id in pose_only {
+        let node = tree.node(id)?;
+        put_u64(&mut out, id.0);
+        put_u8(&mut out, 1);
+        put_transform(&mut out, &node.transform());
+        put_u64(&mut out, node.version());
+        match pose_camera(node.kind()) {
+            Some(c) => {
+                put_u8(&mut out, 1);
+                put_camera(&mut out, c);
+            }
+            None => put_u8(&mut out, 0),
+        }
+    }
+    Some(out)
+}
+
+/// Apply a body [`encode_node_states`] wrote to the tree it was taken
+/// against (its base, and the deltas before it). Decoded and checked
+/// whole before anything is written: a body naming a node the tree lacks,
+/// or a camera on a node that has none, leaves the tree untouched.
+pub fn apply_node_states(tree: &mut SceneTree, buf: &[u8]) -> Result<(), WireError> {
+    let mut r = Reader::new(buf);
+    let next_id = r.u64()?;
+    let count = r.counted(9)?;
+    let mut states = Vec::with_capacity(count);
+    for _ in 0..count {
+        let id = NodeId(r.u64()?);
+        let state = match r.u8()? {
+            0 => NodeState::Payload {
+                id,
+                name: r.str()?,
+                transform: r.transform()?,
+                kind: r.kind()?,
+                version: r.u64()?,
+            },
+            1 => NodeState::Pose {
+                id,
+                transform: r.transform()?,
+                version: r.u64()?,
+                camera: match r.u8()? {
+                    0 => None,
+                    1 => Some(r.camera()?),
+                    tag => return Err(WireError::BadTag { what: "pose camera flag", tag }),
+                },
+            },
+            tag => return Err(WireError::BadTag { what: "node state", tag }),
+        };
+        states.push(state);
+    }
+    r.finish()?;
+    for state in &states {
+        let fits = match state {
+            NodeState::Payload { id, .. } => tree.contains(*id),
+            NodeState::Pose { id, camera, .. } => {
+                tree.node(*id).is_some_and(|n| pose_camera(n.kind()).is_some() == camera.is_some())
+            }
+        };
+        if !fits {
+            return Err(WireError::Invalid("delta record does not fit the tree"));
+        }
+    }
+    for state in states {
+        match state {
+            NodeState::Payload { id, name, transform, kind, version } => {
+                let mut node = tree.node_mut(id).expect("checked above");
+                node.set_name(name);
+                node.set_kind(kind);
+                node.set_transform(transform);
+                node.set_version(version);
+            }
+            NodeState::Pose { id, transform, version, camera } => {
+                let mut node = tree.node_mut(id).expect("checked above");
+                node.set_transform(transform);
+                node.set_version(version);
+                if let Some(camera) = camera {
+                    match node.kind_mut() {
+                        NodeKind::Camera(c) => *c = camera,
+                        NodeKind::Avatar(a) => a.camera = camera,
+                        _ => unreachable!("checked above"),
+                    }
+                }
+            }
+        }
+    }
+    tree.restore_id_allocator(next_id);
+    Ok(())
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -619,5 +758,34 @@ mod tests {
         // Claim 4 billion nodes: decode must fail with Eof, not allocate.
         enc[0..4].copy_from_slice(&u32::MAX.to_le_bytes());
         assert_eq!(decode_tree(&enc), Err(WireError::Eof));
+    }
+
+    #[test]
+    fn node_states_carry_payload_and_pose_onto_the_base() {
+        let mut live = SceneTree::new();
+        let m = live.add_node(live.root(), "mesh", mesh_kind()).unwrap();
+        let cam =
+            live.add_node(live.root(), "cam", NodeKind::Camera(CameraParams::default())).unwrap();
+        let base = live.clone();
+        SceneUpdate::ReplaceKind { id: m, kind: NodeKind::Group }.apply(&mut live).unwrap();
+        SceneUpdate::SetName { id: m, name: "renamed".into() }.apply(&mut live).unwrap();
+        let moved = CameraParams::look_at(Vec3::new(1.0, 2.0, 3.0), Vec3::ZERO, Vec3::Y);
+        SceneUpdate::CameraMoved { id: cam, camera: moved }.apply(&mut live).unwrap();
+        live.allocate_id();
+
+        let body = encode_node_states(&live, &[m], &[m, cam]).unwrap();
+        let mut got = base.clone();
+        apply_node_states(&mut got, &body).unwrap();
+        assert_eq!(got, live);
+        got.check_invariants().unwrap();
+
+        // A body that does not fit leaves the tree as it was.
+        let mut other = SceneTree::new();
+        assert!(apply_node_states(&mut other, &body).is_err());
+        assert_eq!(other, SceneTree::new());
+        assert!(encode_node_states(&live, &[NodeId(99)], &[]).is_none());
+        for cut in 0..body.len() {
+            assert!(apply_node_states(&mut base.clone(), &body[..cut]).is_err(), "cut at {cut}");
+        }
     }
 }

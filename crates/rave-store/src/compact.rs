@@ -1,45 +1,55 @@
-//! Log compaction: once a snapshot covers a sealed segment entirely, the
-//! segment (and any older snapshot) is dead weight and is deleted. This
-//! bounds the store's disk footprint to roughly one snapshot plus the
-//! active segment, regardless of session length.
+//! Log compaction: once a checkpoint covers a sealed segment entirely,
+//! the segment is dead weight and is deleted, and once a full snapshot
+//! lands, every older snapshot and every delta chained to one goes too.
+//! This bounds the store's disk footprint to roughly one snapshot, its
+//! delta chain (at most half the snapshot's bytes) plus the active
+//! segment, regardless of session length.
 
 use crate::segment::list_segments;
-use crate::snapshot::list_snapshots;
+use crate::snapshot::{list_deltas, list_snapshots};
+use crate::CheckpointKind;
 use std::io;
 use std::path::Path;
 
 /// What a compaction pass removed.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct CompactionReport {
+    /// What the checkpoint this pass followed wrote ([`crate::Store::checkpoint`]
+    /// fills it in; a bare [`compact()`] reports `Full`).
+    pub kind: CheckpointKind,
     /// Indices of WAL segments deleted.
     pub segments_deleted: Vec<u64>,
-    /// Snapshot files older than the covering one deleted.
+    /// Snapshot files older than the newest one deleted.
     pub snapshots_deleted: usize,
+    /// Delta files of older chains deleted.
+    pub deltas_deleted: usize,
     /// Disk bytes reclaimed.
     pub bytes_freed: u64,
 }
 
-/// Delete every sealed segment fully covered by a snapshot at
-/// `snapshot_seq`, and every snapshot older than it.
+/// Delete every sealed segment fully covered by a checkpoint (of either
+/// kind) at `checkpoint_seq`; every snapshot older than the newest one at
+/// or below it; and every delta at or below that snapshot, which belongs
+/// to an older chain.
 ///
 /// Coverage is decided from segment headers alone: a segment's entries
 /// all precede its successor's `base_seq`, so if the *next* segment
-/// starts at or below `snapshot_seq + 1`, this one holds nothing newer
-/// than the snapshot. The highest-index segment is the active one and is
-/// never deleted — the log must always have an append head.
+/// starts at or below `checkpoint_seq + 1`, this one holds nothing newer
+/// than the checkpoint. The highest-index segment is the active one and
+/// is never deleted — the log must always have an append head.
 ///
 /// `retain_after`, when set, is the sequence number a log-shipping
 /// standby has acknowledged: a segment holding anything newer is the
-/// only copy the standby can still be sent, so it outlives the snapshot
+/// only copy the standby can still be sent, so it outlives the checkpoint
 /// that covers it until the standby has it too.
 pub fn compact(
     dir: &Path,
-    snapshot_seq: u64,
+    checkpoint_seq: u64,
     retain_after: Option<u64>,
 ) -> io::Result<CompactionReport> {
     let mut report = CompactionReport::default();
     let segments = list_segments(dir)?;
-    let disposable = retain_after.map_or(snapshot_seq, |acked| acked.min(snapshot_seq));
+    let disposable = retain_after.map_or(checkpoint_seq, |acked| acked.min(checkpoint_seq));
     for pair in segments.windows(2) {
         let (idx, path) = &pair[0];
         let (_, next_path) = &pair[1];
@@ -50,11 +60,21 @@ pub fn compact(
             report.segments_deleted.push(*idx);
         }
     }
-    for (seq, path) in list_snapshots(dir)? {
-        if seq < snapshot_seq {
+    let snapshots = list_snapshots(dir)?;
+    let base = snapshots.iter().map(|(seq, _)| *seq).filter(|&seq| seq <= checkpoint_seq).max();
+    let Some(base) = base else { return Ok(report) };
+    for (seq, path) in snapshots {
+        if seq < base {
             report.bytes_freed += std::fs::metadata(&path)?.len();
             std::fs::remove_file(&path)?;
             report.snapshots_deleted += 1;
+        }
+    }
+    for (seq, path) in list_deltas(dir)? {
+        if seq <= base {
+            report.bytes_freed += std::fs::metadata(&path)?.len();
+            std::fs::remove_file(&path)?;
+            report.deltas_deleted += 1;
         }
     }
     Ok(report)
@@ -181,6 +201,32 @@ mod tests {
         let report = compact(&dir, 5, None).unwrap();
         assert!(report.segments_deleted.is_empty(), "single active segment kept");
         assert_eq!(list_segments(&dir).unwrap().len(), 1);
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn a_new_base_takes_the_older_chain_and_a_delta_keeps_its_own() {
+        use crate::snapshot::{encode_delta, write_delta};
+        let dir = tmp_dir("chain");
+        let (mut wal, _) = Wal::open(&dir, 200, false).unwrap();
+        for seq in 1..=40 {
+            wal.append(&entry(seq)).unwrap();
+        }
+        wal.sync().unwrap();
+        write_snapshot(&dir, &SceneTree::new(), 10, 1.0).unwrap();
+        write_delta(&dir, 15, &encode_delta(10, 10, 15, 1.5, b"x")).unwrap();
+        write_delta(&dir, 20, &encode_delta(10, 15, 20, 2.0, b"y")).unwrap();
+        // A delta checkpoint: its chain stays, segments it covers go.
+        let report = compact(&dir, 20, None).unwrap();
+        assert_eq!((report.snapshots_deleted, report.deltas_deleted), (0, 0));
+        assert!(!report.segments_deleted.is_empty());
+        assert_eq!(Wal::replay_after(&dir, 20).unwrap()[0].stamped.seq, 21);
+        // A new base: the old one and its deltas go.
+        write_snapshot(&dir, &SceneTree::new(), 30, 3.0).unwrap();
+        let report = compact(&dir, 30, None).unwrap();
+        assert_eq!((report.snapshots_deleted, report.deltas_deleted), (1, 2));
+        assert_eq!(list_snapshots(&dir).unwrap().len(), 1);
+        assert!(list_deltas(&dir).unwrap().is_empty());
         std::fs::remove_dir_all(&dir).unwrap();
     }
 }

@@ -8,12 +8,14 @@
 //! - a **segmented write-ahead log** ([`wal::Wal`]) of CRC-framed binary
 //!   audit entries ([`record`], [`segment`]), with torn-tail detection
 //!   and repair on open;
-//! - **snapshot checkpoints** ([`snapshot`]) of the full scene tree,
+//! - **checkpoints** ([`snapshot`]): full snapshots of the scene tree,
+//!   and between them deltas of only the nodes its edit journal names,
 //!   RLE-compressed and atomically written;
-//! - **compaction** ([`compact()`]) deleting segments a snapshot covers,
-//!   bounding disk use to one snapshot + the active segment;
-//! - **crash recovery** ([`recover()`]): latest snapshot + WAL tail, always
-//!   landing on a clean update boundary;
+//! - **compaction** ([`compact()`]) deleting segments a checkpoint covers
+//!   and chains a newer snapshot replaced, bounding disk use to one
+//!   snapshot, its deltas and the active segment;
+//! - **crash recovery** ([`recover()`]): latest snapshot + its deltas +
+//!   WAL tail, always landing on a clean update boundary;
 //! - **log shipping** ([`ship`]): continuous replication of sealed
 //!   segments (plus a bounded unsealed tail) to a warm standby whose
 //!   directory is always an exact prefix of the primary's log.
@@ -36,7 +38,7 @@ pub use ship::{ShipAck, ShipApply, ShipFrame, Shipper, StandbyLog};
 pub use snapshot::{read_snapshot, write_snapshot, Snapshot};
 pub use wal::{Wal, WalOpenReport};
 
-use rave_scene::{AuditEntry, SceneTree};
+use rave_scene::{wire, AuditEntry, Dirt, EditClass, EditStamp, SceneTree};
 use std::fs::File;
 use std::io::{self, Write};
 use std::path::{Path, PathBuf};
@@ -78,8 +80,40 @@ impl Default for StoreConfig {
     }
 }
 
+/// Which file a [`Store::checkpoint`] wrote.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub enum CheckpointKind {
+    /// The whole scene: a new base.
+    #[default]
+    Full,
+    /// Only what changed since the checkpoint before, chained to a base.
+    Delta,
+}
+
+impl std::fmt::Display for CheckpointKind {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.write_str(match self {
+            CheckpointKind::Full => "full",
+            CheckpointKind::Delta => "delta",
+        })
+    }
+}
+
+/// The chain the next delta would extend.
+#[derive(Debug)]
+struct Chain {
+    /// The tree the newest checkpoint was taken of, as its edit journal
+    /// knew it then: where the next delta reads from.
+    stamp: EditStamp,
+    base_seq: u64,
+    /// The newest checkpoint of the chain, base or delta.
+    last_seq: u64,
+    base_bytes: u64,
+    delta_bytes: u64,
+}
+
 /// A session's durable store: one directory holding WAL segments and
-/// snapshot checkpoints.
+/// checkpoints.
 #[derive(Debug)]
 pub struct Store {
     dir: PathBuf,
@@ -87,6 +121,9 @@ pub struct Store {
     wal: Wal,
     appends_since_checkpoint: u64,
     last_checkpoint_seq: u64,
+    /// `None` until this store writes a full snapshot, and after a
+    /// checkpoint fails: the next one is full.
+    chain: Option<Chain>,
     /// What a log-shipping standby has acknowledged, while one is
     /// attached: compaction keeps every segment holding anything newer.
     retention_floor: Option<u64>,
@@ -98,14 +135,16 @@ impl Store {
         let dir = dir.into();
         std::fs::create_dir_all(&dir)?;
         let (wal, _report) = Wal::open(&dir, cfg.segment_max_bytes, cfg.sync_writes)?;
+        let newest = |files: Vec<(u64, PathBuf)>| files.last().map_or(0, |(seq, _)| *seq);
         let last_checkpoint_seq =
-            snapshot::list_snapshots(&dir)?.last().map(|(seq, _)| *seq).unwrap_or(0);
+            newest(snapshot::list_snapshots(&dir)?).max(newest(snapshot::list_deltas(&dir)?));
         Ok(Self {
             dir,
             cfg,
             wal,
             appends_since_checkpoint: 0,
             last_checkpoint_seq,
+            chain: None,
             retention_floor: None,
         })
     }
@@ -144,15 +183,49 @@ impl Store {
         self.retention_floor = acked_seq;
     }
 
-    /// Write a snapshot of `tree` covering everything appended so far,
-    /// then compact away the WAL segments it subsumes.
+    /// Write a checkpoint of `tree` covering everything appended so far,
+    /// then compact away what it subsumes; the report says which kind it
+    /// wrote.
+    ///
+    /// A **delta** holds only the nodes `tree`'s edit journal names since
+    /// the last checkpoint (their payload, or only their pose), chained to
+    /// the full snapshot this store wrote last. It is written unless one of
+    /// these holds, and then a **full snapshot** is:
+    /// - the journal cannot vouch for the window ([`Dirt::Everything`]):
+    ///   `tree` is another tree value than the last checkpoint's (promoted,
+    ///   seeded, cloned), the window passed the journal's cap, or nobody
+    ///   started the journal ([`SceneTree::record_edits`]);
+    /// - a `Structure` entry is in the window (an insert, a removal, a
+    ///   reparent — also one the WAL never saw, such as a split);
+    /// - this store has no base yet, or no update was appended since;
+    /// - the chain's bytes would pass half the base's.
     pub fn checkpoint(&mut self, tree: &SceneTree, at_secs: f64) -> io::Result<CompactionReport> {
         self.wal.sync()?;
         let seq = self.last_seq();
-        snapshot::write_snapshot(&self.dir, tree, seq, at_secs)?;
+        let stamp = tree.edit_stamp();
+        let delta = self.chain.take().and_then(|chain| {
+            let bytes = delta_file(&chain, tree, seq, at_secs)?;
+            Some((chain, bytes))
+        });
+        let kind = match delta {
+            Some((chain, bytes)) => {
+                snapshot::write_delta(&self.dir, seq, &bytes)?;
+                let delta_bytes = chain.delta_bytes + bytes.len() as u64;
+                self.chain = Some(Chain { stamp, last_seq: seq, delta_bytes, ..chain });
+                CheckpointKind::Delta
+            }
+            None => {
+                let path = snapshot::write_snapshot(&self.dir, tree, seq, at_secs)?;
+                let base_bytes = std::fs::metadata(path)?.len();
+                let chain =
+                    Chain { stamp, base_seq: seq, last_seq: seq, base_bytes, delta_bytes: 0 };
+                self.chain = Some(chain);
+                CheckpointKind::Full
+            }
+        };
         self.last_checkpoint_seq = seq;
         self.appends_since_checkpoint = 0;
-        compact(&self.dir, seq, self.retention_floor)
+        Ok(CompactionReport { kind, ..compact(&self.dir, seq, self.retention_floor)? })
     }
 
     /// Flush and fsync outstanding appends.
@@ -160,14 +233,35 @@ impl Store {
         self.wal.sync()
     }
 
-    /// Bytes the store occupies on disk (segments + snapshots).
+    /// Bytes the store occupies on disk (segments, snapshots, deltas).
     pub fn disk_bytes(&self) -> io::Result<u64> {
         let mut total = Wal::disk_bytes(&self.dir)?;
-        for (_, path) in snapshot::list_snapshots(&self.dir)? {
+        let checkpoints = snapshot::list_snapshots(&self.dir)?;
+        for (_, path) in checkpoints.into_iter().chain(snapshot::list_deltas(&self.dir)?) {
             total += std::fs::metadata(&path)?.len();
         }
         Ok(total)
     }
+}
+
+/// The delta file extending `chain` to `seq`, or `None` when the
+/// checkpoint must be full (the rules on [`Store::checkpoint`]).
+fn delta_file(chain: &Chain, tree: &SceneTree, seq: u64, at_secs: f64) -> Option<Vec<u8>> {
+    if seq <= chain.last_seq {
+        return None;
+    }
+    let since = |class| match tree.recorded_since(chain.stamp, &[class]) {
+        Dirt::Clean => Some(Vec::new()),
+        Dirt::Nodes(ids) => Some(ids),
+        Dirt::Everything => None,
+    };
+    if !since(EditClass::Structure)?.is_empty() {
+        return None;
+    }
+    let body =
+        wire::encode_node_states(tree, &since(EditClass::Payload)?, &since(EditClass::Pose)?)?;
+    let bytes = snapshot::encode_delta(chain.base_seq, chain.last_seq, seq, at_secs, &body);
+    (chain.delta_bytes + bytes.len() as u64 <= chain.base_bytes / 2).then_some(bytes)
 }
 
 #[cfg(test)]

@@ -10,7 +10,10 @@
 //! is a *torn tail* (expected after a crash — the clean prefix is kept
 //! and the tail truncated away), while a full-length record whose
 //! checksum fails is the same condition caught one step later (the crash
-//! landed mid-`write` and the filesystem padded the hole).
+//! landed mid-`write` and the filesystem padded the hole). A zero length
+//! is torn too: no audit entry encodes to zero bytes, and since
+//! `crc32("") == 0` an all-zero header — what a zero-filled tail holds —
+//! would otherwise pass for a valid empty record.
 
 /// Bytes of framing before each payload.
 pub const RECORD_HEADER_LEN: usize = 8;
@@ -71,8 +74,10 @@ pub fn crc32(data: &[u8]) -> u32 {
     !c
 }
 
-/// Append one framed record to `out`.
+/// Append one framed record to `out`. `payload` is never empty: a scan
+/// reads a zero length as a torn tail.
 pub fn encode_record(payload: &[u8], out: &mut Vec<u8>) {
+    debug_assert!(!payload.is_empty(), "an empty record reads as a torn tail");
     out.extend_from_slice(&(payload.len() as u32).to_le_bytes());
     out.extend_from_slice(&crc32(payload).to_le_bytes());
     out.extend_from_slice(payload);
@@ -87,6 +92,9 @@ pub enum TornTail {
     TruncatedPayload { at: usize },
     /// Payload present but its checksum does not match.
     ChecksumMismatch { at: usize },
+    /// The header claims an empty payload: a zero-filled tail, not a
+    /// record.
+    ZeroLength { at: usize },
 }
 
 impl TornTail {
@@ -95,7 +103,8 @@ impl TornTail {
         match *self {
             TornTail::TruncatedHeader { at }
             | TornTail::TruncatedPayload { at }
-            | TornTail::ChecksumMismatch { at } => at,
+            | TornTail::ChecksumMismatch { at }
+            | TornTail::ZeroLength { at } => at,
         }
     }
 }
@@ -106,6 +115,7 @@ impl std::fmt::Display for TornTail {
             TornTail::TruncatedHeader { at } => write!(f, "torn record header at byte {at}"),
             TornTail::TruncatedPayload { at } => write!(f, "torn record payload at byte {at}"),
             TornTail::ChecksumMismatch { at } => write!(f, "record checksum mismatch at byte {at}"),
+            TornTail::ZeroLength { at } => write!(f, "zero-length record header at byte {at}"),
         }
     }
 }
@@ -138,6 +148,13 @@ pub fn scan_records(buf: &[u8]) -> RecordScan<'_> {
         }
         let len = u32::from_le_bytes(buf[pos..pos + 4].try_into().unwrap()) as usize;
         let crc = u32::from_le_bytes(buf[pos + 4..pos + 8].try_into().unwrap());
+        if len == 0 {
+            return RecordScan {
+                payloads,
+                clean_len: pos,
+                torn: Some(TornTail::ZeroLength { at: pos }),
+            };
+        }
         if len > remaining - RECORD_HEADER_LEN {
             return RecordScan {
                 payloads,
@@ -203,10 +220,10 @@ mod tests {
     fn records_roundtrip_in_order() {
         let mut buf = Vec::new();
         encode_record(b"alpha", &mut buf);
-        encode_record(b"", &mut buf);
+        encode_record(b"b", &mut buf);
         encode_record(b"gamma-delta", &mut buf);
         let scan = scan_records(&buf);
-        assert_eq!(scan.payloads, vec![b"alpha" as &[u8], b"", b"gamma-delta"]);
+        assert_eq!(scan.payloads, vec![b"alpha" as &[u8], b"b", b"gamma-delta"]);
         assert_eq!(scan.clean_len, buf.len());
         assert!(scan.torn.is_none());
     }
@@ -249,5 +266,17 @@ mod tests {
         buf.extend_from_slice(&[0; 8]);
         let scan = scan_records(&buf);
         assert_eq!(scan.torn, Some(TornTail::TruncatedPayload { at: 0 }));
+    }
+
+    #[test]
+    fn a_zero_header_is_a_torn_tail_not_a_record() {
+        let mut buf = Vec::new();
+        encode_record(b"kept", &mut buf);
+        let clean = buf.len();
+        buf.extend_from_slice(&[0; 64]);
+        let scan = scan_records(&buf);
+        assert_eq!(scan.payloads, vec![b"kept" as &[u8]]);
+        assert_eq!(scan.torn, Some(TornTail::ZeroLength { at: clean }));
+        assert_eq!(scan.clean_len, clean);
     }
 }

@@ -1,15 +1,22 @@
-//! Crash recovery: latest intact snapshot + WAL tail replay.
+//! Crash recovery: latest intact snapshot + its deltas + WAL tail replay.
 //!
 //! The recovered state is exactly what the data service had durably
 //! committed before it died: the snapshot restores the bulk of the scene
-//! in one decode, then every WAL entry past the snapshot's sequence
-//! number is re-applied in order. A torn final record (the append that
-//! was in flight when the crash hit) is detected by its framing and
-//! dropped — recovery always lands on a clean update boundary.
+//! in one decode, the deltas chained to it (in `prev_seq` order) patch in
+//! what changed up to the newest of them, then every WAL entry past that
+//! is re-applied in order. A torn final record (the append that was in
+//! flight when the crash hit) is detected by its framing and dropped —
+//! recovery always lands on a clean update boundary.
+//!
+//! A broken chain — a delta missing, failing its checksum or naming
+//! another base — never yields a silently shorter history. Recovery goes
+//! on from the longest intact prefix of the chain when the log still
+//! reaches back to it and forward to every checkpoint the directory holds;
+//! otherwise it fails with [`io::ErrorKind::InvalidData`].
 
-use crate::snapshot::latest_snapshot;
+use crate::snapshot::{latest_snapshot, list_deltas, list_snapshots, read_delta};
 use crate::wal::Wal;
-use rave_scene::{AuditEntry, SceneTree};
+use rave_scene::{wire, AuditEntry, SceneTree};
 use std::io;
 use std::path::Path;
 
@@ -23,10 +30,16 @@ pub struct Recovery {
     /// Sequence the loaded snapshot covered (0 = no snapshot, full
     /// replay).
     pub snapshot_seq: u64,
-    /// WAL entries replayed on top of the snapshot. A replacement data
-    /// service seeds its audit trail from these — history at or before
-    /// `snapshot_seq` is subsumed by the snapshot itself.
+    /// Deltas applied on top of the snapshot.
+    pub deltas: usize,
+    /// WAL entries replayed on top of the snapshot and its deltas. A
+    /// replacement data service seeds its audit trail from these — history
+    /// the checkpoints cover is subsumed by them.
     pub entries: Vec<AuditEntry>,
+}
+
+fn invalid(msg: String) -> io::Error {
+    io::Error::new(io::ErrorKind::InvalidData, msg)
 }
 
 /// Rebuild session state from a store directory. An empty or missing
@@ -38,6 +51,7 @@ pub fn recover(dir: &Path) -> io::Result<Recovery> {
             tree: SceneTree::new(),
             last_seq: 0,
             snapshot_seq: 0,
+            deltas: 0,
             entries: Vec::new(),
         });
     }
@@ -45,20 +59,52 @@ pub fn recover(dir: &Path) -> io::Result<Recovery> {
         Some((_, snap)) => (snap.tree, snap.last_seq),
         None => (SceneTree::new(), 0),
     };
-    let entries = Wal::replay_after(dir, snapshot_seq)?;
-    let mut last_seq = snapshot_seq;
+    // Every checkpoint was written after the log was synced up to it, so
+    // the durable history reaches at least the newest one on disk, intact
+    // or not.
+    let mut reach = list_snapshots(dir)?.last().map_or(0, |(seq, _)| *seq);
+    let (mut covered, mut deltas, mut intact) = (snapshot_seq, 0, true);
+    for (seq, path) in list_deltas(dir)? {
+        if seq <= snapshot_seq {
+            continue; // an older chain's, not yet compacted away
+        }
+        reach = reach.max(seq);
+        intact = intact
+            && read_delta(&path).is_ok_and(|d| {
+                d.last_seq == seq
+                    && d.base_seq == snapshot_seq
+                    && d.prev_seq == covered
+                    && wire::apply_node_states(&mut tree, &d.body).is_ok()
+            });
+        if intact {
+            covered = seq;
+            deltas += 1;
+        }
+    }
+    if let Some(first) = Wal::first_base_seq(dir)? {
+        if first > covered + 1 {
+            return Err(invalid(format!(
+                "checkpoints recover to seq {covered} but the log starts at seq {first}"
+            )));
+        }
+    }
+    let entries = Wal::replay_after(dir, covered)?;
+    let mut last_seq = covered;
     for e in &entries {
         // Checksums passed, so a rejected update means the log and
-        // snapshot genuinely disagree — corruption, not a crash artifact.
+        // checkpoints genuinely disagree — corruption, not a crash
+        // artifact.
         e.stamped.update.apply(&mut tree).map_err(|err| {
-            io::Error::new(
-                io::ErrorKind::InvalidData,
-                format!("WAL entry seq {} does not apply: {err}", e.stamped.seq),
-            )
+            invalid(format!("WAL entry seq {} does not apply: {err}", e.stamped.seq))
         })?;
         last_seq = e.stamped.seq;
     }
-    Ok(Recovery { tree, last_seq, snapshot_seq, entries })
+    if last_seq < reach {
+        return Err(invalid(format!(
+            "a checkpoint covers seq {reach} but the chain and the log recover only to {last_seq}"
+        )));
+    }
+    Ok(Recovery { tree, last_seq, snapshot_seq, deltas, entries })
 }
 
 #[cfg(test)]

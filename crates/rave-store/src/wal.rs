@@ -142,6 +142,15 @@ impl Wal {
         Ok(out)
     }
 
+    /// The sequence number the oldest retained segment starts at (`None`:
+    /// no segment): the log holds nothing older.
+    pub fn first_base_seq(dir: &Path) -> io::Result<Option<u64>> {
+        match list_segments(dir)?.first() {
+            Some((_, path)) => Ok(Some(read_segment_header(path)?.base_seq)),
+            None => Ok(None),
+        }
+    }
+
     /// Total bytes the log occupies on disk.
     pub fn disk_bytes(dir: &Path) -> io::Result<u64> {
         let mut total = 0;
@@ -239,6 +248,38 @@ mod tests {
         wal.sync().unwrap();
         let replayed = Wal::replay_after(&dir, 0).unwrap();
         assert_eq!(replayed.len(), 5);
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn zero_filled_tail_is_truncated_at_the_first_zero_header() {
+        let dir = tmp_dir("zeros");
+        {
+            let (mut wal, _) = Wal::open(&dir, 1 << 20, false).unwrap();
+            for seq in 1..=5 {
+                wal.append(&entry(seq)).unwrap();
+            }
+            wal.sync().unwrap();
+        }
+        // What a preallocated or crash-extended file leaves past the last
+        // record: zeros, which frame as an empty record with a valid CRC.
+        let (_, last) = list_segments(&dir).unwrap().pop().unwrap();
+        let mut bytes = std::fs::read(&last).unwrap();
+        let clean = bytes.len();
+        bytes.resize(clean + 4096, 0);
+        std::fs::write(&last, &bytes).unwrap();
+
+        let (mut wal, report) = Wal::open(&dir, 1 << 20, false).unwrap();
+        assert!(matches!(report.repaired_torn_tail, Some(TornTail::ZeroLength { .. })));
+        assert_eq!((report.entries, wal.last_seq()), (5, 5));
+        assert_eq!(std::fs::metadata(&last).unwrap().len(), clean as u64, "zeros truncated");
+        wal.append(&entry(6)).unwrap();
+        wal.sync().unwrap();
+        let replayed = Wal::replay_after(&dir, 0).unwrap();
+        assert_eq!(
+            replayed.iter().map(|e| e.stamped.seq).collect::<Vec<_>>(),
+            vec![1, 2, 3, 4, 5, 6]
+        );
         std::fs::remove_dir_all(&dir).unwrap();
     }
 

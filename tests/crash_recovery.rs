@@ -3,7 +3,8 @@
 //! tears the final log record, and a replacement service that recovers
 //! the session and re-mirrors every subscribed render service — called
 //! directly, and through the scheduler's failure event for a service
-//! that has no standby.
+//! that has no standby — and a storm of edits whose checkpoints are
+//! deltas, recovered through them.
 
 use rave::core::bootstrap::{connect_render_service, recover_data_service};
 use rave::core::collaboration::{join_session, move_camera, reattach_participant};
@@ -12,10 +13,11 @@ use rave::core::trace::TraceKind;
 use rave::core::world::{publish_update, RaveWorld};
 use rave::core::RaveConfig;
 use rave::math::Vec3;
-use rave::scene::{CameraParams, InterestSet, NodeKind, SceneUpdate, Transform};
+use rave::scene::{CameraParams, InterestSet, MeshData, NodeKind, SceneUpdate, Transform};
 use rave::sim::Simulation;
 use rave::store::StoreConfig;
 use std::path::PathBuf;
+use std::sync::Arc;
 
 fn tmp_dir(tag: &str) -> PathBuf {
     let dir = std::env::temp_dir().join(format!("rave-crash-{tag}-{}", std::process::id()));
@@ -243,5 +245,65 @@ fn service_without_a_standby_is_rebuilt_from_its_store_and_continues_the_sequenc
     assert_eq!(seq, committed + 1);
     sim.run();
     assert!(sim.world.render(rs).scene.contains(id));
+    std::fs::remove_dir_all(&dir).unwrap();
+}
+
+#[test]
+fn an_edit_storm_session_checkpoints_in_deltas_and_recovers_through_them() {
+    use rave::store::CheckpointKind;
+    let dir = tmp_dir("storm");
+    let mut sim = Simulation::new(RaveWorld::paper_testbed(RaveConfig::default(), 7004));
+    let ds = sim.world.spawn_data_service("adrenochrome", "storm");
+    sim.world.data_mut(ds).attach_store(&dir, StoreConfig::default()).unwrap();
+    let mesh = |tris: u32| {
+        let corners = vec![Vec3::ZERO, Vec3::X, Vec3::Y];
+        NodeKind::Mesh(Arc::new(MeshData::new(corners, vec![[0, 1, 2]; tris as usize])))
+    };
+    let mut kinds = Vec::new();
+    let mut commit = |sim: &mut rave::core::RaveSim, update: SceneUpdate| {
+        let service = sim.world.data_mut(ds);
+        let stamped = service.stamp("editor", update);
+        if let Some((_, report)) = service.commit(1.0, &stamped).unwrap() {
+            kinds.push(report.unwrap().kind);
+        }
+    };
+    // The import: 500 tiny meshes under 16 groups.
+    let root = sim.world.data(ds).scene.root();
+    let mut groups = Vec::new();
+    for g in 0..16 {
+        let id = sim.world.data_mut(ds).scene.allocate_id();
+        let kind = NodeKind::Group;
+        commit(&mut sim, SceneUpdate::AddNode { id, parent: root, name: format!("g{g}"), kind });
+        groups.push(id);
+    }
+    let mut meshes = Vec::new();
+    for n in 0..500u32 {
+        let id = sim.world.data_mut(ds).scene.allocate_id();
+        let (parent, kind) = (groups[n as usize % 16], mesh(10 + n * 37 % 390));
+        commit(&mut sim, SceneUpdate::AddNode { id, parent, name: format!("m{n}"), kind });
+        meshes.push(id);
+    }
+    // The storm: 12 transforms and 4 cost edits a round.
+    for round in 0..48usize {
+        for k in 0..16 {
+            let id = meshes[(round * 97 + k * 31) % meshes.len()];
+            let update = if k < 12 {
+                let at = Vec3::new(round as f32, k as f32, 0.0);
+                SceneUpdate::SetTransform { id, transform: Transform::from_translation(at) }
+            } else {
+                SceneUpdate::ReplaceKind { id, kind: mesh(10 + (round * 16 + k) as u32 % 390) }
+            };
+            commit(&mut sim, update);
+        }
+    }
+    sim.world.data_mut(ds).sync_persistence().unwrap();
+    let deltas = kinds.iter().filter(|k| **k == CheckpointKind::Delta).count();
+    assert_eq!(kinds[..2], [CheckpointKind::Full, CheckpointKind::Full], "the import: {kinds:?}");
+    assert!(deltas >= 2, "the storm's windows write deltas: {kinds:?}");
+
+    let rec = rave::store::recover(&dir).unwrap();
+    assert!(rec.deltas >= 1, "recovery went through the chain");
+    assert_eq!(rec.last_seq, sim.world.data(ds).audit.last_seq());
+    assert_eq!(rec.tree, sim.world.data(ds).scene);
     std::fs::remove_dir_all(&dir).unwrap();
 }

@@ -592,11 +592,12 @@ proptest! {
 /// One step of a journal script. Picks are reduced modulo the live nodes
 /// plus one, the extra pick being an id the tree does not hold, so refused
 /// edits are part of every script. `Storm` is `n` payload touches of one
-/// node, the way past the journal's cap; `Swap` assigns a clone over the
+/// node, the way past the journal's cap, and `PoseStorm` `n` transform
+/// writes, the way past the pose tail's; `Swap` assigns a clone over the
 /// tree, so every stamp held is of another tree; `Peek` has a reader take
 /// the current stamp without reading (what a consumer that rebuilt its view
 /// from the tree itself does); `Read`'s mask asks for `Structure` with bit
-/// 0 and for `Payload` with bit 1.
+/// 0, for `Payload` with bit 1 and for `Pose` with bit 2.
 #[derive(Debug, Clone)]
 enum JournalOp {
     Add { parent: usize },
@@ -605,6 +606,7 @@ enum JournalOp {
     Reparent { pick: usize, dest: usize },
     NodeMut { pick: usize, write: u8 },
     Storm { pick: usize, n: usize },
+    PoseStorm { pick: usize, n: usize },
     SetTransform { pick: usize },
     SetCameraPose { pick: usize },
     Merge { parent: usize },
@@ -623,13 +625,14 @@ fn journal_op_strategy() -> impl Strategy<Value = JournalOp> {
         (pick(), pick()).prop_map(|(pick, dest)| JournalOp::Reparent { pick, dest }),
         (pick(), 0u8..3).prop_map(|(pick, write)| JournalOp::NodeMut { pick, write }),
         (pick(), 0usize..700).prop_map(|(pick, n)| JournalOp::Storm { pick, n }),
+        (pick(), 0usize..700).prop_map(|(pick, n)| JournalOp::PoseStorm { pick, n }),
         pick().prop_map(|pick| JournalOp::SetTransform { pick }),
         pick().prop_map(|pick| JournalOp::SetCameraPose { pick }),
         pick().prop_map(|parent| JournalOp::Merge { parent }),
         Just(JournalOp::Swap),
         pick().prop_map(|reader| JournalOp::Peek { reader }),
-        (pick(), 0u8..4).prop_map(|(reader, mask)| JournalOp::Read { reader, mask }),
-        (pick(), 0u8..4).prop_map(|(reader, mask)| JournalOp::Read { reader, mask }),
+        (pick(), 0u8..8).prop_map(|(reader, mask)| JournalOp::Read { reader, mask }),
+        (pick(), 0u8..8).prop_map(|(reader, mask)| JournalOp::Read { reader, mask }),
     ]
 }
 
@@ -648,23 +651,23 @@ proptest! {
     /// reader's own position under the classes it asks for, `Clean` when
     /// there are none, and `Everything` exactly when the stamp is of
     /// another tree value, was taken before the tree's first read, or has
-    /// more than 512 entries after it — whatever the other readers did in
-    /// between. Pose writes move the stamp and appear in no read; refused
-    /// edits do neither.
+    /// more than 512 structure and payload entries after it (or, asking for
+    /// `Pose`, more than 512 pose entries) — whatever the other readers did
+    /// in between. Refused edits move nothing.
     #[test]
     fn journal_reads_equal_the_unbounded_reference(
         n_readers in 1usize..5,
         script in prop::collection::vec(journal_op_strategy(), 1..60),
     ) {
-        use EditClass::{Payload, Structure};
+        use EditClass::{Payload, Pose, Structure};
         const CAP: usize = 512;
         let absent = NodeId(9_999);
         let mut tree = SceneTree::new();
         let camera = NodeKind::Camera(CameraParams::default());
         tree.add_node(tree.root(), "cam", camera).unwrap();
-        // The reference: per event the node and class noted, `None` for a
-        // pose write; which tree value it is about; where recording began.
-        let mut events: Vec<Option<(NodeId, EditClass)>> = Vec::new();
+        // The reference: per event the node and class noted; which tree
+        // value it is about; where recording began.
+        let mut events: Vec<(NodeId, EditClass)> = Vec::new();
         let mut tree_value = 0usize;
         let mut recording_since: Option<usize> = None;
         let mut readers =
@@ -678,23 +681,23 @@ proptest! {
             match *op {
                 JournalOp::Add { parent } => {
                     if let Ok(id) = tree.add_node(node(parent), format!("n{step}"), mesh_kind(1)) {
-                        events.push(Some((id, Structure)));
+                        events.push((id, Structure));
                     }
                 }
                 JournalOp::InsertWithId { parent, taken } => {
                     let id = if taken { live[parent % live.len()] } else { tree.allocate_id() };
                     if tree.insert_with_id(id, node(parent), "w", NodeKind::Group).is_ok() {
-                        events.push(Some((id, Structure)));
+                        events.push((id, Structure));
                     }
                 }
                 JournalOp::Remove { pick } => {
                     for id in tree.remove(node(pick)).unwrap_or_default() {
-                        events.push(Some((id, Structure)));
+                        events.push((id, Structure));
                     }
                 }
                 JournalOp::Reparent { pick, dest } => {
                     if tree.reparent(node(pick), node(dest)).is_ok() {
-                        events.push(Some((node(pick), Structure)));
+                        events.push((node(pick), Structure));
                     }
                 }
                 JournalOp::NodeMut { pick, write } => {
@@ -704,24 +707,31 @@ proptest! {
                             1 => view.set_name("renamed"),
                             _ => view.bump_version(),
                         }
-                        events.push(Some((node(pick), Payload)));
+                        events.push((node(pick), Payload));
                     }
                 }
                 JournalOp::Storm { pick, n } => {
                     for _ in 0..n {
                         if tree.node_mut(node(pick)).is_some() {
-                            events.push(Some((node(pick), Payload)));
+                            events.push((node(pick), Payload));
+                        }
+                    }
+                }
+                JournalOp::PoseStorm { pick, n } => {
+                    for _ in 0..n {
+                        if tree.set_transform(node(pick), Transform::IDENTITY) {
+                            events.push((node(pick), Pose));
                         }
                     }
                 }
                 JournalOp::SetTransform { pick } => {
                     if tree.set_transform(node(pick), Transform::IDENTITY) {
-                        events.push(None);
+                        events.push((node(pick), Pose));
                     }
                 }
                 JournalOp::SetCameraPose { pick } => {
                     if tree.set_camera_pose(node(pick), CameraParams::default()).is_ok() {
-                        events.push(None);
+                        events.push((node(pick), Pose));
                     }
                 }
                 JournalOp::Merge { parent } => {
@@ -732,7 +742,7 @@ proptest! {
                     other.insert_with_id(a, other.root(), "a", NodeKind::Group).unwrap();
                     other.insert_with_id(b, under, "b", mesh_kind(1)).unwrap();
                     tree.merge_subset(&other);
-                    events.extend([a, b].map(|id| Some((id, Structure))));
+                    events.extend([a, b].map(|id| (id, Structure)));
                 }
                 JournalOp::Swap => {
                     tree = tree.clone();
@@ -748,7 +758,7 @@ proptest! {
                 }
                 JournalOp::Read { reader, mask } => {
                     let reader = &mut readers[reader % n_readers];
-                    let classes: Vec<EditClass> = [Structure, Payload]
+                    let classes: Vec<EditClass> = [Structure, Payload, Pose]
                         .into_iter()
                         .enumerate()
                         .filter(|(bit, _)| mask & (1 << bit) != 0)
@@ -757,12 +767,13 @@ proptest! {
                     let got = tree.changes_since(reader.stamp, &classes);
 
                     let since = events.get(reader.at..).unwrap_or_default();
+                    let poses = since.iter().filter(|(_, class)| *class == Pose).count();
                     let answerable = reader.tree == Some(tree_value)
                         && recording_since.is_some_and(|began| reader.at >= began)
-                        && since.iter().flatten().count() <= CAP;
+                        && since.len() - poses <= CAP
+                        && (!classes.contains(&Pose) || poses <= CAP);
                     let mut ids: Vec<NodeId> = since
                         .iter()
-                        .flatten()
                         .filter(|(_, class)| classes.contains(class))
                         .map(|&(id, _)| id)
                         .collect();
@@ -779,8 +790,8 @@ proptest! {
                         Reader { stamp: tree.edit_stamp(), tree: Some(tree_value), at: events.len() };
                 }
             }
-            // Every edit the tree took moved the stamp, a pose write
-            // included; a refused one, a peek and a read did not.
+            // Every edit the tree took moved the stamp; a refused one, a
+            // peek and a read did not.
             prop_assert_eq!(
                 tree.edit_stamp() != before, events.len() > noted_before,
                 "step {}: {:?}", step, op
