@@ -22,7 +22,14 @@
 //!    largest-over-smallest ratio is 1), plus the wire ratio on the paper's
 //!    testbed (~24 clients across 6 LAN hosts + 1 wireless PDA), as
 //!    `testbed_wire_ratio` (§3.1.2's "network bandwidth-saving
-//!    techniques such as multicasting").
+//!    techniques such as multicasting"). `publish_us` is the part of the
+//!    fastest tick spent in `session_tick` (commit, routing and the
+//!    delivery plan),
+//!    apart from `sim.run()` (the replica applies); at the largest
+//!    population a one-move tick is timed beside it, and
+//!    `publish_moves_over_one` says what the plan costs per move: about
+//!    `moves_per_tick` while every camera move is booked per subscriber,
+//!    about 1 when a move that reaches everyone is booked per link class.
 //! 3. Sparse waves (`sparse_waves`): one camera move a tick to 1, 10, 100
 //!    and 1,000 subscribers spaced evenly through a world of 10,000
 //!    render services, beside the same subscribers in a world that holds
@@ -38,8 +45,8 @@
 //!    population (`move_root_over_rebuild`).
 //!
 //! `check` holds the routing speedup, the wire ratios, the per-delivery
-//! growth, the event growth, the sparse-wave ratio and the move-over-rebuild
-//! ratio to their floors.
+//! growth, the event growth, the publish ratio, the sparse-wave ratio and
+//! the move-over-rebuild ratio to their floors.
 //! `BENCH_QUICK=1` runs smaller populations and fewer rounds.
 
 use bench::harness::{best_of, machine_room, num, obj, quick, secs, Lcg, Report};
@@ -145,8 +152,8 @@ fn time_index_moves(clients: usize, rounds: usize, rng: &mut Lcg) -> IndexTiming
     let (mut got, mut want) = (Vec::new(), Vec::new());
     for &id in branches.iter().chain(&leaves).chain([&tree.root()]) {
         let probe = SceneUpdate::SetName { id, name: "probe".into() };
-        ix.matches(&probe, tree, &mut got);
-        rebuilt.matches(&probe, tree, &mut want);
+        let reach = ix.matches(&probe, tree, &mut got);
+        assert_eq!(reach, rebuilt.matches(&probe, tree, &mut want));
         assert_eq!(got, want, "patched index diverged from a rebuilt one on {id}");
     }
     IndexTiming { clients, rebuild_us: rebuild * 1e6, move_root_ns: moved * 1e9 / MOVES as f64 }
@@ -211,6 +218,8 @@ struct TickTiming {
     moves_per_tick: usize,
     ticks: usize,
     tick_ms: f64,
+    /// The part of a tick spent publishing its batch, fastest tick.
+    publish_us: f64,
     /// Tick wall time per (move, subscriber) pair delivered.
     tick_ns_per_delivery: f64,
     /// Simulator events a tick fired: one per arrival instant.
@@ -263,24 +272,29 @@ fn time_ticks(services: usize, clients: usize, moves: usize, ticks: usize) -> Ti
             std::hint::black_box(sim.world.render_mut(rs));
         }
     });
+    let labels: Vec<String> = (0..moves).map(|i| format!("u{i}")).collect();
+    let moves_at = |tick: usize| -> Vec<(Participant, &str, CameraParams)> {
+        let camera = |i: usize| CameraParams {
+            position: Vec3::new(tick as f32, i as f32, 0.0),
+            ..CameraParams::default()
+        };
+        participants.iter().enumerate().map(|(i, &p)| (p, labels[i].as_str(), camera(i))).collect()
+    };
+    // Untimed: the first publish to a new population rebuilds the interest
+    // index and resolves every subscriber's link class.
+    session_tick(&mut sim, ds, &moves_at(0)).unwrap();
+    sim.run();
     let fanout_base = sim.world.data(ds).fanout;
     let events_base = sim.executed();
 
-    let labels: Vec<String> = (0..moves).map(|i| format!("u{i}")).collect();
+    let mut publish = f64::INFINITY;
     let elapsed = secs(|| {
-        for tick in 0..ticks {
-            let moves_batch: Vec<(Participant, &str, CameraParams)> = participants
-                .iter()
-                .enumerate()
-                .map(|(i, &p)| {
-                    let cam = CameraParams {
-                        position: Vec3::new(tick as f32, i as f32, 0.0),
-                        ..CameraParams::default()
-                    };
-                    (p, labels[i].as_str(), cam)
-                })
-                .collect();
-            session_tick(&mut sim, ds, &moves_batch).unwrap();
+        for tick in 1..=ticks {
+            let moves_batch = moves_at(tick);
+            let took = secs(|| {
+                session_tick(&mut sim, ds, &moves_batch).unwrap();
+            });
+            publish = publish.min(took);
             sim.run();
         }
     });
@@ -294,6 +308,7 @@ fn time_ticks(services: usize, clients: usize, moves: usize, ticks: usize) -> Ti
         moves_per_tick: moves,
         ticks,
         tick_ms: elapsed * 1e3 / ticks as f64,
+        publish_us: publish * 1e6,
         tick_ns_per_delivery: elapsed * 1e9 / (ticks * moves * clients) as f64,
         events_per_tick: (sim.executed() - events_base) as f64 / ticks as f64,
         probe_each_us: probe_each * 1e6,
@@ -357,6 +372,8 @@ fn main() {
         populations.iter().map(|&c| time_routing(c, rounds, &mut rng)).collect();
     let delivery: Vec<TickTiming> =
         populations.iter().map(|&c| time_ticks(c, c, moves_per_tick, ticks)).collect();
+    let largest_population = *populations.last().expect("at least one population");
+    let one_move = time_ticks(largest_population, largest_population, 1, ticks);
     // Sparse waves: one move a tick to a few subscribers of a large world,
     // beside the same subscribers in a world that holds nothing else.
     let sparse: Vec<(TickTiming, TickTiming)> = [1, 10, 100, 1_000]
@@ -364,7 +381,6 @@ fn main() {
         .map(|&m| (time_ticks(SPARSE_WORLD, m, 1, sparse_ticks), time_ticks(m, m, 1, sparse_ticks)))
         .collect();
     let testbed_ratio = testbed_wire_ratio();
-    let largest_population = *populations.last().expect("at least one population");
     let index = time_index_moves(largest_population, rounds, &mut rng);
 
     let headline = routing.last().expect("at least one population");
@@ -376,6 +392,7 @@ fn main() {
     let per_delivery_growth =
         largest.tick_ns_per_delivery / smallest.tick_ns_per_delivery.max(1e-9);
     let events_growth = largest.events_per_tick / smallest.events_per_tick.max(1e-9);
+    let publish_moves_over_one = largest.publish_us / one_move.publish_us.max(1e-9);
 
     let configs: Vec<_> = routing
         .iter()
@@ -390,6 +407,7 @@ fn main() {
                 ("moves_per_tick", d.moves_per_tick.to_value()),
                 ("ticks", d.ticks.to_value()),
                 ("tick_ms", num(d.tick_ms, 2)),
+                ("publish_us", num(d.publish_us, 1)),
                 ("tick_ns_per_delivery", num(d.tick_ns_per_delivery, 1)),
                 ("events_per_tick", num(d.events_per_tick, 2)),
                 ("wire_bytes", d.wire_bytes.to_value()),
@@ -426,6 +444,8 @@ fn main() {
         .set("ticks_per_sec_largest", num(1e3 / largest_tick_ms, 2))
         .set("tick_per_delivery_largest_over_smallest", num(per_delivery_growth, 2))
         .set("tick_events_largest_over_smallest", num(events_growth, 2))
+        .set("publish_one_move_us", num(one_move.publish_us, 1))
+        .set("publish_moves_over_one", num(publish_moves_over_one, 2))
         .set("testbed_wire_ratio", num(testbed_ratio, 4))
         .set(
             "index",

@@ -5,7 +5,7 @@ use crate::delivery::{DeliveryState, Wave};
 use crate::ids::{DataServiceId, RenderServiceId};
 use rave_net::Network;
 use rave_scene::{
-    AuditEntry, AuditTrail, EditClass, EditStamp, InterestIndex, InterestSet, SceneTree,
+    AuditEntry, AuditTrail, EditClass, EditStamp, InterestIndex, InterestSet, Reach, SceneTree,
     SceneUpdate, StampedUpdate, SubSlot, UpdateError,
 };
 use rave_sim::SimTime;
@@ -64,7 +64,8 @@ pub enum SubState {
 /// collab-scale bench and EXPERIMENTS tables read these.
 #[derive(Debug, Clone, Copy, Default, PartialEq)]
 pub struct FanoutTotals {
-    /// Updates routed to at least one remote receiver.
+    /// Updates routed to at least one live subscriber, whether it was
+    /// reached over the wire, over loopback or skipped.
     pub updates_routed: u64,
     /// Wire transmissions performed (one per receiving segment per
     /// update).
@@ -140,9 +141,11 @@ pub struct DataService {
     /// Slot → is the subscriber `Live`? Snapshotted at rebuild (state
     /// flips bump `index_rev`), so routing's hot path never touches the
     /// subscriber map for live matches — and skips the per-match check
-    /// altogether while nobody is bootstrapping (`index_all_live`).
+    /// altogether while nobody is bootstrapping (`index_waiting` empty).
     index_live: Vec<bool>,
-    index_all_live: bool,
+    /// The slots still bootstrapping, ascending: where an update that
+    /// reaches everyone is buffered.
+    index_waiting: Vec<SubSlot>,
     index_rev: u64,
     index_built_rev: u64,
     /// Counts index rebuilds, i.e. slot renumberings.
@@ -172,7 +175,7 @@ impl DataService {
             index_seen: EditStamp::default(),
             index_sub_ids: Vec::new(),
             index_live: Vec::new(),
-            index_all_live: true,
+            index_waiting: Vec::new(),
             index_rev: 1,
             index_built_rev: 0,
             index_generation: 0,
@@ -334,7 +337,9 @@ impl DataService {
             self.index_live.clear();
             self.index_live
                 .extend(self.subscribers.values().map(|s| matches!(s.state, SubState::Live)));
-            self.index_all_live = self.index_live.iter().all(|&live| live);
+            self.index_waiting.clear();
+            let waiting = self.index_live.iter().enumerate().filter(|(_, &live)| !live);
+            self.index_waiting.extend(waiting.map(|(slot, _)| slot as SubSlot));
             self.index.rebuild(&self.scene, self.subscribers.values().map(|s| &s.interest));
             self.index_built_rev = self.index_rev;
         } else {
@@ -343,31 +348,37 @@ impl DataService {
         }
     }
 
-    /// Route a freshly committed update into `out`: the slots of the live
-    /// subscribers it must be delivered to, ascending. An `Arc` share of
-    /// it is buffered for each matched bootstrapping subscriber.
-    fn route_into(&mut self, stamped: &Arc<StampedUpdate>, out: &mut Vec<SubSlot>) {
+    /// Route a freshly committed update: every live subscriber
+    /// ([`Reach::Everyone`], nobody listed), or the slots of the live
+    /// subscribers it must be delivered to, ascending, in `out`. An `Arc`
+    /// share of it is buffered for each reached bootstrapping subscriber.
+    fn route_into(&mut self, stamped: &Arc<StampedUpdate>, out: &mut Vec<SubSlot>) -> Reach {
         self.ensure_index();
-        self.index.matches(&stamped.update, &self.scene, out);
-        if self.index_all_live {
-            return;
+        let reach = self.index.matches(&stamped.update, &self.scene, out);
+        if self.index_waiting.is_empty() {
+            return reach;
         }
         let (live, ids, subs) = (&self.index_live, &self.index_sub_ids, &mut self.subscribers);
-        out.retain(|&slot| {
-            if live[slot as usize] {
-                return true;
+        // The map cannot have shrunk (ensure_index compares counts), but
+        // stay defensive about membership anyway.
+        let mut buffer = |slot: SubSlot| {
+            if let Some(SubState::Bootstrapping { buffered }) =
+                subs.get_mut(&ids[slot as usize]).map(|sub| &mut sub.state)
+            {
+                buffered.push(Arc::clone(stamped));
             }
-            // The map cannot have shrunk (ensure_index compares counts),
-            // but stay defensive about membership anyway.
-            match subs.get_mut(&ids[slot as usize]).map(|sub| &mut sub.state) {
-                Some(SubState::Bootstrapping { buffered }) => {
-                    buffered.push(Arc::clone(stamped));
-                    false
+        };
+        match reach {
+            Reach::Everyone => self.index_waiting.iter().for_each(|&slot| buffer(slot)),
+            Reach::Slots => out.retain(|&slot| {
+                let live = live[slot as usize];
+                if !live {
+                    buffer(slot);
                 }
-                Some(SubState::Live) => true,
-                None => false,
-            }
-        });
+                live
+            }),
+        }
+        reach
     }
 
     /// Route a freshly committed update: returns the live subscribers it
@@ -377,17 +388,24 @@ impl DataService {
     /// [`DataService::route_naive`], the index's parity oracle.
     pub fn route(&mut self, stamped: &Arc<StampedUpdate>) -> Vec<RenderServiceId> {
         let mut slots = std::mem::take(&mut self.route_slots);
-        self.route_into(stamped, &mut slots);
-        let deliver = slots.iter().map(|&slot| self.index_sub_ids[slot as usize]).collect();
+        let ids = match self.route_into(stamped, &mut slots) {
+            Reach::Everyone => {
+                let live = self.index_sub_ids.iter().zip(&self.index_live).filter(|p| *p.1);
+                live.map(|(&id, _)| id).collect()
+            }
+            Reach::Slots => slots.iter().map(|&slot| self.index_sub_ids[slot as usize]).collect(),
+        };
         self.route_slots = slots;
-        deliver
+        ids
     }
 
     /// Route every update of a committed `batch` and plan its delivery
     /// with segment-multicast fan-out from this service's host: one
     /// [`Wave`] per instant the batch lands at, holding every live
     /// subscriber it reaches then in subscriber id order, each FIFO behind
-    /// whatever that subscriber is already owed.
+    /// whatever that subscriber is already owed. An update that reaches
+    /// everyone is booked per link class, not per subscriber, so a batch
+    /// costs O(subscribers + scoped pairs), not O(subscribers × updates).
     /// `host_of` names the host of a render service, `None` for one that
     /// is not in the world.
     pub(crate) fn plan_deliveries<'a>(
@@ -399,21 +417,31 @@ impl DataService {
     ) -> Vec<Wave> {
         let mut slots = std::mem::take(&mut self.route_slots);
         for (i, stamped) in batch.iter().enumerate() {
-            self.route_into(stamped, &mut slots);
-            if slots.is_empty() {
+            let reach = self.route_into(stamped, &mut slots);
+            let reaches_anyone = match reach {
+                Reach::Everyone => self.index_waiting.len() < self.index_sub_ids.len(),
+                Reach::Slots => !slots.is_empty(),
+            };
+            if !reaches_anyone {
                 continue;
             }
             // A structural update earlier in the batch repairs the index
             // without renumbering it, so this resolves at most once here.
-            self.delivery.resolve_hosts(
+            self.delivery.resolve_classes(
                 self.index_generation,
                 &self.index_sub_ids,
+                &self.index_live,
                 &self.host,
                 net,
                 &host_of,
             );
-            let bytes = stamped.wire_size();
-            self.delivery.fan_out(now, i as u32, &slots, bytes, net, &mut self.fanout);
+            let (update, bytes, totals) = (i as u32, stamped.wire_size(), &mut self.fanout);
+            match reach {
+                Reach::Everyone => {
+                    self.delivery.fan_out_to_everyone(now, update, bytes, net, totals)
+                }
+                Reach::Slots => self.delivery.fan_out(now, update, &slots, bytes, net, totals),
+            }
         }
         self.route_slots = slots;
         self.delivery.finish_batch(batch, &self.index_sub_ids)

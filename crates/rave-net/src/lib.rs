@@ -24,5 +24,7 @@ pub mod topology;
 
 pub use channel::Channel;
 pub use link::LinkSpec;
-pub use multicast::{multicast_deliver, unicast_cost, Fanout, FanoutCost, MulticastDelivery};
+pub use multicast::{
+    multicast_deliver, unicast_cost, Fanout, FanoutCost, LinkClass, MulticastDelivery,
+};
 pub use topology::{HostId, Network};

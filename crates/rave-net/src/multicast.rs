@@ -6,7 +6,7 @@
 //! would cost one transmission per subscriber. This module computes both
 //! so the saving is measurable.
 
-use crate::topology::{HostId, Network};
+use crate::topology::{HostId, Network, SegId};
 use rave_sim::SimTime;
 
 /// Result of a fan-out cost computation.
@@ -52,16 +52,56 @@ pub struct MulticastDelivery {
     pub unicast_wire_bytes: u64,
 }
 
-/// The fan-out computation on interned ids, with the per-segment state it
+/// How a fan-out from one sender reaches one receiver: not at all (its
+/// host is not on the network), over loopback (the sender's own host), or
+/// by its segment's copy of the transmission. What a receiver costs a
+/// fan-out — its transfer time, whether it adds a transmission — depends
+/// on its class alone, so a population of receivers can be kept as a
+/// count per class ([`Fanout::deliver_to_classes`]).
+///
+/// Classes are dense per [`Network`]: every one indexes below
+/// [`LinkClass::count`], and a class is valid while the network's
+/// [`Network::revision`] it was taken at is current.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
+pub struct LinkClass(u32);
+
+impl LinkClass {
+    /// The receiver's host is not on the network: skipped and counted.
+    pub const SKIPPED: Self = Self(0);
+    /// The receiver is on the sender's own host: loopback transfer time,
+    /// no wire transmission.
+    pub const LOOPBACK: Self = Self(1);
+
+    /// The class of `receiver` in a fan-out from `sender`; `None` is a
+    /// receiver whose host is not on the network.
+    pub fn of(net: &Network, sender: HostId, receiver: Option<HostId>) -> Self {
+        match receiver {
+            None => Self::SKIPPED,
+            Some(r) if r == sender => Self::LOOPBACK,
+            Some(r) => Self(2 + net.segment_id_of(r).0),
+        }
+    }
+
+    /// How many classes `net` has: skipped, loopback and one per segment.
+    pub fn count(net: &Network) -> usize {
+        2 + net.segment_count()
+    }
+
+    pub fn index(self) -> usize {
+        self.0 as usize
+    }
+}
+
+/// The fan-out computation on link classes, with the per-class state it
 /// reuses from one call to the next so a call allocates nothing.
 ///
 /// A message's transfer time depends only on the link it crosses and its
 /// size, and a multicast crosses one link per receiving segment: the time
-/// is computed once per distinct receiving link (loopback, and each
+/// is computed once per distinct receiving class (loopback, and each
 /// receiving segment) and handed to every receiver behind it.
 #[derive(Debug, Clone, Default)]
 pub struct Fanout {
-    /// By `SegId`: the call that last computed `time`, and the value.
+    /// By class index: the call that last computed `time`, and the value.
     computed_by: Vec<u64>,
     time: Vec<SimTime>,
     call: u64,
@@ -69,54 +109,97 @@ pub struct Fanout {
 
 impl Fanout {
     /// Deliver `bytes` from `sender` to `receivers`, calling
-    /// `arrive(index, offset)` for every receiver on the network, in
-    /// input order. `None` is a receiver whose host is not on the network:
-    /// skipped and counted.
+    /// `arrive(index, offset)` for every receiver not skipped, in input
+    /// order.
     pub fn deliver(
         &mut self,
         net: &Network,
         sender: HostId,
-        receivers: impl IntoIterator<Item = Option<HostId>>,
+        receivers: impl IntoIterator<Item = LinkClass>,
         bytes: u64,
         mut arrive: impl FnMut(usize, SimTime),
     ) -> FanoutCost {
-        self.call += 1;
-        if self.time.len() < net.segment_count() {
-            self.computed_by.resize(net.segment_count(), 0);
-            self.time.resize(net.segment_count(), SimTime::ZERO);
+        let mut cost = self.begin(net);
+        for (i, class) in receivers.into_iter().enumerate() {
+            if let Some(at) = self.reach(net, sender, class, 1, bytes, &mut cost) {
+                arrive(i, at);
+            }
         }
-        let sender_segment = net.segment_id_of(sender);
-        let mut loopback = None;
-        let mut cost = FanoutCost {
+        cost
+    }
+
+    /// Deliver `bytes` from `sender` to `counts[c]` receivers of each
+    /// class `c` (by [`LinkClass::index`]), calling `arrive(class, offset)`
+    /// once for every class with a receiver that is not skipped, in class
+    /// order. The cost is the one [`Fanout::deliver`] books for the same
+    /// receivers listed one by one.
+    pub fn deliver_to_classes(
+        &mut self,
+        net: &Network,
+        sender: HostId,
+        counts: &[u32],
+        bytes: u64,
+        mut arrive: impl FnMut(LinkClass, SimTime),
+    ) -> FanoutCost {
+        let mut cost = self.begin(net);
+        for (c, &n) in counts.iter().enumerate().filter(|&(_, &n)| n > 0) {
+            let class = LinkClass(c as u32);
+            if let Some(at) = self.reach(net, sender, class, n, bytes, &mut cost) {
+                arrive(class, at);
+            }
+        }
+        cost
+    }
+
+    fn begin(&mut self, net: &Network) -> FanoutCost {
+        self.call += 1;
+        let classes = LinkClass::count(net);
+        if self.time.len() < classes {
+            self.computed_by.resize(classes, 0);
+            self.time.resize(classes, SimTime::ZERO);
+        }
+        FanoutCost {
             completion: SimTime::ZERO,
             transmissions: 0,
             unicast_transmissions: 0,
             skipped: 0,
-        };
-        for (i, r) in receivers.into_iter().enumerate() {
-            let Some(r) = r else {
-                cost.skipped += 1;
-                continue;
-            };
-            if r == sender {
-                // Local delivery: loopback time, no wire transmission.
-                let at = *loopback.get_or_insert_with(|| net.loopback().transfer_time(bytes));
-                arrive(i, at);
-                continue;
-            }
-            let segment = net.segment_id_of(r);
-            let seg = segment.index();
-            cost.unicast_transmissions += 1;
-            if self.computed_by[seg] != self.call {
-                self.computed_by[seg] = self.call;
-                let link = net.link_between_segments(sender_segment, segment);
-                self.time[seg] = link.transfer_time(bytes);
-                cost.transmissions += 1;
-                cost.completion = cost.completion.max(self.time[seg]);
-            }
-            arrive(i, self.time[seg]);
         }
-        cost
+    }
+
+    /// Book `n` receivers of `class` into `cost`: their arrival offset,
+    /// or `None` when they are skipped.
+    fn reach(
+        &mut self,
+        net: &Network,
+        sender: HostId,
+        class: LinkClass,
+        n: u32,
+        bytes: u64,
+        cost: &mut FanoutCost,
+    ) -> Option<SimTime> {
+        let c = class.index();
+        match class {
+            LinkClass::SKIPPED => {
+                cost.skipped += n;
+                return None;
+            }
+            LinkClass::LOOPBACK => {}
+            _ => cost.unicast_transmissions += n,
+        }
+        if self.computed_by[c] != self.call {
+            self.computed_by[c] = self.call;
+            self.time[c] = match class {
+                LinkClass::LOOPBACK => net.loopback().transfer_time(bytes),
+                LinkClass(seg) => {
+                    let link = net.link_between_segments(net.segment_id_of(sender), SegId(seg - 2));
+                    let time = link.transfer_time(bytes);
+                    cost.transmissions += 1;
+                    cost.completion = cost.completion.max(time);
+                    time
+                }
+            };
+        }
+        Some(self.time[c])
     }
 }
 
@@ -135,10 +218,11 @@ pub fn multicast_deliver(
     bytes: u64,
 ) -> MulticastDelivery {
     let mut arrivals = Vec::with_capacity(receivers.len());
+    let sender = net.known_host(sender);
     let cost = Fanout::default().deliver(
         net,
-        net.known_host(sender),
-        receivers.iter().map(|r| net.host_id(r)),
+        sender,
+        receivers.iter().map(|r| LinkClass::of(net, sender, net.host_id(r))),
         bytes,
         |i, at| arrivals.push((i, at)),
     );
@@ -241,10 +325,8 @@ mod tests {
         let mut fanout = Fanout::default();
         let mut run = |receivers: &[&str], bytes: u64| {
             let mut arrivals = Vec::new();
-            let cost =
-                fanout.deliver(&net, laptop, receivers.iter().map(|r| id(r)), bytes, |i, at| {
-                    arrivals.push((i, at))
-                });
+            let classes = receivers.iter().map(|r| LinkClass::of(&net, laptop, id(r)));
+            let cost = fanout.deliver(&net, laptop, classes, bytes, |i, at| arrivals.push((i, at)));
             (cost, arrivals)
         };
         for (receivers, bytes) in [
@@ -258,6 +340,40 @@ mod tests {
             assert_eq!(cost, fresh.cost);
             assert_eq!(arrivals, fresh.arrivals);
         }
+    }
+
+    /// Receivers counted per class cost what the same receivers listed
+    /// one by one cost, and each class arrives at its receivers' time.
+    #[test]
+    fn counted_classes_cost_what_listed_receivers_cost() {
+        let net = Network::paper_testbed(1.0);
+        let laptop = net.known_host("laptop");
+        let receivers = ["desktop", "ghost", "laptop", "zaurus", "tower", "ghost", "laptop"];
+        let classes: Vec<LinkClass> =
+            receivers.iter().map(|r| LinkClass::of(&net, laptop, net.host_id(r))).collect();
+        let mut counts = vec![0; LinkClass::count(&net)];
+        for class in &classes {
+            counts[class.index()] += 1;
+        }
+        let mut fanout = Fanout::default();
+        let mut listed = Vec::new();
+        let one_by_one = fanout.deliver(&net, laptop, classes.iter().copied(), 4_000, |i, at| {
+            listed.push((classes[i], at))
+        });
+        let mut per_class = Vec::new();
+        let counted = fanout.deliver_to_classes(&net, laptop, &counts, 4_000, |class, at| {
+            per_class.push((class, at))
+        });
+        assert_eq!(counted, one_by_one);
+        assert_eq!((counted.transmissions, counted.unicast_transmissions), (2, 3));
+        assert_eq!(counted.skipped, 2);
+        listed.sort();
+        listed.dedup();
+        assert_eq!(per_class, listed, "one arrival per class, at its receivers' time");
+        assert_eq!(
+            per_class[0],
+            (LinkClass::LOOPBACK, net.transfer_time("laptop", "laptop", 4_000))
+        );
     }
 
     #[test]

@@ -12,7 +12,7 @@ pub struct HostId(u32);
 
 /// A segment's dense handle in one [`Network`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
-pub struct SegId(u32);
+pub struct SegId(pub(crate) u32);
 
 impl SegId {
     pub(crate) fn index(self) -> usize {

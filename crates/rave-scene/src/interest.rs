@@ -124,6 +124,16 @@ impl InterestSet {
     }
 }
 
+/// Who an update reaches, as [`InterestIndex::matches`] reports it.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Reach {
+    /// Every subscriber: a presence update, or one to a target the tree
+    /// does not hold. Nothing is listed.
+    Everyone,
+    /// The slots listed, ascending (possibly none).
+    Slots,
+}
+
 /// A subscriber's dense handle inside an [`InterestIndex`]: slots are
 /// assigned `0..n` in the iteration order of the interest sets passed to
 /// [`InterestIndex::rebuild`], and stay valid until the next rebuild.
@@ -361,20 +371,23 @@ impl InterestIndex {
         }
     }
 
-    /// Which subscribers must `update` reach? Fills `out` with matching
-    /// slots in ascending order. Decision per slot is identical to
-    /// [`InterestSet::relevant`]:
-    /// presence (avatar/camera) updates and updates to unknown targets go
-    /// to everyone; `AddNode` is judged by its parent; everything else by
-    /// its target.
-    pub fn matches(&mut self, update: &SceneUpdate, tree: &SceneTree, out: &mut Vec<SubSlot>) {
+    /// Which subscribers must `update` reach? Presence (avatar/camera)
+    /// updates and updates to unknown targets reach [`Reach::Everyone`],
+    /// reported without listing anyone; otherwise `out` is filled with the
+    /// matching slots in ascending order ([`Reach::Slots`]), `AddNode`
+    /// judged by its parent and everything else by its target. Decision
+    /// per slot is identical to [`InterestSet::relevant`]. With no
+    /// subscribers nothing is reached.
+    pub fn matches(
+        &mut self,
+        update: &SceneUpdate,
+        tree: &SceneTree,
+        out: &mut Vec<SubSlot>,
+    ) -> Reach {
         out.clear();
         if self.n_subs == 0 {
-            return;
+            return Reach::Slots;
         }
-        let words = self.n_subs.div_ceil(64);
-        self.scratch.clear();
-        self.scratch.resize(words, 0);
         let presence = |id: NodeId| {
             matches!(
                 tree.node(id).map(|n| n.kind_tag()),
@@ -389,58 +402,38 @@ impl InterestIndex {
                     Some(*parent)
                 }
             }
-            other => {
-                let t = other.target();
-                if !tree.contains(t) || presence(t) {
-                    None // unknown target (deliver conservatively) or presence
-                } else {
-                    Some(t)
-                }
-            }
+            other => Some(other.target()).filter(|&t| tree.contains(t) && !presence(t)),
         };
-        match point {
-            None => {
-                // Deliver to all: whole words, then mask the tail.
-                for w in &mut self.scratch {
-                    *w = !0u64;
-                }
-                let tail = self.n_subs % 64;
-                if tail > 0 {
-                    self.scratch[words - 1] = (1u64 << tail) - 1;
-                }
+        // Unknown target (deliver conservatively) or presence.
+        let Some(p) = point else { return Reach::Everyone };
+        self.scratch.clear();
+        self.scratch.extend_from_slice(&self.everything);
+        if self.intervals_stale {
+            self.resolve_intervals(tree);
+        }
+        if let Some((pos, _)) = tree.preorder_interval(p) {
+            // Stab: the predecessor by start is the innermost candidate;
+            // climb to the first interval containing `pos`, then every
+            // further parent contains it too.
+            let idx = self.intervals.partition_point(|iv| iv.start <= pos);
+            let mut i = match idx {
+                0 => NO_PARENT,
+                _ => (idx - 1) as u32,
+            };
+            while i != NO_PARENT && self.intervals[i as usize].end <= pos {
+                i = self.intervals[i as usize].parent;
             }
-            Some(p) => {
-                for (w, &e) in self.scratch.iter_mut().zip(&self.everything) {
-                    *w |= e;
+            while i != NO_PARENT {
+                let iv = self.intervals[i as usize];
+                for &s in &self.roots[iv.entry as usize].subs {
+                    self.scratch[(s / 64) as usize] |= 1u64 << (s % 64);
                 }
-                if self.intervals_stale {
-                    self.resolve_intervals(tree);
-                }
-                if let Some((pos, _)) = tree.preorder_interval(p) {
-                    // Stab: the predecessor by start is the innermost
-                    // candidate; climb to the first interval containing
-                    // `pos`, then every further parent contains it too.
-                    let idx = self.intervals.partition_point(|iv| iv.start <= pos);
-                    let mut i = match idx {
-                        0 => NO_PARENT,
-                        _ => (idx - 1) as u32,
-                    };
-                    while i != NO_PARENT && self.intervals[i as usize].end <= pos {
-                        i = self.intervals[i as usize].parent;
-                    }
-                    while i != NO_PARENT {
-                        let iv = self.intervals[i as usize];
-                        for &s in &self.roots[iv.entry as usize].subs {
-                            self.scratch[(s / 64) as usize] |= 1u64 << (s % 64);
-                        }
-                        i = iv.parent;
-                    }
-                }
-                if let Some(subs) = self.ancestor_subs.get(&p) {
-                    for &(s, _) in subs {
-                        self.scratch[(s / 64) as usize] |= 1u64 << (s % 64);
-                    }
-                }
+                i = iv.parent;
+            }
+        }
+        if let Some(subs) = self.ancestor_subs.get(&p) {
+            for &(s, _) in subs {
+                self.scratch[(s / 64) as usize] |= 1u64 << (s % 64);
             }
         }
         for (w, &bits) in self.scratch.iter().enumerate() {
@@ -451,6 +444,7 @@ impl InterestIndex {
                 bits &= bits - 1;
             }
         }
+        Reach::Slots
     }
 
     fn rebuild_ancestor_map(&mut self) {
@@ -598,9 +592,12 @@ mod tests {
             .collect()
     }
 
+    /// The index's answer with [`Reach::Everyone`] spelled out.
     fn indexed(ix: &mut InterestIndex, u: &SceneUpdate, tree: &SceneTree) -> Vec<u32> {
         let mut out = Vec::new();
-        ix.matches(u, tree, &mut out);
+        if ix.matches(u, tree, &mut out) == Reach::Everyone {
+            out.extend(0..ix.n_subs() as u32);
+        }
         out
     }
 
@@ -647,7 +644,15 @@ mod tests {
         let mut ix = InterestIndex::new();
         ix.rebuild(&tree, sets.iter());
         let u = SceneUpdate::CameraMoved { id: av, camera: Default::default() };
-        assert_eq!(indexed(&mut ix, &u, &tree), vec![0, 1], "avatar updates reach everyone");
+        let mut out = vec![7];
+        assert_eq!(ix.matches(&u, &tree, &mut out), Reach::Everyone, "avatar updates");
+        assert!(out.is_empty(), "everyone is reported, not listed");
+        assert_eq!(indexed(&mut ix, &u, &tree), naive(&sets, &u, &tree));
+        let u = SceneUpdate::SetName { id: NodeId(999), name: "ghost".into() };
+        assert_eq!(ix.matches(&u, &tree, &mut out), Reach::Everyone, "unknown targets");
+        let u = SceneUpdate::SetName { id: left, name: "l".into() };
+        assert_eq!(ix.matches(&u, &tree, &mut out), Reach::Slots);
+        assert_eq!(out, vec![0]);
     }
 
     #[test]

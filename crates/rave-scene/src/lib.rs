@@ -35,7 +35,7 @@ pub use audit::AuditTrail;
 pub use camera::CameraParams;
 pub use cost::NodeCost;
 pub use geometry::{MeshData, PointCloudData, VolumeData};
-pub use interest::{InterestIndex, InterestSet, SubSlot};
+pub use interest::{InterestIndex, InterestSet, Reach, SubSlot};
 pub use node::{AvatarInfo, Interaction, KindTag, Node, NodeId, NodeKind, Transform};
 pub use tree::{
     Children, Descendants, Dirt, EditClass, EditStamp, NodeMut, NodeRef, Parcel, SceneTree,

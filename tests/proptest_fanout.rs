@@ -7,9 +7,10 @@
 //! refreshed interests, `Network::transfer_time`/`segment_of`, and a
 //! per-(data service, render service) high-water map. Random topologies,
 //! subscriber populations and batch sequences (published back to back
-//! without draining, with structural edits, mid-batch commit failures and
-//! subscription churn in between) must produce the same delivery schedule,
-//! the same `FanoutTotals` and the same bootstrap buffers.
+//! without draining, with structural edits, presence updates that reach
+//! every subscriber, mid-batch commit failures and subscription churn in
+//! between) must produce the same delivery schedule, the same
+//! `FanoutTotals` and the same bootstrap buffers.
 
 use proptest::prelude::*;
 use rave::core::bootstrap::snapshot_for;
@@ -20,7 +21,8 @@ use rave::core::{DataServiceId, RaveConfig, RenderServiceId};
 use rave::math::Vec3;
 use rave::net::{multicast_deliver, LinkSpec, Network};
 use rave::scene::{
-    InterestSet, NodeId, NodeKind, SceneTree, SceneUpdate, StampedUpdate, Transform,
+    AvatarInfo, CameraParams, InterestSet, KindTag, NodeId, NodeKind, SceneTree, SceneUpdate,
+    StampedUpdate, Transform,
 };
 use rave::sim::{SimTime, Simulation};
 use std::collections::{BTreeMap, BTreeSet};
@@ -120,6 +122,18 @@ enum Op {
     Remove {
         pick: usize,
     },
+    /// A collaborator's camera move (`CameraMoved`) or pose
+    /// (`SetTransform`) on an avatar: presence, routed to every
+    /// subscriber. Nothing when no avatar is left.
+    Presence {
+        pick: usize,
+        camera: bool,
+    },
+    /// A collaborator joins: an `AddNode` of an avatar, also routed to
+    /// every subscriber.
+    Join {
+        parent_pick: usize,
+    },
     /// An update the master rejects: the batch stops here.
     Fail,
 }
@@ -132,8 +146,19 @@ fn op_strategy() -> impl Strategy<Value = Op> {
         any::<usize>().prop_map(|pick| Op::Move { pick }),
         any::<usize>().prop_map(|parent_pick| Op::Add { parent_pick }),
         any::<usize>().prop_map(|pick| Op::Remove { pick }),
+        (any::<usize>(), any::<bool>()).prop_map(|(pick, camera)| Op::Presence { pick, camera }),
+        (any::<usize>(), any::<bool>()).prop_map(|(pick, camera)| Op::Presence { pick, camera }),
+        any::<usize>().prop_map(|parent_pick| Op::Join { parent_pick }),
         Just(Op::Fail),
     ]
+}
+
+fn avatar(label: &str) -> NodeKind {
+    NodeKind::Avatar(AvatarInfo {
+        label: label.into(),
+        color: Vec3::X,
+        camera: CameraParams::default(),
+    })
 }
 
 #[derive(Debug, Clone)]
@@ -200,6 +225,30 @@ fn plan_batch(sim: &mut RaveSim, ds: DataServiceId, ops: &[Op]) -> (Vec<SceneUpd
                     None => continue, // only the root is left
                 }
             }
+            Op::Presence { pick, camera } => {
+                let avatars: Vec<NodeId> = nodes
+                    .iter()
+                    .copied()
+                    .filter(|&n| planned.node(n).is_some_and(|n| n.kind_tag() == KindTag::Avatar))
+                    .collect();
+                let Some(&id) = avatars.get(pick % avatars.len().max(1)) else { continue };
+                let position = Vec3::new(pick as f32 % 7.0, 1.0, 2.0);
+                if camera {
+                    let camera = CameraParams { position, ..CameraParams::default() };
+                    SceneUpdate::CameraMoved { id, camera }
+                } else {
+                    SceneUpdate::SetTransform {
+                        id,
+                        transform: Transform::from_translation(position),
+                    }
+                }
+            }
+            Op::Join { parent_pick } => SceneUpdate::AddNode {
+                id: sim.world.data_mut(ds).scene.allocate_id(),
+                parent: nodes[parent_pick % nodes.len()],
+                name: "joined".into(),
+                kind: avatar("joined"),
+            },
             Op::Fail => {
                 committed.get_or_insert(updates.len());
                 SceneUpdate::RemoveNode { id: NodeId(u64::MAX) }
@@ -344,6 +393,11 @@ fn run_case(
                 at = scene.add_node(at, format!("b{b}d{d}"), NodeKind::Group).unwrap();
             }
         }
+        // Collaborators already in the session: one at the top, one
+        // inside the first branch.
+        let (root, first) = (scene.root(), scene.descendants(scene.root())[1]);
+        scene.add_node(root, "avatar-a", avatar("a")).unwrap();
+        scene.add_node(first, "avatar-b", avatar("b")).unwrap();
         scene.descendants(scene.root())
     };
 
@@ -397,7 +451,8 @@ fn run_case(
     let subscribers: Vec<RenderServiceId> = model.live.keys().copied().collect();
 
     // Every run has a structural edit, a subscriber that is away while
-    // a big update of its is still on the wire, and a mid-batch
+    // a big update of its is still on the wire, batches that mix
+    // presence with scoped and structural updates, and a mid-batch
     // failure, whatever was drawn.
     let far = subscribers.len() - 2; // the last one spawned
     let root_rename = |len| Step::Batch(vec![Op::Rename { pick: 0, len }]);
@@ -414,10 +469,18 @@ fn run_case(
             root_rename(100),
             Step::Resubscribe { pick: far },
             root_rename(0),
+            Step::Batch(vec![
+                Op::Presence { pick: 0, camera: true },
+                Op::Rename { pick: 2, len: 1500 },
+                Op::Join { parent_pick: 0 },
+                Op::Presence { pick: 1, camera: false },
+                Op::Move { pick: 1 },
+            ]),
         ],
     );
     steps.push(Step::Batch(vec![
         Op::Move { pick: 3 },
+        Op::Presence { pick: 0, camera: true },
         Op::Add { parent_pick: 0 },
         Op::Fail,
         Op::Rename { pick: 1, len: 8 },

@@ -14,7 +14,7 @@ use rave::core::world::{publish_batch, RaveWorld};
 use rave::core::RaveConfig;
 use rave::math::Vec3;
 use rave::scene::{
-    AvatarInfo, Dirt, EditClass, EditStamp, InterestIndex, InterestSet, NodeId, NodeKind,
+    AvatarInfo, Dirt, EditClass, EditStamp, InterestIndex, InterestSet, NodeId, NodeKind, Reach,
     SceneTree, SceneUpdate, Transform,
 };
 use rave::sim::Simulation;
@@ -69,9 +69,12 @@ fn naive(sets: &[InterestSet], u: &SceneUpdate, tree: &SceneTree) -> Vec<u32> {
     sets.iter().enumerate().filter(|(_, s)| s.relevant(u, tree)).map(|(i, _)| i as u32).collect()
 }
 
+/// The index's answer with `Reach::Everyone` spelled out.
 fn indexed(ix: &mut InterestIndex, u: &SceneUpdate, tree: &SceneTree) -> Vec<u32> {
     let mut out = Vec::new();
-    ix.matches(u, tree, &mut out);
+    if ix.matches(u, tree, &mut out) == Reach::Everyone {
+        out.extend(0..ix.n_subs() as u32);
+    }
     out
 }
 
