@@ -36,7 +36,10 @@
 //!    only them (`compact_tick_us` — the dense wave, where walking beats
 //!    probing) and beside a `render_mut` probe of each (`probe_each_us`).
 //!    `sparse_wave_worst_over_compact` says a wave pays for its members,
-//!    not for the services between them.
+//!    not for the services between them. `subset_tick_us` is the compact
+//!    tick with every subscriber on a branch of its own, snapshotted after
+//!    the participants joined: subset replicas that hold no avatar and
+//!    refuse each move unread (`SceneUpdate::try_apply`).
 //!
 //! 4. Index maintenance (`index`): one interest root handed from one
 //!    subscriber to another — what a migration does to the index,
@@ -50,9 +53,10 @@
 //! `BENCH_QUICK=1` runs smaller populations and fewer rounds.
 
 use bench::harness::{best_of, machine_room, num, obj, quick, secs, Lcg, Report};
+use rave_core::bootstrap::snapshot_for;
 use rave_core::collaboration::{join_session, session_tick, Participant};
 use rave_core::data_service::DataService;
-use rave_core::world::RaveWorld;
+use rave_core::world::{publish_update, RaveWorld};
 use rave_core::{DataServiceId, RaveConfig, RenderServiceId};
 use rave_math::Vec3;
 use rave_scene::{
@@ -232,13 +236,29 @@ struct TickTiming {
     wire_ratio: f64,
 }
 
+/// What every subscriber of a timed tick asks for.
+#[derive(Clone, Copy)]
+enum Interest {
+    /// The whole scene: a full replica, which holds every avatar.
+    Everything,
+    /// One branch of its own, snapshotted after the participants joined:
+    /// a subset replica, which holds no avatar and refuses every move.
+    Branch,
+}
+
 /// Simulate `ticks` interactive ticks: `moves` participants re-pose
 /// their cameras per tick, batched through `session_tick`, fanned out to
-/// `clients` full-replica subscribers — every `services / clients`-th of
+/// `clients` subscribers of `interest` — every `services / clients`-th of
 /// the world's `services` render services, spread round-robin over the
 /// machine-room hosts. Wall-clock per tick includes routing, multicast
 /// arrival computation, event scheduling and replica application.
-fn time_ticks(services: usize, clients: usize, moves: usize, ticks: usize) -> TickTiming {
+fn time_ticks(
+    services: usize,
+    clients: usize,
+    moves: usize,
+    ticks: usize,
+    interest: Interest,
+) -> TickTiming {
     let segments = 16;
     let hosts_per_segment = 4;
     let mut net = machine_room(segments, hosts_per_segment);
@@ -255,14 +275,32 @@ fn time_ticks(services: usize, clients: usize, moves: usize, ticks: usize) -> Ti
         .collect();
     sim.run();
 
-    let replica = sim.world.data(ds).scene.clone();
+    let interest = match interest {
+        Interest::Everything => InterestSet::everything(),
+        Interest::Branch => {
+            let (id, root) = {
+                let scene = &mut sim.world.data_mut(ds).scene;
+                (scene.allocate_id(), scene.root())
+            };
+            let branch = SceneUpdate::AddNode {
+                id,
+                parent: root,
+                name: "branch".into(),
+                kind: NodeKind::Group,
+            };
+            publish_update(&mut sim, ds, "bench", branch).unwrap();
+            sim.run();
+            InterestSet::subtrees([id])
+        }
+    };
+    let replica = snapshot_for(&sim.world.data(ds).scene, &interest);
     let every = services / clients;
     let mut subscribers = Vec::with_capacity(clients);
     for i in 0..services {
         let host = format!("host{}x{}", (i / hosts_per_segment) % segments, i % hosts_per_segment);
         let rs = sim.world.spawn_render_service(&host);
         if i % every == 0 && subscribers.len() < clients {
-            sim.world.data_mut(ds).subscribe_live(rs, InterestSet::everything());
+            sim.world.data_mut(ds).subscribe_live(rs, interest.clone());
             sim.world.render_mut(rs).scene = replica.clone();
             subscribers.push(rs);
         }
@@ -370,15 +408,23 @@ fn main() {
     let mut rng = Lcg(0xc0_11ab);
     let routing: Vec<RoutingTiming> =
         populations.iter().map(|&c| time_routing(c, rounds, &mut rng)).collect();
+    let full = Interest::Everything;
     let delivery: Vec<TickTiming> =
-        populations.iter().map(|&c| time_ticks(c, c, moves_per_tick, ticks)).collect();
+        populations.iter().map(|&c| time_ticks(c, c, moves_per_tick, ticks, full)).collect();
     let largest_population = *populations.last().expect("at least one population");
-    let one_move = time_ticks(largest_population, largest_population, 1, ticks);
+    let one_move = time_ticks(largest_population, largest_population, 1, ticks, full);
     // Sparse waves: one move a tick to a few subscribers of a large world,
-    // beside the same subscribers in a world that holds nothing else.
-    let sparse: Vec<(TickTiming, TickTiming)> = [1, 10, 100, 1_000]
+    // beside the same subscribers in a world that holds nothing else, as
+    // full replicas and as subset replicas.
+    let sparse: Vec<[TickTiming; 3]> = [1, 10, 100, 1_000]
         .iter()
-        .map(|&m| (time_ticks(SPARSE_WORLD, m, 1, sparse_ticks), time_ticks(m, m, 1, sparse_ticks)))
+        .map(|&m| {
+            [
+                time_ticks(SPARSE_WORLD, m, 1, sparse_ticks, full),
+                time_ticks(m, m, 1, sparse_ticks, full),
+                time_ticks(m, m, 1, sparse_ticks, Interest::Branch),
+            ]
+        })
         .collect();
     let testbed_ratio = testbed_wire_ratio();
     let index = time_index_moves(largest_population, rounds, &mut rng);
@@ -417,19 +463,20 @@ fn main() {
         })
         .collect();
     let over_compact =
-        |(wide, compact): &(TickTiming, TickTiming)| wide.tick_ms / compact.tick_ms.max(1e-9);
+        |[wide, compact, _]: &[TickTiming; 3]| wide.tick_ms / compact.tick_ms.max(1e-9);
     let sparse_worst = sparse.iter().map(over_compact).fold(0.0, f64::max);
     let sparse_waves: Vec<_> = sparse
         .iter()
-        .map(|pair| {
-            let (wide, compact) = pair;
+        .map(|row| {
+            let [wide, compact, subset] = row;
             obj([
                 ("services", wide.services.to_value()),
                 ("members", wide.clients.to_value()),
                 ("ticks", wide.ticks.to_value()),
                 ("tick_us", num(wide.tick_ms * 1e3, 2)),
                 ("compact_tick_us", num(compact.tick_ms * 1e3, 2)),
-                ("over_compact", num(over_compact(pair), 2)),
+                ("subset_tick_us", num(subset.tick_ms * 1e3, 2)),
+                ("over_compact", num(over_compact(row), 2)),
                 ("probe_each_us", num(wide.probe_each_us, 2)),
                 ("events_per_tick", num(wide.events_per_tick, 2)),
             ])

@@ -288,8 +288,9 @@ fn deliver_wave(sim: &mut RaveSim, wave: &[(RenderServiceId, UpdateList)]) {
         };
         for stamped in updates.iter() {
             // A benign race: the replica may legitimately reject an update
-            // to a node it never held (interest narrowed since routing).
-            let applied = stamped.update.apply(&mut rs.scene).is_ok();
+            // to a node it never held (interest narrowed since routing, or a
+            // presence update to a subset replica, refused unread).
+            let applied = stamped.update.try_apply(&mut rs.scene);
             if traced {
                 trace.record(
                     now,

@@ -5,7 +5,7 @@
 //! render service must be updated if the data service receives any changes
 //! to this subset of the data" (§3.2.5).
 
-use crate::node::{KindTag, NodeId, NodeKind};
+use crate::node::NodeId;
 use crate::tree::{Dirt, SceneTree};
 use crate::update::SceneUpdate;
 use serde::{Deserialize, Serialize};
@@ -95,23 +95,24 @@ impl InterestSet {
     /// - updates to unknown nodes are delivered (a replica must not
     ///   silently diverge);
     /// - *presence* nodes (avatars and cameras) are relevant to every
-    ///   subscriber — collaborators must be visible in every view, even a
-    ///   subset replica (§3.2.4).
+    ///   subscriber, including their `AddNode`, whatever its parent.
+    ///
+    /// The second rule delivers; it does not make a subset replica hold
+    /// presence. A replica subscribed when an avatar's `AddNode` is
+    /// published inserts it (the root is in every subset), but one
+    /// bootstrapped later does not: its snapshot is the interest closure,
+    /// and an avatar under the root is outside it. That replica refuses
+    /// the avatar's pose updates unread (`SceneUpdate::try_apply`), so
+    /// two replicas of one interest can differ by the avatars they hold
+    /// (ROADMAP: presence in subset snapshots).
     pub fn relevant(&self, update: &SceneUpdate, tree: &SceneTree) -> bool {
         if self.all {
             return true;
         }
-        let presence = |id: crate::node::NodeId| {
-            matches!(
-                tree.node(id).map(|n| n.kind_tag()),
-                Some(crate::node::KindTag::Avatar) | Some(crate::node::KindTag::Camera)
-            )
-        };
+        let presence = |id: NodeId| tree.node(id).is_some_and(|n| n.kind_tag().is_presence());
         match update {
             SceneUpdate::AddNode { parent, id, kind, .. } => {
-                matches!(kind, crate::node::NodeKind::Avatar(_) | crate::node::NodeKind::Camera(_))
-                    || presence(*id)
-                    || self.contains(*parent, tree)
+                kind.tag().is_presence() || presence(*id) || self.contains(*parent, tree)
             }
             other => {
                 let t = other.target();
@@ -388,15 +389,10 @@ impl InterestIndex {
         if self.n_subs == 0 {
             return Reach::Slots;
         }
-        let presence = |id: NodeId| {
-            matches!(
-                tree.node(id).map(|n| n.kind_tag()),
-                Some(KindTag::Avatar) | Some(KindTag::Camera)
-            )
-        };
+        let presence = |id: NodeId| tree.node(id).is_some_and(|n| n.kind_tag().is_presence());
         let point = match update {
             SceneUpdate::AddNode { parent, id, kind, .. } => {
-                if matches!(kind, NodeKind::Avatar(_) | NodeKind::Camera(_)) || presence(*id) {
+                if kind.tag().is_presence() || presence(*id) {
                     None // presence join: everyone renders the new collaborator
                 } else {
                     Some(*parent)

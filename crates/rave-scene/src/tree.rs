@@ -397,6 +397,10 @@ pub struct SceneTree {
     free: Vec<u32>,
     /// Live node count (`hot.len()` minus freed slots).
     live: usize,
+    /// Live presence nodes ([`KindTag::is_presence`]), kept exactly where
+    /// a slot's tag is written: [`SceneTree::alloc_slot`], the free in
+    /// [`SceneTree::remove`] and a kind-touching [`NodeMut`]'s drop.
+    presence: u32,
     index: IdIndex,
     root: NodeId,
     root_slot: u32,
@@ -435,6 +439,7 @@ impl Clone for SceneTree {
             bounds: self.bounds.clone(),
             free: self.free.clone(),
             live: self.live,
+            presence: self.presence,
             index: self.index.clone(),
             root: self.root,
             root_slot: self.root_slot,
@@ -511,6 +516,7 @@ impl SceneTree {
             bounds: OnceLock::new(),
             free: Vec::new(),
             live: 0,
+            presence: 0,
             index: IdIndex::default(),
             root,
             root_slot: 0,
@@ -599,6 +605,7 @@ impl SceneTree {
         self.refresh_kept_bounds(slot);
         self.index.insert(id, slot);
         self.live += 1;
+        self.presence += u32::from(tag.is_presence());
         slot
     }
 
@@ -760,6 +767,13 @@ impl SceneTree {
         self.index.contains_key(&id)
     }
 
+    /// Does any live node carry a camera or an avatar? O(1): a tree
+    /// without one refuses every pose update unread
+    /// ([`crate::SceneUpdate::try_apply`]).
+    pub fn holds_presence(&self) -> bool {
+        self.presence > 0
+    }
+
     pub fn node(&self, id: NodeId) -> Option<NodeRef<'_>> {
         self.slot(id).map(|slot| NodeRef { tree: self, slot })
     }
@@ -813,6 +827,7 @@ impl SceneTree {
             bounds: OnceLock::new(),
             free: Vec::new(),
             live: 0,
+            presence: 0,
             index: IdIndex::default(),
             root,
             root_slot: 0,
@@ -937,6 +952,7 @@ impl SceneTree {
             }
             self.index.remove(&self.hot[s as usize].id);
             let h = &mut self.hot[s as usize];
+            self.presence -= u32::from(h.tag.is_presence());
             h.alive = false;
             h.generation = h.generation.wrapping_add(1);
             h.first_child = NIL;
@@ -1306,6 +1322,10 @@ impl SceneTree {
         let alive_count = self.hot.iter().filter(|h| h.alive).count();
         if alive_count != self.live {
             return Err(format!("live count {} but {} alive slots", self.live, alive_count));
+        }
+        let presence = self.hot.iter().filter(|h| h.alive && h.tag.is_presence()).count();
+        if presence != self.presence as usize {
+            return Err(format!("presence count {} but {presence} presence nodes", self.presence));
         }
         if self.index.len() != self.live {
             return Err(format!("index has {} entries for {} live", self.index.len(), self.live));
@@ -1756,6 +1776,8 @@ impl Drop for NodeMut<'_> {
             let kind = &self.tree.cold[self.slot as usize].kind;
             let (tag, cost) = (kind.tag(), kind.cost());
             let h = &mut self.tree.hot[self.slot as usize];
+            self.tree.presence -= u32::from(h.tag.is_presence());
+            self.tree.presence += u32::from(tag.is_presence());
             h.tag = tag;
             h.cost = cost;
             self.tree.refresh_kept_bounds(self.slot);

@@ -7,7 +7,7 @@
 //! what actually travels on the wire and into the audit trail.
 
 use crate::camera::CameraParams;
-use crate::node::{AvatarInfo, NodeId, NodeKind, Transform};
+use crate::node::{AvatarInfo, KindTag, NodeId, NodeKind, Transform};
 use crate::tree::{SceneTree, TreeError};
 use serde::{Deserialize, Serialize};
 
@@ -102,22 +102,40 @@ impl SceneUpdate {
                 })?;
             }
             SceneUpdate::AvatarUpdated { id, avatar } => {
-                let mut node =
-                    tree.node_mut(*id).ok_or(UpdateError::Tree(TreeError::MissingNode(*id)))?;
-                match node.kind_mut() {
-                    NodeKind::Avatar(a) => *a = avatar.clone(),
-                    other => {
-                        return Err(UpdateError::KindMismatch {
-                            id: *id,
-                            expected: "avatar",
-                            found: other.kind_name(),
-                        })
-                    }
+                // Checked before `node_mut`, which journals an edit: a
+                // refused update writes nothing.
+                let found = tree
+                    .node(*id)
+                    .ok_or(UpdateError::Tree(TreeError::MissingNode(*id)))?
+                    .kind_tag();
+                if found != KindTag::Avatar {
+                    let found = found.kind_name();
+                    return Err(UpdateError::KindMismatch { id: *id, expected: "avatar", found });
+                }
+                let mut node = tree.node_mut(*id).expect("looked up above");
+                if let NodeKind::Avatar(a) = node.kind_mut() {
+                    *a = avatar.clone();
                 }
                 node.bump_version();
             }
         }
         Ok(())
+    }
+
+    /// `self.apply(tree).is_ok()`, with the same writes, for a caller that
+    /// drops the error: a replica taking a delivery. A pose update to a
+    /// tree that holds no camera or avatar is refused before its target is
+    /// looked up — the presence multicast every subset replica receives
+    /// and none can hold (DESIGN §5.15).
+    pub fn try_apply(&self, tree: &mut SceneTree) -> bool {
+        match self {
+            SceneUpdate::CameraMoved { .. } | SceneUpdate::AvatarUpdated { .. }
+                if !tree.holds_presence() =>
+            {
+                false
+            }
+            _ => self.apply(tree).is_ok(),
+        }
     }
 }
 
@@ -352,13 +370,40 @@ mod tests {
         assert_ne!(moved, before);
         assert_eq!(moved, expected);
 
-        // A refused move writes nothing at all.
+        // A refused move writes nothing at all, nor does a refused
+        // avatar update.
         let stamp = tree.edit_stamp();
         SceneUpdate::CameraMoved { id: mesh, camera: pose }.apply(&mut tree).unwrap_err();
+        let avatar = AvatarInfo { label: "x".into(), color: Vec3::Z, camera: pose };
+        SceneUpdate::AvatarUpdated { id: mesh, avatar }.apply(&mut tree).unwrap_err();
         assert!(tree.cost_cache_is_warm());
         assert_eq!(tree.edit_stamp(), stamp);
         assert_eq!(tree.changes_since(stamp, &all), Dirt::Clean);
         assert_eq!(version(&tree, mesh), mesh_version);
+    }
+
+    /// Every presence node gone, a pose update is refused before its
+    /// target is read; with one back, `try_apply` applies it.
+    #[test]
+    fn try_apply_refuses_pose_updates_while_no_presence_is_held() {
+        let mut tree = SceneTree::new();
+        let cam =
+            tree.add_node(tree.root(), "cam", NodeKind::Camera(CameraParams::default())).unwrap();
+        let moved = SceneUpdate::CameraMoved { id: cam, camera: CameraParams::default() };
+        assert!(tree.holds_presence());
+        assert!(moved.try_apply(&mut tree));
+        SceneUpdate::ReplaceKind { id: cam, kind: NodeKind::Group }.apply(&mut tree).unwrap();
+        assert!(!tree.holds_presence());
+        let stamp = tree.edit_stamp();
+        assert!(!moved.try_apply(&mut tree));
+        assert_eq!(tree.edit_stamp(), stamp);
+        assert!(moved.apply(&mut tree).is_err());
+        SceneUpdate::ReplaceKind { id: cam, kind: NodeKind::Camera(CameraParams::default()) }
+            .apply(&mut tree)
+            .unwrap();
+        assert!(moved.try_apply(&mut tree));
+        assert!(SceneUpdate::RemoveNode { id: cam }.try_apply(&mut tree));
+        assert!(!tree.holds_presence());
     }
 
     #[test]
