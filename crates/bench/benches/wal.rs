@@ -1,15 +1,13 @@
-//! The session store against the trail export: the rave-store binary WAL
-//! versus the JSON-lines `AuditTrail::save`/`load`, on a 10k-update
-//! session — append (write the whole session to disk) and replay (read
-//! it back and rebuild the scene) — and a delta checkpoint against a full
-//! one on the `edit_storm` shape. Emits `BENCH_wal.json` at the repo root
-//! with the measured times (`BENCH_QUICK=1` times fewer rounds).
+//! The session store: the rave-store binary WAL on a 10k-update session —
+//! append (write the whole session to disk) and replay (read it back and
+//! rebuild the scene) — and a delta checkpoint against a full one on the
+//! `edit_storm` shape. Emits `BENCH_wal.json` at the repo root with the
+//! measured times (`BENCH_QUICK=1` times fewer rounds).
 
 use bench::harness::{best_of, median, num, obj, quick, secs, tmp_dir, Lcg, Report};
 use rave_math::Vec3;
 use rave_scene::{
-    AuditEntry, AuditTrail, MeshData, NodeId, NodeKind, SceneTree, SceneUpdate, StampedUpdate,
-    Transform,
+    AuditEntry, MeshData, NodeId, NodeKind, SceneTree, SceneUpdate, StampedUpdate, Transform,
 };
 use rave_store::wal::Wal;
 use rave_store::{CheckpointKind, Store, StoreConfig};
@@ -67,17 +65,6 @@ fn wal_replay(dir: &Path) -> SceneTree {
     let rec = rave_store::recover(dir).unwrap();
     assert_eq!(rec.last_seq, UPDATES);
     rec.tree
-}
-
-fn jsonl_write(path: &PathBuf, trail: &AuditTrail) {
-    let f = std::fs::File::create(path).unwrap();
-    trail.save(std::io::BufWriter::new(f)).unwrap();
-}
-
-fn jsonl_replay(path: &PathBuf) -> SceneTree {
-    let f = std::fs::File::open(path).unwrap();
-    let trail = AuditTrail::load(std::io::BufReader::new(f)).unwrap();
-    trail.replay_all().unwrap()
 }
 
 fn dir_bytes(dir: &PathBuf) -> u64 {
@@ -138,24 +125,15 @@ fn checkpoint_pair(samples: usize) -> (f64, f64) {
 
 fn main() {
     let (live, entries) = session(UPDATES);
-    let mut trail = AuditTrail::new();
-    for e in &entries {
-        trail.record(e.at_secs, e.stamped.clone()).unwrap();
-    }
     let wal_dir = tmp_dir("wal");
-    let jsonl_path = tmp_dir("wal-jsonl").join("session.jsonl");
 
-    // Headline numbers for BENCH_wal.json: best-of-N, both paths ending
-    // in an identical reconstructed scene.
+    // Headline numbers for BENCH_wal.json: best-of-N, the replay ending
+    // in the scene the session built.
     let rounds = if quick() { 2 } else { 5 };
     let wal_append = best_of(rounds, || wal_write(&wal_dir, &entries));
-    let jsonl_save = best_of(rounds, || jsonl_write(&jsonl_path, &trail));
     let wal_rep = best_of(rounds, || wal_replay(&wal_dir));
-    let jsonl_rep = best_of(rounds, || jsonl_replay(&jsonl_path));
     assert_eq!(wal_replay(&wal_dir), live);
-    assert_eq!(jsonl_replay(&jsonl_path).len(), live.len());
     let wal_bytes = dir_bytes(&wal_dir);
-    let jsonl_bytes = std::fs::metadata(&jsonl_path).unwrap().len();
     let (full_secs, delta_secs) = checkpoint_pair(if quick() { 5 } else { 21 });
 
     Report::new("wal")
@@ -169,14 +147,6 @@ fn main() {
             ]),
         )
         .set(
-            "jsonl",
-            obj([
-                ("save_secs", num(jsonl_save, 6)),
-                ("replay_secs", num(jsonl_rep, 6)),
-                ("bytes", jsonl_bytes.to_value()),
-            ]),
-        )
-        .set(
             "checkpoint",
             obj([
                 ("full_secs", num(full_secs, 6)),
@@ -184,10 +154,7 @@ fn main() {
                 ("delta_over_full", num(delta_secs / full_secs, 3)),
             ]),
         )
-        .set("replay_speedup", num(jsonl_rep / wal_rep, 2))
-        .set("size_ratio", num(jsonl_bytes as f64 / wal_bytes as f64, 2))
         .write();
 
     let _ = std::fs::remove_dir_all(&wal_dir);
-    let _ = std::fs::remove_dir_all(jsonl_path.parent().unwrap());
 }

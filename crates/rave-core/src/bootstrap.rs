@@ -1,8 +1,8 @@
 //! Render-service bootstrap (§5.3/§5.5).
 //!
-//! A render service joining a session receives a scene snapshot while
-//! live updates are buffered; on arrival the snapshot is installed, the
-//! buffer replays, and the replica is "pre-synchronised with \[the\] data
+//! A render service joining a session receives a scene snapshot; on
+//! arrival the snapshot is installed, the data service's audit trail past
+//! it replays, and the replica is "pre-synchronised with \[the\] data
 //! service". Snapshot marshalling goes through the *introspective* path
 //! (the paper's measured bottleneck); [`marshal_time_direct`] prices the
 //! ablation alternative.
@@ -10,7 +10,7 @@
 use crate::data_service::DataService;
 use crate::ids::{DataServiceId, RenderServiceId};
 use crate::trace::TraceKind;
-use crate::world::RaveSim;
+use crate::world::{RaveSim, RaveWorld};
 use rave_grid::{SoapCodec, SoapEnvelope, SoapValue};
 use rave_scene::introspect::{marshal_direct, marshal_introspective, MarshalStats};
 use rave_scene::{InterestSet, NodeId, SceneTree};
@@ -52,7 +52,7 @@ pub struct BootstrapTiming {
     pub subscribed_at: SimTime,
     /// When the snapshot finished marshalling at the data service.
     pub marshalled_at: SimTime,
-    /// When the replica became live (snapshot applied + buffer drained).
+    /// When the replica became live (snapshot applied + trail replayed).
     pub ready_at: SimTime,
     /// Snapshot payload size.
     pub snapshot_bytes: u64,
@@ -90,38 +90,38 @@ pub fn connect_render_service(
     let marshal = marshal_time_introspective(&stats);
     let marshalled_at = subscribed_at + marshal;
 
-    // 3. Register the buffering subscription, ship the snapshot.
+    // 3. Register the subscription, ship the snapshot.
     sim.world.data_mut(ds_id).begin_bootstrap(rs_id, interest.clone());
-    sim.world.render_mut(rs_id).bootstrapping = true;
     let arrival = sim.world.send_bytes(marshalled_at, &ds_host, &rs_host, stats.bytes);
 
-    // 4. On arrival: install replica, drain buffered updates in order.
+    // 4. On arrival: install replica, replay the trail past the snapshot.
     sim.schedule_at(arrival, move |sim| {
         let now = sim.now();
-        let buffered = sim.world.data_mut(ds_id).complete_bootstrap(rs_id);
-        let n_buffered = buffered.len();
-        {
-            let rs = sim.world.render_mut(rs_id);
-            // Merge (not replace): nodes that arrived through other paths
-            // while the snapshot was in flight — e.g. migration moving
-            // work onto a freshly recruited service — must survive.
-            rs.scene.merge_subset(&snapshot);
-            let mut interest = interest.clone();
-            for root in rs.interest.roots() {
-                interest.add_root(root);
-            }
-            rs.interest = interest;
-            for stamped in buffered {
-                // Buffered updates may touch nodes outside the snapshot
-                // (interest conservatism); ignore those.
-                stamped.update.try_apply(&mut rs.scene);
-            }
-            rs.bootstrapping = false;
+        let RaveWorld { data_services, render_services, trace, .. } = &mut sim.world;
+        let ds = data_services.get_mut(&ds_id).unwrap_or_else(|| panic!("no data service {ds_id}"));
+        let rs =
+            render_services.get_mut(&rs_id).unwrap_or_else(|| panic!("no render service {rs_id}"));
+        let missed = ds.complete_bootstrap(rs_id);
+        // Merge (not replace): nodes that arrived through other paths
+        // while the snapshot was in flight — e.g. migration moving work
+        // onto a freshly recruited service — must survive.
+        rs.scene.merge_subset(&snapshot);
+        let mut interest = interest.clone();
+        for root in rs.interest.roots() {
+            interest.add_root(root);
         }
-        sim.world.trace.record(
+        rs.interest = interest;
+        for e in missed {
+            // The trail holds every update, not only this interest's; one
+            // to a node the replica does not hold is refused.
+            e.stamped.update.try_apply(&mut rs.scene);
+        }
+        // Worded as `tests/sched_digest.rs` pins it; the count is the trail
+        // entries past the snapshot.
+        trace.record(
             now,
             TraceKind::Bootstrap,
-            format!("{rs_id} live on {ds_id} ({n_buffered} buffered updates replayed)"),
+            format!("{rs_id} live on {ds_id} ({} buffered updates replayed)", missed.len()),
         );
     });
 
@@ -154,8 +154,8 @@ pub fn connect_planned(
 /// store with the failed instance's store config so logging continues
 /// where it stopped, at the same cadence. Every render service the
 /// failed instance was serving is re-bootstrapped against the
-/// replacement with its original interest set — the §5.5 overlap
-/// machinery makes the re-mirror safe against updates published while
+/// replacement with its original interest set — the §5.5 catch-up from
+/// the trail makes the re-mirror safe against updates published while
 /// the snapshots are in flight.
 pub fn recover_data_service(
     sim: &mut RaveSim,
@@ -189,11 +189,11 @@ pub fn recover_data_service(
             rec.snapshot_seq,
             rec.deltas,
             rec.entries.len(),
-            failed_ds.subscribers.len(),
+            failed_ds.subscribers().len(),
         ),
     );
-    for (rs_id, sub) in failed_ds.subscribers {
-        connect_render_service(sim, rs_id, new_id, sub.interest);
+    for (&rs_id, sub) in failed_ds.subscribers() {
+        connect_render_service(sim, rs_id, new_id, sub.interest.clone());
     }
     Ok(new_id)
 }
@@ -222,7 +222,8 @@ pub fn marshal_comparison(scene: &SceneTree) -> (SimTime, SimTime, MarshalStats)
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::world::{publish_update, RaveWorld};
+    use crate::data_service::SubState;
+    use crate::world::publish_update;
     use crate::RaveConfig;
     use rave_math::Vec3;
     use rave_scene::{MeshData, NodeKind, SceneUpdate};
@@ -250,10 +251,11 @@ mod tests {
         let (mut sim, ds) = sim_with_scene(500);
         let rs = sim.world.spawn_render_service("tower");
         let timing = connect_render_service(&mut sim, rs, ds, InterestSet::everything());
-        assert!(sim.world.render(rs).bootstrapping);
+        let state = |sim: &RaveSim| sim.world.data(ds).subscribers()[&rs].state;
+        assert_eq!(state(&sim), SubState::Bootstrapping { since: 0 });
         sim.run();
+        assert_eq!(state(&sim), SubState::Live);
         let rs_ref = sim.world.render(rs);
-        assert!(!rs_ref.bootstrapping);
         assert!(rs_ref.scene.find_by_path("/model").is_some());
         assert_eq!(rs_ref.assigned_cost().polygons, 500);
         assert!(timing.ready_at > timing.marshalled_at);
@@ -289,6 +291,65 @@ mod tests {
         );
         let detail = &sim.world.trace.first_of(TraceKind::Bootstrap).unwrap().detail;
         assert!(detail.contains("1 buffered"), "trace: {detail}");
+    }
+
+    /// §5.5's overlap, read from the trail: everything committed while two
+    /// snapshots are in flight — scoped edits inside and outside a subset,
+    /// an `AddNode` inside it, a collaborator joining — is caught up. The
+    /// full replica ends equal to the master; the subset replica holds
+    /// every node of its snapshot as the master now has it.
+    #[test]
+    fn replicas_in_flight_catch_up_from_the_trail() {
+        let (mut sim, ds) = sim_with_scene(200_000); // big: slow marshal
+        let model = sim.world.data(ds).scene.find_by_path("/model").unwrap();
+        let branch = {
+            let scene = &mut sim.world.data_mut(ds).scene;
+            let root = scene.root();
+            scene.add_node(root, "branch", NodeKind::Group).unwrap()
+        };
+        let subset = InterestSet::subtrees([branch]);
+        let full_rs = sim.world.spawn_render_service("tower");
+        let subset_rs = sim.world.spawn_render_service("desktop");
+        connect_render_service(&mut sim, full_rs, ds, InterestSet::everything());
+        connect_render_service(&mut sim, subset_rs, ds, subset.clone());
+
+        let moved = rave_scene::Transform::from_translation(Vec3::new(1.0, 2.0, 3.0));
+        let leaf = sim.world.data_mut(ds).scene.allocate_id();
+        let edits = [
+            SceneUpdate::SetTransform { id: branch, transform: moved },
+            SceneUpdate::SetName { id: model, name: "outside".into() },
+            SceneUpdate::AddNode {
+                id: leaf,
+                parent: branch,
+                name: "leaf".into(),
+                kind: NodeKind::Group,
+            },
+            SceneUpdate::SetName { id: leaf, name: "renamed".into() },
+        ];
+        for edit in edits {
+            publish_update(&mut sim, ds, "user", edit).unwrap();
+        }
+        let camera = rave_scene::CameraParams::default();
+        crate::collaboration::join_session(&mut sim, ds, "late", Vec3::X, camera).unwrap();
+        let in_flight = sim.world.data(ds).audit.len();
+        assert!(in_flight > 4, "the join committed too");
+        assert!(sim.world.data(ds).subscribers().values().all(|s| s.state != SubState::Live));
+        sim.run();
+
+        let master = &sim.world.data(ds).scene;
+        assert!(sim.world.render(full_rs).scene == *master, "the full replica is the master");
+        let replica = &sim.world.render(subset_rs).scene;
+        let want = snapshot_for(master, &subset);
+        assert!(want.contains(leaf));
+        for id in want.descendants(want.root()) {
+            let (m, r) = (master.node(id).unwrap(), replica.node(id).expect("held"));
+            assert_eq!((r.name(), r.kind(), r.version()), (m.name(), m.kind(), m.version()));
+            assert_eq!(r.transform(), m.transform(), "{id}");
+        }
+        for row in sim.world.trace.of_kind(TraceKind::Bootstrap) {
+            let replayed = format!("({in_flight} buffered updates replayed)");
+            assert!(row.detail.ends_with(&replayed), "{}", row.detail);
+        }
     }
 
     #[test]

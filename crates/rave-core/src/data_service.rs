@@ -45,16 +45,16 @@ impl Clone for AttachedStore {
 }
 
 /// A subscriber's delivery state.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum SubState {
-    /// Scene snapshot still in flight; live updates are buffered and
-    /// replayed on arrival so the replica comes up pre-synchronised
+    /// Scene snapshot still in flight; nothing is routed to it. The
+    /// snapshot covers the audit trail up to `since`, and on arrival the
+    /// replica replays the trail past it, so it comes up pre-synchronised
     /// (§5.5: "We overlap update messages with the initial bootstrap
-    /// messages, so the remote resource does not miss any updates").
-    /// Buffered updates are `Arc`-shared with every other buffering
-    /// subscriber — a 10k-client bootstrap storm holds one copy of each
-    /// update, not 10k.
-    Bootstrapping { buffered: Vec<Arc<StampedUpdate>> },
+    /// messages, so the remote resource does not miss any updates"). The
+    /// trail is the one copy of those updates, however many subscribers
+    /// are bootstrapping.
+    Bootstrapping { since: u64 },
     /// Replica live; updates stream as they are published.
     Live,
 }
@@ -124,7 +124,9 @@ pub struct DataService {
     /// The persistent session record.
     pub audit: AuditTrail,
     next_seq: u64,
-    pub subscribers: BTreeMap<RenderServiceId, Subscription>,
+    /// Who is subscribed, with what interest and in what state. Only this
+    /// module writes it; [`DataService::subscribers`] reads it.
+    pub(crate) subscribers: BTreeMap<RenderServiceId, Subscription>,
     /// Optional durable store: every committed update is appended to it,
     /// with periodic snapshot checkpoints.
     store: AttachedStore,
@@ -140,12 +142,11 @@ pub struct DataService {
     index_sub_ids: Vec<RenderServiceId>,
     /// Slot → is the subscriber `Live`? Snapshotted at rebuild (state
     /// flips bump `index_rev`), so routing's hot path never touches the
-    /// subscriber map for live matches — and skips the per-match check
-    /// altogether while nobody is bootstrapping (`index_waiting` empty).
+    /// subscriber map — and skips the per-match check altogether while
+    /// nobody is bootstrapping (every slot live).
     index_live: Vec<bool>,
-    /// The slots still bootstrapping, ascending: where an update that
-    /// reaches everyone is buffered.
-    index_waiting: Vec<SubSlot>,
+    /// How many of `index_live` are `true`.
+    index_live_slots: usize,
     index_rev: u64,
     index_built_rev: u64,
     /// Counts index rebuilds, i.e. slot renumberings.
@@ -175,7 +176,7 @@ impl DataService {
             index_seen: EditStamp::default(),
             index_sub_ids: Vec::new(),
             index_live: Vec::new(),
-            index_waiting: Vec::new(),
+            index_live_slots: 0,
             index_rev: 1,
             index_built_rev: 0,
             index_generation: 0,
@@ -259,9 +260,8 @@ impl DataService {
         let Some(store) = &mut self.store.0 else { return Ok(None) };
         // A master assigned over (seeded, promoted) starts unrecorded.
         self.scene.record_edits();
-        store
-            .append(&AuditEntry { at_secs, stamped: stamped.clone() })
-            .map_err(|e| UpdateError::Persistence(e.to_string()))?;
+        let recorded = self.audit.entries().last().expect("just recorded");
+        store.append(recorded).map_err(|e| UpdateError::Persistence(e.to_string()))?;
         let due = store.checkpoint_due();
         Ok(due.then(|| (store.last_seq(), store.checkpoint(&self.scene, at_secs))))
     }
@@ -273,32 +273,29 @@ impl DataService {
         self.index_rev += 1;
     }
 
-    /// Begin a bootstrap: subscriber is registered but buffered.
+    /// Begin a bootstrap: the subscriber is registered, but nothing is
+    /// routed to it until [`DataService::complete_bootstrap`]. Its snapshot
+    /// is the scene as it stands, which covers the audit trail so far.
     pub fn begin_bootstrap(&mut self, rs: RenderServiceId, interest: InterestSet) {
-        self.subscribers.insert(
-            rs,
-            Subscription { interest, state: SubState::Bootstrapping { buffered: Vec::new() } },
-        );
+        let state = SubState::Bootstrapping { since: self.audit.last_seq() };
+        self.subscribers.insert(rs, Subscription { interest, state });
         self.index_rev += 1;
     }
 
-    /// Finish a bootstrap: returns the updates buffered while the
-    /// snapshot was in flight, in seq order, and flips the subscriber
-    /// live.
-    pub fn complete_bootstrap(&mut self, rs: RenderServiceId) -> Vec<Arc<StampedUpdate>> {
-        match self.subscribers.get_mut(&rs) {
-            Some(sub) => {
-                let drained = match &mut sub.state {
-                    SubState::Bootstrapping { buffered } => std::mem::take(buffered),
-                    SubState::Live => Vec::new(),
-                };
-                sub.state = SubState::Live;
-                // The liveness cache went stale; next route re-snapshots.
-                self.index_rev += 1;
-                drained
-            }
-            None => Vec::new(),
-        }
+    /// Finish a bootstrap: flips the subscriber live and returns what it
+    /// missed while its snapshot was in flight — the audit trail past the
+    /// snapshot, in seq order. Empty for a subscriber that is live already
+    /// or not subscribed.
+    pub fn complete_bootstrap(&mut self, rs: RenderServiceId) -> &[AuditEntry] {
+        let Some(sub) = self.subscribers.get_mut(&rs) else { return &[] };
+        let SubState::Bootstrapping { since } = std::mem::replace(&mut sub.state, SubState::Live)
+        else {
+            return &[];
+        };
+        // The liveness cache went stale; next route re-snapshots.
+        self.index_rev += 1;
+        let entries = self.audit.entries();
+        &entries[entries.partition_point(|e| e.stamped.seq <= since)..]
     }
 
     pub fn unsubscribe(&mut self, rs: RenderServiceId) -> bool {
@@ -320,26 +317,25 @@ impl DataService {
         self.subscribers.keys().copied().collect()
     }
 
+    /// Every current subscription, by render service.
+    pub fn subscribers(&self) -> &BTreeMap<RenderServiceId, Subscription> {
+        &self.subscribers
+    }
+
     /// Bring the inverted index in sync with the subscriber map and the
-    /// scene: a full rebuild if subscriptions changed (or the map was
-    /// mutated behind our back — failover clears it directly), otherwise
-    /// an incremental repair from the structural edits the tree has
+    /// scene: a full rebuild if subscriptions changed, otherwise an
+    /// incremental repair from the structural edits the tree has
     /// journalled since the index last saw it.
     fn ensure_index(&mut self) {
         let seen = std::mem::replace(&mut self.index_seen, self.scene.edit_stamp());
-        if self.index_built_rev != self.index_rev
-            || self.index_sub_ids.len() != self.subscribers.len()
-        {
+        if self.index_built_rev != self.index_rev {
             self.delivery.renumber(&self.index_sub_ids, self.subscribers.keys().copied());
             self.index_generation += 1;
             self.index_sub_ids.clear();
             self.index_sub_ids.extend(self.subscribers.keys().copied());
             self.index_live.clear();
-            self.index_live
-                .extend(self.subscribers.values().map(|s| matches!(s.state, SubState::Live)));
-            self.index_waiting.clear();
-            let waiting = self.index_live.iter().enumerate().filter(|(_, &live)| !live);
-            self.index_waiting.extend(waiting.map(|(slot, _)| slot as SubSlot));
+            self.index_live.extend(self.subscribers.values().map(|s| s.state == SubState::Live));
+            self.index_live_slots = self.index_live.iter().filter(|&&live| live).count();
             self.index.rebuild(&self.scene, self.subscribers.values().map(|s| &s.interest));
             self.index_built_rev = self.index_rev;
         } else {
@@ -350,43 +346,22 @@ impl DataService {
 
     /// Route a freshly committed update: every live subscriber
     /// ([`Reach::Everyone`], nobody listed), or the slots of the live
-    /// subscribers it must be delivered to, ascending, in `out`. An `Arc`
-    /// share of it is buffered for each reached bootstrapping subscriber.
-    fn route_into(&mut self, stamped: &Arc<StampedUpdate>, out: &mut Vec<SubSlot>) -> Reach {
+    /// subscribers it must be delivered to, ascending, in `out`. A
+    /// bootstrapping subscriber reads it from the audit trail on arrival.
+    fn route_into(&mut self, stamped: &StampedUpdate, out: &mut Vec<SubSlot>) -> Reach {
         self.ensure_index();
         let reach = self.index.matches(&stamped.update, &self.scene, out);
-        if self.index_waiting.is_empty() {
-            return reach;
-        }
-        let (live, ids, subs) = (&self.index_live, &self.index_sub_ids, &mut self.subscribers);
-        // The map cannot have shrunk (ensure_index compares counts), but
-        // stay defensive about membership anyway.
-        let mut buffer = |slot: SubSlot| {
-            if let Some(SubState::Bootstrapping { buffered }) =
-                subs.get_mut(&ids[slot as usize]).map(|sub| &mut sub.state)
-            {
-                buffered.push(Arc::clone(stamped));
-            }
-        };
-        match reach {
-            Reach::Everyone => self.index_waiting.iter().for_each(|&slot| buffer(slot)),
-            Reach::Slots => out.retain(|&slot| {
-                let live = live[slot as usize];
-                if !live {
-                    buffer(slot);
-                }
-                live
-            }),
+        if self.index_live_slots < self.index_live.len() && matches!(reach, Reach::Slots) {
+            out.retain(|&slot| self.index_live[slot as usize]);
         }
         reach
     }
 
     /// Route a freshly committed update: returns the live subscribers it
-    /// must be delivered to, buffering an `Arc` share of it for
-    /// bootstrapping ones. O(log roots + matches) through the inverted
+    /// must be delivered to. O(log roots + matches) through the inverted
     /// interest index — the naive O(subscribers) scan survives as
     /// [`DataService::route_naive`], the index's parity oracle.
-    pub fn route(&mut self, stamped: &Arc<StampedUpdate>) -> Vec<RenderServiceId> {
+    pub fn route(&mut self, stamped: &StampedUpdate) -> Vec<RenderServiceId> {
         let mut slots = std::mem::take(&mut self.route_slots);
         let ids = match self.route_into(stamped, &mut slots) {
             Reach::Everyone => {
@@ -419,7 +394,7 @@ impl DataService {
         for (i, stamped) in batch.iter().enumerate() {
             let reach = self.route_into(stamped, &mut slots);
             let reaches_anyone = match reach {
-                Reach::Everyone => self.index_waiting.len() < self.index_sub_ids.len(),
+                Reach::Everyone => self.index_live_slots > 0,
                 Reach::Slots => !slots.is_empty(),
             };
             if !reaches_anyone {
@@ -449,9 +424,8 @@ impl DataService {
 
     /// The pre-index routing decision, kept as the embedded parity oracle
     /// for the inverted index: one `InterestSet::relevant` probe per
-    /// subscriber, answered off the scene as it stands. Read-only — does not
-    /// buffer for bootstrapping subscribers; returns every interested
-    /// subscriber regardless of state, in id order.
+    /// subscriber, answered off the scene as it stands. Returns every
+    /// interested subscriber regardless of state, in id order.
     pub fn route_naive(&self, stamped: &StampedUpdate) -> Vec<RenderServiceId> {
         self.subscribers
             .iter()
@@ -460,10 +434,10 @@ impl DataService {
             .collect()
     }
 
-    /// Schedule an index rebuild: whoever edits a subscriber's roots
-    /// through the public `subscribers` map calls this afterwards. (The
-    /// name is from when each interest set also kept a closure this
-    /// recomputed; `benchmark/` calls it by that name.)
+    /// Schedule an index rebuild. Nothing needs one: every write to the
+    /// subscriptions schedules its own. (The name is from when each
+    /// interest set also kept a closure this recomputed; `benchmark/`
+    /// calls it by that name.)
     pub fn refresh_interests(&mut self) {
         self.index_rev += 1;
     }
@@ -509,11 +483,9 @@ impl DataService {
     }
 
     /// `rs`'s slot in the index as built. `None` when there is nothing to
-    /// patch: a rebuild is already due, or the subscriber map changed
-    /// behind the index's back and one must be.
+    /// patch: a rebuild is already due.
     fn index_slot(&self, rs: RenderServiceId) -> Option<SubSlot> {
-        let current = self.index_built_rev == self.index_rev
-            && self.index_sub_ids.len() == self.subscribers.len();
+        let current = self.index_built_rev == self.index_rev;
         let slot = current.then(|| self.index_sub_ids.binary_search(&rs).ok())??;
         Some(slot as SubSlot)
     }
@@ -645,25 +617,24 @@ mod tests {
     }
 
     #[test]
-    fn route_delivers_to_live_buffers_for_bootstrapping() {
+    fn route_delivers_to_live_and_a_bootstrap_reads_the_trail() {
         let mut ds = DataService::new(DataServiceId(1), "h", "s");
+        let before = add_update(&mut ds, "before");
+        ds.commit(0.0, &before).unwrap();
         ds.subscribe_live(RenderServiceId(1), InterestSet::everything());
         ds.begin_bootstrap(RenderServiceId(2), InterestSet::everything());
         let u = add_update(&mut ds, "x");
         ds.commit(0.0, &u).unwrap();
-        let u = Arc::new(u);
-        let deliver = ds.route(&u);
-        assert_eq!(deliver, vec![RenderServiceId(1)]);
-        // Completing the bootstrap yields the buffered update, sharing
-        // the routed allocation rather than cloning it.
-        let drained = ds.complete_bootstrap(RenderServiceId(2));
-        assert_eq!(drained.len(), 1);
-        assert_eq!(drained[0].seq, u.seq);
-        assert!(Arc::ptr_eq(&drained[0], &u));
+        assert_eq!(ds.route(&u), vec![RenderServiceId(1)]);
+        // Completing the bootstrap yields the trail past the snapshot:
+        // the update committed in flight, not the one before it.
+        let missed = ds.complete_bootstrap(RenderServiceId(2));
+        assert_eq!(missed.iter().map(|e| e.stamped.seq).collect::<Vec<_>>(), vec![u.seq]);
+        assert!(ds.complete_bootstrap(RenderServiceId(2)).is_empty(), "live already");
         // Next update now goes to both.
         let u2 = add_update(&mut ds, "y");
         ds.commit(0.0, &u2).unwrap();
-        assert_eq!(ds.route(&Arc::new(u2)).len(), 2);
+        assert_eq!(ds.route(&u2).len(), 2);
     }
 
     #[test]
@@ -706,6 +677,42 @@ mod tests {
         assert_eq!(replayed.len(), ds.scene.len());
         assert!(replayed.find_by_path("/a").is_some());
         assert!(replayed.find_by_path("/b").is_none());
+    }
+
+    /// §3.1.1's asynchronous collaboration: user A records a session into
+    /// a store; user B plays it back later into a fresh service, appends
+    /// new work to the same recording, and a later playback holds both.
+    #[test]
+    fn asynchronous_collaboration_appends_to_a_recording() {
+        let dir = std::env::temp_dir().join(format!("rave-ds-async-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let mut a = DataService::new(DataServiceId(1), "h", "s");
+        a.attach_store(&dir, StoreConfig::default()).unwrap();
+        for name in ["g", "h"] {
+            let u = add_update(&mut a, name);
+            a.commit(0.0, &u).unwrap();
+        }
+        let g = a.scene.find_by_path("/g").unwrap();
+        let u = a.stamp("a", SceneUpdate::RemoveNode { id: g });
+        a.commit(1.0, &u).unwrap();
+        a.sync_persistence().unwrap();
+        drop(a);
+
+        let mut b = DataService::new(DataServiceId(2), "h", "s");
+        b.seed_from(&rave_store::recover(&dir).unwrap()).unwrap();
+        assert_eq!(b.audit.last_seq(), 3);
+        b.attach_store(&dir, StoreConfig::default()).unwrap();
+        let u = add_update(&mut b, "appended");
+        assert_eq!(u.seq, 4, "the recording's numbering continues");
+        b.commit(10.0, &u).unwrap();
+        b.sync_persistence().unwrap();
+
+        let replayed = rave_store::recover(&dir).unwrap();
+        assert_eq!(replayed.last_seq, 4);
+        assert!(replayed.tree.find_by_path("/appended").is_some());
+        assert!(replayed.tree.find_by_path("/h").is_some());
+        assert!(replayed.tree.find_by_path("/g").is_none(), "earlier removal still honoured");
+        std::fs::remove_dir_all(&dir).unwrap();
     }
 
     /// A clone is an in-memory copy: it commits without writing a byte to

@@ -84,9 +84,10 @@ mod tests {
     use rave_math::{Vec3, Viewport};
     use rave_render::OffscreenMode;
     use rave_scene::InterestSet;
-    use rave_scene::{CameraParams, MeshData, NodeKind, SceneTree};
+    use rave_scene::{CameraParams, MeshData, NodeId, NodeKind, SceneTree, SceneUpdate};
     use rave_sim::SimTime;
     use rave_sim::Simulation;
+    use std::collections::BTreeSet;
     use std::sync::Arc;
 
     fn mesh(tris: usize) -> NodeKind {
@@ -232,7 +233,41 @@ mod tests {
         assert!(sim.world.trace.count(TraceKind::Recruitment) == 1);
         sim.run();
         // The recruit ends up subscribed.
-        assert!(sim.world.data(ds).subscribers.contains_key(&fresh));
+        assert!(sim.world.data(ds).subscribers().contains_key(&fresh));
+    }
+
+    /// A recruit given migrated work is sent that work's updates. It is
+    /// not: `recruit_unconnected` subscribes the recruit once the UDDI scan
+    /// is paid for, but the re-homing moves the shards to it at once, so
+    /// `move_interest_root(.., Some(recruit))` finds no subscription and
+    /// drops the root. The replica holds the nodes, and no update to them
+    /// ever reaches it.
+    #[test]
+    #[ignore = "ROADMAP item 3 (e)"]
+    fn a_recruit_is_sent_updates_for_the_work_it_was_given() {
+        let (mut sim, ds, slow, fast) = overload_world();
+        {
+            let rs = sim.world.render_mut(fast);
+            let root = rs.scene.root();
+            rs.scene.add_node(root, "filler", mesh(3_000_000)).unwrap();
+        }
+        let fresh = sim.world.spawn_render_service("tower");
+        make_overloaded(&mut sim, slow);
+        let outcome = check_and_migrate(&mut sim, ds);
+        assert_eq!(outcome.recruited, vec![fresh]);
+        sim.run();
+        let given: BTreeSet<NodeId> =
+            outcome.moved.iter().filter(|m| m.2 == fresh).map(|m| m.0).collect();
+        let node = *given.first().expect("work moved to the recruit");
+        assert!(sim.world.render(fresh).scene.contains(node));
+        let rename = SceneUpdate::SetName { id: node, name: "renamed".into() };
+        crate::world::publish_update(&mut sim, ds, "user", rename).unwrap();
+        sim.run();
+        let name = sim.world.render(fresh).scene.node(node).map(|n| n.name().to_string());
+        assert_eq!(name.as_deref(), Some("renamed"));
+        let roots: BTreeSet<NodeId> =
+            sim.world.data(ds).subscribers()[&fresh].interest.roots().collect();
+        assert_eq!(roots, given, "the recruit subscribes to what it holds");
     }
 
     #[test]
@@ -259,7 +294,7 @@ mod tests {
         assert!(!outcome.refused);
         assert!(!outcome.moved.is_empty(), "orphans rehomed");
         assert!(outcome.moved.iter().all(|(_, from, to)| *from == slow && *to == fast));
-        assert!(!sim.world.data(ds).subscribers.contains_key(&slow));
+        assert!(!sim.world.data(ds).subscribers().contains_key(&slow));
         assert!(!sim.world.render_services.contains_key(&slow));
         // Fast now holds the content.
         assert!(sim.world.render(fast).assigned_cost().polygons >= 640_000);

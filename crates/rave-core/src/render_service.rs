@@ -108,8 +108,6 @@ pub struct RenderService {
     pub renderer: Renderer,
     /// Frame completion times for the rolling fps window.
     frame_times: VecDeque<SimTime>,
-    /// Set when the replica is still bootstrapping (scene not yet live).
-    pub bootstrapping: bool,
     /// Whether this instance can render off-screen. An *active render
     /// client* (§3.1.2) "can only render to the screen and does not
     /// support off-screen rendering" because it has no service container.
@@ -135,7 +133,6 @@ impl RenderService {
             sessions: BTreeMap::new(),
             renderer: Renderer::default(),
             frame_times: VecDeque::new(),
-            bootstrapping: false,
             offscreen_capable: true,
             gpu: Occupancy::new(),
             encoder: Occupancy::new(),

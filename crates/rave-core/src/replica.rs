@@ -323,7 +323,7 @@ pub fn promote_standby(
     let s_host = sim.world.data(standby).host.clone();
     let mut completed_at = now;
     let subs: Vec<(RenderServiceId, InterestSet)> =
-        failed.subscribers.iter().map(|(rs, sub)| (*rs, sub.interest.clone())).collect();
+        failed.subscribers().iter().map(|(rs, sub)| (*rs, sub.interest.clone())).collect();
     for (rs, interest) in &subs {
         let rs_host = sim.world.render(*rs).host.clone();
         let rtt = sim.world.network.round_trip(&s_host, &rs_host, 128, 64);
@@ -489,7 +489,7 @@ mod tests {
         // subscriber, and sequence numbers continue.
         assert!(!sim.world.data_services.contains_key(&primary));
         assert_eq!(sim.world.data(standby).audit.last_seq(), committed);
-        assert!(sim.world.data(standby).subscribers.contains_key(&rs));
+        assert!(sim.world.data(standby).subscribers().contains_key(&rs));
         let id = add(&mut sim, standby, "post-promotion");
         sim.run();
         assert!(sim.world.render(rs).scene.contains(id), "subscriber keeps receiving updates");
@@ -543,7 +543,7 @@ mod tests {
         assert!(!sim.world.data_services.contains_key(&primary));
         let new_ds = report.promoted;
         assert_eq!(sim.world.data(new_ds).audit.last_seq(), 10);
-        assert!(sim.world.data(new_ds).subscribers.contains_key(&rs));
+        assert!(sim.world.data(new_ds).subscribers().contains_key(&rs));
         assert_eq!(sim.world.trace.count(TraceKind::Recovery), 1);
         let _ = std::fs::remove_dir_all(&pdir);
     }

@@ -294,7 +294,7 @@ fn handle_data_failure(sim: &mut RaveSim, dead: DataServiceId, outcome: &mut Mig
     }
     let (host, store_dir, n_subs) = {
         let ds = sim.world.data(dead);
-        (ds.host.clone(), ds.store().map(|s| s.dir().to_path_buf()), ds.subscribers.len())
+        (ds.host.clone(), ds.store().map(|s| s.dir().to_path_buf()), ds.subscribers().len())
     };
     if let Some(dir) = store_dir {
         let now = sim.now();
@@ -502,7 +502,7 @@ fn handle_failure(sim: &mut RaveSim, dead: RenderServiceId, batch: &mut Batch) {
     let ds_id = batch.moves.ds_id;
     // A full replica holds everything; its loss orphans nothing that
     // others don't already have.
-    let orphaned: Vec<NodeId> = match sim.world.data(ds_id).subscribers.get(&dead) {
+    let orphaned: Vec<NodeId> = match sim.world.data(ds_id).subscribers().get(&dead) {
         Some(sub) if !sub.interest.is_everything() => sub.interest.roots().collect(),
         _ => Vec::new(),
     };
@@ -1082,13 +1082,13 @@ mod tests {
         let tower = sim.world.spawn_render_service("tower");
         sim.world.data_mut(ds).subscribe_live(tower, InterestSet::subtrees([]));
         sim.world.render_mut(tower).interest = InterestSet::subtrees([]);
-        let nodes: Vec<NodeId> = sim.world.data(ds).subscribers[&slow].interest.roots().collect();
+        let nodes: Vec<NodeId> = sim.world.data(ds).subscribers()[&slow].interest.roots().collect();
         // Each node on one live service: in its scene, its replica's
         // interest roots and its subscription alike. Returns the holders.
         let held_once = |sim: &RaveSim, when: &str| -> Vec<RenderServiceId> {
             let trace = sim.world.trace.render();
             let services = &sim.world.render_services;
-            let subscribers = &sim.world.data(ds).subscribers;
+            let subscribers = sim.world.data(ds).subscribers();
             nodes
                 .iter()
                 .map(|&node| {
@@ -1174,7 +1174,7 @@ mod tests {
         let generation = route_once(&mut sim, ds);
 
         let diff = incremental_replan(&mut sim, ds, &[]).diff.expect("first pass plans");
-        assert!(diff.moved.len() > sim.world.data(ds).subscribers.len());
+        assert!(diff.moved.len() > sim.world.data(ds).subscribers().len());
         assert_index_patched(&sim, ds, generation);
         sim.run();
 

@@ -1,21 +1,24 @@
-//! The persistent audit trail.
+//! The audit trail: a data service's log of its session.
 //!
 //! "The data are intermittently streamed to disk, recording any changes
 //! that are made in the form of an audit trail. A recorded session may be
 //! played back at a later date; this enables users to append to a recorded
 //! session, collaborating asynchronously with previous users" (§3.1.1).
 //!
-//! Entries are persisted as line-delimited JSON so a recorded session is
-//! human-inspectable and appendable with a text editor.
+//! The trail is the in-memory half of that log: it answers "what was
+//! committed after seq N" for a joining replica's catch-up and rebuilds
+//! the scene at any instant. On disk the session is the `rave-store`
+//! directory the data service appends every entry to — its write-ahead log
+//! and checkpoints. A recording is played back and appended to through that
+//! store (`rave_store::recover`, then `DataService::seed_from`); this
+//! module has no file format of its own.
 
 use crate::tree::SceneTree;
 use crate::update::{StampedUpdate, UpdateError};
-use serde::{Deserialize, Serialize};
-use std::io::{BufRead, Write};
 
 /// One recorded change: when (virtual seconds since session start) and
 /// what.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct AuditEntry {
     pub at_secs: f64,
     pub stamped: StampedUpdate,
@@ -85,29 +88,6 @@ impl AuditTrail {
     pub fn replay_all(&self) -> Result<SceneTree, UpdateError> {
         self.replay(f64::INFINITY)
     }
-
-    /// Serialize as JSON-lines.
-    pub fn save<W: Write>(&self, mut w: W) -> std::io::Result<()> {
-        for e in &self.entries {
-            let line = serde_json::to_string(e).map_err(std::io::Error::other)?;
-            writeln!(w, "{line}")?;
-        }
-        Ok(())
-    }
-
-    /// Load from JSON-lines. Blank lines are skipped (hand-edited files).
-    pub fn load<R: BufRead>(r: R) -> std::io::Result<Self> {
-        let mut trail = Self::new();
-        for line in r.lines() {
-            let line = line?;
-            if line.trim().is_empty() {
-                continue;
-            }
-            let e: AuditEntry = serde_json::from_str(&line).map_err(std::io::Error::other)?;
-            trail.entries.push(e);
-        }
-        Ok(trail)
-    }
 }
 
 #[cfg(test)]
@@ -164,54 +144,6 @@ mod tests {
         // After t=2 it is gone.
         let t2 = trail.replay_all().unwrap();
         assert!(!t2.contains(NodeId(1)));
-    }
-
-    #[test]
-    fn save_load_roundtrip() {
-        let trail = sample_trail();
-        let mut buf = Vec::new();
-        trail.save(&mut buf).unwrap();
-        let loaded = AuditTrail::load(std::io::Cursor::new(buf)).unwrap();
-        assert_eq!(trail, loaded);
-    }
-
-    #[test]
-    fn load_skips_blank_lines() {
-        let trail = sample_trail();
-        let mut buf = Vec::new();
-        trail.save(&mut buf).unwrap();
-        let mut text = String::from_utf8(buf).unwrap();
-        text.push_str("\n\n");
-        let loaded = AuditTrail::load(std::io::Cursor::new(text.into_bytes())).unwrap();
-        assert_eq!(loaded.len(), 3);
-    }
-
-    #[test]
-    fn asynchronous_collaboration_appends_to_recording() {
-        // User A records a session, user B loads it later, replays, and
-        // appends new work — §3.1.1's asynchronous collaboration flow.
-        let mut buf = Vec::new();
-        sample_trail().save(&mut buf).unwrap();
-
-        let mut loaded = AuditTrail::load(std::io::Cursor::new(buf)).unwrap();
-        let seq = loaded.last_seq();
-        loaded
-            .record(
-                10.0,
-                stamped(
-                    seq + 1,
-                    SceneUpdate::AddNode {
-                        id: NodeId(2),
-                        parent: NodeId(0),
-                        name: "appended".into(),
-                        kind: NodeKind::Group,
-                    },
-                ),
-            )
-            .unwrap();
-        let replayed = loaded.replay_all().unwrap();
-        assert!(replayed.contains(NodeId(2)));
-        assert!(!replayed.contains(NodeId(1)), "earlier removal still honoured");
     }
 
     #[test]

@@ -1,11 +1,9 @@
 //! Compact binary serialization of updates, audit entries and whole
 //! scene trees.
 //!
-//! The JSON-lines audit format (see [`crate::audit`]) is the
-//! human-inspectable session recording; this module is the machine
-//! format: the write-ahead log and snapshot checkpoints in `rave-store`
-//! frame these bytes, and replaying a multi-thousand-update session is an
-//! order of magnitude cheaper than re-parsing JSON.
+//! This is the format a session is recorded in: the write-ahead log and
+//! snapshot checkpoints in `rave-store` frame these bytes, and a recorded
+//! session ([`crate::audit`]) is played back by decoding them.
 //!
 //! All integers are little-endian. Strings and sequences are
 //! length-prefixed with a `u32`. Enums carry a one-byte tag. The format

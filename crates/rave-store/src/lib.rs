@@ -1,9 +1,8 @@
 //! `rave-store`: durable session persistence for the RAVE data service.
 //!
 //! The paper's data service "intermittently stream\[s\] to disk ... an
-//! audit trail" (§3.1.1) as JSON-lines — human-readable but slow to
-//! replay and fragile under crashes (a torn final line corrupts the
-//! file). This crate is the durable machine-format counterpart:
+//! audit trail" (§3.1.1) that can be played back and appended to. This
+//! crate is that recording, made crash-tolerant:
 //!
 //! - a **segmented write-ahead log** ([`wal::Wal`]) of CRC-framed binary
 //!   audit entries ([`record`], [`segment`]), with torn-tail detection

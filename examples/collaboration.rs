@@ -1,7 +1,7 @@
 //! Collaborative session (the Fig 3 scenario): two users on different
 //! machines share the skeletal-hand scene; each sees the other's cone
-//! avatar navigate. The session is recorded and replayed afterwards —
-//! asynchronous collaboration (§3.1.1).
+//! avatar navigate. The session is recorded into a store and played back
+//! from it afterwards — asynchronous collaboration (§3.1.1).
 //!
 //! Run with: `cargo run --release --example collaboration`
 
@@ -12,6 +12,7 @@ use rave::math::Vec3;
 use rave::models::{build_with_budget, PaperModel};
 use rave::scene::{CameraParams, InterestSet, NodeKind, Transform};
 use rave::sim::{SimTime, Simulation};
+use rave::store::StoreConfig;
 use std::fs::File;
 use std::sync::Arc;
 
@@ -22,9 +23,13 @@ fn main() {
     // Shared scene: a scaled-down skeletal hand (full-size rasterization
     // is for the bench harness; this example favours fast turnaround).
     let ds = sim.world.spawn_data_service("adrenochrome", "hand-session");
+    // The recording: every committed update is appended to this store.
+    let recording = std::env::temp_dir().join(format!("rave-collab-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&recording);
+    sim.world.data_mut(ds).attach_store(&recording, StoreConfig::default()).unwrap();
     let hand = build_with_budget(PaperModel::SkeletalHand, 20_000);
-    // Import through the update protocol so the audit trail records the
-    // whole session from its very first byte (replayable from scratch).
+    // Import through the update protocol so the store records the whole
+    // session from its very first byte (replayable from scratch).
     {
         let (id, root) = {
             let scene = &mut sim.world.data_mut(ds).scene;
@@ -109,22 +114,22 @@ fn main() {
         println!("wrote out/collaboration_alice_view.ppm — Bob appears as an avatar");
     }
 
-    // Asynchronous collaboration: replay the recorded session later.
-    let mut recorded = Vec::new();
-    sim.world.data(ds).audit.save(&mut recorded).unwrap();
+    // Asynchronous collaboration: play the recorded session back later.
+    sim.world.data_mut(ds).sync_persistence().unwrap();
+    let replayed = rave::store::recover(&recording).unwrap();
     println!(
-        "audit trail: {} updates, {} bytes as JSONL",
-        sim.world.data(ds).audit.len(),
-        recorded.len()
+        "recording: {} updates (snapshot at seq {} + {} WAL entries)",
+        replayed.last_seq,
+        replayed.snapshot_seq,
+        replayed.entries.len()
     );
-    let reloaded = rave::scene::AuditTrail::load(std::io::Cursor::new(recorded)).unwrap();
-    let replayed = reloaded.replay_all().unwrap();
-    assert!(replayed.contains(bob.avatar), "replayed session contains Bob's avatar");
+    assert!(replayed.tree.contains(bob.avatar), "replayed session contains Bob's avatar");
     println!(
         "replayed session: {} nodes (identical to the live master: {})",
-        replayed.len(),
+        replayed.tree.len(),
         sim.world.data(ds).scene.len()
     );
+    std::fs::remove_dir_all(&recording).unwrap();
     println!(
         "\ntrace excerpt:\n{}",
         &sim.world.trace.render()[..600.min(sim.world.trace.render().len())]

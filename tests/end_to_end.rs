@@ -11,6 +11,7 @@ use rave::math::Vec3;
 use rave::models::{build_with_budget, obj, ply, PaperModel};
 use rave::scene::{CameraParams, InterestSet, NodeKind, SceneUpdate};
 use rave::sim::Simulation;
+use rave::store::StoreConfig;
 use std::sync::Arc;
 
 /// The paper's full ingest path: procedural model → binary PLY → OBJ →
@@ -151,6 +152,9 @@ fn distributed_collaborative_session_converges() {
 fn session_persistence_roundtrip() {
     let mut sim = Simulation::new(RaveWorld::paper_testbed(RaveConfig::default(), 1003));
     let ds = sim.world.spawn_data_service("adrenochrome", "sess");
+    let dir = std::env::temp_dir().join(format!("rave-e2e-recording-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    sim.world.data_mut(ds).attach_store(&dir, StoreConfig::default()).unwrap();
     let (id, root) = {
         let scene = &mut sim.world.data_mut(ds).scene;
         (scene.allocate_id(), scene.root())
@@ -176,11 +180,9 @@ fn session_persistence_roundtrip() {
     }
     sim.run();
 
-    // Save → load → replay.
-    let mut bytes = Vec::new();
-    sim.world.data(ds).audit.save(&mut bytes).unwrap();
-    let loaded = rave::scene::AuditTrail::load(std::io::Cursor::new(bytes)).unwrap();
-    let replayed = loaded.replay_all().unwrap();
+    // Record → play back from the store.
+    sim.world.data_mut(ds).sync_persistence().unwrap();
+    let replayed = rave::store::recover(&dir).unwrap().tree;
     let master = &sim.world.data(ds).scene;
     assert_eq!(replayed.len(), master.len());
     for n in replayed.descendants(replayed.root()) {
@@ -189,6 +191,7 @@ fn session_persistence_roundtrip() {
         assert_eq!(a.name(), b.name());
         assert_eq!(a.transform(), b.transform());
     }
+    std::fs::remove_dir_all(&dir).unwrap();
 }
 
 /// §5.1's degrading-wireless scenario end-to-end: real frames from the

@@ -10,7 +10,8 @@
 //! without draining, with structural edits, presence updates that reach
 //! every subscriber, mid-batch commit failures and subscription churn in
 //! between) must produce the same delivery schedule, the same
-//! `FanoutTotals` and the same bootstrap buffers.
+//! `FanoutTotals` and the same bootstrap catch-up: the log past each
+//! bootstrapping subscriber's snapshot.
 
 use proptest::prelude::*;
 use rave::core::bootstrap::snapshot_for;
@@ -279,7 +280,10 @@ struct Reference {
     live: BTreeMap<RenderServiceId, bool>,
     high_water: BTreeMap<(DataServiceId, RenderServiceId), SimTime>,
     totals: FanoutTotals,
-    buffers: BTreeMap<RenderServiceId, Vec<u64>>,
+    /// Every committed seq, in order: the log a bootstrap catches up from.
+    log: Vec<u64>,
+    /// Bootstrapping subscriber → the last seq its snapshot covers.
+    since: BTreeMap<RenderServiceId, u64>,
     /// In schedule order.
     deliveries: Vec<Expected>,
 }
@@ -293,15 +297,10 @@ impl Reference {
         let service = sim.world.data(ds);
         let mut per_sub: BTreeMap<RenderServiceId, Expected> = BTreeMap::new();
         for stamped in committed {
+            self.log.push(stamped.seq);
             let bytes = stamped.wire_size();
-            let mut targets = Vec::new();
-            for rs in service.route_naive(stamped) {
-                if self.live[&rs] {
-                    targets.push(rs);
-                } else {
-                    self.buffers.entry(rs).or_default().push(stamped.seq);
-                }
-            }
+            let targets: Vec<RenderServiceId> =
+                service.route_naive(stamped).into_iter().filter(|rs| self.live[rs]).collect();
             if targets.is_empty() {
                 continue;
             }
@@ -419,7 +418,8 @@ fn run_case(
         live: BTreeMap::new(),
         high_water: BTreeMap::new(),
         totals: FanoutTotals::default(),
-        buffers: BTreeMap::new(),
+        log: Vec::new(),
+        since: BTreeMap::new(),
         deliveries: Vec::new(),
     };
     let mut interests: BTreeMap<RenderServiceId, InterestSet> = BTreeMap::new();
@@ -437,6 +437,7 @@ fn run_case(
             data.subscribe_live(rs, interest.clone());
         } else {
             data.begin_bootstrap(rs, interest.clone());
+            model.since.insert(rs, model.log.last().copied().unwrap_or(0));
         }
         let replica = snapshot_for(&data.scene, &interest);
         sim.world.render_mut(rs).scene = replica.clone();
@@ -523,7 +524,7 @@ fn run_case(
                 let rs = subscribers[pick % subscribers.len()];
                 let was = model.live.remove(&rs).is_some();
                 prop_assert_eq!(sim.world.data_mut(ds).unsubscribe(rs), was);
-                model.buffers.remove(&rs);
+                model.since.remove(&rs);
             }
             Step::Resubscribe { pick } => {
                 let rs = subscribers[pick % subscribers.len()];
@@ -531,7 +532,7 @@ fn run_case(
                 data.unsubscribe(rs);
                 data.subscribe_live(rs, interests[&rs].clone());
                 model.live.insert(rs, true);
-                model.buffers.remove(&rs);
+                model.since.remove(&rs);
             }
             Step::FinishBootstrap { pick } => {
                 let waiting: Vec<RenderServiceId> =
@@ -540,9 +541,16 @@ fn run_case(
                     continue;
                 }
                 let rs = waiting[pick % waiting.len()];
-                let drained: Vec<u64> =
-                    sim.world.data_mut(ds).complete_bootstrap(rs).iter().map(|s| s.seq).collect();
-                prop_assert_eq!(drained, model.buffers.remove(&rs).unwrap_or_default());
+                let missed: Vec<u64> = sim
+                    .world
+                    .data_mut(ds)
+                    .complete_bootstrap(rs)
+                    .iter()
+                    .map(|e| e.stamped.seq)
+                    .collect();
+                let since = model.since.remove(&rs).expect("a waiting subscriber has a mark");
+                let past: Vec<u64> = model.log.iter().copied().filter(|&seq| seq > since).collect();
+                prop_assert_eq!(missed, past);
                 model.live.insert(rs, true);
             }
         }
@@ -551,18 +559,18 @@ fn run_case(
     Ok(Run { sim, ds, model, replicas, instants })
 }
 
-/// Totals, bootstrap buffers and every spawned replica equal the
+/// Totals, bootstrap marks and every spawned replica equal the
 /// reference's (after [`Reference::rows`] has applied its schedule).
 fn check_quiescent(run: Run) -> TestCaseResult {
     let Run { sim, ds, model, replicas, .. } = run;
     prop_assert_eq!(sim.world.data(ds).fanout, model.totals);
     prop_assert!(model.totals.skipped_receivers >= 2, "the two fixed skips were exercised");
-    for (rs, sub) in &sim.world.data(ds).subscribers {
-        let buffered: Vec<u64> = match &sub.state {
-            SubState::Bootstrapping { buffered } => buffered.iter().map(|s| s.seq).collect(),
-            SubState::Live => Vec::new(),
+    for (rs, sub) in sim.world.data(ds).subscribers() {
+        let since = match sub.state {
+            SubState::Bootstrapping { since } => Some(since),
+            SubState::Live => None,
         };
-        prop_assert_eq!(&buffered, model.buffers.get(rs).unwrap_or(&Vec::new()), "{}", rs);
+        prop_assert_eq!(since, model.since.get(rs).copied(), "{}", rs);
     }
     for (rs, replica) in &replicas {
         prop_assert!(&sim.world.render(*rs).scene == replica, "replica of {} differs", rs);
@@ -595,7 +603,7 @@ proptest! {
     /// The same cases with `update_delivery_trace` off, as every scale run
     /// has it: no rows to compare, so the schedule is held through what it
     /// leaves behind — every replica at quiescence, the totals, the
-    /// bootstrap buffers — and the event count is held to the reference's
+    /// bootstrap marks — and the event count is held to the reference's
     /// arrival instants.
     #[test]
     fn untraced_fan_out_is_one_event_per_arrival_instant(

@@ -95,7 +95,7 @@ proptest! {
             let ds_ref = sim.world.data(ds);
             for &node in &nodes {
                 let holders = ds_ref
-                    .subscribers
+                    .subscribers()
                     .values()
                     .filter(|sub| sub.interest.roots().any(|r| r == node))
                     .count();
@@ -103,7 +103,7 @@ proptest! {
             }
             // Replica contents match interests.
             let total_replica: u64 = ds_ref
-                .subscribers
+                .subscribers()
                 .keys()
                 .map(|rs| sim.world.render(*rs).assigned_cost().polygons)
                 .sum();

@@ -7,6 +7,7 @@ use rave::scene::{
     wire, AuditTrail, AvatarInfo, CameraParams, Dirt, EditClass, EditStamp, MeshData, NodeCost,
     NodeId, NodeKind, PointCloudData, SceneTree, SceneUpdate, StampedUpdate, Transform, VolumeData,
 };
+use rave::store::{Store, StoreConfig};
 use std::collections::BTreeMap;
 use std::sync::Arc;
 
@@ -137,9 +138,14 @@ proptest! {
         prop_assert_eq!(replay_prefix.len(), prefix_tree.len());
     }
 
-    /// Save/load of the audit trail is lossless for arbitrary sessions.
+    /// A session recorded into the store plays back losslessly: the
+    /// recovered entries are the trail's, and the recovered scene is the
+    /// trail's replay.
     #[test]
     fn audit_persistence_roundtrip(ops in prop::collection::vec(op_strategy(), 1..30)) {
+        let dir = std::env::temp_dir().join(format!("rave-pscene-audit-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let mut store = Store::open(&dir, StoreConfig::default()).unwrap();
         let mut tree = SceneTree::new();
         let mut trail = AuditTrail::new();
         let mut seq = 0u64;
@@ -148,12 +154,14 @@ proptest! {
                 update.apply(&mut tree).unwrap();
                 seq += 1;
                 trail.record(i as f64, StampedUpdate { seq, origin: "p".into(), update }).unwrap();
+                store.append(trail.entries().last().unwrap()).unwrap();
             }
         }
-        let mut buf = Vec::new();
-        trail.save(&mut buf).unwrap();
-        let loaded = AuditTrail::load(std::io::Cursor::new(buf)).unwrap();
-        prop_assert_eq!(&loaded, &trail);
+        store.sync().unwrap();
+        let rec = rave::store::recover(&dir).unwrap();
+        std::fs::remove_dir_all(&dir).unwrap();
+        prop_assert_eq!(&rec.entries[..], trail.entries());
+        prop_assert_eq!(rec.tree, trail.replay_all().unwrap());
     }
 
     /// The arena agrees with a naive map-based model under arbitrary

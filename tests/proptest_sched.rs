@@ -129,7 +129,7 @@ proptest! {
             let ds_ref = sim.world.data(ds);
             for &node in &nodes {
                 let holders = ds_ref
-                    .subscribers
+                    .subscribers()
                     .values()
                     .filter(|sub| sub.interest.roots().any(|r| r == node))
                     .count();
@@ -138,7 +138,7 @@ proptest! {
             // Replicas partition the master scene: total assigned cost is
             // conserved through every move.
             let total_replica: u64 = ds_ref
-                .subscribers
+                .subscribers()
                 .keys()
                 .map(|rs| sim.world.render(*rs).assigned_cost().polygons)
                 .sum();
@@ -272,7 +272,7 @@ proptest! {
                 let listed: Vec<RenderServiceId> = sim
                     .world
                     .data(ds)
-                    .subscribers
+                    .subscribers()
                     .iter()
                     .filter(|(_, sub)| sub.interest.roots().any(|r| r == node))
                     .map(|(rs, _)| *rs)

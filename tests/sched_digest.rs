@@ -126,7 +126,7 @@ fn frames(sim: &mut RaveSim, rs: RenderServiceId, spacing: f64) {
 /// interest roots at the data service and on its replica.
 fn write_world(out: &mut String, sim: &RaveSim, ds: DataServiceId) {
     out.push_str(&sim.world.trace.render());
-    for (rs, sub) in &sim.world.data(ds).subscribers {
+    for (rs, sub) in sim.world.data(ds).subscribers() {
         let roots: Vec<NodeId> = sub.interest.roots().collect();
         let _ = writeln!(out, "sub {rs} all={} {roots:?}", sub.interest.is_everything());
     }
