@@ -95,12 +95,17 @@ pub fn connect_render_service(
     let arrival = sim.world.send_bytes(marshalled_at, &ds_host, &rs_host, stats.bytes);
 
     // 4. On arrival: install replica, replay the trail past the snapshot.
+    //    A snapshot whose sender or receiver failed meanwhile installs
+    //    nothing: failover re-bootstraps the receiver from the new master.
     sim.schedule_at(arrival, move |sim| {
         let now = sim.now();
         let RaveWorld { data_services, render_services, trace, .. } = &mut sim.world;
-        let ds = data_services.get_mut(&ds_id).unwrap_or_else(|| panic!("no data service {ds_id}"));
-        let rs =
-            render_services.get_mut(&rs_id).unwrap_or_else(|| panic!("no render service {rs_id}"));
+        let (Some(ds), Some(rs)) = (data_services.get_mut(&ds_id), render_services.get_mut(&rs_id))
+        else {
+            let row = format!("{rs_id}'s snapshot from {ds_id} dropped: a service failed");
+            trace.record(now, TraceKind::Bootstrap, row);
+            return;
+        };
         let missed = ds.complete_bootstrap(rs_id);
         // Merge (not replace): nodes that arrived through other paths
         // while the snapshot was in flight — e.g. migration moving work
@@ -173,7 +178,7 @@ pub fn recover_data_service(
     let new_id = sim.world.next_data_service_id();
     let rec = rave_store::recover(dir.as_ref())?;
     let mut ds = DataService::new(new_id, host, &failed_ds.name);
-    ds.seed_from(&rec)?;
+    ds.seed_from(&rec);
     ds.attach_store(dir, cfg)?;
     sim.world.install_data_service(ds);
     let now = sim.now();
@@ -350,6 +355,119 @@ mod tests {
             let replayed = format!("({in_flight} buffered updates replayed)");
             assert!(row.detail.ends_with(&replayed), "{}", row.detail);
         }
+    }
+
+    fn rename(sim: &mut RaveSim, ds: DataServiceId, id: NodeId, name: String) {
+        publish_update(sim, ds, "user", SceneUpdate::SetName { id, name }).unwrap();
+    }
+
+    /// A snapshot in flight across `3 × KEEP` commits keeps the trail past
+    /// its `since`; once it lands, the next releases shrink the trail back.
+    #[test]
+    fn a_bootstrap_in_flight_pins_the_trail() {
+        use crate::data_service::KEEP;
+        let (mut sim, ds) = sim_with_scene(200_000); // big: slow marshal
+        let model = sim.world.data(ds).scene.find_by_path("/model").unwrap();
+        let rs = sim.world.spawn_render_service("tower");
+        connect_render_service(&mut sim, rs, ds, InterestSet::everything());
+        let pinned = 3 * KEEP + 5;
+        for i in 0..pinned {
+            rename(&mut sim, ds, model, format!("m{i}"));
+        }
+        assert_eq!(sim.world.data(ds).audit.len(), pinned, "nothing past `since` released");
+        sim.run();
+        assert!(sim.world.render(rs).scene == sim.world.data(ds).scene);
+        let detail = &sim.world.trace.first_of(TraceKind::Bootstrap).unwrap().detail;
+        assert!(detail.ends_with(&format!("({pinned} buffered updates replayed)")), "{detail}");
+        for i in 0..KEEP {
+            rename(&mut sim, ds, model, format!("after{i}"));
+        }
+        assert!(sim.world.data(ds).audit.len() < 2 * KEEP);
+        sim.run();
+        assert!(sim.world.render(rs).scene == sim.world.data(ds).scene);
+    }
+
+    /// A store whose last checkpoint covers every commit recovers with an
+    /// empty WAL tail: the replacement still reports the recovered seq, and
+    /// a replica bootstrapped from it catches up an edit made in flight.
+    #[test]
+    fn recovery_past_an_empty_wal_tail_keeps_the_seq() {
+        let dir = std::env::temp_dir().join(format!("rave-boot-tail-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let mut sim = Simulation::new(RaveWorld::paper_testbed(RaveConfig::default(), 3));
+        let ds = sim.world.spawn_data_service("adrenochrome", "sess");
+        let cfg = rave_store::StoreConfig { checkpoint_every: 4, ..Default::default() };
+        sim.world.data_mut(ds).attach_store(&dir, cfg).unwrap();
+        let mut ids = Vec::new();
+        for i in 0..10 {
+            let id = sim.world.data_mut(ds).scene.allocate_id();
+            let kind = NodeKind::Group;
+            let add = SceneUpdate::AddNode { id, parent: NodeId(0), name: format!("n{i}"), kind };
+            publish_update(&mut sim, ds, "user", add).unwrap();
+            ids.push(id);
+        }
+        for (i, &id) in ids.iter().enumerate() {
+            rename(&mut sim, ds, id, format!("r{i}"));
+        }
+        sim.world.data_mut(ds).sync_persistence().unwrap();
+        let rec = rave_store::recover(&dir).unwrap();
+        assert_eq!((rec.last_seq, rec.entries.len()), (20, 0), "checkpointed at the last commit");
+
+        let new_ds = recover_data_service(&mut sim, ds, "adrenochrome", &dir).unwrap();
+        assert_eq!(sim.world.data(new_ds).audit.last_seq(), rec.last_seq);
+        assert!(sim.world.data(new_ds).scene == rec.tree);
+        let rs = sim.world.spawn_render_service("tower");
+        connect_render_service(&mut sim, rs, new_ds, InterestSet::everything());
+        rename(&mut sim, new_ds, ids[3], "in flight".into());
+        sim.run();
+        assert!(sim.world.render(rs).scene == sim.world.data(new_ds).scene);
+        assert_eq!(sim.world.data(new_ds).audit.last_seq(), 21);
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    /// A data service that fails with a snapshot in flight, recovered
+    /// cold: the snapshot installs nothing, the re-bootstrap from the
+    /// replacement does, and the replica ends equal to the new master.
+    #[test]
+    fn a_snapshot_outliving_its_data_service_installs_nothing() {
+        let dir = std::env::temp_dir().join(format!("rave-boot-cold-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let mut sim = Simulation::new(RaveWorld::paper_testbed(RaveConfig::default(), 3));
+        let ds = sim.world.spawn_data_service("adrenochrome", "sess");
+        sim.world.data_mut(ds).attach_store(&dir, Default::default()).unwrap();
+        let id = sim.world.data_mut(ds).scene.allocate_id();
+        let mesh = MeshData::new(vec![Vec3::ZERO, Vec3::X, Vec3::Y], vec![[0, 1, 2]; 200_000]);
+        let kind = NodeKind::Mesh(Arc::new(mesh));
+        let add = SceneUpdate::AddNode { id, parent: NodeId(0), name: "model".into(), kind };
+        publish_update(&mut sim, ds, "user", add).unwrap();
+        sim.world.data_mut(ds).sync_persistence().unwrap();
+        let rs = sim.world.spawn_render_service("tower");
+        connect_render_service(&mut sim, rs, ds, InterestSet::everything());
+
+        let outcome = crate::migration::handle_data_service_failure(&mut sim, ds);
+        let new_ds = outcome.promotions[0].promoted;
+        rename(&mut sim, new_ds, id, "renamed".into());
+        sim.run();
+        assert!(sim.world.render(rs).scene == sim.world.data(new_ds).scene);
+        let rows: Vec<_> = sim.world.trace.of_kind(TraceKind::Bootstrap).collect();
+        assert_eq!(rows.len(), 2, "the dropped snapshot and the re-bootstrap");
+        assert!(rows.iter().any(|r| r.detail.contains("dropped")));
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    /// A render service that fails with its snapshot in flight: the
+    /// arrival finds nobody to install it on.
+    #[test]
+    fn a_snapshot_outliving_its_render_service_installs_nothing() {
+        let (mut sim, ds) = sim_with_scene(200_000);
+        let rs = sim.world.spawn_render_service("tower");
+        connect_render_service(&mut sim, rs, ds, InterestSet::everything());
+        crate::migration::handle_service_failure(&mut sim, ds, rs);
+        sim.run();
+        assert!(!sim.world.render_services.contains_key(&rs));
+        assert!(!sim.world.data(ds).subscribers().contains_key(&rs));
+        let row = sim.world.trace.first_of(TraceKind::Bootstrap).unwrap();
+        assert!(row.detail.contains("dropped"), "{}", row.detail);
     }
 
     #[test]

@@ -319,12 +319,17 @@ mod tests {
     }
 
     #[test]
-    fn audit_trail_replays_collaboration() {
+    fn the_recording_replays_collaboration() {
         // Asynchronous collaboration: a later user replays the session.
+        let dir = std::env::temp_dir().join(format!("rave-collab-rec-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
         let (mut sim, ds, _) = collaborative_world();
+        sim.world.data_mut(ds).attach_store(&dir, Default::default()).unwrap();
         let who = join_session(&mut sim, ds, "u", Vec3::X, CameraParams::default()).unwrap();
         sim.run();
-        let replayed = sim.world.data(ds).audit.replay_all().unwrap();
+        sim.world.data_mut(ds).sync_persistence().unwrap();
+        let replayed = rave_store::recover(&dir).unwrap().tree;
+        std::fs::remove_dir_all(&dir).unwrap();
         assert!(replayed.contains(who.avatar));
     }
 }

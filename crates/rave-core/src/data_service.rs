@@ -28,6 +28,10 @@ impl StorePersistence {
     }
 }
 
+/// The latest entries the audit trail keeps for callers reading back a
+/// batch. It holds at most twice this, plus what a bootstrap still needs.
+pub(crate) const KEEP: usize = 1024;
+
 /// What the checkpoint a commit came due for did: the sequence number it
 /// covers, and which kind it wrote and what its compaction freed
 /// ([`CompactionReport::kind`]) or why it failed.
@@ -121,7 +125,7 @@ pub struct DataService {
     pub name: String,
     /// The master scene.
     pub scene: SceneTree,
-    /// The persistent session record.
+    /// The recent tail of the session's log (the store is the recording).
     pub audit: AuditTrail,
     next_seq: u64,
     /// Who is subscribed, with what interest and in what state. Only this
@@ -215,24 +219,17 @@ impl DataService {
         }
     }
 
-    /// Bring the master and the audit trail up to a recovered store
-    /// prefix (the latest snapshot plus the write-ahead-log tail past it):
-    /// its scene and sequence when the prefix is ahead of the trail, and
-    /// every replayed entry past the trail's last. A fresh replacement
-    /// takes all of it; a standby whose link is re-established over a
-    /// prefix it already holds in memory records only the rest.
-    pub fn seed_from(&mut self, rec: &Recovery) -> io::Result<()> {
-        let held = self.audit.last_seq();
-        if rec.last_seq > held {
+    /// Bring the master up to a recovered store prefix (the latest
+    /// snapshot plus the write-ahead-log tail past it) when the prefix is
+    /// ahead of it: its scene and sequence, and an empty trail that
+    /// continues after it — the history is in the store. A standby whose
+    /// link is re-established over a prefix it already holds keeps its own.
+    pub fn seed_from(&mut self, rec: &Recovery) {
+        if rec.last_seq > self.audit.last_seq() {
             self.scene = rec.tree.clone();
             self.next_seq = self.next_seq.max(rec.last_seq + 1);
+            self.audit = AuditTrail::after(rec.last_seq);
         }
-        for e in rec.entries.iter().filter(|e| e.stamped.seq > held) {
-            self.audit
-                .record(e.at_secs, e.stamped.clone())
-                .map_err(|err| io::Error::new(io::ErrorKind::InvalidData, err.to_string()))?;
-        }
-        Ok(())
     }
 
     /// Assign the next global sequence number to an update.
@@ -246,9 +243,10 @@ impl DataService {
     /// and append it to the attached store. Also advances the sequence
     /// counter past the committed number, so a standby that commits a
     /// primary's shipped log can take over stamping seamlessly after
-    /// failover. Returns the checkpoint the append made due, if one was:
-    /// an update the log holds is committed whether or not its checkpoint
-    /// succeeds, and the store keeps one due until a snapshot is written.
+    /// failover, and releases the trail's front every `KEEP` entries.
+    /// Returns the checkpoint the append made due, if one was: an update
+    /// the log holds is committed whether or not its checkpoint succeeds,
+    /// and the store keeps one due until a snapshot is written.
     pub fn commit(
         &mut self,
         at_secs: f64,
@@ -257,6 +255,17 @@ impl DataService {
         stamped.update.apply(&mut self.scene)?;
         self.audit.record(at_secs, stamped.clone())?;
         self.next_seq = self.next_seq.max(stamped.seq + 1);
+        let held = self.audit.entries();
+        if held.len().is_multiple_of(KEEP) && held.len() > KEEP {
+            // All but the last `KEEP`, and nothing a bootstrap reads: one
+            // pass over the subscribers per `KEEP` commits.
+            let front = held[held.len() - KEEP - 1].stamped.seq;
+            let floor = self.subscribers.values().fold(front, |floor, sub| match sub.state {
+                SubState::Bootstrapping { since } => floor.min(since),
+                SubState::Live => floor,
+            });
+            self.audit.release_through(floor);
+        }
         let Some(store) = &mut self.store.0 else { return Ok(None) };
         // A master assigned over (seeded, promoted) starts unrecorded.
         self.scene.record_edits();
@@ -662,23 +671,6 @@ mod tests {
         assert!(ds.route(&Arc::new(u)).is_empty());
     }
 
-    #[test]
-    fn session_playback_from_audit() {
-        // The persistence story end-to-end: commit updates, replay the
-        // audit trail into a fresh tree, identical content.
-        let mut ds = DataService::new(DataServiceId(1), "h", "s");
-        for name in ["a", "b", "c"] {
-            let u = add_update(&mut ds, name);
-            ds.commit(0.0, &u).unwrap();
-        }
-        let u = ds.stamp("t", SceneUpdate::RemoveNode { id: NodeId(2) });
-        ds.commit(1.0, &u).unwrap();
-        let replayed = ds.audit.replay_all().unwrap();
-        assert_eq!(replayed.len(), ds.scene.len());
-        assert!(replayed.find_by_path("/a").is_some());
-        assert!(replayed.find_by_path("/b").is_none());
-    }
-
     /// §3.1.1's asynchronous collaboration: user A records a session into
     /// a store; user B plays it back later into a fresh service, appends
     /// new work to the same recording, and a later playback holds both.
@@ -699,7 +691,7 @@ mod tests {
         drop(a);
 
         let mut b = DataService::new(DataServiceId(2), "h", "s");
-        b.seed_from(&rave_store::recover(&dir).unwrap()).unwrap();
+        b.seed_from(&rave_store::recover(&dir).unwrap());
         assert_eq!(b.audit.last_seq(), 3);
         b.attach_store(&dir, StoreConfig::default()).unwrap();
         let u = add_update(&mut b, "appended");
@@ -737,6 +729,26 @@ mod tests {
         ds.commit(0.0, &u).unwrap();
         assert!(bytes() > before, "the original still logs");
         std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    /// A session with nobody bootstrapping keeps a bounded tail: never
+    /// more than `2 × KEEP` entries, the latest ones, and `last_seq` is the
+    /// last committed seq whatever was released.
+    #[test]
+    fn the_trail_holds_a_bounded_tail() {
+        let mut ds = DataService::new(DataServiceId(1), "h", "s");
+        let node = ds.scene.add_node(ds.scene.root(), "n", NodeKind::Group).unwrap();
+        ds.subscribe_live(RenderServiceId(1), InterestSet::everything());
+        for i in 0..4 * KEEP + 7 {
+            let u = ds.stamp("t", SceneUpdate::SetName { id: node, name: format!("n{i}") });
+            ds.commit(0.0, &u).unwrap();
+            assert_eq!(ds.audit.last_seq(), u.seq);
+            assert!(ds.audit.len() <= 2 * KEEP, "{} entries held", ds.audit.len());
+        }
+        let held: Vec<u64> = ds.audit.entries().iter().map(|e| e.stamped.seq).collect();
+        let last = ds.audit.last_seq();
+        assert!(held.len() >= KEEP);
+        assert!(held.iter().copied().eq(last + 1 - held.len() as u64..=last), "contiguous tail");
     }
 
     #[test]

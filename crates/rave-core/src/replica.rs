@@ -18,10 +18,11 @@
 //! [`crate::bootstrap::recover_data_service`] path (durable store, full
 //! re-bootstrap of every subscriber) when one does not.
 
-use crate::ids::{DataServiceId, RenderServiceId};
+use crate::bootstrap::connect_render_service;
+use crate::data_service::SubState;
+use crate::ids::DataServiceId;
 use crate::trace::TraceKind;
 use crate::world::RaveSim;
-use rave_scene::InterestSet;
 use rave_sim::SimTime;
 use rave_store::ship::{Shipper, StandbyLog, ACK_BYTES};
 use rave_store::Wal;
@@ -87,7 +88,7 @@ pub struct PromotionReport {
     /// Committed updates the primary held that never reached the
     /// standby's log — bounded by the configured lag.
     pub lost_updates: u64,
-    /// Virtual time at which the last subscriber flip completes.
+    /// Virtual time at which the last subscriber is live again.
     pub completed_at: SimTime,
 }
 
@@ -109,7 +110,7 @@ pub fn establish_standby(
     // Seed the standby's in-memory replica from its durable prefix, so
     // memory and disk advance together from one consistent point.
     let rec = rave_store::recover(standby_dir.as_ref())?;
-    sim.world.data_mut(standby).seed_from(&rec)?;
+    sim.world.data_mut(standby).seed_from(&rec);
     sim.world.replicas.insert(
         primary,
         ReplicaLink {
@@ -319,17 +320,22 @@ pub fn promote_standby(
 
     // Re-point subscribers: each flip is one small control round trip
     // from the promoted host — the replicas themselves are already warm,
-    // so there is no bootstrap marshal and no buffered-update replay.
+    // so there is no bootstrap marshal and no buffered-update replay. A
+    // subscriber whose snapshot was still in flight lost it with the
+    // primary: it bootstraps again, from the standby.
     let s_host = sim.world.data(standby).host.clone();
     let mut completed_at = now;
-    let subs: Vec<(RenderServiceId, InterestSet)> =
-        failed.subscribers().iter().map(|(rs, sub)| (*rs, sub.interest.clone())).collect();
-    for (rs, interest) in &subs {
-        let rs_host = sim.world.render(*rs).host.clone();
+    for (&rs, sub) in failed.subscribers() {
+        let interest = sub.interest.clone();
+        if sub.state != SubState::Live {
+            let timing = connect_render_service(sim, rs, standby, interest);
+            completed_at = completed_at.max(timing.ready_at);
+            continue;
+        }
+        let rs_host = sim.world.render(rs).host.clone();
         let rtt = sim.world.network.round_trip(&s_host, &rs_host, 128, 64);
         let at = now + rtt;
         completed_at = completed_at.max(at);
-        let (rs, interest) = (*rs, interest.clone());
         sim.schedule_at(at, move |sim| {
             sim.world.data_mut(standby).subscribe_live(rs, interest);
         });
@@ -338,7 +344,7 @@ pub fn promote_standby(
         failed: primary,
         promoted: standby,
         warm: true,
-        subscribers_moved: subs.len(),
+        subscribers_moved: failed.subscribers().len(),
         residual_entries: residual.len(),
         replayed_bytes,
         lost_updates: lost,
@@ -351,7 +357,7 @@ pub fn promote_standby(
             "{primary} -> {standby}: promoted at seq {standby_last} \
              ({} subscriber(s) re-pointed, {} residual entr(ies) replayed, \
              {lost} committed update(s) lost)",
-            subs.len(),
+            failed.subscribers().len(),
             residual.len(),
         ),
     );
@@ -361,10 +367,12 @@ pub fn promote_standby(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::ids::RenderServiceId;
     use crate::sched::rebalance::process_events;
     use crate::sched::SchedEvent;
     use crate::world::{publish_update, RaveWorld};
     use crate::RaveConfig;
+    use rave_scene::InterestSet;
     use rave_scene::{NodeKind, SceneUpdate};
     use rave_sim::Simulation;
     use rave_store::StoreConfig;
@@ -500,6 +508,39 @@ mod tests {
         sim.world.data_mut(standby).sync_persistence().unwrap();
         assert_eq!(rave_store::recover(&sdir).unwrap().last_seq, seq);
         assert_eq!(sim.world.trace.count(TraceKind::Promote), 1);
+        let _ = std::fs::remove_dir_all(&pdir);
+        let _ = std::fs::remove_dir_all(&sdir);
+    }
+
+    /// A subscriber whose snapshot is in flight when the primary fails
+    /// lost it with the primary: promotion bootstraps it again from the
+    /// standby, and it catches up what the standby commits meanwhile.
+    #[test]
+    fn promotion_re_bootstraps_a_subscriber_in_flight() {
+        let (mut sim, primary, standby, _, pdir, sdir) = warm_world("inflight", 0);
+        let horizon = sim.now() + SimTime::from_secs(60.0);
+        run_log_shipping(&mut sim, primary, horizon);
+        let ids: Vec<_> = (0..12).map(|i| add(&mut sim, primary, &format!("n{i}"))).collect();
+        sim.run();
+        let joining = sim.world.spawn_render_service("desktop");
+        crate::bootstrap::connect_render_service(
+            &mut sim,
+            joining,
+            primary,
+            InterestSet::everything(),
+        );
+
+        let outcome =
+            process_events(&mut sim, primary, &[SchedEvent::DataFailure { service: primary }]);
+        assert!(outcome.promotions[0].warm);
+        let sub = sim.world.data(standby).subscribers()[&joining].state;
+        assert!(matches!(sub, SubState::Bootstrapping { .. }), "{sub:?}");
+        let rename = SceneUpdate::SetName { id: ids[5], name: "in flight".into() };
+        publish_update(&mut sim, standby, "u", rename).unwrap();
+        sim.run();
+        assert!(sim.world.render(joining).scene == sim.world.data(standby).scene);
+        let rows = sim.world.trace.of_kind(TraceKind::Bootstrap);
+        assert!(rows.map(|r| &r.detail).any(|d| d.contains("dropped")));
         let _ = std::fs::remove_dir_all(&pdir);
         let _ = std::fs::remove_dir_all(&sdir);
     }

@@ -291,16 +291,21 @@ mod tests {
 
     #[test]
     fn session_replay_includes_steered_motion() {
-        // Asynchronous collaboration over a steering session: the audit
-        // trail replays the molecule's trajectory.
+        // Asynchronous collaboration over a steering session: the
+        // recording replays the molecule's trajectory.
+        let dir = std::env::temp_dir().join(format!("rave-steer-rec-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
         let (mut sim, ds, _) = steering_world();
+        sim.world.data_mut(ds).attach_store(&dir, Default::default()).unwrap();
         let mut bridge =
             SteeringBridge::new(&mut sim, ds, "tower", MoleculeSimulator::chain(3, 1.0));
         sim.run();
         bridge.apply_force(&mut sim, 2, Vec3::new(0.0, 0.0, 300.0), "laptop");
         bridge.step_and_publish(&mut sim, 30);
         sim.run();
-        let replayed = sim.world.data(ds).audit.replay_all().unwrap();
+        sim.world.data_mut(ds).sync_persistence().unwrap();
+        let replayed = rave_store::recover(&dir).unwrap().tree;
+        std::fs::remove_dir_all(&dir).unwrap();
         let node2 = bridge.bindings[&2];
         assert_eq!(
             replayed.node(node2).unwrap().transform().translation,

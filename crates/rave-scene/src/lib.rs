@@ -8,8 +8,8 @@
 //!   per-node transforms, world-space bounds and cost aggregation;
 //! - the *update* protocol ([`update::SceneUpdate`]) that the data service
 //!   multicasts to render services and records as an audit trail;
-//! - the persistent **audit trail** ([`audit::AuditTrail`]) enabling
-//!   asynchronous collaboration by session playback (§3.1.1);
+//! - the **audit trail** ([`audit::AuditTrail`]), the recent tail of a
+//!   session's log that joining replicas catch up from (§5.5);
 //! - **interest sets** ([`interest::InterestSet`]) marking which scene
 //!   subsets a render service must be kept up to date on (§3.2.5);
 //! - an **introspection marshaller** ([`introspect`]) reproducing the

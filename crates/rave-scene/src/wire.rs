@@ -3,7 +3,7 @@
 //!
 //! This is the format a session is recorded in: the write-ahead log and
 //! snapshot checkpoints in `rave-store` frame these bytes, and a recorded
-//! session ([`crate::audit`]) is played back by decoding them.
+//! session is played back by decoding them.
 //!
 //! All integers are little-endian. Strings and sequences are
 //! length-prefixed with a `u32`. Enums carry a one-byte tag. The format

@@ -32,9 +32,7 @@ pub struct Recovery {
     pub snapshot_seq: u64,
     /// Deltas applied on top of the snapshot.
     pub deltas: usize,
-    /// WAL entries replayed on top of the snapshot and its deltas. A
-    /// replacement data service seeds its audit trail from these — history
-    /// the checkpoints cover is subsumed by them.
+    /// WAL entries replayed on top of the snapshot and its deltas.
     pub entries: Vec<AuditEntry>,
 }
 

@@ -2,7 +2,7 @@
 //! example): a mass-spring "molecule" integrates on a remote compute
 //! host; RAVE is the display and collaboration mechanism. A user yanks an
 //! atom; every collaborator watches the chain whip and settle, and the
-//! whole trajectory is replayable from the audit trail.
+//! whole trajectory is recorded to a store and replayable from it.
 //!
 //! Run with: `cargo run --release --example molecule_steering`
 
@@ -12,10 +12,14 @@ use rave::core::RaveConfig;
 use rave::math::Vec3;
 use rave::scene::InterestSet;
 use rave::sim::Simulation;
+use rave::store::StoreConfig;
 
 fn main() {
     let mut sim = Simulation::new(RaveWorld::paper_testbed(RaveConfig::default(), 6));
     let ds = sim.world.spawn_data_service("adrenochrome", "molecule-session");
+    let recording = std::env::temp_dir().join(format!("rave-molecule-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&recording);
+    sim.world.data_mut(ds).attach_store(&recording, StoreConfig::default()).unwrap();
     let rs = sim.world.spawn_render_service("laptop");
     sim.world.data_mut(ds).subscribe_live(rs, InterestSet::everything());
 
@@ -54,10 +58,9 @@ fn main() {
     assert_eq!(replica_pos, bridge.simulator.atoms[7].position);
 
     // Asynchronous collaboration: the recorded session replays bit-exact.
-    let replayed = sim.world.data(ds).audit.replay_all().unwrap();
-    assert_eq!(replayed.node(node7).unwrap().transform().translation, replica_pos);
-    println!(
-        "audit trail: {} updates; replay reproduces the final pose exactly.",
-        sim.world.data(ds).audit.len()
-    );
+    sim.world.data_mut(ds).sync_persistence().unwrap();
+    let replayed = rave::store::recover(&recording).unwrap();
+    std::fs::remove_dir_all(&recording).unwrap();
+    assert_eq!(replayed.tree.node(node7).unwrap().transform().translation, replica_pos);
+    println!("recording: {} updates; replay reproduces the final pose exactly.", replayed.last_seq);
 }

@@ -84,8 +84,5 @@ fn main() {
     let mut f = File::create("out/quickstart.ppm").unwrap();
     fb.write_ppm(&mut f).unwrap();
     println!("wrote out/quickstart.ppm ({}x{})", fb.width(), fb.height());
-    println!(
-        "\nsession audit trail has {} entries; replayable any time.",
-        sim.world.data(ds).audit.len()
-    );
+    println!("\nsession committed {} update(s).", sim.world.data(ds).audit.last_seq());
 }

@@ -493,13 +493,14 @@ fn run_case(
             Step::Batch(ops) => {
                 let (updates, commits) = plan_batch(&mut sim, ds, ops);
                 let fails = commits < updates.len();
-                let before = sim.world.data(ds).audit.len();
+                let before = sim.world.data(ds).audit.last_seq();
                 let batch = updates.into_iter().map(|u| ("editor".to_string(), u)).collect();
                 let (queued, booked) = (sim.pending(), model.deliveries.len());
                 let result = publish_batch(&mut sim, ds, batch);
                 let trail = sim.world.data(ds).audit.entries();
+                let batch = &trail[trail.partition_point(|e| e.stamped.seq <= before)..];
                 let committed: Vec<StampedUpdate> =
-                    trail[before..].iter().map(|e| e.stamped.clone()).collect();
+                    batch.iter().map(|e| e.stamped.clone()).collect();
                 // The committed prefix of a failed batch is in the
                 // trail (and fanned out below); the rest is dropped.
                 prop_assert_eq!(committed.len(), commits);
