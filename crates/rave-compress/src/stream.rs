@@ -16,7 +16,9 @@
 //! it patches afterwards, and [`decode_frame_in_place`] decodes each dirty
 //! strip over the receiver's own view and leaves the clean ones where
 //! they are. [`encode_frame_with_meta`] and [`decode_frame`] are those two
-//! into a fresh vector and on a copy.
+//! into a fresh vector and on a copy. [`encode_clean_frame_into`] writes
+//! the container of a frame every strip of which is clean, the header
+//! [`encode_frame_into`] starts from, and reads no pixel.
 //!
 //! Two "previous frame" roles are deliberately distinct:
 //!
@@ -121,18 +123,10 @@ pub fn encode_frame_into(
     strip_count: u16,
     out: &mut Vec<u8>,
 ) -> StripMeta {
-    assert_eq!(cur.len() % 3, 0, "RGB frames are 3 bytes per pixel");
+    let n = encode_clean_frame_into(codec, cur.len(), strip_count, out).strips as usize;
     let pixels = cur.len() / 3;
-    let n = if pixels == 0 { 0 } else { (strip_count as usize).clamp(1, pixels) };
     let prev_raw = usable_prev(prev_raw, cur.len());
     let prev_view = usable_prev(prev_view, cur.len());
-
-    out.clear();
-    out.push(VERSION);
-    out.push(codec.id());
-    out.extend_from_slice(&(cur.len() as u32).to_le_bytes());
-    out.extend_from_slice(&(n as u16).to_le_bytes());
-    out.resize(HEADER + n.div_ceil(8), 0);
 
     let mut skipped = 0;
     for i in 0..n {
@@ -150,6 +144,28 @@ pub fn encode_frame_into(
         out[len_at..len_at + 4].copy_from_slice(&len.to_le_bytes());
     }
     StripMeta { codec, strips: n as u32, skipped }
+}
+
+/// What [`encode_frame_into`] writes into `out` for a `frame_len`-byte
+/// frame whose every strip compares equal to `prev_raw`: the header and an
+/// all-clean bitmap, no payload. A sender that knows its frame is the one
+/// it shipped last writes this without reading a pixel.
+pub fn encode_clean_frame_into(
+    codec: Codec,
+    frame_len: usize,
+    strip_count: u16,
+    out: &mut Vec<u8>,
+) -> StripMeta {
+    assert_eq!(frame_len % 3, 0, "RGB frames are 3 bytes per pixel");
+    let pixels = frame_len / 3;
+    let n = if pixels == 0 { 0 } else { (strip_count as usize).clamp(1, pixels) };
+    out.clear();
+    out.push(VERSION);
+    out.push(codec.id());
+    out.extend_from_slice(&(frame_len as u32).to_le_bytes());
+    out.extend_from_slice(&(n as u16).to_le_bytes());
+    out.resize(HEADER + n.div_ceil(8), 0);
+    StripMeta { codec, strips: n as u32, skipped: n as u32 }
 }
 
 /// Bring the sender's `prev_raw` up to `cur` once `container`, the encode
@@ -329,6 +345,23 @@ mod tests {
         assert_eq!(meta.skipped, meta.strips);
         assert!(enc.len() <= HEADER + 1, "static frame bytes: {}", enc.len());
         assert_eq!(decode_frame(&enc, Some(&cur)).unwrap(), cur);
+    }
+
+    #[test]
+    fn a_clean_frame_is_what_encoding_an_unchanged_one_writes() {
+        let cur = frame(700, 3);
+        for codec in Codec::ALL {
+            for strips in [0u16, 1, 3, 8, 9, 700, 10_000] {
+                let mut clean = vec![0xAB; 5];
+                let meta = encode_clean_frame_into(codec, cur.len(), strips, &mut clean);
+                let (enc, full) =
+                    encode_frame_with_meta(codec, &cur, Some(&cur), Some(&cur), strips);
+                assert_eq!((clean, meta), (enc, full), "{} x{strips}", codec.name());
+            }
+        }
+        let mut empty = Vec::new();
+        let meta = encode_clean_frame_into(Codec::Rle, 0, 8, &mut empty);
+        assert_eq!((empty, meta), encode_frame_with_meta(Codec::Rle, &[], None, None, 8));
     }
 
     #[test]

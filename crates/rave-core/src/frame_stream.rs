@@ -24,8 +24,21 @@
 //! `prev_view` is decoded into, `last_raw` takes the strips that were
 //! dirty. After a stream's first frame a send allocates no frame-sized
 //! buffer; a frame of another size replaces both.
+//!
+//! What the stream already holds. A channel records which render of its
+//! sender's session `last_raw` is the bytes of (the session's
+//! `FrameKey`): the pixels are a function of the key alone, so when the
+//! session's frame is still that render — lent again, nothing redrawn —
+//! every strip would compare equal. That send reads no pixel: it writes
+//! the header with an all-clean bitmap, hands the selector the bytes the
+//! stream holds, and skips the conversion, the compare, the decode and
+//! the copy, while every byte, codec choice, counter, trace row and
+//! virtual-time charge is what the full path would have produced. A key
+//! with a NaN in it equals nothing, and bytes sent as [`Outgoing::Rgb`]
+//! are a render of nothing, so both take the full path.
 
 use crate::ids::{ClientId, RenderServiceId};
+use crate::render_service::FrameKey;
 use crate::trace::TraceKind;
 use crate::world::RaveWorld;
 use rave_compress::adaptive::{self, CodecSelector, EndpointSpeed};
@@ -45,6 +58,9 @@ pub struct StreamStats {
     pub codec_switches: u64,
     pub strips_total: u64,
     pub strips_skipped: u64,
+    /// Frames sent as the render the stream already held: header only,
+    /// no pixel read.
+    pub resent: u64,
 }
 
 impl StreamStats {
@@ -64,6 +80,8 @@ pub struct FrameChannel {
     pub selector: CodecSelector,
     /// Raw pixels of the last frame shipped (dirty-strip compare base).
     last_raw: Option<Vec<u8>>,
+    /// The render `last_raw` holds, when it was a session's.
+    shipped: Option<FrameKey>,
     /// The receiver's reconstruction of the last frame (delta base).
     prev_view: Option<Vec<u8>>,
     last_codec: Option<Codec>,
@@ -75,6 +93,7 @@ impl FrameChannel {
         Self {
             selector: CodecSelector::new(alpha, reprobe_every),
             last_raw: None,
+            shipped: None,
             prev_view: None,
             last_codec: None,
             stats: StreamStats::default(),
@@ -122,17 +141,6 @@ impl FrameCache {
         self.channels.get(&(rs, client))
     }
 
-    /// Borrow the staging vector to lay a frame's RGB bytes out in (hand
-    /// it back with [`put_staging`](Self::put_staging) after the send —
-    /// the same dance as [`take`](Self::take), for the same reason).
-    pub(crate) fn take_staging(&mut self) -> Vec<u8> {
-        std::mem::take(&mut self.staging)
-    }
-
-    pub(crate) fn put_staging(&mut self, buf: Vec<u8>) {
-        self.staging = buf;
-    }
-
     /// Live stream count.
     pub fn len(&self) -> usize {
         self.channels.len()
@@ -158,6 +166,18 @@ impl FrameCache {
     pub fn evict_service(&mut self, rs: RenderServiceId) {
         self.channels.retain(|&(sender, _), _| sender != rs);
     }
+}
+
+/// The frame a send ships.
+#[derive(Debug, Clone, Copy)]
+pub enum Outgoing<'a> {
+    /// The sending service's frame for the stream's client: its session's
+    /// `last_frame`, laid out as RGB only when the stream does not hold
+    /// that render already. The session must hold a frame.
+    Session,
+    /// Wire-order RGB bytes that are no session's render (a synthesized
+    /// frame): sent in full, and the stream forgets which render it held.
+    Rgb(&'a [u8]),
 }
 
 /// What one compressed frame send cost and when it lands.
@@ -186,10 +206,10 @@ pub struct FrameSendOutcome {
     pub switched: bool,
 }
 
-/// Ship one RGB frame from `rs` (on host `from`) to `client` (on host
-/// `to`) through the adaptive compressed stream: pick a codec, encode
-/// into the dirty-strip container, charge encode CPU + encoded wire bytes
-/// to the sim, and report the decode CPU the receiver will spend.
+/// Ship one frame from `rs` (on host `from`) to `client` (on host `to`)
+/// through the adaptive compressed stream: pick a codec, encode into the
+/// dirty-strip container, charge encode CPU + encoded wire bytes to the
+/// sim, and report the decode CPU the receiver will spend.
 ///
 /// The encode starts at `now`; use [`send_frame_after`] when a separate
 /// encoder timeline gates the start.
@@ -201,12 +221,12 @@ pub fn send_frame(
     client: ClientId,
     from: &str,
     to: &str,
-    cur: &[u8],
+    frame: Outgoing<'_>,
     sender: EndpointSpeed,
     receiver: EndpointSpeed,
     allow_lossy: bool,
 ) -> FrameSendOutcome {
-    send_frame_after(world, now, now, rs, client, from, to, cur, sender, receiver, allow_lossy)
+    send_frame_after(world, now, now, rs, client, from, to, frame, sender, receiver, allow_lossy)
 }
 
 /// [`send_frame`] for a pipelined stream: the frame's pixels are `ready`
@@ -226,7 +246,7 @@ pub fn send_frame_after(
     client: ClientId,
     from: &str,
     to: &str,
-    cur: &[u8],
+    frame: Outgoing<'_>,
     sender: EndpointSpeed,
     receiver: EndpointSpeed,
     allow_lossy: bool,
@@ -236,39 +256,74 @@ pub fn send_frame_after(
         FrameChannel::new(world.config.codec_ewma_alpha, world.config.codec_reprobe_every)
     });
 
+    // The frame's bytes: the stream's own `last_raw` when the session's
+    // frame is the render it holds (`held`), else laid out in staging.
+    let mut staging = std::mem::take(&mut world.frame_cache.staging);
+    let (mut held, mut key) = (None, None);
+    if let Outgoing::Session = frame {
+        let session = world.render(rs).sessions.get(&client).expect("the sender's session");
+        match session.rendered_key() {
+            Some(k) if ch.shipped.as_ref() == Some(k) => held = ch.last_raw.take(),
+            k => {
+                let fb = session.last_frame.as_ref().expect("the session holds a frame");
+                fb.rgb_bytes_into(&mut staging);
+                key = k.cloned();
+            }
+        }
+    }
+    let cur: &[u8] = match (frame, &held) {
+        (_, Some(raw)) => raw,
+        (Outgoing::Rgb(rgb), None) => rgb,
+        (Outgoing::Session, None) => &staging,
+    };
+    let frame_len = cur.len();
+
     let est =
         ch.selector.choose(cur, ch.prev_view.as_deref(), &link, sender, receiver, allow_lossy);
     let codec = est.codec;
-    let strips = stream::strip_count_for(cur.len(), world.config.frame_strip_bytes);
+    let strips = stream::strip_count_for(frame_len, world.config.frame_strip_bytes);
     let mut container = std::mem::take(&mut world.frame_cache.container);
-    let meta = stream::encode_frame_into(
-        codec,
-        cur,
-        ch.last_raw.as_deref(),
-        ch.prev_view.as_deref(),
-        strips,
-        &mut container,
-    );
+    let meta = match held {
+        // Every strip compares equal: the receiver holds the frame.
+        Some(_) => stream::encode_clean_frame_into(codec, frame_len, strips, &mut container),
+        None => stream::encode_frame_into(
+            codec,
+            cur,
+            ch.last_raw.as_deref(),
+            ch.prev_view.as_deref(),
+            strips,
+            &mut container,
+        ),
+    };
     let encoded_bytes = container.len() as u64;
 
     // Sender CPU, then the wire (encoded bytes only), receiver CPU after.
     let encode_start = ready.max(encoder_free);
     let encode_secs =
-        adaptive::encode_cost_bytes(codec, cur.len()) as f64 / sender.codec_bytes_per_sec;
+        adaptive::encode_cost_bytes(codec, frame_len) as f64 / sender.codec_bytes_per_sec;
     let t_sent = encode_start + SimTime::from_secs(encode_secs);
     let wire_secs = link.tx_time(encoded_bytes).as_secs();
     let wire_start = t_sent.max(world.channel(from, to).busy_until());
-    let arrival = world.send_encoded_bytes(t_sent, from, to, encoded_bytes, cur.len() as u64);
-    let decode_secs = adaptive::decode_cost_bytes(codec, cur.len(), container.len()) as f64
+    let arrival = world.send_encoded_bytes(t_sent, from, to, encoded_bytes, frame_len as u64);
+    let decode_secs = adaptive::decode_cost_bytes(codec, frame_len, container.len()) as f64
         / receiver.codec_bytes_per_sec;
 
     // Advance the stream: the receiver's view is what the container
     // decodes to (exact for lossless codecs, quantized for lossy ones),
     // and only the strips that were dirty differ from the last raw frame.
-    stream::decode_frame_in_place(&container, ch.prev_view.get_or_insert_with(Vec::new))
-        .expect("self-encoded container must decode");
-    stream::copy_dirty_strips(&container, cur, ch.last_raw.get_or_insert_with(Vec::new));
+    // A resent frame changes neither.
+    let resent = held.is_some();
+    match held {
+        Some(raw) => ch.last_raw = Some(raw),
+        None => {
+            stream::decode_frame_in_place(&container, ch.prev_view.get_or_insert_with(Vec::new))
+                .expect("self-encoded container must decode");
+            stream::copy_dirty_strips(&container, cur, ch.last_raw.get_or_insert_with(Vec::new));
+            ch.shipped = key;
+        }
+    }
     world.frame_cache.container = container;
+    world.frame_cache.staging = staging;
     let switched = ch.last_codec.is_some_and(|prev| prev != codec);
     if switched {
         world.trace.record(
@@ -278,17 +333,18 @@ pub fn send_frame_after(
                 "{rs}->{client}: {} -> {} (ratio {:.3})",
                 ch.last_codec.expect("switched implies a previous codec").name(),
                 codec.name(),
-                encoded_bytes as f64 / cur.len().max(1) as f64,
+                encoded_bytes as f64 / frame_len.max(1) as f64,
             ),
         );
     }
-    ch.selector.observe(codec, cur.len() as u64, encoded_bytes);
+    ch.selector.observe(codec, frame_len as u64, encoded_bytes);
     ch.stats.frames += 1;
-    ch.stats.logical_bytes += cur.len() as u64;
+    ch.stats.logical_bytes += frame_len as u64;
     ch.stats.encoded_bytes += encoded_bytes;
     ch.stats.codec_switches += u64::from(switched);
     ch.stats.strips_total += u64::from(meta.strips);
     ch.stats.strips_skipped += u64::from(meta.skipped);
+    ch.stats.resent += u64::from(resent);
     ch.last_codec = Some(codec);
     world.frame_cache.insert(rs, client, ch);
 
@@ -296,7 +352,7 @@ pub fn send_frame_after(
         arrival,
         codec,
         encoded_bytes,
-        logical_bytes: cur.len() as u64,
+        logical_bytes: frame_len as u64,
         encode_start,
         encode_secs,
         wire_start,
@@ -338,7 +394,9 @@ mod tests {
     use super::*;
     use crate::config::RaveConfig;
     use crate::world::RaveWorld;
+    use rave_compress::stream::StripMeta;
     use rave_net::Network;
+    use rave_scene::CameraParams;
     use std::collections::BTreeSet;
 
     fn world() -> RaveWorld {
@@ -364,7 +422,7 @@ mod tests {
             cl,
             from,
             to,
-            &frame,
+            Outgoing::Rgb(&frame),
             EndpointSpeed::workstation(),
             EndpointSpeed::pda(),
             true,
@@ -379,7 +437,7 @@ mod tests {
             cl,
             from,
             to,
-            &frame,
+            Outgoing::Rgb(&frame),
             EndpointSpeed::workstation(),
             EndpointSpeed::pda(),
             true,
@@ -409,7 +467,7 @@ mod tests {
                 cl,
                 from,
                 to,
-                &frame,
+                Outgoing::Rgb(&frame),
                 EndpointSpeed::workstation(),
                 EndpointSpeed::pda(),
                 false, // lossless: the receiver view must equal the frame
@@ -451,7 +509,7 @@ mod tests {
                 cl,
                 from,
                 to,
-                f,
+                Outgoing::Rgb(f),
                 EndpointSpeed::workstation(),
                 EndpointSpeed::pda(),
                 true,
@@ -478,7 +536,7 @@ mod tests {
             cl,
             from,
             to,
-            &frame,
+            Outgoing::Rgb(&frame),
             EndpointSpeed::workstation(),
             EndpointSpeed::pda(),
             false,
@@ -492,7 +550,7 @@ mod tests {
             cl,
             from,
             to,
-            &frame,
+            Outgoing::Rgb(&frame),
             EndpointSpeed::workstation(),
             EndpointSpeed::pda(),
             false,
@@ -511,8 +569,19 @@ mod tests {
     }
 
     impl ReferenceChannel {
-        /// Container length, clean strips and codec of one send.
-        fn send(&mut self, w: &RaveWorld, rgb: &[u8], allow_lossy: bool) -> (u64, u32, Codec) {
+        fn new(w: &RaveWorld) -> Self {
+            Self {
+                selector: CodecSelector::new(
+                    w.config.codec_ewma_alpha,
+                    w.config.codec_reprobe_every,
+                ),
+                last_raw: None,
+                prev_view: None,
+            }
+        }
+
+        /// The container and strip accounting of one send.
+        fn send(&mut self, w: &RaveWorld, rgb: &[u8], allow_lossy: bool) -> (Vec<u8>, StripMeta) {
             let (from, to) = pda_stream_hosts();
             let link = w.network.link_between(from, to);
             let (sender, receiver) = (EndpointSpeed::workstation(), EndpointSpeed::pda());
@@ -531,7 +600,7 @@ mod tests {
             self.selector.observe(codec, rgb.len() as u64, container.len() as u64);
             self.prev_view = Some(view);
             self.last_raw = Some(rgb.to_vec());
-            (container.len() as u64, meta.skipped, codec)
+            (container, meta)
         }
     }
 
@@ -540,11 +609,7 @@ mod tests {
         let mut w = world();
         let (from, to) = pda_stream_hosts();
         let (rs, cl) = (RenderServiceId(1), ClientId(1));
-        let mut reference = ReferenceChannel {
-            selector: CodecSelector::new(w.config.codec_ewma_alpha, w.config.codec_reprobe_every),
-            last_raw: None,
-            prev_view: None,
-        };
+        let mut reference = ReferenceChannel::new(&w);
         let noise = |w: u32, h: u32, seed: u64| -> Vec<u8> {
             (0..(w * h * 3) as u64)
                 .map(|i| ((i + seed).wrapping_mul(2654435761) >> 13) as u8)
@@ -587,15 +652,17 @@ mod tests {
                 cl,
                 from,
                 to,
-                frame,
+                Outgoing::Rgb(frame),
                 EndpointSpeed::workstation(),
                 EndpointSpeed::pda(),
                 allow_lossy,
             );
             t = out.arrival;
-            let (encoded, skipped, codec) = reference.send(&w, frame, allow_lossy);
-            assert_eq!(out.encoded_bytes, encoded, "frame {i}: container length");
-            assert_eq!(out.strips_skipped, skipped, "frame {i}: clean strips");
+            let (container, meta) = reference.send(&w, frame, allow_lossy);
+            let codec = meta.codec;
+            assert_eq!(w.frame_cache.container, container, "frame {i}: container");
+            assert_eq!(out.encoded_bytes, container.len() as u64, "frame {i}: container length");
+            assert_eq!(out.strips_skipped, meta.skipped, "frame {i}: clean strips");
             let ch = w.frame_cache.get(rs, cl).unwrap();
             assert_eq!(ch.last_codec(), Some(codec), "frame {i}: codec");
             assert_eq!(ch.prev_view, reference.prev_view, "frame {i}: receiver view");
@@ -609,6 +676,146 @@ mod tests {
         assert_eq!(stats.frames, 40);
         assert_eq!(stats.codec_switches, 2, "the lossy ban, then the re-probe");
         assert!(stats.strips_skipped > 0, "static frames skipped strips");
+    }
+
+    /// What happens to a session-sourced stream between two sends.
+    enum Step {
+        /// Render the session's frame (drawn or lent) and send it; whether
+        /// the stream already holds that render.
+        Send {
+            resent: bool,
+        },
+        Orbit,
+        Evict,
+        Resize(u32, u32),
+        /// Close the session and open it again with this camera.
+        Reopen(CameraParams),
+        NanCamera,
+        /// Send synthesized bytes from the same stream.
+        Raw(u64),
+    }
+
+    #[test]
+    fn a_session_send_streams_what_its_rgb_bytes_would() {
+        use rave_math::{Vec3, Viewport};
+        use rave_render::OffscreenMode;
+        use rave_scene::{MeshData, NodeKind};
+        use std::sync::Arc;
+
+        let mut w = world();
+        let (from, to) = pda_stream_hosts();
+        let rs = w.spawn_render_service(from);
+        let cl = ClientId(1);
+        let scene = &mut w.render_mut(rs).scene;
+        let root = scene.root();
+        for (i, at) in
+            [Vec3::new(-1.5, -1.0, 0.0), Vec3::new(0.2, -0.3, 0.5)].into_iter().enumerate()
+        {
+            let mut mesh = MeshData::new(
+                vec![at, at + Vec3::new(1.6, 0.0, 0.0), at + Vec3::new(0.0, 1.4, 0.3)],
+                vec![[0, 1, 2]],
+            );
+            mesh.colors = vec![Vec3::new(0.3 + 0.5 * i as f32, 0.6, 0.2); 3];
+            scene.add_node(root, "tri", NodeKind::Mesh(Arc::new(mesh))).unwrap();
+        }
+        let camera = CameraParams::look_at(Vec3::new(0.3, 0.2, 5.0), Vec3::ZERO, Vec3::Y);
+        let mut other = camera;
+        other.orbit(Vec3::ZERO, 0.4, 0.1);
+        let viewport = Viewport::new(96, 64);
+        w.render_mut(rs).open_session(cl, viewport, camera, OffscreenMode::Sequential);
+
+        // Thirty-two frames, the camera moving before every fourth from the
+        // second on: frame 30, a re-probe of the selector, is lent.
+        let mut steps: Vec<Step> = (0..32)
+            .flat_map(|i| {
+                let orbit = (i % 4 == 1).then_some(Step::Orbit);
+                orbit.into_iter().chain([Step::Send { resent: i != 0 && i % 4 != 1 }])
+            })
+            .collect();
+        let send = |resent| Step::Send { resent };
+        steps.extend([
+            Step::Raw(1),
+            send(false), // the raw frame cleared the record
+            send(true),
+            Step::Evict,
+            send(false),
+            send(true),
+            Step::Resize(80, 60),
+            send(false),
+            send(true),
+            Step::Reopen(other),
+            send(false),
+            send(true),
+            Step::Reopen(other), // counts from zero again, draws the same render
+            send(true),
+            Step::NanCamera,
+            send(false),
+            send(false), // a NaN equals nothing
+            Step::Reopen(camera),
+            send(false),
+            send(true),
+        ]);
+
+        let mut reference = ReferenceChannel::new(&w);
+        let (mut t, mut resent, mut sends_since_evict) = (SimTime::ZERO, 0, 0);
+        let mut probed_lend = false;
+        for (i, step) in steps.iter().enumerate() {
+            let (from_session, expect_resent, rgb) = match step {
+                Step::Send { resent } => {
+                    let fb = w.render_mut(rs).rasterize(cl).expect("session");
+                    (true, *resent, fb.to_rgb_bytes())
+                }
+                Step::Raw(seq) => {
+                    (false, false, synthesize_frame(viewport.width, viewport.height, *seq))
+                }
+                Step::Orbit => {
+                    let session = w.render_mut(rs).sessions.get_mut(&cl).unwrap();
+                    session.camera.orbit(Vec3::ZERO, 0.15, 0.0);
+                    continue;
+                }
+                Step::Evict => {
+                    w.frame_cache.evict(rs, cl);
+                    (reference, resent, sends_since_evict) = (ReferenceChannel::new(&w), 0, 0);
+                    continue;
+                }
+                Step::Resize(width, height) => {
+                    let session = w.render_mut(rs).sessions.get_mut(&cl).unwrap();
+                    session.viewport = Viewport::new(*width, *height);
+                    continue;
+                }
+                Step::Reopen(camera) => {
+                    let service = w.render_mut(rs);
+                    let vp = service.sessions[&cl].viewport;
+                    service.close_session(cl);
+                    service.open_session(cl, vp, *camera, OffscreenMode::Sequential);
+                    continue;
+                }
+                Step::NanCamera => {
+                    let session = w.render_mut(rs).sessions.get_mut(&cl).unwrap();
+                    session.camera.position.x = f32::NAN;
+                    continue;
+                }
+            };
+            let frame = if from_session { Outgoing::Session } else { Outgoing::Rgb(&rgb) };
+            let (sender, receiver) = (EndpointSpeed::workstation(), EndpointSpeed::pda());
+            let out = send_frame(&mut w, t, rs, cl, from, to, frame, sender, receiver, true);
+            t = out.arrival;
+            let (container, meta) = reference.send(&w, &rgb, true);
+            assert_eq!(w.frame_cache.container, container, "step {i}: container bytes");
+            assert_eq!(
+                (out.codec, out.strips, out.strips_skipped),
+                (meta.codec, meta.strips, meta.skipped)
+            );
+            let ch = w.frame_cache.get(rs, cl).unwrap();
+            assert_eq!(ch.prev_view, reference.prev_view, "step {i}: receiver view");
+            assert_eq!(ch.last_raw, reference.last_raw, "step {i}: compare base");
+            resent += u64::from(expect_resent);
+            assert_eq!(ch.stats.resent, resent, "step {i}: resent");
+            let probe = sends_since_evict % w.config.codec_reprobe_every == 0;
+            probed_lend |= probe && expect_resent;
+            sends_since_evict += 1;
+        }
+        assert!(probed_lend, "a selector probe landed on a lent frame");
     }
 
     #[test]

@@ -14,7 +14,7 @@
 //! timings) bit-identically.
 
 use crate::config::CompressionMode;
-use crate::frame_stream;
+use crate::frame_stream::{self, Outgoing};
 use crate::ids::{ClientId, RenderServiceId};
 use crate::render_service::FPS_WINDOW;
 use crate::trace::TraceKind;
@@ -334,21 +334,19 @@ fn issue_frame(sim: &mut RaveSim, pipe: &Rc<RefCell<FramePipeline>>) {
             }
             CompressionMode::Adaptive => {
                 let vp = sim.world.client(client_id).viewport;
-                // Real pixels when the world renders them — laid out in
-                // the world's staging vector, straight from the session's
-                // retained frame — else a synthetic render-shaped frame so
-                // timing runs still exercise the codec path with
-                // representative content.
-                let mut rgb = sim.world.frame_cache.take_staging();
-                let drawn = if sim.world.config.produce_images {
-                    sim.world.render_mut(rs_id).rasterize(client_id)
+                // Real pixels when the world renders them — read by the
+                // stream straight from the session's retained frame — else
+                // a synthetic render-shaped frame so timing runs still
+                // exercise the codec path with representative content.
+                let drawn = sim.world.config.produce_images
+                    && sim.world.render_mut(rs_id).rasterize(client_id).is_some();
+                let synthetic;
+                let frame = if drawn {
+                    Outgoing::Session
                 } else {
-                    None
+                    synthetic = frame_stream::synthesize_frame(vp.width, vp.height, index);
+                    Outgoing::Rgb(&synthetic)
                 };
-                match drawn {
-                    Some(fb) => fb.rgb_bytes_into(&mut rgb),
-                    None => rgb = frame_stream::synthesize_frame(vp.width, vp.height, index),
-                }
                 let encoder_free = sim.world.render(rs_id).encoder.busy_until();
                 let out = {
                     let p = pipe.borrow();
@@ -360,13 +358,12 @@ fn issue_frame(sim: &mut RaveSim, pipe: &Rc<RefCell<FramePipeline>>) {
                         client_id,
                         &p.rs_host,
                         &p.client_host,
-                        &rgb,
+                        frame,
                         EndpointSpeed::workstation(),
                         EndpointSpeed::pda(),
                         ALLOW_LOSSY_FRAMES,
                     )
                 };
-                sim.world.frame_cache.put_staging(rgb);
                 sim.world.render_mut(rs_id).encoder.acquire(out.encode_start, out.encode_secs);
                 let t_sent = out.encode_start + SimTime::from_secs(out.encode_secs);
                 let stall =

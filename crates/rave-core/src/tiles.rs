@@ -9,6 +9,7 @@
 
 use crate::capacity::CapacityReport;
 use crate::config::CompressionMode;
+use crate::frame_stream::{self, Outgoing};
 use crate::ids::{ClientId, RenderServiceId};
 use crate::render_service::{FrameKey, RenderSession};
 use crate::sched::placement::rank_helpers;
@@ -328,40 +329,35 @@ pub fn render_tiled_frame(
         // Tile return: raw 24 bpp, or the compressed stream when the
         // world has real pixels to encode. Always lossless — the tile is
         // stitched into a composite that must match a monolithic render.
-        let (units, rgb) = if produce_images {
-            // The tile's wire bytes go through the world's staging vector.
-            let mut rgb = adaptive.then(|| sim.world.frame_cache.take_staging());
-            let (fb, stats) = sim
+        let units = if produce_images {
+            let (_, stats) = sim
                 .world
                 .render_mut(*svc)
                 .rasterize_session_tile(client, &camera, &full_viewport, tile_vp)
                 .expect("session opened above");
-            if let Some(rgb) = &mut rgb {
-                fb.rgb_bytes_into(rgb);
-            }
-            (stats.raster.cost_units(), rgb)
+            stats.raster.cost_units()
         } else {
-            (pixels + 8 * polys, None)
+            pixels + 8 * polys
         };
-        let arrival = match rgb {
-            Some(rgb) => {
-                let out = crate::frame_stream::send_frame(
-                    &mut sim.world,
-                    rendered,
-                    *svc,
-                    client,
-                    &helper_host,
-                    &owner_host,
-                    &rgb,
-                    EndpointSpeed::workstation(),
-                    EndpointSpeed::workstation(),
-                    false,
-                );
-                sim.world.frame_cache.put_staging(rgb);
-                // The owner decodes before it can stitch.
-                out.arrival + SimTime::from_secs(out.decode_secs)
-            }
-            None => sim.world.send_bytes(rendered, &helper_host, &owner_host, pixels * 3),
+        let arrival = if produce_images && adaptive {
+            // The stream reads the tile from the helper's session, and
+            // sends one it already holds as a header.
+            let out = frame_stream::send_frame(
+                &mut sim.world,
+                rendered,
+                *svc,
+                client,
+                &helper_host,
+                &owner_host,
+                Outgoing::Session,
+                EndpointSpeed::workstation(),
+                EndpointSpeed::workstation(),
+                false,
+            );
+            // The owner decodes before it can stitch.
+            out.arrival + SimTime::from_secs(out.decode_secs)
+        } else {
+            sim.world.send_bytes(rendered, &helper_host, &owner_host, pixels * 3)
         };
         tile_arrivals.push(arrival);
         rendered_aside.push(None);

@@ -9,7 +9,7 @@
 
 use rave::compress::adaptive::EndpointSpeed;
 use rave::core::config::CompressionMode;
-use rave::core::frame_stream;
+use rave::core::frame_stream::{self, StreamStats};
 use rave::core::thin_client::{connect, stream_frames, ImportMode};
 use rave::core::trace::TraceKind;
 use rave::core::world::{RaveSim, RaveWorld};
@@ -79,7 +79,7 @@ fn reference_cycle(sim: &mut RaveSim, client_id: ClientId, remaining: u64) {
                 client_id,
                 &rs_host,
                 &client_host,
-                &rgb,
+                frame_stream::Outgoing::Rgb(&rgb),
                 EndpointSpeed::workstation(),
                 EndpointSpeed::pda(),
                 allow_lossy,
@@ -134,14 +134,18 @@ fn reference_cycle(sim: &mut RaveSim, client_id: ClientId, remaining: u64) {
 
 struct Scenario {
     polys: usize,
-    frames: u64,
+    /// Frames streamed in runs: the camera holds still within a run and
+    /// orbits between two.
+    runs: &'static [u64],
     mode: CompressionMode,
     viewport: Viewport,
     import: ImportMode,
+    produce_images: bool,
 }
 
 fn build(sc: &Scenario) -> (RaveSim, ClientId, RenderServiceId) {
-    let mut sim = Simulation::new(RaveWorld::paper_testbed(RaveConfig::default(), 7));
+    let config = RaveConfig { produce_images: sc.produce_images, ..RaveConfig::default() };
+    let mut sim = Simulation::new(RaveWorld::paper_testbed(config, 7));
     sim.world.config.frame_compression = sc.mode;
     let rs = sim.world.spawn_render_service("laptop");
     let mesh = MeshData {
@@ -164,16 +168,36 @@ fn build(sc: &Scenario) -> (RaveSim, ClientId, RenderServiceId) {
     (sim, cl, rs)
 }
 
+/// Stream `sc`'s runs through `stream`, orbiting the session camera
+/// between two.
+fn stream_runs(
+    sim: &mut RaveSim,
+    sc: &Scenario,
+    cl: ClientId,
+    rs: RenderServiceId,
+    stream: Stream,
+) {
+    for (i, &frames) in sc.runs.iter().enumerate() {
+        if i > 0 {
+            let session = sim.world.render_mut(rs).sessions.get_mut(&cl).expect("session");
+            session.camera.orbit(Vec3::ZERO, 0.2, 0.05);
+        }
+        stream(sim, cl, frames);
+        sim.run();
+    }
+}
+
+type Stream = fn(&mut RaveSim, ClientId, u64);
+
 /// Run the live pipeline (depth 1) and the embedded serial reference on
-/// twin worlds and demand bit-identical books.
-fn assert_depth1_parity(sc: &Scenario) {
+/// twin worlds and demand bit-identical books; the two frame streams'
+/// counters, live then reference, when the scenario compresses.
+fn assert_depth1_parity(sc: &Scenario) -> Option<(StreamStats, StreamStats)> {
     let (mut live, cl_live, rs_live) = build(sc);
-    stream_frames(&mut live, cl_live, sc.frames);
-    live.run();
+    stream_runs(&mut live, sc, cl_live, rs_live, stream_frames);
 
     let (mut refr, cl_ref, rs_ref) = build(sc);
-    reference_stream(&mut refr, cl_ref, sc.frames);
-    refr.run();
+    stream_runs(&mut refr, sc, cl_ref, rs_ref, reference_stream);
 
     // Virtual clocks ended at the same instant.
     assert_eq!(live.now(), refr.now(), "end-of-run clock");
@@ -218,16 +242,36 @@ fn assert_depth1_parity(sc: &Scenario) {
     };
     assert_eq!(ch_l, ch_r, "frame channel books");
     assert_eq!(cc_l, cc_r, "request channel books");
+
+    // The two streams counted the same frames, bytes, switches and strips.
+    let live_stream = live.world.frame_cache.stats(rs_live, cl_live);
+    let ref_stream = refr.world.frame_cache.stats(rs_ref, cl_ref);
+    let books = |s: StreamStats| {
+        (
+            s.frames,
+            s.logical_bytes,
+            s.encoded_bytes,
+            s.codec_switches,
+            s.strips_total,
+            s.strips_skipped,
+        )
+    };
+    assert_eq!(live_stream.map(books), ref_stream.map(books), "frame stream books");
+    let codec =
+        |sim: &RaveSim, rs, cl| sim.world.frame_cache.get(rs, cl).and_then(|c| c.last_codec());
+    assert_eq!(codec(&live, rs_live, cl_live), codec(&refr, rs_ref, cl_ref), "last codec");
+    live_stream.zip(ref_stream)
 }
 
 #[test]
 fn depth1_matches_serial_hand_raw() {
     assert_depth1_parity(&Scenario {
         polys: 830_000,
-        frames: 12,
+        runs: &[12],
         mode: CompressionMode::Raw,
         viewport: Viewport::new(200, 200),
         import: ImportMode::NativeCast,
+        produce_images: false,
     });
 }
 
@@ -235,10 +279,11 @@ fn depth1_matches_serial_hand_raw() {
 fn depth1_matches_serial_skeleton_raw() {
     assert_depth1_parity(&Scenario {
         polys: 2_800_000,
-        frames: 8,
+        runs: &[8],
         mode: CompressionMode::Raw,
         viewport: Viewport::new(200, 200),
         import: ImportMode::NativeCast,
+        produce_images: false,
     });
 }
 
@@ -246,10 +291,11 @@ fn depth1_matches_serial_skeleton_raw() {
 fn depth1_matches_serial_hand_adaptive() {
     assert_depth1_parity(&Scenario {
         polys: 830_000,
-        frames: 12,
+        runs: &[12],
         mode: CompressionMode::Adaptive,
         viewport: Viewport::new(200, 200),
         import: ImportMode::NativeCast,
+        produce_images: false,
     });
 }
 
@@ -257,9 +303,33 @@ fn depth1_matches_serial_hand_adaptive() {
 fn depth1_matches_serial_vga_viewport() {
     assert_depth1_parity(&Scenario {
         polys: 10_000,
-        frames: 5,
+        runs: &[5],
         mode: CompressionMode::Raw,
         viewport: Viewport::new(640, 480),
         import: ImportMode::J2me,
+        produce_images: false,
     });
+}
+
+/// Rendered frames through the adaptive stream: the live path sends the
+/// session's frame, and one the stream already holds as a header; the
+/// reference converts every frame with `to_rgb_bytes` and sends the bytes.
+/// Thirty-two frames in six camera runs, so frame 30, a re-probe of the
+/// codec selector, is lent.
+#[test]
+fn depth1_matches_serial_rendered_adaptive() {
+    let runs: &[u64] = &[5, 7, 1, 9, 4, 6];
+    let (live, reference) = assert_depth1_parity(&Scenario {
+        polys: 2_000,
+        runs,
+        mode: CompressionMode::Adaptive,
+        viewport: Viewport::new(96, 72),
+        import: ImportMode::NativeCast,
+        produce_images: true,
+    })
+    .expect("the scenario compresses");
+    let frames: u64 = runs.iter().sum();
+    assert_eq!(live.frames, frames);
+    assert_eq!(live.resent, frames - runs.len() as u64, "every frame after a run's first");
+    assert_eq!(reference.resent, 0, "bytes are no render");
 }

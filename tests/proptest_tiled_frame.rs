@@ -6,8 +6,17 @@
 //! caller in between — every frame's image is a fresh target with the
 //! frame's tiles stitched into it, colour and depth bit for bit, and an
 //! image handed out earlier still is what it was then.
+//!
+//! The same, with the helpers' tiles returned through the adaptive
+//! compressed stream: each helper's stream, which sends a tile it already
+//! holds as a header, counts and picks exactly what a stream fed every
+//! tile's `to_rgb_bytes` in full does.
 
 use proptest::prelude::*;
+use rave::compress::adaptive::{CodecSelector, EndpointSpeed};
+use rave::compress::{stream, Codec};
+use rave::core::config::CompressionMode;
+use rave::core::frame_stream::StreamStats;
 use rave::core::tiles::{plan_tiles, render_tiled_frame, TilePlan};
 use rave::core::world::RaveWorld;
 use rave::core::{ClientId, RaveConfig, RaveSim, RenderServiceId};
@@ -16,7 +25,7 @@ use rave::render::composite::stitch_tiles;
 use rave::render::{Framebuffer, OffscreenMode, Rgb};
 use rave::scene::{CameraParams, MeshData, NodeId, NodeKind, Transform};
 use rave::sim::Simulation;
-use std::collections::BTreeSet;
+use std::collections::{BTreeMap, BTreeSet};
 use std::sync::Arc;
 
 const CLIENT: ClientId = ClientId(1);
@@ -89,8 +98,65 @@ fn planes(fb: &Framebuffer) -> (*const Rgb, *const f32) {
     (fb.color_pixels().as_ptr(), fb.depth_pixels().as_ptr())
 }
 
+/// A helper's tile stream rebuilt from the public codec calls: every tile
+/// it returned converted with `to_rgb_bytes` and sent in full.
+struct ReferenceStream {
+    selector: CodecSelector,
+    last_raw: Option<Vec<u8>>,
+    prev_view: Option<Vec<u8>>,
+    last_codec: Option<Codec>,
+    stats: StreamStats,
+}
+
+impl ReferenceStream {
+    fn new(world: &RaveWorld) -> Self {
+        let cfg = &world.config;
+        Self {
+            selector: CodecSelector::new(cfg.codec_ewma_alpha, cfg.codec_reprobe_every),
+            last_raw: None,
+            prev_view: None,
+            last_codec: None,
+            stats: StreamStats::default(),
+        }
+    }
+
+    /// One lossless tile return from `from` to `to`.
+    fn send(&mut self, world: &RaveWorld, from: &str, to: &str, rgb: Vec<u8>) {
+        let link = world.network.link_between(from, to);
+        let ws = EndpointSpeed::workstation();
+        let prev_view = self.prev_view.as_deref();
+        let codec = self.selector.choose(&rgb, prev_view, link, ws, ws, false).codec;
+        let strips = stream::strip_count_for(rgb.len(), world.config.frame_strip_bytes);
+        let (container, meta) = stream::encode_frame_with_meta(
+            codec,
+            &rgb,
+            self.last_raw.as_deref(),
+            prev_view,
+            strips,
+        );
+        self.prev_view = stream::decode_frame(&container, prev_view);
+        self.selector.observe(codec, rgb.len() as u64, container.len() as u64);
+        let s = &mut self.stats;
+        s.frames += 1;
+        s.logical_bytes += rgb.len() as u64;
+        s.encoded_bytes += container.len() as u64;
+        s.codec_switches += u64::from(self.last_codec.is_some_and(|c| c != codec));
+        s.strips_total += u64::from(meta.strips);
+        s.strips_skipped += u64::from(meta.skipped);
+        self.last_codec = Some(codec);
+        self.last_raw = Some(rgb);
+    }
+}
+
+/// Everything a stream counts but `resent`, which a full send never is.
+fn books(s: &StreamStats) -> (u64, u64, u64, u64, u64, u64) {
+    (s.frames, s.logical_bytes, s.encoded_bytes, s.codec_switches, s.strips_total, s.strips_skipped)
+}
+
 struct Harness {
     sim: RaveSim,
+    /// Per helper, the reference of its tile stream (adaptive mode only).
+    references: BTreeMap<RenderServiceId, ReferenceStream>,
     /// The owner, then the three helpers.
     services: [RenderServiceId; 4],
     camera: CameraParams,
@@ -106,8 +172,8 @@ struct Harness {
 }
 
 impl Harness {
-    fn new() -> Self {
-        let cfg = RaveConfig { produce_images: true, ..RaveConfig::default() };
+    fn new(frame_compression: CompressionMode) -> Self {
+        let cfg = RaveConfig { produce_images: true, frame_compression, ..RaveConfig::default() };
         let mut sim = Simulation::new(RaveWorld::paper_testbed(cfg, 11));
         let services =
             ["laptop", "tower", "desktop", "onyx"].map(|host| sim.world.spawn_render_service(host));
@@ -133,6 +199,7 @@ impl Harness {
         );
         Self {
             sim,
+            references: BTreeMap::new(),
             services,
             camera: base_camera(),
             plan: 0,
@@ -272,6 +339,27 @@ impl Harness {
         prop_assert_eq!(image.color_pixels(), fresh.color_pixels(), "colours");
         prop_assert_eq!(depth_bits(&image), depth_bits(&fresh), "depths");
 
+        // Each helper that answered returned its tile through its stream,
+        // which counted and picked what a full send of the tile's bytes does.
+        if matches!(self.sim.world.config.frame_compression, CompressionMode::Adaptive) {
+            let owner_host = self.sim.world.render(owner).host.clone();
+            for (_, svc) in &plan.tiles {
+                if *svc == owner || stalled.contains(svc) {
+                    continue;
+                }
+                let world = &self.sim.world;
+                let helper = world.render(*svc);
+                let rgb =
+                    helper.sessions[&CLIENT].last_frame.as_ref().expect("tile").to_rgb_bytes();
+                let reference =
+                    self.references.entry(*svc).or_insert_with(|| ReferenceStream::new(world));
+                reference.send(world, &helper.host, &owner_host, rgb);
+                let real = world.frame_cache.get(*svc, CLIENT).expect("the helper's stream");
+                prop_assert_eq!(books(&real.stats), books(&reference.stats), "{} stream", svc);
+                prop_assert_eq!(real.last_codec(), reference.last_codec, "{} codec", svc);
+            }
+        }
+
         // Images handed out earlier are what they were.
         for (i, (fb, colors, depths)) in self.kept.iter().enumerate() {
             prop_assert_eq!(fb.color_pixels(), &colors[..], "kept image {} colours", i);
@@ -300,6 +388,31 @@ impl Harness {
     }
 }
 
+/// Whatever the sequence was: the same frame twice, the first image
+/// dropped in between, is one image, and no helper's stream reads its tile
+/// the second time.
+fn run(mode: CompressionMode, steps: &[Step]) -> Result<(), TestCaseError> {
+    let mut h = Harness::new(mode);
+    for step in steps {
+        h.apply(step)?;
+    }
+    h.apply(&Step::Camera(2))?;
+    h.frame(0, false)?;
+    let first = h.last.expect("a frame was made").2;
+    let resent = |h: &Harness| {
+        let streams =
+            h.services[1..].iter().filter_map(|svc| h.sim.world.frame_cache.stats(*svc, CLIENT));
+        streams.map(|s| s.resent).sum::<u64>()
+    };
+    let (before, helpers) = (resent(&h), h.tile_plan().tiles.len() as u64 - 1);
+    h.frame(0, false)?;
+    prop_assert_eq!(planes(h.previous.as_ref().expect("a frame was made")), first);
+    if matches!(mode, CompressionMode::Adaptive) {
+        prop_assert_eq!(resent(&h), before + helpers, "every helper sent its tile as a header");
+    }
+    Ok(())
+}
+
 proptest! {
     /// Camera moves and repeats, scene edits on one replica or on all,
     /// helpers that stall before and after they ever delivered a tile,
@@ -312,16 +425,15 @@ proptest! {
     fn tiled_frames_equal_a_fresh_stitch_whatever_happened_in_between(
         steps in prop::collection::vec(step_strategy(), 1..40),
     ) {
-        let mut h = Harness::new();
-        for step in &steps {
-            h.apply(step)?;
-        }
-        // Whatever the sequence was: the same frame twice, the first
-        // image dropped in between, is one image.
-        h.apply(&Step::Camera(2))?;
-        h.frame(0, false)?;
-        let first = h.last.expect("a frame was made").2;
-        h.frame(0, false)?;
-        prop_assert_eq!(planes(h.previous.as_ref().expect("a frame was made")), first);
+        run(CompressionMode::Raw, &steps)?;
+    }
+
+    /// The same through the adaptive tile streams: each helper's stream
+    /// books and picks what a full send of every tile it returned would.
+    #[test]
+    fn compressed_tile_streams_send_what_full_tile_bytes_would(
+        steps in prop::collection::vec(step_strategy(), 1..40),
+    ) {
+        run(CompressionMode::Adaptive, &steps)?;
     }
 }
