@@ -132,8 +132,10 @@ fn lookup_arena(t: &SceneTree, n: usize) -> u64 {
 /// One migration hand-off, both ways: every one of `LEAVES` leaves under a
 /// two-deep chain cut out of a master and taken in by a replica that
 /// already holds the chain — as a parcel, and as the subset tree
-/// (`extract_subset` + `merge_subset`, the tree dropped). Returns seconds
-/// per leaf `(parcel, subset)`; the replica is emptied off the clock.
+/// (`extract_subset` + `merge_subset`: the parcel, a fresh tree adopting
+/// it, a second parcel cut from that tree, its adopt and the tree's drop).
+/// Returns seconds per leaf `(parcel, subset)`; the replica is emptied off
+/// the clock.
 fn time_moves(rounds: usize) -> (f64, f64) {
     const LEAVES: usize = 1_000;
     let mut master = SceneTree::new();
@@ -155,7 +157,7 @@ fn time_moves(rounds: usize) -> (f64, f64) {
             let elapsed = bench::harness::secs(|| {
                 for &leaf in &leaves {
                     match way {
-                        0 => replica.adopt_parcel(&master.extract_parcel(leaf)),
+                        0 => replica.adopt_parcel(&master.extract_parcel(&[leaf])),
                         _ => replica.merge_subset(&master.extract_subset(&[leaf])),
                     }
                 }

@@ -1,11 +1,11 @@
 //! Render-service bootstrap (§5.3/§5.5).
 //!
-//! A render service joining a session receives a scene snapshot; on
-//! arrival the snapshot is installed, the data service's audit trail past
-//! it replays, and the replica is "pre-synchronised with \[the\] data
-//! service". Snapshot marshalling goes through the *introspective* path
-//! (the paper's measured bottleneck); [`marshal_time_direct`] prices the
-//! ablation alternative.
+//! A render service joining a session receives its snapshot as a
+//! [`Parcel`], the message a migration sends too; on arrival the parcel is
+//! adopted, the data service's audit trail past it replays, and the replica
+//! is "pre-synchronised with \[the\] data service". Snapshot marshalling
+//! goes through the *introspective* path (the paper's measured
+//! bottleneck); [`marshal_time_direct`] prices the ablation alternative.
 
 use crate::data_service::DataService;
 use crate::ids::{DataServiceId, RenderServiceId};
@@ -13,7 +13,7 @@ use crate::trace::TraceKind;
 use crate::world::{RaveSim, RaveWorld};
 use rave_grid::{SoapCodec, SoapEnvelope, SoapValue};
 use rave_scene::introspect::{marshal_direct, marshal_introspective, MarshalStats};
-use rave_scene::{InterestSet, NodeId, SceneTree};
+use rave_scene::{InterestSet, NodeId, Parcel, SceneTree};
 use rave_sim::SimTime;
 use std::path::Path;
 
@@ -66,7 +66,22 @@ pub fn connect_render_service(
     ds_id: DataServiceId,
     interest: InterestSet,
 ) -> BootstrapTiming {
-    let t0 = sim.now();
+    let now = sim.now();
+    connect_at(sim, rs_id, ds_id, interest, now)(sim)
+}
+
+/// Subscribe `rs` to `ds` and cut its snapshot parcel now, with the
+/// handshake charged from `start`: the replica's catch-up from the trail
+/// starts now, and a root moved to it before `start` is listed in its
+/// subscription. Returns the send, to run at `start` so that the link sees
+/// its sends in time order.
+pub(crate) fn connect_at(
+    sim: &mut RaveSim,
+    rs_id: RenderServiceId,
+    ds_id: DataServiceId,
+    interest: InterestSet,
+    start: SimTime,
+) -> impl FnOnce(&mut RaveSim) -> BootstrapTiming + 'static {
     let ds_host = sim.world.data(ds_id).host.clone();
     let rs_host = sim.world.render(rs_id).host.clone();
 
@@ -78,59 +93,57 @@ pub fn connect_render_service(
         .arg("interest", SoapValue::Str(format!("{} roots", interest.roots().count())));
     let soap_cpu = codec.marshal_time(&subscribe) * 2.0;
     let rtt = sim.world.network.round_trip(&rs_host, &ds_host, codec.wire_size(&subscribe), 256);
-    let subscribed_at = t0 + soap_cpu + rtt;
+    let subscribed_at = start + soap_cpu + rtt;
 
-    // 2. Snapshot extraction + introspective marshal at the data service.
-    let (snapshot, stats) = {
-        let ds = sim.world.data(ds_id);
-        let snapshot = snapshot_for(&ds.scene, &interest);
-        let (_bytes, stats) = marshal_introspective(&snapshot);
-        (snapshot, stats)
-    };
-    let marshal = marshal_time_introspective(&stats);
-    let marshalled_at = subscribed_at + marshal;
+    // 2. Parcel cut + introspective marshal at the data service.
+    let parcel = snapshot_parcel(&sim.world.data(ds_id).scene, &interest);
+    let (_bytes, stats) = marshal_introspective(parcel.nodes());
+    let marshalled_at = subscribed_at + marshal_time_introspective(&stats);
 
-    // 3. Register the subscription, ship the snapshot.
+    // 3. Register the subscription, ship the parcel.
     sim.world.data_mut(ds_id).begin_bootstrap(rs_id, interest.clone());
-    let arrival = sim.world.send_bytes(marshalled_at, &ds_host, &rs_host, stats.bytes);
-
-    // 4. On arrival: install replica, replay the trail past the snapshot.
-    //    A snapshot whose sender or receiver failed meanwhile installs
-    //    nothing: failover re-bootstraps the receiver from the new master.
-    sim.schedule_at(arrival, move |sim| {
-        let now = sim.now();
-        let RaveWorld { data_services, render_services, trace, .. } = &mut sim.world;
-        let (Some(ds), Some(rs)) = (data_services.get_mut(&ds_id), render_services.get_mut(&rs_id))
-        else {
-            let row = format!("{rs_id}'s snapshot from {ds_id} dropped: a service failed");
-            trace.record(now, TraceKind::Bootstrap, row);
-            return;
-        };
-        let missed = ds.complete_bootstrap(rs_id);
-        // Merge (not replace): nodes that arrived through other paths
-        // while the snapshot was in flight — e.g. migration moving work
-        // onto a freshly recruited service — must survive.
-        rs.scene.merge_subset(&snapshot);
-        let mut interest = interest.clone();
-        for root in rs.interest.roots() {
-            interest.add_root(root);
-        }
-        rs.interest = interest;
-        for e in missed {
-            // The trail holds every update, not only this interest's; one
-            // to a node the replica does not hold is refused.
-            e.stamped.update.try_apply(&mut rs.scene);
-        }
-        // Worded as `tests/sched_digest.rs` pins it; the count is the trail
-        // entries past the snapshot.
-        trace.record(
-            now,
-            TraceKind::Bootstrap,
-            format!("{rs_id} live on {ds_id} ({} buffered updates replayed)", missed.len()),
-        );
-    });
-
-    BootstrapTiming { subscribed_at, marshalled_at, ready_at: arrival, snapshot_bytes: stats.bytes }
+    move |sim| {
+        let arrival = sim.world.send_bytes(marshalled_at, &ds_host, &rs_host, stats.bytes);
+        // 4. On arrival: adopt the parcel, replay the trail past it. A
+        //    parcel whose sender or receiver failed meanwhile installs
+        //    nothing: failover re-bootstraps the receiver from the new
+        //    master.
+        sim.schedule_at(arrival, move |sim| {
+            let now = sim.now();
+            let RaveWorld { data_services, render_services, trace, .. } = &mut sim.world;
+            let (Some(ds), Some(rs)) =
+                (data_services.get_mut(&ds_id), render_services.get_mut(&rs_id))
+            else {
+                let row = format!("{rs_id}'s snapshot from {ds_id} dropped: a service failed");
+                trace.record(now, TraceKind::Bootstrap, row);
+                return;
+            };
+            let missed = ds.complete_bootstrap(rs_id);
+            // Adopt (not replace): nodes that arrived through other paths
+            // while the parcel was in flight — e.g. migration moving work
+            // onto a freshly recruited service — must survive.
+            rs.scene.adopt_parcel(&parcel);
+            let mut interest = interest.clone();
+            for root in rs.interest.roots() {
+                interest.add_root(root);
+            }
+            rs.interest = interest;
+            for e in missed {
+                // The trail holds every update, not only this interest's;
+                // one to a node the replica does not hold is refused.
+                e.stamped.update.try_apply(&mut rs.scene);
+            }
+            // Worded as `tests/sched_digest.rs` pins it; the count is the
+            // trail entries past the snapshot.
+            trace.record(
+                now,
+                TraceKind::Bootstrap,
+                format!("{rs_id} live on {ds_id} ({} buffered updates replayed)", missed.len()),
+            );
+        });
+        let snapshot_bytes = stats.bytes;
+        BootstrapTiming { subscribed_at, marshalled_at, ready_at: arrival, snapshot_bytes }
+    }
 }
 
 /// Connect every render service a [`crate::distribution::DistributionPlan`]
@@ -153,8 +166,10 @@ pub fn connect_planned(
 /// Replace a crashed data service with one recovered from its durable
 /// store (§3.1.1's persistence made crash-tolerant).
 ///
-/// The failed instance is dropped from the world; a replacement on
-/// `host` rebuilds the session from the latest snapshot checkpoint plus
+/// An id that is not in the world is [`std::io::ErrorKind::NotFound`]; it,
+/// like a store that cannot be read back, leaves the world as it was.
+/// Otherwise the failed instance is dropped from the world; a replacement
+/// on `host` rebuilds the session from the latest snapshot checkpoint plus
 /// the write-ahead-log tail, keeps the session name, and re-attaches the
 /// store with the failed instance's store config so logging continues
 /// where it stopped, at the same cadence. Every render service the
@@ -168,15 +183,15 @@ pub fn recover_data_service(
     host: &str,
     dir: impl AsRef<Path>,
 ) -> std::io::Result<DataServiceId> {
-    let failed_ds = sim
-        .world
-        .data_services
-        .remove(&failed)
-        .unwrap_or_else(|| panic!("no data service {failed} to recover"));
+    if !sim.world.data_services.contains_key(&failed) {
+        let what = format!("no data service {failed} to recover");
+        return Err(std::io::Error::new(std::io::ErrorKind::NotFound, what));
+    }
+    let rec = rave_store::recover(dir.as_ref())?;
+    let failed_ds = sim.world.data_services.remove(&failed).expect("checked above");
     sim.world.registry.unpublish("RAVE", &failed_ds.host, &failed_ds.name);
     let cfg = failed_ds.store().map(|store| *store.config()).unwrap_or_default();
     let new_id = sim.world.next_data_service_id();
-    let rec = rave_store::recover(dir.as_ref())?;
     let mut ds = DataService::new(new_id, host, &failed_ds.name);
     ds.seed_from(&rec);
     ds.attach_store(dir, cfg)?;
@@ -203,11 +218,22 @@ pub fn recover_data_service(
     Ok(new_id)
 }
 
-/// The snapshot a subscriber receives: the whole scene, or the interest
-/// closure with ancestor orientation (§3.2.5). A subset snapshot carries
-/// no presence node outside that closure, so the avatars hanging off the
-/// root are not in it: such a replica holds only the avatars whose
-/// `AddNode` reached it live (`InterestSet::relevant`).
+/// The parcel a bootstrap ships: the whole scene, or the interest closure
+/// with ancestor orientation (§3.2.5). A subset carries no presence node
+/// outside that closure, so the avatars hanging off the root are not in
+/// it: such a replica holds only the avatars whose `AddNode` reached it
+/// live (`InterestSet::relevant`).
+fn snapshot_parcel(scene: &SceneTree, interest: &InterestSet) -> Parcel {
+    if interest.is_everything() {
+        scene.extract_parcel(&[scene.root()])
+    } else {
+        scene.extract_parcel(&interest.roots().collect::<Vec<_>>())
+    }
+}
+
+/// The closure a bootstrap ships, as a standalone tree: the master's clone
+/// or [`SceneTree::extract_subset`]. Kept for `benchmark/`'s
+/// `collab_fanout`, `crates/bench`'s `collab_scale` and tests.
 pub fn snapshot_for(scene: &SceneTree, interest: &InterestSet) -> SceneTree {
     if interest.is_everything() {
         scene.clone()
@@ -219,8 +245,8 @@ pub fn snapshot_for(scene: &SceneTree, interest: &InterestSet) -> SceneTree {
 
 /// Ablation datum: marshalling times for a scene under both paths.
 pub fn marshal_comparison(scene: &SceneTree) -> (SimTime, SimTime, MarshalStats) {
-    let (_b, intro_stats) = marshal_introspective(scene);
-    let (_b2, direct_stats) = marshal_direct(scene);
+    let (_b, intro_stats) = marshal_introspective(scene.descendants_iter(scene.root()));
+    let (_b2, direct_stats) = marshal_direct(scene.descendants_iter(scene.root()));
     (marshal_time_introspective(&intro_stats), marshal_time_direct(&direct_stats), intro_stats)
 }
 
@@ -423,6 +449,74 @@ mod tests {
         assert!(sim.world.render(rs).scene == sim.world.data(new_ds).scene);
         assert_eq!(sim.world.data(new_ds).audit.last_seq(), 21);
         std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    /// Recovering one id twice: the second call finds no such data service,
+    /// says so, and leaves the world as the first left it.
+    #[test]
+    fn recovering_the_same_id_twice_is_not_found() {
+        let dir = std::env::temp_dir().join(format!("rave-boot-twice-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let mut sim = Simulation::new(RaveWorld::paper_testbed(RaveConfig::default(), 3));
+        let ds = sim.world.spawn_data_service("adrenochrome", "sess");
+        sim.world.data_mut(ds).attach_store(&dir, Default::default()).unwrap();
+        let id = sim.world.data_mut(ds).scene.allocate_id();
+        let kind = NodeKind::Group;
+        let add = SceneUpdate::AddNode { id, parent: NodeId(0), name: "kept".into(), kind };
+        publish_update(&mut sim, ds, "user", add).unwrap();
+        sim.world.data_mut(ds).sync_persistence().unwrap();
+
+        let new_ds = recover_data_service(&mut sim, ds, "adrenochrome", &dir).unwrap();
+        let services: Vec<DataServiceId> = sim.world.data_services.keys().copied().collect();
+        let events = sim.world.trace.events().len();
+        let err = recover_data_service(&mut sim, ds, "adrenochrome", &dir).unwrap_err();
+        assert_eq!(err.kind(), std::io::ErrorKind::NotFound);
+        assert!(sim.world.data_services.keys().copied().eq(services));
+        assert_eq!(sim.world.trace.events().len(), events);
+        assert!(sim.world.data(new_ds).scene.contains(id));
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    /// A bootstrap ships one parcel, and marshalling it costs what the
+    /// snapshot tree it replaced cost: the same bytes, field visits and
+    /// interface checks, for the whole scene and for subsets (one root, and
+    /// two with one nested in the other). The master's root is moved and
+    /// renamed, so the whole scene's root record and the subset's stub
+    /// differ.
+    #[test]
+    fn the_shipped_parcel_marshals_what_the_snapshot_tree_did() {
+        let (mut sim, ds) = sim_with_scene(100);
+        let model = sim.world.data(ds).scene.find_by_path("/model").unwrap();
+        let (branch, leaf) = {
+            let scene = &mut sim.world.data_mut(ds).scene;
+            let root = scene.root();
+            scene.set_transform(root, rave_scene::Transform::from_translation(Vec3::Y));
+            scene.node_mut(root).unwrap().set_name("master");
+            let branch = scene.add_node(root, "branch", NodeKind::Group).unwrap();
+            let cam = NodeKind::Camera(rave_scene::CameraParams::default());
+            (branch, scene.add_node(branch, "leaf", cam).unwrap())
+        };
+        let interests = [
+            InterestSet::everything(),
+            InterestSet::subtrees([model]),
+            InterestSet::subtrees([leaf, branch]),
+        ];
+        for interest in interests {
+            let scene = &sim.world.data(ds).scene;
+            let want = snapshot_for(scene, &interest);
+            let (want_bytes, want_stats) =
+                marshal_introspective(want.descendants_iter(want.root()));
+            let shipped = marshal_introspective(snapshot_parcel(scene, &interest).nodes());
+            assert_eq!(shipped, (want_bytes, want_stats));
+            let rs = sim.world.spawn_render_service("tower");
+            let timing = connect_render_service(&mut sim, rs, ds, interest);
+            assert_eq!(timing.snapshot_bytes, want_stats.bytes);
+            let marshal = marshal_time_introspective(&want_stats);
+            assert_eq!(timing.marshalled_at, timing.subscribed_at + marshal);
+            sim.run();
+            let replica = &sim.world.render(rs).scene;
+            assert!(want.iter_nodes().all(|n| replica.contains(n.id())));
+        }
     }
 
     /// A data service that fails with a snapshot in flight, recovered

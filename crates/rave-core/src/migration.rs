@@ -236,14 +236,10 @@ mod tests {
         assert!(sim.world.data(ds).subscribers().contains_key(&fresh));
     }
 
-    /// A recruit given migrated work is sent that work's updates. It is
-    /// not: `recruit_unconnected` subscribes the recruit once the UDDI scan
-    /// is paid for, but the re-homing moves the shards to it at once, so
-    /// `move_interest_root(.., Some(recruit))` finds no subscription and
-    /// drops the root. The replica holds the nodes, and no update to them
-    /// ever reaches it.
+    /// A recruit given migrated work is sent that work's updates:
+    /// `recruit_unconnected` subscribes it before the re-homing moves the
+    /// shards to it, so `move_interest_root(.., Some(recruit))` lists them.
     #[test]
-    #[ignore = "ROADMAP item 3 (e)"]
     fn a_recruit_is_sent_updates_for_the_work_it_was_given() {
         let (mut sim, ds, slow, fast) = overload_world();
         {

@@ -8,7 +8,7 @@
 //! candidates, scores, chosen placement — are recorded as
 //! [`crate::trace::TraceKind::SchedDecision`] events.
 
-use crate::bootstrap::connect_render_service;
+use crate::bootstrap::connect_at;
 use crate::ids::{DataServiceId, RenderServiceId};
 use crate::sched::placement::{DecisionRecord, Ledger};
 use crate::trace::TraceKind;
@@ -570,7 +570,7 @@ impl MoveBatch {
             .hosts
             .entry(to)
             .or_insert_with(|| world.network.known_host(&world.render(to).host));
-        let parcel = ds.scene.extract_parcel(node);
+        let parcel = ds.scene.extract_parcel(&[node]);
         let now = sim.now();
         let arrival =
             sim.world.channel_between(from_host, to_host).send(now, cost.data_bytes.max(256));
@@ -633,11 +633,13 @@ fn recruit_unconnected(sim: &mut RaveSim, ds_id: DataServiceId) -> Option<Render
         TraceKind::Recruitment,
         format!("{candidate} discovered via UDDI ({results} services scanned, {scan})"),
     );
-    // The bootstrap starts after the scan completes; we approximate by
-    // offsetting the connect with a scheduled wrapper.
+    // Subscribed now, so the shards the caller moves to it at once are
+    // listed in its subscription and routed to it; its handshake and
+    // snapshot start once the scan completes.
     let start = now + scan;
+    let ship = connect_at(sim, candidate, ds_id, InterestSet::subtrees([]), start);
     sim.schedule_at(start, move |sim| {
-        connect_render_service(sim, candidate, ds_id, InterestSet::subtrees([]));
+        ship(sim);
     });
     Some(candidate)
 }

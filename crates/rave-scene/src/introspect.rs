@@ -12,10 +12,12 @@
 //! [`marshal_direct`] writes the identical byte stream without the
 //! interface machinery; the delta between the two is the paper's bootstrap
 //! bottleneck, and `bench/table5` charges the introspective path's cost
-//! model to reproduce the 68.2 s Skeletal-Hand bootstrap.
+//! model to reproduce the 68.2 s Skeletal-Hand bootstrap. Both take records
+//! in the order they go out: a bootstrap's [`crate::Parcel::nodes`], or a
+//! tree's pre-order walk ([`crate::SceneTree::descendants_iter`]).
 
 use crate::node::{Node, NodeKind, Transform};
-use crate::tree::{NodeRef, SceneTree};
+use crate::tree::NodeRef;
 use rave_math::Vec3;
 
 /// One extracted field value, as the introspection layer sees it.
@@ -158,7 +160,7 @@ fn extract_parts(
     }
 }
 
-impl Introspect for Node {
+impl Introspect for &Node {
     fn implements(&self, iface: FieldInterface) -> bool {
         kind_implements(&self.kind, iface)
     }
@@ -208,13 +210,14 @@ fn encode_field(out: &mut Vec<u8>, f: &Field) {
     }
 }
 
-/// Marshal a whole tree via introspection: for every node, check every
-/// interface, extract field-by-field.
-pub fn marshal_introspective(tree: &SceneTree) -> (Vec<u8>, MarshalStats) {
+/// Marshal records via introspection, in the order given: for every node,
+/// check every interface, extract field-by-field.
+pub fn marshal_introspective<N: Introspect>(
+    nodes: impl IntoIterator<Item = N>,
+) -> (Vec<u8>, MarshalStats) {
     let mut out = Vec::new();
     let mut stats = MarshalStats::default();
-    for id in tree.descendants(tree.root()) {
-        let node = tree.node(id).expect("descendant exists");
+    for node in nodes {
         stats.nodes += 1;
         for iface in ALL_INTERFACES {
             stats.interface_checks += 1;
@@ -234,11 +237,12 @@ pub fn marshal_introspective(tree: &SceneTree) -> (Vec<u8>, MarshalStats) {
 /// the comparison point for the ablation bench. Produces byte-identical
 /// output to [`marshal_introspective`] (asserted in tests), so the only
 /// difference between the two paths is the marshalling machinery itself.
-pub fn marshal_direct(tree: &SceneTree) -> (Vec<u8>, MarshalStats) {
+pub fn marshal_direct<N: Introspect>(
+    nodes: impl IntoIterator<Item = N>,
+) -> (Vec<u8>, MarshalStats) {
     let mut out = Vec::new();
     let mut stats = MarshalStats::default();
-    for id in tree.descendants(tree.root()) {
-        let node = tree.node(id).expect("descendant exists");
+    for node in nodes {
         stats.nodes += 1;
         for iface in ALL_INTERFACES {
             if node.implements(iface) {
@@ -260,6 +264,7 @@ mod tests {
     use super::*;
     use crate::geometry::MeshData;
     use crate::node::NodeKind;
+    use crate::tree::SceneTree;
     use std::sync::Arc;
 
     fn tree_with_mesh() -> SceneTree {
@@ -274,8 +279,8 @@ mod tests {
     #[test]
     fn both_marshallers_produce_identical_bytes() {
         let t = tree_with_mesh();
-        let (a, _) = marshal_introspective(&t);
-        let (b, _) = marshal_direct(&t);
+        let (a, _) = marshal_introspective(t.descendants_iter(t.root()));
+        let (b, _) = marshal_direct(t.descendants_iter(t.root()));
         assert_eq!(a, b);
         assert!(!a.is_empty());
     }
@@ -283,8 +288,8 @@ mod tests {
     #[test]
     fn introspective_path_does_more_work() {
         let t = tree_with_mesh();
-        let (_, intro) = marshal_introspective(&t);
-        let (_, direct) = marshal_direct(&t);
+        let (_, intro) = marshal_introspective(t.descendants_iter(t.root()));
+        let (_, direct) = marshal_direct(t.descendants_iter(t.root()));
         assert!(intro.field_visits > direct.field_visits);
         assert!(intro.interface_checks > 0);
         assert_eq!(direct.interface_checks, 0);
@@ -294,7 +299,7 @@ mod tests {
     #[test]
     fn geometry_dominates_payload() {
         let t = tree_with_mesh();
-        let (bytes, stats) = marshal_introspective(&t);
+        let (bytes, stats) = marshal_introspective(t.descendants_iter(t.root()));
         // 4 positions + 4 normals = 96 bytes, 2 triangles = 24 bytes.
         assert!(bytes.len() >= 120, "payload {} too small", bytes.len());
         assert_eq!(stats.nodes, 2); // root + mesh
@@ -316,8 +321,8 @@ mod tests {
         for i in 0..5 {
             t2.add_node(t2.root(), format!("g{i}"), NodeKind::Group).unwrap();
         }
-        let (_, s1) = marshal_introspective(&t1);
-        let (_, s2) = marshal_introspective(&t2);
+        let (_, s1) = marshal_introspective(t1.descendants_iter(t1.root()));
+        let (_, s2) = marshal_introspective(t2.descendants_iter(t2.root()));
         assert!(s2.interface_checks > s1.interface_checks);
         assert!(s2.nodes > s1.nodes);
     }

@@ -347,39 +347,35 @@ impl Journal {
     }
 }
 
-/// One node of a [`Parcel`]: what a replica needs to insert it.
-#[derive(Debug, Clone, PartialEq)]
-struct ParcelNode {
-    id: NodeId,
-    parent: NodeId,
-    name: String,
-    kind: NodeKind,
-    transform: Transform,
-    version: u64,
-}
-
-/// A subtree in flight between replicas (§3.2.5: the subset plus "the
-/// parent nodes to orientate" it) as a flat list of records, parents
-/// before children: the message a migration sends, where a standalone
-/// [`SceneTree`] would carry arenas, an id index, a journal and caches for
-/// three nodes. Made by [`SceneTree::extract_parcel`], taken in by
-/// [`SceneTree::adopt_parcel`].
+/// A subtree in flight to a replica (§3.2.5: the subset plus "the parent
+/// nodes to orientate" it), when it joins (§5.5) and when work migrates to
+/// it (§3.2.7): detached [`Node`] records, parents first, where a
+/// standalone [`SceneTree`] would carry arenas, an id index, a journal and
+/// caches. Made by [`SceneTree::extract_parcel`], taken in by
+/// [`SceneTree::adopt_parcel`]; a bootstrap marshals [`Parcel::nodes`].
 #[derive(Debug, Clone, PartialEq)]
 pub struct Parcel {
-    /// Root of the tree it was cut from: a record whose parent this is
-    /// hangs under the receiving tree's root.
-    source_root: NodeId,
-    records: Vec<ParcelNode>,
+    /// The source root's record: its own if the cut takes the root, else
+    /// the fresh tree's `Group` stub named `root` with the source root's
+    /// transform. Never inserted: records under it go under the receiver's.
+    root: Node,
+    /// The rest of the closure, in whole-tree pre-order.
+    records: Vec<Node>,
 }
 
 impl Parcel {
-    /// Records carried: the orientation chain and the subtree.
+    /// Records carried below the root: orientation chains and subtrees.
     pub fn len(&self) -> usize {
         self.records.len()
     }
 
     pub fn is_empty(&self) -> bool {
         self.records.is_empty()
+    }
+
+    /// Every record, the root's first: the closure in whole-tree pre-order.
+    pub fn nodes(&self) -> impl Iterator<Item = &Node> {
+        std::iter::once(&self.root).chain(&self.records)
     }
 }
 
@@ -1138,168 +1134,126 @@ impl SceneTree {
         self.descendants_iter(self.root).filter(|n| pred(*n)).map(|n| n.id()).collect()
     }
 
-    /// The *ancestor closure* of a node set: the nodes themselves, all
-    /// their descendants, plus every ancestor (as structure-only context).
-    /// This is exactly what a render service receives for dataset
-    /// distribution: "a subset of the scene tree, including the parent
-    /// nodes to orientate the scene subset in the world" (§3.2.5).
-    pub fn subset_closure(&self, roots: &[NodeId]) -> Vec<NodeId> {
-        // Collect-then-dedup in a pre-sized Vec rather than inserting into
-        // a BTreeSet node by node; the sorted, duplicate-free result is
-        // identical.
-        let mut included = Vec::with_capacity(self.live.min(roots.len().max(1) * 8));
-        for &r in roots {
-            included.extend(self.descendants_iter(r).map(|n| n.id()));
-            included.extend(self.ancestors(r));
-        }
-        included.sort_unstable();
-        included.dedup();
-        included
-    }
-
-    /// Extract a standalone subtree containing exactly the closure of
-    /// `roots` (see [`SceneTree::subset_closure`]). Ancestor nodes that
-    /// are included for orientation keep their transforms but drop any
-    /// content payload if they are not within a requested subtree.
-    ///
-    /// Visits only the closure: its slots are gathered from the cached
-    /// pre-order (a subtree is one contiguous slice, an ancestor chain is
-    /// a parent walk) and sorted by pre-order position, so a k-node
-    /// closure costs O(k log k) whatever the size of the scene, and nodes
-    /// are inserted in the order a walk of the whole tree would meet them.
+    /// The closure of `roots` (see [`SceneTree::extract_parcel`]) as a
+    /// standalone tree: a fresh tree with this tree's allocator state and
+    /// root transform that adopts the parcel. Kept for `benchmark/`,
+    /// `rave_core::bootstrap::snapshot_for` and tests.
     pub fn extract_subset(&self, roots: &[NodeId]) -> SceneTree {
-        let flat = self.flat();
-        // (pre-order position, orientation-only?) per closure slot. A
-        // node inside a requested subtree sorts before its own
-        // orientation-only duplicate, so the dedup keeps its content.
-        let mut closure: Vec<(u32, bool)> = Vec::new();
-        for &r in roots {
-            let Some(s) = self.slot(r) else { continue };
-            let p = flat.pos[s as usize];
-            closure.extend((p..p + flat.subtree_len[s as usize]).map(|pos| (pos, false)));
-            let mut up = self.hot[s as usize].parent;
-            while up != NIL {
-                closure.push((flat.pos[up as usize], true));
-                up = self.hot[up as usize].parent;
-            }
-        }
-        closure.sort_unstable();
-        closure.dedup_by_key(|&mut (pos, _)| pos);
-        let mut out = SceneTree::with_capacity(closure.len());
+        let parcel = self.extract_parcel(roots);
+        let mut out = SceneTree::with_capacity(parcel.len() + 1);
         out.next_id = self.next_id;
-        // The root's transform orients everything: copy it so world
-        // transforms in the subset match the source exactly.
-        out.hot[out.root_slot as usize].transform = self.hot[self.root_slot as usize].transform;
-        // Pre-order, so parents are inserted first.
-        for (pos, orientation_only) in closure {
-            let src = flat.preorder[pos as usize];
-            if src == self.root_slot {
-                continue;
-            }
-            let h = &self.hot[src as usize];
-            let c = &self.cold[src as usize];
-            let parent_in_out =
-                if h.parent == self.root_slot { out.root } else { self.hot[h.parent as usize].id };
-            let kind = if orientation_only { NodeKind::Group } else { c.kind.clone() };
-            out.insert_with_id(h.id, parent_in_out, c.name.as_str(), kind)
-                .expect("closure preserves parent-before-child");
-            let slot = out.slot(h.id).expect("just inserted");
-            out.hot[slot as usize].transform = h.transform;
-            out.cold[slot as usize].version = c.version;
-        }
+        out.hot[out.root_slot as usize].transform = parcel.root.transform;
+        out.adopt_parcel(&parcel);
         out
     }
 
-    /// Merge another tree's nodes into this one, preserving ids: nodes
-    /// already present keep their local state; missing nodes are inserted
-    /// under their (id-mapped) parents, `subset`'s root mapping to this
-    /// root. This is how a replica integrates an arriving snapshot or a
-    /// migrated subtree without discarding content it already holds.
+    /// Merge another tree's nodes into this one, preserving ids: the whole
+    /// of `subset` adopted as one parcel, its root mapping to this root.
+    /// Kept for `benchmark/`'s shadows and tests; the system ships parcels.
     pub fn merge_subset(&mut self, subset: &SceneTree) {
-        for src in subset.descendants_iter(subset.root()) {
-            let id = src.id();
-            if id == subset.root() || self.contains(id) {
-                continue;
-            }
-            let parent = src.parent().expect("non-root has parent");
-            let parent = if parent == subset.root() { self.root } else { parent };
-            // An orphaned branch: its parent was never replicated.
-            let Some(parent_slot) = self.slot(parent) else { continue };
-            let slot = self.insert_under(id, parent_slot, src.name(), src.kind().clone());
-            self.hot[slot as usize].transform = src.transform();
-            self.cold[slot as usize].version = src.version();
-        }
+        self.adopt_parcel(&subset.extract_parcel(&[subset.root()]));
     }
 
-    /// Cut `root`'s subtree out as a [`Parcel`]: the flat form a migrating
-    /// subtree travels in. Its records are what
-    /// `extract_subset(&[root])` would hold, in the order `merge_subset`
-    /// would meet them: the orientation chain above `root` root-most first
-    /// (transforms kept, content stripped to [`NodeKind::Group`], the tree's
-    /// own root left out), then the subtree in pre-order with its payloads
-    /// `Arc`-shared. Costs the chain plus the subtree whatever the size of
-    /// the scene, and walks the sibling links: no cache is built or read,
-    /// so a cost edit between two extractions is not paid for here. A root
-    /// this tree does not hold gives the empty parcel.
-    pub fn extract_parcel(&self, root: NodeId) -> Parcel {
-        let mut records = Vec::new();
-        let Some(top) = self.slot(root) else {
-            return Parcel { source_root: self.root, records };
-        };
+    /// Cut the closure of `roots` out as a [`Parcel`]: the one place a
+    /// subtree is gathered to leave this tree. The closure is "a subset of
+    /// the scene tree, including the parent nodes to orientate the scene
+    /// subset in the world" (§3.2.5): the roots' subtrees, and their
+    /// ancestors with name, transform and version but no content unless a
+    /// requested subtree holds them too. Nested and repeated roots are
+    /// taken once, ids this tree does not hold skipped; records come in
+    /// whole-tree pre-order.
+    ///
+    /// One root (every migration, and a bootstrap of the whole scene or of
+    /// one subtree) walks the parent links up and the sibling links down:
+    /// no cache is built or read, and a leaf costs its chain. Several roots
+    /// are ordered by the cached pre-order positions, so a k-node closure
+    /// costs O(k log k) whatever the size of the scene.
+    pub fn extract_parcel(&self, roots: &[NodeId]) -> Parcel {
         let record = |slot: u32, orientation_only: bool| {
             let (h, c) = (&self.hot[slot as usize], &self.cold[slot as usize]);
-            ParcelNode {
+            Node {
                 id: h.id,
-                parent: self.hot[h.parent as usize].id,
                 name: c.name.clone(),
-                kind: if orientation_only { NodeKind::Group } else { c.kind.clone() },
                 transform: h.transform,
+                kind: if orientation_only { NodeKind::Group } else { c.kind.clone() },
+                children: Vec::new(),
+                parent: (h.parent != NIL).then(|| self.hot[h.parent as usize].id),
                 version: c.version,
             }
         };
-        let mut up = self.hot[top as usize].parent;
-        while up != NIL && up != self.root_slot {
-            records.push(record(up, true));
-            up = self.hot[up as usize].parent;
-        }
-        records.reverse();
-        // Pre-order over the links: down to the first child, else on to
-        // the next sibling of the nearest ancestor (below `top`) with one.
-        let mut at = top;
-        loop {
-            if at != self.root_slot {
-                records.push(record(at, false));
+        let root = if roots.contains(&self.root) {
+            record(self.root_slot, false)
+        } else {
+            let transform = self.hot[self.root_slot as usize].transform;
+            Node { transform, ..Node::new(self.root, "root", NodeKind::Group) }
+        };
+        let mut records = Vec::new();
+        if let [one] = roots {
+            let Some(top) = self.slot(*one) else { return Parcel { root, records } };
+            let mut up = self.hot[top as usize].parent;
+            while up != NIL && up != self.root_slot {
+                records.push(record(up, true));
+                up = self.hot[up as usize].parent;
             }
-            let mut next = self.hot[at as usize].first_child;
-            while next == NIL && at != top {
-                next = self.hot[at as usize].next_sibling;
+            records.reverse();
+            // Pre-order over the links: down to the first child, else on to
+            // the next sibling of the nearest ancestor (below `top`) with one.
+            let mut at = top;
+            loop {
+                if at != self.root_slot {
+                    records.push(record(at, false));
+                }
+                let mut next = self.hot[at as usize].first_child;
+                while next == NIL && at != top {
+                    next = self.hot[at as usize].next_sibling;
+                    if next == NIL {
+                        at = self.hot[at as usize].parent;
+                    }
+                }
                 if next == NIL {
-                    at = self.hot[at as usize].parent;
+                    break;
+                }
+                at = next;
+            }
+        } else {
+            let flat = self.flat();
+            // (pre-order position, orientation-only?) per closure slot. A
+            // node inside a requested subtree sorts before its own
+            // orientation-only duplicate, so the dedup keeps its content.
+            let mut closure: Vec<(u32, bool)> = Vec::new();
+            for &r in roots {
+                let Some(s) = self.slot(r) else { continue };
+                let p = flat.pos[s as usize];
+                closure.extend((p..p + flat.subtree_len[s as usize]).map(|pos| (pos, false)));
+                let mut up = self.hot[s as usize].parent;
+                while up != NIL {
+                    closure.push((flat.pos[up as usize], true));
+                    up = self.hot[up as usize].parent;
                 }
             }
-            if next == NIL {
-                break;
-            }
-            at = next;
+            closure.sort_unstable();
+            closure.dedup_by_key(|&mut (pos, _)| pos);
+            records.reserve(closure.len());
+            let slots = closure.into_iter().map(|(pos, o)| (flat.preorder[pos as usize], o));
+            records.extend(slots.filter(|&(s, _)| s != self.root_slot).map(|(s, o)| record(s, o)));
         }
-        Parcel { source_root: self.root, records }
+        Parcel { root, records }
     }
 
-    /// Take a [`Parcel`] in: `merge_subset(&extract_subset(&[root]))`
-    /// without the tree in between, and equal to it record for record
-    /// (`tests/proptest_scene.rs`). A node already here keeps its local
-    /// state — the chain a replica already holds, or a subtree it was sent
-    /// before; a record whose parent is not here is skipped (an orphaned
-    /// branch: its parent was never replicated, and what hangs below it is
-    /// skipped for the same reason in turn); the rest go in through the
-    /// same insert as [`SceneTree::insert_with_id`], so the edit journal
-    /// and the stamp move exactly as that merge moves them.
+    /// Take a [`Parcel`] in: the one place foreign records enter a tree. A
+    /// node already here keeps its local state — the chain a replica
+    /// already holds, or a subtree it was sent before; a record whose
+    /// parent is not here is skipped (an orphaned branch: its parent was
+    /// never replicated, and what hangs below it is skipped for the same
+    /// reason in turn); the rest go in through the same insert as
+    /// [`SceneTree::insert_with_id`], so the edit journal and the stamp
+    /// move as that insert moves them.
     pub fn adopt_parcel(&mut self, parcel: &Parcel) {
         for rec in &parcel.records {
             if self.contains(rec.id) {
                 continue;
             }
-            let parent = if rec.parent == parcel.source_root { self.root } else { rec.parent };
+            let parent = rec.parent.filter(|&p| p != parcel.root.id).unwrap_or(self.root);
             let Some(parent_slot) = self.slot(parent) else { continue };
             let slot = self.insert_under(rec.id, parent_slot, rec.name.as_str(), rec.kind.clone());
             self.hot[slot as usize].transform = rec.transform;
@@ -1973,20 +1927,6 @@ mod tests {
     }
 
     #[test]
-    fn subset_closure_includes_parents_and_descendants() {
-        let mut t = SceneTree::new();
-        let g = t.add_node(t.root(), "g", NodeKind::Group).unwrap();
-        let m = t.add_node(g, "m", tri_mesh()).unwrap();
-        let leaf = t.add_node(m, "leaf", NodeKind::Group).unwrap();
-        let other = t.add_node(t.root(), "other", tri_mesh()).unwrap();
-        let closure = t.subset_closure(&[m]);
-        assert!(closure.contains(&m));
-        assert!(closure.contains(&leaf), "descendants included");
-        assert!(closure.contains(&g), "ancestors included");
-        assert!(!closure.contains(&other), "siblings excluded");
-    }
-
-    #[test]
     fn extract_subset_keeps_ids_transforms_and_strips_foreign_content() {
         let mut t = SceneTree::new();
         let g = t.add_node(t.root(), "g", tri_mesh()).unwrap(); // ancestor WITH content
@@ -2037,11 +1977,11 @@ mod tests {
         assert_eq!(replica.len(), before);
     }
 
-    /// A parcel is the subset without the tree: whatever the receiver
-    /// already holds, adopting `extract_parcel(r)` leaves what merging
-    /// `extract_subset(&[r])` leaves, and cutting it builds no cache.
+    /// A parcel carries exactly the closure of its roots, parents before
+    /// children; adopting it keeps whatever the receiver already holds, and
+    /// a single-root cut builds no cache.
     #[test]
-    fn adopting_a_parcel_equals_merging_the_subset() {
+    fn a_parcel_carries_the_closure_and_adopting_keeps_local_state() {
         let mut t = SceneTree::new();
         let g = t.add_node(t.root(), "g", tri_mesh()).unwrap(); // ancestor WITH content
         t.set_transform(g, Transform::from_translation(Vec3::new(5.0, 0.0, 0.0)));
@@ -2064,30 +2004,61 @@ mod tests {
         let mut stray = SceneTree::new();
         stray.insert_with_id(leaf, stray.root(), "leaf", NodeKind::Group).unwrap();
 
-        for root in [t.root(), g, m, leaf, twin, other, NodeId(999)] {
-            let parcel = t.extract_parcel(root);
-            let subset = t.extract_subset(&[root]);
-            assert_eq!(parcel.len(), subset.len() - 1, "root {root}: the subset's own root");
-            assert_eq!(parcel.is_empty(), root == NodeId(999));
+        let dead = NodeId(999);
+        let sets: [&[NodeId]; 9] = [
+            &[t.root()],
+            &[g],
+            &[m],
+            &[leaf],
+            &[twin],
+            &[other],
+            &[dead],
+            &[leaf, g, leaf],
+            &[twin, other, dead],
+        ];
+        for roots in sets {
+            let parcel = t.extract_parcel(roots);
+            let mut seen = vec![t.root()];
+            for n in parcel.nodes().skip(1) {
+                assert!(seen.contains(&n.parent.unwrap()), "{roots:?}: {} after its parent", n.id);
+                seen.push(n.id);
+            }
+            seen.sort_unstable();
+            // The closure: the roots' subtrees and their ancestors, once.
+            let mut closure = vec![t.root()];
+            for &r in roots {
+                closure.extend(t.descendants(r).into_iter().chain(t.ancestors(r)));
+            }
+            closure.sort_unstable();
+            closure.dedup();
+            assert_eq!(seen, closure, "{roots:?}");
+            assert_eq!(parcel.is_empty(), roots == [dead]);
+            let root = parcel.nodes().next().unwrap();
+            assert_eq!(root.name, "root");
+            assert_eq!(root.transform, t.node(t.root()).unwrap().transform());
             for receiver in [&empty, &chain, &part, &stray] {
-                let (mut adopted, mut merged) = (receiver.clone(), receiver.clone());
+                let mut adopted = receiver.clone();
                 adopted.adopt_parcel(&parcel);
-                merged.merge_subset(&subset);
-                assert_eq!(adopted, merged, "root {root}");
                 adopted.check_invariants().unwrap();
+                for n in receiver.iter_nodes() {
+                    let kept = adopted.node(n.id()).unwrap();
+                    assert_eq!((kept.name(), kept.kind()), (n.name(), n.kind()), "{roots:?}");
+                    assert_eq!(kept.transform(), n.transform(), "{roots:?}");
+                }
             }
         }
         // Local state survives, foreign content on the chain does not travel.
         let mut held = chain.clone();
-        held.adopt_parcel(&t.extract_parcel(leaf));
+        held.adopt_parcel(&t.extract_parcel(&[leaf]));
         assert_eq!(held.node(g).unwrap().name(), "mine");
         assert_eq!(held.node(g).unwrap().transform().translation, Vec3::X);
         assert_eq!(held.total_cost().polygons, 1, "only `leaf` brought content");
         assert!(matches!(held.node(m).unwrap().kind(), NodeKind::Group));
 
         let cold = t.clone();
-        cold.extract_parcel(leaf);
-        cold.extract_parcel(g);
+        cold.extract_parcel(&[leaf]);
+        cold.extract_parcel(&[g]);
+        cold.extract_parcel(&[cold.root()]);
         assert!(!cold.structure_cache_is_warm() && !cold.cost_cache_is_warm());
     }
 
@@ -2406,7 +2377,7 @@ mod tests {
         other.insert_with_id(far, other.root(), "far", tri_mesh()).unwrap();
         row(&mut t, "merge_subset", &mut |t| (t.merge_subset(&other), far).1, Structure);
         row(&mut t, "remove", &mut |t| t.remove(far).map(|_| far).unwrap(), Structure);
-        let parcel = other.extract_parcel(far);
+        let parcel = other.extract_parcel(&[far]);
         row(&mut t, "adopt_parcel", &mut |t| (t.adopt_parcel(&parcel), far).1, Structure);
         t.remove(far).unwrap();
         let cam = t.add_node(root, "cam", NodeKind::Camera(CameraParams::default())).unwrap();
@@ -2428,8 +2399,8 @@ mod tests {
         t.allocate_id();
         t.reserve(8);
         t.merge_subset(&SceneTree::new());
-        t.adopt_parcel(&t.extract_parcel(a));
-        t.adopt_parcel(&t.extract_parcel(NodeId(999)));
+        t.adopt_parcel(&t.extract_parcel(&[a]));
+        t.adopt_parcel(&t.extract_parcel(&[NodeId(999)]));
         assert!(t.remove(NodeId(999)).is_err());
         assert!(t.reparent(id, a).is_err());
         assert!(t.insert_with_id(a, root, "dup", NodeKind::Group).is_err());
@@ -2566,21 +2537,6 @@ mod tests {
         assert!(t.node(cam).unwrap().local_bounds().min.x.is_nan());
         assert_eq!(t.node(cam).unwrap().finite_local_bounds(), None);
         t.check_invariants().unwrap();
-    }
-
-    #[test]
-    fn subset_closure_is_sorted_and_duplicate_free() {
-        let mut t = SceneTree::new();
-        let g = t.add_node(t.root(), "g", NodeKind::Group).unwrap();
-        let m = t.add_node(g, "m", tri_mesh()).unwrap();
-        let leaf = t.add_node(m, "leaf", NodeKind::Group).unwrap();
-        // Overlapping roots: m's subtree is inside g's.
-        let closure = t.subset_closure(&[g, m, leaf]);
-        let mut sorted = closure.clone();
-        sorted.sort_unstable();
-        sorted.dedup();
-        assert_eq!(closure, sorted);
-        assert_eq!(closure, vec![t.root(), g, m, leaf]);
     }
 
     #[test]

@@ -134,9 +134,8 @@ proptest! {
         run_model_comparison(&ops)?;
     }
 
-    /// `subset_closure` always contains the requested roots, their
-    /// descendants and ancestors; `extract_subset` preserves world
-    /// transforms for every included node.
+    /// `extract_subset` always holds the requested root, its descendants
+    /// and its ancestors, and preserves world transforms for every one.
     #[test]
     fn subset_extraction_sound(ops in prop::collection::vec(op_strategy(), 5..50), pick: usize) {
         let mut tree = SceneTree::new();
@@ -205,65 +204,86 @@ proptest! {
         prop_assert_eq!(wire::encode_tree(&got), wire::encode_tree(&want));
     }
 
-    /// A parcel is the subset without the tree in between: on a replica
-    /// that holds any part of the scene — some closures merged in earlier,
-    /// local state of its own on them, a subtree since removed from under a
-    /// chain it kept — `adopt_parcel(extract_parcel(r))` leaves what
-    /// `merge_subset(&extract_subset(&[r]))` leaves: the same tree by `==`,
-    /// the same `check_invariants`, the same journal entries per class and
-    /// the same stamp movement. Roots: deep subtrees, leaves, nodes already
-    /// held, the scene root, an id the scene does not hold; one after the
-    /// other into the same two replicas.
+    /// One cut and one take: `adopt_parcel(&extract_parcel(roots))` leaves
+    /// what the pair before parcels left, `merge_by_tree_walk` of
+    /// `extract_by_whole_tree_walk(roots)`, on a fresh replica and on one
+    /// that holds part of the scene (closures merged in earlier, local state
+    /// of its own on them, a subtree since removed from under a chain it
+    /// kept): the same tree by `==`, the same `check_invariants`, the same
+    /// allocator state and the same journal entries per class. Root sets
+    /// nest, repeat, take the scene root and an id the scene does not hold;
+    /// one set after the other goes into the same two pairs of replicas.
     #[test]
     fn adopting_a_parcel_equals_merging_the_subset(
         ops in prop::collection::vec(model_op_strategy(), 1..70),
         held in prop::collection::vec(any::<usize>(), 0..5),
         hole in any::<usize>(),
-        picks in prop::collection::vec(any::<usize>(), 1..6),
+        sets in prop::collection::vec(
+            (prop::collection::vec(any::<usize>(), 0..4), 0u8..16),
+            1..6,
+        ),
     ) {
         let tree = churned_tree(&ops);
         let live: Vec<NodeId> = tree.descendants(tree.root());
-        let mut replica = SceneTree::new();
+        let mut partly = SceneTree::new();
         for pick in &held {
-            replica.merge_subset(&tree.extract_subset(&[live[pick % live.len()]]));
+            let subset = extract_by_whole_tree_walk(&tree, &[live[pick % live.len()]]);
+            merge_by_tree_walk(&mut partly, &subset);
         }
-        let there: Vec<NodeId> = replica.descendants(replica.root());
-        replica.set_transform(there[hole % there.len()], Transform::from_translation(Vec3::Y));
+        let there: Vec<NodeId> = partly.descendants(partly.root());
+        partly.set_transform(there[hole % there.len()], Transform::from_translation(Vec3::Y));
         if there.len() > 1 {
-            replica.remove(there[1 + (hole / 3) % (there.len() - 1)]).unwrap();
+            partly.remove(there[1 + (hole / 3) % (there.len() - 1)]).unwrap();
         }
 
-        let (mut adopted, mut merged) = (replica.clone(), replica);
         let classes = [EditClass::Structure, EditClass::Payload];
-        for tree in [&mut adopted, &mut merged] {
-            // The first read starts the recording.
-            prop_assert_eq!(tree.changes_since(EditStamp::default(), &classes), Dirt::Everything);
-        }
-        let mut roots: Vec<NodeId> = picks.iter().map(|p| live[p % live.len()]).collect();
-        roots.extend([tree.root(), NodeId(u64::MAX - 7)]);
-        for root in roots {
-            let (before_a, before_m) = (adopted.edit_stamp(), merged.edit_stamp());
-            let parcel = tree.extract_parcel(root);
-            let subset = tree.extract_subset(&[root]);
-            prop_assert_eq!(parcel.len(), subset.len() - 1, "the closure of {}", root);
-            adopted.adopt_parcel(&parcel);
-            merged.merge_subset(&subset);
-            prop_assert_eq!(&adopted, &merged, "root {}", root);
-            prop_assert_eq!(adopted.check_invariants(), merged.check_invariants());
-            prop_assert_eq!(adopted.check_invariants(), Ok(()));
-            prop_assert_eq!(adopted.id_allocator_state(), merged.id_allocator_state());
-            for asked in [&classes[..], &classes[..1], &classes[1..]] {
-                prop_assert_eq!(
-                    adopted.changes_since(before_a, asked),
-                    merged.changes_since(before_m, asked),
-                    "{:?} entries of root {}", asked, root
-                );
+        let mut pairs = [(SceneTree::new(), SceneTree::new()), (partly.clone(), partly)];
+        for (adopted, merged) in &mut pairs {
+            for tree in [adopted, merged] {
+                // The first read starts the recording.
+                prop_assert_eq!(tree.changes_since(EditStamp::default(), &classes), Dirt::Everything);
             }
-            prop_assert_eq!(
-                adopted.edit_stamp() == before_a,
-                merged.edit_stamp() == before_m,
-                "stamp movement of root {}", root
-            );
+        }
+        for (picks, shape) in &sets {
+            let mut roots: Vec<NodeId> = picks.iter().map(|p| live[p % live.len()]).collect();
+            // `shape` adds a child of the first root, the first root again,
+            // the scene root and an id that was never allocated.
+            if let Some(&first) = roots.first() {
+                if shape & 1 != 0 {
+                    roots.extend(tree.node(first).unwrap().children().next());
+                }
+                if shape & 2 != 0 {
+                    roots.push(first);
+                }
+            }
+            if shape & 4 != 0 {
+                roots.push(tree.root());
+            }
+            if shape & 8 != 0 {
+                roots.push(NodeId(u64::MAX - 7));
+            }
+            let parcel = tree.extract_parcel(&roots);
+            let subset = extract_by_whole_tree_walk(&tree, &roots);
+            prop_assert_eq!(parcel.len(), subset.len() - 1, "the closure of {:?}", &roots);
+            for (adopted, merged) in &mut pairs {
+                let (before_a, before_m) = (adopted.edit_stamp(), merged.edit_stamp());
+                adopted.adopt_parcel(&parcel);
+                merge_by_tree_walk(merged, &subset);
+                prop_assert_eq!(&*adopted, &*merged, "roots {:?}", &roots);
+                prop_assert_eq!(adopted.check_invariants(), merged.check_invariants());
+                prop_assert_eq!(adopted.check_invariants(), Ok(()));
+                prop_assert_eq!(adopted.id_allocator_state(), merged.id_allocator_state());
+                let structure = adopted.changes_since(before_a, &classes[..1]);
+                prop_assert_eq!(&structure, &merged.changes_since(before_m, &classes[..1]));
+                prop_assert_eq!(&adopted.changes_since(before_a, &classes), &structure);
+                prop_assert_eq!(&merged.changes_since(before_m, &classes), &structure);
+                // The reference writes transform and version through
+                // `node_mut`: a `Payload` entry per node it inserts, where
+                // the arena's own insert leaves none.
+                prop_assert_eq!(adopted.changes_since(before_a, &classes[1..]), Dirt::Clean);
+                prop_assert_eq!(&merged.changes_since(before_m, &classes[1..]), &structure);
+                prop_assert_eq!(adopted.edit_stamp() == before_a, merged.edit_stamp() == before_m);
+            }
         }
     }
 }
@@ -679,7 +699,7 @@ proptest! {
                 }
                 PresenceOp::Extract { picks } => replica = tree.extract_subset(&roots(picks)),
                 PresenceOp::Parcel { pick } => {
-                    replica.adopt_parcel(&tree.extract_parcel(live[pick % live.len()]));
+                    replica.adopt_parcel(&tree.extract_parcel(&[live[pick % live.len()]]));
                 }
                 PresenceOp::Swap => std::mem::swap(&mut tree, &mut replica),
             }
@@ -972,9 +992,11 @@ fn churned_tree(ops: &[ModelOp]) -> SceneTree {
 /// visit only the closure: walk every node of `tree` in pre-order and keep
 /// the ones in the closure. Kept as the oracle of the test above.
 fn extract_by_whole_tree_walk(tree: &SceneTree, roots: &[NodeId]) -> SceneTree {
-    let closure = tree.subset_closure(roots);
     let mut in_subtree: Vec<NodeId> = roots.iter().flat_map(|&r| tree.descendants(r)).collect();
     in_subtree.sort_unstable();
+    let mut closure = in_subtree.clone();
+    closure.extend(roots.iter().flat_map(|&r| tree.ancestors(r)));
+    closure.sort_unstable();
     let mut out = SceneTree::new();
     while out.id_allocator_state() < tree.id_allocator_state() {
         out.allocate_id();
@@ -999,6 +1021,31 @@ fn extract_by_whole_tree_walk(tree: &SceneTree, roots: &[NodeId]) -> SceneTree {
         node.set_version(src.version());
     }
     out
+}
+
+/// The `merge_subset` this repository shipped before a parcel was the one
+/// way foreign records enter a tree: walk `subset` in pre-order and insert
+/// each node `tree` lacks under its parent (`subset`'s root mapping to
+/// `tree`'s), keeping the local state of the nodes it holds and skipping an
+/// orphaned branch. Kept as the oracle of
+/// `adopting_a_parcel_equals_merging_the_subset`. Through the public API,
+/// the transform and version go in through `node_mut`.
+fn merge_by_tree_walk(tree: &mut SceneTree, subset: &SceneTree) {
+    for src in subset.descendants_iter(subset.root()) {
+        let id = src.id();
+        if id == subset.root() || tree.contains(id) {
+            continue;
+        }
+        let parent = src.parent().expect("non-root has parent");
+        let parent = if parent == subset.root() { tree.root() } else { parent };
+        // An orphaned branch: its parent was never replicated.
+        if tree.insert_with_id(id, parent, src.name(), src.kind().clone()).is_err() {
+            continue;
+        }
+        let mut node = tree.node_mut(id).unwrap();
+        node.set_transform(src.transform());
+        node.set_version(src.version());
+    }
 }
 
 // ---------------------------------------------------------------------------
