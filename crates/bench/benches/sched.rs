@@ -9,7 +9,9 @@
 //! (the storm at 100k nodes) and `apply.us_per_move_10k_over_500` (a plan
 //! diff of about 400 moves applied in a world — `incremental_replan` +
 //! `sim.run()` — in a 10k-node and in a 500-node scene: a move costs the
-//! move, not the scene). Cold configs are timed best-of-N over
+//! move, not the scene) and `apply.revisit_wire_ratio` (the wire bytes of
+//! the diff that sends those moves back, over theirs: a node returned to a
+//! service that cached it crosses the wire as a header). Cold configs are timed best-of-N over
 //! consecutive rounds, storms and diffs as the median per-event latency
 //! (steady-state, cache-warm, robust to one-off scheduler noise).
 //! `BENCH_QUICK=1` runs fewer rounds and storm events.
@@ -19,7 +21,7 @@ use rave_core::capacity::{CapacityReport, Headroom};
 use rave_core::distribution::{plan_distribution, plan_incremental};
 use rave_core::migration::incremental_replan;
 use rave_core::sched::PlanState;
-use rave_core::world::{publish_update, RaveWorld};
+use rave_core::world::{publish_update, RaveSim, RaveWorld};
 use rave_core::{RaveConfig, RenderServiceId};
 use rave_math::Vec3;
 use rave_scene::{InterestSet, MeshData, NodeCost, NodeId, NodeKind, SceneTree, SceneUpdate};
@@ -107,6 +109,10 @@ struct ApplyTiming {
     /// the replan that made it plus the run that landed it.
     moves: f64,
     secs_per_move: f64,
+    /// Wire bytes of the second diff, which sends every node the first one
+    /// moved back to the service it left, over the first diff's: virtual
+    /// accounting, so the same on every host.
+    revisit_wire_ratio: f64,
 }
 
 /// Moves a timed diff should make: the replay reaches this many of the
@@ -171,8 +177,15 @@ fn time_apply(nodes: usize, rounds: usize) -> ApplyTiming {
     assert_eq!(placed.moved.len(), nodes, "every node placed");
     sim.run();
     let generation = sim.world.data(ds).index_generation();
+    let hosts: Vec<String> = services.iter().map(|rs| sim.world.render(*rs).host.clone()).collect();
+    // What the moves put on the wire: nothing else crosses these channels.
+    let wire = |sim: &mut RaveSim| -> u64 {
+        hosts.iter().map(|host| sim.world.channel("hub", host).bytes_sent()).sum()
+    };
 
     let (mut per_move, mut moves) = (Vec::with_capacity(rounds), Vec::with_capacity(rounds));
+    // The first two diffs, each `(moves, wire bytes)`.
+    let mut first = Vec::new();
     for round in 0..rounds + 1 {
         // Down into the middle of the lighter nodes and back up (odd, so
         // still nobody's weight): the replay starts where the node stood.
@@ -180,11 +193,17 @@ fn time_apply(nodes: usize, rounds: usize) -> ApplyTiming {
         let kind = NodeKind::Mesh(Arc::new(tiny_mesh(tris)));
         sim.world.data_mut(ds).scene.node_mut(edited).unwrap().set_kind(kind);
         let mut moved = 0;
+        let mut diff = Vec::new();
+        let sent = wire(&mut sim);
         let elapsed = secs(|| {
             let out = incremental_replan(&mut sim, ds, &[]);
             moved = out.diff.map_or(0, |diff| diff.moved.len());
+            diff = out.migration.moved;
             sim.run();
         });
+        if first.len() < 2 {
+            first.push((diff, wire(&mut sim) - sent));
+        }
         assert!(moved > APPLY_REPLAYED / 4, "{nodes} nodes: the edit moved only {moved}");
         if round > 0 {
             // The first round warms what set-up left cold.
@@ -197,7 +216,17 @@ fn time_apply(nodes: usize, rounds: usize) -> ApplyTiming {
         assert_eq!(holders.count(), 1, "node {id} held once at {nodes} nodes");
     }
     assert_eq!(sim.world.data(ds).index_generation(), generation, "moves patch the index");
-    ApplyTiming { nodes, moves: median(&mut moves), secs_per_move: median(&mut per_move) }
+    let [(away, away_bytes), (back, back_bytes)] = &mut first[..] else { unreachable!("two") };
+    away.sort_unstable();
+    back.sort_unstable();
+    let returned: Vec<_> = back.iter().map(|&(node, from, to)| (node, to, from)).collect();
+    assert_eq!(*away, returned, "{nodes} nodes: the second diff returns what the first moved");
+    ApplyTiming {
+        nodes,
+        moves: median(&mut moves),
+        secs_per_move: median(&mut per_move),
+        revisit_wire_ratio: *back_bytes as f64 / *away_bytes as f64,
+    }
 }
 
 fn main() {
@@ -333,6 +362,7 @@ fn main() {
                                 ("nodes", a.nodes.to_value()),
                                 ("moves", num(a.moves, 0)),
                                 ("us_per_move", num(a.secs_per_move * 1e6, 3)),
+                                ("revisit_wire_ratio", num(a.revisit_wire_ratio, 4)),
                             ])
                         })
                         .collect::<Vec<_>>()
@@ -341,6 +371,10 @@ fn main() {
                 (
                     "us_per_move_10k_over_500",
                     num(large.secs_per_move / small.secs_per_move.max(1e-12), 2),
+                ),
+                (
+                    "revisit_wire_ratio",
+                    num(small.revisit_wire_ratio.max(large.revisit_wire_ratio), 4),
                 ),
             ]),
         )

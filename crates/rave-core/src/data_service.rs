@@ -3,6 +3,7 @@
 
 use crate::delivery::{DeliveryState, Wave};
 use crate::ids::{DataServiceId, RenderServiceId};
+use crate::release_ledger::ReleaseLedger;
 use rave_net::Network;
 use rave_scene::{
     AuditEntry, AuditTrail, EditClass, EditStamp, InterestIndex, InterestSet, Reach, SceneTree,
@@ -107,6 +108,19 @@ impl FanoutTotals {
     }
 }
 
+/// Running totals of the subtrees a data service has moved between render
+/// services (§3.2.7), and of what its [`ReleaseLedger`] kept off the wire.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct MoveTotals {
+    /// Subtrees sent to a new holder, first placements included.
+    pub moves: u64,
+    /// Records whose payload the receiver held, sent as a header.
+    pub payloads_cached: u64,
+    /// Bytes those records did not put on the wire: the full charge less
+    /// the one made.
+    pub payload_bytes_saved: u64,
+}
+
 /// One render service's subscription.
 #[derive(Debug, Clone)]
 pub struct Subscription {
@@ -163,6 +177,12 @@ pub struct DataService {
     /// Multicast-vs-unicast delivery accounting, fed by the world's
     /// publish path.
     pub fanout: FanoutTotals,
+    /// Which subscribers cache the payload of a node they released; the
+    /// migration path reads and books it per move.
+    pub(crate) ledger: ReleaseLedger,
+    /// What the moves cost and what the ledger saved, fed by the
+    /// migration path.
+    pub moves: MoveTotals,
 }
 
 impl DataService {
@@ -187,6 +207,8 @@ impl DataService {
             route_slots: Vec::new(),
             delivery: DeliveryState::default(),
             fanout: FanoutTotals::default(),
+            ledger: ReleaseLedger::default(),
+            moves: MoveTotals::default(),
         }
     }
 
@@ -311,6 +333,7 @@ impl DataService {
         let removed = self.subscribers.remove(&rs).is_some();
         if removed {
             self.index_rev += 1;
+            self.ledger.forget(rs);
         }
         removed
     }

@@ -14,6 +14,7 @@
 //! | Framebuffer/tile distribution (§3.2.5) | [`tiles`] |
 //! | Unified workload scheduler (§3.2.5, §3.2.7) | [`sched`] |
 //! | Workload migration (§3.2.7) | [`migration`] |
+//! | What a migration need not resend (§3.2.7) | [`release_ledger`] |
 //! | Collaboration & avatars (§3.2.4, §5.2) | [`collaboration`] |
 //! | GUI: pick/select/drag + interrogation menus (§5.2) | [`gui`] |
 //! | Bootstrap with update overlap (§5.5) | [`bootstrap`] |
@@ -40,6 +41,7 @@ pub mod frame_stream;
 pub mod gui;
 pub mod ids;
 pub mod migration;
+pub mod release_ledger;
 pub mod render_service;
 pub mod replica;
 pub mod sched;

@@ -10,6 +10,7 @@
 
 use crate::bootstrap::connect_at;
 use crate::ids::{DataServiceId, RenderServiceId};
+use crate::release_ledger::HEADER_BYTES;
 use crate::sched::placement::{DecisionRecord, Ledger};
 use crate::trace::TraceKind;
 use crate::world::RaveSim;
@@ -522,23 +523,50 @@ fn handle_failure(sim: &mut RaveSim, dead: RenderServiceId, batch: &mut Batch) {
 /// The moves one batch (an event batch or a plan diff) makes against one
 /// data service, each costing what it moves: the data service's interest
 /// index is patched per move ([`DataService::move_interest_root`]), the
-/// subtree travels as a flat [`rave_scene::Parcel`], and the hosts a
-/// transfer is charged between are resolved once per batch.
+/// subtree travels as a flat [`rave_scene::Parcel`], and what the receiver
+/// caches of it crosses the wire as a header
+/// ([`crate::release_ledger::ReleaseLedger`]). The hosts a transfer is
+/// charged between and the services' ledger bits are resolved once per
+/// batch, and the ledger reads the master's edit journal once, before the
+/// first transfer.
 ///
 /// [`DataService::move_interest_root`]: crate::data_service::DataService::move_interest_root
-struct MoveBatch {
+pub(crate) struct MoveBatch {
     ds_id: DataServiceId,
     /// The data service's host, resolved by the first transfer.
     ds_host: Option<HostId>,
     /// Destination hosts, resolved once per service.
     hosts: BTreeMap<RenderServiceId, HostId>,
+    /// Each service's ledger bit and the texture memory it has left,
+    /// resolved once per service: `None` for a service that is not
+    /// subscribed, or past the ledger's numbering.
+    bits: BTreeMap<RenderServiceId, Option<(u32, u64)>>,
     /// `(node, from, to)` of every move with a donor, in order.
     moved: Vec<(NodeId, RenderServiceId, RenderServiceId)>,
 }
 
 impl MoveBatch {
-    fn new(ds_id: DataServiceId) -> Self {
-        Self { ds_id, ds_host: None, hosts: BTreeMap::new(), moved: Vec::new() }
+    pub(crate) fn new(ds_id: DataServiceId) -> Self {
+        Self {
+            ds_id,
+            ds_host: None,
+            hosts: BTreeMap::new(),
+            bits: BTreeMap::new(),
+            moved: Vec::new(),
+        }
+    }
+
+    /// `service`'s ledger bit and texture room (see [`MoveBatch::bits`]).
+    fn bit(&mut self, sim: &mut RaveSim, service: RenderServiceId) -> Option<(u32, u64)> {
+        *self.bits.entry(service).or_insert_with(|| {
+            let rs = sim.world.render_services.get(&service)?;
+            let room = rs.machine.texture_memory.saturating_sub(rs.assigned_cost().texture_bytes);
+            let ds = sim.world.data_services.get_mut(&self.ds_id)?;
+            if !ds.subscribers.contains_key(&service) {
+                return None;
+            }
+            Some((ds.ledger.bit(service)?, room))
+        })
     }
 
     fn has_moved(&self, node: NodeId) -> bool {
@@ -550,10 +578,12 @@ impl MoveBatch {
     /// asked first; a node nobody lists moves from `from`, or is a first
     /// placement when that is none. The interest roots at the data service
     /// change now, the subtree is cut out of the master scene as a parcel
-    /// and charged to the transfer, and the replicas' surgery happens when
-    /// it arrives — the node is "in flight" until then, and the old holder
-    /// keeps rendering it until the handoff (best effort).
-    fn move_node(
+    /// and charged to the transfer — less the payloads the receiver caches,
+    /// which cross as a header — and the replicas' surgery happens when it
+    /// arrives: the node is "in flight" until then, and the old holder
+    /// keeps rendering it until the handoff (best effort). The listed
+    /// holder caches what it releases, as far as its texture memory lets it.
+    pub(crate) fn move_node(
         &mut self,
         sim: &mut RaveSim,
         node: NodeId,
@@ -563,17 +593,34 @@ impl MoveBatch {
     ) {
         let left = sim.world.data_mut(self.ds_id).move_interest_root(node, from, Some(to));
         let from = left.or(from);
+        if self.ds_host.is_none() {
+            let world = &mut sim.world;
+            let ds = world.data_services.get_mut(&self.ds_id).expect("the batch's data service");
+            ds.ledger.sync(&mut ds.scene);
+            self.ds_host = Some(world.network.known_host(&ds.host));
+        }
+        let from_host = self.ds_host.expect("just resolved");
+        let to_bit = self.bit(sim, to).map(|(bit, _)| bit);
+        let from_bit = left.and_then(|left| self.bit(sim, left));
         let world = &sim.world;
-        let ds = world.data(self.ds_id);
-        let from_host = *self.ds_host.get_or_insert_with(|| world.network.known_host(&ds.host));
         let to_host = *self
             .hosts
             .entry(to)
             .or_insert_with(|| world.network.known_host(&world.render(to).host));
+        let ds = world.data(self.ds_id);
         let parcel = ds.scene.extract_parcel(&[node]);
         let now = sim.now();
-        let arrival =
-            sim.world.channel_between(from_host, to_host).send(now, cost.data_bytes.max(256));
+        let records = ds.scene.descendants_iter(node).map(|n| n.id());
+        let (cached, held) = to_bit.map_or((0, 0), |bit| ds.ledger.held(records, bit, now));
+        let full = cost.data_bytes.max(HEADER_BYTES);
+        let charge = cost.data_bytes.saturating_sub(held).max(HEADER_BYTES);
+        let arrival = sim.world.channel_between(from_host, to_host).send(now, charge);
+        let ds = sim.world.data_mut(self.ds_id);
+        let records = ds.scene.descendants_iter(node).map(|n| (n.id(), n.own_cost().data_bytes));
+        ds.ledger.book(records, from_bit, to_bit, arrival);
+        ds.moves.moves += 1;
+        ds.moves.payloads_cached += cached;
+        ds.moves.payload_bytes_saved += full - charge;
         if let Some(from) = from {
             self.moved.push((node, from, to));
         }

@@ -397,6 +397,9 @@ pub struct SceneTree {
     /// a slot's tag is written: [`SceneTree::alloc_slot`], the free in
     /// [`SceneTree::remove`] and a kind-touching [`NodeMut`]'s drop.
     presence: u32,
+    /// The sum of every live node's own cost, kept exactly at the same
+    /// three sites as `presence`: [`SceneTree::total_cost`] without a walk.
+    total: NodeCost,
     index: IdIndex,
     root: NodeId,
     root_slot: u32,
@@ -436,6 +439,7 @@ impl Clone for SceneTree {
             free: self.free.clone(),
             live: self.live,
             presence: self.presence,
+            total: self.total,
             index: self.index.clone(),
             root: self.root,
             root_slot: self.root_slot,
@@ -513,6 +517,7 @@ impl SceneTree {
             free: Vec::new(),
             live: 0,
             presence: 0,
+            total: NodeCost::ZERO,
             index: IdIndex::default(),
             root,
             root_slot: 0,
@@ -602,6 +607,7 @@ impl SceneTree {
         self.index.insert(id, slot);
         self.live += 1;
         self.presence += u32::from(tag.is_presence());
+        self.total += cost;
         slot
     }
 
@@ -824,6 +830,7 @@ impl SceneTree {
             free: Vec::new(),
             live: 0,
             presence: 0,
+            total: NodeCost::ZERO,
             index: IdIndex::default(),
             root,
             root_slot: 0,
@@ -949,6 +956,7 @@ impl SceneTree {
             self.index.remove(&self.hot[s as usize].id);
             let h = &mut self.hot[s as usize];
             self.presence -= u32::from(h.tag.is_presence());
+            self.total = self.total - h.cost;
             h.alive = false;
             h.generation = h.generation.wrapping_add(1);
             h.first_child = NIL;
@@ -1085,9 +1093,10 @@ impl SceneTree {
         }
     }
 
-    /// Total cost of the whole scene.
+    /// Total cost of the whole scene: a field read, not the cost cache —
+    /// asking whether a replica holds anything rebuilds nothing.
     pub fn total_cost(&self) -> NodeCost {
-        self.subtree_cost(self.root)
+        self.total
     }
 
     /// Slash-separated path from the root, e.g. `/galleon/hull`.
@@ -1280,6 +1289,10 @@ impl SceneTree {
         let presence = self.hot.iter().filter(|h| h.alive && h.tag.is_presence()).count();
         if presence != self.presence as usize {
             return Err(format!("presence count {} but {presence} presence nodes", self.presence));
+        }
+        let summed = self.subtree_cost(self.root);
+        if summed != self.total {
+            return Err(format!("running total {:?} but the nodes sum to {summed:?}", self.total));
         }
         if self.index.len() != self.live {
             return Err(format!("index has {} entries for {} live", self.index.len(), self.live));
@@ -1732,6 +1745,7 @@ impl Drop for NodeMut<'_> {
             let h = &mut self.tree.hot[self.slot as usize];
             self.tree.presence -= u32::from(h.tag.is_presence());
             self.tree.presence += u32::from(tag.is_presence());
+            self.tree.total = self.tree.total - h.cost + cost;
             h.tag = tag;
             h.cost = cost;
             self.tree.refresh_kept_bounds(self.slot);
@@ -2142,7 +2156,7 @@ mod tests {
     fn set_transform_is_exempt_from_cost_invalidation() {
         let mut t = SceneTree::new();
         let a = t.add_node(t.root(), "a", tri_mesh()).unwrap();
-        assert_eq!(t.total_cost().polygons, 1); // warm the cost cache
+        assert_eq!(t.subtree_cost(t.root()).polygons, 1); // warm the cost cache
         assert!(t.cost_cache_is_warm());
         assert!(t.structure_cache_is_warm());
 
@@ -2277,14 +2291,14 @@ mod tests {
         let cam = t.add_node(t.root(), "cam", NodeKind::Camera(CameraParams::default())).unwrap();
         let mut seen = EditStamp::default();
         read(&mut t, &mut seen, ALL);
-        t.total_cost();
+        t.subtree_cost(t.root());
         let moved = CameraParams::look_at(Vec3::new(0.0, 0.0, 5.0), Vec3::ZERO, Vec3::Y);
         t.set_camera_pose(cam, moved).unwrap();
         assert!(t.cost_cache_is_warm() && t.structure_cache_is_warm());
         assert_eq!(t.recorded_since(seen, &[EditClass::Pose]), Dirt::Nodes(vec![cam]));
 
         t.node_mut(cam).unwrap().bump_version();
-        t.total_cost();
+        t.subtree_cost(t.root());
         for _ in 0..JOURNAL_CAP {
             t.set_transform(cam, Transform::IDENTITY);
         }
@@ -2327,7 +2341,7 @@ mod tests {
                    what: &str,
                    edit: &mut dyn FnMut(&mut SceneTree) -> NodeId,
                    class: EditClass| {
-            t.total_cost();
+            t.subtree_cost(t.root());
             assert!(t.structure_cache_is_warm() && t.cost_cache_is_warm());
             let before = t.edit_stamp();
             let named = edit(t);

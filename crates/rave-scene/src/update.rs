@@ -340,12 +340,12 @@ mod tests {
         });
         let av = tree.add_node(tree.root(), "av", avatar).unwrap();
         let before = tree.world_bounds(cam); // bounds are kept from here on
-        let polygons = tree.total_cost().polygons; // and the cost cache is warm
+        let polygons = tree.subtree_cost(tree.root()).polygons; // and the cost cache is warm
         assert_eq!(tree.changes_since(EditStamp::default(), &all), Dirt::Everything);
         // One entry from before the moves, for them not to push out.
         let stamp = tree.edit_stamp();
         tree.node_mut(mesh).unwrap().bump_version();
-        tree.total_cost();
+        tree.subtree_cost(tree.root());
         let version = |tree: &SceneTree, id| tree.node(id).unwrap().version();
         let (av_version, mesh_version) = (version(&tree, av), version(&tree, mesh));
 

@@ -109,6 +109,11 @@ fn main() {
     sim.run();
     println!("\nunderload rebalance onto the Onyx: {} nodes attracted", rebalance.moved.len());
     println!("onyx now holds {} polygons", sim.world.render(rs_onyx).assigned_cost().polygons);
+    let moves = sim.world.data(ds).moves;
+    println!(
+        "moves charged: {} subtrees, {} payloads the receiver cached ({} bytes kept off the wire)",
+        moves.moves, moves.payloads_cached, moves.payload_bytes_saved
+    );
 
     println!("\nfull event trace:\n{}", sim.world.trace.render());
 }

@@ -7,18 +7,25 @@
 //! index in place: a fixed population's index is never rebuilt); the
 //! ledger's incremental
 //! resift tracks a naive full re-sort over arbitrary debit/push
-//! sequences; and the incremental planner's suffix replays land on the
-//! cold plan of the final workload set after arbitrary edit storms.
+//! sequences; the incremental planner's suffix replays land on the
+//! cold plan of the final workload set after arbitrary edit storms; and
+//! the release ledger charges every move what a plain reference model of
+//! released payloads says, without changing a replica.
 
 use proptest::prelude::*;
 use rave::core::bootstrap::connect_render_service;
-use rave::core::sched::rebalance::{incremental_replan, process_events};
+use rave::core::data_service::MoveTotals;
+use rave::core::replica::{establish_standby, ship_tick};
+use rave::core::sched::rebalance::{incremental_replan, process_events, IncrementalOutcome};
 use rave::core::sched::SchedEvent;
+use rave::core::trace::TraceKind;
 use rave::core::world::{publish_update, RaveSim, RaveWorld};
 use rave::core::{DataServiceId, RaveConfig, RenderServiceId};
 use rave::math::Vec3;
 use rave::scene::{InterestSet, MeshData, NodeId, NodeKind, SceneUpdate, Transform};
-use rave::sim::Simulation;
+use rave::sim::{SimTime, Simulation};
+use rave::store::StoreConfig;
+use std::collections::{BTreeMap, BTreeSet};
 use std::sync::Arc;
 
 fn mesh(tris: u32) -> NodeKind {
@@ -525,6 +532,361 @@ mod plan_state_storms {
                 .flat_map(|(svc, nodes, _)| nodes.into_iter().map(move |n| (n, svc)))
                 .collect();
             prop_assert_eq!(flat, applied);
+        }
+    }
+}
+
+/// The reference the data service's release ledger is held to, in the
+/// plainest form: per (service, node), the payload `Arc` the service
+/// released, which counts only while it is still the master's payload
+/// (`Arc::ptr_eq`) and once the node's last move has landed — read from
+/// the trace's `Migration` rows, not from any arrival time the data
+/// service computed.
+#[derive(Default)]
+struct Releases {
+    /// What each service released, with its bytes.
+    released: BTreeMap<(RenderServiceId, NodeId), (Arc<MeshData>, u64)>,
+    /// Per move's trace row, how many such moves were decided.
+    issued: BTreeMap<String, usize>,
+    /// Per node, the trace row of its last move, and its moves in all.
+    last: BTreeMap<NodeId, (String, usize)>,
+    /// A move or an edit met a node with a move still on the wire: the
+    /// replicas then depend on the order of arrivals (a known race of
+    /// migration hand-offs), so two runs that charge differently may part.
+    raced: bool,
+}
+
+/// The master's payload of `node` and its bytes.
+fn payload(sim: &RaveSim, ds: DataServiceId, node: NodeId) -> Option<(Arc<MeshData>, u64)> {
+    let n = sim.world.data(ds).scene.node(node)?;
+    match n.kind() {
+        NodeKind::Mesh(m) => Some((m.clone(), m.wire_size())),
+        _ => None,
+    }
+}
+
+fn rows(sim: &RaveSim, detail: &str) -> usize {
+    sim.world.trace.of_kind(TraceKind::Migration).filter(|e| e.detail == detail).count()
+}
+
+impl Releases {
+    /// Has every move of `node` landed (a stricter test than the last)?
+    fn settled(&self, sim: &RaveSim, node: NodeId) -> bool {
+        let prefix = format!("node {node} ");
+        let landed = sim.world.trace.of_kind(TraceKind::Migration);
+        let landed = landed.filter(|e| e.detail.starts_with(&prefix)).count();
+        self.last.get(&node).is_none_or(|&(_, all)| landed == all)
+    }
+
+    /// Has the last move of `node` landed?
+    fn landed(&self, sim: &RaveSim, node: NodeId) -> bool {
+        self.last.get(&node).is_none_or(|(row, _)| rows(sim, row) >= self.issued[row])
+    }
+
+    /// What the data service's totals must read after `diff` was applied
+    /// from `before`, and what the moves put on the wire to each host:
+    /// each move charged its bytes, or a header when the receiver holds
+    /// the payload it released; then the receiver's copy goes live and the
+    /// subscriber that listed the node caches it, as far as `room` (its
+    /// texture memory left) allows.
+    fn apply(
+        &mut self,
+        sim: &RaveSim,
+        ds: DataServiceId,
+        before: MoveTotals,
+        out: &IncrementalOutcome,
+        listed: &BTreeMap<NodeId, RenderServiceId>,
+        room: &BTreeMap<RenderServiceId, u64>,
+    ) -> (MoveTotals, BTreeMap<String, u64>) {
+        let (mut want, mut wire) = (before, BTreeMap::new());
+        let Some(diff) = &out.diff else { return (want, wire) };
+        let subscribers = sim.world.data(ds).subscribers();
+        for &(node, _, to) in &diff.moved {
+            let (arc, bytes) = payload(sim, ds, node).expect("a moved node is a mesh");
+            let held = self.released.remove(&(to, node));
+            let hit = held.is_some_and(|(a, _)| Arc::ptr_eq(&a, &arc)) && self.landed(sim, node);
+            self.raced |= !self.settled(sim, node);
+            want.moves += 1;
+            let charge = if hit { 256 } else { bytes.max(256) };
+            *wire.entry(sim.world.render(to).host.clone()).or_default() += charge;
+            if hit {
+                want.payloads_cached += 1;
+                want.payload_bytes_saved += bytes.max(256) - charge;
+            }
+            let from = out.migration.moved.iter().find(|m| m.0 == node).map(|m| m.1);
+            let row = match from {
+                Some(from) => format!("node {node} moved {from} -> {to}"),
+                None => format!("node {node} installed on {to}"),
+            };
+            *self.issued.entry(row.clone()).or_default() += 1;
+            let all = self.last.get(&node).map_or(0, |l| l.1) + 1;
+            self.last.insert(node, (row, all));
+            let Some(&donor) = listed.get(&node) else { continue };
+            if donor == to || !subscribers.contains_key(&donor) {
+                continue;
+            }
+            let cached: u64 = self
+                .released
+                .iter()
+                .filter(|((rs, n), (a, _))| {
+                    *rs == donor && payload(sim, ds, *n).is_some_and(|p| Arc::ptr_eq(&p.0, a))
+                })
+                .map(|(_, (_, b))| b)
+                .sum();
+            if cached + bytes <= room[&donor] {
+                self.released.insert((donor, node), (arc, bytes));
+            }
+        }
+        (want, wire)
+    }
+}
+
+/// Triangle counts a storm's meshes take: few, so that sizes recur.
+const PALETTE: [u32; 4] = [2_000, 8_000, 20_000, 40_000];
+
+/// One seeded storm against one world: the ledger's run, or — with
+/// `full_charges` — its twin, where every subscriber leaves and rejoins
+/// before each batch, so that nothing is ever cached.
+struct ReleaseStorm {
+    sim: RaveSim,
+    ds: DataServiceId,
+    standby: Option<DataServiceId>,
+    nodes: Vec<NodeId>,
+    alive: Vec<RenderServiceId>,
+    dirs: Vec<std::path::PathBuf>,
+    full_charges: bool,
+    oracle: Releases,
+    /// The node last edited and its triangles before the edit.
+    undo: Option<(NodeId, u32)>,
+}
+
+impl ReleaseStorm {
+    fn new(sizes: &[u32], full_charges: bool) -> Self {
+        static NEXT: std::sync::atomic::AtomicU64 = std::sync::atomic::AtomicU64::new(0);
+        let n = NEXT.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
+        let dirs: Vec<_> = ["p", "s"]
+            .iter()
+            .map(|side| {
+                let name = format!("rave-prop-release-{}-{n}-{side}", std::process::id());
+                let dir = std::env::temp_dir().join(name);
+                let _ = std::fs::remove_dir_all(&dir);
+                dir
+            })
+            .collect();
+        // A short interactive target: a few of these meshes fill a service,
+        // so an edit or a throughput swing re-homes work, and undoing it
+        // sends the work back.
+        let config = RaveConfig { ship_max_lag: 0, target_fps: 60.0, ..RaveConfig::default() };
+        let mut sim = Simulation::new(RaveWorld::paper_testbed(config, 2323));
+        let ds = sim.world.spawn_data_service("adrenochrome", "sess");
+        let standby = sim.world.spawn_data_service("tower", "sess-standby");
+        sim.world.data_mut(ds).attach_store(&dirs[0], StoreConfig::default()).unwrap();
+        establish_standby(&mut sim, ds, standby, &dirs[0], &dirs[1]).unwrap();
+        let mut alive = Vec::new();
+        // Near-equal machines, so that the worst-fit replay spreads the work.
+        for host in ["desktop", "adrenochrome", "desktop", "laptop", "desktop"] {
+            let rs = sim.world.spawn_render_service(host);
+            sim.world.data_mut(ds).subscribe_live(rs, InterestSet::subtrees([]));
+            sim.world.render_mut(rs).interest = InterestSet::subtrees([]);
+            alive.push(rs);
+        }
+        let mut nodes = Vec::new();
+        for (i, &s) in sizes.iter().enumerate() {
+            let (id, parent) = {
+                let scene = &mut sim.world.data_mut(ds).scene;
+                (scene.allocate_id(), scene.root())
+            };
+            let add = SceneUpdate::AddNode { id, parent, name: format!("m{i}"), kind: mesh(s) };
+            publish_update(&mut sim, ds, "imp", add).unwrap();
+            nodes.push(id);
+        }
+        let mut storm = Self {
+            sim,
+            ds,
+            standby: Some(standby),
+            nodes,
+            alive,
+            dirs,
+            full_charges,
+            oracle: Releases::default(),
+            undo: None,
+        };
+        storm.ship();
+        storm
+    }
+
+    /// Ship the log until the standby has every committed update.
+    fn ship(&mut self) {
+        let Some(standby) = self.standby else { return };
+        for _ in 0..64 {
+            ship_tick(&mut self.sim, self.ds).unwrap();
+            self.sim.run();
+            if self.sim.world.data(standby).audit.last_seq()
+                == self.sim.world.data(self.ds).audit.last_seq()
+            {
+                return;
+            }
+        }
+        panic!("the standby never caught up");
+    }
+
+    fn publish(&mut self, update: SceneUpdate) {
+        self.oracle.raced |= !self.oracle.settled(&self.sim, update.target());
+        publish_update(&mut self.sim, self.ds, "edit", update).unwrap();
+        ship_tick(&mut self.sim, self.ds).unwrap();
+    }
+
+    /// One replan of `events`, each of its moves held to the reference.
+    fn replan(&mut self, events: &[SchedEvent]) -> Result<(), TestCaseError> {
+        let (sim, ds) = (&mut self.sim, self.ds);
+        if self.full_charges {
+            for (rs, sub) in sim.world.data(ds).subscribers().clone() {
+                sim.world.data_mut(ds).unsubscribe(rs);
+                sim.world.data_mut(ds).subscribe_live(rs, sub.interest);
+            }
+            self.oracle.released.clear();
+        }
+        let config = sim.world.config.clone();
+        let subscribers = sim.world.data(ds).subscribers();
+        let room: BTreeMap<RenderServiceId, u64> = subscribers
+            .keys()
+            .map(|&rs| (rs, sim.world.render(rs).capacity_report(&config).texture_headroom))
+            .collect();
+        let listed: BTreeMap<NodeId, RenderServiceId> = subscribers
+            .iter()
+            .flat_map(|(&rs, sub)| sub.interest.roots().map(move |node| (node, rs)))
+            .collect();
+        let ds_host = sim.world.data(ds).host.clone();
+        let hosts: BTreeSet<String> =
+            sim.world.render_services.values().map(|rs| rs.host.clone()).collect();
+        let sent = |sim: &mut RaveSim| -> Vec<u64> {
+            hosts.iter().map(|host| sim.world.channel(&ds_host, host).bytes_sent()).collect()
+        };
+        let (before, sent_before) = (sim.world.data(ds).moves, sent(sim));
+        let out = incremental_replan(sim, ds, events);
+        for ev in events {
+            if let SchedEvent::Failure { service } = *ev {
+                self.oracle.released.retain(|(rs, _), _| *rs != service);
+            }
+        }
+        let (want, wire) = self.oracle.apply(&self.sim, ds, before, &out, &listed, &room);
+        prop_assert_eq!(self.sim.world.data(ds).moves, want);
+        for ((host, was), now) in hosts.iter().zip(sent_before).zip(sent(&mut self.sim)) {
+            prop_assert_eq!(now - was, wire.get(host).copied().unwrap_or(0), "to {}", host);
+        }
+        Ok(())
+    }
+
+    /// One step: an edit, a throughput change, a failure or a promotion,
+    /// then a replan, then time runs — to the end, or `partial` µs on.
+    fn step(&mut self, op: usize, pick: usize, polys: u32, partial: Option<u32>) -> TestCaseResult {
+        let mut events = Vec::new();
+        match op {
+            0 if !self.nodes.is_empty() => {
+                let id = self.nodes[pick % self.nodes.len()];
+                let was = self.sim.world.data(self.ds).scene.subtree_cost(id).polygons;
+                self.undo = Some((id, was as u32));
+                self.publish(SceneUpdate::ReplaceKind { id, kind: mesh(polys) });
+            }
+            1 => {
+                // Undo the last edit, in a payload of its own: what it
+                // displaced can go back where it was.
+                if let Some((id, polys)) = self.undo.take() {
+                    if self.nodes.contains(&id) {
+                        self.publish(SceneUpdate::ReplaceKind { id, kind: mesh(polys) });
+                    }
+                }
+            }
+            2 if self.nodes.len() > 2 => {
+                let id = self.nodes.swap_remove(pick % self.nodes.len());
+                self.publish(SceneUpdate::RemoveNode { id });
+            }
+            3 => {
+                let rs = self.alive[pick % self.alive.len()];
+                let rate = self.sim.world.render(rs).machine.poly_rate;
+                self.sim.world.sched.throughput.record(rs, (rate * 0.3) as u64, 1.0);
+            }
+            4 => self.alive.iter().for_each(|&rs| self.sim.world.sched.throughput.forget(rs)),
+            5 if self.alive.len() > 3 => {
+                let service = self.alive.swap_remove(pick % self.alive.len());
+                events.push(SchedEvent::Failure { service });
+            }
+            6 if self.standby.is_some() => {
+                self.sim.run();
+                self.ship();
+                let failed = self.ds;
+                let standby = self.standby.take().expect("checked");
+                let out = incremental_replan(
+                    &mut self.sim,
+                    failed,
+                    &[SchedEvent::DataFailure { service: failed }],
+                );
+                prop_assert_eq!(out.migration.promotions.len(), 1);
+                self.sim.run();
+                self.ds = standby;
+                // The promoted service starts with a ledger of its own.
+                self.oracle.released.clear();
+                prop_assert_eq!(self.sim.world.data(standby).moves, MoveTotals::default());
+            }
+            _ => {}
+        }
+        self.replan(&events)?;
+        match partial {
+            Some(us) => {
+                let until = self.sim.now() + SimTime::from_secs(us as f64 * 1e-6);
+                self.sim.run_until(until);
+            }
+            None => self.sim.run(),
+        }
+        Ok(())
+    }
+
+    fn finish(mut self) -> Self {
+        self.sim.run();
+        for dir in &self.dirs {
+            let _ = std::fs::remove_dir_all(dir);
+        }
+        self
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(24))]
+
+    /// Storms of cost edits, removals, throughput swings (which send nodes
+    /// away and back), a render-service failure and a warm promotion, with
+    /// moves decided while earlier ones are on the wire: every batch's
+    /// moves are charged what the reference says, move by move — a header
+    /// exactly where the receiver released the payload the master still
+    /// has and the node has landed. The charges change no replica: each is
+    /// what the same storm gives with nothing cached (unless a race of
+    /// in-flight hand-offs made arrival order matter), and whole.
+    #[test]
+    fn a_move_is_charged_what_the_receiver_does_not_hold(
+        sizes in prop::collection::vec(0usize..4, 4..16),
+        storm in prop::collection::vec(
+            (0usize..8, any::<usize>(), 0usize..4, 0u32..6_000),
+            4..16,
+        ),
+    ) {
+        let sizes: Vec<u32> = sizes.iter().map(|&i| PALETTE[i]).collect();
+        let mut runs = [ReleaseStorm::new(&sizes, false), ReleaseStorm::new(&sizes, true)];
+        runs.iter_mut().try_for_each(|run| run.replan(&[]))?;
+        runs.iter_mut().for_each(|run| run.sim.run());
+        for &(op, pick, polys, wait) in &storm {
+            // A quarter of the steps leave what they moved on the wire.
+            let partial = (wait < 1_500).then_some(wait);
+            for run in &mut runs {
+                run.step(op, pick, PALETTE[polys], partial)?;
+            }
+        }
+        let [cached, full] = runs.map(ReleaseStorm::finish);
+        let raced = cached.oracle.raced || full.oracle.raced;
+        for (rs, service) in &cached.sim.world.render_services {
+            prop_assert!(service.scene.check_invariants().is_ok(), "{}", rs);
+            if !raced {
+                prop_assert!(service.scene == full.sim.world.render(*rs).scene, "{}", rs);
+            }
         }
     }
 }

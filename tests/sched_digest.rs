@@ -15,7 +15,9 @@
 //! text of every outcome, and the final interest roots of every service as
 //! the data service lists them and as the replica keeps them. Replans start
 //! from empty holders, so the plan's record of who holds what always agrees
-//! with the subscriptions there.
+//! with the subscriptions there. A second digest hashes the same storms
+//! with the trace rows' times left out and the rows sorted: a change that
+//! only moves when things land keeps it.
 
 use rave::core::bootstrap::connect_render_service;
 use rave::core::migration::check_and_replan_incremental;
@@ -32,11 +34,20 @@ use rave::sim::{SimTime, Simulation};
 use std::fmt::Write;
 use std::sync::Arc;
 
-/// `crc32` of every storm below. A change that moves it changed a decision.
-/// It moved once, when a UDDI recruit began to be subscribed before the
-/// shards were moved to it: a recruit's subscription now lists the roots
-/// it was given, and a recruit that fails re-homes them or refuses them.
-const GOLDEN: u32 = 0x8b80_5ca7;
+/// `crc32` of every storm below. A change that moves it changed a decision
+/// or a virtual time. It moved when a UDDI recruit began to be subscribed
+/// before the shards were moved to it (a recruit's subscription now lists
+/// the roots it was given, and a recruit that fails re-homes them or
+/// refuses them), and when a move back to a service that cached the node
+/// began to cross the wire as a header: those moves land sooner, which
+/// changes trace times and the order of rows, and [`TIMELESS`] did not move.
+const GOLDEN: u32 = 0xb9fb_b4b9;
+
+/// `crc32` of the same storms with the virtual times left out: each
+/// storm's trace rows without their timestamps, sorted, then its outcomes
+/// and its interest roots. A change that only makes a transfer land sooner
+/// or later moves [`GOLDEN`] and leaves this one standing.
+const TIMELESS: u32 = 0x7d76_8e0b;
 
 const EVENT_SEEDS: u64 = 24;
 const REPLAN_SEEDS: u64 = 16;
@@ -124,17 +135,44 @@ fn frames(sim: &mut RaveSim, rs: RenderServiceId, spacing: f64) {
     }
 }
 
-/// The end state every storm is judged by: the trace, then each service's
-/// interest roots at the data service and on its replica.
-fn write_world(out: &mut String, sim: &RaveSim, ds: DataServiceId) {
-    out.push_str(&sim.world.trace.render());
-    for (rs, sub) in sim.world.data(ds).subscribers() {
-        let roots: Vec<NodeId> = sub.interest.roots().collect();
-        let _ = writeln!(out, "sub {rs} all={} {roots:?}", sub.interest.is_everything());
-    }
-    for (rs, service) in &sim.world.render_services {
-        let roots: Vec<NodeId> = service.interest.roots().collect();
-        let _ = writeln!(out, "replica {rs} all={} {roots:?}", service.interest.is_everything());
+/// What the storms wrote, twice: `text` in full, and `timeless` with each
+/// storm's trace rows stripped of their times and sorted.
+#[derive(Default)]
+struct Transcript {
+    text: String,
+    timeless: String,
+}
+
+impl Transcript {
+    /// One storm: the outcome of each step, then the end state it is
+    /// judged by — the trace, and each service's interest roots at the
+    /// data service and on its replica.
+    fn storm(&mut self, outcomes: &str, sim: &RaveSim, ds: DataServiceId) {
+        let mut roots = String::new();
+        for (rs, sub) in sim.world.data(ds).subscribers() {
+            let held: Vec<NodeId> = sub.interest.roots().collect();
+            let _ = writeln!(roots, "sub {rs} all={} {held:?}", sub.interest.is_everything());
+        }
+        for (rs, service) in &sim.world.render_services {
+            let held: Vec<NodeId> = service.interest.roots().collect();
+            let _ =
+                writeln!(roots, "replica {rs} all={} {held:?}", service.interest.is_everything());
+        }
+        self.text.push_str(outcomes);
+        self.text.push_str(&sim.world.trace.render());
+        self.text.push_str(&roots);
+
+        let mut rows: Vec<String> = sim
+            .world
+            .trace
+            .events()
+            .iter()
+            .map(|e| format!("{:?}: {}\n", e.kind, e.detail))
+            .collect();
+        rows.sort_unstable();
+        self.timeless.extend(rows);
+        self.timeless.push_str(outcomes);
+        self.timeless.push_str(&roots);
     }
 }
 
@@ -152,7 +190,8 @@ struct Seen {
     replan_refusals: usize,
 }
 
-fn event_storm(seed: u64, out: &mut String, seen: &mut Seen) {
+fn event_storm(seed: u64, transcript: &mut Transcript, seen: &mut Seen) {
+    let mut out = String::new();
     let mut rng = Rng(seed);
     let mut sim = Simulation::new(RaveWorld::paper_testbed(config(), 100 + seed));
     let ds = sim.world.spawn_data_service("adrenochrome", "sess");
@@ -260,10 +299,11 @@ fn event_storm(seed: u64, out: &mut String, seen: &mut Seen) {
         seen.refused += usize::from(outcome.refused);
         sim.run();
     }
-    write_world(out, &sim, ds);
+    transcript.storm(&out, &sim, ds);
 }
 
-fn replan_storm(seed: u64, out: &mut String, seen: &mut Seen) {
+fn replan_storm(seed: u64, transcript: &mut Transcript, seen: &mut Seen) {
+    let mut out = String::new();
     let mut rng = Rng(0x5EED_0000 + seed);
     let mut sim = Simulation::new(RaveWorld::paper_testbed(config(), 200 + seed));
     let ds = sim.world.spawn_data_service("adrenochrome", "sess");
@@ -344,18 +384,18 @@ fn replan_storm(seed: u64, out: &mut String, seen: &mut Seen) {
         }
         sim.run();
     }
-    write_world(out, &sim, ds);
+    transcript.storm(&out, &sim, ds);
 }
 
 #[test]
 fn scheduler_decisions_match_the_golden_digest() {
-    let mut text = String::new();
+    let mut transcript = Transcript::default();
     let mut seen = Seen::default();
     for seed in 0..EVENT_SEEDS {
-        event_storm(seed, &mut text, &mut seen);
+        event_storm(seed, &mut transcript, &mut seen);
     }
     for seed in 0..REPLAN_SEEDS {
-        replan_storm(seed, &mut text, &mut seen);
+        replan_storm(seed, &mut transcript, &mut seen);
     }
     let every_path_ran = seen.moved > 0
         && seen.recruited > 0
@@ -368,8 +408,10 @@ fn scheduler_decisions_match_the_golden_digest() {
     assert!(every_path_ran, "a path the digest pins never ran: {seen:?}");
     // To find the first row a change moved, dump the text on both sides.
     if let Some(path) = std::env::var_os("SCHED_DIGEST_DUMP") {
-        std::fs::write(path, &text).unwrap();
+        std::fs::write(path, &transcript.text).unwrap();
     }
-    let digest = rave::store::crc32(text.as_bytes());
+    let timeless = rave::store::crc32(transcript.timeless.as_bytes());
+    let digest = rave::store::crc32(transcript.text.as_bytes());
+    assert_eq!(timeless, TIMELESS, "scheduler decisions changed: timeless {timeless:#010x}");
     assert_eq!(digest, GOLDEN, "scheduler decisions changed: digest {digest:#010x}, {seen:?}");
 }
