@@ -9,7 +9,7 @@
 
 use crate::data_service::DataService;
 use crate::ids::{DataServiceId, RenderServiceId};
-use crate::trace::TraceKind;
+use crate::trace::TraceEvent;
 use crate::world::{RaveSim, RaveWorld};
 use rave_grid::{SoapCodec, SoapEnvelope, SoapValue};
 use rave_scene::introspect::{marshal_direct, marshal_introspective, MarshalStats};
@@ -114,8 +114,7 @@ pub(crate) fn connect_at(
             let (Some(ds), Some(rs)) =
                 (data_services.get_mut(&ds_id), render_services.get_mut(&rs_id))
             else {
-                let row = format!("{rs_id}'s snapshot from {ds_id} dropped: a service failed");
-                trace.record(now, TraceKind::Bootstrap, row);
+                trace.record(now, TraceEvent::SnapshotDropped { rs: rs_id, ds: ds_id });
                 return;
             };
             let missed = ds.complete_bootstrap(rs_id);
@@ -133,13 +132,8 @@ pub(crate) fn connect_at(
                 // one to a node the replica does not hold is refused.
                 e.stamped.update.try_apply(&mut rs.scene);
             }
-            // Worded as `tests/sched_digest.rs` pins it; the count is the
-            // trail entries past the snapshot.
-            trace.record(
-                now,
-                TraceKind::Bootstrap,
-                format!("{rs_id} live on {ds_id} ({} buffered updates replayed)", missed.len()),
-            );
+            let replayed = missed.len();
+            trace.record(now, TraceEvent::Bootstrapped { rs: rs_id, ds: ds_id, replayed });
         });
         let snapshot_bytes = stats.bytes;
         BootstrapTiming { subscribed_at, marshalled_at, ready_at: arrival, snapshot_bytes }
@@ -196,22 +190,18 @@ pub fn recover_data_service(
     ds.seed_from(&rec);
     ds.attach_store(dir, cfg)?;
     sim.world.install_data_service(ds);
-    let now = sim.now();
-    sim.world.trace.record(
-        now,
-        TraceKind::Recovery,
-        format!(
-            "{failed} -> {new_id} on {host}: recovered \"{}\" at seq {} \
-             (snapshot seq {} + {} delta(s), {} WAL entries replayed), {} subscriber(s) \
-             re-mirroring",
-            failed_ds.name,
-            rec.last_seq,
-            rec.snapshot_seq,
-            rec.deltas,
-            rec.entries.len(),
-            failed_ds.subscribers().len(),
-        ),
-    );
+    let row = TraceEvent::Recovered {
+        failed,
+        new: new_id,
+        host: host.into(),
+        session: failed_ds.name.clone(),
+        seq: rec.last_seq,
+        snapshot_seq: rec.snapshot_seq,
+        deltas: rec.deltas,
+        replayed: rec.entries.len(),
+        subscribers: failed_ds.subscribers().len(),
+    };
+    sim.world.trace.record(sim.now(), row);
     for (&rs_id, sub) in failed_ds.subscribers() {
         connect_render_service(sim, rs_id, new_id, sub.interest.clone());
     }
@@ -254,6 +244,7 @@ pub fn marshal_comparison(scene: &SceneTree) -> (SimTime, SimTime, MarshalStats)
 mod tests {
     use super::*;
     use crate::data_service::SubState;
+    use crate::trace::TraceKind;
     use crate::world::publish_update;
     use crate::RaveConfig;
     use rave_math::Vec3;
@@ -320,8 +311,8 @@ mod tests {
             sim.world.render(rs).scene.contains(id),
             "replica pre-synchronised with mid-flight update"
         );
-        let detail = &sim.world.trace.first_of(TraceKind::Bootstrap).unwrap().detail;
-        assert!(detail.contains("1 buffered"), "trace: {detail}");
+        let row = &sim.world.trace.first_of(TraceKind::Bootstrap).unwrap().event;
+        assert!(matches!(row, TraceEvent::Bootstrapped { replayed: 1, .. }), "trace: {row}");
     }
 
     /// §5.5's overlap, read from the trail: everything committed while two
@@ -378,8 +369,8 @@ mod tests {
             assert_eq!(r.transform(), m.transform(), "{id}");
         }
         for row in sim.world.trace.of_kind(TraceKind::Bootstrap) {
-            let replayed = format!("({in_flight} buffered updates replayed)");
-            assert!(row.detail.ends_with(&replayed), "{}", row.detail);
+            let replayed = matches!(row.event, TraceEvent::Bootstrapped { replayed, .. } if replayed == in_flight);
+            assert!(replayed, "{}", row.event);
         }
     }
 
@@ -403,8 +394,10 @@ mod tests {
         assert_eq!(sim.world.data(ds).audit.len(), pinned, "nothing past `since` released");
         sim.run();
         assert!(sim.world.render(rs).scene == sim.world.data(ds).scene);
-        let detail = &sim.world.trace.first_of(TraceKind::Bootstrap).unwrap().detail;
-        assert!(detail.ends_with(&format!("({pinned} buffered updates replayed)")), "{detail}");
+        let row = &sim.world.trace.first_of(TraceKind::Bootstrap).unwrap().event;
+        let replayed =
+            matches!(row, TraceEvent::Bootstrapped { replayed, .. } if *replayed == pinned);
+        assert!(replayed, "{row}");
         for i in 0..KEEP {
             rename(&mut sim, ds, model, format!("after{i}"));
         }
@@ -545,7 +538,7 @@ mod tests {
         assert!(sim.world.render(rs).scene == sim.world.data(new_ds).scene);
         let rows: Vec<_> = sim.world.trace.of_kind(TraceKind::Bootstrap).collect();
         assert_eq!(rows.len(), 2, "the dropped snapshot and the re-bootstrap");
-        assert!(rows.iter().any(|r| r.detail.contains("dropped")));
+        assert!(rows.iter().any(|r| matches!(r.event, TraceEvent::SnapshotDropped { .. })));
         std::fs::remove_dir_all(&dir).unwrap();
     }
 
@@ -560,8 +553,8 @@ mod tests {
         sim.run();
         assert!(!sim.world.render_services.contains_key(&rs));
         assert!(!sim.world.data(ds).subscribers().contains_key(&rs));
-        let row = sim.world.trace.first_of(TraceKind::Bootstrap).unwrap();
-        assert!(row.detail.contains("dropped"), "{}", row.detail);
+        let row = &sim.world.trace.first_of(TraceKind::Bootstrap).unwrap().event;
+        assert_eq!(*row, TraceEvent::SnapshotDropped { rs, ds });
     }
 
     #[test]

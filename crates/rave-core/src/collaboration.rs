@@ -8,7 +8,7 @@
 //! avatar in another user's view.
 
 use crate::ids::DataServiceId;
-use crate::trace::TraceKind;
+use crate::trace::TraceEvent;
 use crate::world::{publish_batch, publish_update, RaveSim};
 use rave_math::Vec3;
 use rave_scene::node::Interaction;
@@ -48,8 +48,7 @@ pub fn join_session(
     )?;
     // Pose the avatar at the camera immediately.
     publish_update(sim, ds_id, label, SceneUpdate::CameraMoved { id, camera })?;
-    let now = sim.now();
-    sim.world.trace.record(now, TraceKind::Collaboration, format!("{label} joined {ds_id}"));
+    sim.world.trace.record(sim.now(), TraceEvent::Joined { label: label.into(), ds: ds_id });
     Ok(Participant { avatar: id })
 }
 
@@ -61,8 +60,7 @@ pub fn leave_session(
     label: &str,
 ) -> Result<(), UpdateError> {
     publish_update(sim, ds_id, label, SceneUpdate::RemoveNode { id: who.avatar })?;
-    let now = sim.now();
-    sim.world.trace.record(now, TraceKind::Collaboration, format!("{label} left {ds_id}"));
+    sim.world.trace.record(sim.now(), TraceEvent::Left { label: label.into(), ds: ds_id });
     Ok(())
 }
 
@@ -160,6 +158,7 @@ pub fn orbit_selected(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::trace::TraceKind;
     use crate::world::RaveWorld;
     use crate::RaveConfig;
     use rave_scene::{InterestSet, MeshData};
@@ -296,7 +295,7 @@ mod tests {
         let a = join_session(&mut sim, ds, "laptop", Vec3::X, cam).unwrap();
         let b = join_session(&mut sim, ds, "Desktop", Vec3::Y, cam).unwrap();
         sim.run();
-        let delivered_before = sim.world.trace.count(TraceKind::UpdateDelivered);
+        let before = sim.world.trace.recorded();
         let mut cam_a = cam;
         cam_a.orbit(Vec3::ZERO, 0.4, 0.0);
         let mut cam_b = cam;
@@ -311,11 +310,17 @@ mod tests {
         assert_eq!(scene.node(b.avatar).unwrap().transform().translation, cam_b.position);
         // ...traced per update but applied in one coalesced event: both
         // deliveries carry the identical batch timestamp.
-        let ticks: Vec<_> =
-            sim.world.trace.of_kind(TraceKind::UpdateDelivered).skip(delivered_before).collect();
+        let ticks: Vec<_> = sim
+            .world
+            .trace
+            .since(before)
+            .filter(|e| e.event.kind() == TraceKind::UpdateDelivered)
+            .collect();
         assert_eq!(ticks.len(), 2, "one trace per update for the one subscriber");
         assert_eq!(ticks[0].at, ticks[1].at, "batch applies at a single instant");
-        assert!(ticks.iter().all(|e| e.detail.contains("applied=true")));
+        assert!(ticks
+            .iter()
+            .all(|e| matches!(e.event, TraceEvent::UpdateDelivered { applied: true, .. })));
     }
 
     #[test]

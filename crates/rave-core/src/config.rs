@@ -15,7 +15,7 @@
 //! | `frame_compression` | the frame-stream bench, `pipelined_streaming`, both pixel workloads |
 //! | `pipeline_depth` | `pipelined_streaming` and the pipeline benches (1–4), `pda_stream` (2) |
 //! | `ship_max_lag` | the failover bench grid, `edit_storm` (0) |
-//! | `update_delivery_trace` | `collab_fanout` and the 10k-subscriber bench (false) |
+//! | `update_delivery_trace` | `collab_fanout` and the 10k-subscriber bench (false): at 10k subscribers one update is 10k rows, over twice what the trace keeps |
 //! | `target_fps`, `fill_factor`, `codec_reprobe_every`, `codec_ewma_alpha`, `frame_strip_bytes` | nobody: `benchmark/` *reads* them, so they wait for its refresh (ROADMAP "Unlocked deletions") |
 
 /// How render services ship frames to thin clients and tile owners.
@@ -66,10 +66,10 @@ pub struct RaveConfig {
     /// count (0 = ship every entry immediately). Sealed segments always
     /// ship whole.
     pub ship_max_lag: u64,
-    /// Record a `TraceKind::UpdateDelivered` event per applied update per
+    /// Record a `TraceKind::UpdateDelivered` row per applied update per
     /// replica. On by default (tests and experiment logs read them);
     /// scale runs with 10k subscribers turn it off — one presence update
-    /// would otherwise allocate 10k trace strings.
+    /// would be 10k rows, over twice the [`crate::trace::KEEP`] it keeps.
     pub update_delivery_trace: bool,
 }
 

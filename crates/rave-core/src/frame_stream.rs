@@ -39,7 +39,7 @@
 
 use crate::ids::{ClientId, RenderServiceId};
 use crate::render_service::FrameKey;
-use crate::trace::TraceKind;
+use crate::trace::TraceEvent;
 use crate::world::RaveWorld;
 use rave_compress::adaptive::{self, CodecSelector, EndpointSpeed};
 use rave_compress::{stream, Codec};
@@ -325,17 +325,10 @@ pub fn send_frame_after(
     world.frame_cache.container = container;
     world.frame_cache.staging = staging;
     let switched = ch.last_codec.is_some_and(|prev| prev != codec);
-    if switched {
-        world.trace.record(
-            encode_start,
-            TraceKind::CodecSwitch,
-            format!(
-                "{rs}->{client}: {} -> {} (ratio {:.3})",
-                ch.last_codec.expect("switched implies a previous codec").name(),
-                codec.name(),
-                encoded_bytes as f64 / frame_len.max(1) as f64,
-            ),
-        );
+    if let (true, Some(from)) = (switched, ch.last_codec) {
+        let (to, frame_bytes) = (codec, frame_len as u64);
+        let row = TraceEvent::CodecSwitch { rs, client, from, to, encoded_bytes, frame_bytes };
+        world.trace.record(encode_start, row);
     }
     ch.selector.observe(codec, frame_len as u64, encoded_bytes);
     ch.stats.frames += 1;
@@ -393,6 +386,7 @@ pub fn synthesize_frame(width: u32, height: u32, seq: u64) -> Vec<u8> {
 mod tests {
     use super::*;
     use crate::config::RaveConfig;
+    use crate::trace::TraceKind;
     use crate::world::RaveWorld;
     use rave_compress::stream::StripMeta;
     use rave_net::Network;

@@ -78,7 +78,7 @@ pub fn check_and_replan_incremental(sim: &mut RaveSim, ds_id: DataServiceId) -> 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::trace::TraceKind;
+    use crate::trace::{TraceEvent, TraceKind};
     use crate::world::RaveWorld;
     use crate::RaveConfig;
     use rave_math::{Vec3, Viewport};
@@ -314,14 +314,17 @@ mod tests {
         assert!(sim.world.render(fresh).assigned_cost().polygons > 0);
         // The recruit's decision rows score it by the room it reported,
         // less what already landed on it — not by the shard's own size.
-        let scores: Vec<String> = sim
+        let scores: Vec<u64> = sim
             .world
             .trace
             .of_kind(TraceKind::SchedDecision)
-            .filter_map(|e| e.detail.split_once(&format!("[candidates: {fresh}@")))
-            .map(|(_, score)| score.trim_end_matches(']').to_string())
+            .filter_map(|e| match &e.event {
+                TraceEvent::SchedDecision { candidates, .. } => candidates.first().copied(),
+                _ => None,
+            })
+            .filter_map(|(service, score)| (service == fresh).then_some(score))
             .collect();
-        assert_eq!(scores, [room.to_string(), (room - 600_000).to_string()]);
+        assert_eq!(scores, [room, room - 600_000]);
     }
 
     #[test]

@@ -21,10 +21,11 @@
 use crate::bootstrap::connect_render_service;
 use crate::data_service::SubState;
 use crate::ids::DataServiceId;
-use crate::trace::TraceKind;
+use crate::trace::TraceEvent;
 use crate::world::RaveSim;
+use rave_scene::AuditEntry;
 use rave_sim::SimTime;
-use rave_store::ship::{Shipper, StandbyLog, ACK_BYTES};
+use rave_store::ship::{ShipFrame, Shipper, StandbyLog, ACK_BYTES};
 use rave_store::Wal;
 use std::io;
 use std::path::Path;
@@ -127,12 +128,8 @@ pub fn establish_standby(
         },
     );
     sim.world.data_mut(primary).set_retention_floor(Some(resumed_from));
-    let now = sim.now();
-    sim.world.trace.record(
-        now,
-        TraceKind::LogShip,
-        format!("{standby} standing by for {primary} (resumed from seq {resumed_from})"),
-    );
+    let row = TraceEvent::StandingBy { standby, primary, resumed: resumed_from };
+    sim.world.trace.record(sim.now(), row);
     Ok(resumed_from)
 }
 
@@ -181,11 +178,19 @@ pub fn ship_tick(sim: &mut RaveSim, primary: DataServiceId) -> io::Result<usize>
                 link.shipped_seq = link.shipped_seq.max(last);
             }
         }
-        sim.world.trace.record(
-            now,
-            TraceKind::LogShip,
-            format!("{primary} -> {standby}: {} ({bytes} bytes)", frame.describe()),
-        );
+        let row = match &frame {
+            ShipFrame::Sealed { index, bytes: file } => {
+                let (segment, len) = (*index, file.len());
+                TraceEvent::ShippedSegment { primary, standby, segment, len, bytes }
+            }
+            ShipFrame::Tail { index, entries, .. } => {
+                let seq = |e: Option<&AuditEntry>| e.map_or(0, |e| e.stamped.seq);
+                let (segment, first, last) = (*index, seq(entries.first()), seq(entries.last()));
+                let entries = entries.len();
+                TraceEvent::ShippedTail { primary, standby, segment, entries, first, last, bytes }
+            }
+        };
+        sim.world.trace.record(now, row);
         let arrival = sim.world.send_bytes(now, &p_host, &s_host, bytes);
         let (p_host, s_host) = (p_host.clone(), s_host.clone());
         sim.schedule_at(arrival, move |sim| {
@@ -227,15 +232,9 @@ pub fn ship_tick(sim: &mut RaveSim, primary: DataServiceId) -> io::Result<usize>
                 if let Some(ds) = sim.world.data_services.get_mut(&primary) {
                     ds.set_retention_floor(Some(acked_seq));
                 }
-                if let Some(idx) = ack.resend {
-                    sim.world.trace.record(
-                        at,
-                        TraceKind::LogShip,
-                        format!(
-                            "{standby} -> {primary}: ack seq {} torn, re-requesting segment #{idx}",
-                            ack.last_seq,
-                        ),
-                    );
+                if let Some(segment) = ack.resend {
+                    let row = TraceEvent::AckTorn { standby, primary, seq: ack.last_seq, segment };
+                    sim.world.trace.record(at, row);
                 }
             });
         });
@@ -254,12 +253,8 @@ pub fn run_log_shipping(sim: &mut RaveSim, primary: DataServiceId, horizon: SimT
             return;
         }
         if let Err(e) = ship_tick(sim, primary) {
-            let now = sim.now();
-            sim.world.trace.record(
-                now,
-                TraceKind::LogShip,
-                format!("{primary}: shipping stopped: {e}"),
-            );
+            let row = TraceEvent::ShippingStopped { primary, error: e.to_string() };
+            sim.world.trace.record(sim.now(), row);
             return;
         }
         let next = sim.now() + SimTime::from_millis(SHIP_INTERVAL_MS);
@@ -350,17 +345,7 @@ pub fn promote_standby(
         lost_updates: lost,
         completed_at,
     };
-    sim.world.trace.record(
-        now,
-        TraceKind::Promote,
-        format!(
-            "{primary} -> {standby}: promoted at seq {standby_last} \
-             ({} subscriber(s) re-pointed, {} residual entr(ies) replayed, \
-             {lost} committed update(s) lost)",
-            failed.subscribers().len(),
-            residual.len(),
-        ),
-    );
+    sim.world.trace.record(now, TraceEvent::Promoted { seq: standby_last, report: report.clone() });
     Ok(Some(report))
 }
 
@@ -370,6 +355,7 @@ mod tests {
     use crate::ids::RenderServiceId;
     use crate::sched::rebalance::process_events;
     use crate::sched::SchedEvent;
+    use crate::trace::TraceKind;
     use crate::world::{publish_update, RaveWorld};
     use crate::RaveConfig;
     use rave_scene::InterestSet;
@@ -540,7 +526,7 @@ mod tests {
         sim.run();
         assert!(sim.world.render(joining).scene == sim.world.data(standby).scene);
         let rows = sim.world.trace.of_kind(TraceKind::Bootstrap);
-        assert!(rows.map(|r| &r.detail).any(|d| d.contains("dropped")));
+        assert!(rows.into_iter().any(|r| matches!(r.event, TraceEvent::SnapshotDropped { .. })));
         let _ = std::fs::remove_dir_all(&pdir);
         let _ = std::fs::remove_dir_all(&sdir);
     }

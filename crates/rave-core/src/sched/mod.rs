@@ -11,8 +11,8 @@
 //!
 //! * [`placement`] — capacity-aware first-fit-decreasing bin-packing with
 //!   spatial splitting (subsuming `plan_distribution` + `split_node`),
-//!   plus the candidate-ranking primitive the tile planner shares, and a
-//!   [`placement::DecisionRecord`] per choice for the
+//!   plus the candidate-ranking primitive the tile planner shares, and the
+//!   considered candidates of each choice for the
 //!   [`crate::trace::TraceKind::SchedDecision`] audit stream.
 //! * [`feedback`] — the generalized EWMA [`feedback::ThroughputTracker`]
 //!   (promoted out of `tiles.rs`) so dataset and volume placement can
@@ -41,5 +41,5 @@ pub mod rebalance;
 
 pub use feedback::ThroughputTracker;
 pub use incremental::{PlanDiff, PlanState};
-pub use placement::{DecisionRecord, Ledger, PlaceError, PlacementOutcome};
+pub use placement::{Ledger, PlaceError, PlacementOutcome};
 pub use rebalance::{MigrationOutcome, SchedEvent};

@@ -2,8 +2,9 @@
 //! with spatial splitting, over a headroom ledger built from interrogated
 //! [`CapacityReport`]s. Dataset distribution, migration shedding,
 //! failover re-planning and tile/volume participant ranking all make
-//! their choices here; the rebalance event path captures each of its as a
-//! [`DecisionRecord`] for the `SchedDecision` trace stream.
+//! their choices here; the rebalance event path records each of its with
+//! the candidates [`Ledger::slot_states`] lists, as a `SchedDecision` trace
+//! row.
 
 use crate::capacity::{CapacityReport, Headroom};
 use crate::ids::RenderServiceId;
@@ -15,33 +16,6 @@ use std::collections::VecDeque;
 pub struct Slot {
     pub service: RenderServiceId,
     pub room: Headroom,
-}
-
-/// The considered candidates, their scores (polygon headroom at decision
-/// time) and the chosen placement for one workload — the audit record the
-/// unified `TraceKind::SchedDecision` events carry.
-#[derive(Debug, Clone, PartialEq)]
-pub struct DecisionRecord {
-    /// What was being placed, e.g. `"shard 5 (1200 polys)"`.
-    pub subject: String,
-    pub chosen: Option<RenderServiceId>,
-    /// `(service, poly headroom)` in the order they were considered.
-    pub candidates: Vec<(RenderServiceId, u64)>,
-}
-
-impl DecisionRecord {
-    /// Compact one-line rendering for the trace.
-    pub fn detail(&self, event: &str) -> String {
-        let cands: Vec<String> = self.candidates.iter().map(|(s, h)| format!("{s}@{h}")).collect();
-        match self.chosen {
-            Some(svc) => {
-                format!("{event}: {} -> {svc} [candidates: {}]", self.subject, cands.join(" "))
-            }
-            None => {
-                format!("{event}: {} -> unplaced [candidates: {}]", self.subject, cands.join(" "))
-            }
-        }
-    }
 }
 
 /// Remaining headroom per candidate service. Ordered most-spacious first
@@ -174,28 +148,11 @@ impl Ledger {
         Some(svc)
     }
 
-    /// Slot order snapshot `(service, polygon room)` — for property
-    /// tests pinning the incremental resift against a naive re-sort.
-    #[doc(hidden)]
+    /// Slot order snapshot `(service, polygon room)`: the candidates a
+    /// `SchedDecision` trace row lists, and what property tests pin the
+    /// incremental resift against a naive re-sort by.
     pub fn slot_states(&self) -> Vec<(RenderServiceId, u64)> {
         self.slots.iter().map(|s| (s.service, s.room.polygons)).collect()
-    }
-
-    /// Like [`Ledger::fit`], also capturing the considered candidates and
-    /// the choice as a [`DecisionRecord`] — what the rebalance event path
-    /// calls, once per shard an overload or failure re-homes. The
-    /// candidate snapshot and the subject string both allocate, so the
-    /// planners (thousands of fits a plan, no trace row) call
-    /// [`Ledger::fit`].
-    pub fn fit_recorded(
-        &mut self,
-        cost: &NodeCost,
-        subject: impl Into<String>,
-    ) -> (Option<RenderServiceId>, DecisionRecord) {
-        let candidates: Vec<(RenderServiceId, u64)> =
-            self.slots.iter().map(|s| (s.service, s.room.polygons)).collect();
-        let chosen = self.fit(cost);
-        (chosen, DecisionRecord { subject: subject.into(), chosen, candidates })
     }
 }
 
@@ -357,17 +314,13 @@ mod tests {
     }
 
     #[test]
-    fn fit_recorded_captures_candidates_and_choice() {
+    fn slot_states_list_the_candidates_a_fit_considers() {
         let mut ledger = Ledger::from_reports(&[report(1, 100), report(2, 50)], true);
-        let (chosen, rec) = ledger.fit_recorded(&polys(80), "shard 9 (80 polys)");
-        assert_eq!(chosen, Some(RenderServiceId(1)));
-        assert_eq!(rec.candidates, vec![(RenderServiceId(1), 100), (RenderServiceId(2), 50)]);
-        let line = rec.detail("Overload");
-        assert!(line.contains("shard 9"));
-        assert!(line.contains("-> rs1"));
-        let (none, rec) = ledger.fit_recorded(&polys(500), "shard 10 (500 polys)");
-        assert_eq!(none, None);
-        assert!(rec.detail("Failure").contains("unplaced"));
+        let (rs1, rs2) = (RenderServiceId(1), RenderServiceId(2));
+        assert_eq!(ledger.slot_states(), vec![(rs1, 100), (rs2, 50)]);
+        assert_eq!(ledger.fit(&polys(80)), Some(rs1));
+        assert_eq!(ledger.slot_states(), vec![(rs2, 50), (rs1, 20)]);
+        assert_eq!(ledger.fit(&polys(500)), None);
     }
 
     #[test]

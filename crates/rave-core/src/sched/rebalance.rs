@@ -11,8 +11,8 @@
 use crate::bootstrap::connect_at;
 use crate::ids::{DataServiceId, RenderServiceId};
 use crate::release_ledger::HEADER_BYTES;
-use crate::sched::placement::{DecisionRecord, Ledger};
-use crate::trace::TraceKind;
+use crate::sched::placement::Ledger;
+use crate::trace::TraceEvent;
 use crate::world::RaveSim;
 use rave_grid::TechnicalModel;
 use rave_net::HostId;
@@ -121,16 +121,9 @@ pub fn detect_overload(sim: &mut RaveSim, ds_id: DataServiceId) -> Vec<SchedEven
         }
     }
     for ev in &events {
-        if let SchedEvent::Overload { service } = ev {
-            sim.world.trace.record(
-                now,
-                TraceKind::Overload,
-                format!(
-                    "{service} at {:.1} fps (threshold {})",
-                    sim.world.render(*service).rolling_fps().unwrap_or(0.0),
-                    OVERLOAD_FPS
-                ),
-            );
+        if let &SchedEvent::Overload { service } = ev {
+            let fps = sim.world.render(service).rolling_fps().unwrap_or(0.0);
+            sim.world.trace.record(now, TraceEvent::Overloaded { service, fps });
         }
     }
     events
@@ -257,14 +250,8 @@ pub fn process_events(
                 handle_overload(sim, service, &mut batch, "Overload");
             }
             SchedEvent::CostDrift { service, measured, expected } => {
-                let now = sim.now();
-                sim.world.trace.record(
-                    now,
-                    TraceKind::Overload,
-                    format!(
-                        "{service} drifting: measured {measured:.0} vs advertised {expected:.0}"
-                    ),
-                );
+                let row = TraceEvent::Drifting { service, measured, expected };
+                sim.world.trace.record(sim.now(), row);
                 handle_overload(sim, service, &mut batch, "CostDrift");
             }
             SchedEvent::Underload { service } => handle_underload(sim, service, &mut batch),
@@ -315,23 +302,8 @@ fn handle_data_failure(sim: &mut RaveSim, dead: DataServiceId, outcome: &mut Mig
         });
         return;
     }
-    let now = sim.now();
-    sim.world.trace.record(
-        now,
-        TraceKind::Refusal,
-        format!("{dead} failed with no standby and no durable store — session lost"),
-    );
+    sim.world.trace.record(sim.now(), TraceEvent::SessionLost { ds: dead });
     outcome.refused = true;
-}
-
-fn trace_decision(sim: &mut RaveSim, record: &DecisionRecord, event: &str) {
-    let now = sim.now();
-    sim.world.trace.record(now, TraceKind::SchedDecision, record.detail(event));
-}
-
-/// The subject of a shard's decision row.
-fn shard(node: NodeId, cost: &NodeCost) -> String {
-    format!("shard {node} ({} polys)", cost.polygons)
 }
 
 /// One interrogation pass over the data service's subscribers, `skip`
@@ -368,13 +340,14 @@ fn rehome(
     shards: Vec<(NodeId, NodeCost)>,
     ledger: &mut Ledger,
     batch: &mut Batch,
-    event: &str,
+    trigger: &'static str,
     overflow: Overflow,
 ) {
     let mut unplaced = Vec::new();
     for (node, cost) in shards {
-        let (chosen, record) = ledger.fit_recorded(&cost, shard(node, &cost));
-        trace_decision(sim, &record, event);
+        let (candidates, chosen) = (ledger.slot_states(), ledger.fit(&cost));
+        let row = TraceEvent::SchedDecision { trigger, node, cost, chosen, candidates };
+        sim.world.trace.record(sim.now(), row);
         match chosen {
             Some(to) => batch.moves.move_node(sim, node, Some(from), to, &cost),
             None => unplaced.push((node, cost)),
@@ -390,12 +363,9 @@ fn rehome(
         let mut room = sim.world.render(recruit).capacity_report(&sim.world.config).headroom();
         for (node, cost) in std::mem::take(&mut refused) {
             let lands = room.fits(&cost) || overflow == Overflow::Land;
-            let record = DecisionRecord {
-                subject: shard(node, &cost),
-                chosen: lands.then_some(recruit),
-                candidates: vec![(recruit, room.polygons)],
-            };
-            trace_decision(sim, &record, event);
+            let (chosen, candidates) = (lands.then_some(recruit), vec![(recruit, room.polygons)]);
+            let row = TraceEvent::SchedDecision { trigger, node, cost, chosen, candidates };
+            sim.world.trace.record(sim.now(), row);
             if lands {
                 room.debit(&cost);
                 batch.moves.move_node(sim, node, Some(from), recruit, &cost);
@@ -406,13 +376,9 @@ fn rehome(
         ledger.push(recruit, room);
     }
     if !refused.is_empty() {
-        let polys: u64 = refused.iter().map(|(_, c)| c.polygons).sum();
-        let detail = format!(
-            "{ds_id}: insufficient resources for {} nodes ({polys} polygons) — request refused",
-            refused.len()
-        );
-        let now = sim.now();
-        sim.world.trace.record(now, TraceKind::Refusal, detail);
+        let polygons = refused.iter().map(|(_, c)| c.polygons).sum();
+        let row = TraceEvent::Refused { ds: ds_id, nodes: refused.len(), polygons };
+        sim.world.trace.record(sim.now(), row);
         batch.outcome.refused = true;
     }
 }
@@ -421,7 +387,12 @@ fn rehome(
 /// it back inside its interactive polygon budget, smallest shards first —
 /// onto the connected services that are not overloaded themselves, one
 /// ledger for the whole batch.
-fn handle_overload(sim: &mut RaveSim, over_rs: RenderServiceId, batch: &mut Batch, event: &str) {
+fn handle_overload(
+    sim: &mut RaveSim,
+    over_rs: RenderServiceId,
+    batch: &mut Batch,
+    trigger: &'static str,
+) {
     let Some(rs) = sim.world.render_services.get(&over_rs) else { return };
     let budget = rs.poly_budget(sim.world.config.target_fps);
     let excess = rs.assigned_cost().polygons.saturating_sub(budget);
@@ -435,7 +406,7 @@ fn handle_overload(sim: &mut RaveSim, over_rs: RenderServiceId, batch: &mut Batc
     let ds_id = batch.moves.ds_id;
     let mut ledger =
         batch.ledger.take().unwrap_or_else(|| interrogate(sim, ds_id, &batch.overloaded));
-    rehome(sim, over_rs, shards, &mut ledger, batch, event, Overflow::Refuse);
+    rehome(sim, over_rs, shards, &mut ledger, batch, trigger, Overflow::Refuse);
     batch.ledger = Some(ledger);
 }
 
@@ -462,7 +433,7 @@ fn handle_underload(sim: &mut RaveSim, under_rs: RenderServiceId, batch: &mut Ba
     }
     let Some(donor) = batch.donor.expect("just set") else { return };
 
-    sim.world.trace.record(now, TraceKind::Underload, format!("{under_rs} has headroom"));
+    sim.world.trace.record(now, TraceEvent::Underloaded { service: under_rs });
     let mut room = sim.world.render(under_rs).capacity_report(&sim.world.config).headroom();
     if room.polygons == 0 {
         return;
@@ -480,12 +451,10 @@ fn handle_underload(sim: &mut RaveSim, under_rs: RenderServiceId, batch: &mut Ba
     candidates.sort_by_key(|(id, c)| (std::cmp::Reverse(c.render_weight()), *id));
     for (node, cost) in candidates {
         if cost.polygons <= room.polygons && donor != under_rs {
-            let record = DecisionRecord {
-                subject: shard(node, &cost),
-                chosen: Some(under_rs),
-                candidates: vec![(under_rs, room.polygons)],
-            };
-            trace_decision(sim, &record, "Underload");
+            let (chosen, candidates) = (Some(under_rs), vec![(under_rs, room.polygons)]);
+            let row =
+                TraceEvent::SchedDecision { trigger: "Underload", node, cost, chosen, candidates };
+            sim.world.trace.record(sim.now(), row);
             room.polygons -= cost.polygons;
             batch.moves.move_node(sim, node, Some(donor), under_rs, &cost);
         }
@@ -507,7 +476,8 @@ fn handle_failure(sim: &mut RaveSim, dead: RenderServiceId, batch: &mut Batch) {
         Some(sub) if !sub.interest.is_everything() => sub.interest.roots().collect(),
         _ => Vec::new(),
     };
-    teardown_render_service(sim, ds_id, dead, &format!("{} orphaned subtree(s)", orphaned.len()));
+    let row = TraceEvent::Failed { service: dead, orphaned: orphaned.len() };
+    teardown_render_service(sim, ds_id, dead, row);
     let scene = &sim.world.data(ds_id).scene;
     let shards = orphaned
         .into_iter()
@@ -638,11 +608,11 @@ impl MoveBatch {
                 rs.interest.add_root(node);
                 rs.scene.adopt_parcel(&parcel);
             }
-            let detail = match from {
-                Some(from) => format!("node {node} moved {from} -> {to}"),
-                None => format!("node {node} installed on {to}"),
+            let row = match from {
+                Some(from) => TraceEvent::Moved { node, from, to },
+                None => TraceEvent::Installed { node, to },
             };
-            sim.world.trace.record(at, TraceKind::Migration, detail);
+            sim.world.trace.record(at, row);
         });
     }
 
@@ -675,11 +645,8 @@ fn recruit_unconnected(sim: &mut RaveSim, ds_id: DataServiceId) -> Option<Render
     let results =
         sim.world.registry.scan_access_points("RAVE", TechnicalModel::RenderService).len();
     let scan = sim.world.uddi_cost.scan_cost(results);
-    sim.world.trace.record(
-        now,
-        TraceKind::Recruitment,
-        format!("{candidate} discovered via UDDI ({results} services scanned, {scan})"),
-    );
+    let row = TraceEvent::Recruited { service: candidate, scanned: results, scan };
+    sim.world.trace.record(now, row);
     // Subscribed now, so the shards the caller moves to it at once are
     // listed in its subscription and routed to it; its handshake and
     // snapshot start once the scan completes.
@@ -728,7 +695,8 @@ pub fn incremental_replan(
     for ev in events {
         match *ev {
             SchedEvent::Failure { service } => {
-                teardown_render_service(sim, ds_id, service, "plan replay will re-home its share")
+                let row = TraceEvent::FailedBeforeReplay { service };
+                teardown_render_service(sim, ds_id, service, row);
             }
             SchedEvent::DataFailure { service } => {
                 sim.world.sched.plans.remove(&service);
@@ -755,12 +723,8 @@ pub fn incremental_replan(
             out.diff = Some(diff);
         }
         Err(err) => {
-            let now = sim.now();
-            sim.world.trace.record(
-                now,
-                TraceKind::Refusal,
-                format!("{ds_id}: incremental replan: {err}"),
-            );
+            let row = TraceEvent::ReplanRefused { ds: ds_id, error: err.to_string() };
+            sim.world.trace.record(sim.now(), row);
             out.migration.refused = true;
         }
     }
@@ -807,7 +771,7 @@ fn gross_basis(
 /// Take a failed render service out of the world: its subscription, its
 /// replica, its advertisement, everything the scheduler remembers about
 /// it, and the frame streams it was sending. Both failure paths end here
-/// (`aftermath` is what the trace row says happens to its share) and
+/// (`row` is the trace row that says what happens to its share) and
 /// neither re-homes that share in this function — [`handle_failure`]
 /// places the orphaned roots itself, and on the incremental path
 /// dropping the service from the capacity basis makes the plan replay
@@ -816,7 +780,7 @@ fn teardown_render_service(
     sim: &mut RaveSim,
     ds_id: DataServiceId,
     dead: RenderServiceId,
-    aftermath: &str,
+    row: TraceEvent,
 ) {
     let Some(rs) = sim.world.render_services.remove(&dead) else { return };
     sim.world.data_mut(ds_id).unsubscribe(dead);
@@ -826,7 +790,7 @@ fn teardown_render_service(
     sim.world.sched.underload_since.remove(&dead);
     sim.world.frame_cache.evict_service(dead);
     let now = sim.now();
-    sim.world.trace.record(now, TraceKind::Overload, format!("{dead} failed; {aftermath}"));
+    sim.world.trace.record(now, row);
 }
 
 /// Apply a plan diff to the world: each planned workload moves to its
@@ -855,6 +819,7 @@ fn apply_plan_diff(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::trace::TraceKind;
     use crate::world::RaveWorld;
     use crate::RaveConfig;
     use rave_math::{Vec3, Viewport};
@@ -925,9 +890,10 @@ mod tests {
             "{}",
             sim.world.trace.render()
         );
-        let detail = &sim.world.trace.first_of(TraceKind::SchedDecision).unwrap().detail;
-        assert!(detail.starts_with("Overload:"), "{detail}");
-        assert!(detail.contains("candidates:"), "{detail}");
+        let row = &sim.world.trace.first_of(TraceKind::SchedDecision).unwrap().event;
+        let TraceEvent::SchedDecision { trigger, candidates, .. } = row else { unreachable!() };
+        assert_eq!(*trigger, "Overload");
+        assert!(candidates.iter().any(|&(service, _)| service == fast), "{row}");
     }
 
     #[test]
@@ -975,7 +941,8 @@ mod tests {
             assert!(!sched.drift_pending.contains(&slow), "incremental={incremental}");
             assert!(!sched.underload_since.contains_key(&slow), "incremental={incremental}");
             assert!(!sim.world.render_services.contains_key(&slow));
-            assert_eq!(sim.world.trace.count(TraceKind::Overload), 1, "one failure row");
+            assert_eq!(sim.world.trace.count(TraceKind::Failure), 1, "one failure row");
+            assert_eq!(sim.world.trace.count(TraceKind::Overload), 0, "and no overload row");
         }
     }
 

@@ -14,7 +14,7 @@
 //! collaborator sees.
 
 use crate::ids::DataServiceId;
-use crate::trace::TraceKind;
+use crate::trace::TraceEvent;
 use crate::world::{publish_update, RaveSim};
 use rave_math::Vec3;
 use rave_scene::{NodeId, SceneUpdate, Transform};
@@ -161,12 +161,8 @@ impl SteeringBridge {
             .expect("atom pose");
             bindings.insert(i, id);
         }
-        let now = sim.now();
-        sim.world.trace.record(
-            now,
-            TraceKind::Collaboration,
-            format!("steering bridge to {compute_host}: {} atoms", bindings.len()),
-        );
+        let row = TraceEvent::SteeringBridge { host: compute_host.into(), atoms: bindings.len() };
+        sim.world.trace.record(sim.now(), row);
         Self { data_service: ds_id, compute_host: compute_host.into(), simulator, bindings }
     }
 

@@ -17,7 +17,7 @@ use crate::config::CompressionMode;
 use crate::frame_stream::{self, Outgoing};
 use crate::ids::{ClientId, RenderServiceId};
 use crate::render_service::FPS_WINDOW;
-use crate::trace::TraceKind;
+use crate::trace::TraceEvent;
 use crate::world::RaveSim;
 use rave_compress::adaptive::EndpointSpeed;
 use rave_math::Viewport;
@@ -72,17 +72,17 @@ impl BoundCounts {
     }
 }
 
-/// The binding resource of one frame (internal; aggregated into
-/// [`BoundCounts`] at display time).
-#[derive(Debug, Clone, Copy)]
-enum Bound {
+/// The binding resource of one frame: aggregated into [`BoundCounts`] at
+/// display time, and named by its `PipelineStall` trace row.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Bound {
     Render,
     Wire,
     Client,
 }
 
 impl Bound {
-    fn name(self) -> &'static str {
+    pub fn name(self) -> &'static str {
         match self {
             Bound::Render => "render",
             Bound::Wire => "wire",
@@ -448,17 +448,10 @@ fn issue_frame(sim: &mut RaveSim, pipe: &Rc<RefCell<FramePipeline>>) {
                 c.stats.stall_secs += stall;
             }
         }
-        sim.world.trace.record(
-            now,
-            TraceKind::FrameDelivered,
-            format!("{client_id} frame via {rs_id}"),
-        );
+        sim.world.trace.record(now, TraceEvent::FrameDelivered { client: client_id, via: rs_id });
         if stall > 0.0 {
-            sim.world.trace.record(
-                now,
-                TraceKind::PipelineStall,
-                format!("{client_id} frame {index} waited {stall:.4}s ({})", bound.name()),
-            );
+            let row = TraceEvent::PipelineStall { client: client_id, index, stall, bound };
+            sim.world.trace.record(now, row);
         }
         pipe.borrow_mut().displayed += 1;
         pump(sim, &pipe);
@@ -468,6 +461,7 @@ fn issue_frame(sim: &mut RaveSim, pipe: &Rc<RefCell<FramePipeline>>) {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::trace::TraceKind;
     use crate::world::{RaveSim, RaveWorld};
     use crate::RaveConfig;
     use rave_math::Vec3;

@@ -14,7 +14,7 @@ use crate::ids::{ClientId, RenderServiceId};
 use crate::render_service::{FrameKey, RenderSession};
 use crate::sched::placement::rank_helpers;
 use crate::sched::ThroughputTracker;
-use crate::trace::TraceKind;
+use crate::trace::TraceEvent;
 use crate::world::RaveSim;
 use rave_compress::adaptive::EndpointSpeed;
 use rave_math::Viewport;
@@ -177,20 +177,17 @@ pub fn record_tile_costs(
     result: &TiledFrameResult,
     tracker: &mut ThroughputTracker,
 ) {
-    let mut detail = String::from("tile throughput:");
-    let mut any = false;
+    let mut rates = Vec::new();
     for tc in &result.tile_costs {
         if !tc.fresh {
             continue;
         }
         tracker.record(tc.service, tc.cost_units, tc.render_seconds);
         sim.world.sched.throughput.record(tc.service, tc.cost_units, tc.render_seconds);
-        any = true;
-        let rate = tracker.throughput(tc.service).unwrap_or(0.0);
-        detail.push_str(&format!(" {}={rate:.0}u/s", tc.service));
+        rates.push((tc.service, tracker.throughput(tc.service).unwrap_or(0.0)));
     }
-    if any {
-        sim.world.trace.record(result.completed_at, TraceKind::TileCostFeedback, detail);
+    if !rates.is_empty() {
+        sim.world.trace.record(result.completed_at, TraceEvent::TileCosts { rates });
     }
 }
 
@@ -399,20 +396,15 @@ pub fn render_tiled_frame(
         *Composite::slot(sim, owner, client) = Some(composite);
         image
     });
-    sim.world.trace.record(
-        completed_at,
-        TraceKind::FrameDelivered,
-        format!(
-            "tiled frame for {client} on {owner}: {} tiles, stale={used_stale}",
-            plan.tiles.len()
-        ),
-    );
+    let row = TraceEvent::TiledFrame { client, owner, tiles: plan.tiles.len(), stale: used_stale };
+    sim.world.trace.record(completed_at, row);
     TiledFrameResult { completed_at, tile_arrivals, image, used_stale_tile: used_stale, tile_costs }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::trace::TraceKind;
     use crate::world::RaveWorld;
     use crate::RaveConfig;
     use rave_math::Vec3;

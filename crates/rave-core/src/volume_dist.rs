@@ -17,7 +17,7 @@ use crate::capacity::CapacityReport;
 use crate::distribution::split_node;
 use crate::ids::RenderServiceId;
 use crate::sched::placement::rank_helpers;
-use crate::trace::TraceKind;
+use crate::trace::TraceEvent;
 use crate::world::RaveSim;
 use rave_math::Viewport;
 use rave_render::composite::{blend_volume_layers, VolumeLayer};
@@ -143,11 +143,8 @@ pub fn render_distributed_volume(
     } else {
         None
     };
-    sim.world.trace.record(
-        completed_at,
-        TraceKind::FrameDelivered,
-        format!("distributed volume frame: {} bricks via {owner}", assignments.len()),
-    );
+    let row = TraceEvent::VolumeFrame { bricks: assignments.len(), owner };
+    sim.world.trace.record(completed_at, row);
     VolumeFrameResult { completed_at, image, layer_arrivals: arrivals, bricks: assignments.len() }
 }
 

@@ -2,14 +2,14 @@
 //! living inside a `rave_sim::Simulation`.
 
 use crate::config::RaveConfig;
-use crate::data_service::{CheckpointOutcome, DataService};
+use crate::data_service::DataService;
 use crate::delivery::{UpdateList, Wave};
 use crate::frame_stream::FrameCache;
 use crate::ids::{ClientId, DataServiceId, RenderServiceId};
 use crate::render_service::RenderService;
 use crate::sched::ThroughputTracker;
 use crate::thin_client::ThinClient;
-use crate::trace::{EventTrace, TraceKind};
+use crate::trace::{EventTrace, TraceEvent};
 use rave_grid::uddi::ServiceBinding;
 use rave_grid::wsdl::WsdlDocument;
 use rave_grid::{ServiceContainer, TechnicalModel, UddiCostModel, UddiRegistry};
@@ -17,7 +17,6 @@ use rave_net::{Channel, HostId, Network};
 use rave_render::MachineProfile;
 use rave_scene::{SceneUpdate, StampedUpdate, UpdateError};
 use rave_sim::{SimRng, SimTime, Simulation};
-use rave_store::CompactionReport;
 use std::collections::{BTreeMap, BTreeSet};
 use std::sync::Arc;
 
@@ -281,8 +280,8 @@ fn deliver_wave(sim: &mut RaveSim, wave: &[(RenderServiceId, UpdateList)]) {
         let Some((_, rs)) = services.next_if(|(id, _)| *id == to) else {
             // The service failed while the batch was on the wire.
             if let (true, Some(first), Some(last)) = (traced, updates.first(), updates.last()) {
-                let detail = format!("seq={}..={} -> {to} dropped", first.seq, last.seq);
-                trace.record(now, TraceKind::UpdateDelivered, detail);
+                let (first, last) = (first.seq, last.seq);
+                trace.record(now, TraceEvent::UpdatesDropped { first, last, to: *to });
             }
             continue;
         };
@@ -294,8 +293,7 @@ fn deliver_wave(sim: &mut RaveSim, wave: &[(RenderServiceId, UpdateList)]) {
             if traced {
                 trace.record(
                     now,
-                    TraceKind::UpdateDelivered,
-                    format!("seq={} -> {to} applied={applied}", stamped.seq),
+                    TraceEvent::UpdateDelivered { seq: stamped.seq, to: *to, applied },
                 );
             }
         }
@@ -348,6 +346,7 @@ pub fn publish_batch(
 ) -> Result<Vec<u64>, UpdateError> {
     let now = sim.now();
     let mut seqs = Vec::with_capacity(updates.len());
+    let mut origins = Vec::with_capacity(updates.len());
     let mut batch: Vec<Arc<StampedUpdate>> = Vec::with_capacity(updates.len());
     let mut failure = None;
     let RaveWorld { data_services, render_services, network, trace, .. } = &mut sim.world;
@@ -356,10 +355,16 @@ pub fn publish_batch(
         let stamped = ds.stamp(&origin, update);
         match ds.commit(now.as_secs(), &stamped) {
             Ok(checkpoint) => {
-                if let Some(checkpoint) = checkpoint {
-                    trace.record(now, TraceKind::Checkpoint, checkpoint_row(ds_id, checkpoint));
+                if let Some((seq, result)) = checkpoint {
+                    let ds = ds_id;
+                    let row = match result {
+                        Ok(report) => TraceEvent::Checkpoint { ds, seq, report },
+                        Err(e) => TraceEvent::CheckpointFailed { ds, seq, error: e.to_string() },
+                    };
+                    trace.record(now, row);
                 }
                 seqs.push(stamped.seq);
+                origins.push(origin);
                 batch.push(Arc::new(stamped));
             }
             Err(e) => {
@@ -368,12 +373,8 @@ pub fn publish_batch(
             }
         }
     }
-    for stamped in &batch {
-        trace.record(
-            now,
-            TraceKind::UpdatePublished,
-            format!("{ds_id} seq={} from {}", stamped.seq, stamped.origin),
-        );
+    for (&seq, origin) in seqs.iter().zip(origins) {
+        trace.record(now, TraceEvent::UpdatePublished { ds: ds_id, seq, origin });
     }
     let waves = ds.plan_deliveries(now, &batch, network, |rs| {
         render_services.get(&rs).map(|service| service.host.as_str())
@@ -387,27 +388,10 @@ pub fn publish_batch(
     }
 }
 
-/// The `TraceKind::Checkpoint` row of a checkpoint a commit came due for.
-fn checkpoint_row(ds_id: DataServiceId, (seq, result): CheckpointOutcome) -> String {
-    match result {
-        Ok(CompactionReport {
-            kind,
-            segments_deleted,
-            snapshots_deleted,
-            deltas_deleted,
-            bytes_freed,
-        }) => format!(
-            "{ds_id}: {kind} checkpoint at seq {seq}: {} segment(s) + {snapshots_deleted} \
-             snapshot(s) + {deltas_deleted} delta(s) compacted, {bytes_freed} bytes freed",
-            segments_deleted.len(),
-        ),
-        Err(e) => format!("{ds_id}: checkpoint at seq {seq} failed: {e}"),
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::trace::TraceKind;
     use rave_scene::{InterestSet, NodeKind};
 
     fn sim() -> RaveSim {
@@ -577,7 +561,8 @@ mod tests {
         s.run();
         // Every delivery applied (in order), none rejected.
         for e in s.world.trace.of_kind(TraceKind::UpdateDelivered) {
-            assert!(e.detail.contains("applied=true"), "out-of-order delivery: {}", e.detail);
+            let applied = matches!(e.event, TraceEvent::UpdateDelivered { applied: true, .. });
+            assert!(applied, "out-of-order delivery: {}", e.event);
         }
         assert_eq!(
             s.world.render(rs).scene.node(id).unwrap().transform().translation,
@@ -590,12 +575,12 @@ mod tests {
         publish_update(s, ds, "u", update).unwrap()
     }
 
-    fn delivered(s: &RaveSim) -> Vec<(SimTime, String)> {
-        s.world
-            .trace
-            .of_kind(TraceKind::UpdateDelivered)
-            .map(|e| (e.at, e.detail.clone()))
-            .collect()
+    fn delivered(s: &RaveSim) -> Vec<(SimTime, TraceEvent)> {
+        s.world.trace.of_kind(TraceKind::UpdateDelivered).map(|e| (e.at, e.event.clone())).collect()
+    }
+
+    fn applied(seq: u64, to: RenderServiceId) -> TraceEvent {
+        TraceEvent::UpdateDelivered { seq, to, applied: true }
     }
 
     #[test]
@@ -610,14 +595,9 @@ mod tests {
         let seq = rename(&mut s, ds, "in flight");
         crate::migration::handle_service_failure(&mut s, ds, dead);
         s.run();
-        let rows: Vec<String> = delivered(&s).into_iter().map(|(_, detail)| detail).collect();
-        assert_eq!(
-            rows,
-            vec![
-                format!("seq={seq}..={seq} -> {dead} dropped"),
-                format!("seq={seq} -> {alive} applied=true")
-            ]
-        );
+        let rows: Vec<TraceEvent> = delivered(&s).into_iter().map(|(_, row)| row).collect();
+        let dropped = TraceEvent::UpdatesDropped { first: seq, last: seq, to: dead };
+        assert_eq!(rows, vec![dropped, applied(seq, alive)]);
         assert_eq!(
             s.world.render(alive).scene.node(rave_scene::NodeId(0)).unwrap().name(),
             "in flight"
@@ -701,11 +681,13 @@ mod tests {
         let small = rename(&mut s, ds, "small");
         s.run();
         let rows = delivered(&s);
-        let at = |what: &str| rows.iter().find(|(_, d)| d.starts_with(what)).unwrap().0;
-        let (big_at, small_at) =
-            (at(&format!("seq=1 -> {rs}")), at(&format!("seq={small} -> {rs}")));
+        let at = |seq: u64, to: RenderServiceId| {
+            let row = |e: &TraceEvent| matches!(*e, TraceEvent::UpdateDelivered { seq: s, to: t, .. } if (s, t) == (seq, to));
+            rows.iter().find(|(_, e)| row(e)).unwrap().0
+        };
+        let (big_at, small_at) = (at(1, rs), at(small, rs));
         assert_eq!(small_at, big_at, "queued behind the big one, not overtaking it");
-        assert!(at(&format!("seq={small} -> {early}")) < big_at, "others are not held back");
+        assert!(at(small, early) < big_at, "others are not held back");
     }
 
     #[test]
@@ -761,14 +743,14 @@ mod tests {
         s.run();
         let rows = delivered(&s);
         assert!(rows.iter().all(|(at, _)| *at == rows[0].0), "one instant: {rows:?}");
-        let order: Vec<&str> = rows.iter().map(|(_, detail)| detail.as_str()).collect();
+        let order: Vec<&TraceEvent> = rows.iter().map(|(_, row)| row).collect();
         assert_eq!(
             order,
             [
-                format!("seq={first} -> {rs} applied=true"),
-                format!("seq={first} -> {other} applied=true"),
-                format!("seq={second} -> {rs} applied=true"),
-                format!("seq={second} -> {other} applied=true"),
+                &applied(first, rs),
+                &applied(first, other),
+                &applied(second, rs),
+                &applied(second, other)
             ]
         );
         for id in [rs, other] {
@@ -797,12 +779,12 @@ mod tests {
             crate::migration::handle_service_failure(&mut s, ds, ids[d]);
         }
         s.run();
-        let rows: Vec<String> = delivered(&s).into_iter().map(|(_, detail)| detail).collect();
-        let expected: Vec<String> = members
+        let rows: Vec<TraceEvent> = delivered(&s).into_iter().map(|(_, row)| row).collect();
+        let expected: Vec<TraceEvent> = members
             .iter()
             .map(|m| match dead.contains(m) {
-                true => format!("seq={seq}..={seq} -> {} dropped", ids[*m]),
-                false => format!("seq={seq} -> {} applied=true", ids[*m]),
+                true => TraceEvent::UpdatesDropped { first: seq, last: seq, to: ids[*m] },
+                false => applied(seq, ids[*m]),
             })
             .collect();
         assert_eq!(rows, expected);
@@ -826,12 +808,12 @@ mod tests {
         let small = rename(&mut s, ds, "small");
         s.run();
         let rows = delivered(&s);
-        let row = |what: String| rows.iter().position(|(_, d)| *d == what).unwrap();
-        let big_row = row(format!("seq={big} -> {far} applied=true"));
-        let small_row = row(format!("seq={small} -> {far} applied=true"));
+        let row = |what: TraceEvent| rows.iter().position(|(_, d)| *d == what).unwrap();
+        let big_row = row(applied(big, far));
+        let small_row = row(applied(small, far));
         assert!(small_row > big_row, "applied second: {rows:?}");
         assert!(rows[small_row].0 >= rows[big_row].0, "in a later-or-equal wave");
-        assert!(rows[row(format!("seq={small} -> {near} applied=true"))].0 < rows[big_row].0);
+        assert!(rows[row(applied(small, near))].0 < rows[big_row].0);
         let name = s.world.render(far).scene.node(rave_scene::NodeId(0)).unwrap().name();
         assert_eq!(name, "small");
     }
@@ -884,8 +866,9 @@ mod tests {
             assert_eq!(s.world.data(ds).audit.last_seq(), seq);
             s.run();
             assert_eq!(s.world.render(rs).scene, s.world.data(ds).scene, "seq {seq} fanned out");
-            let row = &s.world.trace.of_kind(TraceKind::Checkpoint).last().unwrap().detail;
-            assert!(row.starts_with(&format!("{ds}: checkpoint at seq {seq} failed: ")), "{row}");
+            let row = &s.world.trace.last_of(TraceKind::Checkpoint).unwrap().event;
+            let failed = matches!(*row, TraceEvent::CheckpointFailed { ds: d, seq: s, .. } if (d, s) == (ds, seq));
+            assert!(failed, "{row}");
         }
         assert_eq!(s.world.trace.count(TraceKind::Checkpoint), 2);
     }

@@ -74,21 +74,6 @@ impl ShipFrame {
             ShipFrame::Tail { entries, .. } => entries.last().map(|e| e.stamped.seq),
         }
     }
-
-    /// Short human description for traces.
-    pub fn describe(&self) -> String {
-        match self {
-            ShipFrame::Sealed { index, bytes } => {
-                format!("sealed segment #{index} ({} bytes)", bytes.len())
-            }
-            ShipFrame::Tail { index, entries, .. } => format!(
-                "tail of segment #{index} ({} entries, seqs {}..={})",
-                entries.len(),
-                entries.first().map(|e| e.stamped.seq).unwrap_or(0),
-                entries.last().map(|e| e.stamped.seq).unwrap_or(0),
-            ),
-        }
-    }
 }
 
 /// The standby's answer to one applied frame.

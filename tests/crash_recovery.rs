@@ -9,7 +9,7 @@
 use rave::core::bootstrap::{connect_render_service, recover_data_service};
 use rave::core::collaboration::{join_session, move_camera, reattach_participant};
 use rave::core::migration::handle_data_service_failure;
-use rave::core::trace::TraceKind;
+use rave::core::trace::{TraceEvent, TraceKind};
 use rave::core::world::{publish_update, RaveWorld};
 use rave::core::RaveConfig;
 use rave::math::Vec3;
@@ -119,8 +119,8 @@ fn session_survives_data_service_crash() {
     // The replacement recovered exactly the pre-crash state...
     assert_eq!(sim.world.data(new_ds).scene, pre_crash_mirror);
     assert_eq!(sim.world.trace.count(TraceKind::Recovery), 1);
-    let detail = &sim.world.trace.first_of(TraceKind::Recovery).unwrap().detail;
-    assert!(detail.contains("1 subscriber(s)"), "trace: {detail}");
+    let row = &sim.world.trace.first_of(TraceKind::Recovery).unwrap().event;
+    assert!(matches!(row, TraceEvent::Recovered { subscribers: 1, .. }), "trace: {row}");
 
     // ...the user re-finds their avatar instead of duplicating it...
     let who2 = reattach_participant(&sim.world.data(new_ds).scene, "Desktop").unwrap();

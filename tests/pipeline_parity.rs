@@ -11,7 +11,7 @@ use rave::compress::adaptive::EndpointSpeed;
 use rave::core::config::CompressionMode;
 use rave::core::frame_stream::{self, StreamStats};
 use rave::core::thin_client::{connect, stream_frames, ImportMode};
-use rave::core::trace::TraceKind;
+use rave::core::trace::TraceEvent;
 use rave::core::world::{RaveSim, RaveWorld};
 use rave::core::{ClientId, RaveConfig, RenderServiceId};
 use rave::math::{Vec3, Viewport};
@@ -119,11 +119,7 @@ fn reference_cycle(sim: &mut RaveSim, client_id: ClientId, remaining: u64) {
             }
             c.stats.last_display = Some(now);
         }
-        sim.world.trace.record(
-            now,
-            TraceKind::FrameDelivered,
-            format!("{client_id} frame via {rs_id}"),
-        );
+        sim.world.trace.record(now, TraceEvent::FrameDelivered { client: client_id, via: rs_id });
         if remaining > 1 {
             reference_cycle(sim, client_id, remaining - 1);
         }

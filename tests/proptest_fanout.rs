@@ -16,7 +16,7 @@
 use proptest::prelude::*;
 use rave::core::bootstrap::snapshot_for;
 use rave::core::data_service::{FanoutTotals, SubState};
-use rave::core::trace::TraceKind;
+use rave::core::trace::{TraceEvent, TraceKind};
 use rave::core::world::{publish_batch, RaveSim, RaveWorld};
 use rave::core::{DataServiceId, RaveConfig, RenderServiceId};
 use rave::math::Vec3;
@@ -342,14 +342,14 @@ impl Reference {
     fn rows(
         &mut self,
         replicas: &mut BTreeMap<RenderServiceId, SceneTree>,
-    ) -> Vec<(SimTime, String)> {
+    ) -> Vec<(SimTime, u64, RenderServiceId, bool)> {
         self.deliveries.sort_by_key(|d| d.at); // stable: keeps schedule order
         let mut rows = Vec::new();
         for d in &self.deliveries {
             let replica = replicas.get_mut(&d.to).expect("deliveries go to spawned services");
             for stamped in &d.updates {
                 let applied = stamped.update.apply(replica).is_ok();
-                rows.push((d.at, format!("seq={} -> {} applied={applied}", stamped.seq, d.to)));
+                rows.push((d.at, stamped.seq, d.to, applied));
             }
         }
         rows
@@ -590,12 +590,15 @@ proptest! {
         steps in prop::collection::vec(step_strategy(), 1..10),
     ) {
         let mut run = run_case(true, &topology, &seed_depths, &population, steps)?;
-        let rows: Vec<(SimTime, String)> = run
+        let rows: Vec<(SimTime, u64, RenderServiceId, bool)> = run
             .sim
             .world
             .trace
             .of_kind(TraceKind::UpdateDelivered)
-            .map(|e| (e.at, e.detail.clone()))
+            .map(|e| match e.event {
+                TraceEvent::UpdateDelivered { seq, to, applied } => (e.at, seq, to, applied),
+                ref dropped => panic!("no service fails in these cases: {dropped}"),
+            })
             .collect();
         prop_assert_eq!(rows, run.model.rows(&mut run.replicas));
         check_quiescent(run)?;

@@ -18,7 +18,7 @@ use rave::core::data_service::MoveTotals;
 use rave::core::replica::{establish_standby, ship_tick};
 use rave::core::sched::rebalance::{incremental_replan, process_events, IncrementalOutcome};
 use rave::core::sched::SchedEvent;
-use rave::core::trace::TraceKind;
+use rave::core::trace::{TraceEvent, TraceKind};
 use rave::core::world::{publish_update, RaveSim, RaveWorld};
 use rave::core::{DataServiceId, RaveConfig, RenderServiceId};
 use rave::math::Vec3;
@@ -547,9 +547,9 @@ struct Releases {
     /// What each service released, with its bytes.
     released: BTreeMap<(RenderServiceId, NodeId), (Arc<MeshData>, u64)>,
     /// Per move's trace row, how many such moves were decided.
-    issued: BTreeMap<String, usize>,
+    issued: BTreeMap<Move, usize>,
     /// Per node, the trace row of its last move, and its moves in all.
-    last: BTreeMap<NodeId, (String, usize)>,
+    last: BTreeMap<NodeId, (Move, usize)>,
     /// A move or an edit met a node with a move still on the wire: the
     /// replicas then depend on the order of arrivals (a known race of
     /// migration hand-offs), so two runs that charge differently may part.
@@ -565,22 +565,33 @@ fn payload(sim: &RaveSim, ds: DataServiceId, node: NodeId) -> Option<(Arc<MeshDa
     }
 }
 
-fn rows(sim: &RaveSim, detail: &str) -> usize {
-    sim.world.trace.of_kind(TraceKind::Migration).filter(|e| e.detail == detail).count()
+/// A `Migration` row's fields: the node, where it moved from (`None` for a
+/// first placement) and where to.
+type Move = (NodeId, Option<RenderServiceId>, RenderServiceId);
+
+/// Every kept `Migration` row.
+fn moves(sim: &RaveSim) -> impl Iterator<Item = Move> + '_ {
+    sim.world.trace.of_kind(TraceKind::Migration).filter_map(|e| match e.event {
+        TraceEvent::Moved { node, from, to } => Some((node, Some(from), to)),
+        TraceEvent::Installed { node, to } => Some((node, None, to)),
+        _ => None,
+    })
+}
+
+fn rows(sim: &RaveSim, row: Move) -> usize {
+    moves(sim).filter(|&m| m == row).count()
 }
 
 impl Releases {
     /// Has every move of `node` landed (a stricter test than the last)?
     fn settled(&self, sim: &RaveSim, node: NodeId) -> bool {
-        let prefix = format!("node {node} ");
-        let landed = sim.world.trace.of_kind(TraceKind::Migration);
-        let landed = landed.filter(|e| e.detail.starts_with(&prefix)).count();
+        let landed = moves(sim).filter(|m| m.0 == node).count();
         self.last.get(&node).is_none_or(|&(_, all)| landed == all)
     }
 
     /// Has the last move of `node` landed?
     fn landed(&self, sim: &RaveSim, node: NodeId) -> bool {
-        self.last.get(&node).is_none_or(|(row, _)| rows(sim, row) >= self.issued[row])
+        self.last.get(&node).is_none_or(|(row, _)| rows(sim, *row) >= self.issued[row])
     }
 
     /// What the data service's totals must read after `diff` was applied
@@ -614,11 +625,8 @@ impl Releases {
                 want.payload_bytes_saved += bytes.max(256) - charge;
             }
             let from = out.migration.moved.iter().find(|m| m.0 == node).map(|m| m.1);
-            let row = match from {
-                Some(from) => format!("node {node} moved {from} -> {to}"),
-                None => format!("node {node} installed on {to}"),
-            };
-            *self.issued.entry(row.clone()).or_default() += 1;
+            let row = (node, from, to);
+            *self.issued.entry(row).or_default() += 1;
             let all = self.last.get(&node).map_or(0, |l| l.1) + 1;
             self.last.insert(node, (row, all));
             let Some(&donor) = listed.get(&node) else { continue };

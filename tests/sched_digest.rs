@@ -41,13 +41,15 @@ use std::sync::Arc;
 /// refuses them), and when a move back to a service that cached the node
 /// began to cross the wire as a header: those moves land sooner, which
 /// changes trace times and the order of rows, and [`TIMELESS`] did not move.
-const GOLDEN: u32 = 0xb9fb_b4b9;
+/// Both moved when a failed render service's row became a `Failure` row
+/// (it was an `Overload` row), and nothing else in the dump changed.
+const GOLDEN: u32 = 0x024e_2a44;
 
 /// `crc32` of the same storms with the virtual times left out: each
 /// storm's trace rows without their timestamps, sorted, then its outcomes
 /// and its interest roots. A change that only makes a transfer land sooner
 /// or later moves [`GOLDEN`] and leaves this one standing.
-const TIMELESS: u32 = 0x7d76_8e0b;
+const TIMELESS: u32 = 0x4d36_36f4;
 
 const EVENT_SEEDS: u64 = 24;
 const REPLAN_SEEDS: u64 = 16;
