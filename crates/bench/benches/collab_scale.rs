@@ -46,10 +46,17 @@
 //!    `InterestIndex::add_root` + `remove_root` — against the rebuild of
 //!    the whole index the same hand-over used to schedule, at the largest
 //!    population (`move_root_over_rebuild`).
+//! 5. A removal (`remove`): one tick at the largest population of the
+//!    routing scene on the machine room that removes one leaf of a branch.
+//!    `remove_receivers_over_holders` is the receivers the removal was
+//!    booked to (`FanoutTotals::unicast_transmissions`; every subscriber is
+//!    remote) over the subscribers whose interest holds the leaf: 1 when a
+//!    removal is routed before its commit, population ÷ holders when it
+//!    was routed after it, to a target the index no longer knew.
 //!
 //! `check` holds the routing speedup, the wire ratios, the per-delivery
-//! growth, the event growth, the publish ratio, the sparse-wave ratio and
-//! the move-over-rebuild ratio to their floors.
+//! growth, the event growth, the publish ratio, the sparse-wave ratio, the
+//! move-over-rebuild ratio and the removal's receivers to their floors.
 //! `BENCH_QUICK=1` runs smaller populations and fewer rounds.
 
 use bench::harness::{best_of, machine_room, num, obj, quick, secs, Lcg, Report};
@@ -60,7 +67,7 @@ use rave_core::world::{publish_update, RaveWorld};
 use rave_core::{DataServiceId, RaveConfig, RenderServiceId};
 use rave_math::Vec3;
 use rave_scene::{
-    CameraParams, InterestIndex, InterestSet, NodeId, NodeKind, SceneUpdate, Transform,
+    CameraParams, InterestIndex, InterestSet, NodeId, NodeKind, SceneTree, SceneUpdate, Transform,
 };
 use rave_sim::Simulation;
 use serde::Serialize;
@@ -71,21 +78,27 @@ const LEAVES_PER_BRANCH: usize = 4;
 /// Render services in the world of the sparse-wave grid, quick and full.
 const SPARSE_WORLD: usize = 10_000;
 
-/// A data service with a branchy scene: `BRANCHES` top-level groups of
-/// `LEAVES_PER_BRANCH` leaves each — enough structure that narrow
-/// interests are genuinely narrow and the interval stab does real work.
-fn routing_service() -> (DataService, Vec<NodeId>, Vec<NodeId>) {
-    let mut ds = DataService::new(DataServiceId(1), "hub", "bench");
-    let root = ds.scene.root();
+/// A branchy scene: `BRANCHES` top-level groups of `LEAVES_PER_BRANCH`
+/// leaves each — enough structure that narrow interests are genuinely
+/// narrow. Returns the branches and the leaves.
+fn branchy_scene(scene: &mut SceneTree) -> (Vec<NodeId>, Vec<NodeId>) {
+    let root = scene.root();
     let mut branches = Vec::with_capacity(BRANCHES);
     let mut leaves = Vec::new();
     for b in 0..BRANCHES {
-        let branch = ds.scene.add_node(root, format!("b{b}"), NodeKind::Group).unwrap();
+        let branch = scene.add_node(root, format!("b{b}"), NodeKind::Group).unwrap();
         branches.push(branch);
         for l in 0..LEAVES_PER_BRANCH {
-            leaves.push(ds.scene.add_node(branch, format!("b{b}l{l}"), NodeKind::Group).unwrap());
+            leaves.push(scene.add_node(branch, format!("b{b}l{l}"), NodeKind::Group).unwrap());
         }
     }
+    (branches, leaves)
+}
+
+/// A data service holding the branchy scene.
+fn routing_service() -> (DataService, Vec<NodeId>, Vec<NodeId>) {
+    let mut ds = DataService::new(DataServiceId(1), "hub", "bench");
+    let (branches, leaves) = branchy_scene(&mut ds.scene);
     (ds, branches, leaves)
 }
 
@@ -161,6 +174,46 @@ fn time_index_moves(clients: usize, rounds: usize, rng: &mut Lcg) -> IndexTiming
         assert_eq!(got, want, "patched index diverged from a rebuilt one on {id}");
     }
     IndexTiming { clients, rebuild_us: rebuild * 1e6, move_root_ns: moved * 1e9 / MOVES as f64 }
+}
+
+struct RemoveTick {
+    clients: usize,
+    /// Subscribers whose interest holds the removed leaf.
+    holders: usize,
+    /// Receivers the removal was booked to.
+    receivers: u64,
+}
+
+/// Publish the removal of one leaf of a branch to `clients` subscribers of
+/// the routing population, each a render service on the machine room with
+/// its snapshot, and count whom it was booked to.
+fn remove_tick(clients: usize, rng: &mut Lcg) -> RemoveTick {
+    let (segments, hosts_per_segment) = (16, 4);
+    let mut net = machine_room(segments, hosts_per_segment);
+    net.add_host("hub", "seg0");
+    let config = RaveConfig { update_delivery_trace: false, ..RaveConfig::default() };
+    let mut sim = Simulation::new(RaveWorld::new(net, config, 4242));
+    let ds = sim.world.spawn_data_service("hub", "bench");
+    let (branches, leaves) = branchy_scene(&mut sim.world.data_mut(ds).scene);
+    let interests = population(&branches, clients, rng);
+    for (i, interest) in interests.iter().enumerate() {
+        let host = format!("host{}x{}", (i / hosts_per_segment) % segments, i % hosts_per_segment);
+        let rs = sim.world.spawn_render_service(&host);
+        let replica = snapshot_for(&sim.world.data(ds).scene, interest);
+        sim.world.data_mut(ds).subscribe_live(rs, interest.clone());
+        sim.world.render_mut(rs).scene = replica;
+    }
+    let leaf = leaves[rng.pick(leaves.len())];
+    let scene = &sim.world.data(ds).scene;
+    let holds = |i: &&InterestSet| {
+        i.is_everything() || scene.lineage(leaf).any(|n| i.roots().any(|r| r == n))
+    };
+    let holders = interests.iter().filter(holds).count();
+    let base = sim.world.data(ds).fanout.unicast_transmissions;
+    publish_update(&mut sim, ds, "bench", SceneUpdate::RemoveNode { id: leaf }).unwrap();
+    sim.run();
+    let receivers = sim.world.data(ds).fanout.unicast_transmissions - base;
+    RemoveTick { clients, holders, receivers }
 }
 
 struct RoutingTiming {
@@ -428,6 +481,7 @@ fn main() {
         .collect();
     let testbed_ratio = testbed_wire_ratio();
     let index = time_index_moves(largest_population, rounds, &mut rng);
+    let remove = remove_tick(largest_population, &mut rng);
 
     let headline = routing.last().expect("at least one population");
     let routing_speedup_10k = headline.naive_us / headline.indexed_us.max(1e-9);
@@ -502,6 +556,18 @@ fn main() {
                 ("move_root_ns", num(index.move_root_ns, 1)),
                 ("move_root_over_rebuild", num(index.move_root_ns / 1e3 / index.rebuild_us, 5)),
             ]),
+        )
+        .set(
+            "remove",
+            obj([
+                ("clients", remove.clients.to_value()),
+                ("holders", remove.holders.to_value()),
+                ("receivers", remove.receivers.to_value()),
+            ]),
+        )
+        .set(
+            "remove_receivers_over_holders",
+            num(remove.receivers as f64 / remove.holders.max(1) as f64, 3),
         )
         .write();
 }

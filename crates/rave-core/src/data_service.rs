@@ -376,9 +376,9 @@ impl DataService {
         }
     }
 
-    /// Route a freshly committed update: every live subscriber
-    /// ([`Reach::Everyone`], nobody listed), or the slots of the live
-    /// subscribers it must be delivered to, ascending, in `out`. A
+    /// Route an update against the master as it stands: every live
+    /// subscriber ([`Reach::Everyone`], nobody listed), or the slots of the
+    /// live subscribers it must be delivered to, ascending, in `out`. A
     /// bootstrapping subscriber reads it from the audit trail on arrival.
     fn route_into(&mut self, stamped: &StampedUpdate, out: &mut Vec<SubSlot>) -> Reach {
         self.ensure_index();
@@ -389,10 +389,11 @@ impl DataService {
         reach
     }
 
-    /// Route a freshly committed update: returns the live subscribers it
-    /// must be delivered to. O(log roots + matches) through the inverted
-    /// interest index — the naive O(subscribers) scan survives as
-    /// [`DataService::route_naive`], the index's parity oracle.
+    /// Route an update against the master as it stands: the live
+    /// subscribers it must be delivered to, O(depth + matches) through the
+    /// inverted interest index ([`DataService::route_naive`] is its parity
+    /// oracle). The publish path routes each update just before its commit;
+    /// after it, a removal's target is unknown and reaches everyone.
     pub fn route(&mut self, stamped: &StampedUpdate) -> Vec<RenderServiceId> {
         let mut slots = std::mem::take(&mut self.route_slots);
         let ids = match self.route_into(stamped, &mut slots) {
@@ -406,34 +407,31 @@ impl DataService {
         ids
     }
 
-    /// Route every update of a committed `batch` and plan its delivery
-    /// with segment-multicast fan-out from this service's host: one
-    /// [`Wave`] per instant the batch lands at, holding every live
-    /// subscriber it reaches then in subscriber id order, each FIFO behind
-    /// whatever that subscriber is already owed. An update that reaches
-    /// everyone is booked per link class, not per subscriber, so a batch
-    /// costs O(subscribers + scoped pairs), not O(subscribers × updates).
-    /// `host_of` names the host of a render service, `None` for one that
-    /// is not in the world.
-    pub(crate) fn plan_deliveries<'a>(
+    /// Publish update number `update` of a batch in flight: route it
+    /// against the master just before its own commit (a removal reaches the
+    /// holders of its target), commit it, and only if that succeeded book
+    /// its segment-multicast fan-out from this service's host, each
+    /// receiver FIFO behind what it is owed; an everyone-update is booked
+    /// per link class. `host_of` names a render service's host, `None` for
+    /// one not in the world. [`DataService::finish_batch`] closes the batch.
+    pub(crate) fn publish<'a>(
         &mut self,
         now: SimTime,
-        batch: &[Arc<StampedUpdate>],
+        update: u32,
+        stamped: &StampedUpdate,
         net: &Network,
         host_of: impl Fn(RenderServiceId) -> Option<&'a str>,
-    ) -> Vec<Wave> {
+    ) -> Result<Option<CheckpointOutcome>, UpdateError> {
         let mut slots = std::mem::take(&mut self.route_slots);
-        for (i, stamped) in batch.iter().enumerate() {
-            let reach = self.route_into(stamped, &mut slots);
-            let reaches_anyone = match reach {
-                Reach::Everyone => self.index_live_slots > 0,
-                Reach::Slots => !slots.is_empty(),
-            };
-            if !reaches_anyone {
-                continue;
-            }
+        let reach = self.route_into(stamped, &mut slots);
+        let committed = self.commit(now.as_secs(), stamped);
+        let reaches_anyone = match reach {
+            Reach::Everyone => self.index_live_slots > 0,
+            Reach::Slots => !slots.is_empty(),
+        };
+        if committed.is_ok() && reaches_anyone {
             // A structural update earlier in the batch repairs the index
-            // without renumbering it, so this resolves at most once here.
+            // without renumbering it, so this resolves at most once a batch.
             self.delivery.resolve_classes(
                 self.index_generation,
                 &self.index_sub_ids,
@@ -442,7 +440,7 @@ impl DataService {
                 net,
                 &host_of,
             );
-            let (update, bytes, totals) = (i as u32, stamped.wire_size(), &mut self.fanout);
+            let (bytes, totals) = (stamped.wire_size(), &mut self.fanout);
             match reach {
                 Reach::Everyone => {
                     self.delivery.fan_out_to_everyone(now, update, bytes, net, totals)
@@ -451,6 +449,13 @@ impl DataService {
             }
         }
         self.route_slots = slots;
+        committed
+    }
+
+    /// Close the batch [`DataService::publish`] fanned out, whose committed
+    /// updates are `batch`: one [`Wave`] per instant it lands at, holding
+    /// every live subscriber it reaches then in subscriber id order.
+    pub(crate) fn finish_batch(&mut self, batch: &[Arc<StampedUpdate>]) -> Vec<Wave> {
         self.delivery.finish_batch(batch, &self.index_sub_ids)
     }
 
@@ -616,6 +621,167 @@ mod tests {
         let u = Arc::new(ds.stamp("t", SceneUpdate::SetName { id: node, name: "n".into() }));
         assert_eq!(ds.route(&u), ds.route_naive(&u));
         assert_eq!(ds.route(&u), vec![RIGHT_SUB, FULL]);
+    }
+
+    /// Root → `left` → `lleaf`, and `right` → `node` → `deep`; a subscriber
+    /// per branch, a full replica, and one holding `node` (to which `right`
+    /// is orientation only). The service runs on `laptop` of the paper
+    /// testbed.
+    struct Branches {
+        ds: DataService,
+        left: NodeId,
+        lleaf: NodeId,
+        right: NodeId,
+        node: NodeId,
+        deep: NodeId,
+    }
+
+    const FULL_SUB: RenderServiceId = RenderServiceId(3);
+    const NODE_SUB: RenderServiceId = RenderServiceId(4);
+
+    fn branches() -> Branches {
+        let mut ds = DataService::new(DataServiceId(1), "laptop", "s");
+        let group = |ds: &mut DataService, parent, name: &str| {
+            ds.scene.add_node(parent, name, NodeKind::Group).unwrap()
+        };
+        let left = group(&mut ds, NodeId(0), "left");
+        let lleaf = group(&mut ds, left, "lleaf");
+        let right = group(&mut ds, NodeId(0), "right");
+        let node = group(&mut ds, right, "node");
+        let deep = group(&mut ds, node, "deep");
+        ds.subscribe_live(LEFT_SUB, InterestSet::subtrees([left]));
+        ds.subscribe_live(RIGHT_SUB, InterestSet::subtrees([right]));
+        ds.subscribe_live(FULL_SUB, InterestSet::everything());
+        ds.subscribe_live(NODE_SUB, InterestSet::subtrees([node]));
+        Branches { ds, left, lleaf, right, node, deep }
+    }
+
+    /// Publish `updates` as one batch the way `publish_batch` does, every
+    /// subscriber on `desktop`: the subscribers each committed update
+    /// reached, by batch index, and the commit error that stopped the
+    /// batch. Each update reaches what `route_naive` answers just before
+    /// its commit.
+    fn publish(
+        ds: &mut DataService,
+        updates: Vec<SceneUpdate>,
+    ) -> (Vec<Vec<RenderServiceId>>, Option<UpdateError>) {
+        let net = Network::paper_testbed(1.0);
+        let (mut batch, mut naive, mut failure) = (Vec::new(), Vec::new(), None);
+        for update in updates {
+            let stamped = ds.stamp("t", update);
+            let before = ds.route_naive(&stamped);
+            match ds.publish(SimTime::ZERO, batch.len() as u32, &stamped, &net, |_| Some("desktop"))
+            {
+                Ok(_) => batch.push(Arc::new(stamped)),
+                Err(e) => {
+                    failure = Some(e);
+                    break;
+                }
+            }
+            naive.push(before);
+        }
+        let mut reached = vec![Vec::new(); batch.len()];
+        for wave in ds.finish_batch(&batch) {
+            for (rs, list) in wave.deliveries {
+                for s in list.iter() {
+                    reached[batch.iter().position(|b| b.seq == s.seq).unwrap()].push(rs);
+                }
+            }
+        }
+        reached.iter_mut().for_each(|to| to.sort());
+        assert_eq!(reached, naive, "the live path routes as the scan before each commit");
+        (reached, failure)
+    }
+
+    #[test]
+    fn a_removal_reaches_exactly_the_holders_of_its_target() {
+        let Branches { mut ds, lleaf, deep, .. } = branches();
+        let (reached, _) = publish(&mut ds, vec![SceneUpdate::RemoveNode { id: deep }]);
+        assert_eq!(reached, [vec![RIGHT_SUB, FULL_SUB, NODE_SUB]]);
+        let (reached, _) = publish(&mut ds, vec![SceneUpdate::RemoveNode { id: lleaf }]);
+        assert_eq!(reached, [vec![LEFT_SUB, FULL_SUB]]);
+        assert_eq!(ds.fanout.unicast_transmissions, 3 + 2, "one per holder");
+    }
+
+    /// A subscriber's root goes, itself or with the group that oriented it.
+    #[test]
+    fn the_removal_of_a_subscribers_root_reaches_that_subscriber() {
+        let Branches { mut ds, left, right, node, .. } = branches();
+        let mut other = ds.clone();
+        let (reached, _) = publish(&mut ds, vec![SceneUpdate::RemoveNode { id: node }]);
+        assert_eq!(reached, [vec![RIGHT_SUB, FULL_SUB, NODE_SUB]]);
+        let (reached, _) = publish(&mut other, vec![SceneUpdate::RemoveNode { id: right }]);
+        assert_eq!(reached, [vec![RIGHT_SUB, FULL_SUB, NODE_SUB]]);
+        let (reached, _) = publish(&mut ds, vec![SceneUpdate::RemoveNode { id: left }]);
+        assert_eq!(reached, [vec![LEFT_SUB, FULL_SUB]]);
+    }
+
+    /// Judged by the tree before the removal, not after it, when the
+    /// target would be unknown and reach everyone.
+    #[test]
+    fn an_update_earlier_in_the_batch_than_its_targets_removal_reaches_only_the_holders() {
+        let Branches { mut ds, deep, .. } = branches();
+        let transform = rave_scene::Transform::IDENTITY;
+        let (reached, _) = publish(
+            &mut ds,
+            vec![
+                SceneUpdate::SetTransform { id: deep, transform },
+                SceneUpdate::SetName { id: deep, name: "going".into() },
+                SceneUpdate::RemoveNode { id: deep },
+            ],
+        );
+        assert_eq!(reached, vec![vec![RIGHT_SUB, FULL_SUB, NODE_SUB]; 3]);
+        let after = ds.stamp("t", SceneUpdate::SetName { id: deep, name: "gone".into() });
+        assert_eq!(ds.route(&after).len(), 4, "after the commit: unknown, everyone");
+    }
+
+    #[test]
+    fn an_add_under_an_orientation_only_parent_does_not_reach_that_subscriber() {
+        let Branches { mut ds, right, .. } = branches();
+        let add = |ds: &mut DataService, parent| SceneUpdate::AddNode {
+            id: ds.scene.allocate_id(),
+            parent,
+            name: "new".into(),
+            kind: NodeKind::Group,
+        };
+        let under_right = add(&mut ds, right);
+        let under_root = add(&mut ds, NodeId(0));
+        let (reached, _) = publish(&mut ds, vec![under_right, under_root]);
+        assert_eq!(reached, [vec![RIGHT_SUB, FULL_SUB], vec![FULL_SUB]]);
+    }
+
+    #[test]
+    fn an_add_whose_id_a_subscriber_already_lists_reaches_it() {
+        const PENDING_SUB: RenderServiceId = RenderServiceId(5);
+        let Branches { mut ds, lleaf, .. } = branches();
+        let id = ds.scene.allocate_id();
+        ds.subscribe_live(PENDING_SUB, InterestSet::subtrees([id]));
+        let kind = NodeKind::Group;
+        let add = SceneUpdate::AddNode { id, parent: lleaf, name: "n".into(), kind };
+        let (reached, _) = publish(&mut ds, vec![add]);
+        assert_eq!(reached, [vec![LEFT_SUB, FULL_SUB, PENDING_SUB]]);
+    }
+
+    /// The failed update and the rest of the batch book nothing: the
+    /// totals are those of the committed prefix alone.
+    #[test]
+    fn a_commit_that_fails_mid_batch_books_no_fanout_totals() {
+        let Branches { mut ds, lleaf, deep, .. } = branches();
+        let mut prefix_only = ds.clone();
+        let rename = SceneUpdate::SetName { id: lleaf, name: "kept".into() };
+        let (reached, failure) = publish(
+            &mut ds,
+            vec![
+                rename.clone(),
+                SceneUpdate::RemoveNode { id: NodeId(999) },
+                SceneUpdate::SetName { id: deep, name: "dropped".into() },
+            ],
+        );
+        assert!(matches!(failure, Some(UpdateError::Tree(_))), "{failure:?}");
+        assert_eq!(reached, [vec![LEFT_SUB, FULL_SUB]]);
+        publish(&mut prefix_only, vec![rename]);
+        assert_eq!(ds.fanout, prefix_only.fanout);
+        assert_eq!(ds.fanout.updates_routed, 1);
     }
 
     fn add_update(ds: &mut DataService, name: &str) -> StampedUpdate {

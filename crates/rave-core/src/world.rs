@@ -314,21 +314,21 @@ pub fn publish_update(
     Ok(seqs[0])
 }
 
-/// Publish a batch of updates through a data service in one pass: every
-/// update is committed and stamped in order, routed through the inverted
-/// interest index (which folds the batch's structural edits in once, not
-/// per subscriber), and delivered with segment-multicast fan-out — one
-/// wire transmission per receiving segment per update, booked into
-/// [`crate::data_service::FanoutTotals`]. The batch schedules **one
-/// event per arrival instant** (a delivery wave): every subscriber the
-/// batch reaches at that instant gets its `Arc`-shared updates applied in
-/// seq order, subscribers in id order, so a 10k-client session tick on
-/// one segment is one event, not 10k, and each replica's derived caches
-/// rebuild once per batch; subscribers owed the same updates share one
-/// list. Equal-time events fire in schedule order, so this is the
-/// schedule one event per subscriber would give. Per-subscriber FIFO is
-/// preserved against earlier publishes via the delivery high-water mark
-/// (the `delivery` module).
+/// Publish a batch of updates through a data service in one pass: each
+/// update is stamped, routed through the inverted interest index against
+/// the master just before its own commit (a removal reaches the holders of
+/// its target, judged by the tree before it), committed, and delivered
+/// with segment-multicast fan-out — one wire transmission per receiving
+/// segment per update, booked into [`crate::data_service::FanoutTotals`].
+/// The batch schedules **one event per arrival instant** (a delivery
+/// wave): every subscriber the batch reaches at that instant gets its
+/// `Arc`-shared updates applied in seq order, subscribers in id order, so
+/// a 10k-client session tick on one segment is one event, not 10k, and
+/// each replica's derived caches rebuild once per batch; subscribers owed
+/// the same updates share one list. Equal-time events fire in schedule
+/// order, so this is the schedule one event per subscriber would give.
+/// Per-subscriber FIFO is preserved against earlier publishes via the
+/// delivery high-water mark (the `delivery` module).
 ///
 /// A subscriber with no render service in the world, or whose host is not
 /// on the network, is skipped and counted
@@ -337,8 +337,9 @@ pub fn publish_update(
 ///
 /// On a commit failure the batch stops: the already-committed prefix is
 /// still delivered (it is in the audit trail), the failed update and the
-/// rest are dropped, and the error is returned. A checkpoint that fails
-/// after its update was logged is not a commit failure: it is traced.
+/// rest book nothing and are dropped, and the error is returned. A
+/// checkpoint that fails after its update was logged is not a commit
+/// failure: it is traced.
 pub fn publish_batch(
     sim: &mut RaveSim,
     ds_id: DataServiceId,
@@ -351,9 +352,10 @@ pub fn publish_batch(
     let mut failure = None;
     let RaveWorld { data_services, render_services, network, trace, .. } = &mut sim.world;
     let ds = data_services.get_mut(&ds_id).unwrap_or_else(|| panic!("no data service {ds_id}"));
+    let host_of = |rs| render_services.get(&rs).map(|service| service.host.as_str());
     for (origin, update) in updates {
         let stamped = ds.stamp(&origin, update);
-        match ds.commit(now.as_secs(), &stamped) {
+        match ds.publish(now, batch.len() as u32, &stamped, network, host_of) {
             Ok(checkpoint) => {
                 if let Some((seq, result)) = checkpoint {
                     let ds = ds_id;
@@ -376,10 +378,7 @@ pub fn publish_batch(
     for (&seq, origin) in seqs.iter().zip(origins) {
         trace.record(now, TraceEvent::UpdatePublished { ds: ds_id, seq, origin });
     }
-    let waves = ds.plan_deliveries(now, &batch, network, |rs| {
-        render_services.get(&rs).map(|service| service.host.as_str())
-    });
-    for Wave { at, deliveries } in waves {
+    for Wave { at, deliveries } in ds.finish_batch(&batch) {
         sim.schedule_at(at, move |sim| deliver_wave(sim, &deliveries));
     }
     match failure {

@@ -67,17 +67,10 @@ impl InterestSet {
     /// subtree (a root itself included), or an ancestor of a root? Costs
     /// the node's depth, and for an inner node one interval test per root.
     pub fn contains(&self, id: NodeId, tree: &SceneTree) -> bool {
-        if self.all {
+        if self.all || self.holds_inside(id, tree) {
             return true;
         }
         let Some((pos, len)) = tree.preorder_interval(id) else { return false };
-        let mut at = Some(id);
-        while let Some(n) = at {
-            if self.roots.contains(&n) {
-                return true;
-            }
-            at = tree.node(n).and_then(|n| n.parent());
-        }
         let inside = pos..pos + len;
         len > 1
             && self
@@ -86,12 +79,24 @@ impl InterestSet {
                 .any(|r| tree.preorder_interval(*r).is_some_and(|(at, _)| inside.contains(&at)))
     }
 
-    /// Should `update` be delivered to the subscriber holding this set?
+    /// Is a root of this set `id` or one of its ancestors in `tree`: does
+    /// the subscription hold `id` as content, not only to orient a root?
+    /// Costs the node's depth.
+    fn holds_inside(&self, id: NodeId, tree: &SceneTree) -> bool {
+        tree.lineage(id).any(|n| self.roots.contains(&n))
+    }
+
+    /// Should `update` be delivered to the subscriber holding this set,
+    /// judged against `tree` as it stands? The data service asks it of the
+    /// master just before the update's own commit, so a removal is judged
+    /// while its target is still there.
     ///
-    /// `AddNode` is judged by its *parent* (a child added inside a
-    /// subscribed subtree matters; the new id is not in the tree yet).
-    /// Everything else is judged by its target. Two conservative
-    /// rules widen delivery:
+    /// An `AddNode` reaches the subscriptions that will hold the new node:
+    /// those with a root at or above its *parent*, and those that already
+    /// list the new id as a root. A subscriber that holds the parent only
+    /// to orient a root is not sent it: its interest closure never holds
+    /// such a node. Everything else is judged by its target
+    /// ([`InterestSet::contains`]). Two conservative rules widen delivery:
     /// - updates to unknown nodes are delivered (a replica must not
     ///   silently diverge);
     /// - *presence* nodes (avatars and cameras) are relevant to every
@@ -109,18 +114,16 @@ impl InterestSet {
         if self.all {
             return true;
         }
-        let presence = |id: NodeId| tree.node(id).is_some_and(|n| n.kind_tag().is_presence());
         match update {
             SceneUpdate::AddNode { parent, id, kind, .. } => {
-                kind.tag().is_presence() || presence(*id) || self.contains(*parent, tree)
+                kind.tag().is_presence()
+                    || self.roots.contains(id)
+                    || self.holds_inside(*parent, tree)
             }
-            other => {
-                let t = other.target();
-                if !tree.contains(t) {
-                    return true; // unknown target: deliver conservatively
-                }
-                presence(t) || self.contains(t, tree)
-            }
+            other => match tree.node(other.target()) {
+                None => true, // unknown target: deliver conservatively
+                Some(n) => n.kind_tag().is_presence() || self.contains(n.id(), tree),
+            },
         }
     }
 }
@@ -140,8 +143,6 @@ pub enum Reach {
 /// [`InterestIndex::rebuild`], and stay valid until the next rebuild.
 pub type SubSlot = u32;
 
-const NO_PARENT: u32 = u32::MAX;
-
 /// One unique interest root shared by every subscriber that listed it.
 #[derive(Debug, Clone)]
 struct RootEntry {
@@ -150,48 +151,36 @@ struct RootEntry {
     /// set per subscriber).
     subs: Vec<SubSlot>,
     /// The root's ancestor chain (bottom-up, root excluded) as of the
-    /// last rebuild/repair — keyed by stable ids, so it survives
-    /// pre-order position shifts and is only recomputed when a structural
-    /// edit touched the root or one of these ancestors.
+    /// last rebuild/repair — keyed by stable ids, so it is only recomputed
+    /// when a structural edit touched the root or one of these ancestors.
     chain: Vec<NodeId>,
-}
-
-/// A root's subtree as a pre-order interval `[start, end)`, linked to its
-/// nearest enclosing indexed interval. Subtree intervals of one pre-order
-/// form a *laminar* family — any two are nested or disjoint, never
-/// partially overlapping — so "all intervals containing position p" is
-/// exactly the parent chain upward from the innermost one.
-#[derive(Debug, Clone, Copy)]
-struct Interval {
-    start: u32,
-    end: u32,
-    /// Index into `InterestIndex::roots`.
-    entry: u32,
-    /// Index of the nearest enclosing interval, `NO_PARENT` at top level.
-    parent: u32,
 }
 
 /// The inverted interest index: instead of asking every subscriber's
 /// [`InterestSet`] whether one update is relevant (O(subscribers) probes
 /// per update), index the subscriptions once and ask which
-/// subscribers one update reaches — O(log roots + matches) per update.
+/// subscribers one update reaches — O(depth + matches) per update.
 ///
 /// Layout: subscribers with `everything` interest live in a bitset;
-/// subtree interests become pre-order intervals (stabbed by binary search
-/// plus a parent-chain walk, see `Interval`); ancestor-of-root interest
-/// ("the parent nodes to orientate the scene subset", §3.2.5) is a
-/// hash-map from ancestor id to subscriber slots. Decisions are
-/// bit-for-bit those of [`InterestSet::relevant`] — proptest-pinned in
+/// subtree interests are a hash-map from root id to the slots that list
+/// it, probed once per node on the walk from the update's point up to the
+/// scene root (a point lies in subtree(r) exactly when r is on its
+/// lineage); ancestor-of-root interest ("the parent nodes to orientate the
+/// scene subset", §3.2.5) is a hash-map from ancestor id to subscriber
+/// slots. Nothing is keyed by pre-order position, so a structural edit
+/// costs the index no rebuild of the tree's structure cache, however many
+/// are routed between commits. Decisions are bit-for-bit those of
+/// [`InterestSet::relevant`] — proptest-pinned in
 /// `tests/proptest_interest.rs`.
 ///
 /// Maintenance is incremental: the owner reads the tree's `Structure`
 /// edits since its last read ([`SceneTree::changes_since`]) into
-/// [`InterestIndex::repair`], which re-resolves intervals (O(roots) id lookups) and recomputes only
-/// the ancestor chains the dirty ids could have changed; and a
-/// subscriber that gains or drops one root (a migration) is one
-/// [`InterestIndex::add_root`] / [`InterestIndex::remove_root`], which
-/// touch that root's entry and the slot lists along its chain and renumber
-/// nobody. Only a change of the subscriber population needs a rebuild.
+/// [`InterestIndex::repair`], which recomputes only the ancestor chains
+/// the dirty ids could have changed; and a subscriber that gains or drops
+/// one root (a migration) is one [`InterestIndex::add_root`] /
+/// [`InterestIndex::remove_root`], which touch that root's entry and the
+/// slot lists along its chain and renumber nobody. Only a change of the
+/// subscriber population needs a rebuild.
 #[derive(Debug, Clone, Default)]
 pub struct InterestIndex {
     n_subs: usize,
@@ -200,13 +189,6 @@ pub struct InterestIndex {
     roots: Vec<RootEntry>,
     /// Root id → its entry in `roots`.
     entry_of: IdMap<u32>,
-    /// Resolved intervals, sorted by (start asc, end desc) — enclosing
-    /// intervals sort before enclosed ones.
-    intervals: Vec<Interval>,
-    /// `roots` gained or lost an entry since `intervals` were resolved:
-    /// they are resolved again before the next stab, once for however many
-    /// entries came and went.
-    intervals_stale: bool,
     /// Ancestor id → subscriber slots owed the node because it orients
     /// one of their interest roots, ascending, each with the number of
     /// (root, chain) pairs that owe it: a root changing hands finds its
@@ -261,16 +243,14 @@ impl InterestIndex {
         self.n_subs = n;
         self.everything.resize(n.div_ceil(64), 0);
         for e in &mut self.roots {
-            e.chain = if tree.contains(e.root) { tree.ancestors(e.root) } else { Vec::new() };
+            e.chain = tree.ancestors(e.root);
         }
         self.rebuild_ancestor_map();
-        self.resolve_intervals(tree);
     }
 
-    /// Fold a batch of structural edits into the index. Intervals are
-    /// re-resolved against the current pre-order; a root's ancestor chain
-    /// is recomputed only if the batch touched the root or a node of its
-    /// recorded chain — sufficient, because an edit moving node `x` moves
+    /// Fold a batch of structural edits into the index: a root's ancestor
+    /// chain is recomputed only if the batch touched the root or a node of
+    /// its recorded chain — sufficient, because an edit moving node `x` moves
     /// exactly `subtree(x)`, and root `r ∈ subtree(x)` iff `x` is `r` or
     /// on `r`'s chain as recorded before the edit.
     pub fn repair(&mut self, tree: &SceneTree, dirt: &Dirt) {
@@ -288,7 +268,7 @@ impl InterestIndex {
             if !affected {
                 continue;
             }
-            let chain = if tree.contains(e.root) { tree.ancestors(e.root) } else { Vec::new() };
+            let chain = tree.ancestors(e.root);
             if chain != e.chain {
                 e.chain = chain;
                 chains_changed = true;
@@ -297,7 +277,6 @@ impl InterestIndex {
         if chains_changed {
             self.rebuild_ancestor_map();
         }
-        self.resolve_intervals(tree);
     }
 
     fn holds_everything(&self, sub: SubSlot) -> bool {
@@ -309,9 +288,8 @@ impl InterestIndex {
     /// over the edited sets would, with every slot number where it is. The
     /// root's entry gains the slot, and each ancestor on the entry's chain
     /// one occurrence of it; a root new to the index gains its entry (chain
-    /// read off `tree` as it stands) and, before the next stab, its
-    /// interval. An `everything` subscriber is indexed by its bit alone,
-    /// as in a rebuild.
+    /// read off `tree` as it stands). An `everything` subscriber is indexed
+    /// by its bit alone, as in a rebuild.
     pub fn add_root(&mut self, tree: &SceneTree, sub: SubSlot, root: NodeId) {
         debug_assert!((sub as usize) < self.n_subs, "slot {sub} of {}", self.n_subs);
         if self.holds_everything(sub) {
@@ -321,10 +299,8 @@ impl InterestIndex {
             Some(&e) => e as usize,
             None => {
                 let e = self.roots.len();
-                let chain = if tree.contains(root) { tree.ancestors(root) } else { Vec::new() };
-                self.roots.push(RootEntry { root, subs: Vec::new(), chain });
+                self.roots.push(RootEntry { root, subs: Vec::new(), chain: tree.ancestors(root) });
                 self.entry_of.insert(root, e as u32);
-                self.intervals_stale = true;
                 e
             }
         };
@@ -368,17 +344,20 @@ impl InterestIndex {
             if let Some(moved) = self.roots.get(e as usize) {
                 self.entry_of.insert(moved.root, e);
             }
-            self.intervals_stale = true;
         }
     }
 
-    /// Which subscribers must `update` reach? Presence (avatar/camera)
-    /// updates and updates to unknown targets reach [`Reach::Everyone`],
-    /// reported without listing anyone; otherwise `out` is filled with the
-    /// matching slots in ascending order ([`Reach::Slots`]), `AddNode`
-    /// judged by its parent and everything else by its target. Decision
-    /// per slot is identical to [`InterestSet::relevant`]. With no
-    /// subscribers nothing is reached.
+    /// Which subscribers must `update` reach, judged against `tree` as it
+    /// stands? Presence (avatar/camera) updates and updates to unknown
+    /// targets reach [`Reach::Everyone`], reported without listing anyone;
+    /// otherwise `out` is filled with the matching slots in ascending order
+    /// ([`Reach::Slots`]): the `everything` subscribers, the holders of
+    /// every root on the walk from the point up to the scene root, and
+    /// then, for an `AddNode` (whose point is its parent), the holders of
+    /// the new id as a root, for anything else (whose point is its target)
+    /// the subscribers the target orients. Decision per slot is identical
+    /// to [`InterestSet::relevant`]. With no subscribers nothing is
+    /// reached.
     pub fn matches(
         &mut self,
         update: &SceneUpdate,
@@ -389,50 +368,30 @@ impl InterestIndex {
         if self.n_subs == 0 {
             return Reach::Slots;
         }
-        let presence = |id: NodeId| tree.node(id).is_some_and(|n| n.kind_tag().is_presence());
-        let point = match update {
+        let (point, added) = match update {
             SceneUpdate::AddNode { parent, id, kind, .. } => {
-                if kind.tag().is_presence() || presence(*id) {
-                    None // presence join: everyone renders the new collaborator
-                } else {
-                    Some(*parent)
+                if kind.tag().is_presence() {
+                    return Reach::Everyone; // everyone renders the new collaborator
                 }
+                (*parent, Some(*id))
             }
-            other => Some(other.target()).filter(|&t| tree.contains(t) && !presence(t)),
+            other => match tree.node(other.target()) {
+                Some(n) if !n.kind_tag().is_presence() => (n.id(), None),
+                _ => return Reach::Everyone, // unknown target or presence
+            },
         };
-        // Unknown target (deliver conservatively) or presence.
-        let Some(p) = point else { return Reach::Everyone };
-        self.scratch.clear();
-        self.scratch.extend_from_slice(&self.everything);
-        if self.intervals_stale {
-            self.resolve_intervals(tree);
+        let Self { everything, roots, entry_of, ancestor_subs, scratch, .. } = self;
+        scratch.clear();
+        scratch.extend_from_slice(everything);
+        let holders = |root: NodeId| entry_of.get(&root).map(|&e| &roots[e as usize].subs);
+        for subs in tree.lineage(point).filter_map(holders) {
+            mark(scratch, subs.iter().copied());
         }
-        if let Some((pos, _)) = tree.preorder_interval(p) {
-            // Stab: the predecessor by start is the innermost candidate;
-            // climb to the first interval containing `pos`, then every
-            // further parent contains it too.
-            let idx = self.intervals.partition_point(|iv| iv.start <= pos);
-            let mut i = match idx {
-                0 => NO_PARENT,
-                _ => (idx - 1) as u32,
-            };
-            while i != NO_PARENT && self.intervals[i as usize].end <= pos {
-                i = self.intervals[i as usize].parent;
-            }
-            while i != NO_PARENT {
-                let iv = self.intervals[i as usize];
-                for &s in &self.roots[iv.entry as usize].subs {
-                    self.scratch[(s / 64) as usize] |= 1u64 << (s % 64);
-                }
-                i = iv.parent;
-            }
+        match added {
+            Some(id) => mark(scratch, holders(id).into_iter().flatten().copied()),
+            None => mark(scratch, ancestor_subs.get(&point).into_iter().flatten().map(|p| p.0)),
         }
-        if let Some(subs) = self.ancestor_subs.get(&p) {
-            for &(s, _) in subs {
-                self.scratch[(s / 64) as usize] |= 1u64 << (s % 64);
-            }
-        }
-        for (w, &bits) in self.scratch.iter().enumerate() {
+        for (w, &bits) in scratch.iter().enumerate() {
             let mut bits = bits;
             while bits != 0 {
                 let b = bits.trailing_zeros();
@@ -459,37 +418,12 @@ impl InterestIndex {
             });
         }
     }
+}
 
-    /// Re-resolve every root to its current pre-order interval (roots no
-    /// longer in the tree drop out), sort, and wire the laminar parent
-    /// links with one monotone stack pass.
-    fn resolve_intervals(&mut self, tree: &SceneTree) {
-        self.intervals_stale = false;
-        self.intervals.clear();
-        for (idx, e) in self.roots.iter().enumerate() {
-            if let Some((pos, len)) = tree.preorder_interval(e.root) {
-                self.intervals.push(Interval {
-                    start: pos,
-                    end: pos + len,
-                    entry: idx as u32,
-                    parent: NO_PARENT,
-                });
-            }
-        }
-        self.intervals.sort_unstable_by(|a, b| a.start.cmp(&b.start).then(b.end.cmp(&a.end)));
-        let mut stack: Vec<u32> = Vec::new();
-        for i in 0..self.intervals.len() {
-            let start = self.intervals[i].start;
-            while let Some(&t) = stack.last() {
-                if self.intervals[t as usize].end <= start {
-                    stack.pop(); // disjoint: closed before we start
-                } else {
-                    break; // laminar + sort order ⇒ the top encloses us
-                }
-            }
-            self.intervals[i].parent = stack.last().copied().unwrap_or(NO_PARENT);
-            stack.push(i as u32);
-        }
+/// Set each slot's bit in `bits`.
+fn mark(bits: &mut [u64], slots: impl Iterator<Item = SubSlot>) {
+    for s in slots {
+        bits[(s / 64) as usize] |= 1u64 << (s % 64);
     }
 }
 
@@ -558,6 +492,26 @@ mod tests {
         assert!(!set.relevant(&outside, &tree));
     }
 
+    /// A node added under a group the set holds only to orient a root is
+    /// outside the set's closure: not sent. One whose id the set already
+    /// lists as a root is inside it, wherever it hangs.
+    #[test]
+    fn an_add_reaches_the_sets_that_will_hold_the_new_node() {
+        let (tree, left, leaf, right) = build_tree();
+        let add = |id, parent| SceneUpdate::AddNode {
+            id: NodeId(id),
+            parent,
+            name: "n".into(),
+            kind: NodeKind::Group,
+        };
+        let set = InterestSet::subtrees([leaf, NodeId(77)]);
+        assert!(set.contains(left, &tree), "`left` orients `leaf`");
+        assert!(!set.relevant(&add(99, left), &tree));
+        assert!(!set.relevant(&add(99, tree.root()), &tree));
+        assert!(set.relevant(&add(99, leaf), &tree));
+        assert!(set.relevant(&add(77, right), &tree), "a listed root arrives");
+    }
+
     #[test]
     fn unknown_target_delivered_conservatively() {
         let (tree, left, ..) = build_tree();
@@ -600,31 +554,43 @@ mod tests {
     #[test]
     fn index_matches_naive_scan() {
         let (tree, left, leaf, right) = build_tree();
+        let pending = NodeId(tree.id_allocator_state());
         let sets = [
             InterestSet::everything(),
             InterestSet::subtrees([left]),
             InterestSet::subtrees([right]),
             InterestSet::subtrees([leaf]),
             InterestSet::subtrees([left, right]),
+            InterestSet::subtrees([pending, leaf]),
         ];
         let mut ix = InterestIndex::new();
         ix.rebuild(&tree, sets.iter());
+        let add = |id, parent| SceneUpdate::AddNode {
+            id,
+            parent,
+            name: "n".into(),
+            kind: NodeKind::Group,
+        };
         let updates = [
             SceneUpdate::SetName { id: left, name: "l".into() },
             SceneUpdate::SetName { id: leaf, name: "f".into() },
             SceneUpdate::SetName { id: right, name: "r".into() },
             SceneUpdate::SetTransform { id: tree.root(), transform: Transform::IDENTITY },
             SceneUpdate::RemoveNode { id: NodeId(999) }, // unknown: everyone
-            SceneUpdate::AddNode {
-                id: NodeId(50),
-                parent: leaf,
-                name: "n".into(),
-                kind: NodeKind::Group,
-            },
+            SceneUpdate::RemoveNode { id: leaf },
+            add(NodeId(50), leaf),
+            // Under a group `leaf`'s subscribers hold only for orientation.
+            add(NodeId(51), left),
+            add(NodeId(52), tree.root()),
+            // A root a subscriber lists before the tree holds it.
+            add(pending, right),
+            add(pending, NodeId(999)),
         ];
         for u in &updates {
             assert_eq!(indexed(&mut ix, u, &tree), naive(&sets, u, &tree), "update {u:?}");
         }
+        assert_eq!(indexed(&mut ix, &updates[7], &tree), vec![0, 1, 4], "not `leaf`'s");
+        assert_eq!(indexed(&mut ix, &updates[9], &tree), vec![0, 2, 4, 5]);
     }
 
     #[test]

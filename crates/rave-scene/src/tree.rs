@@ -1032,17 +1032,15 @@ impl SceneTree {
 
     /// Ancestors from the node's parent up to and including the root.
     pub fn ancestors(&self, id: NodeId) -> Vec<NodeId> {
-        let mut out = Vec::new();
-        let Some(mut cur) = self.slot(id) else { return out };
-        loop {
-            let p = self.hot[cur as usize].parent;
-            if p == NIL {
-                break;
-            }
-            out.push(self.hot[p as usize].id);
-            cur = p;
-        }
-        out
+        self.lineage(id).skip(1).collect()
+    }
+
+    /// The node itself, then its ancestors up to and including the root,
+    /// walked over the parent links: one id lookup, however deep. Empty
+    /// for an id the tree does not hold.
+    pub fn lineage(&self, id: NodeId) -> impl Iterator<Item = NodeId> + '_ {
+        let up = |&s: &u32| Some(self.hot[s as usize].parent).filter(|&p| p != NIL);
+        std::iter::successors(self.slot(id), up).map(|s| self.hot[s as usize].id)
     }
 
     /// The composed local-to-world matrix for a node.

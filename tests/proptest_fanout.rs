@@ -3,19 +3,22 @@
 //! delivery lists — to a reference that works the way the fan-out is
 //! specified: one (subscriber, update) pair at a time, by name.
 //!
-//! The reference is built only on `DataService::route_naive` over
-//! refreshed interests, `Network::transfer_time`/`segment_of`, and a
+//! The reference is built only on `DataService::route_naive` — asked of a
+//! copy of the data service that replays each batch, just before each
+//! update's commit — `Network::transfer_time`/`segment_of`, and a
 //! per-(data service, render service) high-water map. Random topologies,
 //! subscriber populations and batch sequences (published back to back
 //! without draining, with structural edits, presence updates that reach
 //! every subscriber, mid-batch commit failures and subscription churn in
 //! between) must produce the same delivery schedule, the same
 //! `FanoutTotals` and the same bootstrap catch-up: the log past each
-//! bootstrapping subscriber's snapshot.
+//! bootstrapping subscriber's snapshot. Independently of any routing rule,
+//! every subset replica that was sent all it was owed ends holding exactly
+//! the master's interest closure.
 
 use proptest::prelude::*;
 use rave::core::bootstrap::snapshot_for;
-use rave::core::data_service::{FanoutTotals, SubState};
+use rave::core::data_service::{DataService, FanoutTotals, SubState};
 use rave::core::trace::{TraceEvent, TraceKind};
 use rave::core::world::{publish_batch, RaveSim, RaveWorld};
 use rave::core::{DataServiceId, RaveConfig, RenderServiceId};
@@ -123,6 +126,15 @@ enum Op {
     Remove {
         pick: usize,
     },
+    /// A `SetTransform` of a node and its `RemoveNode`, back to back.
+    MoveThenRemove {
+        pick: usize,
+    },
+    /// An `AddNode` under a group that a subset subscriber holds only to
+    /// orient one of its roots. Nothing when no subscriber has one.
+    AddAbove {
+        pick: usize,
+    },
     /// A collaborator's camera move (`CameraMoved`) or pose
     /// (`SetTransform`) on an avatar: presence, routed to every
     /// subscriber. Nothing when no avatar is left.
@@ -147,6 +159,8 @@ fn op_strategy() -> impl Strategy<Value = Op> {
         any::<usize>().prop_map(|pick| Op::Move { pick }),
         any::<usize>().prop_map(|parent_pick| Op::Add { parent_pick }),
         any::<usize>().prop_map(|pick| Op::Remove { pick }),
+        any::<usize>().prop_map(|pick| Op::MoveThenRemove { pick }),
+        any::<usize>().prop_map(|pick| Op::AddAbove { pick }),
         (any::<usize>(), any::<bool>()).prop_map(|(pick, camera)| Op::Presence { pick, camera }),
         (any::<usize>(), any::<bool>()).prop_map(|(pick, camera)| Op::Presence { pick, camera }),
         any::<usize>().prop_map(|parent_pick| Op::Join { parent_pick }),
@@ -195,6 +209,21 @@ fn step_strategy() -> impl Strategy<Value = Step> {
     ]
 }
 
+/// The non-root nodes of `tree` that a subset subscriber holds only to
+/// orient one of its roots: strict ancestors of a root, no root at or
+/// above them. Ascending.
+fn orientation_only(tree: &SceneTree, service: &DataService) -> Vec<NodeId> {
+    let mut above = BTreeSet::new();
+    for sub in service.subscribers().values().filter(|s| !s.interest.is_everything()) {
+        let roots: BTreeSet<NodeId> = sub.interest.roots().collect();
+        for &root in &roots {
+            let chain = tree.ancestors(root).into_iter().filter(|&a| a != tree.root());
+            above.extend(chain.filter(|&a| !tree.lineage(a).any(|n| roots.contains(&n))));
+        }
+    }
+    above.into_iter().collect()
+}
+
 /// Turn ops into updates against a planning clone of the master, so a
 /// later pick never names a node an earlier update of the batch removed.
 /// Returns the updates and how many of them the master will commit.
@@ -204,27 +233,45 @@ fn plan_batch(sim: &mut RaveSim, ds: DataServiceId, ops: &[Op]) -> (Vec<SceneUpd
     let mut committed = None;
     for op in ops {
         let nodes: Vec<NodeId> = planned.descendants(planned.root());
-        let update = match *op {
+        let victims: Vec<NodeId> = nodes.iter().copied().filter(|&n| n != planned.root()).collect();
+        let victim = |pick: usize| victims.get(pick % victims.len().max(1)).copied();
+        let planned_updates = match *op {
             Op::Rename { pick, len } => {
-                SceneUpdate::SetName { id: nodes[pick % nodes.len()], name: "n".repeat(len) }
+                vec![SceneUpdate::SetName { id: nodes[pick % nodes.len()], name: "n".repeat(len) }]
             }
-            Op::Move { pick } => SceneUpdate::SetTransform {
+            Op::Move { pick } => vec![SceneUpdate::SetTransform {
                 id: nodes[pick % nodes.len()],
                 transform: Transform::from_translation(Vec3::new(pick as f32, 0.0, 1.0)),
-            },
-            Op::Add { parent_pick } => SceneUpdate::AddNode {
+            }],
+            Op::Add { parent_pick } => vec![SceneUpdate::AddNode {
                 id: sim.world.data_mut(ds).scene.allocate_id(),
                 parent: nodes[parent_pick % nodes.len()],
                 name: "added".into(),
                 kind: NodeKind::Group,
+            }],
+            Op::Remove { pick } => match victim(pick) {
+                Some(id) => vec![SceneUpdate::RemoveNode { id }],
+                None => continue, // only the root is left
             },
-            Op::Remove { pick } => {
-                let victims: Vec<NodeId> =
-                    nodes.iter().copied().filter(|&n| n != planned.root()).collect();
-                match victims.get(pick % victims.len().max(1)) {
-                    Some(&id) => SceneUpdate::RemoveNode { id },
-                    None => continue, // only the root is left
+            Op::MoveThenRemove { pick } => match victim(pick) {
+                Some(id) => {
+                    let transform = Transform::from_translation(Vec3::new(0.0, pick as f32, 2.0));
+                    vec![
+                        SceneUpdate::SetTransform { id, transform },
+                        SceneUpdate::RemoveNode { id },
+                    ]
                 }
+                None => continue,
+            },
+            Op::AddAbove { pick } => {
+                let above = orientation_only(&planned, sim.world.data(ds));
+                let Some(&parent) = above.get(pick % above.len().max(1)) else { continue };
+                vec![SceneUpdate::AddNode {
+                    id: sim.world.data_mut(ds).scene.allocate_id(),
+                    parent,
+                    name: "above".into(),
+                    kind: NodeKind::Group,
+                }]
             }
             Op::Presence { pick, camera } => {
                 let avatars: Vec<NodeId> = nodes
@@ -234,7 +281,7 @@ fn plan_batch(sim: &mut RaveSim, ds: DataServiceId, ops: &[Op]) -> (Vec<SceneUpd
                     .collect();
                 let Some(&id) = avatars.get(pick % avatars.len().max(1)) else { continue };
                 let position = Vec3::new(pick as f32 % 7.0, 1.0, 2.0);
-                if camera {
+                vec![if camera {
                     let camera = CameraParams { position, ..CameraParams::default() };
                     SceneUpdate::CameraMoved { id, camera }
                 } else {
@@ -242,23 +289,25 @@ fn plan_batch(sim: &mut RaveSim, ds: DataServiceId, ops: &[Op]) -> (Vec<SceneUpd
                         id,
                         transform: Transform::from_translation(position),
                     }
-                }
+                }]
             }
-            Op::Join { parent_pick } => SceneUpdate::AddNode {
+            Op::Join { parent_pick } => vec![SceneUpdate::AddNode {
                 id: sim.world.data_mut(ds).scene.allocate_id(),
                 parent: nodes[parent_pick % nodes.len()],
                 name: "joined".into(),
                 kind: avatar("joined"),
-            },
+            }],
             Op::Fail => {
                 committed.get_or_insert(updates.len());
-                SceneUpdate::RemoveNode { id: NodeId(u64::MAX) }
+                vec![SceneUpdate::RemoveNode { id: NodeId(u64::MAX) }]
             }
         };
-        if committed.is_none() {
-            update.apply(&mut planned).expect("planned against the master's own state");
+        for update in planned_updates {
+            if committed.is_none() {
+                update.apply(&mut planned).expect("planned against the master's own state");
+            }
+            updates.push(update);
         }
-        updates.push(update);
     }
     let committed = committed.unwrap_or(updates.len());
     (updates, committed)
@@ -290,17 +339,25 @@ struct Reference {
 
 impl Reference {
     /// Book the updates a `publish_batch` at `now` committed, one
-    /// (subscriber, update) pair at a time.
-    fn publish(&mut self, sim: &RaveSim, ds: DataServiceId, committed: &[StampedUpdate]) {
+    /// (subscriber, update) pair at a time. `replay` is a copy of the data
+    /// service as it stood before the batch: each update is routed against
+    /// it just before the copy commits that update.
+    fn publish(
+        &mut self,
+        sim: &RaveSim,
+        ds: DataServiceId,
+        mut replay: DataService,
+        committed: &[StampedUpdate],
+    ) {
         let now = sim.now();
         let net = &sim.world.network;
-        let service = sim.world.data(ds);
         let mut per_sub: BTreeMap<RenderServiceId, Expected> = BTreeMap::new();
         for stamped in committed {
             self.log.push(stamped.seq);
             let bytes = stamped.wire_size();
             let targets: Vec<RenderServiceId> =
-                service.route_naive(stamped).into_iter().filter(|rs| self.live[rs]).collect();
+                replay.route_naive(stamped).into_iter().filter(|rs| self.live[rs]).collect();
+            replay.commit(now.as_secs(), stamped).expect("the master committed it");
             if targets.is_empty() {
                 continue;
             }
@@ -364,6 +421,11 @@ struct Run {
     /// The reference's replicas, as bootstrapped: `Reference::rows`
     /// applies its schedule to them.
     replicas: BTreeMap<RenderServiceId, SceneTree>,
+    /// Subscribers live since their snapshot and never unsubscribed, whose
+    /// replicas were sent everything they were owed, each with its roots'
+    /// ancestor chains as snapshotted. No update reparents a node, so a
+    /// chain holds as long as its root lives.
+    in_step: BTreeMap<RenderServiceId, BTreeSet<NodeId>>,
     /// Distinct arrival instants the reference computed, summed over the
     /// batches published.
     instants: u64,
@@ -384,7 +446,7 @@ fn run_case(
     let ds_host = hosts[0].clone();
     let ds = sim.world.spawn_data_service(&ds_host, "session");
 
-    let seed_nodes: Vec<NodeId> = {
+    let (seed_nodes, held) = {
         let scene = &mut sim.world.data_mut(ds).scene;
         for (b, &depth) in seed_depths.iter().enumerate() {
             let mut at = scene.root();
@@ -392,22 +454,29 @@ fn run_case(
                 at = scene.add_node(at, format!("b{b}d{d}"), NodeKind::Group).unwrap();
             }
         }
+        // A group that only orients the node under it.
+        let (root, first) = (scene.root(), scene.descendants(scene.root())[1]);
+        let orient = scene.add_node(root, "orient", NodeKind::Group).unwrap();
+        let held = scene.add_node(orient, "held", NodeKind::Group).unwrap();
         // Collaborators already in the session: one at the top, one
         // inside the first branch.
-        let (root, first) = (scene.root(), scene.descendants(scene.root())[1]);
         scene.add_node(root, "avatar-a", avatar("a")).unwrap();
         scene.add_node(first, "avatar-b", avatar("b")).unwrap();
-        scene.descendants(scene.root())
+        let nodes = scene.descendants(scene.root());
+        let held = nodes.iter().position(|&n| n == held).expect("seeded");
+        (nodes, held)
     };
 
-    // The drawn population, then the fixed cases: a subscriber on the
-    // data service's own host, one on a host that is not on the
-    // network, and a subscribed id with no service behind it.
+    // The drawn population, then the fixed cases: a live subscriber of
+    // `held` alone, a subscriber on the data service's own host, one on a
+    // host that is not on the network, and a subscribed id with no service
+    // behind it.
     let everything = |host: &str| (host.to_string(), None, true);
     let mut population: Vec<(String, Option<Vec<usize>>, bool)> = population
         .iter()
         .map(|s| (hosts[s.host_pick % hosts.len()].clone(), s.interest.clone(), s.live))
         .collect();
+    population.push((hosts[hosts.len() - 1].clone(), Some(vec![held]), true));
     population.push(everything(&ds_host));
     population.push(everything(OFF_NET_HOST));
     population.push(everything(&hosts[hosts.len() - 1]));
@@ -450,11 +519,18 @@ fn run_case(
     model.live.insert(NO_SUCH_SERVICE, true);
     interests.insert(NO_SUCH_SERVICE, InterestSet::everything());
     let subscribers: Vec<RenderServiceId> = model.live.keys().copied().collect();
+    let mut in_step: BTreeMap<RenderServiceId, BTreeSet<NodeId>> = BTreeMap::new();
+    for (rs, _) in model.live.iter().filter(|(_, live)| **live) {
+        let scene = &sim.world.data(ds).scene;
+        let chains = interests[rs].roots().flat_map(|r| scene.ancestors(r)).collect();
+        in_step.insert(*rs, chains);
+    }
 
-    // Every run has a structural edit, a subscriber that is away while
-    // a big update of its is still on the wire, batches that mix
-    // presence with scoped and structural updates, and a mid-batch
-    // failure, whatever was drawn.
+    // Every run has structural edits (an add under a group a subset
+    // subscriber holds only for orientation, and a node moved, then
+    // removed, in one batch), a subscriber that is away while a big update
+    // of its is still on the wire, batches that mix presence with scoped
+    // and structural updates, and a mid-batch failure, whatever was drawn.
     let far = subscribers.len() - 2; // the last one spawned
     let root_rename = |len| Step::Batch(vec![Op::Rename { pick: 0, len }]);
     let mut steps = steps;
@@ -465,6 +541,8 @@ fn run_case(
                 Op::Add { parent_pick: 1 },
                 Op::Rename { pick: 0, len: 2500 },
                 Op::Remove { pick: 0 },
+                Op::AddAbove { pick: 0 },
+                Op::MoveThenRemove { pick: 0 },
             ]),
             Step::Unsubscribe { pick: far },
             root_rename(100),
@@ -496,6 +574,7 @@ fn run_case(
                 let before = sim.world.data(ds).audit.last_seq();
                 let batch = updates.into_iter().map(|u| ("editor".to_string(), u)).collect();
                 let (queued, booked) = (sim.pending(), model.deliveries.len());
+                let replay = sim.world.data(ds).clone();
                 let result = publish_batch(&mut sim, ds, batch);
                 let trail = sim.world.data(ds).audit.entries();
                 let batch = &trail[trail.partition_point(|e| e.stamped.seq <= before)..];
@@ -509,7 +588,7 @@ fn run_case(
                     let stamped: Vec<u64> = committed.iter().map(|s| s.seq).collect();
                     prop_assert_eq!(seqs, &stamped);
                 }
-                model.publish(&sim, ds, &committed);
+                model.publish(&sim, ds, replay, &committed);
                 // One event per distinct instant the batch lands at, however
                 // many subscribers it reaches.
                 let landed: BTreeSet<SimTime> =
@@ -524,6 +603,7 @@ fn run_case(
             Step::Unsubscribe { pick } => {
                 let rs = subscribers[pick % subscribers.len()];
                 let was = model.live.remove(&rs).is_some();
+                in_step.remove(&rs);
                 prop_assert_eq!(sim.world.data_mut(ds).unsubscribe(rs), was);
                 model.since.remove(&rs);
             }
@@ -532,6 +612,7 @@ fn run_case(
                 let data = sim.world.data_mut(ds);
                 data.unsubscribe(rs);
                 data.subscribe_live(rs, interests[&rs].clone());
+                in_step.remove(&rs);
                 model.live.insert(rs, true);
                 model.since.remove(&rs);
             }
@@ -557,13 +638,44 @@ fn run_case(
         }
     }
     sim.run();
-    Ok(Run { sim, ds, model, replicas, instants })
+    Ok(Run { sim, ds, model, replicas, in_step, instants })
+}
+
+/// The nodes of `tree` that are not presence and hang under no presence
+/// node, each with its parent. With `roots`, only those a subscription of
+/// them holds: the roots' subtrees and their ancestor chains, and the
+/// scene root.
+fn held_nodes(tree: &SceneTree, roots: Option<&[NodeId]>) -> BTreeMap<NodeId, Option<NodeId>> {
+    let presence = |id| {
+        let kind = |n: NodeId| tree.node(n).map(|n| n.kind_tag());
+        tree.lineage(id).any(|n| kind(n).is_some_and(KindTag::is_presence))
+    };
+    let ids: Vec<NodeId> = match roots {
+        None => tree.descendants(tree.root()),
+        Some(roots) => std::iter::once(tree.root())
+            .chain(
+                roots
+                    .iter()
+                    .flat_map(|&r| tree.descendants(r).into_iter().chain(tree.ancestors(r))),
+            )
+            .collect(),
+    };
+    let parent = |id| tree.node(id).and_then(|n| n.parent());
+    ids.into_iter().filter(|&id| !presence(id)).map(|id| (id, parent(id))).collect()
 }
 
 /// Totals, bootstrap marks and every spawned replica equal the
-/// reference's (after [`Reference::rows`] has applied its schedule).
+/// reference's (after [`Reference::rows`] has applied its schedule). And,
+/// whatever the routing rule, each subset replica in step holds the
+/// master's interest closure — the subtrees of its roots and their ancestor
+/// chains, and the scene root — each node under the parent the master
+/// gives it and the master's copy of every node inside a root's subtree;
+/// beside it, nothing but what is left of the chain of a root the master
+/// removed (the removal took the root, not what oriented it). Presence is
+/// left out: a subset snapshot holds the avatars inside its roots'
+/// subtrees, a live replica also those that joined under a node it holds.
 fn check_quiescent(run: Run) -> TestCaseResult {
-    let Run { sim, ds, model, replicas, .. } = run;
+    let Run { sim, ds, model, replicas, in_step, .. } = run;
     prop_assert_eq!(sim.world.data(ds).fanout, model.totals);
     prop_assert!(model.totals.skipped_receivers >= 2, "the two fixed skips were exercised");
     for (rs, sub) in sim.world.data(ds).subscribers() {
@@ -575,6 +687,30 @@ fn check_quiescent(run: Run) -> TestCaseResult {
     }
     for (rs, replica) in &replicas {
         prop_assert!(&sim.world.render(*rs).scene == replica, "replica of {} differs", rs);
+    }
+    let master = &sim.world.data(ds).scene;
+    for (rs, sub) in sim.world.data(ds).subscribers() {
+        let Some(chains) = in_step.get(rs).filter(|_| !sub.interest.is_everything()) else {
+            continue;
+        };
+        let roots: Vec<NodeId> = sub.interest.roots().collect();
+        let closure = held_nodes(master, Some(&roots));
+        let held = held_nodes(&sim.world.render(*rs).scene, None);
+        for (id, parent) in &closure {
+            prop_assert_eq!(held.get(id), Some(parent), "{} lacks {} under {:?}", rs, id, parent);
+        }
+        let stray: Vec<&NodeId> =
+            held.keys().filter(|id| !closure.contains_key(id) && !chains.contains(id)).collect();
+        prop_assert!(stray.is_empty(), "{} holds {:?} outside its interest closure", rs, stray);
+        let replica = &sim.world.render(*rs).scene;
+        let inside = roots.iter().flat_map(|&r| master.descendants(r));
+        for id in inside.filter(|id| closure.contains_key(id)) {
+            let node = |n: rave::scene::NodeRef| {
+                (n.name().to_string(), n.transform(), n.kind().clone(), n.version())
+            };
+            let (want, got) = (master.node(id).map(node), replica.node(id).map(node));
+            prop_assert!(want == got, "{} holds another {}", rs, id);
+        }
     }
     Ok(())
 }

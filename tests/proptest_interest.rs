@@ -4,7 +4,10 @@
 //! given, taken and moved between subscribers through `add_root` /
 //! `remove_root`, the index's routing decision for any update equals a
 //! naive scan over the `InterestSet`s and that of an index rebuilt from
-//! them. Plus the presence rule as a regression: avatar
+//! them. Roots a subscriber lists before the tree holds them (pending
+//! roots) are given out and then added, and every probe is judged against
+//! the tree as it stands before the update's commit, as the data service
+//! routes it. Plus the presence rule as a regression: avatar
 //! and camera updates reach every subscriber, however narrow its
 //! interest, and full-replica subscribers converge to the master scene
 //! through the batched multicast delivery path.
@@ -80,7 +83,7 @@ fn indexed(ix: &mut InterestIndex, u: &SceneUpdate, tree: &SceneTree) -> Vec<u32
 
 /// The probe battery: one update of every routing class against the
 /// current tree state (plus a remembered dead id for the unknown-target
-/// rule), each checked index-vs-oracle.
+/// rule, and the add of a pending root), each checked index-vs-oracle.
 fn check_probes(
     ix: &mut InterestIndex,
     sets: &[InterestSet],
@@ -88,24 +91,42 @@ fn check_probes(
     removed: &[NodeId],
     salt: usize,
 ) {
-    for u in &probes(tree, removed, salt) {
+    for u in &probes(tree, sets, removed, salt) {
         let got = indexed(ix, u, tree);
         let want = naive(sets, u, tree);
         assert_eq!(got, want, "index diverged from refreshed scan on {u:?}");
     }
 }
 
-fn probes(tree: &mut SceneTree, removed: &[NodeId], salt: usize) -> Vec<SceneUpdate> {
+/// A root some set lists that the tree does not hold yet, if any: neither
+/// in the tree nor removed from it.
+fn pending_root(tree: &SceneTree, sets: &[InterestSet], removed: &[NodeId]) -> Option<NodeId> {
+    sets.iter().flat_map(|s| s.roots()).find(|r| !tree.contains(*r) && !removed.contains(r))
+}
+
+fn probes(
+    tree: &mut SceneTree,
+    sets: &[InterestSet],
+    removed: &[NodeId],
+    salt: usize,
+) -> Vec<SceneUpdate> {
     let nodes: Vec<NodeId> = tree.descendants(tree.root());
     let target = nodes[salt % nodes.len()];
     let parent = nodes[(salt / 7) % nodes.len()];
-    let fresh = tree.allocate_id();
+    let add = |id, name: &str| SceneUpdate::AddNode {
+        id,
+        parent,
+        name: name.into(),
+        kind: NodeKind::Group,
+    };
     let mut probes = vec![
         SceneUpdate::SetName { id: target, name: "probe".into() },
         SceneUpdate::SetTransform { id: tree.root(), transform: Transform::IDENTITY },
-        SceneUpdate::AddNode { id: fresh, parent, name: "p".into(), kind: NodeKind::Group },
+        SceneUpdate::RemoveNode { id: target },
+        add(tree.allocate_id(), "p"),
         SceneUpdate::CameraMoved { id: target, camera: Default::default() },
     ];
+    probes.extend(pending_root(tree, sets, removed).map(|id| add(id, "pending")));
     if let Some(&dead) = removed.last() {
         probes.push(SceneUpdate::SetName { id: dead, name: "ghost".into() });
         probes.push(SceneUpdate::RemoveNode { id: dead });
@@ -180,7 +201,16 @@ fn interest_sets(specs: &[Option<Vec<usize>>], seed_nodes: &[NodeId]) -> Vec<Int
 #[derive(Debug, Clone)]
 enum Step {
     Edit(Edit),
-    Reroot { root_pick: usize, from: Option<usize>, to: Option<usize>, held: bool },
+    Reroot {
+        root_pick: usize,
+        from: Option<usize>,
+        to: Option<usize>,
+        held: bool,
+    },
+    /// The tree gains a root a subscriber already lists, if one is pending.
+    AddPending {
+        parent_pick: usize,
+    },
 }
 
 fn step_strategy() -> impl Strategy<Value = Step> {
@@ -189,7 +219,8 @@ fn step_strategy() -> impl Strategy<Value = Step> {
         (any::<usize>(), who(), who(), any::<bool>())
             .prop_map(|(root_pick, from, to, held)| Step::Reroot { root_pick, from, to, held })
     };
-    prop_oneof![edit_strategy().prop_map(Step::Edit), reroot(), reroot()]
+    let add_pending = any::<usize>().prop_map(|parent_pick| Step::AddPending { parent_pick });
+    prop_oneof![edit_strategy().prop_map(Step::Edit), reroot(), reroot(), add_pending]
 }
 
 proptest! {
@@ -227,7 +258,8 @@ proptest! {
 
     /// A migration storm: interest roots given to, taken from and moved
     /// between subscribers — roots the index already knows (`held`) and
-    /// nodes new to it, live and removed — patched in with `add_root` /
+    /// nodes new to it, live, removed and pending, the pending ones later
+    /// added to the tree — patched in with `add_root` /
     /// `remove_root`, interleaved with structural edits folded in through
     /// `repair`, and never a rebuild. After every step each probe is
     /// answered as the naive scan and as an index rebuilt from
@@ -267,6 +299,7 @@ proptest! {
                     let listed: Vec<NodeId> = sets.iter().flat_map(|s| s.roots()).collect();
                     let mut anywhere: Vec<NodeId> = tree.descendants(tree.root());
                     anywhere.extend(removed.last());
+                    anywhere.push(NodeId(tree.id_allocator_state()));
                     let pool = match held {
                         true if !of_from.is_empty() => &of_from,
                         true if !listed.is_empty() => &listed,
@@ -285,11 +318,20 @@ proptest! {
                         }
                     }
                 }
+                Step::AddPending { parent_pick } => {
+                    if let Some(id) = pending_root(&tree, &sets, &removed) {
+                        let nodes = tree.descendants(tree.root());
+                        let parent = nodes[parent_pick % nodes.len()];
+                        tree.insert_with_id(id, parent, "arrived", NodeKind::Group).unwrap();
+                        let dirt = structure_dirt(&mut tree, &mut seen);
+                        ix.repair(&tree, &dirt);
+                    }
+                }
             }
             prop_assert_eq!(ix.n_subs(), sets.len());
             let mut rebuilt = InterestIndex::new();
             rebuilt.rebuild(&tree, sets.iter());
-            for u in &probes(&mut tree, &removed, step * 31 + 7) {
+            for u in &probes(&mut tree, &sets, &removed, step * 31 + 7) {
                 let got = indexed(&mut ix, u, &tree);
                 prop_assert_eq!(&got, &indexed(&mut rebuilt, u, &tree), "vs a rebuild on {:?}", u);
                 prop_assert_eq!(&got, &naive(&sets, u, &tree), "vs the scan on {:?}", u);
