@@ -60,7 +60,7 @@
 //! `BENCH_QUICK=1` runs smaller populations and fewer rounds.
 
 use bench::harness::{best_of, machine_room, num, obj, quick, secs, Lcg, Report};
-use rave_core::bootstrap::snapshot_for;
+use rave_core::bootstrap::snapshot_parcel;
 use rave_core::collaboration::{join_session, session_tick, Participant};
 use rave_core::data_service::DataService;
 use rave_core::world::{publish_update, RaveWorld};
@@ -199,9 +199,9 @@ fn remove_tick(clients: usize, rng: &mut Lcg) -> RemoveTick {
     for (i, interest) in interests.iter().enumerate() {
         let host = format!("host{}x{}", (i / hosts_per_segment) % segments, i % hosts_per_segment);
         let rs = sim.world.spawn_render_service(&host);
-        let replica = snapshot_for(&sim.world.data(ds).scene, interest);
+        let parcel = snapshot_parcel(&sim.world.data(ds).scene, interest);
         sim.world.data_mut(ds).subscribe_live(rs, interest.clone());
-        sim.world.render_mut(rs).scene = replica;
+        sim.world.render_mut(rs).scene.adopt_parcel(&parcel);
     }
     let leaf = leaves[rng.pick(leaves.len())];
     let scene = &sim.world.data(ds).scene;
@@ -346,7 +346,8 @@ fn time_ticks(
             InterestSet::subtrees([id])
         }
     };
-    let replica = snapshot_for(&sim.world.data(ds).scene, &interest);
+    let mut replica = SceneTree::new();
+    replica.adopt_parcel(&snapshot_parcel(&sim.world.data(ds).scene, &interest));
     let every = services / clients;
     let mut subscribers = Vec::with_capacity(clients);
     for i in 0..services {

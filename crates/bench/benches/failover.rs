@@ -1,6 +1,6 @@
 //! Data-service failover head to head, both sides the live scheduler
-//! path (`handle_data_service_failure`): warm promotion of a log-shipped
-//! standby (`rave_core::replica`) versus the cold path a service without
+//! path (a `SchedEvent::DataFailure` through `process_events`): warm
+//! promotion of a log-shipped standby (`rave_core::replica`) versus the cold path a service without
 //! a standby takes — rebuilt from its durable store
 //! (`bootstrap::recover_data_service`), every subscriber re-bootstrapped
 //! — across scene sizes and lag settings. Both run in the same simulated
@@ -10,8 +10,8 @@
 //! `BENCH_QUICK=1` runs smaller sessions.
 
 use bench::harness::{num, obj, quick, tmp_dir, Report};
-use rave_core::migration::handle_data_service_failure;
 use rave_core::replica::{establish_standby, run_log_shipping, PromotionReport};
+use rave_core::sched::rebalance::{process_events, SchedEvent};
 use rave_core::trace::TraceKind;
 use rave_core::world::{publish_update, RaveWorld};
 use rave_core::{DataServiceId, RaveConfig, RaveSim, RenderServiceId};
@@ -63,7 +63,7 @@ fn fail_and_continue(
     rs: RenderServiceId,
     warm: bool,
 ) -> PromotionReport {
-    let outcome = handle_data_service_failure(sim, primary);
+    let outcome = process_events(sim, primary, &[SchedEvent::DataFailure { service: primary }]);
     assert_eq!(outcome.promotions.len(), 1, "one failover");
     let report = outcome.promotions[0].clone();
     assert_eq!(report.warm, warm, "a linked standby promotes warm, a lone service recovers cold");

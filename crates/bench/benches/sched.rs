@@ -19,7 +19,7 @@
 use bench::harness::{best_of, machine_room, median, num, obj, quick, secs, Lcg, Report};
 use rave_core::capacity::{CapacityReport, Headroom};
 use rave_core::distribution::{plan_distribution, plan_incremental};
-use rave_core::migration::incremental_replan;
+use rave_core::sched::rebalance::incremental_replan;
 use rave_core::sched::PlanState;
 use rave_core::world::{publish_update, RaveSim, RaveWorld};
 use rave_core::{RaveConfig, RenderServiceId};

@@ -9,13 +9,17 @@
 
 use crate::data_service::DataService;
 use crate::ids::{DataServiceId, RenderServiceId};
-use crate::trace::TraceEvent;
+use crate::trace::{RecoveryRow, TraceEvent};
 use crate::world::{RaveSim, RaveWorld};
 use rave_grid::{SoapCodec, SoapEnvelope, SoapValue};
 use rave_scene::introspect::{marshal_direct, marshal_introspective, MarshalStats};
-use rave_scene::{InterestSet, NodeId, Parcel, SceneTree};
+use rave_scene::{InterestSet, Parcel, SceneTree};
 use rave_sim::SimTime;
 use std::path::Path;
+
+#[doc(hidden)]
+#[allow(deprecated)]
+pub use crate::frozen::snapshot_for;
 
 /// Introspection marshalling rates for scene bootstrap (§5.5): the
 /// Java-reflection path, seconds per field visit and per byte. Calibrated
@@ -130,7 +134,7 @@ pub(crate) fn connect_at(
             for e in missed {
                 // The trail holds every update, not only this interest's;
                 // one to a node the replica does not hold is refused.
-                e.stamped.update.try_apply(&mut rs.scene);
+                rs.apply_update(&e.stamped.update);
             }
             let replayed = missed.len();
             trace.record(now, TraceEvent::Bootstrapped { rs: rs_id, ds: ds_id, replayed });
@@ -190,7 +194,7 @@ pub fn recover_data_service(
     ds.seed_from(&rec);
     ds.attach_store(dir, cfg)?;
     sim.world.install_data_service(ds);
-    let row = TraceEvent::Recovered {
+    let row = RecoveryRow {
         failed,
         new: new_id,
         host: host.into(),
@@ -201,7 +205,7 @@ pub fn recover_data_service(
         replayed: rec.entries.len(),
         subscribers: failed_ds.subscribers().len(),
     };
-    sim.world.trace.record(sim.now(), row);
+    sim.world.trace.record(sim.now(), TraceEvent::Recovered { row: Box::new(row) });
     for (&rs_id, sub) in failed_ds.subscribers() {
         connect_render_service(sim, rs_id, new_id, sub.interest.clone());
     }
@@ -212,24 +216,13 @@ pub fn recover_data_service(
 /// with ancestor orientation (§3.2.5). A subset carries no presence node
 /// outside that closure, so the avatars hanging off the root are not in
 /// it: such a replica holds only the avatars whose `AddNode` reached it
-/// live (`InterestSet::relevant`).
-fn snapshot_parcel(scene: &SceneTree, interest: &InterestSet) -> Parcel {
+/// live (`InterestSet::relevant`). A replica built outside a bootstrap is
+/// a fresh tree that adopts this parcel.
+pub fn snapshot_parcel(scene: &SceneTree, interest: &InterestSet) -> Parcel {
     if interest.is_everything() {
         scene.extract_parcel(&[scene.root()])
     } else {
         scene.extract_parcel(&interest.roots().collect::<Vec<_>>())
-    }
-}
-
-/// The closure a bootstrap ships, as a standalone tree: the master's clone
-/// or [`SceneTree::extract_subset`]. Kept for `benchmark/`'s
-/// `collab_fanout`, `crates/bench`'s `collab_scale` and tests.
-pub fn snapshot_for(scene: &SceneTree, interest: &InterestSet) -> SceneTree {
-    if interest.is_everything() {
-        scene.clone()
-    } else {
-        let roots: Vec<NodeId> = interest.roots().collect();
-        scene.extract_subset(&roots)
     }
 }
 
@@ -244,11 +237,12 @@ pub fn marshal_comparison(scene: &SceneTree) -> (SimTime, SimTime, MarshalStats)
 mod tests {
     use super::*;
     use crate::data_service::SubState;
+    use crate::sched::rebalance::{process_events, SchedEvent};
     use crate::trace::TraceKind;
     use crate::world::publish_update;
     use crate::RaveConfig;
     use rave_math::Vec3;
-    use rave_scene::{MeshData, NodeKind, SceneUpdate};
+    use rave_scene::{MeshData, NodeId, NodeKind, SceneUpdate};
     use rave_sim::Simulation;
     use std::sync::Arc;
 
@@ -361,9 +355,9 @@ mod tests {
         let master = &sim.world.data(ds).scene;
         assert!(sim.world.render(full_rs).scene == *master, "the full replica is the master");
         let replica = &sim.world.render(subset_rs).scene;
-        let want = snapshot_for(master, &subset);
-        assert!(want.contains(leaf));
-        for id in want.descendants(want.root()) {
+        let want: Vec<NodeId> = master.extract_parcel(&[branch]).nodes().map(|n| n.id).collect();
+        assert!(want.contains(&leaf));
+        for id in want {
             let (m, r) = (master.node(id).unwrap(), replica.node(id).expect("held"));
             assert_eq!((r.name(), r.kind(), r.version()), (m.name(), m.kind(), m.version()));
             assert_eq!(r.transform(), m.transform(), "{id}");
@@ -470,6 +464,21 @@ mod tests {
         std::fs::remove_dir_all(&dir).unwrap();
     }
 
+    /// The standalone tree a bootstrap shipped before it shipped a parcel:
+    /// the master's clone, or a fresh tree with the master's root transform
+    /// that holds the interest closure. Kept as the oracle of the test
+    /// below.
+    fn snapshot_tree(scene: &SceneTree, interest: &InterestSet) -> SceneTree {
+        if interest.is_everything() {
+            return scene.clone();
+        }
+        let mut out = SceneTree::new();
+        let root_transform = scene.node(scene.root()).unwrap().transform();
+        out.node_mut(out.root()).unwrap().set_transform(root_transform);
+        out.adopt_parcel(&scene.extract_parcel(&interest.roots().collect::<Vec<_>>()));
+        out
+    }
+
     /// A bootstrap ships one parcel, and marshalling it costs what the
     /// snapshot tree it replaced cost: the same bytes, field visits and
     /// interface checks, for the whole scene and for subsets (one root, and
@@ -496,7 +505,7 @@ mod tests {
         ];
         for interest in interests {
             let scene = &sim.world.data(ds).scene;
-            let want = snapshot_for(scene, &interest);
+            let want = snapshot_tree(scene, &interest);
             let (want_bytes, want_stats) =
                 marshal_introspective(want.descendants_iter(want.root()));
             let shipped = marshal_introspective(snapshot_parcel(scene, &interest).nodes());
@@ -531,7 +540,7 @@ mod tests {
         let rs = sim.world.spawn_render_service("tower");
         connect_render_service(&mut sim, rs, ds, InterestSet::everything());
 
-        let outcome = crate::migration::handle_data_service_failure(&mut sim, ds);
+        let outcome = process_events(&mut sim, ds, &[SchedEvent::DataFailure { service: ds }]);
         let new_ds = outcome.promotions[0].promoted;
         rename(&mut sim, new_ds, id, "renamed".into());
         sim.run();
@@ -549,7 +558,7 @@ mod tests {
         let (mut sim, ds) = sim_with_scene(200_000);
         let rs = sim.world.spawn_render_service("tower");
         connect_render_service(&mut sim, rs, ds, InterestSet::everything());
-        crate::migration::handle_service_failure(&mut sim, ds, rs);
+        process_events(&mut sim, ds, &[SchedEvent::Failure { service: rs }]);
         sim.run();
         assert!(!sim.world.render_services.contains_key(&rs));
         assert!(!sim.world.data(ds).subscribers().contains_key(&rs));

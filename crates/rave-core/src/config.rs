@@ -16,7 +16,7 @@
 //! | `pipeline_depth` | `pipelined_streaming` and the pipeline benches (1–4), `pda_stream` (2) |
 //! | `ship_max_lag` | the failover bench grid, `edit_storm` (0) |
 //! | `update_delivery_trace` | `collab_fanout` and the 10k-subscriber bench (false): at 10k subscribers one update is 10k rows, over twice what the trace keeps |
-//! | `target_fps`, `fill_factor`, `codec_reprobe_every`, `codec_ewma_alpha`, `frame_strip_bytes` | nobody: `benchmark/` *reads* them, so they wait for its refresh (ROADMAP "Unlocked deletions") |
+//! | `target_fps`, `fill_factor`, `codec_reprobe_every`, `codec_ewma_alpha`, `frame_strip_bytes` | nobody: `benchmark/` *reads* them, so they wait for its refresh (ROADMAP "Unlocked deletions"). A field cannot move into `frozen.rs` with the functions that yardstick still names, so these five stay here |
 
 /// How render services ship frames to thin clients and tile owners.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]

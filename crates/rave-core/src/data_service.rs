@@ -16,19 +16,6 @@ use std::io;
 use std::path::Path;
 use std::sync::Arc;
 
-/// The name `benchmark/` recovers a store directory by: it leaves with
-/// that yardstick's refresh (ROADMAP "Unlocked deletions"), as
-/// [`DataService::refresh_interests`] does.
-#[derive(Debug)]
-pub struct StorePersistence;
-
-impl StorePersistence {
-    /// [`rave_store::recover()`]: the latest snapshot plus the WAL tail past it.
-    pub fn recover(dir: impl AsRef<Path>) -> io::Result<Recovery> {
-        rave_store::recover(dir.as_ref())
-    }
-}
-
 /// The latest entries the audit trail keeps for callers reading back a
 /// batch. It holds at most twice this, plus what a bootstrap still needs.
 pub(crate) const KEEP: usize = 1024;
@@ -165,7 +152,7 @@ pub struct DataService {
     index_live: Vec<bool>,
     /// How many of `index_live` are `true`.
     index_live_slots: usize,
-    index_rev: u64,
+    pub(crate) index_rev: u64,
     index_built_rev: u64,
     /// Counts index rebuilds, i.e. slot renumberings.
     index_generation: u64,
@@ -469,14 +456,6 @@ impl DataService {
             .filter(|(_, sub)| sub.interest.relevant(&stamped.update, &self.scene))
             .map(|(rs, _)| *rs)
             .collect()
-    }
-
-    /// Schedule an index rebuild. Nothing needs one: every write to the
-    /// subscriptions schedules its own. (The name is from when each
-    /// interest set also kept a closure this recomputed; `benchmark/`
-    /// calls it by that name.)
-    pub fn refresh_interests(&mut self) {
-        self.index_rev += 1;
     }
 
     /// A migration's effect on who is owed what: `node` joins `to`'s

@@ -12,8 +12,7 @@
 //! | Capacity interrogation (§3.2.5) | [`capacity`] |
 //! | Dataset distribution (§3.2.5) | [`distribution`] |
 //! | Framebuffer/tile distribution (§3.2.5) | [`tiles`] |
-//! | Unified workload scheduler (§3.2.5, §3.2.7) | [`sched`] |
-//! | Workload migration (§3.2.7) | [`migration`] |
+//! | Unified workload scheduler and workload migration (§3.2.5, §3.2.7) | [`sched`] |
 //! | What a migration need not resend (§3.2.7) | [`release_ledger`] |
 //! | Collaboration & avatars (§3.2.4, §5.2) | [`collaboration`] |
 //! | GUI: pick/select/drag + interrogation menus (§5.2) | [`gui`] |
@@ -38,9 +37,10 @@ pub mod data_service;
 mod delivery;
 pub mod distribution;
 pub mod frame_stream;
+#[doc(hidden)]
+mod frozen;
 pub mod gui;
 pub mod ids;
-pub mod migration;
 pub mod release_ledger;
 pub mod render_service;
 pub mod replica;
@@ -54,6 +54,8 @@ pub mod world;
 
 pub use capacity::CapacityReport;
 pub use config::RaveConfig;
-pub use data_service::StorePersistence;
+#[doc(hidden)]
+#[allow(deprecated)]
+pub use frozen::{migration, StorePersistence};
 pub use ids::{ClientId, DataServiceId, RenderServiceId};
 pub use world::{RaveSim, RaveWorld};

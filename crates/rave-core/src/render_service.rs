@@ -11,7 +11,7 @@ use crate::config::RaveConfig;
 use crate::ids::{ClientId, RenderServiceId};
 use rave_math::Viewport;
 use rave_render::{Framebuffer, MachineProfile, OffscreenMode, RenderCost, RenderStats, Renderer};
-use rave_scene::{CameraParams, EditStamp, InterestSet, NodeCost, NodeId, SceneTree};
+use rave_scene::{CameraParams, EditStamp, InterestSet, NodeCost, NodeId, SceneTree, SceneUpdate};
 use rave_sim::{Occupancy, SimTime};
 use std::collections::{BTreeMap, VecDeque};
 
@@ -156,6 +156,54 @@ impl RenderService {
 
     pub fn close_session(&mut self, client: ClientId) -> bool {
         self.sessions.remove(&client).is_some()
+    }
+
+    /// Apply a delivered update to the replica; one naming a node the
+    /// replica does not hold is refused ([`SceneUpdate::try_apply`]). A
+    /// removal takes what is left of the orientation chain above it
+    /// ([`RenderService::release_root`] says which).
+    pub(crate) fn apply_update(&mut self, update: &SceneUpdate) -> bool {
+        let &SceneUpdate::RemoveNode { id } = update else {
+            return update.try_apply(&mut self.scene);
+        };
+        let parent = self.scene.node(id).and_then(|n| n.parent());
+        let applied = update.try_apply(&mut self.scene);
+        if applied {
+            self.prune_chain(parent);
+        }
+        applied
+    }
+
+    /// A root left this service — moved away, or its workload dropped from
+    /// the plan: remove its subtree, stop listing it, and drop what is left
+    /// of the orientation chain it came with. A subset replica holds "the
+    /// parent nodes to orientate the scene subset in the world" (§3.2.5)
+    /// only while something is under them: each ancestor, bottom-up, that
+    /// is not the scene root, has no child and is not covered by the
+    /// interest goes too. A full replica holds everything and drops only
+    /// the subtree.
+    pub(crate) fn release_root(&mut self, root: NodeId) {
+        let parent = self.scene.node(root).and_then(|n| n.parent());
+        let _ = self.scene.remove(root);
+        self.interest.remove_root(root);
+        self.prune_chain(parent);
+    }
+
+    /// Remove, from `from` up, each node that no longer orients anything
+    /// (see [`RenderService::release_root`]).
+    fn prune_chain(&mut self, from: Option<NodeId>) {
+        if self.interest.is_everything() {
+            return;
+        }
+        let mut at = from;
+        while let Some(id) = at.filter(|&id| id != self.scene.root()) {
+            let Some(node) = self.scene.node(id) else { return };
+            if node.child_count() > 0 || self.interest.contains(id, &self.scene) {
+                return;
+            }
+            at = node.parent();
+            let _ = self.scene.remove(id);
+        }
     }
 
     /// Cost of the content this service currently holds.
@@ -665,6 +713,7 @@ mod tests {
         };
         let mut other = SceneTree::new();
         other.insert_with_id(NodeId(40), other.root(), "merged", small()).unwrap();
+        let parcel = other.extract_parcel(&[NodeId(40)]);
         type Edit<'a> = Box<dyn Fn(&mut SceneTree) + 'a>;
         let edits: Vec<(&str, Edit<'_>)> = vec![
             ("set_transform", Box::new(|t| assert!(t.set_transform(NodeId(1), moved(0.3))))),
@@ -682,7 +731,7 @@ mod tests {
                     t.node_mut(NodeId(2)).unwrap().transform_mut().scale = Vec3::splat(2.0)
                 }),
             ),
-            ("merge_subset", Box::new(move |t| t.merge_subset(&other))),
+            ("adopt_parcel", Box::new(move |t| t.adopt_parcel(&parcel))),
             ("remove", Box::new(|t| assert!(t.remove(NodeId(40)).is_ok()))),
         ];
         for (what, edit) in &edits {

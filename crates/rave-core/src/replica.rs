@@ -345,7 +345,8 @@ pub fn promote_standby(
         lost_updates: lost,
         completed_at,
     };
-    sim.world.trace.record(now, TraceEvent::Promoted { seq: standby_last, report: report.clone() });
+    let row = TraceEvent::Promoted { seq: standby_last, report: Box::new(report.clone()) };
+    sim.world.trace.record(now, row);
     Ok(Some(report))
 }
 

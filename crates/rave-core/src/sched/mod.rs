@@ -4,10 +4,10 @@
 //! rendering workloads, and the repro had grown three parallel placement
 //! paths — dataset bin-packing in [`crate::distribution`], tile splitting
 //! with EWMA cost feedback in [`crate::tiles`], volume bricking in
-//! [`crate::volume_dist`] — plus a fourth consumer
-//! ([`crate::migration`]) that re-derived overload/underload/failure
-//! decisions from raw [`crate::capacity::CapacityReport`]s. This module
-//! is the one placement engine all of them now flow through:
+//! [`crate::volume_dist`] — plus a fourth consumer, workload migration,
+//! that re-derived overload/underload/failure decisions from raw
+//! [`crate::capacity::CapacityReport`]s. This module is the one placement
+//! engine all of them now flow through:
 //!
 //! * [`placement`] — capacity-aware first-fit-decreasing bin-packing with
 //!   spatial splitting (subsuming `plan_distribution` + `split_node`),
@@ -30,9 +30,10 @@
 //!
 //! **Parity guarantee**: this is a behaviour-preserving refactor at the
 //! seam. For the seeded paper-testbed scenarios the adapters in
-//! `distribution.rs`, `tiles.rs`, `volume_dist.rs` and `migration.rs`
-//! produce plans identical to the pre-refactor implementations (pinned by
-//! `tests/sched_parity.rs` and the existing unit/property suites).
+//! `distribution.rs`, `tiles.rs` and `volume_dist.rs`, and the migration
+//! events of [`rebalance`], produce plans identical to the pre-refactor
+//! implementations (pinned by `tests/sched_parity.rs` and the existing
+//! unit/property suites).
 
 pub mod feedback;
 pub mod incremental;

@@ -1,18 +1,32 @@
-//! Event-driven rebalancing: every trigger that can change a placement —
-//! overload (§3.2.7), sustained under-load, service failure (§6), and
-//! measured-throughput drift — is one [`SchedEvent`], and every event in
-//! a batch is handled through the same headroom ledger and movement
-//! machinery. Overload and failure re-home their shards through one
-//! routine, `rehome`; `migration.rs` is a thin adapter that detects
-//! conditions and feeds the stream; the decisions themselves — considered
-//! candidates, scores, chosen placement — are recorded as
+//! Workload migration (§3.2.7) as event-driven rebalancing.
+//!
+//! "When a render service becomes overloaded (i.e. its rendering rate
+//! drops below a given threshold), it informs the data server. The data
+//! server then examines available render services to find which service
+//! has spare capacity ... removing nodes or tiles from the overloaded
+//! service and adding them to an alternate service. If there is
+//! insufficient spare capacity, then the data server uses UDDI to
+//! discover additional render services that are not connected to the data
+//! service."
+//!
+//! Every trigger that can change a placement — overload, sustained
+//! under-load, service failure (§6), and measured-throughput drift — is
+//! one [`SchedEvent`], and every event in a batch is handled through the
+//! same headroom ledger and movement machinery. A caller runs the
+//! detectors ([`detect_overload`], [`detect_underload`],
+//! [`detect_cost_drift`]), or names a failure itself, and hands the events
+//! to [`process_events`], which sheds per event, or to
+//! [`incremental_replan`], which folds the batch into the persistent plan.
+//! Overload and failure re-home their shards through one routine,
+//! `rehome`; the decisions themselves — considered candidates, scores,
+//! chosen placement — are recorded as
 //! [`crate::trace::TraceKind::SchedDecision`] events.
 
 use crate::bootstrap::connect_at;
 use crate::ids::{DataServiceId, RenderServiceId};
 use crate::release_ledger::HEADER_BYTES;
 use crate::sched::placement::Ledger;
-use crate::trace::TraceEvent;
+use crate::trace::{DecisionRow, TraceEvent};
 use crate::world::RaveSim;
 use rave_grid::TechnicalModel;
 use rave_net::HostId;
@@ -346,8 +360,8 @@ fn rehome(
     let mut unplaced = Vec::new();
     for (node, cost) in shards {
         let (candidates, chosen) = (ledger.slot_states(), ledger.fit(&cost));
-        let row = TraceEvent::SchedDecision { trigger, node, cost, chosen, candidates };
-        sim.world.trace.record(sim.now(), row);
+        let row = Box::new(DecisionRow { trigger, node, cost, chosen, candidates });
+        sim.world.trace.record(sim.now(), TraceEvent::SchedDecision { row });
         match chosen {
             Some(to) => batch.moves.move_node(sim, node, Some(from), to, &cost),
             None => unplaced.push((node, cost)),
@@ -364,8 +378,8 @@ fn rehome(
         for (node, cost) in std::mem::take(&mut refused) {
             let lands = room.fits(&cost) || overflow == Overflow::Land;
             let (chosen, candidates) = (lands.then_some(recruit), vec![(recruit, room.polygons)]);
-            let row = TraceEvent::SchedDecision { trigger, node, cost, chosen, candidates };
-            sim.world.trace.record(sim.now(), row);
+            let row = Box::new(DecisionRow { trigger, node, cost, chosen, candidates });
+            sim.world.trace.record(sim.now(), TraceEvent::SchedDecision { row });
             if lands {
                 room.debit(&cost);
                 batch.moves.move_node(sim, node, Some(from), recruit, &cost);
@@ -452,9 +466,8 @@ fn handle_underload(sim: &mut RaveSim, under_rs: RenderServiceId, batch: &mut Ba
     for (node, cost) in candidates {
         if cost.polygons <= room.polygons && donor != under_rs {
             let (chosen, candidates) = (Some(under_rs), vec![(under_rs, room.polygons)]);
-            let row =
-                TraceEvent::SchedDecision { trigger: "Underload", node, cost, chosen, candidates };
-            sim.world.trace.record(sim.now(), row);
+            let row = DecisionRow { trigger: "Underload", node, cost, chosen, candidates };
+            sim.world.trace.record(sim.now(), TraceEvent::SchedDecision { row: Box::new(row) });
             room.polygons -= cost.polygons;
             batch.moves.move_node(sim, node, Some(donor), under_rs, &cost);
         }
@@ -601,8 +614,7 @@ impl MoveBatch {
             // and its own failure re-homes what the data service says it
             // held.
             if let Some(rs) = from.and_then(|from| sim.world.render_services.get_mut(&from)) {
-                let _ = rs.scene.remove(node);
-                rs.interest.remove_root(node);
+                rs.release_root(node);
             }
             if let Some(rs) = sim.world.render_services.get_mut(&to) {
                 rs.interest.add_root(node);
@@ -621,8 +633,7 @@ impl MoveBatch {
     fn uninstall_node(&self, sim: &mut RaveSim, node: NodeId, from: RenderServiceId) {
         let left = sim.world.data_mut(self.ds_id).move_interest_root(node, Some(from), None);
         if let Some(rs) = sim.world.render_services.get_mut(&left.unwrap_or(from)) {
-            let _ = rs.scene.remove(node);
-            rs.interest.remove_root(node);
+            rs.release_root(node);
         }
     }
 }
@@ -824,8 +835,9 @@ mod tests {
     use crate::RaveConfig;
     use rave_math::{Vec3, Viewport};
     use rave_render::OffscreenMode;
-    use rave_scene::{CameraParams, MeshData, NodeKind};
+    use rave_scene::{CameraParams, MeshData, NodeKind, SceneTree, SceneUpdate};
     use rave_sim::Simulation;
+    use std::collections::BTreeSet;
     use std::sync::Arc;
 
     fn mesh(tris: usize) -> NodeKind {
@@ -891,9 +903,9 @@ mod tests {
             sim.world.trace.render()
         );
         let row = &sim.world.trace.first_of(TraceKind::SchedDecision).unwrap().event;
-        let TraceEvent::SchedDecision { trigger, candidates, .. } = row else { unreachable!() };
-        assert_eq!(*trigger, "Overload");
-        assert!(candidates.iter().any(|&(service, _)| service == fast), "{row}");
+        let TraceEvent::SchedDecision { row: decision } = row else { unreachable!() };
+        assert_eq!(decision.trigger, "Overload");
+        assert!(decision.candidates.iter().any(|&(service, _)| service == fast), "{row}");
     }
 
     #[test]
@@ -1154,6 +1166,38 @@ mod tests {
         held_once(&sim, "replan after the failure");
     }
 
+    /// A donor whose last root moves away keeps nothing of the chain that
+    /// oriented it; the receiver holds the root under its chain.
+    #[test]
+    fn a_donor_drops_the_chain_of_the_root_it_gave_away() {
+        let mut sim = Simulation::new(RaveWorld::paper_testbed(RaveConfig::default(), 11));
+        let ds = sim.world.spawn_data_service("adrenochrome", "sess");
+        let (group, node) = {
+            let scene = &mut sim.world.data_mut(ds).scene;
+            let group = scene.add_node(scene.root(), "group", NodeKind::Group).unwrap();
+            (group, scene.add_node(group, "mesh", mesh(1_000)).unwrap())
+        };
+        let donor = sim.world.spawn_render_service("laptop");
+        let receiver = sim.world.spawn_render_service("onyx");
+        for (rs, roots) in [(donor, vec![node]), (receiver, vec![])] {
+            crate::bootstrap::connect_render_service(
+                &mut sim,
+                rs,
+                ds,
+                InterestSet::subtrees(roots),
+            );
+        }
+        sim.run();
+        assert!(sim.world.render(donor).scene.contains(group), "the chain orients `node`");
+        let cost = sim.world.data(ds).scene.subtree_cost(node);
+        MoveBatch::new(ds).move_node(&mut sim, node, Some(donor), receiver, &cost);
+        sim.run();
+        let scene = &sim.world.render(donor).scene;
+        assert_eq!(scene.descendants(scene.root()), [scene.root()]);
+        let scene = &sim.world.render(receiver).scene;
+        assert_eq!(scene.descendants(scene.root()), [scene.root(), group, node]);
+    }
+
     /// The interest index as the service keeps it routes an update of
     /// every node as the naive scan does, on the index it had
     /// `generation` rebuilds ago.
@@ -1240,5 +1284,243 @@ mod tests {
         let baseline = moved_with(false);
         assert!(!baseline.is_empty());
         assert_eq!(moved_with(true), baseline, "duplicate shed events must coalesce");
+    }
+
+    /// Every detector's events for one pass, in the order a full
+    /// incremental pass gathers them.
+    fn detect_all(sim: &mut RaveSim, ds: DataServiceId) -> Vec<SchedEvent> {
+        let mut events = detect_overload(sim, ds);
+        events.extend(detect_underload(sim, ds));
+        events.extend(detect_cost_drift(sim, ds));
+        events
+    }
+
+    #[test]
+    fn overload_sheds_to_spare_capacity() {
+        let (mut sim, ds, slow, fast) = overload_world();
+        make_overloaded(&mut sim, slow);
+        let events = detect_overload(&mut sim, ds);
+        let outcome = process_events(&mut sim, ds, &events);
+        assert!(outcome.acted(), "migration must act on overload");
+        assert!(!outcome.refused);
+        assert!(outcome.moved.iter().all(|(_, from, to)| *from == slow && *to == fast));
+        sim.run();
+        // Replicas updated: fast now holds content, slow holds less.
+        let fast_polys = sim.world.render(fast).assigned_cost().polygons;
+        assert!(fast_polys > 0, "receiver got content");
+        let slow_polys = sim.world.render(slow).assigned_cost().polygons;
+        assert!(slow_polys < 640_000);
+        assert_eq!(sim.world.trace.count(TraceKind::Overload), 1);
+        assert!(sim.world.trace.count(TraceKind::Migration) >= 1);
+    }
+
+    /// Camera motion between two rebalance passes is not a reason to
+    /// replan: 600 moves (more than the scene's edit journal holds) must
+    /// not read as "everything changed" to the second pass.
+    #[test]
+    fn camera_motion_between_passes_does_not_rebuild_the_plan() {
+        use crate::collaboration::{join_session, session_tick};
+        let (mut sim, ds, _slow, _fast) = overload_world();
+        let labels: Vec<String> = (0..8).map(|i| format!("user{i}")).collect();
+        let crowd: Vec<_> = labels
+            .iter()
+            .map(|l| join_session(&mut sim, ds, l, Vec3::ONE, CameraParams::default()).unwrap())
+            .collect();
+        let events = detect_all(&mut sim, ds);
+        let first = incremental_replan(&mut sim, ds, &events);
+        assert!(first.diff.expect("the first pass builds the plan").full_replay);
+        sim.run();
+
+        for tick in 0..75 {
+            let eye = Vec3::new(tick as f32, 2.0, 9.0);
+            let camera = CameraParams::look_at(eye, Vec3::ZERO, Vec3::Y);
+            let moves: Vec<_> =
+                crowd.iter().zip(&labels).map(|(&who, l)| (who, l.as_str(), camera)).collect();
+            session_tick(&mut sim, ds, &moves).unwrap();
+            sim.run();
+        }
+        let events = detect_all(&mut sim, ds);
+        let second = incremental_replan(&mut sim, ds, &events);
+        assert!(!second.migration.acted() && !second.migration.refused);
+        if let Some(diff) = second.diff {
+            assert!(!second.deferred);
+            assert!(diff.is_empty(), "no edit touched the plan: {diff:?}");
+            assert_eq!((diff.replayed, diff.full_replay), (0, false), "{diff:?}");
+        }
+    }
+
+    #[test]
+    fn no_action_when_healthy() {
+        let (mut sim, ds, slow, _) = overload_world();
+        // Fast frames: healthy.
+        for i in 0..6 {
+            sim.world.render_mut(slow).record_frame(SimTime::from_secs(i as f64 * 0.02), 10);
+        }
+        let events = detect_overload(&mut sim, ds);
+        let outcome = process_events(&mut sim, ds, &events);
+        assert!(!outcome.acted());
+    }
+
+    #[test]
+    fn shed_selection_is_fine_grained() {
+        let mut scene = SceneTree::new();
+        let root = scene.root();
+        let tiny = scene.add_node(root, "tiny", mesh(5_000)).unwrap();
+        let big = scene.add_node(root, "big", mesh(100_000)).unwrap();
+        // Excess of 4k polygons: shedding the tiny node suffices; the big
+        // one must stay.
+        let shed = select_nodes_to_shed(&scene, &[tiny, big], 4_000);
+        assert_eq!(shed.len(), 1);
+        assert_eq!(shed[0].0, tiny);
+    }
+
+    #[test]
+    fn recruitment_via_uddi_when_no_connected_capacity() {
+        let (mut sim, ds, slow, fast) = overload_world();
+        // Saturate the fast service so nothing fits there.
+        {
+            let rs = sim.world.render_mut(fast);
+            let root = rs.scene.root();
+            rs.scene.add_node(root, "filler", mesh(3_000_000)).unwrap();
+        }
+        // Spawn an unconnected render service for UDDI to find.
+        let fresh = sim.world.spawn_render_service("tower");
+        make_overloaded(&mut sim, slow);
+        let events = detect_overload(&mut sim, ds);
+        let outcome = process_events(&mut sim, ds, &events);
+        assert_eq!(outcome.recruited, vec![fresh]);
+        assert!(sim.world.trace.count(TraceKind::Recruitment) == 1);
+        sim.run();
+        // The recruit ends up subscribed.
+        assert!(sim.world.data(ds).subscribers().contains_key(&fresh));
+    }
+
+    /// A recruit given migrated work is sent that work's updates:
+    /// `recruit_unconnected` subscribes it before the re-homing moves the
+    /// shards to it, so `move_interest_root(.., Some(recruit))` lists them.
+    #[test]
+    fn a_recruit_is_sent_updates_for_the_work_it_was_given() {
+        let (mut sim, ds, slow, fast) = overload_world();
+        {
+            let rs = sim.world.render_mut(fast);
+            let root = rs.scene.root();
+            rs.scene.add_node(root, "filler", mesh(3_000_000)).unwrap();
+        }
+        let fresh = sim.world.spawn_render_service("tower");
+        make_overloaded(&mut sim, slow);
+        let events = detect_overload(&mut sim, ds);
+        let outcome = process_events(&mut sim, ds, &events);
+        assert_eq!(outcome.recruited, vec![fresh]);
+        sim.run();
+        let given: BTreeSet<NodeId> =
+            outcome.moved.iter().filter(|m| m.2 == fresh).map(|m| m.0).collect();
+        let node = *given.first().expect("work moved to the recruit");
+        assert!(sim.world.render(fresh).scene.contains(node));
+        let rename = SceneUpdate::SetName { id: node, name: "renamed".into() };
+        crate::world::publish_update(&mut sim, ds, "user", rename).unwrap();
+        sim.run();
+        let name = sim.world.render(fresh).scene.node(node).map(|n| n.name().to_string());
+        assert_eq!(name.as_deref(), Some("renamed"));
+        let roots: BTreeSet<NodeId> =
+            sim.world.data(ds).subscribers()[&fresh].interest.roots().collect();
+        assert_eq!(roots, given, "the recruit subscribes to what it holds");
+    }
+
+    #[test]
+    fn refusal_when_nothing_available() {
+        let (mut sim, ds, slow, fast) = overload_world();
+        {
+            let rs = sim.world.render_mut(fast);
+            let root = rs.scene.root();
+            rs.scene.add_node(root, "filler", mesh(3_000_000)).unwrap();
+        }
+        make_overloaded(&mut sim, slow);
+        // No unconnected services exist: must refuse.
+        let events = detect_overload(&mut sim, ds);
+        let outcome = process_events(&mut sim, ds, &events);
+        assert!(outcome.refused);
+        assert_eq!(sim.world.trace.count(TraceKind::Refusal), 1);
+    }
+
+    #[test]
+    fn failed_service_work_redistributes() {
+        let (mut sim, ds, slow, fast) = overload_world();
+        // `slow` holds both subtrees; kill it.
+        let outcome = process_events(&mut sim, ds, &[SchedEvent::Failure { service: slow }]);
+        sim.run();
+        assert!(!outcome.refused);
+        assert!(!outcome.moved.is_empty(), "orphans rehomed");
+        assert!(outcome.moved.iter().all(|(_, from, to)| *from == slow && *to == fast));
+        assert!(!sim.world.data(ds).subscribers().contains_key(&slow));
+        assert!(!sim.world.render_services.contains_key(&slow));
+        // Fast now holds the content.
+        assert!(sim.world.render(fast).assigned_cost().polygons >= 640_000);
+    }
+
+    #[test]
+    fn failure_recruits_when_survivors_are_full() {
+        let (mut sim, ds, slow, fast) = overload_world();
+        {
+            let rs = sim.world.render_mut(fast);
+            let root = rs.scene.root();
+            rs.scene.add_node(root, "filler", mesh(3_000_000)).unwrap();
+        }
+        let fresh = sim.world.spawn_render_service("tower");
+        let cfg = sim.world.config.clone();
+        let room = sim.world.render(fresh).capacity_report(&cfg).poly_headroom;
+        let outcome = process_events(&mut sim, ds, &[SchedEvent::Failure { service: slow }]);
+        sim.run();
+        assert_eq!(outcome.recruited, vec![fresh]);
+        assert!(outcome.moved.iter().all(|(_, _, to)| *to == fresh));
+        assert!(sim.world.render(fresh).assigned_cost().polygons > 0);
+        // The recruit's decision rows score it by the room it reported,
+        // less what already landed on it — not by the shard's own size.
+        let scores: Vec<u64> = sim
+            .world
+            .trace
+            .of_kind(TraceKind::SchedDecision)
+            .filter_map(|e| match &e.event {
+                TraceEvent::SchedDecision { row } => row.candidates.first().copied(),
+                _ => None,
+            })
+            .filter_map(|(service, score)| (service == fresh).then_some(score))
+            .collect();
+        assert_eq!(scores, [room, room - 600_000]);
+    }
+
+    #[test]
+    fn failure_of_full_replica_orphans_nothing() {
+        let (mut sim, ds, _slow, fast) = overload_world();
+        // Make `fast` a full replica, then kill it.
+        sim.world.data_mut(ds).subscribe_live(fast, InterestSet::everything());
+        let outcome = process_events(&mut sim, ds, &[SchedEvent::Failure { service: fast }]);
+        assert!(!outcome.acted());
+        assert!(!outcome.refused);
+    }
+
+    #[test]
+    fn underload_rebalance_waits_for_debounce() {
+        let (mut sim, ds, slow, fast) = overload_world();
+        // Fast service renders very fast (underloaded); slow is the donor.
+        for i in 0..6 {
+            sim.world.render_mut(fast).record_frame(SimTime::from_secs(i as f64 * 0.01), 10);
+        }
+        let _ = slow;
+        // First check: starts the debounce clock, no action.
+        let events = detect_underload(&mut sim, ds);
+        let o1 = process_events(&mut sim, ds, &events);
+        assert!(!o1.acted(), "debounce holds immediate action");
+        // Advance past the debounce window and check again.
+        sim.schedule_in(SimTime::from_secs(6.0), |_| {});
+        sim.run();
+        let events = detect_underload(&mut sim, ds);
+        let o2 = process_events(&mut sim, ds, &events);
+        assert!(o2.acted(), "after debounce the rebalance moves work");
+        assert!(o2.moved.iter().all(|(_, _, to)| *to == fast));
+        // Receiver never overshoots its headroom.
+        sim.run();
+        let cfg = sim.world.config.clone();
+        let fast_report = sim.world.render(fast).capacity_report(&cfg);
+        assert!(fast_report.poly_headroom > 0 || fast_report.assigned.polygons > 0);
     }
 }

@@ -404,6 +404,7 @@ pub fn render_tiled_frame(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::sched::rebalance::{process_events, SchedEvent};
     use crate::trace::TraceKind;
     use crate::world::RaveWorld;
     use crate::RaveConfig;
@@ -801,7 +802,8 @@ mod tests {
         sim.world.frame_cache.insert(owner, client, stream);
         assert_eq!(sim.world.frame_cache.len(), 3);
 
-        crate::migration::handle_service_failure(&mut sim, ds, helper);
+        let failure = SchedEvent::Failure { service: helper };
+        process_events(&mut sim, ds, &[failure]);
         assert!(sim.world.frame_cache.stats(helper, client).is_none(), "dead helper's stream");
         assert_eq!(sim.world.frame_cache.len(), 2);
         assert_eq!(sim.world.frame_cache.stats(other, client).unwrap().frames, 1);

@@ -10,7 +10,7 @@ use crate::thin_client::Bound;
 use rave_compress::Codec;
 use rave_scene::{NodeCost, NodeId};
 use rave_sim::SimTime;
-use rave_store::CompactionReport;
+use rave_store::CheckpointKind;
 use std::collections::VecDeque;
 use std::fmt;
 
@@ -128,30 +128,27 @@ trace_events! {
     Collaboration: Left { label: String, ds: DataServiceId } => "{label} left {ds}";
     Collaboration: SteeringBridge { host: String, atoms: usize }
         => "steering bridge to {host}: {atoms} atoms";
-    Checkpoint: Checkpoint { ds: DataServiceId, seq: u64, report: CompactionReport }
-        => "{ds}: {} checkpoint at seq {seq}: {} segment(s) + {} snapshot(s) + {} delta(s) \
-            compacted, {} bytes freed", report.kind, report.segments_deleted.len(),
-            report.snapshots_deleted, report.deltas_deleted, report.bytes_freed;
+    /// What the checkpoint at `seq` wrote and what its compaction freed
+    /// (`rave_store::CompactionReport`, its counts).
+    Checkpoint: Checkpoint {
+        ds: DataServiceId, seq: u64, kind: CheckpointKind, segments: usize, snapshots: usize,
+        deltas: usize, bytes_freed: u64,
+    } => "{ds}: {kind} checkpoint at seq {seq}: {segments} segment(s) + {snapshots} snapshot(s) \
+          + {deltas} delta(s) compacted, {bytes_freed} bytes freed";
     Checkpoint: CheckpointFailed { ds: DataServiceId, seq: u64, error: String }
         => "{ds}: checkpoint at seq {seq} failed: {error}";
-    Recovery: Recovered {
-        failed: DataServiceId, new: DataServiceId, host: String, session: String, seq: u64,
-        snapshot_seq: u64, deltas: usize, replayed: usize, subscribers: usize,
-    } => "{failed} -> {new} on {host}: recovered \"{session}\" at seq {seq} (snapshot seq \
-          {snapshot_seq} + {deltas} delta(s), {replayed} WAL entries replayed), {subscribers} \
-          subscriber(s) re-mirroring";
+    Recovery: Recovered { row: Box<RecoveryRow> }
+        => "{} -> {} on {}: recovered \"{}\" at seq {} (snapshot seq {} + {} delta(s), {} WAL \
+            entries replayed), {} subscriber(s) re-mirroring", row.failed, row.new, row.host,
+            row.session, row.seq, row.snapshot_seq, row.deltas, row.replayed, row.subscribers;
     /// Measured throughput (cost units a second) of each freshly rendered tile's service.
     TileCostFeedback: TileCosts { rates: Vec<(RenderServiceId, f64)> } => "tile throughput:{}",
         rates.iter().map(|(service, rate)| format!(" {service}={rate:.0}u/s")).collect::<String>();
-    /// One placement of `node`: `trigger` is the event that asked for it,
-    /// `candidates` each service considered with its polygon headroom.
-    SchedDecision: SchedDecision {
-        trigger: &'static str, node: NodeId, cost: NodeCost, chosen: Option<RenderServiceId>,
-        candidates: Vec<(RenderServiceId, u64)>,
-    } => "{trigger}: shard {node} ({} polys) -> {} [candidates: {}]", cost.polygons,
-        chosen.map_or("unplaced".to_string(), |service| service.to_string()),
-        candidates.iter().map(|(service, room)| format!("{service}@{room}")).collect::<Vec<_>>()
-            .join(" ");
+    SchedDecision: SchedDecision { row: Box<DecisionRow> }
+        => "{}: shard {} ({} polys) -> {} [candidates: {}]", row.trigger, row.node,
+        row.cost.polygons, row.chosen.map_or("unplaced".to_string(), |service| service.to_string()),
+        row.candidates.iter().map(|(service, room)| format!("{service}@{room}"))
+            .collect::<Vec<_>>().join(" ");
     CodecSwitch: CodecSwitch {
         rs: RenderServiceId, client: ClientId, from: Codec, to: Codec, encoded_bytes: u64,
         frame_bytes: u64,
@@ -173,13 +170,41 @@ trace_events! {
         => "{standby} -> {primary}: ack seq {seq} torn, re-requesting segment #{segment}";
     LogShip: ShippingStopped { primary: DataServiceId, error: String }
         => "{primary}: shipping stopped: {error}";
-    Promote: Promoted { seq: u64, report: PromotionReport }
+    Promote: Promoted { seq: u64, report: Box<PromotionReport> }
         => "{} -> {}: promoted at seq {seq} ({} subscriber(s) re-pointed, {} residual entr(ies) \
             replayed, {} committed update(s) lost)", report.failed, report.promoted,
             report.subscribers_moved, report.residual_entries, report.lost_updates;
     /// Frame `index` waited `stall` seconds on the `bound` resource.
     PipelineStall: PipelineStall { client: ClientId, index: u64, stall: f64, bound: Bound }
         => "{client} frame {index} waited {stall:.4}s ({})", bound.name();
+}
+
+/// The payload of a [`TraceEvent::SchedDecision`], one placement of
+/// `node`: `trigger` is the event that asked for it, `candidates` each
+/// service considered with its polygon headroom. Boxed, as the rare
+/// rows' payloads are, so that a row stays the size of a common one.
+#[derive(Debug, Clone, PartialEq)]
+pub struct DecisionRow {
+    pub trigger: &'static str,
+    pub node: NodeId,
+    pub cost: NodeCost,
+    pub chosen: Option<RenderServiceId>,
+    pub candidates: Vec<(RenderServiceId, u64)>,
+}
+
+/// The payload of a [`TraceEvent::Recovered`]: data service `failed`
+/// rebuilt as `new` on `host` from its store, at `seq`.
+#[derive(Debug, Clone, PartialEq)]
+pub struct RecoveryRow {
+    pub failed: DataServiceId,
+    pub new: DataServiceId,
+    pub host: String,
+    pub session: String,
+    pub seq: u64,
+    pub snapshot_seq: u64,
+    pub deltas: usize,
+    pub replayed: usize,
+    pub subscribers: usize,
 }
 
 /// One kept row.
@@ -263,7 +288,6 @@ impl EventTrace {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use rave_store::CheckpointKind;
 
     fn rs(n: u64) -> RenderServiceId {
         RenderServiceId(n)
@@ -279,7 +303,8 @@ mod tests {
         candidates: Vec<(RenderServiceId, u64)>,
     ) -> TraceEvent {
         let (node, cost) = (NodeId(n), NodeCost { polygons, ..NodeCost::default() });
-        TraceEvent::SchedDecision { trigger: "Failure", node, cost, chosen, candidates }
+        let row = DecisionRow { trigger: "Failure", node, cost, chosen, candidates };
+        TraceEvent::SchedDecision { row: Box::new(row) }
     }
 
     /// Every variant renders, kind and detail, as the string row it
@@ -299,13 +324,6 @@ mod tests {
             replayed_bytes: 0,
             lost_updates: 2,
             completed_at: SimTime::ZERO,
-        };
-        let report = CompactionReport {
-            kind: CheckpointKind::Full,
-            segments_deleted: vec![3, 4],
-            snapshots_deleted: 1,
-            deltas_deleted: 0,
-            bytes_freed: 4236,
         };
         let (cl1, place_error) = (
             ClientId(1),
@@ -384,7 +402,15 @@ mod tests {
                 "Collaboration: steering bridge to onyx: 8 atoms",
             ),
             (
-                Checkpoint { ds: ds(1), seq: 160, report },
+                Checkpoint {
+                    ds: ds(1),
+                    seq: 160,
+                    kind: CheckpointKind::Full,
+                    segments: 2,
+                    snapshots: 1,
+                    deltas: 0,
+                    bytes_freed: 4236,
+                },
                 "Checkpoint: ds1: full checkpoint at seq 160: 2 segment(s) + 1 snapshot(s) + 0 \
                  delta(s) compacted, 4236 bytes freed",
             ),
@@ -399,15 +425,17 @@ mod tests {
             ),
             (
                 Recovered {
-                    failed: ds(1),
-                    new: ds(2),
-                    host: "adrenochrome".into(),
-                    session: "lone-session".into(),
-                    seq: 12,
-                    snapshot_seq: 0,
-                    deltas: 0,
-                    replayed: 12,
-                    subscribers: 1,
+                    row: Box::new(RecoveryRow {
+                        failed: ds(1),
+                        new: ds(2),
+                        host: "adrenochrome".into(),
+                        session: "lone-session".into(),
+                        seq: 12,
+                        snapshot_seq: 0,
+                        deltas: 0,
+                        replayed: 12,
+                        subscribers: 1,
+                    }),
                 },
                 "Recovery: ds1 -> ds2 on adrenochrome: recovered \"lone-session\" at seq 12 \
                  (snapshot seq 0 + 0 delta(s), 12 WAL entries replayed), 1 subscriber(s) \
@@ -473,7 +501,7 @@ mod tests {
                 "LogShip: ds1: shipping stopped: disk full",
             ),
             (
-                Promoted { seq: 28, report: promotion },
+                Promoted { seq: 28, report: Box::new(promotion) },
                 "Promote: ds1 -> ds2: promoted at seq 28 (1 subscriber(s) re-pointed, 0 residual \
                  entr(ies) replayed, 2 committed update(s) lost)",
             ),
@@ -485,6 +513,15 @@ mod tests {
         for (event, line) in cases {
             assert_eq!(format!("{:?}: {event}", event.kind()), line);
         }
+    }
+
+    /// A kept row is the size of a common one: the rare, wide payloads are
+    /// boxed, so the event fits in 64 bytes and the row, with its time, in 72.
+    #[test]
+    fn a_row_is_at_most_72_bytes() {
+        let (event, row) = (std::mem::size_of::<TraceEvent>(), std::mem::size_of::<Row>());
+        assert!(event <= 64, "event {event}");
+        assert!(row <= 72, "row {row}");
     }
 
     fn installed(n: usize) -> TraceEvent {

@@ -289,7 +289,7 @@ fn deliver_wave(sim: &mut RaveSim, wave: &[(RenderServiceId, UpdateList)]) {
             // A benign race: the replica may legitimately reject an update
             // to a node it never held (interest narrowed since routing, or a
             // presence update to a subset replica, refused unread).
-            let applied = stamped.update.try_apply(&mut rs.scene);
+            let applied = rs.apply_update(&stamped.update);
             if traced {
                 trace.record(
                     now,
@@ -360,7 +360,15 @@ pub fn publish_batch(
                 if let Some((seq, result)) = checkpoint {
                     let ds = ds_id;
                     let row = match result {
-                        Ok(report) => TraceEvent::Checkpoint { ds, seq, report },
+                        Ok(report) => TraceEvent::Checkpoint {
+                            ds,
+                            seq,
+                            kind: report.kind,
+                            segments: report.segments_deleted.len(),
+                            snapshots: report.snapshots_deleted,
+                            deltas: report.deltas_deleted,
+                            bytes_freed: report.bytes_freed,
+                        },
                         Err(e) => TraceEvent::CheckpointFailed { ds, seq, error: e.to_string() },
                     };
                     trace.record(now, row);
@@ -390,6 +398,7 @@ pub fn publish_batch(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::sched::rebalance::{process_events, SchedEvent};
     use crate::trace::TraceKind;
     use rave_scene::{InterestSet, NodeKind};
 
@@ -414,6 +423,36 @@ mod tests {
         s.world.spawn_active_client("desktop");
         let aps = s.world.registry.scan_access_points("RAVE", TechnicalModel::RenderService);
         assert!(aps.is_empty());
+    }
+
+    /// A removal that takes a subset replica's only root takes the chain
+    /// that oriented it: the replica holds the scene root alone, while a
+    /// replica whose other root still hangs under the chain keeps it.
+    #[test]
+    fn a_subset_replica_that_loses_its_only_root_holds_the_scene_root_alone() {
+        let mut s = sim();
+        let ds = s.world.spawn_data_service("adrenochrome", "sess");
+        let (outer, inner, kept) = {
+            let scene = &mut s.world.data_mut(ds).scene;
+            let outer = scene.add_node(scene.root(), "outer", NodeKind::Group).unwrap();
+            let inner = scene.add_node(outer, "inner", NodeKind::Group).unwrap();
+            (outer, inner, scene.add_node(outer, "kept", NodeKind::Group).unwrap())
+        };
+        let alone = s.world.spawn_render_service("tower");
+        let shared = s.world.spawn_render_service("desktop");
+        let interests = [(alone, vec![inner]), (shared, vec![inner, kept])];
+        for (rs, roots) in interests {
+            let interest = InterestSet::subtrees(roots);
+            crate::bootstrap::connect_render_service(&mut s, rs, ds, interest);
+        }
+        s.run();
+        assert!(s.world.render(alone).scene.contains(outer), "the chain orients `inner`");
+        publish_update(&mut s, ds, "user", SceneUpdate::RemoveNode { id: inner }).unwrap();
+        s.run();
+        let replica = &s.world.render(alone).scene;
+        assert_eq!(replica.descendants(replica.root()), [replica.root()]);
+        let replica = &s.world.render(shared).scene;
+        assert_eq!(replica.descendants(replica.root()), [replica.root(), outer, kept]);
     }
 
     #[test]
@@ -592,7 +631,8 @@ mod tests {
             s.world.data_mut(ds).subscribe_live(rs, InterestSet::everything());
         }
         let seq = rename(&mut s, ds, "in flight");
-        crate::migration::handle_service_failure(&mut s, ds, dead);
+        let failure = SchedEvent::Failure { service: dead };
+        process_events(&mut s, ds, &[failure]);
         s.run();
         let rows: Vec<TraceEvent> = delivered(&s).into_iter().map(|(_, row)| row).collect();
         let dropped = TraceEvent::UpdatesDropped { first: seq, last: seq, to: dead };
@@ -775,7 +815,7 @@ mod tests {
         let seq = rename(&mut s, ds, "in flight");
         assert_eq!(s.pending(), 1);
         for &d in &dead {
-            crate::migration::handle_service_failure(&mut s, ds, ids[d]);
+            process_events(&mut s, ds, &[SchedEvent::Failure { service: ids[d] }]);
         }
         s.run();
         let rows: Vec<TraceEvent> = delivered(&s).into_iter().map(|(_, row)| row).collect();

@@ -18,13 +18,16 @@
 //!   multicasting" (§3.1.2).
 
 pub mod channel;
+#[doc(hidden)]
+mod frozen;
 pub mod link;
 pub mod multicast;
 pub mod topology;
 
 pub use channel::Channel;
+#[doc(hidden)]
+#[allow(deprecated)]
+pub use frozen::{multicast_deliver, MulticastDelivery};
 pub use link::LinkSpec;
-pub use multicast::{
-    multicast_deliver, unicast_cost, Fanout, FanoutCost, LinkClass, MulticastDelivery,
-};
+pub use multicast::{unicast_cost, Fanout, FanoutCost, LinkClass};
 pub use topology::{HostId, Network};

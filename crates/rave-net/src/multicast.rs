@@ -35,23 +35,6 @@ impl FanoutCost {
     }
 }
 
-/// One multicast fan-out with per-receiver arrival times: what a data
-/// service delivering one update to its matched subscribers books.
-#[derive(Debug, Clone, PartialEq)]
-pub struct MulticastDelivery {
-    pub cost: FanoutCost,
-    /// `(index into the receivers slice, arrival offset)` for every
-    /// receiver whose host is known, in input order. Receivers on the
-    /// sender's own host arrive at loopback transfer time (no wire
-    /// transmission charged).
-    pub arrivals: Vec<(usize, SimTime)>,
-    /// Bytes the multicast fan-out puts on the wire (one copy per
-    /// receiving segment).
-    pub wire_bytes: u64,
-    /// Bytes unicast would have put on the wire (one copy per receiver).
-    pub unicast_wire_bytes: u64,
-}
-
 /// How a fan-out from one sender reaches one receiver: not at all (its
 /// host is not on the network), over loopback (the sender's own host), or
 /// by its segment's copy of the transmission. What a receiver costs a
@@ -203,37 +186,6 @@ impl Fanout {
     }
 }
 
-/// Deliver `bytes` from `sender` to `receivers` with multicast fan-out:
-/// one transmission per distinct receiving segment (the sender's own
-/// segment too: 2004 multicast rode the LAN broadcast domain), every
-/// receiver on a segment served by the same copy, arrival at its own
-/// transfer time. Unknown receiver hosts are skipped and counted (not
-/// panicked on — `FanoutCost::skipped`). Resolves the names and runs
-/// [`Fanout::deliver`]; like [`Network::link_between`] it panics on a
-/// sender that is not on the network.
-pub fn multicast_deliver(
-    net: &Network,
-    sender: &str,
-    receivers: &[&str],
-    bytes: u64,
-) -> MulticastDelivery {
-    let mut arrivals = Vec::with_capacity(receivers.len());
-    let sender = net.known_host(sender);
-    let cost = Fanout::default().deliver(
-        net,
-        sender,
-        receivers.iter().map(|r| LinkClass::of(net, sender, net.host_id(r))),
-        bytes,
-        |i, at| arrivals.push((i, at)),
-    );
-    MulticastDelivery {
-        wire_bytes: cost.transmissions as u64 * bytes,
-        unicast_wire_bytes: cost.unicast_transmissions as u64 * bytes,
-        cost,
-        arrivals,
-    }
-}
-
 /// Cost of the same fan-out done with unicast sends serialized on the
 /// sender's uplink (the comparison baseline).
 pub fn unicast_cost(net: &Network, sender: &str, receivers: &[&str], bytes: u64) -> SimTime {
@@ -256,11 +208,28 @@ pub fn unicast_cost(net: &Network, sender: &str, receivers: &[&str], bytes: u64)
 mod tests {
     use super::*;
 
+    /// `bytes` from the host named `sender` to the hosts named, through a
+    /// fresh [`Fanout`]: the cost, and `(index, arrival)` of every receiver
+    /// reached, in input order.
+    fn deliver(
+        net: &Network,
+        sender: &str,
+        receivers: &[&str],
+        bytes: u64,
+    ) -> (FanoutCost, Vec<(usize, SimTime)>) {
+        let sender = net.known_host(sender);
+        let classes = receivers.iter().map(|r| LinkClass::of(net, sender, net.host_id(r)));
+        let mut arrivals = Vec::new();
+        let cost =
+            Fanout::default().deliver(net, sender, classes, bytes, |i, at| arrivals.push((i, at)));
+        (cost, arrivals)
+    }
+
     #[test]
     fn multicast_charges_once_per_segment() {
         let net = Network::paper_testbed(1.0);
         let receivers = ["desktop", "tower", "onyx", "v880z"]; // all on "lan"
-        let cost = multicast_deliver(&net, "laptop", &receivers, 10_000).cost;
+        let cost = deliver(&net, "laptop", &receivers, 10_000).0;
         assert_eq!(cost.transmissions, 1);
         assert_eq!(cost.unicast_transmissions, 4);
         assert_eq!(cost.saving(), 0.75);
@@ -270,7 +239,7 @@ mod tests {
     fn cross_segment_adds_transmissions() {
         let net = Network::paper_testbed(1.0);
         let receivers = ["desktop", "zaurus"]; // lan + wlan
-        let cost = multicast_deliver(&net, "laptop", &receivers, 10_000).cost;
+        let cost = deliver(&net, "laptop", &receivers, 10_000).0;
         assert_eq!(cost.transmissions, 2);
         // Completion bounded by the slow wireless hop.
         let wireless = net.transfer_time("laptop", "zaurus", 10_000);
@@ -280,7 +249,7 @@ mod tests {
     #[test]
     fn sender_excluded_from_receivers() {
         let net = Network::paper_testbed(1.0);
-        let cost = multicast_deliver(&net, "laptop", &["laptop", "desktop"], 1000).cost;
+        let cost = deliver(&net, "laptop", &["laptop", "desktop"], 1000).0;
         assert_eq!(cost.unicast_transmissions, 1);
         assert_eq!(cost.transmissions, 1);
     }
@@ -289,7 +258,7 @@ mod tests {
     fn multicast_faster_than_unicast_for_many_receivers() {
         let net = Network::paper_testbed(1.0);
         let receivers = ["desktop", "tower", "onyx", "v880z", "adrenochrome"];
-        let m = multicast_deliver(&net, "laptop", &receivers, 1_000_000).cost.completion;
+        let m = deliver(&net, "laptop", &receivers, 1_000_000).0.completion;
         let u = unicast_cost(&net, "laptop", &receivers, 1_000_000);
         assert!(u.as_secs() > m.as_secs() * 3.0, "unicast {u} vs multicast {m}");
     }
@@ -297,23 +266,21 @@ mod tests {
     #[test]
     fn unknown_receiver_is_skipped_and_counted() {
         let net = Network::paper_testbed(1.0);
-        let d = multicast_deliver(&net, "laptop", &["desktop", "ghost", "tower"], 1000);
-        assert_eq!(d.cost.skipped, 1);
-        assert_eq!(d.cost.unicast_transmissions, 2);
-        assert_eq!(d.cost.transmissions, 1); // desktop + tower share the lan
-                                             // Arrivals only for known hosts, input order preserved.
-        assert_eq!(d.arrivals.iter().map(|&(i, _)| i).collect::<Vec<_>>(), vec![0, 2]);
-        assert_eq!(d.wire_bytes, 1000);
-        assert_eq!(d.unicast_wire_bytes, 2000);
+        let (cost, arrivals) = deliver(&net, "laptop", &["desktop", "ghost", "tower"], 1000);
+        assert_eq!(cost.skipped, 1);
+        assert_eq!(cost.unicast_transmissions, 2);
+        assert_eq!(cost.transmissions, 1); // desktop + tower share the lan
+                                           // Arrivals only for known hosts, input order preserved.
+        assert_eq!(arrivals.iter().map(|&(i, _)| i).collect::<Vec<_>>(), vec![0, 2]);
     }
 
     #[test]
     fn local_receivers_ride_loopback_off_the_wire() {
         let net = Network::paper_testbed(1.0);
-        let d = multicast_deliver(&net, "laptop", &["laptop", "desktop"], 1000);
-        assert_eq!(d.cost.transmissions, 1, "loopback is not a wire transmission");
-        assert_eq!(d.arrivals[0].1, net.transfer_time("laptop", "laptop", 1000));
-        assert!(d.arrivals[1].1 > d.arrivals[0].1, "lan hop slower than loopback");
+        let (cost, arrivals) = deliver(&net, "laptop", &["laptop", "desktop"], 1000);
+        assert_eq!(cost.transmissions, 1, "loopback is not a wire transmission");
+        assert_eq!(arrivals[0].1, net.transfer_time("laptop", "laptop", 1000));
+        assert!(arrivals[1].1 > arrivals[0].1, "lan hop slower than loopback");
     }
 
     #[test]
@@ -336,9 +303,7 @@ mod tests {
             (&[][..], 1),
         ] {
             let (cost, arrivals) = run(receivers, bytes);
-            let fresh = multicast_deliver(&net, "laptop", receivers, bytes);
-            assert_eq!(cost, fresh.cost);
-            assert_eq!(arrivals, fresh.arrivals);
+            assert_eq!((cost, arrivals), deliver(&net, "laptop", receivers, bytes));
         }
     }
 
@@ -379,13 +344,13 @@ mod tests {
     #[test]
     #[should_panic(expected = "unknown host ghost")]
     fn a_sender_off_the_network_panics() {
-        multicast_deliver(&Network::paper_testbed(1.0), "ghost", &["desktop"], 1000);
+        deliver(&Network::paper_testbed(1.0), "ghost", &["desktop"], 1000);
     }
 
     #[test]
     fn empty_receiver_list_is_free() {
         let net = Network::paper_testbed(1.0);
-        let cost = multicast_deliver(&net, "laptop", &[], 1000).cost;
+        let cost = deliver(&net, "laptop", &[], 1000).0;
         assert_eq!(cost.transmissions, 0);
         assert_eq!(cost.completion, SimTime::ZERO);
         assert_eq!(cost.saving(), 0.0);

@@ -58,11 +58,6 @@ impl InterestSet {
         self.roots.remove(&id)
     }
 
-    /// Does nothing: a set keeps no closure to recompute (it did once, and
-    /// `benchmark/`, frozen for the changes it judges, still calls this
-    /// before it reads [`InterestSet::relevant`]).
-    pub fn refresh(&mut self, _tree: &SceneTree) {}
-
     /// Is `id` a node of `tree` the subscription covers: inside a root's
     /// subtree (a root itself included), or an ancestor of a root? Costs
     /// the node's depth, and for an inner node one interval test per root.
@@ -70,13 +65,16 @@ impl InterestSet {
         if self.all || self.holds_inside(id, tree) {
             return true;
         }
+        // Only an inner node orients a root: a leaf answers without the
+        // pre-order cache, which a removal just invalidated.
+        if tree.node(id).is_none_or(|n| n.child_count() == 0) {
+            return false;
+        }
         let Some((pos, len)) = tree.preorder_interval(id) else { return false };
         let inside = pos..pos + len;
-        len > 1
-            && self
-                .roots
-                .iter()
-                .any(|r| tree.preorder_interval(*r).is_some_and(|(at, _)| inside.contains(&at)))
+        self.roots
+            .iter()
+            .any(|r| tree.preorder_interval(*r).is_some_and(|(at, _)| inside.contains(&at)))
     }
 
     /// Is a root of this set `id` or one of its ancestors in `tree`: does

@@ -33,8 +33,8 @@
 //! handles can never alias a recycled slot. External identity is still
 //! [`NodeId`] — the u64 the data service allocates, never reuses, and
 //! writes into every wire message — mapped to its slot by an O(1)
-//! integer-keyed index. Wire bytes, JSON serde shape and id allocation
-//! semantics are exactly the pre-arena ones (pinned by
+//! integer-keyed index. Wire bytes and id allocation semantics are
+//! exactly the pre-arena ones (pinned by
 //! `tests/wire_fixture.rs`).
 //!
 //! # Derived caches
@@ -60,7 +60,6 @@ use crate::camera::CameraParams;
 use crate::cost::NodeCost;
 use crate::node::{Interaction, KindTag, Node, NodeId, NodeKind, Transform};
 use rave_math::{Aabb, Mat4, Vec3};
-use serde::{Deserialize, Serialize};
 use std::collections::{BTreeMap, HashMap, VecDeque};
 use std::hash::{BuildHasherDefault, Hasher};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -474,33 +473,6 @@ impl PartialEq for SceneTree {
     }
 }
 
-// Manual serde impls: the wire shape is exactly what the derive produced
-// for the pre-arena struct — a map of `nodes` (id-keyed `BTreeMap` of
-// detached `Node` records), `root` and `next_id`. Deserialized trees
-// start with cold caches.
-impl Serialize for SceneTree {
-    fn to_value(&self) -> serde::Value {
-        let nodes: BTreeMap<NodeId, Node> =
-            self.iter_nodes().map(|n| (n.id(), n.to_node())).collect();
-        serde::Value::Map(vec![
-            ("nodes".into(), nodes.to_value()),
-            ("root".into(), self.root.to_value()),
-            ("next_id".into(), self.next_id.to_value()),
-        ])
-    }
-}
-
-impl Deserialize for SceneTree {
-    fn from_value(v: &serde::Value) -> Result<Self, serde::DeError> {
-        let m = serde::expect_map(v, "SceneTree")?;
-        let nodes: BTreeMap<NodeId, Node> = serde::de_field(m, "nodes", "SceneTree")?;
-        let root: NodeId = serde::de_field(m, "root", "SceneTree")?;
-        let next_id: u64 = serde::de_field(m, "next_id", "SceneTree")?;
-        Self::from_parts(nodes, root, next_id)
-            .map_err(|what| serde::DeError::new(format!("SceneTree: {what}")))
-    }
-}
-
 impl Default for SceneTree {
     fn default() -> Self {
         Self::new()
@@ -811,7 +783,7 @@ impl SceneTree {
         self.next_id = self.next_id.max(next_id);
     }
 
-    /// Reassemble a tree from detached records — the snapshot/serde decode
+    /// Reassemble a tree from detached records — the snapshot/wire decode
     /// path. Children order comes from each record's `children` list (the
     /// wire-authoritative order); the records' structural claims are
     /// verified (root present, every child link matched by a parent link,
@@ -1139,26 +1111,6 @@ impl SceneTree {
     /// (pre-order) order.
     pub fn find_all(&self, mut pred: impl FnMut(NodeRef<'_>) -> bool) -> Vec<NodeId> {
         self.descendants_iter(self.root).filter(|n| pred(*n)).map(|n| n.id()).collect()
-    }
-
-    /// The closure of `roots` (see [`SceneTree::extract_parcel`]) as a
-    /// standalone tree: a fresh tree with this tree's allocator state and
-    /// root transform that adopts the parcel. Kept for `benchmark/`,
-    /// `rave_core::bootstrap::snapshot_for` and tests.
-    pub fn extract_subset(&self, roots: &[NodeId]) -> SceneTree {
-        let parcel = self.extract_parcel(roots);
-        let mut out = SceneTree::with_capacity(parcel.len() + 1);
-        out.next_id = self.next_id;
-        out.hot[out.root_slot as usize].transform = parcel.root.transform;
-        out.adopt_parcel(&parcel);
-        out
-    }
-
-    /// Merge another tree's nodes into this one, preserving ids: the whole
-    /// of `subset` adopted as one parcel, its root mapping to this root.
-    /// Kept for `benchmark/`'s shadows and tests; the system ships parcels.
-    pub fn merge_subset(&mut self, subset: &SceneTree) {
-        self.adopt_parcel(&subset.extract_parcel(&[subset.root()]));
     }
 
     /// Cut the closure of `roots` out as a [`Parcel`]: the one place a
@@ -1808,6 +1760,11 @@ impl std::fmt::Display for TreeError {
 
 impl std::error::Error for TreeError {}
 
+// What `benchmark/` still calls by its old names: see its module doc.
+#[doc(hidden)]
+#[path = "frozen.rs"]
+mod frozen;
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -1938,14 +1895,17 @@ mod tests {
         assert!(t.ancestors(t.root()).is_empty());
     }
 
+    /// A fresh tree adopting a one-root parcel, the way a bootstrap builds
+    /// a subset replica, holds the root's subtree and its orientation chain.
     #[test]
-    fn extract_subset_keeps_ids_transforms_and_strips_foreign_content() {
+    fn an_adopted_parcel_keeps_ids_transforms_and_strips_foreign_content() {
         let mut t = SceneTree::new();
         let g = t.add_node(t.root(), "g", tri_mesh()).unwrap(); // ancestor WITH content
         t.set_transform(g, Transform::from_translation(Vec3::new(5.0, 0.0, 0.0)));
         let m = t.add_node(g, "m", tri_mesh()).unwrap();
         t.add_node(t.root(), "other", tri_mesh()).unwrap();
-        let sub = t.extract_subset(&[m]);
+        let mut sub = SceneTree::new();
+        sub.adopt_parcel(&t.extract_parcel(&[m]));
         sub.check_invariants().unwrap();
         assert!(sub.contains(m));
         assert!(sub.contains(g));
@@ -1963,29 +1923,29 @@ mod tests {
     }
 
     #[test]
-    fn merge_subset_adds_missing_keeps_existing() {
+    fn adopting_parcels_adds_missing_keeps_existing() {
         let mut master = SceneTree::new();
         let a = master.add_node(master.root(), "a", tri_mesh()).unwrap();
         let b = master.add_node(master.root(), "b", tri_mesh()).unwrap();
-        let subset_a = master.extract_subset(&[a]);
-        let subset_b = master.extract_subset(&[b]);
+        let parcel_a = master.extract_parcel(&[a]);
+        let parcel_b = master.extract_parcel(&[b]);
 
         let mut replica = SceneTree::new();
-        replica.merge_subset(&subset_a);
+        replica.adopt_parcel(&parcel_a);
         assert!(replica.contains(a) && !replica.contains(b));
-        // Locally mutate a, then merge b: a's local state survives.
+        // Locally mutate a, then adopt b: a's local state survives.
         replica.set_transform(a, Transform::from_translation(Vec3::new(9.0, 0.0, 0.0)));
-        replica.merge_subset(&subset_b);
+        replica.adopt_parcel(&parcel_b);
         assert!(replica.contains(b));
         assert_eq!(
             replica.node(a).unwrap().transform().translation,
             Vec3::new(9.0, 0.0, 0.0),
-            "existing node untouched by merge"
+            "existing node untouched by adopt"
         );
         replica.check_invariants().unwrap();
-        // Merging again is a no-op.
+        // Adopting again is a no-op.
         let before = replica.len();
-        replica.merge_subset(&subset_b);
+        replica.adopt_parcel(&parcel_b);
         assert_eq!(replica.len(), before);
     }
 
@@ -2387,7 +2347,13 @@ mod tests {
         let mut other = SceneTree::new();
         let far = NodeId(77);
         other.insert_with_id(far, other.root(), "far", tri_mesh()).unwrap();
-        row(&mut t, "merge_subset", &mut |t| (t.merge_subset(&other), far).1, Structure);
+        let whole = other.extract_parcel(&[other.root()]);
+        row(
+            &mut t,
+            "adopt_parcel of a whole tree",
+            &mut |t| (t.adopt_parcel(&whole), far).1,
+            Structure,
+        );
         row(&mut t, "remove", &mut |t| t.remove(far).map(|_| far).unwrap(), Structure);
         let parcel = other.extract_parcel(&[far]);
         row(&mut t, "adopt_parcel", &mut |t| (t.adopt_parcel(&parcel), far).1, Structure);
@@ -2410,7 +2376,7 @@ mod tests {
         t.changes_since(EditStamp::default(), ALL);
         t.allocate_id();
         t.reserve(8);
-        t.merge_subset(&SceneTree::new());
+        t.adopt_parcel(&SceneTree::new().extract_parcel(&[root]));
         t.adopt_parcel(&t.extract_parcel(&[a]));
         t.adopt_parcel(&t.extract_parcel(&[NodeId(999)]));
         assert!(t.remove(NodeId(999)).is_err());
@@ -2432,10 +2398,8 @@ mod tests {
         let mut t = SceneTree::new();
         t.add_node(t.root(), "a", tri_mesh()).unwrap();
         let copy = t.clone();
-        let json = serde_json::to_string(&t).unwrap();
-        let decoded: SceneTree = serde_json::from_str(&json).unwrap();
         let wired = crate::wire::decode_tree(&crate::wire::encode_tree(&t)).unwrap();
-        for (other, what) in [(&copy, "clone"), (&decoded, "serde"), (&wired, "wire")] {
+        for (other, what) in [(&copy, "clone"), (&wired, "wire")] {
             assert_eq!(other, &t, "{what} is an equal tree");
             assert_ne!(other.edit_stamp(), t.edit_stamp(), "{what} is not the same tree");
         }
@@ -2485,7 +2449,7 @@ mod tests {
         let copy = t.clone();
         let merged = {
             let mut m = SceneTree::new();
-            m.merge_subset(&t.extract_subset(&[b]));
+            m.adopt_parcel(&t.extract_parcel(&[b]));
             m
         };
         let wired = crate::wire::decode_tree(&crate::wire::encode_tree(&t)).unwrap();

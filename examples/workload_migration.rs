@@ -10,7 +10,7 @@
 //! Run with: `cargo run --release --example workload_migration`
 
 use rave::core::distribution::plan_distribution;
-use rave::core::migration::{check_and_migrate, check_underload_rebalance};
+use rave::core::sched::rebalance::{detect_overload, detect_underload, process_events};
 use rave::core::thin_client::{connect, stream_frames};
 use rave::core::world::RaveWorld;
 use rave::core::RaveConfig;
@@ -82,7 +82,9 @@ fn main() {
         "\nlaptop rolling fps after streaming: {:.1}",
         sim.world.render(rs_laptop).rolling_fps().unwrap_or(f64::NAN)
     );
-    let outcome = check_and_migrate(&mut sim, ds);
+    // The laptop reports itself overloaded; the data service sheds.
+    let overload = detect_overload(&mut sim, ds);
+    let outcome = process_events(&mut sim, ds, &overload);
     sim.run();
     println!(
         "migration outcome: {} nodes moved, {} services recruited, refused={}",
@@ -101,11 +103,13 @@ fn main() {
     rave::core::bootstrap::connect_render_service(&mut sim, rs_onyx, ds, InterestSet::subtrees([]));
     sim.run();
     // Let the debounce window elapse with the Onyx idle.
-    check_underload_rebalance(&mut sim, ds);
+    let underload = detect_underload(&mut sim, ds);
+    process_events(&mut sim, ds, &underload);
     let horizon = sim.now() + SimTime::from_secs(6.0);
     sim.schedule_at(horizon, |_| {});
     sim.run();
-    let rebalance = check_underload_rebalance(&mut sim, ds);
+    let underload = detect_underload(&mut sim, ds);
+    let rebalance = process_events(&mut sim, ds, &underload);
     sim.run();
     println!("\nunderload rebalance onto the Onyx: {} nodes attracted", rebalance.moved.len());
     println!("onyx now holds {} polygons", sim.world.render(rs_onyx).assigned_cost().polygons);

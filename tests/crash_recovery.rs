@@ -8,7 +8,7 @@
 
 use rave::core::bootstrap::{connect_render_service, recover_data_service};
 use rave::core::collaboration::{join_session, move_camera, reattach_participant};
-use rave::core::migration::handle_data_service_failure;
+use rave::core::sched::rebalance::{process_events, SchedEvent};
 use rave::core::trace::{TraceEvent, TraceKind};
 use rave::core::world::{publish_update, RaveWorld};
 use rave::core::RaveConfig;
@@ -120,7 +120,7 @@ fn session_survives_data_service_crash() {
     assert_eq!(sim.world.data(new_ds).scene, pre_crash_mirror);
     assert_eq!(sim.world.trace.count(TraceKind::Recovery), 1);
     let row = &sim.world.trace.first_of(TraceKind::Recovery).unwrap().event;
-    assert!(matches!(row, TraceEvent::Recovered { subscribers: 1, .. }), "trace: {row}");
+    assert!(matches!(row, TraceEvent::Recovered { row: r } if r.subscribers == 1), "trace: {row}");
 
     // ...the user re-finds their avatar instead of duplicating it...
     let who2 = reattach_participant(&sim.world.data(new_ds).scene, "Desktop").unwrap();
@@ -229,7 +229,7 @@ fn service_without_a_standby_is_rebuilt_from_its_store_and_continues_the_sequenc
     let pre_failure = sim.world.data(ds).scene.clone();
 
     // No replication link: the failure event takes the cold path.
-    let outcome = handle_data_service_failure(&mut sim, ds);
+    let outcome = process_events(&mut sim, ds, &[SchedEvent::DataFailure { service: ds }]);
     sim.run();
     assert_eq!(outcome.promotions.len(), 1);
     assert!(!outcome.promotions[0].warm);

@@ -255,7 +255,7 @@ fn adaptive_compression_under_degrading_signal() {
 /// client's avatar updates keep flowing to the survivor.
 #[test]
 fn service_failure_recovery() {
-    use rave::core::migration::handle_service_failure;
+    use rave::core::sched::rebalance::{process_events, SchedEvent};
 
     let mut sim = Simulation::new(RaveWorld::paper_testbed(RaveConfig::default(), 1005));
     let ds = sim.world.spawn_data_service("adrenochrome", "sess");
@@ -287,7 +287,7 @@ fn service_failure_recovery() {
     sim.run();
 
     // rs_a dies; its subtree must land on rs_b.
-    let outcome = handle_service_failure(&mut sim, ds, rs_a);
+    let outcome = process_events(&mut sim, ds, &[SchedEvent::Failure { service: rs_a }]);
     sim.run();
     assert!(!outcome.refused);
     assert_eq!(outcome.moved.len(), 1);

@@ -195,7 +195,7 @@ proptest! {
         sizes in prop::collection::vec(10u64..10_000, 1..10),
         excess_frac in 0.05f64..0.95,
     ) {
-        use rave::core::migration::select_nodes_to_shed;
+        use rave::core::sched::rebalance::select_nodes_to_shed;
         let mut scene = SceneTree::new();
         let root = scene.root();
         let mut roots = Vec::new();

@@ -17,13 +17,13 @@
 //! the master's interest closure.
 
 use proptest::prelude::*;
-use rave::core::bootstrap::snapshot_for;
+use rave::core::bootstrap::snapshot_parcel;
 use rave::core::data_service::{DataService, FanoutTotals, SubState};
 use rave::core::trace::{TraceEvent, TraceKind};
 use rave::core::world::{publish_batch, RaveSim, RaveWorld};
 use rave::core::{DataServiceId, RaveConfig, RenderServiceId};
 use rave::math::Vec3;
-use rave::net::{multicast_deliver, LinkSpec, Network};
+use rave::net::{Fanout, LinkClass, LinkSpec, Network};
 use rave::scene::{
     AvatarInfo, CameraParams, InterestSet, KindTag, NodeId, NodeKind, SceneTree, SceneUpdate,
     StampedUpdate, Transform,
@@ -335,6 +335,8 @@ struct Reference {
     since: BTreeMap<RenderServiceId, u64>,
     /// In schedule order.
     deliveries: Vec<Expected>,
+    /// The interest roots of every subset replica, for its removals.
+    subset_roots: BTreeMap<RenderServiceId, BTreeSet<NodeId>>,
 }
 
 impl Reference {
@@ -405,11 +407,34 @@ impl Reference {
         for d in &self.deliveries {
             let replica = replicas.get_mut(&d.to).expect("deliveries go to spawned services");
             for stamped in &d.updates {
+                let removed = match stamped.update {
+                    SceneUpdate::RemoveNode { id } => replica.node(id).and_then(|n| n.parent()),
+                    _ => None,
+                };
                 let applied = stamped.update.apply(replica).is_ok();
+                if let (true, Some(roots)) = (applied, self.subset_roots.get(&d.to)) {
+                    drop_bare_chain(replica, roots, removed);
+                }
                 rows.push((d.at, stamped.seq, d.to, applied));
             }
         }
         rows
+    }
+}
+
+/// What a subset replica does after a removal: from the removed node's
+/// parent up, it drops each node that is not the scene root, has no child
+/// and lies inside no root's subtree — what is left of an orientation
+/// chain whose root is gone.
+fn drop_bare_chain(replica: &mut SceneTree, roots: &BTreeSet<NodeId>, from: Option<NodeId>) {
+    let mut at = from;
+    while let Some(id) = at.filter(|&id| id != replica.root()) {
+        let Some(node) = replica.node(id) else { return };
+        if node.child_count() > 0 || replica.lineage(id).any(|n| roots.contains(&n)) {
+            return;
+        }
+        at = node.parent();
+        replica.remove(id).expect("held");
     }
 }
 
@@ -422,10 +447,8 @@ struct Run {
     /// applies its schedule to them.
     replicas: BTreeMap<RenderServiceId, SceneTree>,
     /// Subscribers live since their snapshot and never unsubscribed, whose
-    /// replicas were sent everything they were owed, each with its roots'
-    /// ancestor chains as snapshotted. No update reparents a node, so a
-    /// chain holds as long as its root lives.
-    in_step: BTreeMap<RenderServiceId, BTreeSet<NodeId>>,
+    /// replicas were sent everything they were owed.
+    in_step: BTreeSet<RenderServiceId>,
     /// Distinct arrival instants the reference computed, summed over the
     /// batches published.
     instants: u64,
@@ -490,6 +513,7 @@ fn run_case(
         log: Vec::new(),
         since: BTreeMap::new(),
         deliveries: Vec::new(),
+        subset_roots: BTreeMap::new(),
     };
     let mut interests: BTreeMap<RenderServiceId, InterestSet> = BTreeMap::new();
     let mut replicas: BTreeMap<RenderServiceId, SceneTree> = BTreeMap::new();
@@ -508,8 +532,14 @@ fn run_case(
             data.begin_bootstrap(rs, interest.clone());
             model.since.insert(rs, model.log.last().copied().unwrap_or(0));
         }
-        let replica = snapshot_for(&data.scene, &interest);
-        sim.world.render_mut(rs).scene = replica.clone();
+        let mut replica = SceneTree::new();
+        replica.adopt_parcel(&snapshot_parcel(&data.scene, &interest));
+        if !interest.is_everything() {
+            model.subset_roots.insert(rs, interest.roots().collect());
+        }
+        let service = sim.world.render_mut(rs);
+        service.scene = replica.clone();
+        service.interest = interest.clone();
         replicas.insert(rs, replica);
         model.host_of.insert(rs, host.clone());
         model.live.insert(rs, *live);
@@ -519,12 +549,8 @@ fn run_case(
     model.live.insert(NO_SUCH_SERVICE, true);
     interests.insert(NO_SUCH_SERVICE, InterestSet::everything());
     let subscribers: Vec<RenderServiceId> = model.live.keys().copied().collect();
-    let mut in_step: BTreeMap<RenderServiceId, BTreeSet<NodeId>> = BTreeMap::new();
-    for (rs, _) in model.live.iter().filter(|(_, live)| **live) {
-        let scene = &sim.world.data(ds).scene;
-        let chains = interests[rs].roots().flat_map(|r| scene.ancestors(r)).collect();
-        in_step.insert(*rs, chains);
-    }
+    let mut in_step: BTreeSet<RenderServiceId> =
+        model.live.iter().filter(|(_, live)| **live).map(|(rs, _)| *rs).collect();
 
     // Every run has structural edits (an add under a group a subset
     // subscriber holds only for orientation, and a node moved, then
@@ -670,10 +696,13 @@ fn held_nodes(tree: &SceneTree, roots: Option<&[NodeId]>) -> BTreeMap<NodeId, Op
 /// master's interest closure — the subtrees of its roots and their ancestor
 /// chains, and the scene root — each node under the parent the master
 /// gives it and the master's copy of every node inside a root's subtree;
-/// beside it, nothing but what is left of the chain of a root the master
-/// removed (the removal took the root, not what oriented it). Presence is
-/// left out: a subset snapshot holds the avatars inside its roots'
-/// subtrees, a live replica also those that joined under a node it holds.
+/// beside it, nothing but the master's nodes, under the master's parents,
+/// that an avatar the master holds hangs under: when a removal takes a
+/// root, the replica drops the chain that oriented it down to the first
+/// node something still hangs under, and a subtree the master removed is
+/// stray even with an avatar in it. Presence is left out: a subset
+/// snapshot holds the avatars inside its roots' subtrees, a live replica
+/// also those that joined under a node it holds.
 fn check_quiescent(run: Run) -> TestCaseResult {
     let Run { sim, ds, model, replicas, in_step, .. } = run;
     prop_assert_eq!(sim.world.data(ds).fanout, model.totals);
@@ -690,19 +719,31 @@ fn check_quiescent(run: Run) -> TestCaseResult {
     }
     let master = &sim.world.data(ds).scene;
     for (rs, sub) in sim.world.data(ds).subscribers() {
-        let Some(chains) = in_step.get(rs).filter(|_| !sub.interest.is_everything()) else {
+        if !in_step.contains(rs) || sub.interest.is_everything() {
             continue;
-        };
+        }
         let roots: Vec<NodeId> = sub.interest.roots().collect();
         let closure = held_nodes(master, Some(&roots));
-        let held = held_nodes(&sim.world.render(*rs).scene, None);
+        let replica = &sim.world.render(*rs).scene;
+        let held = held_nodes(replica, None);
         for (id, parent) in &closure {
             prop_assert_eq!(held.get(id), Some(parent), "{} lacks {} under {:?}", rs, id, parent);
         }
-        let stray: Vec<&NodeId> =
-            held.keys().filter(|id| !closure.contains_key(id) && !chains.contains(id)).collect();
+        // A node outside the closure is allowed only where the master still
+        // holds it under the same parent and an avatar the master also holds
+        // hangs under it: a subtree the master removed is stray, avatar or not.
+        let orients_presence = |id: NodeId, parent: &Option<NodeId>| {
+            master.node(id).is_some_and(|m| m.parent() == *parent)
+                && replica
+                    .descendants_iter(id)
+                    .any(|n| n.kind_tag().is_presence() && master.contains(n.id()))
+        };
+        let stray: Vec<&NodeId> = held
+            .iter()
+            .filter(|&(&id, parent)| !closure.contains_key(&id) && !orients_presence(id, parent))
+            .map(|(id, _)| id)
+            .collect();
         prop_assert!(stray.is_empty(), "{} holds {:?} outside its interest closure", rs, stray);
-        let replica = &sim.world.render(*rs).scene;
         let inside = roots.iter().flat_map(|&r| master.descendants(r));
         for id in inside.filter(|id| closure.contains_key(id)) {
             let node = |n: rave::scene::NodeRef| {
@@ -759,8 +800,9 @@ proptest! {
         check_quiescent(run)?;
     }
 
-    /// The string-keyed wrapper equals the per-receiver definition on any
-    /// receiver list: unknown names, the sender itself, repeats.
+    /// A `Fanout` over the receivers' link classes equals the per-receiver
+    /// definition on any receiver list: unknown names, the sender itself,
+    /// repeats.
     #[test]
     fn multicast_deliver_equals_the_per_receiver_reference(
         topology in topology_strategy(),
@@ -792,13 +834,15 @@ proptest! {
             arrivals.push((i, net.transfer_time(sender, r, bytes)));
         }
 
-        let d = multicast_deliver(&net, sender, &receivers, bytes);
-        prop_assert_eq!(d.arrivals, arrivals);
-        prop_assert_eq!(d.cost.transmissions as usize, segments.len());
-        prop_assert_eq!(d.cost.unicast_transmissions, unicast);
-        prop_assert_eq!(d.cost.skipped, skipped);
-        prop_assert_eq!(d.cost.completion, completion);
-        prop_assert_eq!(d.wire_bytes, segments.len() as u64 * bytes);
-        prop_assert_eq!(d.unicast_wire_bytes, unicast as u64 * bytes);
+        let from = net.known_host(sender);
+        let classes = receivers.iter().map(|r| LinkClass::of(&net, from, net.host_id(r)));
+        let mut got = Vec::new();
+        let cost =
+            Fanout::default().deliver(&net, from, classes, bytes, |i, at| got.push((i, at)));
+        prop_assert_eq!(got, arrivals);
+        prop_assert_eq!(cost.transmissions as usize, segments.len());
+        prop_assert_eq!(cost.unicast_transmissions, unicast);
+        prop_assert_eq!(cost.skipped, skipped);
+        prop_assert_eq!(cost.completion, completion);
     }
 }

@@ -524,7 +524,9 @@ proptest! {
             content.iter().enumerate().partition(|(i, _)| i % 2 == 0);
         let subset = |ids: Vec<(usize, &rave::scene::NodeId)>| {
             let roots: Vec<rave::scene::NodeId> = ids.into_iter().map(|(_, id)| *id).collect();
-            tree.extract_subset(&roots)
+            let mut replica = SceneTree::new();
+            replica.adopt_parcel(&tree.extract_parcel(&roots));
+            replica
         };
         let scene_a = subset(half_a);
         let scene_b = subset(half_b);

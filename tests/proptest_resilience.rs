@@ -3,7 +3,7 @@
 
 use proptest::prelude::*;
 use rave::core::bootstrap::connect_render_service;
-use rave::core::migration::handle_service_failure;
+use rave::core::sched::rebalance::{process_events, SchedEvent};
 use rave::core::world::{publish_update, RaveWorld};
 use rave::core::{RaveConfig, RenderServiceId};
 use rave::math::Vec3;
@@ -75,7 +75,7 @@ proptest! {
                 break;
             }
             let victim = alive.remove(pick % alive.len());
-            let outcome = handle_service_failure(&mut sim, ds, victim);
+            let outcome = process_events(&mut sim, ds, &[SchedEvent::Failure { service: victim }]);
             sim.run();
 
             // Master untouched.

@@ -134,8 +134,9 @@ proptest! {
         run_model_comparison(&ops)?;
     }
 
-    /// `extract_subset` always holds the requested root, its descendants
-    /// and its ancestors, and preserves world transforms for every one.
+    /// The closure of one root as a standalone tree always holds the
+    /// requested root, its descendants and its ancestors, and preserves
+    /// world transforms for every one.
     #[test]
     fn subset_extraction_sound(ops in prop::collection::vec(op_strategy(), 5..50), pick: usize) {
         let mut tree = SceneTree::new();
@@ -151,7 +152,7 @@ proptest! {
             .collect();
         prop_assume!(!nodes.is_empty());
         let chosen = nodes[pick % nodes.len()];
-        let subset = tree.extract_subset(&[chosen]);
+        let subset = standalone(&tree, &[chosen]);
         subset.check_invariants().unwrap();
         prop_assert!(subset.contains(chosen));
         for d in tree.descendants(chosen) {
@@ -166,7 +167,7 @@ proptest! {
         prop_assert!((p0 - p1).length() < 1e-4);
     }
 
-    /// `extract_subset` visits only the closure; the walk of the whole
+    /// `extract_parcel` visits only the closure; the walk of the whole
     /// tree it replaced is kept below as the oracle. Same tree by `==`,
     /// same snapshot bytes (so same insertion order and slot layout as far
     /// as anything outside the arena can tell) — for one root, several,
@@ -191,7 +192,7 @@ proptest! {
             roots.extend(tree.node(tree.root()).unwrap().children().next_back());
             roots.push(NodeId(u64::MAX - 7));
         }
-        let got = tree.extract_subset(&roots);
+        let got = standalone(&tree, &roots);
         let want = extract_by_whole_tree_walk(&tree, &roots);
         got.check_invariants().map_err(|msg| TestCaseError { msg })?;
         prop_assert_eq!(&got, &want);
@@ -406,10 +407,8 @@ enum BoundsOp {
         salt: u64,
     },
     Clone,
-    /// Through the wire codec, or JSON when the payloads survive it.
-    Roundtrip {
-        json: bool,
-    },
+    /// Through the wire codec.
+    Roundtrip,
 }
 
 fn bounds_op_strategy() -> impl Strategy<Value = BoundsOp> {
@@ -436,7 +435,7 @@ fn bounds_op_strategy() -> impl Strategy<Value = BoundsOp> {
             .prop_map(|(pick, which, salt, tame)| BoundsOp::Update { pick, which, salt, tame }),
         any::<u64>().prop_map(|salt| BoundsOp::Merge { salt }),
         Just(BoundsOp::Clone),
-        any::<bool>().prop_map(|json| BoundsOp::Roundtrip { json }),
+        Just(BoundsOp::Roundtrip),
     ]
 }
 
@@ -512,18 +511,10 @@ fn apply_bounds_op(tree: &mut SceneTree, op: &BoundsOp, step: usize) {
             other
                 .insert_with_id(NodeId(base + 1), NodeId(base), "c", payload(salt >> 7, false))
                 .unwrap();
-            tree.merge_subset(&other.extract_subset(&[NodeId(base)]));
+            tree.adopt_parcel(&other.extract_parcel(&[NodeId(base)]));
         }
         BoundsOp::Clone => *tree = tree.clone(),
-        BoundsOp::Roundtrip { json } => {
-            let through_json = json
-                .then(|| serde_json::to_string(tree).unwrap())
-                .and_then(|text| serde_json::from_str::<SceneTree>(&text).ok());
-            *tree = match through_json {
-                Some(decoded) => decoded,
-                None => wire::decode_tree(&wire::encode_tree(tree)).unwrap(),
-            };
-        }
+        BoundsOp::Roundtrip => *tree = wire::decode_tree(&wire::encode_tree(tree)).unwrap(),
     }
 }
 
@@ -693,11 +684,11 @@ proptest! {
             match op {
                 PresenceOp::Edit(op) => apply_bounds_op(&mut tree, op, step),
                 PresenceOp::Subset { picks } => {
-                    let subset = tree.extract_subset(&roots(picks));
+                    let subset = standalone(&tree, &roots(picks));
                     prop_assert_eq!(subset.holds_presence(), scanned_presence(&subset));
-                    replica.merge_subset(&subset);
+                    replica.adopt_parcel(&subset.extract_parcel(&[subset.root()]));
                 }
-                PresenceOp::Extract { picks } => replica = tree.extract_subset(&roots(picks)),
+                PresenceOp::Extract { picks } => replica = standalone(&tree, &roots(picks)),
                 PresenceOp::Parcel { pick } => {
                     replica.adopt_parcel(&tree.extract_parcel(&[live[pick % live.len()]]));
                 }
@@ -898,7 +889,7 @@ proptest! {
                     let under = if node(parent) == tree.root() { other.root() } else { a };
                     other.insert_with_id(a, other.root(), "a", NodeKind::Group).unwrap();
                     other.insert_with_id(b, under, "b", mesh_kind(1)).unwrap();
-                    tree.merge_subset(&other);
+                    tree.adopt_parcel(&other.extract_parcel(&[other.root()]));
                     events.extend([a, b].map(|id| (id, Structure)));
                 }
                 JournalOp::Swap => {
@@ -988,7 +979,22 @@ fn churned_tree(ops: &[ModelOp]) -> SceneTree {
     tree
 }
 
-/// The `extract_subset` this repository shipped before it learned to
+/// The closure of `roots` as a standalone tree, through the live path: a
+/// fresh tree, moved up to `tree`'s allocator state and root transform,
+/// adopts the parcel — so that it is a whole tree to compare, as the oracle
+/// below builds one.
+fn standalone(tree: &SceneTree, roots: &[NodeId]) -> SceneTree {
+    let mut out = SceneTree::new();
+    while out.id_allocator_state() < tree.id_allocator_state() {
+        out.allocate_id();
+    }
+    let root_transform = tree.node(tree.root()).unwrap().transform();
+    out.node_mut(out.root()).unwrap().set_transform(root_transform);
+    out.adopt_parcel(&tree.extract_parcel(roots));
+    out
+}
+
+/// The standalone closure this repository cut before it learned to
 /// visit only the closure: walk every node of `tree` in pre-order and keep
 /// the ones in the closure. Kept as the oracle of the test above.
 fn extract_by_whole_tree_walk(tree: &SceneTree, roots: &[NodeId]) -> SceneTree {
@@ -1023,7 +1029,7 @@ fn extract_by_whole_tree_walk(tree: &SceneTree, roots: &[NodeId]) -> SceneTree {
     out
 }
 
-/// The `merge_subset` this repository shipped before a parcel was the one
+/// The subset merge this repository shipped before a parcel was the one
 /// way foreign records enter a tree: walk `subset` in pre-order and insert
 /// each node `tree` lacks under its parent (`subset`'s root mapping to
 /// `tree`'s), keeping the local state of the nodes it holds and skipping an
@@ -1164,7 +1170,7 @@ impl Model {
     }
 
     /// Requested roots plus all their descendants and ancestors — the
-    /// closure `extract_subset` materializes.
+    /// closure `extract_parcel` cuts.
     fn closure(&self, roots: &[NodeId]) -> Vec<NodeId> {
         let mut included: Vec<NodeId> = Vec::new();
         for &r in roots {
@@ -1232,14 +1238,14 @@ fn run_model_comparison(ops: &[ModelOp]) -> Result<(), TestCaseError> {
             }
             ModelOp::ExtractMerge { pick } => {
                 let chosen = live[pick % live.len()];
-                let subset = tree.extract_subset(&[chosen]);
+                let subset = standalone(&tree, &[chosen]);
                 subset.check_invariants().map_err(|msg| TestCaseError { msg })?;
                 let got: Vec<NodeId> = subset.iter_nodes().map(|n| n.id()).collect();
                 prop_assert_eq!(got, model.closure(&[chosen]), "extracted closure");
                 // Merging the extract into an empty replica reproduces the
                 // closure exactly (subset root folds onto the new root).
                 let mut merged = SceneTree::new();
-                merged.merge_subset(&subset);
+                merged.adopt_parcel(&subset.extract_parcel(&[subset.root()]));
                 merged.check_invariants().map_err(|msg| TestCaseError { msg })?;
                 prop_assert_eq!(merged.len(), subset.len());
                 prop_assert_eq!(merged.total_cost(), subset.total_cost());

@@ -266,7 +266,7 @@ impl Harness {
                 if !scene.contains(id) {
                     self.added.push(id);
                 }
-                scene.merge_subset(&other);
+                scene.adopt_parcel(&other.extract_parcel(&[id]));
             }
             // Handing out the mutable view is an edit, conservatively.
             _ => drop(scene.node_mut(MESH).unwrap()),

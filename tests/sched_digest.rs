@@ -20,7 +20,6 @@
 //! only moves when things land keeps it.
 
 use rave::core::bootstrap::connect_render_service;
-use rave::core::migration::check_and_replan_incremental;
 use rave::core::sched::rebalance::{
     detect_cost_drift, detect_overload, detect_underload, incremental_replan, process_events,
 };
@@ -346,7 +345,11 @@ fn replan_storm(seed: u64, transcript: &mut Transcript, seen: &mut Seen) {
     let mut events: Vec<SchedEvent> = Vec::new();
     for step in 0..=steps {
         let outcome = if rng.below(4) == 0 {
-            check_and_replan_incremental(&mut sim, ds)
+            // Every detector's events, gathered the way a full pass does.
+            let mut detected = detect_overload(&mut sim, ds);
+            detected.extend(detect_underload(&mut sim, ds));
+            detected.extend(detect_cost_drift(&mut sim, ds));
+            incremental_replan(&mut sim, ds, &detected)
         } else {
             incremental_replan(&mut sim, ds, &events)
         };
