@@ -279,6 +279,22 @@ mod tests {
         }
     }
 
+    /// The quick marshalling rows, bit for bit: the payload counted and
+    /// both prices of it. EXPERIMENTS' marshalling ablation quotes these.
+    #[test]
+    fn marshalling_rows_are_pinned() {
+        let rows: Vec<(u64, u64, u64)> = marshalling(&opts())
+            .iter()
+            .map(|r| (r.bytes, r.introspective_s.to_bits(), r.direct_s.to_bits()))
+            .collect();
+        let want = [
+            (74_013, 0x3fc5cf77a1f80cec, 0x3f6e50d3572a8940),
+            (60_189, 0x3fc1bd9a29e25199, 0x3f68a7462a86bc47),
+            (498_621, 0x3ff25a149914389c, 0x3f998786719ea8cd),
+        ];
+        assert_eq!(rows, want);
+    }
+
     #[test]
     fn tile_sweep_has_sweet_spot() {
         let rows = tile_sweep(&opts());

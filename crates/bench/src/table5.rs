@@ -129,4 +129,14 @@ mod tests {
         // Bootstrap grows with the model.
         assert!(rows[1].bootstrap_s > rows[0].bootstrap_s);
     }
+
+    /// The quick run's service bootstraps, bit for bit: instance creation,
+    /// the SOAP handshake, the priced introspective marshal and the
+    /// transfer. EXPERIMENTS' Table 5 quotes these.
+    #[test]
+    fn quick_bootstrap_times_are_pinned() {
+        let rows = run(&RunOpts { quick: true, out_dir: "out" });
+        let bits: Vec<u64> = rows.iter().map(|r| r.bootstrap_s.to_bits()).collect();
+        assert_eq!(bits, [0x40242820ddbc8df8, 0x40262f789d07d998], "{rows:?}");
+    }
 }

@@ -3,16 +3,18 @@
 //! A render service joining a session receives its snapshot as a
 //! [`Parcel`], the message a migration sends too; on arrival the parcel is
 //! adopted, the data service's audit trail past it replays, and the replica
-//! is "pre-synchronised with \[the\] data service". Snapshot marshalling
-//! goes through the *introspective* path (the paper's measured
-//! bottleneck); [`marshal_time_direct`] prices the ablation alternative.
+//! is "pre-synchronised with \[the\] data service". The parcel's marshal
+//! is priced, not performed: [`MarshalStats`] counts the interface checks,
+//! field visits and bytes of the paper's *introspective* path (its
+//! measured bottleneck), [`marshal_time_introspective`] charges them, and
+//! [`marshal_time_direct`] prices the same bytes for the ablation.
 
 use crate::data_service::DataService;
 use crate::ids::{DataServiceId, RenderServiceId};
 use crate::trace::{RecoveryRow, TraceEvent};
 use crate::world::{RaveSim, RaveWorld};
 use rave_grid::{SoapCodec, SoapEnvelope, SoapValue};
-use rave_scene::introspect::{marshal_direct, marshal_introspective, MarshalStats};
+use rave_scene::introspect::MarshalStats;
 use rave_scene::{InterestSet, Parcel, SceneTree};
 use rave_sim::SimTime;
 use std::path::Path;
@@ -44,7 +46,8 @@ pub fn marshal_time_introspective(stats: &MarshalStats) -> SimTime {
     )
 }
 
-/// CPU time of direct marshalling of the same tree (ablation).
+/// CPU time of direct marshalling of the same records (ablation): the same
+/// bytes, without the interface machinery.
 pub fn marshal_time_direct(stats: &MarshalStats) -> SimTime {
     SimTime::from_secs(stats.bytes as f64 * DIRECT_PER_BYTE)
 }
@@ -101,7 +104,7 @@ pub(crate) fn connect_at(
 
     // 2. Parcel cut + introspective marshal at the data service.
     let parcel = snapshot_parcel(&sim.world.data(ds_id).scene, &interest);
-    let (_bytes, stats) = marshal_introspective(parcel.nodes());
+    let stats = MarshalStats::of(parcel.nodes().map(|n| (n.name.as_str(), &n.kind)));
     let marshalled_at = subscribed_at + marshal_time_introspective(&stats);
 
     // 3. Register the subscription, ship the parcel.
@@ -226,11 +229,12 @@ pub fn snapshot_parcel(scene: &SceneTree, interest: &InterestSet) -> Parcel {
     }
 }
 
-/// Ablation datum: marshalling times for a scene under both paths.
+/// Ablation datum: marshalling times for a scene under both paths, and
+/// the counts both are priced from.
 pub fn marshal_comparison(scene: &SceneTree) -> (SimTime, SimTime, MarshalStats) {
-    let (_b, intro_stats) = marshal_introspective(scene.descendants_iter(scene.root()));
-    let (_b2, direct_stats) = marshal_direct(scene.descendants_iter(scene.root()));
-    (marshal_time_introspective(&intro_stats), marshal_time_direct(&direct_stats), intro_stats)
+    let stats =
+        MarshalStats::of(scene.descendants_iter(scene.root()).map(|n| (n.name(), n.kind())));
+    (marshal_time_introspective(&stats), marshal_time_direct(&stats), stats)
 }
 
 #[cfg(test)]
@@ -465,16 +469,20 @@ mod tests {
     }
 
     /// The standalone tree a bootstrap shipped before it shipped a parcel:
-    /// the master's clone, or a fresh tree with the master's root transform
-    /// that holds the interest closure. Kept as the oracle of the test
-    /// below.
+    /// the master's clone, or a fresh tree with the master's root name and
+    /// transform that holds the interest closure. Kept as the oracle of the
+    /// test below.
     fn snapshot_tree(scene: &SceneTree, interest: &InterestSet) -> SceneTree {
         if interest.is_everything() {
             return scene.clone();
         }
         let mut out = SceneTree::new();
-        let root_transform = scene.node(scene.root()).unwrap().transform();
-        out.node_mut(out.root()).unwrap().set_transform(root_transform);
+        let master_root = scene.node(scene.root()).unwrap();
+        {
+            let mut root = out.node_mut(out.root()).unwrap();
+            root.set_name(master_root.name());
+            root.set_transform(master_root.transform());
+        }
         out.adopt_parcel(&scene.extract_parcel(&interest.roots().collect::<Vec<_>>()));
         out
     }
@@ -483,8 +491,7 @@ mod tests {
     /// snapshot tree it replaced cost: the same bytes, field visits and
     /// interface checks, for the whole scene and for subsets (one root, and
     /// two with one nested in the other). The master's root is moved and
-    /// renamed, so the whole scene's root record and the subset's stub
-    /// differ.
+    /// renamed: every replica's root takes its name and transform.
     #[test]
     fn the_shipped_parcel_marshals_what_the_snapshot_tree_did() {
         let (mut sim, ds) = sim_with_scene(100);
@@ -506,10 +513,11 @@ mod tests {
         for interest in interests {
             let scene = &sim.world.data(ds).scene;
             let want = snapshot_tree(scene, &interest);
-            let (want_bytes, want_stats) =
-                marshal_introspective(want.descendants_iter(want.root()));
-            let shipped = marshal_introspective(snapshot_parcel(scene, &interest).nodes());
-            assert_eq!(shipped, (want_bytes, want_stats));
+            let records = want.descendants_iter(want.root());
+            let want_stats = MarshalStats::of(records.map(|n| (n.name(), n.kind())));
+            let parcel = snapshot_parcel(scene, &interest);
+            let shipped = MarshalStats::of(parcel.nodes().map(|n| (n.name.as_str(), &n.kind)));
+            assert_eq!(shipped, want_stats);
             let rs = sim.world.spawn_render_service("tower");
             let timing = connect_render_service(&mut sim, rs, ds, interest);
             assert_eq!(timing.snapshot_bytes, want_stats.bytes);
@@ -518,7 +526,47 @@ mod tests {
             sim.run();
             let replica = &sim.world.render(rs).scene;
             assert!(want.iter_nodes().all(|n| replica.contains(n.id())));
+            let root = replica.node(replica.root()).unwrap();
+            assert_eq!((root.name(), root.transform().translation), ("master", Vec3::Y));
         }
+    }
+
+    /// Replicas bootstrapped after the master's root was moved and renamed
+    /// orient what they are sent as the master does: a node at world
+    /// x = 5 on the master is at x = 5 on a full and on a subset replica,
+    /// and the full replica is the master.
+    #[test]
+    fn a_replica_bootstrapped_after_the_root_moved_is_oriented_as_the_master() {
+        let (mut sim, ds) = sim_with_scene(100);
+        let model = sim.world.data(ds).scene.find_by_path("/model").unwrap();
+        let root = sim.world.data(ds).scene.root();
+        let moved = rave_scene::Transform::from_translation(Vec3::new(5.0, 0.0, 0.0));
+        let edits = [
+            SceneUpdate::SetTransform { id: root, transform: moved },
+            SceneUpdate::SetName { id: root, name: "stage".into() },
+        ];
+        for edit in edits {
+            publish_update(&mut sim, ds, "user", edit).unwrap();
+        }
+        let full = sim.world.spawn_render_service("tower");
+        let subset = sim.world.spawn_render_service("desktop");
+        connect_render_service(&mut sim, full, ds, InterestSet::everything());
+        connect_render_service(&mut sim, subset, ds, InterestSet::subtrees([model]));
+        sim.run();
+
+        let master = &sim.world.data(ds).scene;
+        assert_eq!(
+            master.world_transform(model).transform_point(Vec3::ZERO),
+            Vec3::new(5.0, 0.0, 0.0)
+        );
+        for rs in [full, subset] {
+            let replica = &sim.world.render(rs).scene;
+            let at = replica.world_transform(model).transform_point(Vec3::ZERO);
+            assert_eq!(at, Vec3::new(5.0, 0.0, 0.0), "{rs}");
+            let r = replica.node(root).unwrap();
+            assert_eq!((r.name(), r.version()), ("stage", 2), "{rs}");
+        }
+        assert!(sim.world.render(full).scene == *master, "the full replica is the master");
     }
 
     /// A data service that fails with a snapshot in flight, recovered

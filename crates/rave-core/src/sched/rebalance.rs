@@ -1198,6 +1198,56 @@ mod tests {
         assert_eq!(scene.descendants(scene.root()), [scene.root(), group, node]);
     }
 
+    /// A root `SetTransform` published while a migration's parcel is on
+    /// the wire reaches the receiver first; the parcel, cut before it,
+    /// lands after it and leaves the receiver's root as the update left
+    /// it — the master's. Both services bootstrapped after the root had
+    /// already moved once.
+    #[test]
+    fn a_root_update_published_while_a_parcel_is_in_flight_survives_its_landing() {
+        let mut sim = Simulation::new(RaveWorld::paper_testbed(RaveConfig::default(), 11));
+        let ds = sim.world.spawn_data_service("adrenochrome", "sess");
+        let node = {
+            let scene = &mut sim.world.data_mut(ds).scene;
+            scene.add_node(scene.root(), "mesh", mesh(400_000)).unwrap()
+        };
+        let root = sim.world.data(ds).scene.root();
+        let move_root = |sim: &mut RaveSim, x: f32| {
+            let transform = rave_scene::Transform::from_translation(Vec3::new(x, 0.0, 0.0));
+            let update = SceneUpdate::SetTransform { id: root, transform };
+            crate::world::publish_update(sim, ds, "user", update).unwrap();
+        };
+        move_root(&mut sim, 5.0);
+        let donor = sim.world.spawn_render_service("laptop");
+        let receiver = sim.world.spawn_render_service("onyx");
+        for (rs, roots) in [(donor, vec![node]), (receiver, vec![])] {
+            crate::bootstrap::connect_render_service(
+                &mut sim,
+                rs,
+                ds,
+                InterestSet::subtrees(roots),
+            );
+        }
+        sim.run();
+        let cost = sim.world.data(ds).scene.subtree_cost(node);
+        MoveBatch::new(ds).move_node(&mut sim, node, Some(donor), receiver, &cost);
+        move_root(&mut sim, 7.0);
+        let root_state = |scene: &SceneTree| {
+            let r = scene.node(scene.root()).unwrap();
+            (r.transform(), r.version())
+        };
+        let master = root_state(&sim.world.data(ds).scene);
+        assert_eq!(master.1, 2);
+        sim.run_until(sim.now() + SimTime::from_secs(0.05));
+        let scene = &sim.world.render(receiver).scene;
+        assert!(!scene.contains(node), "the parcel is still on the wire");
+        assert_eq!(root_state(scene), master, "the update has landed");
+        sim.run();
+        let scene = &sim.world.render(receiver).scene;
+        assert!(scene.contains(node), "the parcel has landed");
+        assert_eq!(root_state(scene), master);
+    }
+
     /// The interest index as the service keeps it routes an update of
     /// every node as the naive scan does, on the index it had
     /// `generation` rebuilds ago.

@@ -12,9 +12,9 @@
 //!   session's log that joining replicas catch up from (§5.5);
 //! - **interest sets** ([`interest::InterestSet`]) marking which scene
 //!   subsets a render service must be kept up to date on (§3.2.5);
-//! - an **introspection marshaller** ([`introspect`]) reproducing the
-//!   paper's Java-introspection network bottleneck (§5.5) alongside the
-//!   direct marshaller it is benchmarked against;
+//! - the **introspective marshal counts** ([`introspect::MarshalStats`]):
+//!   the interface checks, field visits and bytes the paper's
+//!   Java-introspection bottleneck (§5.5) is priced from, in closed form;
 //! - a compact **binary wire codec** ([`wire`]) for updates, audit
 //!   entries and whole-tree snapshots — the payload format of the
 //!   `rave-store` write-ahead log and checkpoint files.

@@ -355,8 +355,9 @@ impl Journal {
 #[derive(Debug, Clone, PartialEq)]
 pub struct Parcel {
     /// The source root's record: its own if the cut takes the root, else
-    /// the fresh tree's `Group` stub named `root` with the source root's
-    /// transform. Never inserted: records under it go under the receiver's.
+    /// orientation only (name, transform and version). Never inserted:
+    /// records under it go under the receiver's root, which takes its name,
+    /// transform and version when the record is newer.
     root: Node,
     /// The rest of the closure, in whole-tree pre-order.
     records: Vec<Node>,
@@ -1140,12 +1141,7 @@ impl SceneTree {
                 version: c.version,
             }
         };
-        let root = if roots.contains(&self.root) {
-            record(self.root_slot, false)
-        } else {
-            let transform = self.hot[self.root_slot as usize].transform;
-            Node { transform, ..Node::new(self.root, "root", NodeKind::Group) }
-        };
+        let root = record(self.root_slot, !roots.contains(&self.root));
         let mut records = Vec::new();
         if let [one] = roots {
             let Some(top) = self.slot(*one) else { return Parcel { root, records } };
@@ -1207,7 +1203,20 @@ impl SceneTree {
     /// reason in turn); the rest go in through the same insert as
     /// [`SceneTree::insert_with_id`], so the edit journal and the stamp
     /// move as that insert moves them.
+    ///
+    /// This tree's root takes the source root's name, transform and
+    /// version when the parcel's are newer: a fresh replica orients what it
+    /// is sent as the source does. A live replica has applied every root
+    /// update the source made before the cut, so a parcel that lands late
+    /// cannot undo one.
     pub fn adopt_parcel(&mut self, parcel: &Parcel) {
+        let root = &parcel.root;
+        if root.version > self.cold[self.root_slot as usize].version {
+            let mut node = self.node_mut(self.root).expect("a tree holds its root");
+            node.set_name(root.name.as_str());
+            node.set_transform(root.transform);
+            node.set_version(root.version);
+        }
         for rec in &parcel.records {
             if self.contains(rec.id) {
                 continue;

@@ -9,12 +9,13 @@
 //! per-(data service, render service) high-water map. Random topologies,
 //! subscriber populations and batch sequences (published back to back
 //! without draining, with structural edits, presence updates that reach
-//! every subscriber, mid-batch commit failures and subscription churn in
-//! between) must produce the same delivery schedule, the same
-//! `FanoutTotals` and the same bootstrap catch-up: the log past each
-//! bootstrapping subscriber's snapshot. Independently of any routing rule,
-//! every subset replica that was sent all it was owed ends holding exactly
-//! the master's interest closure.
+//! every subscriber, root edits, mid-batch commit failures, subscription
+//! churn and late joins in between) must produce the same delivery
+//! schedule, the same `FanoutTotals` and the same bootstrap catch-up: the
+//! log past each bootstrapping subscriber's snapshot. Independently of any
+//! routing rule, every replica that was sent all it was owed ends holding
+//! what the master holds: a full one every node as the master has it, a
+//! subset one exactly the master's interest closure.
 
 use proptest::prelude::*;
 use rave::core::bootstrap::snapshot_parcel;
@@ -99,13 +100,17 @@ struct Subscriber {
     live: bool,
 }
 
-fn subscriber_strategy() -> impl Strategy<Value = Subscriber> {
-    let interest = prop_oneof![
+/// Everything (`None`), or one or two subtree roots picked from the scene.
+fn interest_strategy() -> impl Strategy<Value = Option<Vec<usize>>> {
+    prop_oneof![
         Just(None),
         prop::collection::vec(any::<usize>(), 1..3).prop_map(Some),
         prop::collection::vec(any::<usize>(), 1..3).prop_map(Some),
-    ];
-    (any::<usize>(), interest, any::<bool>(), any::<bool>())
+    ]
+}
+
+fn subscriber_strategy() -> impl Strategy<Value = Subscriber> {
+    (any::<usize>(), interest_strategy(), any::<bool>(), any::<bool>())
         .prop_map(|(host_pick, interest, a, b)| Subscriber { host_pick, interest, live: a || b })
 }
 
@@ -147,6 +152,13 @@ enum Op {
     Join {
         parent_pick: usize,
     },
+    /// A `SetName` (to a name of `pick % 40` bytes) or a `SetTransform` of
+    /// the scene root: the orientation every replica holds, and every
+    /// later bootstrap must carry.
+    Root {
+        pick: usize,
+        rename: bool,
+    },
     /// An update the master rejects: the batch stops here.
     Fail,
 }
@@ -164,6 +176,7 @@ fn op_strategy() -> impl Strategy<Value = Op> {
         (any::<usize>(), any::<bool>()).prop_map(|(pick, camera)| Op::Presence { pick, camera }),
         (any::<usize>(), any::<bool>()).prop_map(|(pick, camera)| Op::Presence { pick, camera }),
         any::<usize>().prop_map(|parent_pick| Op::Join { parent_pick }),
+        (any::<usize>(), any::<bool>()).prop_map(|(pick, rename)| Op::Root { pick, rename }),
         Just(Op::Fail),
     ]
 }
@@ -195,6 +208,13 @@ enum Step {
     FinishBootstrap {
         pick: usize,
     },
+    /// A render service joins late: subscribed live to everything or to
+    /// subtrees of the master as it now stands (picks into its nodes), its
+    /// replica a fresh tree that adopts the master's parcel.
+    Bootstrap {
+        host_pick: usize,
+        interest: Option<Vec<usize>>,
+    },
 }
 
 fn step_strategy() -> impl Strategy<Value = Step> {
@@ -206,6 +226,8 @@ fn step_strategy() -> impl Strategy<Value = Step> {
         any::<usize>().prop_map(|pick| Step::Unsubscribe { pick }),
         any::<usize>().prop_map(|pick| Step::Resubscribe { pick }),
         any::<usize>().prop_map(|pick| Step::FinishBootstrap { pick }),
+        (any::<usize>(), interest_strategy())
+            .prop_map(|(host_pick, interest)| Step::Bootstrap { host_pick, interest }),
     ]
 }
 
@@ -297,6 +319,15 @@ fn plan_batch(sim: &mut RaveSim, ds: DataServiceId, ops: &[Op]) -> (Vec<SceneUpd
                 name: "joined".into(),
                 kind: avatar("joined"),
             }],
+            Op::Root { pick, rename } => {
+                let id = planned.root();
+                vec![if rename {
+                    SceneUpdate::SetName { id, name: "r".repeat(pick % 40) }
+                } else {
+                    let at = Vec3::new(pick as f32 % 9.0, 0.0, 3.0);
+                    SceneUpdate::SetTransform { id, transform: Transform::from_translation(at) }
+                }]
+            }
             Op::Fail => {
                 committed.get_or_insert(updates.len());
                 vec![SceneUpdate::RemoveNode { id: NodeId(u64::MAX) }]
@@ -337,6 +368,8 @@ struct Reference {
     deliveries: Vec<Expected>,
     /// The interest roots of every subset replica, for its removals.
     subset_roots: BTreeMap<RenderServiceId, BTreeSet<NodeId>>,
+    /// Every subscription, as made.
+    interests: BTreeMap<RenderServiceId, InterestSet>,
 }
 
 impl Reference {
@@ -438,6 +471,41 @@ fn drop_bare_chain(replica: &mut SceneTree, roots: &BTreeSet<NodeId>, from: Opti
     }
 }
 
+/// Spawn a render service on `host` and subscribe it to `interest`, live
+/// or bootstrapping, its replica (and the reference's copy) a fresh tree
+/// that adopts the master's parcel as it now stands.
+fn join(
+    sim: &mut RaveSim,
+    ds: DataServiceId,
+    model: &mut Reference,
+    replicas: &mut BTreeMap<RenderServiceId, SceneTree>,
+    host: &str,
+    interest: InterestSet,
+    live: bool,
+) -> RenderServiceId {
+    let rs = sim.world.spawn_render_service(host);
+    let data = sim.world.data_mut(ds);
+    if live {
+        data.subscribe_live(rs, interest.clone());
+    } else {
+        data.begin_bootstrap(rs, interest.clone());
+        model.since.insert(rs, model.log.last().copied().unwrap_or(0));
+    }
+    let mut replica = SceneTree::new();
+    replica.adopt_parcel(&snapshot_parcel(&data.scene, &interest));
+    if !interest.is_everything() {
+        model.subset_roots.insert(rs, interest.roots().collect());
+    }
+    let service = sim.world.render_mut(rs);
+    service.scene = replica.clone();
+    service.interest = interest.clone();
+    replicas.insert(rs, replica);
+    model.host_of.insert(rs, host.to_string());
+    model.live.insert(rs, live);
+    model.interests.insert(rs, interest);
+    rs
+}
+
 /// What one generated case leaves behind at quiescence.
 struct Run {
     sim: RaveSim,
@@ -514,43 +582,30 @@ fn run_case(
         since: BTreeMap::new(),
         deliveries: Vec::new(),
         subset_roots: BTreeMap::new(),
+        interests: BTreeMap::new(),
     };
-    let mut interests: BTreeMap<RenderServiceId, InterestSet> = BTreeMap::new();
+    let interest_in = |nodes: &[NodeId], picks: &Option<Vec<usize>>| match picks {
+        None => InterestSet::everything(),
+        Some(picks) => InterestSet::subtrees(picks.iter().map(|&p| nodes[p % nodes.len()])),
+    };
     let mut replicas: BTreeMap<RenderServiceId, SceneTree> = BTreeMap::new();
-    for (host, interest, live) in &population {
-        let rs = sim.world.spawn_render_service(host);
-        let interest = match interest {
-            None => InterestSet::everything(),
-            Some(picks) => {
-                InterestSet::subtrees(picks.iter().map(|&p| seed_nodes[p % seed_nodes.len()]))
-            }
-        };
-        let data = sim.world.data_mut(ds);
-        if *live {
-            data.subscribe_live(rs, interest.clone());
-        } else {
-            data.begin_bootstrap(rs, interest.clone());
-            model.since.insert(rs, model.log.last().copied().unwrap_or(0));
-        }
-        let mut replica = SceneTree::new();
-        replica.adopt_parcel(&snapshot_parcel(&data.scene, &interest));
-        if !interest.is_everything() {
-            model.subset_roots.insert(rs, interest.roots().collect());
-        }
-        let service = sim.world.render_mut(rs);
-        service.scene = replica.clone();
-        service.interest = interest.clone();
-        replicas.insert(rs, replica);
-        model.host_of.insert(rs, host.clone());
-        model.live.insert(rs, *live);
-        interests.insert(rs, interest);
+    for (host, picks, live) in &population {
+        let interest = interest_in(&seed_nodes, picks);
+        join(&mut sim, ds, &mut model, &mut replicas, host, interest, *live);
     }
     sim.world.data_mut(ds).subscribe_live(NO_SUCH_SERVICE, InterestSet::everything());
     model.live.insert(NO_SUCH_SERVICE, true);
-    interests.insert(NO_SUCH_SERVICE, InterestSet::everything());
-    let subscribers: Vec<RenderServiceId> = model.live.keys().copied().collect();
-    let mut in_step: BTreeSet<RenderServiceId> =
-        model.live.iter().filter(|(_, live)| **live).map(|(rs, _)| *rs).collect();
+    model.interests.insert(NO_SUCH_SERVICE, InterestSet::everything());
+    let mut subscribers: Vec<RenderServiceId> = model.live.keys().copied().collect();
+    // Live replicas the updates can reach: not the one off the network,
+    // nor the subscription no service stands behind.
+    let reachable = |host: &String| sim.world.network.segment_of(host).is_some();
+    let mut in_step: BTreeSet<RenderServiceId> = model
+        .live
+        .iter()
+        .filter(|&(rs, &live)| live && model.host_of.get(rs).is_some_and(reachable))
+        .map(|(rs, _)| *rs)
+        .collect();
 
     // Every run has structural edits (an add under a group a subset
     // subscriber holds only for orientation, and a node moved, then
@@ -581,6 +636,11 @@ fn run_case(
                 Op::Presence { pick: 1, camera: false },
                 Op::Move { pick: 1 },
             ]),
+            // The root, renamed above, is moved too; then a full and a
+            // subset replica join.
+            Step::Batch(vec![Op::Root { pick: 5, rename: false }]),
+            Step::Bootstrap { host_pick: 0, interest: None },
+            Step::Bootstrap { host_pick: 1, interest: Some(vec![1]) },
         ],
     );
     steps.push(Step::Batch(vec![
@@ -637,7 +697,7 @@ fn run_case(
                 let rs = subscribers[pick % subscribers.len()];
                 let data = sim.world.data_mut(ds);
                 data.unsubscribe(rs);
-                data.subscribe_live(rs, interests[&rs].clone());
+                data.subscribe_live(rs, model.interests[&rs].clone());
                 in_step.remove(&rs);
                 model.live.insert(rs, true);
                 model.since.remove(&rs);
@@ -660,6 +720,14 @@ fn run_case(
                 let past: Vec<u64> = model.log.iter().copied().filter(|&seq| seq > since).collect();
                 prop_assert_eq!(missed, past);
                 model.live.insert(rs, true);
+            }
+            Step::Bootstrap { host_pick, interest } => {
+                let host = hosts[host_pick % hosts.len()].clone();
+                let scene = &sim.world.data(ds).scene;
+                let interest = interest_in(&scene.descendants(scene.root()), interest);
+                let rs = join(&mut sim, ds, &mut model, &mut replicas, &host, interest, true);
+                subscribers.push(rs);
+                in_step.insert(rs);
             }
         }
     }
@@ -692,7 +760,10 @@ fn held_nodes(tree: &SceneTree, roots: Option<&[NodeId]>) -> BTreeMap<NodeId, Op
 
 /// Totals, bootstrap marks and every spawned replica equal the
 /// reference's (after [`Reference::rows`] has applied its schedule). And,
-/// whatever the routing rule, each subset replica in step holds the
+/// whatever the routing rule, each full replica in step holds the master's
+/// nodes as the master holds them; each subset replica in step whose
+/// roots are not all removed holds the master's root as the master holds
+/// it (name, transform, version); and each subset replica in step holds the
 /// master's interest closure — the subtrees of its roots and their ancestor
 /// chains, and the scene root — each node under the parent the master
 /// gives it and the master's copy of every node inside a root's subtree;
@@ -718,13 +789,26 @@ fn check_quiescent(run: Run) -> TestCaseResult {
         prop_assert!(&sim.world.render(*rs).scene == replica, "replica of {} differs", rs);
     }
     let master = &sim.world.data(ds).scene;
+    let state = |n: rave::scene::NodeRef| {
+        let (name, kind) = (n.name().to_string(), n.kind().clone());
+        (n.id(), name, n.transform(), kind, n.version(), n.parent())
+    };
     for (rs, sub) in sim.world.data(ds).subscribers() {
-        if !in_step.contains(rs) || sub.interest.is_everything() {
+        if !in_step.contains(rs) {
+            continue;
+        }
+        let replica = &sim.world.render(*rs).scene;
+        if sub.interest.is_everything() {
+            let same = master.iter_nodes().map(state).eq(replica.iter_nodes().map(state));
+            prop_assert!(same, "the full replica of {} is not the master", rs);
             continue;
         }
         let roots: Vec<NodeId> = sub.interest.roots().collect();
+        if roots.iter().any(|&r| master.contains(r)) {
+            let root = |tree: &SceneTree| tree.node(tree.root()).map(state);
+            prop_assert!(root(replica) == root(master), "{} holds another scene root", rs);
+        }
         let closure = held_nodes(master, Some(&roots));
-        let replica = &sim.world.render(*rs).scene;
         let held = held_nodes(replica, None);
         for (id, parent) in &closure {
             prop_assert_eq!(held.get(id), Some(parent), "{} lacks {} under {:?}", rs, id, parent);

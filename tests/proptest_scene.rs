@@ -5,7 +5,8 @@ use proptest::prelude::*;
 use rave::math::{Aabb, Quat, Vec3};
 use rave::scene::{
     wire, AuditTrail, AvatarInfo, CameraParams, Dirt, EditClass, EditStamp, MeshData, NodeCost,
-    NodeId, NodeKind, PointCloudData, SceneTree, SceneUpdate, StampedUpdate, Transform, VolumeData,
+    NodeId, NodeKind, NodeRef, PointCloudData, SceneTree, SceneUpdate, StampedUpdate, Transform,
+    VolumeData,
 };
 use rave::store::{Store, StoreConfig};
 use std::collections::BTreeMap;
@@ -266,8 +267,11 @@ proptest! {
             let parcel = tree.extract_parcel(&roots);
             let subset = extract_by_whole_tree_walk(&tree, &roots);
             prop_assert_eq!(parcel.len(), subset.len() - 1, "the closure of {:?}", &roots);
+            let newer_root = parcel.nodes().next().unwrap().version;
             for (adopted, merged) in &mut pairs {
                 let (before_a, before_m) = (adopted.edit_stamp(), merged.edit_stamp());
+                let root = adopted.root();
+                let root_taken = newer_root > adopted.node(root).unwrap().version();
                 adopted.adopt_parcel(&parcel);
                 merge_by_tree_walk(merged, &subset);
                 prop_assert_eq!(&*adopted, &*merged, "roots {:?}", &roots);
@@ -276,13 +280,27 @@ proptest! {
                 prop_assert_eq!(adopted.id_allocator_state(), merged.id_allocator_state());
                 let structure = adopted.changes_since(before_a, &classes[..1]);
                 prop_assert_eq!(&structure, &merged.changes_since(before_m, &classes[..1]));
-                prop_assert_eq!(&adopted.changes_since(before_a, &classes), &structure);
-                prop_assert_eq!(&merged.changes_since(before_m, &classes), &structure);
+                // A root that takes the parcel's state is written through
+                // `node_mut` on both sides: one `Payload` entry.
+                let and_root = |dirt: &Dirt| match (root_taken, dirt) {
+                    (false, _) => dirt.clone(),
+                    (true, Dirt::Clean) => Dirt::Nodes(vec![root]),
+                    (true, Dirt::Nodes(ids)) => {
+                        let mut ids = ids.clone();
+                        ids.push(root);
+                        ids.sort_unstable();
+                        ids.dedup();
+                        Dirt::Nodes(ids)
+                    }
+                    (true, Dirt::Everything) => Dirt::Everything,
+                };
+                prop_assert_eq!(adopted.changes_since(before_a, &classes), and_root(&structure));
+                prop_assert_eq!(merged.changes_since(before_m, &classes), and_root(&structure));
                 // The reference writes transform and version through
                 // `node_mut`: a `Payload` entry per node it inserts, where
                 // the arena's own insert leaves none.
-                prop_assert_eq!(adopted.changes_since(before_a, &classes[1..]), Dirt::Clean);
-                prop_assert_eq!(&merged.changes_since(before_m, &classes[1..]), &structure);
+                prop_assert_eq!(adopted.changes_since(before_a, &classes[1..]), and_root(&Dirt::Clean));
+                prop_assert_eq!(merged.changes_since(before_m, &classes[1..]), and_root(&structure));
                 prop_assert_eq!(adopted.edit_stamp() == before_a, merged.edit_stamp() == before_m);
             }
         }
@@ -981,8 +999,9 @@ fn churned_tree(ops: &[ModelOp]) -> SceneTree {
 
 /// The closure of `roots` as a standalone tree, through the live path: a
 /// fresh tree, moved up to `tree`'s allocator state and root transform,
-/// adopts the parcel — so that it is a whole tree to compare, as the oracle
-/// below builds one.
+/// adopts the parcel (and with it the root's name and version, as it is
+/// newer) — so that it is a whole tree to compare, as the oracle below
+/// builds one.
 fn standalone(tree: &SceneTree, roots: &[NodeId]) -> SceneTree {
     let mut out = SceneTree::new();
     while out.id_allocator_state() < tree.id_allocator_state() {
@@ -996,7 +1015,8 @@ fn standalone(tree: &SceneTree, roots: &[NodeId]) -> SceneTree {
 
 /// The standalone closure this repository cut before it learned to
 /// visit only the closure: walk every node of `tree` in pre-order and keep
-/// the ones in the closure. Kept as the oracle of the test above.
+/// the ones in the closure. Its root is oriented as `tree`'s. Kept as the
+/// oracle of the test above.
 fn extract_by_whole_tree_walk(tree: &SceneTree, roots: &[NodeId]) -> SceneTree {
     let mut in_subtree: Vec<NodeId> = roots.iter().flat_map(|&r| tree.descendants(r)).collect();
     in_subtree.sort_unstable();
@@ -1007,8 +1027,9 @@ fn extract_by_whole_tree_walk(tree: &SceneTree, roots: &[NodeId]) -> SceneTree {
     while out.id_allocator_state() < tree.id_allocator_state() {
         out.allocate_id();
     }
-    let root_transform = tree.node(tree.root()).unwrap().transform();
-    out.node_mut(out.root()).unwrap().set_transform(root_transform);
+    let root = tree.node(tree.root()).unwrap();
+    out.node_mut(out.root()).unwrap().set_transform(root.transform());
+    take_root_if_newer(&mut out, root);
     for src in tree.descendants_iter(tree.root()) {
         let id = src.id();
         if id == tree.root() || closure.binary_search(&id).is_err() {
@@ -1034,9 +1055,12 @@ fn extract_by_whole_tree_walk(tree: &SceneTree, roots: &[NodeId]) -> SceneTree {
 /// each node `tree` lacks under its parent (`subset`'s root mapping to
 /// `tree`'s), keeping the local state of the nodes it holds and skipping an
 /// orphaned branch. Kept as the oracle of
-/// `adopting_a_parcel_equals_merging_the_subset`. Through the public API,
-/// the transform and version go in through `node_mut`.
+/// `adopting_a_parcel_equals_merging_the_subset`, with the one rule the
+/// merge lacked: `tree`'s root takes the name, transform and version of
+/// `subset`'s when those are newer. Through the public API, the transform
+/// and version go in through `node_mut`.
 fn merge_by_tree_walk(tree: &mut SceneTree, subset: &SceneTree) {
+    take_root_if_newer(tree, subset.node(subset.root()).unwrap());
     for src in subset.descendants_iter(subset.root()) {
         let id = src.id();
         if id == subset.root() || tree.contains(id) {
@@ -1051,6 +1075,17 @@ fn merge_by_tree_walk(tree: &mut SceneTree, subset: &SceneTree) {
         let mut node = tree.node_mut(id).unwrap();
         node.set_transform(src.transform());
         node.set_version(src.version());
+    }
+}
+
+/// Write `src`'s name, transform and version into `tree`'s root if its
+/// version is newer than the root's.
+fn take_root_if_newer(tree: &mut SceneTree, src: NodeRef) {
+    if src.version() > tree.node(tree.root()).unwrap().version() {
+        let mut root = tree.node_mut(tree.root()).unwrap();
+        root.set_name(src.name());
+        root.set_transform(src.transform());
+        root.set_version(src.version());
     }
 }
 
