@@ -2,8 +2,9 @@
 //!
 //! A render service joining a session receives its snapshot as a
 //! [`Parcel`], the message a migration sends too; on arrival the parcel is
-//! adopted, the data service's audit trail past it replays, and the replica
-//! is "pre-synchronised with \[the\] data service". The parcel's marshal
+//! adopted, the replica applies what routing would have sent it from the
+//! data service's audit trail past it, and it is "pre-synchronised with
+//! \[the\] data service". The parcel's marshal
 //! is priced, not performed: [`MarshalStats`] counts the interface checks,
 //! field visits and bytes of the paper's *introspective* path (its
 //! measured bottleneck), [`marshal_time_introspective`] charges them, and
@@ -111,7 +112,7 @@ pub(crate) fn connect_at(
     sim.world.data_mut(ds_id).begin_bootstrap(rs_id, interest.clone());
     move |sim| {
         let arrival = sim.world.send_bytes(marshalled_at, &ds_host, &rs_host, stats.bytes);
-        // 4. On arrival: adopt the parcel, replay the trail past it. A
+        // 4. On arrival: adopt the parcel, catch up from the trail. A
         //    parcel whose sender or receiver failed meanwhile installs
         //    nothing: failover re-bootstraps the receiver from the new
         //    master.
@@ -135,9 +136,12 @@ pub(crate) fn connect_at(
             }
             rs.interest = interest;
             for e in missed {
-                // The trail holds every update, not only this interest's;
-                // one to a node the replica does not hold is refused.
-                rs.apply_update(&e.stamped.update);
+                // The trail holds every update; the replica takes what
+                // routing would have sent it, judged as the index judges
+                // the master, against its own closure.
+                if rs.interest.relevant(&e.stamped.update, &rs.scene) {
+                    rs.apply_update(&e.stamped.update);
+                }
             }
             let replayed = missed.len();
             trace.record(now, TraceEvent::Bootstrapped { rs: rs_id, ds: ds_id, replayed });
@@ -567,6 +571,81 @@ mod tests {
             assert_eq!((r.name(), r.version()), ("stage", 2), "{rs}");
         }
         assert!(sim.world.render(full).scene == *master, "the full replica is the master");
+    }
+
+    /// A subset replica caught up from the trail holds, node for node, what
+    /// one of the same interest live throughout holds and what one
+    /// bootstrapped afterwards holds. Committed while its snapshot was in
+    /// flight: an `AddNode` under the scene root (outside the interest),
+    /// a `ReplaceKind` of the group that orients its root (an orientation
+    /// write), and a rename inside it.
+    #[test]
+    fn a_caught_up_replica_holds_what_a_live_and_a_later_one_hold() {
+        let (mut sim, ds) = sim_with_scene(100);
+        let (group, leaf) = {
+            let scene = &mut sim.world.data_mut(ds).scene;
+            let group = scene.add_node(scene.root(), "group", NodeKind::Group).unwrap();
+            (group, scene.add_node(group, "leaf", NodeKind::Group).unwrap())
+        };
+        let interest = InterestSet::subtrees([leaf]);
+        let [live, caught_up, late] =
+            ["tower", "desktop", "laptop"].map(|host| sim.world.spawn_render_service(host));
+        connect_render_service(&mut sim, live, ds, interest.clone());
+        sim.run();
+        connect_render_service(&mut sim, caught_up, ds, interest.clone());
+        let outside = sim.world.data_mut(ds).scene.allocate_id();
+        let root = sim.world.data(ds).scene.root();
+        let mesh = MeshData::new(vec![Vec3::ZERO, Vec3::X, Vec3::Y], vec![[0, 1, 2]; 1000]);
+        let edits = [
+            SceneUpdate::AddNode {
+                id: outside,
+                parent: root,
+                name: "outside".into(),
+                kind: NodeKind::Group,
+            },
+            SceneUpdate::ReplaceKind { id: group, kind: NodeKind::Mesh(Arc::new(mesh)) },
+            SceneUpdate::SetName { id: leaf, name: "inside".into() },
+        ];
+        for edit in edits {
+            publish_update(&mut sim, ds, "user", edit).unwrap();
+        }
+        let state = sim.world.data(ds).subscribers()[&caught_up].state;
+        assert_eq!(state, SubState::Bootstrapping { since: 0 });
+        sim.run();
+        connect_render_service(&mut sim, late, ds, interest);
+        sim.run();
+
+        let replica = |rs| &sim.world.render(rs).scene;
+        assert!(!replica(caught_up).contains(outside), "outside the interest");
+        assert_eq!(replica(caught_up).node(leaf).unwrap().name(), "inside");
+        let group_version = sim.world.data(ds).scene.node(group).unwrap().version();
+        assert_eq!(replica(caught_up).node(group).unwrap().version(), group_version);
+        assert!(replica(caught_up) == replica(live), "the caught-up replica is the live one");
+        assert!(replica(caught_up) == replica(late), "the caught-up replica is the late one");
+        let cost = |rs| sim.world.render(rs).assigned_cost();
+        assert_eq!((cost(live), cost(caught_up)), (cost(late), cost(late)));
+    }
+
+    /// A full replica bootstrapped after the master's root took a camera
+    /// holds the master's root, kind and all: the cut took the root. A
+    /// subset replica holds it as an orientation record, a group.
+    #[test]
+    fn a_full_replica_bootstrapped_after_the_root_took_a_payload_is_the_master() {
+        let (mut sim, ds) = sim_with_scene(100);
+        let model = sim.world.data(ds).scene.find_by_path("/model").unwrap();
+        let root = sim.world.data(ds).scene.root();
+        let kind = NodeKind::Camera(rave_scene::CameraParams::default());
+        publish_update(&mut sim, ds, "user", SceneUpdate::ReplaceKind { id: root, kind }).unwrap();
+        let full = sim.world.spawn_render_service("tower");
+        let subset = sim.world.spawn_render_service("desktop");
+        connect_render_service(&mut sim, full, ds, InterestSet::everything());
+        connect_render_service(&mut sim, subset, ds, InterestSet::subtrees([model]));
+        sim.run();
+
+        let master = &sim.world.data(ds).scene;
+        assert!(sim.world.render(full).scene == *master, "the full replica is the master");
+        let r = sim.world.render(subset).scene.node(root).unwrap();
+        assert_eq!((r.kind(), r.version()), (&NodeKind::Group, 1));
     }
 
     /// A data service that fails with a snapshot in flight, recovered

@@ -39,13 +39,14 @@ impl Clone for AttachedStore {
 /// A subscriber's delivery state.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum SubState {
-    /// Scene snapshot still in flight; nothing is routed to it. The
-    /// snapshot covers the audit trail up to `since`, and on arrival the
-    /// replica replays the trail past it, so it comes up pre-synchronised
-    /// (§5.5: "We overlap update messages with the initial bootstrap
-    /// messages, so the remote resource does not miss any updates"). The
-    /// trail is the one copy of those updates, however many subscribers
-    /// are bootstrapping.
+    /// Scene snapshot still in flight; it has no place in the routing
+    /// state, and nothing is routed to it. The snapshot covers the audit
+    /// trail up to `since`, and on arrival the replica takes from the trail
+    /// past it what routing would have sent it, so it comes up
+    /// pre-synchronised (§5.5: "We overlap update messages with the initial
+    /// bootstrap messages, so the remote resource does not miss any
+    /// updates"). The trail is the one copy of those updates, however many
+    /// subscribers are bootstrapping.
     Bootstrapping { since: u64 },
     /// Replica live; updates stream as they are published.
     Live,
@@ -135,31 +136,22 @@ pub struct DataService {
     /// Optional durable store: every committed update is appended to it,
     /// with periodic snapshot checkpoints.
     store: AttachedStore,
-    /// The inverted interest index `route` consults, plus its slot → id
-    /// map. Lazily (re)built: a change of the subscriber population (or of
-    /// a subscriber's state) bumps `index_rev`, the next route rebuilds;
+    /// The inverted interest index `route` consults, over the `Live`
+    /// subscribers alone. Lazily (re)built: a change of the subscribers or
+    /// of their states sets `index_stale`, the next route rebuilds;
     /// structural scene edits since `index_seen` are read from the tree's
     /// edit journal and folded in instead, and a root moved between two
-    /// subscribers ([`DataService::move_interest_root`]) is patched in on
-    /// the spot.
+    /// live subscribers ([`DataService::move_interest_root`]) is patched in
+    /// on the spot.
     index: InterestIndex,
     index_seen: EditStamp,
-    index_sub_ids: Vec<RenderServiceId>,
-    /// Slot → is the subscriber `Live`? Snapshotted at rebuild (state
-    /// flips bump `index_rev`), so routing's hot path never touches the
-    /// subscriber map — and skips the per-match check altogether while
-    /// nobody is bootstrapping (every slot live).
-    index_live: Vec<bool>,
-    /// How many of `index_live` are `true`.
-    index_live_slots: usize,
-    pub(crate) index_rev: u64,
-    index_built_rev: u64,
+    pub(crate) index_stale: bool,
     /// Counts index rebuilds, i.e. slot renumberings.
     index_generation: u64,
     /// Scratch for the routed slots of one update, reused across calls.
     route_slots: Vec<SubSlot>,
-    /// What the publish path keeps per slot: hosts, FIFO marks, the batch
-    /// in flight.
+    /// What the publish path keeps per slot: its render service, how it is
+    /// reached, its FIFO mark, the batch in flight.
     delivery: DeliveryState,
     /// Multicast-vs-unicast delivery accounting, fed by the world's
     /// publish path.
@@ -185,11 +177,7 @@ impl DataService {
             store: AttachedStore::default(),
             index: InterestIndex::new(),
             index_seen: EditStamp::default(),
-            index_sub_ids: Vec::new(),
-            index_live: Vec::new(),
-            index_live_slots: 0,
-            index_rev: 1,
-            index_built_rev: 0,
+            index_stale: true,
             index_generation: 0,
             route_slots: Vec::new(),
             delivery: DeliveryState::default(),
@@ -288,7 +276,7 @@ impl DataService {
     /// synchronously, e.g. a local active client).
     pub fn subscribe_live(&mut self, rs: RenderServiceId, interest: InterestSet) {
         self.subscribers.insert(rs, Subscription { interest, state: SubState::Live });
-        self.index_rev += 1;
+        self.index_stale = true;
     }
 
     /// Begin a bootstrap: the subscriber is registered, but nothing is
@@ -297,7 +285,7 @@ impl DataService {
     pub fn begin_bootstrap(&mut self, rs: RenderServiceId, interest: InterestSet) {
         let state = SubState::Bootstrapping { since: self.audit.last_seq() };
         self.subscribers.insert(rs, Subscription { interest, state });
-        self.index_rev += 1;
+        self.index_stale = true;
     }
 
     /// Finish a bootstrap: flips the subscriber live and returns what it
@@ -310,8 +298,8 @@ impl DataService {
         else {
             return &[];
         };
-        // The liveness cache went stale; next route re-snapshots.
-        self.index_rev += 1;
+        // A live subscriber joins the routing state.
+        self.index_stale = true;
         let entries = self.audit.entries();
         &entries[entries.partition_point(|e| e.stamped.seq <= since)..]
     }
@@ -319,7 +307,7 @@ impl DataService {
     pub fn unsubscribe(&mut self, rs: RenderServiceId) -> bool {
         let removed = self.subscribers.remove(&rs).is_some();
         if removed {
-            self.index_rev += 1;
+            self.index_stale = true;
             self.ledger.forget(rs);
         }
         removed
@@ -341,22 +329,18 @@ impl DataService {
         &self.subscribers
     }
 
-    /// Bring the inverted index in sync with the subscriber map and the
+    /// Bring the inverted index in sync with the live subscribers and the
     /// scene: a full rebuild if subscriptions changed, otherwise an
     /// incremental repair from the structural edits the tree has
     /// journalled since the index last saw it.
     fn ensure_index(&mut self) {
         let seen = std::mem::replace(&mut self.index_seen, self.scene.edit_stamp());
-        if self.index_built_rev != self.index_rev {
-            self.delivery.renumber(&self.index_sub_ids, self.subscribers.keys().copied());
+        if self.index_stale {
+            let live = self.subscribers.iter().filter(|(_, s)| s.state == SubState::Live);
+            self.delivery.renumber(live.clone().map(|(&rs, _)| rs));
             self.index_generation += 1;
-            self.index_sub_ids.clear();
-            self.index_sub_ids.extend(self.subscribers.keys().copied());
-            self.index_live.clear();
-            self.index_live.extend(self.subscribers.values().map(|s| s.state == SubState::Live));
-            self.index_live_slots = self.index_live.iter().filter(|&&live| live).count();
-            self.index.rebuild(&self.scene, self.subscribers.values().map(|s| &s.interest));
-            self.index_built_rev = self.index_rev;
+            self.index.rebuild(&self.scene, live.map(|(_, s)| &s.interest));
+            self.index_stale = false;
         } else {
             let dirt = self.scene.changes_since(seen, &[EditClass::Structure]);
             self.index.repair(&self.scene, &dirt);
@@ -369,11 +353,7 @@ impl DataService {
     /// bootstrapping subscriber reads it from the audit trail on arrival.
     fn route_into(&mut self, stamped: &StampedUpdate, out: &mut Vec<SubSlot>) -> Reach {
         self.ensure_index();
-        let reach = self.index.matches(&stamped.update, &self.scene, out);
-        if self.index_live_slots < self.index_live.len() && matches!(reach, Reach::Slots) {
-            out.retain(|&slot| self.index_live[slot as usize]);
-        }
-        reach
+        self.index.matches(&stamped.update, &self.scene, out)
     }
 
     /// Route an update against the master as it stands: the live
@@ -383,15 +363,14 @@ impl DataService {
     /// after it, a removal's target is unknown and reaches everyone.
     pub fn route(&mut self, stamped: &StampedUpdate) -> Vec<RenderServiceId> {
         let mut slots = std::mem::take(&mut self.route_slots);
-        let ids = match self.route_into(stamped, &mut slots) {
-            Reach::Everyone => {
-                let live = self.index_sub_ids.iter().zip(&self.index_live).filter(|p| *p.1);
-                live.map(|(&id, _)| id).collect()
-            }
-            Reach::Slots => slots.iter().map(|&slot| self.index_sub_ids[slot as usize]).collect(),
+        let reach = self.route_into(stamped, &mut slots);
+        let ids = self.delivery.ids();
+        let routed = match reach {
+            Reach::Everyone => ids.to_vec(),
+            Reach::Slots => slots.iter().map(|&slot| ids[slot as usize]).collect(),
         };
         self.route_slots = slots;
-        ids
+        routed
     }
 
     /// Publish update number `update` of a batch in flight: route it
@@ -413,20 +392,13 @@ impl DataService {
         let reach = self.route_into(stamped, &mut slots);
         let committed = self.commit(now.as_secs(), stamped);
         let reaches_anyone = match reach {
-            Reach::Everyone => self.index_live_slots > 0,
+            Reach::Everyone => !self.delivery.ids().is_empty(),
             Reach::Slots => !slots.is_empty(),
         };
         if committed.is_ok() && reaches_anyone {
             // A structural update earlier in the batch repairs the index
             // without renumbering it, so this resolves at most once a batch.
-            self.delivery.resolve_classes(
-                self.index_generation,
-                &self.index_sub_ids,
-                &self.index_live,
-                &self.host,
-                net,
-                &host_of,
-            );
+            self.delivery.resolve_classes(&self.host, net, &host_of);
             let (bytes, totals) = (stamped.wire_size(), &mut self.fanout);
             match reach {
                 Reach::Everyone => {
@@ -443,7 +415,7 @@ impl DataService {
     /// updates are `batch`: one [`Wave`] per instant it lands at, holding
     /// every live subscriber it reaches then in subscriber id order.
     pub(crate) fn finish_batch(&mut self, batch: &[Arc<StampedUpdate>]) -> Vec<Wave> {
-        self.delivery.finish_batch(batch, &self.index_sub_ids)
+        self.delivery.finish_batch(batch)
     }
 
     /// The pre-index routing decision, kept as the embedded parity oracle
@@ -477,9 +449,8 @@ impl DataService {
         // `to` first: a root that changes hands never leaves the index.
         if let Some((rs, sub)) = to.and_then(|rs| Some((rs, self.subscribers.get_mut(&rs)?))) {
             if sub.interest.add_root(node) {
-                match self.index_slot(rs) {
-                    Some(slot) => self.index.add_root(&self.scene, slot, node),
-                    None => self.index_rev += 1,
+                if let Some(slot) = self.index_slot(rs) {
+                    self.index.add_root(&self.scene, slot, node);
                 }
             }
         }
@@ -491,19 +462,17 @@ impl DataService {
             let partial = self.subscribers.iter_mut().filter(|s| !s.1.interest.is_everything());
             partial.map(|(rs, sub)| (*rs, sub)).find_map(listed)
         })?;
-        match self.index_slot(left) {
-            Some(slot) => self.index.remove_root(slot, node),
-            None => self.index_rev += 1,
+        if let Some(slot) = self.index_slot(left) {
+            self.index.remove_root(slot, node);
         }
         Some(left)
     }
 
     /// `rs`'s slot in the index as built. `None` when there is nothing to
-    /// patch: a rebuild is already due.
+    /// patch: a rebuild is already due, or `rs` is not live.
     fn index_slot(&self, rs: RenderServiceId) -> Option<SubSlot> {
-        let current = self.index_built_rev == self.index_rev;
-        let slot = current.then(|| self.index_sub_ids.binary_search(&rs).ok())??;
-        Some(slot as SubSlot)
+        let slot = self.delivery.ids().binary_search(&rs).ok();
+        slot.filter(|_| !self.index_stale).map(|slot| slot as SubSlot)
     }
 }
 

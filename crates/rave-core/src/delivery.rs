@@ -128,22 +128,25 @@ impl ListTable {
     }
 }
 
-/// Slot-indexed delivery state of one data service.
+/// Slot-indexed delivery state of one data service. The slots are the
+/// live subscribers, numbered as the interest index numbers them.
 #[derive(Debug, Clone, Default)]
 pub(crate) struct DeliveryState {
+    /// Slot → render service, in ascending id order.
+    ids: Vec<RenderServiceId>,
     /// Slot → how a delivery reaches the subscriber. Skipped: no such
     /// render service in the world, or its host is not on the network.
     classes: Vec<LinkClass>,
-    /// By class index: how many live slots are of that class. An update
-    /// that reaches every subscriber is booked from these counts.
-    live_per_class: Vec<u32>,
-    /// The live slots an everyone-update lands at (every class but
-    /// skipped), ascending.
+    /// By class index: how many slots are of that class. An update that
+    /// reaches every subscriber is booked from these counts.
+    per_class: Vec<u32>,
+    /// The slots an everyone-update lands at (every class but skipped),
+    /// ascending.
     receivers: Vec<SubSlot>,
-    /// The data service's own host, and the `(index generation, network
-    /// revision)` it and the classes were resolved at; they are resolved
-    /// again when either moves on.
-    resolved: Option<(HostId, (u64, u64))>,
+    /// The data service's own host, and the network revision it and the
+    /// classes were resolved at; they are resolved again when the network
+    /// or the numbering moves on.
+    resolved: Option<(HostId, u64)>,
     /// Slot → latest scheduled delivery time. Updates are applied strictly
     /// in publish order on every replica, so a small update must not
     /// overtake a large one still on the wire (TCP FIFO semantics).
@@ -159,7 +162,7 @@ pub(crate) struct DeliveryState {
     touched: Vec<SubSlot>,
     lists: ListTable,
     /// The batch index of each everyone-update of the batch in flight, in
-    /// order: the run every live slot's list catches up with.
+    /// order: the run every slot's list catches up with.
     run: Vec<u32>,
     /// By class index: the latest arrival of the run's updates so far.
     run_arrival: Vec<SimTime>,
@@ -167,25 +170,20 @@ pub(crate) struct DeliveryState {
 }
 
 impl DeliveryState {
-    /// The index was rebuilt: carry every mark from the `old` slot
-    /// numbering over to the `new` one (both in ascending id order).
-    pub(crate) fn renumber(
-        &mut self,
-        old: &[RenderServiceId],
-        new: impl ExactSizeIterator<Item = RenderServiceId>,
-    ) {
+    /// The index was rebuilt: number the render services `new` (ascending
+    /// id order) and carry every mark over from the old numbering.
+    pub(crate) fn renumber(&mut self, new: impl IntoIterator<Item = RenderServiceId>) {
         debug_assert!(
             self.touched.is_empty() && self.run.is_empty(),
             "no batch is in flight across a rebuild"
         );
         let marks = std::mem::take(&mut self.high_water);
-        let mut old = old.iter().copied().zip(marks).peekable();
+        let mut old = std::mem::take(&mut self.ids).into_iter().zip(marks).peekable();
         let park = |parked: &mut BTreeMap<_, _>, (id, mark): (RenderServiceId, SimTime)| {
             if mark > SimTime::ZERO {
                 parked.insert(id, mark);
             }
         };
-        self.high_water.reserve(new.len());
         for id in new {
             while let Some(left) = old.next_if(|&(o, _)| o < id) {
                 park(&mut self.parked, left);
@@ -194,6 +192,7 @@ impl DeliveryState {
                 Some((_, mark)) => mark,
                 None => self.parked.remove(&id).unwrap_or(SimTime::ZERO),
             };
+            self.ids.push(id);
             self.high_water.push(mark);
         }
         for left in old {
@@ -204,42 +203,40 @@ impl DeliveryState {
         self.resolved = None;
     }
 
-    /// Bring slot → link class up to date with index generation
-    /// `generation` and the network's current revision; `live` says which
-    /// slots are delivered to (the rest are bootstrapping).
+    /// Slot → render service.
+    pub(crate) fn ids(&self) -> &[RenderServiceId] {
+        &self.ids
+    }
+
+    /// Bring slot → link class up to date with the numbering and the
+    /// network's current revision.
     pub(crate) fn resolve_classes<'a>(
         &mut self,
-        generation: u64,
-        ids: &[RenderServiceId],
-        live: &[bool],
         sender: &str,
         net: &Network,
         host_of: impl Fn(RenderServiceId) -> Option<&'a str>,
     ) {
-        let key = (generation, net.revision());
-        if self.resolved.is_some_and(|(_, at)| at == key) {
+        let revision = net.revision();
+        if self.resolved.is_some_and(|(_, at)| at == revision) {
             return;
         }
         debug_assert!(self.run.is_empty(), "a batch resolves before its first fan-out");
         let sender = net.known_host(sender);
         let class = |id| LinkClass::of(net, sender, host_of(id).and_then(|h| net.host_id(h)));
         self.classes.clear();
-        self.classes.extend(ids.iter().map(|&id| class(id)));
-        self.live_per_class.clear();
-        self.live_per_class.resize(LinkClass::count(net), 0);
+        self.classes.extend(self.ids.iter().map(|&id| class(id)));
+        self.per_class.clear();
+        self.per_class.resize(LinkClass::count(net), 0);
         self.run_arrival.clear();
         self.run_arrival.resize(LinkClass::count(net), SimTime::ZERO);
         self.receivers.clear();
-        for (slot, (&class, &live)) in self.classes.iter().zip(live).enumerate() {
-            if !live {
-                continue;
-            }
-            self.live_per_class[class.index()] += 1;
+        for (slot, &class) in self.classes.iter().enumerate() {
+            self.per_class[class.index()] += 1;
             if class != LinkClass::SKIPPED {
                 self.receivers.push(slot as SubSlot);
             }
         }
-        self.resolved = Some((sender, key));
+        self.resolved = Some((sender, revision));
     }
 
     /// Fan update number `update` of the batch out to `slots` (ascending):
@@ -271,8 +268,8 @@ impl DeliveryState {
         totals.record(&cost, bytes);
     }
 
-    /// Fan update number `update` of the batch out to every live slot: one
-    /// transfer time per class with a live slot, booked from the class
+    /// Fan update number `update` of the batch out to every slot: one
+    /// transfer time per class with a slot, booked from the class
     /// counts. No slot is visited; the update joins the everyone-run, which
     /// [`DeliveryState::finish_batch`] hands to every receiver.
     pub(crate) fn fan_out_to_everyone(
@@ -283,9 +280,9 @@ impl DeliveryState {
         net: &Network,
         totals: &mut FanoutTotals,
     ) {
-        let Self { resolved, live_per_class, run, run_arrival, fanout, .. } = self;
+        let Self { resolved, per_class, run, run_arrival, fanout, .. } = self;
         let (sender, _) = resolved.expect("classes are resolved before the first fan-out");
-        let cost = fanout.deliver_to_classes(net, sender, live_per_class, bytes, |class, wire| {
+        let cost = fanout.deliver_to_classes(net, sender, per_class, bytes, |class, wire| {
             let at = &mut run_arrival[class.index()];
             *at = (now + wire).max(*at);
         });
@@ -303,13 +300,19 @@ impl DeliveryState {
     /// mark is a max, so taking the run's part last gives what booking
     /// each (slot, update) pair in order would. Without one, only the
     /// slots a scoped update reached are visited.
-    pub(crate) fn finish_batch(
-        &mut self,
-        batch: &[Arc<StampedUpdate>],
-        ids: &[RenderServiceId],
-    ) -> Vec<Wave> {
-        let Self { classes, receivers, high_water, list, touched, lists, run, run_arrival, .. } =
-            self;
+    pub(crate) fn finish_batch(&mut self, batch: &[Arc<StampedUpdate>]) -> Vec<Wave> {
+        let Self {
+            ids,
+            classes,
+            receivers,
+            high_water,
+            list,
+            touched,
+            lists,
+            run,
+            run_arrival,
+            ..
+        } = self;
         let mut waves: BTreeMap<SimTime, Vec<(RenderServiceId, UpdateList)>> = BTreeMap::new();
         let mut deliver = |lists: &mut ListTable, slot: SubSlot, at: SimTime, owed: u32| {
             let updates = lists.build(owed, batch);
@@ -384,19 +387,18 @@ mod tests {
     fn a_mixed_batch_books_what_per_pair_booking_books() {
         let net = Network::paper_testbed(1.0);
         let rs = RenderServiceId;
-        // Loopback, two on the LAN, the PDA on the wireless segment, a
-        // host off the network, and a bootstrapping subscriber.
-        let hosts = ["laptop", "desktop", "tower", "zaurus", "ghost", "onyx"];
-        let ids: Vec<RenderServiceId> = (1..=6).map(rs).collect();
-        let live = [true, true, true, true, true, false];
+        // Loopback, two on the LAN, the PDA on the wireless segment, and a
+        // host off the network.
+        let hosts = ["laptop", "desktop", "tower", "zaurus", "ghost"];
+        let ids: Vec<RenderServiceId> = (1..=5).map(rs).collect();
         let host_of = |id: RenderServiceId| Some(hosts[id.0 as usize - 1]);
         let mut d = DeliveryState::default();
-        d.renumber(&[], ids.iter().copied());
-        d.resolve_classes(1, &ids, &live, "laptop", &net, host_of);
+        d.renumber(ids.iter().copied());
+        d.resolve_classes("laptop", &net, host_of);
         let mut totals = FanoutTotals::default();
 
         // Per-pair booking: FIFO marks by slot, and what each slot is owed.
-        let mut marks = [SimTime::ZERO; 6];
+        let mut marks = [SimTime::ZERO; 5];
         let mut book = |now: SimTime, bytes: u64, to: &[usize], owed: &mut [Vec<u64>], seq| {
             for &slot in to.iter().filter(|&&s| net.host_id(hosts[s]).is_some()) {
                 let wire = now + net.transfer_time("laptop", hosts[slot], bytes);
@@ -417,15 +419,15 @@ mod tests {
         // An earlier batch: 200 kB to the PDA and the desktop.
         let now = SimTime::from_secs(1.0);
         let earlier = vec![update(1)];
-        let mut owed = vec![Vec::new(); 6];
+        let mut owed = vec![Vec::new(); 5];
         d.fan_out(now, 0, &[1, 3], 200_000, &net, &mut totals);
         book(now, 200_000, &[1, 3], &mut owed, 1);
-        d.finish_batch(&earlier, &ids);
+        d.finish_batch(&earlier);
 
         // Everyone, scoped to 1 and 2, everyone, scoped to 2 and the ghost.
         let now = SimTime::from_secs(1.001);
         let batch: Vec<_> = (2..=5).map(update).collect();
-        let mut owed = vec![Vec::new(); 6];
+        let mut owed = vec![Vec::new(); 5];
         let everyone = [0, 1, 2, 3, 4];
         d.fan_out_to_everyone(now, 0, 300, &net, &mut totals);
         book(now, 300, &everyone, &mut owed, 2);
@@ -435,11 +437,11 @@ mod tests {
         book(now, 900, &everyone, &mut owed, 4);
         d.fan_out(now, 3, &[2, 4], 40, &net, &mut totals);
         book(now, 40, &[2, 4], &mut owed, 5);
-        let waves = d.finish_batch(&batch, &ids);
+        let waves = d.finish_batch(&batch);
 
         let want: BTreeMap<_, _> =
             (0..4).map(|slot| (ids[slot], (marks[slot], owed[slot].clone()))).collect();
-        assert_eq!(arrivals(&waves), want, "the ghost and the bootstrapping slot get nothing");
+        assert_eq!(arrivals(&waves), want, "the ghost gets nothing");
         assert!(marks[3] > now + net.transfer_time("laptop", "zaurus", 900), "FIFO behind 200 kB");
         assert!(waves.windows(2).all(|w| w[0].at < w[1].at), "waves in time order");
         let list_of = |id| {
@@ -448,8 +450,7 @@ mod tests {
         };
         assert!(Arc::ptr_eq(&list_of(rs(1)), &list_of(rs(4))), "loopback and PDA share a list");
         assert!(!Arc::ptr_eq(&list_of(rs(2)), &list_of(rs(3))));
-        // Two everyone-updates and one scoped pair skipped the ghost; the
-        // bootstrapping slot is not a receiver at all.
+        // Two everyone-updates and one scoped pair skipped the ghost.
         assert_eq!(totals.skipped_receivers, 3);
         assert_eq!(totals.updates_routed, 5);
         // Earlier batch: two segments. Everyone: LAN + WLAN, twice. Scoped:
@@ -464,11 +465,11 @@ mod tests {
         let before = d.high_water.clone();
         d.fan_out(now, 0, &[2], 10, &net, &mut totals);
         assert_eq!(d.touched, vec![2]);
-        let waves = d.finish_batch(&later, &ids);
+        let waves = d.finish_batch(&later);
         assert_eq!(waves.len(), 1);
         assert_eq!(waves[0].deliveries.len(), 1);
         assert_eq!(waves[0].deliveries[0].0, rs(3));
-        let untouched = |m: &[SimTime]| [0, 1, 3, 4, 5].map(|s| m[s]);
+        let untouched = |m: &[SimTime]| [0, 1, 3, 4].map(|s| m[s]);
         assert_eq!(untouched(&d.high_water), untouched(&before));
     }
 
@@ -477,14 +478,15 @@ mod tests {
         let rs = RenderServiceId;
         let t = SimTime::from_secs;
         let mut d = DeliveryState::default();
-        d.renumber(&[], [rs(2), rs(5), rs(9)].into_iter());
+        d.renumber([rs(2), rs(5), rs(9)]);
         d.high_water.copy_from_slice(&[t(2.0), t(5.0), SimTime::ZERO]);
         // 5 leaves, 1 and 7 join: 2 moves from slot 0 to slot 1.
-        d.renumber(&[rs(2), rs(5), rs(9)], [rs(1), rs(2), rs(7), rs(9)].into_iter());
+        d.renumber([rs(1), rs(2), rs(7), rs(9)]);
         assert_eq!(d.high_water, vec![SimTime::ZERO, t(2.0), SimTime::ZERO, SimTime::ZERO]);
         assert_eq!(d.list.len(), 4);
         // 5 comes back and finds its mark; 2 leaves and parks its own.
-        d.renumber(&[rs(1), rs(2), rs(7), rs(9)], [rs(5), rs(9)].into_iter());
+        d.renumber([rs(5), rs(9)]);
+        assert_eq!(d.ids(), [rs(5), rs(9)]);
         assert_eq!(d.high_water, vec![t(5.0), SimTime::ZERO]);
         assert_eq!(d.parked.into_iter().collect::<Vec<_>>(), vec![(rs(2), t(2.0))]);
     }

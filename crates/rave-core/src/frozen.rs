@@ -57,7 +57,7 @@ impl DataService {
         note = "frozen: only benchmark/ may call this; see the module doc of frozen.rs for the live path"
     )]
     pub fn refresh_interests(&mut self) {
-        self.index_rev += 1;
+        self.index_stale = true;
     }
 }
 

@@ -159,11 +159,17 @@ impl RenderService {
     }
 
     /// Apply a delivered update to the replica; one naming a node the
-    /// replica does not hold is refused ([`SceneUpdate::try_apply`]). A
-    /// removal takes what is left of the orientation chain above it
+    /// replica does not hold is refused ([`SceneUpdate::try_apply`]). A node
+    /// held outside the interest's subtrees, to orient a root, takes no
+    /// payload: a `ReplaceKind` of it writes its version alone, as the
+    /// orientation record a later snapshot carries has it. A removal takes
+    /// what is left of the orientation chain above it
     /// ([`RenderService::release_root`] says which).
     pub(crate) fn apply_update(&mut self, update: &SceneUpdate) -> bool {
         let &SceneUpdate::RemoveNode { id } = update else {
+            if let SceneUpdate::ReplaceKind { id, .. } = *update {
+                return self.apply_replace_kind(id, update);
+            }
             return update.try_apply(&mut self.scene);
         };
         let parent = self.scene.node(id).and_then(|n| n.parent());
@@ -172,6 +178,19 @@ impl RenderService {
             self.prune_chain(parent);
         }
         applied
+    }
+
+    /// [`RenderService::apply_update`] for a `ReplaceKind` of `id`. Kept
+    /// out of line: every delivery runs `apply_update`, and with this
+    /// inlined into it `collab_fanout`, which sends no `ReplaceKind`, ran
+    /// ≈ 10 % fewer rounds a second.
+    #[cold]
+    #[inline(never)]
+    fn apply_replace_kind(&mut self, id: NodeId, update: &SceneUpdate) -> bool {
+        if self.interest.holds_content(id, &self.scene) {
+            return update.try_apply(&mut self.scene);
+        }
+        self.scene.node_mut(id).map(|mut node| node.bump_version()).is_some()
     }
 
     /// A root left this service — moved away, or its workload dropped from
@@ -391,15 +410,46 @@ mod tests {
     fn service_with_polys(n: u64) -> RenderService {
         let mut rs =
             RenderService::new(RenderServiceId(1), "laptop", MachineProfile::centrino_laptop());
-        let mesh = MeshData {
-            positions: vec![Vec3::ZERO, Vec3::X, Vec3::Y],
-            normals: vec![],
-            colors: vec![],
-            triangles: vec![[0, 1, 2]; n as usize],
-            texture_bytes: 0,
-        };
-        rs.scene.add_node(rs.scene.root(), "content", NodeKind::Mesh(Arc::new(mesh))).unwrap();
+        rs.scene.add_node(rs.scene.root(), "content", mesh(n as usize)).unwrap();
         rs
+    }
+
+    fn mesh(polys: usize) -> NodeKind {
+        let mesh = MeshData::new(vec![Vec3::ZERO, Vec3::X, Vec3::Y], vec![[0, 1, 2]; polys]);
+        NodeKind::Mesh(Arc::new(mesh))
+    }
+
+    /// Interest `[leaf]` under group `G`: a `ReplaceKind` of `G` (a
+    /// 1,000-triangle mesh) is an orientation write on the replica, which
+    /// then holds what one bootstrapped after the edit holds and is charged
+    /// the same polygons. A `ReplaceKind` of the leaf is applied as sent.
+    #[test]
+    fn a_replace_kind_of_an_orientation_node_writes_its_version_alone() {
+        let mut master = rave_scene::SceneTree::new();
+        let group = master.add_node(master.root(), "G", NodeKind::Group).unwrap();
+        let leaf = master.add_node(group, "leaf", mesh(10)).unwrap();
+        let replica_of = |master: &rave_scene::SceneTree| {
+            let machine = MachineProfile::centrino_laptop();
+            let mut rs = RenderService::new(RenderServiceId(1), "laptop", machine);
+            rs.interest = InterestSet::subtrees([leaf]);
+            rs.scene.adopt_parcel(&master.extract_parcel(&[leaf]));
+            rs
+        };
+        let mut early = replica_of(&master);
+        let edit = SceneUpdate::ReplaceKind { id: group, kind: mesh(1000) };
+        edit.apply(&mut master).unwrap();
+        assert!(early.apply_update(&edit));
+        let late = replica_of(&master);
+        assert!(early.scene == late.scene, "early and late replicas differ");
+        assert_eq!(early.assigned_cost(), late.assigned_cost());
+        assert_eq!(early.assigned_cost().polygons, 10);
+        assert_eq!(early.scene.node(group).unwrap().version(), 1);
+
+        let edit = SceneUpdate::ReplaceKind { id: leaf, kind: mesh(1000) };
+        edit.apply(&mut master).unwrap();
+        assert!(early.apply_update(&edit));
+        assert!(early.scene == replica_of(&master).scene);
+        assert_eq!(early.assigned_cost().polygons, 1000);
     }
 
     #[test]

@@ -83,7 +83,7 @@ macro_rules! trace_events {
 }
 
 trace_events! {
-    /// `rs`'s snapshot from `ds` landed; the `replayed` trail entries past it were applied.
+    /// `rs`'s snapshot from `ds` landed; it caught up with the `replayed` trail entries past it.
     Bootstrap: Bootstrapped { rs: RenderServiceId, ds: DataServiceId, replayed: usize }
         => "{rs} live on {ds} ({replayed} buffered updates replayed)";
     Bootstrap: SnapshotDropped { rs: RenderServiceId, ds: DataServiceId }

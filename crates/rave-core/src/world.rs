@@ -455,6 +455,59 @@ mod tests {
         assert_eq!(replica.descendants(replica.root()), [replica.root(), outer, kept]);
     }
 
+    /// A subscriber whose snapshot is in flight has no place in the
+    /// routing state: `route` never names it and no wave carries it, though
+    /// its interest holds the update; on arrival it catches up from the
+    /// trail, and from then on it is routed to.
+    #[test]
+    fn a_bootstrapping_subscriber_is_sent_nothing_and_catches_up_on_arrival() {
+        let config = RaveConfig { update_delivery_trace: true, ..RaveConfig::default() };
+        let mut s = Simulation::new(RaveWorld::paper_testbed(config, 42));
+        let ds = s.world.spawn_data_service("adrenochrome", "sess");
+        let live = s.world.spawn_render_service("tower");
+        let joining = s.world.spawn_render_service("desktop");
+        s.world.data_mut(ds).subscribe_live(live, InterestSet::everything());
+        crate::bootstrap::connect_render_service(&mut s, joining, ds, InterestSet::everything());
+
+        let root = s.world.data(ds).scene.root();
+        let id = s.world.data_mut(ds).scene.allocate_id();
+        let add =
+            SceneUpdate::AddNode { id, parent: root, name: "n".into(), kind: NodeKind::Group };
+        let avatar = rave_scene::AvatarInfo {
+            label: "a".into(),
+            color: rave_math::Vec3::X,
+            camera: rave_scene::CameraParams::default(),
+        };
+        let presence = SceneUpdate::AddNode {
+            id: s.world.data_mut(ds).scene.allocate_id(),
+            parent: root,
+            name: "a".into(),
+            kind: NodeKind::Avatar(avatar),
+        };
+        for update in [add.clone(), presence] {
+            let probe = StampedUpdate { seq: 0, origin: "probe".into(), update };
+            let data = s.world.data_mut(ds);
+            assert_eq!(data.route_naive(&probe), [live, joining], "both are interested");
+            assert_eq!(data.route(&probe), [live], "{:?}", probe.update);
+        }
+        publish_update(&mut s, ds, "user", add).unwrap();
+        s.run();
+        let delivered: Vec<RenderServiceId> = s
+            .world
+            .trace
+            .of_kind(TraceKind::UpdateDelivered)
+            .map(|row| match row.event {
+                TraceEvent::UpdateDelivered { to, .. } => to,
+                ref other => panic!("{other}"),
+            })
+            .collect();
+        assert_eq!(delivered, [live], "no wave carries the joining subscriber");
+        assert!(s.world.render(joining).scene.contains(id), "caught up from the trail");
+        let rename = SceneUpdate::SetName { id, name: "m".into() };
+        let probe = StampedUpdate { seq: 0, origin: "probe".into(), update: rename };
+        assert_eq!(s.world.data_mut(ds).route(&probe), [live, joining], "live now");
+    }
+
     #[test]
     fn publish_propagates_to_live_replicas() {
         let mut s = sim();

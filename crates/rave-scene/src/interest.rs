@@ -62,7 +62,7 @@ impl InterestSet {
     /// subtree (a root itself included), or an ancestor of a root? Costs
     /// the node's depth, and for an inner node one interval test per root.
     pub fn contains(&self, id: NodeId, tree: &SceneTree) -> bool {
-        if self.all || self.holds_inside(id, tree) {
+        if self.holds_content(id, tree) {
             return true;
         }
         // Only an inner node orients a root: a leaf answers without the
@@ -77,8 +77,14 @@ impl InterestSet {
             .any(|r| tree.preorder_interval(*r).is_some_and(|(at, _)| inside.contains(&at)))
     }
 
-    /// Is a root of this set `id` or one of its ancestors in `tree`: does
-    /// the subscription hold `id` as content, not only to orient a root?
+    /// Does the subscription hold `id` of `tree` as content, not only to
+    /// orient a root: is it everything, or is `id` inside a root's subtree
+    /// (a root itself included)? Costs the node's depth.
+    pub fn holds_content(&self, id: NodeId, tree: &SceneTree) -> bool {
+        self.all || self.holds_inside(id, tree)
+    }
+
+    /// Is a root of this set `id` or one of its ancestors in `tree`?
     /// Costs the node's depth.
     fn holds_inside(&self, id: NodeId, tree: &SceneTree) -> bool {
         tree.lineage(id).any(|n| self.roots.contains(&n))

@@ -357,8 +357,12 @@ pub struct Parcel {
     /// The source root's record: its own if the cut takes the root, else
     /// orientation only (name, transform and version). Never inserted:
     /// records under it go under the receiver's root, which takes its name,
-    /// transform and version when the record is newer.
+    /// transform and version when the record is newer, and its kind too
+    /// when it is content.
     root: Node,
+    /// Whether the cut takes the root: its record is content, not
+    /// orientation.
+    root_is_content: bool,
     /// The rest of the closure, in whole-tree pre-order.
     records: Vec<Node>,
 }
@@ -1141,10 +1145,13 @@ impl SceneTree {
                 version: c.version,
             }
         };
-        let root = record(self.root_slot, !roots.contains(&self.root));
+        let root_is_content = roots.contains(&self.root);
+        let root = record(self.root_slot, !root_is_content);
         let mut records = Vec::new();
         if let [one] = roots {
-            let Some(top) = self.slot(*one) else { return Parcel { root, records } };
+            let Some(top) = self.slot(*one) else {
+                return Parcel { root, root_is_content, records };
+            };
             let mut up = self.hot[top as usize].parent;
             while up != NIL && up != self.root_slot {
                 records.push(record(up, true));
@@ -1192,7 +1199,7 @@ impl SceneTree {
             let slots = closure.into_iter().map(|(pos, o)| (flat.preorder[pos as usize], o));
             records.extend(slots.filter(|&(s, _)| s != self.root_slot).map(|(s, o)| record(s, o)));
         }
-        Parcel { root, records }
+        Parcel { root, root_is_content, records }
     }
 
     /// Take a [`Parcel`] in: the one place foreign records enter a tree. A
@@ -1205,16 +1212,20 @@ impl SceneTree {
     /// move as that insert moves them.
     ///
     /// This tree's root takes the source root's name, transform and
-    /// version when the parcel's are newer: a fresh replica orients what it
-    /// is sent as the source does. A live replica has applied every root
-    /// update the source made before the cut, so a parcel that lands late
-    /// cannot undo one.
+    /// version when the parcel's are newer, and its kind too when the cut
+    /// took the root: a fresh replica orients what it is sent as the source
+    /// does, and a full one holds the source's root. A live replica has
+    /// applied every root update the source made before the cut, so a
+    /// parcel that lands late cannot undo one.
     pub fn adopt_parcel(&mut self, parcel: &Parcel) {
         let root = &parcel.root;
         if root.version > self.cold[self.root_slot as usize].version {
             let mut node = self.node_mut(self.root).expect("a tree holds its root");
             node.set_name(root.name.as_str());
             node.set_transform(root.transform);
+            if parcel.root_is_content {
+                node.set_kind(root.kind.clone());
+            }
             node.set_version(root.version);
         }
         for rec in &parcel.records {
