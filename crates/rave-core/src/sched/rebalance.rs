@@ -1198,6 +1198,44 @@ mod tests {
         assert_eq!(scene.descendants(scene.root()), [scene.root(), group, node]);
     }
 
+    /// A node a subset replica holds only to orient its root is content
+    /// once it is moved there: the receiver holds it as the master does,
+    /// payload and all, whether its payload was there when the receiver
+    /// bootstrapped or came after, as a `ReplaceKind` the receiver took
+    /// as a version write.
+    #[test]
+    fn a_node_moved_onto_a_replica_that_held_it_for_orientation_takes_its_payload() {
+        for edited_live in [false, true] {
+            let mut sim = Simulation::new(RaveWorld::paper_testbed(RaveConfig::default(), 11));
+            let ds = sim.world.spawn_data_service("adrenochrome", "sess");
+            let first = if edited_live { NodeKind::Group } else { mesh(500) };
+            let (group, leaf) = {
+                let scene = &mut sim.world.data_mut(ds).scene;
+                let group = scene.add_node(scene.root(), "group", first).unwrap();
+                (group, scene.add_node(group, "leaf", mesh(10)).unwrap())
+            };
+            let receiver = sim.world.spawn_render_service("onyx");
+            let interest = InterestSet::subtrees([leaf]);
+            crate::bootstrap::connect_render_service(&mut sim, receiver, ds, interest);
+            sim.run();
+            if edited_live {
+                let update = SceneUpdate::ReplaceKind { id: group, kind: mesh(500) };
+                crate::world::publish_update(&mut sim, ds, "user", update).unwrap();
+                sim.run();
+            }
+            let held = sim.world.render(receiver).scene.node(group).unwrap();
+            assert_eq!(held.kind_tag(), rave_scene::KindTag::Group, "held to orient `leaf`");
+            let cost = sim.world.data(ds).scene.subtree_cost(group);
+            MoveBatch::new(ds).move_node(&mut sim, group, None, receiver, &cost);
+            sim.run();
+            let master = sim.world.data(ds).scene.node(group).unwrap();
+            let held = sim.world.render(receiver).scene.node(group).unwrap();
+            let state = |n: rave_scene::NodeRef<'_>| (n.kind().clone(), n.version());
+            assert_eq!(state(held), state(master), "edited live: {edited_live}");
+            assert_eq!(sim.world.render(receiver).assigned_cost(), cost);
+        }
+    }
+
     /// A root `SetTransform` published while a migration's parcel is on
     /// the wire reaches the receiver first; the parcel, cut before it,
     /// lands after it and leaves the receiver's root as the update left

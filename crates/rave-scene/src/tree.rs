@@ -1204,7 +1204,10 @@ impl SceneTree {
 
     /// Take a [`Parcel`] in: the one place foreign records enter a tree. A
     /// node already here keeps its local state — the chain a replica
-    /// already holds, or a subtree it was sent before; a record whose
+    /// already holds, or a subtree it was sent before — but a `Group` takes
+    /// the kind and version of a content record that is no older: a node
+    /// held only to orient a root is content once a migration sends it
+    /// (an orientation record is always a `Group`); a record whose
     /// parent is not here is skipped (an orphaned branch: its parent was
     /// never replicated, and what hangs below it is skipped for the same
     /// reason in turn); the rest go in through the same insert as
@@ -1229,7 +1232,14 @@ impl SceneTree {
             node.set_version(root.version);
         }
         for rec in &parcel.records {
-            if self.contains(rec.id) {
+            if let Some(slot) = self.slot(rec.id) {
+                let held = &self.cold[slot as usize];
+                let content = !matches!(rec.kind, NodeKind::Group);
+                if content && matches!(held.kind, NodeKind::Group) && rec.version >= held.version {
+                    let mut node = self.node_mut(rec.id).expect("held");
+                    node.set_kind(rec.kind.clone());
+                    node.set_version(rec.version);
+                }
                 continue;
             }
             let parent = rec.parent.filter(|&p| p != parcel.root.id).unwrap_or(self.root);
@@ -1970,8 +1980,9 @@ mod tests {
     }
 
     /// A parcel carries exactly the closure of its roots, parents before
-    /// children; adopting it keeps whatever the receiver already holds, and
-    /// a single-root cut builds no cache.
+    /// children; adopting it keeps whatever the receiver already holds,
+    /// bar the payload a held `Group` takes from a content record, and a
+    /// single-root cut builds no cache.
     #[test]
     fn a_parcel_carries_the_closure_and_adopting_keeps_local_state() {
         let mut t = SceneTree::new();
@@ -2034,8 +2045,14 @@ mod tests {
                 adopted.check_invariants().unwrap();
                 for n in receiver.iter_nodes() {
                     let kept = adopted.node(n.id()).unwrap();
-                    assert_eq!((kept.name(), kept.kind()), (n.name(), n.kind()), "{roots:?}");
-                    assert_eq!(kept.transform(), n.transform(), "{roots:?}");
+                    assert_eq!((kept.name(), kept.transform()), (n.name(), n.transform()));
+                    let group = |kind: &NodeKind| matches!(kind, NodeKind::Group);
+                    let sent = parcel.nodes().skip(1).find(|r| r.id == n.id());
+                    let kind = match sent {
+                        Some(r) if group(n.kind()) && !group(&r.kind) => &r.kind,
+                        _ => n.kind(),
+                    };
+                    assert_eq!(kept.kind(), kind, "{roots:?}");
                 }
             }
         }
@@ -2046,6 +2063,17 @@ mod tests {
         assert_eq!(held.node(g).unwrap().transform().translation, Vec3::X);
         assert_eq!(held.total_cost().polygons, 1, "only `leaf` brought content");
         assert!(matches!(held.node(m).unwrap().kind(), NodeKind::Group));
+        // Once the cut takes it, the chain node is content: the payload
+        // comes, at the sender's version, and the local name and transform
+        // stay; a held node newer than the record keeps its own.
+        held.adopt_parcel(&t.extract_parcel(&[g]));
+        assert_eq!(held.node(g).unwrap().kind(), t.node(g).unwrap().kind());
+        assert_eq!(held.node(g).unwrap().name(), "mine");
+        assert_eq!(held.total_cost().polygons, 3);
+        let mut newer = chain.clone();
+        newer.node_mut(g).unwrap().bump_version();
+        newer.adopt_parcel(&t.extract_parcel(&[g]));
+        assert!(matches!(newer.node(g).unwrap().kind(), NodeKind::Group));
 
         let cold = t.clone();
         cold.extract_parcel(&[leaf]);

@@ -272,6 +272,15 @@ proptest! {
                 let (before_a, before_m) = (adopted.edit_stamp(), merged.edit_stamp());
                 let root = adopted.root();
                 let root_taken = newer_root > adopted.node(root).unwrap().version();
+                let mut written: Vec<NodeId> = subset
+                    .descendants_iter(subset.root())
+                    .filter(|n| n.id() != subset.root() && adopted.contains(n.id()))
+                    .filter(|&n| takes_payload(adopted, n))
+                    .map(|n| n.id())
+                    .collect();
+                if root_taken {
+                    written.push(root);
+                }
                 adopted.adopt_parcel(&parcel);
                 merge_by_tree_walk(merged, &subset);
                 prop_assert_eq!(&*adopted, &*merged, "roots {:?}", &roots);
@@ -280,19 +289,24 @@ proptest! {
                 prop_assert_eq!(adopted.id_allocator_state(), merged.id_allocator_state());
                 let structure = adopted.changes_since(before_a, &classes[..1]);
                 prop_assert_eq!(&structure, &merged.changes_since(before_m, &classes[..1]));
-                // A root that takes the parcel's state is written through
-                // `node_mut` on both sides: one `Payload` entry.
-                let and_root = |dirt: &Dirt| match (root_taken, dirt) {
-                    (false, _) => dirt.clone(),
-                    (true, Dirt::Clean) => Dirt::Nodes(vec![root]),
-                    (true, Dirt::Nodes(ids)) => {
+                // A root that takes the parcel's state, and a held node that
+                // takes a payload, are written through `node_mut` on both
+                // sides: one `Payload` entry each.
+                let and_root = |dirt: &Dirt| match (written.is_empty(), dirt) {
+                    (true, _) => dirt.clone(),
+                    (false, Dirt::Clean) => {
+                        let mut ids = written.clone();
+                        ids.sort_unstable();
+                        Dirt::Nodes(ids)
+                    }
+                    (false, Dirt::Nodes(ids)) => {
                         let mut ids = ids.clone();
-                        ids.push(root);
+                        ids.extend(&written);
                         ids.sort_unstable();
                         ids.dedup();
                         Dirt::Nodes(ids)
                     }
-                    (true, Dirt::Everything) => Dirt::Everything,
+                    (false, Dirt::Everything) => Dirt::Everything,
                 };
                 prop_assert_eq!(adopted.changes_since(before_a, &classes), and_root(&structure));
                 prop_assert_eq!(merged.changes_since(before_m, &classes), and_root(&structure));
@@ -1055,15 +1069,24 @@ fn extract_by_whole_tree_walk(tree: &SceneTree, roots: &[NodeId]) -> SceneTree {
 /// each node `tree` lacks under its parent (`subset`'s root mapping to
 /// `tree`'s), keeping the local state of the nodes it holds and skipping an
 /// orphaned branch. Kept as the oracle of
-/// `adopting_a_parcel_equals_merging_the_subset`, with the one rule the
+/// `adopting_a_parcel_equals_merging_the_subset`, with the two rules the
 /// merge lacked: `tree`'s root takes the name, transform and version of
-/// `subset`'s when those are newer. Through the public API, the transform
+/// `subset`'s when those are newer, and a held node takes a content node's
+/// payload (see [`takes_payload`]). Through the public API, the transform
 /// and version go in through `node_mut`.
 fn merge_by_tree_walk(tree: &mut SceneTree, subset: &SceneTree) {
     take_root_if_newer(tree, subset.node(subset.root()).unwrap());
     for src in subset.descendants_iter(subset.root()) {
         let id = src.id();
-        if id == subset.root() || tree.contains(id) {
+        if id == subset.root() {
+            continue;
+        }
+        if tree.contains(id) {
+            if takes_payload(tree, src) {
+                let mut node = tree.node_mut(id).unwrap();
+                node.set_kind(src.kind().clone());
+                node.set_version(src.version());
+            }
             continue;
         }
         let parent = src.parent().expect("non-root has parent");
@@ -1076,6 +1099,17 @@ fn merge_by_tree_walk(tree: &mut SceneTree, subset: &SceneTree) {
         node.set_transform(src.transform());
         node.set_version(src.version());
     }
+}
+
+/// Whether the node `tree` holds as `src`'s id is a `Group` that takes
+/// `src`'s payload: `src` is content, not a `Group`, and no older. A
+/// subset's orientation ancestors are `Group`s, so the one a replica holds
+/// to orient a root takes the payload when a later closure carries it as
+/// content.
+fn takes_payload(tree: &SceneTree, src: NodeRef) -> bool {
+    let held = tree.node(src.id()).unwrap();
+    let group = |n: NodeRef| matches!(n.kind(), NodeKind::Group);
+    group(held) && !group(src) && src.version() >= held.version()
 }
 
 /// Write `src`'s name, transform and version into `tree`'s root if its
