@@ -142,8 +142,10 @@ fn time_index_moves(clients: usize, rounds: usize, rng: &mut Lcg) -> IndexTiming
     let (ds, branches, leaves) = routing_service();
     let tree = &ds.scene;
     let mut sets = population(&branches, clients, rng);
+    // Marked as the data service marks them; no hand-over changes a mark.
+    let marks: Vec<bool> = sets.iter().map(|s| s.closure_holds_presence(tree)).collect();
     let mut ix = InterestIndex::new();
-    let rebuild = best_of(rounds, || ix.rebuild(tree, sets.iter()));
+    let rebuild = best_of(rounds, || ix.rebuild(tree, sets.iter().zip(marks.iter().copied())));
 
     // Slots 1 and 2 hold one branch each; theirs go back and forth.
     let (a, b) = (1u32, 2u32);
@@ -165,7 +167,7 @@ fn time_index_moves(clients: usize, rounds: usize, rng: &mut Lcg) -> IndexTiming
     });
     hand_over(&mut ix, &mut sets, a, b);
     let mut rebuilt = InterestIndex::new();
-    rebuilt.rebuild(tree, sets.iter());
+    rebuilt.rebuild(tree, sets.iter().zip(marks.iter().copied()));
     let (mut got, mut want) = (Vec::new(), Vec::new());
     for &id in branches.iter().chain(&leaves).chain([&tree.root()]) {
         let probe = SceneUpdate::SetName { id, name: "probe".into() };

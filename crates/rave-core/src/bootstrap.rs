@@ -125,6 +125,7 @@ pub(crate) fn connect_at(
                 trace.record(now, TraceEvent::SnapshotDropped { rs: rs_id, ds: ds_id });
                 return;
             };
+            let sent_presence = ds.subscribers.get(&rs_id).is_some_and(|s| s.sent_presence);
             let missed = ds.complete_bootstrap(rs_id);
             // Adopt (not replace): nodes that arrived through other paths
             // while the parcel was in flight — e.g. migration moving work
@@ -138,8 +139,8 @@ pub(crate) fn connect_at(
             for e in missed {
                 // The trail holds every update; the replica takes what
                 // routing would have sent it, judged as the index judges
-                // the master, against its own closure.
-                if rs.interest.relevant(&e.stamped.update, &rs.scene) {
+                // the master, against its own closure and with its mark.
+                if rs.interest.relevant(&e.stamped.update, &rs.scene, sent_presence) {
                     rs.apply_update(&e.stamped.update);
                 }
             }
@@ -179,9 +180,10 @@ pub fn connect_planned(
 /// store with the failed instance's store config so logging continues
 /// where it stopped, at the same cadence. Every render service the
 /// failed instance was serving is re-bootstrapped against the
-/// replacement with its original interest set — the §5.5 catch-up from
-/// the trail makes the re-mirror safe against updates published while
-/// the snapshots are in flight.
+/// replacement with its original interest set and its presence mark — the
+/// §5.5 catch-up from the trail makes the re-mirror safe against updates
+/// published while the snapshots are in flight, and the replica keeps the
+/// presence nodes it held outside its snapshot.
 pub fn recover_data_service(
     sim: &mut RaveSim,
     failed: DataServiceId,
@@ -215,6 +217,9 @@ pub fn recover_data_service(
     sim.world.trace.record(sim.now(), TraceEvent::Recovered { row: Box::new(row) });
     for (&rs_id, sub) in failed_ds.subscribers() {
         connect_render_service(sim, rs_id, new_id, sub.interest.clone());
+        if sub.sent_presence {
+            sim.world.data_mut(new_id).mark_sent_presence(rs_id);
+        }
     }
     Ok(new_id)
 }
@@ -223,8 +228,9 @@ pub fn recover_data_service(
 /// with ancestor orientation (§3.2.5). A subset carries no presence node
 /// outside that closure, so the avatars hanging off the root are not in
 /// it: such a replica holds only the avatars whose `AddNode` reached it
-/// live (`InterestSet::relevant`). A replica built outside a bootstrap is
-/// a fresh tree that adopts this parcel.
+/// live (`InterestSet::relevant`), and is marked as sent presence only if
+/// one did. A replica built outside a bootstrap is a fresh tree that
+/// adopts this parcel.
 pub fn snapshot_parcel(scene: &SceneTree, interest: &InterestSet) -> Parcel {
     if interest.is_everything() {
         scene.extract_parcel(&[scene.root()])
@@ -733,6 +739,32 @@ mod tests {
             intro.as_secs() > direct.as_secs() * 20.0,
             "introspective {intro} vs direct {direct}"
         );
+    }
+
+    /// A subset replica that took a collaborator's join holds the avatar
+    /// outside its interest's subtrees, and is sent every update of it. A
+    /// `ReplaceKind` of the avatar (here into a camera) should leave the
+    /// replica's copy as the master's. It does not: the replica takes it as
+    /// the version write an orientation record takes, and keeps an avatar.
+    #[test]
+    #[ignore = "ROADMAP item 7"]
+    fn a_presence_node_held_outside_the_interest_takes_a_replace_kind_as_sent() {
+        let (mut sim, ds) = sim_with_scene(100);
+        let model = sim.world.data(ds).scene.find_by_path("/model").unwrap();
+        let rs = sim.world.spawn_render_service("tower");
+        connect_render_service(&mut sim, rs, ds, InterestSet::subtrees([model]));
+        sim.run();
+        let camera = rave_scene::CameraParams::default();
+        let who = crate::collaboration::join_session(&mut sim, ds, "u", Vec3::X, camera).unwrap();
+        sim.run();
+        assert!(sim.world.render(rs).scene.contains(who.avatar), "the join reached it");
+        let kind = NodeKind::Camera(camera);
+        let recast = SceneUpdate::ReplaceKind { id: who.avatar, kind };
+        publish_update(&mut sim, ds, "user", recast).unwrap();
+        sim.run();
+        let state = |n: rave_scene::NodeRef<'_>| (n.kind().clone(), n.version());
+        let master = sim.world.data(ds).scene.node(who.avatar).map(state);
+        assert_eq!(sim.world.render(rs).scene.node(who.avatar).map(state), master);
     }
 
     /// Two replicas of one branch, one subscribed before a collaborator

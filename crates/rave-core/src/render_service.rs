@@ -160,17 +160,19 @@ impl RenderService {
 
     /// Apply a delivered update to the replica; one naming a node the
     /// replica does not hold is refused ([`SceneUpdate::try_apply`]). A node
-    /// held outside the interest's subtrees, to orient a root, takes no
-    /// payload: a `ReplaceKind` of it writes its version alone, as the
-    /// orientation record a later snapshot carries has it. A removal takes
-    /// what is left of the orientation chain above it
-    /// ([`RenderService::release_root`] says which).
+    /// held outside the interest's subtrees, to orient a root, is held as a
+    /// group with no payload, as the orientation record a later snapshot
+    /// carries has it: a `ReplaceKind` of it writes its version alone, and
+    /// a pose update of it ([`RenderService::apply_orientation_pose`]) the
+    /// record's part of the pose. A removal takes what is left of the
+    /// orientation chain above it ([`RenderService::release_root`] says
+    /// which).
     pub(crate) fn apply_update(&mut self, update: &SceneUpdate) -> bool {
         let &SceneUpdate::RemoveNode { id } = update else {
             if let SceneUpdate::ReplaceKind { id, .. } = *update {
                 return self.apply_replace_kind(id, update);
             }
-            return update.try_apply(&mut self.scene);
+            return update.try_apply(&mut self.scene) || self.apply_orientation_pose(update);
         };
         let parent = self.scene.node(id).and_then(|n| n.parent());
         let applied = update.try_apply(&mut self.scene);
@@ -191,6 +193,32 @@ impl RenderService {
             return update.try_apply(&mut self.scene);
         }
         self.scene.node_mut(id).map(|mut node| node.bump_version()).is_some()
+    }
+
+    /// A pose update the replica refused: when its target is held outside
+    /// the interest's subtrees, as a group that orients a root, write what
+    /// the master's pose write leaves in the orientation record. A
+    /// `CameraMoved` moves the node's transform to the camera and bumps its
+    /// version, an `AvatarUpdated` bumps its version. Out of line, on the
+    /// refused path only.
+    #[inline(never)]
+    fn apply_orientation_pose(&mut self, update: &SceneUpdate) -> bool {
+        let (id, camera) = match *update {
+            SceneUpdate::CameraMoved { id, camera } => (id, Some(camera)),
+            SceneUpdate::AvatarUpdated { id, .. } => (id, None),
+            _ => return false,
+        };
+        let Some(held) = self.scene.node(id) else { return false };
+        if self.interest.holds_content(id, &self.scene) {
+            return false;
+        }
+        let Some(camera) = camera else {
+            return self.scene.node_mut(id).map(|mut node| node.bump_version()).is_some();
+        };
+        let mut transform = held.transform();
+        transform.translation = camera.position;
+        transform.rotation = camera.orientation;
+        self.scene.set_transform(id, transform)
     }
 
     /// A root left this service — moved away, or its workload dropped from
@@ -450,6 +478,47 @@ mod tests {
         assert!(early.apply_update(&edit));
         assert!(early.scene == replica_of(&master).scene);
         assert_eq!(early.assigned_cost().polygons, 1000);
+    }
+
+    /// Interest `[leaf]` under `G`, a camera or an avatar: the replica
+    /// holds `G` as a group, which takes no pose, yet a `CameraMoved` of it
+    /// moves what orients the leaf. It writes the orientation record as the
+    /// master's pose write leaves it — transform and version — and an
+    /// `AvatarUpdated` its version, so the replica holds what one
+    /// bootstrapped after the edit holds.
+    #[test]
+    fn a_pose_of_an_orientation_node_writes_its_orientation_record() {
+        let info = rave_scene::AvatarInfo {
+            label: "u".into(),
+            color: Vec3::X,
+            camera: CameraParams::default(),
+        };
+        for kind in [NodeKind::Camera(CameraParams::default()), NodeKind::Avatar(info.clone())] {
+            let mut master = rave_scene::SceneTree::new();
+            let group = master.add_node(master.root(), "G", kind).unwrap();
+            let leaf = master.add_node(group, "leaf", mesh(10)).unwrap();
+            let replica_of = |master: &rave_scene::SceneTree| {
+                let machine = MachineProfile::centrino_laptop();
+                let mut rs = RenderService::new(RenderServiceId(1), "laptop", machine);
+                rs.interest = InterestSet::subtrees([leaf]);
+                rs.scene.adopt_parcel(&master.extract_parcel(&[leaf]));
+                rs
+            };
+            let mut early = replica_of(&master);
+            let camera =
+                CameraParams { position: Vec3::new(1.0, 2.0, 3.0), ..CameraParams::default() };
+            let edits = [
+                SceneUpdate::CameraMoved { id: group, camera },
+                SceneUpdate::AvatarUpdated { id: group, avatar: info.clone() },
+            ];
+            for edit in edits.iter().filter(|e| e.apply(&mut master).is_ok()) {
+                assert!(early.apply_update(edit), "{edit:?}");
+            }
+            let late = replica_of(&master);
+            assert!(early.scene == late.scene, "early and late replicas differ");
+            let at = early.scene.world_transform(leaf).transform_point(Vec3::ZERO);
+            assert_eq!(at, Vec3::new(1.0, 2.0, 3.0));
+        }
     }
 
     #[test]

@@ -320,10 +320,18 @@ pub fn promote_standby(
     // primary: it bootstraps again, from the standby.
     let s_host = sim.world.data(standby).host.clone();
     let mut completed_at = now;
+    // Each carries its presence mark: a replica keeps the presence nodes
+    // it held outside its interest closure.
     for (&rs, sub) in failed.subscribers() {
-        let interest = sub.interest.clone();
+        let (interest, sent_presence) = (sub.interest.clone(), sub.sent_presence);
+        let carry_mark = move |sim: &mut RaveSim| {
+            if sent_presence {
+                sim.world.data_mut(standby).mark_sent_presence(rs);
+            }
+        };
         if sub.state != SubState::Live {
             let timing = connect_render_service(sim, rs, standby, interest);
+            carry_mark(sim);
             completed_at = completed_at.max(timing.ready_at);
             continue;
         }
@@ -333,6 +341,7 @@ pub fn promote_standby(
         completed_at = completed_at.max(at);
         sim.schedule_at(at, move |sim| {
             sim.world.data_mut(standby).subscribe_live(rs, interest);
+            carry_mark(sim);
         });
     }
     let report = PromotionReport {
@@ -574,6 +583,52 @@ mod tests {
         assert!(sim.world.data(new_ds).subscribers().contains_key(&rs));
         assert_eq!(sim.world.trace.count(TraceKind::Recovery), 1);
         let _ = std::fs::remove_dir_all(&pdir);
+    }
+
+    /// A subset replica subscribed before a collaborator joined holds the
+    /// avatar outside its interest closure. A failover, warm or cold,
+    /// carries its presence mark to the new master, so the avatar's poses
+    /// still reach it.
+    #[test]
+    fn failover_carries_the_presence_mark() {
+        use crate::bootstrap::connect_render_service;
+        use crate::collaboration::{join_session, move_camera};
+        use rave_scene::CameraParams;
+        for warm in [true, false] {
+            let tag = if warm { "mark-warm" } else { "mark-cold" };
+            let (mut sim, primary, _, full, pdir, sdir) = warm_world(tag, 0);
+            if !warm {
+                teardown_standby(&mut sim, primary);
+            }
+            let branch = add(&mut sim, primary, "branch");
+            let rs = sim.world.spawn_render_service("desktop");
+            connect_render_service(&mut sim, rs, primary, InterestSet::subtrees([branch]));
+            sim.run();
+            assert!(!sim.world.data(primary).subscribers()[&rs].sent_presence);
+            let camera = CameraParams::default();
+            let who = join_session(&mut sim, primary, "u", rave_math::Vec3::X, camera).unwrap();
+            sim.run();
+            assert!(sim.world.render(rs).scene.contains(who.avatar), "the join reached it");
+            sim.world.data_mut(primary).sync_persistence().unwrap();
+            if warm {
+                ship_tick(&mut sim, primary).unwrap();
+                sim.run();
+            }
+            let failure = [SchedEvent::DataFailure { service: primary }];
+            let new_ds = process_events(&mut sim, primary, &failure).promotions[0].promoted;
+            sim.run();
+            assert!(sim.world.data(new_ds).subscribers()[&rs].sent_presence, "warm: {warm}");
+            let moved = CameraParams { position: rave_math::Vec3::new(1.0, 2.0, 3.0), ..camera };
+            move_camera(&mut sim, new_ds, who, "u", moved).unwrap();
+            sim.run();
+            let master = sim.world.data(new_ds).scene.node(who.avatar).unwrap().kind().clone();
+            for replica in [rs, full] {
+                let avatar = sim.world.render(replica).scene.node(who.avatar).unwrap();
+                assert_eq!(avatar.kind(), &master, "{replica}, warm: {warm}");
+            }
+            let _ = std::fs::remove_dir_all(&pdir);
+            let _ = std::fs::remove_dir_all(&sdir);
+        }
     }
 
     /// Eight updates of about 150 bytes on `ds`, whose store is at `dir`:

@@ -1236,6 +1236,38 @@ mod tests {
         }
     }
 
+    /// A `ReplaceKind` of a node being moved onto a replica that holds it
+    /// to orient a root, published while the parcel is on the wire, should
+    /// leave the receiver holding the node as the master does. It does not:
+    /// the receiver's interest does not list the node until the parcel
+    /// lands, so it takes the update as a version write, and the parcel's
+    /// older record then leaves the held `Group` as it is.
+    #[test]
+    #[ignore = "ROADMAP item 6 (a)"]
+    fn a_replace_kind_published_while_a_parcel_is_in_flight_reaches_the_receiver() {
+        let mut sim = Simulation::new(RaveWorld::paper_testbed(RaveConfig::default(), 11));
+        let ds = sim.world.spawn_data_service("adrenochrome", "sess");
+        let (group, leaf) = {
+            let scene = &mut sim.world.data_mut(ds).scene;
+            let group = scene.add_node(scene.root(), "group", NodeKind::Group).unwrap();
+            (group, scene.add_node(group, "leaf", mesh(400_000)).unwrap())
+        };
+        let receiver = sim.world.spawn_render_service("onyx");
+        let interest = InterestSet::subtrees([leaf]);
+        crate::bootstrap::connect_render_service(&mut sim, receiver, ds, interest);
+        sim.run();
+        let cost = sim.world.data(ds).scene.subtree_cost(group);
+        MoveBatch::new(ds).move_node(&mut sim, group, None, receiver, &cost);
+        sim.run_until(sim.now() + SimTime::from_secs(0.01));
+        let update = SceneUpdate::ReplaceKind { id: group, kind: mesh(500) };
+        crate::world::publish_update(&mut sim, ds, "user", update).unwrap();
+        sim.run();
+        let state = |n: rave_scene::NodeRef<'_>| (n.kind_tag(), n.own_cost().polygons, n.version());
+        let master = sim.world.data(ds).scene.node(group).map(state);
+        let held = sim.world.render(receiver).scene.node(group).map(state);
+        assert_eq!(held, master);
+    }
+
     /// A root `SetTransform` published while a migration's parcel is on
     /// the wire reaches the receiver first; the parcel, cut before it,
     /// lands after it and leaves the receiver's root as the update left

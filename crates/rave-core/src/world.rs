@@ -288,7 +288,8 @@ fn deliver_wave(sim: &mut RaveSim, wave: &[(RenderServiceId, UpdateList)]) {
         for stamped in updates.iter() {
             // A benign race: the replica may legitimately reject an update
             // to a node it never held (interest narrowed since routing, or a
-            // presence update to a subset replica, refused unread).
+            // pose to a replica marked as sent presence that holds none,
+            // refused unread).
             let applied = rs.apply_update(&stamped.update);
             if traced {
                 trace.record(

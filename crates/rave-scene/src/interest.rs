@@ -90,31 +90,44 @@ impl InterestSet {
         tree.lineage(id).any(|n| self.roots.contains(&n))
     }
 
+    /// Does a replica of this set cut from `tree` hold a presence node (a
+    /// camera or an avatar)? A full replica is always counted as one. A
+    /// subset replica holds its roots' subtrees as content, and the chains
+    /// above them as orientation groups, so only the subtrees are read:
+    /// O(1) when the tree holds no presence, else their size.
+    pub fn closure_holds_presence(&self, tree: &SceneTree) -> bool {
+        self.all || self.roots.iter().any(|&r| tree.holds_presence_under(r))
+    }
+
     /// Should `update` be delivered to the subscriber holding this set,
     /// judged against `tree` as it stands? The data service asks it of the
     /// master just before the update's own commit, so a removal is judged
-    /// while its target is still there.
+    /// while its target is still there. `sent_presence` is the
+    /// subscriber's mark: whether it was ever sent, or snapshotted with, a
+    /// presence node.
     ///
     /// An `AddNode` reaches the subscriptions that will hold the new node:
     /// those with a root at or above its *parent*, and those that already
     /// list the new id as a root. A subscriber that holds the parent only
     /// to orient a root is not sent it: its interest closure never holds
     /// such a node. Everything else is judged by its target
-    /// ([`InterestSet::contains`]). Two conservative rules widen delivery:
+    /// ([`InterestSet::contains`]). Three rules widen delivery:
     /// - updates to unknown nodes are delivered (a replica must not
     ///   silently diverge);
-    /// - *presence* nodes (avatars and cameras) are relevant to every
-    ///   subscriber, including their `AddNode`, whatever its parent.
+    /// - the `AddNode` of a *presence* node (an avatar or a camera) reaches
+    ///   every subscriber, whatever its parent: a collaborator joining is
+    ///   shown in every view (§3.2.4);
+    /// - any other update of a presence node also reaches the subscribers
+    ///   marked as sent presence. Every replica that holds a presence node
+    ///   is marked, so each pose reaches every replica that can hold it,
+    ///   and no replica that cannot.
     ///
-    /// The second rule delivers; it does not make a subset replica hold
-    /// presence. A replica subscribed when an avatar's `AddNode` is
-    /// published inserts it (the root is in every subset), but one
-    /// bootstrapped later does not: its snapshot is the interest closure,
-    /// and an avatar under the root is outside it. That replica refuses
-    /// the avatar's pose updates unread (`SceneUpdate::try_apply`), so
-    /// two replicas of one interest can differ by the avatars they hold
-    /// (ROADMAP: presence in subset snapshots).
-    pub fn relevant(&self, update: &SceneUpdate, tree: &SceneTree) -> bool {
+    /// A subset replica's presence nodes depend on when it joined. One
+    /// subscribed when an avatar's `AddNode` is published inserts it (the
+    /// root is in every subset), but one bootstrapped later does not: its
+    /// snapshot is the interest closure, and an avatar under the root is
+    /// outside it (ROADMAP: presence in subset snapshots).
+    pub fn relevant(&self, update: &SceneUpdate, tree: &SceneTree, sent_presence: bool) -> bool {
         if self.all {
             return true;
         }
@@ -126,7 +139,9 @@ impl InterestSet {
             }
             other => match tree.node(other.target()) {
                 None => true, // unknown target: deliver conservatively
-                Some(n) => n.kind_tag().is_presence() || self.contains(n.id(), tree),
+                Some(n) => {
+                    (sent_presence && n.kind_tag().is_presence()) || self.contains(n.id(), tree)
+                }
             },
         }
     }
@@ -135,8 +150,10 @@ impl InterestSet {
 /// Who an update reaches, as [`InterestIndex::matches`] reports it.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Reach {
-    /// Every subscriber: a presence update, or one to a target the tree
-    /// does not hold. Nothing is listed.
+    /// Every subscriber: a presence node's `AddNode`, an update to a
+    /// target the tree does not hold, or an update of a presence node when
+    /// every subscriber is a full replica or marked as sent presence.
+    /// Nothing is listed.
     Everyone,
     /// The slots listed, ascending (possibly none).
     Slots,
@@ -165,8 +182,8 @@ struct RootEntry {
 /// per update), index the subscriptions once and ask which
 /// subscribers one update reaches — O(depth + matches) per update.
 ///
-/// Layout: subscribers with `everything` interest live in a bitset;
-/// subtree interests are a hash-map from root id to the slots that list
+/// Layout: subscribers with `everything` interest live in a bitset, and
+/// the subscribers marked as sent presence in another; subtree interests are a hash-map from root id to the slots that list
 /// it, probed once per node on the walk from the update's point up to the
 /// scene root (a point lies in subtree(r) exactly when r is on its
 /// lineage); ancestor-of-root interest ("the parent nodes to orientate the
@@ -190,6 +207,12 @@ pub struct InterestIndex {
     n_subs: usize,
     /// Bitset of subscribers with `all` interest.
     everything: Vec<u64>,
+    /// Bitset of subscribers marked as sent presence: an update of a
+    /// presence node reaches them too.
+    presence: Vec<u64>,
+    /// How many subscribers are in `everything` or `presence`: when all
+    /// are, an update of a presence node reaches everyone.
+    presence_reached: usize,
     roots: Vec<RootEntry>,
     /// Root id → its entry in `roots`.
     entry_of: IdMap<u32>,
@@ -212,28 +235,31 @@ impl InterestIndex {
         self.n_subs
     }
 
-    /// Re-index from scratch: slot `i` is the `i`-th interest set of
-    /// `interests`. Call when the subscriber population or any set's
-    /// roots changed; for structural scene edits [`InterestIndex::repair`]
-    /// is the cheap path.
+    /// Re-index from scratch: slot `i` is the `i`-th subscriber of `subs`,
+    /// each an interest set and whether it is marked as sent presence.
+    /// Call when the subscriber population or any set's roots changed; for
+    /// structural scene edits [`InterestIndex::repair`] is the cheap path.
     pub fn rebuild<'a>(
         &mut self,
         tree: &SceneTree,
-        interests: impl IntoIterator<Item = &'a InterestSet>,
+        subs: impl IntoIterator<Item = (&'a InterestSet, bool)>,
     ) {
         self.roots.clear();
         self.everything.clear();
+        self.presence.clear();
         self.entry_of.clear();
         let mut n = 0usize;
-        for (i, set) in interests.into_iter().enumerate() {
+        for (i, (set, sent_presence)) in subs.into_iter().enumerate() {
             let slot = i as SubSlot;
             n = i + 1;
+            let words = n.div_ceil(64);
+            self.everything.resize(words, 0);
+            self.presence.resize(words, 0);
+            if sent_presence {
+                mark(&mut self.presence, std::iter::once(slot));
+            }
             if set.is_everything() {
-                let w = (slot / 64) as usize;
-                if self.everything.len() <= w {
-                    self.everything.resize(w + 1, 0);
-                }
-                self.everything[w] |= 1u64 << (slot % 64);
+                mark(&mut self.everything, std::iter::once(slot));
                 continue;
             }
             for root in set.roots() {
@@ -245,11 +271,28 @@ impl InterestIndex {
             }
         }
         self.n_subs = n;
-        self.everything.resize(n.div_ceil(64), 0);
+        let reached = self.everything.iter().zip(&self.presence).map(|(e, p)| (e | p).count_ones());
+        self.presence_reached = reached.sum::<u32>() as usize;
         for e in &mut self.roots {
             e.chain = tree.ancestors(e.root);
         }
         self.rebuild_ancestor_map();
+    }
+
+    /// Mark subscriber `sub` as sent presence, as a rebuild would with its
+    /// mark set. Marks are only ever set.
+    pub fn mark_presence(&mut self, sub: SubSlot) {
+        debug_assert!((sub as usize) < self.n_subs, "slot {sub} of {}", self.n_subs);
+        if !self.holds_everything(sub) && !is_set(&self.presence, sub) {
+            self.presence_reached += 1;
+        }
+        mark(&mut self.presence, std::iter::once(sub));
+    }
+
+    /// Mark every subscriber as sent presence.
+    pub fn mark_presence_everyone(&mut self) {
+        mark(&mut self.presence, 0..self.n_subs as SubSlot);
+        self.presence_reached = self.n_subs;
     }
 
     /// Fold a batch of structural edits into the index: a root's ancestor
@@ -284,7 +327,7 @@ impl InterestIndex {
     }
 
     fn holds_everything(&self, sub: SubSlot) -> bool {
-        self.everything.get((sub / 64) as usize).is_some_and(|w| w >> (sub % 64) & 1 == 1)
+        is_set(&self.everything, sub)
     }
 
     /// Subscriber `sub` added `root` to its interest roots
@@ -352,16 +395,19 @@ impl InterestIndex {
     }
 
     /// Which subscribers must `update` reach, judged against `tree` as it
-    /// stands? Presence (avatar/camera) updates and updates to unknown
-    /// targets reach [`Reach::Everyone`], reported without listing anyone;
+    /// stands? A presence node's `AddNode`, updates to unknown targets and,
+    /// while every subscriber is a full replica or marked, updates of a
+    /// presence node reach [`Reach::Everyone`], reported without listing
+    /// anyone;
     /// otherwise `out` is filled with the matching slots in ascending order
     /// ([`Reach::Slots`]): the `everything` subscribers, the holders of
     /// every root on the walk from the point up to the scene root, and
     /// then, for an `AddNode` (whose point is its parent), the holders of
     /// the new id as a root, for anything else (whose point is its target)
-    /// the subscribers the target orients. Decision per slot is identical
-    /// to [`InterestSet::relevant`]. With no subscribers nothing is
-    /// reached.
+    /// the subscribers the target orients and, when the target is a
+    /// presence node, the subscribers marked as sent presence. Decision per
+    /// slot is identical to [`InterestSet::relevant`] given the slot's
+    /// mark. With no subscribers nothing is reached.
     pub fn matches(
         &mut self,
         update: &SceneUpdate,
@@ -372,21 +418,27 @@ impl InterestIndex {
         if self.n_subs == 0 {
             return Reach::Slots;
         }
-        let (point, added) = match update {
+        let (point, added, presence) = match update {
             SceneUpdate::AddNode { parent, id, kind, .. } => {
                 if kind.tag().is_presence() {
                     return Reach::Everyone; // everyone renders the new collaborator
                 }
-                (*parent, Some(*id))
+                (*parent, Some(*id), false)
             }
             other => match tree.node(other.target()) {
-                Some(n) if !n.kind_tag().is_presence() => (n.id(), None),
-                _ => return Reach::Everyone, // unknown target or presence
+                Some(n) if n.kind_tag().is_presence() && self.presence_reached == self.n_subs => {
+                    return Reach::Everyone; // every subscriber was sent presence
+                }
+                Some(n) => (n.id(), None, n.kind_tag().is_presence()),
+                None => return Reach::Everyone, // unknown target
             },
         };
-        let Self { everything, roots, entry_of, ancestor_subs, scratch, .. } = self;
+        let Self { everything, presence: sent, roots, entry_of, ancestor_subs, scratch, .. } = self;
         scratch.clear();
         scratch.extend_from_slice(everything);
+        if presence {
+            scratch.iter_mut().zip(sent.iter()).for_each(|(bits, sent)| *bits |= sent);
+        }
         let holders = |root: NodeId| entry_of.get(&root).map(|&e| &roots[e as usize].subs);
         for subs in tree.lineage(point).filter_map(holders) {
             mark(scratch, subs.iter().copied());
@@ -424,6 +476,11 @@ impl InterestIndex {
     }
 }
 
+/// Is `slot`'s bit set in `bits`?
+fn is_set(bits: &[u64], slot: SubSlot) -> bool {
+    bits.get((slot / 64) as usize).is_some_and(|w| w >> (slot % 64) & 1 == 1)
+}
+
 /// Set each slot's bit in `bits`.
 fn mark(bits: &mut [u64], slots: impl Iterator<Item = SubSlot>) {
     for s in slots {
@@ -458,7 +515,7 @@ mod tests {
         let (tree, left, ..) = build_tree();
         let set = InterestSet::everything();
         let u = SceneUpdate::SetName { id: left, name: "x".into() };
-        assert!(set.relevant(&u, &tree));
+        assert!(set.relevant(&u, &tree, false));
     }
 
     #[test]
@@ -466,14 +523,15 @@ mod tests {
         let (tree, left, leaf, right) = build_tree();
         let set = InterestSet::subtrees([left]);
         // Descendant of interest root.
-        assert!(set.relevant(&SceneUpdate::SetName { id: leaf, name: "x".into() }, &tree));
+        assert!(set.relevant(&SceneUpdate::SetName { id: leaf, name: "x".into() }, &tree, false));
         // Ancestor (root) transform orients the subset — relevant.
         assert!(set.relevant(
             &SceneUpdate::SetTransform { id: tree.root(), transform: Transform::IDENTITY },
-            &tree
+            &tree,
+            false
         ));
         // Unrelated sibling subtree — not relevant.
-        assert!(!set.relevant(&SceneUpdate::SetName { id: right, name: "x".into() }, &tree));
+        assert!(!set.relevant(&SceneUpdate::SetName { id: right, name: "x".into() }, &tree, false));
     }
 
     #[test]
@@ -492,8 +550,8 @@ mod tests {
             name: "n".into(),
             kind: NodeKind::Group,
         };
-        assert!(set.relevant(&inside, &tree));
-        assert!(!set.relevant(&outside, &tree));
+        assert!(set.relevant(&inside, &tree, false));
+        assert!(!set.relevant(&outside, &tree, false));
     }
 
     /// A node added under a group the set holds only to orient a root is
@@ -510,10 +568,10 @@ mod tests {
         };
         let set = InterestSet::subtrees([leaf, NodeId(77)]);
         assert!(set.contains(left, &tree), "`left` orients `leaf`");
-        assert!(!set.relevant(&add(99, left), &tree));
-        assert!(!set.relevant(&add(99, tree.root()), &tree));
-        assert!(set.relevant(&add(99, leaf), &tree));
-        assert!(set.relevant(&add(77, right), &tree), "a listed root arrives");
+        assert!(!set.relevant(&add(99, left), &tree, false));
+        assert!(!set.relevant(&add(99, tree.root()), &tree, false));
+        assert!(set.relevant(&add(99, leaf), &tree, false));
+        assert!(set.relevant(&add(77, right), &tree, false), "a listed root arrives");
     }
 
     #[test]
@@ -521,7 +579,7 @@ mod tests {
         let (tree, left, ..) = build_tree();
         let set = InterestSet::subtrees([left]);
         let u = SceneUpdate::RemoveNode { id: NodeId(1234) };
-        assert!(set.relevant(&u, &tree));
+        assert!(set.relevant(&u, &tree, false));
     }
 
     #[test]
@@ -537,13 +595,21 @@ mod tests {
 
     // ---- inverted index -------------------------------------------------
 
-    /// The oracle: every set asked in turn.
-    fn naive(sets: &[InterestSet], u: &SceneUpdate, tree: &SceneTree) -> Vec<u32> {
-        sets.iter()
-            .enumerate()
-            .filter(|(_, s)| s.relevant(u, tree))
-            .map(|(i, _)| i as u32)
-            .collect()
+    /// Subscribers none of which is marked as sent presence.
+    fn unmarked(sets: &[InterestSet]) -> impl Iterator<Item = (&InterestSet, bool)> {
+        sets.iter().map(|s| (s, false))
+    }
+
+    /// The oracle: every subscriber asked in turn, with its mark.
+    fn naive<'a>(
+        subs: impl IntoIterator<Item = (&'a InterestSet, bool)>,
+        u: &SceneUpdate,
+        tree: &SceneTree,
+    ) -> Vec<u32> {
+        let relevant = |(i, (s, sent)): (usize, (&InterestSet, bool))| {
+            s.relevant(u, tree, sent).then_some(i as u32)
+        };
+        subs.into_iter().enumerate().filter_map(relevant).collect()
     }
 
     /// The index's answer with [`Reach::Everyone`] spelled out.
@@ -568,7 +634,7 @@ mod tests {
             InterestSet::subtrees([pending, leaf]),
         ];
         let mut ix = InterestIndex::new();
-        ix.rebuild(&tree, sets.iter());
+        ix.rebuild(&tree, unmarked(&sets));
         let add = |id, parent| SceneUpdate::AddNode {
             id,
             parent,
@@ -591,34 +657,94 @@ mod tests {
             add(pending, NodeId(999)),
         ];
         for u in &updates {
-            assert_eq!(indexed(&mut ix, u, &tree), naive(&sets, u, &tree), "update {u:?}");
+            assert_eq!(
+                indexed(&mut ix, u, &tree),
+                naive(unmarked(&sets), u, &tree),
+                "update {u:?}"
+            );
         }
         assert_eq!(indexed(&mut ix, &updates[7], &tree), vec![0, 1, 4], "not `leaf`'s");
         assert_eq!(indexed(&mut ix, &updates[9], &tree), vec![0, 2, 4, 5]);
     }
 
+    /// An update of a presence node reaches the full replicas, the
+    /// subscribers its place in the scene names, and the subscribers marked
+    /// as sent presence; a presence node's `AddNode` and an update of an
+    /// unknown target reach everyone. A mark patched in routes as a rebuild
+    /// with it set.
     #[test]
-    fn index_presence_reaches_every_subscriber() {
-        let (mut tree, left, ..) = build_tree();
+    fn index_presence_reaches_the_marked_subscribers() {
+        let (mut tree, left, leaf, _) = build_tree();
         let info = crate::node::AvatarInfo {
             label: "u".into(),
             color: rave_math::Vec3::X,
             camera: Default::default(),
         };
-        let av = tree.add_node(tree.root(), "av", NodeKind::Avatar(info)).unwrap();
-        let sets = [InterestSet::subtrees([left]), InterestSet::subtrees([NodeId(999)])];
+        let av = tree.add_node(tree.root(), "av", NodeKind::Avatar(info.clone())).unwrap();
+        let cam = tree.add_node(leaf, "cam", NodeKind::Camera(Default::default())).unwrap();
+        let mut subs = [
+            (InterestSet::subtrees([left]), false),
+            (InterestSet::subtrees([NodeId(999)]), true),
+            (InterestSet::everything(), false),
+            (InterestSet::subtrees([left]), true),
+        ];
         let mut ix = InterestIndex::new();
-        ix.rebuild(&tree, sets.iter());
-        let u = SceneUpdate::CameraMoved { id: av, camera: Default::default() };
+        ix.rebuild(&tree, subs.iter().map(|(s, m)| (s, *m)));
+        let pose = |id| SceneUpdate::CameraMoved { id, camera: Default::default() };
         let mut out = vec![7];
-        assert_eq!(ix.matches(&u, &tree, &mut out), Reach::Everyone, "avatar updates");
+        assert_eq!(ix.matches(&pose(av), &tree, &mut out), Reach::Slots);
+        assert_eq!(out, vec![1, 2, 3], "the full replica and the marked ones");
+        assert_eq!(indexed(&mut ix, &pose(cam), &tree), vec![0, 1, 2, 3], "and `cam`'s holders");
+        let join = SceneUpdate::AddNode {
+            id: NodeId(50),
+            parent: left,
+            name: "j".into(),
+            kind: NodeKind::Avatar(info),
+        };
+        assert_eq!(ix.matches(&join, &tree, &mut out), Reach::Everyone, "a join");
         assert!(out.is_empty(), "everyone is reported, not listed");
-        assert_eq!(indexed(&mut ix, &u, &tree), naive(&sets, &u, &tree));
         let u = SceneUpdate::SetName { id: NodeId(999), name: "ghost".into() };
         assert_eq!(ix.matches(&u, &tree, &mut out), Reach::Everyone, "unknown targets");
         let u = SceneUpdate::SetName { id: left, name: "l".into() };
-        assert_eq!(ix.matches(&u, &tree, &mut out), Reach::Slots);
-        assert_eq!(out, vec![0]);
+        assert_eq!(indexed(&mut ix, &u, &tree), vec![0, 2, 3], "a mark widens presence only");
+        let probes = [pose(av), pose(cam), join, u, SceneUpdate::RemoveNode { id: av }];
+        for u in &probes {
+            assert_eq!(
+                indexed(&mut ix, u, &tree),
+                naive(subs.iter().map(|(s, m)| (s, *m)), u, &tree)
+            );
+        }
+        ix.mark_presence(0);
+        subs[0].1 = true;
+        let all = "every subscriber is full or marked";
+        assert_eq!(ix.matches(&pose(av), &tree, &mut out), Reach::Everyone, "{all}");
+        let mut rebuilt = InterestIndex::new();
+        rebuilt.rebuild(&tree, subs.iter().map(|(s, m)| (s, *m)));
+        assert_eq!(indexed(&mut ix, &pose(av), &tree), vec![0, 1, 2, 3]);
+        for u in &probes {
+            assert_eq!(indexed(&mut ix, u, &tree), indexed(&mut rebuilt, u, &tree), "{u:?}");
+        }
+        let mut fresh = InterestIndex::new();
+        fresh.rebuild(&tree, unmarked(&subs.iter().map(|(s, _)| s.clone()).collect::<Vec<_>>()));
+        assert_eq!(indexed(&mut fresh, &pose(av), &tree), vec![2]);
+        fresh.mark_presence_everyone();
+        assert_eq!(indexed(&mut fresh, &pose(av), &tree), vec![0, 1, 2, 3]);
+    }
+
+    /// A full replica is counted as holding presence; a subset only when a
+    /// root's subtree holds a presence node, not when one orients it.
+    #[test]
+    fn a_closure_holds_presence_inside_its_subtrees_only() {
+        let (mut tree, left, leaf, right) = build_tree();
+        assert!(InterestSet::everything().closure_holds_presence(&tree));
+        assert!(!InterestSet::subtrees([left]).closure_holds_presence(&tree));
+        tree.add_node(leaf, "cam", NodeKind::Camera(Default::default())).unwrap();
+        assert!(InterestSet::subtrees([left]).closure_holds_presence(&tree));
+        assert!(!InterestSet::subtrees([right]).closure_holds_presence(&tree));
+        let over = tree.add_node(right, "over", NodeKind::Camera(Default::default())).unwrap();
+        let under = tree.add_node(over, "under", NodeKind::Group).unwrap();
+        assert!(!InterestSet::subtrees([under]).closure_holds_presence(&tree), "orientation");
+        assert!(InterestSet::subtrees([under, right]).closure_holds_presence(&tree));
     }
 
     #[test]
@@ -632,20 +758,20 @@ mod tests {
         let mut ix = InterestIndex::new();
         let mut seen = EditStamp::default();
         structure_dirt(&mut tree, &mut seen);
-        ix.rebuild(&tree, sets.iter());
+        ix.rebuild(&tree, unmarked(&sets));
         // Grow the subscribed subtree, move `leaf` across to `right`,
         // remove `left` entirely — repairing from dirt after each edit.
         let grown = tree.add_node(left, "grown", NodeKind::Group).unwrap();
         let dirt = structure_dirt(&mut tree, &mut seen);
         ix.repair(&tree, &dirt);
         let u = SceneUpdate::SetName { id: grown, name: "g".into() };
-        assert_eq!(indexed(&mut ix, &u, &tree), naive(&sets, &u, &tree));
+        assert_eq!(indexed(&mut ix, &u, &tree), naive(unmarked(&sets), &u, &tree));
 
         tree.reparent(leaf, right).unwrap();
         let dirt = structure_dirt(&mut tree, &mut seen);
         ix.repair(&tree, &dirt);
         let u = SceneUpdate::SetName { id: leaf, name: "f".into() };
-        assert_eq!(indexed(&mut ix, &u, &tree), naive(&sets, &u, &tree));
+        assert_eq!(indexed(&mut ix, &u, &tree), naive(unmarked(&sets), &u, &tree));
 
         tree.remove(left).unwrap();
         let dirt = structure_dirt(&mut tree, &mut seen);
@@ -653,9 +779,9 @@ mod tests {
         // The removed root matches nothing but unknown-target updates now
         // go to everyone — exactly like the naive scan.
         let u = SceneUpdate::SetName { id: grown, name: "x".into() };
-        assert_eq!(indexed(&mut ix, &u, &tree), naive(&sets, &u, &tree));
+        assert_eq!(indexed(&mut ix, &u, &tree), naive(unmarked(&sets), &u, &tree));
         let u = SceneUpdate::SetName { id: leaf, name: "y".into() };
-        assert_eq!(indexed(&mut ix, &u, &tree), naive(&sets, &u, &tree));
+        assert_eq!(indexed(&mut ix, &u, &tree), naive(unmarked(&sets), &u, &tree));
     }
 
     /// Edit the sets and patch the index root by root: every probe must be
@@ -671,7 +797,7 @@ mod tests {
             InterestSet::subtrees([right, leaf]),
         ];
         let mut ix = InterestIndex::new();
-        ix.rebuild(&tree, sets.iter());
+        ix.rebuild(&tree, unmarked(&sets));
         let probes = |tree: &SceneTree| -> Vec<SceneUpdate> {
             let mut ids = tree.descendants(tree.root());
             ids.push(NodeId(999));
@@ -679,7 +805,7 @@ mod tests {
         };
         let check = |ix: &mut InterestIndex, sets: &[InterestSet], tree: &SceneTree| {
             let mut fresh = InterestIndex::new();
-            fresh.rebuild(tree, sets.iter());
+            fresh.rebuild(tree, unmarked(sets));
             for u in probes(tree) {
                 assert_eq!(indexed(ix, &u, tree), indexed(&mut fresh, &u, tree), "{u:?}");
             }
@@ -740,7 +866,7 @@ mod tests {
         let mut ix = InterestIndex::new();
         let mut seen = EditStamp::default();
         structure_dirt(&mut tree, &mut seen);
-        ix.rebuild(&tree, sets.iter());
+        ix.rebuild(&tree, unmarked(&sets));
         let u_a = SceneUpdate::SetName { id: a, name: "a2".into() };
         let u_b = SceneUpdate::SetName { id: b, name: "b2".into() };
         assert_eq!(indexed(&mut ix, &u_a, &tree), vec![0], "old ancestor relevant");
@@ -749,8 +875,8 @@ mod tests {
         tree.reparent(x, b).unwrap();
         let dirt = structure_dirt(&mut tree, &mut seen);
         ix.repair(&tree, &dirt);
-        assert_eq!(indexed(&mut ix, &u_a, &tree), naive(&sets, &u_a, &tree));
-        assert_eq!(indexed(&mut ix, &u_b, &tree), naive(&sets, &u_b, &tree));
+        assert_eq!(indexed(&mut ix, &u_a, &tree), naive(unmarked(&sets), &u_a, &tree));
+        assert_eq!(indexed(&mut ix, &u_b, &tree), naive(unmarked(&sets), &u_b, &tree));
         assert_eq!(indexed(&mut ix, &u_b, &tree), vec![0], "new ancestor now relevant");
     }
 }

@@ -753,6 +753,12 @@ impl SceneTree {
         self.presence > 0
     }
 
+    /// Does the subtree of `id` (itself included) hold a camera or an
+    /// avatar? O(1) when the tree holds none, else the subtree's size.
+    pub fn holds_presence_under(&self, id: NodeId) -> bool {
+        self.holds_presence() && self.descendants_iter(id).any(|n| n.kind_tag().is_presence())
+    }
+
     pub fn node(&self, id: NodeId) -> Option<NodeRef<'_>> {
         self.slot(id).map(|slot| NodeRef { tree: self, slot })
     }

@@ -45,6 +45,18 @@ impl SceneUpdate {
         }
     }
 
+    /// Does this update give the tree a presence node: an `AddNode` or a
+    /// `ReplaceKind` of a camera or avatar kind? A data service marks every
+    /// subscriber as sent presence when one commits.
+    pub fn gives_presence(&self) -> bool {
+        match self {
+            SceneUpdate::AddNode { kind, .. } | SceneUpdate::ReplaceKind { kind, .. } => {
+                kind.tag().is_presence()
+            }
+            _ => false,
+        }
+    }
+
     /// Approximate bytes on the wire when sent over the binary socket
     /// protocol: a fixed header plus any geometry payload. (SOAP encoding
     /// of the same update is produced — and priced — by `rave-grid`.)
@@ -125,8 +137,8 @@ impl SceneUpdate {
     /// `self.apply(tree).is_ok()`, with the same writes, for a caller that
     /// drops the error: a replica taking a delivery. A pose update to a
     /// tree that holds no camera or avatar is refused before its target is
-    /// looked up — the presence multicast every subset replica receives
-    /// and none can hold (DESIGN §5.15).
+    /// looked up — a pose sent to a replica marked as sent presence by a
+    /// join it never took (DESIGN §5.15).
     pub fn try_apply(&self, tree: &mut SceneTree) -> bool {
         match self {
             SceneUpdate::CameraMoved { .. } | SceneUpdate::AvatarUpdated { .. }

@@ -3,26 +3,30 @@
 //! delivery lists — to a reference that works the way the fan-out is
 //! specified: one (subscriber, update) pair at a time, by name.
 //!
-//! The reference is built only on `DataService::route_naive` — asked of a
-//! copy of the data service that replays each batch, just before each
-//! update's commit — `Network::transfer_time`/`segment_of`, and a
-//! per-(data service, render service) high-water map. Random topologies,
-//! subscriber populations and batch sequences (published back to back
-//! without draining, with structural edits, presence updates that reach
-//! every subscriber, root edits, mid-batch commit failures, subscription
-//! churn and late joins in between) must produce the same delivery
-//! schedule, the same `FanoutTotals` and the same bootstrap catch-up: the
-//! log past each bootstrapping subscriber's snapshot, of which a replica
-//! whose snapshot lands takes what routing would have sent it. Independently
-//! of any routing rule, every replica that was sent all it was owed ends
-//! holding what the master holds: a full one every node as the master has
-//! it, a subset one exactly the master's interest closure, each group that
-//! orients a root as the master's orientation record of it.
+//! The reference is built only on `InterestSet::relevant` — asked of a
+//! copy of the master that replays each batch, just before each update's
+//! commit, with the reference's own presence marks — `Network::transfer_time`
+//! /`segment_of`, and a per-(data service, render service) high-water map.
+//! Random topologies, subscriber populations and batch sequences (published
+//! back to back without draining, with structural edits, presence updates
+//! that reach the subscribers marked as sent presence, joins and nodes
+//! recast as cameras that mark every subscriber, root edits, mid-batch
+//! commit failures, subscription churn, late joins and roots placed on a
+//! subscriber in between) must produce the same delivery schedule, the same
+//! `FanoutTotals`, the same marks and the same bootstrap catch-up: the log
+//! past each bootstrapping subscriber's snapshot, of which a replica whose
+//! snapshot lands takes what routing would have sent it. Independently of
+//! any routing rule, every subscriber whose replica holds a presence node
+//! is marked after every step, and every replica that was sent all it was
+//! owed ends holding what the master holds: a full one every node as the
+//! master has it, a subset one exactly the master's interest closure, each
+//! group that orients a root as the master's orientation record of it, and
+//! every presence node it holds as the master has it.
 
 use proptest::prelude::*;
 use rave::core::bootstrap::connect_render_service;
 use rave::core::bootstrap::snapshot_parcel;
-use rave::core::data_service::{DataService, FanoutTotals, SubState};
+use rave::core::data_service::{DataService, FanoutTotals, SubState, Subscription};
 use rave::core::trace::{TraceEvent, TraceKind};
 use rave::core::world::{publish_batch, RaveSim, RaveWorld};
 use rave::core::{DataServiceId, RaveConfig, RenderServiceId};
@@ -145,16 +149,23 @@ enum Op {
         pick: usize,
     },
     /// A collaborator's camera move (`CameraMoved`) or pose
-    /// (`SetTransform`) on an avatar: presence, routed to every
-    /// subscriber. Nothing when no avatar is left.
+    /// (`SetTransform`) on an avatar or a camera: presence, routed to the
+    /// subscribers marked as sent presence beside those that hold it.
+    /// Nothing when no presence node is left.
     Presence {
         pick: usize,
         camera: bool,
     },
-    /// A collaborator joins: an `AddNode` of an avatar, also routed to
-    /// every subscriber.
+    /// A collaborator joins: an `AddNode` of an avatar, routed to every
+    /// subscriber, which marks them all.
     Join {
         parent_pick: usize,
+    },
+    /// A `ReplaceKind` that makes a node a subset subscriber holds as
+    /// content a camera, which marks every subscriber. Nothing when no
+    /// subset subscriber holds a node but the scene root.
+    Recast {
+        pick: usize,
     },
     /// A `SetName` (to a name of `pick % 40` bytes), a `SetTransform` or a
     /// `ReplaceKind` (a mesh) of the scene root, by `edit % 3`: the
@@ -190,6 +201,7 @@ fn op_strategy() -> impl Strategy<Value = Op> {
         (any::<usize>(), any::<bool>()).prop_map(|(pick, camera)| Op::Presence { pick, camera }),
         (any::<usize>(), any::<bool>()).prop_map(|(pick, camera)| Op::Presence { pick, camera }),
         any::<usize>().prop_map(|parent_pick| Op::Join { parent_pick }),
+        any::<usize>().prop_map(|pick| Op::Recast { pick }),
         (any::<usize>(), 0u8..3).prop_map(|(pick, edit)| Op::Root { pick, edit }),
         (any::<usize>(), any::<bool>())
             .prop_map(|(pick, under_chain)| Op::Chain { pick, under_chain }),
@@ -237,6 +249,15 @@ enum Step {
         host_pick: usize,
         interest: Option<Vec<usize>>,
     },
+    /// Once the queue has drained, a node no subscriber lists is placed on
+    /// a subscriber as a new interest root (`move_interest_root` with no
+    /// donor), whose replica adopts its parcel; with `presence`, a node
+    /// whose subtree holds a presence node. Nothing when there is none.
+    Place {
+        pick: usize,
+        to_pick: usize,
+        presence: bool,
+    },
 }
 
 fn step_strategy() -> impl Strategy<Value = Step> {
@@ -250,6 +271,8 @@ fn step_strategy() -> impl Strategy<Value = Step> {
         any::<usize>().prop_map(|pick| Step::FinishBootstrap { pick }),
         (any::<usize>(), interest_strategy())
             .prop_map(|(host_pick, interest)| Step::Bootstrap { host_pick, interest }),
+        (any::<usize>(), any::<usize>(), any::<bool>())
+            .prop_map(|(pick, to_pick, presence)| Step::Place { pick, to_pick, presence }),
     ]
 }
 
@@ -266,6 +289,41 @@ fn orientation_only(tree: &SceneTree, service: &DataService) -> Vec<NodeId> {
         }
     }
     above.into_iter().collect()
+}
+
+/// The nodes of `tree` inside the roots' subtrees of the live subset
+/// subscribers not marked as sent presence, or of any subset subscriber
+/// when there is none; ascending, the scene root left out.
+fn subset_content(tree: &SceneTree, service: &DataService) -> Vec<NodeId> {
+    let content = |unmarked_only: bool| -> Vec<NodeId> {
+        let subsets = service.subscribers().values().filter(|s| !s.interest.is_everything());
+        let unmarked = |s: &&Subscription| !s.sent_presence && s.state == SubState::Live;
+        let subsets = subsets.filter(|s| !unmarked_only || unmarked(s));
+        let roots = subsets.flat_map(|s| s.interest.roots()).filter(|&r| tree.contains(r));
+        let held: BTreeSet<NodeId> = roots.flat_map(|r| tree.descendants(r)).collect();
+        held.into_iter().filter(|&n| n != tree.root()).collect()
+    };
+    let unmarked = content(true);
+    if unmarked.is_empty() {
+        content(false)
+    } else {
+        unmarked
+    }
+}
+
+/// Does `update` give the tree a presence node: the `AddNode` or the
+/// `ReplaceKind` of a camera or an avatar?
+fn gives_presence(update: &SceneUpdate) -> bool {
+    let presence = |kind: &NodeKind| matches!(kind, NodeKind::Camera(_) | NodeKind::Avatar(_));
+    match update {
+        SceneUpdate::AddNode { kind, .. } | SceneUpdate::ReplaceKind { kind, .. } => presence(kind),
+        _ => false,
+    }
+}
+
+/// Does the subtree of `id` in `tree` hold a camera or an avatar?
+fn presence_under(tree: &SceneTree, id: NodeId) -> bool {
+    tree.descendants(id).iter().any(|&n| tree.node(n).unwrap().kind_tag().is_presence())
 }
 
 /// Turn ops into updates against a planning clone of the master, so a
@@ -318,12 +376,12 @@ fn plan_batch(sim: &mut RaveSim, ds: DataServiceId, ops: &[Op]) -> (Vec<SceneUpd
                 }]
             }
             Op::Presence { pick, camera } => {
-                let avatars: Vec<NodeId> = nodes
+                let presence: Vec<NodeId> = nodes
                     .iter()
                     .copied()
-                    .filter(|&n| planned.node(n).is_some_and(|n| n.kind_tag() == KindTag::Avatar))
+                    .filter(|&n| planned.node(n).is_some_and(|n| n.kind_tag().is_presence()))
                     .collect();
-                let Some(&id) = avatars.get(pick % avatars.len().max(1)) else { continue };
+                let Some(&id) = presence.get(pick % presence.len().max(1)) else { continue };
                 let position = Vec3::new(pick as f32 % 7.0, 1.0, 2.0);
                 vec![if camera {
                     let camera = CameraParams { position, ..CameraParams::default() };
@@ -341,6 +399,15 @@ fn plan_batch(sim: &mut RaveSim, ds: DataServiceId, ops: &[Op]) -> (Vec<SceneUpd
                 name: "joined".into(),
                 kind: avatar("joined"),
             }],
+            Op::Recast { pick } => {
+                let content = subset_content(&planned, sim.world.data(ds));
+                let Some(&id) = content.get(pick % content.len().max(1)) else { continue };
+                let camera = CameraParams {
+                    fov_y: 0.5 + (pick % 5) as f32 * 0.1,
+                    ..CameraParams::default()
+                };
+                vec![SceneUpdate::ReplaceKind { id, kind: NodeKind::Camera(camera) }]
+            }
             Op::Root { pick, edit } => {
                 let id = planned.root();
                 vec![match edit % 3 {
@@ -411,15 +478,31 @@ struct Reference {
     /// Bootstraps whose snapshot is in flight: when it lands, and the
     /// replica it installs before the catch-up.
     in_flight: BTreeMap<RenderServiceId, (SimTime, SceneTree)>,
+    /// The subscribers marked as sent presence: snapshotted with a presence
+    /// node (a full replica always), subscribed when a presence node was
+    /// added, or given a root whose subtree holds one. Kept while
+    /// subscribed.
+    sent_presence: BTreeSet<RenderServiceId>,
+    /// The `UpdateDelivered` rows of the deliveries applied so far.
+    applied: Vec<(SimTime, u64, RenderServiceId, bool)>,
 }
 
 impl Reference {
-    /// Note `rs`'s subscription, made on `host`: bootstrapping unless
-    /// `live`, its snapshot covering the log so far.
-    fn subscribed(&mut self, rs: RenderServiceId, host: &str, interest: InterestSet, live: bool) {
+    /// Note `rs`'s subscription to the `master` as it stands, made on
+    /// `host`: bootstrapping unless `live`, its snapshot covering the log so
+    /// far, marked when the snapshot holds a presence node.
+    fn subscribed(
+        &mut self,
+        rs: RenderServiceId,
+        host: &str,
+        interest: InterestSet,
+        live: bool,
+        master: &SceneTree,
+    ) {
         if !live {
             self.since.insert(rs, self.log.last().map_or(0, |s| s.seq));
         }
+        self.mark_snapshot(rs, &interest, master);
         if !interest.is_everything() {
             self.subset_roots.insert(rs, interest.roots().collect());
         }
@@ -428,15 +511,29 @@ impl Reference {
         self.interests.insert(rs, interest);
     }
 
+    /// Mark `rs` as sent presence, or not, by what a snapshot of `interest`
+    /// cut from `master` holds: a full replica is always marked, a subset
+    /// one when a root's subtree holds a presence node.
+    fn mark_snapshot(&mut self, rs: RenderServiceId, interest: &InterestSet, master: &SceneTree) {
+        let held = |r: NodeId| master.contains(r) && presence_under(master, r);
+        if interest.is_everything() || interest.roots().any(held) {
+            self.sent_presence.insert(rs);
+        } else {
+            self.sent_presence.remove(&rs);
+        }
+    }
+
     /// Book the updates a `publish_batch` at `now` committed, one
-    /// (subscriber, update) pair at a time. `replay` is a copy of the data
-    /// service as it stood before the batch: each update is routed against
-    /// it just before the copy commits that update.
+    /// (subscriber, update) pair at a time. `replay` is a copy of the master
+    /// as it stood before the batch: each update is routed against it, with
+    /// each live subscriber's interest and mark, just before the copy takes
+    /// that update. One that gives the scene a presence node marks every
+    /// subscriber, live or bootstrapping.
     fn publish(
         &mut self,
         sim: &RaveSim,
         ds: DataServiceId,
-        mut replay: DataService,
+        mut replay: SceneTree,
         committed: &[StampedUpdate],
     ) {
         let now = sim.now();
@@ -445,9 +542,19 @@ impl Reference {
         for stamped in committed {
             self.log.push(stamped.clone());
             let bytes = stamped.wire_size();
-            let targets: Vec<RenderServiceId> =
-                replay.route_naive(stamped).into_iter().filter(|rs| self.live[rs]).collect();
-            replay.commit(now.as_secs(), stamped).expect("the master committed it");
+            let targets: Vec<RenderServiceId> = self
+                .live
+                .iter()
+                .filter(|&(rs, &live)| {
+                    let sent = self.sent_presence.contains(rs);
+                    live && self.interests[rs].relevant(&stamped.update, &replay, sent)
+                })
+                .map(|(rs, _)| *rs)
+                .collect();
+            stamped.update.apply(&mut replay).expect("the master committed it");
+            if gives_presence(&stamped.update) {
+                self.sent_presence.extend(self.live.keys().copied());
+            }
             if targets.is_empty() {
                 continue;
             }
@@ -483,23 +590,28 @@ impl Reference {
         self.deliveries.extend(per_sub.into_values());
     }
 
-    /// The `UpdateDelivered` rows of the whole run: deliveries fire in
-    /// time order, FIFO among equal times, each applying its updates in
-    /// seq order to the subscriber's replica.
+    /// Apply the deliveries booked so far, as the simulator fires them once
+    /// its queue has drained: in time order, FIFO among equal times, each
+    /// applying its updates in seq order to the subscriber's replica.
+    fn apply_booked(&mut self, replicas: &mut BTreeMap<RenderServiceId, SceneTree>) {
+        self.deliveries.sort_by_key(|d| d.at); // stable: keeps schedule order
+        for d in std::mem::take(&mut self.deliveries) {
+            let replica = replicas.get_mut(&d.to).expect("deliveries go to spawned services");
+            for stamped in &d.updates {
+                let applied = apply(replica, self.subset_roots.get(&d.to), &stamped.update);
+                self.applied.push((d.at, stamped.seq, d.to, applied));
+            }
+        }
+    }
+
+    /// The `UpdateDelivered` rows of the whole run, every booked delivery
+    /// applied.
     fn rows(
         &mut self,
         replicas: &mut BTreeMap<RenderServiceId, SceneTree>,
     ) -> Vec<(SimTime, u64, RenderServiceId, bool)> {
-        self.deliveries.sort_by_key(|d| d.at); // stable: keeps schedule order
-        let mut rows = Vec::new();
-        for d in &self.deliveries {
-            let replica = replicas.get_mut(&d.to).expect("deliveries go to spawned services");
-            for stamped in &d.updates {
-                let applied = apply(replica, self.subset_roots.get(&d.to), &stamped.update);
-                rows.push((d.at, stamped.seq, d.to, applied));
-            }
-        }
-        rows
+        self.apply_booked(replicas);
+        self.applied.clone()
     }
 
     /// Install the replica of each bootstrap whose snapshot has landed by
@@ -518,9 +630,9 @@ impl Reference {
         for rs in landed {
             let (_, mut replica) = self.in_flight.remove(&rs).expect("listed");
             let since = self.since.remove(&rs).expect("a bootstrap has a mark");
-            let interest = &self.interests[&rs];
+            let (interest, sent) = (&self.interests[&rs], self.sent_presence.contains(&rs));
             for stamped in self.log.iter().filter(|s| s.seq > since) {
-                if interest.relevant(&stamped.update, &replica) {
+                if interest.relevant(&stamped.update, &replica, sent) {
                     apply(&mut replica, self.subset_roots.get(&rs), &stamped.update);
                 }
             }
@@ -533,15 +645,22 @@ impl Reference {
 }
 
 /// What a replica does with an update it is sent; `roots` are a subset
-/// replica's. A node outside every root's subtree is held only to orient
-/// one: a `ReplaceKind` of it writes its version alone. After a removal,
-/// a subset replica drops what is left of the chain above it
+/// replica's. A node outside every root's subtree is held to orient one,
+/// as a group, or is a presence node that joined there: a `ReplaceKind`
+/// of it writes its version alone, and a pose update the group refuses
+/// writes the group's part of the pose ([`orientation_pose`]). After a
+/// removal, a subset replica drops what is left of the chain above it
 /// ([`drop_bare_chain`]).
 fn apply(replica: &mut SceneTree, roots: Option<&BTreeSet<NodeId>>, update: &SceneUpdate) -> bool {
     let outside = |id| roots.is_some_and(|r| !replica.lineage(id).any(|n| r.contains(&n)));
     match *update {
         SceneUpdate::ReplaceKind { id, .. } if outside(id) => {
             replica.node_mut(id).map(|mut n| n.bump_version()).is_some()
+        }
+        SceneUpdate::CameraMoved { id, .. } | SceneUpdate::AvatarUpdated { id, .. }
+            if outside(id) =>
+        {
+            update.apply(replica).is_ok() || orientation_pose(replica, update)
         }
         SceneUpdate::RemoveNode { id } => {
             let parent = replica.node(id).and_then(|n| n.parent());
@@ -552,6 +671,24 @@ fn apply(replica: &mut SceneTree, roots: Option<&BTreeSet<NodeId>>, update: &Sce
             applied
         }
         _ => update.apply(replica).is_ok(),
+    }
+}
+
+/// A pose update of a group that orients a root: a `CameraMoved` writes
+/// the camera's position and rotation into its transform, and either
+/// bumps its version, as the master's pose write does.
+fn orientation_pose(replica: &mut SceneTree, update: &SceneUpdate) -> bool {
+    match *update {
+        SceneUpdate::CameraMoved { id, camera } => {
+            let Some(mut transform) = replica.node(id).map(|n| n.transform()) else { return false };
+            transform.translation = camera.position;
+            transform.rotation = camera.orientation;
+            replica.set_transform(id, transform)
+        }
+        SceneUpdate::AvatarUpdated { id, .. } => {
+            replica.node_mut(id).map(|mut n| n.bump_version()).is_some()
+        }
+        _ => false,
     }
 }
 
@@ -585,6 +722,7 @@ fn join(
 ) -> RenderServiceId {
     let rs = sim.world.spawn_render_service(host);
     let data = sim.world.data_mut(ds);
+    model.subscribed(rs, host, interest.clone(), live, &data.scene);
     if live {
         data.subscribe_live(rs, interest.clone());
     } else {
@@ -594,9 +732,8 @@ fn join(
     replica.adopt_parcel(&snapshot_parcel(&data.scene, &interest));
     let service = sim.world.render_mut(rs);
     service.scene = replica.clone();
-    service.interest = interest.clone();
+    service.interest = interest;
     replicas.insert(rs, replica);
-    model.subscribed(rs, host, interest, live);
     rs
 }
 
@@ -613,9 +750,38 @@ fn connect(
     let rs = sim.world.spawn_render_service(host);
     let mut replica = SceneTree::new();
     replica.adopt_parcel(&snapshot_parcel(&sim.world.data(ds).scene, &interest));
-    let landing = connect_render_service(sim, rs, ds, interest.clone());
+    model.subscribed(rs, host, interest.clone(), false, &sim.world.data(ds).scene);
+    let landing = connect_render_service(sim, rs, ds, interest);
     model.in_flight.insert(rs, (landing.ready_at, replica));
-    model.subscribed(rs, host, interest, false);
+}
+
+/// Place `node`, which no subscriber lists, on `to` as a new interest root:
+/// the data service lists it (no donor gives it up), and the subscriber's
+/// replica, here and in the reference, adopts its parcel from the master.
+/// The queue has drained, so every delivery booked so far has landed.
+fn place(
+    sim: &mut RaveSim,
+    ds: DataServiceId,
+    model: &mut Reference,
+    replicas: &mut BTreeMap<RenderServiceId, SceneTree>,
+    node: NodeId,
+    to: RenderServiceId,
+) -> TestCaseResult {
+    let data = sim.world.data_mut(ds);
+    prop_assert_eq!(data.move_interest_root(node, None, Some(to)), None, "nobody listed {}", node);
+    if presence_under(&data.scene, node) {
+        model.sent_presence.insert(to);
+    }
+    let parcel = data.scene.extract_parcel(&[node]);
+    let service = sim.world.render_mut(to);
+    service.interest.add_root(node);
+    service.scene.adopt_parcel(&parcel);
+    replicas.get_mut(&to).expect("spawned").adopt_parcel(&parcel);
+    model.interests.get_mut(&to).expect("subscribed").add_root(node);
+    if let Some(roots) = model.subset_roots.get_mut(&to) {
+        roots.insert(node);
+    }
+    Ok(())
 }
 
 /// What one generated case leaves behind at quiescence.
@@ -670,16 +836,18 @@ fn run_case(
         (nodes, held)
     };
 
-    // The drawn population, then the fixed cases: a live subscriber of
-    // `held` alone, a subscriber on the data service's own host, one on a
-    // host that is not on the network, and a subscribed id with no service
-    // behind it.
+    // The drawn population, then the fixed cases: two live subscribers of
+    // `held` alone (neither holds a presence node, so a root with one placed
+    // on one of them and a camera recast in the other's both count), a
+    // subscriber on the data service's own host, one on a host that is not
+    // on the network, and a subscribed id with no service behind it.
     let everything = |host: &str| (host.to_string(), None, true);
     let mut population: Vec<(String, Option<Vec<usize>>, bool)> = population
         .iter()
         .map(|s| (hosts[s.host_pick % hosts.len()].clone(), s.interest.clone(), s.live))
         .collect();
     population.push((hosts[hosts.len() - 1].clone(), Some(vec![held]), true));
+    population.push((hosts[0].clone(), Some(vec![held]), true));
     population.push(everything(&ds_host));
     population.push(everything(OFF_NET_HOST));
     population.push(everything(&hosts[hosts.len() - 1]));
@@ -696,6 +864,8 @@ fn run_case(
         subset_roots: BTreeMap::new(),
         interests: BTreeMap::new(),
         in_flight: BTreeMap::new(),
+        sent_presence: BTreeSet::new(),
+        applied: Vec::new(),
     };
     let interest_in = |nodes: &[NodeId], picks: &Option<Vec<usize>>| match picks {
         None => InterestSet::everything(),
@@ -709,6 +879,7 @@ fn run_case(
     sim.world.data_mut(ds).subscribe_live(NO_SUCH_SERVICE, InterestSet::everything());
     model.live.insert(NO_SUCH_SERVICE, true);
     model.interests.insert(NO_SUCH_SERVICE, InterestSet::everything());
+    model.sent_presence.insert(NO_SUCH_SERVICE);
     let mut subscribers: Vec<RenderServiceId> = model.live.keys().copied().collect();
     // Live replicas the updates can reach: not the one off the network,
     // nor the subscription no service stands behind.
@@ -728,6 +899,10 @@ fn run_case(
     let far = subscribers.len() - 2; // the last one spawned
     let root_rename = |len| Step::Batch(vec![Op::Rename { pick: 0, len }]);
     let mut steps = steps;
+    // Before anyone joins, a subtree with an avatar in it is placed on a
+    // subscriber that holds no presence node, and a node another such
+    // subscriber holds is recast as a camera between two camera moves,
+    // which lands before the join marks everyone.
     steps.splice(
         0..0,
         [
@@ -742,6 +917,13 @@ fn run_case(
             root_rename(100),
             Step::Resubscribe { pick: far },
             root_rename(0),
+            Step::Place { pick: 0, to_pick: 0, presence: true },
+            Step::Batch(vec![
+                Op::Presence { pick: 0, camera: true },
+                Op::Recast { pick: 0 },
+                Op::Presence { pick: 1, camera: true },
+            ]),
+            Step::Advance { micros: 1_000_000 },
             Step::Batch(vec![
                 Op::Presence { pick: 0, camera: true },
                 Op::Rename { pick: 2, len: 1500 },
@@ -771,6 +953,10 @@ fn run_case(
     ]));
 
     let mut instants = 0;
+    // Subscribed live again without a fresh snapshot: such a replica may
+    // hold presence nodes its interest closure does not, which
+    // `subscribe_live` (given a caller-made snapshot) cannot know of.
+    let mut resubscribed: BTreeSet<RenderServiceId> = BTreeSet::new();
     for step in &steps {
         model.land(sim.now(), &mut replicas, &mut subscribers, &mut in_step);
         match step {
@@ -780,7 +966,7 @@ fn run_case(
                 let before = sim.world.data(ds).audit.last_seq();
                 let batch = updates.into_iter().map(|u| ("editor".to_string(), u)).collect();
                 let (queued, booked) = (sim.pending(), model.deliveries.len());
-                let replay = sim.world.data(ds).clone();
+                let replay = sim.world.data(ds).scene.clone();
                 let result = publish_batch(&mut sim, ds, batch);
                 let trail = sim.world.data(ds).audit.entries();
                 let batch = &trail[trail.partition_point(|e| e.stamped.seq <= before)..];
@@ -812,15 +998,19 @@ fn run_case(
                 in_step.remove(&rs);
                 prop_assert_eq!(sim.world.data_mut(ds).unsubscribe(rs), was);
                 model.since.remove(&rs);
+                model.sent_presence.remove(&rs);
             }
             Step::Resubscribe { pick } => {
                 let rs = subscribers[pick % subscribers.len()];
                 let data = sim.world.data_mut(ds);
                 data.unsubscribe(rs);
-                data.subscribe_live(rs, model.interests[&rs].clone());
+                let interest = model.interests[&rs].clone();
+                data.subscribe_live(rs, interest.clone());
                 in_step.remove(&rs);
+                resubscribed.insert(rs);
                 model.live.insert(rs, true);
                 model.since.remove(&rs);
+                model.mark_snapshot(rs, &interest, &data.scene);
             }
             Step::FinishBootstrap { pick } => {
                 let waiting: Vec<RenderServiceId> = model
@@ -853,21 +1043,80 @@ fn run_case(
                 connect(&mut sim, ds, &mut model, &host, interest);
                 instants += 1;
             }
+            Step::Place { pick, to_pick, presence } => {
+                sim.run();
+                model.land(sim.now(), &mut replicas, &mut subscribers, &mut in_step);
+                model.apply_booked(&mut replicas);
+                let data = sim.world.data(ds);
+                let listed: BTreeSet<NodeId> =
+                    data.subscribers().values().flat_map(|s| s.interest.roots()).collect();
+                let scene = &data.scene;
+                let nodes = scene.descendants(scene.root()).into_iter().skip(1);
+                let free: Vec<NodeId> = nodes
+                    .filter(|n| !listed.contains(n) && (!presence || presence_under(scene, *n)))
+                    .collect();
+                let served = |rs: &&RenderServiceId| **rs != NO_SUCH_SERVICE;
+                let unmarked: Vec<RenderServiceId> = data
+                    .subscribers()
+                    .iter()
+                    .filter(|(rs, sub)| served(rs) && !sub.sent_presence)
+                    .map(|(rs, _)| *rs)
+                    .collect();
+                let all: Vec<RenderServiceId> =
+                    data.subscribers().keys().filter(served).copied().collect();
+                let to = if unmarked.is_empty() { &all } else { &unmarked };
+                let (Some(&node), Some(&to)) =
+                    (free.get(pick % free.len().max(1)), to.get(to_pick % to.len().max(1)))
+                else {
+                    continue;
+                };
+                place(&mut sim, ds, &mut model, &mut replicas, node, to)?;
+            }
         }
+        check_marks(&sim, ds, &model, &resubscribed)?;
     }
     sim.run();
     model.land(sim.now(), &mut replicas, &mut subscribers, &mut in_step);
     Ok(Run { sim, ds, model, replicas, in_step, instants })
 }
 
+/// The presence marks of the data service are the reference's, and every
+/// subscriber whose replica holds a presence node is marked, live or
+/// bootstrapping: a subscriber resubscribed live without a fresh snapshot
+/// aside, and the one no service stands behind.
+fn check_marks(
+    sim: &RaveSim,
+    ds: DataServiceId,
+    model: &Reference,
+    resubscribed: &BTreeSet<RenderServiceId>,
+) -> TestCaseResult {
+    let subscribers = sim.world.data(ds).subscribers();
+    let marked: BTreeSet<RenderServiceId> =
+        subscribers.iter().filter(|(_, s)| s.sent_presence).map(|(rs, _)| *rs).collect();
+    prop_assert_eq!(&marked, &model.sent_presence, "the marks");
+    for (rs, sub) in subscribers {
+        let Some(service) = sim.world.render_services.get(rs) else { continue };
+        if service.scene.holds_presence() && !resubscribed.contains(rs) {
+            prop_assert!(sub.sent_presence, "{} holds a presence node unmarked", rs);
+        }
+    }
+    Ok(())
+}
+
 /// The nodes of `tree` that are not presence and hang under no presence
-/// node, each with its parent. With `roots`, only those a subscription of
-/// them holds: the roots' subtrees and their ancestor chains, and the
-/// scene root.
-fn held_nodes(tree: &SceneTree, roots: Option<&[NodeId]>) -> BTreeMap<NodeId, Option<NodeId>> {
+/// node, each with its parent, judged by the `master` where it holds the
+/// node (a replica holds a presence node that orients a root as a group).
+/// With `roots`, only those a subscription of them holds: the roots'
+/// subtrees and their ancestor chains, and the scene root.
+fn held_nodes(
+    tree: &SceneTree,
+    roots: Option<&[NodeId]>,
+    master: &SceneTree,
+) -> BTreeMap<NodeId, Option<NodeId>> {
     let presence = |id| {
-        let kind = |n: NodeId| tree.node(n).map(|n| n.kind_tag());
-        tree.lineage(id).any(|n| kind(n).is_some_and(KindTag::is_presence))
+        let judge = if master.contains(id) { master } else { tree };
+        let kind = |n: NodeId| judge.node(n).map(|n| n.kind_tag());
+        judge.lineage(id).any(|n| kind(n).is_some_and(KindTag::is_presence))
     };
     let ids: Vec<NodeId> = match roots {
         None => tree.descendants(tree.root()),
@@ -899,7 +1148,8 @@ fn held_nodes(tree: &SceneTree, roots: Option<&[NodeId]>) -> BTreeMap<NodeId, Op
 /// subtree the master removed is stray even with an avatar in it.
 /// Presence is left out: a subset
 /// snapshot holds the avatars inside its roots' subtrees, a live replica
-/// also those that joined under a node it holds.
+/// also those that joined under a node it holds; each presence node held
+/// is checked on its own: its kind, pose and version are the master's.
 fn check_quiescent(run: Run) -> TestCaseResult {
     let Run { sim, ds, model, replicas, in_step, .. } = run;
     prop_assert_eq!(sim.world.data(ds).fanout, model.totals);
@@ -924,14 +1174,19 @@ fn check_quiescent(run: Run) -> TestCaseResult {
             continue;
         }
         let replica = &sim.world.render(*rs).scene;
+        for n in replica.iter_nodes().filter(|n| n.kind_tag().is_presence()) {
+            let pose = |n: rave::scene::NodeRef| (n.kind().clone(), n.transform(), n.version());
+            let (want, got) = (master.node(n.id()).map(pose), Some(pose(n)));
+            prop_assert!(want == got, "{} holds another presence node {}", rs, n.id());
+        }
         if sub.interest.is_everything() {
             let same = master.iter_nodes().map(state).eq(replica.iter_nodes().map(state));
             prop_assert!(same, "the full replica of {} is not the master", rs);
             continue;
         }
         let roots: Vec<NodeId> = sub.interest.roots().collect();
-        let closure = held_nodes(master, Some(&roots));
-        let held = held_nodes(replica, None);
+        let closure = held_nodes(master, Some(&roots), master);
+        let held = held_nodes(replica, None, master);
         for (id, parent) in &closure {
             prop_assert_eq!(held.get(id), Some(parent), "{} lacks {} under {:?}", rs, id, parent);
         }

@@ -7,14 +7,19 @@
 //! them. Roots a subscriber lists before the tree holds them (pending
 //! roots) are given out and then added, and every probe is judged against
 //! the tree as it stands before the update's commit, as the data service
-//! routes it. Plus the presence rule as a regression: avatar
-//! and camera updates reach every subscriber, however narrow its
-//! interest, and full-replica subscribers converge to the master scene
-//! through the batched multicast delivery path.
+//! routes it. Subset subscribers are drawn marked and unmarked as sent
+//! presence, and marks are patched in mid-storm, so an update of a presence
+//! node is judged both ways. Plus the presence rule as a regression: a
+//! collaborator's join reaches every subscriber, however narrow its
+//! interest, and its poses reach every subscriber subscribed before it
+//! joined, but not a narrow one snapshotted after; and full-replica
+//! subscribers converge to the master scene through the batched multicast
+//! delivery path.
 
 use proptest::prelude::*;
+use rave::core::data_service::DataService;
 use rave::core::world::{publish_batch, RaveWorld};
-use rave::core::RaveConfig;
+use rave::core::{DataServiceId, RaveConfig, RenderServiceId};
 use rave::math::Vec3;
 use rave::scene::{
     AvatarInfo, Dirt, EditClass, EditStamp, InterestIndex, InterestSet, NodeId, NodeKind, Reach,
@@ -53,23 +58,34 @@ fn edit_strategy() -> impl Strategy<Value = Edit> {
 }
 
 /// One subscriber's interest: `None` = everything, otherwise subtree
-/// roots drawn from the initial node population (picks reduced modulo).
-fn interest_strategy() -> impl Strategy<Value = Option<Vec<usize>>> {
-    prop_oneof![
+/// roots drawn from the initial node population (picks reduced modulo);
+/// and whether it is marked as sent presence.
+fn interest_strategy() -> impl Strategy<Value = (Option<Vec<usize>>, bool)> {
+    let interest = prop_oneof![
         Just(None),
         prop::collection::vec(any::<usize>(), 1..4).prop_map(Some),
         prop::collection::vec(any::<usize>(), 1..4).prop_map(Some),
         prop::collection::vec(any::<usize>(), 1..4).prop_map(Some),
-    ]
+    ];
+    (interest, any::<bool>())
 }
 
 fn avatar() -> NodeKind {
     NodeKind::Avatar(AvatarInfo { label: "u".into(), color: Vec3::X, camera: Default::default() })
 }
 
-/// The oracle: ask every set in turn.
-fn naive(sets: &[InterestSet], u: &SceneUpdate, tree: &SceneTree) -> Vec<u32> {
-    sets.iter().enumerate().filter(|(_, s)| s.relevant(u, tree)).map(|(i, _)| i as u32).collect()
+/// The oracle: ask every set in turn, with its subscriber's mark.
+fn naive(sets: &[InterestSet], marks: &[bool], u: &SceneUpdate, tree: &SceneTree) -> Vec<u32> {
+    let relevant =
+        |(i, s): (usize, &InterestSet)| s.relevant(u, tree, marks[i]).then_some(i as u32);
+    sets.iter().enumerate().filter_map(relevant).collect()
+}
+
+/// An index built from scratch over `sets` with their marks.
+fn rebuilt(tree: &SceneTree, sets: &[InterestSet], marks: &[bool]) -> InterestIndex {
+    let mut ix = InterestIndex::new();
+    ix.rebuild(tree, sets.iter().zip(marks.iter().copied()));
+    ix
 }
 
 /// The index's answer with `Reach::Everyone` spelled out.
@@ -87,13 +103,14 @@ fn indexed(ix: &mut InterestIndex, u: &SceneUpdate, tree: &SceneTree) -> Vec<u32
 fn check_probes(
     ix: &mut InterestIndex,
     sets: &[InterestSet],
+    marks: &[bool],
     tree: &mut SceneTree,
     removed: &[NodeId],
     salt: usize,
 ) {
     for u in &probes(tree, sets, removed, salt) {
         let got = indexed(ix, u, tree);
-        let want = naive(sets, u, tree);
+        let want = naive(sets, marks, u, tree);
         assert_eq!(got, want, "index diverged from refreshed scan on {u:?}");
     }
 }
@@ -119,13 +136,20 @@ fn probes(
         name: name.into(),
         kind: NodeKind::Group,
     };
+    let presence: Vec<NodeId> =
+        nodes.iter().copied().filter(|&n| tree.node(n).unwrap().kind_tag().is_presence()).collect();
     let mut probes = vec![
         SceneUpdate::SetName { id: target, name: "probe".into() },
         SceneUpdate::SetTransform { id: tree.root(), transform: Transform::IDENTITY },
         SceneUpdate::RemoveNode { id: target },
         add(tree.allocate_id(), "p"),
         SceneUpdate::CameraMoved { id: target, camera: Default::default() },
+        SceneUpdate::AddNode { id: tree.allocate_id(), parent, name: "j".into(), kind: avatar() },
     ];
+    if let Some(&id) = presence.get(salt % presence.len().max(1)) {
+        probes.push(SceneUpdate::CameraMoved { id, camera: Default::default() });
+        probes.push(SceneUpdate::SetName { id, name: "pose".into() });
+    }
     probes.extend(pending_root(tree, sets, removed).map(|id| add(id, "pending")));
     if let Some(&dead) = removed.last() {
         probes.push(SceneUpdate::SetName { id: dead, name: "ghost".into() });
@@ -183,16 +207,22 @@ fn seeded_tree(seed_sizes: &[usize]) -> SceneTree {
     tree
 }
 
-fn interest_sets(specs: &[Option<Vec<usize>>], seed_nodes: &[NodeId]) -> Vec<InterestSet> {
+/// The drawn subscribers' interest sets and their marks; a full
+/// replica is always marked, as the data service marks it.
+fn interest_sets(
+    specs: &[(Option<Vec<usize>>, bool)],
+    seed_nodes: &[NodeId],
+) -> (Vec<InterestSet>, Vec<bool>) {
     specs
         .iter()
-        .map(|spec| match spec {
-            None => InterestSet::everything(),
+        .map(|(spec, marked)| match spec {
+            None => (InterestSet::everything(), true),
             Some(picks) => {
-                InterestSet::subtrees(picks.iter().map(|&p| seed_nodes[p % seed_nodes.len()]))
+                let roots = picks.iter().map(|&p| seed_nodes[p % seed_nodes.len()]);
+                (InterestSet::subtrees(roots), *marked)
             }
         })
-        .collect()
+        .unzip()
 }
 
 /// One step of a migration storm: a structural edit, or an interest root
@@ -211,6 +241,11 @@ enum Step {
     AddPending {
         parent_pick: usize,
     },
+    /// A subscriber is marked as sent presence (`None`: every subscriber,
+    /// as a join's commit marks them), patched into the index.
+    Mark {
+        pick: Option<usize>,
+    },
 }
 
 fn step_strategy() -> impl Strategy<Value = Step> {
@@ -220,7 +255,8 @@ fn step_strategy() -> impl Strategy<Value = Step> {
             .prop_map(|(root_pick, from, to, held)| Step::Reroot { root_pick, from, to, held })
     };
     let add_pending = any::<usize>().prop_map(|parent_pick| Step::AddPending { parent_pick });
-    prop_oneof![edit_strategy().prop_map(Step::Edit), reroot(), reroot(), add_pending]
+    let mark = who().prop_map(|pick| Step::Mark { pick });
+    prop_oneof![edit_strategy().prop_map(Step::Edit), reroot(), reroot(), add_pending, mark]
 }
 
 proptest! {
@@ -240,19 +276,18 @@ proptest! {
     ) {
         let mut tree = seeded_tree(&seed_sizes);
         let seed_nodes: Vec<NodeId> = tree.descendants(tree.root());
-        let sets = interest_sets(&interests, &seed_nodes);
+        let (sets, marks) = interest_sets(&interests, &seed_nodes);
 
-        let mut ix = InterestIndex::new();
         let mut seen = EditStamp::default();
         let _ = structure_dirt(&mut tree, &mut seen);
-        ix.rebuild(&tree, sets.iter());
+        let mut ix = rebuilt(&tree, &sets, &marks);
 
         let mut removed: Vec<NodeId> = Vec::new();
         for (step, edit) in storm.iter().enumerate() {
             apply_edit(&mut tree, edit, step, &mut removed);
             let dirt = structure_dirt(&mut tree, &mut seen);
             ix.repair(&tree, &dirt);
-            check_probes(&mut ix, &sets, &mut tree, &removed, step * 31 + 7);
+            check_probes(&mut ix, &sets, &marks, &mut tree, &removed, step * 31 + 7);
         }
     }
 
@@ -273,12 +308,11 @@ proptest! {
     ) {
         let mut tree = seeded_tree(&seed_sizes);
         let seed_nodes: Vec<NodeId> = tree.descendants(tree.root());
-        let mut sets = interest_sets(&interests, &seed_nodes);
+        let (mut sets, mut marks) = interest_sets(&interests, &seed_nodes);
 
-        let mut ix = InterestIndex::new();
         let mut seen = EditStamp::default();
         let _ = structure_dirt(&mut tree, &mut seen);
-        ix.rebuild(&tree, sets.iter());
+        let mut ix = rebuilt(&tree, &sets, &marks);
 
         let mut removed: Vec<NodeId> = Vec::new();
         for (step, what) in storm.iter().enumerate() {
@@ -327,14 +361,21 @@ proptest! {
                         ix.repair(&tree, &dirt);
                     }
                 }
+                Step::Mark { pick: Some(p) } => {
+                    marks[p % sets.len()] = true;
+                    ix.mark_presence((p % sets.len()) as u32);
+                }
+                Step::Mark { pick: None } => {
+                    marks.fill(true);
+                    ix.mark_presence_everyone();
+                }
             }
             prop_assert_eq!(ix.n_subs(), sets.len());
-            let mut rebuilt = InterestIndex::new();
-            rebuilt.rebuild(&tree, sets.iter());
+            let mut fresh = rebuilt(&tree, &sets, &marks);
             for u in &probes(&mut tree, &sets, &removed, step * 31 + 7) {
                 let got = indexed(&mut ix, u, &tree);
-                prop_assert_eq!(&got, &indexed(&mut rebuilt, u, &tree), "vs a rebuild on {:?}", u);
-                prop_assert_eq!(&got, &naive(&sets, u, &tree), "vs the scan on {:?}", u);
+                prop_assert_eq!(&got, &indexed(&mut fresh, u, &tree), "vs a rebuild on {:?}", u);
+                prop_assert_eq!(&got, &naive(&sets, &marks, u, &tree), "vs the scan on {:?}", u);
             }
         }
     }
@@ -409,42 +450,46 @@ proptest! {
     }
 }
 
-/// §3.2.4 regression: presence (avatar join + camera motion) reaches
-/// every subscriber, including one whose interest is a sibling subtree
-/// that does not contain the avatar.
+/// §3.2.4 regression, through a data service: a collaborator's join
+/// reaches every subscriber, including one whose interest is a sibling
+/// subtree that does not contain the avatar, and marks them all, so its
+/// poses reach them too. A narrow subscriber snapshotted after the join
+/// holds no avatar and is not sent its poses; the index answers as the
+/// naive scan throughout.
 #[test]
 fn presence_reaches_narrow_subscribers() {
-    let mut tree = SceneTree::new();
-    let shown = tree.add_node(tree.root(), "shown", NodeKind::Group).unwrap();
-    let hidden = tree.add_node(tree.root(), "hidden", NodeKind::Group).unwrap();
-    let sets = [InterestSet::subtrees([shown]), InterestSet::everything()];
-    let mut ix = InterestIndex::new();
-    let mut seen = EditStamp::default();
-    let _ = structure_dirt(&mut tree, &mut seen);
-    ix.rebuild(&tree, sets.iter());
+    let (early, full, late) = (RenderServiceId(1), RenderServiceId(2), RenderServiceId(3));
+    let mut ds = DataService::new(DataServiceId(1), "h", "s");
+    let shown = ds.scene.add_node(ds.scene.root(), "shown", NodeKind::Group).unwrap();
+    let hidden = ds.scene.add_node(ds.scene.root(), "hidden", NodeKind::Group).unwrap();
+    ds.subscribe_live(early, InterestSet::subtrees([shown]));
+    ds.subscribe_live(full, InterestSet::everything());
+    let route = |ds: &mut DataService, update: SceneUpdate| {
+        let stamped = ds.stamp("u", update);
+        let routed = ds.route(&stamped);
+        assert_eq!(routed, ds.route_naive(&stamped), "{:?}", stamped.update);
+        ds.commit(0.0, &stamped).unwrap();
+        routed
+    };
 
     // The avatar joins under the *unsubscribed* branch — still everyone's.
-    let av = tree.allocate_id();
-    let join = SceneUpdate::AddNode {
-        id: av,
-        parent: hidden,
-        name: "avatar-u".into(),
-        kind: NodeKind::Avatar(AvatarInfo {
-            label: "u".into(),
-            color: Vec3::X,
-            camera: Default::default(),
-        }),
-    };
-    assert_eq!(indexed(&mut ix, &join, &tree), vec![0, 1], "join reaches everyone");
-    join.apply(&mut tree).unwrap();
-    let dirt = structure_dirt(&mut tree, &mut seen);
-    ix.repair(&tree, &dirt);
+    let av = ds.scene.allocate_id();
+    let join =
+        SceneUpdate::AddNode { id: av, parent: hidden, name: "avatar-u".into(), kind: avatar() };
+    assert_eq!(route(&mut ds, join), [early, full], "join reaches everyone");
+    assert!(ds.subscribers().values().all(|s| s.sent_presence), "and marks everyone");
 
-    let motion = SceneUpdate::CameraMoved { id: av, camera: Default::default() };
-    assert_eq!(indexed(&mut ix, &motion, &tree), naive(&sets, &motion, &tree));
-    assert_eq!(indexed(&mut ix, &motion, &tree), vec![0, 1], "presence motion reaches everyone");
+    let motion = || SceneUpdate::CameraMoved { id: av, camera: Default::default() };
+    assert_eq!(route(&mut ds, motion()), [early, full], "presence motion reaches both");
+
+    // Subscribed after the join, to a branch without the avatar: unmarked.
+    ds.subscribe_live(late, InterestSet::subtrees([shown]));
+    assert!(!ds.subscribers()[&late].sent_presence);
+    assert_eq!(route(&mut ds, motion()), [early, full], "not the late narrow subscriber");
+    let pose = SceneUpdate::SetTransform { id: av, transform: Transform::IDENTITY };
+    assert_eq!(route(&mut ds, pose), [early, full]);
 
     // A mundane update in the hidden branch still stays scoped.
     let mundane = SceneUpdate::SetName { id: hidden, name: "h".into() };
-    assert_eq!(indexed(&mut ix, &mundane, &tree), vec![1], "non-presence stays scoped");
+    assert_eq!(route(&mut ds, mundane), [full], "non-presence stays scoped");
 }
