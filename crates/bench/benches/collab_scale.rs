@@ -38,8 +38,8 @@
 //!    `sparse_wave_worst_over_compact` says a wave pays for its members,
 //!    not for the services between them. `subset_tick_us` is the compact
 //!    tick with every subscriber on a branch of its own, snapshotted after
-//!    the participants joined: subset replicas that hold no avatar and
-//!    refuse each move unread (`SceneUpdate::try_apply`).
+//!    the participants joined: subset replicas whose subtrees hold no
+//!    avatar, so routing sends them no move at all.
 //!
 //! 4. Index maintenance (`index`): one interest root handed from one
 //!    subscriber to another — what a migration does to the index,
@@ -142,10 +142,8 @@ fn time_index_moves(clients: usize, rounds: usize, rng: &mut Lcg) -> IndexTiming
     let (ds, branches, leaves) = routing_service();
     let tree = &ds.scene;
     let mut sets = population(&branches, clients, rng);
-    // Marked as the data service marks them; no hand-over changes a mark.
-    let marks: Vec<bool> = sets.iter().map(|s| s.closure_holds_presence(tree)).collect();
     let mut ix = InterestIndex::new();
-    let rebuild = best_of(rounds, || ix.rebuild(tree, sets.iter().zip(marks.iter().copied())));
+    let rebuild = best_of(rounds, || ix.rebuild(tree, sets.iter()));
 
     // Slots 1 and 2 hold one branch each; theirs go back and forth.
     let (a, b) = (1u32, 2u32);
@@ -167,7 +165,7 @@ fn time_index_moves(clients: usize, rounds: usize, rng: &mut Lcg) -> IndexTiming
     });
     hand_over(&mut ix, &mut sets, a, b);
     let mut rebuilt = InterestIndex::new();
-    rebuilt.rebuild(tree, sets.iter().zip(marks.iter().copied()));
+    rebuilt.rebuild(tree, sets.iter());
     let (mut got, mut want) = (Vec::new(), Vec::new());
     for &id in branches.iter().chain(&leaves).chain([&tree.root()]) {
         let probe = SceneUpdate::SetName { id, name: "probe".into() };

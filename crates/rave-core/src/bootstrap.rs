@@ -125,7 +125,6 @@ pub(crate) fn connect_at(
                 trace.record(now, TraceEvent::SnapshotDropped { rs: rs_id, ds: ds_id });
                 return;
             };
-            let sent_presence = ds.subscribers.get(&rs_id).is_some_and(|s| s.sent_presence);
             let missed = ds.complete_bootstrap(rs_id);
             // Adopt (not replace): nodes that arrived through other paths
             // while the parcel was in flight — e.g. migration moving work
@@ -139,8 +138,8 @@ pub(crate) fn connect_at(
             for e in missed {
                 // The trail holds every update; the replica takes what
                 // routing would have sent it, judged as the index judges
-                // the master, against its own closure and with its mark.
-                if rs.interest.relevant(&e.stamped.update, &rs.scene, sent_presence) {
+                // the master, against its own closure.
+                if rs.interest.relevant(&e.stamped.update, &rs.scene) {
                     rs.apply_update(&e.stamped.update);
                 }
             }
@@ -180,10 +179,9 @@ pub fn connect_planned(
 /// store with the failed instance's store config so logging continues
 /// where it stopped, at the same cadence. Every render service the
 /// failed instance was serving is re-bootstrapped against the
-/// replacement with its original interest set and its presence mark — the
-/// §5.5 catch-up from the trail makes the re-mirror safe against updates
-/// published while the snapshots are in flight, and the replica keeps the
-/// presence nodes it held outside its snapshot.
+/// replacement with its original interest set — the §5.5 catch-up from
+/// the trail makes the re-mirror safe against updates published while
+/// the snapshots are in flight.
 pub fn recover_data_service(
     sim: &mut RaveSim,
     failed: DataServiceId,
@@ -217,20 +215,15 @@ pub fn recover_data_service(
     sim.world.trace.record(sim.now(), TraceEvent::Recovered { row: Box::new(row) });
     for (&rs_id, sub) in failed_ds.subscribers() {
         connect_render_service(sim, rs_id, new_id, sub.interest.clone());
-        if sub.sent_presence {
-            sim.world.data_mut(new_id).mark_sent_presence(rs_id);
-        }
     }
     Ok(new_id)
 }
 
 /// The parcel a bootstrap ships: the whole scene, or the interest closure
-/// with ancestor orientation (§3.2.5). A subset carries no presence node
-/// outside that closure, so the avatars hanging off the root are not in
-/// it: such a replica holds only the avatars whose `AddNode` reached it
-/// live (`InterestSet::relevant`), and is marked as sent presence only if
-/// one did. A replica built outside a bootstrap is a fresh tree that
-/// adopts this parcel.
+/// with ancestor orientation (§3.2.5) — what routing
+/// (`InterestSet::relevant`) keeps a live replica of the same interest
+/// holding, cameras and avatars included, whenever it joined. A replica
+/// built outside a bootstrap is a fresh tree that adopts this parcel.
 pub fn snapshot_parcel(scene: &SceneTree, interest: &InterestSet) -> Parcel {
     if interest.is_everything() {
         scene.extract_parcel(&[scene.root()])
@@ -741,64 +734,41 @@ mod tests {
         );
     }
 
-    /// A subset replica that took a collaborator's join holds the avatar
-    /// outside its interest's subtrees, and is sent every update of it. A
-    /// `ReplaceKind` of the avatar (here into a camera) should leave the
-    /// replica's copy as the master's. It does not: the replica takes it as
-    /// the version write an orientation record takes, and keeps an avatar.
+    /// Two replicas of one branch, one subscribed before a collaborator
+    /// joins and moves and one bootstrapped after, hold the same scene: the
+    /// avatar hangs off the root, outside the branch's closure, so neither
+    /// holds it. Each is what a fresh tree that adopts the master's
+    /// snapshot parcel holds, and stays so when the avatar is recast as a
+    /// camera.
     #[test]
-    #[ignore = "ROADMAP item 7"]
-    fn a_presence_node_held_outside_the_interest_takes_a_replace_kind_as_sent() {
+    fn a_subset_replica_is_its_snapshot_whatever_its_join_order() {
+        use crate::collaboration::{join_session, move_camera};
         let (mut sim, ds) = sim_with_scene(100);
         let model = sim.world.data(ds).scene.find_by_path("/model").unwrap();
-        let rs = sim.world.spawn_render_service("tower");
-        connect_render_service(&mut sim, rs, ds, InterestSet::subtrees([model]));
+        let interest = InterestSet::subtrees([model]);
+        let early = sim.world.spawn_render_service("tower");
+        connect_render_service(&mut sim, early, ds, interest.clone());
         sim.run();
         let camera = rave_scene::CameraParams::default();
-        let who = crate::collaboration::join_session(&mut sim, ds, "u", Vec3::X, camera).unwrap();
-        sim.run();
-        assert!(sim.world.render(rs).scene.contains(who.avatar), "the join reached it");
-        let kind = NodeKind::Camera(camera);
-        let recast = SceneUpdate::ReplaceKind { id: who.avatar, kind };
-        publish_update(&mut sim, ds, "user", recast).unwrap();
-        sim.run();
-        let state = |n: rave_scene::NodeRef<'_>| (n.kind().clone(), n.version());
-        let master = sim.world.data(ds).scene.node(who.avatar).map(state);
-        assert_eq!(sim.world.render(rs).scene.node(who.avatar).map(state), master);
-    }
-
-    /// Two replicas of one branch, one subscribed before a collaborator
-    /// joins and one bootstrapped after, should hold the same scene. They
-    /// do not: the early one inserted the avatar's live `AddNode` (routed
-    /// to every subscriber), the late one's snapshot is the branch closure,
-    /// which leaves the avatar under the root out.
-    #[test]
-    #[ignore = "ROADMAP: presence in subset snapshots"]
-    fn a_subset_replica_holds_presence_whatever_its_join_order() {
-        let (mut sim, ds) = sim_with_scene(100);
-        let model = sim.world.data(ds).scene.find_by_path("/model").unwrap();
-        let early = sim.world.spawn_render_service("tower");
-        connect_render_service(&mut sim, early, ds, InterestSet::subtrees([model]));
-        sim.run();
-        crate::collaboration::join_session(
-            &mut sim,
-            ds,
-            "Desktop",
-            Vec3::X,
-            rave_scene::CameraParams::default(),
-        )
-        .unwrap();
+        let who = join_session(&mut sim, ds, "u", Vec3::X, camera).unwrap();
+        let moved = rave_scene::CameraParams { position: Vec3::new(1.0, 2.0, 3.0), ..camera };
+        move_camera(&mut sim, ds, who, "u", moved).unwrap();
         sim.run();
         let late = sim.world.spawn_render_service("laptop");
-        connect_render_service(&mut sim, late, ds, InterestSet::subtrees([model]));
+        connect_render_service(&mut sim, late, ds, interest.clone());
         sim.run();
-        let (early, late) = (&sim.world.render(early).scene, &sim.world.render(late).scene);
-        assert!(early.holds_presence(), "the early replica took the avatar's AddNode");
-        assert_eq!(
-            early.holds_presence(),
-            late.holds_presence(),
-            "the late replica holds the avatar too"
-        );
-        assert_eq!(early, late);
+        let check = |sim: &RaveSim, when: &str| {
+            let mut fresh = SceneTree::new();
+            fresh.adopt_parcel(&snapshot_parcel(&sim.world.data(ds).scene, &interest));
+            let (early, late) = (&sim.world.render(early).scene, &sim.world.render(late).scene);
+            assert!(!early.contains(who.avatar) && !late.contains(who.avatar), "{when}");
+            assert!(early == late, "the early and the late replica differ {when}");
+            assert!(*early == fresh, "the replicas are not their snapshot {when}");
+        };
+        check(&sim, "after the join");
+        let recast = SceneUpdate::ReplaceKind { id: who.avatar, kind: NodeKind::Camera(camera) };
+        publish_update(&mut sim, ds, "user", recast).unwrap();
+        sim.run();
+        check(&sim, "after the recast");
     }
 }

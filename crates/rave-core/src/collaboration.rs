@@ -22,8 +22,11 @@ pub struct Participant {
     pub avatar: NodeId,
 }
 
-/// Join a session: publishes the avatar node; every replica will render
-/// this user's presence.
+/// Join a session: publishes the avatar node under the scene root. It is
+/// routed as any other node (DESIGN §5.15): every full replica — each
+/// participant's own view — renders this user's presence, and a subset
+/// replica of an assisting render service, which renders only its
+/// subtrees, is sent it only when the scene root is one of them.
 pub fn join_session(
     sim: &mut RaveSim,
     ds_id: DataServiceId,
@@ -65,7 +68,7 @@ pub fn leave_session(
 }
 
 /// A camera drag: updates the avatar's mirrored camera and pose on every
-/// replica.
+/// replica that holds it.
 pub fn move_camera(
     sim: &mut RaveSim,
     ds_id: DataServiceId,

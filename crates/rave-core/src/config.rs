@@ -68,8 +68,9 @@ pub struct RaveConfig {
     pub ship_max_lag: u64,
     /// Record a `TraceKind::UpdateDelivered` row per applied update per
     /// replica. On by default (tests and experiment logs read them);
-    /// scale runs with 10k subscribers turn it off — one presence update
-    /// would be 10k rows, over twice the [`crate::trace::KEEP`] it keeps.
+    /// scale runs with 10k subscribers turn it off — one update every
+    /// replica holds (a scene-root edit, say) would be 10k rows, over twice
+    /// the [`crate::trace::KEEP`] it keeps.
     pub update_delivery_trace: bool,
 }
 

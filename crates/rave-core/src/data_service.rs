@@ -114,13 +114,6 @@ pub struct MoveTotals {
 pub struct Subscription {
     pub interest: InterestSet,
     pub state: SubState,
-    /// Marked as sent presence: its snapshot held a presence node (a full
-    /// replica's always counts), or a presence node was added or moved to
-    /// it since. An update of a presence node reaches the marked
-    /// subscribers beside those its target's place in the scene names
-    /// ([`InterestSet::relevant`]), so every replica that holds one is
-    /// sent its poses. Set, never cleared, while the subscription lasts.
-    pub sent_presence: bool,
 }
 
 /// A data service instance. Multiple sessions may be managed by the same
@@ -257,9 +250,6 @@ impl DataService {
         stamped: &StampedUpdate,
     ) -> Result<Option<CheckpointOutcome>, UpdateError> {
         stamped.update.apply(&mut self.scene)?;
-        if stamped.update.gives_presence() {
-            self.mark_everyone_sent_presence();
-        }
         self.audit.record(at_secs, stamped.clone())?;
         self.next_seq = self.next_seq.max(stamped.seq + 1);
         let held = self.audit.entries();
@@ -283,48 +273,19 @@ impl DataService {
     }
 
     /// Register a live subscriber (used when the replica is seeded
-    /// synchronously, e.g. a local active client). The replica is taken to
-    /// hold the master's interest closure as it stands: it is marked as
-    /// sent presence when that closure holds a presence node.
+    /// synchronously, e.g. a local active client).
     pub fn subscribe_live(&mut self, rs: RenderServiceId, interest: InterestSet) {
-        self.subscribe(rs, interest, SubState::Live);
+        self.subscribers.insert(rs, Subscription { interest, state: SubState::Live });
+        self.index_stale = true;
     }
 
     /// Begin a bootstrap: the subscriber is registered, but nothing is
     /// routed to it until [`DataService::complete_bootstrap`]. Its snapshot
-    /// is the scene as it stands, which covers the audit trail so far, and
-    /// it is marked as sent presence when that snapshot holds a presence
-    /// node.
+    /// is the scene as it stands, which covers the audit trail so far.
     pub fn begin_bootstrap(&mut self, rs: RenderServiceId, interest: InterestSet) {
-        self.subscribe(rs, interest, SubState::Bootstrapping { since: self.audit.last_seq() });
-    }
-
-    fn subscribe(&mut self, rs: RenderServiceId, interest: InterestSet, state: SubState) {
-        let sent_presence = interest.closure_holds_presence(&self.scene);
-        self.subscribers.insert(rs, Subscription { interest, state, sent_presence });
+        let state = SubState::Bootstrapping { since: self.audit.last_seq() };
+        self.subscribers.insert(rs, Subscription { interest, state });
         self.index_stale = true;
-    }
-
-    /// Mark `rs` as sent presence: its replica holds, or is about to hold,
-    /// a presence node. A failover that re-points a replica carries its
-    /// mark over with this.
-    pub(crate) fn mark_sent_presence(&mut self, rs: RenderServiceId) {
-        let Some(sub) = self.subscribers.get_mut(&rs) else { return };
-        if !std::mem::replace(&mut sub.sent_presence, true) {
-            if let Some(slot) = self.index_slot(rs) {
-                self.index.mark_presence(slot);
-            }
-        }
-    }
-
-    /// A presence node was added: every subscriber, live or bootstrapping,
-    /// may now hold one. Patched into the index as it stands, so a batch in
-    /// flight keeps its numbering.
-    fn mark_everyone_sent_presence(&mut self) {
-        self.subscribers.values_mut().for_each(|sub| sub.sent_presence = true);
-        if !self.index_stale {
-            self.index.mark_presence_everyone();
-        }
     }
 
     /// Finish a bootstrap: flips the subscriber live and returns what it
@@ -378,7 +339,7 @@ impl DataService {
             let live = self.subscribers.iter().filter(|(_, s)| s.state == SubState::Live);
             self.delivery.renumber(live.clone().map(|(&rs, _)| rs));
             self.index_generation += 1;
-            self.index.rebuild(&self.scene, live.map(|(_, s)| (&s.interest, s.sent_presence)));
+            self.index.rebuild(&self.scene, live.map(|(_, s)| &s.interest));
             self.index_stale = false;
         } else {
             let dirt = self.scene.changes_since(seen, &[EditClass::Structure]);
@@ -458,16 +419,13 @@ impl DataService {
     }
 
     /// The pre-index routing decision, kept as the embedded parity oracle
-    /// for the inverted interest index: one `InterestSet::relevant` probe
-    /// per subscriber, with its presence mark, answered off the scene as
-    /// it stands. Returns every interested subscriber regardless of state,
-    /// in id order.
+    /// for the inverted index: one `InterestSet::relevant` probe per
+    /// subscriber, answered off the scene as it stands. Returns every
+    /// interested subscriber regardless of state, in id order.
     pub fn route_naive(&self, stamped: &StampedUpdate) -> Vec<RenderServiceId> {
         self.subscribers
             .iter()
-            .filter(|(_, sub)| {
-                sub.interest.relevant(&stamped.update, &self.scene, sub.sent_presence)
-            })
+            .filter(|(_, sub)| sub.interest.relevant(&stamped.update, &self.scene))
             .map(|(rs, _)| *rs)
             .collect()
     }
@@ -482,8 +440,6 @@ impl DataService {
     /// interest index is edited in place, at the cost of the root's chain
     /// (and, when `from` does not list the node, one probe per
     /// subscriber): the next publish rebuilds nothing and renumbers nobody.
-    /// A `to` to which the node's subtree brings a presence node is marked
-    /// as sent presence.
     pub fn move_interest_root(
         &mut self,
         node: rave_scene::NodeId,
@@ -492,14 +448,10 @@ impl DataService {
     ) -> Option<RenderServiceId> {
         // `to` first: a root that changes hands never leaves the index.
         if let Some((rs, sub)) = to.and_then(|rs| Some((rs, self.subscribers.get_mut(&rs)?))) {
-            let brings_presence = !sub.sent_presence && self.scene.holds_presence_under(node);
             if sub.interest.add_root(node) {
                 if let Some(slot) = self.index_slot(rs) {
                     self.index.add_root(&self.scene, slot, node);
                 }
-            }
-            if brings_presence {
-                self.mark_sent_presence(rs);
             }
         }
         let listed = |(rs, sub): (RenderServiceId, &mut Subscription)| {

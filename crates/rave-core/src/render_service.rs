@@ -158,8 +158,8 @@ impl RenderService {
         self.sessions.remove(&client).is_some()
     }
 
-    /// Apply a delivered update to the replica; one naming a node the
-    /// replica does not hold is refused ([`SceneUpdate::try_apply`]). A node
+    /// Apply a delivered update to the replica; one the replica cannot
+    /// apply, such as one naming a node it does not hold, is refused. A node
     /// held outside the interest's subtrees, to orient a root, is held as a
     /// group with no payload, as the orientation record a later snapshot
     /// carries has it: a `ReplaceKind` of it writes its version alone, and
@@ -172,10 +172,10 @@ impl RenderService {
             if let SceneUpdate::ReplaceKind { id, .. } = *update {
                 return self.apply_replace_kind(id, update);
             }
-            return update.try_apply(&mut self.scene) || self.apply_orientation_pose(update);
+            return update.apply(&mut self.scene).is_ok() || self.apply_orientation_pose(update);
         };
         let parent = self.scene.node(id).and_then(|n| n.parent());
-        let applied = update.try_apply(&mut self.scene);
+        let applied = update.apply(&mut self.scene).is_ok();
         if applied {
             self.prune_chain(parent);
         }
@@ -190,7 +190,7 @@ impl RenderService {
     #[inline(never)]
     fn apply_replace_kind(&mut self, id: NodeId, update: &SceneUpdate) -> bool {
         if self.interest.holds_content(id, &self.scene) {
-            return update.try_apply(&mut self.scene);
+            return update.apply(&mut self.scene).is_ok();
         }
         self.scene.node_mut(id).map(|mut node| node.bump_version()).is_some()
     }

@@ -320,18 +320,10 @@ pub fn promote_standby(
     // primary: it bootstraps again, from the standby.
     let s_host = sim.world.data(standby).host.clone();
     let mut completed_at = now;
-    // Each carries its presence mark: a replica keeps the presence nodes
-    // it held outside its interest closure.
     for (&rs, sub) in failed.subscribers() {
-        let (interest, sent_presence) = (sub.interest.clone(), sub.sent_presence);
-        let carry_mark = move |sim: &mut RaveSim| {
-            if sent_presence {
-                sim.world.data_mut(standby).mark_sent_presence(rs);
-            }
-        };
+        let interest = sub.interest.clone();
         if sub.state != SubState::Live {
             let timing = connect_render_service(sim, rs, standby, interest);
-            carry_mark(sim);
             completed_at = completed_at.max(timing.ready_at);
             continue;
         }
@@ -341,7 +333,6 @@ pub fn promote_standby(
         completed_at = completed_at.max(at);
         sim.schedule_at(at, move |sim| {
             sim.world.data_mut(standby).subscribe_live(rs, interest);
-            carry_mark(sim);
         });
     }
     let report = PromotionReport {
@@ -585,30 +576,37 @@ mod tests {
         let _ = std::fs::remove_dir_all(&pdir);
     }
 
-    /// A subset replica subscribed before a collaborator joined holds the
-    /// avatar outside its interest closure. A failover, warm or cold,
-    /// carries its presence mark to the new master, so the avatar's poses
-    /// still reach it.
+    /// A failover, warm or cold, routes an avatar's poses as the failed
+    /// master did: to the full replica and to the subset whose subtree
+    /// holds the avatar, which both keep the master's copy, and not to a
+    /// subset whose subtree does not.
     #[test]
-    fn failover_carries_the_presence_mark() {
-        use crate::bootstrap::connect_render_service;
-        use crate::collaboration::{join_session, move_camera};
-        use rave_scene::CameraParams;
+    fn a_failover_routes_poses_to_the_replicas_that_hold_the_avatar() {
+        use crate::collaboration::{move_camera, Participant};
+        use rave_scene::{AvatarInfo, CameraParams, StampedUpdate};
         for warm in [true, false] {
-            let tag = if warm { "mark-warm" } else { "mark-cold" };
+            let tag = if warm { "pose-warm" } else { "pose-cold" };
             let (mut sim, primary, _, full, pdir, sdir) = warm_world(tag, 0);
             if !warm {
                 teardown_standby(&mut sim, primary);
             }
-            let branch = add(&mut sim, primary, "branch");
-            let rs = sim.world.spawn_render_service("desktop");
-            connect_render_service(&mut sim, rs, primary, InterestSet::subtrees([branch]));
-            sim.run();
-            assert!(!sim.world.data(primary).subscribers()[&rs].sent_presence);
+            let (holder, other) =
+                (add(&mut sim, primary, "holder"), add(&mut sim, primary, "other"));
+            let avatar = sim.world.data_mut(primary).scene.allocate_id();
             let camera = CameraParams::default();
-            let who = join_session(&mut sim, primary, "u", rave_math::Vec3::X, camera).unwrap();
+            let info = AvatarInfo { label: "u".into(), color: rave_math::Vec3::X, camera };
+            let join = SceneUpdate::AddNode {
+                id: avatar,
+                parent: holder,
+                name: "avatar-u".into(),
+                kind: NodeKind::Avatar(info),
+            };
+            publish_update(&mut sim, primary, "u", join).unwrap();
+            let (inside, outside) =
+                (sim.world.spawn_render_service("desktop"), sim.world.spawn_render_service("onyx"));
+            connect_render_service(&mut sim, inside, primary, InterestSet::subtrees([holder]));
+            connect_render_service(&mut sim, outside, primary, InterestSet::subtrees([other]));
             sim.run();
-            assert!(sim.world.render(rs).scene.contains(who.avatar), "the join reached it");
             sim.world.data_mut(primary).sync_persistence().unwrap();
             if warm {
                 ship_tick(&mut sim, primary).unwrap();
@@ -617,15 +615,21 @@ mod tests {
             let failure = [SchedEvent::DataFailure { service: primary }];
             let new_ds = process_events(&mut sim, primary, &failure).promotions[0].promoted;
             sim.run();
-            assert!(sim.world.data(new_ds).subscribers()[&rs].sent_presence, "warm: {warm}");
             let moved = CameraParams { position: rave_math::Vec3::new(1.0, 2.0, 3.0), ..camera };
-            move_camera(&mut sim, new_ds, who, "u", moved).unwrap();
+            let pose = SceneUpdate::CameraMoved { id: avatar, camera: moved };
+            let probe = StampedUpdate { seq: 0, origin: "u".into(), update: pose };
+            let routed = sim.world.data_mut(new_ds).route(&probe);
+            assert_eq!(routed, vec![full, inside], "warm: {warm}");
+            assert_eq!(sim.world.data(new_ds).route_naive(&probe), routed, "warm: {warm}");
+            move_camera(&mut sim, new_ds, Participant { avatar }, "u", moved).unwrap();
             sim.run();
-            let master = sim.world.data(new_ds).scene.node(who.avatar).unwrap().kind().clone();
-            for replica in [rs, full] {
-                let avatar = sim.world.render(replica).scene.node(who.avatar).unwrap();
-                assert_eq!(avatar.kind(), &master, "{replica}, warm: {warm}");
+            let state = |n: rave_scene::NodeRef<'_>| (n.kind().clone(), n.transform(), n.version());
+            let master = sim.world.data(new_ds).scene.node(avatar).map(state);
+            for replica in [inside, full] {
+                let held = sim.world.render(replica).scene.node(avatar).map(state);
+                assert_eq!(held, master, "{replica}, warm: {warm}");
             }
+            assert!(!sim.world.render(outside).scene.contains(avatar), "warm: {warm}");
             let _ = std::fs::remove_dir_all(&pdir);
             let _ = std::fs::remove_dir_all(&sdir);
         }

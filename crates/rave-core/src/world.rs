@@ -287,9 +287,7 @@ fn deliver_wave(sim: &mut RaveSim, wave: &[(RenderServiceId, UpdateList)]) {
         };
         for stamped in updates.iter() {
             // A benign race: the replica may legitimately reject an update
-            // to a node it never held (interest narrowed since routing, or a
-            // pose to a replica marked as sent presence that holds none,
-            // refused unread).
+            // to a node it never held (interest narrowed since routing).
             let applied = rs.apply_update(&stamped.update);
             if traced {
                 trace.record(

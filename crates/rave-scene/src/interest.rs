@@ -90,59 +90,31 @@ impl InterestSet {
         tree.lineage(id).any(|n| self.roots.contains(&n))
     }
 
-    /// Does a replica of this set cut from `tree` hold a presence node (a
-    /// camera or an avatar)? A full replica is always counted as one. A
-    /// subset replica holds its roots' subtrees as content, and the chains
-    /// above them as orientation groups, so only the subtrees are read:
-    /// O(1) when the tree holds no presence, else their size.
-    pub fn closure_holds_presence(&self, tree: &SceneTree) -> bool {
-        self.all || self.roots.iter().any(|&r| tree.holds_presence_under(r))
-    }
-
     /// Should `update` be delivered to the subscriber holding this set,
     /// judged against `tree` as it stands? The data service asks it of the
     /// master just before the update's own commit, so a removal is judged
-    /// while its target is still there. `sent_presence` is the
-    /// subscriber's mark: whether it was ever sent, or snapshotted with, a
-    /// presence node.
+    /// while its target is still there.
     ///
     /// An `AddNode` reaches the subscriptions that will hold the new node:
     /// those with a root at or above its *parent*, and those that already
     /// list the new id as a root. A subscriber that holds the parent only
     /// to orient a root is not sent it: its interest closure never holds
     /// such a node. Everything else is judged by its target
-    /// ([`InterestSet::contains`]). Three rules widen delivery:
-    /// - updates to unknown nodes are delivered (a replica must not
-    ///   silently diverge);
-    /// - the `AddNode` of a *presence* node (an avatar or a camera) reaches
-    ///   every subscriber, whatever its parent: a collaborator joining is
-    ///   shown in every view (§3.2.4);
-    /// - any other update of a presence node also reaches the subscribers
-    ///   marked as sent presence. Every replica that holds a presence node
-    ///   is marked, so each pose reaches every replica that can hold it,
-    ///   and no replica that cannot.
-    ///
-    /// A subset replica's presence nodes depend on when it joined. One
-    /// subscribed when an avatar's `AddNode` is published inserts it (the
-    /// root is in every subset), but one bootstrapped later does not: its
-    /// snapshot is the interest closure, and an avatar under the root is
-    /// outside it (ROADMAP: presence in subset snapshots).
-    pub fn relevant(&self, update: &SceneUpdate, tree: &SceneTree, sent_presence: bool) -> bool {
+    /// ([`InterestSet::contains`]), and an update of a node the tree does
+    /// not hold is delivered (a replica must not silently diverge). A
+    /// camera or an avatar is routed as any other node: a full replica
+    /// holds every collaborator (§3.2.4), a subset replica the ones inside
+    /// its subtrees and those that orient a root.
+    pub fn relevant(&self, update: &SceneUpdate, tree: &SceneTree) -> bool {
         if self.all {
             return true;
         }
         match update {
-            SceneUpdate::AddNode { parent, id, kind, .. } => {
-                kind.tag().is_presence()
-                    || self.roots.contains(id)
-                    || self.holds_inside(*parent, tree)
+            SceneUpdate::AddNode { parent, id, .. } => {
+                self.roots.contains(id) || self.holds_inside(*parent, tree)
             }
-            other => match tree.node(other.target()) {
-                None => true, // unknown target: deliver conservatively
-                Some(n) => {
-                    (sent_presence && n.kind_tag().is_presence()) || self.contains(n.id(), tree)
-                }
-            },
+            // An unknown target is delivered conservatively.
+            other => !tree.contains(other.target()) || self.contains(other.target(), tree),
         }
     }
 }
@@ -150,10 +122,9 @@ impl InterestSet {
 /// Who an update reaches, as [`InterestIndex::matches`] reports it.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Reach {
-    /// Every subscriber: a presence node's `AddNode`, an update to a
-    /// target the tree does not hold, or an update of a presence node when
-    /// every subscriber is a full replica or marked as sent presence.
-    /// Nothing is listed.
+    /// Every subscriber: an update to a target the tree does not hold, or
+    /// any update when every subscriber is a full replica. Nothing is
+    /// listed.
     Everyone,
     /// The slots listed, ascending (possibly none).
     Slots,
@@ -182,8 +153,8 @@ struct RootEntry {
 /// per update), index the subscriptions once and ask which
 /// subscribers one update reaches — O(depth + matches) per update.
 ///
-/// Layout: subscribers with `everything` interest live in a bitset, and
-/// the subscribers marked as sent presence in another; subtree interests are a hash-map from root id to the slots that list
+/// Layout: subscribers with `everything` interest live in a bitset;
+/// subtree interests are a hash-map from root id to the slots that list
 /// it, probed once per node on the walk from the update's point up to the
 /// scene root (a point lies in subtree(r) exactly when r is on its
 /// lineage); ancestor-of-root interest ("the parent nodes to orientate the
@@ -207,12 +178,9 @@ pub struct InterestIndex {
     n_subs: usize,
     /// Bitset of subscribers with `all` interest.
     everything: Vec<u64>,
-    /// Bitset of subscribers marked as sent presence: an update of a
-    /// presence node reaches them too.
-    presence: Vec<u64>,
-    /// How many subscribers are in `everything` or `presence`: when all
-    /// are, an update of a presence node reaches everyone.
-    presence_reached: usize,
+    /// How many subscribers are in `everything`: when all are, every
+    /// update reaches everyone.
+    n_everything: usize,
     roots: Vec<RootEntry>,
     /// Root id → its entry in `roots`.
     entry_of: IdMap<u32>,
@@ -235,31 +203,26 @@ impl InterestIndex {
         self.n_subs
     }
 
-    /// Re-index from scratch: slot `i` is the `i`-th subscriber of `subs`,
-    /// each an interest set and whether it is marked as sent presence.
-    /// Call when the subscriber population or any set's roots changed; for
+    /// Re-index from scratch: slot `i` is the `i`-th set of `sets`. Call
+    /// when the subscriber population or any set's roots changed; for
     /// structural scene edits [`InterestIndex::repair`] is the cheap path.
     pub fn rebuild<'a>(
         &mut self,
         tree: &SceneTree,
-        subs: impl IntoIterator<Item = (&'a InterestSet, bool)>,
+        sets: impl IntoIterator<Item = &'a InterestSet>,
     ) {
         self.roots.clear();
         self.everything.clear();
-        self.presence.clear();
         self.entry_of.clear();
+        self.n_everything = 0;
         let mut n = 0usize;
-        for (i, (set, sent_presence)) in subs.into_iter().enumerate() {
+        for (i, set) in sets.into_iter().enumerate() {
             let slot = i as SubSlot;
             n = i + 1;
-            let words = n.div_ceil(64);
-            self.everything.resize(words, 0);
-            self.presence.resize(words, 0);
-            if sent_presence {
-                mark(&mut self.presence, std::iter::once(slot));
-            }
+            self.everything.resize(n.div_ceil(64), 0);
             if set.is_everything() {
                 mark(&mut self.everything, std::iter::once(slot));
+                self.n_everything += 1;
                 continue;
             }
             for root in set.roots() {
@@ -271,28 +234,10 @@ impl InterestIndex {
             }
         }
         self.n_subs = n;
-        let reached = self.everything.iter().zip(&self.presence).map(|(e, p)| (e | p).count_ones());
-        self.presence_reached = reached.sum::<u32>() as usize;
         for e in &mut self.roots {
             e.chain = tree.ancestors(e.root);
         }
         self.rebuild_ancestor_map();
-    }
-
-    /// Mark subscriber `sub` as sent presence, as a rebuild would with its
-    /// mark set. Marks are only ever set.
-    pub fn mark_presence(&mut self, sub: SubSlot) {
-        debug_assert!((sub as usize) < self.n_subs, "slot {sub} of {}", self.n_subs);
-        if !self.holds_everything(sub) && !is_set(&self.presence, sub) {
-            self.presence_reached += 1;
-        }
-        mark(&mut self.presence, std::iter::once(sub));
-    }
-
-    /// Mark every subscriber as sent presence.
-    pub fn mark_presence_everyone(&mut self) {
-        mark(&mut self.presence, 0..self.n_subs as SubSlot);
-        self.presence_reached = self.n_subs;
     }
 
     /// Fold a batch of structural edits into the index: a root's ancestor
@@ -395,19 +340,16 @@ impl InterestIndex {
     }
 
     /// Which subscribers must `update` reach, judged against `tree` as it
-    /// stands? A presence node's `AddNode`, updates to unknown targets and,
-    /// while every subscriber is a full replica or marked, updates of a
-    /// presence node reach [`Reach::Everyone`], reported without listing
-    /// anyone;
-    /// otherwise `out` is filled with the matching slots in ascending order
-    /// ([`Reach::Slots`]): the `everything` subscribers, the holders of
-    /// every root on the walk from the point up to the scene root, and
-    /// then, for an `AddNode` (whose point is its parent), the holders of
-    /// the new id as a root, for anything else (whose point is its target)
-    /// the subscribers the target orients and, when the target is a
-    /// presence node, the subscribers marked as sent presence. Decision per
-    /// slot is identical to [`InterestSet::relevant`] given the slot's
-    /// mark. With no subscribers nothing is reached.
+    /// stands? Any update while every subscriber is a full replica, and an
+    /// update to an unknown target, reach [`Reach::Everyone`], reported
+    /// without listing anyone; otherwise `out` is filled with the matching
+    /// slots in ascending order ([`Reach::Slots`]): the `everything`
+    /// subscribers, the holders of every root on the walk from the point up
+    /// to the scene root, and then, for an `AddNode` (whose point is its
+    /// parent), the holders of the new id as a root, for anything else
+    /// (whose point is its target) the subscribers the target orients.
+    /// Decision per slot is identical to [`InterestSet::relevant`]. With no
+    /// subscribers nothing is reached.
     pub fn matches(
         &mut self,
         update: &SceneUpdate,
@@ -418,27 +360,17 @@ impl InterestIndex {
         if self.n_subs == 0 {
             return Reach::Slots;
         }
-        let (point, added, presence) = match update {
-            SceneUpdate::AddNode { parent, id, kind, .. } => {
-                if kind.tag().is_presence() {
-                    return Reach::Everyone; // everyone renders the new collaborator
-                }
-                (*parent, Some(*id), false)
-            }
-            other => match tree.node(other.target()) {
-                Some(n) if n.kind_tag().is_presence() && self.presence_reached == self.n_subs => {
-                    return Reach::Everyone; // every subscriber was sent presence
-                }
-                Some(n) => (n.id(), None, n.kind_tag().is_presence()),
-                None => return Reach::Everyone, // unknown target
-            },
+        if self.n_everything == self.n_subs {
+            return Reach::Everyone; // every subscriber is a full replica
+        }
+        let (point, added) = match update {
+            SceneUpdate::AddNode { parent, id, .. } => (*parent, Some(*id)),
+            other if tree.contains(other.target()) => (other.target(), None),
+            _ => return Reach::Everyone, // unknown target
         };
-        let Self { everything, presence: sent, roots, entry_of, ancestor_subs, scratch, .. } = self;
+        let Self { everything, roots, entry_of, ancestor_subs, scratch, .. } = self;
         scratch.clear();
         scratch.extend_from_slice(everything);
-        if presence {
-            scratch.iter_mut().zip(sent.iter()).for_each(|(bits, sent)| *bits |= sent);
-        }
         let holders = |root: NodeId| entry_of.get(&root).map(|&e| &roots[e as usize].subs);
         for subs in tree.lineage(point).filter_map(holders) {
             mark(scratch, subs.iter().copied());
@@ -515,7 +447,7 @@ mod tests {
         let (tree, left, ..) = build_tree();
         let set = InterestSet::everything();
         let u = SceneUpdate::SetName { id: left, name: "x".into() };
-        assert!(set.relevant(&u, &tree, false));
+        assert!(set.relevant(&u, &tree));
     }
 
     #[test]
@@ -523,15 +455,14 @@ mod tests {
         let (tree, left, leaf, right) = build_tree();
         let set = InterestSet::subtrees([left]);
         // Descendant of interest root.
-        assert!(set.relevant(&SceneUpdate::SetName { id: leaf, name: "x".into() }, &tree, false));
+        assert!(set.relevant(&SceneUpdate::SetName { id: leaf, name: "x".into() }, &tree));
         // Ancestor (root) transform orients the subset — relevant.
         assert!(set.relevant(
             &SceneUpdate::SetTransform { id: tree.root(), transform: Transform::IDENTITY },
-            &tree,
-            false
+            &tree
         ));
         // Unrelated sibling subtree — not relevant.
-        assert!(!set.relevant(&SceneUpdate::SetName { id: right, name: "x".into() }, &tree, false));
+        assert!(!set.relevant(&SceneUpdate::SetName { id: right, name: "x".into() }, &tree));
     }
 
     #[test]
@@ -550,8 +481,8 @@ mod tests {
             name: "n".into(),
             kind: NodeKind::Group,
         };
-        assert!(set.relevant(&inside, &tree, false));
-        assert!(!set.relevant(&outside, &tree, false));
+        assert!(set.relevant(&inside, &tree));
+        assert!(!set.relevant(&outside, &tree));
     }
 
     /// A node added under a group the set holds only to orient a root is
@@ -568,10 +499,10 @@ mod tests {
         };
         let set = InterestSet::subtrees([leaf, NodeId(77)]);
         assert!(set.contains(left, &tree), "`left` orients `leaf`");
-        assert!(!set.relevant(&add(99, left), &tree, false));
-        assert!(!set.relevant(&add(99, tree.root()), &tree, false));
-        assert!(set.relevant(&add(99, leaf), &tree, false));
-        assert!(set.relevant(&add(77, right), &tree, false), "a listed root arrives");
+        assert!(!set.relevant(&add(99, left), &tree));
+        assert!(!set.relevant(&add(99, tree.root()), &tree));
+        assert!(set.relevant(&add(99, leaf), &tree));
+        assert!(set.relevant(&add(77, right), &tree), "a listed root arrives");
     }
 
     #[test]
@@ -579,7 +510,7 @@ mod tests {
         let (tree, left, ..) = build_tree();
         let set = InterestSet::subtrees([left]);
         let u = SceneUpdate::RemoveNode { id: NodeId(1234) };
-        assert!(set.relevant(&u, &tree, false));
+        assert!(set.relevant(&u, &tree));
     }
 
     #[test]
@@ -595,21 +526,10 @@ mod tests {
 
     // ---- inverted index -------------------------------------------------
 
-    /// Subscribers none of which is marked as sent presence.
-    fn unmarked(sets: &[InterestSet]) -> impl Iterator<Item = (&InterestSet, bool)> {
-        sets.iter().map(|s| (s, false))
-    }
-
-    /// The oracle: every subscriber asked in turn, with its mark.
-    fn naive<'a>(
-        subs: impl IntoIterator<Item = (&'a InterestSet, bool)>,
-        u: &SceneUpdate,
-        tree: &SceneTree,
-    ) -> Vec<u32> {
-        let relevant = |(i, (s, sent)): (usize, (&InterestSet, bool))| {
-            s.relevant(u, tree, sent).then_some(i as u32)
-        };
-        subs.into_iter().enumerate().filter_map(relevant).collect()
+    /// The oracle: every subscriber asked in turn.
+    fn naive(sets: &[InterestSet], u: &SceneUpdate, tree: &SceneTree) -> Vec<u32> {
+        let relevant = |(i, s): (usize, &InterestSet)| s.relevant(u, tree).then_some(i as u32);
+        sets.iter().enumerate().filter_map(relevant).collect()
     }
 
     /// The index's answer with [`Reach::Everyone`] spelled out.
@@ -634,7 +554,7 @@ mod tests {
             InterestSet::subtrees([pending, leaf]),
         ];
         let mut ix = InterestIndex::new();
-        ix.rebuild(&tree, unmarked(&sets));
+        ix.rebuild(&tree, sets.iter());
         let add = |id, parent| SceneUpdate::AddNode {
             id,
             parent,
@@ -657,94 +577,68 @@ mod tests {
             add(pending, NodeId(999)),
         ];
         for u in &updates {
-            assert_eq!(
-                indexed(&mut ix, u, &tree),
-                naive(unmarked(&sets), u, &tree),
-                "update {u:?}"
-            );
+            assert_eq!(indexed(&mut ix, u, &tree), naive(&sets, u, &tree), "update {u:?}");
         }
         assert_eq!(indexed(&mut ix, &updates[7], &tree), vec![0, 1, 4], "not `leaf`'s");
         assert_eq!(indexed(&mut ix, &updates[9], &tree), vec![0, 2, 4, 5]);
     }
 
-    /// An update of a presence node reaches the full replicas, the
-    /// subscribers its place in the scene names, and the subscribers marked
-    /// as sent presence; a presence node's `AddNode` and an update of an
-    /// unknown target reach everyone. A mark patched in routes as a rebuild
-    /// with it set.
+    /// A population of full replicas is reached as [`Reach::Everyone`] by
+    /// any update, listed nowhere; one subset subscriber among them turns
+    /// every update but one to an unknown target into [`Reach::Slots`]. A
+    /// camera or an avatar is routed as any other node: its join and its
+    /// poses reach a subset whose root is above it, and not one that only
+    /// holds the chain it hangs off.
     #[test]
-    fn index_presence_reaches_the_marked_subscribers() {
-        let (mut tree, left, leaf, _) = build_tree();
+    fn an_all_full_population_is_everyone_and_presence_routes_as_any_node() {
+        let (mut tree, left, leaf, right) = build_tree();
         let info = crate::node::AvatarInfo {
             label: "u".into(),
             color: rave_math::Vec3::X,
             camera: Default::default(),
         };
-        let av = tree.add_node(tree.root(), "av", NodeKind::Avatar(info.clone())).unwrap();
-        let cam = tree.add_node(leaf, "cam", NodeKind::Camera(Default::default())).unwrap();
-        let mut subs = [
-            (InterestSet::subtrees([left]), false),
-            (InterestSet::subtrees([NodeId(999)]), true),
-            (InterestSet::everything(), false),
-            (InterestSet::subtrees([left]), true),
-        ];
-        let mut ix = InterestIndex::new();
-        ix.rebuild(&tree, subs.iter().map(|(s, m)| (s, *m)));
+        let av = tree.add_node(leaf, "av", NodeKind::Avatar(info.clone())).unwrap();
+        let cam = tree.add_node(tree.root(), "cam", NodeKind::Camera(Default::default())).unwrap();
         let pose = |id| SceneUpdate::CameraMoved { id, camera: Default::default() };
-        let mut out = vec![7];
-        assert_eq!(ix.matches(&pose(av), &tree, &mut out), Reach::Slots);
-        assert_eq!(out, vec![1, 2, 3], "the full replica and the marked ones");
-        assert_eq!(indexed(&mut ix, &pose(cam), &tree), vec![0, 1, 2, 3], "and `cam`'s holders");
-        let join = SceneUpdate::AddNode {
+        let join = |parent| SceneUpdate::AddNode {
             id: NodeId(50),
-            parent: left,
+            parent,
             name: "j".into(),
-            kind: NodeKind::Avatar(info),
+            kind: NodeKind::Avatar(info.clone()),
         };
-        assert_eq!(ix.matches(&join, &tree, &mut out), Reach::Everyone, "a join");
-        assert!(out.is_empty(), "everyone is reported, not listed");
-        let u = SceneUpdate::SetName { id: NodeId(999), name: "ghost".into() };
-        assert_eq!(ix.matches(&u, &tree, &mut out), Reach::Everyone, "unknown targets");
-        let u = SceneUpdate::SetName { id: left, name: "l".into() };
-        assert_eq!(indexed(&mut ix, &u, &tree), vec![0, 2, 3], "a mark widens presence only");
-        let probes = [pose(av), pose(cam), join, u, SceneUpdate::RemoveNode { id: av }];
+        let probes = [
+            pose(av),
+            pose(cam),
+            join(leaf),
+            join(tree.root()),
+            SceneUpdate::SetName { id: right, name: "r".into() },
+            SceneUpdate::RemoveNode { id: left },
+            SceneUpdate::SetName { id: NodeId(999), name: "ghost".into() },
+        ];
+        let full = [InterestSet::everything(), InterestSet::everything()];
+        let mut ix = InterestIndex::new();
+        ix.rebuild(&tree, full.iter());
+        let mut out = vec![7];
         for u in &probes {
-            assert_eq!(
-                indexed(&mut ix, u, &tree),
-                naive(subs.iter().map(|(s, m)| (s, *m)), u, &tree)
-            );
+            assert_eq!(ix.matches(u, &tree, &mut out), Reach::Everyone, "{u:?}");
+            assert!(out.is_empty(), "everyone is reported, not listed");
         }
-        ix.mark_presence(0);
-        subs[0].1 = true;
-        let all = "every subscriber is full or marked";
-        assert_eq!(ix.matches(&pose(av), &tree, &mut out), Reach::Everyone, "{all}");
-        let mut rebuilt = InterestIndex::new();
-        rebuilt.rebuild(&tree, subs.iter().map(|(s, m)| (s, *m)));
-        assert_eq!(indexed(&mut ix, &pose(av), &tree), vec![0, 1, 2, 3]);
-        for u in &probes {
-            assert_eq!(indexed(&mut ix, u, &tree), indexed(&mut rebuilt, u, &tree), "{u:?}");
+        let mixed = [
+            InterestSet::everything(),
+            InterestSet::subtrees([left]),
+            InterestSet::subtrees([right]),
+            InterestSet::subtrees([leaf]),
+        ];
+        ix.rebuild(&tree, mixed.iter());
+        for u in &probes[..6] {
+            assert_eq!(ix.matches(u, &tree, &mut out), Reach::Slots, "{u:?}");
+            assert_eq!(indexed(&mut ix, u, &tree), naive(&mixed, u, &tree), "{u:?}");
         }
-        let mut fresh = InterestIndex::new();
-        fresh.rebuild(&tree, unmarked(&subs.iter().map(|(s, _)| s.clone()).collect::<Vec<_>>()));
-        assert_eq!(indexed(&mut fresh, &pose(av), &tree), vec![2]);
-        fresh.mark_presence_everyone();
-        assert_eq!(indexed(&mut fresh, &pose(av), &tree), vec![0, 1, 2, 3]);
-    }
-
-    /// A full replica is counted as holding presence; a subset only when a
-    /// root's subtree holds a presence node, not when one orients it.
-    #[test]
-    fn a_closure_holds_presence_inside_its_subtrees_only() {
-        let (mut tree, left, leaf, right) = build_tree();
-        assert!(InterestSet::everything().closure_holds_presence(&tree));
-        assert!(!InterestSet::subtrees([left]).closure_holds_presence(&tree));
-        tree.add_node(leaf, "cam", NodeKind::Camera(Default::default())).unwrap();
-        assert!(InterestSet::subtrees([left]).closure_holds_presence(&tree));
-        assert!(!InterestSet::subtrees([right]).closure_holds_presence(&tree));
-        let over = tree.add_node(right, "over", NodeKind::Camera(Default::default())).unwrap();
-        let under = tree.add_node(over, "under", NodeKind::Group).unwrap();
-        assert!(!InterestSet::subtrees([under]).closure_holds_presence(&tree), "orientation");
-        assert!(InterestSet::subtrees([under, right]).closure_holds_presence(&tree));
+        assert_eq!(ix.matches(&probes[6], &tree, &mut out), Reach::Everyone, "unknown");
+        assert_eq!(indexed(&mut ix, &pose(av), &tree), vec![0, 1, 3], "the avatar's holders");
+        assert_eq!(indexed(&mut ix, &join(leaf), &tree), vec![0, 1, 3]);
+        assert_eq!(indexed(&mut ix, &pose(cam), &tree), vec![0], "the full replica alone");
+        assert_eq!(indexed(&mut ix, &join(tree.root()), &tree), vec![0]);
     }
 
     #[test]
@@ -758,20 +652,20 @@ mod tests {
         let mut ix = InterestIndex::new();
         let mut seen = EditStamp::default();
         structure_dirt(&mut tree, &mut seen);
-        ix.rebuild(&tree, unmarked(&sets));
+        ix.rebuild(&tree, sets.iter());
         // Grow the subscribed subtree, move `leaf` across to `right`,
         // remove `left` entirely — repairing from dirt after each edit.
         let grown = tree.add_node(left, "grown", NodeKind::Group).unwrap();
         let dirt = structure_dirt(&mut tree, &mut seen);
         ix.repair(&tree, &dirt);
         let u = SceneUpdate::SetName { id: grown, name: "g".into() };
-        assert_eq!(indexed(&mut ix, &u, &tree), naive(unmarked(&sets), &u, &tree));
+        assert_eq!(indexed(&mut ix, &u, &tree), naive(&sets, &u, &tree));
 
         tree.reparent(leaf, right).unwrap();
         let dirt = structure_dirt(&mut tree, &mut seen);
         ix.repair(&tree, &dirt);
         let u = SceneUpdate::SetName { id: leaf, name: "f".into() };
-        assert_eq!(indexed(&mut ix, &u, &tree), naive(unmarked(&sets), &u, &tree));
+        assert_eq!(indexed(&mut ix, &u, &tree), naive(&sets, &u, &tree));
 
         tree.remove(left).unwrap();
         let dirt = structure_dirt(&mut tree, &mut seen);
@@ -779,9 +673,9 @@ mod tests {
         // The removed root matches nothing but unknown-target updates now
         // go to everyone — exactly like the naive scan.
         let u = SceneUpdate::SetName { id: grown, name: "x".into() };
-        assert_eq!(indexed(&mut ix, &u, &tree), naive(unmarked(&sets), &u, &tree));
+        assert_eq!(indexed(&mut ix, &u, &tree), naive(&sets, &u, &tree));
         let u = SceneUpdate::SetName { id: leaf, name: "y".into() };
-        assert_eq!(indexed(&mut ix, &u, &tree), naive(unmarked(&sets), &u, &tree));
+        assert_eq!(indexed(&mut ix, &u, &tree), naive(&sets, &u, &tree));
     }
 
     /// Edit the sets and patch the index root by root: every probe must be
@@ -797,7 +691,7 @@ mod tests {
             InterestSet::subtrees([right, leaf]),
         ];
         let mut ix = InterestIndex::new();
-        ix.rebuild(&tree, unmarked(&sets));
+        ix.rebuild(&tree, sets.iter());
         let probes = |tree: &SceneTree| -> Vec<SceneUpdate> {
             let mut ids = tree.descendants(tree.root());
             ids.push(NodeId(999));
@@ -805,7 +699,7 @@ mod tests {
         };
         let check = |ix: &mut InterestIndex, sets: &[InterestSet], tree: &SceneTree| {
             let mut fresh = InterestIndex::new();
-            fresh.rebuild(tree, unmarked(sets));
+            fresh.rebuild(tree, sets);
             for u in probes(tree) {
                 assert_eq!(indexed(ix, &u, tree), indexed(&mut fresh, &u, tree), "{u:?}");
             }
@@ -866,7 +760,7 @@ mod tests {
         let mut ix = InterestIndex::new();
         let mut seen = EditStamp::default();
         structure_dirt(&mut tree, &mut seen);
-        ix.rebuild(&tree, unmarked(&sets));
+        ix.rebuild(&tree, sets.iter());
         let u_a = SceneUpdate::SetName { id: a, name: "a2".into() };
         let u_b = SceneUpdate::SetName { id: b, name: "b2".into() };
         assert_eq!(indexed(&mut ix, &u_a, &tree), vec![0], "old ancestor relevant");
@@ -875,8 +769,8 @@ mod tests {
         tree.reparent(x, b).unwrap();
         let dirt = structure_dirt(&mut tree, &mut seen);
         ix.repair(&tree, &dirt);
-        assert_eq!(indexed(&mut ix, &u_a, &tree), naive(unmarked(&sets), &u_a, &tree));
-        assert_eq!(indexed(&mut ix, &u_b, &tree), naive(unmarked(&sets), &u_b, &tree));
+        assert_eq!(indexed(&mut ix, &u_a, &tree), naive(&sets, &u_a, &tree));
+        assert_eq!(indexed(&mut ix, &u_b, &tree), naive(&sets, &u_b, &tree));
         assert_eq!(indexed(&mut ix, &u_b, &tree), vec![0], "new ancestor now relevant");
     }
 }

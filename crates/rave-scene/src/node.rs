@@ -111,12 +111,6 @@ impl KindTag {
         }
     }
 
-    /// A *presence* node: a collaborator's camera or avatar, the kinds a
-    /// pose update (`CameraMoved`, `AvatarUpdated`) can land on.
-    pub fn is_presence(self) -> bool {
-        matches!(self, KindTag::Camera | KindTag::Avatar)
-    }
-
     /// The interaction set for this kind (§5.2). Static: the GUI
     /// interrogates every visible node each menu rebuild, so this must
     /// not allocate.

@@ -397,12 +397,10 @@ pub struct SceneTree {
     free: Vec<u32>,
     /// Live node count (`hot.len()` minus freed slots).
     live: usize,
-    /// Live presence nodes ([`KindTag::is_presence`]), kept exactly where
-    /// a slot's tag is written: [`SceneTree::alloc_slot`], the free in
-    /// [`SceneTree::remove`] and a kind-touching [`NodeMut`]'s drop.
-    presence: u32,
-    /// The sum of every live node's own cost, kept exactly at the same
-    /// three sites as `presence`: [`SceneTree::total_cost`] without a walk.
+    /// The sum of every live node's own cost, kept exactly where a slot's
+    /// cost is written — [`SceneTree::alloc_slot`], the free in
+    /// [`SceneTree::remove`] and a kind-touching [`NodeMut`]'s drop:
+    /// [`SceneTree::total_cost`] without a walk.
     total: NodeCost,
     index: IdIndex,
     root: NodeId,
@@ -442,7 +440,6 @@ impl Clone for SceneTree {
             bounds: self.bounds.clone(),
             free: self.free.clone(),
             live: self.live,
-            presence: self.presence,
             total: self.total,
             index: self.index.clone(),
             root: self.root,
@@ -493,7 +490,6 @@ impl SceneTree {
             bounds: OnceLock::new(),
             free: Vec::new(),
             live: 0,
-            presence: 0,
             total: NodeCost::ZERO,
             index: IdIndex::default(),
             root,
@@ -583,7 +579,6 @@ impl SceneTree {
         self.refresh_kept_bounds(slot);
         self.index.insert(id, slot);
         self.live += 1;
-        self.presence += u32::from(tag.is_presence());
         self.total += cost;
         slot
     }
@@ -746,19 +741,6 @@ impl SceneTree {
         self.index.contains_key(&id)
     }
 
-    /// Does any live node carry a camera or an avatar? O(1): a tree
-    /// without one refuses every pose update unread
-    /// ([`crate::SceneUpdate::try_apply`]).
-    pub fn holds_presence(&self) -> bool {
-        self.presence > 0
-    }
-
-    /// Does the subtree of `id` (itself included) hold a camera or an
-    /// avatar? O(1) when the tree holds none, else the subtree's size.
-    pub fn holds_presence_under(&self, id: NodeId) -> bool {
-        self.holds_presence() && self.descendants_iter(id).any(|n| n.kind_tag().is_presence())
-    }
-
     pub fn node(&self, id: NodeId) -> Option<NodeRef<'_>> {
         self.slot(id).map(|slot| NodeRef { tree: self, slot })
     }
@@ -812,7 +794,6 @@ impl SceneTree {
             bounds: OnceLock::new(),
             free: Vec::new(),
             live: 0,
-            presence: 0,
             total: NodeCost::ZERO,
             index: IdIndex::default(),
             root,
@@ -938,7 +919,6 @@ impl SceneTree {
             }
             self.index.remove(&self.hot[s as usize].id);
             let h = &mut self.hot[s as usize];
-            self.presence -= u32::from(h.tag.is_presence());
             self.total = self.total - h.cost;
             h.alive = false;
             h.generation = h.generation.wrapping_add(1);
@@ -1271,10 +1251,6 @@ impl SceneTree {
         let alive_count = self.hot.iter().filter(|h| h.alive).count();
         if alive_count != self.live {
             return Err(format!("live count {} but {} alive slots", self.live, alive_count));
-        }
-        let presence = self.hot.iter().filter(|h| h.alive && h.tag.is_presence()).count();
-        if presence != self.presence as usize {
-            return Err(format!("presence count {} but {presence} presence nodes", self.presence));
         }
         let summed = self.subtree_cost(self.root);
         if summed != self.total {
@@ -1729,8 +1705,6 @@ impl Drop for NodeMut<'_> {
             let kind = &self.tree.cold[self.slot as usize].kind;
             let (tag, cost) = (kind.tag(), kind.cost());
             let h = &mut self.tree.hot[self.slot as usize];
-            self.tree.presence -= u32::from(h.tag.is_presence());
-            self.tree.presence += u32::from(tag.is_presence());
             self.tree.total = self.tree.total - h.cost + cost;
             h.tag = tag;
             h.cost = cost;

@@ -45,18 +45,6 @@ impl SceneUpdate {
         }
     }
 
-    /// Does this update give the tree a presence node: an `AddNode` or a
-    /// `ReplaceKind` of a camera or avatar kind? A data service marks every
-    /// subscriber as sent presence when one commits.
-    pub fn gives_presence(&self) -> bool {
-        match self {
-            SceneUpdate::AddNode { kind, .. } | SceneUpdate::ReplaceKind { kind, .. } => {
-                kind.tag().is_presence()
-            }
-            _ => false,
-        }
-    }
-
     /// Approximate bytes on the wire when sent over the binary socket
     /// protocol: a fixed header plus any geometry payload. (SOAP encoding
     /// of the same update is produced — and priced — by `rave-grid`.)
@@ -132,22 +120,6 @@ impl SceneUpdate {
             }
         }
         Ok(())
-    }
-
-    /// `self.apply(tree).is_ok()`, with the same writes, for a caller that
-    /// drops the error: a replica taking a delivery. A pose update to a
-    /// tree that holds no camera or avatar is refused before its target is
-    /// looked up — a pose sent to a replica marked as sent presence by a
-    /// join it never took (DESIGN §5.15).
-    pub fn try_apply(&self, tree: &mut SceneTree) -> bool {
-        match self {
-            SceneUpdate::CameraMoved { .. } | SceneUpdate::AvatarUpdated { .. }
-                if !tree.holds_presence() =>
-            {
-                false
-            }
-            _ => self.apply(tree).is_ok(),
-        }
     }
 }
 
@@ -392,30 +364,6 @@ mod tests {
         assert_eq!(tree.edit_stamp(), stamp);
         assert_eq!(tree.changes_since(stamp, &all), Dirt::Clean);
         assert_eq!(version(&tree, mesh), mesh_version);
-    }
-
-    /// Every presence node gone, a pose update is refused before its
-    /// target is read; with one back, `try_apply` applies it.
-    #[test]
-    fn try_apply_refuses_pose_updates_while_no_presence_is_held() {
-        let mut tree = SceneTree::new();
-        let cam =
-            tree.add_node(tree.root(), "cam", NodeKind::Camera(CameraParams::default())).unwrap();
-        let moved = SceneUpdate::CameraMoved { id: cam, camera: CameraParams::default() };
-        assert!(tree.holds_presence());
-        assert!(moved.try_apply(&mut tree));
-        SceneUpdate::ReplaceKind { id: cam, kind: NodeKind::Group }.apply(&mut tree).unwrap();
-        assert!(!tree.holds_presence());
-        let stamp = tree.edit_stamp();
-        assert!(!moved.try_apply(&mut tree));
-        assert_eq!(tree.edit_stamp(), stamp);
-        assert!(moved.apply(&mut tree).is_err());
-        SceneUpdate::ReplaceKind { id: cam, kind: NodeKind::Camera(CameraParams::default()) }
-            .apply(&mut tree)
-            .unwrap();
-        assert!(moved.try_apply(&mut tree));
-        assert!(SceneUpdate::RemoveNode { id: cam }.try_apply(&mut tree));
-        assert!(!tree.holds_presence());
     }
 
     #[test]

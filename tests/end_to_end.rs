@@ -67,7 +67,9 @@ fn model_file_to_pda_frames() {
 }
 
 /// Distribution across heterogeneous services, then collaboration on the
-/// distributed scene, with every replica converging.
+/// distributed scene: the participant's own view, a full replica, shows
+/// the avatar where the camera went; the assisting services render their
+/// subsets, which the avatar hanging off the root is no part of.
 #[test]
 fn distributed_collaborative_session_converges() {
     let mut sim = Simulation::new(RaveWorld::paper_testbed(RaveConfig::default(), 1002));
@@ -117,10 +119,12 @@ fn distributed_collaborative_session_converges() {
     let placed: u64 = plan.assignments.iter().map(|a| a.cost.polygons).sum();
     assert_eq!(placed, 10_000, "all content placed");
     connect_planned(&mut sim, ds, &plan);
+    let viewer = sim.world.spawn_render_service("desktop");
+    connect_render_service(&mut sim, viewer, ds, InterestSet::everything());
     sim.run();
 
-    // A user joins and navigates: avatar updates reach *all* replicas
-    // (avatar adds go to everyone, ancestors orient subsets).
+    // A user joins and navigates: the avatar is routed as any node is, to
+    // the full replica, and not to the subsets beside the root.
     let cam = CameraParams::look_at(Vec3::new(0.0, 1.0, 4.0), Vec3::new(0.0, 1.0, 0.0), Vec3::Y);
     let who = join_session(&mut sim, ds, "Desktop", Vec3::X, cam).unwrap();
     sim.run();
@@ -129,20 +133,16 @@ fn distributed_collaborative_session_converges() {
     move_camera(&mut sim, ds, who, "Desktop", cam2).unwrap();
     sim.run();
 
+    let view = &sim.world.render(viewer).scene;
+    let avatar = view.node(who.avatar).expect("the viewer has the avatar");
+    assert_eq!(avatar.transform().translation, cam2.position, "the viewer applied the move");
     for rs in [rs1, rs2] {
-        let replica = &sim.world.render(rs).scene;
-        assert!(replica.contains(who.avatar), "{rs} has the avatar");
-        assert_eq!(
-            replica.node(who.avatar).unwrap().transform().translation,
-            cam2.position,
-            "{rs} applied the camera move"
-        );
+        assert!(!sim.world.render(rs).scene.contains(who.avatar), "{rs} holds no avatar");
     }
-    // Replica contents partition the content nodes.
+    // Replica contents partition the content nodes, and nothing else.
     let p1 = sim.world.render(rs1).assigned_cost().polygons;
     let p2 = sim.world.render(rs2).assigned_cost().polygons;
-    // Avatars add 8 polygons wherever they land.
-    assert!(p1 + p2 >= 10_000 && p1 + p2 <= 10_016, "p1={p1} p2={p2}");
+    assert_eq!(p1 + p2, 10_000, "p1={p1} p2={p2}");
     assert!(p1 > 0 && p2 > 0, "both services hold content");
 }
 
@@ -251,8 +251,9 @@ fn adaptive_compression_under_degrading_signal() {
 }
 
 /// Failure injection across the whole stack: a render service dies
-/// mid-session; its scene share is redistributed and the collaborating
-/// client's avatar updates keep flowing to the survivor.
+/// mid-session; its scene share is redistributed, edits of it keep flowing
+/// to the survivor, and a collaborator who joins is shown in the full
+/// replica of a viewer.
 #[test]
 fn service_failure_recovery() {
     use rave::core::sched::rebalance::{process_events, SchedEvent};
@@ -284,6 +285,8 @@ fn service_failure_recovery() {
     let rs_b = sim.world.spawn_render_service("tower");
     connect_render_service(&mut sim, rs_a, ds, InterestSet::subtrees([nodes[0]]));
     connect_render_service(&mut sim, rs_b, ds, InterestSet::subtrees([nodes[1]]));
+    let viewer = sim.world.spawn_render_service("desktop");
+    connect_render_service(&mut sim, viewer, ds, InterestSet::everything());
     sim.run();
 
     // rs_a dies; its subtree must land on rs_b.
@@ -294,11 +297,16 @@ fn service_failure_recovery() {
     assert!(sim.world.render(rs_b).scene.contains(nodes[0]));
     assert_eq!(sim.world.render(rs_b).assigned_cost().polygons, 2_000);
 
-    // Collaboration continues against the survivor.
+    // Collaboration continues: an edit of the moved share reaches the
+    // survivor, and a collaborator joining reaches the viewer.
+    let rename = SceneUpdate::SetName { id: nodes[0], name: "left-edited".into() };
+    publish_update(&mut sim, ds, "editor", rename).unwrap();
     let who =
         join_session(&mut sim, ds, "survivor-user", Vec3::X, CameraParams::default()).unwrap();
     sim.run();
-    assert!(sim.world.render(rs_b).scene.contains(who.avatar));
+    let survivor = &sim.world.render(rs_b).scene;
+    assert_eq!(survivor.node(nodes[0]).unwrap().name(), "left-edited");
+    assert!(sim.world.render(viewer).scene.contains(who.avatar));
 }
 
 /// The grid discovery plane: services registered in UDDI are found by

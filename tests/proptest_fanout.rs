@@ -5,28 +5,27 @@
 //!
 //! The reference is built only on `InterestSet::relevant` — asked of a
 //! copy of the master that replays each batch, just before each update's
-//! commit, with the reference's own presence marks — `Network::transfer_time`
-//! /`segment_of`, and a per-(data service, render service) high-water map.
-//! Random topologies, subscriber populations and batch sequences (published
-//! back to back without draining, with structural edits, presence updates
-//! that reach the subscribers marked as sent presence, joins and nodes
-//! recast as cameras that mark every subscriber, root edits, mid-batch
-//! commit failures, subscription churn, late joins and roots placed on a
-//! subscriber in between) must produce the same delivery schedule, the same
-//! `FanoutTotals`, the same marks and the same bootstrap catch-up: the log
-//! past each bootstrapping subscriber's snapshot, of which a replica whose
-//! snapshot lands takes what routing would have sent it. Independently of
-//! any routing rule, every subscriber whose replica holds a presence node
-//! is marked after every step, and every replica that was sent all it was
-//! owed ends holding what the master holds: a full one every node as the
-//! master has it, a subset one exactly the master's interest closure, each
-//! group that orients a root as the master's orientation record of it, and
-//! every presence node it holds as the master has it.
+//! commit — `Network::transfer_time`/`segment_of`, and a per-(data service,
+//! render service) high-water map. Random topologies, subscriber
+//! populations and batch sequences (published back to back without
+//! draining, with structural edits, collaborators joining and moving, nodes
+//! recast as cameras, root edits, mid-batch commit failures, subscription
+//! churn, late joins and roots placed on a subscriber in between) must
+//! produce the same delivery schedule, the same `FanoutTotals` and the same
+//! bootstrap catch-up: the log past each bootstrapping subscriber's
+//! snapshot, of which a replica whose snapshot lands takes what routing
+//! would have sent it. Independently of any routing rule, after every step
+//! every node a subset replica holds lies in its interest's closure on the
+//! master, and every replica that was sent all it was owed ends holding what
+//! the master holds: a full one every node as the master has it, a subset
+//! one exactly the master's interest closure — cameras and avatars like any
+//! other node — and each group that orients a root as the master's
+//! orientation record of it.
 
 use proptest::prelude::*;
 use rave::core::bootstrap::connect_render_service;
 use rave::core::bootstrap::snapshot_parcel;
-use rave::core::data_service::{DataService, FanoutTotals, SubState, Subscription};
+use rave::core::data_service::{DataService, FanoutTotals, SubState};
 use rave::core::trace::{TraceEvent, TraceKind};
 use rave::core::world::{publish_batch, RaveSim, RaveWorld};
 use rave::core::{DataServiceId, RaveConfig, RenderServiceId};
@@ -149,21 +148,20 @@ enum Op {
         pick: usize,
     },
     /// A collaborator's camera move (`CameraMoved`) or pose
-    /// (`SetTransform`) on an avatar or a camera: presence, routed to the
-    /// subscribers marked as sent presence beside those that hold it.
-    /// Nothing when no presence node is left.
+    /// (`SetTransform`) on an avatar or a camera, routed as an update of
+    /// any node is. Nothing when no presence node is left.
     Presence {
         pick: usize,
         camera: bool,
     },
-    /// A collaborator joins: an `AddNode` of an avatar, routed to every
-    /// subscriber, which marks them all.
+    /// A collaborator joins: an `AddNode` of an avatar, routed as any add
+    /// is.
     Join {
         parent_pick: usize,
     },
     /// A `ReplaceKind` that makes a node a subset subscriber holds as
-    /// content a camera, which marks every subscriber. Nothing when no
-    /// subset subscriber holds a node but the scene root.
+    /// content a camera. Nothing when no subset subscriber holds a node
+    /// but the scene root.
     Recast {
         pick: usize,
     },
@@ -291,39 +289,23 @@ fn orientation_only(tree: &SceneTree, service: &DataService) -> Vec<NodeId> {
     above.into_iter().collect()
 }
 
-/// The nodes of `tree` inside the roots' subtrees of the live subset
-/// subscribers not marked as sent presence, or of any subset subscriber
-/// when there is none; ascending, the scene root left out.
+/// The nodes of `tree` inside the roots' subtrees of the subset
+/// subscribers; ascending, the scene root left out.
 fn subset_content(tree: &SceneTree, service: &DataService) -> Vec<NodeId> {
-    let content = |unmarked_only: bool| -> Vec<NodeId> {
-        let subsets = service.subscribers().values().filter(|s| !s.interest.is_everything());
-        let unmarked = |s: &&Subscription| !s.sent_presence && s.state == SubState::Live;
-        let subsets = subsets.filter(|s| !unmarked_only || unmarked(s));
-        let roots = subsets.flat_map(|s| s.interest.roots()).filter(|&r| tree.contains(r));
-        let held: BTreeSet<NodeId> = roots.flat_map(|r| tree.descendants(r)).collect();
-        held.into_iter().filter(|&n| n != tree.root()).collect()
-    };
-    let unmarked = content(true);
-    if unmarked.is_empty() {
-        content(false)
-    } else {
-        unmarked
-    }
+    let subsets = service.subscribers().values().filter(|s| !s.interest.is_everything());
+    let roots = subsets.flat_map(|s| s.interest.roots()).filter(|&r| tree.contains(r));
+    let held: BTreeSet<NodeId> = roots.flat_map(|r| tree.descendants(r)).collect();
+    held.into_iter().filter(|&n| n != tree.root()).collect()
 }
 
-/// Does `update` give the tree a presence node: the `AddNode` or the
-/// `ReplaceKind` of a camera or an avatar?
-fn gives_presence(update: &SceneUpdate) -> bool {
-    let presence = |kind: &NodeKind| matches!(kind, NodeKind::Camera(_) | NodeKind::Avatar(_));
-    match update {
-        SceneUpdate::AddNode { kind, .. } | SceneUpdate::ReplaceKind { kind, .. } => presence(kind),
-        _ => false,
-    }
+/// Is `id` of `tree` a camera or an avatar?
+fn is_presence(tree: &SceneTree, id: NodeId) -> bool {
+    tree.node(id).is_some_and(|n| matches!(n.kind_tag(), KindTag::Camera | KindTag::Avatar))
 }
 
 /// Does the subtree of `id` in `tree` hold a camera or an avatar?
 fn presence_under(tree: &SceneTree, id: NodeId) -> bool {
-    tree.descendants(id).iter().any(|&n| tree.node(n).unwrap().kind_tag().is_presence())
+    tree.descendants(id).into_iter().any(|n| is_presence(tree, n))
 }
 
 /// Turn ops into updates against a planning clone of the master, so a
@@ -376,11 +358,8 @@ fn plan_batch(sim: &mut RaveSim, ds: DataServiceId, ops: &[Op]) -> (Vec<SceneUpd
                 }]
             }
             Op::Presence { pick, camera } => {
-                let presence: Vec<NodeId> = nodes
-                    .iter()
-                    .copied()
-                    .filter(|&n| planned.node(n).is_some_and(|n| n.kind_tag().is_presence()))
-                    .collect();
+                let presence: Vec<NodeId> =
+                    nodes.iter().copied().filter(|&n| is_presence(&planned, n)).collect();
                 let Some(&id) = presence.get(pick % presence.len().max(1)) else { continue };
                 let position = Vec3::new(pick as f32 % 7.0, 1.0, 2.0);
                 vec![if camera {
@@ -478,31 +457,17 @@ struct Reference {
     /// Bootstraps whose snapshot is in flight: when it lands, and the
     /// replica it installs before the catch-up.
     in_flight: BTreeMap<RenderServiceId, (SimTime, SceneTree)>,
-    /// The subscribers marked as sent presence: snapshotted with a presence
-    /// node (a full replica always), subscribed when a presence node was
-    /// added, or given a root whose subtree holds one. Kept while
-    /// subscribed.
-    sent_presence: BTreeSet<RenderServiceId>,
     /// The `UpdateDelivered` rows of the deliveries applied so far.
     applied: Vec<(SimTime, u64, RenderServiceId, bool)>,
 }
 
 impl Reference {
-    /// Note `rs`'s subscription to the `master` as it stands, made on
-    /// `host`: bootstrapping unless `live`, its snapshot covering the log so
-    /// far, marked when the snapshot holds a presence node.
-    fn subscribed(
-        &mut self,
-        rs: RenderServiceId,
-        host: &str,
-        interest: InterestSet,
-        live: bool,
-        master: &SceneTree,
-    ) {
+    /// Note `rs`'s subscription, made on `host`: bootstrapping unless
+    /// `live`, its snapshot covering the log so far.
+    fn subscribed(&mut self, rs: RenderServiceId, host: &str, interest: InterestSet, live: bool) {
         if !live {
             self.since.insert(rs, self.log.last().map_or(0, |s| s.seq));
         }
-        self.mark_snapshot(rs, &interest, master);
         if !interest.is_everything() {
             self.subset_roots.insert(rs, interest.roots().collect());
         }
@@ -511,24 +476,11 @@ impl Reference {
         self.interests.insert(rs, interest);
     }
 
-    /// Mark `rs` as sent presence, or not, by what a snapshot of `interest`
-    /// cut from `master` holds: a full replica is always marked, a subset
-    /// one when a root's subtree holds a presence node.
-    fn mark_snapshot(&mut self, rs: RenderServiceId, interest: &InterestSet, master: &SceneTree) {
-        let held = |r: NodeId| master.contains(r) && presence_under(master, r);
-        if interest.is_everything() || interest.roots().any(held) {
-            self.sent_presence.insert(rs);
-        } else {
-            self.sent_presence.remove(&rs);
-        }
-    }
-
     /// Book the updates a `publish_batch` at `now` committed, one
     /// (subscriber, update) pair at a time. `replay` is a copy of the master
     /// as it stood before the batch: each update is routed against it, with
-    /// each live subscriber's interest and mark, just before the copy takes
-    /// that update. One that gives the scene a presence node marks every
-    /// subscriber, live or bootstrapping.
+    /// each live subscriber's interest, just before the copy takes that
+    /// update.
     fn publish(
         &mut self,
         sim: &RaveSim,
@@ -546,15 +498,11 @@ impl Reference {
                 .live
                 .iter()
                 .filter(|&(rs, &live)| {
-                    let sent = self.sent_presence.contains(rs);
-                    live && self.interests[rs].relevant(&stamped.update, &replay, sent)
+                    live && self.interests[rs].relevant(&stamped.update, &replay)
                 })
                 .map(|(rs, _)| *rs)
                 .collect();
             stamped.update.apply(&mut replay).expect("the master committed it");
-            if gives_presence(&stamped.update) {
-                self.sent_presence.extend(self.live.keys().copied());
-            }
             if targets.is_empty() {
                 continue;
             }
@@ -630,9 +578,9 @@ impl Reference {
         for rs in landed {
             let (_, mut replica) = self.in_flight.remove(&rs).expect("listed");
             let since = self.since.remove(&rs).expect("a bootstrap has a mark");
-            let (interest, sent) = (&self.interests[&rs], self.sent_presence.contains(&rs));
+            let interest = &self.interests[&rs];
             for stamped in self.log.iter().filter(|s| s.seq > since) {
-                if interest.relevant(&stamped.update, &replica, sent) {
+                if interest.relevant(&stamped.update, &replica) {
                     apply(&mut replica, self.subset_roots.get(&rs), &stamped.update);
                 }
             }
@@ -646,10 +594,9 @@ impl Reference {
 
 /// What a replica does with an update it is sent; `roots` are a subset
 /// replica's. A node outside every root's subtree is held to orient one,
-/// as a group, or is a presence node that joined there: a `ReplaceKind`
-/// of it writes its version alone, and a pose update the group refuses
-/// writes the group's part of the pose ([`orientation_pose`]). After a
-/// removal, a subset replica drops what is left of the chain above it
+/// as a group: a `ReplaceKind` of it writes its version alone, and a pose
+/// update the group refuses writes the group's part of the pose
+/// ([`orientation_pose`]). After a removal, a subset replica drops what is left of the chain above it
 /// ([`drop_bare_chain`]).
 fn apply(replica: &mut SceneTree, roots: Option<&BTreeSet<NodeId>>, update: &SceneUpdate) -> bool {
     let outside = |id| roots.is_some_and(|r| !replica.lineage(id).any(|n| r.contains(&n)));
@@ -722,7 +669,7 @@ fn join(
 ) -> RenderServiceId {
     let rs = sim.world.spawn_render_service(host);
     let data = sim.world.data_mut(ds);
-    model.subscribed(rs, host, interest.clone(), live, &data.scene);
+    model.subscribed(rs, host, interest.clone(), live);
     if live {
         data.subscribe_live(rs, interest.clone());
     } else {
@@ -750,7 +697,7 @@ fn connect(
     let rs = sim.world.spawn_render_service(host);
     let mut replica = SceneTree::new();
     replica.adopt_parcel(&snapshot_parcel(&sim.world.data(ds).scene, &interest));
-    model.subscribed(rs, host, interest.clone(), false, &sim.world.data(ds).scene);
+    model.subscribed(rs, host, interest.clone(), false);
     let landing = connect_render_service(sim, rs, ds, interest);
     model.in_flight.insert(rs, (landing.ready_at, replica));
 }
@@ -769,9 +716,6 @@ fn place(
 ) -> TestCaseResult {
     let data = sim.world.data_mut(ds);
     prop_assert_eq!(data.move_interest_root(node, None, Some(to)), None, "nobody listed {}", node);
-    if presence_under(&data.scene, node) {
-        model.sent_presence.insert(to);
-    }
     let parcel = data.scene.extract_parcel(&[node]);
     let service = sim.world.render_mut(to);
     service.interest.add_root(node);
@@ -838,9 +782,10 @@ fn run_case(
 
     // The drawn population, then the fixed cases: two live subscribers of
     // `held` alone (neither holds a presence node, so a root with one placed
-    // on one of them and a camera recast in the other's both count), a
-    // subscriber on the data service's own host, one on a host that is not
-    // on the network, and a subscribed id with no service behind it.
+    // on one of them and a camera recast in the other's both change what
+    // they hold), a subscriber on the data service's own host, one on a host
+    // that is not on the network, and a subscribed id with no service
+    // behind it.
     let everything = |host: &str| (host.to_string(), None, true);
     let mut population: Vec<(String, Option<Vec<usize>>, bool)> = population
         .iter()
@@ -864,7 +809,6 @@ fn run_case(
         subset_roots: BTreeMap::new(),
         interests: BTreeMap::new(),
         in_flight: BTreeMap::new(),
-        sent_presence: BTreeSet::new(),
         applied: Vec::new(),
     };
     let interest_in = |nodes: &[NodeId], picks: &Option<Vec<usize>>| match picks {
@@ -879,7 +823,6 @@ fn run_case(
     sim.world.data_mut(ds).subscribe_live(NO_SUCH_SERVICE, InterestSet::everything());
     model.live.insert(NO_SUCH_SERVICE, true);
     model.interests.insert(NO_SUCH_SERVICE, InterestSet::everything());
-    model.sent_presence.insert(NO_SUCH_SERVICE);
     let mut subscribers: Vec<RenderServiceId> = model.live.keys().copied().collect();
     // Live replicas the updates can reach: not the one off the network,
     // nor the subscription no service stands behind.
@@ -900,9 +843,8 @@ fn run_case(
     let root_rename = |len| Step::Batch(vec![Op::Rename { pick: 0, len }]);
     let mut steps = steps;
     // Before anyone joins, a subtree with an avatar in it is placed on a
-    // subscriber that holds no presence node, and a node another such
-    // subscriber holds is recast as a camera between two camera moves,
-    // which lands before the join marks everyone.
+    // subset subscriber, and a node a subset subscriber holds is recast as
+    // a camera between two camera moves.
     steps.splice(
         0..0,
         [
@@ -934,13 +876,15 @@ fn run_case(
             // The root, renamed above, is moved and takes a mesh too; then
             // a full and a subset replica join, and while their snapshots
             // are in flight nodes are added under the root and under a
-            // chain, and chains take meshes.
+            // chain, chains take meshes and a collaborator joins under the
+            // root.
             Step::Batch(vec![Op::Root { pick: 5, edit: 1 }, Op::Root { pick: 5, edit: 2 }]),
             Step::Bootstrap { host_pick: 0, interest: None },
             Step::Bootstrap { host_pick: 1, interest: Some(vec![1]) },
             Step::Batch(vec![
                 Op::Chain { pick: 0, under_chain: false },
                 Op::Chain { pick: 1, under_chain: true },
+                Op::Join { parent_pick: 0 },
             ]),
         ],
     );
@@ -953,10 +897,6 @@ fn run_case(
     ]));
 
     let mut instants = 0;
-    // Subscribed live again without a fresh snapshot: such a replica may
-    // hold presence nodes its interest closure does not, which
-    // `subscribe_live` (given a caller-made snapshot) cannot know of.
-    let mut resubscribed: BTreeSet<RenderServiceId> = BTreeSet::new();
     for step in &steps {
         model.land(sim.now(), &mut replicas, &mut subscribers, &mut in_step);
         match step {
@@ -998,19 +938,15 @@ fn run_case(
                 in_step.remove(&rs);
                 prop_assert_eq!(sim.world.data_mut(ds).unsubscribe(rs), was);
                 model.since.remove(&rs);
-                model.sent_presence.remove(&rs);
             }
             Step::Resubscribe { pick } => {
                 let rs = subscribers[pick % subscribers.len()];
                 let data = sim.world.data_mut(ds);
                 data.unsubscribe(rs);
-                let interest = model.interests[&rs].clone();
-                data.subscribe_live(rs, interest.clone());
+                data.subscribe_live(rs, model.interests[&rs].clone());
                 in_step.remove(&rs);
-                resubscribed.insert(rs);
                 model.live.insert(rs, true);
                 model.since.remove(&rs);
-                model.mark_snapshot(rs, &interest, &data.scene);
             }
             Step::FinishBootstrap { pick } => {
                 let waiting: Vec<RenderServiceId> = model
@@ -1056,15 +992,15 @@ fn run_case(
                     .filter(|n| !listed.contains(n) && (!presence || presence_under(scene, *n)))
                     .collect();
                 let served = |rs: &&RenderServiceId| **rs != NO_SUCH_SERVICE;
-                let unmarked: Vec<RenderServiceId> = data
+                let subsets: Vec<RenderServiceId> = data
                     .subscribers()
                     .iter()
-                    .filter(|(rs, sub)| served(rs) && !sub.sent_presence)
+                    .filter(|(rs, sub)| served(rs) && !sub.interest.is_everything())
                     .map(|(rs, _)| *rs)
                     .collect();
                 let all: Vec<RenderServiceId> =
                     data.subscribers().keys().filter(served).copied().collect();
-                let to = if unmarked.is_empty() { &all } else { &unmarked };
+                let to = if subsets.is_empty() { &all } else { &subsets };
                 let (Some(&node), Some(&to)) =
                     (free.get(pick % free.len().max(1)), to.get(to_pick % to.len().max(1)))
                 else {
@@ -1073,51 +1009,54 @@ fn run_case(
                 place(&mut sim, ds, &mut model, &mut replicas, node, to)?;
             }
         }
-        check_marks(&sim, ds, &model, &resubscribed)?;
+        check_closures(&sim, ds)?;
     }
     sim.run();
     model.land(sim.now(), &mut replicas, &mut subscribers, &mut in_step);
+    check_closures(&sim, ds)?;
     Ok(Run { sim, ds, model, replicas, in_step, instants })
 }
 
-/// The presence marks of the data service are the reference's, and every
-/// subscriber whose replica holds a presence node is marked, live or
-/// bootstrapping: a subscriber resubscribed live without a fresh snapshot
-/// aside, and the one no service stands behind.
-fn check_marks(
-    sim: &RaveSim,
-    ds: DataServiceId,
-    model: &Reference,
-    resubscribed: &BTreeSet<RenderServiceId>,
-) -> TestCaseResult {
-    let subscribers = sim.world.data(ds).subscribers();
-    let marked: BTreeSet<RenderServiceId> =
-        subscribers.iter().filter(|(_, s)| s.sent_presence).map(|(rs, _)| *rs).collect();
-    prop_assert_eq!(&marked, &model.sent_presence, "the marks");
-    for (rs, sub) in subscribers {
+/// Every node a subset replica holds lies in its interest's closure on
+/// the master: inside a root's subtree, or above a root, held as an
+/// orientation record (a group). A node the master no longer holds, and a
+/// chain above a root the master no longer holds, wait for a removal still
+/// on the wire (or one missed while unsubscribed), so the group rule is
+/// read off the replica's own tree; nothing is reparented here, so the two
+/// trees agree on every node both hold.
+fn check_closures(sim: &RaveSim, ds: DataServiceId) -> TestCaseResult {
+    let data = sim.world.data(ds);
+    let master = &data.scene;
+    for (rs, sub) in data.subscribers().iter().filter(|(_, s)| !s.interest.is_everything()) {
         let Some(service) = sim.world.render_services.get(rs) else { continue };
-        if service.scene.holds_presence() && !resubscribed.contains(rs) {
-            prop_assert!(sub.sent_presence, "{} holds a presence node unmarked", rs);
+        let replica = &service.scene;
+        let gone = |id: NodeId| !master.contains(id);
+        let orients_gone_root = |id: NodeId| {
+            replica
+                .descendants_iter(id)
+                .any(|n| gone(n.id()) && sub.interest.roots().any(|r| r == n.id()))
+        };
+        for n in replica.iter_nodes().filter(|n| n.id() != replica.root()) {
+            let id = n.id();
+            let inside = sub.interest.contains(id, master) || gone(id) || orients_gone_root(id);
+            prop_assert!(inside, "{} holds {} outside its interest closure", rs, id);
+            let content = sub.interest.holds_content(id, replica);
+            prop_assert!(
+                content || n.kind_tag() == KindTag::Group,
+                "{} holds {} above its roots as a {:?}",
+                rs,
+                id,
+                n.kind_tag()
+            );
         }
     }
     Ok(())
 }
 
-/// The nodes of `tree` that are not presence and hang under no presence
-/// node, each with its parent, judged by the `master` where it holds the
-/// node (a replica holds a presence node that orients a root as a group).
-/// With `roots`, only those a subscription of them holds: the roots'
-/// subtrees and their ancestor chains, and the scene root.
-fn held_nodes(
-    tree: &SceneTree,
-    roots: Option<&[NodeId]>,
-    master: &SceneTree,
-) -> BTreeMap<NodeId, Option<NodeId>> {
-    let presence = |id| {
-        let judge = if master.contains(id) { master } else { tree };
-        let kind = |n: NodeId| judge.node(n).map(|n| n.kind_tag());
-        judge.lineage(id).any(|n| kind(n).is_some_and(KindTag::is_presence))
-    };
+/// The nodes of `tree`, each with its parent. With `roots`, only those a
+/// subscription of them holds: the roots' subtrees and their ancestor
+/// chains, and the scene root.
+fn held_nodes(tree: &SceneTree, roots: Option<&[NodeId]>) -> BTreeMap<NodeId, Option<NodeId>> {
     let ids: Vec<NodeId> = match roots {
         None => tree.descendants(tree.root()),
         Some(roots) => std::iter::once(tree.root())
@@ -1129,27 +1068,21 @@ fn held_nodes(
             .collect(),
     };
     let parent = |id| tree.node(id).and_then(|n| n.parent());
-    ids.into_iter().filter(|&id| !presence(id)).map(|id| (id, parent(id))).collect()
+    ids.into_iter().map(|id| (id, parent(id))).collect()
 }
 
 /// Totals, bootstrap marks and every spawned replica equal the
 /// reference's (after [`Reference::rows`] has applied its schedule). And,
 /// whatever the routing rule, each full replica in step holds the master's
 /// nodes as the master holds them; and each subset replica in step holds
-/// the master's interest closure — the subtrees of its roots and their
-/// ancestor chains, and the scene root — each node under the parent the
-/// master gives it, the master's copy of every node inside a root's
+/// exactly the master's interest closure — the subtrees of its roots and
+/// their ancestor chains, and the scene root — each node under the parent
+/// the master gives it, the master's copy of every node inside a root's
 /// subtree, and the master's orientation record of every chain node
 /// outside them (name, transform and version, and a group; the scene root
-/// only while a root is left); beside it, nothing but the master's nodes,
-/// under the master's parents, that an avatar the master holds hangs
-/// under: when a removal takes a root, the replica drops the chain that
-/// oriented it down to the first node something still hangs under, and a
-/// subtree the master removed is stray even with an avatar in it.
-/// Presence is left out: a subset
-/// snapshot holds the avatars inside its roots' subtrees, a live replica
-/// also those that joined under a node it holds; each presence node held
-/// is checked on its own: its kind, pose and version are the master's.
+/// only while a root is left). Cameras and avatars are held as any other
+/// node: as content inside the subtrees, as orientation records above
+/// them, and not at all elsewhere.
 fn check_quiescent(run: Run) -> TestCaseResult {
     let Run { sim, ds, model, replicas, in_step, .. } = run;
     prop_assert_eq!(sim.world.data(ds).fanout, model.totals);
@@ -1174,42 +1107,24 @@ fn check_quiescent(run: Run) -> TestCaseResult {
             continue;
         }
         let replica = &sim.world.render(*rs).scene;
-        for n in replica.iter_nodes().filter(|n| n.kind_tag().is_presence()) {
-            let pose = |n: rave::scene::NodeRef| (n.kind().clone(), n.transform(), n.version());
-            let (want, got) = (master.node(n.id()).map(pose), Some(pose(n)));
-            prop_assert!(want == got, "{} holds another presence node {}", rs, n.id());
-        }
         if sub.interest.is_everything() {
             let same = master.iter_nodes().map(state).eq(replica.iter_nodes().map(state));
             prop_assert!(same, "the full replica of {} is not the master", rs);
             continue;
         }
         let roots: Vec<NodeId> = sub.interest.roots().collect();
-        let closure = held_nodes(master, Some(&roots), master);
-        let held = held_nodes(replica, None, master);
+        let closure = held_nodes(master, Some(&roots));
+        let held = held_nodes(replica, None);
         for (id, parent) in &closure {
             prop_assert_eq!(held.get(id), Some(parent), "{} lacks {} under {:?}", rs, id, parent);
         }
-        // A node outside the closure is allowed only where the master still
-        // holds it under the same parent and an avatar the master also holds
-        // hangs under it: a subtree the master removed is stray, avatar or not.
-        let orients_presence = |id: NodeId, parent: &Option<NodeId>| {
-            master.node(id).is_some_and(|m| m.parent() == *parent)
-                && replica
-                    .descendants_iter(id)
-                    .any(|n| n.kind_tag().is_presence() && master.contains(n.id()))
-        };
-        let stray: Vec<&NodeId> = held
-            .iter()
-            .filter(|&(&id, parent)| !closure.contains_key(&id) && !orients_presence(id, parent))
-            .map(|(id, _)| id)
-            .collect();
+        let stray: Vec<&NodeId> = held.keys().filter(|id| !closure.contains_key(id)).collect();
         prop_assert!(stray.is_empty(), "{} holds {:?} outside its interest closure", rs, stray);
         let inside: BTreeSet<NodeId> = roots.iter().flat_map(|&r| master.descendants(r)).collect();
         let node = |n: rave::scene::NodeRef| {
             (n.name().to_string(), n.transform(), n.kind().clone(), n.version())
         };
-        for &id in inside.iter().filter(|id| closure.contains_key(id)) {
+        for &id in &inside {
             let (want, got) = (master.node(id).map(node), replica.node(id).map(node));
             prop_assert!(want == got, "{} holds another {}", rs, id);
         }

@@ -7,14 +7,12 @@
 //! them. Roots a subscriber lists before the tree holds them (pending
 //! roots) are given out and then added, and every probe is judged against
 //! the tree as it stands before the update's commit, as the data service
-//! routes it. Subset subscribers are drawn marked and unmarked as sent
-//! presence, and marks are patched in mid-storm, so an update of a presence
-//! node is judged both ways. Plus the presence rule as a regression: a
-//! collaborator's join reaches every subscriber, however narrow its
-//! interest, and its poses reach every subscriber subscribed before it
-//! joined, but not a narrow one snapshotted after; and full-replica
-//! subscribers converge to the master scene through the batched multicast
-//! delivery path.
+//! routes it. Cameras and avatars are added and probed like any other
+//! node: they are routed by the same rule. Plus that rule for presence as
+//! a regression, through a data service: a collaborator's join and poses
+//! reach the full subscribers and the subsets whose subtrees hold it, and
+//! no other; and full-replica subscribers converge to the master scene
+//! through the batched multicast delivery path.
 
 use proptest::prelude::*;
 use rave::core::data_service::DataService;
@@ -22,8 +20,8 @@ use rave::core::world::{publish_batch, RaveWorld};
 use rave::core::{DataServiceId, RaveConfig, RenderServiceId};
 use rave::math::Vec3;
 use rave::scene::{
-    AvatarInfo, Dirt, EditClass, EditStamp, InterestIndex, InterestSet, NodeId, NodeKind, Reach,
-    SceneTree, SceneUpdate, Transform,
+    AvatarInfo, Dirt, EditClass, EditStamp, InterestIndex, InterestSet, KindTag, NodeId, NodeKind,
+    Reach, SceneTree, SceneUpdate, Transform,
 };
 use rave::sim::Simulation;
 
@@ -58,34 +56,23 @@ fn edit_strategy() -> impl Strategy<Value = Edit> {
 }
 
 /// One subscriber's interest: `None` = everything, otherwise subtree
-/// roots drawn from the initial node population (picks reduced modulo);
-/// and whether it is marked as sent presence.
-fn interest_strategy() -> impl Strategy<Value = (Option<Vec<usize>>, bool)> {
-    let interest = prop_oneof![
+/// roots drawn from the initial node population (picks reduced modulo).
+fn interest_strategy() -> impl Strategy<Value = Option<Vec<usize>>> {
+    prop_oneof![
         Just(None),
         prop::collection::vec(any::<usize>(), 1..4).prop_map(Some),
         prop::collection::vec(any::<usize>(), 1..4).prop_map(Some),
         prop::collection::vec(any::<usize>(), 1..4).prop_map(Some),
-    ];
-    (interest, any::<bool>())
+    ]
 }
 
 fn avatar() -> NodeKind {
     NodeKind::Avatar(AvatarInfo { label: "u".into(), color: Vec3::X, camera: Default::default() })
 }
 
-/// The oracle: ask every set in turn, with its subscriber's mark.
-fn naive(sets: &[InterestSet], marks: &[bool], u: &SceneUpdate, tree: &SceneTree) -> Vec<u32> {
-    let relevant =
-        |(i, s): (usize, &InterestSet)| s.relevant(u, tree, marks[i]).then_some(i as u32);
-    sets.iter().enumerate().filter_map(relevant).collect()
-}
-
-/// An index built from scratch over `sets` with their marks.
-fn rebuilt(tree: &SceneTree, sets: &[InterestSet], marks: &[bool]) -> InterestIndex {
-    let mut ix = InterestIndex::new();
-    ix.rebuild(tree, sets.iter().zip(marks.iter().copied()));
-    ix
+/// The oracle: ask every set in turn.
+fn naive(sets: &[InterestSet], u: &SceneUpdate, tree: &SceneTree) -> Vec<u32> {
+    sets.iter().enumerate().filter(|(_, s)| s.relevant(u, tree)).map(|(i, _)| i as u32).collect()
 }
 
 /// The index's answer with `Reach::Everyone` spelled out.
@@ -103,14 +90,13 @@ fn indexed(ix: &mut InterestIndex, u: &SceneUpdate, tree: &SceneTree) -> Vec<u32
 fn check_probes(
     ix: &mut InterestIndex,
     sets: &[InterestSet],
-    marks: &[bool],
     tree: &mut SceneTree,
     removed: &[NodeId],
     salt: usize,
 ) {
     for u in &probes(tree, sets, removed, salt) {
         let got = indexed(ix, u, tree);
-        let want = naive(sets, marks, u, tree);
+        let want = naive(sets, u, tree);
         assert_eq!(got, want, "index diverged from refreshed scan on {u:?}");
     }
 }
@@ -136,8 +122,6 @@ fn probes(
         name: name.into(),
         kind: NodeKind::Group,
     };
-    let presence: Vec<NodeId> =
-        nodes.iter().copied().filter(|&n| tree.node(n).unwrap().kind_tag().is_presence()).collect();
     let mut probes = vec![
         SceneUpdate::SetName { id: target, name: "probe".into() },
         SceneUpdate::SetTransform { id: tree.root(), transform: Transform::IDENTITY },
@@ -146,6 +130,11 @@ fn probes(
         SceneUpdate::CameraMoved { id: target, camera: Default::default() },
         SceneUpdate::AddNode { id: tree.allocate_id(), parent, name: "j".into(), kind: avatar() },
     ];
+    let presence: Vec<NodeId> = nodes
+        .iter()
+        .copied()
+        .filter(|&n| matches!(tree.node(n).unwrap().kind_tag(), KindTag::Camera | KindTag::Avatar))
+        .collect();
     if let Some(&id) = presence.get(salt % presence.len().max(1)) {
         probes.push(SceneUpdate::CameraMoved { id, camera: Default::default() });
         probes.push(SceneUpdate::SetName { id, name: "pose".into() });
@@ -207,22 +196,16 @@ fn seeded_tree(seed_sizes: &[usize]) -> SceneTree {
     tree
 }
 
-/// The drawn subscribers' interest sets and their marks; a full
-/// replica is always marked, as the data service marks it.
-fn interest_sets(
-    specs: &[(Option<Vec<usize>>, bool)],
-    seed_nodes: &[NodeId],
-) -> (Vec<InterestSet>, Vec<bool>) {
+fn interest_sets(specs: &[Option<Vec<usize>>], seed_nodes: &[NodeId]) -> Vec<InterestSet> {
     specs
         .iter()
-        .map(|(spec, marked)| match spec {
-            None => (InterestSet::everything(), true),
+        .map(|spec| match spec {
+            None => InterestSet::everything(),
             Some(picks) => {
-                let roots = picks.iter().map(|&p| seed_nodes[p % seed_nodes.len()]);
-                (InterestSet::subtrees(roots), *marked)
+                InterestSet::subtrees(picks.iter().map(|&p| seed_nodes[p % seed_nodes.len()]))
             }
         })
-        .unzip()
+        .collect()
 }
 
 /// One step of a migration storm: a structural edit, or an interest root
@@ -241,11 +224,6 @@ enum Step {
     AddPending {
         parent_pick: usize,
     },
-    /// A subscriber is marked as sent presence (`None`: every subscriber,
-    /// as a join's commit marks them), patched into the index.
-    Mark {
-        pick: Option<usize>,
-    },
 }
 
 fn step_strategy() -> impl Strategy<Value = Step> {
@@ -255,8 +233,7 @@ fn step_strategy() -> impl Strategy<Value = Step> {
             .prop_map(|(root_pick, from, to, held)| Step::Reroot { root_pick, from, to, held })
     };
     let add_pending = any::<usize>().prop_map(|parent_pick| Step::AddPending { parent_pick });
-    let mark = who().prop_map(|pick| Step::Mark { pick });
-    prop_oneof![edit_strategy().prop_map(Step::Edit), reroot(), reroot(), add_pending, mark]
+    prop_oneof![edit_strategy().prop_map(Step::Edit), reroot(), reroot(), add_pending]
 }
 
 proptest! {
@@ -276,18 +253,19 @@ proptest! {
     ) {
         let mut tree = seeded_tree(&seed_sizes);
         let seed_nodes: Vec<NodeId> = tree.descendants(tree.root());
-        let (sets, marks) = interest_sets(&interests, &seed_nodes);
+        let sets = interest_sets(&interests, &seed_nodes);
 
+        let mut ix = InterestIndex::new();
         let mut seen = EditStamp::default();
         let _ = structure_dirt(&mut tree, &mut seen);
-        let mut ix = rebuilt(&tree, &sets, &marks);
+        ix.rebuild(&tree, sets.iter());
 
         let mut removed: Vec<NodeId> = Vec::new();
         for (step, edit) in storm.iter().enumerate() {
             apply_edit(&mut tree, edit, step, &mut removed);
             let dirt = structure_dirt(&mut tree, &mut seen);
             ix.repair(&tree, &dirt);
-            check_probes(&mut ix, &sets, &marks, &mut tree, &removed, step * 31 + 7);
+            check_probes(&mut ix, &sets, &mut tree, &removed, step * 31 + 7);
         }
     }
 
@@ -308,11 +286,12 @@ proptest! {
     ) {
         let mut tree = seeded_tree(&seed_sizes);
         let seed_nodes: Vec<NodeId> = tree.descendants(tree.root());
-        let (mut sets, mut marks) = interest_sets(&interests, &seed_nodes);
+        let mut sets = interest_sets(&interests, &seed_nodes);
 
+        let mut ix = InterestIndex::new();
         let mut seen = EditStamp::default();
         let _ = structure_dirt(&mut tree, &mut seen);
-        let mut ix = rebuilt(&tree, &sets, &marks);
+        ix.rebuild(&tree, sets.iter());
 
         let mut removed: Vec<NodeId> = Vec::new();
         for (step, what) in storm.iter().enumerate() {
@@ -361,21 +340,14 @@ proptest! {
                         ix.repair(&tree, &dirt);
                     }
                 }
-                Step::Mark { pick: Some(p) } => {
-                    marks[p % sets.len()] = true;
-                    ix.mark_presence((p % sets.len()) as u32);
-                }
-                Step::Mark { pick: None } => {
-                    marks.fill(true);
-                    ix.mark_presence_everyone();
-                }
             }
             prop_assert_eq!(ix.n_subs(), sets.len());
-            let mut fresh = rebuilt(&tree, &sets, &marks);
+            let mut rebuilt = InterestIndex::new();
+            rebuilt.rebuild(&tree, sets.iter());
             for u in &probes(&mut tree, &sets, &removed, step * 31 + 7) {
                 let got = indexed(&mut ix, u, &tree);
-                prop_assert_eq!(&got, &indexed(&mut fresh, u, &tree), "vs a rebuild on {:?}", u);
-                prop_assert_eq!(&got, &naive(&sets, &marks, u, &tree), "vs the scan on {:?}", u);
+                prop_assert_eq!(&got, &indexed(&mut rebuilt, u, &tree), "vs a rebuild on {:?}", u);
+                prop_assert_eq!(&got, &naive(&sets, u, &tree), "vs the scan on {:?}", u);
             }
         }
     }
@@ -450,20 +422,22 @@ proptest! {
     }
 }
 
-/// §3.2.4 regression, through a data service: a collaborator's join
-/// reaches every subscriber, including one whose interest is a sibling
-/// subtree that does not contain the avatar, and marks them all, so its
-/// poses reach them too. A narrow subscriber snapshotted after the join
-/// holds no avatar and is not sent its poses; the index answers as the
-/// naive scan throughout.
+/// A collaborator is routed as any node is, through a data service: a
+/// join under the scene root reaches the full subscriber alone, and so do
+/// its poses; a join under a subset's root reaches that subset too, as do
+/// its poses, also to a subset subscribed after the join. A subset of a
+/// sibling branch is sent neither. The index answers as the naive scan at
+/// every update.
 #[test]
 fn presence_reaches_narrow_subscribers() {
-    let (early, full, late) = (RenderServiceId(1), RenderServiceId(2), RenderServiceId(3));
+    let (narrow, full) = (RenderServiceId(1), RenderServiceId(2));
+    let (sibling, late) = (RenderServiceId(3), RenderServiceId(4));
     let mut ds = DataService::new(DataServiceId(1), "h", "s");
     let shown = ds.scene.add_node(ds.scene.root(), "shown", NodeKind::Group).unwrap();
     let hidden = ds.scene.add_node(ds.scene.root(), "hidden", NodeKind::Group).unwrap();
-    ds.subscribe_live(early, InterestSet::subtrees([shown]));
+    ds.subscribe_live(narrow, InterestSet::subtrees([shown]));
     ds.subscribe_live(full, InterestSet::everything());
+    ds.subscribe_live(sibling, InterestSet::subtrees([hidden]));
     let route = |ds: &mut DataService, update: SceneUpdate| {
         let stamped = ds.stamp("u", update);
         let routed = ds.route(&stamped);
@@ -471,25 +445,23 @@ fn presence_reaches_narrow_subscribers() {
         ds.commit(0.0, &stamped).unwrap();
         routed
     };
+    let join = |ds: &mut DataService, parent| {
+        let id = ds.scene.allocate_id();
+        (id, SceneUpdate::AddNode { id, parent, name: "avatar-u".into(), kind: avatar() })
+    };
+    let motion = |id| SceneUpdate::CameraMoved { id, camera: Default::default() };
 
-    // The avatar joins under the *unsubscribed* branch — still everyone's.
-    let av = ds.scene.allocate_id();
-    let join =
-        SceneUpdate::AddNode { id: av, parent: hidden, name: "avatar-u".into(), kind: avatar() };
-    assert_eq!(route(&mut ds, join), [early, full], "join reaches everyone");
-    assert!(ds.subscribers().values().all(|s| s.sent_presence), "and marks everyone");
+    let root = ds.scene.root();
+    let (at_root, add) = join(&mut ds, root);
+    assert_eq!(route(&mut ds, add), [full], "a join under the scene root");
+    assert_eq!(route(&mut ds, motion(at_root)), [full], "and its poses");
+    let (in_shown, add) = join(&mut ds, shown);
+    assert_eq!(route(&mut ds, add), [narrow, full], "a join under a subset's root");
+    assert_eq!(route(&mut ds, motion(in_shown)), [narrow, full], "and its poses");
 
-    let motion = || SceneUpdate::CameraMoved { id: av, camera: Default::default() };
-    assert_eq!(route(&mut ds, motion()), [early, full], "presence motion reaches both");
-
-    // Subscribed after the join, to a branch without the avatar: unmarked.
     ds.subscribe_live(late, InterestSet::subtrees([shown]));
-    assert!(!ds.subscribers()[&late].sent_presence);
-    assert_eq!(route(&mut ds, motion()), [early, full], "not the late narrow subscriber");
-    let pose = SceneUpdate::SetTransform { id: av, transform: Transform::IDENTITY };
-    assert_eq!(route(&mut ds, pose), [early, full]);
-
-    // A mundane update in the hidden branch still stays scoped.
+    assert_eq!(route(&mut ds, motion(in_shown)), [narrow, full, late], "whenever it joined");
+    assert_eq!(route(&mut ds, motion(at_root)), [full]);
     let mundane = SceneUpdate::SetName { id: hidden, name: "h".into() };
-    assert_eq!(route(&mut ds, mundane), [full], "non-presence stays scoped");
+    assert_eq!(route(&mut ds, mundane), [full, sibling], "the sibling's own branch");
 }

@@ -600,173 +600,6 @@ proptest! {
     }
 }
 
-// ---- the presence count and the pose fast path ----
-
-/// Does `tree` hold a camera or an avatar, by a scan of the payloads?
-fn scanned_presence(tree: &SceneTree) -> bool {
-    tree.iter_nodes().any(|n| matches!(n.kind(), NodeKind::Camera(_) | NodeKind::Avatar(_)))
-}
-
-/// One step of the presence-count property: every edit of the kept-bounds
-/// property, on the source or on a replica fed from it by subsets and
-/// parcels.
-#[derive(Debug, Clone)]
-enum PresenceOp {
-    /// Inserts of every kind, removes, reparents, kind writes, updates,
-    /// merges, clones and decodes.
-    Edit(BoundsOp),
-    /// The replica merges the subset of some of the source's nodes.
-    Subset { picks: Vec<usize> },
-    /// The replica becomes the subset of some of the source's nodes.
-    Extract { picks: Vec<usize> },
-    /// The replica adopts the parcel of one of the source's subtrees.
-    Parcel { pick: usize },
-    /// Source and replica trade places, so edits land on either.
-    Swap,
-}
-
-fn presence_op_strategy() -> impl Strategy<Value = PresenceOp> {
-    let picks = || prop::collection::vec(any::<usize>(), 1..4);
-    prop_oneof![
-        bounds_op_strategy().prop_map(PresenceOp::Edit),
-        bounds_op_strategy().prop_map(PresenceOp::Edit),
-        bounds_op_strategy().prop_map(PresenceOp::Edit),
-        picks().prop_map(|picks| PresenceOp::Subset { picks }),
-        picks().prop_map(|picks| PresenceOp::Extract { picks }),
-        any::<usize>().prop_map(|pick| PresenceOp::Parcel { pick }),
-        Just(PresenceOp::Swap),
-    ]
-}
-
-/// A tree drawn for the fast-path property, then cut to one of the four
-/// presence shapes: as drawn, no presence node, only a camera, only an
-/// avatar.
-fn presence_shaped_tree(ops: &[BoundsOp], shape: u8, pick: usize) -> SceneTree {
-    let mut tree = SceneTree::new();
-    for (step, op) in ops.iter().enumerate() {
-        apply_bounds_op(&mut tree, op, step);
-    }
-    if shape == 0 {
-        return tree;
-    }
-    let held = tree.find_all(|n| n.kind_tag().is_presence());
-    for id in held {
-        tree.node_mut(id).unwrap().set_kind(NodeKind::Group);
-    }
-    let live: Vec<NodeId> = tree.descendants(tree.root());
-    let camera = CameraParams::default();
-    let kind = match shape {
-        1 => return tree,
-        2 => NodeKind::Camera(camera),
-        _ => NodeKind::Avatar(AvatarInfo { label: "only".into(), color: Vec3::Z, camera }),
-    };
-    tree.node_mut(live[pick % live.len()]).unwrap().set_kind(kind);
-    tree
-}
-
-/// One update of every variant against `tree`'s ids plus one it does not
-/// hold, so refusals of every kind are drawn: missing targets, taken ids,
-/// the root, pose updates to nodes of other kinds.
-fn drawn_update(tree: &SceneTree, which: u8, pick: usize, salt: u64) -> SceneUpdate {
-    let mut ids: Vec<NodeId> = tree.descendants(tree.root());
-    ids.push(NodeId(u64::MAX - 3));
-    let id = ids[pick % ids.len()];
-    let camera = CameraParams {
-        position: Vec3::new(coordinate(&mut salt.clone()), 1.0, 2.0),
-        ..CameraParams::default()
-    };
-    match which {
-        0 => {
-            let fresh = NodeId(tree.id_allocator_state() + salt % 2);
-            let id = if salt.is_multiple_of(5) { ids[(pick / 7) % ids.len()] } else { fresh };
-            SceneUpdate::AddNode {
-                id,
-                parent: ids[pick % ids.len()],
-                name: "u".into(),
-                kind: payload(salt, true),
-            }
-        }
-        1 => SceneUpdate::RemoveNode { id },
-        2 => SceneUpdate::SetTransform { id, transform: Transform::from_translation(Vec3::X) },
-        3 => SceneUpdate::SetName { id, name: "v".into() },
-        4 => SceneUpdate::ReplaceKind { id, kind: payload(salt, true) },
-        5 => SceneUpdate::CameraMoved { id, camera },
-        _ => SceneUpdate::AvatarUpdated {
-            id,
-            avatar: AvatarInfo { label: "w".into(), color: Vec3::Y, camera },
-        },
-    }
-}
-
-proptest! {
-    /// `holds_presence` is exactly "some live node is a camera or an
-    /// avatar" after every insert, remove, reparent, kind write, update,
-    /// merge, subset extraction, parcel adoption, clone and decode — on
-    /// source trees and on the replicas subsets and parcels build.
-    #[test]
-    fn the_presence_count_is_exact(
-        ops in prop::collection::vec(presence_op_strategy(), 1..60),
-    ) {
-        let (mut tree, mut replica) = (SceneTree::new(), SceneTree::new());
-        for (step, op) in ops.iter().enumerate() {
-            let live: Vec<NodeId> = tree.descendants(tree.root());
-            let roots = |picks: &[usize]| -> Vec<NodeId> {
-                picks.iter().map(|p| live[p % live.len()]).collect()
-            };
-            match op {
-                PresenceOp::Edit(op) => apply_bounds_op(&mut tree, op, step),
-                PresenceOp::Subset { picks } => {
-                    let subset = standalone(&tree, &roots(picks));
-                    prop_assert_eq!(subset.holds_presence(), scanned_presence(&subset));
-                    replica.adopt_parcel(&subset.extract_parcel(&[subset.root()]));
-                }
-                PresenceOp::Extract { picks } => replica = standalone(&tree, &roots(picks)),
-                PresenceOp::Parcel { pick } => {
-                    replica.adopt_parcel(&tree.extract_parcel(&[live[pick % live.len()]]));
-                }
-                PresenceOp::Swap => std::mem::swap(&mut tree, &mut replica),
-            }
-            for t in [&tree, &replica] {
-                t.check_invariants().map_err(|msg| TestCaseError { msg })?;
-                prop_assert_eq!(t.holds_presence(), scanned_presence(t), "after {:?}", op);
-            }
-        }
-    }
-
-    /// `try_apply` is `apply(..).is_ok()`: for any tree — one with no
-    /// presence node, only a camera, only an avatar, or as drawn — and any
-    /// run of updates, the two agree update by update, leave equal trees,
-    /// and a refusal moves neither tree's stamp.
-    #[test]
-    fn try_apply_is_apply_is_ok(
-        ops in prop::collection::vec(bounds_op_strategy(), 0..30),
-        shape in 0u8..4,
-        pick in any::<usize>(),
-        updates in prop::collection::vec((0u8..7, any::<usize>(), any::<u64>()), 1..12),
-    ) {
-        let tree = presence_shaped_tree(&ops, shape, pick);
-        if shape != 0 {
-            prop_assert_eq!(tree.holds_presence(), shape != 1);
-        }
-        let (mut fast, mut eager) = (tree.clone(), tree);
-        for &(which, pick, salt) in &updates {
-            let update = drawn_update(&eager, which, pick, salt);
-            let (fast_stamp, eager_stamp) = (fast.edit_stamp(), eager.edit_stamp());
-            let took = update.try_apply(&mut fast);
-            prop_assert_eq!(took, update.apply(&mut eager).is_ok(), "{:?}", update);
-            // By their printed state: a drawn transform can hold a NaN,
-            // which `==` never finds equal to itself.
-            prop_assert_eq!(format!("{fast:?}"), format!("{eager:?}"), "{:?}", update);
-            prop_assert_eq!(fast.holds_presence(), eager.holds_presence());
-            if !took {
-                prop_assert_eq!(fast.edit_stamp(), fast_stamp, "refused {:?}", update);
-                prop_assert_eq!(eager.edit_stamp(), eager_stamp, "refused {:?}", update);
-            }
-        }
-        fast.check_invariants().map_err(|msg| TestCaseError { msg })?;
-    }
-}
-
 // ---- the edit journal against an unbounded list of everything noted ----
 
 /// One step of a journal script. Picks are reduced modulo the live nodes
