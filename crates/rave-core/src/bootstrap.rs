@@ -1,10 +1,10 @@
 //! Render-service bootstrap (§5.3/§5.5).
 //!
-//! A render service joining a session receives its snapshot as a
-//! [`Parcel`], the message a migration sends too; on arrival the parcel is
-//! adopted, the replica applies what routing would have sent it from the
-//! data service's audit trail past it, and it is "pre-synchronised with
-//! \[the\] data service". The parcel's marshal
+//! A render service joining a session is subscribed at once, and receives
+//! its snapshot as a [`Parcel`], the message a migration sends too: the
+//! first message on its stream, which every update routed to it lands
+//! behind, so that once the parcel is adopted the replica is
+//! "pre-synchronised with \[the\] data service". The parcel's marshal
 //! is priced, not performed: [`MarshalStats`] counts the interface checks,
 //! field visits and bytes of the paper's *introspective* path (its
 //! measured bottleneck), [`marshal_time_introspective`] charges them, and
@@ -60,7 +60,7 @@ pub struct BootstrapTiming {
     pub subscribed_at: SimTime,
     /// When the snapshot finished marshalling at the data service.
     pub marshalled_at: SimTime,
-    /// When the replica became live (snapshot applied + trail replayed).
+    /// When the snapshot lands and is adopted.
     pub ready_at: SimTime,
     /// Snapshot payload size.
     pub snapshot_bytes: u64,
@@ -79,8 +79,8 @@ pub fn connect_render_service(
 }
 
 /// Subscribe `rs` to `ds` and cut its snapshot parcel now, with the
-/// handshake charged from `start`: the replica's catch-up from the trail
-/// starts now, and a root moved to it before `start` is listed in its
+/// handshake charged from `start`: what is published from now on is routed
+/// to it, and a root moved to it before `start` is listed in its
 /// subscription. Returns the send, to run at `start` so that the link sees
 /// its sends in time order.
 pub(crate) fn connect_at(
@@ -108,24 +108,26 @@ pub(crate) fn connect_at(
     let stats = MarshalStats::of(parcel.nodes().map(|n| (n.name.as_str(), &n.kind)));
     let marshalled_at = subscribed_at + marshal_time_introspective(&stats);
 
-    // 3. Register the subscription, ship the parcel.
-    sim.world.data_mut(ds_id).begin_bootstrap(rs_id, interest.clone());
+    // 3. Subscribed from the cut on: what is published is routed to `rs`.
+    sim.world.data_mut(ds_id).subscribe_live(rs_id, interest.clone());
     move |sim| {
-        let arrival = sim.world.send_bytes(marshalled_at, &ds_host, &rs_host, stats.bytes);
-        // 4. On arrival: adopt the parcel, catch up from the trail. A
-        //    parcel whose sender or receiver failed meanwhile installs
-        //    nothing: failover re-bootstraps the receiver from the new
-        //    master.
+        // 4. The parcel goes on `rs`'s stream, and what is routed to `rs`
+        //    lands behind it. Only a recruit's late send may land its
+        //    root-only parcel after updates (routed before the send, or the
+        //    next master's once the cutter has failed and holds nothing):
+        //    harmless, as the root record is version-checked.
+        let sent = sim.world.send_bytes(marshalled_at, &ds_host, &rs_host, stats.bytes);
+        let data = sim.world.data_services.get_mut(&ds_id);
+        let arrival = data.map_or(sent, |ds| ds.hold_stream(rs_id, sent));
+        // 5. On arrival, adopt it whether or not its sender still lives, as
+        //    a wave lands; a receiver that failed meanwhile installs nothing.
         sim.schedule_at(arrival, move |sim| {
             let now = sim.now();
-            let RaveWorld { data_services, render_services, trace, .. } = &mut sim.world;
-            let (Some(ds), Some(rs)) =
-                (data_services.get_mut(&ds_id), render_services.get_mut(&rs_id))
-            else {
+            let RaveWorld { render_services, trace, .. } = &mut sim.world;
+            let Some(rs) = render_services.get_mut(&rs_id) else {
                 trace.record(now, TraceEvent::SnapshotDropped { rs: rs_id, ds: ds_id });
                 return;
             };
-            let missed = ds.complete_bootstrap(rs_id);
             // Adopt (not replace): nodes that arrived through other paths
             // while the parcel was in flight — e.g. migration moving work
             // onto a freshly recruited service — must survive.
@@ -135,16 +137,7 @@ pub(crate) fn connect_at(
                 interest.add_root(root);
             }
             rs.interest = interest;
-            for e in missed {
-                // The trail holds every update; the replica takes what
-                // routing would have sent it, judged as the index judges
-                // the master, against its own closure.
-                if rs.interest.relevant(&e.stamped.update, &rs.scene) {
-                    rs.apply_update(&e.stamped.update);
-                }
-            }
-            let replayed = missed.len();
-            trace.record(now, TraceEvent::Bootstrapped { rs: rs_id, ds: ds_id, replayed });
+            trace.record(now, TraceEvent::Bootstrapped { rs: rs_id, ds: ds_id });
         });
         let snapshot_bytes = stats.bytes;
         BootstrapTiming { subscribed_at, marshalled_at, ready_at: arrival, snapshot_bytes }
@@ -179,9 +172,9 @@ pub fn connect_planned(
 /// store with the failed instance's store config so logging continues
 /// where it stopped, at the same cadence. Every render service the
 /// failed instance was serving is re-bootstrapped against the
-/// replacement with its original interest set — the §5.5 catch-up from
-/// the trail makes the re-mirror safe against updates published while
-/// the snapshots are in flight.
+/// replacement with its original interest set: each parcel is the first
+/// message on its subscriber's stream, so an update published while it is
+/// in flight lands after it.
 pub fn recover_data_service(
     sim: &mut RaveSim,
     failed: DataServiceId,
@@ -213,8 +206,8 @@ pub fn recover_data_service(
         subscribers: failed_ds.subscribers().len(),
     };
     sim.world.trace.record(sim.now(), TraceEvent::Recovered { row: Box::new(row) });
-    for (&rs_id, sub) in failed_ds.subscribers() {
-        connect_render_service(sim, rs_id, new_id, sub.interest.clone());
+    for (&rs_id, interest) in failed_ds.subscribers() {
+        connect_render_service(sim, rs_id, new_id, interest.clone());
     }
     Ok(new_id)
 }
@@ -243,7 +236,6 @@ pub fn marshal_comparison(scene: &SceneTree) -> (SimTime, SimTime, MarshalStats)
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::data_service::SubState;
     use crate::sched::rebalance::{process_events, SchedEvent};
     use crate::trace::TraceKind;
     use crate::world::publish_update;
@@ -274,10 +266,8 @@ mod tests {
         let (mut sim, ds) = sim_with_scene(500);
         let rs = sim.world.spawn_render_service("tower");
         let timing = connect_render_service(&mut sim, rs, ds, InterestSet::everything());
-        let state = |sim: &RaveSim| sim.world.data(ds).subscribers()[&rs].state;
-        assert_eq!(state(&sim), SubState::Bootstrapping { since: 0 });
+        assert!(sim.world.data(ds).subscribers().contains_key(&rs), "subscribed at the cut");
         sim.run();
-        assert_eq!(state(&sim), SubState::Live);
         let rs_ref = sim.world.render(rs);
         assert!(rs_ref.scene.find_by_path("/model").is_some());
         assert_eq!(rs_ref.assigned_cost().polygons, 500);
@@ -286,10 +276,10 @@ mod tests {
     }
 
     #[test]
-    fn updates_during_bootstrap_are_replayed_in_order() {
+    fn updates_during_bootstrap_land_after_the_parcel() {
         // The §5.5 overlap: scene and camera changes published while the
-        // snapshot is in flight must be reflected when the replica goes
-        // live.
+        // snapshot is in flight are sent behind it, and applied once it is
+        // adopted.
         let (mut sim, ds) = sim_with_scene(200_000); // big: slow marshal
         let rs = sim.world.spawn_render_service("tower");
         connect_render_service(&mut sim, rs, ds, InterestSet::everything());
@@ -312,17 +302,25 @@ mod tests {
             sim.world.render(rs).scene.contains(id),
             "replica pre-synchronised with mid-flight update"
         );
-        let row = &sim.world.trace.first_of(TraceKind::Bootstrap).unwrap().event;
-        assert!(matches!(row, TraceEvent::Bootstrapped { replayed: 1, .. }), "trace: {row}");
+        let landing = |e: &&TraceEvent| {
+            matches!(e, TraceEvent::Bootstrapped { .. } | TraceEvent::UpdateDelivered { .. })
+        };
+        let landed: Vec<&TraceEvent> =
+            sim.world.trace.since(0).map(|r| &r.event).filter(landing).collect();
+        let in_order = matches!(
+            landed[..],
+            [TraceEvent::Bootstrapped { .. }, TraceEvent::UpdateDelivered { applied: true, .. }]
+        );
+        assert!(in_order, "{landed:?}");
     }
 
-    /// §5.5's overlap, read from the trail: everything committed while two
-    /// snapshots are in flight — scoped edits inside and outside a subset,
-    /// an `AddNode` inside it, a collaborator joining — is caught up. The
-    /// full replica ends equal to the master; the subset replica holds
-    /// every node of its snapshot as the master now has it.
+    /// §5.5's overlap: everything committed while two snapshots are in
+    /// flight — scoped edits inside and outside a subset, an `AddNode`
+    /// inside it, a collaborator joining — reaches the replicas behind
+    /// their parcels. The full replica ends equal to the master; the subset
+    /// replica holds every node of its snapshot as the master now has it.
     #[test]
-    fn replicas_in_flight_catch_up_from_the_trail() {
+    fn replicas_in_flight_take_what_is_published_meanwhile() {
         let (mut sim, ds) = sim_with_scene(200_000); // big: slow marshal
         let model = sim.world.data(ds).scene.find_by_path("/model").unwrap();
         let branch = {
@@ -354,9 +352,8 @@ mod tests {
         }
         let camera = rave_scene::CameraParams::default();
         crate::collaboration::join_session(&mut sim, ds, "late", Vec3::X, camera).unwrap();
-        let in_flight = sim.world.data(ds).audit.len();
-        assert!(in_flight > 4, "the join committed too");
-        assert!(sim.world.data(ds).subscribers().values().all(|s| s.state != SubState::Live));
+        assert!(sim.world.data(ds).audit.len() > 4, "the join committed too");
+        assert_eq!(sim.world.trace.count(TraceKind::Bootstrap), 0, "both snapshots in flight");
         sim.run();
 
         let master = &sim.world.data(ds).scene;
@@ -369,40 +366,27 @@ mod tests {
             assert_eq!((r.name(), r.kind(), r.version()), (m.name(), m.kind(), m.version()));
             assert_eq!(r.transform(), m.transform(), "{id}");
         }
-        for row in sim.world.trace.of_kind(TraceKind::Bootstrap) {
-            let replayed = matches!(row.event, TraceEvent::Bootstrapped { replayed, .. } if replayed == in_flight);
-            assert!(replayed, "{}", row.event);
-        }
     }
 
     fn rename(sim: &mut RaveSim, ds: DataServiceId, id: NodeId, name: String) {
         publish_update(sim, ds, "user", SceneUpdate::SetName { id, name }).unwrap();
     }
 
-    /// A snapshot in flight across `3 × KEEP` commits keeps the trail past
-    /// its `since`; once it lands, the next releases shrink the trail back.
+    /// A snapshot in flight across `3 × KEEP` commits lands equal to the
+    /// master, and the trail, which nobody reads to catch up, keeps no more
+    /// than `2 × KEEP` entries meanwhile.
     #[test]
-    fn a_bootstrap_in_flight_pins_the_trail() {
+    fn a_bootstrap_in_flight_leaves_the_trail_bounded() {
         use crate::data_service::KEEP;
         let (mut sim, ds) = sim_with_scene(200_000); // big: slow marshal
         let model = sim.world.data(ds).scene.find_by_path("/model").unwrap();
         let rs = sim.world.spawn_render_service("tower");
         connect_render_service(&mut sim, rs, ds, InterestSet::everything());
-        let pinned = 3 * KEEP + 5;
-        for i in 0..pinned {
+        for i in 0..3 * KEEP + 5 {
             rename(&mut sim, ds, model, format!("m{i}"));
+            assert!(sim.world.data(ds).audit.len() <= 2 * KEEP, "after {i}");
         }
-        assert_eq!(sim.world.data(ds).audit.len(), pinned, "nothing past `since` released");
-        sim.run();
-        assert!(sim.world.render(rs).scene == sim.world.data(ds).scene);
-        let row = &sim.world.trace.first_of(TraceKind::Bootstrap).unwrap().event;
-        let replayed =
-            matches!(row, TraceEvent::Bootstrapped { replayed, .. } if *replayed == pinned);
-        assert!(replayed, "{row}");
-        for i in 0..KEEP {
-            rename(&mut sim, ds, model, format!("after{i}"));
-        }
-        assert!(sim.world.data(ds).audit.len() < 2 * KEEP);
+        assert_eq!(sim.world.trace.count(TraceKind::Bootstrap), 0, "still in flight");
         sim.run();
         assert!(sim.world.render(rs).scene == sim.world.data(ds).scene);
     }
@@ -608,8 +592,7 @@ mod tests {
         for edit in edits {
             publish_update(&mut sim, ds, "user", edit).unwrap();
         }
-        let state = sim.world.data(ds).subscribers()[&caught_up].state;
-        assert_eq!(state, SubState::Bootstrapping { since: 0 });
+        assert_eq!(sim.world.trace.count(TraceKind::Bootstrap), 1, "one snapshot in flight");
         sim.run();
         connect_render_service(&mut sim, late, ds, interest);
         sim.run();
@@ -648,10 +631,11 @@ mod tests {
     }
 
     /// A data service that fails with a snapshot in flight, recovered
-    /// cold: the snapshot installs nothing, the re-bootstrap from the
-    /// replacement does, and the replica ends equal to the new master.
+    /// cold: the snapshot lands all the same, as a delivery wave does, then
+    /// the re-bootstrap from the replacement, and the replica ends equal to
+    /// the new master.
     #[test]
-    fn a_snapshot_outliving_its_data_service_installs_nothing() {
+    fn a_snapshot_outliving_its_data_service_still_lands() {
         let dir = std::env::temp_dir().join(format!("rave-boot-cold-{}", std::process::id()));
         let _ = std::fs::remove_dir_all(&dir);
         let mut sim = Simulation::new(RaveWorld::paper_testbed(RaveConfig::default(), 3));
@@ -671,9 +655,15 @@ mod tests {
         rename(&mut sim, new_ds, id, "renamed".into());
         sim.run();
         assert!(sim.world.render(rs).scene == sim.world.data(new_ds).scene);
-        let rows: Vec<_> = sim.world.trace.of_kind(TraceKind::Bootstrap).collect();
-        assert_eq!(rows.len(), 2, "the dropped snapshot and the re-bootstrap");
-        assert!(rows.iter().any(|r| matches!(r.event, TraceEvent::SnapshotDropped { .. })));
+        let landed: Vec<&TraceEvent> =
+            sim.world.trace.of_kind(TraceKind::Bootstrap).map(|r| &r.event).collect();
+        let want =
+            [TraceEvent::Bootstrapped { rs, ds }, TraceEvent::Bootstrapped { rs, ds: new_ds }];
+        assert_eq!(
+            landed,
+            want.iter().collect::<Vec<_>>(),
+            "the failed master's, then the new one's"
+        );
         std::fs::remove_dir_all(&dir).unwrap();
     }
 

@@ -6,8 +6,8 @@ use crate::ids::{DataServiceId, RenderServiceId};
 use crate::release_ledger::ReleaseLedger;
 use rave_net::Network;
 use rave_scene::{
-    AuditEntry, AuditTrail, EditClass, EditStamp, InterestIndex, InterestSet, Reach, SceneTree,
-    SceneUpdate, StampedUpdate, SubSlot, UpdateError,
+    AuditTrail, EditClass, EditStamp, InterestIndex, InterestSet, Reach, SceneTree, SceneUpdate,
+    StampedUpdate, SubSlot, UpdateError,
 };
 use rave_sim::SimTime;
 use rave_store::{CompactionReport, Recovery, Store, StoreConfig};
@@ -17,7 +17,7 @@ use std::path::Path;
 use std::sync::Arc;
 
 /// The latest entries the audit trail keeps for callers reading back a
-/// batch. It holds at most twice this, plus what a bootstrap still needs.
+/// batch. It holds at most twice this.
 pub(crate) const KEEP: usize = 1024;
 
 /// What the checkpoint a commit came due for did: the sequence number it
@@ -36,28 +36,12 @@ impl Clone for AttachedStore {
     }
 }
 
-/// A subscriber's delivery state.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum SubState {
-    /// Scene snapshot still in flight; it has no place in the routing
-    /// state, and nothing is routed to it. The snapshot covers the audit
-    /// trail up to `since`, and on arrival the replica takes from the trail
-    /// past it what routing would have sent it, so it comes up
-    /// pre-synchronised (§5.5: "We overlap update messages with the initial
-    /// bootstrap messages, so the remote resource does not miss any
-    /// updates"). The trail is the one copy of those updates, however many
-    /// subscribers are bootstrapping.
-    Bootstrapping { since: u64 },
-    /// Replica live; updates stream as they are published.
-    Live,
-}
-
 /// Running totals of the delivery fan-out a data service has charged
 /// through segment multicast, against the unicast baseline. The
 /// collab-scale bench and EXPERIMENTS tables read these.
 #[derive(Debug, Clone, Copy, Default, PartialEq)]
 pub struct FanoutTotals {
-    /// Updates routed to at least one live subscriber, whether it was
+    /// Updates routed to at least one subscriber, whether it was
     /// reached over the wire, over loopback or skipped.
     pub updates_routed: u64,
     /// Wire transmissions performed (one per receiving segment per
@@ -109,13 +93,6 @@ pub struct MoveTotals {
     pub payload_bytes_saved: u64,
 }
 
-/// One render service's subscription.
-#[derive(Debug, Clone)]
-pub struct Subscription {
-    pub interest: InterestSet,
-    pub state: SubState,
-}
-
 /// A data service instance. Multiple sessions may be managed by the same
 /// service process; each `DataService` here is one session's distribution
 /// point (the paper's "Skull" instance on host "adrenochrome", say).
@@ -130,19 +107,18 @@ pub struct DataService {
     /// The recent tail of the session's log (the store is the recording).
     pub audit: AuditTrail,
     next_seq: u64,
-    /// Who is subscribed, with what interest and in what state. Only this
-    /// module writes it; [`DataService::subscribers`] reads it.
-    pub(crate) subscribers: BTreeMap<RenderServiceId, Subscription>,
+    /// Who is subscribed, with what interest. Only this module writes it;
+    /// [`DataService::subscribers`] reads it.
+    pub(crate) subscribers: BTreeMap<RenderServiceId, InterestSet>,
     /// Optional durable store: every committed update is appended to it,
     /// with periodic snapshot checkpoints.
     store: AttachedStore,
-    /// The inverted interest index `route` consults, over the `Live`
-    /// subscribers alone. Lazily (re)built: a change of the subscribers or
-    /// of their states sets `index_stale`, the next route rebuilds;
-    /// structural scene edits since `index_seen` are read from the tree's
-    /// edit journal and folded in instead, and a root moved between two
-    /// live subscribers ([`DataService::move_interest_root`]) is patched in
-    /// on the spot.
+    /// The inverted interest index `route` consults. Lazily (re)built: a
+    /// change of the subscribers sets `index_stale`, the next route
+    /// rebuilds; structural scene edits since `index_seen` are read from
+    /// the tree's edit journal and folded in instead, and a root moved
+    /// between two subscribers ([`DataService::move_interest_root`]) is
+    /// patched in on the spot.
     index: InterestIndex,
     index_seen: EditStamp,
     pub(crate) index_stale: bool,
@@ -151,7 +127,8 @@ pub struct DataService {
     /// Scratch for the routed slots of one update, reused across calls.
     route_slots: Vec<SubSlot>,
     /// What the publish path keeps per slot: its render service, how it is
-    /// reached, its FIFO mark, the batch in flight.
+    /// reached, its FIFO mark, the batch in flight. A parcel sent to a
+    /// subscriber raises its mark too ([`DataService::hold_stream`]).
     delivery: DeliveryState,
     /// Multicast-vs-unicast delivery accounting, fed by the world's
     /// publish path.
@@ -240,7 +217,8 @@ impl DataService {
     /// and append it to the attached store. Also advances the sequence
     /// counter past the committed number, so a standby that commits a
     /// primary's shipped log can take over stamping seamlessly after
-    /// failover, and releases the trail's front every `KEEP` entries.
+    /// failover, and every `KEEP` entries releases all of the trail but
+    /// its last `KEEP`.
     /// Returns the checkpoint the append made due, if one was: an update
     /// the log holds is committed whether or not its checkpoint succeeds,
     /// and the store keeps one due until a snapshot is written.
@@ -254,14 +232,7 @@ impl DataService {
         self.next_seq = self.next_seq.max(stamped.seq + 1);
         let held = self.audit.entries();
         if held.len().is_multiple_of(KEEP) && held.len() > KEEP {
-            // All but the last `KEEP`, and nothing a bootstrap reads: one
-            // pass over the subscribers per `KEEP` commits.
-            let front = held[held.len() - KEEP - 1].stamped.seq;
-            let floor = self.subscribers.values().fold(front, |floor, sub| match sub.state {
-                SubState::Bootstrapping { since } => floor.min(since),
-                SubState::Live => floor,
-            });
-            self.audit.release_through(floor);
+            self.audit.release_through(held[held.len() - KEEP - 1].stamped.seq);
         }
         let Some(store) = &mut self.store.0 else { return Ok(None) };
         // A master assigned over (seeded, promoted) starts unrecorded.
@@ -272,36 +243,25 @@ impl DataService {
         Ok(due.then(|| (store.last_seq(), store.checkpoint(&self.scene, at_secs))))
     }
 
-    /// Register a live subscriber (used when the replica is seeded
-    /// synchronously, e.g. a local active client).
+    /// Subscribe `rs` with `interest`: every update published from now on
+    /// is routed to it by its interest. A replica not seeded already (a
+    /// local active client is) is sent a snapshot parcel cut now, which
+    /// those updates land behind
+    /// ([`crate::bootstrap::connect_render_service`]).
     pub fn subscribe_live(&mut self, rs: RenderServiceId, interest: InterestSet) {
-        self.subscribers.insert(rs, Subscription { interest, state: SubState::Live });
+        self.subscribers.insert(rs, interest);
         self.index_stale = true;
     }
 
-    /// Begin a bootstrap: the subscriber is registered, but nothing is
-    /// routed to it until [`DataService::complete_bootstrap`]. Its snapshot
-    /// is the scene as it stands, which covers the audit trail so far.
-    pub fn begin_bootstrap(&mut self, rs: RenderServiceId, interest: InterestSet) {
-        let state = SubState::Bootstrapping { since: self.audit.last_seq() };
-        self.subscribers.insert(rs, Subscription { interest, state });
-        self.index_stale = true;
-    }
-
-    /// Finish a bootstrap: flips the subscriber live and returns what it
-    /// missed while its snapshot was in flight — the audit trail past the
-    /// snapshot, in seq order. Empty for a subscriber that is live already
-    /// or not subscribed.
-    pub fn complete_bootstrap(&mut self, rs: RenderServiceId) -> &[AuditEntry] {
-        let Some(sub) = self.subscribers.get_mut(&rs) else { return &[] };
-        let SubState::Bootstrapping { since } = std::mem::replace(&mut sub.state, SubState::Live)
-        else {
-            return &[];
-        };
-        // A live subscriber joins the routing state.
-        self.index_stale = true;
-        let entries = self.audit.entries();
-        &entries[entries.partition_point(|e| e.stamped.seq <= since)..]
+    /// A parcel to `rs` that crosses the wire by `arrival` was sent: it is
+    /// a message on `rs`'s stream, landing behind the updates already on it
+    /// (their effects are in it), and every update routed to `rs` from now
+    /// on lands behind it (§5.5: "We overlap update messages with the
+    /// initial bootstrap messages, so the remote resource does not miss any
+    /// updates"). Returns when it lands. Booked as the parcel is sent, so
+    /// its arrival event comes before a delivery that lands with it.
+    pub(crate) fn hold_stream(&mut self, rs: RenderServiceId, arrival: SimTime) -> SimTime {
+        self.delivery.hold(rs, arrival)
     }
 
     pub fn unsubscribe(&mut self, rs: RenderServiceId) -> bool {
@@ -324,22 +284,21 @@ impl DataService {
         self.subscribers.keys().copied().collect()
     }
 
-    /// Every current subscription, by render service.
-    pub fn subscribers(&self) -> &BTreeMap<RenderServiceId, Subscription> {
+    /// Every current subscriber's interest, by render service.
+    pub fn subscribers(&self) -> &BTreeMap<RenderServiceId, InterestSet> {
         &self.subscribers
     }
 
-    /// Bring the inverted index in sync with the live subscribers and the
+    /// Bring the inverted index in sync with the subscribers and the
     /// scene: a full rebuild if subscriptions changed, otherwise an
     /// incremental repair from the structural edits the tree has
     /// journalled since the index last saw it.
     fn ensure_index(&mut self) {
         let seen = std::mem::replace(&mut self.index_seen, self.scene.edit_stamp());
         if self.index_stale {
-            let live = self.subscribers.iter().filter(|(_, s)| s.state == SubState::Live);
-            self.delivery.renumber(live.clone().map(|(&rs, _)| rs));
+            self.delivery.renumber(self.subscribers.keys().copied());
             self.index_generation += 1;
-            self.index.rebuild(&self.scene, live.map(|(_, s)| &s.interest));
+            self.index.rebuild(&self.scene, self.subscribers.values());
             self.index_stale = false;
         } else {
             let dirt = self.scene.changes_since(seen, &[EditClass::Structure]);
@@ -347,17 +306,16 @@ impl DataService {
         }
     }
 
-    /// Route an update against the master as it stands: every live
-    /// subscriber ([`Reach::Everyone`], nobody listed), or the slots of the
-    /// live subscribers it must be delivered to, ascending, in `out`. A
-    /// bootstrapping subscriber reads it from the audit trail on arrival.
+    /// Route an update against the master as it stands: every subscriber
+    /// ([`Reach::Everyone`], nobody listed), or the slots of the
+    /// subscribers it must be delivered to, ascending, in `out`.
     fn route_into(&mut self, stamped: &StampedUpdate, out: &mut Vec<SubSlot>) -> Reach {
         self.ensure_index();
         self.index.matches(&stamped.update, &self.scene, out)
     }
 
-    /// Route an update against the master as it stands: the live
-    /// subscribers it must be delivered to, O(depth + matches) through the
+    /// Route an update against the master as it stands: the subscribers it
+    /// must be delivered to, O(depth + matches) through the
     /// inverted interest index ([`DataService::route_naive`] is its parity
     /// oracle). The publish path routes each update just before its commit;
     /// after it, a removal's target is unknown and reaches everyone.
@@ -413,7 +371,7 @@ impl DataService {
 
     /// Close the batch [`DataService::publish`] fanned out, whose committed
     /// updates are `batch`: one [`Wave`] per instant it lands at, holding
-    /// every live subscriber it reaches then in subscriber id order.
+    /// every subscriber it reaches then in subscriber id order.
     pub(crate) fn finish_batch(&mut self, batch: &[Arc<StampedUpdate>]) -> Vec<Wave> {
         self.delivery.finish_batch(batch)
     }
@@ -421,11 +379,11 @@ impl DataService {
     /// The pre-index routing decision, kept as the embedded parity oracle
     /// for the inverted index: one `InterestSet::relevant` probe per
     /// subscriber, answered off the scene as it stands. Returns every
-    /// interested subscriber regardless of state, in id order.
+    /// interested subscriber, in id order.
     pub fn route_naive(&self, stamped: &StampedUpdate) -> Vec<RenderServiceId> {
         self.subscribers
             .iter()
-            .filter(|(_, sub)| sub.interest.relevant(&stamped.update, &self.scene))
+            .filter(|(_, interest)| interest.relevant(&stamped.update, &self.scene))
             .map(|(rs, _)| *rs)
             .collect()
     }
@@ -447,20 +405,20 @@ impl DataService {
         to: Option<RenderServiceId>,
     ) -> Option<RenderServiceId> {
         // `to` first: a root that changes hands never leaves the index.
-        if let Some((rs, sub)) = to.and_then(|rs| Some((rs, self.subscribers.get_mut(&rs)?))) {
-            if sub.interest.add_root(node) {
+        if let Some((rs, interest)) = to.and_then(|rs| Some((rs, self.subscribers.get_mut(&rs)?))) {
+            if interest.add_root(node) {
                 if let Some(slot) = self.index_slot(rs) {
                     self.index.add_root(&self.scene, slot, node);
                 }
             }
         }
-        let listed = |(rs, sub): (RenderServiceId, &mut Subscription)| {
-            (Some(rs) != to && sub.interest.remove_root(node)).then_some(rs)
+        let listed = |(rs, interest): (RenderServiceId, &mut InterestSet)| {
+            (Some(rs) != to && interest.remove_root(node)).then_some(rs)
         };
         let asked = from.and_then(|rs| Some((rs, self.subscribers.get_mut(&rs)?)));
         let left = asked.and_then(listed).or_else(|| {
-            let partial = self.subscribers.iter_mut().filter(|s| !s.1.interest.is_everything());
-            partial.map(|(rs, sub)| (*rs, sub)).find_map(listed)
+            let partial = self.subscribers.iter_mut().filter(|s| !s.1.is_everything());
+            partial.map(|(rs, interest)| (*rs, interest)).find_map(listed)
         })?;
         if let Some(slot) = self.index_slot(left) {
             self.index.remove_root(slot, node);
@@ -468,11 +426,11 @@ impl DataService {
         Some(left)
     }
 
-    /// `rs`'s slot in the index as built. `None` when there is nothing to
-    /// patch: a rebuild is already due, or `rs` is not live.
+    /// Subscriber `rs`'s slot in the index as built; `None` when a rebuild
+    /// is already due and there is nothing to patch.
     fn index_slot(&self, rs: RenderServiceId) -> Option<SubSlot> {
-        let slot = self.delivery.ids().binary_search(&rs).ok();
-        slot.filter(|_| !self.index_stale).map(|slot| slot as SubSlot)
+        let slot = || self.delivery.ids().binary_search(&rs).expect("a subscriber has a slot");
+        (!self.index_stale).then(|| slot() as SubSlot)
     }
 }
 
@@ -565,7 +523,7 @@ mod tests {
         ds.subscribe_live(FULL, InterestSet::everything());
         assert_eq!(ds.move_interest_root(right, Some(LEFT_SUB), Some(FULL)), Some(LEFT_SUB));
         assert_eq!(ds.move_interest_root(right, None, Some(RIGHT_SUB)), None);
-        assert!(ds.subscribers[&FULL].interest.roots().any(|r| r == right));
+        assert!(ds.subscribers[&FULL].roots().any(|r| r == right));
         let u = Arc::new(ds.stamp("t", SceneUpdate::SetName { id: node, name: "n".into() }));
         assert_eq!(ds.route(&u), ds.route_naive(&u));
         assert_eq!(ds.route(&u), vec![RIGHT_SUB, FULL]);
@@ -762,25 +720,28 @@ mod tests {
         assert_eq!(ds.audit.len(), 1);
     }
 
+    /// A subscriber is routed to from the moment it subscribes. One sent
+    /// a parcel is sent the update behind it; the other is not held up.
     #[test]
-    fn route_delivers_to_live_and_a_bootstrap_reads_the_trail() {
-        let mut ds = DataService::new(DataServiceId(1), "h", "s");
+    fn route_delivers_to_every_subscriber_and_a_parcel_holds_its_stream() {
+        let (joined, joining) = (RenderServiceId(1), RenderServiceId(2));
+        let mut ds = DataService::new(DataServiceId(1), "laptop", "s");
         let before = add_update(&mut ds, "before");
         ds.commit(0.0, &before).unwrap();
-        ds.subscribe_live(RenderServiceId(1), InterestSet::everything());
-        ds.begin_bootstrap(RenderServiceId(2), InterestSet::everything());
+        ds.subscribe_live(joined, InterestSet::everything());
+        ds.subscribe_live(joining, InterestSet::everything());
+        let parcel = SimTime::from_secs(5.0);
+        ds.hold_stream(joining, parcel);
         let u = add_update(&mut ds, "x");
-        ds.commit(0.0, &u).unwrap();
-        assert_eq!(ds.route(&u), vec![RenderServiceId(1)]);
-        // Completing the bootstrap yields the trail past the snapshot:
-        // the update committed in flight, not the one before it.
-        let missed = ds.complete_bootstrap(RenderServiceId(2));
-        assert_eq!(missed.iter().map(|e| e.stamped.seq).collect::<Vec<_>>(), vec![u.seq]);
-        assert!(ds.complete_bootstrap(RenderServiceId(2)).is_empty(), "live already");
-        // Next update now goes to both.
-        let u2 = add_update(&mut ds, "y");
-        ds.commit(0.0, &u2).unwrap();
-        assert_eq!(ds.route(&u2).len(), 2);
+        assert_eq!(ds.route(&u), vec![joined, joining]);
+        let net = Network::paper_testbed(1.0);
+        ds.publish(SimTime::ZERO, 0, &u, &net, |_| Some("desktop")).unwrap();
+        let waves = ds.finish_batch(&[Arc::new(u)]);
+        let landed: Vec<(SimTime, RenderServiceId)> =
+            waves.iter().flat_map(|w| w.deliveries.iter().map(|d| (w.at, d.0))).collect();
+        assert_eq!(landed.len(), 2);
+        assert!(landed[0].0 < parcel && landed[0].1 == joined, "{landed:?}");
+        assert_eq!(landed[1], (parcel, joining), "the update waits behind the parcel");
     }
 
     #[test]
@@ -868,7 +829,7 @@ mod tests {
         std::fs::remove_dir_all(&dir).unwrap();
     }
 
-    /// A session with nobody bootstrapping keeps a bounded tail: never
+    /// A session keeps a bounded tail: never
     /// more than `2 × KEEP` entries, the latest ones, and `last_seq` is the
     /// last committed seq whatever was released.
     #[test]
@@ -888,9 +849,23 @@ mod tests {
         assert!(held.iter().copied().eq(last + 1 - held.len() as u64..=last), "contiguous tail");
     }
 
+    /// A hold raises a numbered subscriber's mark and never lowers it: a
+    /// parcel lands behind what its stream holds. One on a service not
+    /// numbered yet waits parked, and the service finds it when it
+    /// subscribes.
     #[test]
-    fn complete_bootstrap_on_unknown_subscriber_is_empty() {
+    fn a_hold_follows_its_render_service_into_the_numbering() {
+        let (numbered, later) = (RenderServiceId(1), RenderServiceId(9));
+        let t = SimTime::from_secs;
         let mut ds = DataService::new(DataServiceId(1), "h", "s");
-        assert!(ds.complete_bootstrap(RenderServiceId(9)).is_empty());
+        ds.subscribe_live(numbered, InterestSet::everything());
+        let u = add_update(&mut ds, "x");
+        assert_eq!(ds.route(&u), [numbered]);
+        assert_eq!(ds.hold_stream(numbered, t(3.0)), t(3.0));
+        assert_eq!(ds.hold_stream(numbered, t(2.0)), t(3.0), "behind the first");
+        assert_eq!(ds.hold_stream(later, t(4.0)), t(4.0));
+        ds.subscribe_live(later, InterestSet::everything());
+        assert_eq!(ds.route(&u), [numbered, later]);
+        assert_eq!(ds.hold_stream(later, t(1.0)), t(4.0), "the parked mark came along");
     }
 }

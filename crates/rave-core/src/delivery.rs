@@ -129,7 +129,7 @@ impl ListTable {
 }
 
 /// Slot-indexed delivery state of one data service. The slots are the
-/// live subscribers, numbered as the interest index numbers them.
+/// subscribers, numbered as the interest index numbers them.
 #[derive(Debug, Clone, Default)]
 pub(crate) struct DeliveryState {
     /// Slot → render service, in ascending id order.
@@ -149,11 +149,13 @@ pub(crate) struct DeliveryState {
     resolved: Option<(HostId, u64)>,
     /// Slot → latest scheduled delivery time. Updates are applied strictly
     /// in publish order on every replica, so a small update must not
-    /// overtake a large one still on the wire (TCP FIFO semantics).
+    /// overtake a large one still on the wire (TCP FIFO semantics), nor
+    /// a parcel sent before it ([`DeliveryState::hold`]).
     high_water: Vec<SimTime>,
     /// The marks of render services outside the current numbering: a mark
     /// lasts as long as its (data service, render service) pair, through
-    /// an unsubscribe and a resubscribe.
+    /// an unsubscribe and a resubscribe, and a hold on a service subscribed
+    /// since the last numbering waits here for the next.
     parked: BTreeMap<RenderServiceId, SimTime>,
     /// Slot → the list of this batch's updates it is owed so far, short
     /// of the everyone-updates it has not caught up with.
@@ -206,6 +208,19 @@ impl DeliveryState {
     /// Slot → render service.
     pub(crate) fn ids(&self) -> &[RenderServiceId] {
         &self.ids
+    }
+
+    /// A message to `rs` that crosses the wire by `arrival` was queued on
+    /// its stream: it lands behind what the stream holds already, and so
+    /// does whatever is delivered to `rs` after it. Returns when it lands.
+    pub(crate) fn hold(&mut self, rs: RenderServiceId, arrival: SimTime) -> SimTime {
+        debug_assert!(self.touched.is_empty() && self.run.is_empty(), "a hold between batches");
+        let mark = match self.ids.binary_search(&rs) {
+            Ok(slot) => &mut self.high_water[slot],
+            Err(_) => self.parked.entry(rs).or_insert(SimTime::ZERO),
+        };
+        *mark = arrival.max(*mark);
+        *mark
     }
 
     /// Bring slot → link class up to date with the numbering and the

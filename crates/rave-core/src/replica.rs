@@ -18,8 +18,6 @@
 //! [`crate::bootstrap::recover_data_service`] path (durable store, full
 //! re-bootstrap of every subscriber) when one does not.
 
-use crate::bootstrap::connect_render_service;
-use crate::data_service::SubState;
 use crate::ids::DataServiceId;
 use crate::trace::TraceEvent;
 use crate::world::RaveSim;
@@ -89,7 +87,8 @@ pub struct PromotionReport {
     /// Committed updates the primary held that never reached the
     /// standby's log — bounded by the configured lag.
     pub lost_updates: u64,
-    /// Virtual time at which the last subscriber is live again.
+    /// Virtual time from which the last subscriber is sent the promoted
+    /// service's updates.
     pub completed_at: SimTime,
 }
 
@@ -271,8 +270,9 @@ pub fn run_log_shipping(sim: &mut RaveSim, primary: DataServiceId, horizon: SimT
 /// shipped entries it had not yet applied in memory, attaches the
 /// shipped store with the primary's store config (sequence numbers and
 /// logging continue on the shipped segments), and every subscriber is
-/// re-pointed with one control round trip charged per flip — no snapshot
-/// marshal, no trail re-replay.
+/// re-pointed at once, its stream held for one control round trip and
+/// behind what the primary still has on the wire to it — no snapshot
+/// marshal, no replay.
 ///
 /// Returns `None` when `primary` has no replica link.
 pub fn promote_standby(
@@ -285,7 +285,7 @@ pub fn promote_standby(
     // The failed instance: its in-memory state is gone with the host,
     // but as the simulator we can still read it to *report* loss. Its
     // store stays open, untouched, until the standby has taken over.
-    let failed = sim
+    let mut failed = sim
         .world
         .data_services
         .remove(&primary)
@@ -313,27 +313,20 @@ pub fn promote_standby(
     let standby_last = sim.world.data(standby).audit.last_seq();
     let lost = failed.audit.last_seq().saturating_sub(standby_last);
 
-    // Re-point subscribers: each flip is one small control round trip
-    // from the promoted host — the replicas themselves are already warm,
-    // so there is no bootstrap marshal and no buffered-update replay. A
-    // subscriber whose snapshot was still in flight lost it with the
-    // primary: it bootstraps again, from the standby.
+    // Re-point subscribers, every one at once: what the promoted service
+    // commits from now on is routed to it, held for one small control
+    // round trip from the promoted host and behind what the primary still
+    // has on the wire to it, a parcel included, which lands as any
+    // delivery does. The replicas are warm: no bootstrap marshal, no replay.
     let s_host = sim.world.data(standby).host.clone();
     let mut completed_at = now;
-    for (&rs, sub) in failed.subscribers() {
-        let interest = sub.interest.clone();
-        if sub.state != SubState::Live {
-            let timing = connect_render_service(sim, rs, standby, interest);
-            completed_at = completed_at.max(timing.ready_at);
-            continue;
-        }
+    for (rs, interest) in failed.subscribers().clone() {
         let rs_host = sim.world.render(rs).host.clone();
         let rtt = sim.world.network.round_trip(&s_host, &rs_host, 128, 64);
-        let at = now + rtt;
-        completed_at = completed_at.max(at);
-        sim.schedule_at(at, move |sim| {
-            sim.world.data_mut(standby).subscribe_live(rs, interest);
-        });
+        let held = failed.hold_stream(rs, now + rtt);
+        let promoted = sim.world.data_mut(standby);
+        promoted.subscribe_live(rs, interest);
+        completed_at = completed_at.max(promoted.hold_stream(rs, held));
     }
     let report = PromotionReport {
         failed: primary,
@@ -353,6 +346,7 @@ pub fn promote_standby(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::bootstrap::connect_render_service;
     use crate::ids::RenderServiceId;
     use crate::sched::rebalance::process_events;
     use crate::sched::SchedEvent;
@@ -499,35 +493,54 @@ mod tests {
         let _ = std::fs::remove_dir_all(&sdir);
     }
 
-    /// A subscriber whose snapshot is in flight when the primary fails
-    /// lost it with the primary: promotion bootstraps it again from the
-    /// standby, and it catches up what the standby commits meanwhile.
+    /// A subscriber whose snapshot is in flight when the primary fails is
+    /// re-pointed as any other: the parcel lands, nothing bootstraps again,
+    /// and what the standby commits meanwhile lands behind the parcel.
     #[test]
-    fn promotion_re_bootstraps_a_subscriber_in_flight() {
+    fn promotion_lands_a_parcel_in_flight() {
         let (mut sim, primary, standby, _, pdir, sdir) = warm_world("inflight", 0);
         let horizon = sim.now() + SimTime::from_secs(60.0);
         run_log_shipping(&mut sim, primary, horizon);
         let ids: Vec<_> = (0..12).map(|i| add(&mut sim, primary, &format!("n{i}"))).collect();
         sim.run();
         let joining = sim.world.spawn_render_service("desktop");
-        crate::bootstrap::connect_render_service(
-            &mut sim,
-            joining,
-            primary,
-            InterestSet::everything(),
-        );
+        let timing = connect_render_service(&mut sim, joining, primary, InterestSet::everything());
 
         let outcome =
             process_events(&mut sim, primary, &[SchedEvent::DataFailure { service: primary }]);
         assert!(outcome.promotions[0].warm);
-        let sub = sim.world.data(standby).subscribers()[&joining].state;
-        assert!(matches!(sub, SubState::Bootstrapping { .. }), "{sub:?}");
+        assert!(outcome.promotions[0].completed_at >= timing.ready_at, "held behind the parcel");
         let rename = SceneUpdate::SetName { id: ids[5], name: "in flight".into() };
         publish_update(&mut sim, standby, "u", rename).unwrap();
         sim.run();
         assert!(sim.world.render(joining).scene == sim.world.data(standby).scene);
-        let rows = sim.world.trace.of_kind(TraceKind::Bootstrap);
-        assert!(rows.into_iter().any(|r| matches!(r.event, TraceEvent::SnapshotDropped { .. })));
+        let landed: Vec<&TraceEvent> =
+            sim.world.trace.of_kind(TraceKind::Bootstrap).map(|r| &r.event).collect();
+        let want = TraceEvent::Bootstrapped { rs: joining, ds: primary };
+        assert_eq!(landed, [&want], "landed once, no re-bootstrap");
+        let _ = std::fs::remove_dir_all(&pdir);
+        let _ = std::fs::remove_dir_all(&sdir);
+    }
+
+    /// An update the promoted service commits at the instant of promotion
+    /// reaches the subscriber: it is re-pointed at once, not one round
+    /// trip later.
+    #[test]
+    fn an_update_committed_during_the_re_point_reaches_every_subscriber() {
+        let (mut sim, primary, standby, rs, pdir, sdir) = warm_world("repoint", 0);
+        let horizon = sim.now() + SimTime::from_secs(60.0);
+        run_log_shipping(&mut sim, primary, horizon);
+        for i in 0..5 {
+            add(&mut sim, primary, &format!("n{i}"));
+        }
+        sim.run();
+        let outcome =
+            process_events(&mut sim, primary, &[SchedEvent::DataFailure { service: primary }]);
+        assert!(outcome.promotions[0].warm);
+        let id = add(&mut sim, standby, "re-pointing");
+        sim.run();
+        assert!(sim.world.render(rs).scene.contains(id), "the update was lost");
+        assert!(sim.world.render(rs).scene == sim.world.data(standby).scene);
         let _ = std::fs::remove_dir_all(&pdir);
         let _ = std::fs::remove_dir_all(&sdir);
     }

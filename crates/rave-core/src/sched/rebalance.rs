@@ -486,7 +486,7 @@ fn handle_failure(sim: &mut RaveSim, dead: RenderServiceId, batch: &mut Batch) {
     // A full replica holds everything; its loss orphans nothing that
     // others don't already have.
     let orphaned: Vec<NodeId> = match sim.world.data(ds_id).subscribers().get(&dead) {
-        Some(sub) if !sub.interest.is_everything() => sub.interest.roots().collect(),
+        Some(interest) if !interest.is_everything() => interest.roots().collect(),
         _ => Vec::new(),
     };
     let row = TraceEvent::Failed { service: dead, orphaned: orphaned.len() };
@@ -514,7 +514,7 @@ fn handle_failure(sim: &mut RaveSim, dead: RenderServiceId, batch: &mut Batch) {
 /// first transfer.
 ///
 /// [`DataService::move_interest_root`]: crate::data_service::DataService::move_interest_root
-pub(crate) struct MoveBatch {
+pub struct MoveBatch {
     ds_id: DataServiceId,
     /// The data service's host, resolved by the first transfer.
     ds_host: Option<HostId>,
@@ -529,7 +529,7 @@ pub(crate) struct MoveBatch {
 }
 
 impl MoveBatch {
-    pub(crate) fn new(ds_id: DataServiceId) -> Self {
+    pub fn new(ds_id: DataServiceId) -> Self {
         Self {
             ds_id,
             ds_host: None,
@@ -564,9 +564,10 @@ impl MoveBatch {
     /// and charged to the transfer — less the payloads the receiver caches,
     /// which cross as a header — and the replicas' surgery happens when it
     /// arrives: the node is "in flight" until then, and the old holder
-    /// keeps rendering it until the handoff (best effort). The listed
-    /// holder caches what it releases, as far as its texture memory lets it.
-    pub(crate) fn move_node(
+    /// keeps rendering it until the handoff (best effort); `to`'s updates
+    /// land behind it. The listed holder caches what it releases, as far as
+    /// its texture memory lets it.
+    pub fn move_node(
         &mut self,
         sim: &mut RaveSim,
         node: NodeId,
@@ -599,6 +600,7 @@ impl MoveBatch {
         let charge = cost.data_bytes.saturating_sub(held).max(HEADER_BYTES);
         let arrival = sim.world.channel_between(from_host, to_host).send(now, charge);
         let ds = sim.world.data_mut(self.ds_id);
+        let arrival = ds.hold_stream(to, arrival);
         let records = ds.scene.descendants_iter(node).map(|n| (n.id(), n.own_cost().data_bytes));
         ds.ledger.book(records, from_bit, to_bit, arrival);
         ds.moves.moves += 1;
@@ -1110,7 +1112,7 @@ mod tests {
         let tower = sim.world.spawn_render_service("tower");
         sim.world.data_mut(ds).subscribe_live(tower, InterestSet::subtrees([]));
         sim.world.render_mut(tower).interest = InterestSet::subtrees([]);
-        let nodes: Vec<NodeId> = sim.world.data(ds).subscribers()[&slow].interest.roots().collect();
+        let nodes: Vec<NodeId> = sim.world.data(ds).subscribers()[&slow].roots().collect();
         // Each node on one live service: in its scene, its replica's
         // interest roots and its subscription alike. Returns the holders.
         let held_once = |sim: &RaveSim, when: &str| -> Vec<RenderServiceId> {
@@ -1133,7 +1135,7 @@ mod tests {
                         .collect();
                     let subscribed: Vec<RenderServiceId> = subscribers
                         .iter()
-                        .filter(|(_, sub)| held(&sub.interest))
+                        .filter(|(_, interest)| held(interest))
                         .map(|s| *s.0)
                         .collect();
                     assert_eq!(in_scene.len(), 1, "{when}: node {node} in {in_scene:?}\n{trace}");
@@ -1237,13 +1239,10 @@ mod tests {
     }
 
     /// A `ReplaceKind` of a node being moved onto a replica that holds it
-    /// to orient a root, published while the parcel is on the wire, should
-    /// leave the receiver holding the node as the master does. It does not:
-    /// the receiver's interest does not list the node until the parcel
-    /// lands, so it takes the update as a version write, and the parcel's
-    /// older record then leaves the held `Group` as it is.
+    /// to orient a root, published while the parcel is on the wire, lands
+    /// after the parcel: the receiver lists the node by then and holds it
+    /// as the master does, not as a version write of the `Group` it held.
     #[test]
-    #[ignore = "ROADMAP item 6 (a)"]
     fn a_replace_kind_published_while_a_parcel_is_in_flight_reaches_the_receiver() {
         let mut sim = Simulation::new(RaveWorld::paper_testbed(RaveConfig::default(), 11));
         let ds = sim.world.spawn_data_service("adrenochrome", "sess");
@@ -1268,13 +1267,73 @@ mod tests {
         assert_eq!(held, master);
     }
 
-    /// A root `SetTransform` published while a migration's parcel is on
-    /// the wire reaches the receiver first; the parcel, cut before it,
-    /// lands after it and leaves the receiver's root as the update left
-    /// it — the master's. Both services bootstrapped after the root had
-    /// already moved once.
+    /// A rename of a leaf inside a moved subtree, which the receiver never
+    /// held, published while the parcel is on the wire: it lands after the
+    /// parcel, not before it as an update of a node the receiver does not
+    /// hold, and the receiver names the leaf as the master does.
     #[test]
-    fn a_root_update_published_while_a_parcel_is_in_flight_survives_its_landing() {
+    fn a_rename_published_while_its_subtree_is_in_flight_reaches_the_receiver() {
+        let mut sim = Simulation::new(RaveWorld::paper_testbed(RaveConfig::default(), 11));
+        let ds = sim.world.spawn_data_service("adrenochrome", "sess");
+        let (group, leaf) = {
+            let scene = &mut sim.world.data_mut(ds).scene;
+            let group = scene.add_node(scene.root(), "group", mesh(400_000)).unwrap();
+            (group, scene.add_node(group, "leaf", NodeKind::Group).unwrap())
+        };
+        let receiver = sim.world.spawn_render_service("onyx");
+        let nothing = InterestSet::subtrees([]);
+        crate::bootstrap::connect_render_service(&mut sim, receiver, ds, nothing);
+        sim.run();
+        let cost = sim.world.data(ds).scene.subtree_cost(group);
+        MoveBatch::new(ds).move_node(&mut sim, group, None, receiver, &cost);
+        sim.run_until(sim.now() + SimTime::from_secs(0.01));
+        assert!(!sim.world.render(receiver).scene.contains(leaf), "the parcel is on the wire");
+        let rename = SceneUpdate::SetName { id: leaf, name: "renamed in flight".into() };
+        crate::world::publish_update(&mut sim, ds, "user", rename).unwrap();
+        sim.run();
+        let state = |n: rave_scene::NodeRef<'_>| (n.name().to_string(), n.version());
+        let master = sim.world.data(ds).scene.node(leaf).map(state);
+        let held = sim.world.render(receiver).scene.node(leaf).map(state);
+        assert_eq!(held, master);
+    }
+
+    /// A parcel sent while an update to its receiver is still on the wire
+    /// lands behind it, as any message on the stream does: the update, whose
+    /// effect the parcel holds already, is not applied over it a second time.
+    #[test]
+    fn a_parcel_lands_behind_an_update_still_on_the_wire() {
+        let mut sim = Simulation::new(RaveWorld::paper_testbed(RaveConfig::default(), 11));
+        let ds = sim.world.spawn_data_service("adrenochrome", "sess");
+        let (held, placed) = {
+            let scene = &mut sim.world.data_mut(ds).scene;
+            let held = scene.add_node(scene.root(), "held", NodeKind::Group).unwrap();
+            (held, scene.add_node(scene.root(), "placed", NodeKind::Group).unwrap())
+        };
+        let receiver = sim.world.spawn_render_service("tower");
+        let interest = InterestSet::subtrees([held]);
+        crate::bootstrap::connect_render_service(&mut sim, receiver, ds, interest);
+        sim.run();
+        let root = sim.world.data(ds).scene.root();
+        let rename = SceneUpdate::SetName { id: root, name: "r".repeat(100_000) };
+        crate::world::publish_update(&mut sim, ds, "user", rename).unwrap();
+        let cost = sim.world.data(ds).scene.subtree_cost(placed);
+        MoveBatch::new(ds).move_node(&mut sim, placed, None, receiver, &cost);
+        sim.run();
+        let root_state = |scene: &SceneTree| {
+            let r = scene.node(scene.root()).unwrap();
+            (r.name().len(), r.version())
+        };
+        let replica = &sim.world.render(receiver).scene;
+        assert!(replica.contains(placed));
+        assert_eq!(root_state(replica), root_state(&sim.world.data(ds).scene));
+    }
+
+    /// A root `SetTransform` published while a migration's parcel is on
+    /// the wire waits behind the parcel, cut before it, and leaves the
+    /// receiver's root as the master's. Both services bootstrapped after
+    /// the root had already moved once.
+    #[test]
+    fn a_root_update_published_while_a_parcel_is_in_flight_lands_after_it() {
         let mut sim = Simulation::new(RaveWorld::paper_testbed(RaveConfig::default(), 11));
         let ds = sim.world.spawn_data_service("adrenochrome", "sess");
         let node = {
@@ -1311,7 +1370,7 @@ mod tests {
         sim.run_until(sim.now() + SimTime::from_secs(0.05));
         let scene = &sim.world.render(receiver).scene;
         assert!(!scene.contains(node), "the parcel is still on the wire");
-        assert_eq!(root_state(scene), master, "the update has landed");
+        assert_eq!(root_state(scene).1, 1, "the root update waits behind the parcel");
         sim.run();
         let scene = &sim.world.render(receiver).scene;
         assert!(scene.contains(node), "the parcel has landed");
@@ -1541,8 +1600,7 @@ mod tests {
         sim.run();
         let name = sim.world.render(fresh).scene.node(node).map(|n| n.name().to_string());
         assert_eq!(name.as_deref(), Some("renamed"));
-        let roots: BTreeSet<NodeId> =
-            sim.world.data(ds).subscribers()[&fresh].interest.roots().collect();
+        let roots: BTreeSet<NodeId> = sim.world.data(ds).subscribers()[&fresh].roots().collect();
         assert_eq!(roots, given, "the recruit subscribes to what it holds");
     }
 

@@ -83,9 +83,10 @@ macro_rules! trace_events {
 }
 
 trace_events! {
-    /// `rs`'s snapshot from `ds` landed; it caught up with the `replayed` trail entries past it.
-    Bootstrap: Bootstrapped { rs: RenderServiceId, ds: DataServiceId, replayed: usize }
-        => "{rs} live on {ds} ({replayed} buffered updates replayed)";
+    /// `rs`'s snapshot from `ds` landed and was adopted; what `ds` routed
+    /// to `rs` after cutting it lands behind it.
+    Bootstrap: Bootstrapped { rs: RenderServiceId, ds: DataServiceId } => "{rs} live on {ds}";
+    /// `rs`'s snapshot from `ds` landed after `rs` failed.
     Bootstrap: SnapshotDropped { rs: RenderServiceId, ds: DataServiceId }
         => "{rs}'s snapshot from {ds} dropped: a service failed";
     UpdatePublished: UpdatePublished { ds: DataServiceId, seq: u64, origin: String }
@@ -311,7 +312,9 @@ mod tests {
     /// replaced read. The lines are the old rows' text as the test suite
     /// and examples recorded it; `AckTorn` and `ShippingStopped` rows no
     /// test records, so theirs are the old format strings' output. A
-    /// failure row's kind was `Overload` until failures got their own.
+    /// failure row's kind was `Overload` until failures got their own, and
+    /// a `Bootstrapped` row counted the updates a joiner replayed until
+    /// none was replayed.
     #[test]
     fn every_variant_renders_its_former_line() {
         use TraceEvent::*;
@@ -332,10 +335,7 @@ mod tests {
         );
         let three = vec![(rs(2), 2243827), (rs(3), 1000178), (rs(5), 552624)];
         let cases = [
-            (
-                Bootstrapped { rs: rs(1), ds: ds(1), replayed: 1 },
-                "Bootstrap: rs1 live on ds1 (1 buffered updates replayed)",
-            ),
+            (Bootstrapped { rs: rs(1), ds: ds(1) }, "Bootstrap: rs1 live on ds1"),
             (
                 SnapshotDropped { rs: rs(2), ds: ds(1) },
                 "Bootstrap: rs2's snapshot from ds1 dropped: a service failed",

@@ -454,12 +454,11 @@ mod tests {
         assert_eq!(replica.descendants(replica.root()), [replica.root(), outer, kept]);
     }
 
-    /// A subscriber whose snapshot is in flight has no place in the
-    /// routing state: `route` never names it and no wave carries it, though
-    /// its interest holds the update; on arrival it catches up from the
-    /// trail, and from then on it is routed to.
+    /// A subscriber whose snapshot is in flight is routed to as any other:
+    /// `route` names it as the scan does, and the waves it is sent land
+    /// after its parcel, while a live subscriber's land when they land.
     #[test]
-    fn a_bootstrapping_subscriber_is_sent_nothing_and_catches_up_on_arrival() {
+    fn a_joining_subscriber_is_routed_at_once_behind_its_parcel() {
         let config = RaveConfig { update_delivery_trace: true, ..RaveConfig::default() };
         let mut s = Simulation::new(RaveWorld::paper_testbed(config, 42));
         let ds = s.world.spawn_data_service("adrenochrome", "sess");
@@ -487,24 +486,20 @@ mod tests {
             let probe = StampedUpdate { seq: 0, origin: "probe".into(), update };
             let data = s.world.data_mut(ds);
             assert_eq!(data.route_naive(&probe), [live, joining], "both are interested");
-            assert_eq!(data.route(&probe), [live], "{:?}", probe.update);
+            assert_eq!(data.route(&probe), [live, joining], "{:?}", probe.update);
         }
-        publish_update(&mut s, ds, "user", add).unwrap();
+        let seq = publish_update(&mut s, ds, "user", add).unwrap();
         s.run();
-        let delivered: Vec<RenderServiceId> = s
-            .world
-            .trace
-            .of_kind(TraceKind::UpdateDelivered)
-            .map(|row| match row.event {
-                TraceEvent::UpdateDelivered { to, .. } => to,
-                ref other => panic!("{other}"),
-            })
-            .collect();
-        assert_eq!(delivered, [live], "no wave carries the joining subscriber");
-        assert!(s.world.render(joining).scene.contains(id), "caught up from the trail");
-        let rename = SceneUpdate::SetName { id, name: "m".into() };
-        let probe = StampedUpdate { seq: 0, origin: "probe".into(), update: rename };
-        assert_eq!(s.world.data_mut(ds).route(&probe), [live, joining], "live now");
+        let rows: Vec<(SimTime, &TraceEvent)> =
+            s.world.trace.since(0).map(|r| (r.at, &r.event)).collect();
+        let find = |event: TraceEvent| {
+            rows.iter().position(|r| *r.1 == event).unwrap_or_else(|| panic!("{rows:?}"))
+        };
+        let parcel = find(TraceEvent::Bootstrapped { rs: joining, ds });
+        let wave = |to| find(TraceEvent::UpdateDelivered { seq, to, applied: true });
+        assert!(rows[wave(live)].0 < rows[parcel].0, "the live subscriber is not held up");
+        assert!(parcel < wave(joining), "the joining subscriber's wave lands after its parcel");
+        assert!(s.world.render(joining).scene.contains(id));
     }
 
     #[test]

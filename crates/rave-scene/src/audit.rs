@@ -10,9 +10,11 @@
 //! played back and appended to through that store (`rave_store::recover`,
 //! then `DataService::seed_from`). This trail is only the recent tail of
 //! the log in memory: it answers "what was committed after seq N" for a
-//! recent N, which is what a joining replica's catch-up asks. Its owner
-//! drops the front once no reader needs it ([`AuditTrail::release_through`]);
-//! a session without a store keeps that tail and plays nothing back.
+//! recent N, which is what a caller reading a batch back asks; a joining
+//! replica does not read it, as what is committed while its snapshot is
+//! in flight reaches it behind the snapshot. Its owner drops the front
+//! every so often ([`AuditTrail::release_through`]); a session without a
+//! store keeps that tail and plays nothing back.
 
 use crate::update::{StampedUpdate, UpdateError};
 

@@ -9,7 +9,7 @@
 //! - the *update* protocol ([`update::SceneUpdate`]) that the data service
 //!   multicasts to render services and records as an audit trail;
 //! - the **audit trail** ([`audit::AuditTrail`]), the recent tail of a
-//!   session's log that joining replicas catch up from (§5.5);
+//!   session's log in memory (the log itself is in `rave-store`);
 //! - **interest sets** ([`interest::InterestSet`]) marking which scene
 //!   subsets a render service must be kept up to date on (§3.2.5);
 //! - the **introspective marshal counts** ([`introspect::MarshalStats`]):

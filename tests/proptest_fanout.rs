@@ -5,16 +5,18 @@
 //!
 //! The reference is built only on `InterestSet::relevant` — asked of a
 //! copy of the master that replays each batch, just before each update's
-//! commit — `Network::transfer_time`/`segment_of`, and a per-(data service,
-//! render service) high-water map. Random topologies, subscriber
+//! commit — `Network::transfer_time`/`segment_of`, a per-(data service,
+//! render service) high-water map, and each parcel's arrival. A parcel, a
+//! bootstrap's or a migration's, is a message on its subscriber's stream:
+//! the reference books its landing in the subscriber's mark, and every
+//! delivery booked after it lands behind it. Random topologies, subscriber
 //! populations and batch sequences (published back to back without
 //! draining, with structural edits, collaborators joining and moving, nodes
 //! recast as cameras, root edits, mid-batch commit failures, subscription
-//! churn, late joins and roots placed on a subscriber in between) must
-//! produce the same delivery schedule, the same `FanoutTotals` and the same
-//! bootstrap catch-up: the log past each bootstrapping subscriber's
-//! snapshot, of which a replica whose snapshot lands takes what routing
-//! would have sent it. Independently of any routing rule, after every step
+//! churn, late joins, and roots placed on a subscriber in between — once
+//! the queue has drained, or by a migration whose subtree is edited while
+//! its parcel is on the wire) must produce the same delivery schedule and
+//! the same `FanoutTotals`. Independently of any routing rule, after every step
 //! every node a subset replica holds lies in its interest's closure on the
 //! master, and every replica that was sent all it was owed ends holding what
 //! the master holds: a full one every node as the master has it, a subset
@@ -25,14 +27,16 @@
 use proptest::prelude::*;
 use rave::core::bootstrap::connect_render_service;
 use rave::core::bootstrap::snapshot_parcel;
-use rave::core::data_service::{DataService, FanoutTotals, SubState};
+use rave::core::data_service::{DataService, FanoutTotals};
+use rave::core::release_ledger::HEADER_BYTES;
+use rave::core::sched::rebalance::MoveBatch;
 use rave::core::trace::{TraceEvent, TraceKind};
 use rave::core::world::{publish_batch, RaveSim, RaveWorld};
 use rave::core::{DataServiceId, RaveConfig, RenderServiceId};
 use rave::math::Vec3;
 use rave::net::{Fanout, LinkClass, LinkSpec, Network};
 use rave::scene::{
-    AvatarInfo, CameraParams, InterestSet, KindTag, MeshData, NodeId, NodeKind, SceneTree,
+    AvatarInfo, CameraParams, InterestSet, KindTag, MeshData, NodeId, NodeKind, Parcel, SceneTree,
     SceneUpdate, StampedUpdate, Transform,
 };
 use rave::sim::{SimTime, Simulation};
@@ -104,7 +108,6 @@ struct Subscriber {
     /// `None` = everything, otherwise subtree roots (picks into the seed
     /// scene).
     interest: Option<Vec<usize>>,
-    live: bool,
 }
 
 /// Everything (`None`), or one or two subtree roots picked from the scene.
@@ -117,8 +120,8 @@ fn interest_strategy() -> impl Strategy<Value = Option<Vec<usize>>> {
 }
 
 fn subscriber_strategy() -> impl Strategy<Value = Subscriber> {
-    (any::<usize>(), interest_strategy(), any::<bool>(), any::<bool>())
-        .prop_map(|(host_pick, interest, a, b)| Subscriber { host_pick, interest, live: a || b })
+    (any::<usize>(), interest_strategy())
+        .prop_map(|(host_pick, interest)| Subscriber { host_pick, interest })
 }
 
 #[derive(Debug, Clone)]
@@ -232,29 +235,30 @@ enum Step {
     Unsubscribe {
         pick: usize,
     },
-    /// Subscribe (again, if it still is subscribed), live.
+    /// Subscribe (again, if it still is subscribed).
     Resubscribe {
-        pick: usize,
-    },
-    FinishBootstrap {
         pick: usize,
     },
     /// A render service joins late through the bootstrap, to everything or
     /// to subtrees of the master as it now stands (picks into its nodes):
-    /// its snapshot is in flight until the clock passes its arrival, and on
-    /// arrival it catches up from the trail and goes live.
+    /// it is subscribed at once, and its snapshot is in flight until the
+    /// clock passes its arrival, with what it is sent meanwhile behind it.
     Bootstrap {
         host_pick: usize,
         interest: Option<Vec<usize>>,
     },
-    /// Once the queue has drained, a node no subscriber lists is placed on
-    /// a subscriber as a new interest root (`move_interest_root` with no
-    /// donor), whose replica adopts its parcel; with `presence`, a node
-    /// whose subtree holds a presence node. Nothing when there is none.
+    /// A node no subscriber lists is placed on a subscriber as a new
+    /// interest root, with no donor; with `presence`, a node whose subtree
+    /// holds a presence node. With `drain`, once the queue has drained, the
+    /// data service lists it and the replica adopts its parcel at once;
+    /// without, a migration moves it (`MoveBatch::move_node`), and a rename
+    /// inside its subtree and a `ReplaceKind` of it are published while its
+    /// parcel is on the wire. Nothing when there is no such node.
     Place {
         pick: usize,
         to_pick: usize,
         presence: bool,
+        drain: bool,
     },
 }
 
@@ -266,11 +270,11 @@ fn step_strategy() -> impl Strategy<Value = Step> {
         (0u32..3000).prop_map(|micros| Step::Advance { micros }),
         any::<usize>().prop_map(|pick| Step::Unsubscribe { pick }),
         any::<usize>().prop_map(|pick| Step::Resubscribe { pick }),
-        any::<usize>().prop_map(|pick| Step::FinishBootstrap { pick }),
         (any::<usize>(), interest_strategy())
             .prop_map(|(host_pick, interest)| Step::Bootstrap { host_pick, interest }),
-        (any::<usize>(), any::<usize>(), any::<bool>())
-            .prop_map(|(pick, to_pick, presence)| Step::Place { pick, to_pick, presence }),
+        (any::<usize>(), any::<usize>(), any::<bool>(), any::<bool>()).prop_map(
+            |(pick, to_pick, presence, drain)| Step::Place { pick, to_pick, presence, drain }
+        ),
     ]
 }
 
@@ -279,8 +283,8 @@ fn step_strategy() -> impl Strategy<Value = Step> {
 /// above them. Ascending.
 fn orientation_only(tree: &SceneTree, service: &DataService) -> Vec<NodeId> {
     let mut above = BTreeSet::new();
-    for sub in service.subscribers().values().filter(|s| !s.interest.is_everything()) {
-        let roots: BTreeSet<NodeId> = sub.interest.roots().collect();
+    for interest in service.subscribers().values().filter(|i| !i.is_everything()) {
+        let roots: BTreeSet<NodeId> = interest.roots().collect();
         for &root in &roots {
             let chain = tree.ancestors(root).into_iter().filter(|&a| a != tree.root());
             above.extend(chain.filter(|&a| !tree.lineage(a).any(|n| roots.contains(&n))));
@@ -292,8 +296,8 @@ fn orientation_only(tree: &SceneTree, service: &DataService) -> Vec<NodeId> {
 /// The nodes of `tree` inside the roots' subtrees of the subset
 /// subscribers; ascending, the scene root left out.
 fn subset_content(tree: &SceneTree, service: &DataService) -> Vec<NodeId> {
-    let subsets = service.subscribers().values().filter(|s| !s.interest.is_everything());
-    let roots = subsets.flat_map(|s| s.interest.roots()).filter(|&r| tree.contains(r));
+    let subsets = service.subscribers().values().filter(|i| !i.is_everything());
+    let roots = subsets.flat_map(|i| i.roots()).filter(|&r| tree.contains(r));
     let held: BTreeSet<NodeId> = roots.flat_map(|r| tree.descendants(r)).collect();
     held.into_iter().filter(|&n| n != tree.root()).collect()
 }
@@ -428,12 +432,22 @@ fn plan_batch(sim: &mut RaveSim, ds: DataServiceId, ops: &[Op]) -> (Vec<SceneUpd
     (updates, committed)
 }
 
-/// One delivery the reference expects: everything one batch owes one
-/// subscriber.
+/// What the reference expects to land on one subscriber: a parcel, or
+/// everything one batch owes it.
+enum Landing {
+    /// A parcel, adopted as it lands; `root` is the node a migration moved,
+    /// which joins the replica's roots then.
+    Parcel {
+        parcel: Box<Parcel>,
+        root: Option<NodeId>,
+    },
+    Updates(Vec<StampedUpdate>),
+}
+
 struct Expected {
     at: SimTime,
     to: RenderServiceId,
-    updates: Vec<StampedUpdate>,
+    landing: Landing,
 }
 
 /// The per-pair reference model of the fan-out.
@@ -441,46 +455,53 @@ struct Reference {
     ds_host: String,
     /// Host of every render service in the world.
     host_of: BTreeMap<RenderServiceId, String>,
-    live: BTreeMap<RenderServiceId, bool>,
+    subscribed: BTreeSet<RenderServiceId>,
     high_water: BTreeMap<(DataServiceId, RenderServiceId), SimTime>,
     totals: FanoutTotals,
-    /// Every committed update, in order: the log a bootstrap catches up from.
-    log: Vec<StampedUpdate>,
-    /// Bootstrapping subscriber → the last seq its snapshot covers.
-    since: BTreeMap<RenderServiceId, u64>,
     /// In schedule order.
     deliveries: Vec<Expected>,
-    /// The interest roots of every subset replica, for its removals.
+    /// The interest roots of every subset replica, as its replica holds
+    /// them, for its removals and orientation writes.
     subset_roots: BTreeMap<RenderServiceId, BTreeSet<NodeId>>,
-    /// Every subscription, as made.
+    /// Every subscription, as the data service lists it.
     interests: BTreeMap<RenderServiceId, InterestSet>,
-    /// Bootstraps whose snapshot is in flight: when it lands, and the
-    /// replica it installs before the catch-up.
-    in_flight: BTreeMap<RenderServiceId, (SimTime, SceneTree)>,
     /// The `UpdateDelivered` rows of the deliveries applied so far.
     applied: Vec<(SimTime, u64, RenderServiceId, bool)>,
 }
 
 impl Reference {
-    /// Note `rs`'s subscription, made on `host`: bootstrapping unless
-    /// `live`, its snapshot covering the log so far.
-    fn subscribed(&mut self, rs: RenderServiceId, host: &str, interest: InterestSet, live: bool) {
-        if !live {
-            self.since.insert(rs, self.log.last().map_or(0, |s| s.seq));
-        }
+    /// Note `rs`'s subscription, made on `host`.
+    fn subscribed(&mut self, rs: RenderServiceId, host: &str, interest: InterestSet) {
         if !interest.is_everything() {
             self.subset_roots.insert(rs, interest.roots().collect());
         }
         self.host_of.insert(rs, host.to_string());
-        self.live.insert(rs, live);
+        self.subscribed.insert(rs);
         self.interests.insert(rs, interest);
+    }
+
+    /// Data service `ds` sent `rs` a parcel that crosses the wire by `at`:
+    /// it is a message on `rs`'s stream, so it lands behind what is on the
+    /// stream already, and what is booked for `rs` from now on lands no
+    /// earlier.
+    fn parcel(
+        &mut self,
+        ds: DataServiceId,
+        rs: RenderServiceId,
+        at: SimTime,
+        parcel: Parcel,
+        root: Option<NodeId>,
+    ) {
+        let mark = self.high_water.entry((ds, rs)).or_insert(SimTime::ZERO);
+        *mark = at.max(*mark);
+        let landing = Landing::Parcel { parcel: Box::new(parcel), root };
+        self.deliveries.push(Expected { at: *mark, to: rs, landing });
     }
 
     /// Book the updates a `publish_batch` at `now` committed, one
     /// (subscriber, update) pair at a time. `replay` is a copy of the master
     /// as it stood before the batch: each update is routed against it, with
-    /// each live subscriber's interest, just before the copy takes that
-    /// update.
+    /// each subscriber's interest, just before the copy takes that update.
     fn publish(
         &mut self,
         sim: &RaveSim,
@@ -490,17 +511,14 @@ impl Reference {
     ) {
         let now = sim.now();
         let net = &sim.world.network;
-        let mut per_sub: BTreeMap<RenderServiceId, Expected> = BTreeMap::new();
+        let mut per_sub: BTreeMap<RenderServiceId, (SimTime, Vec<StampedUpdate>)> = BTreeMap::new();
         for stamped in committed {
-            self.log.push(stamped.clone());
             let bytes = stamped.wire_size();
             let targets: Vec<RenderServiceId> = self
-                .live
+                .subscribed
                 .iter()
-                .filter(|&(rs, &live)| {
-                    live && self.interests[rs].relevant(&stamped.update, &replay)
-                })
-                .map(|(rs, _)| *rs)
+                .filter(|rs| self.interests[rs].relevant(&stamped.update, &replay))
+                .copied()
                 .collect();
             stamped.update.apply(&mut replay).expect("the master committed it");
             if targets.is_empty() {
@@ -528,26 +546,40 @@ impl Reference {
                 let wire = now + net.transfer_time(&self.ds_host, host, bytes);
                 let mark = self.high_water.entry((ds, rs)).or_insert(SimTime::ZERO);
                 *mark = wire.max(*mark);
-                let at = *mark;
-                let delivery =
-                    per_sub.entry(rs).or_insert(Expected { at, to: rs, updates: Vec::new() });
-                delivery.at = at;
-                delivery.updates.push(stamped.clone());
+                let (at, updates) = per_sub.entry(rs).or_insert((*mark, Vec::new()));
+                *at = *mark;
+                updates.push(stamped.clone());
             }
         }
-        self.deliveries.extend(per_sub.into_values());
+        let landings = per_sub.into_iter().map(|(to, (at, updates))| Expected {
+            at,
+            to,
+            landing: Landing::Updates(updates),
+        });
+        self.deliveries.extend(landings);
     }
 
-    /// Apply the deliveries booked so far, as the simulator fires them once
-    /// its queue has drained: in time order, FIFO among equal times, each
-    /// applying its updates in seq order to the subscriber's replica.
+    /// Land what was booked so far, as the simulator fires it once its
+    /// queue has drained: in time order, FIFO among equal times. A parcel
+    /// is adopted by the subscriber's replica; a delivery applies its
+    /// updates in seq order.
     fn apply_booked(&mut self, replicas: &mut BTreeMap<RenderServiceId, SceneTree>) {
         self.deliveries.sort_by_key(|d| d.at); // stable: keeps schedule order
         for d in std::mem::take(&mut self.deliveries) {
             let replica = replicas.get_mut(&d.to).expect("deliveries go to spawned services");
-            for stamped in &d.updates {
-                let applied = apply(replica, self.subset_roots.get(&d.to), &stamped.update);
-                self.applied.push((d.at, stamped.seq, d.to, applied));
+            match d.landing {
+                Landing::Parcel { parcel, root } => {
+                    replica.adopt_parcel(&parcel);
+                    if let (Some(root), Some(roots)) = (root, self.subset_roots.get_mut(&d.to)) {
+                        roots.insert(root);
+                    }
+                }
+                Landing::Updates(updates) => {
+                    for stamped in &updates {
+                        let applied = apply(replica, self.subset_roots.get(&d.to), &stamped.update);
+                        self.applied.push((d.at, stamped.seq, d.to, applied));
+                    }
+                }
             }
         }
     }
@@ -560,35 +592,6 @@ impl Reference {
     ) -> Vec<(SimTime, u64, RenderServiceId, bool)> {
         self.apply_booked(replicas);
         self.applied.clone()
-    }
-
-    /// Install the replica of each bootstrap whose snapshot has landed by
-    /// `now`: the parcel's tree, caught up with the entries of the log past
-    /// its snapshot that its interest judges relevant against it. It goes
-    /// live and in step.
-    fn land(
-        &mut self,
-        now: SimTime,
-        replicas: &mut BTreeMap<RenderServiceId, SceneTree>,
-        subscribers: &mut Vec<RenderServiceId>,
-        in_step: &mut BTreeSet<RenderServiceId>,
-    ) {
-        let landed: Vec<RenderServiceId> =
-            self.in_flight.iter().filter(|(_, (at, _))| *at <= now).map(|(rs, _)| *rs).collect();
-        for rs in landed {
-            let (_, mut replica) = self.in_flight.remove(&rs).expect("listed");
-            let since = self.since.remove(&rs).expect("a bootstrap has a mark");
-            let interest = &self.interests[&rs];
-            for stamped in self.log.iter().filter(|s| s.seq > since) {
-                if interest.relevant(&stamped.update, &replica) {
-                    apply(&mut replica, self.subset_roots.get(&rs), &stamped.update);
-                }
-            }
-            replicas.insert(rs, replica);
-            self.live.insert(rs, true);
-            subscribers.push(rs);
-            in_step.insert(rs);
-        }
     }
 }
 
@@ -655,9 +658,9 @@ fn drop_bare_chain(replica: &mut SceneTree, roots: &BTreeSet<NodeId>, from: Opti
     }
 }
 
-/// Spawn a render service on `host` and subscribe it to `interest`, live
-/// or bootstrapping, its replica (and the reference's copy) a fresh tree
-/// that adopts the master's parcel as it now stands.
+/// Spawn a render service on `host` and subscribe it to `interest`, its
+/// replica (and the reference's copy) a fresh tree that adopts the
+/// master's parcel as it now stands.
 fn join(
     sim: &mut RaveSim,
     ds: DataServiceId,
@@ -665,16 +668,11 @@ fn join(
     replicas: &mut BTreeMap<RenderServiceId, SceneTree>,
     host: &str,
     interest: InterestSet,
-    live: bool,
 ) -> RenderServiceId {
     let rs = sim.world.spawn_render_service(host);
     let data = sim.world.data_mut(ds);
-    model.subscribed(rs, host, interest.clone(), live);
-    if live {
-        data.subscribe_live(rs, interest.clone());
-    } else {
-        data.begin_bootstrap(rs, interest.clone());
-    }
+    model.subscribed(rs, host, interest.clone());
+    data.subscribe_live(rs, interest.clone());
     let mut replica = SceneTree::new();
     replica.adopt_parcel(&snapshot_parcel(&data.scene, &interest));
     let service = sim.world.render_mut(rs);
@@ -685,21 +683,24 @@ fn join(
 }
 
 /// Spawn a render service on `host` and connect it to `interest` through
-/// the bootstrap: the reference holds the parcel's tree until the snapshot
-/// lands ([`Reference::land`]).
+/// the bootstrap: subscribed at once, its replica (and the reference's) a
+/// fresh tree until the parcel, cut from the master as it now stands,
+/// lands.
 fn connect(
     sim: &mut RaveSim,
     ds: DataServiceId,
     model: &mut Reference,
+    replicas: &mut BTreeMap<RenderServiceId, SceneTree>,
     host: &str,
     interest: InterestSet,
-) {
+) -> RenderServiceId {
     let rs = sim.world.spawn_render_service(host);
-    let mut replica = SceneTree::new();
-    replica.adopt_parcel(&snapshot_parcel(&sim.world.data(ds).scene, &interest));
-    model.subscribed(rs, host, interest.clone(), false);
+    let parcel = snapshot_parcel(&sim.world.data(ds).scene, &interest);
+    model.subscribed(rs, host, interest.clone());
+    replicas.insert(rs, SceneTree::new());
     let landing = connect_render_service(sim, rs, ds, interest);
-    model.in_flight.insert(rs, (landing.ready_at, replica));
+    model.parcel(ds, rs, landing.ready_at, parcel, None);
+    rs
 }
 
 /// Place `node`, which no subscriber lists, on `to` as a new interest root:
@@ -728,20 +729,86 @@ fn place(
     Ok(())
 }
 
+/// Move `node`, which no subscriber lists, onto `to` through a migration
+/// with no donor: the data service lists it at once, and its parcel, cut
+/// from the master now, is on the wire. The reference books the parcel's
+/// landing on `to`'s stream at the instant a copy of the channel it is
+/// sent on gives for the move's charge: its bytes, a header at least (the
+/// receiver caches nothing: no move here has a donor).
+fn place_in_flight(
+    sim: &mut RaveSim,
+    ds: DataServiceId,
+    model: &mut Reference,
+    node: NodeId,
+    to: RenderServiceId,
+) -> TestCaseResult {
+    let scene = &sim.world.data(ds).scene;
+    let (parcel, cost) = (scene.extract_parcel(&[node]), scene.subtree_cost(node));
+    let channel = sim.world.channel(&model.ds_host, &model.host_of[&to]);
+    let arrival = channel.clone().send(sim.now(), cost.data_bytes.max(HEADER_BYTES));
+    MoveBatch::new(ds).move_node(sim, node, None, to, &cost);
+    let interest = model.interests.get_mut(&to).expect("subscribed");
+    interest.add_root(node);
+    prop_assert_eq!(
+        &sim.world.data(ds).subscribers()[&to],
+        &*interest,
+        "{} listed on {}",
+        node,
+        to
+    );
+    model.parcel(ds, to, arrival, parcel, Some(node));
+    Ok(())
+}
+
 /// What one generated case leaves behind at quiescence.
 struct Run {
     sim: RaveSim,
     ds: DataServiceId,
     model: Reference,
-    /// The reference's replicas, as bootstrapped: `Reference::rows`
-    /// applies its schedule to them.
+    /// The reference's replicas, as seeded or spawned: `Reference::rows`
+    /// lands its schedule on them.
     replicas: BTreeMap<RenderServiceId, SceneTree>,
-    /// Subscribers live since their snapshot and never unsubscribed, whose
-    /// replicas were sent everything they were owed.
+    /// Subscribers never unsubscribed, whose replicas were sent everything
+    /// they were owed.
     in_step: BTreeSet<RenderServiceId>,
     /// Distinct arrival instants the reference computed, summed over the
-    /// batches published, and one landing per bootstrap.
+    /// batches published, and one landing per parcel sent.
     instants: u64,
+}
+
+/// Publish `updates`, of which the master commits the first `commits`,
+/// as one batch on the simulator and in the reference. Returns the
+/// distinct instants its deliveries land at: one event each.
+fn publish(
+    sim: &mut RaveSim,
+    ds: DataServiceId,
+    model: &mut Reference,
+    updates: Vec<SceneUpdate>,
+    commits: usize,
+) -> Result<u64, TestCaseError> {
+    let fails = commits < updates.len();
+    let before = sim.world.data(ds).audit.last_seq();
+    let batch = updates.into_iter().map(|u| ("editor".to_string(), u)).collect();
+    let (queued, booked) = (sim.pending(), model.deliveries.len());
+    let replay = sim.world.data(ds).scene.clone();
+    let result = publish_batch(sim, ds, batch);
+    let trail = sim.world.data(ds).audit.entries();
+    let batch = &trail[trail.partition_point(|e| e.stamped.seq <= before)..];
+    let committed: Vec<StampedUpdate> = batch.iter().map(|e| e.stamped.clone()).collect();
+    // The committed prefix of a failed batch is in the trail (and fanned
+    // out below); the rest is dropped.
+    prop_assert_eq!(committed.len(), commits);
+    prop_assert_eq!(result.is_err(), fails);
+    if let Ok(seqs) = &result {
+        let stamped: Vec<u64> = committed.iter().map(|s| s.seq).collect();
+        prop_assert_eq!(seqs, &stamped);
+    }
+    model.publish(sim, ds, replay, &committed);
+    // One event per distinct instant the batch lands at, however many
+    // subscribers it reaches.
+    let landed: BTreeSet<SimTime> = model.deliveries[booked..].iter().map(|d| d.at).collect();
+    prop_assert_eq!(sim.pending() - queued, landed.len());
+    Ok(landed.len() as u64)
 }
 
 /// Build the world and the reference of one case, interpret its steps on
@@ -780,19 +847,18 @@ fn run_case(
         (nodes, held)
     };
 
-    // The drawn population, then the fixed cases: two live subscribers of
-    // `held` alone (neither holds a presence node, so a root with one placed
-    // on one of them and a camera recast in the other's both change what
-    // they hold), a subscriber on the data service's own host, one on a host
-    // that is not on the network, and a subscribed id with no service
-    // behind it.
-    let everything = |host: &str| (host.to_string(), None, true);
-    let mut population: Vec<(String, Option<Vec<usize>>, bool)> = population
+    // The drawn population, then the fixed cases: two subscribers of `held`
+    // alone (neither holds a presence node, so a root with one placed on one
+    // of them and a camera recast in the other's both change what they
+    // hold), a subscriber on the data service's own host, one on a host that
+    // is not on the network, and a subscribed id with no service behind it.
+    let everything = |host: &str| (host.to_string(), None);
+    let mut population: Vec<(String, Option<Vec<usize>>)> = population
         .iter()
-        .map(|s| (hosts[s.host_pick % hosts.len()].clone(), s.interest.clone(), s.live))
+        .map(|s| (hosts[s.host_pick % hosts.len()].clone(), s.interest.clone()))
         .collect();
-    population.push((hosts[hosts.len() - 1].clone(), Some(vec![held]), true));
-    population.push((hosts[0].clone(), Some(vec![held]), true));
+    population.push((hosts[hosts.len() - 1].clone(), Some(vec![held])));
+    population.push((hosts[0].clone(), Some(vec![held])));
     population.push(everything(&ds_host));
     population.push(everything(OFF_NET_HOST));
     population.push(everything(&hosts[hosts.len() - 1]));
@@ -800,15 +866,12 @@ fn run_case(
     let mut model = Reference {
         ds_host: ds_host.clone(),
         host_of: BTreeMap::new(),
-        live: BTreeMap::new(),
+        subscribed: BTreeSet::new(),
         high_water: BTreeMap::new(),
         totals: FanoutTotals::default(),
-        log: Vec::new(),
-        since: BTreeMap::new(),
         deliveries: Vec::new(),
         subset_roots: BTreeMap::new(),
         interests: BTreeMap::new(),
-        in_flight: BTreeMap::new(),
         applied: Vec::new(),
     };
     let interest_in = |nodes: &[NodeId], picks: &Option<Vec<usize>>| match picks {
@@ -816,22 +879,22 @@ fn run_case(
         Some(picks) => InterestSet::subtrees(picks.iter().map(|&p| nodes[p % nodes.len()])),
     };
     let mut replicas: BTreeMap<RenderServiceId, SceneTree> = BTreeMap::new();
-    for (host, picks, live) in &population {
+    for (host, picks) in &population {
         let interest = interest_in(&seed_nodes, picks);
-        join(&mut sim, ds, &mut model, &mut replicas, host, interest, *live);
+        join(&mut sim, ds, &mut model, &mut replicas, host, interest);
     }
     sim.world.data_mut(ds).subscribe_live(NO_SUCH_SERVICE, InterestSet::everything());
-    model.live.insert(NO_SUCH_SERVICE, true);
+    model.subscribed.insert(NO_SUCH_SERVICE);
     model.interests.insert(NO_SUCH_SERVICE, InterestSet::everything());
-    let mut subscribers: Vec<RenderServiceId> = model.live.keys().copied().collect();
-    // Live replicas the updates can reach: not the one off the network,
-    // nor the subscription no service stands behind.
+    let mut subscribers: Vec<RenderServiceId> = model.subscribed.iter().copied().collect();
+    // Replicas the updates can reach: not the one off the network, nor the
+    // subscription no service stands behind.
     let reachable = |host: &String| sim.world.network.segment_of(host).is_some();
     let mut in_step: BTreeSet<RenderServiceId> = model
-        .live
+        .subscribed
         .iter()
-        .filter(|&(rs, &live)| live && model.host_of.get(rs).is_some_and(reachable))
-        .map(|(rs, _)| *rs)
+        .filter(|rs| model.host_of.get(rs).is_some_and(reachable))
+        .copied()
         .collect();
 
     // Every run has structural edits (an add under a group a subset
@@ -859,7 +922,7 @@ fn run_case(
             root_rename(100),
             Step::Resubscribe { pick: far },
             root_rename(0),
-            Step::Place { pick: 0, to_pick: 0, presence: true },
+            Step::Place { pick: 0, to_pick: 0, presence: true, drain: true },
             Step::Batch(vec![
                 Op::Presence { pick: 0, camera: true },
                 Op::Recast { pick: 0 },
@@ -875,12 +938,14 @@ fn run_case(
             ]),
             // The root, renamed above, is moved and takes a mesh too; then
             // a full and a subset replica join, and while their snapshots
-            // are in flight nodes are added under the root and under a
-            // chain, chains take meshes and a collaborator joins under the
-            // root.
+            // are in flight a node is moved onto a subscriber and edited
+            // while its parcel is on the wire, nodes are added under the
+            // root and under a chain, chains take meshes and a collaborator
+            // joins under the root.
             Step::Batch(vec![Op::Root { pick: 5, edit: 1 }, Op::Root { pick: 5, edit: 2 }]),
             Step::Bootstrap { host_pick: 0, interest: None },
             Step::Bootstrap { host_pick: 1, interest: Some(vec![1]) },
+            Step::Place { pick: 1, to_pick: 1, presence: false, drain: false },
             Step::Batch(vec![
                 Op::Chain { pick: 0, under_chain: false },
                 Op::Chain { pick: 1, under_chain: true },
@@ -898,35 +963,10 @@ fn run_case(
 
     let mut instants = 0;
     for step in &steps {
-        model.land(sim.now(), &mut replicas, &mut subscribers, &mut in_step);
         match step {
             Step::Batch(ops) => {
                 let (updates, commits) = plan_batch(&mut sim, ds, ops);
-                let fails = commits < updates.len();
-                let before = sim.world.data(ds).audit.last_seq();
-                let batch = updates.into_iter().map(|u| ("editor".to_string(), u)).collect();
-                let (queued, booked) = (sim.pending(), model.deliveries.len());
-                let replay = sim.world.data(ds).scene.clone();
-                let result = publish_batch(&mut sim, ds, batch);
-                let trail = sim.world.data(ds).audit.entries();
-                let batch = &trail[trail.partition_point(|e| e.stamped.seq <= before)..];
-                let committed: Vec<StampedUpdate> =
-                    batch.iter().map(|e| e.stamped.clone()).collect();
-                // The committed prefix of a failed batch is in the
-                // trail (and fanned out below); the rest is dropped.
-                prop_assert_eq!(committed.len(), commits);
-                prop_assert_eq!(result.is_err(), fails);
-                if let Ok(seqs) = &result {
-                    let stamped: Vec<u64> = committed.iter().map(|s| s.seq).collect();
-                    prop_assert_eq!(seqs, &stamped);
-                }
-                model.publish(&sim, ds, replay, &committed);
-                // One event per distinct instant the batch lands at, however
-                // many subscribers it reaches.
-                let landed: BTreeSet<SimTime> =
-                    model.deliveries[booked..].iter().map(|d| d.at).collect();
-                prop_assert_eq!(sim.pending() - queued, landed.len());
-                instants += landed.len() as u64;
+                instants += publish(&mut sim, ds, &mut model, updates, commits)?;
             }
             Step::Advance { micros } => {
                 let until = sim.now() + SimTime::from_micros(*micros as f64);
@@ -934,10 +974,9 @@ fn run_case(
             }
             Step::Unsubscribe { pick } => {
                 let rs = subscribers[pick % subscribers.len()];
-                let was = model.live.remove(&rs).is_some();
+                let was = model.subscribed.remove(&rs);
                 in_step.remove(&rs);
                 prop_assert_eq!(sim.world.data_mut(ds).unsubscribe(rs), was);
-                model.since.remove(&rs);
             }
             Step::Resubscribe { pick } => {
                 let rs = subscribers[pick % subscribers.len()];
@@ -945,57 +984,40 @@ fn run_case(
                 data.unsubscribe(rs);
                 data.subscribe_live(rs, model.interests[&rs].clone());
                 in_step.remove(&rs);
-                model.live.insert(rs, true);
-                model.since.remove(&rs);
-            }
-            Step::FinishBootstrap { pick } => {
-                let waiting: Vec<RenderServiceId> = model
-                    .live
-                    .iter()
-                    .filter(|(rs, live)| !**live && !model.in_flight.contains_key(rs))
-                    .map(|(rs, _)| *rs)
-                    .collect();
-                if waiting.is_empty() {
-                    continue;
-                }
-                let rs = waiting[pick % waiting.len()];
-                let missed: Vec<u64> = sim
-                    .world
-                    .data_mut(ds)
-                    .complete_bootstrap(rs)
-                    .iter()
-                    .map(|e| e.stamped.seq)
-                    .collect();
-                let since = model.since.remove(&rs).expect("a waiting subscriber has a mark");
-                let past: Vec<u64> =
-                    model.log.iter().map(|s| s.seq).filter(|&seq| seq > since).collect();
-                prop_assert_eq!(missed, past);
-                model.live.insert(rs, true);
+                model.subscribed.insert(rs);
             }
             Step::Bootstrap { host_pick, interest } => {
                 let host = hosts[host_pick % hosts.len()].clone();
                 let scene = &sim.world.data(ds).scene;
                 let interest = interest_in(&scene.descendants(scene.root()), interest);
-                connect(&mut sim, ds, &mut model, &host, interest);
+                let rs = connect(&mut sim, ds, &mut model, &mut replicas, &host, interest);
+                subscribers.push(rs);
+                in_step.insert(rs);
                 instants += 1;
             }
-            Step::Place { pick, to_pick, presence } => {
-                sim.run();
-                model.land(sim.now(), &mut replicas, &mut subscribers, &mut in_step);
-                model.apply_booked(&mut replicas);
+            Step::Place { pick, to_pick, presence, drain } => {
+                if *drain {
+                    sim.run();
+                    model.apply_booked(&mut replicas);
+                }
                 let data = sim.world.data(ds);
                 let listed: BTreeSet<NodeId> =
-                    data.subscribers().values().flat_map(|s| s.interest.roots()).collect();
+                    data.subscribers().values().flat_map(|i| i.roots()).collect();
                 let scene = &data.scene;
                 let nodes = scene.descendants(scene.root()).into_iter().skip(1);
                 let free: Vec<NodeId> = nodes
                     .filter(|n| !listed.contains(n) && (!presence || presence_under(scene, *n)))
                     .collect();
-                let served = |rs: &&RenderServiceId| **rs != NO_SUCH_SERVICE;
+                // A migration's parcel needs a channel: a host on the network.
+                let net = &sim.world.network;
+                let served = |rs: &&RenderServiceId| {
+                    **rs != NO_SUCH_SERVICE
+                        && (*drain || net.segment_of(&model.host_of[*rs]).is_some())
+                };
                 let subsets: Vec<RenderServiceId> = data
                     .subscribers()
                     .iter()
-                    .filter(|(rs, sub)| served(rs) && !sub.interest.is_everything())
+                    .filter(|(rs, interest)| served(rs) && !interest.is_everything())
                     .map(|(rs, _)| *rs)
                     .collect();
                 let all: Vec<RenderServiceId> =
@@ -1006,13 +1028,24 @@ fn run_case(
                 else {
                     continue;
                 };
-                place(&mut sim, ds, &mut model, &mut replicas, node, to)?;
+                if *drain {
+                    place(&mut sim, ds, &mut model, &mut replicas, node, to)?;
+                    check_closures(&sim, ds)?;
+                    continue;
+                }
+                let leaf = *sim.world.data(ds).scene.descendants(node).last().expect("`node`");
+                place_in_flight(&mut sim, ds, &mut model, node, to)?;
+                instants += 1;
+                let edits = vec![
+                    SceneUpdate::SetName { id: leaf, name: "in flight".into() },
+                    SceneUpdate::ReplaceKind { id: node, kind: mesh(7) },
+                ];
+                instants += publish(&mut sim, ds, &mut model, edits, 2)?;
             }
         }
         check_closures(&sim, ds)?;
     }
     sim.run();
-    model.land(sim.now(), &mut replicas, &mut subscribers, &mut in_step);
     check_closures(&sim, ds)?;
     Ok(Run { sim, ds, model, replicas, in_step, instants })
 }
@@ -1027,20 +1060,20 @@ fn run_case(
 fn check_closures(sim: &RaveSim, ds: DataServiceId) -> TestCaseResult {
     let data = sim.world.data(ds);
     let master = &data.scene;
-    for (rs, sub) in data.subscribers().iter().filter(|(_, s)| !s.interest.is_everything()) {
+    for (rs, interest) in data.subscribers().iter().filter(|(_, i)| !i.is_everything()) {
         let Some(service) = sim.world.render_services.get(rs) else { continue };
         let replica = &service.scene;
         let gone = |id: NodeId| !master.contains(id);
         let orients_gone_root = |id: NodeId| {
             replica
                 .descendants_iter(id)
-                .any(|n| gone(n.id()) && sub.interest.roots().any(|r| r == n.id()))
+                .any(|n| gone(n.id()) && interest.roots().any(|r| r == n.id()))
         };
         for n in replica.iter_nodes().filter(|n| n.id() != replica.root()) {
             let id = n.id();
-            let inside = sub.interest.contains(id, master) || gone(id) || orients_gone_root(id);
+            let inside = interest.contains(id, master) || gone(id) || orients_gone_root(id);
             prop_assert!(inside, "{} holds {} outside its interest closure", rs, id);
-            let content = sub.interest.holds_content(id, replica);
+            let content = interest.holds_content(id, replica);
             prop_assert!(
                 content || n.kind_tag() == KindTag::Group,
                 "{} holds {} above its roots as a {:?}",
@@ -1071,8 +1104,7 @@ fn held_nodes(tree: &SceneTree, roots: Option<&[NodeId]>) -> BTreeMap<NodeId, Op
     ids.into_iter().map(|id| (id, parent(id))).collect()
 }
 
-/// Totals, bootstrap marks and every spawned replica equal the
-/// reference's (after [`Reference::rows`] has applied its schedule). And,
+/// Totals and every spawned replica equal the reference's (after [`Reference::rows`] has applied its schedule). And,
 /// whatever the routing rule, each full replica in step holds the master's
 /// nodes as the master holds them; and each subset replica in step holds
 /// exactly the master's interest closure — the subtrees of its roots and
@@ -1087,13 +1119,6 @@ fn check_quiescent(run: Run) -> TestCaseResult {
     let Run { sim, ds, model, replicas, in_step, .. } = run;
     prop_assert_eq!(sim.world.data(ds).fanout, model.totals);
     prop_assert!(model.totals.skipped_receivers >= 2, "the two fixed skips were exercised");
-    for (rs, sub) in sim.world.data(ds).subscribers() {
-        let since = match sub.state {
-            SubState::Bootstrapping { since } => Some(since),
-            SubState::Live => None,
-        };
-        prop_assert_eq!(since, model.since.get(rs).copied(), "{}", rs);
-    }
     for (rs, replica) in &replicas {
         prop_assert!(&sim.world.render(*rs).scene == replica, "replica of {} differs", rs);
     }
@@ -1102,17 +1127,17 @@ fn check_quiescent(run: Run) -> TestCaseResult {
         let (name, kind) = (n.name().to_string(), n.kind().clone());
         (n.id(), name, n.transform(), kind, n.version(), n.parent())
     };
-    for (rs, sub) in sim.world.data(ds).subscribers() {
+    for (rs, interest) in sim.world.data(ds).subscribers() {
         if !in_step.contains(rs) {
             continue;
         }
         let replica = &sim.world.render(*rs).scene;
-        if sub.interest.is_everything() {
+        if interest.is_everything() {
             let same = master.iter_nodes().map(state).eq(replica.iter_nodes().map(state));
             prop_assert!(same, "the full replica of {} is not the master", rs);
             continue;
         }
-        let roots: Vec<NodeId> = sub.interest.roots().collect();
+        let roots: Vec<NodeId> = interest.roots().collect();
         let closure = held_nodes(master, Some(&roots));
         let held = held_nodes(replica, None);
         for (id, parent) in &closure {
@@ -1168,9 +1193,8 @@ proptest! {
 
     /// The same cases with `update_delivery_trace` off, as every scale run
     /// has it: no rows to compare, so the schedule is held through what it
-    /// leaves behind — every replica at quiescence, the totals, the
-    /// bootstrap marks — and the event count is held to the reference's
-    /// arrival instants.
+    /// leaves behind — every replica at quiescence, the totals — and the
+    /// event count is held to the reference's arrival instants.
     #[test]
     fn untraced_fan_out_is_one_event_per_arrival_instant(
         topology in topology_strategy(),

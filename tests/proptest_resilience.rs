@@ -97,7 +97,7 @@ proptest! {
                 let holders = ds_ref
                     .subscribers()
                     .values()
-                    .filter(|sub| sub.interest.roots().any(|r| r == node))
+                    .filter(|interest| interest.roots().any(|r| r == node))
                     .count();
                 prop_assert_eq!(holders, 1, "node {} held once", node);
             }

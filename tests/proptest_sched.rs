@@ -138,7 +138,7 @@ proptest! {
                 let holders = ds_ref
                     .subscribers()
                     .values()
-                    .filter(|sub| sub.interest.roots().any(|r| r == node))
+                    .filter(|interest| interest.roots().any(|r| r == node))
                     .count();
                 prop_assert_eq!(holders, 1, "node {} held once after {:?}", node, event);
             }
@@ -281,7 +281,7 @@ proptest! {
                     .data(ds)
                     .subscribers()
                     .iter()
-                    .filter(|(_, sub)| sub.interest.roots().any(|r| r == node))
+                    .filter(|(_, interest)| interest.roots().any(|r| r == node))
                     .map(|(rs, _)| *rs)
                     .collect();
                 prop_assert_eq!(holders.len(), 1, "node {} held by {:?}", node, &holders);
@@ -748,9 +748,9 @@ impl ReleaseStorm {
     fn replan(&mut self, events: &[SchedEvent]) -> Result<(), TestCaseError> {
         let (sim, ds) = (&mut self.sim, self.ds);
         if self.full_charges {
-            for (rs, sub) in sim.world.data(ds).subscribers().clone() {
+            for (rs, interest) in sim.world.data(ds).subscribers().clone() {
                 sim.world.data_mut(ds).unsubscribe(rs);
-                sim.world.data_mut(ds).subscribe_live(rs, sub.interest);
+                sim.world.data_mut(ds).subscribe_live(rs, interest);
             }
             self.oracle.released.clear();
         }
@@ -762,7 +762,7 @@ impl ReleaseStorm {
             .collect();
         let listed: BTreeMap<NodeId, RenderServiceId> = subscribers
             .iter()
-            .flat_map(|(&rs, sub)| sub.interest.roots().map(move |node| (node, rs)))
+            .flat_map(|(&rs, interest)| interest.roots().map(move |node| (node, rs)))
             .collect();
         let ds_host = sim.world.data(ds).host.clone();
         let hosts: BTreeSet<String> =
