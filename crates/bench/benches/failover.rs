@@ -48,8 +48,7 @@ fn session_world(max_lag: u64, pdir: &Path) -> (RaveSim, DataServiceId, RenderSe
     let primary = sim.world.spawn_data_service("adrenochrome", "sess");
     let rs = sim.world.spawn_render_service("laptop");
     sim.world.data_mut(primary).subscribe_live(rs, InterestSet::everything());
-    let store_cfg =
-        StoreConfig { segment_max_bytes: 4096, checkpoint_every: u64::MAX / 2, sync_writes: false };
+    let store_cfg = StoreConfig { segment_max_bytes: 4096, checkpoint_every: u64::MAX / 2 };
     sim.world.data_mut(primary).attach_store(pdir, store_cfg).unwrap();
     (sim, primary, rs)
 }

@@ -54,7 +54,7 @@ fn session(n: u64) -> (SceneTree, Vec<AuditEntry>) {
 fn wal_write(dir: &PathBuf, entries: &[AuditEntry]) {
     let _ = std::fs::remove_dir_all(dir);
     std::fs::create_dir_all(dir).unwrap();
-    let (mut wal, _) = Wal::open(dir, 8 << 20, false).unwrap();
+    let (mut wal, _) = Wal::open(dir, 8 << 20).unwrap();
     for e in entries {
         wal.append(e).unwrap();
     }

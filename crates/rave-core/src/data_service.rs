@@ -10,7 +10,7 @@ use rave_scene::{
     StampedUpdate, SubSlot, UpdateError,
 };
 use rave_sim::SimTime;
-use rave_store::{CompactionReport, Recovery, Store, StoreConfig};
+use rave_store::{CompactionReport, FramedTail, Recovery, Store, StoreConfig};
 use std::collections::BTreeMap;
 use std::io;
 use std::path::Path;
@@ -183,6 +183,13 @@ impl DataService {
     /// Flush the attached store (if any) to stable storage.
     pub fn sync_persistence(&mut self) -> io::Result<()> {
         self.store.0.as_mut().map_or(Ok(()), Store::sync)
+    }
+
+    /// The records the store's WAL framed since the last call, for the
+    /// log shipper (see [`Store::take_framed`]); `None` without a store or
+    /// a standby.
+    pub fn take_framed_log(&mut self) -> Option<FramedTail> {
+        self.store.0.as_mut().and_then(Store::take_framed)
     }
 
     /// Keep the store's compaction behind a log-shipping standby (see
@@ -813,8 +820,16 @@ mod tests {
         let _ = std::fs::remove_dir_all(&dir);
         let mut ds = DataService::new(DataServiceId(1), "h", "s");
         ds.attach_store(&dir, StoreConfig { checkpoint_every: 2, ..Default::default() }).unwrap();
-        let bytes = || -> u64 {
-            std::fs::read_dir(&dir).unwrap().map(|f| f.unwrap().metadata().unwrap().len()).sum()
+        // Every file's name and bytes: a record written over the segment's
+        // fill leaves its size as it was.
+        let bytes = || -> Vec<(std::ffi::OsString, Vec<u8>)> {
+            let mut files: Vec<_> = std::fs::read_dir(&dir)
+                .unwrap()
+                .map(|f| f.unwrap().path())
+                .map(|p| (p.file_name().unwrap().to_owned(), std::fs::read(p).unwrap()))
+                .collect();
+            files.sort();
+            files
         };
         let before = bytes();
         let mut copy = ds.clone();
@@ -822,10 +837,10 @@ mod tests {
             let u = add_update(&mut copy, name);
             copy.commit(0.0, &u).unwrap();
         }
-        assert_eq!(bytes(), before, "the clone wrote to the store");
+        assert!(bytes() == before, "the clone wrote to the store");
         let u = add_update(&mut ds, "a");
         ds.commit(0.0, &u).unwrap();
-        assert!(bytes() > before, "the original still logs");
+        assert!(bytes() != before, "the original still logs");
         std::fs::remove_dir_all(&dir).unwrap();
     }
 

@@ -228,7 +228,7 @@ mod tests {
         let sent = |sim: &mut RaveSim| sim.world.channel(&hosts.0, &hosts.1).bytes_sent();
         let before = sent(sim);
         let cost = sim.world.data(ds).scene.subtree_cost(node);
-        MoveBatch::new(ds).move_node(sim, node, from, to, &cost);
+        MoveBatch::new(ds).move_node(sim, node, from, to, &cost).unwrap();
         if land {
             sim.run();
         }

@@ -4,7 +4,8 @@
 //!
 //! This is the one replication path. A [`ReplicaLink`] continuously
 //! streams the primary's WAL — sealed segments verbatim, plus the
-//! unsealed tail past the [`crate::RaveConfig::ship_max_lag`] bound — to
+//! unsealed tail past the [`crate::RaveConfig::ship_max_lag`] bound, the
+//! record bytes the primary's WAL framed and handed over — to
 //! a standby data service on another host, through the same serializing
 //! `rave_net` channels every other transfer uses. The standby applies
 //! each frame to its own on-disk log *and* its in-memory replica, so at
@@ -21,10 +22,9 @@
 use crate::ids::DataServiceId;
 use crate::trace::TraceEvent;
 use crate::world::RaveSim;
-use rave_scene::AuditEntry;
 use rave_sim::SimTime;
 use rave_store::ship::{ShipFrame, Shipper, StandbyLog, ACK_BYTES};
-use rave_store::Wal;
+use rave_store::{StoreConfig, Wal};
 use std::io;
 use std::path::Path;
 
@@ -41,8 +41,8 @@ const SHIP_ACK_WINDOW: usize = 4;
 pub struct ReplicaLink {
     pub primary: DataServiceId,
     pub standby: DataServiceId,
-    /// Plans frames from the primary's WAL directory; kept across ticks
-    /// so each one reads only what the log grew by.
+    /// Plans frames from what the primary's WAL hands over each tick, and
+    /// from its directory when that does not continue the cursor.
     pub shipper: Shipper,
     /// The standby's durable log (its directory is a prefix of the
     /// primary's, and becomes the promoted service's store).
@@ -62,9 +62,9 @@ pub struct ReplicaLink {
 }
 
 impl ReplicaLink {
-    /// Bytes of the primary's active segments the link's ticks have read.
-    pub fn tail_bytes_read(&self) -> u64 {
-        self.shipper.tail_bytes_read()
+    /// Bytes of the primary's segment files the link's ticks have read.
+    pub fn file_bytes_read(&self) -> u64 {
+        self.shipper.file_bytes_read()
     }
 }
 
@@ -97,7 +97,9 @@ pub struct PromotionReport {
 /// own directory already holds — a restarted standby does NOT re-ship
 /// history it kept — and the link starts shipping from that cursor on
 /// the next [`ship_tick`]. From here on the primary's checkpoints keep
-/// every WAL segment the standby has not acknowledged.
+/// every WAL segment the standby has not acknowledged, and its WAL keeps
+/// what it frames for the next tick. The standby's segments are filled to
+/// the primary's segment size.
 pub fn establish_standby(
     sim: &mut RaveSim,
     primary: DataServiceId,
@@ -105,7 +107,11 @@ pub fn establish_standby(
     primary_dir: impl AsRef<Path>,
     standby_dir: impl AsRef<Path>,
 ) -> io::Result<u64> {
-    let log = StandbyLog::open(standby_dir.as_ref())?;
+    let segment_bytes = sim.world.data(primary).store().map_or_else(
+        || StoreConfig::default().segment_max_bytes,
+        |store| store.config().segment_max_bytes,
+    );
+    let log = StandbyLog::open(standby_dir.as_ref(), segment_bytes)?;
     let resumed_from = log.last_seq();
     // Seed the standby's in-memory replica from its durable prefix, so
     // memory and disk advance together from one consistent point.
@@ -156,8 +162,13 @@ pub fn ship_tick(sim: &mut RaveSim, primary: DataServiceId) -> io::Result<usize>
     let standby = link.standby;
     // The primary must flush its WAL before frames leave the host: a
     // frame must never describe bytes the OS still holds in a buffer.
-    sim.world.data_mut(primary).sync_persistence()?;
+    let ds = sim.world.data_mut(primary);
+    ds.sync_persistence()?;
+    let framed = ds.take_framed_log();
     let link = sim.world.replicas.get_mut(&primary).expect("link checked above");
+    if let Some(framed) = framed {
+        link.shipper.feed(framed);
+    }
     let frames = link.shipper.plan(link.shipped_seq, link.resend, max_lag, window)?;
     if frames.is_empty() {
         return Ok(0);
@@ -182,10 +193,9 @@ pub fn ship_tick(sim: &mut RaveSim, primary: DataServiceId) -> io::Result<usize>
                 let (segment, len) = (*index, file.len());
                 TraceEvent::ShippedSegment { primary, standby, segment, len, bytes }
             }
-            ShipFrame::Tail { index, entries, .. } => {
-                let seq = |e: Option<&AuditEntry>| e.map_or(0, |e| e.stamped.seq);
-                let (segment, first, last) = (*index, seq(entries.first()), seq(entries.last()));
-                let entries = entries.len();
+            ShipFrame::Tail { index, first_seq, last_seq, count, .. } => {
+                let (segment, first, last) = (*index, *first_seq, *last_seq);
+                let entries = *count as usize;
                 TraceEvent::ShippedTail { primary, standby, segment, entries, first, last, bytes }
             }
         };
@@ -356,7 +366,6 @@ mod tests {
     use rave_scene::InterestSet;
     use rave_scene::{NodeKind, SceneUpdate};
     use rave_sim::Simulation;
-    use rave_store::StoreConfig;
     use std::path::PathBuf;
 
     fn tmp_dir(tag: &str) -> PathBuf {
@@ -389,11 +398,7 @@ mod tests {
     ) -> (RaveSim, DataServiceId, DataServiceId, RenderServiceId, PathBuf, PathBuf) {
         // Small segments force rotations; huge checkpoint interval keeps
         // the whole WAL around for shipping.
-        let store_cfg = StoreConfig {
-            segment_max_bytes: 512,
-            checkpoint_every: u64::MAX / 2,
-            sync_writes: false,
-        };
+        let store_cfg = StoreConfig { segment_max_bytes: 512, checkpoint_every: u64::MAX / 2 };
         warm_world_with(tag, max_lag, store_cfg)
     }
 
@@ -671,8 +676,7 @@ mod tests {
     /// own config, not a default one.
     #[test]
     fn failover_keeps_the_primary_store_config() {
-        let store_cfg =
-            StoreConfig { segment_max_bytes: 512, checkpoint_every: 8, sync_writes: false };
+        let store_cfg = StoreConfig { segment_max_bytes: 512, checkpoint_every: 8 };
         let (mut sim, primary, standby, _, pdir, sdir) = warm_world_with("cfg-warm", 0, store_cfg);
         for i in 0..10 {
             add(&mut sim, primary, &format!("n{i}"));
@@ -740,7 +744,7 @@ mod tests {
     }
 
     #[test]
-    fn ticks_read_only_what_the_log_grew_by() {
+    fn ticks_in_lockstep_read_no_file() {
         let (mut sim, primary, standby, _, pdir, sdir) = warm_world("cursor", 0);
         for i in 0..60 {
             add(&mut sim, primary, &format!("n{i}"));
@@ -750,12 +754,17 @@ mod tests {
             assert_eq!(sim.world.data(standby).audit.last_seq(), p_last);
         }
         let link = &sim.world.replicas[&primary];
-        let log_bytes = Wal::disk_bytes(&pdir).unwrap();
         assert!(list_rotations(&pdir) >= 3, "the 512-byte segments rotated");
-        // In lockstep no byte is read twice: appended bytes once, and the
-        // new active segment whole after each rotation.
-        assert!(link.tail_bytes_read() <= log_bytes, "{} > {log_bytes}", link.tail_bytes_read());
+        // In lockstep every tick ships what the primary's WAL handed over:
+        // no segment is read back, not even after a rotation.
+        assert_eq!(link.file_bytes_read(), 0);
         assert_eq!(link.log.reopens(), 0, "every standby segment was created, then kept open");
+        // Each standby segment is the primary's, byte for byte: sealed
+        // ones exactly their records, the active one over the same fill.
+        for (index, path) in rave_store::segment::list_segments(&pdir).unwrap() {
+            let copy = sdir.join(rave_store::segment::segment_file_name(index));
+            assert_eq!(std::fs::read(copy).unwrap(), std::fs::read(path).unwrap(), "{index}");
+        }
         let _ = std::fs::remove_dir_all(&pdir);
         let _ = std::fs::remove_dir_all(&sdir);
     }
@@ -821,8 +830,7 @@ mod tests {
 
     #[test]
     fn compaction_resumes_once_the_standby_has_caught_up() {
-        let store_cfg =
-            StoreConfig { segment_max_bytes: 512, checkpoint_every: 10, sync_writes: false };
+        let store_cfg = StoreConfig { segment_max_bytes: 512, checkpoint_every: 10 };
         let (mut sim, primary, _standby, _, pdir, sdir) =
             warm_world_with("resume-compact", 0, store_cfg);
         let oldest_kept = |dir: &Path| Wal::replay_after(dir, 0).unwrap()[0].stamped.seq;

@@ -320,13 +320,20 @@ fn handle_data_failure(sim: &mut RaveSim, dead: DataServiceId, outcome: &mut Mig
     outcome.refused = true;
 }
 
-/// One interrogation pass over the data service's subscribers, `skip`
-/// aside, as a receiving ledger: most spacious first, and kept in that
-/// order as it is debited.
+/// True when `rs`'s host is on the network: a service off it can be sent
+/// nothing, so no planner pass chooses it as a receiver (the publish path
+/// skips it too, `FanoutTotals::skipped_receivers`).
+fn on_network(sim: &RaveSim, rs: RenderServiceId) -> bool {
+    sim.world.network.host_id(&sim.world.render(rs).host).is_some()
+}
+
+/// One interrogation pass over the data service's subscribers on the
+/// network, `skip` aside, as a receiving ledger: most spacious first, and
+/// kept in that order as it is debited.
 fn interrogate(sim: &RaveSim, ds_id: DataServiceId, skip: &[RenderServiceId]) -> Ledger {
     let subscribers = sim.world.data(ds_id).subscriber_ids().into_iter();
     let reports: Vec<_> = subscribers
-        .filter(|rs| !skip.contains(rs))
+        .filter(|&rs| !skip.contains(&rs) && on_network(sim, rs))
         .map(|rs| sim.world.render(rs).capacity_report(&sim.world.config))
         .collect();
     Ledger::from_reports(&reports, false)
@@ -362,9 +369,9 @@ fn rehome(
         let (candidates, chosen) = (ledger.slot_states(), ledger.fit(&cost));
         let row = Box::new(DecisionRow { trigger, node, cost, chosen, candidates });
         sim.world.trace.record(sim.now(), TraceEvent::SchedDecision { row });
-        match chosen {
-            Some(to) => batch.moves.move_node(sim, node, Some(from), to, &cost),
-            None => unplaced.push((node, cost)),
+        let moved = chosen.map(|to| batch.moves.move_node(sim, node, Some(from), to, &cost));
+        if !matches!(moved, Some(Ok(()))) {
+            unplaced.push((node, cost));
         }
     }
     if unplaced.is_empty() {
@@ -380,9 +387,8 @@ fn rehome(
             let (chosen, candidates) = (lands.then_some(recruit), vec![(recruit, room.polygons)]);
             let row = Box::new(DecisionRow { trigger, node, cost, chosen, candidates });
             sim.world.trace.record(sim.now(), TraceEvent::SchedDecision { row });
-            if lands {
+            if lands && batch.moves.move_node(sim, node, Some(from), recruit, &cost).is_ok() {
                 room.debit(&cost);
-                batch.moves.move_node(sim, node, Some(from), recruit, &cost);
             } else {
                 refused.push((node, cost));
             }
@@ -429,7 +435,7 @@ fn handle_overload(
 /// rule).
 fn handle_underload(sim: &mut RaveSim, under_rs: RenderServiceId, batch: &mut Batch) {
     let now = sim.now();
-    if !sim.world.render_services.contains_key(&under_rs) {
+    if !sim.world.render_services.contains_key(&under_rs) || !on_network(sim, under_rs) {
         return;
     }
     // Donor: the most loaded subscriber outside the batch's under-loaded
@@ -468,8 +474,9 @@ fn handle_underload(sim: &mut RaveSim, under_rs: RenderServiceId, batch: &mut Ba
             let (chosen, candidates) = (Some(under_rs), vec![(under_rs, room.polygons)]);
             let row = DecisionRow { trigger: "Underload", node, cost, chosen, candidates };
             sim.world.trace.record(sim.now(), TraceEvent::SchedDecision { row: Box::new(row) });
-            room.polygons -= cost.polygons;
-            batch.moves.move_node(sim, node, Some(donor), under_rs, &cost);
+            if batch.moves.move_node(sim, node, Some(donor), under_rs, &cost).is_ok() {
+                room.polygons -= cost.polygons;
+            }
         }
     }
     sim.world.sched.underload_since.remove(&under_rs);
@@ -503,6 +510,14 @@ fn handle_failure(sim: &mut RaveSim, dead: RenderServiceId, batch: &mut Batch) {
     rehome(sim, dead, shards, &mut ledger, batch, "Failure", Overflow::Land);
 }
 
+/// Why [`MoveBatch::move_node`] moved nothing.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub enum MoveRefused {
+    /// The receiver's render service sits on a host the network does not
+    /// know, so no transfer can reach it.
+    OffNetwork { to: RenderServiceId, host: String },
+}
+
 /// The moves one batch (an event batch or a plan diff) makes against one
 /// data service, each costing what it moves: the data service's interest
 /// index is patched per move ([`DataService::move_interest_root`]), the
@@ -518,7 +533,8 @@ pub struct MoveBatch {
     ds_id: DataServiceId,
     /// The data service's host, resolved by the first transfer.
     ds_host: Option<HostId>,
-    /// Destination hosts, resolved once per service.
+    /// Destination hosts, resolved once per service, before its first
+    /// move changes anything.
     hosts: BTreeMap<RenderServiceId, HostId>,
     /// Each service's ledger bit and the texture memory it has left,
     /// resolved once per service: `None` for a service that is not
@@ -567,6 +583,9 @@ impl MoveBatch {
     /// keeps rendering it until the handoff (best effort); `to`'s updates
     /// land behind it. The listed holder caches what it releases, as far as
     /// its texture memory lets it.
+    ///
+    /// A receiver whose host is off the network can be sent nothing: the
+    /// move is refused before anything changes.
     pub fn move_node(
         &mut self,
         sim: &mut RaveSim,
@@ -574,7 +593,16 @@ impl MoveBatch {
         from: Option<RenderServiceId>,
         to: RenderServiceId,
         cost: &NodeCost,
-    ) {
+    ) -> Result<(), MoveRefused> {
+        let to_host = match self.hosts.get(&to) {
+            Some(&host) => host,
+            None => {
+                let host = &sim.world.render(to).host;
+                let id = sim.world.network.host_id(host);
+                let id = id.ok_or_else(|| MoveRefused::OffNetwork { to, host: host.clone() })?;
+                *self.hosts.entry(to).or_insert(id)
+            }
+        };
         let left = sim.world.data_mut(self.ds_id).move_interest_root(node, from, Some(to));
         let from = left.or(from);
         if self.ds_host.is_none() {
@@ -586,12 +614,7 @@ impl MoveBatch {
         let from_host = self.ds_host.expect("just resolved");
         let to_bit = self.bit(sim, to).map(|(bit, _)| bit);
         let from_bit = left.and_then(|left| self.bit(sim, left));
-        let world = &sim.world;
-        let to_host = *self
-            .hosts
-            .entry(to)
-            .or_insert_with(|| world.network.known_host(&world.render(to).host));
-        let ds = world.data(self.ds_id);
+        let ds = sim.world.data(self.ds_id);
         let parcel = ds.scene.extract_parcel(&[node]);
         let now = sim.now();
         let records = ds.scene.descendants_iter(node).map(|n| n.id());
@@ -628,6 +651,7 @@ impl MoveBatch {
             };
             sim.world.trace.record(at, row);
         });
+        Ok(())
     }
 
     /// A workload left the plan (removed from the scene or split away):
@@ -652,7 +676,7 @@ fn recruit_unconnected(sim: &mut RaveSim, ds_id: DataServiceId) -> Option<Render
         .iter()
         .filter(|(id, rs)| !connected.contains(id) && rs.offscreen_capable)
         .map(|(id, _)| *id)
-        .next()?;
+        .find(|&rs| on_network(sim, rs))?;
 
     // Charge the UDDI inquiry (warm scan on the kept-alive proxy).
     let results =
@@ -761,6 +785,7 @@ fn gross_basis(
         .data(ds_id)
         .subscriber_ids()
         .into_iter()
+        .filter(|&rs_id| on_network(sim, rs_id))
         .map(|rs_id| {
             let rs = sim.world.render(rs_id);
             let mut fillable = (rs.poly_budget(cfg.target_fps) as f64 * cfg.fill_factor) as u64;
@@ -821,7 +846,9 @@ fn apply_plan_diff(
     for &(node, old, to) in &diff.moved {
         let scene = &sim.world.data(ds_id).scene;
         let cost = scene.node(node).map(|n| n.own_cost()).unwrap_or(NodeCost::ZERO);
-        moves.move_node(sim, node, old, to, &cost);
+        // The basis lists no service off the network, so the diff moves
+        // nothing to one and no move is refused.
+        let _ = moves.move_node(sim, node, old, to, &cost);
     }
     for &(node, from) in &diff.dropped {
         moves.uninstall_node(sim, node, from);
@@ -923,6 +950,33 @@ mod tests {
             assert!(seen.insert(*node), "node {node} moved twice in one batch");
         }
         let _ = fast;
+    }
+
+    /// A subscriber whose host is off the network is sent nothing, so no
+    /// pass chooses it as a receiver, and a move to it is refused before
+    /// the data service's interest table changes.
+    #[test]
+    fn a_receiver_off_the_network_is_never_chosen_and_a_move_to_it_is_refused() {
+        let (mut sim, ds, slow, fast) = overload_world();
+        sim.world.data_mut(ds).unsubscribe(fast);
+        let unplugged = sim.world.spawn_render_service("unplugged");
+        sim.world.data_mut(ds).subscribe_live(unplugged, InterestSet::subtrees([]));
+        let node = sim.world.data(ds).subscribers()[&slow].roots().next().unwrap();
+        let cost = sim.world.data(ds).scene.subtree_cost(node);
+        let (interests, rows) =
+            (sim.world.data(ds).subscribers().clone(), sim.world.trace.recorded());
+        let refused = MoveBatch::new(ds).move_node(&mut sim, node, Some(slow), unplugged, &cost);
+        let host = "unplugged".to_string();
+        assert_eq!(refused, Err(MoveRefused::OffNetwork { to: unplugged, host }));
+        assert!(sim.world.data(ds).subscribers() == &interests, "the move changed the table");
+        assert_eq!(sim.world.trace.recorded(), rows);
+
+        make_overloaded(&mut sim, slow);
+        let outcome = process_events(&mut sim, ds, &[SchedEvent::Overload { service: slow }]);
+        sim.run();
+        assert!(!outcome.moved.is_empty(), "the recruit on the network took the excess");
+        assert!(outcome.moved.iter().all(|&(_, _, to)| to == fast), "{outcome:?}");
+        assert_eq!(sim.world.data(ds).subscribers()[&unplugged].roots().count(), 0);
     }
 
     #[test]
@@ -1192,7 +1246,7 @@ mod tests {
         sim.run();
         assert!(sim.world.render(donor).scene.contains(group), "the chain orients `node`");
         let cost = sim.world.data(ds).scene.subtree_cost(node);
-        MoveBatch::new(ds).move_node(&mut sim, node, Some(donor), receiver, &cost);
+        MoveBatch::new(ds).move_node(&mut sim, node, Some(donor), receiver, &cost).unwrap();
         sim.run();
         let scene = &sim.world.render(donor).scene;
         assert_eq!(scene.descendants(scene.root()), [scene.root()]);
@@ -1228,7 +1282,7 @@ mod tests {
             let held = sim.world.render(receiver).scene.node(group).unwrap();
             assert_eq!(held.kind_tag(), rave_scene::KindTag::Group, "held to orient `leaf`");
             let cost = sim.world.data(ds).scene.subtree_cost(group);
-            MoveBatch::new(ds).move_node(&mut sim, group, None, receiver, &cost);
+            MoveBatch::new(ds).move_node(&mut sim, group, None, receiver, &cost).unwrap();
             sim.run();
             let master = sim.world.data(ds).scene.node(group).unwrap();
             let held = sim.world.render(receiver).scene.node(group).unwrap();
@@ -1256,7 +1310,7 @@ mod tests {
         crate::bootstrap::connect_render_service(&mut sim, receiver, ds, interest);
         sim.run();
         let cost = sim.world.data(ds).scene.subtree_cost(group);
-        MoveBatch::new(ds).move_node(&mut sim, group, None, receiver, &cost);
+        MoveBatch::new(ds).move_node(&mut sim, group, None, receiver, &cost).unwrap();
         sim.run_until(sim.now() + SimTime::from_secs(0.01));
         let update = SceneUpdate::ReplaceKind { id: group, kind: mesh(500) };
         crate::world::publish_update(&mut sim, ds, "user", update).unwrap();
@@ -1285,7 +1339,7 @@ mod tests {
         crate::bootstrap::connect_render_service(&mut sim, receiver, ds, nothing);
         sim.run();
         let cost = sim.world.data(ds).scene.subtree_cost(group);
-        MoveBatch::new(ds).move_node(&mut sim, group, None, receiver, &cost);
+        MoveBatch::new(ds).move_node(&mut sim, group, None, receiver, &cost).unwrap();
         sim.run_until(sim.now() + SimTime::from_secs(0.01));
         assert!(!sim.world.render(receiver).scene.contains(leaf), "the parcel is on the wire");
         let rename = SceneUpdate::SetName { id: leaf, name: "renamed in flight".into() };
@@ -1317,7 +1371,7 @@ mod tests {
         let rename = SceneUpdate::SetName { id: root, name: "r".repeat(100_000) };
         crate::world::publish_update(&mut sim, ds, "user", rename).unwrap();
         let cost = sim.world.data(ds).scene.subtree_cost(placed);
-        MoveBatch::new(ds).move_node(&mut sim, placed, None, receiver, &cost);
+        MoveBatch::new(ds).move_node(&mut sim, placed, None, receiver, &cost).unwrap();
         sim.run();
         let root_state = |scene: &SceneTree| {
             let r = scene.node(scene.root()).unwrap();
@@ -1359,7 +1413,7 @@ mod tests {
         }
         sim.run();
         let cost = sim.world.data(ds).scene.subtree_cost(node);
-        MoveBatch::new(ds).move_node(&mut sim, node, Some(donor), receiver, &cost);
+        MoveBatch::new(ds).move_node(&mut sim, node, Some(donor), receiver, &cost).unwrap();
         move_root(&mut sim, 7.0);
         let root_state = |scene: &SceneTree| {
             let r = scene.node(scene.root()).unwrap();

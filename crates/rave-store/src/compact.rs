@@ -109,7 +109,7 @@ mod tests {
     #[test]
     fn covered_segments_and_stale_snapshots_deleted() {
         let dir = tmp_dir("covered");
-        let (mut wal, _) = Wal::open(&dir, 200, false).unwrap();
+        let (mut wal, _) = Wal::open(&dir, 200).unwrap();
         for seq in 1..=40 {
             wal.append(&entry(seq)).unwrap();
         }
@@ -131,7 +131,7 @@ mod tests {
 
         // The log still appends and replays past the snapshot.
         drop(wal);
-        let (mut wal, report2) = Wal::open(&dir, 200, false).unwrap();
+        let (mut wal, report2) = Wal::open(&dir, 200).unwrap();
         wal.append(&entry(41)).unwrap();
         wal.sync().unwrap();
         assert!(report2.repaired_torn_tail.is_none());
@@ -143,7 +143,7 @@ mod tests {
     #[test]
     fn partial_coverage_keeps_uncovered_segments() {
         let dir = tmp_dir("partial");
-        let (mut wal, _) = Wal::open(&dir, 200, false).unwrap();
+        let (mut wal, _) = Wal::open(&dir, 200).unwrap();
         for seq in 1..=40 {
             wal.append(&entry(seq)).unwrap();
         }
@@ -165,7 +165,7 @@ mod tests {
     #[test]
     fn unacknowledged_segments_outlive_their_snapshot() {
         let dir = tmp_dir("retain");
-        let (mut wal, _) = Wal::open(&dir, 200, false).unwrap();
+        let (mut wal, _) = Wal::open(&dir, 200).unwrap();
         for seq in 1..=40 {
             wal.append(&entry(seq)).unwrap();
         }
@@ -192,7 +192,7 @@ mod tests {
     #[test]
     fn active_segment_never_deleted() {
         let dir = tmp_dir("active");
-        let (mut wal, _) = Wal::open(&dir, 1 << 20, false).unwrap();
+        let (mut wal, _) = Wal::open(&dir, 1 << 20).unwrap();
         for seq in 1..=5 {
             wal.append(&entry(seq)).unwrap();
         }
@@ -208,7 +208,7 @@ mod tests {
     fn a_new_base_takes_the_older_chain_and_a_delta_keeps_its_own() {
         use crate::snapshot::{encode_delta, write_delta};
         let dir = tmp_dir("chain");
-        let (mut wal, _) = Wal::open(&dir, 200, false).unwrap();
+        let (mut wal, _) = Wal::open(&dir, 200).unwrap();
         for seq in 1..=40 {
             wal.append(&entry(seq)).unwrap();
         }

@@ -5,7 +5,8 @@
 //! crate is that recording, made crash-tolerant:
 //!
 //! - a **segmented write-ahead log** ([`wal::Wal`]) of CRC-framed binary
-//!   audit entries ([`record`], [`segment`]), with torn-tail detection
+//!   audit entries ([`record`], [`segment`]), written in place over
+//!   segments zero-filled when they are created, with torn-tail detection
 //!   and repair on open;
 //! - **checkpoints** ([`snapshot`]): full snapshots of the scene tree,
 //!   and between them deltas of only the nodes its edit journal names,
@@ -16,8 +17,9 @@
 //! - **crash recovery** ([`recover()`]): latest snapshot + its deltas +
 //!   WAL tail, always landing on a clean update boundary;
 //! - **log shipping** ([`ship`]): continuous replication of sealed
-//!   segments (plus a bounded unsealed tail) to a warm standby whose
-//!   directory is always an exact prefix of the primary's log.
+//!   segments (plus a bounded unsealed tail, the record bytes the WAL
+//!   framed) to a warm standby whose directory is always an exact prefix
+//!   of the primary's log.
 //!
 //! The [`Store`] facade ties these together behind the append /
 //! checkpoint / recover API the data service drives.
@@ -35,7 +37,7 @@ pub use record::{crc32, TornTail};
 pub use recover::{recover, Recovery};
 pub use ship::{ShipAck, ShipApply, ShipFrame, Shipper, StandbyLog};
 pub use snapshot::{read_snapshot, write_snapshot, Snapshot};
-pub use wal::{Wal, WalOpenReport};
+pub use wal::{FramedTail, RecordMark, Wal, WalOpenReport};
 
 use rave_scene::{wire, AuditEntry, Dirt, EditClass, EditStamp, SceneTree};
 use std::fs::File;
@@ -65,17 +67,16 @@ pub(crate) fn install_file(dir: &Path, tmp_name: &str, name: &str, bytes: &[u8])
 /// Tunables for a [`Store`].
 #[derive(Debug, Clone, Copy)]
 pub struct StoreConfig {
-    /// Rotate the active WAL segment when it reaches this size.
+    /// Rotate the active WAL segment when it reaches this size; a new
+    /// segment is zero-filled to it.
     pub segment_max_bytes: u64,
     /// Declare a checkpoint due every N appended updates.
     pub checkpoint_every: u64,
-    /// fsync after every append (durability over throughput).
-    pub sync_writes: bool,
 }
 
 impl Default for StoreConfig {
     fn default() -> Self {
-        Self { segment_max_bytes: 1 << 20, checkpoint_every: 256, sync_writes: false }
+        Self { segment_max_bytes: 1 << 20, checkpoint_every: 256 }
     }
 }
 
@@ -133,7 +134,7 @@ impl Store {
     pub fn open(dir: impl Into<PathBuf>, cfg: StoreConfig) -> io::Result<Self> {
         let dir = dir.into();
         std::fs::create_dir_all(&dir)?;
-        let (wal, _report) = Wal::open(&dir, cfg.segment_max_bytes, cfg.sync_writes)?;
+        let (wal, _report) = Wal::open(&dir, cfg.segment_max_bytes)?;
         let newest = |files: Vec<(u64, PathBuf)>| files.last().map_or(0, |(seq, _)| *seq);
         let last_checkpoint_seq =
             newest(snapshot::list_snapshots(&dir)?).max(newest(snapshot::list_deltas(&dir)?));
@@ -177,9 +178,18 @@ impl Store {
     /// Tell compaction how far a log-shipping standby has acknowledged
     /// (`None`: no standby, a snapshot alone decides). Until the standby
     /// holds a sealed segment the primary's copy is the only one it can be
-    /// shipped from, so checkpoints keep it.
+    /// shipped from, so checkpoints keep it. While a standby is attached
+    /// the WAL keeps what it frames for [`Store::take_framed`].
     pub fn set_retention_floor(&mut self, acked_seq: Option<u64>) {
         self.retention_floor = acked_seq;
+        self.wal.keep_framed(acked_seq.is_some());
+    }
+
+    /// The records the WAL framed since the last take, for a
+    /// [`Shipper::feed`] (see [`Wal::take_framed`]); `None` without a
+    /// standby.
+    pub fn take_framed(&mut self) -> Option<FramedTail> {
+        self.wal.take_framed()
     }
 
     /// Write a checkpoint of `tree` covering everything appended so far,
@@ -299,8 +309,7 @@ mod tests {
         let dir = tmp_dir("lifecycle");
         let mut tree = SceneTree::new();
         {
-            let cfg =
-                StoreConfig { checkpoint_every: 10, segment_max_bytes: 512, ..Default::default() };
+            let cfg = StoreConfig { checkpoint_every: 10, segment_max_bytes: 512 };
             let mut store = Store::open(&dir, cfg).unwrap();
             for seq in 1..=35 {
                 drive(&mut store, &mut tree, seq);
@@ -318,8 +327,7 @@ mod tests {
     #[test]
     fn compaction_bounds_disk_usage() {
         let dir = tmp_dir("bounded");
-        let cfg =
-            StoreConfig { checkpoint_every: 20, segment_max_bytes: 1024, ..Default::default() };
+        let cfg = StoreConfig { checkpoint_every: 20, segment_max_bytes: 1024 };
         let mut store = Store::open(&dir, cfg).unwrap();
         let mut tree = SceneTree::new();
         // A long session of rename churn on a small scene: without

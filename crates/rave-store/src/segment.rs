@@ -4,23 +4,37 @@
 //! segment := magic "RAVEWAL\0" (8) | version: u32 LE
 //!          | index: u64 LE | base_seq: u64 LE      -- 28-byte header
 //!          | record*                                -- see [`crate::record`]
+//!          | 0*                                     -- the fill, active only
 //! ```
 //!
 //! `index` is the segment's position in the log (file names embed it too:
 //! `wal-00000042.seg`); `base_seq` is the sequence number of the first
 //! entry the segment may hold, which lets compaction decide coverage
 //! without reading record bodies.
+//!
+//! A new segment is zero-filled to the log's segment size when it is
+//! created, and records overwrite the fill from the clean end: an append's
+//! `fdatasync` then flushes data pages, not the file's size or block map.
+//! The fill is fresh zeros, never an old segment's bytes, so no stale
+//! record with a valid checksum can sit past the tail. A zero-length
+//! record header followed by nothing but zeros is the end of the log; one
+//! followed by anything else is a torn tail. Rotation seals a segment by
+//! truncating it to its records, so a sealed segment is exactly its
+//! header and records.
 
 use crate::record::{encode_record, scan_records, TornTail, RECORD_HEADER_LEN};
 use rave_scene::wire;
 use rave_scene::AuditEntry;
 use std::fs::{File, OpenOptions};
-use std::io::{self, Read, Write};
+use std::io::{self, Read, Seek, SeekFrom, Write};
 use std::path::{Path, PathBuf};
 
 pub const SEGMENT_MAGIC: [u8; 8] = *b"RAVEWAL\0";
 pub const SEGMENT_VERSION: u32 = 1;
 pub const SEGMENT_HEADER_LEN: usize = 28;
+
+/// Zeros one `write` of a segment's fill puts down.
+static FILL_CHUNK: [u8; 64 * 1024] = [0; 64 * 1024];
 
 /// Parsed segment header.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -113,11 +127,15 @@ pub(crate) struct DecodedRecords {
 
 /// CRC-check and wire-decode the intact records at the front of `buf`,
 /// which starts at byte `at` of the segment at `path`. A torn tail is
-/// reported, not an error (the writer may be mid-append); a record that
-/// passes its checksum but fails wire decode is real corruption and
-/// errors out.
+/// reported, not an error (the writer may be mid-append), and the fill
+/// past the last record is neither; a record that passes its checksum but
+/// fails wire decode is real corruption and errors out.
 pub(crate) fn decode_records(buf: &[u8], at: u64, path: &Path) -> io::Result<DecodedRecords> {
     let scan = scan_records(buf);
+    let torn = match scan.torn {
+        Some(TornTail::ZeroLength { at }) if buf[at..].iter().all(|&b| b == 0) => None,
+        torn => torn,
+    };
     let mut end = at;
     let mut records = Vec::with_capacity(scan.payloads.len());
     for payload in &scan.payloads {
@@ -127,12 +145,13 @@ pub(crate) fn decode_records(buf: &[u8], at: u64, path: &Path) -> io::Result<Dec
         end += (RECORD_HEADER_LEN + payload.len()) as u64;
         records.push((entry, end));
     }
-    Ok(DecodedRecords { records, torn: scan.torn })
+    Ok(DecodedRecords { records, torn })
 }
 
 /// Read and verify a whole segment. Torn tails are reported, not
-/// repaired; a record that passes its checksum but fails wire decode is
-/// real corruption and errors out.
+/// repaired, and a zero fill past the last record is the end of the log;
+/// a record that passes its checksum but fails wire decode is real
+/// corruption and errors out.
 pub fn read_segment(path: &Path) -> io::Result<SegmentContents> {
     let mut buf = Vec::new();
     File::open(path)?.read_to_end(&mut buf)?;
@@ -148,46 +167,69 @@ pub fn read_segment(path: &Path) -> io::Result<SegmentContents> {
     })
 }
 
-/// An open segment being appended to.
+/// Frame one audit entry as a record at the end of `out`.
+pub fn frame_entry(entry: &AuditEntry, out: &mut Vec<u8>) {
+    encode_record(&wire::encode_entry(entry), out);
+}
+
+/// Put zeros over `file` from byte `from` up to byte `to`, a bounded
+/// chunk a `write`, leaving the cursor at `to` (or at `from` when `to`
+/// is not past it). Not synced: the next record's sync carries it.
+fn fill(file: &mut File, from: u64, to: u64) -> io::Result<()> {
+    file.seek(SeekFrom::Start(from))?;
+    let mut left = to.saturating_sub(from);
+    while left > 0 {
+        let n = left.min(FILL_CHUNK.len() as u64) as usize;
+        file.write_all(&FILL_CHUNK[..n])?;
+        left -= n as u64;
+    }
+    Ok(())
+}
+
+/// An open segment being written in place over its fill.
 #[derive(Debug)]
 pub struct SegmentWriter {
     pub path: PathBuf,
     pub header: SegmentHeader,
+    /// Opened for writing, not appending; the cursor sits at `len`.
     file: File,
-    /// Current byte length (header + records written so far).
+    /// The clean end: header + records written so far.
     pub len: u64,
     /// Sequence number of the last entry written, or `base_seq - 1`.
     pub last_seq: u64,
 }
 
 impl SegmentWriter {
-    /// Create a fresh segment file. Fails if it already exists (an index
-    /// collision means two writers share the directory — never continue).
-    pub fn create(dir: &Path, index: u64, base_seq: u64) -> io::Result<Self> {
+    /// Create a fresh segment file, zero-filled to `fill_to` bytes. Fails
+    /// if it already exists (an index collision means two writers share
+    /// the directory — never continue).
+    pub fn create(dir: &Path, index: u64, base_seq: u64, fill_to: u64) -> io::Result<Self> {
         let path = dir.join(segment_file_name(index));
         let mut file = OpenOptions::new().write(true).create_new(true).open(&path)?;
         let header = SegmentHeader { version: SEGMENT_VERSION, index, base_seq };
         file.write_all(&header.encode())?;
-        Ok(Self {
-            path,
-            header,
-            file,
-            len: SEGMENT_HEADER_LEN as u64,
-            last_seq: base_seq.saturating_sub(1),
-        })
+        let len = SEGMENT_HEADER_LEN as u64;
+        fill(&mut file, len, fill_to)?;
+        file.seek(SeekFrom::Start(len))?;
+        Ok(Self { path, header, file, len, last_seq: base_seq.saturating_sub(1) })
     }
 
-    /// Re-open an existing segment for append, truncating any torn tail
-    /// left by a crash. Returns the writer positioned after the last
-    /// intact record, plus what was recovered from the file.
-    pub fn open_for_append(path: &Path) -> io::Result<(Self, SegmentContents)> {
+    /// Re-open an existing segment for writing, zeroing any torn tail
+    /// left by a crash, and filling the file to `fill_to` bytes if it is
+    /// shorter (a sealed or shipped copy). Returns the writer positioned
+    /// after the last intact record, plus what was recovered from the
+    /// file.
+    pub fn open_for_append(path: &Path, fill_to: u64) -> io::Result<(Self, SegmentContents)> {
         let contents = read_segment(path)?;
+        let mut file = OpenOptions::new().write(true).open(path)?;
+        let mut end = file.metadata()?.len();
         if contents.torn.is_some() {
-            // Repair: drop the torn tail so appends extend a clean log.
-            let f = OpenOptions::new().write(true).open(path)?;
-            f.set_len(contents.clean_len)?;
+            // Repair: drop the torn tail so records extend a clean log.
+            file.set_len(contents.clean_len)?;
+            end = contents.clean_len;
         }
-        let file = OpenOptions::new().append(true).open(path)?;
+        fill(&mut file, end, fill_to)?;
+        file.seek(SeekFrom::Start(contents.clean_len))?;
         let last_seq = contents
             .entries
             .last()
@@ -205,15 +247,22 @@ impl SegmentWriter {
         ))
     }
 
-    /// Append one audit entry as a framed record.
-    pub fn append(&mut self, entry: &AuditEntry) -> io::Result<()> {
-        let payload = wire::encode_entry(entry);
-        let mut framed = Vec::with_capacity(RECORD_HEADER_LEN + payload.len());
-        encode_record(&payload, &mut framed);
-        self.file.write_all(&framed)?;
+    /// Write framed records, the last of them `last_seq`, over the fill at
+    /// the clean end.
+    pub fn write_records(&mut self, framed: &[u8], last_seq: u64) -> io::Result<()> {
+        if let Err(e) = self.file.write_all(framed) {
+            // The next write starts over at the clean end.
+            self.file.seek(SeekFrom::Start(self.len))?;
+            return Err(e);
+        }
         self.len += framed.len() as u64;
-        self.last_seq = entry.stamped.seq;
+        self.last_seq = last_seq;
         Ok(())
+    }
+
+    /// Cut the fill off: the file is exactly its header and records.
+    pub fn seal(&mut self) -> io::Result<()> {
+        self.file.set_len(self.len)
     }
 
     /// Flush to the OS and fsync to the platter.
@@ -246,6 +295,12 @@ mod tests {
         }
     }
 
+    fn append(w: &mut SegmentWriter, seq: u64) {
+        let mut framed = Vec::new();
+        frame_entry(&entry(seq), &mut framed);
+        w.write_records(&framed, seq).unwrap();
+    }
+
     #[test]
     fn header_roundtrips_and_rejects_garbage() {
         let h = SegmentHeader { version: SEGMENT_VERSION, index: 7, base_seq: 1000 };
@@ -264,45 +319,58 @@ mod tests {
         assert_eq!(parse_segment_file_name("wal-xx.seg"), None);
     }
 
+    /// The fill the tests' segments are created with.
+    const FILL: u64 = 4096;
+
     #[test]
     fn write_read_roundtrip() {
         let dir = tmp_dir("roundtrip");
-        let mut w = SegmentWriter::create(&dir, 0, 1).unwrap();
+        let mut w = SegmentWriter::create(&dir, 0, 1, FILL).unwrap();
         for seq in 1..=5 {
-            w.append(&entry(seq)).unwrap();
+            append(&mut w, seq);
         }
         w.sync().unwrap();
+        assert_eq!(std::fs::metadata(&w.path).unwrap().len(), FILL, "written over the fill");
         let c = read_segment(&w.path).unwrap();
         assert_eq!(c.header.index, 0);
         assert_eq!(c.entries.len(), 5);
         assert_eq!(c.entries[4].stamped.seq, 5);
-        assert!(c.torn.is_none());
+        assert_eq!(c.clean_len, w.len);
+        assert!(c.torn.is_none(), "the fill is the end of the log, not a tear");
         std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    /// Two records written, the second torn by zeroing its last `lost`
+    /// bytes over the fill: what a crash mid-write leaves in a
+    /// preallocated file. Returns the path and the first record's end.
+    fn tear_second_record(dir: &Path, lost: u64) -> (PathBuf, u64) {
+        let mut w = SegmentWriter::create(dir, 3, 10, FILL).unwrap();
+        append(&mut w, 10);
+        let first_end = w.len;
+        append(&mut w, 11);
+        w.sync().unwrap();
+        let mut bytes = std::fs::read(&w.path).unwrap();
+        let end = w.len as usize;
+        bytes[end - lost as usize..end].fill(0);
+        std::fs::write(&w.path, &bytes).unwrap();
+        (w.path, first_end)
     }
 
     #[test]
     fn torn_tail_detected_and_repaired_on_open() {
         let dir = tmp_dir("torn");
-        let path = {
-            let mut w = SegmentWriter::create(&dir, 3, 10).unwrap();
-            w.append(&entry(10)).unwrap();
-            w.append(&entry(11)).unwrap();
-            w.sync().unwrap();
-            w.path
-        };
-        // Simulate a crash mid-append: chop 3 bytes off the last record.
-        let full = std::fs::read(&path).unwrap();
-        std::fs::write(&path, &full[..full.len() - 3]).unwrap();
-
+        let (path, first_end) = tear_second_record(&dir, 3);
         let c = read_segment(&path).unwrap();
         assert_eq!(c.entries.len(), 1, "only the intact record survives");
-        assert!(c.torn.is_some());
+        assert!(matches!(c.torn, Some(TornTail::ChecksumMismatch { .. })));
+        assert_eq!(c.clean_len, first_end);
 
-        // Re-open for append: tail truncated, log continues cleanly.
-        let (mut w, recovered) = SegmentWriter::open_for_append(&path).unwrap();
+        // Re-open for append: tail zeroed, log continues cleanly.
+        let (mut w, recovered) = SegmentWriter::open_for_append(&path, FILL).unwrap();
         assert_eq!(recovered.entries.len(), 1);
-        assert_eq!(w.last_seq, 10);
-        w.append(&entry(11)).unwrap();
+        assert_eq!((w.last_seq, w.len), (10, first_end));
+        assert_eq!(std::fs::metadata(&path).unwrap().len(), FILL, "still preallocated");
+        append(&mut w, 11);
         w.sync().unwrap();
         let c2 = read_segment(&path).unwrap();
         assert_eq!(c2.entries.len(), 2);
@@ -311,10 +379,70 @@ mod tests {
     }
 
     #[test]
+    fn a_zero_length_header_before_nonzero_bytes_is_torn_and_repaired() {
+        let dir = tmp_dir("zero-header");
+        // The second record's header never landed, its payload did.
+        let (path, first_end) = tear_second_record(&dir, 0);
+        let mut bytes = std::fs::read(&path).unwrap();
+        let at = first_end as usize;
+        bytes[at..at + RECORD_HEADER_LEN].fill(0);
+        std::fs::write(&path, &bytes).unwrap();
+
+        let c = read_segment(&path).unwrap();
+        assert_eq!(c.entries.len(), 1);
+        let at_in_records = at - SEGMENT_HEADER_LEN;
+        assert_eq!(c.torn, Some(TornTail::ZeroLength { at: at_in_records }));
+        let (mut w, _) = SegmentWriter::open_for_append(&path, FILL).unwrap();
+        let repaired = std::fs::read(&path).unwrap();
+        assert!(repaired[at..].iter().all(|&b| b == 0), "the stray payload is gone");
+        assert_eq!(repaired.len() as u64, FILL);
+        append(&mut w, 11);
+        w.sync().unwrap();
+        let c2 = read_segment(&path).unwrap();
+        assert_eq!((c2.entries.len(), c2.torn), (2, None));
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn a_clean_preallocated_segment_reopens_where_its_records_end() {
+        let dir = tmp_dir("clean");
+        let (path, end) = {
+            let mut w = SegmentWriter::create(&dir, 0, 1, FILL).unwrap();
+            append(&mut w, 1);
+            w.sync().unwrap();
+            (w.path.clone(), w.len)
+        };
+        let before = std::fs::read(&path).unwrap();
+        let (w, contents) = SegmentWriter::open_for_append(&path, FILL).unwrap();
+        assert_eq!((contents.torn, w.len, w.last_seq), (None, end, 1));
+        assert_eq!(std::fs::read(&path).unwrap(), before, "a clean reopen writes nothing");
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn sealing_cuts_the_fill_off() {
+        let dir = tmp_dir("seal");
+        let mut w = SegmentWriter::create(&dir, 0, 1, FILL).unwrap();
+        let mut framed = Vec::new();
+        for seq in 1..=3 {
+            frame_entry(&entry(seq), &mut framed);
+        }
+        w.write_records(&framed, 3).unwrap();
+        w.seal().unwrap();
+        let bytes = std::fs::read(&w.path).unwrap();
+        assert_eq!(bytes[..SEGMENT_HEADER_LEN], w.header.encode());
+        assert_eq!(bytes[SEGMENT_HEADER_LEN..], framed[..], "exactly its records");
+        // A sealed copy reopened for writing is filled again.
+        let (w, _) = SegmentWriter::open_for_append(&w.path, FILL).unwrap();
+        assert_eq!((w.last_seq, std::fs::metadata(&w.path).unwrap().len()), (3, FILL));
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
     fn create_refuses_existing_file() {
         let dir = tmp_dir("dup");
-        SegmentWriter::create(&dir, 0, 1).unwrap();
-        assert!(SegmentWriter::create(&dir, 0, 1).is_err());
+        SegmentWriter::create(&dir, 0, 1, FILL).unwrap();
+        assert!(SegmentWriter::create(&dir, 0, 1, FILL).is_err());
         std::fs::remove_dir_all(&dir).unwrap();
     }
 
@@ -322,7 +450,7 @@ mod tests {
     fn list_segments_sorted() {
         let dir = tmp_dir("list");
         for idx in [2u64, 0, 1] {
-            SegmentWriter::create(&dir, idx, idx * 100 + 1).unwrap();
+            SegmentWriter::create(&dir, idx, idx * 100 + 1, FILL).unwrap();
         }
         std::fs::write(dir.join("unrelated.txt"), b"x").unwrap();
         let segs = list_segments(&dir).unwrap();

@@ -3,20 +3,26 @@
 //! The paper's §6 fail-safe ("data servers could mirror each other") done
 //! the way production logs do it: the primary streams *sealed* segments
 //! verbatim (they are immutable, so a byte copy is a correct copy), plus
-//! a tail of unsealed entries from the active segment once the standby
-//! would otherwise trail past a configurable lag bound. The standby
-//! writes the same segment files to its own directory — after promotion
-//! the shipped store *is* a WAL a [`crate::Store`] opens and appends to,
-//! so sequence numbers continue where the primary stopped.
+//! a tail of unsealed records from the active segment once the standby
+//! would otherwise trail past a configurable lag bound — also verbatim,
+//! the CRC-framed bytes as they sit in the primary's segment. The standby
+//! writes the same segment files to its own directory, each a byte-exact
+//! prefix of the primary's — after promotion the shipped store *is* a WAL
+//! a [`crate::Store`] opens and appends to, so sequence numbers continue
+//! where the primary stopped.
 //!
 //! Protocol shape (driven by the caller, e.g. the simulation's replica
 //! subsystem, which owns timing and transport):
 //!
 //! 1. the standby reports its durable [`StandbyLog::last_seq`];
-//! 2. the primary [`Shipper::plan`]s a batch of [`ShipFrame`]s past that
-//!    cursor — sealed segments are *skipped from headers alone* (the next
-//!    segment's `base_seq` bounds this one's contents, so resume never
-//!    re-reads what the standby already holds);
+//! 2. the primary syncs its log, [`Shipper::feed`]s it what the WAL framed
+//!    since the last tick ([`crate::Wal::take_framed`]) and
+//!    [`Shipper::plan`]s a batch of [`ShipFrame`]s past that cursor. When
+//!    the fed records continue the cursor, the tail frame is cut from them
+//!    and no file is read; otherwise sealed segments are *skipped from
+//!    headers alone* (the next segment's `base_seq` bounds this one's
+//!    contents, so resume never re-reads what the standby already holds)
+//!    and the active segment is read back;
 //! 3. the standby [`StandbyLog::apply`]s each frame and answers with a
 //!    sequence-numbered [`ShipAck`]; a frame that arrives torn or corrupt
 //!    is *not* installed and the ack carries a re-request for it.
@@ -24,14 +30,14 @@
 //! Every apply leaves the standby holding an exact, contiguous prefix of
 //! the primary's committed log — never a gap, never a torn record.
 
-use crate::record::scan_records;
+use crate::record::{scan_records, RECORD_HEADER_LEN};
 use crate::segment::{
     decode_records, list_segments, read_segment, read_segment_header, segment_file_name,
     SegmentHeader, SegmentWriter, SEGMENT_HEADER_LEN,
 };
+use crate::wal::{FramedTail, RecordMark};
 use rave_scene::{wire, AuditEntry};
-use std::fs::File;
-use std::io::{self, Read, Seek, SeekFrom};
+use std::io;
 use std::path::{Path, PathBuf};
 
 /// Fixed per-frame accounting overhead (frame type, index, counts).
@@ -44,12 +50,26 @@ pub const TAIL_ENTRY_OVERHEAD: u64 = 16;
 /// One unit of replication traffic, primary → standby.
 #[derive(Debug, Clone, PartialEq)]
 pub enum ShipFrame {
-    /// A sealed (immutable) segment, shipped as its exact file bytes.
+    /// A sealed (immutable) segment, shipped as its exact file bytes: its
+    /// header and records.
     Sealed { index: u64, bytes: Vec<u8> },
-    /// Entries from the primary's *active* segment past the standby's
-    /// cursor; `index`/`base_seq` name the segment they belong to so the
-    /// standby can grow its own copy of it.
-    Tail { index: u64, base_seq: u64, entries: Vec<AuditEntry> },
+    /// Records from the primary's *active* segment past the standby's
+    /// cursor, the CRC-framed bytes as they sit in the segment;
+    /// `index`/`base_seq` name the segment they belong to so the standby
+    /// can grow its own copy of it.
+    Tail {
+        index: u64,
+        base_seq: u64,
+        /// Sequence numbers of the first and the last record.
+        first_seq: u64,
+        last_seq: u64,
+        /// Records in `records`.
+        count: u64,
+        /// What the entries charge the wire: Σ(`stamped.wire_size()` +
+        /// [`TAIL_ENTRY_OVERHEAD`]), summed as each record was framed.
+        charge: u64,
+        records: Vec<u8>,
+    },
 }
 
 impl ShipFrame {
@@ -57,22 +77,44 @@ impl ShipFrame {
     pub fn wire_size(&self) -> u64 {
         match self {
             ShipFrame::Sealed { bytes, .. } => bytes.len() as u64 + FRAME_OVERHEAD,
-            ShipFrame::Tail { entries, .. } => {
-                entries.iter().map(|e| e.stamped.wire_size() + TAIL_ENTRY_OVERHEAD).sum::<u64>()
-                    + FRAME_OVERHEAD
-            }
+            ShipFrame::Tail { charge, .. } => charge + FRAME_OVERHEAD,
         }
     }
 
-    /// Highest sequence number the frame carries (None for an empty one).
+    /// Highest sequence number the frame carries.
     pub fn last_seq(&self) -> Option<u64> {
         match self {
             // A sealed frame's bytes are scanned on receipt; for the
             // sender's cursor it is enough to know it ends where the
             // next segment starts, which `plan` tracks externally.
             ShipFrame::Sealed { .. } => None,
-            ShipFrame::Tail { entries, .. } => entries.last().map(|e| e.stamped.seq),
+            ShipFrame::Tail { last_seq, .. } => Some(*last_seq),
         }
+    }
+}
+
+impl FramedTail {
+    /// How many leading records a standby holding everything up to
+    /// `covered` already has, when the records past `covered` start in
+    /// this run; `None` when they start before it.
+    fn held_by(&self, covered: u64) -> Option<usize> {
+        let held = self.marks.partition_point(|m| m.seq <= covered);
+        let next = held.checked_sub(1).map_or(self.first_seq, |i| self.marks[i].seq + 1);
+        (next == covered + 1).then_some(held)
+    }
+
+    /// The run as one tail frame (`None` when it is empty).
+    fn into_frame(self) -> Option<ShipFrame> {
+        let (first, last) = (self.marks.first()?.seq, self.marks.last()?.seq);
+        Some(ShipFrame::Tail {
+            index: self.index,
+            base_seq: self.base_seq,
+            first_seq: first,
+            last_seq: last,
+            count: self.marks.len() as u64,
+            charge: self.marks.iter().map(|m| m.charge).sum(),
+            records: self.bytes,
+        })
     }
 }
 
@@ -86,62 +128,65 @@ pub struct ShipAck {
     pub resend: Option<u64>,
 }
 
-/// Where the first record of the active segment that no `plan` has
-/// shipped yet starts. It is a fact about an append-only file, so it stays
-/// true until the segment rotates; `plan` uses it only when the caller's
-/// cursor agrees with `next_seq`.
-#[derive(Debug, Clone, Copy)]
-struct TailCursor {
-    index: u64,
-    base_seq: u64,
-    /// Byte offset of the record that holds `next_seq`.
-    offset: u64,
-    next_seq: u64,
-}
-
-/// The active segment's records past a sequence cursor.
-struct PendingTail {
-    base_seq: u64,
-    /// Byte offset of the first pending record.
-    start: u64,
-    /// Each pending entry with the byte offset its record ends at.
-    entries: Vec<(AuditEntry, u64)>,
-}
-
 /// Primary-side planner: decides what a standby at a given cursor needs.
 /// Any standby cursor can be planned for at any time — resume after any
 /// interruption is just a `plan` against the standby's reported
-/// `last_seq` — and a `Shipper` kept across ticks additionally remembers
-/// where the active segment's unshipped records start, so a tick reads
-/// only what was appended since the last one.
+/// `last_seq`. A `Shipper` kept across ticks holds the active segment's
+/// records it has not shipped yet (those `max_lag` holds back too), byte
+/// for byte, so a tick [`Shipper::feed`] continues reads no file.
 #[derive(Debug, Clone)]
 pub struct Shipper {
     dir: PathBuf,
-    tail: Option<TailCursor>,
-    tail_bytes_read: u64,
+    /// The active segment's unshipped records, from the last feed or the
+    /// last read of the file.
+    tail: Option<FramedTail>,
+    /// A feed came since the last plan: `tail` ends where the log does.
+    fed: bool,
+    file_bytes_read: u64,
 }
 
 impl Shipper {
     pub fn new(dir: impl Into<PathBuf>) -> Self {
-        Self { dir: dir.into(), tail: None, tail_bytes_read: 0 }
+        Self { dir: dir.into(), tail: None, fed: false, file_bytes_read: 0 }
     }
 
     pub fn dir(&self) -> &Path {
         &self.dir
     }
 
-    /// Bytes of active segments every `plan` so far has read.
-    pub fn tail_bytes_read(&self) -> u64 {
-        self.tail_bytes_read
+    /// Bytes of segment files every `plan` so far has read.
+    pub fn file_bytes_read(&self) -> u64 {
+        self.file_bytes_read
+    }
+
+    /// Hand over what the WAL framed since the last feed
+    /// ([`crate::Wal::take_framed`], taken after the log's sync): the
+    /// next `plan`, and only the next, trusts the held records to end
+    /// where the log ends. A run that does not continue the held records
+    /// replaces them.
+    pub fn feed(&mut self, framed: FramedTail) {
+        match &mut self.tail {
+            Some(held) if held.index == framed.index && held.end() == framed.offset => {
+                held.bytes.extend_from_slice(&framed.bytes);
+                held.marks.extend_from_slice(&framed.marks);
+            }
+            slot => *slot = Some(framed),
+        }
+        self.fed = true;
     }
 
     /// Plan at most `limit` frames for a standby whose durable log ends
     /// at `acked_seq` (0 = empty). `resend` re-ships a segment the
     /// standby reported torn. Sealed segments wholly at or below the
     /// cursor are skipped from their successors' headers without reading
-    /// a single record body. Unsealed tail entries ship only past
-    /// `max_lag`: the newest `max_lag` entries may stay unshipped until
+    /// a single record body. Unsealed tail records ship only past
+    /// `max_lag`: the newest `max_lag` records may stay unshipped until
     /// rotation seals them (0 = ship everything immediately).
+    ///
+    /// After a [`Shipper::feed`] whose records continue the cursor, with
+    /// no resend asked, the plan is the tail frame cut from them, and no
+    /// directory is listed and no file read: it is the frame a fresh
+    /// `Shipper` would read back from the active segment.
     ///
     /// Errors when the cursor predates the oldest retained segment — the
     /// needed history was compacted away and the standby must be
@@ -153,9 +198,22 @@ impl Shipper {
         max_lag: u64,
         limit: usize,
     ) -> io::Result<Vec<ShipFrame>> {
+        let fed = std::mem::take(&mut self.fed);
+        if limit == 0 {
+            return Ok(Vec::new());
+        }
+        // How many fed records a standby at `covered` holds, when the
+        // records past it start among them.
+        let fed_held =
+            |tail: &Option<FramedTail>, covered| tail.as_ref().filter(|_| fed)?.held_by(covered);
+        if resend.is_none() {
+            if let Some(held) = fed_held(&self.tail, acked_seq) {
+                return Ok(self.ship_tail(held, max_lag).into_iter().collect());
+            }
+        }
         let segments = list_segments(&self.dir)?;
         let mut frames = Vec::new();
-        if segments.is_empty() || limit == 0 {
+        if segments.is_empty() {
             return Ok(frames);
         }
         let first_base = read_segment_header(&segments[0].1)?.base_seq;
@@ -168,7 +226,7 @@ impl Shipper {
         }
         if let Some(idx) = resend {
             if let Some((_, path)) = segments.iter().find(|(i, _)| *i == idx) {
-                frames.push(ShipFrame::Sealed { index: idx, bytes: std::fs::read(path)? });
+                frames.push(ShipFrame::Sealed { index: idx, bytes: self.read_records(path)? });
             }
         }
         // Sealed segments: everything but the highest index. Segment i's
@@ -183,72 +241,76 @@ impl Shipper {
                 if frames.len() >= limit {
                     return Ok(frames);
                 }
-                frames.push(ShipFrame::Sealed { index: *index, bytes: std::fs::read(path)? });
+                frames.push(ShipFrame::Sealed { index: *index, bytes: self.read_records(path)? });
             }
             covered = covered.max(upper);
         }
         if frames.len() >= limit {
             return Ok(frames);
         }
-        // Active-segment tail: ship the oldest pending entries, leaving
-        // at most `max_lag` of the newest unshipped.
+        // Active-segment tail: the fed records when they continue the
+        // cursor, else the file read back.
         let (index, path) = segments.last().expect("non-empty");
-        let from_cursor = match self.tail {
-            Some(c) if c.index == *index && c.next_seq == covered + 1 => self.read_past(path, c)?,
-            _ => None,
+        let on_active = self.tail.as_ref().is_some_and(|t| t.index == *index);
+        let held = match fed_held(&self.tail, covered).filter(|_| on_active) {
+            Some(held) => held,
+            None => {
+                self.tail = Some(self.read_tail(path, covered)?);
+                0
+            }
         };
-        let mut pending = match from_cursor {
-            Some(pending) => pending,
-            None => self.read_whole(path, covered)?,
-        };
-        let ship_n = pending.entries.len().saturating_sub(max_lag as usize);
-        pending.entries.truncate(ship_n);
-        let (offset, next_seq) = match pending.entries.last() {
-            Some((last, end)) => (*end, last.stamped.seq + 1),
-            None => (pending.start, covered + 1),
-        };
-        self.tail =
-            Some(TailCursor { index: *index, base_seq: pending.base_seq, offset, next_seq });
-        if ship_n > 0 {
-            frames.push(ShipFrame::Tail {
-                index: *index,
-                base_seq: pending.base_seq,
-                entries: pending.entries.into_iter().map(|(e, _)| e).collect(),
-            });
-        }
+        frames.extend(self.ship_tail(held, max_lag));
         Ok(frames)
     }
 
-    /// Read the active segment from the cursor on. `None` when the file
-    /// does not bear the cursor out — it is shorter than the offset, or
-    /// the record there is not `next_seq` — and must be read whole.
-    fn read_past(&mut self, path: &Path, c: TailCursor) -> io::Result<Option<PendingTail>> {
-        let mut file = File::open(path)?;
-        if file.metadata()?.len() < c.offset {
-            return Ok(None);
-        }
-        file.seek(SeekFrom::Start(c.offset))?;
-        let mut buf = Vec::new();
-        file.read_to_end(&mut buf)?;
-        self.tail_bytes_read += buf.len() as u64;
-        let entries = decode_records(&buf, c.offset, path)?.records;
-        if entries.first().is_some_and(|(e, _)| e.stamped.seq != c.next_seq) {
-            return Ok(None);
-        }
-        Ok(Some(PendingTail { base_seq: c.base_seq, start: c.offset, entries }))
+    /// Drop the first `held` records of the kept tail, which the standby
+    /// has, and cut a frame of the oldest of the rest, leaving at most
+    /// `max_lag` of the newest kept.
+    fn ship_tail(&mut self, held: usize, max_lag: u64) -> Option<ShipFrame> {
+        let tail = self.tail.as_mut()?;
+        tail.split_front(held);
+        let ship_n = tail.marks.len().saturating_sub(max_lag as usize);
+        tail.split_front(ship_n).into_frame()
     }
 
-    /// Read the whole active segment and keep what lies past `covered`.
-    fn read_whole(&mut self, path: &Path, covered: u64) -> io::Result<PendingTail> {
+    /// A segment file's header and records, without what follows them:
+    /// the fill, in the active segment.
+    fn read_records(&mut self, path: &Path) -> io::Result<Vec<u8>> {
+        let mut bytes = std::fs::read(path)?;
+        self.file_bytes_read += bytes.len() as u64;
+        if let Some(records) = bytes.get(SEGMENT_HEADER_LEN..) {
+            let clean = SEGMENT_HEADER_LEN + scan_records(records).clean_len;
+            bytes.truncate(clean);
+        }
+        Ok(bytes)
+    }
+
+    /// Read the active segment whole and keep the records past `covered`.
+    fn read_tail(&mut self, path: &Path, covered: u64) -> io::Result<FramedTail> {
         let buf = std::fs::read(path)?;
-        self.tail_bytes_read += buf.len() as u64;
+        self.file_bytes_read += buf.len() as u64;
         let header = SegmentHeader::decode(&buf)?;
         let header_len = SEGMENT_HEADER_LEN as u64;
-        let mut entries = decode_records(&buf[SEGMENT_HEADER_LEN..], header_len, path)?.records;
-        let held = entries.partition_point(|(e, _)| e.stamped.seq <= covered);
-        let start = held.checked_sub(1).map_or(header_len, |i| entries[i].1);
-        entries.drain(..held);
-        Ok(PendingTail { base_seq: header.base_seq, start, entries })
+        let records = decode_records(&buf[SEGMENT_HEADER_LEN..], header_len, path)?.records;
+        let held = records.partition_point(|(e, _)| e.stamped.seq <= covered);
+        let start = held.checked_sub(1).map_or(header_len, |i| records[i].1);
+        let end = records.last().map_or(header_len, |(_, end)| *end);
+        let marks: Vec<RecordMark> = records[held..]
+            .iter()
+            .map(|(e, end)| RecordMark {
+                seq: e.stamped.seq,
+                end: *end,
+                charge: e.stamped.wire_size() + TAIL_ENTRY_OVERHEAD,
+            })
+            .collect();
+        Ok(FramedTail {
+            index: header.index,
+            base_seq: header.base_seq,
+            offset: start,
+            first_seq: marks.first().map_or(covered + 1, |m| m.seq),
+            bytes: buf[start as usize..end as usize].to_vec(),
+            marks,
+        })
     }
 }
 
@@ -269,6 +331,8 @@ pub struct ShipApply {
 pub struct StandbyLog {
     dir: PathBuf,
     last_seq: u64,
+    /// The primary's segment size: the fill of each copy tail frames grow.
+    segment_bytes: u64,
     /// The segment tail frames are growing, kept open between frames. It
     /// is re-opened — with the full verify-and-repair read — only when a
     /// frame names another segment, after a sealed copy replaced a file,
@@ -279,8 +343,9 @@ pub struct StandbyLog {
 
 impl StandbyLog {
     /// Open (or initialise) the standby's log directory, resuming from
-    /// whatever prefix it already holds.
-    pub fn open(dir: impl Into<PathBuf>) -> io::Result<Self> {
+    /// whatever prefix it already holds; the segments tail frames start
+    /// are zero-filled to `segment_bytes`, the primary's segment size.
+    pub fn open(dir: impl Into<PathBuf>, segment_bytes: u64) -> io::Result<Self> {
         let dir = dir.into();
         std::fs::create_dir_all(&dir)?;
         let last_seq = match list_segments(&dir)?.last() {
@@ -294,7 +359,7 @@ impl StandbyLog {
                     .unwrap_or_else(|| contents.header.base_seq.saturating_sub(1))
             }
         };
-        Ok(Self { dir, last_seq, writer: None, reopens: 0 })
+        Ok(Self { dir, last_seq, segment_bytes, writer: None, reopens: 0 })
     }
 
     pub fn dir(&self) -> &Path {
@@ -312,15 +377,18 @@ impl StandbyLog {
         self.last_seq
     }
 
-    /// Apply one frame. Torn/corrupt sealed frames are rejected with a
+    /// Apply one frame. Torn/corrupt frames are rejected with a
     /// re-request; gaps (a frame starting past `last_seq + 1`) are
     /// declined by re-stating the cursor, which makes the primary
     /// re-plan. Duplicates are ignored idempotently.
     pub fn apply(&mut self, frame: &ShipFrame) -> io::Result<ShipApply> {
         match frame {
             ShipFrame::Sealed { index, bytes } => self.apply_sealed(*index, bytes),
-            ShipFrame::Tail { index, base_seq, entries } => {
-                self.apply_tail(*index, *base_seq, entries)
+            ShipFrame::Tail { index, base_seq, first_seq, last_seq, count, records, .. } => {
+                let Some(entries) = verify_tail(records, *first_seq, *last_seq, *count) else {
+                    return Ok(self.decline(Some(*index)));
+                };
+                self.apply_tail(*index, *base_seq, records, entries)
             }
         }
     }
@@ -356,42 +424,76 @@ impl StandbyLog {
         Ok(ShipApply { entries, ack: ShipAck { last_seq: self.last_seq, resend: None } })
     }
 
+    /// Write the verified `records` past `last_seq` into the copy of
+    /// segment `index`, verbatim, with one write and one sync.
     fn apply_tail(
         &mut self,
         index: u64,
         base_seq: u64,
-        entries: &[AuditEntry],
+        records: &[u8],
+        mut entries: Vec<(AuditEntry, usize)>,
     ) -> io::Result<ShipApply> {
-        let new: Vec<AuditEntry> =
-            entries.iter().filter(|e| e.stamped.seq > self.last_seq).cloned().collect();
-        let Some(first) = new.first() else {
+        let held = entries.partition_point(|(e, _)| e.stamped.seq <= self.last_seq);
+        let Some((first, _)) = entries.get(held) else {
             return Ok(self.decline(None)); // pure duplicate — idempotent
         };
         if first.stamped.seq > self.last_seq + 1 {
             return Ok(self.decline(None)); // gap: earlier entries missing
         }
+        let last = entries.last().expect("non-empty").0.stamped.seq;
+        let skip = held.checked_sub(1).map_or(0, |i| entries[i].1);
         let writer = match &mut self.writer {
             Some(w) if w.header.index == index => w,
             slot => {
+                // Tail frames moved on to the next segment: this one is
+                // complete, and sealed as the primary sealed its own.
+                if let Some(done) = slot {
+                    done.seal()?;
+                }
                 let path = self.dir.join(segment_file_name(index));
                 slot.insert(if path.exists() {
                     self.reopens += 1;
-                    SegmentWriter::open_for_append(&path)?.0
+                    SegmentWriter::open_for_append(&path, self.segment_bytes)?.0
                 } else {
-                    SegmentWriter::create(&self.dir, index, base_seq)?
+                    SegmentWriter::create(&self.dir, index, base_seq, self.segment_bytes)?
                 })
             }
         };
-        let written = new.iter().try_for_each(|e| writer.append(e)).and_then(|()| writer.sync());
+        let written = writer.write_records(&records[skip..], last).and_then(|()| writer.sync());
         if written.is_err() {
             // The file may end in a partial record: verify and repair it
             // before the next frame extends it.
             self.writer = None;
         }
         written?;
-        self.last_seq = new.last().expect("non-empty").stamped.seq;
-        Ok(ShipApply { entries: new, ack: ShipAck { last_seq: self.last_seq, resend: None } })
+        self.last_seq = last;
+        let entries = entries.drain(held..).map(|(e, _)| e).collect();
+        Ok(ShipApply { entries, ack: ShipAck { last_seq: self.last_seq, resend: None } })
     }
+}
+
+/// Check a tail frame end to end: every record passes its CRC and
+/// wire-decodes, and the records are the `count` the frame names, from
+/// `first_seq` to `last_seq`. Returns each decoded entry with the offset
+/// in `records` its record ends at.
+fn verify_tail(
+    records: &[u8],
+    first_seq: u64,
+    last_seq: u64,
+    count: u64,
+) -> Option<Vec<(AuditEntry, usize)>> {
+    let scan = scan_records(records);
+    if scan.torn.is_some() || scan.payloads.len() as u64 != count {
+        return None;
+    }
+    let mut end = 0;
+    let mut entries = Vec::with_capacity(scan.payloads.len());
+    for payload in &scan.payloads {
+        end += RECORD_HEADER_LEN + payload.len();
+        entries.push((wire::decode_entry(payload).ok()?, end));
+    }
+    let seqs = (entries.first()?.0.stamped.seq, entries.last()?.0.stamped.seq);
+    (seqs == (first_seq, last_seq)).then_some(entries)
 }
 
 /// Check a sealed frame end to end: header matches the claimed index,
@@ -437,7 +539,7 @@ mod tests {
 
     /// Append `n` tree-building entries to a WAL, returning the live tree.
     fn primary_session(dir: &Path, n: u64, seg_bytes: u64) -> SceneTree {
-        let (mut wal, _) = Wal::open(dir, seg_bytes, false).unwrap();
+        let (mut wal, _) = Wal::open(dir, seg_bytes).unwrap();
         let mut tree = SceneTree::new();
         for seq in 1..=n {
             let id = tree.allocate_id();
@@ -480,7 +582,7 @@ mod tests {
         let (pdir, sdir) = (tmp_dir("full-p"), tmp_dir("full-s"));
         let live = primary_session(&pdir, 40, 256); // several rotations
         let mut shipper = Shipper::new(&pdir);
-        let mut standby = StandbyLog::open(&sdir).unwrap();
+        let mut standby = StandbyLog::open(&sdir, 256).unwrap();
         drain(&mut shipper, &mut standby, 0);
         assert_eq!(standby.last_seq(), 40);
         let rec = recover(&sdir).unwrap();
@@ -506,7 +608,7 @@ mod tests {
         primary_session(&pdir, 30, 256);
         let mut shipper = Shipper::new(&pdir);
         {
-            let mut standby = StandbyLog::open(&sdir).unwrap();
+            let mut standby = StandbyLog::open(&sdir, 256).unwrap();
             // Ship only the first couple of frames, then "crash".
             let frames = shipper.plan(0, None, 0, 2).unwrap();
             for f in &frames {
@@ -515,7 +617,7 @@ mod tests {
         }
         // A fresh standby process resumes from its durable cursor: the
         // next plan starts past everything already held.
-        let mut standby = StandbyLog::open(&sdir).unwrap();
+        let mut standby = StandbyLog::open(&sdir, 256).unwrap();
         let held = standby.last_seq();
         assert!(held > 0, "prefix survived the restart");
         let frames = shipper.plan(held, None, 0, 16).unwrap();
@@ -536,7 +638,7 @@ mod tests {
         let (pdir, sdir) = (tmp_dir("torn-p"), tmp_dir("torn-s"));
         let live = primary_session(&pdir, 30, 256);
         let mut shipper = Shipper::new(&pdir);
-        let mut standby = StandbyLog::open(&sdir).unwrap();
+        let mut standby = StandbyLog::open(&sdir, 256).unwrap();
         let frames = shipper.plan(0, None, 0, 1).unwrap();
         let ShipFrame::Sealed { index, bytes } = &frames[0] else {
             panic!("first frame is sealed")
@@ -565,7 +667,7 @@ mod tests {
         let (pdir, sdir) = (tmp_dir("lag-p"), tmp_dir("lag-s"));
         primary_session(&pdir, 20, 1 << 20); // one active segment, no seals
         let mut shipper = Shipper::new(&pdir);
-        let mut standby = StandbyLog::open(&sdir).unwrap();
+        let mut standby = StandbyLog::open(&sdir, 1 << 20).unwrap();
         drain(&mut shipper, &mut standby, 5);
         assert_eq!(standby.last_seq(), 15, "newest 5 entries withheld within the lag bound");
         // Tightening the bound ships the rest.
@@ -580,7 +682,7 @@ mod tests {
         let (pdir, sdir) = (tmp_dir("gap-p"), tmp_dir("gap-s"));
         primary_session(&pdir, 30, 256);
         let mut shipper = Shipper::new(&pdir);
-        let mut standby = StandbyLog::open(&sdir).unwrap();
+        let mut standby = StandbyLog::open(&sdir, 256).unwrap();
         // Deliver a later sealed segment first: declined, cursor unmoved.
         let frames = shipper.plan(0, None, 0, 8).unwrap();
         let later = frames
@@ -624,7 +726,7 @@ mod tests {
         let (pdir, sdir) = (tmp_dir("dup-p"), tmp_dir("dup-s"));
         let live = primary_session(&pdir, 25, 256);
         let mut shipper = Shipper::new(&pdir);
-        let mut standby = StandbyLog::open(&sdir).unwrap();
+        let mut standby = StandbyLog::open(&sdir, 256).unwrap();
         let frames = shipper.plan(0, None, 0, 16).unwrap();
         for f in &frames {
             standby.apply(f).unwrap();
@@ -655,33 +757,59 @@ mod tests {
     }
 
     #[test]
-    fn kept_shipper_reads_each_log_byte_at_most_once() {
+    fn a_fed_shipper_reads_no_file_in_lockstep_after_its_first_tick() {
         let (pdir, sdir) = (tmp_dir("cursor-p"), tmp_dir("cursor-s"));
-        let (mut wal, _) = Wal::open(&pdir, 600, false).unwrap();
+        let (mut wal, _) = Wal::open(&pdir, 600).unwrap();
+        append_renames(&mut wal, 1..=3);
+        wal.keep_framed(true);
         let mut kept = Shipper::new(&pdir);
-        let mut standby = StandbyLog::open(&sdir).unwrap();
-        let mut stateless_read = 0;
-        for tick in 0..40u64 {
-            append_renames(&mut wal, tick * 3 + 1..=tick * 3 + 3);
-            let mut fresh = Shipper::new(&pdir);
-            let want = fresh.plan(standby.last_seq(), None, 0, 8).unwrap();
-            stateless_read += fresh.tail_bytes_read();
+        let mut standby = StandbyLog::open(&sdir, 600).unwrap();
+        let mut first_tick_read = 0;
+        for tick in 0..60u64 {
+            // One record a tick: a rotation seals only shipped records.
+            if tick > 0 {
+                append_renames(&mut wal, tick + 3..=tick + 3);
+            }
+            let want = Shipper::new(&pdir).plan(standby.last_seq(), None, 0, 8).unwrap();
+            kept.feed(wal.take_framed().unwrap());
             let frames = kept.plan(standby.last_seq(), None, 0, 8).unwrap();
-            assert_eq!(
-                frames, want,
-                "tick {tick}: the cursor changes what is read, not what ships"
-            );
+            assert_eq!(frames, want, "tick {tick}: the feed changes what is read, not what ships");
             for f in &frames {
                 standby.apply(f).unwrap();
             }
-            assert_eq!(standby.last_seq(), tick * 3 + 3);
+            assert_eq!(standby.last_seq(), tick + 3);
+            if tick == 0 {
+                // Seqs 1-3 were framed before keeping started: read back.
+                first_tick_read = kept.file_bytes_read();
+                assert!(first_tick_read > 0);
+            }
         }
-        assert!(wal.active_segment_index() >= 3, "the log rotated under the cursor");
-        // Acknowledged in lockstep, so nothing is read twice: appended
-        // bytes once each, and after a rotation the new segment whole.
-        let log_bytes = Wal::disk_bytes(&pdir).unwrap();
-        assert!(kept.tail_bytes_read() <= log_bytes, "{} > {log_bytes}", kept.tail_bytes_read());
-        assert!(stateless_read > 2 * log_bytes, "a fresh shipper per tick re-reads the segment");
+        assert!(wal.active_segment_index() >= 3, "the log rotated under the feed");
+        assert_eq!(kept.file_bytes_read(), first_tick_read, "no file read after the first tick");
+        let _ = std::fs::remove_dir_all(&pdir);
+        let _ = std::fs::remove_dir_all(&sdir);
+    }
+
+    #[test]
+    fn records_held_back_by_the_lag_stay_in_memory() {
+        let (pdir, sdir) = (tmp_dir("held-p"), tmp_dir("held-s"));
+        let (mut wal, _) = Wal::open(&pdir, 1 << 20).unwrap();
+        wal.keep_framed(true);
+        let mut kept = Shipper::new(&pdir);
+        let mut standby = StandbyLog::open(&sdir, 1 << 20).unwrap();
+        for tick in 0..6u64 {
+            append_renames(&mut wal, tick * 4 + 1..=tick * 4 + 4);
+            let want = Shipper::new(&pdir).plan(standby.last_seq(), None, 5, 4).unwrap();
+            let before = kept.file_bytes_read();
+            kept.feed(wal.take_framed().unwrap());
+            let frames = kept.plan(standby.last_seq(), None, 5, 4).unwrap();
+            assert_eq!(frames, want, "tick {tick}");
+            assert_eq!(kept.file_bytes_read(), before, "tick {tick} read a file");
+            for f in &frames {
+                standby.apply(f).unwrap();
+            }
+            assert_eq!(standby.last_seq(), (tick * 4 + 4).saturating_sub(5));
+        }
         let _ = std::fs::remove_dir_all(&pdir);
         let _ = std::fs::remove_dir_all(&sdir);
     }
@@ -689,18 +817,23 @@ mod tests {
     #[test]
     fn cursor_is_dropped_when_the_standby_falls_behind_it() {
         let (pdir, sdir) = (tmp_dir("behind-p"), tmp_dir("behind-s"));
-        let (mut wal, _) = Wal::open(&pdir, 1 << 20, false).unwrap();
+        let (mut wal, _) = Wal::open(&pdir, 1 << 20).unwrap();
+        wal.keep_framed(true);
         append_renames(&mut wal, 1..=10);
         let mut shipper = Shipper::new(&pdir);
+        shipper.feed(wal.take_framed().unwrap());
         let frames = shipper.plan(0, None, 0, 4).unwrap();
         assert_eq!(frames[0].last_seq(), Some(10));
         // The frame never arrived: the standby still reports seq 0, and
-        // the plan starts over from there rather than from the cursor.
+        // the plan starts over from there, read back from the file,
+        // rather than from the fed records past the cursor.
         append_renames(&mut wal, 11..=12);
+        shipper.feed(wal.take_framed().unwrap());
         let again = shipper.plan(0, None, 0, 4).unwrap();
-        let ShipFrame::Tail { entries, .. } = &again[0] else { panic!("tail frame") };
-        assert_eq!((entries[0].stamped.seq, entries.len()), (1, 12));
-        let mut standby = StandbyLog::open(&sdir).unwrap();
+        let ShipFrame::Tail { first_seq, count, .. } = &again[0] else { panic!("tail frame") };
+        assert_eq!((*first_seq, *count), (1, 12));
+        assert_eq!(again, Shipper::new(&pdir).plan(0, None, 0, 4).unwrap());
+        let mut standby = StandbyLog::open(&sdir, 1 << 20).unwrap();
         standby.apply(&again[0]).unwrap();
         assert_eq!(standby.last_seq(), 12);
         let _ = std::fs::remove_dir_all(&pdir);
@@ -708,11 +841,35 @@ mod tests {
     }
 
     #[test]
+    fn a_torn_tail_frame_is_rerequested_and_converges() {
+        let (pdir, sdir) = (tmp_dir("torn-tail-p"), tmp_dir("torn-tail-s"));
+        let (mut wal, _) = Wal::open(&pdir, 1 << 20).unwrap();
+        append_renames(&mut wal, 1..=6);
+        let mut shipper = Shipper::new(&pdir);
+        let mut standby = StandbyLog::open(&sdir, 1 << 20).unwrap();
+        let mut frame = shipper.plan(0, None, 0, 1).unwrap().remove(0);
+        let ShipFrame::Tail { records, .. } = &mut frame else { panic!("tail frame") };
+        let n = records.len();
+        records[n - 2] ^= 0x10;
+        let apply = standby.apply(&frame).unwrap();
+        assert_eq!(apply.ack, ShipAck { last_seq: 0, resend: Some(0) });
+        assert!(apply.entries.is_empty() && list_segments(&sdir).unwrap().is_empty());
+        let frames = shipper.plan(0, apply.ack.resend, 0, 4).unwrap();
+        for f in &frames {
+            standby.apply(f).unwrap();
+        }
+        assert_eq!(standby.last_seq(), 6);
+        assert_eq!(Wal::replay_after(&sdir, 0).unwrap(), Wal::replay_after(&pdir, 0).unwrap());
+        let _ = std::fs::remove_dir_all(&pdir);
+        let _ = std::fs::remove_dir_all(&sdir);
+    }
+
+    #[test]
     fn tail_frames_on_one_segment_reopen_it_at_most_once() {
         let (pdir, sdir) = (tmp_dir("writer-p"), tmp_dir("writer-s"));
-        let (mut wal, _) = Wal::open(&pdir, 1 << 20, false).unwrap();
+        let (mut wal, _) = Wal::open(&pdir, 1 << 20).unwrap();
         let mut shipper = Shipper::new(&pdir);
-        let mut standby = StandbyLog::open(&sdir).unwrap();
+        let mut standby = StandbyLog::open(&sdir, 1 << 20).unwrap();
         for tick in 0..6u64 {
             append_renames(&mut wal, tick * 4 + 1..=tick * 4 + 4);
             for f in &shipper.plan(standby.last_seq(), None, 0, 4).unwrap() {
@@ -722,7 +879,7 @@ mod tests {
         assert_eq!((standby.last_seq(), standby.reopens()), (24, 0), "created, then kept open");
         // A restarted standby verifies the file it finds once, then keeps
         // it open too.
-        let mut standby = StandbyLog::open(&sdir).unwrap();
+        let mut standby = StandbyLog::open(&sdir, 1 << 20).unwrap();
         for tick in 6..12u64 {
             append_renames(&mut wal, tick * 4 + 1..=tick * 4 + 4);
             for f in &shipper.plan(standby.last_seq(), None, 0, 4).unwrap() {
@@ -738,9 +895,9 @@ mod tests {
     #[test]
     fn tail_after_a_sealed_copy_of_its_segment_extends_the_new_file() {
         let (pdir, sdir) = (tmp_dir("replaced-p"), tmp_dir("replaced-s"));
-        let (mut wal, _) = Wal::open(&pdir, 1 << 20, false).unwrap();
+        let (mut wal, _) = Wal::open(&pdir, 1 << 20).unwrap();
         let mut shipper = Shipper::new(&pdir);
-        let mut standby = StandbyLog::open(&sdir).unwrap();
+        let mut standby = StandbyLog::open(&sdir, 1 << 20).unwrap();
         append_renames(&mut wal, 1..=5);
         standby.apply(&shipper.plan(0, None, 0, 4).unwrap()[0]).unwrap();
         // A re-request of the segment that is still active ships its file
@@ -756,7 +913,11 @@ mod tests {
         }
         assert_eq!((standby.last_seq(), standby.reopens()), (12, 1));
         drop(standby);
-        assert_eq!(StandbyLog::open(&sdir).unwrap().last_seq(), 12, "the tail reached the disk");
+        assert_eq!(
+            StandbyLog::open(&sdir, 1 << 20).unwrap().last_seq(),
+            12,
+            "the tail reached the disk"
+        );
         assert_eq!(Wal::replay_after(&sdir, 0).unwrap(), Wal::replay_after(&pdir, 0).unwrap());
         let _ = std::fs::remove_dir_all(&pdir);
         let _ = std::fs::remove_dir_all(&sdir);

@@ -1,11 +1,20 @@
 //! The segmented write-ahead log: an ordered chain of segment files in
 //! one directory, exactly one of which (the highest index) is open for
-//! append. Rotation seals the active segment and starts the next; sealed
-//! segments are immutable and become compaction candidates once a
+//! writing, over the zero fill it was created with. Rotation seals the
+//! active segment — truncates it to its records — and starts the next;
+//! sealed segments are immutable and become compaction candidates once a
 //! snapshot covers them.
+//!
+//! While a log-shipping standby is attached the log also keeps, in memory,
+//! the records it framed since the last [`Wal::take_framed`]: a
+//! [`FramedTail`], the bytes exactly as they sit in the active segment, so
+//! the [`crate::ship::Shipper`] ships them without reading the file back.
 
 use crate::record::TornTail;
-use crate::segment::{list_segments, read_segment, read_segment_header, SegmentWriter};
+use crate::segment::{
+    frame_entry, list_segments, read_segment, read_segment_header, SegmentWriter,
+};
+use crate::ship::TAIL_ENTRY_OVERHEAD;
 use rave_scene::AuditEntry;
 use std::io;
 use std::path::{Path, PathBuf};
@@ -16,7 +25,8 @@ pub struct Wal {
     dir: PathBuf,
     active: SegmentWriter,
     segment_max_bytes: u64,
-    sync_writes: bool,
+    /// What was framed since the last take, while a shipper takes it.
+    framed: Option<FramedTail>,
 }
 
 /// What `Wal::open` found on disk.
@@ -25,27 +35,86 @@ pub struct WalOpenReport {
     pub segments: usize,
     /// Entries sitting in the log (all segments).
     pub entries: usize,
-    /// A torn tail was truncated from the active segment.
+    /// A torn tail was cut from the active segment.
     pub repaired_torn_tail: Option<TornTail>,
 }
 
+/// One record of a [`FramedTail`].
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct RecordMark {
+    pub seq: u64,
+    /// Segment file offset the record ends at.
+    pub end: u64,
+    /// What the entry charges the wire in a tail frame:
+    /// `stamped.wire_size()` + [`TAIL_ENTRY_OVERHEAD`].
+    pub charge: u64,
+}
+
+/// A run of consecutive records of one segment, byte for byte as the log
+/// framed them.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct FramedTail {
+    /// The segment the records sit in, and the sequence number it starts at.
+    pub index: u64,
+    pub base_seq: u64,
+    /// Segment file offset of `bytes[0]`.
+    pub offset: u64,
+    /// Sequence number of the first record; for an empty run, of the
+    /// record that would follow.
+    pub first_seq: u64,
+    /// The CRC-framed records.
+    pub bytes: Vec<u8>,
+    pub marks: Vec<RecordMark>,
+}
+
+impl FramedTail {
+    /// The empty run at the clean end of `writer`'s segment.
+    fn at_end_of(writer: &SegmentWriter) -> Self {
+        Self {
+            index: writer.header.index,
+            base_seq: writer.header.base_seq,
+            offset: writer.len,
+            first_seq: writer.last_seq + 1,
+            bytes: Vec::new(),
+            marks: Vec::new(),
+        }
+    }
+
+    /// Segment file offset just past the last record.
+    pub fn end(&self) -> u64 {
+        self.offset + self.bytes.len() as u64
+    }
+
+    /// Take the first `n` records off the front as a run of their own.
+    pub(crate) fn split_front(&mut self, n: usize) -> FramedTail {
+        let cut = n.checked_sub(1).map_or(self.offset, |i| self.marks[i].end);
+        let rest = self.bytes.split_off((cut - self.offset) as usize);
+        let rest_marks = self.marks.split_off(n);
+        let front = FramedTail {
+            offset: std::mem::replace(&mut self.offset, cut),
+            bytes: std::mem::replace(&mut self.bytes, rest),
+            marks: std::mem::replace(&mut self.marks, rest_marks),
+            ..*self
+        };
+        self.first_seq = front.marks.last().map_or(self.first_seq, |m| m.seq + 1);
+        front
+    }
+}
+
 impl Wal {
-    /// Open (or initialise) the log in `dir`. The highest-index segment
-    /// is repaired (torn tail truncated) and re-opened for append.
-    pub fn open(
-        dir: &Path,
-        segment_max_bytes: u64,
-        sync_writes: bool,
-    ) -> io::Result<(Self, WalOpenReport)> {
+    /// Open (or initialise) the log in `dir`, its segments zero-filled to
+    /// `segment_max_bytes`. The highest-index segment is repaired (torn
+    /// tail cut) and re-opened for writing.
+    pub fn open(dir: &Path, segment_max_bytes: u64) -> io::Result<(Self, WalOpenReport)> {
         std::fs::create_dir_all(dir)?;
         let segments = list_segments(dir)?;
         let (active, report) = match segments.last() {
             None => {
-                let w = SegmentWriter::create(dir, 0, 1)?;
+                let w = SegmentWriter::create(dir, 0, 1, segment_max_bytes)?;
                 (w, WalOpenReport { segments: 1, entries: 0, repaired_torn_tail: None })
             }
             Some((_, last_path)) => {
-                let (w, contents) = SegmentWriter::open_for_append(last_path)?;
+                let (w, contents) = SegmentWriter::open_for_append(last_path, segment_max_bytes)?;
                 let mut entries = contents.entries.len();
                 for (_, p) in &segments[..segments.len() - 1] {
                     entries += read_segment(p)?.entries.len();
@@ -60,7 +129,8 @@ impl Wal {
                 )
             }
         };
-        Ok((Self { dir: dir.to_path_buf(), active, segment_max_bytes, sync_writes }, report))
+        let wal = Self { dir: dir.to_path_buf(), active, segment_max_bytes, framed: None };
+        Ok((wal, report))
     }
 
     pub fn dir(&self) -> &Path {
@@ -72,7 +142,7 @@ impl Wal {
         self.active.last_seq
     }
 
-    /// Index of the segment currently open for append.
+    /// Index of the segment currently open for writing.
     pub fn active_segment_index(&self) -> u64 {
         self.active.header.index
     }
@@ -83,28 +153,61 @@ impl Wal {
         if self.active.len >= self.segment_max_bytes {
             self.rotate()?;
         }
-        self.active.append(entry)?;
-        if self.sync_writes {
-            self.active.sync()?;
+        let seq = entry.stamped.seq;
+        let mut unkept = Vec::new();
+        let bytes = self.framed.as_mut().map_or(&mut unkept, |framed| &mut framed.bytes);
+        let start = bytes.len();
+        frame_entry(entry, bytes);
+        if let Err(e) = self.active.write_records(&bytes[start..], seq) {
+            bytes.truncate(start);
+            return Err(e);
+        }
+        if let Some(framed) = &mut self.framed {
+            let charge = entry.stamped.wire_size() + TAIL_ENTRY_OVERHEAD;
+            framed.marks.push(RecordMark { seq, end: self.active.len, charge });
         }
         Ok(())
     }
 
     /// Seal the active segment and open the next one.
     pub fn rotate(&mut self) -> io::Result<()> {
+        self.active.seal()?;
         self.active.sync()?;
         let next = SegmentWriter::create(
             &self.dir,
             self.active.header.index + 1,
             self.active.last_seq + 1,
+            self.segment_max_bytes,
         )?;
         self.active = next;
+        if let Some(framed) = &mut self.framed {
+            *framed = FramedTail::at_end_of(&self.active);
+        }
         Ok(())
     }
 
     /// Flush and fsync the active segment.
     pub fn sync(&mut self) -> io::Result<()> {
         self.active.sync()
+    }
+
+    /// Keep what is framed for [`Wal::take_framed`] (`true`), from the
+    /// clean end on, or stop and drop what was kept (`false`). Keeping
+    /// already is no change.
+    pub fn keep_framed(&mut self, keep: bool) {
+        match (keep, &self.framed) {
+            (true, None) => self.framed = Some(FramedTail::at_end_of(&self.active)),
+            (false, _) => self.framed = None,
+            (true, Some(_)) => {}
+        }
+    }
+
+    /// The records framed in the active segment since the last take (or
+    /// since keeping started, or the segment did), up to its clean end;
+    /// `None` while not keeping. Never more than one segment.
+    pub fn take_framed(&mut self) -> Option<FramedTail> {
+        let framed = self.framed.as_mut()?;
+        Some(std::mem::replace(framed, FramedTail::at_end_of(&self.active)))
     }
 
     /// Replay every entry with `seq > after_seq`, in order, across all
@@ -187,7 +290,7 @@ mod tests {
     fn append_and_replay_across_rotations() {
         let dir = tmp_dir("rotate");
         // Tiny segments force several rotations over 50 entries.
-        let (mut wal, report) = Wal::open(&dir, 256, false).unwrap();
+        let (mut wal, report) = Wal::open(&dir, 256).unwrap();
         assert_eq!(report.entries, 0);
         for seq in 1..=50 {
             wal.append(&entry(seq)).unwrap();
@@ -208,13 +311,13 @@ mod tests {
     fn reopen_continues_sequence_and_segment() {
         let dir = tmp_dir("reopen");
         {
-            let (mut wal, _) = Wal::open(&dir, 1 << 20, false).unwrap();
+            let (mut wal, _) = Wal::open(&dir, 1 << 20).unwrap();
             for seq in 1..=10 {
                 wal.append(&entry(seq)).unwrap();
             }
             wal.sync().unwrap();
         }
-        let (mut wal, report) = Wal::open(&dir, 1 << 20, false).unwrap();
+        let (mut wal, report) = Wal::open(&dir, 1 << 20).unwrap();
         assert_eq!(report.entries, 10);
         assert!(report.repaired_torn_tail.is_none());
         assert_eq!(wal.last_seq(), 10);
@@ -227,19 +330,21 @@ mod tests {
     #[test]
     fn crash_tail_repaired_on_open() {
         let dir = tmp_dir("crash");
-        {
-            let (mut wal, _) = Wal::open(&dir, 1 << 20, false).unwrap();
+        let end = {
+            let (mut wal, _) = Wal::open(&dir, 1 << 20).unwrap();
             for seq in 1..=5 {
                 wal.append(&entry(seq)).unwrap();
             }
             wal.sync().unwrap();
-        }
-        // Tear the final record.
+            wal.active.len as usize
+        };
+        // Tear the final record: its last 7 bytes never left the fill.
         let (_, last) = list_segments(&dir).unwrap().pop().unwrap();
-        let bytes = std::fs::read(&last).unwrap();
-        std::fs::write(&last, &bytes[..bytes.len() - 7]).unwrap();
+        let mut bytes = std::fs::read(&last).unwrap();
+        bytes[end - 7..end].fill(0);
+        std::fs::write(&last, &bytes).unwrap();
 
-        let (mut wal, report) = Wal::open(&dir, 1 << 20, false).unwrap();
+        let (mut wal, report) = Wal::open(&dir, 1 << 20).unwrap();
         assert!(report.repaired_torn_tail.is_some());
         assert_eq!(report.entries, 4, "torn entry dropped");
         assert_eq!(wal.last_seq(), 4);
@@ -252,27 +357,23 @@ mod tests {
     }
 
     #[test]
-    fn zero_filled_tail_is_truncated_at_the_first_zero_header() {
+    fn a_clean_preallocated_segment_reopens_with_no_torn_tail() {
         let dir = tmp_dir("zeros");
         {
-            let (mut wal, _) = Wal::open(&dir, 1 << 20, false).unwrap();
+            let (mut wal, _) = Wal::open(&dir, 1 << 20).unwrap();
             for seq in 1..=5 {
                 wal.append(&entry(seq)).unwrap();
             }
             wal.sync().unwrap();
         }
-        // What a preallocated or crash-extended file leaves past the last
-        // record: zeros, which frame as an empty record with a valid CRC.
+        // Past the last record the segment holds its fill: zeros, which
+        // frame as an empty record with a valid CRC and end the log.
         let (_, last) = list_segments(&dir).unwrap().pop().unwrap();
-        let mut bytes = std::fs::read(&last).unwrap();
-        let clean = bytes.len();
-        bytes.resize(clean + 4096, 0);
-        std::fs::write(&last, &bytes).unwrap();
-
-        let (mut wal, report) = Wal::open(&dir, 1 << 20, false).unwrap();
-        assert!(matches!(report.repaired_torn_tail, Some(TornTail::ZeroLength { .. })));
+        assert_eq!(std::fs::metadata(&last).unwrap().len(), 1 << 20, "preallocated");
+        let (mut wal, report) = Wal::open(&dir, 1 << 20).unwrap();
+        assert_eq!(report.repaired_torn_tail, None);
         assert_eq!((report.entries, wal.last_seq()), (5, 5));
-        assert_eq!(std::fs::metadata(&last).unwrap().len(), clean as u64, "zeros truncated");
+        assert_eq!(std::fs::metadata(&last).unwrap().len(), 1 << 20, "the fill is kept");
         wal.append(&entry(6)).unwrap();
         wal.sync().unwrap();
         let replayed = Wal::replay_after(&dir, 0).unwrap();
@@ -284,9 +385,74 @@ mod tests {
     }
 
     #[test]
+    fn a_sealed_segment_is_exactly_its_records() {
+        let dir = tmp_dir("sealed");
+        let (mut wal, _) = Wal::open(&dir, 256).unwrap();
+        for seq in 1..=20 {
+            wal.append(&entry(seq)).unwrap();
+        }
+        wal.sync().unwrap();
+        let segs = list_segments(&dir).unwrap();
+        assert!(segs.len() > 2, "rotated");
+        for (i, (_, path)) in segs.iter().enumerate() {
+            let len = std::fs::metadata(path).unwrap().len();
+            let clean = read_segment(path).unwrap().clean_len;
+            if i + 1 < segs.len() {
+                assert_eq!(len, clean, "sealed segment {i} holds its header and records");
+            } else {
+                assert_eq!(len, clean.max(256), "the active segment keeps its fill");
+            }
+        }
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn taken_runs_are_the_segment_bytes_and_restart_at_a_rotation() {
+        let dir = tmp_dir("framed");
+        let (mut wal, _) = Wal::open(&dir, 256).unwrap();
+        wal.append(&entry(1)).unwrap();
+        assert_eq!(wal.take_framed(), None, "nothing kept before keeping starts");
+        wal.keep_framed(true);
+        let mut taken = Vec::new();
+        for seq in 2..=20 {
+            wal.append(&entry(seq)).unwrap();
+            if seq % 3 == 0 {
+                taken.push(wal.take_framed().unwrap());
+                wal.keep_framed(true); // asked again: no change
+            }
+        }
+        wal.sync().unwrap();
+        taken.push(wal.take_framed().unwrap());
+        let (mut index, mut next_seq) = (0, 2);
+        for run in &taken {
+            let file =
+                std::fs::read(dir.join(crate::segment::segment_file_name(run.index))).unwrap();
+            let at = run.offset as usize;
+            assert_eq!(&file[at..at + run.bytes.len()], &run.bytes[..], "byte for byte");
+            assert!(run.bytes.len() <= 256, "at most one segment");
+            if run.index != index {
+                // A rotation restarts the run at the new segment's head;
+                // what the old one took since is in its sealed file.
+                (index, next_seq) = (run.index, run.base_seq);
+                assert_eq!(run.offset, crate::segment::SEGMENT_HEADER_LEN as u64);
+            }
+            assert_eq!(run.first_seq, next_seq);
+            for (m, seq) in run.marks.iter().zip(next_seq..) {
+                assert_eq!(m.seq, seq);
+                assert_eq!(m.charge, entry(m.seq).stamped.wire_size() + TAIL_ENTRY_OVERHEAD);
+            }
+            next_seq += run.marks.len() as u64;
+        }
+        assert!(taken.windows(2).any(|w| w[0].index != w[1].index), "a rotation between takes");
+        wal.keep_framed(false);
+        assert_eq!(wal.take_framed(), None);
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
     fn replay_after_skips_sealed_segments_by_header() {
         let dir = tmp_dir("skip");
-        let (mut wal, _) = Wal::open(&dir, 256, false).unwrap();
+        let (mut wal, _) = Wal::open(&dir, 256).unwrap();
         for seq in 1..=50 {
             wal.append(&entry(seq)).unwrap();
         }
@@ -314,7 +480,7 @@ mod tests {
     #[test]
     fn rotation_base_seq_chains() {
         let dir = tmp_dir("chain");
-        let (mut wal, _) = Wal::open(&dir, 128, false).unwrap();
+        let (mut wal, _) = Wal::open(&dir, 128).unwrap();
         for seq in 1..=20 {
             wal.append(&entry(seq)).unwrap();
         }

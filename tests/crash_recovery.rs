@@ -56,10 +56,7 @@ fn session_survives_data_service_crash() {
     let ds = sim.world.spawn_data_service("adrenochrome", "skull-session");
     sim.world
         .data_mut(ds)
-        .attach_store(
-            &dir,
-            StoreConfig { checkpoint_every: 8, segment_max_bytes: 512, ..Default::default() },
-        )
+        .attach_store(&dir, StoreConfig { checkpoint_every: 8, segment_max_bytes: 512 })
         .unwrap();
 
     // A render service mirrors the session; a user joins and works.
@@ -160,10 +157,7 @@ fn compaction_bounds_store_size_over_long_session() {
     let ds = sim.world.spawn_data_service("adrenochrome", "marathon");
     sim.world
         .data_mut(ds)
-        .attach_store(
-            &dir,
-            StoreConfig { checkpoint_every: 32, segment_max_bytes: 2048, ..Default::default() },
-        )
+        .attach_store(&dir, StoreConfig { checkpoint_every: 32, segment_max_bytes: 2048 })
         .unwrap();
     let (id, root) = {
         let scene = &mut sim.world.data_mut(ds).scene;

@@ -746,7 +746,7 @@ fn place_in_flight(
     let (parcel, cost) = (scene.extract_parcel(&[node]), scene.subtree_cost(node));
     let channel = sim.world.channel(&model.ds_host, &model.host_of[&to]);
     let arrival = channel.clone().send(sim.now(), cost.data_bytes.max(HEADER_BYTES));
-    MoveBatch::new(ds).move_node(sim, node, None, to, &cost);
+    MoveBatch::new(ds).move_node(sim, node, None, to, &cost).unwrap();
     let interest = model.interests.get_mut(&to).expect("subscribed");
     interest.add_root(node);
     prop_assert_eq!(

@@ -3,16 +3,19 @@
 //! link failing at an *arbitrary* step — and the standby's durable state
 //! is always an exact prefix of the primary's committed trail. Resuming
 //! the link afterwards converges to full equality, losing nothing. A
-//! `Shipper` kept across ticks (its tail cursor) and a standby whose
-//! segment writer stays open are held to the same contract under
+//! `Shipper` kept across ticks and fed what the WAL framed, and a standby
+//! whose segment writer stays open, are held to the same contract under
 //! arbitrary interleavings of appends, rotations, compaction, torn frames
-//! and resyncs: frame for frame what a fresh `Shipper` plans.
+//! and resyncs: frame for frame what a fresh `Shipper` plans, and every
+//! standby segment the primary's record bytes.
 
 use proptest::prelude::*;
 use rave::scene::{AuditEntry, NodeKind, SceneTree, SceneUpdate, StampedUpdate};
+use rave::store::record::scan_records;
+use rave::store::segment::{list_segments, SEGMENT_HEADER_LEN};
 use rave::store::ship::{ShipAck, ShipFrame, Shipper, StandbyLog};
 use rave::store::wal::Wal;
-use std::collections::VecDeque;
+use std::collections::{BTreeMap, VecDeque};
 use std::path::{Path, PathBuf};
 
 fn tmp_dir(tag: &str, case: u64) -> PathBuf {
@@ -26,7 +29,7 @@ fn tmp_dir(tag: &str, case: u64) -> PathBuf {
 /// segment cap (small caps force rotation at arbitrary entry boundaries).
 /// Returns the committed trail for prefix comparison.
 fn build_primary(dir: &Path, n: u64, seg_bytes: u64) -> Vec<AuditEntry> {
-    let (mut wal, _) = Wal::open(dir, seg_bytes, false).unwrap();
+    let (mut wal, _) = Wal::open(dir, seg_bytes).unwrap();
     let mut trail = Vec::new();
     grow(&mut wal, &mut SceneTree::new(), &mut trail, n);
     trail
@@ -69,6 +72,30 @@ fn assert_exact_prefix(sdir: &Path, trail: &[AuditEntry]) -> u64 {
     }
     assert_eq!(rec.tree, prefix, "recovered tree is the prefix state");
     rec.last_seq
+}
+
+/// A segment file's header and records, without the fill past them.
+fn records_of(bytes: &[u8]) -> &[u8] {
+    &bytes[..SEGMENT_HEADER_LEN + scan_records(&bytes[SEGMENT_HEADER_LEN..]).clean_len]
+}
+
+/// Read the primary's segments into `seen` (header and records by index;
+/// a segment compaction deleted keeps its last bytes, which were final).
+fn note_primary(pdir: &Path, seen: &mut BTreeMap<u64, Vec<u8>>) {
+    for (index, path) in list_segments(pdir).unwrap() {
+        seen.insert(index, records_of(&std::fs::read(path).unwrap()).to_vec());
+    }
+}
+
+/// Every standby segment is a byte-for-byte prefix of the primary's
+/// records, followed by nothing but zeros.
+fn assert_byte_prefix(sdir: &Path, seen: &BTreeMap<u64, Vec<u8>>) {
+    for (index, path) in list_segments(sdir).unwrap() {
+        let bytes = std::fs::read(path).unwrap();
+        let records = records_of(&bytes);
+        assert!(seen[&index].starts_with(records), "standby segment {index} is not a prefix");
+        assert!(bytes[records.len()..].iter().all(|&b| b == 0), "segment {index}: not a fill");
+    }
 }
 
 /// Drive the ship protocol one frame at a time until the plan is empty,
@@ -116,7 +143,7 @@ proptest! {
         let mut shipper = Shipper::new(&pdir);
 
         // Phase 1: ship until the injected failure (or until drained).
-        let mut standby = StandbyLog::open(&sdir).unwrap();
+        let mut standby = StandbyLog::open(&sdir, seg_bytes).unwrap();
         ship_until(&mut shipper, &mut standby, max_lag, Some(fail_step));
         let at_failure = standby.last_seq();
         drop(standby);
@@ -125,7 +152,7 @@ proptest! {
 
         // Phase 2: the standby restarts and the link resumes from its
         // durable cursor; with no lag allowance it drains completely.
-        let mut standby = StandbyLog::open(&sdir).unwrap();
+        let mut standby = StandbyLog::open(&sdir, seg_bytes).unwrap();
         prop_assert_eq!(standby.last_seq(), at_failure, "resume from the durable prefix");
         ship_until(&mut shipper, &mut standby, 0, None);
         prop_assert_eq!(standby.last_seq(), n, "resume converges to the full trail");
@@ -150,7 +177,7 @@ proptest! {
         // 128-byte cap: several sealed segments for any n in range.
         let trail = build_primary(&pdir, n, 128);
         let mut shipper = Shipper::new(&pdir);
-        let mut standby = StandbyLog::open(&sdir).unwrap();
+        let mut standby = StandbyLog::open(&sdir, 128).unwrap();
 
         let mut ack = ShipAck { last_seq: 0, resend: None };
         let mut corrupted = false;
@@ -188,10 +215,12 @@ proptest! {
     /// log grows, rotates and is compacted behind the acknowledged cursor
     /// while frames sit in a bounded in-flight window, arrive torn, are
     /// re-requested, and the optimistic cursor is pulled back to the
-    /// acknowledged one. At every tick the kept `Shipper` plans exactly
-    /// what a fresh one does, and after every delivery the standby — its
-    /// writer open across frames, also across a sealed copy replacing a
-    /// file under it — is an exact prefix of the committed trail.
+    /// acknowledged one. At every tick the kept `Shipper`, fed what the
+    /// WAL framed since the last, plans exactly what a fresh one does, and
+    /// after every delivery the standby — its writer open across frames,
+    /// also across a sealed copy replacing a file under it — is an exact
+    /// prefix of the committed trail, each of its segments a byte-for-byte
+    /// prefix of the primary's records.
     #[test]
     fn kept_cursor_and_open_writer_match_the_stateless_protocol(
         seg_bytes in 128u64..900,
@@ -202,22 +231,26 @@ proptest! {
         const WINDOW: usize = 3;
         let pdir = tmp_dir("kept-p", case);
         let sdir = tmp_dir("kept-s", case);
-        let (mut wal, _) = Wal::open(&pdir, seg_bytes, false).unwrap();
+        let (mut wal, _) = Wal::open(&pdir, seg_bytes).unwrap();
+        wal.keep_framed(true);
         let mut tree = SceneTree::new();
         let mut trail: Vec<AuditEntry> = Vec::new();
         let mut kept = Shipper::new(&pdir);
-        let mut standby = StandbyLog::open(&sdir).unwrap();
+        let mut standby = StandbyLog::open(&sdir, seg_bytes).unwrap();
+        let mut seen = BTreeMap::new();
         // The link's cursors, as `replica::ship_tick` keeps them.
         let (mut acked, mut shipped, mut resend) = (0u64, 0u64, None);
         let mut in_flight: VecDeque<ShipFrame> = VecDeque::new();
 
         let tick = |kept: &mut Shipper,
+                        wal: &mut Wal,
                         in_flight: &mut VecDeque<ShipFrame>,
                         shipped: &mut u64,
                         resend: Option<u64>,
                         max_lag: u64|
          -> Result<(), TestCaseError> {
             let window = WINDOW.saturating_sub(in_flight.len());
+            kept.feed(wal.take_framed().unwrap());
             let frames = kept.plan(*shipped, resend, max_lag, window).unwrap();
             let fresh = Shipper::new(&pdir).plan(*shipped, resend, max_lag, window).unwrap();
             prop_assert_eq!(&frames, &fresh, "kept cursor changed what ships");
@@ -231,12 +264,17 @@ proptest! {
                            in_flight: &mut VecDeque<ShipFrame>,
                            cursors: (&mut u64, &mut u64, &mut Option<u64>),
                            tear: bool,
-                           trail: &[AuditEntry]|
+                           trail: &[AuditEntry],
+                           seen: &mut BTreeMap<u64, Vec<u8>>|
          -> Result<(), TestCaseError> {
             let Some(mut frame) = in_flight.pop_front() else { return Ok(()) };
-            if let (true, ShipFrame::Sealed { bytes, .. }) = (tear, &mut frame) {
+            if tear {
                 // Damage a record (an empty segment has none to damage).
-                if let Some(b) = bytes.get_mut(40) {
+                let damaged = match &mut frame {
+                    ShipFrame::Sealed { bytes, .. } => bytes.get_mut(40),
+                    ShipFrame::Tail { records, .. } => records.get_mut(12),
+                };
+                if let Some(b) = damaged {
                     *b ^= 0xff;
                 }
             }
@@ -250,6 +288,8 @@ proptest! {
             }
             prop_assert_eq!(standby.last_seq(), *acked);
             prop_assert_eq!(assert_exact_prefix(&sdir, trail), *acked);
+            note_primary(&pdir, seen);
+            assert_byte_prefix(&sdir, seen);
             Ok(())
         };
 
@@ -260,14 +300,15 @@ proptest! {
                 4 => {
                     // Checkpoint + compaction behind the standby.
                     wal.sync().unwrap();
+                    note_primary(&pdir, &mut seen);
                     let seq = trail.len() as u64;
                     rave::store::write_snapshot(&pdir, &tree, seq, seq as f64).unwrap();
                     rave::store::compact(&pdir, seq, Some(acked)).unwrap();
                 }
-                5 | 6 => tick(&mut kept, &mut in_flight, &mut shipped, resend, max_lag)?,
+                5 | 6 => tick(&mut kept, &mut wal, &mut in_flight, &mut shipped, resend, max_lag)?,
                 7 => {
                     let cursors = (&mut acked, &mut shipped, &mut resend);
-                    deliver(&mut standby, &mut in_flight, cursors, flag, &trail)?;
+                    deliver(&mut standby, &mut in_flight, cursors, flag, &trail, &mut seen)?;
                 }
                 // A link re-established mid-flight: plan again from what
                 // was acknowledged, duplicates and all.
@@ -282,20 +323,20 @@ proptest! {
         // the copy of the growing segment lands, then the segment grows.
         resend = Some(wal.active_segment_index());
         for _ in 0..2 {
-            tick(&mut kept, &mut in_flight, &mut shipped, resend, 0)?;
+            tick(&mut kept, &mut wal, &mut in_flight, &mut shipped, resend, 0)?;
             while !in_flight.is_empty() {
                 let cursors = (&mut acked, &mut shipped, &mut resend);
-                deliver(&mut standby, &mut in_flight, cursors, false, &trail)?;
+                deliver(&mut standby, &mut in_flight, cursors, false, &trail, &mut seen)?;
             }
             grow(&mut wal, &mut tree, &mut trail, 2);
         }
         // Drain: no lag allowance, nothing torn.
         let mut rounds = 0;
         while standby.last_seq() < trail.len() as u64 {
-            tick(&mut kept, &mut in_flight, &mut shipped, resend, 0)?;
+            tick(&mut kept, &mut wal, &mut in_flight, &mut shipped, resend, 0)?;
             while !in_flight.is_empty() {
                 let cursors = (&mut acked, &mut shipped, &mut resend);
-                deliver(&mut standby, &mut in_flight, cursors, false, &trail)?;
+                deliver(&mut standby, &mut in_flight, cursors, false, &trail, &mut seen)?;
             }
             rounds += 1;
             prop_assert!(rounds < 1_000, "shipping must converge");

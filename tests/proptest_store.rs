@@ -91,7 +91,7 @@ proptest! {
     ) {
         let dir = tmp_dir("trunc", case);
         let mut tree = SceneTree::new();
-        let (mut wal, _) = Wal::open(&dir, 1 << 20, false).unwrap();
+        let (mut wal, _) = Wal::open(&dir, 1 << 20).unwrap();
         for seq in 1..=n {
             let id = tree.allocate_id();
             let update = SceneUpdate::AddNode {
@@ -109,11 +109,14 @@ proptest! {
         wal.sync().unwrap();
         drop(wal);
 
-        // One segment (1 MiB cap): cut it anywhere past the header.
+        // One segment (1 MiB cap): cut it anywhere between the header and
+        // the last record's end, past which the segment holds its fill.
         let (_, seg) = rave::store::segment::list_segments(&dir).unwrap().pop().unwrap();
         let bytes = std::fs::read(&seg).unwrap();
         let min = rave::store::segment::SEGMENT_HEADER_LEN;
-        let cut = min + ((bytes.len() - min) as f64 * cut_frac) as usize;
+        let end = min + scan_records(&bytes[min..]).clean_len;
+        prop_assert!(end < bytes.len(), "the segment is filled past its records");
+        let cut = min + ((end - min) as f64 * cut_frac) as usize;
         std::fs::write(&seg, &bytes[..cut]).unwrap();
 
         let rec = rave::store::recover(&dir).unwrap();
@@ -146,7 +149,7 @@ fn truncation_sweep_every_byte_of_a_small_log() {
     // every single byte offset.
     let dir = tmp_dir("sweep", 0);
     let mut tree = SceneTree::new();
-    let (mut wal, _) = Wal::open(&dir, 1 << 20, false).unwrap();
+    let (mut wal, _) = Wal::open(&dir, 1 << 20).unwrap();
     for seq in 1..=5 {
         let id = tree.allocate_id();
         let update = SceneUpdate::AddNode {
@@ -167,14 +170,30 @@ fn truncation_sweep_every_byte_of_a_small_log() {
     let (_, seg) = rave::store::segment::list_segments(&dir).unwrap().pop().unwrap();
     let bytes = std::fs::read(&seg).unwrap();
     let min = rave::store::segment::SEGMENT_HEADER_LEN;
+    // Past the last record the segment holds its fill: cut up to there.
+    let end = min + scan_records(&bytes[min..]).clean_len;
+    assert!(end < bytes.len(), "the segment is filled past its records");
     let mut last_seen = 0;
-    for cut in min..=bytes.len() {
+    for cut in min..=end {
+        // The file cut short at `cut`...
         std::fs::write(&seg, &bytes[..cut]).unwrap();
         let rec = rave::store::recover(&dir).unwrap();
         assert!(rec.last_seq >= last_seen, "prefix length monotone in cut at {cut}");
         assert_eq!(rec.entries.len() as u64, rec.last_seq);
         last_seen = rec.last_seq;
         assert_eq!(RECORD_HEADER_LEN, 8, "framing constant the offsets in this sweep rely on");
+        // ...and the records past `cut` never having left the fill: every
+        // record whose bytes are all there survives (one whose last bytes
+        // were zeros anyway is whole), the torn one does not.
+        let mut torn = bytes[..end].to_vec();
+        torn[cut..].fill(0);
+        let mut file = std::fs::OpenOptions::new().write(true).open(&seg).unwrap();
+        std::io::Write::write_all(&mut file, &torn).unwrap();
+        drop(file);
+        let over_fill = rave::store::recover(&dir).unwrap();
+        let whole = scan_records(&torn[min..]).payloads.len() as u64;
+        assert_eq!(over_fill.last_seq, whole, "torn over the fill at {cut}");
+        assert!((rec.last_seq..=rec.last_seq + 1).contains(&whole), "at {cut}");
     }
     assert_eq!(last_seen, 5, "full file recovers everything");
     std::fs::remove_dir_all(&dir).unwrap();
@@ -314,7 +333,7 @@ proptest! {
     ) {
         let dir = tmp_dir("chain", case);
         let full_dir = tmp_dir("chain-full", case);
-        let cfg = StoreConfig { checkpoint_every: 6, segment_max_bytes: 2048, ..Default::default() };
+        let cfg = StoreConfig { checkpoint_every: 6, segment_max_bytes: 2048 };
         let mut s = Session::open(&dir, cfg, 8);
         let mut structural = false;
         for (step, (what, pick, tris)) in steps.into_iter().enumerate() {
@@ -444,7 +463,7 @@ fn structure_free_windows_write_deltas_and_each_fallback_writes_a_full_snapshot(
 /// behind every checkpoint.
 fn chained_session(tag: &str, retain: bool) -> (PathBuf, Session) {
     let dir = tmp_dir(tag, retain as u64);
-    let cfg = StoreConfig { checkpoint_every: 16, segment_max_bytes: 256, ..Default::default() };
+    let cfg = StoreConfig { checkpoint_every: 16, segment_max_bytes: 256 };
     let mut s = Session::open(&dir, cfg, 30);
     if retain {
         s.store.set_retention_floor(Some(0));
