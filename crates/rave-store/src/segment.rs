@@ -133,7 +133,7 @@ pub(crate) struct DecodedRecords {
 pub(crate) fn decode_records(buf: &[u8], at: u64, path: &Path) -> io::Result<DecodedRecords> {
     let scan = scan_records(buf);
     let torn = match scan.torn {
-        Some(TornTail::ZeroLength { at }) if buf[at..].iter().all(|&b| b == 0) => None,
+        Some(TornTail::ZeroLength { at }) if all_zero(&buf[at..]) => None,
         torn => torn,
     };
     let mut end = at;
@@ -146,6 +146,12 @@ pub(crate) fn decode_records(buf: &[u8], at: u64, path: &Path) -> io::Result<Dec
         records.push((entry, end));
     }
     Ok(DecodedRecords { records, torn })
+}
+
+/// True when `bytes` holds nothing but zeros, compared a fill chunk at a
+/// time (a segment's whole fill is checked on every read of it).
+fn all_zero(bytes: &[u8]) -> bool {
+    bytes.chunks(FILL_CHUNK.len()).all(|c| c == &FILL_CHUNK[..c.len()])
 }
 
 /// Read and verify a whole segment. Torn tails are reported, not

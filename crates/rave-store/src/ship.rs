@@ -445,11 +445,6 @@ impl StandbyLog {
         let writer = match &mut self.writer {
             Some(w) if w.header.index == index => w,
             slot => {
-                // Tail frames moved on to the next segment: this one is
-                // complete, and sealed as the primary sealed its own.
-                if let Some(done) = slot {
-                    done.seal()?;
-                }
                 let path = self.dir.join(segment_file_name(index));
                 slot.insert(if path.exists() {
                     self.reopens += 1;
@@ -589,7 +584,7 @@ mod tests {
         assert_eq!(rec.last_seq, 40);
         assert_eq!(rec.tree, live);
         // Sealed segments are byte-identical copies; the standby's tail
-        // segment re-encodes the same records deterministically.
+        // segment holds the primary's record bytes over the same fill.
         for (idx, p_path) in list_segments(&pdir).unwrap() {
             let s_path = sdir.join(segment_file_name(idx));
             assert_eq!(
@@ -860,6 +855,31 @@ mod tests {
         }
         assert_eq!(standby.last_seq(), 6);
         assert_eq!(Wal::replay_after(&sdir, 0).unwrap(), Wal::replay_after(&pdir, 0).unwrap());
+        let _ = std::fs::remove_dir_all(&pdir);
+        let _ = std::fs::remove_dir_all(&sdir);
+    }
+
+    /// A tail frame that starts inside what the standby holds (a plan from
+    /// the acknowledged cursor while an earlier frame was still on the
+    /// wire) adds only the records past it, and the copy stays the
+    /// primary's bytes.
+    #[test]
+    fn a_tail_frame_overlapping_the_held_prefix_writes_only_what_is_past_it() {
+        let (pdir, sdir) = (tmp_dir("overlap-p"), tmp_dir("overlap-s"));
+        let (mut wal, _) = Wal::open(&pdir, 1 << 20).unwrap();
+        append_renames(&mut wal, 1..=5);
+        let early = Shipper::new(&pdir).plan(0, None, 0, 1).unwrap().remove(0);
+        append_renames(&mut wal, 6..=8);
+        let late = Shipper::new(&pdir).plan(0, None, 0, 1).unwrap().remove(0);
+        let mut standby = StandbyLog::open(&sdir, 1 << 20).unwrap();
+        standby.apply(&early).unwrap();
+        let apply = standby.apply(&late).unwrap();
+        let seqs: Vec<u64> = apply.entries.iter().map(|e| e.stamped.seq).collect();
+        assert_eq!((seqs, apply.ack.last_seq), (vec![6, 7, 8], 8));
+        let name = segment_file_name(0);
+        let (p, s) =
+            (std::fs::read(pdir.join(&name)).unwrap(), std::fs::read(sdir.join(&name)).unwrap());
+        assert_eq!(p, s, "the copy is the primary's segment, fill and all");
         let _ = std::fs::remove_dir_all(&pdir);
         let _ = std::fs::remove_dir_all(&sdir);
     }

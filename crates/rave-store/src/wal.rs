@@ -390,10 +390,17 @@ mod tests {
         let (mut wal, _) = Wal::open(&dir, 256).unwrap();
         for seq in 1..=20 {
             wal.append(&entry(seq)).unwrap();
+            if seq == 2 {
+                // Rotated by hand with most of the fill left: only the
+                // seal cuts it off. An append's rotation comes once the
+                // records cover the fill.
+                wal.rotate().unwrap();
+            }
         }
         wal.sync().unwrap();
         let segs = list_segments(&dir).unwrap();
         assert!(segs.len() > 2, "rotated");
+        assert!(std::fs::metadata(&segs[0].1).unwrap().len() < 256, "sealed short of its fill");
         for (i, (_, path)) in segs.iter().enumerate() {
             let len = std::fs::metadata(path).unwrap().len();
             let clean = read_segment(path).unwrap().clean_len;
