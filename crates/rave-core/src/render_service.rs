@@ -30,6 +30,22 @@ pub(crate) struct FrameKey {
     renderer: Renderer,
 }
 
+/// A session tile that [`RenderService::lend_session_tile`] could not lend:
+/// the request to draw, and what the session's last draw cost
+/// ([`rave_render::raster::RasterStats::cost_units`]), the share of a
+/// section it asks for.
+pub(crate) struct TileDraw {
+    client: ClientId,
+    request: FrameKey,
+    last_cost: Option<u64>,
+}
+
+impl TileDraw {
+    pub(crate) fn last_cost(&self) -> Option<u64> {
+        self.last_cost
+    }
+}
+
 /// One client's rendering session on a render service.
 #[derive(Debug, Clone)]
 pub struct RenderSession {
@@ -326,6 +342,10 @@ impl RenderService {
     /// that frame and its statistics — the ones the render would produce
     /// again — are handed out as they are. A best-effort stream
     /// (§5.1) asks for many such frames. Anything else draws.
+    ///
+    /// It is the lend-or-draw decision, then the draw when the tile is not
+    /// lent: two steps, so a tiled frame can decide for all of its tiles
+    /// before it draws any ([`crate::tiles::render_tiled_frame`]).
     pub fn rasterize_session_tile(
         &mut self,
         client: ClientId,
@@ -333,6 +353,24 @@ impl RenderService {
         full_viewport: &Viewport,
         tile: &Viewport,
     ) -> Option<(&Framebuffer, RenderStats)> {
+        if let Some(draw) = self.lend_session_tile(client, camera, full_viewport, tile) {
+            self.draw_session_tile(draw);
+        }
+        self.session_tile(client)
+    }
+
+    /// Lend or draw, decided once: when `client`'s retained frame is a
+    /// render of this request (see [`RenderService::rasterize_session_tile`])
+    /// it is counted lent again and `None` comes back; otherwise the draw
+    /// the request needs, which [`RenderService::draw_session_tile`] makes.
+    /// `None`, counting nothing, without such a session.
+    pub(crate) fn lend_session_tile(
+        &mut self,
+        client: ClientId,
+        camera: &CameraParams,
+        full_viewport: &Viewport,
+        tile: &Viewport,
+    ) -> Option<TileDraw> {
         let session = self.sessions.get_mut(&client)?;
         let request = FrameKey {
             scene: self.scene.edit_stamp(),
@@ -345,22 +383,38 @@ impl RenderService {
             .last_frame
             .as_ref()
             .is_some_and(|fb| (fb.width(), fb.height()) == (tile.width, tile.height));
-        let stats = match &session.rendered {
-            Some((key, stats)) if sized && *key == request => {
+        match &session.rendered {
+            Some((key, _)) if sized && *key == request => {
                 session.frames_reused += 1;
-                *stats
+                None
             }
-            _ => {
-                // No record while the buffer is being drawn into.
-                session.rendered = None;
-                let fb = session.frame_buffer(tile.width, tile.height);
-                let stats = self.renderer.render_tile(&self.scene, camera, full_viewport, tile, fb);
-                session.rendered = Some((request, stats));
-                session.frames_drawn += 1;
-                stats
+            rendered => {
+                let last_cost = rendered.as_ref().map(|(_, stats)| stats.raster.cost_units());
+                Some(TileDraw { client, request, last_cost })
             }
-        };
-        Some((session.last_frame.as_ref()?, stats))
+        }
+    }
+
+    /// Draw what [`RenderService::lend_session_tile`] could not lend into
+    /// the session's retained buffer, and record it as what that buffer
+    /// now holds.
+    pub(crate) fn draw_session_tile(&mut self, draw: TileDraw) {
+        let TileDraw { client, request, .. } = draw;
+        let session = self.sessions.get_mut(&client).expect("a draw is asked for a session");
+        // No record while the buffer is being drawn into.
+        session.rendered = None;
+        let FrameKey { camera, full_viewport, tile, .. } = &request;
+        let fb = session.frame_buffer(tile.width, tile.height);
+        let stats = self.renderer.render_tile(&self.scene, camera, full_viewport, tile, fb);
+        session.rendered = Some((request, stats));
+        session.frames_drawn += 1;
+    }
+
+    /// `client`'s retained frame and the statistics of the render it is,
+    /// once it holds a finished one.
+    pub(crate) fn session_tile(&self, client: ClientId) -> Option<(&Framebuffer, RenderStats)> {
+        let session = self.sessions.get(&client)?;
+        Some((session.last_frame.as_ref()?, session.rendered.as_ref()?.1))
     }
 
     /// Queue one off-screen render on the GPU timeline: it starts no

@@ -6,12 +6,18 @@
 //! remaining tiles are rendered remotely... The assisting render service
 //! renders to an off-screen buffer, which it then forwards directly to
 //! the requesting render service."
+//!
+//! The services of a plan draw at the same time here too: a frame first
+//! decides, tile by tile, whether each service lends its retained tile
+//! again or draws it, then draws every tile that must be drawn in one
+//! parallel section ([`rave_render::section`]), and only then sends,
+//! charges and stitches the tiles in plan order.
 
 use crate::capacity::CapacityReport;
 use crate::config::CompressionMode;
 use crate::frame_stream::{self, Outgoing};
 use crate::ids::{ClientId, RenderServiceId};
-use crate::render_service::{FrameKey, RenderSession};
+use crate::render_service::{FrameKey, RenderService, RenderSession, TileDraw};
 use crate::sched::placement::rank_helpers;
 use crate::sched::ThroughputTracker;
 use crate::trace::TraceEvent;
@@ -19,6 +25,7 @@ use crate::world::RaveSim;
 use rave_compress::adaptive::EndpointSpeed;
 use rave_math::Viewport;
 use rave_render::composite::stitch_tiles;
+use rave_render::section::draw_at_once;
 use rave_render::{Framebuffer, OffscreenMode};
 use rave_scene::CameraParams;
 use rave_sim::SimTime;
@@ -212,6 +219,14 @@ pub fn record_tile_costs(
 /// service whose scene and camera have not moved since its last tile
 /// lends that tile again instead of drawing it.
 ///
+/// Lend or draw is decided once per tile, first; the tiles to draw are
+/// then drawn at the same time, in one parallel section that shares the
+/// threads by each tile's last cost (`draw_tiles`). A frame that draws
+/// nothing starts no section, and one that draws one tile draws it with
+/// every thread. Requests, transfers, costs and the stitch follow in plan
+/// order; the virtual clock charges each tile its own service's render
+/// time, as for assistants that each draw on their own machine.
+///
 /// The stitched image stays in the owner's session, and a frame copies
 /// into it only the tiles that are a render of something else than what
 /// it holds of them (a tile rendered outside a session is always copied;
@@ -248,6 +263,35 @@ pub fn render_tiled_frame(
         "one tile per service"
     );
 
+    // Lend or draw, decided once per tile, before anything is sent: the
+    // owner and every helper that answers take the camera and lend their
+    // retained tile again when nothing it depends on moved; the tiles that
+    // must be drawn are drawn together.
+    let mut draws = Vec::new();
+    for (tile_vp, svc) in &plan.tiles {
+        if *svc != owner && stalled.contains(svc) {
+            continue;
+        }
+        let rs = sim.world.render_mut(*svc);
+        if *svc != owner {
+            let entry = rs.sessions.entry(client).or_insert_with(|| {
+                RenderSession::new(client, *tile_vp, camera, OffscreenMode::Sequential)
+            });
+            entry.camera = camera;
+            entry.viewport = *tile_vp;
+        }
+        if produce_images {
+            let draw = rs.lend_session_tile(client, &camera, &full_viewport, tile_vp);
+            draws.extend(draw.map(|draw| (*svc, draw)));
+        }
+    }
+    draw_tiles(sim, draws);
+    // What a drawn or lent tile measured.
+    let measured = |sim: &RaveSim, svc: RenderServiceId| {
+        let (_, stats) = sim.world.render(svc).session_tile(client).expect("tile drawn or lent");
+        stats.raster.cost_units()
+    };
+
     let mut tile_arrivals = Vec::with_capacity(plan.tiles.len());
     // Parallel to the plan: a tile rendered outside its service's retained
     // buffer (a stalled helper with no delivered tile to reuse).
@@ -263,17 +307,8 @@ pub fn render_tiled_frame(
             let cost = sim.world.render(owner).machine.onscreen_cost(polys, pixels);
             let done = t0 + SimTime::from_secs(cost.total());
             tile_arrivals.push(done);
-            let units = if produce_images {
-                let (_, stats) = sim
-                    .world
-                    .render_mut(owner)
-                    .rasterize_session_tile(client, &camera, &full_viewport, tile_vp)
-                    .expect("owner session");
-                stats.raster.cost_units()
-            } else {
-                // Machine-model proxy when pixel work is skipped.
-                pixels + 8 * polys
-            };
+            // Machine-model proxy when pixel work is skipped.
+            let units = if produce_images { measured(sim, owner) } else { pixels + 8 * polys };
             rendered_aside.push(None);
             tile_costs.push(TileCost {
                 service: owner,
@@ -310,14 +345,6 @@ pub fn render_tiled_frame(
             continue;
         }
         // Fresh helper tile: request → off-screen render → tile transfer.
-        {
-            let rs = sim.world.render_mut(*svc);
-            let entry = rs.sessions.entry(client).or_insert_with(|| {
-                RenderSession::new(client, *tile_vp, camera, OffscreenMode::Sequential)
-            });
-            entry.camera = camera;
-            entry.viewport = *tile_vp;
-        }
         let req_arrives = sim.world.send_bytes(t0, &owner_host, &helper_host, 128);
         let polys = sim.world.render(*svc).assigned_cost().polygons;
         let cost =
@@ -326,16 +353,7 @@ pub fn render_tiled_frame(
         // Tile return: raw 24 bpp, or the compressed stream when the
         // world has real pixels to encode. Always lossless — the tile is
         // stitched into a composite that must match a monolithic render.
-        let units = if produce_images {
-            let (_, stats) = sim
-                .world
-                .render_mut(*svc)
-                .rasterize_session_tile(client, &camera, &full_viewport, tile_vp)
-                .expect("session opened above");
-            stats.raster.cost_units()
-        } else {
-            pixels + 8 * polys
-        };
+        let units = if produce_images { measured(sim, *svc) } else { pixels + 8 * polys };
         let arrival = if produce_images && adaptive {
             // The stream reads the tile from the helper's session, and
             // sends one it already holds as a header.
@@ -399,6 +417,36 @@ pub fn render_tiled_frame(
     let row = TraceEvent::TiledFrame { client, owner, tiles: plan.tiles.len(), stale: used_stale };
     sim.world.trace.record(completed_at, row);
     TiledFrameResult { completed_at, tile_arrivals, image, used_stale_tile: used_stale, tile_costs }
+}
+
+/// Draw the tiles their services could not lend, at the same time, as the
+/// assisting services of §3.2.5 do: one draw keeps every thread, two or
+/// more share them in one section ([`rave_render::section::draw_at_once`],
+/// split by each tile's last measured cost). A tile's pixels, depths and
+/// statistics do not depend on the threads it was drawn with.
+fn draw_tiles(sim: &mut RaveSim, mut draws: Vec<(RenderServiceId, TileDraw)>) {
+    if draws.len() <= 1 {
+        for (svc, draw) in draws {
+            sim.world.render_mut(svc).draw_session_tile(draw);
+        }
+        return;
+    }
+    // One draw per service (the plan names each once): the world's map
+    // hands out the services' disjoint borrows in id order.
+    draws.sort_by_key(|(svc, _)| *svc);
+    let services: Vec<&mut RenderService> = sim
+        .world
+        .render_services
+        .iter_mut()
+        .filter(|(id, _)| draws.binary_search_by_key(*id, |(svc, _)| *svc).is_ok())
+        .map(|(_, rs)| rs)
+        .collect();
+    debug_assert_eq!(services.len(), draws.len(), "one draw per service");
+    let jobs =
+        services.into_iter().zip(draws).map(|(rs, (_, draw))| (draw.last_cost(), (rs, draw)));
+    draw_at_once(jobs.collect(), |(rs, draw)| {
+        rs.draw_session_tile(draw);
+    });
 }
 
 #[cfg(test)]

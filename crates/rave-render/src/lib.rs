@@ -26,6 +26,7 @@ pub mod pick;
 pub mod points;
 pub mod raster;
 pub mod renderer;
+pub mod section;
 pub mod stereo;
 mod tile_cull;
 pub mod volume;

@@ -130,15 +130,20 @@ fn band_cuts(row_load: &[u32], bands: usize) -> Vec<u32> {
 
 /// Vertices a worker of the vertex stage must have to itself before the
 /// stage is split. A vertex is 12 ns of work; a split pays for a section
-/// start (the idle core's wake-up, 75–130 µs where this was measured) and
-/// for writing the output buffer twice, once to size it and once to fill
-/// it. On the 2-core host BENCH_render_parallel.json records, frames 1 ms
-/// apart, one thread against two (medians, µs): Elle's 25,004 vertices 300
-/// against 380–430, 32.5k 377 : 455, 65k 785 : 833, 100k 1238 : 1212, 131k
-/// 1550 : 1400–1510, 200k 2514 : 2065. A split that gives each worker this
-/// many never lost; the 4,096 vertices *in all* that were asked for before
+/// start (the idle core's wake-up: 60–130 µs after the other core idled
+/// 1–5 ms, 16–37 µs back to back, medians of 400 starts on the 2-core
+/// host, with the thread count read once) and for writing the output
+/// buffer twice, once to size it and once to fill it. On the 2-core host
+/// BENCH_render_parallel.json records, frames 1 ms apart, one thread
+/// against two (medians, µs): Elle's 25,004 vertices 300 against 380–430,
+/// 32.5k 377 : 455, 65k 785 : 833, 100k 1238 : 1212, 131k 1550 :
+/// 1400–1510, 200k 2514 : 2065. A split that gives each worker this many
+/// never lost; the 4,096 vertices *in all* that were asked for before
 /// lost 0.1 ms of every frame and every strip the end-to-end benchmark
-/// draws.
+/// draws. Taken again with the count read once (the stage alone, two
+/// runs): 25,004 vertices 456–472 : 451–465, 32,768 507–598 : 538–596,
+/// 65,536 921–1198 : 956–978, 131,072 1860–2320 : 1821–2988 — no split
+/// below 131k won on both runs, so the bound stays.
 const VERTICES_PER_WORKER: usize = 65_536;
 
 /// Frame renderer. Holds the style configuration (lighting, background,
