@@ -31,19 +31,10 @@ pub(crate) struct FrameKey {
 }
 
 /// A session tile that [`RenderService::lend_session_tile`] could not lend:
-/// the request to draw, and what the session's last draw cost
-/// ([`rave_render::raster::RasterStats::cost_units`]), the share of a
-/// section it asks for.
+/// the client whose session draws it and the request to draw.
 pub(crate) struct TileDraw {
     client: ClientId,
     request: FrameKey,
-    last_cost: Option<u64>,
-}
-
-impl TileDraw {
-    pub(crate) fn last_cost(&self) -> Option<u64> {
-        self.last_cost
-    }
 }
 
 /// One client's rendering session on a render service.
@@ -388,10 +379,7 @@ impl RenderService {
                 session.frames_reused += 1;
                 None
             }
-            rendered => {
-                let last_cost = rendered.as_ref().map(|(_, stats)| stats.raster.cost_units());
-                Some(TileDraw { client, request, last_cost })
-            }
+            _ => Some(TileDraw { client, request }),
         }
     }
 
@@ -399,7 +387,7 @@ impl RenderService {
     /// the session's retained buffer, and record it as what that buffer
     /// now holds.
     pub(crate) fn draw_session_tile(&mut self, draw: TileDraw) {
-        let TileDraw { client, request, .. } = draw;
+        let TileDraw { client, request } = draw;
         let session = self.sessions.get_mut(&client).expect("a draw is asked for a session");
         // No record while the buffer is being drawn into.
         session.rendered = None;

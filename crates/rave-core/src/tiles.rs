@@ -29,7 +29,7 @@ use rave_render::section::draw_at_once;
 use rave_render::{Framebuffer, OffscreenMode};
 use rave_scene::CameraParams;
 use rave_sim::SimTime;
-use std::collections::BTreeSet;
+use std::collections::{BTreeMap, BTreeSet};
 
 /// A tile assignment: who renders which rectangle of the target image.
 #[derive(Debug, Clone, PartialEq)]
@@ -221,7 +221,7 @@ pub fn record_tile_costs(
 ///
 /// Lend or draw is decided once per tile, first; the tiles to draw are
 /// then drawn at the same time, in one parallel section that shares the
-/// threads by each tile's last cost (`draw_tiles`). A frame that draws
+/// threads equally (`draw_tiles`). A frame that draws
 /// nothing starts no section, and one that draws one tile draws it with
 /// every thread. Requests, transfers, costs and the stitch follow in plan
 /// order; the virtual clock charges each tile its own service's render
@@ -422,31 +422,29 @@ pub fn render_tiled_frame(
 /// Draw the tiles their services could not lend, at the same time, as the
 /// assisting services of §3.2.5 do: one draw keeps every thread, two or
 /// more share them in one section ([`rave_render::section::draw_at_once`],
-/// split by each tile's last measured cost). A tile's pixels, depths and
-/// statistics do not depend on the threads it was drawn with.
-fn draw_tiles(sim: &mut RaveSim, mut draws: Vec<(RenderServiceId, TileDraw)>) {
+/// in plan order). A tile's pixels, depths and statistics do not depend on
+/// the threads it was drawn with.
+fn draw_tiles(sim: &mut RaveSim, draws: Vec<(RenderServiceId, TileDraw)>) {
     if draws.len() <= 1 {
         for (svc, draw) in draws {
             sim.world.render_mut(svc).draw_session_tile(draw);
         }
         return;
     }
-    // One draw per service (the plan names each once): the world's map
-    // hands out the services' disjoint borrows in id order.
-    draws.sort_by_key(|(svc, _)| *svc);
-    let services: Vec<&mut RenderService> = sim
+    // The world's map hands out the services' disjoint borrows; each draw
+    // takes its own service's by id, once.
+    let mut services: BTreeMap<RenderServiceId, &mut RenderService> = sim
         .world
         .render_services
         .iter_mut()
-        .filter(|(id, _)| draws.binary_search_by_key(*id, |(svc, _)| *svc).is_ok())
-        .map(|(_, rs)| rs)
+        .filter(|(id, _)| draws.iter().any(|(svc, _)| svc == *id))
+        .map(|(id, rs)| (*id, rs))
         .collect();
-    debug_assert_eq!(services.len(), draws.len(), "one draw per service");
-    let jobs =
-        services.into_iter().zip(draws).map(|(rs, (_, draw))| (draw.last_cost(), (rs, draw)));
-    draw_at_once(jobs.collect(), |(rs, draw)| {
-        rs.draw_session_tile(draw);
-    });
+    let jobs: Vec<(&mut RenderService, TileDraw)> = draws
+        .into_iter()
+        .map(|(svc, draw)| (services.remove(&svc).expect("one draw per service"), draw))
+        .collect();
+    draw_at_once(jobs, |(rs, draw)| rs.draw_session_tile(draw));
 }
 
 #[cfg(test)]

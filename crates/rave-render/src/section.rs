@@ -7,24 +7,13 @@
 //! to split, its own section start — then run while the other threads
 //! draw, not while they wait.
 //!
-//! The threads are split by what each draw cost the last time it was
-//! drawn ([`crate::raster::RasterStats::cost_units`]), equally when any of
-//! them has no such cost:
-//! - the draws are packed longest-first onto as many groups as there are
-//!   threads (or draws), each draw going to the group with the least work
-//!   so far;
-//! - each group gets threads in proportion to its work, at least one, and
-//!   draws its draws one after another on them;
-//! - while a group would keep less than half a thread busy, the draws are
-//!   packed onto one group fewer. A draw that small rides along with a
-//!   larger one rather than taking a whole thread from it: a frame of two
-//!   large strips and two slivers on 4 threads is two groups of 2 threads,
-//!   not four single-threaded draws, two of whose threads would idle
-//!   after their sliver while each large strip had one.
-//!
-//! So with more draws than threads and work to go round, every draw is
-//! drawn single-threaded; a lone draw, or one that dwarfs the others,
-//! keeps every thread, as a draw outside this module does.
+//! The threads are shared equally. The draws, in the order given, are cut
+//! into as many contiguous groups as there are threads (or draws), of
+//! near-equal length; each group draws its draws one after another on an
+//! equal share of the threads, the first groups taking one thread more
+//! when the threads do not divide. So with more draws than threads every draw is drawn
+//! single-threaded, and a lone draw keeps every thread, as a draw outside
+//! this module does.
 //!
 //! What a draw writes never depends on its share: the raster's output is
 //! the same at any thread count (`renderer`), so only the wall time moves.
@@ -32,29 +21,18 @@
 use rayon::prelude::*;
 use rayon::ThreadPoolBuilder;
 
-/// One group of a section: the draws it runs one after another (indices
-/// into the draws) and the threads each of them is drawn with.
-#[derive(Debug, Clone, PartialEq)]
-struct Group {
-    threads: usize,
-    draws: Vec<usize>,
-}
-
-/// Run every `draw` in one section on the calling thread's thread count
-/// ([`rayon::current_num_threads`]), split as the module says by each
-/// draw's last cost (`None` when it has none). Returns when all are drawn.
-pub fn draw_at_once<T: Send>(draws: Vec<(Option<u64>, T)>, draw: impl Fn(T) + Sync) {
-    let costs: Vec<Option<u64>> = draws.iter().map(|(cost, _)| *cost).collect();
-    let groups = split(&costs, rayon::current_num_threads());
-    let mut draws: Vec<Option<T>> = draws.into_iter().map(|(_, job)| Some(job)).collect();
-    if groups.len() == 1 {
+/// Run every draw in one section on the calling thread's thread count
+/// ([`rayon::current_num_threads`]), shared as the module says. Returns
+/// when all are drawn.
+pub fn draw_at_once<T: Send>(draws: Vec<T>, draw: impl Fn(T) + Sync) {
+    let groups = shares(draws.len(), rayon::current_num_threads());
+    if groups.len() <= 1 {
         // All of the threads, one draw after another.
-        return draws.into_iter().flatten().for_each(draw);
+        return draws.into_iter().for_each(draw);
     }
-    let work: Vec<(usize, Vec<T>)> = groups
-        .into_iter()
-        .map(|g| (g.threads, g.draws.iter().filter_map(|&i| draws[i].take()).collect()))
-        .collect();
+    let mut draws = draws.into_iter();
+    let work: Vec<(usize, Vec<T>)> =
+        groups.iter().map(|&(threads, n)| (threads, draws.by_ref().take(n).collect())).collect();
     let pool = |threads| ThreadPoolBuilder::new().num_threads(threads).build().expect("a pool");
     // One chunk a group: the caller takes the first, a worker each other.
     pool(work.len()).install(|| {
@@ -64,45 +42,14 @@ pub fn draw_at_once<T: Send>(draws: Vec<(Option<u64>, T)>, draw: impl Fn(T) + Sy
     });
 }
 
-/// How `threads` threads are shared by draws of these last `costs`.
-fn split(costs: &[Option<u64>], threads: usize) -> Vec<Group> {
+/// How `threads` threads are shared by `draws` draws: per group in order,
+/// its threads and how many of the next draws it runs.
+fn shares(draws: usize, threads: usize) -> Vec<(usize, usize)> {
     let threads = threads.max(1);
-    let measured: Option<Vec<u64>> = costs.iter().copied().collect();
-    let weights: Vec<f64> = match measured {
-        Some(c) if c.iter().sum::<u64>() > 0 => c.iter().map(|&c| c as f64).collect(),
-        _ => vec![1.0; costs.len()],
-    };
-    let total: f64 = weights.iter().sum();
-    // Longest first; equal costs in the order they were given.
-    let mut order: Vec<usize> = (0..weights.len()).collect();
-    order.sort_by(|&a, &b| weights[b].total_cmp(&weights[a]));
-    let share = |work: f64| work / total * threads as f64;
-
-    let mut k = threads.min(weights.len()).max(1);
-    let packed = loop {
-        let mut groups = vec![(0.0f64, Vec::new()); k];
-        for &i in &order {
-            let lightest = (0..k).min_by(|&a, &b| groups[a].0.total_cmp(&groups[b].0));
-            let (work, draws) = &mut groups[lightest.expect("k >= 1")];
-            *work += weights[i];
-            draws.push(i);
-        }
-        if k == 1 || groups.iter().all(|(work, _)| share(*work) >= 0.5) {
-            break groups;
-        }
-        k -= 1;
-    };
-
-    // Threads in proportion to work, at least one each: every group gets
-    // one, then each thread left goes to the most under-served group.
-    let ideal: Vec<f64> = packed.iter().map(|(work, _)| share(*work)).collect();
-    let mut shares = vec![1usize; packed.len()];
-    for _ in packed.len()..threads {
-        let under = |g: usize| shares[g] as f64 - ideal[g];
-        let g = (0..shares.len()).min_by(|&a, &b| under(a).total_cmp(&under(b)));
-        shares[g.expect("k >= 1")] += 1;
-    }
-    packed.into_iter().zip(shares).map(|((_, draws), threads)| Group { threads, draws }).collect()
+    let k = threads.min(draws).max(1);
+    (0..k)
+        .map(|g| (threads / k + usize::from(g < threads % k), (g + 1) * draws / k - g * draws / k))
+        .collect()
 }
 
 #[cfg(test)]
@@ -110,63 +57,41 @@ mod tests {
     use super::*;
     use std::sync::Mutex;
 
-    fn group(threads: usize, draws: &[usize]) -> Group {
-        Group { threads, draws: draws.to_vec() }
-    }
-
-    /// A lone draw, or one that dwarfs the rest, keeps every thread.
+    /// A lone draw keeps every thread.
     #[test]
     fn a_lone_draw_gets_every_thread() {
         for threads in [1, 2, 3, 8] {
-            assert_eq!(split(&[Some(500)], threads), [group(threads, &[0])]);
-            assert_eq!(split(&[None], threads), [group(threads, &[0])]);
+            assert_eq!(shares(1, threads), [(threads, 1)]);
         }
-        // 5.3 ms beside 0.16 ms on 2 threads: one group, both threads.
-        assert_eq!(split(&[Some(530), Some(16)], 2), [group(2, &[0, 1])]);
+        // One thread: every draw on it, one after another.
+        assert_eq!(shares(4, 1), [(1, 4)]);
     }
 
-    /// More draws than threads: packed longest-first, each group onto the
-    /// thread with the least work so far, every draw single-threaded.
+    /// More draws than threads: contiguous groups of near-equal length,
+    /// one thread each.
     #[test]
-    fn more_draws_than_threads_are_grouped_longest_first() {
-        // tile_wall's four strips: owner, two inner strips, outer helper.
-        let strips = [Some(16), Some(530), Some(510), Some(15)];
-        assert_eq!(split(&strips, 2), [group(1, &[1]), group(1, &[2, 0, 3])]);
-        // Equal work, or no costs at all: in the order given.
-        let equal = [Some(7); 5];
-        assert_eq!(split(&equal, 2), [group(1, &[0, 2, 4]), group(1, &[1, 3])]);
-        assert_eq!(split(&[None, Some(9), None], 2), [group(1, &[0, 2]), group(1, &[1])]);
-        // A cost of zero everywhere is no cost.
-        assert_eq!(split(&[Some(0); 3], 2), split(&[None; 3], 2));
-        let zero_and_some = split(&[Some(0), Some(40), Some(40)], 2);
-        assert_eq!(zero_and_some, [group(1, &[1, 0]), group(1, &[2])]);
+    fn more_draws_than_threads_are_cut_into_groups_in_order() {
+        // tile_wall's four strips (owner, two inner, outer helper) on two
+        // threads: each inner strip beside an outer one.
+        assert_eq!(shares(4, 2), [(1, 2), (1, 2)]);
+        assert_eq!(shares(3, 2), [(1, 1), (1, 2)]);
+        assert_eq!(shares(5, 3), [(1, 1), (1, 2), (1, 2)]);
     }
 
-    /// No more draws than threads: threads in proportion to work, at least
-    /// one each, every thread handed out.
+    /// No more draws than threads: one group a draw, the threads shared
+    /// equally, the first groups taking what does not divide.
     #[test]
-    fn threads_are_shared_in_proportion_to_the_last_cost() {
-        assert_eq!(split(&[Some(300), Some(100)], 4), [group(3, &[0]), group(1, &[1])]);
-        assert_eq!(
-            split(&[Some(100), Some(300), Some(100)], 8),
-            [group(5, &[1]), group(2, &[0]), group(1, &[2])]
-        );
-        assert_eq!(split(&[None; 3], 4), [group(2, &[0]), group(1, &[1]), group(1, &[2])]);
-        // A group of half a thread's work still gets its own thread…
-        assert_eq!(split(&[Some(300), Some(100)], 2), [group(1, &[0]), group(1, &[1])]);
-        // …one of less rides along with the larger draws: two strips and
-        // two slivers on 4 threads draw as two groups of 2 threads.
-        let strips = [Some(16), Some(530), Some(530), Some(16)];
-        assert_eq!(split(&strips, 4), [group(2, &[1, 0]), group(2, &[2, 3])]);
-        assert_eq!(split(&strips, 8), [group(4, &[1, 0]), group(4, &[2, 3])]);
+    fn fewer_draws_share_the_threads_equally() {
+        assert_eq!(shares(2, 2), [(1, 1), (1, 1)]);
+        assert_eq!(shares(3, 4), [(2, 1), (1, 1), (1, 1)]);
+        assert_eq!(shares(3, 8), [(3, 1), (3, 1), (2, 1)]);
+        assert_eq!(shares(4, 8), [(2, 1); 4]);
         for threads in 1..=9 {
-            for costs in [&strips[..], &[Some(1); 7][..], &[Some(9), Some(1), Some(1)][..]] {
-                let groups = split(costs, threads);
-                assert_eq!(groups.iter().map(|g| g.threads).sum::<usize>(), threads);
-                assert!(groups.iter().all(|g| g.threads >= 1 && !g.draws.is_empty()));
-                let mut every: Vec<usize> = groups.iter().flat_map(|g| g.draws.clone()).collect();
-                every.sort_unstable();
-                assert_eq!(every, (0..costs.len()).collect::<Vec<_>>(), "{threads} threads");
+            for draws in 1..=7 {
+                let groups = shares(draws, threads);
+                assert_eq!(groups.iter().map(|g| g.0).sum::<usize>(), threads);
+                assert_eq!(groups.iter().map(|g| g.1).sum::<usize>(), draws);
+                assert!(groups.iter().all(|&(t, n)| t >= 1 && n >= 1), "{draws} on {threads}");
             }
         }
     }
@@ -177,10 +102,10 @@ mod tests {
     fn each_draw_runs_once_with_its_share() {
         let pool = ThreadPoolBuilder::new().num_threads(4).build().unwrap();
         let seen = Mutex::new(Vec::new());
-        let draws = vec![(Some(300), 'a'), (Some(100), 'b'), (None, 'c')];
-        // A cost missing: equal shares, 2 + 1 + 1.
         pool.install(|| {
-            draw_at_once(draws, |d| seen.lock().unwrap().push((d, rayon::current_num_threads())));
+            draw_at_once(vec!['a', 'b', 'c'], |d| {
+                seen.lock().unwrap().push((d, rayon::current_num_threads()))
+            });
             assert_eq!(rayon::current_num_threads(), 4);
         });
         let mut seen = seen.into_inner().unwrap();
@@ -188,10 +113,12 @@ mod tests {
         assert_eq!(seen, [('a', 2), ('b', 1), ('c', 1)]);
 
         let seen = Mutex::new(Vec::new());
-        let draws = vec![(Some(1), 'x'), (Some(1000), 'y')];
-        pool.install(|| {
-            draw_at_once(draws, |d| seen.lock().unwrap().push((d, rayon::current_num_threads())))
+        let one = ThreadPoolBuilder::new().num_threads(1).build().unwrap();
+        one.install(|| {
+            draw_at_once(vec!['x', 'y'], |d| {
+                seen.lock().unwrap().push((d, rayon::current_num_threads()))
+            })
         });
-        assert_eq!(seen.into_inner().unwrap(), [('x', 4), ('y', 4)], "one group, in order");
+        assert_eq!(seen.into_inner().unwrap(), [('x', 1), ('y', 1)], "one group, in order");
     }
 }

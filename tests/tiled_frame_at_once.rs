@@ -68,7 +68,7 @@ struct Step {
 const SCRIPT: [Step; 9] = [
     // The first frame: four draws, none with a last cost.
     Step { orbit: false, edit: &[], stalled: None },
-    // The camera moved: four draws, shared by last cost.
+    // The camera moved: four draws, each with a last cost.
     Step { orbit: true, edit: &[], stalled: None },
     // Nothing moved: every tile lent.
     Step { orbit: false, edit: &[], stalled: None },
@@ -225,7 +225,7 @@ fn a_plan_drawn_at_once_equals_one_drawn_tile_by_tile() {
         let expect = SCRIPT[n].stalled.is_none() && !apart;
         assert_eq!(r.frame.monolithic, expect, "frame {n} against a monolithic render");
     }
-    // The inner strips cost more than the outer ones, so the shares differ.
+    // The inner strips cost more than the outer ones, as Elle's do.
     let costs: Vec<u64> = tile_by_tile[1].frame.tile_costs.iter().map(|c| c.cost_units).collect();
     assert!(costs[1].min(costs[2]) > costs[0].max(costs[3]), "{costs:?}");
 
