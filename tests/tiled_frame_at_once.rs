@@ -66,9 +66,9 @@ struct Step {
 }
 
 const SCRIPT: [Step; 9] = [
-    // The first frame: four draws, none with a last cost.
+    // The first frame: four draws.
     Step { orbit: false, edit: &[], stalled: None },
-    // The camera moved: four draws, each with a last cost.
+    // The camera moved: four draws.
     Step { orbit: true, edit: &[], stalled: None },
     // Nothing moved: every tile lent.
     Step { orbit: false, edit: &[], stalled: None },
