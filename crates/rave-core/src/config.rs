@@ -63,8 +63,8 @@ pub struct RaveConfig {
     pub pipeline_depth: usize,
     /// Replication lag bound, in committed updates: the newest entries of
     /// the primary's *unsealed* segment may stay unshipped up to this
-    /// count (0 = ship every entry immediately). Sealed segments always
-    /// ship whole.
+    /// count (0 = ship every entry immediately). A sealed segment's
+    /// records past the standby's cursor always ship, all of them.
     pub ship_max_lag: u64,
     /// Record a `TraceKind::UpdateDelivered` row per applied update per
     /// replica. On by default (tests and experiment logs read them);

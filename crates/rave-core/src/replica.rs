@@ -3,14 +3,18 @@
 //! grade).
 //!
 //! This is the one replication path. A [`ReplicaLink`] continuously
-//! streams the primary's WAL — sealed segments verbatim, plus the
-//! unsealed tail past the [`crate::RaveConfig::ship_max_lag`] bound, the
-//! record bytes the primary's WAL framed and handed over — to
-//! a standby data service on another host, through the same serializing
-//! `rave_net` channels every other transfer uses. The standby applies
-//! each frame to its own on-disk log *and* its in-memory replica, so at
-//! promotion time there is (almost) nothing left to do: re-point the
-//! subscribers and continue sequence numbers where the primary stopped.
+//! streams the primary's WAL — the records of each segment past the
+//! standby's cursor, verbatim: all of a sealed segment's, and of the
+//! active one's those past the [`crate::RaveConfig::ship_max_lag`] bound,
+//! in lockstep the record bytes the primary's WAL framed and handed over
+//! — to a standby data service on another host, through the same
+//! serializing `rave_net` channels every other transfer uses. A frame the
+//! standby declines, torn or past a gap, is shipped again from the
+//! cursor the standby acknowledged once the link's frames in flight have
+//! all been answered. The standby applies each frame to its own on-disk
+//! log *and* its in-memory replica, so at promotion time there is
+//! (almost) nothing left to do: re-point the subscribers and continue
+//! sequence numbers where the primary stopped.
 //!
 //! Failure enters through the scheduler:
 //! [`crate::sched::SchedEvent::DataFailure`] is handled by
@@ -23,7 +27,7 @@ use crate::ids::DataServiceId;
 use crate::trace::TraceEvent;
 use crate::world::RaveSim;
 use rave_sim::SimTime;
-use rave_store::ship::{ShipFrame, Shipper, StandbyLog, ACK_BYTES};
+use rave_store::ship::{Shipper, StandbyLog, ACK_BYTES};
 use rave_store::{StoreConfig, Wal};
 use std::io;
 use std::path::Path;
@@ -52,8 +56,6 @@ pub struct ReplicaLink {
     /// Optimistic cursor covering frames still in flight, so overlapping
     /// ship ticks never re-send what an earlier tick already queued.
     pub shipped_seq: u64,
-    /// Segment index the standby asked to have re-shipped (torn frame).
-    pub resend: Option<u64>,
     /// Frames sent but not yet acknowledged.
     pub in_flight: usize,
     /// Lifetime accounting, for traces and benches.
@@ -126,7 +128,6 @@ pub fn establish_standby(
             log,
             acked_seq: resumed_from,
             shipped_seq: resumed_from,
-            resend: None,
             in_flight: 0,
             shipped_frames: 0,
             shipped_bytes: 0,
@@ -169,7 +170,7 @@ pub fn ship_tick(sim: &mut RaveSim, primary: DataServiceId) -> io::Result<usize>
     if let Some(framed) = framed {
         link.shipper.feed(framed);
     }
-    let frames = link.shipper.plan(link.shipped_seq, link.resend, max_lag, window)?;
+    let frames = link.shipper.plan(link.shipped_seq, max_lag, window)?;
     if frames.is_empty() {
         return Ok(0);
     }
@@ -184,21 +185,11 @@ pub fn ship_tick(sim: &mut RaveSim, primary: DataServiceId) -> io::Result<usize>
             link.in_flight += 1;
             link.shipped_frames += 1;
             link.shipped_bytes += bytes;
-            if let Some(last) = frame.last_seq() {
-                link.shipped_seq = link.shipped_seq.max(last);
-            }
+            link.shipped_seq = link.shipped_seq.max(frame.last_seq);
         }
-        let row = match &frame {
-            ShipFrame::Sealed { index, bytes: file } => {
-                let (segment, len) = (*index, file.len());
-                TraceEvent::ShippedSegment { primary, standby, segment, len, bytes }
-            }
-            ShipFrame::Tail { index, first_seq, last_seq, count, .. } => {
-                let (segment, first, last) = (*index, *first_seq, *last_seq);
-                let entries = *count as usize;
-                TraceEvent::ShippedTail { primary, standby, segment, entries, first, last, bytes }
-            }
-        };
+        let (segment, first, last) = (frame.index, frame.first_seq, frame.last_seq);
+        let entries = frame.count as usize;
+        let row = TraceEvent::Shipped { primary, standby, segment, entries, first, last, bytes };
         sim.world.trace.record(now, row);
         let arrival = sim.world.send_bytes(now, &p_host, &s_host, bytes);
         let (p_host, s_host) = (p_host.clone(), s_host.clone());
@@ -217,8 +208,8 @@ pub fn ship_tick(sim: &mut RaveSim, primary: DataServiceId) -> io::Result<usize>
                     .commit(e.at_secs, &e.stamped)
                     .expect("standby replays primary log");
             }
-            // For tail-sealed coverage the tail cursor is what the sealed
-            // frame ends at; keep the optimistic cursor monotone.
+            // Keep the optimistic cursor monotone: it never trails what
+            // the standby holds.
             if let Some(link) = sim.world.replicas.get_mut(&primary) {
                 link.shipped_seq = link.shipped_seq.max(ack.last_seq);
             }
@@ -228,12 +219,11 @@ pub fn ship_tick(sim: &mut RaveSim, primary: DataServiceId) -> io::Result<usize>
                 let Some(link) = sim.world.replicas.get_mut(&primary) else { return };
                 link.in_flight = link.in_flight.saturating_sub(1);
                 link.acked_seq = link.acked_seq.max(ack.last_seq);
-                link.resend = ack.resend;
                 let acked_seq = link.acked_seq;
                 // Once the pipe drains, re-sync the optimistic cursor to
-                // what the standby actually holds (a declined or torn
-                // frame leaves them apart; re-planning from the acked
-                // cursor re-ships the difference).
+                // what the standby actually holds (a declined frame, torn
+                // or past a gap, leaves them apart; re-planning from the
+                // acked cursor re-ships the difference).
                 if link.in_flight == 0 && link.acked_seq < link.shipped_seq {
                     link.shipped_seq = link.acked_seq;
                 }
@@ -241,8 +231,8 @@ pub fn ship_tick(sim: &mut RaveSim, primary: DataServiceId) -> io::Result<usize>
                 if let Some(ds) = sim.world.data_services.get_mut(&primary) {
                     ds.set_retention_floor(Some(acked_seq));
                 }
-                if let Some(segment) = ack.resend {
-                    let row = TraceEvent::AckTorn { standby, primary, seq: ack.last_seq, segment };
+                if ack.torn {
+                    let row = TraceEvent::AckTorn { standby, primary, seq: ack.last_seq };
                     sim.world.trace.record(at, row);
                 }
             });

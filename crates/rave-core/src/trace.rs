@@ -157,18 +157,15 @@ trace_events! {
         *encoded_bytes as f64 / (*frame_bytes).max(1) as f64;
     LogShip: StandingBy { standby: DataServiceId, primary: DataServiceId, resumed: u64 }
         => "{standby} standing by for {primary} (resumed from seq {resumed})";
-    /// A sealed WAL segment of `len` file bytes, shipped in `bytes`.
-    LogShip: ShippedSegment {
-        primary: DataServiceId, standby: DataServiceId, segment: u64, len: usize, bytes: u64,
-    } => "{primary} -> {standby}: sealed segment #{segment} ({len} bytes) ({bytes} bytes)";
-    /// The active segment's entries `first..=last`, shipped in `bytes`.
-    LogShip: ShippedTail {
+    /// A segment's entries `first..=last`, shipped in `bytes`.
+    LogShip: Shipped {
         primary: DataServiceId, standby: DataServiceId, segment: u64, entries: usize, first: u64,
         last: u64, bytes: u64,
-    } => "{primary} -> {standby}: tail of segment #{segment} ({entries} entries, seqs \
-          {first}..={last}) ({bytes} bytes)";
-    LogShip: AckTorn { standby: DataServiceId, primary: DataServiceId, seq: u64, segment: u64 }
-        => "{standby} -> {primary}: ack seq {seq} torn, re-requesting segment #{segment}";
+    } => "{primary} -> {standby}: segment #{segment} ({entries} entries, seqs {first}..={last}) \
+          ({bytes} bytes)";
+    /// A frame the standby declined as torn; shipping resumes from `seq`.
+    LogShip: AckTorn { standby: DataServiceId, primary: DataServiceId, seq: u64 }
+        => "{standby} -> {primary}: ack seq {seq} torn";
     LogShip: ShippingStopped { primary: DataServiceId, error: String }
         => "{primary}: shipping stopped: {error}";
     Promote: Promoted { seq: u64, report: Box<PromotionReport> }
@@ -310,11 +307,14 @@ mod tests {
 
     /// Every variant renders, kind and detail, as the string row it
     /// replaced read. The lines are the old rows' text as the test suite
-    /// and examples recorded it; `AckTorn` and `ShippingStopped` rows no
-    /// test records, so theirs are the old format strings' output. A
-    /// failure row's kind was `Overload` until failures got their own, and
-    /// a `Bootstrapped` row counted the updates a joiner replayed until
-    /// none was replayed.
+    /// and examples recorded it; `ShippingStopped` rows no test records,
+    /// so theirs is the old format string's output. A failure row's kind
+    /// was `Overload` until failures got their own, a `Bootstrapped` row
+    /// counted the updates a joiner replayed until none was replayed, and
+    /// `Shipped` is the one row of the sealed-segment and tail rows since
+    /// every frame is a run of records, its line the tail row's but for
+    /// the word "tail"; `AckTorn` named the segment re-requested until a
+    /// torn frame was re-planned from the cursor.
     #[test]
     fn every_variant_renders_its_former_line() {
         use TraceEvent::*;
@@ -471,17 +471,7 @@ mod tests {
                 "LogShip: ds2 standing by for ds1 (resumed from seq 20)",
             ),
             (
-                ShippedSegment {
-                    primary: ds(1),
-                    standby: ds(2),
-                    segment: 0,
-                    len: 1050650,
-                    bytes: 1050682,
-                },
-                "LogShip: ds1 -> ds2: sealed segment #0 (1050650 bytes) (1050682 bytes)",
-            ),
-            (
-                ShippedTail {
+                Shipped {
                     primary: ds(1),
                     standby: ds(2),
                     segment: 0,
@@ -490,11 +480,11 @@ mod tests {
                     last: 10,
                     bytes: 662,
                 },
-                "LogShip: ds1 -> ds2: tail of segment #0 (10 entries, seqs 1..=10) (662 bytes)",
+                "LogShip: ds1 -> ds2: segment #0 (10 entries, seqs 1..=10) (662 bytes)",
             ),
             (
-                AckTorn { standby: ds(2), primary: ds(1), seq: 41, segment: 3 },
-                "LogShip: ds2 -> ds1: ack seq 41 torn, re-requesting segment #3",
+                AckTorn { standby: ds(2), primary: ds(1), seq: 41 },
+                "LogShip: ds2 -> ds1: ack seq 41 torn",
             ),
             (
                 ShippingStopped { primary: ds(1), error: "disk full".into() },

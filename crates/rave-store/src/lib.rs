@@ -16,9 +16,10 @@
 //!   snapshot, its deltas and the active segment;
 //! - **crash recovery** ([`recover()`]): latest snapshot + its deltas +
 //!   WAL tail, always landing on a clean update boundary;
-//! - **log shipping** ([`ship`]): continuous replication of sealed
-//!   segments (plus a bounded unsealed tail, the record bytes the WAL
-//!   framed) to a warm standby whose directory is always an exact prefix
+//! - **log shipping** ([`ship`]): continuous replication of each
+//!   segment's records past the standby's cursor, verbatim (the active
+//!   segment's past a lag bound, in lockstep the record bytes the WAL
+//!   framed), to a warm standby whose directory is always an exact prefix
 //!   of the primary's log.
 //!
 //! The [`Store`] facade ties these together behind the append /
@@ -57,10 +58,17 @@ pub(crate) fn install_file(dir: &Path, tmp_name: &str, name: &str, bytes: &[u8])
     file.sync_all()?;
     drop(file);
     std::fs::rename(&tmp, dir.join(name))?;
-    // A directory opens as a file only on Unix; elsewhere the rename is
-    // as durable as the platform makes it.
-    #[cfg(unix)]
-    File::open(dir)?.sync_all()?;
+    sync_dir(dir)
+}
+
+/// Make the names last created or renamed in `dir` durable: a power cut
+/// can lose an entry the directory was not synced after, though the
+/// file's own data was. A directory opens as a file only on Unix;
+/// elsewhere a name is as durable as the platform makes it.
+pub(crate) fn sync_dir(dir: &Path) -> io::Result<()> {
+    if cfg!(unix) {
+        File::open(dir)?.sync_all()?;
+    }
     Ok(())
 }
 

@@ -16,15 +16,14 @@
 //! created, and records overwrite the fill from the clean end: an append's
 //! `fdatasync` then flushes data pages, not the file's size or block map.
 //! The fill is fresh zeros, never an old segment's bytes, so no stale
-//! record with a valid checksum can sit past the tail. A zero-length
-//! record header followed by nothing but zeros is the end of the log; one
-//! followed by anything else is a torn tail. Rotation seals a segment by
-//! truncating it to its records, so a sealed segment is exactly its
-//! header and records.
+//! record with a valid checksum can sit past the tail. Nothing but zeros
+//! past the last record, even fewer than a record header, is the end of
+//! the log; a zero-length record header followed by anything else is a
+//! torn tail. Rotation seals a segment by truncating it to its records,
+//! so a sealed segment is exactly its header and records.
 
 use crate::record::{encode_record, scan_records, TornTail, RECORD_HEADER_LEN};
-use rave_scene::wire;
-use rave_scene::AuditEntry;
+use rave_scene::{wire, AuditEntry, WireError};
 use std::fs::{File, OpenOptions};
 use std::io::{self, Read, Seek, SeekFrom, Write};
 use std::path::{Path, PathBuf};
@@ -126,24 +125,19 @@ pub(crate) struct DecodedRecords {
 }
 
 /// CRC-check and wire-decode the intact records at the front of `buf`,
-/// which starts at byte `at` of the segment at `path`. A torn tail is
-/// reported, not an error (the writer may be mid-append), and the fill
-/// past the last record is neither; a record that passes its checksum but
-/// fails wire decode is real corruption and errors out.
-pub(crate) fn decode_records(buf: &[u8], at: u64, path: &Path) -> io::Result<DecodedRecords> {
+/// which starts at byte `at` of a segment file. A torn tail is reported,
+/// not an error (the writer may be mid-append), and the fill past the
+/// last record is neither; a record that passes its checksum but fails
+/// wire decode is real corruption and errors out.
+pub(crate) fn decode_records(buf: &[u8], at: u64) -> Result<DecodedRecords, WireError> {
     let scan = scan_records(buf);
-    let torn = match scan.torn {
-        Some(TornTail::ZeroLength { at }) if all_zero(&buf[at..]) => None,
-        torn => torn,
-    };
+    // Zeros past the last record are the fill, however few of them.
+    let torn = scan.torn.filter(|t| !all_zero(&buf[t.clean_len()..]));
     let mut end = at;
     let mut records = Vec::with_capacity(scan.payloads.len());
     for payload in &scan.payloads {
-        let entry = wire::decode_entry(payload).map_err(|e| {
-            io::Error::new(io::ErrorKind::InvalidData, format!("{}: {e}", path.display()))
-        })?;
         end += (RECORD_HEADER_LEN + payload.len()) as u64;
-        records.push((entry, end));
+        records.push((wire::decode_entry(payload)?, end));
     }
     Ok(DecodedRecords { records, torn })
 }
@@ -154,20 +148,30 @@ fn all_zero(bytes: &[u8]) -> bool {
     bytes.chunks(FILL_CHUNK.len()).all(|c| c == &FILL_CHUNK[..c.len()])
 }
 
+/// Read a whole segment file: its bytes, its header and its intact
+/// records ([`decode_records`]).
+pub(crate) fn read_segment_file(
+    path: &Path,
+) -> io::Result<(Vec<u8>, SegmentHeader, DecodedRecords)> {
+    let mut buf = Vec::new();
+    File::open(path)?.read_to_end(&mut buf)?;
+    let header = SegmentHeader::decode(&buf)?;
+    let decoded =
+        decode_records(&buf[SEGMENT_HEADER_LEN..], SEGMENT_HEADER_LEN as u64).map_err(|e| {
+            io::Error::new(io::ErrorKind::InvalidData, format!("{}: {e}", path.display()))
+        })?;
+    Ok((buf, header, decoded))
+}
+
 /// Read and verify a whole segment. Torn tails are reported, not
 /// repaired, and a zero fill past the last record is the end of the log;
 /// a record that passes its checksum but fails wire decode is real
 /// corruption and errors out.
 pub fn read_segment(path: &Path) -> io::Result<SegmentContents> {
-    let mut buf = Vec::new();
-    File::open(path)?.read_to_end(&mut buf)?;
-    let header = SegmentHeader::decode(&buf)?;
-    let header_len = SEGMENT_HEADER_LEN as u64;
-    let DecodedRecords { records, torn } =
-        decode_records(&buf[SEGMENT_HEADER_LEN..], header_len, path)?;
+    let (_, header, DecodedRecords { records, torn }) = read_segment_file(path)?;
     Ok(SegmentContents {
         header,
-        clean_len: records.last().map_or(header_len, |(_, end)| *end),
+        clean_len: records.last().map_or(SEGMENT_HEADER_LEN as u64, |(_, end)| *end),
         entries: records.into_iter().map(|(entry, _)| entry).collect(),
         torn,
     })
@@ -206,9 +210,11 @@ pub struct SegmentWriter {
 }
 
 impl SegmentWriter {
-    /// Create a fresh segment file, zero-filled to `fill_to` bytes. Fails
-    /// if it already exists (an index collision means two writers share
-    /// the directory — never continue).
+    /// Create a fresh segment file, zero-filled to `fill_to` bytes, and
+    /// sync the directory, so that the records a later sync makes durable
+    /// are not lost with the file's name. Fails if it already exists (an
+    /// index collision means two writers share the directory — never
+    /// continue).
     pub fn create(dir: &Path, index: u64, base_seq: u64, fill_to: u64) -> io::Result<Self> {
         let path = dir.join(segment_file_name(index));
         let mut file = OpenOptions::new().write(true).create_new(true).open(&path)?;
@@ -217,6 +223,7 @@ impl SegmentWriter {
         let len = SEGMENT_HEADER_LEN as u64;
         fill(&mut file, len, fill_to)?;
         file.seek(SeekFrom::Start(len))?;
+        crate::sync_dir(dir)?;
         Ok(Self { path, header, file, len, last_seq: base_seq.saturating_sub(1) })
     }
 
@@ -406,6 +413,24 @@ mod tests {
         w.sync().unwrap();
         let c2 = read_segment(&path).unwrap();
         assert_eq!((c2.entries.len(), c2.torn), (2, None));
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    /// Records that stop short of the fill's end by less than a record
+    /// header (a sealed copy of a segment rotated by hand) end the log
+    /// there, not in a tear.
+    #[test]
+    fn a_fill_shorter_than_a_record_header_is_the_end_of_the_log() {
+        let dir = tmp_dir("short-fill");
+        let mut w = SegmentWriter::create(&dir, 0, 1, FILL).unwrap();
+        append(&mut w, 1);
+        let end = w.len;
+        w.sync().unwrap();
+        let path = w.path.clone();
+        drop(w);
+        std::fs::OpenOptions::new().write(true).open(&path).unwrap().set_len(end + 5).unwrap();
+        let c = read_segment(&path).unwrap();
+        assert_eq!((c.entries.len(), c.clean_len, c.torn), (1, end, None));
         std::fs::remove_dir_all(&dir).unwrap();
     }
 

@@ -1,12 +1,13 @@
 //! Log shipping: continuous replication of the WAL to a warm standby.
 //!
 //! The paper's §6 fail-safe ("data servers could mirror each other") done
-//! the way production logs do it: the primary streams *sealed* segments
-//! verbatim (they are immutable, so a byte copy is a correct copy), plus
-//! a tail of unsealed records from the active segment once the standby
-//! would otherwise trail past a configurable lag bound — also verbatim,
-//! the CRC-framed bytes as they sit in the primary's segment. The standby
-//! writes the same segment files to its own directory, each a byte-exact
+//! the way production logs do it. Every frame is a run of one segment's
+//! records past the standby's cursor, the CRC-framed bytes exactly as they
+//! sit in the primary's segment, whether that segment is sealed or still
+//! active. A sealed segment with records past the cursor ships all of
+//! them; the active one's ship once the standby would otherwise trail past
+//! a configurable lag bound. The standby writes them over the fill of its
+//! own copy of the segment, so each of its segment files is a byte-exact
 //! prefix of the primary's — after promotion the shipped store *is* a WAL
 //! a [`crate::Store`] opens and appends to, so sequence numbers continue
 //! where the primary stopped.
@@ -18,78 +19,58 @@
 //! 2. the primary syncs its log, [`Shipper::feed`]s it what the WAL framed
 //!    since the last tick ([`crate::Wal::take_framed`]) and
 //!    [`Shipper::plan`]s a batch of [`ShipFrame`]s past that cursor. When
-//!    the fed records continue the cursor, the tail frame is cut from them
-//!    and no file is read; otherwise sealed segments are *skipped from
-//!    headers alone* (the next segment's `base_seq` bounds this one's
-//!    contents, so resume never re-reads what the standby already holds)
-//!    and the active segment is read back;
+//!    the fed records continue the cursor, the frame is cut from them and
+//!    no file is read; otherwise sealed segments at or below the cursor
+//!    are *skipped from headers alone* (the next segment's `base_seq`
+//!    bounds this one's contents, so resume never re-reads what the
+//!    standby already holds) and the others are read back;
 //! 3. the standby [`StandbyLog::apply`]s each frame and answers with a
-//!    sequence-numbered [`ShipAck`]; a frame that arrives torn or corrupt
-//!    is *not* installed and the ack carries a re-request for it.
+//!    sequence-numbered [`ShipAck`]. A frame that arrives torn or corrupt,
+//!    or past a gap, is *not* written: the ack re-states the cursor, and
+//!    the primary plans again from it.
 //!
 //! Every apply leaves the standby holding an exact, contiguous prefix of
 //! the primary's committed log — never a gap, never a torn record.
 
-use crate::record::{scan_records, RECORD_HEADER_LEN};
 use crate::segment::{
-    decode_records, list_segments, read_segment, read_segment_header, segment_file_name,
-    SegmentHeader, SegmentWriter, SEGMENT_HEADER_LEN,
+    decode_records, list_segments, read_segment, read_segment_file, read_segment_header,
+    segment_file_name, DecodedRecords, SegmentWriter, SEGMENT_HEADER_LEN,
 };
 use crate::wal::{FramedTail, RecordMark};
-use rave_scene::{wire, AuditEntry};
+use rave_scene::AuditEntry;
 use std::io;
 use std::path::{Path, PathBuf};
 
-/// Fixed per-frame accounting overhead (frame type, index, counts).
+/// Fixed per-frame accounting overhead (segment, seq range, counts).
 pub const FRAME_OVERHEAD: u64 = 32;
-/// Wire size of a [`ShipAck`] (seq + optional resend index + framing).
+/// Wire size of a [`ShipAck`] (seq + torn flag + framing).
 pub const ACK_BYTES: u64 = 24;
-/// Per-entry framing overhead inside a [`ShipFrame::Tail`].
+/// Per-entry framing overhead inside a [`ShipFrame`].
 pub const TAIL_ENTRY_OVERHEAD: u64 = 16;
 
-/// One unit of replication traffic, primary → standby.
+/// One unit of replication traffic, primary → standby: records of one
+/// segment past the standby's cursor, the CRC-framed bytes as they sit in
+/// the primary's segment. `index`/`base_seq` name the segment they belong
+/// to so the standby can grow its own copy of it.
 #[derive(Debug, Clone, PartialEq)]
-pub enum ShipFrame {
-    /// A sealed (immutable) segment, shipped as its exact file bytes: its
-    /// header and records.
-    Sealed { index: u64, bytes: Vec<u8> },
-    /// Records from the primary's *active* segment past the standby's
-    /// cursor, the CRC-framed bytes as they sit in the segment;
-    /// `index`/`base_seq` name the segment they belong to so the standby
-    /// can grow its own copy of it.
-    Tail {
-        index: u64,
-        base_seq: u64,
-        /// Sequence numbers of the first and the last record.
-        first_seq: u64,
-        last_seq: u64,
-        /// Records in `records`.
-        count: u64,
-        /// What the entries charge the wire: Σ(`stamped.wire_size()` +
-        /// [`TAIL_ENTRY_OVERHEAD`]), summed as each record was framed.
-        charge: u64,
-        records: Vec<u8>,
-    },
+pub struct ShipFrame {
+    pub index: u64,
+    pub base_seq: u64,
+    /// Sequence numbers of the first and the last record.
+    pub first_seq: u64,
+    pub last_seq: u64,
+    /// Records in `records`.
+    pub count: u64,
+    /// What the entries charge the wire: Σ(`stamped.wire_size()` +
+    /// [`TAIL_ENTRY_OVERHEAD`]), summed as each record was framed.
+    pub charge: u64,
+    pub records: Vec<u8>,
 }
 
 impl ShipFrame {
     /// Bytes this frame occupies on the wire.
     pub fn wire_size(&self) -> u64 {
-        match self {
-            ShipFrame::Sealed { bytes, .. } => bytes.len() as u64 + FRAME_OVERHEAD,
-            ShipFrame::Tail { charge, .. } => charge + FRAME_OVERHEAD,
-        }
-    }
-
-    /// Highest sequence number the frame carries.
-    pub fn last_seq(&self) -> Option<u64> {
-        match self {
-            // A sealed frame's bytes are scanned on receipt; for the
-            // sender's cursor it is enough to know it ends where the
-            // next segment starts, which `plan` tracks externally.
-            ShipFrame::Sealed { .. } => None,
-            ShipFrame::Tail { last_seq, .. } => Some(*last_seq),
-        }
+        self.charge + FRAME_OVERHEAD
     }
 }
 
@@ -103,10 +84,10 @@ impl FramedTail {
         (next == covered + 1).then_some(held)
     }
 
-    /// The run as one tail frame (`None` when it is empty).
+    /// The run as one frame (`None` when it is empty).
     fn into_frame(self) -> Option<ShipFrame> {
         let (first, last) = (self.marks.first()?.seq, self.marks.last()?.seq);
-        Some(ShipFrame::Tail {
+        Some(ShipFrame {
             index: self.index,
             base_seq: self.base_seq,
             first_seq: first,
@@ -123,17 +104,18 @@ impl FramedTail {
 pub struct ShipAck {
     /// Highest contiguous sequence number durably held after the apply.
     pub last_seq: u64,
-    /// Set when the frame arrived torn or corrupt: the primary must
-    /// re-ship this segment index.
-    pub resend: Option<u64>,
+    /// The frame arrived torn or corrupt and was declined: the primary
+    /// plans again from `last_seq`.
+    pub torn: bool,
 }
 
 /// Primary-side planner: decides what a standby at a given cursor needs.
 /// Any standby cursor can be planned for at any time — resume after any
-/// interruption is just a `plan` against the standby's reported
-/// `last_seq`. A `Shipper` kept across ticks holds the active segment's
-/// records it has not shipped yet (those `max_lag` holds back too), byte
-/// for byte, so a tick [`Shipper::feed`] continues reads no file.
+/// interruption, a declined frame included, is just a `plan` against the
+/// standby's reported `last_seq`. A `Shipper` kept across ticks holds the
+/// active segment's records it has not shipped yet (those `max_lag` holds
+/// back too), byte for byte, so a tick [`Shipper::feed`] continues reads
+/// no file.
 #[derive(Debug, Clone)]
 pub struct Shipper {
     dir: PathBuf,
@@ -176,17 +158,17 @@ impl Shipper {
     }
 
     /// Plan at most `limit` frames for a standby whose durable log ends
-    /// at `acked_seq` (0 = empty). `resend` re-ships a segment the
-    /// standby reported torn. Sealed segments wholly at or below the
+    /// at `acked_seq` (0 = empty). Sealed segments wholly at or below the
     /// cursor are skipped from their successors' headers without reading
-    /// a single record body. Unsealed tail records ship only past
+    /// a single record body; a sealed segment with records past it ships
+    /// all of them, one frame. The active segment's records ship only past
     /// `max_lag`: the newest `max_lag` records may stay unshipped until
     /// rotation seals them (0 = ship everything immediately).
     ///
-    /// After a [`Shipper::feed`] whose records continue the cursor, with
-    /// no resend asked, the plan is the tail frame cut from them, and no
-    /// directory is listed and no file read: it is the frame a fresh
-    /// `Shipper` would read back from the active segment.
+    /// After a [`Shipper::feed`] whose records continue the cursor, the
+    /// plan is the frame cut from them, and no directory is listed and no
+    /// file read: it is the frame a fresh `Shipper` would read back from
+    /// the active segment.
     ///
     /// Errors when the cursor predates the oldest retained segment — the
     /// needed history was compacted away and the standby must be
@@ -194,7 +176,6 @@ impl Shipper {
     pub fn plan(
         &mut self,
         acked_seq: u64,
-        resend: Option<u64>,
         max_lag: u64,
         limit: usize,
     ) -> io::Result<Vec<ShipFrame>> {
@@ -206,10 +187,8 @@ impl Shipper {
         // records past it start among them.
         let fed_held =
             |tail: &Option<FramedTail>, covered| tail.as_ref().filter(|_| fed)?.held_by(covered);
-        if resend.is_none() {
-            if let Some(held) = fed_held(&self.tail, acked_seq) {
-                return Ok(self.ship_tail(held, max_lag).into_iter().collect());
-            }
+        if let Some(held) = fed_held(&self.tail, acked_seq) {
+            return Ok(self.ship_tail(held, max_lag).into_iter().collect());
         }
         let segments = list_segments(&self.dir)?;
         let mut frames = Vec::new();
@@ -224,26 +203,20 @@ impl Shipper {
                  re-establish from a snapshot"
             )));
         }
-        if let Some(idx) = resend {
-            if let Some((_, path)) = segments.iter().find(|(i, _)| *i == idx) {
-                frames.push(ShipFrame::Sealed { index: idx, bytes: self.read_records(path)? });
-            }
-        }
         // Sealed segments: everything but the highest index. Segment i's
         // entries all lie below segment i+1's base_seq, so the skip
         // decision needs only the 28-byte headers.
         let mut covered = acked_seq;
         for i in 0..segments.len() - 1 {
-            let (index, path) = &segments[i];
-            let next_base = read_segment_header(&segments[i + 1].1)?.base_seq;
-            let upper = next_base.saturating_sub(1);
-            if upper > acked_seq && Some(*index) != resend {
-                if frames.len() >= limit {
-                    return Ok(frames);
-                }
-                frames.push(ShipFrame::Sealed { index: *index, bytes: self.read_records(path)? });
+            let upper = read_segment_header(&segments[i + 1].1)?.base_seq.saturating_sub(1);
+            if upper <= covered {
+                continue;
             }
-            covered = covered.max(upper);
+            if frames.len() >= limit {
+                return Ok(frames);
+            }
+            frames.extend(self.read_tail(&segments[i].1, covered)?.into_frame());
+            covered = upper;
         }
         if frames.len() >= limit {
             return Ok(frames);
@@ -273,26 +246,12 @@ impl Shipper {
         tail.split_front(ship_n).into_frame()
     }
 
-    /// A segment file's header and records, without what follows them:
-    /// the fill, in the active segment.
-    fn read_records(&mut self, path: &Path) -> io::Result<Vec<u8>> {
-        let mut bytes = std::fs::read(path)?;
-        self.file_bytes_read += bytes.len() as u64;
-        if let Some(records) = bytes.get(SEGMENT_HEADER_LEN..) {
-            let clean = SEGMENT_HEADER_LEN + scan_records(records).clean_len;
-            bytes.truncate(clean);
-        }
-        Ok(bytes)
-    }
-
-    /// Read the active segment whole and keep the records past `covered`.
+    /// Read a segment whole and keep the records past `covered`.
     fn read_tail(&mut self, path: &Path, covered: u64) -> io::Result<FramedTail> {
-        let buf = std::fs::read(path)?;
+        let (buf, header, DecodedRecords { records, .. }) = read_segment_file(path)?;
         self.file_bytes_read += buf.len() as u64;
-        let header = SegmentHeader::decode(&buf)?;
-        let header_len = SEGMENT_HEADER_LEN as u64;
-        let records = decode_records(&buf[SEGMENT_HEADER_LEN..], header_len, path)?.records;
         let held = records.partition_point(|(e, _)| e.stamped.seq <= covered);
+        let header_len = SEGMENT_HEADER_LEN as u64;
         let start = held.checked_sub(1).map_or(header_len, |i| records[i].1);
         let end = records.last().map_or(header_len, |(_, end)| *end);
         let marks: Vec<RecordMark> = records[held..]
@@ -331,20 +290,20 @@ pub struct ShipApply {
 pub struct StandbyLog {
     dir: PathBuf,
     last_seq: u64,
-    /// The primary's segment size: the fill of each copy tail frames grow.
+    /// The primary's segment size: the fill of each copy frames grow.
     segment_bytes: u64,
-    /// The segment tail frames are growing, kept open between frames. It
-    /// is re-opened — with the full verify-and-repair read — only when a
-    /// frame names another segment, after a sealed copy replaced a file,
-    /// or after [`StandbyLog::open`].
+    /// The segment frames are growing, kept open between frames. It is
+    /// re-opened — with the full verify-and-repair read — only when a
+    /// frame names another segment, after a failed write, or after
+    /// [`StandbyLog::open`].
     writer: Option<SegmentWriter>,
     reopens: u64,
 }
 
 impl StandbyLog {
     /// Open (or initialise) the standby's log directory, resuming from
-    /// whatever prefix it already holds; the segments tail frames start
-    /// are zero-filled to `segment_bytes`, the primary's segment size.
+    /// whatever prefix it already holds; the segments frames start are
+    /// zero-filled to `segment_bytes`, the primary's segment size.
     pub fn open(dir: impl Into<PathBuf>, segment_bytes: u64) -> io::Result<Self> {
         let dir = dir.into();
         std::fs::create_dir_all(&dir)?;
@@ -367,7 +326,7 @@ impl StandbyLog {
     }
 
     /// Times an existing segment file was re-opened (read, verified and
-    /// repaired) to take a tail frame.
+    /// repaired) to take a frame.
     pub fn reopens(&self) -> u64 {
         self.reopens
     }
@@ -377,145 +336,66 @@ impl StandbyLog {
         self.last_seq
     }
 
-    /// Apply one frame. Torn/corrupt frames are rejected with a
-    /// re-request; gaps (a frame starting past `last_seq + 1`) are
-    /// declined by re-stating the cursor, which makes the primary
-    /// re-plan. Duplicates are ignored idempotently.
+    /// Apply one frame: write its records past `last_seq` into the copy of
+    /// its segment, verbatim, with one write and one sync. A torn or
+    /// corrupt frame is declined as torn; a gap (a frame starting past
+    /// `last_seq + 1`) is declined by re-stating the cursor. Either way
+    /// the primary re-plans from the cursor. Duplicates are ignored
+    /// idempotently.
     pub fn apply(&mut self, frame: &ShipFrame) -> io::Result<ShipApply> {
-        match frame {
-            ShipFrame::Sealed { index, bytes } => self.apply_sealed(*index, bytes),
-            ShipFrame::Tail { index, base_seq, first_seq, last_seq, count, records, .. } => {
-                let Some(entries) = verify_tail(records, *first_seq, *last_seq, *count) else {
-                    return Ok(self.decline(Some(*index)));
-                };
-                self.apply_tail(*index, *base_seq, records, entries)
-            }
-        }
-    }
-
-    fn decline(&self, resend: Option<u64>) -> ShipApply {
-        ShipApply { entries: Vec::new(), ack: ShipAck { last_seq: self.last_seq, resend } }
-    }
-
-    fn apply_sealed(&mut self, index: u64, bytes: &[u8]) -> io::Result<ShipApply> {
-        // Verify before installing: a frame damaged in flight must not
-        // replace a good (or partial) local segment.
-        let Some((header, scanned)) = verify_sealed(index, bytes) else {
-            return Ok(self.decline(Some(index)));
-        };
-        if header.base_seq > self.last_seq.saturating_add(1) {
-            // A gap: an earlier segment is missing. Decline; the primary
-            // re-plans from our cursor.
-            return Ok(self.decline(None));
-        }
-        let seg_last = scanned
-            .last()
-            .map(|e| e.stamped.seq)
-            .unwrap_or_else(|| header.base_seq.saturating_sub(1));
-        // Install atomically, and durably before the ack below lets the
-        // primary compact its copy away; a sealed copy supersedes any
-        // partial tail copy of the same segment (the bytes are a superset).
-        let name = segment_file_name(index);
-        crate::install_file(&self.dir, &format!("{name}.tmp"), &name, bytes)?;
-        // An open writer may now point at the file the rename unlinked.
-        self.writer = None;
-        let entries = scanned.into_iter().filter(|e| e.stamped.seq > self.last_seq).collect();
-        self.last_seq = self.last_seq.max(seg_last);
-        Ok(ShipApply { entries, ack: ShipAck { last_seq: self.last_seq, resend: None } })
-    }
-
-    /// Write the verified `records` past `last_seq` into the copy of
-    /// segment `index`, verbatim, with one write and one sync.
-    fn apply_tail(
-        &mut self,
-        index: u64,
-        base_seq: u64,
-        records: &[u8],
-        mut entries: Vec<(AuditEntry, usize)>,
-    ) -> io::Result<ShipApply> {
+        let Some(mut entries) = verify(frame) else { return Ok(self.decline(true)) };
         let held = entries.partition_point(|(e, _)| e.stamped.seq <= self.last_seq);
         let Some((first, _)) = entries.get(held) else {
-            return Ok(self.decline(None)); // pure duplicate — idempotent
+            return Ok(self.decline(false)); // pure duplicate — idempotent
         };
         if first.stamped.seq > self.last_seq + 1 {
-            return Ok(self.decline(None)); // gap: earlier entries missing
+            return Ok(self.decline(false)); // gap: earlier entries missing
         }
-        let last = entries.last().expect("non-empty").0.stamped.seq;
-        let skip = held.checked_sub(1).map_or(0, |i| entries[i].1);
-        let writer = match &mut self.writer {
-            Some(w) if w.header.index == index => w,
-            slot => {
-                let path = self.dir.join(segment_file_name(index));
-                slot.insert(if path.exists() {
-                    self.reopens += 1;
-                    SegmentWriter::open_for_append(&path, self.segment_bytes)?.0
-                } else {
-                    SegmentWriter::create(&self.dir, index, base_seq, self.segment_bytes)?
-                })
-            }
-        };
-        let written = writer.write_records(&records[skip..], last).and_then(|()| writer.sync());
+        if self.writer.as_ref().is_none_or(|w| w.header.index != frame.index) {
+            let path = self.dir.join(segment_file_name(frame.index));
+            self.writer = Some(if path.exists() {
+                self.reopens += 1;
+                SegmentWriter::open_for_append(&path, self.segment_bytes)?.0
+            } else if first.stamped.seq == frame.base_seq {
+                SegmentWriter::create(&self.dir, frame.index, frame.base_seq, self.segment_bytes)?
+            } else {
+                // `base_seq` sits outside the records' CRC, and replay and
+                // compaction trust a copy's header: a copy starts where
+                // its first record does.
+                return Ok(self.decline(true));
+            });
+        }
+        let writer = self.writer.as_mut().expect("opened above");
+        let skip = held.checked_sub(1).map_or(0, |i| entries[i].1 as usize);
+        let written = writer
+            .write_records(&frame.records[skip..], frame.last_seq)
+            .and_then(|()| writer.sync());
         if written.is_err() {
             // The file may end in a partial record: verify and repair it
             // before the next frame extends it.
             self.writer = None;
         }
         written?;
-        self.last_seq = last;
+        self.last_seq = frame.last_seq;
         let entries = entries.drain(held..).map(|(e, _)| e).collect();
-        Ok(ShipApply { entries, ack: ShipAck { last_seq: self.last_seq, resend: None } })
+        Ok(ShipApply { entries, ack: ShipAck { last_seq: self.last_seq, torn: false } })
+    }
+
+    fn decline(&self, torn: bool) -> ShipApply {
+        ShipApply { entries: Vec::new(), ack: ShipAck { last_seq: self.last_seq, torn } }
     }
 }
 
-/// Check a tail frame end to end: every record passes its CRC and
-/// wire-decodes, and the records are the `count` the frame names, from
-/// `first_seq` to `last_seq`. Returns each decoded entry with the offset
-/// in `records` its record ends at.
-fn verify_tail(
-    records: &[u8],
-    first_seq: u64,
-    last_seq: u64,
-    count: u64,
-) -> Option<Vec<(AuditEntry, usize)>> {
-    let scan = scan_records(records);
-    if scan.torn.is_some() || scan.payloads.len() as u64 != count {
-        return None;
-    }
-    let mut end = 0;
-    let mut entries = Vec::with_capacity(scan.payloads.len());
-    for payload in &scan.payloads {
-        end += RECORD_HEADER_LEN + payload.len();
-        entries.push((wire::decode_entry(payload).ok()?, end));
-    }
-    let seqs = (entries.first()?.0.stamped.seq, entries.last()?.0.stamped.seq);
-    (seqs == (first_seq, last_seq)).then_some(entries)
-}
-
-/// Check a sealed frame end to end: header matches the claimed index,
-/// every record passes its CRC, every payload wire-decodes. A torn tail
-/// inside a *sealed* segment means the frame (not the log) is damaged.
-fn verify_sealed(index: u64, bytes: &[u8]) -> Option<(SegmentHeader, Vec<AuditEntry>)> {
-    let header = SegmentHeader::decode(bytes).ok()?;
-    if header.index != index {
-        return None;
-    }
-    let scan = scan_records(&bytes[SEGMENT_HEADER_LEN..]);
-    if scan.torn.is_some() {
-        return None;
-    }
-    let mut entries = Vec::with_capacity(scan.payloads.len());
-    for payload in &scan.payloads {
-        entries.push(wire::decode_entry(payload).ok()?);
-    }
-    // The header's base_seq is outside the records' CRC coverage; the
-    // first entry pins it, so a bit flip there is caught here rather
-    // than being misread as a sequence gap.
-    if let Some(first) = entries.first() {
-        if first.stamped.seq != header.base_seq {
-            return None;
-        }
-    }
-    Some((header, entries))
+/// Check a frame end to end: every record passes its CRC and wire-decodes
+/// ([`decode_records`]), and the records are the whole of `records`, the
+/// `count` the frame names, from `first_seq` to `last_seq`. Returns each
+/// decoded entry with the offset in `records` its record ends at.
+fn verify(frame: &ShipFrame) -> Option<Vec<(AuditEntry, u64)>> {
+    let records = decode_records(&frame.records, 0).ok()?.records;
+    let (first, last) = (&records.first()?.0, records.last()?);
+    let whole = last.1 == frame.records.len() as u64 && records.len() as u64 == frame.count;
+    let seqs = (first.stamped.seq, last.0.stamped.seq) == (frame.first_seq, frame.last_seq);
+    (whole && seqs).then_some(records)
 }
 
 #[cfg(test)]
@@ -558,15 +438,13 @@ mod tests {
     /// Drive plan/apply to quiescence; returns frames shipped.
     fn drain(shipper: &mut Shipper, standby: &mut StandbyLog, max_lag: u64) -> usize {
         let mut shipped = 0;
-        let mut resend = None;
         loop {
-            let frames = shipper.plan(standby.last_seq(), resend, max_lag, 4).unwrap();
+            let frames = shipper.plan(standby.last_seq(), max_lag, 4).unwrap();
             if frames.is_empty() {
                 return shipped;
             }
             for f in &frames {
-                let apply = standby.apply(f).unwrap();
-                resend = apply.ack.resend;
+                standby.apply(f).unwrap();
                 shipped += 1;
             }
         }
@@ -583,7 +461,7 @@ mod tests {
         let rec = recover(&sdir).unwrap();
         assert_eq!(rec.last_seq, 40);
         assert_eq!(rec.tree, live);
-        // Sealed segments are byte-identical copies; the standby's tail
+        // Sealed segments are byte-identical copies; the standby's active
         // segment holds the primary's record bytes over the same fill.
         for (idx, p_path) in list_segments(&pdir).unwrap() {
             let s_path = sdir.join(segment_file_name(idx));
@@ -605,7 +483,7 @@ mod tests {
         {
             let mut standby = StandbyLog::open(&sdir, 256).unwrap();
             // Ship only the first couple of frames, then "crash".
-            let frames = shipper.plan(0, None, 0, 2).unwrap();
+            let frames = shipper.plan(0, 0, 2).unwrap();
             for f in &frames {
                 standby.apply(f).unwrap();
             }
@@ -615,13 +493,8 @@ mod tests {
         let mut standby = StandbyLog::open(&sdir, 256).unwrap();
         let held = standby.last_seq();
         assert!(held > 0, "prefix survived the restart");
-        let frames = shipper.plan(held, None, 0, 16).unwrap();
-        for f in &frames {
-            if let ShipFrame::Sealed { index, .. } = f {
-                let first_missing = list_segments(&sdir).unwrap().len() as u64;
-                assert!(*index >= first_missing.saturating_sub(1), "re-shipped a held segment");
-            }
-        }
+        let frames = shipper.plan(held, 0, 16).unwrap();
+        assert_eq!(frames[0].first_seq, held + 1, "nothing held is shipped again");
         drain(&mut shipper, &mut standby, 0);
         assert_eq!(standby.last_seq(), 30);
         let _ = std::fs::remove_dir_all(&pdir);
@@ -634,23 +507,21 @@ mod tests {
         let live = primary_session(&pdir, 30, 256);
         let mut shipper = Shipper::new(&pdir);
         let mut standby = StandbyLog::open(&sdir, 256).unwrap();
-        let frames = shipper.plan(0, None, 0, 1).unwrap();
-        let ShipFrame::Sealed { index, bytes } = &frames[0] else {
-            panic!("first frame is sealed")
-        };
+        let mut frame = shipper.plan(0, 0, 1).unwrap().remove(0);
+        assert_eq!((frame.index, frame.first_seq), (0, 1), "sealed segment 0's records");
         // Damage the frame in flight: flip a byte inside the records.
-        let mut torn = bytes.clone();
-        let n = torn.len();
-        torn[n - 3] ^= 0xFF;
-        let apply = standby.apply(&ShipFrame::Sealed { index: *index, bytes: torn }).unwrap();
-        assert_eq!(apply.ack.resend, Some(*index), "torn frame re-requested");
-        assert_eq!(apply.ack.last_seq, 0, "nothing installed");
-        assert!(apply.entries.is_empty());
-        // The re-shipped intact frame lands, and the stream converges.
-        let frames = shipper.plan(apply.ack.last_seq, apply.ack.resend, 0, 1).unwrap();
-        let apply = standby.apply(&frames[0]).unwrap();
-        assert_eq!(apply.ack.resend, None);
-        assert!(apply.ack.last_seq > 0);
+        let n = frame.records.len();
+        frame.records[n - 3] ^= 0xFF;
+        let apply = standby.apply(&frame).unwrap();
+        assert_eq!(apply.ack, ShipAck { last_seq: 0, torn: true }, "declined as torn");
+        assert!(apply.entries.is_empty() && list_segments(&sdir).unwrap().is_empty());
+        // The plan from the unmoved cursor ships the records again, intact,
+        // and the stream converges.
+        let again = shipper.plan(apply.ack.last_seq, 0, 1).unwrap().remove(0);
+        frame.records[n - 3] ^= 0xFF;
+        assert_eq!(again, frame);
+        let apply = standby.apply(&again).unwrap();
+        assert_eq!(apply.ack, ShipAck { last_seq: frame.last_seq, torn: false });
         drain(&mut shipper, &mut standby, 0);
         assert_eq!(recover(&sdir).unwrap().tree, live);
         let _ = std::fs::remove_dir_all(&pdir);
@@ -678,14 +549,11 @@ mod tests {
         primary_session(&pdir, 30, 256);
         let mut shipper = Shipper::new(&pdir);
         let mut standby = StandbyLog::open(&sdir, 256).unwrap();
-        // Deliver a later sealed segment first: declined, cursor unmoved.
-        let frames = shipper.plan(0, None, 0, 8).unwrap();
-        let later = frames
-            .iter()
-            .find(|f| matches!(f, ShipFrame::Sealed { index, .. } if *index > 0))
-            .expect("multiple sealed segments");
+        // Deliver a later segment's records first: declined, cursor unmoved.
+        let frames = shipper.plan(0, 0, 8).unwrap();
+        let later = frames.iter().find(|f| f.index > 0).expect("multiple segments");
         let apply = standby.apply(later).unwrap();
-        assert_eq!(apply.ack.last_seq, 0);
+        assert_eq!(apply.ack, ShipAck { last_seq: 0, torn: false });
         assert!(apply.entries.is_empty());
         assert!(list_segments(&sdir).unwrap().is_empty(), "nothing installed");
         let _ = std::fs::remove_dir_all(&pdir);
@@ -698,8 +566,8 @@ mod tests {
         primary_session(&pdir, 50, 128); // many segments
         let mut shipper = Shipper::new(&pdir);
         assert!(list_segments(&pdir).unwrap().len() > 3);
-        assert_eq!(shipper.plan(0, None, 0, 2).unwrap().len(), 2);
-        assert!(shipper.plan(0, None, 0, 0).unwrap().is_empty());
+        assert_eq!(shipper.plan(0, 0, 2).unwrap().len(), 2);
+        assert!(shipper.plan(0, 0, 0).unwrap().is_empty());
         let _ = std::fs::remove_dir_all(&pdir);
     }
 
@@ -711,7 +579,7 @@ mod tests {
         let (_, first) = list_segments(&pdir).unwrap().into_iter().next().unwrap();
         std::fs::remove_file(&first).unwrap();
         let mut shipper = Shipper::new(&pdir);
-        let err = shipper.plan(0, None, 0, 8).unwrap_err();
+        let err = shipper.plan(0, 0, 8).unwrap_err();
         assert!(err.to_string().contains("compacted"), "{err}");
         let _ = std::fs::remove_dir_all(&pdir);
     }
@@ -722,7 +590,7 @@ mod tests {
         let live = primary_session(&pdir, 25, 256);
         let mut shipper = Shipper::new(&pdir);
         let mut standby = StandbyLog::open(&sdir, 256).unwrap();
-        let frames = shipper.plan(0, None, 0, 16).unwrap();
+        let frames = shipper.plan(0, 0, 16).unwrap();
         for f in &frames {
             standby.apply(f).unwrap();
         }
@@ -765,9 +633,9 @@ mod tests {
             if tick > 0 {
                 append_renames(&mut wal, tick + 3..=tick + 3);
             }
-            let want = Shipper::new(&pdir).plan(standby.last_seq(), None, 0, 8).unwrap();
+            let want = Shipper::new(&pdir).plan(standby.last_seq(), 0, 8).unwrap();
             kept.feed(wal.take_framed().unwrap());
-            let frames = kept.plan(standby.last_seq(), None, 0, 8).unwrap();
+            let frames = kept.plan(standby.last_seq(), 0, 8).unwrap();
             assert_eq!(frames, want, "tick {tick}: the feed changes what is read, not what ships");
             for f in &frames {
                 standby.apply(f).unwrap();
@@ -794,10 +662,10 @@ mod tests {
         let mut standby = StandbyLog::open(&sdir, 1 << 20).unwrap();
         for tick in 0..6u64 {
             append_renames(&mut wal, tick * 4 + 1..=tick * 4 + 4);
-            let want = Shipper::new(&pdir).plan(standby.last_seq(), None, 5, 4).unwrap();
+            let want = Shipper::new(&pdir).plan(standby.last_seq(), 5, 4).unwrap();
             let before = kept.file_bytes_read();
             kept.feed(wal.take_framed().unwrap());
-            let frames = kept.plan(standby.last_seq(), None, 5, 4).unwrap();
+            let frames = kept.plan(standby.last_seq(), 5, 4).unwrap();
             assert_eq!(frames, want, "tick {tick}");
             assert_eq!(kept.file_bytes_read(), before, "tick {tick} read a file");
             for f in &frames {
@@ -817,17 +685,16 @@ mod tests {
         append_renames(&mut wal, 1..=10);
         let mut shipper = Shipper::new(&pdir);
         shipper.feed(wal.take_framed().unwrap());
-        let frames = shipper.plan(0, None, 0, 4).unwrap();
-        assert_eq!(frames[0].last_seq(), Some(10));
+        let frames = shipper.plan(0, 0, 4).unwrap();
+        assert_eq!(frames[0].last_seq, 10);
         // The frame never arrived: the standby still reports seq 0, and
         // the plan starts over from there, read back from the file,
         // rather than from the fed records past the cursor.
         append_renames(&mut wal, 11..=12);
         shipper.feed(wal.take_framed().unwrap());
-        let again = shipper.plan(0, None, 0, 4).unwrap();
-        let ShipFrame::Tail { first_seq, count, .. } = &again[0] else { panic!("tail frame") };
-        assert_eq!((*first_seq, *count), (1, 12));
-        assert_eq!(again, Shipper::new(&pdir).plan(0, None, 0, 4).unwrap());
+        let again = shipper.plan(0, 0, 4).unwrap();
+        assert_eq!((again[0].first_seq, again[0].count), (1, 12));
+        assert_eq!(again, Shipper::new(&pdir).plan(0, 0, 4).unwrap());
         let mut standby = StandbyLog::open(&sdir, 1 << 20).unwrap();
         standby.apply(&again[0]).unwrap();
         assert_eq!(standby.last_seq(), 12);
@@ -842,14 +709,13 @@ mod tests {
         append_renames(&mut wal, 1..=6);
         let mut shipper = Shipper::new(&pdir);
         let mut standby = StandbyLog::open(&sdir, 1 << 20).unwrap();
-        let mut frame = shipper.plan(0, None, 0, 1).unwrap().remove(0);
-        let ShipFrame::Tail { records, .. } = &mut frame else { panic!("tail frame") };
-        let n = records.len();
-        records[n - 2] ^= 0x10;
+        let mut frame = shipper.plan(0, 0, 1).unwrap().remove(0);
+        let n = frame.records.len();
+        frame.records[n - 2] ^= 0x10;
         let apply = standby.apply(&frame).unwrap();
-        assert_eq!(apply.ack, ShipAck { last_seq: 0, resend: Some(0) });
+        assert_eq!(apply.ack, ShipAck { last_seq: 0, torn: true });
         assert!(apply.entries.is_empty() && list_segments(&sdir).unwrap().is_empty());
-        let frames = shipper.plan(0, apply.ack.resend, 0, 4).unwrap();
+        let frames = shipper.plan(apply.ack.last_seq, 0, 4).unwrap();
         for f in &frames {
             standby.apply(f).unwrap();
         }
@@ -859,7 +725,7 @@ mod tests {
         let _ = std::fs::remove_dir_all(&sdir);
     }
 
-    /// A tail frame that starts inside what the standby holds (a plan from
+    /// A frame that starts inside what the standby holds (a plan from
     /// the acknowledged cursor while an earlier frame was still on the
     /// wire) adds only the records past it, and the copy stays the
     /// primary's bytes.
@@ -868,9 +734,9 @@ mod tests {
         let (pdir, sdir) = (tmp_dir("overlap-p"), tmp_dir("overlap-s"));
         let (mut wal, _) = Wal::open(&pdir, 1 << 20).unwrap();
         append_renames(&mut wal, 1..=5);
-        let early = Shipper::new(&pdir).plan(0, None, 0, 1).unwrap().remove(0);
+        let early = Shipper::new(&pdir).plan(0, 0, 1).unwrap().remove(0);
         append_renames(&mut wal, 6..=8);
-        let late = Shipper::new(&pdir).plan(0, None, 0, 1).unwrap().remove(0);
+        let late = Shipper::new(&pdir).plan(0, 0, 1).unwrap().remove(0);
         let mut standby = StandbyLog::open(&sdir, 1 << 20).unwrap();
         standby.apply(&early).unwrap();
         let apply = standby.apply(&late).unwrap();
@@ -892,7 +758,7 @@ mod tests {
         let mut standby = StandbyLog::open(&sdir, 1 << 20).unwrap();
         for tick in 0..6u64 {
             append_renames(&mut wal, tick * 4 + 1..=tick * 4 + 4);
-            for f in &shipper.plan(standby.last_seq(), None, 0, 4).unwrap() {
+            for f in &shipper.plan(standby.last_seq(), 0, 4).unwrap() {
                 standby.apply(f).unwrap();
             }
         }
@@ -902,7 +768,7 @@ mod tests {
         let mut standby = StandbyLog::open(&sdir, 1 << 20).unwrap();
         for tick in 6..12u64 {
             append_renames(&mut wal, tick * 4 + 1..=tick * 4 + 4);
-            for f in &shipper.plan(standby.last_seq(), None, 0, 4).unwrap() {
+            for f in &shipper.plan(standby.last_seq(), 0, 4).unwrap() {
                 standby.apply(f).unwrap();
             }
         }
@@ -912,33 +778,53 @@ mod tests {
         let _ = std::fs::remove_dir_all(&sdir);
     }
 
+    /// A standby one rotation behind is sent the sealed segment's records
+    /// past its cursor, not the segment, and its copy is then the
+    /// primary's sealed file byte for byte.
     #[test]
-    fn tail_after_a_sealed_copy_of_its_segment_extends_the_new_file() {
-        let (pdir, sdir) = (tmp_dir("replaced-p"), tmp_dir("replaced-s"));
-        let (mut wal, _) = Wal::open(&pdir, 1 << 20).unwrap();
+    fn a_standby_one_rotation_behind_is_sent_only_the_missing_records() {
+        let (pdir, sdir) = (tmp_dir("behind-rot-p"), tmp_dir("behind-rot-s"));
+        let (mut wal, _) = Wal::open(&pdir, 600).unwrap();
         let mut shipper = Shipper::new(&pdir);
-        let mut standby = StandbyLog::open(&sdir, 1 << 20).unwrap();
-        append_renames(&mut wal, 1..=5);
-        standby.apply(&shipper.plan(0, None, 0, 4).unwrap()[0]).unwrap();
-        // A re-request of the segment that is still active ships its file
-        // whole; the copy replaces the one the standby has open.
-        append_renames(&mut wal, 6..=10);
-        let frames = shipper.plan(standby.last_seq(), Some(0), 0, 1).unwrap();
-        assert!(matches!(frames[0], ShipFrame::Sealed { index: 0, .. }));
-        standby.apply(&frames[0]).unwrap();
-        assert_eq!(standby.last_seq(), 10);
-        append_renames(&mut wal, 11..=12);
-        for f in &shipper.plan(standby.last_seq(), None, 0, 4).unwrap() {
+        let mut standby = StandbyLog::open(&sdir, 600).unwrap();
+        append_renames(&mut wal, 1..=3);
+        standby.apply(&shipper.plan(0, 0, 4).unwrap()[0]).unwrap();
+        let mut last = 3;
+        while wal.active_segment_index() == 0 {
+            last += 1;
+            append_renames(&mut wal, last..=last);
+        }
+        let frames = shipper.plan(3, 0, 4).unwrap();
+        let (_, path) = &list_segments(&pdir).unwrap()[0];
+        let sealed = std::fs::read(path).unwrap();
+        let first = &frames[0];
+        assert_eq!((first.index, first.first_seq, first.last_seq), (0, 4, last - 1));
+        let held = read_segment(path).unwrap().clean_len as usize - first.records.len();
+        assert_eq!(&sealed[held..], &first.records[..], "only the records past the cursor");
+        for f in &frames {
             standby.apply(f).unwrap();
         }
-        assert_eq!((standby.last_seq(), standby.reopens()), (12, 1));
-        drop(standby);
-        assert_eq!(
-            StandbyLog::open(&sdir, 1 << 20).unwrap().last_seq(),
-            12,
-            "the tail reached the disk"
-        );
-        assert_eq!(Wal::replay_after(&sdir, 0).unwrap(), Wal::replay_after(&pdir, 0).unwrap());
+        assert_eq!(standby.last_seq(), last);
+        let copy = std::fs::read(sdir.join(segment_file_name(0))).unwrap();
+        assert_eq!(copy, sealed, "the copy is the primary's sealed file");
+        let _ = std::fs::remove_dir_all(&pdir);
+        let _ = std::fs::remove_dir_all(&sdir);
+    }
+
+    /// `base_seq` sits outside the records' CRC: a frame that would start
+    /// a copy somewhere its first record does not is declined as torn.
+    #[test]
+    fn a_frame_starting_a_copy_off_its_base_seq_is_torn() {
+        let (pdir, sdir) = (tmp_dir("base-p"), tmp_dir("base-s"));
+        let live = primary_session(&pdir, 30, 256);
+        let mut shipper = Shipper::new(&pdir);
+        let mut standby = StandbyLog::open(&sdir, 256).unwrap();
+        let mut frame = shipper.plan(0, 0, 1).unwrap().remove(0);
+        frame.base_seq ^= 0x4;
+        assert_eq!(standby.apply(&frame).unwrap().ack, ShipAck { last_seq: 0, torn: true });
+        assert!(list_segments(&sdir).unwrap().is_empty(), "nothing created");
+        drain(&mut shipper, &mut standby, 0);
+        assert_eq!(recover(&sdir).unwrap().tree, live);
         let _ = std::fs::remove_dir_all(&pdir);
         let _ = std::fs::remove_dir_all(&sdir);
     }

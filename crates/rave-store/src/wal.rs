@@ -45,7 +45,7 @@ pub struct RecordMark {
     pub seq: u64,
     /// Segment file offset the record ends at.
     pub end: u64,
-    /// What the entry charges the wire in a tail frame:
+    /// What the entry charges the wire in a shipped frame:
     /// `stamped.wire_size()` + [`TAIL_ENTRY_OVERHEAD`].
     pub charge: u64,
 }

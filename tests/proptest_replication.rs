@@ -107,7 +107,7 @@ fn ship_until(
     max_lag: u64,
     stop_after: Option<usize>,
 ) -> usize {
-    let mut ack = ShipAck { last_seq: standby.last_seq(), resend: None };
+    let mut ack = ShipAck { last_seq: standby.last_seq(), torn: false };
     let mut steps = 0usize;
     loop {
         if let Some(limit) = stop_after {
@@ -115,7 +115,7 @@ fn ship_until(
                 return steps;
             }
         }
-        let frames = shipper.plan(ack.last_seq, ack.resend, max_lag, 1).unwrap();
+        let frames = shipper.plan(ack.last_seq, max_lag, 1).unwrap();
         let Some(frame) = frames.into_iter().next() else { return steps };
         ack = standby.apply(&frame).unwrap().ack;
         steps += 1;
@@ -163,9 +163,10 @@ proptest! {
         std::fs::remove_dir_all(&sdir).unwrap();
     }
 
-    /// Corrupt one arbitrary byte of one arbitrary sealed frame on the
-    /// wire: the standby declines it, asks for that segment again, and
-    /// the re-shipped intact copy converges to full equality.
+    /// Corrupt one arbitrary byte of the first frame of a sealed segment
+    /// on the wire: the standby declines it as torn, its cursor unmoved,
+    /// and the plans from that cursor ship the records again, intact, and
+    /// converge to full equality.
     #[test]
     fn torn_sealed_frame_is_declined_and_reshipped(
         n in 8u64..30,
@@ -176,27 +177,26 @@ proptest! {
         let sdir = tmp_dir("torn-s", case);
         // 128-byte cap: several sealed segments for any n in range.
         let trail = build_primary(&pdir, n, 128);
+        let active = list_segments(&pdir).unwrap().last().unwrap().0;
         let mut shipper = Shipper::new(&pdir);
         let mut standby = StandbyLog::open(&sdir, 128).unwrap();
 
-        let mut ack = ShipAck { last_seq: 0, resend: None };
+        let mut ack = ShipAck { last_seq: 0, torn: false };
         let mut corrupted = false;
         let mut steps = 0usize;
         loop {
-            let frames = shipper.plan(ack.last_seq, ack.resend, 0, 1).unwrap();
+            let frames = shipper.plan(ack.last_seq, 0, 1).unwrap();
             let Some(mut frame) = frames.into_iter().next() else { break };
-            if !corrupted {
-                if let ShipFrame::Sealed { index, ref mut bytes } = frame {
-                    let at = ((bytes.len() - 1) as f64 * flip_frac) as usize;
-                    bytes[at] ^= 0xff;
-                    let apply = standby.apply(&frame).unwrap();
-                    prop_assert_eq!(apply.ack.resend, Some(index), "torn frame re-requested");
-                    prop_assert_eq!(apply.ack.last_seq, ack.last_seq, "cursor does not move");
-                    prop_assert!(apply.entries.is_empty(), "nothing applied from a torn frame");
-                    ack = apply.ack;
-                    corrupted = true;
-                    continue;
-                }
+            if !corrupted && frame.index < active {
+                let at = ((frame.records.len() - 1) as f64 * flip_frac) as usize;
+                frame.records[at] ^= 0xff;
+                let apply = standby.apply(&frame).unwrap();
+                let declined = ShipAck { last_seq: ack.last_seq, torn: true };
+                prop_assert_eq!(apply.ack, declined, "declined as torn, the cursor unmoved");
+                prop_assert!(apply.entries.is_empty(), "nothing applied from a torn frame");
+                ack = apply.ack;
+                corrupted = true;
+                continue;
             }
             ack = standby.apply(&frame).unwrap().ack;
             steps += 1;
@@ -213,19 +213,18 @@ proptest! {
 
     /// The primary's side of a `ReplicaLink`, driven step by step: the
     /// log grows, rotates and is compacted behind the acknowledged cursor
-    /// while frames sit in a bounded in-flight window, arrive torn, are
-    /// re-requested, and the optimistic cursor is pulled back to the
+    /// while frames sit in a bounded in-flight window, arrive torn and are
+    /// declined, and the optimistic cursor is pulled back to the
     /// acknowledged one. At every tick the kept `Shipper`, fed what the
     /// WAL framed since the last, plans exactly what a fresh one does, and
-    /// after every delivery the standby — its writer open across frames,
-    /// also across a sealed copy replacing a file under it — is an exact
-    /// prefix of the committed trail, each of its segments a byte-for-byte
-    /// prefix of the primary's records.
+    /// after every delivery the standby — its writer open across frames —
+    /// is an exact prefix of the committed trail, each of its segments a
+    /// byte-for-byte prefix of the primary's records.
     #[test]
     fn kept_cursor_and_open_writer_match_the_stateless_protocol(
         seg_bytes in 128u64..900,
         max_lag in 0u64..4,
-        steps in prop::collection::vec((0usize..10, 1u64..6, any::<bool>()), 1..70),
+        steps in prop::collection::vec((0usize..9, 1u64..6, any::<bool>()), 1..70),
         case in any::<u64>(),
     ) {
         const WINDOW: usize = 3;
@@ -239,50 +238,41 @@ proptest! {
         let mut standby = StandbyLog::open(&sdir, seg_bytes).unwrap();
         let mut seen = BTreeMap::new();
         // The link's cursors, as `replica::ship_tick` keeps them.
-        let (mut acked, mut shipped, mut resend) = (0u64, 0u64, None);
+        let (mut acked, mut shipped) = (0u64, 0u64);
         let mut in_flight: VecDeque<ShipFrame> = VecDeque::new();
 
         let tick = |kept: &mut Shipper,
                         wal: &mut Wal,
                         in_flight: &mut VecDeque<ShipFrame>,
                         shipped: &mut u64,
-                        resend: Option<u64>,
                         max_lag: u64|
          -> Result<(), TestCaseError> {
             let window = WINDOW.saturating_sub(in_flight.len());
             kept.feed(wal.take_framed().unwrap());
-            let frames = kept.plan(*shipped, resend, max_lag, window).unwrap();
-            let fresh = Shipper::new(&pdir).plan(*shipped, resend, max_lag, window).unwrap();
+            let frames = kept.plan(*shipped, max_lag, window).unwrap();
+            let fresh = Shipper::new(&pdir).plan(*shipped, max_lag, window).unwrap();
             prop_assert_eq!(&frames, &fresh, "kept cursor changed what ships");
             for f in frames {
-                *shipped = (*shipped).max(f.last_seq().unwrap_or(0));
+                *shipped = (*shipped).max(f.last_seq);
                 in_flight.push_back(f);
             }
             Ok(())
         };
         let deliver = |standby: &mut StandbyLog,
                            in_flight: &mut VecDeque<ShipFrame>,
-                           cursors: (&mut u64, &mut u64, &mut Option<u64>),
+                           (acked, shipped): (&mut u64, &mut u64),
                            tear: bool,
                            trail: &[AuditEntry],
                            seen: &mut BTreeMap<u64, Vec<u8>>|
          -> Result<(), TestCaseError> {
             let Some(mut frame) = in_flight.pop_front() else { return Ok(()) };
             if tear {
-                // Damage a record (an empty segment has none to damage).
-                let damaged = match &mut frame {
-                    ShipFrame::Sealed { bytes, .. } => bytes.get_mut(40),
-                    ShipFrame::Tail { records, .. } => records.get_mut(12),
-                };
-                if let Some(b) = damaged {
-                    *b ^= 0xff;
-                }
+                frame.records[12] ^= 0xff; // inside the first record
             }
             let ack = standby.apply(&frame).unwrap().ack;
-            let (acked, shipped, resend) = cursors;
+            prop_assert_eq!(ack.torn, tear);
             *shipped = (*shipped).max(ack.last_seq);
             *acked = (*acked).max(ack.last_seq);
-            *resend = ack.resend;
             if in_flight.is_empty() && *acked < *shipped {
                 *shipped = *acked;
             }
@@ -305,37 +295,22 @@ proptest! {
                     rave::store::write_snapshot(&pdir, &tree, seq, seq as f64).unwrap();
                     rave::store::compact(&pdir, seq, Some(acked)).unwrap();
                 }
-                5 | 6 => tick(&mut kept, &mut wal, &mut in_flight, &mut shipped, resend, max_lag)?,
+                5 | 6 => tick(&mut kept, &mut wal, &mut in_flight, &mut shipped, max_lag)?,
                 7 => {
-                    let cursors = (&mut acked, &mut shipped, &mut resend);
+                    let cursors = (&mut acked, &mut shipped);
                     deliver(&mut standby, &mut in_flight, cursors, flag, &trail, &mut seen)?;
                 }
                 // A link re-established mid-flight: plan again from what
                 // was acknowledged, duplicates and all.
-                8 => shipped = acked,
-                // The standby asks for the segment it is growing: the
-                // whole-file copy replaces the file its writer has open,
-                // and later tail frames must land in the copy.
-                _ => resend = Some(wal.active_segment_index()),
+                _ => shipped = acked,
             }
-        }
-        // Wherever the storm stopped, the last case once more, on purpose:
-        // the copy of the growing segment lands, then the segment grows.
-        resend = Some(wal.active_segment_index());
-        for _ in 0..2 {
-            tick(&mut kept, &mut wal, &mut in_flight, &mut shipped, resend, 0)?;
-            while !in_flight.is_empty() {
-                let cursors = (&mut acked, &mut shipped, &mut resend);
-                deliver(&mut standby, &mut in_flight, cursors, false, &trail, &mut seen)?;
-            }
-            grow(&mut wal, &mut tree, &mut trail, 2);
         }
         // Drain: no lag allowance, nothing torn.
         let mut rounds = 0;
         while standby.last_seq() < trail.len() as u64 {
-            tick(&mut kept, &mut wal, &mut in_flight, &mut shipped, resend, 0)?;
+            tick(&mut kept, &mut wal, &mut in_flight, &mut shipped, 0)?;
             while !in_flight.is_empty() {
-                let cursors = (&mut acked, &mut shipped, &mut resend);
+                let cursors = (&mut acked, &mut shipped);
                 deliver(&mut standby, &mut in_flight, cursors, false, &trail, &mut seen)?;
             }
             rounds += 1;
