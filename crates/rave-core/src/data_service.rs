@@ -185,11 +185,14 @@ impl DataService {
         self.store.0.as_mut().map_or(Ok(()), Store::sync)
     }
 
-    /// The records the store's WAL framed since the last call, for the
-    /// log shipper (see [`Store::take_framed`]); `None` without a store or
-    /// a standby.
-    pub fn take_framed_log(&mut self) -> Option<FramedTail> {
-        self.store.0.as_mut().and_then(Store::take_framed)
+    /// The records the store's WAL keeps for a log-shipping standby until
+    /// a frame carries them (see [`Store::unshipped`]); none without a
+    /// store or a standby.
+    pub fn unshipped_log(&mut self) -> &mut [FramedTail] {
+        match &mut self.store.0 {
+            Some(store) => store.unshipped(),
+            None => &mut [],
+        }
     }
 
     /// Keep the store's compaction behind a log-shipping standby (see

@@ -6,8 +6,8 @@
 //! streams the primary's WAL — the records of each segment past the
 //! standby's cursor, verbatim: all of a sealed segment's, and of the
 //! active one's those past the [`crate::RaveConfig::ship_max_lag`] bound,
-//! in lockstep the record bytes the primary's WAL framed and handed over
-//! — to a standby data service on another host, through the same
+//! in lockstep cut from the records the primary's WAL keeps until a frame
+//! carries them — to a standby data service on another host, through the same
 //! serializing `rave_net` channels every other transfer uses. A frame the
 //! standby declines, torn or past a gap, is shipped again from the
 //! cursor the standby acknowledged once the link's frames in flight have
@@ -27,10 +27,10 @@ use crate::ids::DataServiceId;
 use crate::trace::TraceEvent;
 use crate::world::RaveSim;
 use rave_sim::SimTime;
-use rave_store::ship::{Shipper, StandbyLog, ACK_BYTES};
+use rave_store::ship::{self, StandbyLog, ACK_BYTES};
 use rave_store::{StoreConfig, Wal};
 use std::io;
-use std::path::Path;
+use std::path::{Path, PathBuf};
 
 /// Cadence of [`run_log_shipping`]: how often the primary plans and
 /// sends WAL frames to its warm standby, in virtual milliseconds.
@@ -45,9 +45,9 @@ const SHIP_ACK_WINDOW: usize = 4;
 pub struct ReplicaLink {
     pub primary: DataServiceId,
     pub standby: DataServiceId,
-    /// Plans frames from what the primary's WAL hands over each tick, and
-    /// from its directory when that does not continue the cursor.
-    pub shipper: Shipper,
+    /// The primary's store directory, which frames are planned from when
+    /// the records its WAL keeps do not hold all the standby lacks.
+    primary_dir: PathBuf,
     /// The standby's durable log (its directory is a prefix of the
     /// primary's, and becomes the promoted service's store).
     pub log: StandbyLog,
@@ -61,12 +61,14 @@ pub struct ReplicaLink {
     /// Lifetime accounting, for traces and benches.
     pub shipped_frames: u64,
     pub shipped_bytes: u64,
+    /// Bytes of the primary's segment files the link's plans have read.
+    file_bytes_read: u64,
 }
 
 impl ReplicaLink {
     /// Bytes of the primary's segment files the link's ticks have read.
     pub fn file_bytes_read(&self) -> u64 {
-        self.shipper.file_bytes_read()
+        self.file_bytes_read
     }
 }
 
@@ -100,8 +102,8 @@ pub struct PromotionReport {
 /// history it kept — and the link starts shipping from that cursor on
 /// the next [`ship_tick`]. From here on the primary's checkpoints keep
 /// every WAL segment the standby has not acknowledged, and its WAL keeps
-/// what it frames for the next tick. The standby's segments are filled to
-/// the primary's segment size.
+/// the records it frames until a frame carries them. The standby's
+/// segments are filled to the primary's segment size.
 pub fn establish_standby(
     sim: &mut RaveSim,
     primary: DataServiceId,
@@ -124,13 +126,14 @@ pub fn establish_standby(
         ReplicaLink {
             primary,
             standby,
-            shipper: Shipper::new(primary_dir.as_ref()),
+            primary_dir: primary_dir.as_ref().to_path_buf(),
             log,
             acked_seq: resumed_from,
             shipped_seq: resumed_from,
             in_flight: 0,
             shipped_frames: 0,
             shipped_bytes: 0,
+            file_bytes_read: 0,
         },
     );
     sim.world.data_mut(primary).set_retention_floor(Some(resumed_from));
@@ -163,14 +166,18 @@ pub fn ship_tick(sim: &mut RaveSim, primary: DataServiceId) -> io::Result<usize>
     let standby = link.standby;
     // The primary must flush its WAL before frames leave the host: a
     // frame must never describe bytes the OS still holds in a buffer.
-    let ds = sim.world.data_mut(primary);
-    ds.sync_persistence()?;
-    let framed = ds.take_framed_log();
-    let link = sim.world.replicas.get_mut(&primary).expect("link checked above");
-    if let Some(framed) = framed {
-        link.shipper.feed(framed);
-    }
-    let frames = link.shipper.plan(link.shipped_seq, max_lag, window)?;
+    sim.world.data_mut(primary).sync_persistence()?;
+    let world = &mut sim.world;
+    let kept = world.data_services.get_mut(&primary).expect("synced above").unshipped_log();
+    let link = world.replicas.get_mut(&primary).expect("link checked above");
+    let frames = ship::plan(
+        &link.primary_dir,
+        kept,
+        link.shipped_seq,
+        max_lag,
+        window,
+        &mut link.file_bytes_read,
+    )?;
     if frames.is_empty() {
         return Ok(0);
     }
@@ -736,8 +743,12 @@ mod tests {
     #[test]
     fn ticks_in_lockstep_read_no_file() {
         let (mut sim, primary, standby, _, pdir, sdir) = warm_world("cursor", 0);
-        for i in 0..60 {
-            add(&mut sim, primary, &format!("n{i}"));
+        // Four records of about 165 bytes a tick; a 512-byte segment takes
+        // three.
+        for tick in 0..30 {
+            for i in 0..4 {
+                add(&mut sim, primary, &format!("n{tick}-{i}"));
+            }
             ship_tick(&mut sim, primary).unwrap();
             sim.run();
             let p_last = sim.world.data(primary).audit.last_seq();
@@ -745,8 +756,12 @@ mod tests {
         }
         let link = &sim.world.replicas[&primary];
         assert!(list_rotations(&pdir) >= 3, "the 512-byte segments rotated");
-        // In lockstep every tick ships what the primary's WAL handed over:
-        // no segment is read back, not even after a rotation.
+        // A tick after a rotation that sealed records the standby lacked
+        // ships two frames: the sealed segment's last records, then the
+        // new one's.
+        assert!(link.shipped_frames > 30, "no rotation fell between two ticks");
+        // In lockstep every tick ships what the primary's WAL keeps: no
+        // segment is read back, not even after a rotation.
         assert_eq!(link.file_bytes_read(), 0);
         assert_eq!(link.log.reopens(), 0, "every standby segment was created, then kept open");
         // Each standby segment is the primary's, byte for byte: sealed

@@ -131,10 +131,10 @@ mod tests {
 
         // The log still appends and replays past the snapshot.
         drop(wal);
-        let (mut wal, report2) = Wal::open(&dir, 200).unwrap();
+        let (mut wal, torn) = Wal::open(&dir, 200).unwrap();
         wal.append(&entry(41)).unwrap();
         wal.sync().unwrap();
-        assert!(report2.repaired_torn_tail.is_none());
+        assert!(torn.is_none());
         let tail = Wal::replay_after(&dir, 40).unwrap();
         assert_eq!(tail.len(), 1);
         std::fs::remove_dir_all(&dir).unwrap();

@@ -18,9 +18,10 @@
 //!   WAL tail, always landing on a clean update boundary;
 //! - **log shipping** ([`ship`]): continuous replication of each
 //!   segment's records past the standby's cursor, verbatim (the active
-//!   segment's past a lag bound, in lockstep the record bytes the WAL
-//!   framed), to a warm standby whose directory is always an exact prefix
-//!   of the primary's log.
+//!   segment's past a lag bound; in lockstep cut from the records the WAL
+//!   keeps until a frame carries them, its one copy of them), to a warm
+//!   standby whose directory is always an exact prefix of the primary's
+//!   log.
 //!
 //! The [`Store`] facade ties these together behind the append /
 //! checkpoint / recover API the data service drives.
@@ -36,9 +37,9 @@ pub mod wal;
 pub use compact::{compact, CompactionReport};
 pub use record::{crc32, TornTail};
 pub use recover::{recover, Recovery};
-pub use ship::{ShipAck, ShipApply, ShipFrame, Shipper, StandbyLog};
+pub use ship::{ShipAck, ShipApply, ShipFrame, StandbyLog};
 pub use snapshot::{read_snapshot, write_snapshot, Snapshot};
-pub use wal::{FramedTail, RecordMark, Wal, WalOpenReport};
+pub use wal::{FramedTail, Wal};
 
 use rave_scene::{wire, AuditEntry, Dirt, EditClass, EditStamp, SceneTree};
 use std::fs::File;
@@ -142,7 +143,7 @@ impl Store {
     pub fn open(dir: impl Into<PathBuf>, cfg: StoreConfig) -> io::Result<Self> {
         let dir = dir.into();
         std::fs::create_dir_all(&dir)?;
-        let (wal, _report) = Wal::open(&dir, cfg.segment_max_bytes)?;
+        let (wal, _torn) = Wal::open(&dir, cfg.segment_max_bytes)?;
         let newest = |files: Vec<(u64, PathBuf)>| files.last().map_or(0, |(seq, _)| *seq);
         let last_checkpoint_seq =
             newest(snapshot::list_snapshots(&dir)?).max(newest(snapshot::list_deltas(&dir)?));
@@ -187,17 +188,17 @@ impl Store {
     /// (`None`: no standby, a snapshot alone decides). Until the standby
     /// holds a sealed segment the primary's copy is the only one it can be
     /// shipped from, so checkpoints keep it. While a standby is attached
-    /// the WAL keeps what it frames for [`Store::take_framed`].
+    /// the WAL keeps the records no frame has carried yet
+    /// ([`Store::unshipped`]).
     pub fn set_retention_floor(&mut self, acked_seq: Option<u64>) {
         self.retention_floor = acked_seq;
-        self.wal.keep_framed(acked_seq.is_some());
+        self.wal.keep_unshipped(acked_seq.is_some());
     }
 
-    /// The records the WAL framed since the last take, for a
-    /// [`Shipper::feed`] (see [`Wal::take_framed`]); `None` without a
-    /// standby.
-    pub fn take_framed(&mut self) -> Option<FramedTail> {
-        self.wal.take_framed()
+    /// The records the WAL keeps for the standby until a frame carries
+    /// them, for [`ship::plan`] (see [`Wal::unshipped`]).
+    pub fn unshipped(&mut self) -> &mut [FramedTail] {
+        self.wal.unshipped()
     }
 
     /// Write a checkpoint of `tree` covering everything appended so far,

@@ -16,14 +16,13 @@
 //! subsystem, which owns timing and transport):
 //!
 //! 1. the standby reports its durable [`StandbyLog::last_seq`];
-//! 2. the primary syncs its log, [`Shipper::feed`]s it what the WAL framed
-//!    since the last tick ([`crate::Wal::take_framed`]) and
-//!    [`Shipper::plan`]s a batch of [`ShipFrame`]s past that cursor. When
-//!    the fed records continue the cursor, the frame is cut from them and
-//!    no file is read; otherwise sealed segments at or below the cursor
-//!    are *skipped from headers alone* (the next segment's `base_seq`
-//!    bounds this one's contents, so resume never re-reads what the
-//!    standby already holds) and the others are read back;
+//! 2. the primary syncs its log and [`plan`]s a batch of [`ShipFrame`]s
+//!    past that cursor. When the records its WAL keeps for the standby
+//!    ([`crate::Wal::unshipped`]) hold every record past the cursor, the
+//!    frames are cut from them and no file is read; otherwise sealed segments at or below
+//!    the cursor are *skipped from headers alone* (the next segment's
+//!    `base_seq` bounds this one's contents, so resume never re-reads what
+//!    the standby already holds) and the others are read back;
 //! 3. the standby [`StandbyLog::apply`]s each frame and answers with a
 //!    sequence-numbered [`ShipAck`]. A frame that arrives torn or corrupt,
 //!    or past a gap, is *not* written: the ack re-states the cursor, and
@@ -75,13 +74,15 @@ impl ShipFrame {
 }
 
 impl FramedTail {
-    /// How many leading records a standby holding everything up to
-    /// `covered` already has, when the records past `covered` start in
-    /// this run; `None` when they start before it.
-    fn held_by(&self, covered: u64) -> Option<usize> {
-        let held = self.marks.partition_point(|m| m.seq <= covered);
-        let next = held.checked_sub(1).map_or(self.first_seq, |i| self.marks[i].seq + 1);
-        (next == covered + 1).then_some(held)
+    /// Drop the records at or below `seq`.
+    fn drop_through(&mut self, seq: u64) {
+        self.split_front(self.marks.partition_point(|m| m.seq <= seq));
+    }
+
+    /// Cut a frame of all but the newest `max_lag` records off the front.
+    fn ship(&mut self, max_lag: u64) -> Option<ShipFrame> {
+        let n = self.marks.len().saturating_sub(max_lag as usize);
+        self.split_front(n).into_frame()
     }
 
     /// The run as one frame (`None` when it is empty).
@@ -109,168 +110,130 @@ pub struct ShipAck {
     pub torn: bool,
 }
 
-/// Primary-side planner: decides what a standby at a given cursor needs.
-/// Any standby cursor can be planned for at any time — resume after any
-/// interruption, a declined frame included, is just a `plan` against the
-/// standby's reported `last_seq`. A `Shipper` kept across ticks holds the
-/// active segment's records it has not shipped yet (those `max_lag` holds
-/// back too), byte for byte, so a tick [`Shipper::feed`] continues reads
-/// no file.
-#[derive(Debug, Clone)]
-pub struct Shipper {
-    dir: PathBuf,
-    /// The active segment's unshipped records, from the last feed or the
-    /// last read of the file.
-    tail: Option<FramedTail>,
-    /// A feed came since the last plan: `tail` ends where the log does.
-    fed: bool,
-    file_bytes_read: u64,
+/// Plan at most `limit` frames for a standby whose durable log ends at
+/// `acked_seq` (0 = empty). Sealed segments wholly at or below the cursor
+/// are skipped; a sealed segment with records past it ships all of them,
+/// one frame. The active segment's records ship only past `max_lag`: the
+/// newest `max_lag` records may stay unshipped until rotation seals them
+/// (0 = ship everything immediately). Any cursor can be planned for at
+/// any time — resume after any interruption, a declined frame included,
+/// is just a `plan` against the standby's reported `last_seq`.
+///
+/// `kept` is the WAL's runs of records no frame has carried yet
+/// ([`crate::Wal::unshipped`]: consecutive segments, the last the active
+/// one); `&mut []` plans from the directory alone. When the runs hold
+/// every record past the cursor, the frames are cut from them, and no
+/// directory is listed and no file read. Otherwise `dir` is listed: the sealed
+/// segments at or below the cursor are skipped from their successors'
+/// headers alone, and every other segment is read back, its bytes added
+/// to `file_bytes_read`. The frames are the same either way, and the
+/// records they carry leave `kept`.
+///
+/// Errors when the cursor predates the oldest retained segment — the
+/// needed history was compacted away and the standby must be
+/// re-established through a full bootstrap instead.
+pub fn plan(
+    dir: &Path,
+    kept: &mut [FramedTail],
+    acked_seq: u64,
+    max_lag: u64,
+    limit: usize,
+    file_bytes_read: &mut u64,
+) -> io::Result<Vec<ShipFrame>> {
+    if limit == 0 {
+        return Ok(Vec::new());
+    }
+    if !continues(kept, acked_seq) {
+        let frames = plan_from_files(dir, acked_seq, max_lag, limit, file_bytes_read)?;
+        if let Some(last) = frames.last() {
+            kept.iter_mut().for_each(|run| run.drop_through(last.last_seq));
+        }
+        return Ok(frames);
+    }
+    let active = kept.len() - 1;
+    let mut frames = Vec::new();
+    for (i, run) in kept.iter_mut().enumerate() {
+        run.drop_through(acked_seq);
+        if frames.len() < limit {
+            frames.extend(run.ship(if i == active { max_lag } else { 0 }));
+        }
+    }
+    Ok(frames)
 }
 
-impl Shipper {
-    pub fn new(dir: impl Into<PathBuf>) -> Self {
-        Self { dir: dir.into(), tail: None, fed: false, file_bytes_read: 0 }
-    }
+/// Whether `kept` holds every record past `acked_seq`. Records leave the
+/// runs from the front only, so together they hold one contiguous range
+/// of seqs, up to the log's end.
+fn continues(kept: &[FramedTail], acked_seq: u64) -> bool {
+    let Some(active) = kept.last() else { return false };
+    let end = active.marks.last().map_or(active.first_seq, |m| m.seq + 1);
+    let front = kept.iter().find_map(|run| run.marks.first()).map_or(end, |m| m.seq);
+    (front..=end).contains(&(acked_seq + 1))
+}
 
-    pub fn dir(&self) -> &Path {
-        &self.dir
+/// [`plan`] from the directory alone.
+fn plan_from_files(
+    dir: &Path,
+    acked_seq: u64,
+    max_lag: u64,
+    limit: usize,
+    file_bytes_read: &mut u64,
+) -> io::Result<Vec<ShipFrame>> {
+    let segments = list_segments(dir)?;
+    let mut frames = Vec::new();
+    let Some(((_, active), sealed)) = segments.split_last() else { return Ok(frames) };
+    let first_base = read_segment_header(&segments[0].1)?.base_seq;
+    if first_base > acked_seq.saturating_add(1) {
+        return Err(io::Error::other(format!(
+            "standby at seq {acked_seq} predates oldest retained segment \
+             (base_seq {first_base}): history compacted away, \
+             re-establish from a snapshot"
+        )));
     }
-
-    /// Bytes of segment files every `plan` so far has read.
-    pub fn file_bytes_read(&self) -> u64 {
-        self.file_bytes_read
-    }
-
-    /// Hand over what the WAL framed since the last feed
-    /// ([`crate::Wal::take_framed`], taken after the log's sync): the
-    /// next `plan`, and only the next, trusts the held records to end
-    /// where the log ends. A run that does not continue the held records
-    /// replaces them.
-    pub fn feed(&mut self, framed: FramedTail) {
-        match &mut self.tail {
-            Some(held) if held.index == framed.index && held.end() == framed.offset => {
-                held.bytes.extend_from_slice(&framed.bytes);
-                held.marks.extend_from_slice(&framed.marks);
-            }
-            slot => *slot = Some(framed),
-        }
-        self.fed = true;
-    }
-
-    /// Plan at most `limit` frames for a standby whose durable log ends
-    /// at `acked_seq` (0 = empty). Sealed segments wholly at or below the
-    /// cursor are skipped from their successors' headers without reading
-    /// a single record body; a sealed segment with records past it ships
-    /// all of them, one frame. The active segment's records ship only past
-    /// `max_lag`: the newest `max_lag` records may stay unshipped until
-    /// rotation seals them (0 = ship everything immediately).
-    ///
-    /// After a [`Shipper::feed`] whose records continue the cursor, the
-    /// plan is the frame cut from them, and no directory is listed and no
-    /// file read: it is the frame a fresh `Shipper` would read back from
-    /// the active segment.
-    ///
-    /// Errors when the cursor predates the oldest retained segment — the
-    /// needed history was compacted away and the standby must be
-    /// re-established through a full bootstrap instead.
-    pub fn plan(
-        &mut self,
-        acked_seq: u64,
-        max_lag: u64,
-        limit: usize,
-    ) -> io::Result<Vec<ShipFrame>> {
-        let fed = std::mem::take(&mut self.fed);
-        if limit == 0 {
-            return Ok(Vec::new());
-        }
-        // How many fed records a standby at `covered` holds, when the
-        // records past it start among them.
-        let fed_held =
-            |tail: &Option<FramedTail>, covered| tail.as_ref().filter(|_| fed)?.held_by(covered);
-        if let Some(held) = fed_held(&self.tail, acked_seq) {
-            return Ok(self.ship_tail(held, max_lag).into_iter().collect());
-        }
-        let segments = list_segments(&self.dir)?;
-        let mut frames = Vec::new();
-        if segments.is_empty() {
-            return Ok(frames);
-        }
-        let first_base = read_segment_header(&segments[0].1)?.base_seq;
-        if first_base > acked_seq.saturating_add(1) {
-            return Err(io::Error::other(format!(
-                "standby at seq {acked_seq} predates oldest retained segment \
-                 (base_seq {first_base}): history compacted away, \
-                 re-establish from a snapshot"
-            )));
-        }
-        // Sealed segments: everything but the highest index. Segment i's
-        // entries all lie below segment i+1's base_seq, so the skip
-        // decision needs only the 28-byte headers.
-        let mut covered = acked_seq;
-        for i in 0..segments.len() - 1 {
-            let upper = read_segment_header(&segments[i + 1].1)?.base_seq.saturating_sub(1);
-            if upper <= covered {
-                continue;
-            }
-            if frames.len() >= limit {
-                return Ok(frames);
-            }
-            frames.extend(self.read_tail(&segments[i].1, covered)?.into_frame());
-            covered = upper;
+    // Segment i's entries all lie below segment i+1's base_seq, so the
+    // skip decision needs only the 28-byte headers.
+    let mut covered = acked_seq;
+    for (i, (_, path)) in sealed.iter().enumerate() {
+        let upper = read_segment_header(&segments[i + 1].1)?.base_seq.saturating_sub(1);
+        if upper <= covered {
+            continue;
         }
         if frames.len() >= limit {
             return Ok(frames);
         }
-        // Active-segment tail: the fed records when they continue the
-        // cursor, else the file read back.
-        let (index, path) = segments.last().expect("non-empty");
-        let on_active = self.tail.as_ref().is_some_and(|t| t.index == *index);
-        let held = match fed_held(&self.tail, covered).filter(|_| on_active) {
-            Some(held) => held,
-            None => {
-                self.tail = Some(self.read_tail(path, covered)?);
-                0
-            }
-        };
-        frames.extend(self.ship_tail(held, max_lag));
-        Ok(frames)
+        frames.extend(read_run(path, covered, file_bytes_read)?.ship(0));
+        covered = upper;
     }
-
-    /// Drop the first `held` records of the kept tail, which the standby
-    /// has, and cut a frame of the oldest of the rest, leaving at most
-    /// `max_lag` of the newest kept.
-    fn ship_tail(&mut self, held: usize, max_lag: u64) -> Option<ShipFrame> {
-        let tail = self.tail.as_mut()?;
-        tail.split_front(held);
-        let ship_n = tail.marks.len().saturating_sub(max_lag as usize);
-        tail.split_front(ship_n).into_frame()
+    if frames.len() < limit {
+        frames.extend(read_run(active, covered, file_bytes_read)?.ship(max_lag));
     }
+    Ok(frames)
+}
 
-    /// Read a segment whole and keep the records past `covered`.
-    fn read_tail(&mut self, path: &Path, covered: u64) -> io::Result<FramedTail> {
-        let (buf, header, DecodedRecords { records, .. }) = read_segment_file(path)?;
-        self.file_bytes_read += buf.len() as u64;
-        let held = records.partition_point(|(e, _)| e.stamped.seq <= covered);
-        let header_len = SEGMENT_HEADER_LEN as u64;
-        let start = held.checked_sub(1).map_or(header_len, |i| records[i].1);
-        let end = records.last().map_or(header_len, |(_, end)| *end);
-        let marks: Vec<RecordMark> = records[held..]
-            .iter()
-            .map(|(e, end)| RecordMark {
-                seq: e.stamped.seq,
-                end: *end,
-                charge: e.stamped.wire_size() + TAIL_ENTRY_OVERHEAD,
-            })
-            .collect();
-        Ok(FramedTail {
-            index: header.index,
-            base_seq: header.base_seq,
-            offset: start,
-            first_seq: marks.first().map_or(covered + 1, |m| m.seq),
-            bytes: buf[start as usize..end as usize].to_vec(),
-            marks,
+/// Read a segment whole and keep the records past `covered`.
+fn read_run(path: &Path, covered: u64, file_bytes_read: &mut u64) -> io::Result<FramedTail> {
+    let (buf, header, DecodedRecords { records, .. }) = read_segment_file(path)?;
+    *file_bytes_read += buf.len() as u64;
+    let held = records.partition_point(|(e, _)| e.stamped.seq <= covered);
+    let header_len = SEGMENT_HEADER_LEN as u64;
+    let start = held.checked_sub(1).map_or(header_len, |i| records[i].1);
+    let end = records.last().map_or(header_len, |(_, end)| *end);
+    let marks: Vec<RecordMark> = records[held..]
+        .iter()
+        .map(|(e, end)| RecordMark {
+            seq: e.stamped.seq,
+            end: *end,
+            charge: e.stamped.wire_size() + TAIL_ENTRY_OVERHEAD,
         })
-    }
+        .collect();
+    Ok(FramedTail {
+        index: header.index,
+        base_seq: header.base_seq,
+        offset: start,
+        first_seq: marks.first().map_or(covered + 1, |m| m.seq),
+        bytes: buf[start as usize..end as usize].to_vec(),
+        marks,
+    })
 }
 
 /// What one [`StandbyLog::apply`] did.
@@ -435,11 +398,16 @@ mod tests {
         tree
     }
 
+    /// What the directory alone plans for a standby at `acked_seq`.
+    fn fresh(dir: &Path, acked_seq: u64, max_lag: u64, limit: usize) -> Vec<ShipFrame> {
+        plan(dir, &mut [], acked_seq, max_lag, limit, &mut 0).unwrap()
+    }
+
     /// Drive plan/apply to quiescence; returns frames shipped.
-    fn drain(shipper: &mut Shipper, standby: &mut StandbyLog, max_lag: u64) -> usize {
+    fn drain(dir: &Path, standby: &mut StandbyLog, max_lag: u64) -> usize {
         let mut shipped = 0;
         loop {
-            let frames = shipper.plan(standby.last_seq(), max_lag, 4).unwrap();
+            let frames = fresh(dir, standby.last_seq(), max_lag, 4);
             if frames.is_empty() {
                 return shipped;
             }
@@ -454,9 +422,8 @@ mod tests {
     fn full_ship_reproduces_the_log_exactly() {
         let (pdir, sdir) = (tmp_dir("full-p"), tmp_dir("full-s"));
         let live = primary_session(&pdir, 40, 256); // several rotations
-        let mut shipper = Shipper::new(&pdir);
         let mut standby = StandbyLog::open(&sdir, 256).unwrap();
-        drain(&mut shipper, &mut standby, 0);
+        drain(&pdir, &mut standby, 0);
         assert_eq!(standby.last_seq(), 40);
         let rec = recover(&sdir).unwrap();
         assert_eq!(rec.last_seq, 40);
@@ -479,11 +446,10 @@ mod tests {
     fn resume_skips_already_held_segments() {
         let (pdir, sdir) = (tmp_dir("resume-p"), tmp_dir("resume-s"));
         primary_session(&pdir, 30, 256);
-        let mut shipper = Shipper::new(&pdir);
         {
             let mut standby = StandbyLog::open(&sdir, 256).unwrap();
             // Ship only the first couple of frames, then "crash".
-            let frames = shipper.plan(0, 0, 2).unwrap();
+            let frames = fresh(&pdir, 0, 0, 2);
             for f in &frames {
                 standby.apply(f).unwrap();
             }
@@ -493,9 +459,9 @@ mod tests {
         let mut standby = StandbyLog::open(&sdir, 256).unwrap();
         let held = standby.last_seq();
         assert!(held > 0, "prefix survived the restart");
-        let frames = shipper.plan(held, 0, 16).unwrap();
+        let frames = fresh(&pdir, held, 0, 16);
         assert_eq!(frames[0].first_seq, held + 1, "nothing held is shipped again");
-        drain(&mut shipper, &mut standby, 0);
+        drain(&pdir, &mut standby, 0);
         assert_eq!(standby.last_seq(), 30);
         let _ = std::fs::remove_dir_all(&pdir);
         let _ = std::fs::remove_dir_all(&sdir);
@@ -505,9 +471,8 @@ mod tests {
     fn torn_frame_is_rerequested_and_converges() {
         let (pdir, sdir) = (tmp_dir("torn-p"), tmp_dir("torn-s"));
         let live = primary_session(&pdir, 30, 256);
-        let mut shipper = Shipper::new(&pdir);
         let mut standby = StandbyLog::open(&sdir, 256).unwrap();
-        let mut frame = shipper.plan(0, 0, 1).unwrap().remove(0);
+        let mut frame = fresh(&pdir, 0, 0, 1).remove(0);
         assert_eq!((frame.index, frame.first_seq), (0, 1), "sealed segment 0's records");
         // Damage the frame in flight: flip a byte inside the records.
         let n = frame.records.len();
@@ -517,12 +482,12 @@ mod tests {
         assert!(apply.entries.is_empty() && list_segments(&sdir).unwrap().is_empty());
         // The plan from the unmoved cursor ships the records again, intact,
         // and the stream converges.
-        let again = shipper.plan(apply.ack.last_seq, 0, 1).unwrap().remove(0);
+        let again = fresh(&pdir, apply.ack.last_seq, 0, 1).remove(0);
         frame.records[n - 3] ^= 0xFF;
         assert_eq!(again, frame);
         let apply = standby.apply(&again).unwrap();
         assert_eq!(apply.ack, ShipAck { last_seq: frame.last_seq, torn: false });
-        drain(&mut shipper, &mut standby, 0);
+        drain(&pdir, &mut standby, 0);
         assert_eq!(recover(&sdir).unwrap().tree, live);
         let _ = std::fs::remove_dir_all(&pdir);
         let _ = std::fs::remove_dir_all(&sdir);
@@ -532,12 +497,11 @@ mod tests {
     fn lag_bound_withholds_the_newest_tail_entries() {
         let (pdir, sdir) = (tmp_dir("lag-p"), tmp_dir("lag-s"));
         primary_session(&pdir, 20, 1 << 20); // one active segment, no seals
-        let mut shipper = Shipper::new(&pdir);
         let mut standby = StandbyLog::open(&sdir, 1 << 20).unwrap();
-        drain(&mut shipper, &mut standby, 5);
+        drain(&pdir, &mut standby, 5);
         assert_eq!(standby.last_seq(), 15, "newest 5 entries withheld within the lag bound");
         // Tightening the bound ships the rest.
-        drain(&mut shipper, &mut standby, 0);
+        drain(&pdir, &mut standby, 0);
         assert_eq!(standby.last_seq(), 20);
         let _ = std::fs::remove_dir_all(&pdir);
         let _ = std::fs::remove_dir_all(&sdir);
@@ -547,10 +511,9 @@ mod tests {
     fn gap_frames_are_declined_not_installed() {
         let (pdir, sdir) = (tmp_dir("gap-p"), tmp_dir("gap-s"));
         primary_session(&pdir, 30, 256);
-        let mut shipper = Shipper::new(&pdir);
         let mut standby = StandbyLog::open(&sdir, 256).unwrap();
         // Deliver a later segment's records first: declined, cursor unmoved.
-        let frames = shipper.plan(0, 0, 8).unwrap();
+        let frames = fresh(&pdir, 0, 0, 8);
         let later = frames.iter().find(|f| f.index > 0).expect("multiple segments");
         let apply = standby.apply(later).unwrap();
         assert_eq!(apply.ack, ShipAck { last_seq: 0, torn: false });
@@ -564,10 +527,9 @@ mod tests {
     fn plan_respects_the_frame_limit() {
         let (pdir, _s) = (tmp_dir("limit-p"), ());
         primary_session(&pdir, 50, 128); // many segments
-        let mut shipper = Shipper::new(&pdir);
         assert!(list_segments(&pdir).unwrap().len() > 3);
-        assert_eq!(shipper.plan(0, 0, 2).unwrap().len(), 2);
-        assert!(shipper.plan(0, 0, 0).unwrap().is_empty());
+        assert_eq!(fresh(&pdir, 0, 0, 2).len(), 2);
+        assert!(fresh(&pdir, 0, 0, 0).is_empty());
         let _ = std::fs::remove_dir_all(&pdir);
     }
 
@@ -578,8 +540,7 @@ mod tests {
         // Simulate compaction deleting the oldest segment.
         let (_, first) = list_segments(&pdir).unwrap().into_iter().next().unwrap();
         std::fs::remove_file(&first).unwrap();
-        let mut shipper = Shipper::new(&pdir);
-        let err = shipper.plan(0, 0, 8).unwrap_err();
+        let err = plan(&pdir, &mut [], 0, 0, 8, &mut 0).unwrap_err();
         assert!(err.to_string().contains("compacted"), "{err}");
         let _ = std::fs::remove_dir_all(&pdir);
     }
@@ -588,9 +549,8 @@ mod tests {
     fn duplicate_frames_are_idempotent() {
         let (pdir, sdir) = (tmp_dir("dup-p"), tmp_dir("dup-s"));
         let live = primary_session(&pdir, 25, 256);
-        let mut shipper = Shipper::new(&pdir);
         let mut standby = StandbyLog::open(&sdir, 256).unwrap();
-        let frames = shipper.plan(0, 0, 16).unwrap();
+        let frames = fresh(&pdir, 0, 0, 16);
         for f in &frames {
             standby.apply(f).unwrap();
         }
@@ -619,36 +579,41 @@ mod tests {
         wal.sync().unwrap();
     }
 
+    /// Several records a tick on small segments, so that rotations fall
+    /// between ticks with records the standby lacks left in the sealed
+    /// segment: after the first tick every frame is cut from the WAL's
+    /// runs, the sealed one's included, and is what the directory alone
+    /// plans.
     #[test]
-    fn a_fed_shipper_reads_no_file_in_lockstep_after_its_first_tick() {
+    fn kept_runs_ship_across_rotations_without_reading_a_file() {
         let (pdir, sdir) = (tmp_dir("cursor-p"), tmp_dir("cursor-s"));
-        let (mut wal, _) = Wal::open(&pdir, 600).unwrap();
+        let (mut wal, _) = Wal::open(&pdir, 3000).unwrap();
         append_renames(&mut wal, 1..=3);
-        wal.keep_framed(true);
-        let mut kept = Shipper::new(&pdir);
-        let mut standby = StandbyLog::open(&sdir, 600).unwrap();
-        let mut first_tick_read = 0;
+        wal.keep_unshipped(true);
+        let mut standby = StandbyLog::open(&sdir, 3000).unwrap();
+        let (mut read, mut first_tick_read, mut across_a_rotation) = (0, 0, 0);
         for tick in 0..60u64 {
-            // One record a tick: a rotation seals only shipped records.
             if tick > 0 {
-                append_renames(&mut wal, tick + 3..=tick + 3);
+                append_renames(&mut wal, tick * 7 - 3..=tick * 7 + 3);
             }
-            let want = Shipper::new(&pdir).plan(standby.last_seq(), 0, 8).unwrap();
-            kept.feed(wal.take_framed().unwrap());
-            let frames = kept.plan(standby.last_seq(), 0, 8).unwrap();
-            assert_eq!(frames, want, "tick {tick}: the feed changes what is read, not what ships");
+            let want = fresh(&pdir, standby.last_seq(), 0, 8);
+            let frames = plan(&pdir, wal.unshipped(), standby.last_seq(), 0, 8, &mut read).unwrap();
+            assert_eq!(frames, want, "tick {tick}: the runs change what is read, not what ships");
+            assert!(wal.unshipped().len() <= 2);
+            // Two frames: the sealed segment's last records, then the new one's.
+            across_a_rotation += usize::from(frames.len() == 2);
             for f in &frames {
                 standby.apply(f).unwrap();
             }
-            assert_eq!(standby.last_seq(), tick + 3);
+            assert_eq!(standby.last_seq(), tick * 7 + 3);
             if tick == 0 {
                 // Seqs 1-3 were framed before keeping started: read back.
-                first_tick_read = kept.file_bytes_read();
+                first_tick_read = read;
                 assert!(first_tick_read > 0);
             }
         }
-        assert!(wal.active_segment_index() >= 3, "the log rotated under the feed");
-        assert_eq!(kept.file_bytes_read(), first_tick_read, "no file read after the first tick");
+        assert!(across_a_rotation >= 3, "{across_a_rotation} ticks shipped a sealed run");
+        assert_eq!(read, first_tick_read, "no file read after the first tick");
         let _ = std::fs::remove_dir_all(&pdir);
         let _ = std::fs::remove_dir_all(&sdir);
     }
@@ -657,17 +622,16 @@ mod tests {
     fn records_held_back_by_the_lag_stay_in_memory() {
         let (pdir, sdir) = (tmp_dir("held-p"), tmp_dir("held-s"));
         let (mut wal, _) = Wal::open(&pdir, 1 << 20).unwrap();
-        wal.keep_framed(true);
-        let mut kept = Shipper::new(&pdir);
+        wal.keep_unshipped(true);
         let mut standby = StandbyLog::open(&sdir, 1 << 20).unwrap();
+        let mut read = 0;
         for tick in 0..6u64 {
             append_renames(&mut wal, tick * 4 + 1..=tick * 4 + 4);
-            let want = Shipper::new(&pdir).plan(standby.last_seq(), 5, 4).unwrap();
-            let before = kept.file_bytes_read();
-            kept.feed(wal.take_framed().unwrap());
-            let frames = kept.plan(standby.last_seq(), 5, 4).unwrap();
-            assert_eq!(frames, want, "tick {tick}");
-            assert_eq!(kept.file_bytes_read(), before, "tick {tick} read a file");
+            let want = fresh(&pdir, standby.last_seq(), 5, 4);
+            let frames = plan(&pdir, wal.unshipped(), standby.last_seq(), 5, 4, &mut read).unwrap();
+            assert_eq!((&frames, read), (&want, 0), "tick {tick}");
+            let held: usize = wal.unshipped().iter().map(|run| run.marks.len()).sum();
+            assert_eq!(held, 5.min(tick as usize * 4 + 4), "tick {tick}: the lag's records stay");
             for f in &frames {
                 standby.apply(f).unwrap();
             }
@@ -678,23 +642,23 @@ mod tests {
     }
 
     #[test]
-    fn cursor_is_dropped_when_the_standby_falls_behind_it() {
+    fn the_directory_is_read_when_the_standby_falls_behind_the_runs() {
         let (pdir, sdir) = (tmp_dir("behind-p"), tmp_dir("behind-s"));
         let (mut wal, _) = Wal::open(&pdir, 1 << 20).unwrap();
-        wal.keep_framed(true);
+        wal.keep_unshipped(true);
         append_renames(&mut wal, 1..=10);
-        let mut shipper = Shipper::new(&pdir);
-        shipper.feed(wal.take_framed().unwrap());
-        let frames = shipper.plan(0, 0, 4).unwrap();
-        assert_eq!(frames[0].last_seq, 10);
+        let mut read = 0;
+        let frames = plan(&pdir, wal.unshipped(), 0, 0, 4, &mut read).unwrap();
+        assert_eq!((frames[0].last_seq, read), (10, 0));
         // The frame never arrived: the standby still reports seq 0, and
-        // the plan starts over from there, read back from the file,
-        // rather than from the fed records past the cursor.
+        // the plan starts over from there, read back from the file; the
+        // runs no longer hold what the lost frame carried.
         append_renames(&mut wal, 11..=12);
-        shipper.feed(wal.take_framed().unwrap());
-        let again = shipper.plan(0, 0, 4).unwrap();
+        let again = plan(&pdir, wal.unshipped(), 0, 0, 4, &mut read).unwrap();
         assert_eq!((again[0].first_seq, again[0].count), (1, 12));
-        assert_eq!(again, Shipper::new(&pdir).plan(0, 0, 4).unwrap());
+        assert!(read > 0);
+        assert_eq!(again, fresh(&pdir, 0, 0, 4));
+        assert!(wal.unshipped().iter().all(|run| run.marks.is_empty()), "shipped: gone");
         let mut standby = StandbyLog::open(&sdir, 1 << 20).unwrap();
         standby.apply(&again[0]).unwrap();
         assert_eq!(standby.last_seq(), 12);
@@ -707,15 +671,14 @@ mod tests {
         let (pdir, sdir) = (tmp_dir("torn-tail-p"), tmp_dir("torn-tail-s"));
         let (mut wal, _) = Wal::open(&pdir, 1 << 20).unwrap();
         append_renames(&mut wal, 1..=6);
-        let mut shipper = Shipper::new(&pdir);
         let mut standby = StandbyLog::open(&sdir, 1 << 20).unwrap();
-        let mut frame = shipper.plan(0, 0, 1).unwrap().remove(0);
+        let mut frame = fresh(&pdir, 0, 0, 1).remove(0);
         let n = frame.records.len();
         frame.records[n - 2] ^= 0x10;
         let apply = standby.apply(&frame).unwrap();
         assert_eq!(apply.ack, ShipAck { last_seq: 0, torn: true });
         assert!(apply.entries.is_empty() && list_segments(&sdir).unwrap().is_empty());
-        let frames = shipper.plan(apply.ack.last_seq, 0, 4).unwrap();
+        let frames = fresh(&pdir, apply.ack.last_seq, 0, 4);
         for f in &frames {
             standby.apply(f).unwrap();
         }
@@ -734,9 +697,9 @@ mod tests {
         let (pdir, sdir) = (tmp_dir("overlap-p"), tmp_dir("overlap-s"));
         let (mut wal, _) = Wal::open(&pdir, 1 << 20).unwrap();
         append_renames(&mut wal, 1..=5);
-        let early = Shipper::new(&pdir).plan(0, 0, 1).unwrap().remove(0);
+        let early = fresh(&pdir, 0, 0, 1).remove(0);
         append_renames(&mut wal, 6..=8);
-        let late = Shipper::new(&pdir).plan(0, 0, 1).unwrap().remove(0);
+        let late = fresh(&pdir, 0, 0, 1).remove(0);
         let mut standby = StandbyLog::open(&sdir, 1 << 20).unwrap();
         standby.apply(&early).unwrap();
         let apply = standby.apply(&late).unwrap();
@@ -754,11 +717,10 @@ mod tests {
     fn tail_frames_on_one_segment_reopen_it_at_most_once() {
         let (pdir, sdir) = (tmp_dir("writer-p"), tmp_dir("writer-s"));
         let (mut wal, _) = Wal::open(&pdir, 1 << 20).unwrap();
-        let mut shipper = Shipper::new(&pdir);
         let mut standby = StandbyLog::open(&sdir, 1 << 20).unwrap();
         for tick in 0..6u64 {
             append_renames(&mut wal, tick * 4 + 1..=tick * 4 + 4);
-            for f in &shipper.plan(standby.last_seq(), 0, 4).unwrap() {
+            for f in &fresh(&pdir, standby.last_seq(), 0, 4) {
                 standby.apply(f).unwrap();
             }
         }
@@ -768,7 +730,7 @@ mod tests {
         let mut standby = StandbyLog::open(&sdir, 1 << 20).unwrap();
         for tick in 6..12u64 {
             append_renames(&mut wal, tick * 4 + 1..=tick * 4 + 4);
-            for f in &shipper.plan(standby.last_seq(), 0, 4).unwrap() {
+            for f in &fresh(&pdir, standby.last_seq(), 0, 4) {
                 standby.apply(f).unwrap();
             }
         }
@@ -785,16 +747,15 @@ mod tests {
     fn a_standby_one_rotation_behind_is_sent_only_the_missing_records() {
         let (pdir, sdir) = (tmp_dir("behind-rot-p"), tmp_dir("behind-rot-s"));
         let (mut wal, _) = Wal::open(&pdir, 600).unwrap();
-        let mut shipper = Shipper::new(&pdir);
         let mut standby = StandbyLog::open(&sdir, 600).unwrap();
         append_renames(&mut wal, 1..=3);
-        standby.apply(&shipper.plan(0, 0, 4).unwrap()[0]).unwrap();
+        standby.apply(&fresh(&pdir, 0, 0, 4)[0]).unwrap();
         let mut last = 3;
         while wal.active_segment_index() == 0 {
             last += 1;
             append_renames(&mut wal, last..=last);
         }
-        let frames = shipper.plan(3, 0, 4).unwrap();
+        let frames = fresh(&pdir, 3, 0, 4);
         let (_, path) = &list_segments(&pdir).unwrap()[0];
         let sealed = std::fs::read(path).unwrap();
         let first = &frames[0];
@@ -817,13 +778,12 @@ mod tests {
     fn a_frame_starting_a_copy_off_its_base_seq_is_torn() {
         let (pdir, sdir) = (tmp_dir("base-p"), tmp_dir("base-s"));
         let live = primary_session(&pdir, 30, 256);
-        let mut shipper = Shipper::new(&pdir);
         let mut standby = StandbyLog::open(&sdir, 256).unwrap();
-        let mut frame = shipper.plan(0, 0, 1).unwrap().remove(0);
+        let mut frame = fresh(&pdir, 0, 0, 1).remove(0);
         frame.base_seq ^= 0x4;
         assert_eq!(standby.apply(&frame).unwrap().ack, ShipAck { last_seq: 0, torn: true });
         assert!(list_segments(&sdir).unwrap().is_empty(), "nothing created");
-        drain(&mut shipper, &mut standby, 0);
+        drain(&pdir, &mut standby, 0);
         assert_eq!(recover(&sdir).unwrap().tree, live);
         let _ = std::fs::remove_dir_all(&pdir);
         let _ = std::fs::remove_dir_all(&sdir);

@@ -5,10 +5,12 @@
 //! sealed segments are immutable and become compaction candidates once a
 //! snapshot covers them.
 //!
-//! While a log-shipping standby is attached the log also keeps, in memory,
-//! the records it framed since the last [`Wal::take_framed`]: a
-//! [`FramedTail`], the bytes exactly as they sit in the active segment, so
-//! the [`crate::ship::Shipper`] ships them without reading the file back.
+//! While a log-shipping standby is attached the log is also the one
+//! in-memory holder of the records no frame has carried to it yet: a
+//! [`FramedTail`] per segment, the bytes exactly as they sit in the file,
+//! for the active segment and the one sealed just before it. The planner
+//! ([`crate::ship::plan`]) cuts frames from them without reading a file,
+//! and what it ships leaves them.
 
 use crate::record::TornTail;
 use crate::segment::{
@@ -25,29 +27,21 @@ pub struct Wal {
     dir: PathBuf,
     active: SegmentWriter,
     segment_max_bytes: u64,
-    /// What was framed since the last take, while a shipper takes it.
-    framed: Option<FramedTail>,
-}
-
-/// What `Wal::open` found on disk.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct WalOpenReport {
-    pub segments: usize,
-    /// Entries sitting in the log (all segments).
-    pub entries: usize,
-    /// A torn tail was cut from the active segment.
-    pub repaired_torn_tail: Option<TornTail>,
+    /// The records framed that no frame has carried, one run per segment,
+    /// oldest first, the last the active segment's; empty while no standby
+    /// is attached.
+    unshipped: Vec<FramedTail>,
 }
 
 /// One record of a [`FramedTail`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct RecordMark {
-    pub seq: u64,
+pub(crate) struct RecordMark {
+    pub(crate) seq: u64,
     /// Segment file offset the record ends at.
-    pub end: u64,
+    pub(crate) end: u64,
     /// What the entry charges the wire in a shipped frame:
     /// `stamped.wire_size()` + [`TAIL_ENTRY_OVERHEAD`].
-    pub charge: u64,
+    pub(crate) charge: u64,
 }
 
 /// A run of consecutive records of one segment, byte for byte as the log
@@ -55,16 +49,16 @@ pub struct RecordMark {
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct FramedTail {
     /// The segment the records sit in, and the sequence number it starts at.
-    pub index: u64,
-    pub base_seq: u64,
+    pub(crate) index: u64,
+    pub(crate) base_seq: u64,
     /// Segment file offset of `bytes[0]`.
-    pub offset: u64,
+    pub(crate) offset: u64,
     /// Sequence number of the first record; for an empty run, of the
     /// record that would follow.
-    pub first_seq: u64,
+    pub(crate) first_seq: u64,
     /// The CRC-framed records.
-    pub bytes: Vec<u8>,
-    pub marks: Vec<RecordMark>,
+    pub(crate) bytes: Vec<u8>,
+    pub(crate) marks: Vec<RecordMark>,
 }
 
 impl FramedTail {
@@ -78,11 +72,6 @@ impl FramedTail {
             bytes: Vec::new(),
             marks: Vec::new(),
         }
-    }
-
-    /// Segment file offset just past the last record.
-    pub fn end(&self) -> u64 {
-        self.offset + self.bytes.len() as u64
     }
 
     /// Take the first `n` records off the front as a run of their own.
@@ -103,34 +92,20 @@ impl FramedTail {
 
 impl Wal {
     /// Open (or initialise) the log in `dir`, its segments zero-filled to
-    /// `segment_max_bytes`. The highest-index segment is repaired (torn
-    /// tail cut) and re-opened for writing.
-    pub fn open(dir: &Path, segment_max_bytes: u64) -> io::Result<(Self, WalOpenReport)> {
+    /// `segment_max_bytes`. The highest-index segment — the only one read
+    /// — is repaired and re-opened for writing; the torn tail cut from it,
+    /// if any, is returned.
+    pub fn open(dir: &Path, segment_max_bytes: u64) -> io::Result<(Self, Option<TornTail>)> {
         std::fs::create_dir_all(dir)?;
-        let segments = list_segments(dir)?;
-        let (active, report) = match segments.last() {
-            None => {
-                let w = SegmentWriter::create(dir, 0, 1, segment_max_bytes)?;
-                (w, WalOpenReport { segments: 1, entries: 0, repaired_torn_tail: None })
-            }
-            Some((_, last_path)) => {
-                let (w, contents) = SegmentWriter::open_for_append(last_path, segment_max_bytes)?;
-                let mut entries = contents.entries.len();
-                for (_, p) in &segments[..segments.len() - 1] {
-                    entries += read_segment(p)?.entries.len();
-                }
-                (
-                    w,
-                    WalOpenReport {
-                        segments: segments.len(),
-                        entries,
-                        repaired_torn_tail: contents.torn,
-                    },
-                )
+        let (active, torn) = match list_segments(dir)?.pop() {
+            None => (SegmentWriter::create(dir, 0, 1, segment_max_bytes)?, None),
+            Some((_, last)) => {
+                let (w, contents) = SegmentWriter::open_for_append(&last, segment_max_bytes)?;
+                (w, contents.torn)
             }
         };
-        let wal = Self { dir: dir.to_path_buf(), active, segment_max_bytes, framed: None };
-        Ok((wal, report))
+        let wal = Self { dir: dir.to_path_buf(), active, segment_max_bytes, unshipped: Vec::new() };
+        Ok((wal, torn))
     }
 
     pub fn dir(&self) -> &Path {
@@ -155,21 +130,23 @@ impl Wal {
         }
         let seq = entry.stamped.seq;
         let mut unkept = Vec::new();
-        let bytes = self.framed.as_mut().map_or(&mut unkept, |framed| &mut framed.bytes);
+        let bytes = self.unshipped.last_mut().map_or(&mut unkept, |run| &mut run.bytes);
         let start = bytes.len();
         frame_entry(entry, bytes);
         if let Err(e) = self.active.write_records(&bytes[start..], seq) {
             bytes.truncate(start);
             return Err(e);
         }
-        if let Some(framed) = &mut self.framed {
+        if let Some(run) = self.unshipped.last_mut() {
             let charge = entry.stamped.wire_size() + TAIL_ENTRY_OVERHEAD;
-            framed.marks.push(RecordMark { seq, end: self.active.len, charge });
+            run.marks.push(RecordMark { seq, end: self.active.len, charge });
         }
         Ok(())
     }
 
-    /// Seal the active segment and open the next one.
+    /// Seal the active segment and open the next one. The sealed
+    /// segment's unshipped run is kept; the one sealed before it goes,
+    /// and a cursor that needs it reads the directory.
     pub fn rotate(&mut self) -> io::Result<()> {
         self.active.seal()?;
         self.active.sync()?;
@@ -180,8 +157,11 @@ impl Wal {
             self.segment_max_bytes,
         )?;
         self.active = next;
-        if let Some(framed) = &mut self.framed {
-            *framed = FramedTail::at_end_of(&self.active);
+        if !self.unshipped.is_empty() {
+            if self.unshipped.len() == 2 {
+                self.unshipped.remove(0);
+            }
+            self.unshipped.push(FramedTail::at_end_of(&self.active));
         }
         Ok(())
     }
@@ -191,23 +171,23 @@ impl Wal {
         self.active.sync()
     }
 
-    /// Keep what is framed for [`Wal::take_framed`] (`true`), from the
-    /// clean end on, or stop and drop what was kept (`false`). Keeping
-    /// already is no change.
-    pub fn keep_framed(&mut self, keep: bool) {
-        match (keep, &self.framed) {
-            (true, None) => self.framed = Some(FramedTail::at_end_of(&self.active)),
-            (false, _) => self.framed = None,
-            (true, Some(_)) => {}
+    /// Keep the records framed from the clean end on until a frame
+    /// carries them (`true`), or stop and drop what was kept (`false`).
+    /// Keeping already is no change.
+    pub fn keep_unshipped(&mut self, keep: bool) {
+        if !keep {
+            self.unshipped.clear();
+        } else if self.unshipped.is_empty() {
+            self.unshipped.push(FramedTail::at_end_of(&self.active));
         }
     }
 
-    /// The records framed in the active segment since the last take (or
-    /// since keeping started, or the segment did), up to its clean end;
-    /// `None` while not keeping. Never more than one segment.
-    pub fn take_framed(&mut self) -> Option<FramedTail> {
-        let framed = self.framed.as_mut()?;
-        Some(std::mem::replace(framed, FramedTail::at_end_of(&self.active)))
+    /// The records framed that no frame has carried, one run per segment
+    /// for at most the active segment and the one sealed before it, oldest
+    /// first, each up to its segment's clean end; none while not keeping.
+    /// For [`crate::ship::plan`], which takes what it ships out of them.
+    pub fn unshipped(&mut self) -> &mut [FramedTail] {
+        &mut self.unshipped
     }
 
     /// Replay every entry with `seq > after_seq`, in order, across all
@@ -290,8 +270,8 @@ mod tests {
     fn append_and_replay_across_rotations() {
         let dir = tmp_dir("rotate");
         // Tiny segments force several rotations over 50 entries.
-        let (mut wal, report) = Wal::open(&dir, 256).unwrap();
-        assert_eq!(report.entries, 0);
+        let (mut wal, torn) = Wal::open(&dir, 256).unwrap();
+        assert_eq!((torn, wal.last_seq()), (None, 0));
         for seq in 1..=50 {
             wal.append(&entry(seq)).unwrap();
         }
@@ -317,9 +297,9 @@ mod tests {
             }
             wal.sync().unwrap();
         }
-        let (mut wal, report) = Wal::open(&dir, 1 << 20).unwrap();
-        assert_eq!(report.entries, 10);
-        assert!(report.repaired_torn_tail.is_none());
+        let (mut wal, torn) = Wal::open(&dir, 1 << 20).unwrap();
+        assert_eq!(Wal::replay_after(&dir, 0).unwrap().len(), 10);
+        assert!(torn.is_none());
         assert_eq!(wal.last_seq(), 10);
         wal.append(&entry(11)).unwrap();
         wal.sync().unwrap();
@@ -344,9 +324,9 @@ mod tests {
         bytes[end - 7..end].fill(0);
         std::fs::write(&last, &bytes).unwrap();
 
-        let (mut wal, report) = Wal::open(&dir, 1 << 20).unwrap();
-        assert!(report.repaired_torn_tail.is_some());
-        assert_eq!(report.entries, 4, "torn entry dropped");
+        let (mut wal, torn) = Wal::open(&dir, 1 << 20).unwrap();
+        assert!(torn.is_some());
+        assert_eq!(Wal::replay_after(&dir, 0).unwrap().len(), 4, "torn entry dropped");
         assert_eq!(wal.last_seq(), 4);
         // The log keeps going from the clean prefix.
         wal.append(&entry(5)).unwrap();
@@ -370,9 +350,9 @@ mod tests {
         // frame as an empty record with a valid CRC and end the log.
         let (_, last) = list_segments(&dir).unwrap().pop().unwrap();
         assert_eq!(std::fs::metadata(&last).unwrap().len(), 1 << 20, "preallocated");
-        let (mut wal, report) = Wal::open(&dir, 1 << 20).unwrap();
-        assert_eq!(report.repaired_torn_tail, None);
-        assert_eq!((report.entries, wal.last_seq()), (5, 5));
+        let (mut wal, torn) = Wal::open(&dir, 1 << 20).unwrap();
+        assert_eq!(torn, None);
+        assert_eq!((Wal::replay_after(&dir, 0).unwrap().len(), wal.last_seq()), (5, 5));
         assert_eq!(std::fs::metadata(&last).unwrap().len(), 1 << 20, "the fill is kept");
         wal.append(&entry(6)).unwrap();
         wal.sync().unwrap();
@@ -414,45 +394,50 @@ mod tests {
     }
 
     #[test]
-    fn taken_runs_are_the_segment_bytes_and_restart_at_a_rotation() {
+    fn kept_runs_are_the_segment_bytes_of_at_most_two_segments() {
         let dir = tmp_dir("framed");
         let (mut wal, _) = Wal::open(&dir, 256).unwrap();
         wal.append(&entry(1)).unwrap();
-        assert_eq!(wal.take_framed(), None, "nothing kept before keeping starts");
-        wal.keep_framed(true);
-        let mut taken = Vec::new();
-        for seq in 2..=20 {
+        assert!(wal.unshipped().is_empty(), "nothing kept before keeping starts");
+        wal.keep_unshipped(true);
+        for seq in 2..=40 {
             wal.append(&entry(seq)).unwrap();
-            if seq % 3 == 0 {
-                taken.push(wal.take_framed().unwrap());
-                wal.keep_framed(true); // asked again: no change
+            wal.keep_unshipped(true); // asked again: no change
+            if seq % 5 == 0 {
+                // A plan took the oldest kept record.
+                let run = wal.unshipped().iter_mut().find(|r| !r.marks.is_empty()).unwrap();
+                run.split_front(1);
+            }
+            wal.sync().unwrap();
+            let active = wal.active_segment_index();
+            let runs = wal.unshipped().to_vec();
+            assert!(!runs.is_empty() && runs.len() <= 2, "seq {seq}: {} runs", runs.len());
+            assert_eq!(runs.last().unwrap().index, active, "the last run is the active one's");
+            for run in &runs {
+                let path = dir.join(crate::segment::segment_file_name(run.index));
+                let (file, clean) =
+                    (std::fs::read(&path).unwrap(), read_segment(&path).unwrap().clean_len);
+                let at = run.offset as usize;
+                assert_eq!(&file[at..at + run.bytes.len()], &run.bytes[..], "byte for byte");
+                assert_eq!(at as u64 + run.bytes.len() as u64, clean, "up to the clean end");
+                for (m, seq) in run.marks.iter().zip(run.first_seq..) {
+                    assert_eq!(m.seq, seq);
+                    assert_eq!(m.charge, entry(m.seq).stamped.wire_size() + TAIL_ENTRY_OVERHEAD);
+                }
+            }
+            if let [sealed, active] = &runs[..] {
+                assert_eq!(sealed.index + 1, active.index, "consecutive segments");
+                if let Some(last) = sealed.marks.last() {
+                    // Nothing was taken from the active run yet: it
+                    // starts at its segment's head, where the sealed ends.
+                    assert_eq!(active.offset, crate::segment::SEGMENT_HEADER_LEN as u64);
+                    assert_eq!(last.seq + 1, active.first_seq);
+                }
             }
         }
-        wal.sync().unwrap();
-        taken.push(wal.take_framed().unwrap());
-        let (mut index, mut next_seq) = (0, 2);
-        for run in &taken {
-            let file =
-                std::fs::read(dir.join(crate::segment::segment_file_name(run.index))).unwrap();
-            let at = run.offset as usize;
-            assert_eq!(&file[at..at + run.bytes.len()], &run.bytes[..], "byte for byte");
-            assert!(run.bytes.len() <= 256, "at most one segment");
-            if run.index != index {
-                // A rotation restarts the run at the new segment's head;
-                // what the old one took since is in its sealed file.
-                (index, next_seq) = (run.index, run.base_seq);
-                assert_eq!(run.offset, crate::segment::SEGMENT_HEADER_LEN as u64);
-            }
-            assert_eq!(run.first_seq, next_seq);
-            for (m, seq) in run.marks.iter().zip(next_seq..) {
-                assert_eq!(m.seq, seq);
-                assert_eq!(m.charge, entry(m.seq).stamped.wire_size() + TAIL_ENTRY_OVERHEAD);
-            }
-            next_seq += run.marks.len() as u64;
-        }
-        assert!(taken.windows(2).any(|w| w[0].index != w[1].index), "a rotation between takes");
-        wal.keep_framed(false);
-        assert_eq!(wal.take_framed(), None);
+        assert!(wal.active_segment_index() > 2, "rotated several times");
+        wal.keep_unshipped(false);
+        assert!(wal.unshipped().is_empty());
         std::fs::remove_dir_all(&dir).unwrap();
     }
 

@@ -3,17 +3,17 @@
 //! link failing at an *arbitrary* step — and the standby's durable state
 //! is always an exact prefix of the primary's committed trail. Resuming
 //! the link afterwards converges to full equality, losing nothing. A
-//! `Shipper` kept across ticks and fed what the WAL framed, and a standby
-//! whose segment writer stays open, are held to the same contract under
-//! arbitrary interleavings of appends, rotations, compaction, torn frames
-//! and resyncs: frame for frame what a fresh `Shipper` plans, and every
-//! standby segment the primary's record bytes.
+//! planner that cuts frames from the records the WAL keeps for the
+//! standby, and a standby whose segment writer stays open, are held to
+//! the same contract under arbitrary interleavings of appends, rotations,
+//! compaction, torn frames and resyncs: frame for frame what the directory
+//! alone plans, and every standby segment the primary's record bytes.
 
 use proptest::prelude::*;
 use rave::scene::{AuditEntry, NodeKind, SceneTree, SceneUpdate, StampedUpdate};
 use rave::store::record::scan_records;
 use rave::store::segment::{list_segments, SEGMENT_HEADER_LEN};
-use rave::store::ship::{ShipAck, ShipFrame, Shipper, StandbyLog};
+use rave::store::ship::{plan, ShipAck, ShipFrame, StandbyLog};
 use rave::store::wal::Wal;
 use std::collections::{BTreeMap, VecDeque};
 use std::path::{Path, PathBuf};
@@ -98,11 +98,16 @@ fn assert_byte_prefix(sdir: &Path, seen: &BTreeMap<u64, Vec<u8>>) {
     }
 }
 
+/// What the directory alone plans for a standby at `acked_seq`.
+fn fresh(pdir: &Path, acked_seq: u64, max_lag: u64, limit: usize) -> Vec<ShipFrame> {
+    plan(pdir, &mut [], acked_seq, max_lag, limit, &mut 0).unwrap()
+}
+
 /// Drive the ship protocol one frame at a time until the plan is empty,
 /// stopping early after `stop_after` frames (None = run to completion).
 /// Returns the number of frames applied.
 fn ship_until(
-    shipper: &mut Shipper,
+    pdir: &Path,
     standby: &mut StandbyLog,
     max_lag: u64,
     stop_after: Option<usize>,
@@ -115,7 +120,7 @@ fn ship_until(
                 return steps;
             }
         }
-        let frames = shipper.plan(ack.last_seq, max_lag, 1).unwrap();
+        let frames = fresh(pdir, ack.last_seq, max_lag, 1);
         let Some(frame) = frames.into_iter().next() else { return steps };
         ack = standby.apply(&frame).unwrap().ack;
         steps += 1;
@@ -140,11 +145,10 @@ proptest! {
         let pdir = tmp_dir("fail-p", case);
         let sdir = tmp_dir("fail-s", case);
         let trail = build_primary(&pdir, n, seg_bytes);
-        let mut shipper = Shipper::new(&pdir);
 
         // Phase 1: ship until the injected failure (or until drained).
         let mut standby = StandbyLog::open(&sdir, seg_bytes).unwrap();
-        ship_until(&mut shipper, &mut standby, max_lag, Some(fail_step));
+        ship_until(&pdir, &mut standby, max_lag, Some(fail_step));
         let at_failure = standby.last_seq();
         drop(standby);
         let durable = assert_exact_prefix(&sdir, &trail);
@@ -154,7 +158,7 @@ proptest! {
         // durable cursor; with no lag allowance it drains completely.
         let mut standby = StandbyLog::open(&sdir, seg_bytes).unwrap();
         prop_assert_eq!(standby.last_seq(), at_failure, "resume from the durable prefix");
-        ship_until(&mut shipper, &mut standby, 0, None);
+        ship_until(&pdir, &mut standby, 0, None);
         prop_assert_eq!(standby.last_seq(), n, "resume converges to the full trail");
         let full = assert_exact_prefix(&sdir, &trail);
         prop_assert_eq!(full, n, "zero committed updates lost");
@@ -178,14 +182,13 @@ proptest! {
         // 128-byte cap: several sealed segments for any n in range.
         let trail = build_primary(&pdir, n, 128);
         let active = list_segments(&pdir).unwrap().last().unwrap().0;
-        let mut shipper = Shipper::new(&pdir);
         let mut standby = StandbyLog::open(&sdir, 128).unwrap();
 
         let mut ack = ShipAck { last_seq: 0, torn: false };
         let mut corrupted = false;
         let mut steps = 0usize;
         loop {
-            let frames = shipper.plan(ack.last_seq, 0, 1).unwrap();
+            let frames = fresh(&pdir, ack.last_seq, 0, 1);
             let Some(mut frame) = frames.into_iter().next() else { break };
             if !corrupted && frame.index < active {
                 let at = ((frame.records.len() - 1) as f64 * flip_frac) as usize;
@@ -215,11 +218,11 @@ proptest! {
     /// log grows, rotates and is compacted behind the acknowledged cursor
     /// while frames sit in a bounded in-flight window, arrive torn and are
     /// declined, and the optimistic cursor is pulled back to the
-    /// acknowledged one. At every tick the kept `Shipper`, fed what the
-    /// WAL framed since the last, plans exactly what a fresh one does, and
-    /// after every delivery the standby — its writer open across frames —
-    /// is an exact prefix of the committed trail, each of its segments a
-    /// byte-for-byte prefix of the primary's records.
+    /// acknowledged one. At every tick the planner over the WAL's kept
+    /// runs — never more than two — plans exactly what the directory alone
+    /// does, and after every delivery the standby — its writer open across
+    /// frames — is an exact prefix of the committed trail, each of its
+    /// segments a byte-for-byte prefix of the primary's records.
     #[test]
     fn kept_cursor_and_open_writer_match_the_stateless_protocol(
         seg_bytes in 128u64..900,
@@ -231,27 +234,25 @@ proptest! {
         let pdir = tmp_dir("kept-p", case);
         let sdir = tmp_dir("kept-s", case);
         let (mut wal, _) = Wal::open(&pdir, seg_bytes).unwrap();
-        wal.keep_framed(true);
+        wal.keep_unshipped(true);
         let mut tree = SceneTree::new();
         let mut trail: Vec<AuditEntry> = Vec::new();
-        let mut kept = Shipper::new(&pdir);
         let mut standby = StandbyLog::open(&sdir, seg_bytes).unwrap();
         let mut seen = BTreeMap::new();
         // The link's cursors, as `replica::ship_tick` keeps them.
         let (mut acked, mut shipped) = (0u64, 0u64);
         let mut in_flight: VecDeque<ShipFrame> = VecDeque::new();
 
-        let tick = |kept: &mut Shipper,
-                        wal: &mut Wal,
+        let tick = |wal: &mut Wal,
                         in_flight: &mut VecDeque<ShipFrame>,
                         shipped: &mut u64,
                         max_lag: u64|
          -> Result<(), TestCaseError> {
             let window = WINDOW.saturating_sub(in_flight.len());
-            kept.feed(wal.take_framed().unwrap());
-            let frames = kept.plan(*shipped, max_lag, window).unwrap();
-            let fresh = Shipper::new(&pdir).plan(*shipped, max_lag, window).unwrap();
-            prop_assert_eq!(&frames, &fresh, "kept cursor changed what ships");
+            let want = fresh(&pdir, *shipped, max_lag, window);
+            let frames = plan(&pdir, wal.unshipped(), *shipped, max_lag, window, &mut 0).unwrap();
+            prop_assert_eq!(&frames, &want, "the kept runs changed what ships");
+            prop_assert!(wal.unshipped().len() <= 2, "more than two kept runs");
             for f in frames {
                 *shipped = (*shipped).max(f.last_seq);
                 in_flight.push_back(f);
@@ -295,7 +296,7 @@ proptest! {
                     rave::store::write_snapshot(&pdir, &tree, seq, seq as f64).unwrap();
                     rave::store::compact(&pdir, seq, Some(acked)).unwrap();
                 }
-                5 | 6 => tick(&mut kept, &mut wal, &mut in_flight, &mut shipped, max_lag)?,
+                5 | 6 => tick(&mut wal, &mut in_flight, &mut shipped, max_lag)?,
                 7 => {
                     let cursors = (&mut acked, &mut shipped);
                     deliver(&mut standby, &mut in_flight, cursors, flag, &trail, &mut seen)?;
@@ -308,7 +309,7 @@ proptest! {
         // Drain: no lag allowance, nothing torn.
         let mut rounds = 0;
         while standby.last_seq() < trail.len() as u64 {
-            tick(&mut kept, &mut wal, &mut in_flight, &mut shipped, 0)?;
+            tick(&mut wal, &mut in_flight, &mut shipped, 0)?;
             while !in_flight.is_empty() {
                 let cursors = (&mut acked, &mut shipped);
                 deliver(&mut standby, &mut in_flight, cursors, false, &trail, &mut seen)?;

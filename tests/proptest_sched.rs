@@ -220,10 +220,11 @@ proptest! {
 
     /// An `edit_storm`-shaped session: a fixed population of equal
     /// services, and rounds of published cost edits and removals, each
-    /// replanned, applied and drained. (No additions: a node added under a
-    /// group some replica keeps for orientation is delivered to that
-    /// replica, which then holds it beside whoever the plan gives it to —
-    /// ROADMAP item 1's list.) After every round each planned
+    /// replanned, applied and drained. (No additions: an addition under one
+    /// of the groups passes 3,000 cases, but a mesh added under a drawn
+    /// mesh fails at once — the parcel of its parent's move carries it
+    /// while the plan places it on another service, so two hold it:
+    /// ROADMAP item 6 (b).) After every round each planned
     /// node is on exactly one replica — the one the data service lists it
     /// for — the interests are exact (`route` == `route_naive`), and the
     /// interest index is the one built during the
