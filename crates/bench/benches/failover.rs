@@ -17,7 +17,7 @@ use rave_core::world::{publish_update, RaveWorld};
 use rave_core::{DataServiceId, RaveConfig, RaveSim, RenderServiceId};
 use rave_scene::{InterestSet, NodeId, NodeKind, SceneUpdate};
 use rave_sim::{SimTime, Simulation};
-use rave_store::{StoreConfig, Wal};
+use rave_store::StoreConfig;
 use serde::Serialize;
 use std::path::Path;
 
@@ -81,14 +81,12 @@ struct ConfigResult {
     max_lag: u64,
     warm_secs: f64,
     cold_secs: f64,
-    warm_replayed: u64,
-    cold_replayed: u64,
     lost_updates: u64,
 }
 
 /// Warm path: standby kept in lockstep by log shipping; recovery is the
-/// promotion. Returns (virtual seconds, bytes replayed, updates lost).
-fn run_warm(updates: u64, max_lag: u64) -> (f64, u64, u64) {
+/// promotion. Returns (virtual seconds, updates lost).
+fn run_warm(updates: u64, max_lag: u64) -> (f64, u64) {
     let pdir = tmp_dir(&format!("failover-warm-p-{updates}-{max_lag}"));
     let sdir = tmp_dir(&format!("failover-warm-s-{updates}-{max_lag}"));
     let (mut sim, primary, rs) = session_world(max_lag, &pdir);
@@ -111,14 +109,14 @@ fn run_warm(updates: u64, max_lag: u64) -> (f64, u64, u64) {
     );
     let _ = std::fs::remove_dir_all(&pdir);
     let _ = std::fs::remove_dir_all(&sdir);
-    ((report.completed_at - t0).as_secs(), report.replayed_bytes, report.lost_updates)
+    ((report.completed_at - t0).as_secs(), report.lost_updates)
 }
 
 /// Cold path: no standby exists at failure time; the store is read back
 /// on the same host and the subscriber is re-bootstrapped from the
-/// recovered scene. Returns (virtual seconds until the subscriber is
-/// live again, log bytes recovery replays).
-fn run_cold(updates: u64) -> (f64, u64) {
+/// recovered scene. Returns virtual seconds until the subscriber is live
+/// again.
+fn run_cold(updates: u64) -> f64 {
     let pdir = tmp_dir(&format!("failover-cold-{updates}"));
     let (mut sim, primary, rs) = session_world(0, &pdir);
     for i in 0..updates {
@@ -126,7 +124,6 @@ fn run_cold(updates: u64) -> (f64, u64) {
     }
     sim.world.data_mut(primary).sync_persistence().unwrap();
     sim.run();
-    let replayed = Wal::disk_bytes(&pdir).unwrap();
 
     let t0 = sim.now();
     let report = fail_and_continue(&mut sim, primary, rs, false);
@@ -138,7 +135,7 @@ fn run_cold(updates: u64) -> (f64, u64) {
     let live_again =
         sim.world.trace.last_of(TraceKind::Bootstrap).expect("the subscriber re-bootstraps").at;
     let _ = std::fs::remove_dir_all(&pdir);
-    ((live_again - t0).as_secs(), replayed)
+    (live_again - t0).as_secs()
 }
 
 fn main() {
@@ -150,29 +147,18 @@ fn main() {
 
     let mut results: Vec<ConfigResult> = Vec::new();
     for &(updates, max_lag) in configs {
-        let (warm_secs, warm_replayed, lost_updates) = run_warm(updates, max_lag);
-        let (cold_secs, cold_replayed) = run_cold(updates);
+        let (warm_secs, lost_updates) = run_warm(updates, max_lag);
+        let cold_secs = run_cold(updates);
         println!(
-            "updates={updates} lag={max_lag}: warm {:.3} ms vs cold {:.3} ms \
-             ({warm_replayed} vs {cold_replayed} bytes replayed, {lost_updates} lost)",
+            "updates={updates} lag={max_lag}: warm {:.3} ms vs cold {:.3} ms ({lost_updates} lost)",
             warm_secs * 1e3,
             cold_secs * 1e3,
         );
-        results.push(ConfigResult {
-            updates,
-            max_lag,
-            warm_secs,
-            cold_secs,
-            warm_replayed,
-            cold_replayed,
-            lost_updates,
-        });
+        results.push(ConfigResult { updates, max_lag, warm_secs, cold_secs, lost_updates });
     }
 
     let min_speedup =
         results.iter().map(|r| r.cold_secs / r.warm_secs).fold(f64::INFINITY, f64::min);
-    let max_replayed_ratio =
-        results.iter().map(|r| r.warm_replayed as f64 / r.cold_replayed as f64).fold(0.0, f64::max);
     let configs: Vec<_> = results
         .iter()
         .map(|r| {
@@ -183,13 +169,6 @@ fn main() {
                     "recovery_time",
                     obj([("warm_secs", num(r.warm_secs, 6)), ("cold_secs", num(r.cold_secs, 6))]),
                 ),
-                (
-                    "replayed_bytes",
-                    obj([
-                        ("warm", r.warm_replayed.to_value()),
-                        ("cold", r.cold_replayed.to_value()),
-                    ]),
-                ),
                 ("lost_updates", r.lost_updates.to_value()),
                 ("speedup", num(r.cold_secs / r.warm_secs, 1)),
             ])
@@ -198,6 +177,5 @@ fn main() {
     Report::new("failover")
         .set("configs", configs)
         .set("warm_vs_cold_speedup", num(min_speedup, 1))
-        .set("warm_over_cold_replayed_bytes", num(max_replayed_ratio, 4))
         .write();
 }

@@ -170,8 +170,14 @@ impl DataService {
     /// which every commit keeps recording, so they never wait for another
     /// reader to start it.
     pub fn attach_store(&mut self, dir: impl AsRef<Path>, cfg: StoreConfig) -> io::Result<()> {
-        self.store.0 = Some(Store::open(dir.as_ref(), cfg)?);
+        self.set_store(Store::open(dir.as_ref(), cfg)?);
         Ok(())
+    }
+
+    /// Attach a store already open: a promoted standby takes the one its
+    /// replication link wrote the primary's frames to.
+    pub(crate) fn set_store(&mut self, store: Store) {
+        self.store.0 = Some(store);
     }
 
     /// The attached store, if any: failover reads its directory and its

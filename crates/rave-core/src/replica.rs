@@ -11,10 +11,13 @@
 //! serializing `rave_net` channels every other transfer uses. A frame the
 //! standby declines, torn or past a gap, is shipped again from the
 //! cursor the standby acknowledged once the link's frames in flight have
-//! all been answered. The standby applies each frame to its own on-disk
-//! log *and* its in-memory replica, so at promotion time there is
-//! (almost) nothing left to do: re-point the subscribers and continue
-//! sequence numbers where the primary stopped.
+//! all been answered. The link holds the standby's store, open on its
+//! directory with the primary's config: each frame is written to that
+//! store's log and committed to the standby's in-memory replica in the
+//! same event, so the disk never holds an entry the memory lacks. At
+//! promotion nothing is read or replayed: the open store moves into the
+//! standby service, the subscribers are re-pointed, and sequence numbers
+//! continue where the primary stopped.
 //!
 //! Failure enters through the scheduler:
 //! [`crate::sched::SchedEvent::DataFailure`] is handled by
@@ -27,8 +30,8 @@ use crate::ids::DataServiceId;
 use crate::trace::TraceEvent;
 use crate::world::RaveSim;
 use rave_sim::SimTime;
-use rave_store::ship::{self, StandbyLog, ACK_BYTES};
-use rave_store::{StoreConfig, Wal};
+use rave_store::ship::{self, ACK_BYTES};
+use rave_store::Store;
 use std::io;
 use std::path::{Path, PathBuf};
 
@@ -48,9 +51,10 @@ pub struct ReplicaLink {
     /// The primary's store directory, which frames are planned from when
     /// the records its WAL keeps do not hold all the standby lacks.
     primary_dir: PathBuf,
-    /// The standby's durable log (its directory is a prefix of the
-    /// primary's, and becomes the promoted service's store).
-    pub log: StandbyLog,
+    /// The standby's store: its log applies the shipped frames, so its
+    /// directory is a prefix of the primary's, and at promotion it becomes
+    /// the promoted service's store as it stands, open.
+    pub log: Store,
     /// Highest sequence number the standby has acknowledged.
     pub acked_seq: u64,
     /// Optimistic cursor covering frames still in flight, so overlapping
@@ -83,11 +87,6 @@ pub struct PromotionReport {
     pub warm: bool,
     /// Subscribers re-pointed at the promoted service.
     pub subscribers_moved: usize,
-    /// Durably shipped entries the standby had not yet applied in memory
-    /// and replayed at promotion time (normally 0 for a warm standby).
-    pub residual_entries: usize,
-    /// Wire bytes of those residual entries.
-    pub replayed_bytes: u64,
     /// Committed updates the primary held that never reached the
     /// standby's log — bounded by the configured lag.
     pub lost_updates: u64,
@@ -97,13 +96,20 @@ pub struct PromotionReport {
 }
 
 /// Establish a warm standby for `primary` (whose WAL lives under
-/// `primary_dir`): the standby service resumes from whatever prefix its
-/// own directory already holds — a restarted standby does NOT re-ship
-/// history it kept — and the link starts shipping from that cursor on
-/// the next [`ship_tick`]. From here on the primary's checkpoints keep
-/// every WAL segment the standby has not acknowledged, and its WAL keeps
-/// the records it frames until a frame carries them. The standby's
-/// segments are filled to the primary's segment size.
+/// `primary_dir`): the standby's store is opened on `standby_dir` with the
+/// primary's store config and resumes from whatever prefix the directory
+/// already holds — a restarted standby does NOT re-ship history it kept —
+/// and the standby's replica is seeded from that prefix. The link starts
+/// shipping from that cursor on the next [`ship_tick`]. From here on the
+/// primary's checkpoints keep every WAL segment the standby has not
+/// acknowledged, and its WAL keeps the records it frames until a frame
+/// carries them.
+///
+/// A directory whose log runs past what recovery replays (a record torn
+/// in an earlier segment, later segments holding records) is refused
+/// with [`io::ErrorKind::InvalidData`], and the world is left unchanged:
+/// the records between the two would reach neither the cursor nor the
+/// replica.
 pub fn establish_standby(
     sim: &mut RaveSim,
     primary: DataServiceId,
@@ -111,15 +117,22 @@ pub fn establish_standby(
     primary_dir: impl AsRef<Path>,
     standby_dir: impl AsRef<Path>,
 ) -> io::Result<u64> {
-    let segment_bytes = sim.world.data(primary).store().map_or_else(
-        || StoreConfig::default().segment_max_bytes,
-        |store| store.config().segment_max_bytes,
-    );
-    let log = StandbyLog::open(standby_dir.as_ref(), segment_bytes)?;
+    let cfg = sim.world.data(primary).store().map(|store| *store.config()).unwrap_or_default();
+    let log = Store::open(standby_dir.as_ref(), cfg)?;
+    let rec = rave_store::recover(standby_dir.as_ref())?;
     let resumed_from = log.last_seq();
+    if resumed_from > rec.last_seq {
+        return Err(io::Error::new(
+            io::ErrorKind::InvalidData,
+            format!(
+                "standby log at {} runs to seq {resumed_from} but recovers only to seq {}",
+                standby_dir.as_ref().display(),
+                rec.last_seq
+            ),
+        ));
+    }
     // Seed the standby's in-memory replica from its durable prefix, so
     // memory and disk advance together from one consistent point.
-    let rec = rave_store::recover(standby_dir.as_ref())?;
     sim.world.data_mut(standby).seed_from(&rec);
     sim.world.replicas.insert(
         primary,
@@ -154,7 +167,8 @@ pub fn teardown_standby(sim: &mut RaveSim, primary: DataServiceId) -> Option<Rep
 
 /// One replication round: plan frames past the link's cursor (bounded by
 /// the ack window), charge each over the primary→standby channel, apply
-/// on arrival (disk + in-memory replica), and charge the ack back.
+/// on arrival (the standby's log, then its in-memory replica, in the same
+/// event), and charge the ack back.
 /// Returns the number of frames put in flight.
 pub fn ship_tick(sim: &mut RaveSim, primary: DataServiceId) -> io::Result<usize> {
     let max_lag = sim.world.config.ship_max_lag;
@@ -205,7 +219,7 @@ pub fn ship_tick(sim: &mut RaveSim, primary: DataServiceId) -> io::Result<usize>
             // The link may have been torn down (promotion) while the
             // frame was on the wire; late frames are simply dropped.
             let Some(link) = sim.world.replicas.get_mut(&primary) else { return };
-            let apply = link.log.apply(&frame).expect("standby applies shipped frame");
+            let apply = link.log.apply_frame(&frame).expect("standby applies shipped frame");
             let ack = apply.ack;
             for e in &apply.entries {
                 // The shipped log is authoritative: divergence between it
@@ -273,20 +287,17 @@ pub fn run_log_shipping(sim: &mut RaveSim, primary: DataServiceId, horizon: SimT
 }
 
 /// Promote the warm standby of a failed primary. The primary is removed
-/// from the world and the registry; the standby replays any durably
-/// shipped entries it had not yet applied in memory, attaches the
-/// shipped store with the primary's store config (sequence numbers and
-/// logging continue on the shipped segments), and every subscriber is
-/// re-pointed at once, its stream held for one control round trip and
-/// behind what the primary still has on the wire to it — no snapshot
-/// marshal, no replay.
+/// from the world and the registry; the standby takes the store its link
+/// wrote the shipped log to, open as it stands (sequence numbers and
+/// logging continue on the shipped segments, on the primary's segment
+/// size and checkpoint cadence), and every subscriber is re-pointed at
+/// once, its stream held for one control round trip and behind what the
+/// primary still has on the wire to it — no snapshot marshal, no replay,
+/// no file read.
 ///
 /// Returns `None` when `primary` has no replica link.
-pub fn promote_standby(
-    sim: &mut RaveSim,
-    primary: DataServiceId,
-) -> io::Result<Option<PromotionReport>> {
-    let Some(link) = sim.world.replicas.remove(&primary) else { return Ok(None) };
+pub fn promote_standby(sim: &mut RaveSim, primary: DataServiceId) -> Option<PromotionReport> {
+    let link = sim.world.replicas.remove(&primary)?;
     let now = sim.now();
     let standby = link.standby;
     // The failed instance: its in-memory state is gone with the host,
@@ -298,24 +309,9 @@ pub fn promote_standby(
         .remove(&primary)
         .unwrap_or_else(|| panic!("no data service {primary} to promote away from"));
     sim.world.registry.unpublish("RAVE", &failed.host, &failed.name);
-
-    // Residual: entries on the standby's disk (shipped, durable) that
-    // its in-memory replica has not applied yet — e.g. the standby
-    // process restarted after the last apply. Normally empty.
-    let applied = sim.world.data(standby).audit.last_seq();
-    let residual = Wal::replay_after(link.log.dir(), applied)?;
-    let replayed_bytes: u64 = residual.iter().map(|e| e.stamped.wire_size()).sum();
-    for e in &residual {
-        sim.world
-            .data_mut(standby)
-            .commit(e.at_secs, &e.stamped)
-            .expect("standby replays shipped log");
-    }
-    // The shipped directory *is* a WAL: attach it so the promoted
-    // service appends (and checkpoints) where shipping stopped, on the
-    // primary's segment size and cadence.
-    let store_cfg = failed.store().map(|store| *store.config()).unwrap_or_default();
-    sim.world.data_mut(standby).attach_store(link.log.dir(), store_cfg)?;
+    // Every entry the standby's log holds, its replica committed in the
+    // event that wrote it: the log is handed over, not replayed.
+    sim.world.data_mut(standby).set_store(link.log);
 
     let standby_last = sim.world.data(standby).audit.last_seq();
     let lost = failed.audit.last_seq().saturating_sub(standby_last);
@@ -340,14 +336,12 @@ pub fn promote_standby(
         promoted: standby,
         warm: true,
         subscribers_moved: failed.subscribers().len(),
-        residual_entries: residual.len(),
-        replayed_bytes,
         lost_updates: lost,
         completed_at,
     };
     let row = TraceEvent::Promoted { seq: standby_last, report: Box::new(report.clone()) };
     sim.world.trace.record(now, row);
-    Ok(Some(report))
+    Some(report)
 }
 
 #[cfg(test)]
@@ -363,6 +357,7 @@ mod tests {
     use rave_scene::InterestSet;
     use rave_scene::{NodeKind, SceneUpdate};
     use rave_sim::Simulation;
+    use rave_store::{StoreConfig, Wal};
     use std::path::PathBuf;
 
     fn tmp_dir(tag: &str) -> PathBuf {
@@ -753,6 +748,7 @@ mod tests {
             sim.run();
             let p_last = sim.world.data(primary).audit.last_seq();
             assert_eq!(sim.world.data(standby).audit.last_seq(), p_last);
+            assert_eq!(sim.world.replicas[&primary].log.last_seq(), p_last, "memory is the log");
         }
         let link = &sim.world.replicas[&primary];
         assert!(list_rotations(&pdir) >= 3, "the 512-byte segments rotated");
@@ -763,13 +759,45 @@ mod tests {
         // In lockstep every tick ships what the primary's WAL keeps: no
         // segment is read back, not even after a rotation.
         assert_eq!(link.file_bytes_read(), 0);
-        assert_eq!(link.log.reopens(), 0, "every standby segment was created, then kept open");
         // Each standby segment is the primary's, byte for byte: sealed
         // ones exactly their records, the active one over the same fill.
         for (index, path) in rave_store::segment::list_segments(&pdir).unwrap() {
             let copy = sdir.join(rave_store::segment::segment_file_name(index));
             assert_eq!(std::fs::read(copy).unwrap(), std::fs::read(path).unwrap(), "{index}");
         }
+        let _ = std::fs::remove_dir_all(&pdir);
+        let _ = std::fs::remove_dir_all(&sdir);
+    }
+
+    /// A standby directory whose log runs past what recovery replays — a
+    /// record torn in its first segment while later ones hold records — is
+    /// refused, and the world is left as it was.
+    #[test]
+    fn a_standby_directory_torn_before_its_end_is_refused() {
+        let (mut sim, primary, standby, _, pdir, sdir) = warm_world("torn-dir", 0);
+        for i in 0..24 {
+            add(&mut sim, primary, &format!("n{i}"));
+        }
+        while ship_tick(&mut sim, primary).unwrap() > 0 {
+            sim.run();
+        }
+        teardown_standby(&mut sim, primary).unwrap();
+        let segments = rave_store::segment::list_segments(&sdir).unwrap();
+        assert!(segments.len() >= 3, "two earlier copies and the one written last");
+        let first = &segments[0].1;
+        let mut bytes = std::fs::read(first).unwrap();
+        bytes[rave_store::segment::SEGMENT_HEADER_LEN + 20] ^= 0xff; // inside the first record
+        std::fs::write(first, &bytes).unwrap();
+
+        let seen = |sim: &RaveSim| {
+            let ds = sim.world.data(standby);
+            (ds.scene.clone(), ds.audit.last_seq(), sim.world.trace.recorded())
+        };
+        let before = seen(&sim);
+        let err = establish_standby(&mut sim, primary, standby, &pdir, &sdir).unwrap_err();
+        assert_eq!(err.kind(), io::ErrorKind::InvalidData, "{err}");
+        assert!(sim.world.replicas.is_empty(), "no link");
+        assert!(seen(&sim) == before, "the standby and the trace are as they were");
         let _ = std::fs::remove_dir_all(&pdir);
         let _ = std::fs::remove_dir_all(&sdir);
     }

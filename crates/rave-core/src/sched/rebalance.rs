@@ -288,9 +288,7 @@ fn handle_data_failure(sim: &mut RaveSim, dead: DataServiceId, outcome: &mut Mig
         return;
     }
     if sim.world.replicas.contains_key(&dead) {
-        let report = crate::replica::promote_standby(sim, dead)
-            .expect("warm promotion replays a verified log")
-            .expect("link checked above");
+        let report = crate::replica::promote_standby(sim, dead).expect("link checked above");
         outcome.promotions.push(report);
         return;
     }
@@ -307,8 +305,6 @@ fn handle_data_failure(sim: &mut RaveSim, dead: DataServiceId, outcome: &mut Mig
             promoted: new_id,
             warm: false,
             subscribers_moved: n_subs,
-            residual_entries: 0,
-            replayed_bytes: 0,
             // The store is lossless up to its last durable append;
             // anything past it died with the host and is unknowable here.
             lost_updates: 0,

@@ -175,22 +175,14 @@ impl Composite {
     }
 }
 
-/// Feed one frame's measured tile costs into `tracker` and trace the
-/// updated picture. Stale tiles are skipped (nothing was rendered). The
-/// same observations also land in the world's scheduler-level tracker,
-/// where the `CostDrift` rebalance trigger reads them.
-pub fn record_tile_costs(
-    sim: &mut RaveSim,
-    result: &TiledFrameResult,
-    tracker: &mut ThroughputTracker,
-) {
+/// Feed one frame's measured tile costs into the world's scheduler-level
+/// tracker, where the `CostDrift` rebalance trigger reads them, and trace
+/// the updated picture. Stale tiles are skipped (nothing was rendered).
+pub fn record_tile_costs(sim: &mut RaveSim, result: &TiledFrameResult) {
+    let tracker = &mut sim.world.sched.throughput;
     let mut rates = Vec::new();
-    for tc in &result.tile_costs {
-        if !tc.fresh {
-            continue;
-        }
+    for tc in result.tile_costs.iter().filter(|tc| tc.fresh) {
         tracker.record(tc.service, tc.cost_units, tc.render_seconds);
-        sim.world.sched.throughput.record(tc.service, tc.cost_units, tc.render_seconds);
         rates.push((tc.service, tracker.throughput(tc.service).unwrap_or(0.0)));
     }
     if !rates.is_empty() {
@@ -878,8 +870,8 @@ mod tests {
         assert_eq!(result.tile_costs.len(), 2);
         assert!(result.tile_costs.iter().all(|tc| tc.fresh && tc.render_seconds > 0.0));
 
-        let mut tracker = ThroughputTracker::new();
-        record_tile_costs(&mut sim, &result, &mut tracker);
+        record_tile_costs(&mut sim, &result);
+        let tracker = &sim.world.sched.throughput;
         assert!(tracker.throughput(owner).is_some());
         assert!(tracker.throughput(helper).is_some());
         assert_eq!(sim.world.trace.count(TraceKind::TileCostFeedback), 1);
@@ -888,8 +880,8 @@ mod tests {
         let stalled: BTreeSet<_> = [helper].into_iter().collect();
         let r2 = render_tiled_frame(&mut sim, owner, client, &plan, cam, &stalled);
         assert!(!r2.tile_costs[1].fresh);
-        let before = tracker.throughput(helper).unwrap();
-        record_tile_costs(&mut sim, &r2, &mut tracker);
-        assert_eq!(tracker.throughput(helper).unwrap(), before);
+        let before = sim.world.sched.throughput.throughput(helper).unwrap();
+        record_tile_costs(&mut sim, &r2);
+        assert_eq!(sim.world.sched.throughput.throughput(helper).unwrap(), before);
     }
 }

@@ -169,9 +169,9 @@ trace_events! {
     LogShip: ShippingStopped { primary: DataServiceId, error: String }
         => "{primary}: shipping stopped: {error}";
     Promote: Promoted { seq: u64, report: Box<PromotionReport> }
-        => "{} -> {}: promoted at seq {seq} ({} subscriber(s) re-pointed, {} residual entr(ies) \
-            replayed, {} committed update(s) lost)", report.failed, report.promoted,
-            report.subscribers_moved, report.residual_entries, report.lost_updates;
+        => "{} -> {}: promoted at seq {seq} ({} subscriber(s) re-pointed, {} committed \
+            update(s) lost)", report.failed, report.promoted, report.subscribers_moved,
+            report.lost_updates;
     /// Frame `index` waited `stall` seconds on the `bound` resource.
     PipelineStall: PipelineStall { client: ClientId, index: u64, stall: f64, bound: Bound }
         => "{client} frame {index} waited {stall:.4}s ({})", bound.name();
@@ -323,8 +323,6 @@ mod tests {
             promoted: ds(2),
             warm: true,
             subscribers_moved: 1,
-            residual_entries: 0,
-            replayed_bytes: 0,
             lost_updates: 2,
             completed_at: SimTime::ZERO,
         };
@@ -492,8 +490,8 @@ mod tests {
             ),
             (
                 Promoted { seq: 28, report: Box::new(promotion) },
-                "Promote: ds1 -> ds2: promoted at seq 28 (1 subscriber(s) re-pointed, 0 residual \
-                 entr(ies) replayed, 2 committed update(s) lost)",
+                "Promote: ds1 -> ds2: promoted at seq 28 (1 subscriber(s) re-pointed, 2 committed \
+                 update(s) lost)",
             ),
             (
                 PipelineStall { client: cl1, index: 1, stall: 0.05068, bound: Bound::Client },

@@ -206,7 +206,7 @@ pub enum Interaction {
 /// the unit `SceneTree::from_parts` rebuilds a tree from.
 ///
 /// The tree itself no longer stores `Node` values — storage is a flat
-/// generational arena with the per-traversal fields (topology, transform,
+/// slot arena with the per-traversal fields (topology, transform,
 /// cost, kind tag) split from the cold payload (name, [`NodeKind`],
 /// version). Read access goes through [`crate::tree::NodeRef`]; this
 /// struct survives as the stable interchange shape so snapshot bytes and

@@ -1,5 +1,4 @@
-//! The scene tree proper: a flat generational arena with a hot/cold
-//! data split.
+//! The scene tree proper: a flat slot arena with a hot/cold data split.
 //!
 //! # Storage layout
 //!
@@ -14,7 +13,7 @@
 //! - **hot** (`HotNode`): everything a traversal touches — intrusive
 //!   topology links (parent / first–last child / prev–next sibling), the
 //!   local transform, the node's own content cost, the one-byte
-//!   [`KindTag`], and the slot generation;
+//!   [`KindTag`] and whether the slot is live;
 //! - **cold** (`ColdNode`): everything it must not — the name, the full
 //!   [`NodeKind`] payload, and the conflict-resolution version.
 //!
@@ -28,13 +27,12 @@
 //! tree for bounds: a data service's tree, or a replica that never
 //! renders, pays nothing for it.
 //!
-//! Slots of removed nodes go on a free list and are reused under a bumped
-//! generation, so the arena stays dense under churn and stale internal
-//! handles can never alias a recycled slot. External identity is still
-//! [`NodeId`] — the u64 the data service allocates, never reuses, and
-//! writes into every wire message — mapped to its slot by an O(1)
-//! integer-keyed index. Wire bytes and id allocation semantics are
-//! exactly the pre-arena ones (pinned by
+//! Slots of removed nodes go on a free list and are reused, so the arena
+//! stays dense under churn. No handle outside the tree names a slot:
+//! external identity is still [`NodeId`] — the u64 the data service
+//! allocates, never reuses, and writes into every wire message — mapped
+//! to its slot by an O(1) integer-keyed index. Wire bytes and id
+//! allocation semantics are exactly the pre-arena ones (pinned by
 //! `tests/wire_fixture.rs`).
 //!
 //! # Derived caches
@@ -79,9 +77,6 @@ struct HotNode {
     prev_sibling: u32,
     next_sibling: u32,
     child_count: u32,
-    /// Bumped every time the slot is freed; an internal handle minted
-    /// under an older generation can never alias the reused slot.
-    generation: u32,
     alive: bool,
     tag: KindTag,
     transform: Transform,
@@ -383,8 +378,8 @@ impl Parcel {
     }
 }
 
-/// A scene tree: a rooted hierarchy of typed nodes over a flat
-/// generational arena (see the module docs for the layout).
+/// A scene tree: a rooted hierarchy of typed nodes over a flat slot
+/// arena (see the module docs for the layout).
 pub struct SceneTree {
     hot: Vec<HotNode>,
     cold: Vec<ColdNode>,
@@ -393,7 +388,7 @@ pub struct SceneTree {
     /// from then on patched by every payload write — never invalidated,
     /// never rebuilt.
     bounds: OnceLock<Vec<PayloadBounds>>,
-    /// Freed slots available for reuse (generation already bumped).
+    /// Freed slots available for reuse.
     free: Vec<u32>,
     /// Live node count (`hot.len()` minus freed slots).
     live: usize,
@@ -536,44 +531,29 @@ impl SceneTree {
         let cost = kind.cost();
         let tag = kind.tag();
         let cold = ColdNode { name: name.into(), kind, version: 0 };
+        let hot = HotNode {
+            id,
+            parent,
+            first_child: NIL,
+            last_child: NIL,
+            prev_sibling: NIL,
+            next_sibling: NIL,
+            child_count: 0,
+            alive: true,
+            tag,
+            transform: Transform::IDENTITY,
+            cost,
+        };
         let slot = match self.free.pop() {
             Some(s) => {
-                let gen = self.hot[s as usize].generation;
-                self.hot[s as usize] = HotNode {
-                    id,
-                    parent,
-                    first_child: NIL,
-                    last_child: NIL,
-                    prev_sibling: NIL,
-                    next_sibling: NIL,
-                    child_count: 0,
-                    generation: gen,
-                    alive: true,
-                    tag,
-                    transform: Transform::IDENTITY,
-                    cost,
-                };
+                self.hot[s as usize] = hot;
                 self.cold[s as usize] = cold;
                 s
             }
             None => {
-                let s = self.hot.len() as u32;
-                self.hot.push(HotNode {
-                    id,
-                    parent,
-                    first_child: NIL,
-                    last_child: NIL,
-                    prev_sibling: NIL,
-                    next_sibling: NIL,
-                    child_count: 0,
-                    generation: 0,
-                    alive: true,
-                    tag,
-                    transform: Transform::IDENTITY,
-                    cost,
-                });
+                self.hot.push(hot);
                 self.cold.push(cold);
-                s
+                self.hot.len() as u32 - 1
             }
         };
         self.refresh_kept_bounds(slot);
@@ -921,7 +901,6 @@ impl SceneTree {
             let h = &mut self.hot[s as usize];
             self.total = self.total - h.cost;
             h.alive = false;
-            h.generation = h.generation.wrapping_add(1);
             h.first_child = NIL;
             h.last_child = NIL;
             h.child_count = 0;
@@ -1842,16 +1821,14 @@ mod tests {
     }
 
     #[test]
-    fn slots_are_reused_under_new_generations() {
+    fn freed_slots_are_reused() {
         let mut t = SceneTree::new();
         let a = t.add_node(t.root(), "a", NodeKind::Group).unwrap();
         let slot_a = t.slot(a).unwrap();
-        let gen_a = t.hot[slot_a as usize].generation;
         t.remove(a).unwrap();
         let b = t.add_node(t.root(), "b", NodeKind::Group).unwrap();
         let slot_b = t.slot(b).unwrap();
         assert_eq!(slot_a, slot_b, "freed slot is recycled");
-        assert!(t.hot[slot_b as usize].generation > gen_a, "generation bumped");
         assert_eq!(t.hot.len(), 2, "arena stays dense under churn");
         t.check_invariants().unwrap();
     }

@@ -20,8 +20,10 @@
 //!   segment's records past the standby's cursor, verbatim (the active
 //!   segment's past a lag bound; in lockstep cut from the records the WAL
 //!   keeps until a frame carries them, its one copy of them), to a warm
-//!   standby whose directory is always an exact prefix of the primary's
-//!   log.
+//!   standby that is a [`Store`] of its own: its log writes the frames
+//!   ([`Store::apply_frame`]), so its directory is always an exact prefix
+//!   of the primary's log, and at promotion it appends where the primary
+//!   stopped.
 //!
 //! The [`Store`] facade ties these together behind the append /
 //! checkpoint / recover API the data service drives.
@@ -37,7 +39,7 @@ pub mod wal;
 pub use compact::{compact, CompactionReport};
 pub use record::{crc32, TornTail};
 pub use recover::{recover, Recovery};
-pub use ship::{ShipAck, ShipApply, ShipFrame, StandbyLog};
+pub use ship::{ShipAck, ShipApply, ShipFrame};
 pub use snapshot::{read_snapshot, write_snapshot, Snapshot};
 pub use wal::{FramedTail, Wal};
 
@@ -199,6 +201,13 @@ impl Store {
     /// them, for [`ship::plan`] (see [`Wal::unshipped`]).
     pub fn unshipped(&mut self) -> &mut [FramedTail] {
         self.wal.unshipped()
+    }
+
+    /// Apply a frame shipped from a primary's log to this standby's log
+    /// ([`Wal::apply_frame`]). A frame is not an append: it does not bring
+    /// a checkpoint nearer.
+    pub fn apply_frame(&mut self, frame: &ShipFrame) -> io::Result<ShipApply> {
+        self.wal.apply_frame(frame)
     }
 
     /// Write a checkpoint of `tree` covering everything appended so far,

@@ -6,39 +6,41 @@
 //! sit in the primary's segment, whether that segment is sealed or still
 //! active. A sealed segment with records past the cursor ships all of
 //! them; the active one's ship once the standby would otherwise trail past
-//! a configurable lag bound. The standby writes them over the fill of its
-//! own copy of the segment, so each of its segment files is a byte-exact
-//! prefix of the primary's — after promotion the shipped store *is* a WAL
-//! a [`crate::Store`] opens and appends to, so sequence numbers continue
-//! where the primary stopped.
+//! a configurable lag bound. The standby is a [`crate::Store`] of its own,
+//! opened on its directory with the primary's config: its log writes the
+//! records over the fill of its own copy of the segment, so each of its
+//! segment files is a byte-exact prefix of the primary's, and at promotion
+//! the same open store takes appends where the primary stopped.
 //!
 //! Protocol shape (driven by the caller, e.g. the simulation's replica
 //! subsystem, which owns timing and transport):
 //!
-//! 1. the standby reports its durable [`StandbyLog::last_seq`];
+//! 1. the standby reports its durable last sequence number;
 //! 2. the primary syncs its log and [`plan`]s a batch of [`ShipFrame`]s
 //!    past that cursor. When the records its WAL keeps for the standby
 //!    ([`crate::Wal::unshipped`]) hold every record past the cursor, the
-//!    frames are cut from them and no file is read; otherwise sealed segments at or below
-//!    the cursor are *skipped from headers alone* (the next segment's
-//!    `base_seq` bounds this one's contents, so resume never re-reads what
-//!    the standby already holds) and the others are read back;
-//! 3. the standby [`StandbyLog::apply`]s each frame and answers with a
-//!    sequence-numbered [`ShipAck`]. A frame that arrives torn or corrupt,
-//!    or past a gap, is *not* written: the ack re-states the cursor, and
-//!    the primary plans again from it.
+//!    frames are cut from them and no file is read; otherwise sealed
+//!    segments at or below the cursor are *skipped from headers alone*
+//!    (the next segment's `base_seq` bounds this one's contents, so resume
+//!    never re-reads what the standby already holds) and the others are
+//!    read back;
+//! 3. the standby applies each frame ([`Wal::apply_frame`], through
+//!    [`crate::Store::apply_frame`]) and answers with a sequence-numbered
+//!    [`ShipAck`]. A frame that arrives torn or corrupt, or past a gap, is
+//!    *not* written: the ack re-states the cursor, and the primary plans
+//!    again from it.
 //!
 //! Every apply leaves the standby holding an exact, contiguous prefix of
 //! the primary's committed log — never a gap, never a torn record.
 
 use crate::segment::{
-    decode_records, list_segments, read_segment, read_segment_file, read_segment_header,
-    segment_file_name, DecodedRecords, SegmentWriter, SEGMENT_HEADER_LEN,
+    decode_records, list_segments, read_segment_file, read_segment_header, DecodedRecords,
+    SEGMENT_HEADER_LEN,
 };
-use crate::wal::{FramedTail, RecordMark};
+use crate::wal::{FramedTail, RecordMark, Wal};
 use rave_scene::AuditEntry;
 use std::io;
-use std::path::{Path, PathBuf};
+use std::path::Path;
 
 /// Fixed per-frame accounting overhead (segment, seq range, counts).
 pub const FRAME_OVERHEAD: u64 = 32;
@@ -236,116 +238,50 @@ fn read_run(path: &Path, covered: u64, file_bytes_read: &mut u64) -> io::Result<
     })
 }
 
-/// What one [`StandbyLog::apply`] did.
+/// What one [`Wal::apply_frame`] did.
 #[derive(Debug)]
 pub struct ShipApply {
     /// Entries newly added to the standby's log, in sequence order —
-    /// the caller replays these into its live replica.
+    /// the caller commits these to its live replica.
     pub entries: Vec<AuditEntry>,
     /// The ack to return to the primary.
     pub ack: ShipAck,
 }
 
-/// Standby-side receiver: maintains a WAL directory that is always an
-/// exact, contiguous prefix of the primary's. After promotion the
-/// directory opens as an ordinary [`crate::Store`].
-#[derive(Debug)]
-pub struct StandbyLog {
-    dir: PathBuf,
-    last_seq: u64,
-    /// The primary's segment size: the fill of each copy frames grow.
-    segment_bytes: u64,
-    /// The segment frames are growing, kept open between frames. It is
-    /// re-opened — with the full verify-and-repair read — only when a
-    /// frame names another segment, after a failed write, or after
-    /// [`StandbyLog::open`].
-    writer: Option<SegmentWriter>,
-    reopens: u64,
-}
-
-impl StandbyLog {
-    /// Open (or initialise) the standby's log directory, resuming from
-    /// whatever prefix it already holds; the segments frames start are
-    /// zero-filled to `segment_bytes`, the primary's segment size.
-    pub fn open(dir: impl Into<PathBuf>, segment_bytes: u64) -> io::Result<Self> {
-        let dir = dir.into();
-        std::fs::create_dir_all(&dir)?;
-        let last_seq = match list_segments(&dir)?.last() {
-            None => 0,
-            Some((_, path)) => {
-                let contents = read_segment(path)?;
-                contents
-                    .entries
-                    .last()
-                    .map(|e| e.stamped.seq)
-                    .unwrap_or_else(|| contents.header.base_seq.saturating_sub(1))
-            }
-        };
-        Ok(Self { dir, last_seq, segment_bytes, writer: None, reopens: 0 })
-    }
-
-    pub fn dir(&self) -> &Path {
-        &self.dir
-    }
-
-    /// Times an existing segment file was re-opened (read, verified and
-    /// repaired) to take a frame.
-    pub fn reopens(&self) -> u64 {
-        self.reopens
-    }
-
-    /// Highest contiguous sequence number durably held.
-    pub fn last_seq(&self) -> u64 {
-        self.last_seq
-    }
-
-    /// Apply one frame: write its records past `last_seq` into the copy of
-    /// its segment, verbatim, with one write and one sync. A torn or
-    /// corrupt frame is declined as torn; a gap (a frame starting past
-    /// `last_seq + 1`) is declined by re-stating the cursor. Either way
-    /// the primary re-plans from the cursor. Duplicates are ignored
-    /// idempotently.
-    pub fn apply(&mut self, frame: &ShipFrame) -> io::Result<ShipApply> {
-        let Some(mut entries) = verify(frame) else { return Ok(self.decline(true)) };
-        let held = entries.partition_point(|(e, _)| e.stamped.seq <= self.last_seq);
+impl Wal {
+    /// Apply one shipped frame to a standby's log: write its records past
+    /// [`Wal::last_seq`] into the copy of its segment, verbatim, with one
+    /// write and one sync. A frame for a later segment starts that copy
+    /// (it must start at its `base_seq`) and leaves the copy before as it
+    /// is. A torn or corrupt frame is declined as torn; a gap (a frame
+    /// starting past `last_seq + 1`) is declined by re-stating the cursor.
+    /// Either way the primary re-plans from the cursor. Duplicates are
+    /// ignored idempotently.
+    pub fn apply_frame(&mut self, frame: &ShipFrame) -> io::Result<ShipApply> {
+        let last_seq = self.last_seq();
+        let decline = |torn| ShipApply { entries: Vec::new(), ack: ShipAck { last_seq, torn } };
+        let Some(mut entries) = verify(frame) else { return Ok(decline(true)) };
+        let held = entries.partition_point(|(e, _)| e.stamped.seq <= last_seq);
         let Some((first, _)) = entries.get(held) else {
-            return Ok(self.decline(false)); // pure duplicate — idempotent
+            return Ok(decline(false)); // pure duplicate — idempotent
         };
-        if first.stamped.seq > self.last_seq + 1 {
-            return Ok(self.decline(false)); // gap: earlier entries missing
+        if first.stamped.seq > last_seq + 1 {
+            return Ok(decline(false)); // gap: earlier entries missing
         }
-        if self.writer.as_ref().is_none_or(|w| w.header.index != frame.index) {
-            let path = self.dir.join(segment_file_name(frame.index));
-            self.writer = Some(if path.exists() {
-                self.reopens += 1;
-                SegmentWriter::open_for_append(&path, self.segment_bytes)?.0
-            } else if first.stamped.seq == frame.base_seq {
-                SegmentWriter::create(&self.dir, frame.index, frame.base_seq, self.segment_bytes)?
-            } else {
+        if frame.index != self.active_segment_index() {
+            if first.stamped.seq != frame.base_seq {
                 // `base_seq` sits outside the records' CRC, and replay and
                 // compaction trust a copy's header: a copy starts where
                 // its first record does.
-                return Ok(self.decline(true));
-            });
+                return Ok(decline(true));
+            }
+            self.start_segment(frame.index, frame.base_seq)?;
         }
-        let writer = self.writer.as_mut().expect("opened above");
         let skip = held.checked_sub(1).map_or(0, |i| entries[i].1 as usize);
-        let written = writer
-            .write_records(&frame.records[skip..], frame.last_seq)
-            .and_then(|()| writer.sync());
-        if written.is_err() {
-            // The file may end in a partial record: verify and repair it
-            // before the next frame extends it.
-            self.writer = None;
-        }
-        written?;
-        self.last_seq = frame.last_seq;
+        self.active.write_records(&frame.records[skip..], frame.last_seq)?;
+        self.sync()?;
         let entries = entries.drain(held..).map(|(e, _)| e).collect();
-        Ok(ShipApply { entries, ack: ShipAck { last_seq: self.last_seq, torn: false } })
-    }
-
-    fn decline(&self, torn: bool) -> ShipApply {
-        ShipApply { entries: Vec::new(), ack: ShipAck { last_seq: self.last_seq, torn } }
+        Ok(ShipApply { entries, ack: ShipAck { last_seq: frame.last_seq, torn: false } })
     }
 }
 
@@ -365,8 +301,9 @@ fn verify(frame: &ShipFrame) -> Option<Vec<(AuditEntry, u64)>> {
 mod tests {
     use super::*;
     use crate::recover::recover;
-    use crate::wal::Wal;
+    use crate::segment::{read_segment, segment_file_name};
     use rave_scene::{NodeKind, SceneTree, SceneUpdate, StampedUpdate};
+    use std::path::PathBuf;
 
     fn tmp_dir(tag: &str) -> PathBuf {
         let dir =
@@ -403,8 +340,19 @@ mod tests {
         plan(dir, &mut [], acked_seq, max_lag, limit, &mut 0).unwrap()
     }
 
+    /// A standby's log on `dir`, its copies filled to `seg_bytes`.
+    fn standby_log(dir: &Path, seg_bytes: u64) -> Wal {
+        Wal::open(dir, seg_bytes).unwrap().0
+    }
+
+    /// The standby's log holds no record: one segment, the one a log
+    /// opened on an empty directory starts, and nothing in it.
+    fn holds_nothing(dir: &Path) -> bool {
+        list_segments(dir).unwrap().len() == 1 && Wal::replay_after(dir, 0).unwrap().is_empty()
+    }
+
     /// Drive plan/apply to quiescence; returns frames shipped.
-    fn drain(dir: &Path, standby: &mut StandbyLog, max_lag: u64) -> usize {
+    fn drain(dir: &Path, standby: &mut Wal, max_lag: u64) -> usize {
         let mut shipped = 0;
         loop {
             let frames = fresh(dir, standby.last_seq(), max_lag, 4);
@@ -412,7 +360,7 @@ mod tests {
                 return shipped;
             }
             for f in &frames {
-                standby.apply(f).unwrap();
+                standby.apply_frame(f).unwrap();
                 shipped += 1;
             }
         }
@@ -422,7 +370,7 @@ mod tests {
     fn full_ship_reproduces_the_log_exactly() {
         let (pdir, sdir) = (tmp_dir("full-p"), tmp_dir("full-s"));
         let live = primary_session(&pdir, 40, 256); // several rotations
-        let mut standby = StandbyLog::open(&sdir, 256).unwrap();
+        let mut standby = standby_log(&sdir, 256);
         drain(&pdir, &mut standby, 0);
         assert_eq!(standby.last_seq(), 40);
         let rec = recover(&sdir).unwrap();
@@ -447,16 +395,16 @@ mod tests {
         let (pdir, sdir) = (tmp_dir("resume-p"), tmp_dir("resume-s"));
         primary_session(&pdir, 30, 256);
         {
-            let mut standby = StandbyLog::open(&sdir, 256).unwrap();
+            let mut standby = standby_log(&sdir, 256);
             // Ship only the first couple of frames, then "crash".
             let frames = fresh(&pdir, 0, 0, 2);
             for f in &frames {
-                standby.apply(f).unwrap();
+                standby.apply_frame(f).unwrap();
             }
         }
         // A fresh standby process resumes from its durable cursor: the
         // next plan starts past everything already held.
-        let mut standby = StandbyLog::open(&sdir, 256).unwrap();
+        let mut standby = standby_log(&sdir, 256);
         let held = standby.last_seq();
         assert!(held > 0, "prefix survived the restart");
         let frames = fresh(&pdir, held, 0, 16);
@@ -471,21 +419,21 @@ mod tests {
     fn torn_frame_is_rerequested_and_converges() {
         let (pdir, sdir) = (tmp_dir("torn-p"), tmp_dir("torn-s"));
         let live = primary_session(&pdir, 30, 256);
-        let mut standby = StandbyLog::open(&sdir, 256).unwrap();
+        let mut standby = standby_log(&sdir, 256);
         let mut frame = fresh(&pdir, 0, 0, 1).remove(0);
         assert_eq!((frame.index, frame.first_seq), (0, 1), "sealed segment 0's records");
         // Damage the frame in flight: flip a byte inside the records.
         let n = frame.records.len();
         frame.records[n - 3] ^= 0xFF;
-        let apply = standby.apply(&frame).unwrap();
+        let apply = standby.apply_frame(&frame).unwrap();
         assert_eq!(apply.ack, ShipAck { last_seq: 0, torn: true }, "declined as torn");
-        assert!(apply.entries.is_empty() && list_segments(&sdir).unwrap().is_empty());
+        assert!(apply.entries.is_empty() && holds_nothing(&sdir));
         // The plan from the unmoved cursor ships the records again, intact,
         // and the stream converges.
         let again = fresh(&pdir, apply.ack.last_seq, 0, 1).remove(0);
         frame.records[n - 3] ^= 0xFF;
         assert_eq!(again, frame);
-        let apply = standby.apply(&again).unwrap();
+        let apply = standby.apply_frame(&again).unwrap();
         assert_eq!(apply.ack, ShipAck { last_seq: frame.last_seq, torn: false });
         drain(&pdir, &mut standby, 0);
         assert_eq!(recover(&sdir).unwrap().tree, live);
@@ -497,7 +445,7 @@ mod tests {
     fn lag_bound_withholds_the_newest_tail_entries() {
         let (pdir, sdir) = (tmp_dir("lag-p"), tmp_dir("lag-s"));
         primary_session(&pdir, 20, 1 << 20); // one active segment, no seals
-        let mut standby = StandbyLog::open(&sdir, 1 << 20).unwrap();
+        let mut standby = standby_log(&sdir, 1 << 20);
         drain(&pdir, &mut standby, 5);
         assert_eq!(standby.last_seq(), 15, "newest 5 entries withheld within the lag bound");
         // Tightening the bound ships the rest.
@@ -511,14 +459,14 @@ mod tests {
     fn gap_frames_are_declined_not_installed() {
         let (pdir, sdir) = (tmp_dir("gap-p"), tmp_dir("gap-s"));
         primary_session(&pdir, 30, 256);
-        let mut standby = StandbyLog::open(&sdir, 256).unwrap();
+        let mut standby = standby_log(&sdir, 256);
         // Deliver a later segment's records first: declined, cursor unmoved.
         let frames = fresh(&pdir, 0, 0, 8);
         let later = frames.iter().find(|f| f.index > 0).expect("multiple segments");
-        let apply = standby.apply(later).unwrap();
+        let apply = standby.apply_frame(later).unwrap();
         assert_eq!(apply.ack, ShipAck { last_seq: 0, torn: false });
         assert!(apply.entries.is_empty());
-        assert!(list_segments(&sdir).unwrap().is_empty(), "nothing installed");
+        assert!(holds_nothing(&sdir), "nothing installed");
         let _ = std::fs::remove_dir_all(&pdir);
         let _ = std::fs::remove_dir_all(&sdir);
     }
@@ -549,14 +497,14 @@ mod tests {
     fn duplicate_frames_are_idempotent() {
         let (pdir, sdir) = (tmp_dir("dup-p"), tmp_dir("dup-s"));
         let live = primary_session(&pdir, 25, 256);
-        let mut standby = StandbyLog::open(&sdir, 256).unwrap();
+        let mut standby = standby_log(&sdir, 256);
         let frames = fresh(&pdir, 0, 0, 16);
         for f in &frames {
-            standby.apply(f).unwrap();
+            standby.apply_frame(f).unwrap();
         }
         let before = standby.last_seq();
         for f in &frames {
-            let apply = standby.apply(f).unwrap();
+            let apply = standby.apply_frame(f).unwrap();
             assert!(apply.entries.is_empty(), "duplicate produced new entries");
         }
         assert_eq!(standby.last_seq(), before);
@@ -590,7 +538,7 @@ mod tests {
         let (mut wal, _) = Wal::open(&pdir, 3000).unwrap();
         append_renames(&mut wal, 1..=3);
         wal.keep_unshipped(true);
-        let mut standby = StandbyLog::open(&sdir, 3000).unwrap();
+        let mut standby = standby_log(&sdir, 3000);
         let (mut read, mut first_tick_read, mut across_a_rotation) = (0, 0, 0);
         for tick in 0..60u64 {
             if tick > 0 {
@@ -603,7 +551,7 @@ mod tests {
             // Two frames: the sealed segment's last records, then the new one's.
             across_a_rotation += usize::from(frames.len() == 2);
             for f in &frames {
-                standby.apply(f).unwrap();
+                standby.apply_frame(f).unwrap();
             }
             assert_eq!(standby.last_seq(), tick * 7 + 3);
             if tick == 0 {
@@ -623,7 +571,7 @@ mod tests {
         let (pdir, sdir) = (tmp_dir("held-p"), tmp_dir("held-s"));
         let (mut wal, _) = Wal::open(&pdir, 1 << 20).unwrap();
         wal.keep_unshipped(true);
-        let mut standby = StandbyLog::open(&sdir, 1 << 20).unwrap();
+        let mut standby = standby_log(&sdir, 1 << 20);
         let mut read = 0;
         for tick in 0..6u64 {
             append_renames(&mut wal, tick * 4 + 1..=tick * 4 + 4);
@@ -633,7 +581,7 @@ mod tests {
             let held: usize = wal.unshipped().iter().map(|run| run.marks.len()).sum();
             assert_eq!(held, 5.min(tick as usize * 4 + 4), "tick {tick}: the lag's records stay");
             for f in &frames {
-                standby.apply(f).unwrap();
+                standby.apply_frame(f).unwrap();
             }
             assert_eq!(standby.last_seq(), (tick * 4 + 4).saturating_sub(5));
         }
@@ -659,8 +607,8 @@ mod tests {
         assert!(read > 0);
         assert_eq!(again, fresh(&pdir, 0, 0, 4));
         assert!(wal.unshipped().iter().all(|run| run.marks.is_empty()), "shipped: gone");
-        let mut standby = StandbyLog::open(&sdir, 1 << 20).unwrap();
-        standby.apply(&again[0]).unwrap();
+        let mut standby = standby_log(&sdir, 1 << 20);
+        standby.apply_frame(&again[0]).unwrap();
         assert_eq!(standby.last_seq(), 12);
         let _ = std::fs::remove_dir_all(&pdir);
         let _ = std::fs::remove_dir_all(&sdir);
@@ -671,16 +619,16 @@ mod tests {
         let (pdir, sdir) = (tmp_dir("torn-tail-p"), tmp_dir("torn-tail-s"));
         let (mut wal, _) = Wal::open(&pdir, 1 << 20).unwrap();
         append_renames(&mut wal, 1..=6);
-        let mut standby = StandbyLog::open(&sdir, 1 << 20).unwrap();
+        let mut standby = standby_log(&sdir, 1 << 20);
         let mut frame = fresh(&pdir, 0, 0, 1).remove(0);
         let n = frame.records.len();
         frame.records[n - 2] ^= 0x10;
-        let apply = standby.apply(&frame).unwrap();
+        let apply = standby.apply_frame(&frame).unwrap();
         assert_eq!(apply.ack, ShipAck { last_seq: 0, torn: true });
-        assert!(apply.entries.is_empty() && list_segments(&sdir).unwrap().is_empty());
+        assert!(apply.entries.is_empty() && holds_nothing(&sdir));
         let frames = fresh(&pdir, apply.ack.last_seq, 0, 4);
         for f in &frames {
-            standby.apply(f).unwrap();
+            standby.apply_frame(f).unwrap();
         }
         assert_eq!(standby.last_seq(), 6);
         assert_eq!(Wal::replay_after(&sdir, 0).unwrap(), Wal::replay_after(&pdir, 0).unwrap());
@@ -700,9 +648,9 @@ mod tests {
         let early = fresh(&pdir, 0, 0, 1).remove(0);
         append_renames(&mut wal, 6..=8);
         let late = fresh(&pdir, 0, 0, 1).remove(0);
-        let mut standby = StandbyLog::open(&sdir, 1 << 20).unwrap();
-        standby.apply(&early).unwrap();
-        let apply = standby.apply(&late).unwrap();
+        let mut standby = standby_log(&sdir, 1 << 20);
+        standby.apply_frame(&early).unwrap();
+        let apply = standby.apply_frame(&late).unwrap();
         let seqs: Vec<u64> = apply.entries.iter().map(|e| e.stamped.seq).collect();
         assert_eq!((seqs, apply.ack.last_seq), (vec![6, 7, 8], 8));
         let name = segment_file_name(0);
@@ -713,29 +661,27 @@ mod tests {
         let _ = std::fs::remove_dir_all(&sdir);
     }
 
+    /// Frames on one segment extend the copy the standby's log holds open,
+    /// and a restarted standby's log goes on extending the copy it opened:
+    /// the copy stays the primary's segment, fill and all.
     #[test]
-    fn tail_frames_on_one_segment_reopen_it_at_most_once() {
+    fn frames_on_one_segment_extend_the_open_copy_across_a_restart() {
         let (pdir, sdir) = (tmp_dir("writer-p"), tmp_dir("writer-s"));
         let (mut wal, _) = Wal::open(&pdir, 1 << 20).unwrap();
-        let mut standby = StandbyLog::open(&sdir, 1 << 20).unwrap();
-        for tick in 0..6u64 {
-            append_renames(&mut wal, tick * 4 + 1..=tick * 4 + 4);
-            for f in &fresh(&pdir, standby.last_seq(), 0, 4) {
-                standby.apply(f).unwrap();
+        let name = segment_file_name(0);
+        for restart in 0..2u64 {
+            let mut standby = standby_log(&sdir, 1 << 20);
+            for tick in restart * 6..restart * 6 + 6 {
+                append_renames(&mut wal, tick * 4 + 1..=tick * 4 + 4);
+                for f in &fresh(&pdir, standby.last_seq(), 0, 4) {
+                    standby.apply_frame(f).unwrap();
+                }
             }
+            assert_eq!(standby.last_seq(), restart * 24 + 24);
+            let (p, s) = (std::fs::read(pdir.join(&name)), std::fs::read(sdir.join(&name)));
+            assert_eq!(p.unwrap(), s.unwrap(), "restart {restart}");
         }
-        assert_eq!((standby.last_seq(), standby.reopens()), (24, 0), "created, then kept open");
-        // A restarted standby verifies the file it finds once, then keeps
-        // it open too.
-        let mut standby = StandbyLog::open(&sdir, 1 << 20).unwrap();
-        for tick in 6..12u64 {
-            append_renames(&mut wal, tick * 4 + 1..=tick * 4 + 4);
-            for f in &fresh(&pdir, standby.last_seq(), 0, 4) {
-                standby.apply(f).unwrap();
-            }
-        }
-        assert_eq!((standby.last_seq(), standby.reopens()), (48, 1));
-        assert_eq!(Wal::replay_after(&sdir, 0).unwrap(), Wal::replay_after(&pdir, 0).unwrap());
+        assert_eq!(list_segments(&sdir).unwrap().len(), 1);
         let _ = std::fs::remove_dir_all(&pdir);
         let _ = std::fs::remove_dir_all(&sdir);
     }
@@ -747,9 +693,9 @@ mod tests {
     fn a_standby_one_rotation_behind_is_sent_only_the_missing_records() {
         let (pdir, sdir) = (tmp_dir("behind-rot-p"), tmp_dir("behind-rot-s"));
         let (mut wal, _) = Wal::open(&pdir, 600).unwrap();
-        let mut standby = StandbyLog::open(&sdir, 600).unwrap();
+        let mut standby = standby_log(&sdir, 600);
         append_renames(&mut wal, 1..=3);
-        standby.apply(&fresh(&pdir, 0, 0, 4)[0]).unwrap();
+        standby.apply_frame(&fresh(&pdir, 0, 0, 4)[0]).unwrap();
         let mut last = 3;
         while wal.active_segment_index() == 0 {
             last += 1;
@@ -763,7 +709,7 @@ mod tests {
         let held = read_segment(path).unwrap().clean_len as usize - first.records.len();
         assert_eq!(&sealed[held..], &first.records[..], "only the records past the cursor");
         for f in &frames {
-            standby.apply(f).unwrap();
+            standby.apply_frame(f).unwrap();
         }
         assert_eq!(standby.last_seq(), last);
         let copy = std::fs::read(sdir.join(segment_file_name(0))).unwrap();
@@ -778,11 +724,19 @@ mod tests {
     fn a_frame_starting_a_copy_off_its_base_seq_is_torn() {
         let (pdir, sdir) = (tmp_dir("base-p"), tmp_dir("base-s"));
         let live = primary_session(&pdir, 30, 256);
-        let mut standby = StandbyLog::open(&sdir, 256).unwrap();
-        let mut frame = fresh(&pdir, 0, 0, 1).remove(0);
+        let mut standby = standby_log(&sdir, 256);
+        // The log opened on an empty directory started segment 0: the
+        // first frame to start a copy is segment 1's.
+        let first = fresh(&pdir, 0, 0, 1).remove(0);
+        let held = standby.apply_frame(&first).unwrap().ack.last_seq;
+        let mut frame = fresh(&pdir, held, 0, 1).remove(0);
+        assert_eq!(frame.index, 1);
         frame.base_seq ^= 0x4;
-        assert_eq!(standby.apply(&frame).unwrap().ack, ShipAck { last_seq: 0, torn: true });
-        assert!(list_segments(&sdir).unwrap().is_empty(), "nothing created");
+        assert_eq!(
+            standby.apply_frame(&frame).unwrap().ack,
+            ShipAck { last_seq: held, torn: true }
+        );
+        assert_eq!(list_segments(&sdir).unwrap().len(), 1, "nothing created");
         drain(&pdir, &mut standby, 0);
         assert_eq!(recover(&sdir).unwrap().tree, live);
         let _ = std::fs::remove_dir_all(&pdir);

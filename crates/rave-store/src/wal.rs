@@ -5,6 +5,11 @@
 //! sealed segments are immutable and become compaction candidates once a
 //! snapshot covers them.
 //!
+//! The log is written two ways: a primary appends entries, and a
+//! log-shipping standby applies the frames shipped from a primary's log
+//! ([`Wal::apply_frame`], in [`crate::ship`]), each segment a copy of the
+//! primary's. Both go through the one segment writer the log holds.
+//!
 //! While a log-shipping standby is attached the log is also the one
 //! in-memory holder of the records no frame has carried to it yet: a
 //! [`FramedTail`] per segment, the bytes exactly as they sit in the file,
@@ -25,7 +30,8 @@ use std::path::{Path, PathBuf};
 #[derive(Debug)]
 pub struct Wal {
     dir: PathBuf,
-    active: SegmentWriter,
+    /// The segment written to: the highest-index one.
+    pub(crate) active: SegmentWriter,
     segment_max_bytes: u64,
     /// The records framed that no frame has carried, one run per segment,
     /// oldest first, the last the active segment's; empty while no standby
@@ -150,19 +156,20 @@ impl Wal {
     pub fn rotate(&mut self) -> io::Result<()> {
         self.active.seal()?;
         self.active.sync()?;
-        let next = SegmentWriter::create(
-            &self.dir,
-            self.active.header.index + 1,
-            self.active.last_seq + 1,
-            self.segment_max_bytes,
-        )?;
-        self.active = next;
+        self.start_segment(self.active.header.index + 1, self.active.last_seq + 1)?;
         if !self.unshipped.is_empty() {
             if self.unshipped.len() == 2 {
                 self.unshipped.remove(0);
             }
             self.unshipped.push(FramedTail::at_end_of(&self.active));
         }
+        Ok(())
+    }
+
+    /// Create segment `index`, starting at `base_seq`, and write to it
+    /// from now on. The segment written to before is left as it is.
+    pub(crate) fn start_segment(&mut self, index: u64, base_seq: u64) -> io::Result<()> {
+        self.active = SegmentWriter::create(&self.dir, index, base_seq, self.segment_max_bytes)?;
         Ok(())
     }
 

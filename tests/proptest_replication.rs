@@ -4,17 +4,21 @@
 //! is always an exact prefix of the primary's committed trail. Resuming
 //! the link afterwards converges to full equality, losing nothing. A
 //! planner that cuts frames from the records the WAL keeps for the
-//! standby, and a standby whose segment writer stays open, are held to
-//! the same contract under arbitrary interleavings of appends, rotations,
+//! standby, and a standby store whose log stays open, are held to the
+//! same contract under arbitrary interleavings of appends, rotations,
 //! compaction, torn frames and resyncs: frame for frame what the directory
-//! alone plans, and every standby segment the primary's record bytes.
+//! alone plans, and every standby segment the primary's record bytes. A
+//! live link, driven event by event, keeps the standby's replica exactly
+//! what its log holds, and promotes it after any delivery with nothing
+//! read, replayed or lost.
 
 use proptest::prelude::*;
 use rave::scene::{AuditEntry, NodeKind, SceneTree, SceneUpdate, StampedUpdate};
 use rave::store::record::scan_records;
 use rave::store::segment::{list_segments, SEGMENT_HEADER_LEN};
-use rave::store::ship::{plan, ShipAck, ShipFrame, StandbyLog};
+use rave::store::ship::{plan, ShipAck, ShipFrame};
 use rave::store::wal::Wal;
+use rave::store::{Store, StoreConfig};
 use std::collections::{BTreeMap, VecDeque};
 use std::path::{Path, PathBuf};
 
@@ -98,6 +102,12 @@ fn assert_byte_prefix(sdir: &Path, seen: &BTreeMap<u64, Vec<u8>>) {
     }
 }
 
+/// A standby's store on `sdir`, on the primary's segment size.
+fn standby_store(sdir: &Path, seg_bytes: u64) -> Store {
+    let cfg = StoreConfig { segment_max_bytes: seg_bytes, ..StoreConfig::default() };
+    Store::open(sdir, cfg).unwrap()
+}
+
 /// What the directory alone plans for a standby at `acked_seq`.
 fn fresh(pdir: &Path, acked_seq: u64, max_lag: u64, limit: usize) -> Vec<ShipFrame> {
     plan(pdir, &mut [], acked_seq, max_lag, limit, &mut 0).unwrap()
@@ -106,12 +116,7 @@ fn fresh(pdir: &Path, acked_seq: u64, max_lag: u64, limit: usize) -> Vec<ShipFra
 /// Drive the ship protocol one frame at a time until the plan is empty,
 /// stopping early after `stop_after` frames (None = run to completion).
 /// Returns the number of frames applied.
-fn ship_until(
-    pdir: &Path,
-    standby: &mut StandbyLog,
-    max_lag: u64,
-    stop_after: Option<usize>,
-) -> usize {
+fn ship_until(pdir: &Path, standby: &mut Store, max_lag: u64, stop_after: Option<usize>) -> usize {
     let mut ack = ShipAck { last_seq: standby.last_seq(), torn: false };
     let mut steps = 0usize;
     loop {
@@ -122,7 +127,7 @@ fn ship_until(
         }
         let frames = fresh(pdir, ack.last_seq, max_lag, 1);
         let Some(frame) = frames.into_iter().next() else { return steps };
-        ack = standby.apply(&frame).unwrap().ack;
+        ack = standby.apply_frame(&frame).unwrap().ack;
         steps += 1;
         assert!(steps < 10_000, "ship loop must converge");
     }
@@ -132,7 +137,7 @@ proptest! {
     /// Rotate the WAL at arbitrary points (tiny random segment caps),
     /// kill the link at an arbitrary ship step: the standby's durable
     /// state is an exact committed prefix. Re-establishing the link
-    /// (fresh `StandbyLog::open` over the same directory, lag bound 0)
+    /// (a fresh `Store::open` over the same directory, lag bound 0)
     /// then converges to the full trail — zero committed updates lost.
     #[test]
     fn failure_at_any_step_leaves_an_exact_prefix_and_resume_converges(
@@ -147,7 +152,7 @@ proptest! {
         let trail = build_primary(&pdir, n, seg_bytes);
 
         // Phase 1: ship until the injected failure (or until drained).
-        let mut standby = StandbyLog::open(&sdir, seg_bytes).unwrap();
+        let mut standby = standby_store(&sdir, seg_bytes);
         ship_until(&pdir, &mut standby, max_lag, Some(fail_step));
         let at_failure = standby.last_seq();
         drop(standby);
@@ -156,7 +161,7 @@ proptest! {
 
         // Phase 2: the standby restarts and the link resumes from its
         // durable cursor; with no lag allowance it drains completely.
-        let mut standby = StandbyLog::open(&sdir, seg_bytes).unwrap();
+        let mut standby = standby_store(&sdir, seg_bytes);
         prop_assert_eq!(standby.last_seq(), at_failure, "resume from the durable prefix");
         ship_until(&pdir, &mut standby, 0, None);
         prop_assert_eq!(standby.last_seq(), n, "resume converges to the full trail");
@@ -182,7 +187,7 @@ proptest! {
         // 128-byte cap: several sealed segments for any n in range.
         let trail = build_primary(&pdir, n, 128);
         let active = list_segments(&pdir).unwrap().last().unwrap().0;
-        let mut standby = StandbyLog::open(&sdir, 128).unwrap();
+        let mut standby = standby_store(&sdir, 128);
 
         let mut ack = ShipAck { last_seq: 0, torn: false };
         let mut corrupted = false;
@@ -193,7 +198,7 @@ proptest! {
             if !corrupted && frame.index < active {
                 let at = ((frame.records.len() - 1) as f64 * flip_frac) as usize;
                 frame.records[at] ^= 0xff;
-                let apply = standby.apply(&frame).unwrap();
+                let apply = standby.apply_frame(&frame).unwrap();
                 let declined = ShipAck { last_seq: ack.last_seq, torn: true };
                 prop_assert_eq!(apply.ack, declined, "declined as torn, the cursor unmoved");
                 prop_assert!(apply.entries.is_empty(), "nothing applied from a torn frame");
@@ -201,7 +206,7 @@ proptest! {
                 corrupted = true;
                 continue;
             }
-            ack = standby.apply(&frame).unwrap().ack;
+            ack = standby.apply_frame(&frame).unwrap().ack;
             steps += 1;
             prop_assert!(steps < 10_000, "ship loop must converge");
         }
@@ -220,9 +225,10 @@ proptest! {
     /// declined, and the optimistic cursor is pulled back to the
     /// acknowledged one. At every tick the planner over the WAL's kept
     /// runs — never more than two — plans exactly what the directory alone
-    /// does, and after every delivery the standby — its writer open across
-    /// frames — is an exact prefix of the committed trail, each of its
-    /// segments a byte-for-byte prefix of the primary's records.
+    /// does, and after every delivery the standby — one store, its log
+    /// open across frames — is an exact prefix of the committed trail,
+    /// each of its segments a byte-for-byte prefix of the primary's
+    /// records.
     #[test]
     fn kept_cursor_and_open_writer_match_the_stateless_protocol(
         seg_bytes in 128u64..900,
@@ -237,7 +243,7 @@ proptest! {
         wal.keep_unshipped(true);
         let mut tree = SceneTree::new();
         let mut trail: Vec<AuditEntry> = Vec::new();
-        let mut standby = StandbyLog::open(&sdir, seg_bytes).unwrap();
+        let mut standby = standby_store(&sdir, seg_bytes);
         let mut seen = BTreeMap::new();
         // The link's cursors, as `replica::ship_tick` keeps them.
         let (mut acked, mut shipped) = (0u64, 0u64);
@@ -259,7 +265,7 @@ proptest! {
             }
             Ok(())
         };
-        let deliver = |standby: &mut StandbyLog,
+        let deliver = |standby: &mut Store,
                            in_flight: &mut VecDeque<ShipFrame>,
                            (acked, shipped): (&mut u64, &mut u64),
                            tear: bool,
@@ -270,7 +276,7 @@ proptest! {
             if tear {
                 frame.records[12] ^= 0xff; // inside the first record
             }
-            let ack = standby.apply(&frame).unwrap().ack;
+            let ack = standby.apply_frame(&frame).unwrap().ack;
             prop_assert_eq!(ack.torn, tear);
             *shipped = (*shipped).max(ack.last_seq);
             *acked = (*acked).max(ack.last_seq);
@@ -318,6 +324,91 @@ proptest! {
             prop_assert!(rounds < 1_000, "shipping must converge");
         }
         prop_assert_eq!(assert_exact_prefix(&sdir, &trail), trail.len() as u64);
+
+        std::fs::remove_dir_all(&pdir).unwrap();
+        std::fs::remove_dir_all(&sdir).unwrap();
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(32))]
+
+    /// A live link, driven one event at a time: the primary commits bursts
+    /// of updates on small segments (rotations, checkpoints and compaction
+    /// behind the standby included) and ships each burst. After every
+    /// event the standby's replica holds exactly what its log holds, and a
+    /// data failure right after any delivery promotes a standby holding
+    /// the master's scene as of the last seq it was sent, losing only what
+    /// was not yet delivered; once every frame of a burst has landed,
+    /// that is the master's own scene with nothing lost. The promoted
+    /// service goes on logging to the store it was shipped.
+    #[test]
+    fn the_standby_commits_what_its_log_holds_and_promotes_after_any_delivery(
+        seg_bytes in 256u64..2048,
+        bursts in prop::collection::vec(1u64..8, 1..12),
+        fail_after in 0usize..40,
+        case in any::<u64>(),
+    ) {
+        use rave::core::replica::{establish_standby, ship_tick};
+        use rave::core::sched::rebalance::{process_events, SchedEvent};
+        use rave::core::world::{publish_update, RaveWorld};
+        use rave::core::RaveConfig;
+        use rave::sim::Simulation;
+
+        let pdir = tmp_dir("live-p", case);
+        let sdir = tmp_dir("live-s", case);
+        let cfg = RaveConfig { ship_max_lag: 0, ..Default::default() };
+        let mut sim = Simulation::new(RaveWorld::paper_testbed(cfg, 7));
+        let primary = sim.world.spawn_data_service("adrenochrome", "sess");
+        let standby = sim.world.spawn_data_service("tower", "sess-standby");
+        let store_cfg = StoreConfig { segment_max_bytes: seg_bytes, checkpoint_every: 16 };
+        sim.world.data_mut(primary).attach_store(&pdir, store_cfg).unwrap();
+        establish_standby(&mut sim, primary, standby, &pdir, &sdir).unwrap();
+        // The master's scene after each seq; index 0 is the empty scene.
+        let mut scenes = vec![sim.world.data(primary).scene.clone()];
+        let mut deliveries = 0;
+        'bursts: for &n in &bursts {
+            for _ in 0..n {
+                let ds = sim.world.data_mut(primary);
+                let (id, parent) = (ds.scene.allocate_id(), ds.scene.root());
+                let name = format!("n{}", scenes.len());
+                let update = SceneUpdate::AddNode { id, parent, name, kind: NodeKind::Group };
+                publish_update(&mut sim, primary, "prop", update).unwrap();
+                scenes.push(sim.world.data(primary).scene.clone());
+            }
+            ship_tick(&mut sim, primary).unwrap();
+            let mut held = sim.world.replicas[&primary].log.last_seq();
+            while sim.step() {
+                let log = sim.world.replicas[&primary].log.last_seq();
+                prop_assert_eq!(sim.world.data(standby).audit.last_seq(), log, "memory is the log");
+                if log > held {
+                    held = log;
+                    deliveries += 1;
+                    if deliveries > fail_after {
+                        break 'bursts;
+                    }
+                }
+            }
+        }
+
+        let master_last = sim.world.data(primary).audit.last_seq();
+        let held = sim.world.data(standby).audit.last_seq();
+        let failure = [SchedEvent::DataFailure { service: primary }];
+        let report = process_events(&mut sim, primary, &failure).promotions[0].clone();
+        prop_assert!(report.warm && report.promoted == standby);
+        prop_assert_eq!(report.lost_updates, master_last - held);
+        prop_assert!(sim.world.data(standby).scene == scenes[held as usize], "the master's scene");
+        if deliveries <= fail_after {
+            // Every frame landed: the master's own scene, nothing lost.
+            prop_assert_eq!(report.lost_updates, 0);
+        }
+        sim.run();
+        let update = SceneUpdate::SetName { id: rave::scene::NodeId(0), name: "after".into() };
+        publish_update(&mut sim, standby, "prop", update).unwrap();
+        sim.world.data_mut(standby).sync_persistence().unwrap();
+        let rec = rave::store::recover(&sdir).unwrap();
+        prop_assert_eq!(rec.last_seq, held + 1, "sequence numbers continue on the shipped store");
+        prop_assert!(rec.tree == sim.world.data(standby).scene);
 
         std::fs::remove_dir_all(&pdir).unwrap();
         std::fs::remove_dir_all(&sdir).unwrap();
