@@ -191,14 +191,11 @@ impl DataService {
         self.store.0.as_mut().map_or(Ok(()), Store::sync)
     }
 
-    /// The records the store's WAL keeps for a log-shipping standby until
-    /// a frame carries them (see [`Store::unshipped`]); none without a
-    /// store or a standby.
-    pub fn unshipped_log(&mut self) -> &mut [FramedTail] {
-        match &mut self.store.0 {
-            Some(store) => store.unshipped(),
-            None => &mut [],
-        }
+    /// The attached store's directory and the records its WAL keeps for a
+    /// log-shipping standby until a frame carries them (see
+    /// [`Store::ship_source`]); `None` without a store.
+    pub fn ship_source(&mut self) -> Option<(&Path, &mut [FramedTail])> {
+        self.store.0.as_mut().map(Store::ship_source)
     }
 
     /// Keep the store's compaction behind a log-shipping standby (see

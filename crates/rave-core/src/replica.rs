@@ -33,7 +33,7 @@ use rave_sim::SimTime;
 use rave_store::ship::{self, ACK_BYTES};
 use rave_store::Store;
 use std::io;
-use std::path::{Path, PathBuf};
+use std::path::Path;
 
 /// Cadence of [`run_log_shipping`]: how often the primary plans and
 /// sends WAL frames to its warm standby, in virtual milliseconds.
@@ -48,9 +48,6 @@ const SHIP_ACK_WINDOW: usize = 4;
 pub struct ReplicaLink {
     pub primary: DataServiceId,
     pub standby: DataServiceId,
-    /// The primary's store directory, which frames are planned from when
-    /// the records its WAL keeps do not hold all the standby lacks.
-    primary_dir: PathBuf,
     /// The standby's store: its log applies the shipped frames, so its
     /// directory is a prefix of the primary's, and at promotion it becomes
     /// the promoted service's store as it stands, open.
@@ -95,8 +92,8 @@ pub struct PromotionReport {
     pub completed_at: SimTime,
 }
 
-/// Establish a warm standby for `primary` (whose WAL lives under
-/// `primary_dir`): the standby's store is opened on `standby_dir` with the
+/// Establish a warm standby for `primary`, whose store is at
+/// `primary_dir`: the standby's store is opened on `standby_dir` with the
 /// primary's store config and resumes from whatever prefix the directory
 /// already holds — a restarted standby does NOT re-ship history it kept —
 /// and the standby's replica is seeded from that prefix. The link starts
@@ -105,11 +102,9 @@ pub struct PromotionReport {
 /// acknowledged, and its WAL keeps the records it frames until a frame
 /// carries them.
 ///
-/// A directory whose log runs past what recovery replays (a record torn
-/// in an earlier segment, later segments holding records) is refused
-/// with [`io::ErrorKind::InvalidData`], and the world is left unchanged:
-/// the records between the two would reach neither the cursor nor the
-/// replica.
+/// A primary without a store or with another directory is refused with
+/// [`io::ErrorKind::InvalidInput`], a standby directory
+/// [`rave_store::recover()`] refuses with its error; the world unchanged.
 pub fn establish_standby(
     sim: &mut RaveSim,
     primary: DataServiceId,
@@ -117,20 +112,15 @@ pub fn establish_standby(
     primary_dir: impl AsRef<Path>,
     standby_dir: impl AsRef<Path>,
 ) -> io::Result<u64> {
-    let cfg = sim.world.data(primary).store().map(|store| *store.config()).unwrap_or_default();
+    let store = sim.world.data(primary).store().filter(|s| s.dir() == primary_dir.as_ref());
+    let Some(cfg) = store.map(|store| *store.config()) else {
+        let given = primary_dir.as_ref().display();
+        let what = format!("{given} is not the directory of a store {primary} holds");
+        return Err(io::Error::new(io::ErrorKind::InvalidInput, what));
+    };
     let log = Store::open(standby_dir.as_ref(), cfg)?;
     let rec = rave_store::recover(standby_dir.as_ref())?;
     let resumed_from = log.last_seq();
-    if resumed_from > rec.last_seq {
-        return Err(io::Error::new(
-            io::ErrorKind::InvalidData,
-            format!(
-                "standby log at {} runs to seq {resumed_from} but recovers only to seq {}",
-                standby_dir.as_ref().display(),
-                rec.last_seq
-            ),
-        ));
-    }
     // Seed the standby's in-memory replica from its durable prefix, so
     // memory and disk advance together from one consistent point.
     sim.world.data_mut(standby).seed_from(&rec);
@@ -139,7 +129,6 @@ pub fn establish_standby(
         ReplicaLink {
             primary,
             standby,
-            primary_dir: primary_dir.as_ref().to_path_buf(),
             log,
             acked_seq: resumed_from,
             shipped_seq: resumed_from,
@@ -182,16 +171,11 @@ pub fn ship_tick(sim: &mut RaveSim, primary: DataServiceId) -> io::Result<usize>
     // frame must never describe bytes the OS still holds in a buffer.
     sim.world.data_mut(primary).sync_persistence()?;
     let world = &mut sim.world;
-    let kept = world.data_services.get_mut(&primary).expect("synced above").unshipped_log();
+    let primary_ds = world.data_services.get_mut(&primary).expect("synced above");
+    let (dir, kept) = primary_ds.ship_source().expect("establish_standby checked it has a store");
     let link = world.replicas.get_mut(&primary).expect("link checked above");
-    let frames = ship::plan(
-        &link.primary_dir,
-        kept,
-        link.shipped_seq,
-        max_lag,
-        window,
-        &mut link.file_bytes_read,
-    )?;
+    let frames =
+        ship::plan(dir, kept, link.shipped_seq, max_lag, window, &mut link.file_bytes_read)?;
     if frames.is_empty() {
         return Ok(0);
     }
@@ -798,6 +782,29 @@ mod tests {
         assert_eq!(err.kind(), io::ErrorKind::InvalidData, "{err}");
         assert!(sim.world.replicas.is_empty(), "no link");
         assert!(seen(&sim) == before, "the standby and the trace are as they were");
+        let _ = std::fs::remove_dir_all(&pdir);
+        let _ = std::fs::remove_dir_all(&sdir);
+    }
+
+    /// A standby is established only for a primary with a store, against
+    /// that store's directory; anything else is refused as invalid input
+    /// and the world is left as it was.
+    #[test]
+    fn a_standby_of_a_primary_without_its_store_directory_is_refused() {
+        let (mut sim, primary, standby, _, pdir, sdir) = warm_world("no-store", 0);
+        teardown_standby(&mut sim, primary).unwrap();
+        let lone = sim.world.spawn_data_service("onyx", "lone");
+        let seen = |sim: &RaveSim| {
+            let ds = sim.world.data(standby);
+            (ds.scene.clone(), ds.audit.last_seq(), sim.world.trace.recorded())
+        };
+        let before = seen(&sim);
+        for (from, dir) in [(primary, sdir.as_path()), (lone, pdir.as_path())] {
+            let err = establish_standby(&mut sim, from, standby, dir, &sdir).unwrap_err();
+            assert_eq!(err.kind(), io::ErrorKind::InvalidInput, "{err}");
+            assert!(sim.world.replicas.is_empty(), "no link");
+            assert!(seen(&sim) == before, "the standby and the trace are as they were");
+        }
         let _ = std::fs::remove_dir_all(&pdir);
         let _ = std::fs::remove_dir_all(&sdir);
     }

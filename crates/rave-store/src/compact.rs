@@ -5,7 +5,7 @@
 //! delta chain (at most half the snapshot's bytes) plus the active
 //! segment, regardless of session length.
 
-use crate::segment::list_segments;
+use crate::segment::{covered, list_chain};
 use crate::snapshot::{list_deltas, list_snapshots};
 use crate::CheckpointKind;
 use std::io;
@@ -32,11 +32,10 @@ pub struct CompactionReport {
 /// or below it; and every delta at or below that snapshot, which belongs
 /// to an older chain.
 ///
-/// Coverage is decided from segment headers alone: a segment's entries
-/// all precede its successor's `base_seq`, so if the *next* segment
-/// starts at or below `checkpoint_seq + 1`, this one holds nothing newer
-/// than the checkpoint. The highest-index segment is the active one and
-/// is never deleted — the log must always have an append head.
+/// Coverage is decided from segment headers alone, by the rule every
+/// reader of the log skips segments by (`segment::covered`), so no record
+/// body is read. The highest-index segment is the active one and is never
+/// deleted — the log must always have an append head.
 ///
 /// `retain_after`, when set, is the sequence number a log-shipping
 /// standby has acknowledged: a segment holding anything newer is the
@@ -48,16 +47,13 @@ pub fn compact(
     retain_after: Option<u64>,
 ) -> io::Result<CompactionReport> {
     let mut report = CompactionReport::default();
-    let segments = list_segments(dir)?;
+    let chain = list_chain(dir)?;
     let disposable = retain_after.map_or(checkpoint_seq, |acked| acked.min(checkpoint_seq));
-    for pair in segments.windows(2) {
-        let (idx, path) = &pair[0];
-        let (_, next_path) = &pair[1];
-        let next_base = crate::segment::read_segment_header(next_path)?.base_seq;
-        if next_base <= disposable + 1 {
+    for (i, (path, header)) in chain.iter().enumerate() {
+        if covered(&chain, i, disposable) {
             report.bytes_freed += std::fs::metadata(path)?.len();
             std::fs::remove_file(path)?;
-            report.segments_deleted.push(*idx);
+            report.segments_deleted.push(header.index);
         }
     }
     let snapshots = list_snapshots(dir)?;
@@ -83,6 +79,7 @@ pub fn compact(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::segment::list_segments;
     use crate::snapshot::write_snapshot;
     use crate::wal::Wal;
     use rave_scene::{AuditEntry, NodeId, SceneTree, SceneUpdate, StampedUpdate};

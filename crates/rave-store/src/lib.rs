@@ -6,8 +6,8 @@
 //!
 //! - a **segmented write-ahead log** ([`wal::Wal`]) of CRC-framed binary
 //!   audit entries ([`record`], [`segment`]), written in place over
-//!   segments zero-filled when they are created, with torn-tail detection
-//!   and repair on open;
+//!   segments zero-filled when they are created, repaired on open, and read
+//!   by one reader that refuses a tear or a gap before its last segment;
 //! - **checkpoints** ([`snapshot`]): full snapshots of the scene tree,
 //!   and between them deltas of only the nodes its edit journal names,
 //!   RLE-compressed and atomically written;
@@ -73,6 +73,11 @@ pub(crate) fn sync_dir(dir: &Path) -> io::Result<()> {
         File::open(dir)?.sync_all()?;
     }
     Ok(())
+}
+
+/// A refused log or checkpoint chain.
+pub(crate) fn invalid(msg: String) -> io::Error {
+    io::Error::new(io::ErrorKind::InvalidData, msg)
 }
 
 /// Tunables for a [`Store`].
@@ -191,16 +196,16 @@ impl Store {
     /// holds a sealed segment the primary's copy is the only one it can be
     /// shipped from, so checkpoints keep it. While a standby is attached
     /// the WAL keeps the records no frame has carried yet
-    /// ([`Store::unshipped`]).
+    /// ([`Store::ship_source`]).
     pub fn set_retention_floor(&mut self, acked_seq: Option<u64>) {
         self.retention_floor = acked_seq;
         self.wal.keep_unshipped(acked_seq.is_some());
     }
 
-    /// The records the WAL keeps for the standby until a frame carries
-    /// them, for [`ship::plan`] (see [`Wal::unshipped`]).
-    pub fn unshipped(&mut self) -> &mut [FramedTail] {
-        self.wal.unshipped()
+    /// What [`ship::plan`] plans from: the store's directory, and the
+    /// records the WAL keeps for the standby ([`Wal::unshipped`]).
+    pub fn ship_source(&mut self) -> (&Path, &mut [FramedTail]) {
+        (&self.dir, self.wal.unshipped())
     }
 
     /// Apply a frame shipped from a primary's log to this standby's log

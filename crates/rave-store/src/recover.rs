@@ -8,14 +8,19 @@
 //! flight when the crash hit) is detected by its framing and dropped —
 //! recovery always lands on a clean update boundary.
 //!
-//! A broken chain — a delta missing, failing its checksum or naming
-//! another base — never yields a silently shorter history. Recovery goes
-//! on from the longest intact prefix of the chain when the log still
-//! reaches back to it and forward to every checkpoint the directory holds;
-//! otherwise it fails with [`io::ErrorKind::InvalidData`].
+//! Neither a damaged log nor a broken chain yields a silently shorter
+//! history. The log must reach back to the checkpoints (its oldest
+//! segment's `base_seq` ≤ their seq + 1) and is read by the end-of-log
+//! rule ([`crate::wal`]). A broken chain — a delta missing, failing its
+//! checksum or naming another base — is recovered from its longest intact
+//! prefix when the log reaches back to it and forward to every checkpoint
+//! the directory holds. Anything else fails with
+//! [`io::ErrorKind::InvalidData`].
 
+use crate::invalid;
+use crate::segment::list_chain;
 use crate::snapshot::{latest_snapshot, list_deltas, list_snapshots, read_delta};
-use crate::wal::Wal;
+use crate::wal::{reaches_back, replay};
 use rave_scene::{wire, AuditEntry, SceneTree};
 use std::io;
 use std::path::Path;
@@ -34,10 +39,6 @@ pub struct Recovery {
     pub deltas: usize,
     /// WAL entries replayed on top of the snapshot and its deltas.
     pub entries: Vec<AuditEntry>,
-}
-
-fn invalid(msg: String) -> io::Error {
-    io::Error::new(io::ErrorKind::InvalidData, msg)
 }
 
 /// Rebuild session state from a store directory. An empty or missing
@@ -79,14 +80,9 @@ pub fn recover(dir: &Path) -> io::Result<Recovery> {
             deltas += 1;
         }
     }
-    if let Some(first) = Wal::first_base_seq(dir)? {
-        if first > covered + 1 {
-            return Err(invalid(format!(
-                "checkpoints recover to seq {covered} but the log starts at seq {first}"
-            )));
-        }
-    }
-    let entries = Wal::replay_after(dir, covered)?;
+    let chain = list_chain(dir)?;
+    reaches_back(&chain, covered)?;
+    let entries = replay(&chain, covered)?;
     let mut last_seq = covered;
     for e in &entries {
         // Checksums passed, so a rejected update means the log and
@@ -109,6 +105,7 @@ pub fn recover(dir: &Path) -> io::Result<Recovery> {
 mod tests {
     use super::*;
     use crate::snapshot::write_snapshot;
+    use crate::wal::Wal;
     use rave_scene::{NodeKind, SceneUpdate, StampedUpdate};
     use std::path::PathBuf;
 

@@ -9,8 +9,8 @@
 //!
 //! `index` is the segment's position in the log (file names embed it too:
 //! `wal-00000042.seg`); `base_seq` is the sequence number of the first
-//! entry the segment may hold, which lets compaction decide coverage
-//! without reading record bodies.
+//! entry the segment may hold, which lets replay, shipping and compaction
+//! decide from headers alone which segments a cursor covers.
 //!
 //! A new segment is zero-filled to the log's segment size when it is
 //! created, and records overwrite the fill from the clean end: an append's
@@ -96,13 +96,25 @@ pub fn list_segments(dir: &Path) -> io::Result<Vec<(u64, PathBuf)>> {
     Ok(out)
 }
 
-/// Read only the 28-byte header of a segment (compaction decides
-/// coverage from headers without touching record bodies).
+/// Read only the 28-byte header of a segment.
 pub fn read_segment_header(path: &Path) -> io::Result<SegmentHeader> {
     let mut buf = [0u8; SEGMENT_HEADER_LEN];
     let mut f = File::open(path)?;
     f.read_exact(&mut buf)?;
     SegmentHeader::decode(&buf)
+}
+
+/// Every segment in `dir` with its header (all that is read), oldest first.
+pub(crate) fn list_chain(dir: &Path) -> io::Result<Vec<(PathBuf, SegmentHeader)>> {
+    let segments = list_segments(dir)?.into_iter();
+    segments.map(|(_, path)| read_segment_header(&path).map(|header| (path, header))).collect()
+}
+
+/// Whether `chain[i]` holds nothing past `seq`: each segment starts at the
+/// seq after the last record of the one before, so its records all lie
+/// below its successor's `base_seq`. The last one, the append head, never.
+pub(crate) fn covered(chain: &[(PathBuf, SegmentHeader)], i: usize, seq: u64) -> bool {
+    chain.get(i + 1).is_some_and(|(_, next)| next.base_seq <= seq.saturating_add(1))
 }
 
 /// A fully scanned segment.

@@ -19,11 +19,8 @@
 //! 2. the primary syncs its log and [`plan`]s a batch of [`ShipFrame`]s
 //!    past that cursor. When the records its WAL keeps for the standby
 //!    ([`crate::Wal::unshipped`]) hold every record past the cursor, the
-//!    frames are cut from them and no file is read; otherwise sealed
-//!    segments at or below the cursor are *skipped from headers alone*
-//!    (the next segment's `base_seq` bounds this one's contents, so resume
-//!    never re-reads what the standby already holds) and the others are
-//!    read back;
+//!    frames are cut from them and no file is read; otherwise the log is
+//!    read back as [`Wal::replay_after`] reads it;
 //! 3. the standby applies each frame ([`Wal::apply_frame`], through
 //!    [`crate::Store::apply_frame`]) and answers with a sequence-numbered
 //!    [`ShipAck`]. A frame that arrives torn or corrupt, or past a gap, is
@@ -33,11 +30,8 @@
 //! Every apply leaves the standby holding an exact, contiguous prefix of
 //! the primary's committed log — never a gap, never a torn record.
 
-use crate::segment::{
-    decode_records, list_segments, read_segment_file, read_segment_header, DecodedRecords,
-    SEGMENT_HEADER_LEN,
-};
-use crate::wal::{FramedTail, RecordMark, Wal};
+use crate::segment::{decode_records, list_chain};
+use crate::wal::{reaches_back, walk, FramedTail, RecordMark, SegmentRecords, Wal};
 use rave_scene::AuditEntry;
 use std::io;
 use std::path::Path;
@@ -125,13 +119,13 @@ pub struct ShipAck {
 /// ([`crate::Wal::unshipped`]: consecutive segments, the last the active
 /// one); `&mut []` plans from the directory alone. When the runs hold
 /// every record past the cursor, the frames are cut from them, and no
-/// directory is listed and no file read. Otherwise `dir` is listed: the sealed
-/// segments at or below the cursor are skipped from their successors'
-/// headers alone, and every other segment is read back, its bytes added
-/// to `file_bytes_read`. The frames are the same either way, and the
-/// records they carry leave `kept`.
+/// directory is listed and no file read. Otherwise `dir` is read as
+/// [`Wal::replay_after`] reads it, each segment's bytes added to
+/// `file_bytes_read`. The frames are the same either way, and the records
+/// they carry leave `kept`.
 ///
-/// Errors when the cursor predates the oldest retained segment — the
+/// Errors with [`io::ErrorKind::InvalidData`] when that read refuses the
+/// log, and when the cursor predates the oldest retained segment — the
 /// needed history was compacted away and the standby must be
 /// re-established through a full bootstrap instead.
 pub fn plan(
@@ -145,20 +139,27 @@ pub fn plan(
     if limit == 0 {
         return Ok(Vec::new());
     }
-    if !continues(kept, acked_seq) {
-        let frames = plan_from_files(dir, acked_seq, max_lag, limit, file_bytes_read)?;
-        if let Some(last) = frames.last() {
-            kept.iter_mut().for_each(|run| run.drop_through(last.last_seq));
+    let mut frames = Vec::new();
+    if continues(kept, acked_seq) {
+        let active = kept.len() - 1;
+        for (i, run) in kept.iter_mut().enumerate() {
+            run.drop_through(acked_seq);
+            if frames.len() < limit {
+                frames.extend(run.ship(if i == active { max_lag } else { 0 }));
+            }
         }
         return Ok(frames);
     }
-    let active = kept.len() - 1;
-    let mut frames = Vec::new();
-    for (i, run) in kept.iter_mut().enumerate() {
-        run.drop_through(acked_seq);
-        if frames.len() < limit {
-            frames.extend(run.ship(if i == active { max_lag } else { 0 }));
-        }
+    let chain = list_chain(dir)?;
+    reaches_back(&chain, acked_seq)?;
+    walk(&chain, acked_seq, |segment| {
+        *file_bytes_read += segment.file.len() as u64;
+        let lag = if segment.last { max_lag } else { 0 };
+        frames.extend(run_of(segment, acked_seq).ship(lag));
+        frames.len() < limit
+    })?;
+    if let Some(last) = frames.last() {
+        kept.iter_mut().for_each(|run| run.drop_through(last.last_seq));
     }
     Ok(frames)
 }
@@ -173,69 +174,19 @@ fn continues(kept: &[FramedTail], acked_seq: u64) -> bool {
     (front..=end).contains(&(acked_seq + 1))
 }
 
-/// [`plan`] from the directory alone.
-fn plan_from_files(
-    dir: &Path,
-    acked_seq: u64,
-    max_lag: u64,
-    limit: usize,
-    file_bytes_read: &mut u64,
-) -> io::Result<Vec<ShipFrame>> {
-    let segments = list_segments(dir)?;
-    let mut frames = Vec::new();
-    let Some(((_, active), sealed)) = segments.split_last() else { return Ok(frames) };
-    let first_base = read_segment_header(&segments[0].1)?.base_seq;
-    if first_base > acked_seq.saturating_add(1) {
-        return Err(io::Error::other(format!(
-            "standby at seq {acked_seq} predates oldest retained segment \
-             (base_seq {first_base}): history compacted away, \
-             re-establish from a snapshot"
-        )));
-    }
-    // Segment i's entries all lie below segment i+1's base_seq, so the
-    // skip decision needs only the 28-byte headers.
-    let mut covered = acked_seq;
-    for (i, (_, path)) in sealed.iter().enumerate() {
-        let upper = read_segment_header(&segments[i + 1].1)?.base_seq.saturating_sub(1);
-        if upper <= covered {
-            continue;
-        }
-        if frames.len() >= limit {
-            return Ok(frames);
-        }
-        frames.extend(read_run(path, covered, file_bytes_read)?.ship(0));
-        covered = upper;
-    }
-    if frames.len() < limit {
-        frames.extend(read_run(active, covered, file_bytes_read)?.ship(max_lag));
-    }
-    Ok(frames)
-}
-
-/// Read a segment whole and keep the records past `covered`.
-fn read_run(path: &Path, covered: u64, file_bytes_read: &mut u64) -> io::Result<FramedTail> {
-    let (buf, header, DecodedRecords { records, .. }) = read_segment_file(path)?;
-    *file_bytes_read += buf.len() as u64;
-    let held = records.partition_point(|(e, _)| e.stamped.seq <= covered);
-    let header_len = SEGMENT_HEADER_LEN as u64;
-    let start = held.checked_sub(1).map_or(header_len, |i| records[i].1);
-    let end = records.last().map_or(header_len, |(_, end)| *end);
-    let marks: Vec<RecordMark> = records[held..]
-        .iter()
-        .map(|(e, end)| RecordMark {
-            seq: e.stamped.seq,
-            end: *end,
-            charge: e.stamped.wire_size() + TAIL_ENTRY_OVERHEAD,
-        })
-        .collect();
-    Ok(FramedTail {
+/// The records past `acked_seq` of a segment [`walk`] read, as a run.
+fn run_of(segment: SegmentRecords, acked_seq: u64) -> FramedTail {
+    let SegmentRecords { header, file, start, records, .. } = segment;
+    let end = records.last().map_or(start, |(_, end)| *end);
+    let marks: Vec<RecordMark> = records.iter().map(|(e, end)| RecordMark::of(e, *end)).collect();
+    FramedTail {
         index: header.index,
         base_seq: header.base_seq,
         offset: start,
-        first_seq: marks.first().map_or(covered + 1, |m| m.seq),
-        bytes: buf[start as usize..end as usize].to_vec(),
+        first_seq: marks.first().map_or(acked_seq + 1, |m| m.seq),
+        bytes: file[start as usize..end as usize].to_vec(),
         marks,
-    })
+    }
 }
 
 /// What one [`Wal::apply_frame`] did.
@@ -301,7 +252,7 @@ fn verify(frame: &ShipFrame) -> Option<Vec<(AuditEntry, u64)>> {
 mod tests {
     use super::*;
     use crate::recover::recover;
-    use crate::segment::{read_segment, segment_file_name};
+    use crate::segment::{list_segments, read_segment, segment_file_name};
     use rave_scene::{NodeKind, SceneTree, SceneUpdate, StampedUpdate};
     use std::path::PathBuf;
 
@@ -490,6 +441,28 @@ mod tests {
         std::fs::remove_file(&first).unwrap();
         let err = plan(&pdir, &mut [], 0, 0, 8, &mut 0).unwrap_err();
         assert!(err.to_string().contains("compacted"), "{err}");
+        let _ = std::fs::remove_dir_all(&pdir);
+    }
+
+    /// A log torn before its end — a record of sealed segment 0 damaged
+    /// while later segments hold records — is refused, not planned around:
+    /// the records past the tear would reach the standby only past a gap,
+    /// which it declines, so the link would ship the same frames forever.
+    #[test]
+    fn a_log_torn_before_its_end_is_refused() {
+        let pdir = tmp_dir("torn-log-p");
+        primary_session(&pdir, 60, 512);
+        let (_, first) = &list_segments(&pdir).unwrap()[0];
+        let mut bytes = std::fs::read(first).unwrap();
+        let mid = bytes.len() / 2;
+        bytes[mid] ^= 0xff;
+        std::fs::write(first, &bytes).unwrap();
+        let before_the_tear = read_segment(first).unwrap().entries.len() as u64;
+        for acked in [0, before_the_tear] {
+            let err = plan(&pdir, &mut [], acked, 0, 4, &mut 0).unwrap_err();
+            assert_eq!(err.kind(), io::ErrorKind::InvalidData, "at {acked}: {err}");
+        }
+        assert_eq!(recover(&pdir).unwrap_err().kind(), io::ErrorKind::InvalidData);
         let _ = std::fs::remove_dir_all(&pdir);
     }
 

@@ -10,6 +10,16 @@
 //! ([`Wal::apply_frame`], in [`crate::ship`]), each segment a copy of the
 //! primary's. Both go through the one segment writer the log holds.
 //!
+//! The log is read by one reader, for replay, recovery and the shipping
+//! planner alike. It skips the segments a cursor covers from their
+//! successors' headers alone, and holds the end-of-log rule: each segment
+//! starts at the seq after the last record of the one before, its records
+//! run on one seq at a time, and a torn or corrupt record ends the log only
+//! in the last segment. [`Wal::rotate`] seals and syncs a segment before
+//! the next one exists, and a standby's copy is complete before its next
+//! copy starts, so a tear or a gap anywhere earlier is corruption, refused
+//! with [`io::ErrorKind::InvalidData`].
+//!
 //! While a log-shipping standby is attached the log is also the one
 //! in-memory holder of the records no frame has carried to it yet: a
 //! [`FramedTail`] per segment, the bytes exactly as they sit in the file,
@@ -17,9 +27,11 @@
 //! ([`crate::ship::plan`]) cuts frames from them without reading a file,
 //! and what it ships leaves them.
 
+use crate::invalid;
 use crate::record::TornTail;
 use crate::segment::{
-    frame_entry, list_segments, read_segment, read_segment_header, SegmentWriter,
+    covered, frame_entry, list_chain, list_segments, read_segment_file, DecodedRecords,
+    SegmentHeader, SegmentWriter, SEGMENT_HEADER_LEN,
 };
 use crate::ship::TAIL_ENTRY_OVERHEAD;
 use rave_scene::AuditEntry;
@@ -65,6 +77,14 @@ pub struct FramedTail {
     /// The CRC-framed records.
     pub(crate) bytes: Vec<u8>,
     pub(crate) marks: Vec<RecordMark>,
+}
+
+impl RecordMark {
+    /// The mark of `entry`'s record, which ends at file offset `end`.
+    pub(crate) fn of(entry: &AuditEntry, end: u64) -> Self {
+        let charge = entry.stamped.wire_size() + TAIL_ENTRY_OVERHEAD;
+        Self { seq: entry.stamped.seq, end, charge }
+    }
 }
 
 impl FramedTail {
@@ -144,8 +164,7 @@ impl Wal {
             return Err(e);
         }
         if let Some(run) = self.unshipped.last_mut() {
-            let charge = entry.stamped.wire_size() + TAIL_ENTRY_OVERHEAD;
-            run.marks.push(RecordMark { seq, end: self.active.len, charge });
+            run.marks.push(RecordMark::of(entry, self.active.len));
         }
         Ok(())
     }
@@ -197,48 +216,11 @@ impl Wal {
         &mut self.unshipped
     }
 
-    /// Replay every entry with `seq > after_seq`, in order, across all
-    /// segments. Stops at the first torn/corrupt record (the entries
-    /// before it are a guaranteed-intact prefix of the log).
-    ///
-    /// Sealed segments wholly at or below the cursor are skipped from
-    /// their 28-byte headers alone: segment `i`'s entries all lie below
-    /// segment `i+1`'s `base_seq` (rotation chains them), so an
-    /// incremental replay never reads or decodes record bodies the
-    /// caller already holds.
+    /// Replay every entry with `seq > after_seq`, in order, by the log's
+    /// one reader (see the module docs). A compacted log replays the
+    /// records it keeps.
     pub fn replay_after(dir: &Path, after_seq: u64) -> io::Result<Vec<AuditEntry>> {
-        let segments = list_segments(dir)?;
-        let mut start = 0;
-        for i in 0..segments.len().saturating_sub(1) {
-            let next_base = read_segment_header(&segments[i + 1].1)?.base_seq;
-            if next_base <= after_seq.saturating_add(1) {
-                start = i + 1;
-            } else {
-                break;
-            }
-        }
-        let mut out = Vec::new();
-        for (_, path) in &segments[start..] {
-            let contents = read_segment(path)?;
-            for e in contents.entries {
-                if e.stamped.seq > after_seq {
-                    out.push(e);
-                }
-            }
-            if contents.torn.is_some() {
-                break;
-            }
-        }
-        Ok(out)
-    }
-
-    /// The sequence number the oldest retained segment starts at (`None`:
-    /// no segment): the log holds nothing older.
-    pub fn first_base_seq(dir: &Path) -> io::Result<Option<u64>> {
-        match list_segments(dir)?.first() {
-            Some((_, path)) => Ok(Some(read_segment_header(path)?.base_seq)),
-            None => Ok(None),
-        }
+        replay(&list_chain(dir)?, after_seq)
     }
 
     /// Total bytes the log occupies on disk.
@@ -251,9 +233,75 @@ impl Wal {
     }
 }
 
+/// Refuse a log that does not reach back to `seq`: its oldest segment
+/// starts past `seq + 1`, the records between compacted away.
+pub(crate) fn reaches_back(chain: &[(PathBuf, SegmentHeader)], seq: u64) -> io::Result<()> {
+    match chain.first() {
+        Some((_, oldest)) if oldest.base_seq > seq.saturating_add(1) => Err(invalid(format!(
+            "the log starts at seq {}, past seq {seq}: the records between were compacted away",
+            oldest.base_seq
+        ))),
+        _ => Ok(()),
+    }
+}
+
+/// One segment [`walk`] read whole: the file, its header, and its records
+/// past the cursor, from file offset `start`, each with the offset it ends
+/// at; `last` for the append head.
+pub(crate) struct SegmentRecords {
+    pub(crate) header: SegmentHeader,
+    pub(crate) file: Vec<u8>,
+    pub(crate) start: u64,
+    pub(crate) records: Vec<(AuditEntry, u64)>,
+    pub(crate) last: bool,
+}
+
+/// The log's one reader (see the module docs): read `chain` forward past
+/// `after_seq`, one whole segment at a time, handing each to `visit` until
+/// it returns `false`, and refuse a tear or a gap before the last segment.
+pub(crate) fn walk(
+    chain: &[(PathBuf, SegmentHeader)],
+    after_seq: u64,
+    mut visit: impl FnMut(SegmentRecords) -> bool,
+) -> io::Result<()> {
+    let first = (0..chain.len()).take_while(|&i| covered(chain, i, after_seq)).count();
+    let mut next_seq = chain.get(first).map_or(0, |(_, header)| header.base_seq);
+    for (i, (path, header)) in chain.iter().enumerate().skip(first) {
+        let (file, _, DecodedRecords { mut records, torn }) = read_segment_file(path)?;
+        let last = i + 1 == chain.len();
+        let runs_on = header.base_seq == next_seq
+            && records.iter().zip(next_seq..).all(|((entry, _), seq)| entry.stamped.seq == seq);
+        if !runs_on || (torn.is_some() && !last) {
+            return Err(invalid(format!("{}: breaks the log at seq {next_seq}", path.display())));
+        }
+        next_seq += records.len() as u64;
+        let held = records.partition_point(|(entry, _)| entry.stamped.seq <= after_seq);
+        let start = held.checked_sub(1).map_or(SEGMENT_HEADER_LEN as u64, |h| records[h].1);
+        records.drain(..held);
+        if !visit(SegmentRecords { header: *header, file, start, records, last }) {
+            break;
+        }
+    }
+    Ok(())
+}
+
+/// Every record of `chain` past `after_seq`, in order ([`walk`]).
+pub(crate) fn replay(
+    chain: &[(PathBuf, SegmentHeader)],
+    after_seq: u64,
+) -> io::Result<Vec<AuditEntry>> {
+    let mut out = Vec::new();
+    walk(chain, after_seq, |segment| {
+        out.extend(segment.records.into_iter().map(|(entry, _)| entry));
+        true
+    })?;
+    Ok(out)
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::segment::{read_segment, read_segment_header};
     use rave_scene::{NodeId, SceneUpdate, StampedUpdate};
 
     fn tmp_dir(tag: &str) -> PathBuf {
@@ -470,9 +518,10 @@ mod tests {
         let tail = Wal::replay_after(&dir, seg1_base - 1).unwrap();
         assert_eq!(tail.first().unwrap().stamped.seq, seg1_base);
         assert_eq!(tail.last().unwrap().stamped.seq, 50);
-        // A cursor of 0 does read segment 0 and stops at the corruption.
-        let from_zero = Wal::replay_after(&dir, 0).unwrap();
-        assert!(from_zero.len() < 50, "corruption truncates a full replay");
+        // A cursor of 0 does read segment 0, and a tear before the last
+        // segment is corruption, not the end of the log.
+        let err = Wal::replay_after(&dir, 0).unwrap_err();
+        assert_eq!(err.kind(), io::ErrorKind::InvalidData, "{err}");
         std::fs::remove_dir_all(&dir).unwrap();
     }
 

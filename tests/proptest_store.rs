@@ -15,6 +15,7 @@ use rave::scene::{
 use rave::store::record::{encode_record, scan_records, RECORD_HEADER_LEN};
 use rave::store::wal::Wal;
 use rave::store::{write_snapshot, CheckpointKind, Store, StoreConfig};
+use std::collections::BTreeMap;
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
 
@@ -536,4 +537,73 @@ fn a_broken_delta_chain_never_recovers_a_silently_shorter_scene() {
     let err = rave::store::recover(&dir).unwrap_err();
     assert_eq!(err.kind(), std::io::ErrorKind::InvalidData, "short log: {err}");
     std::fs::remove_dir_all(&dir).unwrap();
+
+    // The log itself damaged: the last sealed segment, which holds records
+    // past the newest checkpoint, missing, bit-flipped or torn, while the
+    // active segment after it holds later ones.
+    for (what, damage) in damages {
+        let (dir, s) = chained_session("broken-log", true);
+        let (last, _) = *s.checkpoints.last().unwrap();
+        let segments = rave::store::segment::list_segments(&dir).unwrap();
+        let [.., (_, sealed), (_, active)] = &segments[..] else { panic!("no sealed segment") };
+        let active_base = rave::store::segment::read_segment_header(active).unwrap().base_seq;
+        assert!(active_base > last + 1, "the sealed segment holds records past seq {last}");
+        damage(sealed);
+        let err = rave::store::recover(&dir).unwrap_err();
+        assert_eq!(err.kind(), std::io::ErrorKind::InvalidData, "{what} sealed segment: {err}");
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(64))]
+
+    /// A log rotated on appends and by hand (empty segments included),
+    /// compacted behind a checkpoint at `s` and a standby at `f`: every
+    /// segment deleted holds only records at or below min(s, f), and
+    /// replay past any cursor from min(s, f) on reads the same records
+    /// before and after the compaction.
+    #[test]
+    fn compaction_deletes_only_what_replay_past_its_floor_skips(
+        steps in prop::collection::vec((any::<bool>(), 0u64..5), 1..40),
+        seg_bytes in 96u64..600,
+        s_frac in 0.0f64..1.0,
+        (standby, f_frac) in (any::<bool>(), 0.0f64..1.0),
+        case in any::<u64>(),
+    ) {
+        let dir = tmp_dir("compact-replay", case);
+        let (mut wal, _) = Wal::open(&dir, seg_bytes).unwrap();
+        let mut n = 0;
+        for (rotate, appends) in steps {
+            if rotate {
+                wal.rotate().unwrap();
+            }
+            for _ in 0..appends {
+                n += 1;
+                wal.append(&entry(n, &format!("n{n}"))).unwrap();
+            }
+        }
+        wal.sync().unwrap();
+        let s = ((n + 1) as f64 * s_frac) as u64;
+        let f = standby.then_some(((n + 1) as f64 * f_frac) as u64);
+        let floor = f.map_or(s, |f| f.min(s));
+        let held: BTreeMap<u64, Vec<u64>> = rave::store::segment::list_segments(&dir)
+            .unwrap()
+            .into_iter()
+            .map(|(index, path)| {
+                let contents = rave::store::segment::read_segment(&path).unwrap();
+                (index, contents.entries.iter().map(|e| e.stamped.seq).collect())
+            })
+            .collect();
+        let before: Vec<_> = (floor..=n).map(|c| Wal::replay_after(&dir, c).unwrap()).collect();
+
+        let report = rave::store::compact(&dir, s, f).unwrap();
+        for index in &report.segments_deleted {
+            prop_assert!(held[index].iter().all(|&seq| seq <= floor), "segment {} held {:?}", index, held[index]);
+        }
+        for (c, want) in (floor..=n).zip(&before) {
+            prop_assert_eq!(&Wal::replay_after(&dir, c).unwrap(), want, "cursor {}", c);
+        }
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
 }
