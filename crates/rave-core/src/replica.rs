@@ -102,8 +102,9 @@ pub struct PromotionReport {
 /// acknowledged, and its WAL keeps the records it frames until a frame
 /// carries them.
 ///
-/// A primary without a store or with another directory is refused with
-/// [`io::ErrorKind::InvalidInput`], a standby directory
+/// A primary without a store or with another directory (compared as
+/// canonical paths, so any spelling of the store's directory will do) is
+/// refused with [`io::ErrorKind::InvalidInput`], a standby directory
 /// [`rave_store::recover()`] refuses with its error; the world unchanged.
 pub fn establish_standby(
     sim: &mut RaveSim,
@@ -112,8 +113,9 @@ pub fn establish_standby(
     primary_dir: impl AsRef<Path>,
     standby_dir: impl AsRef<Path>,
 ) -> io::Result<u64> {
-    let store = sim.world.data(primary).store().filter(|s| s.dir() == primary_dir.as_ref());
-    let Some(cfg) = store.map(|store| *store.config()) else {
+    let given = std::fs::canonicalize(primary_dir.as_ref()).ok();
+    let holds_it = |s: &&Store| given.is_some() && std::fs::canonicalize(s.dir()).ok() == given;
+    let Some(cfg) = sim.world.data(primary).store().filter(holds_it).map(|s| *s.config()) else {
         let given = primary_dir.as_ref().display();
         let what = format!("{given} is not the directory of a store {primary} holds");
         return Err(io::Error::new(io::ErrorKind::InvalidInput, what));
@@ -172,7 +174,10 @@ pub fn ship_tick(sim: &mut RaveSim, primary: DataServiceId) -> io::Result<usize>
     sim.world.data_mut(primary).sync_persistence()?;
     let world = &mut sim.world;
     let primary_ds = world.data_services.get_mut(&primary).expect("synced above");
-    let (dir, kept) = primary_ds.ship_source().expect("establish_standby checked it has a store");
+    let Some((dir, kept)) = primary_ds.ship_source() else {
+        let what = format!("{primary} has no store to ship from");
+        return Err(io::Error::new(io::ErrorKind::InvalidInput, what));
+    };
     let link = world.replicas.get_mut(&primary).expect("link checked above");
     let frames =
         ship::plan(dir, kept, link.shipped_seq, max_lag, window, &mut link.file_bytes_read)?;
@@ -332,6 +337,7 @@ pub fn promote_standby(sim: &mut RaveSim, primary: DataServiceId) -> Option<Prom
 mod tests {
     use super::*;
     use crate::bootstrap::connect_render_service;
+    use crate::data_service::DataService;
     use crate::ids::RenderServiceId;
     use crate::sched::rebalance::process_events;
     use crate::sched::SchedEvent;
@@ -805,6 +811,29 @@ mod tests {
             assert!(sim.world.replicas.is_empty(), "no link");
             assert!(seen(&sim) == before, "the standby and the trace are as they were");
         }
+        // Another spelling of the store's directory is the same directory.
+        let respelled = pdir.join("..").join(pdir.file_name().unwrap()).join(".");
+        establish_standby(&mut sim, primary, standby, &respelled, &sdir).unwrap();
+        let _ = std::fs::remove_dir_all(&pdir);
+        let _ = std::fs::remove_dir_all(&sdir);
+    }
+
+    /// A primary that no longer holds a store has nothing to ship from:
+    /// shipping stops with a traced error instead of a panic.
+    #[test]
+    fn a_primary_without_a_store_stops_shipping() {
+        let (mut sim, primary, _, _, pdir, sdir) = warm_world("lost-store", 0);
+        let storeless = DataService::new(primary, "adrenochrome", "sess");
+        sim.world.data_services.insert(primary, storeless);
+        let horizon = sim.now() + SimTime::from_secs(5.0);
+        run_log_shipping(&mut sim, primary, horizon);
+        sim.run();
+        let stopped = sim.world.trace.last_of(TraceKind::LogShip).map(|row| &row.event);
+        assert!(
+            matches!(stopped, Some(TraceEvent::ShippingStopped { error, .. }) if error.contains("no store")),
+            "{}",
+            sim.world.trace.render()
+        );
         let _ = std::fs::remove_dir_all(&pdir);
         let _ = std::fs::remove_dir_all(&sdir);
     }

@@ -7,7 +7,7 @@
 //! - a **segmented write-ahead log** ([`wal::Wal`]) of CRC-framed binary
 //!   audit entries ([`record`], [`segment`]), written in place over
 //!   segments zero-filled when they are created, repaired on open, and read
-//!   by one reader that refuses a tear or a gap before its last segment;
+//!   by one reader that refuses a log damaged before its last segment;
 //! - **checkpoints** ([`snapshot`]): full snapshots of the scene tree,
 //!   and between them deltas of only the nodes its edit journal names,
 //!   RLE-compressed and atomically written;

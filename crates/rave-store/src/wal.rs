@@ -12,13 +12,13 @@
 //!
 //! The log is read by one reader, for replay, recovery and the shipping
 //! planner alike. It skips the segments a cursor covers from their
-//! successors' headers alone, and holds the end-of-log rule: each segment
-//! starts at the seq after the last record of the one before, its records
-//! run on one seq at a time, and a torn or corrupt record ends the log only
-//! in the last segment. [`Wal::rotate`] seals and syncs a segment before
-//! the next one exists, and a standby's copy is complete before its next
-//! copy starts, so a tear or a gap anywhere earlier is corruption, refused
-//! with [`io::ErrorKind::InvalidData`].
+//! successors' headers alone, and holds the end-of-log rule: a segment
+//! starts where the one before ends, its records rise strictly from its
+//! `base_seq` (a refused update leaves a hole in the seqs), and a torn
+//! record ends the log only in the last segment. [`Wal::rotate`] seals and
+//! syncs a segment before the next one exists, and a standby's copy is
+//! complete before its next copy starts, so anything else is corruption,
+//! refused with [`io::ErrorKind::InvalidData`].
 //!
 //! While a log-shipping standby is attached the log is also the one
 //! in-memory holder of the records no frame has carried to it yet: a
@@ -238,7 +238,8 @@ impl Wal {
 pub(crate) fn reaches_back(chain: &[(PathBuf, SegmentHeader)], seq: u64) -> io::Result<()> {
     match chain.first() {
         Some((_, oldest)) if oldest.base_seq > seq.saturating_add(1) => Err(invalid(format!(
-            "the log starts at seq {}, past seq {seq}: the records between were compacted away",
+            "the log starts at seq {}, past seq {seq}: the records between were compacted \
+             away; a standby must be re-established from a snapshot",
             oldest.base_seq
         ))),
         _ => Ok(()),
@@ -258,7 +259,7 @@ pub(crate) struct SegmentRecords {
 
 /// The log's one reader (see the module docs): read `chain` forward past
 /// `after_seq`, one whole segment at a time, handing each to `visit` until
-/// it returns `false`, and refuse a tear or a gap before the last segment.
+/// it returns `false`, and refuse a log that breaks the end-of-log rule.
 pub(crate) fn walk(
     chain: &[(PathBuf, SegmentHeader)],
     after_seq: u64,
@@ -269,12 +270,12 @@ pub(crate) fn walk(
     for (i, (path, header)) in chain.iter().enumerate().skip(first) {
         let (file, _, DecodedRecords { mut records, torn }) = read_segment_file(path)?;
         let last = i + 1 == chain.len();
-        let runs_on = header.base_seq == next_seq
-            && records.iter().zip(next_seq..).all(|((entry, _), seq)| entry.stamped.seq == seq);
-        if !runs_on || (torn.is_some() && !last) {
-            return Err(invalid(format!("{}: breaks the log at seq {next_seq}", path.display())));
+        let intact = header.base_seq == next_seq && (last || torn.is_none());
+        let mut seqs = records.iter().map(|(entry, _)| entry.stamped.seq);
+        match seqs.try_fold(next_seq, |from, seq| (seq >= from).then_some(seq + 1)) {
+            Some(end) if intact => next_seq = end,
+            _ => return Err(invalid(format!("{}: log broken at seq {next_seq}", path.display()))),
         }
-        next_seq += records.len() as u64;
         let held = records.partition_point(|(entry, _)| entry.stamped.seq <= after_seq);
         let start = held.checked_sub(1).map_or(SEGMENT_HEADER_LEN as u64, |h| records[h].1);
         records.drain(..held);

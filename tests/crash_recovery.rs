@@ -3,8 +3,9 @@
 //! tears the final log record, and a replacement service that recovers
 //! the session and re-mirrors every subscribed render service — called
 //! directly, and through the scheduler's failure event for a service
-//! that has no standby — and a storm of edits whose checkpoints are
-//! deltas, recovered through them.
+//! that has no standby — a storm of edits whose checkpoints are
+//! deltas, recovered through them, and a log with holes where refused
+//! updates were stamped, read back whole.
 
 use rave::core::bootstrap::{connect_render_service, recover_data_service};
 use rave::core::collaboration::{join_session, move_camera, reattach_participant};
@@ -298,6 +299,47 @@ fn an_edit_storm_session_checkpoints_in_deltas_and_recovers_through_them() {
     let rec = rave::store::recover(&dir).unwrap();
     assert!(rec.deltas >= 1, "recovery went through the chain");
     assert_eq!(rec.last_seq, sim.world.data(ds).audit.last_seq());
+    assert_eq!(rec.tree, sim.world.data(ds).scene);
+    std::fs::remove_dir_all(&dir).unwrap();
+}
+
+/// An update stamped and then refused (an edit to a node no scene holds)
+/// never reaches the log, and leaves a hole in its seqs: here after every
+/// committed update, so every segment after the first starts at one. Such
+/// a log is intact, and replay and recovery read every committed entry.
+#[test]
+fn a_log_with_holes_from_refused_updates_recovers_every_committed_entry() {
+    use rave::scene::NodeId;
+    use rave::store::wal::Wal;
+    let dir = tmp_dir("holes");
+    let mut sim = Simulation::new(RaveWorld::paper_testbed(RaveConfig::default(), 7005));
+    let ds = sim.world.spawn_data_service("adrenochrome", "holes");
+    let cfg = StoreConfig { checkpoint_every: u64::MAX / 2, segment_max_bytes: 256 };
+    sim.world.data_mut(ds).attach_store(&dir, cfg).unwrap();
+    let root = sim.world.data(ds).scene.root();
+    let mut committed = Vec::new();
+    for i in 0..40 {
+        let id = sim.world.data_mut(ds).scene.allocate_id();
+        let kind = NodeKind::Group;
+        let add = SceneUpdate::AddNode { id, parent: root, name: format!("n{i}"), kind };
+        committed.push(publish_update(&mut sim, ds, "Desktop", add).unwrap());
+        let gone = SceneUpdate::SetName { id: NodeId(1 << 40), name: "gone".into() };
+        assert!(publish_update(&mut sim, ds, "Desktop", gone).is_err(), "refused");
+    }
+    sim.world.data_mut(ds).sync_persistence().unwrap();
+    let segments = rave::store::segment::list_segments(&dir).unwrap();
+    assert!(segments.len() > 2, "rotated");
+    for (_, path) in &segments[1..] {
+        let base = rave::store::segment::read_segment_header(path).unwrap().base_seq;
+        assert!(!committed.contains(&base), "segment starts at the hole {base}");
+    }
+
+    let seqs = |entries: &[rave::scene::AuditEntry]| -> Vec<u64> {
+        entries.iter().map(|e| e.stamped.seq).collect()
+    };
+    assert_eq!(seqs(&Wal::replay_after(&dir, 0).unwrap()), committed);
+    let rec = rave::store::recover(&dir).unwrap();
+    assert_eq!(seqs(&rec.entries), committed);
     assert_eq!(rec.tree, sim.world.data(ds).scene);
     std::fs::remove_dir_all(&dir).unwrap();
 }

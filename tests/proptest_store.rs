@@ -559,13 +559,15 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
     /// A log rotated on appends and by hand (empty segments included),
-    /// compacted behind a checkpoint at `s` and a standby at `f`: every
+    /// with holes in its seqs where refused updates were stamped (some
+    /// where a segment starts), compacted behind a checkpoint at `s` and a
+    /// standby at `f`: every
     /// segment deleted holds only records at or below min(s, f), and
     /// replay past any cursor from min(s, f) on reads the same records
     /// before and after the compaction.
     #[test]
     fn compaction_deletes_only_what_replay_past_its_floor_skips(
-        steps in prop::collection::vec((any::<bool>(), 0u64..5), 1..40),
+        steps in prop::collection::vec((any::<bool>(), any::<bool>(), 0u64..5), 1..40),
         seg_bytes in 96u64..600,
         s_frac in 0.0f64..1.0,
         (standby, f_frac) in (any::<bool>(), 0.0f64..1.0),
@@ -574,10 +576,11 @@ proptest! {
         let dir = tmp_dir("compact-replay", case);
         let (mut wal, _) = Wal::open(&dir, seg_bytes).unwrap();
         let mut n = 0;
-        for (rotate, appends) in steps {
+        for (rotate, hole, appends) in steps {
             if rotate {
                 wal.rotate().unwrap();
             }
+            n += u64::from(hole);
             for _ in 0..appends {
                 n += 1;
                 wal.append(&entry(n, &format!("n{n}"))).unwrap();
